@@ -56,21 +56,17 @@ POLICY_NAMES = {
 
 def add_policy_argument(parser, default: str = "sync",
                         extra_choices: tuple = ()) -> None:
-    """The common ``--policy`` flag (plus ``--softdep`` as a hidden
-    legacy alias) shared by every command that builds a file system."""
+    """The common ``--policy`` flag shared by every command that builds
+    a file system."""
     parser.add_argument(
         "--policy", choices=tuple(POLICY_NAMES) + extra_choices,
         default=default,
         help="metadata policy: synchronous ordering writes, soft-update "
              "dependency tracking, or write-ahead journaling")
-    parser.add_argument("--softdep", action="store_true",
-                        help=argparse.SUPPRESS)
 
 
 def policy_from_args(args) -> MetadataPolicy:
-    """Resolve the shared policy flags to a :class:`MetadataPolicy`."""
-    if getattr(args, "softdep", False):
-        return MetadataPolicy.DELAYED_METADATA
+    """Resolve the shared policy flag to a :class:`MetadataPolicy`."""
     return POLICY_NAMES[args.policy]
 
 

@@ -43,9 +43,10 @@ DirEntry = Tuple[int, int, int, int, str, int]
 # Precompiled header codec: the scan loops below decode one header per
 # entry per lookup, which makes this the hottest struct in the tree.
 _DENT_HEADER = struct.Struct(DENT_HEADER_FMT)
+_IDENT = struct.Struct("<Q")
 
 
-def init_dir_block() -> bytearray:
+def init_block() -> bytearray:
     """A fresh directory block: every sector one free record."""
     block = bytearray(BLOCK_SIZE)
     for s in range(SECTORS_PER_DIR_BLOCK):
@@ -87,6 +88,32 @@ def iter_block(block: bytes) -> Iterator[Tuple[int, DirEntry]]:
 
 def live_entries(block: bytes) -> List[Tuple[int, DirEntry]]:
     return [(s, e) for s, e in iter_block(block) if e[2] != ET_FREE]
+
+
+def entry_ident(block: bytes, payload_off: int) -> int:
+    """The identifier an entry's payload leads with: an embedded inode
+    starts with its fileid and an external ref *is* the inode number,
+    so one 64-bit read serves either."""
+    return _IDENT.unpack_from(block, payload_off)[0]
+
+
+def index_entries(block: bytes, blk: int) -> List[Tuple[str, tuple]]:
+    """Live entries of directory block ``blk`` as the directory index
+    keeps them: (name, (etype, kind, blk, entry_off, payload_off,
+    ident)), ``ident`` as in :func:`entry_ident`."""
+    ident_at = _IDENT.unpack_from
+    return [
+        (name, (etype, kind, blk, off, payload_off,
+                ident_at(block, payload_off)[0]))
+        for _, (off, _reclen, etype, kind, name, payload_off)
+        in iter_block(block) if etype != ET_FREE
+    ]
+
+
+def free_slots(block: bytes, blk: int) -> List[Tuple[Tuple[int, int], int]]:
+    """(slot, largest insertion) pairs: every sector is its own slot."""
+    return [((blk, s), sector_free_bytes(block, s))
+            for s in range(SECTORS_PER_DIR_BLOCK)]
 
 
 def sector_free_bytes(block: bytes, sector: int) -> int:

@@ -24,14 +24,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.blockdev.device import BLOCK_SIZE, BlockDevice
+from repro.blockdev.device import BlockDevice
 from repro.cache.buffercache import BufferCache
-from repro.cache.policy import MetadataPolicy
-from repro.clock import CpuModel
 from repro.core import directory as dirfmt
 from repro.core import layout
 from repro.core.extinodes import ExtInodeTable
@@ -42,35 +39,28 @@ from repro.errors import (
     DirectoryNotEmpty,
     FileExists,
     FileNotFound,
-    InvalidArgument,
     IsADirectory,
     NotADirectory,
 )
 from repro.ffs import layout as flayout
 from repro.ffs import mapping
 from repro.ffs.alloc import GroupedAllocator
-from repro.ffs.base import BlockFileSystem, OrderToken
-from repro.journal import Journal, default_journal_blocks, timed_replay
-from repro.vfs.stat import FileKind, StatResult
+from repro.ffs.base import BlockFileSystem, OrderToken, VolumeConfig
+from repro.vfs.stat import StatResult
 
 ROOT_FILEID = 1
 FIRST_DYNAMIC_FILEID = 3  # 1 = root, 2 = external inode table
 
 
 @dataclass
-class CFFSConfig:
-    """Tunable parameters; the two booleans select the paper's grid."""
+class CFFSConfig(VolumeConfig):
+    """Tunable parameters; the two booleans select the paper's grid
+    (``small_file_spread`` applies when grouping is off)."""
 
-    blocks_per_cg: int = 2048
     embedded_inodes: bool = True
     explicit_grouping: bool = True
-    small_file_spread: int = 6      # conventional placement when grouping is off
     smallfile_max_blocks: int = 12  # files beyond this migrate out of groups
     group_span: int = layout.GROUP_SPAN  # blocks per explicit group (<= 16)
-    policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA
-    cache_blocks: int = 4096
-    file_readahead_blocks: int = 0  # FS-level sequential prefetch (off)
-    journal_blocks: Optional[int] = None  # None = auto-size (journal policy)
 
     @property
     def gdt_blocks(self) -> int:
@@ -130,92 +120,38 @@ class _GroupContextManager:
         assert popped is self._ctx, "unbalanced group_context nesting"
 
 
-class _DirIndex:
-    """Name cache for one C-FFS directory.
-
-    Fills incrementally: lookups scan directory blocks only until the
-    wanted name appears; absence checks (create/link/rename targets)
-    force a full scan.  Scan costs are charged as incurred.
-    """
-
-    __slots__ = ("names", "sector_free", "scan_hint", "scanned_blocks",
-                 "complete")
-
-    def __init__(self) -> None:
-        # name -> (etype, kind, blk, entry_off, payload_off, ident)
-        # ident is the fileid for embedded entries, the external inode
-        # number for external ones.
-        self.names: Dict[str, Tuple[int, int, int, int, int, int]] = {}
-        self.sector_free: Dict[Tuple[int, int], int] = {}
-        # needed-size -> position in sector_free's (insertion) order
-        # before which no sector can hold an entry of that size.  Keys
-        # are never removed from sector_free and new ones append at the
-        # end, so a hint stays valid as long as no existing sector's
-        # free count grows — set_free clears the hints when one does.
-        self.scan_hint: Dict[int, int] = {}
-        self.scanned_blocks = 0
-        self.complete = False
-
-    def set_free(self, key: Tuple[int, int], value: int) -> None:
-        prev = self.sector_free.get(key)
-        if prev is not None and value > prev:
-            self.scan_hint.clear()
-        self.sector_free[key] = value
-
-
 class CFFS(BlockFileSystem):
     """The Co-locating Fast File System."""
 
+    Config = CFFSConfig
+    MAGIC = layout.CFFS_MAGIC
+    SB_LABEL = "C-FFS superblock"
+    unpack_superblock = staticmethod(layout.unpack_superblock)
+    dirfmt = dirfmt
+
     def __init__(self, device: BlockDevice, config: CFFSConfig,
                  cache: Optional[BufferCache] = None) -> None:
-        cache = cache if cache is not None else BufferCache(device, config.cache_blocks)
-        super().__init__(
-            cache, CpuModel(device.clock), config.policy,
-            file_readahead_blocks=config.file_readahead_blocks,
-        )
-        self.device = device
-        self.config = config
+        super().__init__(device, config, cache)
         self.name = config.label
-        self.sb: Dict[str, object] = {}
-        self.alloc: GroupedAllocator = None  # type: ignore[assignment]
+        if config.explicit_grouping:
+            self.file_spread = 0  # ungrouped first blocks go to the rotor
         self.groups: GroupTable = None       # type: ignore[assignment]
         self.ext = ExtInodeTable(self)
         self._root: Optional[CNode] = None
-        self._icache: Dict[int, CNode] = {}
-        self._dir_index: Dict[int, _DirIndex] = {}
         self._hint_contexts: Dict[str, _HintContext] = {}
         self._hint_stack: List[_HintContext] = []
-        self.cache.flush_companions = self._flush_companions
 
     # ------------------------------------------------------------------ mkfs/mount
 
-    @classmethod
-    def mkfs(cls, device: BlockDevice, config: Optional[CFFSConfig] = None) -> "CFFS":
-        config = config if config is not None else CFFSConfig()
-        fs = cls(device, config)
-        total = device.total_blocks
-        # A journal policy carves its log region out of the post-cg tail
-        # (just before the superblock replica); other policies keep the
-        # historical layout byte-for-byte.
-        jb = 0
-        if config.policy.is_journal:
-            jb = (config.journal_blocks if config.journal_blocks is not None
-                  else default_journal_blocks(total))
-        if jb:
-            n_cgs = (total - 2 - jb) // config.blocks_per_cg
-        else:
-            n_cgs = (total - 1) // config.blocks_per_cg
-        if n_cgs < 1:
-            raise InvalidArgument("device too small for one cylinder group")
-        journal_start = 1 + n_cgs * config.blocks_per_cg if jb else 0
+    def _usable_per_cg(self) -> int:
+        """Data blocks per cylinder group: whole extents only."""
+        config = self.config
         data_area = config.blocks_per_cg - config.data_start
-        usable = (data_area // config.group_span) * config.group_span
-        fs.sb = {
-            "magic": layout.CFFS_MAGIC,
-            "version": 1,
-            "total_blocks": total,
-            "n_cgs": n_cgs,
-            "blocks_per_cg": config.blocks_per_cg,
+        return (data_area // config.group_span) * config.group_span
+
+    def _superblock_fields(self, n_cgs: int) -> dict:
+        config = self.config
+        return {
             "gdt_blocks": config.gdt_blocks,
             "data_start": config.data_start,
             "group_span": config.group_span,
@@ -225,77 +161,52 @@ class CFFS(BlockFileSystem):
             ),
             "next_fileid": FIRST_DYNAMIC_FILEID,
             "next_gen": 1,
-            "free_blocks": n_cgs * usable,
+            "free_blocks": n_cgs * self._usable_per_cg(),
             "ext_size": 0,
             "ext_direct": [0] * 12,
             "ext_indirect": 0,
             "ext_dindirect": 0,
-            "journal_start": journal_start,
-            "journal_blocks": jb,
         }
-        fs._build_tables()
-        if jb:
-            Journal.format(device, journal_start, jb)
-        fs._attach_crash_consistency(journal_start, jb)
-        from repro.ffs.layout import pack_cg
 
+    def _init_volume(self, n_cgs: int) -> None:
+        config = self.config
+        usable = self._usable_per_cg()
         for cgi in range(n_cgs):
-            base = fs.cg_base(cgi)
-            bmap = fs.cache.create(base + 1)
+            base = self.cg_base(cgi)
+            bmap = self.cache.create(base + 1)
             for off in range(config.data_start):
                 bmap.data[off >> 3] |= 1 << (off & 7)
             # Blocks past the last whole extent are unusable; mark used.
             for off in range(config.data_start + usable, config.blocks_per_cg):
                 bmap.data[off >> 3] |= 1 << (off & 7)
-            fs.cache.mark_dirty(base + 1)
-            desc = fs.cache.create(base)
-            desc.data[:] = pack_cg(usable, 0, config.data_start, 0)
-            fs.cache.mark_dirty(base)
+            self.cache.mark_dirty(base + 1)
+            desc = self.cache.create(base)
+            desc.data[:] = flayout.pack_cg(usable, 0, config.data_start, 0)
+            self.cache.mark_dirty(base)
             for g in range(config.gdt_blocks):
-                fs.cache.create(base + 2 + g)
-                fs.cache.mark_dirty(base + 2 + g)
+                self.cache.create(base + 2 + g)
+                self.cache.mark_dirty(base + 2 + g)
         root = CNode(ROOT_FILEID)
-        root.init_as(layout.MODE_DIR, gen=1, mtime=device.clock.now)
+        root.init_as(layout.MODE_DIR, gen=1, mtime=self.device.clock.now)
+        self._adopt_root(root)
+
+    def _adopt_root(self, root: CNode) -> None:
         root.loc = (LOC_SUPER,)
         root.home_cg = 0
-        fs._root = root
-        fs._icache[ROOT_FILEID] = root
-        fs._write_back_metadata()
-        fs.cache.sync()
-        return fs
+        self._root = root
+        self._icache[ROOT_FILEID] = root
 
     @classmethod
-    def mount(cls, device: BlockDevice, config: Optional[CFFSConfig] = None) -> "CFFS":
-        """Mount an existing image.
+    def _config_from_superblock(cls, sb: dict) -> CFFSConfig:
+        return CFFSConfig(
+            blocks_per_cg=sb["blocks_per_cg"],
+            group_span=sb["group_span"] or layout.GROUP_SPAN,
+            embedded_inodes=bool(sb["config_flags"] & layout.SBF_EMBEDDED_INODES),
+            explicit_grouping=bool(sb["config_flags"] & layout.SBF_EXPLICIT_GROUPING),
+        )
 
-        Without an explicit ``config`` the geometry and technique flags
-        are derived from the superblock, so any valid image mounts.
-        """
-        if config is None:
-            probe = layout.unpack_superblock(device.peek_block(0))
-            if probe["magic"] != layout.CFFS_MAGIC:
-                raise CorruptFileSystem(
-                    "bad C-FFS superblock magic 0x%x" % probe["magic"]
-                )
-            config = CFFSConfig(
-                blocks_per_cg=probe["blocks_per_cg"],
-                group_span=probe["group_span"] or layout.GROUP_SPAN,
-                embedded_inodes=bool(probe["config_flags"] & layout.SBF_EMBEDDED_INODES),
-                explicit_grouping=bool(probe["config_flags"] & layout.SBF_EXPLICIT_GROUPING),
-            )
-        # Replay the journal (if the volume carries one) before the first
-        # cache fill, so the cache only ever sees post-replay state.
-        # This IS the fast remount path: a sequential log read plus one
-        # batched home write, instead of a full fsck walk.
-        probe_sb = layout.unpack_superblock(device.peek_block(0))
-        if probe_sb["magic"] == layout.CFFS_MAGIC and probe_sb["journal_start"]:
-            timed_replay(device, probe_sb["journal_start"],
-                         probe_sb["journal_blocks"])
-        fs = cls(device, config)
-        raw = bytes(fs.cache.get(0).data)
-        sb = layout.unpack_superblock(raw)
-        if sb["magic"] != layout.CFFS_MAGIC:
-            raise CorruptFileSystem("bad C-FFS superblock magic 0x%x" % sb["magic"])
+    def _check_geometry(self, sb: dict) -> None:
+        config = self.config
         if sb["blocks_per_cg"] != config.blocks_per_cg:
             raise CorruptFileSystem("superblock geometry disagrees with config")
         if sb["group_span"] != config.group_span:
@@ -303,49 +214,39 @@ class CFFS(BlockFileSystem):
                 "superblock group span %d disagrees with config %d"
                 % (sb["group_span"], config.group_span)
             )
-        fs.sb = sb
-        fs._build_tables()
-        fs._attach_crash_consistency(int(sb["journal_start"]),
-                                     int(sb["journal_blocks"]))
-        root = CNode.unpack(layout.root_inode_bytes(raw))
-        root.loc = (LOC_SUPER,)
-        root.home_cg = 0
-        fs._root = root
-        fs._icache[ROOT_FILEID] = root
-        return fs
 
-    def _build_tables(self) -> None:
+    def _load_root(self, raw_sb: bytes) -> None:
+        self._adopt_root(CNode.unpack(layout.root_inode_bytes(raw_sb)))
+
+    def _pack_superblock(self) -> bytes:
+        root = self._root if self._root is not None else CNode(ROOT_FILEID)
+        return layout.pack_superblock(self.sb, root.pack())
+
+    def _build_allocator(self) -> None:
+        sb = self.sb
         self.alloc = GroupedAllocator(
             self.cache,
-            n_cgs=int(self.sb["n_cgs"]),
-            blocks_per_cg=int(self.sb["blocks_per_cg"]),
+            n_cgs=sb["n_cgs"],
+            blocks_per_cg=sb["blocks_per_cg"],
             inodes_per_cg=0,
-            data_start=int(self.sb["data_start"]),
+            data_start=sb["data_start"],
             cg_base_of=self.cg_base,
-            counts=self.sb,
+            counts=sb,
         )
         self.groups = GroupTable(
             self.cache,
-            n_cgs=int(self.sb["n_cgs"]),
-            blocks_per_cg=int(self.sb["blocks_per_cg"]),
-            gdt_blocks=int(self.sb["gdt_blocks"]),
-            data_start=int(self.sb["data_start"]),
+            n_cgs=sb["n_cgs"],
+            blocks_per_cg=sb["blocks_per_cg"],
+            gdt_blocks=sb["gdt_blocks"],
+            data_start=sb["data_start"],
             cg_base_of=self.cg_base,
             span=self.config.group_span,
         )
 
-    def cg_base(self, cgi: int) -> int:
-        return 1 + cgi * int(self.sb["blocks_per_cg"])
-
     def _next_fileid(self) -> int:
-        fid = int(self.sb["next_fileid"])
+        fid = self.sb["next_fileid"]
         self.sb["next_fileid"] = fid + 1
         return fid
-
-    def _next_gen(self) -> int:
-        gen = int(self.sb["next_gen"])
-        self.sb["next_gen"] = (gen + 1) & 0xFFFF
-        return gen or 1
 
     # ------------------------------------------------------------------ inode persistence
 
@@ -417,28 +318,6 @@ class CFFS(BlockFileSystem):
                                   requires=requires)
         raise CorruptFileSystem(  # pragma: no cover - defensive
             "inode with unknown location %r" % (handle.loc,))
-
-    def _store_superblock(self, sync_op: bool = False,
-                          requires: Tuple = ()) -> OrderToken:
-        buf = self.cache.get(0)
-        root = self._root if self._root is not None else CNode(ROOT_FILEID)
-        buf.data[:] = layout.pack_superblock(self.sb, root.pack())
-        token = None
-        if sync_op:
-            token = self._meta_write(0, requires)
-        else:
-            self.cache.mark_dirty(0)
-        rb = flayout.replica_block(
-            self.sb["total_blocks"], self.sb["n_cgs"], self.sb["blocks_per_cg"])
-        if rb is not None:
-            # Replica in the post-cg tail: lets fsck recover a smashed
-            # superblock (and with it the embedded root inode).
-            rbuf = self.cache.peek(rb)
-            if rbuf is None:
-                rbuf = self.cache.create(rb)
-            rbuf.data[:] = buf.data
-            self.cache.mark_dirty(rb)
-        return token
 
     # ------------------------------------------------------------------ application hints
 
@@ -515,37 +394,24 @@ class CFFS(BlockFileSystem):
         return bno
 
     def _alloc_ungrouped(self, handle: CNode, idx: int) -> int:
-        pref_cg = handle.home_cg
-        if handle.is_dir:
-            # Directory data sits dense near the front of the group,
-            # like FFS keeps directories near the cylinder-group
-            # metadata, away from the file-data placement pattern.
-            bno = self.alloc.alloc_block(
-                pref_cg, pref_offset=int(self.sb["data_start"])
-            )
-        elif idx == 0:
-            spread = 0 if self.config.explicit_grouping else self.config.small_file_spread
-            bno = self.alloc.alloc_block(pref_cg, spread=spread)
-        else:
-            prev = mapping.bmap_lookup(self.cache, handle, idx - 1)
-            if prev and not self._block_is_grouped(prev):
-                prev_cg = self.alloc.cg_of_block(prev)
-                offset = prev - self.cg_base(prev_cg) + 1
-                bno = self.alloc.alloc_block(prev_cg, pref_offset=offset)
-            else:
-                bno = self.alloc.alloc_block(pref_cg)
+        bno = self._alloc_conventional(handle, idx)
         self.groups.note_ungrouped_alloc(bno)
         return bno
 
+    def _home_cg(self, handle: CNode) -> int:
+        return handle.home_cg
+
+    def _may_follow(self, prev_bno: int) -> bool:
+        return not self._block_is_grouped(prev_bno)
+
     def _alloc_meta_block(self, handle: CNode) -> int:
         bno = self.alloc.alloc_block(
-            handle.home_cg, pref_offset=int(self.sb["data_start"])
-        )
+            handle.home_cg, pref_offset=self.sb["data_start"])
         self.groups.note_ungrouped_alloc(bno)
         return bno
 
     def _alloc_ext_table_block(self) -> int:
-        bno = self.alloc.alloc_block(0, pref_offset=int(self.sb["data_start"]))
+        bno = self.alloc.alloc_block(0, pref_offset=self.sb["data_start"])
         self.groups.note_ungrouped_alloc(bno)
         return bno
 
@@ -740,96 +606,9 @@ class CFFS(BlockFileSystem):
                 base = self.groups.extent_base(ext)
                 return [base + s for s in range(self.config.group_span)
                         if desc["valid_mask"] & (1 << s)]
-        # Fall back to same-file contiguous clustering.
-        buf = self.cache.peek(victim_bno)
-        if buf is None or buf.logical is None:
-            return [victim_bno]
-        fid, idx = buf.logical
-        companions = [victim_bno]
-        for direction in (1, -1):
-            step = 1
-            while step <= 64:
-                sibling = self.cache.get_logical((fid, idx + direction * step))
-                if (
-                    sibling is None
-                    or not sibling.dirty
-                    or sibling.bno != victim_bno + direction * step
-                ):
-                    break
-                companions.append(sibling.bno)
-                step += 1
-        return companions
+        return super()._flush_companions(victim_bno)  # same-file clustering
 
     # ------------------------------------------------------------------ directories
-
-    def _index_for(self, dirh: CNode) -> _DirIndex:
-        index = self._dir_index.get(dirh.fileid)
-        if index is None:
-            index = _DirIndex()
-            self._dir_index[dirh.fileid] = index
-        return index
-
-    def _scan_until(self, dirh: CNode, index: _DirIndex,
-                    name: Optional[str] = None) -> None:
-        """Scan directory blocks into the index, stopping early once
-        ``name`` is found; ``name=None`` scans to the end."""
-        nblocks = dirh.size // BLOCK_SIZE
-        entries_seen = 0
-        while index.scanned_blocks < nblocks:
-            blk = index.scanned_blocks
-            bno = self._dir_block_bno(dirh, blk)
-            # The scan only reads scalars out of the block, so it can
-            # walk the cache's live bytearray without a snapshot.
-            data = self.cache.get(bno, logical=(dirh.fileid, blk)).data
-            for _sector, entry in dirfmt.iter_block(data):
-                entry_off, _reclen, etype, kind, entry_name, payload_off = entry
-                if etype == dirfmt.ET_FREE:
-                    continue
-                ident = self._entry_ident(data, etype, payload_off)
-                index.names[entry_name] = (
-                    etype, kind, blk, entry_off, payload_off, ident,
-                )
-                entries_seen += 1
-            for sector in range(layout.SECTORS_PER_DIR_BLOCK):
-                index.set_free((blk, sector),
-                               dirfmt.sector_free_bytes(data, sector))
-            index.scanned_blocks += 1
-            if name is not None and name in index.names:
-                break
-        if index.scanned_blocks >= nblocks:
-            index.complete = True
-        self.cpu.charge_dirent_scan(entries_seen)
-
-    def _find_entry(self, dirh: CNode, name: str):
-        """The index entry for ``name``, scanning as far as needed."""
-        index = self._index_for(dirh)
-        info = index.names.get(name)
-        if info is None and not index.complete:
-            self._scan_until(dirh, index, name)
-            info = index.names.get(name)
-        return info
-
-    def _complete_index(self, dirh: CNode) -> _DirIndex:
-        """The fully-scanned index (needed for absence checks)."""
-        index = self._index_for(dirh)
-        if not index.complete:
-            self._scan_until(dirh, index)
-        return index
-
-    @staticmethod
-    def _entry_ident(data: bytes, etype: int, payload_off: int) -> int:
-        # Both payload kinds lead with a 64-bit identifier: an embedded
-        # inode starts with its fileid and an external ref *is* the
-        # inode number, so one field read serves either.
-        return struct.unpack_from("<Q", data, payload_off)[0]
-
-    def _dir_block_bno(self, dirh: CNode, blk: int) -> int:
-        bno = mapping.bmap_lookup(self.cache, dirh, blk)
-        if bno == 0:
-            raise CorruptFileSystem(
-                "directory %d has a hole at block %d" % (dirh.fileid, blk)
-            )
-        return bno
 
     def _dir_insert(
         self, dirh: CNode, name: str, etype: int, kind: int, payload: bytes
@@ -842,20 +621,9 @@ class CFFS(BlockFileSystem):
         index = self._complete_index(dirh)
         namelen = len(name.encode("utf-8"))
         needed = layout.dent_size(namelen, etype)
-        target: Optional[Tuple[int, int]] = None
-        # First-fit in sector scan order, resuming past the prefix a
-        # prior insert of this size proved too full (see _DirIndex).
-        start = index.scan_hint.get(needed, 0)
-        pos = start
-        for key, free in islice(index.sector_free.items(), start, None):
-            if free >= needed:
-                target = key
-                break
-            pos += 1
-        index.scan_hint[needed] = pos
+        target = index.first_fit(needed)  # first-fit in sector scan order
         if target is None:
-            blk = self._grow_directory(dirh)
-            target = (blk, 0)
+            target = (self._grow_directory(dirh), 0)
         blk, sector = target
         bno = self._dir_block_bno(dirh, blk)
         buf = self.cache.get(bno, logical=(dirh.fileid, blk))
@@ -865,7 +633,7 @@ class CFFS(BlockFileSystem):
             raise CorruptFileSystem("sector free-space accounting disagrees")
         data = buf.data
         index.set_free((blk, sector), dirfmt.sector_free_bytes(data, sector))
-        ident = self._entry_ident(data, etype, payload_off)
+        ident = dirfmt.entry_ident(data, payload_off)
         # The entry layout is header, padded name, payload, so the
         # entry offset falls straight out of the payload offset.
         entry_off = payload_off - layout.DENT_HEADER_SIZE - layout._pad(namelen)
@@ -873,30 +641,6 @@ class CFFS(BlockFileSystem):
         dirh.mtime = self.device.clock.now
         self._istore(dirh, sync_op=False)
         return blk, bno, entry_off, payload_off
-
-    def _grow_directory(self, dirh: CNode) -> int:
-        blk = dirh.size // BLOCK_SIZE
-        bno, _created = mapping.bmap_ensure(
-            self.cache, dirh, blk,
-            alloc_data=lambda: self._alloc_data_block(dirh, blk),
-            alloc_meta=lambda: self._alloc_meta_block(dirh),
-        )
-        buf = self.cache.create(bno, logical=(dirh.fileid, blk))
-        buf.data[:] = dirfmt.init_dir_block()
-        # Ordering: the initialized directory block reaches disk before
-        # the inode's grown size exposes it to the lookup path.
-        init_token = self._meta_write(bno)
-        dirh.nblocks += 1
-        dirh.size += BLOCK_SIZE
-        self._istore(dirh, sync_op=True, requires=(init_token,))
-        index = self._dir_index.get(dirh.fileid)
-        if index is not None:
-            for sector in range(layout.SECTORS_PER_DIR_BLOCK):
-                index.set_free((blk, sector),
-                               dirfmt.sector_free_bytes(buf.data, sector))
-            if index.complete:
-                index.scanned_blocks = blk + 1
-        return blk
 
     def _dir_remove(self, dirh: CNode, name: str) -> int:
         """Remove an entry from the cached block; returns the block's bno.
@@ -926,9 +670,6 @@ class CFFS(BlockFileSystem):
     def _root_handle(self) -> CNode:
         assert self._root is not None
         return self._root
-
-    def _kind_of(self, handle: CNode) -> FileKind:
-        return FileKind.DIRECTORY if handle.is_dir else FileKind.FILE
 
     def _lookup(self, dirh: CNode, name: str) -> CNode:
         # enabled() guards keep the disabled-observability hot path free
@@ -1157,62 +898,25 @@ class CFFS(BlockFileSystem):
             grouped=grouped,
         )
 
-    def _readdir(self, dirh: CNode) -> List[str]:
-        names: List[str] = []
-        nblocks = dirh.size // BLOCK_SIZE
-        for blk in range(nblocks):
-            bno = self._dir_block_bno(dirh, blk)
-            data = bytes(self.cache.get(bno, logical=(dirh.fileid, blk)).data)
-            for _sector, entry in dirfmt.live_entries(data):
-                names.append(entry[4])
-        self.cpu.charge_dirent_scan(len(names))
-        return names
-
     def _pick_dir_cg(self) -> int:
-        n = int(self.sb["n_cgs"])
-        best = max(range(n), key=lambda c: self.alloc.group(c).free_blocks)
-        return best
+        return max(range(self.sb["n_cgs"]),
+                   key=lambda c: self.alloc.group(c).free_blocks)
 
     # ------------------------------------------------------------------ sync & caches
 
-    def _write_back_metadata(self) -> None:
-        self._store_superblock(sync_op=False)
-        self.alloc.store_descriptors()
-
     def _drop_private_caches(self) -> None:
-        root = self._root
-        self._icache.clear()
-        self._dir_index.clear()
-        self._seq_state.clear()
-        self.alloc.drop_mirrors()
+        super()._drop_private_caches()
         self.groups.drop_hints()
         self.ext.drop_hints()
-        if root is not None:
-            self._icache[ROOT_FILEID] = root
+        if self._root is not None:
+            self._icache[ROOT_FILEID] = self._root
 
     # ------------------------------------------------------------------ introspection
 
-    def free_blocks(self) -> int:
-        return int(self.sb["free_blocks"])
-
     def total_data_blocks(self) -> int:
-        data_area = int(self.sb["blocks_per_cg"]) - int(self.sb["data_start"])
-        usable = (data_area // self.config.group_span) * self.config.group_span
-        return int(self.sb["n_cgs"]) * usable
+        return self.sb["n_cgs"] * self._usable_per_cg()
 
 
-def make_cffs(
-    profile=None,
-    config: Optional[CFFSConfig] = None,
-    device: Optional[BlockDevice] = None,
-) -> CFFS:
-    """Convenience factory: a fresh C-FFS on a fresh simulated disk."""
-    if device is None:
-        # make_cffs is a convenience factory that assembles the whole
-        # stack (disk + device + fs); the file system proper never
-        # touches repro.disk.
-        # reprolint: disable=L001 -- factory-only import of the disk profile; the fs layer itself stays above the device seam
-        from repro.disk.profiles import SEAGATE_ST31200
-
-        device = BlockDevice(profile if profile is not None else SEAGATE_ST31200)
-    return CFFS.mkfs(device, config)
+#: Convenience factory: a fresh C-FFS on a fresh simulated disk
+#: (``make_cffs(profile=None, config=None, device=None)``).
+make_cffs = CFFS.fresh

@@ -10,9 +10,10 @@ externalization updates them explicitly.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.core import layout
+from repro.ffs.inode import BaseInode
 
 FLAG_LARGE = 0x1  # file outgrew explicit grouping and was migrated out
 
@@ -22,29 +23,16 @@ LOC_DIR = "dir"
 LOC_EXT = "ext"
 
 
-class CNode:
+class CNode(BaseInode):
     """A parsed C-FFS inode with identity and write-back location."""
 
-    __slots__ = (
-        "fileid", "mode", "nlink", "flags", "gen", "size", "mtime",
-        "direct", "indirect", "dindirect", "nblocks",
-        "loc", "home_cg", "owner_dir",
-    )
+    __slots__ = ("fileid", "loc", "home_cg", "owner_dir")
 
     def __init__(self, fileid: int) -> None:
+        super().__init__()
         self.fileid = fileid
-        self.mode = layout.MODE_FREE
-        self.nlink = 0
-        self.flags = 0
-        self.gen = 0
-        self.size = 0
-        self.mtime = 0.0
-        self.direct: List[int] = [0] * 12
-        self.indirect = 0
-        self.dindirect = 0
-        self.nblocks = 0
-        # loc: (LOC_SUPER,) | (LOC_DIR, parent CNode, blk, payload_off) |
-        #      (LOC_EXT, inum)
+        # loc: (LOC_SUPER,) | (LOC_DIR, parent CNode, blk, entry_off,
+        #      payload_off) | (LOC_EXT, inum)
         self.loc: Tuple[Any, ...] = (LOC_SUPER,)
         self.home_cg = 0        # allocation locality hint (in-memory only)
         # The directory that most recently named this file; grouping
@@ -53,53 +41,20 @@ class CNode:
         self.owner_dir: Optional["CNode"] = None
 
     @property
-    def is_dir(self) -> bool:
-        return self.mode == layout.MODE_DIR
-
-    @property
-    def is_file(self) -> bool:
-        return self.mode == layout.MODE_FILE
-
-    @property
     def is_large(self) -> bool:
         return bool(self.flags & FLAG_LARGE)
 
     def mark_large(self) -> None:
         self.flags |= FLAG_LARGE
 
-    def init_as(self, mode: int, gen: int, mtime: float) -> None:
-        self.mode = mode
-        self.nlink = 1
-        self.flags = 0
-        self.gen = gen
-        self.size = 0
-        self.mtime = mtime
-        self.direct = [0] * 12
-        self.indirect = 0
-        self.dindirect = 0
-        self.nblocks = 0
-
     def pack(self) -> bytes:
-        return layout.pack_cinode(
-            self.fileid, self.mode, self.nlink, self.flags, self.gen,
-            self.size, self.mtime, self.direct, self.indirect,
-            self.dindirect, self.nblocks,
-        )
+        return layout.pack_cinode(self.fileid, *self._packed_fields())
 
     @classmethod
     def unpack(cls, data: bytes) -> "CNode":
         fields = layout.unpack_cinode(data)
         node = cls(fields["fileid"])
-        node.mode = fields["mode"]
-        node.nlink = fields["nlink"]
-        node.flags = fields["flags"]
-        node.gen = fields["gen"]
-        node.size = fields["size"]
-        node.mtime = fields["mtime"]
-        node.direct = fields["direct"]
-        node.indirect = fields["indirect"]
-        node.dindirect = fields["dindirect"]
-        node.nblocks = fields["nblocks"]
+        node._load(fields)
         return node
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

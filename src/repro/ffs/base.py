@@ -1,26 +1,37 @@
-"""File data I/O shared by the FFS baseline and C-FFS.
+"""The file-system skeleton shared by the FFS baseline and C-FFS.
 
-Both file systems move file contents through the same code: block
+The paper compares C-FFS to "the same file system without the
+techniques", so everything that is not one of the techniques lives here
+once: the volume lifecycle (mkfs geometry and journal carve, mount with
+journal replay, superblock + replica store), the in-memory directory
+index and the scan / grow / readdir paths over it, conventional block
+placement, same-file flush clustering, and the file data paths (block
 mapping via :mod:`repro.ffs.mapping`, whole-block writes that avoid
-read-modify-write, batched miss reads (C-LOOK + coalescing, i.e.
-[McVoy91]-style clustering for large files), and truncation.  What
-differs per system is *placement* (where new blocks go) and *metadata
-persistence* (where the inode lives) — those are the abstract methods.
+read-modify-write, batched miss reads, truncation).  What differs per
+format is the on-disk codec, *inode placement* (where the inode lives
+and how it is persisted), explicit grouping, and the ordering sequences
+of the namespace operations — those are the hooks listed on
+:class:`BlockFileSystem` (see also the table in docs/ARCHITECTURE.md §4).
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.blockdev.device import BLOCK_SIZE
+from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.cache.buffercache import BufferCache
 from repro.cache.policy import MetadataPolicy
 from repro.clock import CpuModel
-from repro.errors import InvalidArgument
-from repro.ffs import mapping
-from repro.journal import attach_pipeline
+from repro.errors import CorruptFileSystem, InvalidArgument
+from repro.ffs import layout, mapping
+from repro.ffs.alloc import GroupedAllocator
+from repro.ffs.dirindex import DirIndex
+from repro.journal import (Journal, attach_pipeline, default_journal_blocks,
+                           timed_replay)
 from repro.vfs.interface import FileSystem
+from repro.vfs.stat import FileKind
 
 Handle = Any
 
@@ -30,32 +41,223 @@ Handle = Any
 OrderToken = Any
 
 
-class BlockFileSystem(FileSystem):
-    """Common machinery: data paths, per-policy metadata writes."""
+@dataclass
+class VolumeConfig:
+    """The tunables both formats share."""
 
-    def __init__(
-        self,
-        cache: BufferCache,
-        cpu: CpuModel,
-        policy: MetadataPolicy,
-        file_readahead_blocks: int = 0,
-    ) -> None:
-        super().__init__(cache, cpu)
-        self.policy = policy
+    blocks_per_cg: int = 2048          # 8 MB cylinder groups
+    small_file_spread: int = 6         # rotational spreading of new files
+    policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA
+    cache_blocks: int = 4096           # 16 MB buffer cache
+    file_readahead_blocks: int = 0     # FS-level sequential prefetch (off)
+    journal_blocks: Optional[int] = None  # None = auto-size (journal policy)
+
+
+class BlockFileSystem(FileSystem):
+    """The skeleton: volume lifecycle, directory index, conventional
+    placement, flush clustering, data paths, per-policy metadata writes.
+
+    A format supplies, besides the abstract methods below, the class
+    attributes ``Config`` (its :class:`VolumeConfig`), ``MAGIC``,
+    ``SB_LABEL`` (how error messages name its superblock),
+    ``unpack_superblock`` and ``dirfmt`` — the directory-block codec
+    module, of which the skeleton uses ``index_entries(block, blk)``,
+    ``free_slots(block, blk)`` and ``init_block()``.
+    """
+
+    Config: type
+    MAGIC: int
+    SB_LABEL: str
+    unpack_superblock: Callable[[bytes], dict]
+    dirfmt: Any
+
+    def __init__(self, device: BlockDevice, config: VolumeConfig,
+                 cache: Optional[BufferCache] = None) -> None:
+        cache = cache if cache is not None else BufferCache(device, config.cache_blocks)
+        super().__init__(cache, CpuModel(device.clock))
+        self.device = device
+        self.config = config
+        self.policy = config.policy
         # File-level sequential prefetch (the paper's implementation
         # "currently does not support prefetching"; this is the
         # future-work feature, disabled by default to match the paper).
-        self.file_readahead_blocks = file_readahead_blocks
+        self.file_readahead_blocks = config.file_readahead_blocks
         # fileid -> (next expected block index, streak length)
         self._seq_state: Dict[int, Tuple[int, int]] = {}
+        # Spread of a new file's first block under conventional placement.
+        self.file_spread = config.small_file_spread
+        self.sb: Dict[str, Any] = {}
+        self.alloc: GroupedAllocator = None  # type: ignore[assignment]
+        self._icache: Dict[int, Any] = {}
+        self._dir_index: Dict[int, DirIndex] = {}
+        self.cache.flush_companions = self._flush_companions
+
+    # -- volume lifecycle -----------------------------------------------------------
+
+    @classmethod
+    def mkfs(cls, device: BlockDevice, config: Optional[VolumeConfig] = None):
+        """Initialize a fresh file system and return it mounted."""
+        config = config if config is not None else cls.Config()
+        fs = cls(device, config)
+        total = device.total_blocks
+        # A journal policy carves its log region out of the post-cg tail
+        # (just before the superblock replica); other policies keep the
+        # historical layout byte-for-byte.
+        jb = 0
+        if config.policy.is_journal:
+            jb = (config.journal_blocks if config.journal_blocks is not None
+                  else default_journal_blocks(total))
+        if jb:
+            n_cgs = (total - 2 - jb) // config.blocks_per_cg
+        else:
+            n_cgs = (total - 1) // config.blocks_per_cg
+        if n_cgs < 1:
+            raise InvalidArgument("device too small for one cylinder group")
+        journal_start = 1 + n_cgs * config.blocks_per_cg if jb else 0
+        fs.sb = {
+            "magic": cls.MAGIC,
+            "version": 1,
+            "total_blocks": total,
+            "n_cgs": n_cgs,
+            "blocks_per_cg": config.blocks_per_cg,
+            **fs._superblock_fields(n_cgs),
+            "journal_start": journal_start,
+            "journal_blocks": jb,
+        }
+        fs._build_allocator()
+        if jb:
+            Journal.format(device, journal_start, jb)
+        attach_pipeline(fs.cache, config.policy, journal_start, jb)
+        fs._init_volume(n_cgs)
+        fs._write_back_metadata()
+        fs.cache.sync()
+        return fs
+
+    @classmethod
+    def mount(cls, device: BlockDevice, config: Optional[VolumeConfig] = None):
+        """Mount an existing file system (reads and validates block 0).
+
+        Without an explicit ``config`` the geometry (and, for C-FFS, the
+        technique flags) is derived from the superblock, so any valid
+        image mounts."""
+        probe = cls.unpack_superblock(device.peek_block(0))
+        if config is None:
+            if probe["magic"] != cls.MAGIC:
+                raise CorruptFileSystem(
+                    "bad %s magic 0x%x" % (cls.SB_LABEL, probe["magic"]))
+            config = cls._config_from_superblock(probe)
+        # Replay the journal (if the volume carries one) before the first
+        # cache fill, so the cache only ever sees post-replay state.
+        # This IS the fast remount path: a sequential log read plus one
+        # batched home write, instead of a full fsck walk.
+        if probe["magic"] == cls.MAGIC and probe["journal_start"]:
+            timed_replay(device, probe["journal_start"], probe["journal_blocks"])
+        fs = cls(device, config)
+        raw = bytes(fs.cache.get(0).data)
+        sb = cls.unpack_superblock(raw)
+        if sb["magic"] != cls.MAGIC:
+            raise CorruptFileSystem(
+                "bad %s magic 0x%x" % (cls.SB_LABEL, sb["magic"]))
+        fs._check_geometry(sb)
+        fs.sb = sb
+        fs._build_allocator()
+        attach_pipeline(fs.cache, config.policy,
+                        sb["journal_start"], sb["journal_blocks"])
+        fs._load_root(raw)
+        return fs
+
+    @classmethod
+    def fresh(cls, profile=None, config: Optional[VolumeConfig] = None,
+              device: Optional[BlockDevice] = None):
+        """Convenience factory: a fresh volume on a fresh simulated disk.
+
+        ``profile`` defaults to the paper's experimental platform (the
+        Seagate ST31200)."""
+        if device is None:
+            # The factory assembles the whole stack (disk + device + fs);
+            # the file system proper never touches repro.disk.
+            # reprolint: disable=L001 -- factory-only import of the disk profile; the fs layer itself stays above the device seam
+            from repro.disk.profiles import SEAGATE_ST31200
+
+            device = BlockDevice(profile if profile is not None else SEAGATE_ST31200)
+        return cls.mkfs(device, config)
+
+    @abc.abstractmethod
+    def _superblock_fields(self, n_cgs: int) -> dict:
+        """The format's own fields of a fresh superblock (mkfs adds the
+        geometry and journal fields around them)."""
+
+    @abc.abstractmethod
+    def _init_volume(self, n_cgs: int) -> None:
+        """mkfs: write the cylinder-group metadata and the root directory."""
+
+    @classmethod
+    @abc.abstractmethod
+    def _config_from_superblock(cls, sb: dict) -> VolumeConfig:
+        """The configuration an image was made with."""
+
+    @abc.abstractmethod
+    def _check_geometry(self, sb: dict) -> None:
+        """mount: raise CorruptFileSystem if ``sb`` disagrees with the config."""
+
+    @abc.abstractmethod
+    def _build_allocator(self) -> None:
+        """Build the allocation tables from ``self.sb``."""
+
+    @abc.abstractmethod
+    def _pack_superblock(self) -> bytes:
+        """The current superblock image."""
+
+    def _load_root(self, raw_sb: bytes) -> None:
+        """mount: adopt a root inode stored in the superblock, if any."""
+
+    def _store_superblock(self, sync_op: bool = False,
+                          requires: Tuple = ()) -> OrderToken:
+        buf = self.cache.get(0)
+        buf.data[:] = self._pack_superblock()
+        token = None
+        if sync_op:
+            token = self._meta_write(0, requires)
+        else:
+            self.cache.mark_dirty(0)
+        rb = layout.replica_block(
+            self.sb["total_blocks"], self.sb["n_cgs"], self.sb["blocks_per_cg"])
+        if rb is not None:
+            # Replica in the post-cg tail: lets fsck recover a smashed
+            # superblock (and with it C-FFS's embedded root inode).
+            # Delayed write, refreshed with every store.
+            rbuf = self.cache.peek(rb)
+            if rbuf is None:
+                rbuf = self.cache.create(rb)
+            rbuf.data[:] = buf.data
+            self.cache.mark_dirty(rb)
+        return token
+
+    def _write_back_metadata(self) -> None:
+        self._store_superblock()
+        self.alloc.store_descriptors()
+
+    def _drop_private_caches(self) -> None:
+        self._icache.clear()
+        self._dir_index.clear()
+        self._seq_state.clear()
+        self.alloc.drop_mirrors()
+
+    def cg_base(self, cgi: int) -> int:
+        return 1 + cgi * self.sb["blocks_per_cg"]
+
+    def _next_gen(self) -> int:
+        gen = self.sb["next_gen"]
+        self.sb["next_gen"] = (gen + 1) & 0xFFFF
+        return gen or 1
+
+    def _kind_of(self, handle: Handle) -> FileKind:
+        return FileKind.DIRECTORY if handle.is_dir else FileKind.FILE
+
+    def free_blocks(self) -> int:
+        return self.sb["free_blocks"]
 
     # -- per-policy metadata write ------------------------------------------------
-
-    def _attach_crash_consistency(self, journal_start: int = 0,
-                                  journal_blocks: int = 0) -> None:
-        """Install the write pipeline matching the policy (called by
-        subclasses once the superblock geometry is known)."""
-        attach_pipeline(self.cache, self.policy, journal_start, journal_blocks)
 
     def _meta_write(self, bno: int, requires: Tuple = ()) -> OrderToken:
         """Write a metadata block per the configured integrity mode.
@@ -89,11 +291,37 @@ class BlockFileSystem(FileSystem):
         for bno in freed:
             pipe.gate(bno, (token,))
 
-    # -- abstract placement / persistence -----------------------------------------
+    # -- placement / persistence ----------------------------------------------------
+
+    def _alloc_data_block(self, handle: Handle, idx: int) -> int:
+        """Allocate the disk block for file block ``idx`` of ``handle``
+        (conventional placement unless the format overrides it)."""
+        return self._alloc_conventional(handle, idx)
+
+    def _alloc_conventional(self, handle: Handle, idx: int) -> int:
+        """FFS placement: directories dense near the cylinder-group
+        metadata (away from the file-data pattern), a file's first block
+        rotationally spread, later blocks right after their predecessor."""
+        alloc_block = self.alloc.alloc_block
+        pref_cg = self._home_cg(handle)
+        if handle.is_dir:
+            return alloc_block(pref_cg, pref_offset=self.sb["data_start"])
+        if idx == 0:
+            return alloc_block(pref_cg, spread=self.file_spread)
+        prev = mapping.bmap_lookup(self.cache, handle, idx - 1)
+        if prev and self._may_follow(prev):
+            prev_cg = self.alloc.cg_of_block(prev)
+            return alloc_block(
+                prev_cg, pref_offset=prev - self.cg_base(prev_cg) + 1)
+        return alloc_block(pref_cg)
+
+    def _may_follow(self, prev_bno: int) -> bool:
+        """May a file's next block be placed right after ``prev_bno``?"""
+        return True
 
     @abc.abstractmethod
-    def _alloc_data_block(self, handle: Handle, idx: int) -> int:
-        """Allocate the disk block for file block ``idx`` of ``handle``."""
+    def _home_cg(self, handle: Handle) -> int:
+        """The cylinder group ``handle``'s blocks should land in."""
 
     @abc.abstractmethod
     def _alloc_meta_block(self, handle: Handle) -> int:
@@ -163,6 +391,122 @@ class BlockFileSystem(FileSystem):
         data = self.cache.device.read_batch([bno for _, bno in missing])  # reprolint: disable=L001 -- clustered prefetch is a sanctioned boundary read; blocks install into the cache immediately below
         for idx, bno in missing:
             self.cache.install(bno, data[bno], logical=(fid, idx))
+
+    def _flush_companions(self, victim_bno: int) -> List[int]:
+        """Cluster contiguous dirty blocks of the victim's file."""
+        buf = self.cache.peek(victim_bno)
+        if buf is None or buf.logical is None:
+            return [victim_bno]
+        fid, idx = buf.logical
+        companions = [victim_bno]
+        for direction in (1, -1):
+            step = 1
+            while step <= 64:
+                sibling = self.cache.get_logical((fid, idx + direction * step))
+                if (
+                    sibling is None
+                    or not sibling.dirty
+                    or sibling.bno != victim_bno + direction * step
+                ):
+                    break
+                companions.append(sibling.bno)
+                step += 1
+        return companions
+
+    # -- directories ------------------------------------------------------------------
+
+    def _index_for(self, dirh: Handle) -> DirIndex:
+        fid = self._file_id(dirh)
+        index = self._dir_index.get(fid)
+        if index is None:
+            index = self._dir_index[fid] = DirIndex()
+        return index
+
+    def _scan_until(self, dirh: Handle, index: DirIndex,
+                    name: Optional[str] = None) -> None:
+        """Scan directory blocks into the index, stopping early once
+        ``name`` is found; ``name=None`` scans to the end."""
+        nblocks = dirh.size // BLOCK_SIZE
+        fid = self._file_id(dirh)
+        dirfmt = self.dirfmt
+        entries_seen = 0
+        while index.scanned_blocks < nblocks:
+            blk = index.scanned_blocks
+            # The scan only reads scalars out of the block, so it walks
+            # the cache's live bytearray without a snapshot.
+            data = self.cache.get(self._dir_block_bno(dirh, blk),
+                                  logical=(fid, blk)).data
+            entries = dirfmt.index_entries(data, blk)
+            index.names.update(entries)
+            entries_seen += len(entries)
+            for slot, free in dirfmt.free_slots(data, blk):
+                index.set_free(slot, free)
+            index.scanned_blocks += 1
+            if name is not None and name in index.names:
+                break
+        if index.scanned_blocks >= nblocks:
+            index.complete = True
+        self.cpu.charge_dirent_scan(entries_seen)
+
+    def _find_entry(self, dirh: Handle, name: str) -> Optional[tuple]:
+        """The index entry for ``name``, scanning as far as needed."""
+        index = self._index_for(dirh)
+        entry = index.names.get(name)
+        if entry is None and not index.complete:
+            self._scan_until(dirh, index, name)
+            entry = index.names.get(name)
+        return entry
+
+    def _complete_index(self, dirh: Handle) -> DirIndex:
+        """The fully-scanned index (needed for absence checks)."""
+        index = self._index_for(dirh)
+        if not index.complete:
+            self._scan_until(dirh, index)
+        return index
+
+    def _dir_block_bno(self, dirh: Handle, blk: int) -> int:
+        bno = mapping.bmap_lookup(self.cache, dirh, blk)
+        if bno == 0:
+            raise CorruptFileSystem(
+                "directory %d has a hole at block %d" % (self._file_id(dirh), blk)
+            )
+        return bno
+
+    def _grow_directory(self, dirh: Handle) -> int:
+        """Append an empty block to the directory; returns its index."""
+        blk = dirh.size // BLOCK_SIZE
+        fid = self._file_id(dirh)
+        bno, created = mapping.bmap_ensure(
+            self.cache, dirh, blk,
+            alloc_data=lambda: self._alloc_data_block(dirh, blk),
+            alloc_meta=lambda: self._alloc_meta_block(dirh),
+        )
+        buf = self.cache.create(bno, logical=(fid, blk))
+        buf.data[:] = self.dirfmt.init_block()
+        # Ordering: the initialized directory block reaches disk before
+        # the inode's grown size exposes it to the lookup path.
+        init_token = self._meta_write(bno)
+        if created:
+            dirh.nblocks += 1
+        dirh.size += BLOCK_SIZE
+        self._istore(dirh, sync_op=True, requires=(init_token,))
+        index = self._dir_index.get(fid)
+        if index is not None:
+            for slot, free in self.dirfmt.free_slots(buf.data, blk):
+                index.set_free(slot, free)
+            if index.complete:
+                index.scanned_blocks = blk + 1
+        return blk
+
+    def _readdir(self, dirh: Handle) -> List[str]:
+        names: List[str] = []
+        fid = self._file_id(dirh)
+        for blk in range(dirh.size // BLOCK_SIZE):
+            data = self.cache.get(self._dir_block_bno(dirh, blk),
+                                  logical=(fid, blk)).data
+            names.extend(name for name, _ in self.dirfmt.index_entries(data, blk))
+        self.cpu.charge_dirent_scan(len(names))
+        return names
 
     # -- data paths -----------------------------------------------------------------
 

@@ -60,6 +60,18 @@ def live_entries(block: bytes) -> List[Tuple[str, int, int]]:
     return [(name, inum, kind) for _, inum, kind, name, _ in iter_entries(block) if inum != 0]
 
 
+def index_entries(block: bytes, blk: int) -> List[Tuple[str, Tuple[int, int, int]]]:
+    """Live entries of directory block ``blk`` as the directory index
+    keeps them: (name, (inum, kind, blk))."""
+    return [(name, (inum, kind, blk))
+            for _, inum, kind, name, _ in iter_entries(block) if inum != 0]
+
+
+def free_slots(block: bytes, blk: int) -> Tuple[Tuple[int, int], ...]:
+    """(slot, largest insertion) pairs: a whole block is one slot."""
+    return ((blk, free_bytes(block)),)
+
+
 def find_entry(block: bytes, name: str) -> Optional[Tuple[int, int]]:
     """Locate ``name``: returns (inum, kind) or None."""
     for _, inum, kind, entry_name, _ in iter_entries(block):

@@ -14,26 +14,18 @@ from typing import List
 from repro.ffs import layout
 
 
-class Inode:
-    """A parsed FFS inode plus its identity."""
+class BaseInode:
+    """The on-disk inode fields both formats share (identity and, for
+    C-FFS, the write-back location are the subclasses')."""
 
     __slots__ = (
-        "inum", "mode", "nlink", "flags", "gen", "size", "mtime",
+        "mode", "nlink", "flags", "gen", "size", "mtime",
         "direct", "indirect", "dindirect", "nblocks",
     )
 
-    def __init__(self, inum: int) -> None:
-        self.inum = inum
-        self.mode = layout.MODE_FREE
+    def __init__(self) -> None:
+        self.init_as(layout.MODE_FREE, gen=0, mtime=0.0)
         self.nlink = 0
-        self.flags = 0
-        self.gen = 0
-        self.size = 0
-        self.mtime = 0.0
-        self.direct: List[int] = [0] * layout.NDIRECT
-        self.indirect = 0
-        self.dindirect = 0
-        self.nblocks = 0
 
     @property
     def is_dir(self) -> bool:
@@ -43,10 +35,6 @@ class Inode:
     def is_file(self) -> bool:
         return self.mode == layout.MODE_FILE
 
-    @property
-    def is_free(self) -> bool:
-        return self.mode == layout.MODE_FREE
-
     def init_as(self, mode: int, gen: int, mtime: float) -> None:
         """(Re)initialize for a fresh allocation."""
         self.mode = mode
@@ -55,38 +43,48 @@ class Inode:
         self.gen = gen
         self.size = 0
         self.mtime = mtime
-        self.direct = [0] * layout.NDIRECT
+        self.direct: List[int] = [0] * layout.NDIRECT
         self.indirect = 0
         self.dindirect = 0
         self.nblocks = 0
 
+    def _packed_fields(self) -> tuple:
+        """The shared fields in both layouts' pack order."""
+        return (self.mode, self.nlink, self.flags, self.gen, self.size,
+                self.mtime, self.direct, self.indirect, self.dindirect,
+                self.nblocks)
+
+    def _load(self, fields: dict) -> None:
+        """Adopt the shared fields of an unpacked on-disk record."""
+        for name in BaseInode.__slots__:
+            setattr(self, name, fields[name])
+
+
+class Inode(BaseInode):
+    """A parsed FFS inode plus its identity."""
+
+    __slots__ = ("inum",)
+
+    def __init__(self, inum: int) -> None:
+        super().__init__()
+        self.inum = inum
+
+    @property
+    def is_free(self) -> bool:
+        return self.mode == layout.MODE_FREE
+
     def clear(self) -> None:
         """Reset to the free state (file deletion)."""
-        gen = self.gen
-        self.init_as(layout.MODE_FREE, gen, 0.0)
+        self.init_as(layout.MODE_FREE, self.gen, 0.0)
         self.nlink = 0
 
     def pack(self) -> bytes:
-        return layout.pack_inode(
-            self.mode, self.nlink, self.flags, self.gen, self.size,
-            self.mtime, self.direct, self.indirect, self.dindirect,
-            self.nblocks,
-        )
+        return layout.pack_inode(*self._packed_fields())
 
     @classmethod
     def unpack(cls, inum: int, data: bytes) -> "Inode":
-        fields = layout.unpack_inode(data)
         inode = cls(inum)
-        inode.mode = fields["mode"]
-        inode.nlink = fields["nlink"]
-        inode.flags = fields["flags"]
-        inode.gen = fields["gen"]
-        inode.size = fields["size"]
-        inode.mtime = fields["mtime"]
-        inode.direct = fields["direct"]
-        inode.indirect = fields["indirect"]
-        inode.dindirect = fields["dindirect"]
-        inode.nblocks = fields["nblocks"]
+        inode._load(layout.unpack_inode(data))
         return inode
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

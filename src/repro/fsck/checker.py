@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
@@ -272,6 +273,33 @@ def _check_replica(device: BlockDevice, report: FsckReport, repair: bool,
 # FFS checker.
 # ---------------------------------------------------------------------------
 
+def _drop_dirent(device: BlockDevice, report: FsckReport, codec,
+                 bno: int, name: str, why: str) -> None:
+    """Remove ``name`` from directory block ``bno`` (either format's
+    ``codec`` module)."""
+    raw = bytearray(device.peek_block(bno))
+    codec.remove_entry(raw, name)
+    device.poke_block(bno, bytes(raw))
+    report.fix("removed dirent %r from block %d (%s)" % (name, bno, why))
+
+
+def _live_entries_or_reinit(device: BlockDevice, report: FsckReport, codec,
+                            repair: bool, bno: int, path: str):
+    """The live entries of directory block ``bno``, or None when the
+    block does not parse (reported; reinitialized under ``repair``)."""
+    try:
+        return codec.live_entries(device.peek_block(bno))
+    except CorruptFileSystem as exc:
+        report.error("%s: corrupt directory block %d (%s)" % (path, bno, exc))
+        if repair:
+            # A half-landed directory block: any names it held were
+            # never durable, so an empty block is correct.
+            device.poke_block(bno, bytes(codec.init_block()))
+            report.fix("reinitialized corrupt directory block %d of %s"
+                       % (bno, path or "/"))
+        return None
+
+
 def fsck_ffs(device: BlockDevice, repair: bool = False) -> FsckReport:
     """Check an FFS image; with ``repair=True`` also fix it."""
     report = FsckReport("ffs")
@@ -310,11 +338,7 @@ def fsck_ffs(device: BlockDevice, repair: bool = False) -> FsckReport:
         raw[off:off + flayout.INODE_SIZE] = packed
         device.poke_block(bno, bytes(raw))
 
-    def drop_dirent(bno: int, name: str, why: str) -> None:
-        raw = bytearray(device.peek_block(bno))
-        fdirfmt.remove_entry(raw, name)
-        device.poke_block(bno, bytes(raw))
-        report.fix("removed dirent %r from block %d (%s)" % (name, bno, why))
+    drop_dirent = partial(_drop_dirent, device, report, fdirfmt)
 
     def walk_dir(inum: int, path: str) -> None:
         if inum in visited_dirs:
@@ -336,16 +360,9 @@ def fsck_ffs(device: BlockDevice, repair: bool = False) -> FsckReport:
             report.warn("%s: size %d disagrees with %d blocks"
                         % (path, fields["size"], len(data)))
         for bno in data:
-            try:
-                entries = fdirfmt.live_entries(device.peek_block(bno))
-            except CorruptFileSystem as exc:
-                report.error("%s: corrupt directory block %d (%s)" % (path, bno, exc))
-                if repair:
-                    # A half-landed directory block: any names it held
-                    # were never durable, so an empty block is correct.
-                    device.poke_block(bno, bytes(fdirfmt.init_block()))
-                    report.fix("reinitialized corrupt directory block %d of %s"
-                               % (bno, path or "/"))
+            entries = _live_entries_or_reinit(
+                device, report, fdirfmt, repair, bno, path)
+            if entries is None:
                 continue
             for name, child_inum, kind in entries:
                 if not 1 <= child_inum <= max_inum:
@@ -559,11 +576,7 @@ def fsck_cffs(device: BlockDevice, repair: bool = False) -> FsckReport:
         raw[off:off + len(packed)] = packed
         device.poke_block(bno, bytes(raw))
 
-    def drop_dirent(bno: int, name: str, why: str) -> None:
-        raw = bytearray(device.peek_block(bno))
-        cdirfmt.remove_entry(raw, name)
-        device.poke_block(bno, bytes(raw))
-        report.fix("removed dirent %r from block %d (%s)" % (name, bno, why))
+    drop_dirent = partial(_drop_dirent, device, report, cdirfmt)
 
     def rewrite_embedded(bno: int, payload_off: int, child: dict) -> None:
         raw = bytearray(device.peek_block(bno))
@@ -579,14 +592,9 @@ def fsck_cffs(device: BlockDevice, repair: bool = False) -> FsckReport:
             report.error("%s: directory size %d but only %d blocks"
                          % (path or "/", fields["size"], len(data)))
         for bno in data[:nblocks]:
-            try:
-                entries = cdirfmt.live_entries(device.peek_block(bno))
-            except CorruptFileSystem as exc:
-                report.error("%s: corrupt directory block %d (%s)" % (path, bno, exc))
-                if repair:
-                    device.poke_block(bno, bytes(cdirfmt.init_dir_block()))
-                    report.fix("reinitialized corrupt directory block %d of %s"
-                               % (bno, path or "/"))
+            entries = _live_entries_or_reinit(
+                device, report, cdirfmt, repair, bno, path)
+            if entries is None:
                 continue
             for _sector, entry in entries:
                 _off, _reclen, etype, kind, name, payload_off = entry

@@ -91,11 +91,11 @@ class TestCffsSuperblock:
 
 class TestEmbeddedDirents:
     def test_fresh_block_empty(self):
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         assert dirfmt.live_entries(bytes(block)) == []
 
     def test_add_embedded_and_find(self):
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         payload = embedded_payload(55)
         off = dirfmt.add_entry(block, 0, "file.txt", dirfmt.ET_EMBEDDED,
                                dirfmt.DK_FILE, payload)
@@ -111,7 +111,7 @@ class TestEmbeddedDirents:
     def test_entry_never_crosses_sector(self):
         """The integrity property: every entry (name + inode) fits in
         one 512-byte sector."""
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         i = 0
         while True:
             off = dirfmt.add_entry(
@@ -128,7 +128,7 @@ class TestEmbeddedDirents:
 
     def test_sector_capacity(self):
         """~4 embedded entries fit per sector (96B inode + short name)."""
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         count = 0
         while dirfmt.add_entry(block, 0, "x%02d" % count, dirfmt.ET_EMBEDDED,
                                dirfmt.DK_FILE, embedded_payload(count + 1)):
@@ -136,7 +136,7 @@ class TestEmbeddedDirents:
         assert count == 4
 
     def test_external_entries_are_small(self):
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         count = 0
         while dirfmt.add_entry(block, 0, "x%02d" % count, dirfmt.ET_EXTERNAL,
                                dirfmt.DK_FILE, struct.pack("<Q", count + 1)):
@@ -144,20 +144,20 @@ class TestEmbeddedDirents:
         assert count >= 20  # many more external refs fit per sector
 
     def test_too_long_name_rejected(self):
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         with pytest.raises(NameTooLong):
             dirfmt.add_entry(block, 0, "y" * 450, dirfmt.ET_EMBEDDED,
                              dirfmt.DK_FILE, embedded_payload())
 
     def test_payload_size_must_match(self):
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         with pytest.raises(InvalidArgument):
             dirfmt.add_entry(block, 0, "x", dirfmt.ET_EMBEDDED, dirfmt.DK_FILE, b"tiny")
 
     def test_remove_scrubs_inode(self):
         """Deleted embedded inodes are zeroed so stale ones never look
         live to fsck."""
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         off = dirfmt.add_entry(block, 0, "victim", dirfmt.ET_EMBEDDED,
                                dirfmt.DK_FILE, embedded_payload(9))
         dirfmt.remove_entry(block, "victim")
@@ -165,7 +165,7 @@ class TestEmbeddedDirents:
         assert fields["mode"] == layout.MODE_FREE
 
     def test_remove_keeps_others_in_place(self):
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         offs = {}
         for i, name in enumerate(("aa", "bb", "cc")):
             offs[name] = dirfmt.add_entry(block, 0, name, dirfmt.ET_EMBEDDED,
@@ -177,7 +177,7 @@ class TestEmbeddedDirents:
             assert found[1][5] == offs[name]  # payload offset unchanged
 
     def test_rewrite_payload(self):
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         off = dirfmt.add_entry(block, 0, "f", dirfmt.ET_EMBEDDED,
                                dirfmt.DK_FILE, embedded_payload(3))
         node = CNode.unpack(bytes(block[off:off + layout.CINODE_SIZE]))
@@ -187,7 +187,7 @@ class TestEmbeddedDirents:
         assert back["size"] == 777
 
     def test_change_entry_type_to_external(self):
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         dirfmt.add_entry(block, 0, "linked", dirfmt.ET_EMBEDDED,
                          dirfmt.DK_FILE, embedded_payload(8))
         found = dirfmt.find_entry(bytes(block), "linked")
@@ -201,7 +201,7 @@ class TestEmbeddedDirents:
 
     def test_sectors_independent(self):
         """Filling one sector leaves the others untouched."""
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         i = 0
         while dirfmt.add_entry(block, 3, "s3-%03d" % i, dirfmt.ET_EMBEDDED,
                                dirfmt.DK_FILE, embedded_payload(i + 1)) is not None:
@@ -214,7 +214,7 @@ class TestEmbeddedDirents:
     def test_add_remove_property(self, entry_names, data):
         """Random adds/removes across sectors preserve the chain and the
         live-entry set."""
-        block = dirfmt.init_dir_block()
+        block = dirfmt.init_block()
         live = set()
         for i, name in enumerate(entry_names):
             sector = data.draw(st.integers(min_value=0, max_value=7), label="sector")

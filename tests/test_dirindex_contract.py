@@ -1,0 +1,86 @@
+"""The directory index is one mechanism: the same contract on every
+on-disk format, and a single definition under ``repro.ffs.base``."""
+
+import pytest
+
+import repro.core.filesystem as core_fs
+import repro.ffs.filesystem as ffs_fs
+from repro.blockdev.device import BLOCK_SIZE
+from repro.core.filesystem import CFFS
+from repro.ffs.base import BlockFileSystem
+from repro.ffs.filesystem import FFS
+from tests.conftest import make_cffs, make_ffs
+
+FORMATS = {
+    "ffs": make_ffs,
+    "cffs": lambda: make_cffs(embedded=True, grouping=True),
+    "cffs-embed-only": lambda: make_cffs(embedded=True, grouping=False),
+    "cffs-group-only": lambda: make_cffs(embedded=False, grouping=True),
+    "cffs-conventional": lambda: make_cffs(embedded=False, grouping=False),
+}
+
+
+def _name(i: int) -> str:
+    return "n%03d" % i + "x" * 116   # long names: few creates per block
+
+
+def _index(fs):
+    dirh = fs._resolve("/d")
+    return dirh, fs._dir_index[fs._file_id(dirh)]
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_directory_index_contract(fmt):
+    fs = FORMATS[fmt]()
+    fs.mkdir("/d")
+    created = 0
+    while fs._resolve("/d").size < 3 * BLOCK_SIZE:
+        fs.create("/d/" + _name(created))
+        created += 1
+    fs.sync()
+
+    # A name in block 0 is found after scanning one block of three.
+    fs.drop_caches()
+    assert fs._dir_index == {}
+    fs.stat("/d/" + _name(0))
+    dirh, index = _index(fs)
+    assert dirh.size == 3 * BLOCK_SIZE
+    assert (index.scanned_blocks, index.complete) == (1, False)
+
+    # An absence check has to see every block.
+    assert not fs.exists("/d/absent")
+    _, index = _index(fs)
+    assert (index.scanned_blocks, index.complete) == (3, True)
+
+    # Space freed in block 0 is reused first-fit before the directory grows.
+    fs.unlink("/d/" + _name(0))
+    fs.create("/d/" + _name(created))
+    dirh, index = _index(fs)
+    assert dirh.size == 3 * BLOCK_SIZE
+    blk = 2  # both formats keep the directory block index third
+    assert index.names[_name(created)][blk] == 0
+    assert sorted(fs.readdir("/d")) == sorted(
+        _name(i) for i in range(1, created + 1))
+
+    fs.drop_caches()
+    assert fs._dir_index == {}
+
+
+HOISTED = (
+    "mkfs", "mount", "_store_superblock", "_write_back_metadata",
+    "cg_base", "_next_gen", "_kind_of", "free_blocks",
+    "_index_for", "_find_entry", "_complete_index", "_scan_until",
+    "_dir_block_bno", "_grow_directory", "_readdir", "_alloc_conventional",
+)
+
+
+def test_skeleton_mechanisms_are_defined_once():
+    for name in HOISTED:
+        assert name in vars(BlockFileSystem), name
+        assert name not in vars(FFS), "FFS redefines %s" % name
+        assert name not in vars(CFFS), "CFFS redefines %s" % name
+    # The same-file companion walk: FFS inherits it, C-FFS only wraps it.
+    assert "_flush_companions" not in vars(FFS)
+    for module in (ffs_fs, core_fs):
+        assert not hasattr(module, "_DirIndex")
+        assert not hasattr(module, "DirIndex")
