@@ -584,16 +584,21 @@ class CFFS(BlockFileSystem):
             else:
                 data = self.cache.device.read_extent(start, count)  # reprolint: disable=L001 -- grouped extent fetch is the one sanctioned boundary read below the cache
             base = self.groups.extent_base(ext)
+            # Choose the slots before the first install: an install can
+            # evict a dirty sibling of this extent (written back
+            # correctly), and re-installing that sibling from ``data`` —
+            # read before the write-back — would serve its old bytes.
+            # A slot that is dirty now is newer than ``data``; skip it.
+            installs = []
             for slot in range(self.config.group_span):
-                if not desc["valid_mask"] & (1 << slot):
-                    continue
                 block = base + slot
-                if start <= block < start + count:
-                    slot_fileid, slot_fblock = desc["slots"][slot]
-                    self.cache.install(
-                        block, data[block - start],
-                        logical=(slot_fileid, slot_fblock),
-                    )
+                if (desc["valid_mask"] & (1 << slot)
+                        and start <= block < start + count):
+                    cached = self.cache.peek(block)
+                    if cached is None or not cached.dirty:
+                        installs.append((block, desc["slots"][slot]))
+            for block, logical in installs:
+                self.cache.install(block, data[block - start], logical=logical)
             fetched_extents.add(ext)
         if singles:
             super()._fetch_data_blocks(handle, singles)
