@@ -893,15 +893,9 @@ class CFFS(BlockFileSystem):
         grouped = False
         if handle.is_file and handle.direct[0]:
             grouped = self._block_is_grouped(handle.direct[0])
-        return StatResult(
-            kind=self._kind_of(handle),
-            size=handle.size,
-            nlink=handle.nlink,
-            nblocks=handle.nblocks,
-            file_id=handle.fileid,
-            embedded=handle.loc[0] in (LOC_DIR, LOC_SUPER),
-            grouped=grouped,
-        )
+        return super()._stat_handle(
+            handle, embedded=handle.loc[0] in (LOC_DIR, LOC_SUPER),
+            grouped=grouped)
 
     def _pick_dir_cg(self) -> int:
         return max(range(self.sb["n_cgs"]),

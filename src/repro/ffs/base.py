@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.cache.buffercache import BufferCache
@@ -31,7 +31,7 @@ from repro.ffs.dirindex import DirIndex
 from repro.journal import (Journal, attach_pipeline, default_journal_blocks,
                            timed_replay)
 from repro.vfs.interface import FileSystem
-from repro.vfs.stat import FileKind
+from repro.vfs.stat import FileKind, StatResult
 
 Handle = Any
 
@@ -64,12 +64,6 @@ class BlockFileSystem(FileSystem):
     module, of which the skeleton uses ``index_entries(block, blk)``,
     ``free_slots(block, blk)`` and ``init_block()``.
     """
-
-    Config: type
-    MAGIC: int
-    SB_LABEL: str
-    unpack_superblock: Callable[[bytes], dict]
-    dirfmt: Any
 
     def __init__(self, device: BlockDevice, config: VolumeConfig,
                  cache: Optional[BufferCache] = None) -> None:
@@ -253,6 +247,12 @@ class BlockFileSystem(FileSystem):
 
     def _kind_of(self, handle: Handle) -> FileKind:
         return FileKind.DIRECTORY if handle.is_dir else FileKind.FILE
+
+    def _stat_handle(self, handle: Handle, **format_flags: bool) -> StatResult:
+        return StatResult(
+            kind=self._kind_of(handle), size=handle.size, nlink=handle.nlink,
+            nblocks=handle.nblocks, file_id=self._file_id(handle),
+            **format_flags)
 
     def free_blocks(self) -> int:
         return self.sb["free_blocks"]
@@ -645,10 +645,34 @@ class BlockFileSystem(FileSystem):
             handle.size = size
             self._istore(handle, sync_op=False)
             return
-        keep = (size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        freed_bnos = self._free_blocks_from(
+            handle, (size + BLOCK_SIZE - 1) // BLOCK_SIZE)
+        handle.size = size
+        # Zero the now-exposed tail of a kept partial block so a later
+        # extension reads zeros, as POSIX requires.
+        if size % BLOCK_SIZE:
+            bno = mapping.bmap_lookup(self.cache, handle, size // BLOCK_SIZE)
+            if bno:
+                buf = self.cache.get(
+                    bno, logical=(self._file_id(handle), size // BLOCK_SIZE))
+                buf.data[size % BLOCK_SIZE:] = bytes(BLOCK_SIZE - size % BLOCK_SIZE)
+                self.cache.mark_dirty(bno)
+        token = self._istore(handle, sync_op=True)
+        self._gate_freed_blocks(freed_bnos, token)
+
+    def _release_all_blocks(self, handle: Handle) -> List[int]:
+        """Free every block of a dying file; returns the freed block
+        numbers (data and indirect)."""
+        freed_bnos = self._free_blocks_from(handle, 0)
+        handle.size = 0
+        return freed_bnos
+
+    def _free_blocks_from(self, handle: Handle, keep: int) -> List[int]:
+        """Free file blocks ``keep`` onward (and the indirect blocks
+        that only mapped them); returns the freed block numbers."""
         fid = self._file_id(handle)
         # Drop logical identities of everything being freed.
-        for idx, bno in list(mapping.enumerate_blocks(self.cache, handle)):
+        for idx, _ in list(mapping.enumerate_blocks(self.cache, handle)):
             if idx >= keep:
                 self.cache.drop_logical((fid, idx))
         freed_bnos: List[int] = []
@@ -659,31 +683,4 @@ class BlockFileSystem(FileSystem):
 
         freed = mapping.truncate_blocks(self.cache, handle, keep, free_fn=free_fn)
         handle.nblocks -= freed
-        handle.size = size
-        # Zero the now-exposed tail of a kept partial block so a later
-        # extension reads zeros, as POSIX requires.
-        if size % BLOCK_SIZE:
-            bno = mapping.bmap_lookup(self.cache, handle, size // BLOCK_SIZE)
-            if bno:
-                buf = self.cache.get(bno, logical=(fid, size // BLOCK_SIZE))
-                buf.data[size % BLOCK_SIZE:] = bytes(BLOCK_SIZE - size % BLOCK_SIZE)
-                self.cache.mark_dirty(bno)
-        token = self._istore(handle, sync_op=True)
-        self._gate_freed_blocks(freed_bnos, token)
-
-    def _release_all_blocks(self, handle: Handle) -> List[int]:
-        """Free every block of a dying file; returns the freed block
-        numbers (data and indirect)."""
-        fid = self._file_id(handle)
-        for idx, _ in list(mapping.enumerate_blocks(self.cache, handle)):
-            self.cache.drop_logical((fid, idx))
-        freed_bnos: List[int] = []
-
-        def free_fn(bno: int) -> None:
-            freed_bnos.append(bno)
-            self._free_file_block(handle, bno)
-
-        freed = mapping.truncate_blocks(self.cache, handle, 0, free_fn=free_fn)
-        handle.nblocks -= freed
-        handle.size = 0
         return freed_bnos

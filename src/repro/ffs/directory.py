@@ -63,8 +63,7 @@ def live_entries(block: bytes) -> List[Tuple[str, int, int]]:
 def index_entries(block: bytes, blk: int) -> List[Tuple[str, Tuple[int, int, int]]]:
     """Live entries of directory block ``blk`` as the directory index
     keeps them: (name, (inum, kind, blk))."""
-    return [(name, (inum, kind, blk))
-            for _, inum, kind, name, _ in iter_entries(block) if inum != 0]
+    return [(name, (inum, kind, blk)) for name, inum, kind in live_entries(block)]
 
 
 def free_slots(block: bytes, blk: int) -> Tuple[Tuple[int, int], ...]:

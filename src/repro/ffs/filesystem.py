@@ -34,7 +34,6 @@ from repro.ffs import layout
 from repro.ffs.alloc import GroupedAllocator
 from repro.ffs.base import BlockFileSystem, OrderToken, VolumeConfig
 from repro.ffs.inode import Inode
-from repro.vfs.stat import StatResult
 
 ROOT_INUM = 1
 
@@ -241,31 +240,23 @@ class FFS(BlockFileSystem):
 
     def _create_file(self, dirh: Inode, name: str) -> Inode:
         with obs.span("fs", "create_node", name=name, embedded=False):
-            index = self._complete_index(dirh)
-            if name in index.names:
-                raise FileExists("%r already exists" % name)
-            inum = self.alloc.alloc_inode(self.cg_of_inum(dirh.inum))
-            inode = Inode(inum)
-            inode.init_as(layout.MODE_FILE, gen=self._next_gen(),
-                          mtime=self.device.clock.now)
-            self._icache[inum] = inode
-            # Ordering: initialized inode reaches disk before the name.
-            init_token = self._istore(inode, sync_op=True)
-            self._dir_add_entry(dirh, name, inum, layout.DT_FILE,
-                                requires=(init_token,))
-            return inode
+            return self._create_node(dirh, name, layout.MODE_FILE, layout.DT_FILE)
 
     def _make_directory(self, dirh: Inode, name: str) -> Inode:
+        return self._create_node(dirh, name, layout.MODE_DIR, layout.DT_DIR)
+
+    def _create_node(self, dirh: Inode, name: str, mode: int, kind: int) -> Inode:
         index = self._complete_index(dirh)
         if name in index.names:
             raise FileExists("%r already exists" % name)
-        inum = self.alloc.alloc_inode(self.cg_of_inum(dirh.inum), spread_dirs=True)
+        inum = self.alloc.alloc_inode(self.cg_of_inum(dirh.inum),
+                                      spread_dirs=kind == layout.DT_DIR)
         inode = Inode(inum)
-        inode.init_as(layout.MODE_DIR, gen=self._next_gen(), mtime=self.device.clock.now)
+        inode.init_as(mode, gen=self._next_gen(), mtime=self.device.clock.now)
         self._icache[inum] = inode
+        # Ordering: initialized inode reaches disk before the name.
         init_token = self._istore(inode, sync_op=True)
-        self._dir_add_entry(dirh, name, inum, layout.DT_DIR,
-                            requires=(init_token,))
+        self._dir_add_entry(dirh, name, inum, kind, requires=(init_token,))
         return inode
 
     def _unlink(self, dirh: Inode, name: str) -> None:
@@ -284,15 +275,19 @@ class FFS(BlockFileSystem):
         self._istore(inode, sync_op=True,             # dropped link count
                      requires=(rm_token,))
         if inode.nlink == 0:
-            freed = self._release_all_blocks(inode)
-            inode.clear()
-            clear_token = self._istore(               # "inactive" reclamation
-                inode, sync_op=True, requires=(rm_token,))
-            # Freed blocks stay quarantined until the cleared pointers
-            # are on disk.
-            self._gate_freed_blocks(freed, clear_token)
-            self.alloc.free_inode(inum)
-            self._icache.pop(inum, None)
+            self._reclaim(inode, rm_token)
+
+    def _reclaim(self, inode: Inode, rm_token: OrderToken) -> None:
+        """ "Inactive"-time reclamation: free the storage, write the
+        cleared inode (ordered after the name removal)."""
+        freed = self._release_all_blocks(inode)
+        inode.clear()
+        clear_token = self._istore(inode, sync_op=True, requires=(rm_token,))
+        # Freed blocks stay quarantined until the cleared pointers are
+        # on disk.
+        self._gate_freed_blocks(freed, clear_token)
+        self.alloc.free_inode(inode.inum)
+        self._icache.pop(inode.inum, None)
 
     def _rmdir(self, dirh: Inode, name: str) -> None:
         entry = self._find_entry(dirh, name)
@@ -305,12 +300,7 @@ class FFS(BlockFileSystem):
         if victim_index.names:
             raise DirectoryNotEmpty("%r is not empty" % name)
         _, _, rm_token = self._dir_remove_entry(dirh, name)
-        freed = self._release_all_blocks(victim)
-        victim.clear()
-        clear_token = self._istore(victim, sync_op=True, requires=(rm_token,))
-        self._gate_freed_blocks(freed, clear_token)
-        self.alloc.free_inode(victim.inum)
-        self._icache.pop(victim.inum, None)
+        self._reclaim(victim, rm_token)
         self._dir_index.pop(victim.inum, None)
 
     def _link(self, handle: Inode, dirh: Inode, name: str) -> None:
@@ -340,15 +330,6 @@ class FFS(BlockFileSystem):
         # reachable (possibly under both names), never lost.
         add_token = self._dir_add_entry(dst_dir, new, inum, kind)
         self._dir_remove_entry(src_dir, old, requires=(add_token,))
-
-    def _stat_handle(self, handle: Inode) -> StatResult:
-        return StatResult(
-            kind=self._kind_of(handle),
-            size=handle.size,
-            nlink=handle.nlink,
-            nblocks=handle.nblocks,
-            file_id=handle.inum,
-        )
 
     # ------------------------------------------------------------------ introspection
 

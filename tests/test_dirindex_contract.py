@@ -20,6 +20,9 @@ FORMATS = {
 }
 
 
+BLK = 2  # both formats' index records keep the directory block index third
+
+
 def _name(i: int) -> str:
     return "n%03d" % i + "x" * 116   # long names: few creates per block
 
@@ -57,8 +60,7 @@ def test_directory_index_contract(fmt):
     fs.create("/d/" + _name(created))
     dirh, index = _index(fs)
     assert dirh.size == 3 * BLOCK_SIZE
-    blk = 2  # both formats keep the directory block index third
-    assert index.names[_name(created)][blk] == 0
+    assert index.names[_name(created)][BLK] == 0
     assert sorted(fs.readdir("/d")) == sorted(
         _name(i) for i in range(1, created + 1))
 
