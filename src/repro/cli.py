@@ -42,7 +42,7 @@ from repro.disk.profiles import PROFILES, SEAGATE_ST31200
 from repro.errors import ReproError
 from repro.ffs import layout as flayout
 from repro.ffs.filesystem import FFS, FFSConfig
-from repro.fsck import fsck_cffs, fsck_ffs, fsck_resilience, is_resilient, open_logical
+from repro.fsck import CHECKERS, checker_for, fsck_resilience, is_resilient, open_logical
 from repro.resilience import ResiliencePolicy, ResilientBlockDevice
 
 
@@ -239,17 +239,17 @@ def cmd_fsck(args) -> int:
         saved_by_resilience = bool(res_report.fixed)
         target = open_logical(device)
     magic = _magic_of(target)
-    if magic == clayout.CFFS_MAGIC:
-        report = fsck_cffs(target, repair=repair)
-    elif magic == flayout.FFS_MAGIC:
-        report = fsck_ffs(target, repair=repair)
+    check = checker_for(magic)
+    if check is not None:
+        report = check(target, repair=repair)
     elif repair:
         # The magic may itself be the damage; try whichever checker can
         # recover a superblock from the replica.
-        report = fsck_ffs(target, repair=True)
-        if not report.fixed:
-            report = fsck_cffs(target, repair=True)
-        if not report.fixed:
+        for check in CHECKERS:
+            report = check(target, repair=True)
+            if report.fixed:
+                break
+        else:
             print("unrecognizable file system (magic 0x%x), no usable "
                   "superblock replica" % magic, file=sys.stderr)
             return 2

@@ -42,10 +42,10 @@ from repro.errors import (
     IsADirectory,
     NotADirectory,
 )
-from repro.ffs import layout as flayout
 from repro.ffs import mapping
 from repro.ffs.alloc import GroupedAllocator
 from repro.ffs.base import BlockFileSystem, OrderToken, VolumeConfig
+from repro.ffs.cylgroup import table_block
 from repro.vfs.stat import StatResult
 
 ROOT_FILEID = 1
@@ -169,23 +169,13 @@ class CFFS(BlockFileSystem):
         }
 
     def _init_volume(self, n_cgs: int) -> None:
-        config = self.config
-        usable = self._usable_per_cg()
         for cgi in range(n_cgs):
-            base = self.cg_base(cgi)
-            bmap = self.cache.create(base + 1)
-            for off in range(config.data_start):
-                bmap.data[off >> 3] |= 1 << (off & 7)
-            # Blocks past the last whole extent are unusable; mark used.
-            for off in range(config.data_start + usable, config.blocks_per_cg):
-                bmap.data[off >> 3] |= 1 << (off & 7)
-            self.cache.mark_dirty(base + 1)
-            desc = self.cache.create(base)
-            desc.data[:] = flayout.pack_cg(usable, 0, config.data_start, 0)
-            self.cache.mark_dirty(base)
-            for g in range(config.gdt_blocks):
-                self.cache.create(base + 2 + g)
-                self.cache.mark_dirty(base + 2 + g)
+            # Blocks past the last whole extent are unusable.
+            self.alloc.format_group(cgi, self._usable_per_cg())
+            for g in range(self.config.gdt_blocks):
+                gdt = table_block(self.cg_base(cgi), g)
+                self.cache.create(gdt)
+                self.cache.mark_dirty(gdt)
         root = CNode(ROOT_FILEID)
         root.init_as(layout.MODE_DIR, gen=1, mtime=self.device.clock.now)
         self._adopt_root(root)

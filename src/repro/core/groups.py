@@ -29,6 +29,7 @@ from repro.core.layout import (
     unpack_gdesc_from,
 )
 from repro.errors import CorruptFileSystem
+from repro.ffs.cylgroup import table_block
 
 ExtentId = Tuple[int, int]  # (cylinder group, extent index within its data area)
 
@@ -82,7 +83,7 @@ class GroupTable:
 
     def _desc_location(self, ext: ExtentId) -> Tuple[int, int]:
         cgi, idx = ext
-        bno = self._cg_base_of(cgi) + 2 + idx // GDESC_PER_BLOCK
+        bno = table_block(self._cg_base_of(cgi), idx // GDESC_PER_BLOCK)
         return bno, (idx % GDESC_PER_BLOCK) * GDESC_SIZE
 
     # -- descriptor I/O -----------------------------------------------------------

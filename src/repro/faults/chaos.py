@@ -43,7 +43,7 @@ from repro.errors import (
 from repro.faults.harness import FAULTSIM_PROFILE, _content, _mkfs
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
-from repro.fsck import fsck_cffs, fsck_ffs, fsck_resilience, open_logical
+from repro.fsck import checker_for, fsck_resilience, open_logical
 from repro.resilience import (
     HealthState,
     ResiliencePolicy,
@@ -370,7 +370,7 @@ def _offline_repair(report: ChaosReport, faulty: FaultyBlockDevice,
     if view is None:
         report.fsck_fs_clean = False
         return
-    check = fsck_ffs if label == "ffs" else fsck_cffs
+    check = checker_for(label)
     repaired = check(view, repair=True)
     recheck = check(view)
     report.fsck_fs_errors = len(repaired.errors)

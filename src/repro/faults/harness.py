@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
@@ -36,13 +36,7 @@ from repro.errors import ReproError
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
 from repro.ffs.filesystem import FFS, FFSConfig
-from repro.fsck import (
-    FsckReport,
-    fsck_cffs,
-    fsck_ffs,
-    fsck_resilience,
-    open_logical,
-)
+from repro.fsck import checker_for, fsck_resilience, open_logical
 from repro.resilience import ResiliencePolicy, ResilientBlockDevice
 
 FAULT_FSES = ("ffs", "cffs")
@@ -150,10 +144,6 @@ def _mkfs(label: str, policy: MetadataPolicy, device) -> object:
         blocks_per_cg=512, policy=policy, cache_blocks=512))
 
 
-def _checker(label: str) -> Callable[..., FsckReport]:
-    return fsck_ffs if label == "ffs" else fsck_cffs
-
-
 def run_journaled_workload(
     label: str,
     policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
@@ -236,7 +226,7 @@ def _verify_point(
     resilient: bool = False,
 ) -> CrashPoint:
     """Repair, re-check, remount and read back one crash image."""
-    check = _checker(label)
+    check = checker_for(label)
     image = device.image_at(k)
     pre_fixes = 0
     if resilient:

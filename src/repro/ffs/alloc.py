@@ -19,8 +19,10 @@ from typing import Dict, Optional
 
 from repro.cache.buffercache import BufferCache
 from repro.errors import NoSpace
-from repro.ffs.cylgroup import (CylinderGroup, bit_is_set, clear_bit,
-                                find_clear_bit, set_bit)
+from repro.ffs.cylgroup import (CylinderGroup, bit_is_set, bitmap_block,
+                                clear_bit, descriptor_block, find_clear_bit,
+                                fresh_bitmap, fresh_descriptor, inode_bit,
+                                set_bit)
 
 
 class GroupedAllocator:
@@ -75,6 +77,19 @@ class GroupedAllocator:
     def _bitmap(self, cg: CylinderGroup) -> bytearray:
         """The live bitmap buffer for a group (cache is authoritative)."""
         return self.cache.get(cg.bitmap_block).data
+
+    def format_group(self, cgi: int, usable: int) -> None:
+        """mkfs: an empty group ``cgi`` with ``usable`` data blocks —
+        fresh bitmap and descriptor into the cache, to be written."""
+        base = self._cg_base_of(cgi)
+        for bno, image in (
+            (bitmap_block(base),
+             fresh_bitmap(self.blocks_per_cg, self.data_start, usable)),
+            (descriptor_block(base),
+             fresh_descriptor(usable, self.inodes_per_cg, self.data_start)),
+        ):
+            self.cache.create(bno).data[:] = image
+            self.cache.mark_dirty(bno)
 
     def drop_mirrors(self) -> None:
         self._groups.clear()
@@ -260,20 +275,12 @@ class GroupedAllocator:
         cgi, idx = divmod(inum - 1, self.inodes_per_cg)
         return self._inode_used(self.group(cgi), idx)
 
-    # The inode usage bitmap lives in the tail of the block bitmap block
-    # (the block bitmap needs blocks_per_cg bits; inodes use the space after).
-    def _inode_bit_offset(self, idx: int) -> int:
-        return self.blocks_per_cg + idx
-
     def _inode_used(self, cg: CylinderGroup, idx: int) -> bool:
-        return bit_is_set(self._bitmap(cg), self._inode_bit_offset(idx))
+        return bit_is_set(self._bitmap(cg), inode_bit(self.blocks_per_cg, idx))
 
     def _set_inode_used(self, cg: CylinderGroup, idx: int, used: bool) -> None:
-        bitmap = self._bitmap(cg)
-        if used:
-            set_bit(bitmap, self._inode_bit_offset(idx))
-        else:
-            clear_bit(bitmap, self._inode_bit_offset(idx))
+        flip = set_bit if used else clear_bit
+        flip(self._bitmap(cg), inode_bit(self.blocks_per_cg, idx))
         self.cache.mark_dirty(cg.bitmap_block)
 
     # -- internals -----------------------------------------------------------------

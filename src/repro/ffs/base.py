@@ -27,6 +27,7 @@ from repro.clock import CpuModel
 from repro.errors import CorruptFileSystem, InvalidArgument
 from repro.ffs import layout, mapping
 from repro.ffs.alloc import GroupedAllocator
+from repro.ffs.cylgroup import cg_base
 from repro.ffs.dirindex import DirIndex
 from repro.journal import (Journal, attach_pipeline, default_journal_blocks,
                            timed_replay)
@@ -107,7 +108,7 @@ class BlockFileSystem(FileSystem):
             n_cgs = (total - 1) // config.blocks_per_cg
         if n_cgs < 1:
             raise InvalidArgument("device too small for one cylinder group")
-        journal_start = 1 + n_cgs * config.blocks_per_cg if jb else 0
+        journal_start = cg_base(n_cgs, config.blocks_per_cg) if jb else 0
         fs.sb = {
             "magic": cls.MAGIC,
             "version": 1,
@@ -238,7 +239,7 @@ class BlockFileSystem(FileSystem):
         self.alloc.drop_mirrors()
 
     def cg_base(self, cgi: int) -> int:
-        return 1 + cgi * self.sb["blocks_per_cg"]
+        return cg_base(cgi, self.sb["blocks_per_cg"])
 
     def _next_gen(self) -> int:
         gen = self.sb["next_gen"]

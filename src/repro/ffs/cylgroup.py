@@ -1,19 +1,75 @@
-"""Cylinder-group state: descriptors and block bitmaps.
+"""The cylinder group: its on-disk format and its in-memory mirror.
 
-Free counts and rotors are mirrored in memory (one small object per
-group) and flushed to their descriptor blocks before each sync.  The
-block bitmap is *not* mirrored: the allocator mutates the cached
-bitmap buffer directly, so the buffer cache remains the single source
-of truth and eviction/re-read cannot desynchronize anything.  Bitmap
-writes are always delayed — they carry no ordering requirement, since
-fsck can rebuild them from the reachable inodes.
+This module is the one owner of the group *format*, for both file
+systems (C-FFS keeps the FFS group and swaps the table)::
+
+    base + 0              descriptor: free counts and rotors (layout.pack_cg)
+    base + 1              bitmap: bit i is block ``base + i``, for
+                          i < blocks_per_cg; bit ``blocks_per_cg + j``
+                          is inode j of the group (FFS only)
+    base + 2 ...          the format's table (FFS: inodes; C-FFS:
+                          extent descriptors), up to ``data_start``
+    base + data_start ... data blocks
+
+mkfs, the allocator and fsck's rebuild all go through the helpers
+below, so nothing else knows an offset or touches a bit by hand.
+
+At run time free counts and rotors are mirrored in memory (one small
+object per group) and flushed to their descriptor blocks before each
+sync.  The block bitmap is *not* mirrored: the allocator mutates the
+cached bitmap buffer directly, so the buffer cache remains the single
+source of truth and eviction/re-read cannot desynchronize anything.
+Bitmap writes are always delayed — they carry no ordering requirement,
+since fsck can rebuild them from the reachable inodes.
 """
 
 from __future__ import annotations
 
+from repro.blockdev.device import BLOCK_SIZE
 from repro.cache.buffercache import BufferCache
 from repro.errors import CorruptFileSystem
 from repro.ffs import layout
+
+
+def cg_base(cgi: int, blocks_per_cg: int) -> int:
+    """First block of group ``cgi`` (block 0 is the superblock);
+    ``cg_base(n_cgs, ...)`` is the first block past the last group."""
+    return 1 + cgi * blocks_per_cg
+
+
+def descriptor_block(base: int) -> int:
+    return base
+
+
+def bitmap_block(base: int) -> int:
+    return base + 1
+
+
+def table_block(base: int, index: int) -> int:
+    """Block ``index`` of the group's table (inodes or extent descriptors)."""
+    return base + 2 + index
+
+
+def inode_bit(blocks_per_cg: int, idx: int) -> int:
+    """Bitmap offset of the group's ``idx``-th inode: the inode bits
+    follow the ``blocks_per_cg`` block bits in the same block."""
+    return blocks_per_cg + idx
+
+
+def fresh_bitmap(blocks_per_cg: int, data_start: int, usable: int) -> bytearray:
+    """The bitmap of an empty group: the metadata prefix and whatever
+    lies past the ``usable`` data blocks marked in use, forever."""
+    bitmap = bytearray(BLOCK_SIZE)
+    for off in range(data_start):
+        set_bit(bitmap, off)
+    for off in range(data_start + usable, blocks_per_cg):
+        set_bit(bitmap, off)
+    return bitmap
+
+
+def fresh_descriptor(free_blocks: int, free_inodes: int, data_start: int) -> bytes:
+    """The descriptor of an empty group (block rotor at the data area)."""
+    return layout.pack_cg(free_blocks, free_inodes, data_start, 0)
 
 
 def bit_is_set(bitmap: bytearray, offset: int) -> bool:
@@ -80,11 +136,11 @@ class CylinderGroup:
 
     @property
     def descriptor_block(self) -> int:
-        return self.base
+        return descriptor_block(self.base)
 
     @property
     def bitmap_block(self) -> int:
-        return self.base + 1
+        return bitmap_block(self.base)
 
     def pack_descriptor(self) -> bytes:
         return layout.pack_cg(

@@ -33,6 +33,7 @@ from repro.ffs import directory as dirfmt
 from repro.ffs import layout
 from repro.ffs.alloc import GroupedAllocator
 from repro.ffs.base import BlockFileSystem, OrderToken, VolumeConfig
+from repro.ffs.cylgroup import table_block
 from repro.ffs.inode import Inode
 
 ROOT_INUM = 1
@@ -80,20 +81,9 @@ class FFS(BlockFileSystem):
 
     def _init_volume(self, n_cgs: int) -> None:
         config = self.config
-        data_per_cg = config.blocks_per_cg - config.data_start
         for cgi in range(n_cgs):
-            base = self.cg_base(cgi)
-            desc = self.cache.create(base)
-            bmap = self.cache.create(base + 1)
-            # Mark the metadata blocks (descriptor, bitmap, inode table)
-            # used in the bitmap.
-            for off in range(config.data_start):
-                bmap.data[off >> 3] |= 1 << (off & 7)
-            desc.data[:] = layout.pack_cg(
-                data_per_cg, config.inodes_per_cg, config.data_start, 0
-            )
-            self.cache.mark_dirty(base)
-            self.cache.mark_dirty(base + 1)
+            self.alloc.format_group(
+                cgi, config.blocks_per_cg - config.data_start)
         # Root directory: inode 1 in group 0, no data blocks yet.
         root_inum = self.alloc.alloc_inode(0)
         if root_inum != ROOT_INUM:
@@ -136,7 +126,7 @@ class FFS(BlockFileSystem):
     def _inode_location(self, inum: int) -> Tuple[int, int]:
         """(inode table block, slot) of an inode."""
         cgi, within = divmod(inum - 1, self.sb["inodes_per_cg"])
-        bno = self.cg_base(cgi) + 2 + within // layout.INODES_PER_BLOCK
+        bno = table_block(self.cg_base(cgi), within // layout.INODES_PER_BLOCK)
         return bno, within % layout.INODES_PER_BLOCK
 
     # ------------------------------------------------------------------ inodes

@@ -1,49 +1,64 @@
-"""fsck for both on-disk formats: check, and optionally repair.
+"""fsck: one offline walk over either on-disk format — check, and
+optionally repair.
 
-Both checkers work offline on raw device bytes (``peek_block``; no
-simulated time is charged) and verify:
+The paper's recovery argument is one sentence: inodes "can all be found
+(assuming no media corruption) by following the directory hierarchy".
+:class:`_Walk` is that sentence, written once: superblock check and
+replica restore, journal replay, root discovery, directory descent,
+block claiming, link counting, the sweep of the numbered inode table,
+the per-group bitmap and descriptor rebuild, superblock counters,
+replica refresh.  What differs between FFS and C-FFS on disk — where
+the root inode lives, what a directory entry carries (an inode number
+or the embedded inode itself), where numbered inodes are stored (the
+static table or the external-inode file), and which derived state
+hangs off a cylinder group (inode bits or extent descriptors) — is
+supplied by a small adapter per format, :class:`_FFSWalk` and
+:class:`_CFFSWalk`.
+
+The walk works on raw device bytes (``peek_block``; no simulated time
+is charged) and verifies:
 
 - every reachable inode is structurally sane (mode, size vs blocks);
 - every referenced data/indirect block is inside the volume, marked
   allocated in its bitmap, and referenced exactly once;
-- link counts match the number of names found in the walk;
+- link counts match the number of names found in the walk, and every
+  allocated numbered inode has a name;
 - free counts in descriptors and the superblock agree with the walk;
 - (C-FFS) every valid group slot is owned by the (file, offset) the
-  walk found at that block, grouped extents never contain foreign
-  blocks, and externalized inodes are referenced by at least one name.
+  walk found at that block, and grouped extents never contain foreign
+  blocks.
 
-With ``repair=True`` the checkers also *fix* what they find, in the
-classic fsck way: the directory hierarchy is the authoritative record
-(names and inodes), everything derived — bitmaps, group descriptors,
-free counts, next-fileid — is rebuilt from the walk, and leaked
-resources (orphan inodes, unreferenced blocks) are collected.  Names
-that point at free or impossible inodes are removed; wrong link counts
-are set to the number of names found; a smashed superblock is restored
-from the replica kept in the post-cylinder-group tail.  Repairs are
-applied with ``poke_block`` (offline, untimed) and recorded on the
-report's ``fixed`` list; a repaired image re-checks pristine.
+With ``repair=True`` it also *fixes* what it finds, in the classic
+fsck way: the directory hierarchy is the authoritative record (names
+and inodes), everything derived — bitmaps, group descriptors, free
+counts, next-fileid — is rebuilt from the walk, and leaked resources
+(orphan inodes, unreferenced blocks) are collected.  Names that point
+at free or impossible inodes are removed; wrong link counts are set to
+the number of names found; a smashed superblock is restored from the
+replica kept in the post-cylinder-group tail.  Repairs are applied
+with ``poke_block`` (offline, untimed) and recorded on the report's
+``fixed`` list; a repaired image re-checks pristine.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.core import directory as cdirfmt
 from repro.core import layout as clayout
+from repro.core.extinodes import SLOT_SIZE, SLOTS_PER_BLOCK
 from repro.errors import CorruptFileSystem, JournalCorrupt, ReplayError
+from repro.ffs import cylgroup
 from repro.ffs import directory as fdirfmt
 from repro.ffs import layout as flayout
+from repro.ffs.layout import MODE_DIR, MODE_FILE, MODE_FREE
 from repro.journal import replay_journal
 from repro.journal import wal as jwal
 
 _PTRS = struct.Struct("<%dI" % flayout.PTRS_PER_INDIRECT)
-
-_EXT_SLOT_SIZE = 128
-_EXT_SLOTS_PER_BLOCK = BLOCK_SIZE // _EXT_SLOT_SIZE
 
 
 @dataclass
@@ -116,19 +131,16 @@ class FsckReport:
         return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Shared helpers.
-# ---------------------------------------------------------------------------
-
 class _BlockClaims:
     """Tracks which object claims each block (double-use detection)."""
 
-    def __init__(self, report: FsckReport) -> None:
+    def __init__(self, report: FsckReport, total_blocks: int) -> None:
         self.report = report
+        self.total_blocks = total_blocks
         self.claims: Dict[int, str] = {}
 
-    def claim(self, bno: int, owner: str, total_blocks: int) -> bool:
-        if not 0 < bno < total_blocks:
+    def claim(self, bno: int, owner: str) -> bool:
+        if not 0 < bno < self.total_blocks:
             self.report.error("%s references out-of-range block %d" % (owner, bno))
             return False
         existing = self.claims.get(bno)
@@ -141,43 +153,27 @@ class _BlockClaims:
         return True
 
 
-def _walk_pointers(
-    device: BlockDevice,
-    direct: List[int],
-    indirect: int,
-    dindirect: int,
-    owner: str,
-    claims: _BlockClaims,
-) -> List[int]:
-    """All data blocks of an inode, claiming indirect blocks on the way."""
-    total = device.total_blocks
-    blocks = [b for b in direct if b]
-    if indirect:
-        if claims.claim(indirect, owner + ":indirect", total):
-            ptrs = _PTRS.unpack(device.peek_block(indirect))
-            blocks.extend(p for p in ptrs if p)
-    if dindirect:
-        if claims.claim(dindirect, owner + ":dindirect", total):
-            outers = _PTRS.unpack(device.peek_block(dindirect))
-            for l1 in outers:
-                if not l1:
-                    continue
-                if claims.claim(l1, owner + ":dindirect1", total):
-                    blocks.extend(p for p in _PTRS.unpack(device.peek_block(l1)) if p)
+def _walk_pointers(device: BlockDevice, fields: dict, owner: str,
+                   claims: _BlockClaims) -> List[int]:
+    """The data blocks of an inode (or anything with its pointer
+    fields) in file order, every one claimed for ``owner`` — the
+    indirect blocks on the way too."""
+
+    def pointers(bno: int, role: str) -> List[int]:
+        if bno and claims.claim(bno, owner + role):
+            return [p for p in _PTRS.unpack(device.peek_block(bno)) if p]
+        return []
+
+    blocks = [b for b in fields["direct"] if b]
+    blocks += pointers(fields["indirect"], ":indirect")
+    for l1 in pointers(fields["dindirect"], ":dindirect"):
+        blocks += pointers(l1, ":dindirect1")
+    for i, bno in enumerate(blocks):
+        claims.claim(bno, "%s[blk%d]" % (owner, i))
     return blocks
 
 
-def _bit(bitmap: bytes, offset: int) -> bool:
-    return bool(bitmap[offset >> 3] & (1 << (offset & 7)))
-
-
-def _set_bit(bitmap: bytearray, offset: int) -> None:
-    bitmap[offset >> 3] |= 1 << (offset & 7)
-
-
-def _replica_bytes(
-    device: BlockDevice, magic: int, unpack: Callable[[bytes], dict]
-) -> Optional[bytes]:
+def _replica_bytes(device: BlockDevice, fmt: type) -> Optional[bytes]:
     """The tail superblock replica, if it looks authentic for this
     device (right magic, right volume size, right home block)."""
     rb = device.total_blocks - 1
@@ -185,10 +181,10 @@ def _replica_bytes(
         return None
     raw = device.peek_block(rb)
     try:
-        cand = unpack(raw)
+        cand = fmt.layout.unpack_superblock(raw)
     except struct.error:  # pragma: no cover - fixed-size formats
         return None
-    if cand["magic"] != magic:
+    if cand["magic"] != fmt.MAGIC:
         return None
     if cand["total_blocks"] != device.total_blocks:
         return None
@@ -198,23 +194,19 @@ def _replica_bytes(
     return raw
 
 
-def _check_superblock(
-    device: BlockDevice,
-    report: FsckReport,
-    repair: bool,
-    magic: int,
-    unpack: Callable[[bytes], dict],
-) -> Optional[bytes]:
+def _check_superblock(device: BlockDevice, report: FsckReport, repair: bool,
+                      fmt: type) -> Optional[bytes]:
     """Validate block 0's magic; restore from the replica when asked.
 
     Returns the (possibly restored) superblock bytes, or None when the
     check cannot proceed.
     """
     raw0 = device.peek_block(0)
-    if unpack(raw0)["magic"] == magic:
+    magic = fmt.layout.unpack_superblock(raw0)["magic"]
+    if magic == fmt.MAGIC:
         return raw0
-    report.error("bad superblock magic 0x%x" % unpack(raw0)["magic"])
-    restored = _replica_bytes(device, magic, unpack)
+    report.error("bad superblock magic 0x%x" % magic)
+    restored = _replica_bytes(device, fmt)
     if restored is None:
         return None
     if not repair:
@@ -255,509 +247,528 @@ def _replay_before_walk(device: BlockDevice, report: FsckReport,
     return stats.txns > 0
 
 
-def _check_replica(device: BlockDevice, report: FsckReport, repair: bool,
-                   sb: dict) -> None:
-    """The tail replica must mirror block 0 (refresh it in repair mode)."""
-    rb = flayout.replica_block(
-        sb["total_blocks"], sb["n_cgs"], sb["blocks_per_cg"])
-    if rb is None:
-        return
-    if device.peek_block(rb) != device.peek_block(0):
-        report.repair("superblock replica (block %d) is stale" % rb)
-        if repair:
-            device.poke_block(rb, device.peek_block(0))
-            report.fix("superblock replica refreshed")
+# ---------------------------------------------------------------------------
+# The walk.
+# ---------------------------------------------------------------------------
+
+#: What :meth:`_Walk.entries` yields per live directory entry: (name,
+#: names a directory?, the embedded inode's fields or None, reference).
+#: The reference of an embedded inode is its offset in the directory
+#: block; otherwise it is the number of an inode in the table.
+Entry = Tuple[str, bool, Optional[dict], int]
+
+
+class _Walk:
+    """One check of one image.  Everything here is format-blind; a
+    format adapter sets the attributes below (the last three in its
+    constructor) and fills in the hooks that follow the constructor."""
+
+    label = ""               # FsckReport.filesystem
+    MAGIC = 0
+    layout = flayout         # module with unpack_superblock
+    dirfmt = fdirfmt         # directory-block codec module
+    noun = "inode"           # how findings name a numbered inode
+    slot_size = 0            # bytes per slot of the numbered-inode table
+    unpack_inode = staticmethod(flayout.unpack_inode)
+    table_slots = 0          # slots in the numbered-inode table
+    inodes_per_cg = 0        # inode bits per cylinder-group bitmap
+    usable = 0               # allocatable data blocks per cylinder group
+
+    def __init__(self, device: BlockDevice, report: FsckReport, repair: bool,
+                 sb: dict) -> None:
+        self.device = device
+        self.report = report
+        self.repair = repair
+        self.sb = sb
+        self.claims = _BlockClaims(report, device.total_blocks)
+        self.names: Dict[int, int] = {}   # numbered inode -> names found
+        self.live: Set[int] = set()       # numbered inodes left allocated
+        self.idents: Set[int] = set()     # identities of the inodes seen
+        # Direct block -> (identity, file block index) of its inode.
+        self.owners: Dict[int, Tuple[int, int]] = {}
+
+    # -- hooks: what differs between the formats --------------------------------------
+
+    def pack_superblock(self) -> bytes:
+        raise NotImplementedError
+
+    def root(self) -> Tuple[Optional[dict], Optional[int]]:
+        """(fields, table number or None) of the root directory's inode."""
+        raise NotImplementedError
+
+    def entries(self, block: bytes) -> Iterator[Entry]:
+        raise NotImplementedError
+
+    def identity(self, fields: dict, inum: Optional[int]) -> int:
+        """What must be unique across all inodes of the volume."""
+        raise NotImplementedError
+
+    def pack_inode(self, fields: dict) -> bytes:
+        raise NotImplementedError
+
+    def table_slot(self, inum: int) -> Tuple[int, int]:
+        """(block, byte offset) of numbered inode ``inum``, which is
+        within ``1..table_slots``."""
+        raise NotImplementedError
+
+    def mark_group(self, cgi: int, base: int, expected: bytearray,
+                   bitmap: bytes) -> int:
+        """Check (and rebuild) the state derived from the walk that
+        hangs off cylinder group ``cgi``, mark its share of the
+        ``expected`` bitmap, and return the group's free inode count."""
+        raise NotImplementedError
+
+    def mark_superblock(self) -> None:
+        """Check the superblock fields only this format derives."""
+
+    # -- numbered inodes -----------------------------------------------------------------
+
+    def table_inode(self, inum: int) -> Optional[dict]:
+        """Numbered inode ``inum``; None when the table has no such slot."""
+        if not 1 <= inum <= self.table_slots:
+            return None
+        bno, off = self.table_slot(inum)
+        return self.unpack_inode(
+            self.device.peek_block(bno)[off:off + self.slot_size])
+
+    def _patch(self, bno: int, off: int, data: bytes) -> None:
+        raw = bytearray(self.device.peek_block(bno))
+        raw[off:off + len(data)] = data
+        self.device.poke_block(bno, bytes(raw))
+
+    # -- the walk ----------------------------------------------------------------------
+
+    @classmethod
+    def check(cls, device: BlockDevice, repair: bool) -> FsckReport:
+        """A usable superblock, the journal replayed, then the walk."""
+        report = FsckReport(cls.label)
+        raw0 = _check_superblock(device, report, repair, cls)
+        if raw0 is not None:
+            sb = cls.layout.unpack_superblock(raw0)
+            if _replay_before_walk(device, report, repair, sb):
+                sb = cls.layout.unpack_superblock(device.peek_block(0))
+            cls(device, report, repair, sb).run()
+        return report
+
+    def run(self) -> None:
+        report = self.report
+        root, inum = self.root()
+        if root is None or root["mode"] != MODE_DIR:
+            report.error("root inode is not a directory")
+            return
+        if inum is not None:
+            self.names[inum] = 1    # the root needs no name
+        self._inode(root, inum, "", True)
+        self._sweep_table()
+        free = self._check_groups()
+        self._check_counters(*free)
+        report.blocks_in_use = len(self.claims.claims)
+
+    def _claim(self, fields: dict, ident: int, owner: str) -> List[int]:
+        for i, bno in enumerate(fields["direct"]):
+            if bno:
+                self.owners[bno] = (ident, i)
+        return _walk_pointers(self.device, fields, owner, self.claims)
+
+    def _inode(self, fields: dict, inum: Optional[int], path: str,
+               is_dir: bool) -> None:
+        """First sighting of a live inode: claim its blocks; descend
+        into it if its name says it is a directory."""
+        report = self.report
+        ident = self.identity(fields, inum)
+        if ident in self.idents:
+            report.error("%s: duplicate fileid %d" % (path, ident))
+            return
+        self.idents.add(ident)
+        if fields["mode"] not in (MODE_FILE, MODE_DIR):
+            report.error("%s: bad mode %d" % (path, fields["mode"]))
+            return
+        if not is_dir:
+            report.files += 1
+            data = self._claim(fields, ident, path)
+            if (fields["size"] > len(data) * BLOCK_SIZE
+                    and fields["nblocks"] >= len(data)):
+                report.warn("%s: size %d exceeds allocated %d bytes"
+                            % (path, fields["size"], len(data) * BLOCK_SIZE))
+            return
+        if fields["mode"] != MODE_DIR:
+            report.error("%s is not a directory on disk" % path)
+            return
+        report.directories += 1
+        data = self._claim(fields, ident, path or "/")
+        nblocks = fields["size"] // BLOCK_SIZE
+        if len(data) < nblocks:
+            report.error("%s: directory size %d but only %d blocks"
+                         % (path or "/", fields["size"], len(data)))
+        elif len(data) > nblocks:
+            report.warn("%s: directory size %d but %d blocks"
+                        % (path or "/", fields["size"], len(data)))
+        for bno in data[:nblocks]:
+            for name, child_is_dir, child, ref in self._live_entries(bno, path):
+                self._entry(bno, "%s/%s" % (path, name), name, child_is_dir,
+                            child, ref)
+
+    def _live_entries(self, bno: int, path: str) -> List[Entry]:
+        """The live entries of directory block ``bno``; none when the
+        block does not parse (reported; reinitialized under repair)."""
+        try:
+            return list(self.entries(self.device.peek_block(bno)))
+        except CorruptFileSystem as exc:
+            self.report.error(
+                "%s: corrupt directory block %d (%s)" % (path, bno, exc))
+            if self.repair:
+                # A half-landed directory block: any names it held were
+                # never durable, so an empty block is correct.
+                self.device.poke_block(bno, bytes(self.dirfmt.init_block()))
+                self.report.fix("reinitialized corrupt directory block %d of %s"
+                                % (bno, path or "/"))
+            return []
+
+    def _entry(self, bno: int, path: str, name: str, is_dir: bool,
+               child: Optional[dict], ref: int) -> None:
+        """One name: count it, and walk what it names when new."""
+        report = self.report
+        inum = ref if child is None else None
+        what = ("embedded inode" if inum is None
+                else "%s %d" % (self.noun, inum))
+        if inum is not None:
+            child = self.table_inode(inum)
+        if child is None or child["mode"] == MODE_FREE:
+            why = "impossible " if child is None else "free "
+            report.error("%s: references %s" % (path, why + what))
+            if self.repair:
+                raw = bytearray(self.device.peek_block(bno))
+                self.dirfmt.remove_entry(raw, name)
+                self.device.poke_block(bno, bytes(raw))
+                report.fix("removed dirent %r from block %d (%s)"
+                           % (name, bno, why + what))
+            return
+        if inum is None:
+            # An embedded inode has exactly the one name it lives in.
+            if child["nlink"] != 1:
+                report.error("%s: embedded inode with nlink %d"
+                             % (path, child["nlink"]))
+                if self.repair:
+                    child["nlink"] = 1
+                    self._patch(bno, ref, self.pack_inode(child))
+                    report.fix("%s: embedded nlink set to 1" % path)
+        else:
+            self.names[inum] = self.names.get(inum, 0) + 1
+            if self.names[inum] > 1:    # one more hard link
+                if is_dir:
+                    report.error("directory %s visited twice (cycle?)" % path)
+                return
+        self._inode(child, inum, path, is_dir)
+
+    def _sweep_table(self) -> None:
+        """Numbered inodes against the names the walk found.  The walk
+        is authoritative: an allocated inode it never reached is an
+        orphan (a crash between a synchronous inode write and its
+        dirent, or after a name removal) and leaks, so repair collects
+        it; a reached one must carry exactly the link count found."""
+        report, noun = self.report, self.noun
+        for inum in range(1, self.table_slots + 1):
+            fields = self.table_inode(inum)
+            if fields["mode"] == MODE_FREE:
+                continue
+            found = self.names.get(inum, 0)
+            bno, off = self.table_slot(inum)
+            if not found:
+                report.warn("%s %d allocated but unreachable (orphan)"
+                            % (noun, inum))
+                if self.repair:
+                    self._patch(bno, off, bytes(self.slot_size))
+                    report.fix("cleared orphan %s %d" % (noun, inum))
+                    continue
+            elif fields["nlink"] != found:
+                report.error("%s %d: nlink %d but %d names found"
+                             % (noun, inum, fields["nlink"], found))
+                if self.repair:
+                    fields["nlink"] = found
+                    self._patch(bno, off, self.pack_inode(fields))
+                    report.fix("%s %d: nlink set to %d" % (noun, inum, found))
+            self.live.add(inum)
+
+    def _check_groups(self) -> Tuple[int, int]:
+        """Per cylinder group: the bitmap the walk implies against the
+        one on disk, then the descriptor's free counts.  Returns the
+        volume's (free blocks, free inodes)."""
+        report, device, sb = self.report, self.device, self.sb
+        bpc, data_start = sb["blocks_per_cg"], sb["data_start"]
+        data_area = range(data_start, data_start + self.usable)
+        claimed = self.claims.claims
+        totals = [0, 0]
+        for cgi in range(sb["n_cgs"]):
+            base = cylgroup.cg_base(cgi, bpc)
+            bitmap_bno = cylgroup.bitmap_block(base)
+            bitmap = device.peek_block(bitmap_bno)
+            expected = cylgroup.fresh_bitmap(bpc, data_start, self.usable)
+            for off in range(data_start, bpc):
+                if base + off in claimed:
+                    cylgroup.set_bit(expected, off)
+            free_i = self.mark_group(cgi, base, expected, bitmap)
+            if expected != bitmap:
+                for off in data_area:
+                    have = cylgroup.bit_is_set(bitmap, off)
+                    if base + off in claimed and not have:
+                        report.repair(
+                            "block %d in use but free in bitmap" % (base + off))
+                    elif have and not cylgroup.bit_is_set(expected, off):
+                        report.warn(
+                            "block %d marked used but unreferenced" % (base + off))
+                if self.repair:
+                    device.poke_block(bitmap_bno, bytes(expected))
+                    report.fix("cg %d: bitmap rebuilt" % cgi)
+
+            # Free blocks the allocator's way: whatever the rebuilt
+            # bitmap leaves clear (a kept group costs its whole span).
+            free_b = sum(1 for off in data_area
+                         if not cylgroup.bit_is_set(expected, off))
+            desc_bno = cylgroup.descriptor_block(base)
+            desc = flayout.unpack_cg(device.peek_block(desc_bno))
+            if (desc["free_blocks"], desc["free_inodes"]) != (free_b, free_i):
+                report.repair(
+                    "cg %d: descriptor free counts (%d, %d) but walk says (%d, %d)"
+                    % (cgi, desc["free_blocks"], desc["free_inodes"],
+                       free_b, free_i))
+                if self.repair:
+                    device.poke_block(desc_bno, flayout.pack_cg(
+                        free_b, free_i, desc["block_rotor"] % bpc,
+                        desc["inode_rotor"] % max(self.inodes_per_cg, 1)))
+                    report.fix("cg %d: descriptor rebuilt" % cgi)
+            totals[0] += free_b
+            totals[1] += free_i
+        return totals[0], totals[1]
+
+    def _check_counters(self, free_blocks: int, free_inodes: int) -> None:
+        """Superblock free counts and format counters, then the replica."""
+        report, device, sb = self.report, self.device, self.sb
+        want = {"free_blocks": free_blocks}
+        if "free_inodes" in sb:
+            want["free_inodes"] = free_inodes
+        if any(sb[key] != value for key, value in want.items()):
+            report.repair("superblock free counts %r but walk says %r"
+                          % (tuple(sb[key] for key in want), tuple(want.values())))
+            sb.update(want)
+        self.mark_superblock()
+        if self.repair and self.pack_superblock() != device.peek_block(0):
+            device.poke_block(0, self.pack_superblock())
+            report.fix("superblock counters corrected")
+        # The tail replica must mirror block 0.
+        rb = flayout.replica_block(
+            sb["total_blocks"], sb["n_cgs"], sb["blocks_per_cg"])
+        if rb is not None and device.peek_block(rb) != device.peek_block(0):
+            report.repair("superblock replica (block %d) is stale" % rb)
+            if self.repair:
+                device.poke_block(rb, device.peek_block(0))
+                report.fix("superblock replica refreshed")
 
 
 # ---------------------------------------------------------------------------
-# FFS checker.
+# FFS: numbered inodes in static per-group tables, name-only directories.
 # ---------------------------------------------------------------------------
 
-def _drop_dirent(device: BlockDevice, report: FsckReport, codec,
-                 bno: int, name: str, why: str) -> None:
-    """Remove ``name`` from directory block ``bno`` (either format's
-    ``codec`` module)."""
-    raw = bytearray(device.peek_block(bno))
-    codec.remove_entry(raw, name)
-    device.poke_block(bno, bytes(raw))
-    report.fix("removed dirent %r from block %d (%s)" % (name, bno, why))
+class _FFSWalk(_Walk):
+    label = "ffs"
+    MAGIC = flayout.FFS_MAGIC
+    slot_size = flayout.INODE_SIZE
 
+    def __init__(self, device, report, repair, sb) -> None:
+        super().__init__(device, report, repair, sb)
+        self.inodes_per_cg = sb["inodes_per_cg"]
+        self.table_slots = sb["n_cgs"] * sb["inodes_per_cg"]
+        self.usable = sb["blocks_per_cg"] - sb["data_start"]
 
-def _live_entries_or_reinit(device: BlockDevice, report: FsckReport, codec,
-                            repair: bool, bno: int, path: str):
-    """The live entries of directory block ``bno``, or None when the
-    block does not parse (reported; reinitialized under ``repair``)."""
-    try:
-        return codec.live_entries(device.peek_block(bno))
-    except CorruptFileSystem as exc:
-        report.error("%s: corrupt directory block %d (%s)" % (path, bno, exc))
-        if repair:
-            # A half-landed directory block: any names it held were
-            # never durable, so an empty block is correct.
-            device.poke_block(bno, bytes(codec.init_block()))
-            report.fix("reinitialized corrupt directory block %d of %s"
-                       % (bno, path or "/"))
-        return None
+    def pack_superblock(self) -> bytes:
+        return flayout.pack_superblock(self.sb)
+
+    def root(self):
+        return self.table_inode(self.sb["root_inum"]), self.sb["root_inum"]
+
+    def entries(self, block: bytes) -> Iterator[Entry]:
+        for name, inum, kind in fdirfmt.live_entries(block):
+            yield name, kind == flayout.DT_DIR, None, inum
+
+    def identity(self, fields: dict, inum: Optional[int]) -> int:
+        return inum
+
+    def pack_inode(self, f: dict) -> bytes:
+        return flayout.pack_inode(
+            f["mode"], f["nlink"], f["flags"], f["gen"], f["size"], f["mtime"],
+            f["direct"], f["indirect"], f["dindirect"], f["nblocks"])
+
+    def table_slot(self, inum: int) -> Tuple[int, int]:
+        cgi, within = divmod(inum - 1, self.inodes_per_cg)
+        base = cylgroup.cg_base(cgi, self.sb["blocks_per_cg"])
+        return (cylgroup.table_block(base, within // flayout.INODES_PER_BLOCK),
+                within % flayout.INODES_PER_BLOCK * flayout.INODE_SIZE)
+
+    def mark_group(self, cgi, base, expected, bitmap) -> int:
+        """The group's inode bits: set for every allocated inode."""
+        report, ipc = self.report, self.inodes_per_cg
+        used = 0
+        for idx in range(ipc):
+            inum = cgi * ipc + idx + 1
+            bit = cylgroup.inode_bit(self.sb["blocks_per_cg"], idx)
+            in_use = inum in self.live
+            marked = cylgroup.bit_is_set(bitmap, bit)
+            if in_use:
+                cylgroup.set_bit(expected, bit)
+                used += 1
+                if not marked:
+                    report.repair(
+                        "inode %d in use but free in inode bitmap" % inum)
+            elif marked:
+                report.warn("inode %d marked allocated but unused" % inum)
+        return ipc - used
 
 
 def fsck_ffs(device: BlockDevice, repair: bool = False) -> FsckReport:
     """Check an FFS image; with ``repair=True`` also fix it."""
-    report = FsckReport("ffs")
-    raw0 = _check_superblock(
-        device, report, repair, flayout.FFS_MAGIC, flayout.unpack_superblock)
-    if raw0 is None:
-        return report
-    sb = flayout.unpack_superblock(raw0)
-    if _replay_before_walk(device, report, repair, sb):
-        sb = flayout.unpack_superblock(device.peek_block(0))
-
-    bpc = sb["blocks_per_cg"]
-    ipc = sb["inodes_per_cg"]
-    data_start = sb["data_start"]
-    claims = _BlockClaims(report)
-    nlink_found: Dict[int, int] = {}
-    removed_refs: Dict[int, int] = {}
-    visited_dirs: Set[int] = set()
-    max_inum = sb["n_cgs"] * ipc
-
-    def cg_base(cgi: int) -> int:
-        return 1 + cgi * bpc
-
-    def inode_location(inum: int) -> Tuple[int, int]:
-        cgi, within = divmod(inum - 1, ipc)
-        bno = cg_base(cgi) + 2 + within // flayout.INODES_PER_BLOCK
-        return bno, (within % flayout.INODES_PER_BLOCK) * flayout.INODE_SIZE
-
-    def inode_bytes(inum: int) -> bytes:
-        bno, off = inode_location(inum)
-        return device.peek_block(bno)[off:off + flayout.INODE_SIZE]
-
-    def poke_inode(inum: int, packed: bytes) -> None:
-        bno, off = inode_location(inum)
-        raw = bytearray(device.peek_block(bno))
-        raw[off:off + flayout.INODE_SIZE] = packed
-        device.poke_block(bno, bytes(raw))
-
-    drop_dirent = partial(_drop_dirent, device, report, fdirfmt)
-
-    def walk_dir(inum: int, path: str) -> None:
-        if inum in visited_dirs:
-            report.error("directory %s visited twice (cycle?)" % path)
-            return
-        visited_dirs.add(inum)
-        fields = flayout.unpack_inode(inode_bytes(inum))
-        if fields["mode"] != flayout.MODE_DIR:
-            report.error("%s is not a directory on disk" % path)
-            return
-        report.directories += 1
-        data = _walk_pointers(
-            device, fields["direct"], fields["indirect"], fields["dindirect"],
-            path, claims,
-        )
-        for i, bno in enumerate(data):
-            claims.claim(bno, "%s[blk%d]" % (path, i), device.total_blocks)
-        if fields["size"] != len(data) * BLOCK_SIZE:
-            report.warn("%s: size %d disagrees with %d blocks"
-                        % (path, fields["size"], len(data)))
-        for bno in data:
-            entries = _live_entries_or_reinit(
-                device, report, fdirfmt, repair, bno, path)
-            if entries is None:
-                continue
-            for name, child_inum, kind in entries:
-                if not 1 <= child_inum <= max_inum:
-                    report.error("%s/%s references bad inode %d" % (path, name, child_inum))
-                    if repair:
-                        drop_dirent(bno, name, "impossible inode number")
-                    continue
-                nlink_found[child_inum] = nlink_found.get(child_inum, 0) + 1
-                child = flayout.unpack_inode(inode_bytes(child_inum))
-                if child["mode"] == flayout.MODE_FREE:
-                    report.error("%s/%s references free inode %d" % (path, name, child_inum))
-                    if repair:
-                        drop_dirent(bno, name, "free inode")
-                        removed_refs[child_inum] = removed_refs.get(child_inum, 0) + 1
-                    continue
-                if kind == flayout.DT_DIR:
-                    walk_dir(child_inum, "%s/%s" % (path, name))
-                else:
-                    if nlink_found[child_inum] == 1:  # first sighting
-                        _check_file(child_inum, child, "%s/%s" % (path, name))
-
-    def _check_file(inum: int, fields: dict, path: str) -> None:
-        report.files += 1
-        data = _walk_pointers(
-            device, fields["direct"], fields["indirect"], fields["dindirect"],
-            path, claims,
-        )
-        for i, bno in enumerate(data):
-            claims.claim(bno, "%s[blk%d]" % (path, i), device.total_blocks)
-        max_bytes = len(data) * BLOCK_SIZE
-        if fields["size"] > max_bytes and fields["nblocks"] >= len(data):
-            report.warn("%s: size %d exceeds allocated %d bytes"
-                        % (path, fields["size"], max_bytes))
-
-    walk_dir(sb["root_inum"], "")
-    nlink_found[sb["root_inum"]] = nlink_found.get(sb["root_inum"], 0) + 1
-
-    # Full inode-table scan: the walk is authoritative, so any
-    # allocated inode the walk never reached is an orphan (a crash
-    # between a synchronous inode write and its dirent, or after a
-    # name removal).  Orphans leak; repair collects them.
-    in_use_inodes: Set[int] = set()
-    for inum in range(1, max_inum + 1):
-        fields = flayout.unpack_inode(inode_bytes(inum))
-        if fields["mode"] == flayout.MODE_FREE:
-            continue
-        refs = nlink_found.get(inum, 0) - removed_refs.get(inum, 0)
-        if refs > 0:
-            in_use_inodes.add(inum)
-            continue
-        report.warn("inode %d allocated but unreachable (orphan)" % inum)
-        if repair:
-            poke_inode(inum, bytes(flayout.INODE_SIZE))
-            report.fix("cleared orphan inode %d" % inum)
-        else:
-            in_use_inodes.add(inum)
-
-    # Link counts.
-    for inum in sorted(nlink_found):
-        found = nlink_found[inum] - removed_refs.get(inum, 0)
-        if found <= 0:
-            continue
-        fields = flayout.unpack_inode(inode_bytes(inum))
-        if fields["mode"] == flayout.MODE_FREE:
-            continue  # every reference was an error (and removed above)
-        if fields["nlink"] != found:
-            report.error("inode %d: nlink %d but %d names found"
-                         % (inum, fields["nlink"], found))
-            if repair:
-                poke_inode(inum, flayout.pack_inode(
-                    fields["mode"], found, fields["flags"], fields["gen"],
-                    fields["size"], fields["mtime"], fields["direct"],
-                    fields["indirect"], fields["dindirect"], fields["nblocks"],
-                ))
-                report.fix("inode %d: nlink set to %d" % (inum, found))
-
-    # Bitmap and descriptor agreement, rebuilt from the walk.
-    total_free_blocks = 0
-    total_free_inodes = 0
-    for cgi in range(sb["n_cgs"]):
-        base = cg_base(cgi)
-        bitmap = device.peek_block(base + 1)
-        expected = bytearray(BLOCK_SIZE)
-        used_blocks = 0
-        for off in range(data_start):
-            _set_bit(expected, off)
-        for off in range(data_start, bpc):
-            bno = base + off
-            claimed = bno in claims.claims
-            if claimed:
-                _set_bit(expected, off)
-                used_blocks += 1
-            marked = _bit(bitmap, off)
-            if claimed and not marked:
-                report.repair("block %d in use but free in bitmap" % bno)
-            elif marked and not claimed:
-                report.warn("block %d marked used but unreferenced" % bno)
-        used_inodes = 0
-        for idx in range(ipc):
-            inum = cgi * ipc + idx + 1
-            used = inum in in_use_inodes
-            boff = bpc + idx
-            if used:
-                _set_bit(expected, boff)
-                used_inodes += 1
-            marked = _bit(bitmap, boff)
-            if used and not marked:
-                report.repair("inode %d in use but free in inode bitmap" % inum)
-            elif marked and not used:
-                report.warn("inode %d marked allocated but unused" % inum)
-        if repair and bytes(expected) != bytes(bitmap):
-            device.poke_block(base + 1, bytes(expected))
-            report.fix("cg %d: bitmap rebuilt" % cgi)
-
-        free_b = (bpc - data_start) - used_blocks
-        free_i = ipc - used_inodes
-        total_free_blocks += free_b
-        total_free_inodes += free_i
-        desc = flayout.unpack_cg(device.peek_block(base))
-        if desc["free_blocks"] != free_b or desc["free_inodes"] != free_i:
-            report.repair(
-                "cg %d: descriptor free counts (%d, %d) but walk says (%d, %d)"
-                % (cgi, desc["free_blocks"], desc["free_inodes"], free_b, free_i))
-            if repair:
-                device.poke_block(base, flayout.pack_cg(
-                    free_b, free_i,
-                    desc["block_rotor"] % bpc, desc["inode_rotor"] % ipc))
-                report.fix("cg %d: descriptor rebuilt" % cgi)
-
-    if sb["free_blocks"] != total_free_blocks \
-            or sb["free_inodes"] != total_free_inodes:
-        report.repair(
-            "superblock free counts (%d, %d) but walk says (%d, %d)"
-            % (sb["free_blocks"], sb["free_inodes"],
-               total_free_blocks, total_free_inodes))
-        if repair:
-            sb["free_blocks"] = total_free_blocks
-            sb["free_inodes"] = total_free_inodes
-            device.poke_block(0, flayout.pack_superblock(sb))
-            report.fix("superblock free counts corrected")
-    _check_replica(device, report, repair, sb)
-    report.blocks_in_use = len(claims.claims)
-    return report
+    return _FFSWalk.check(device, repair)
 
 
 # ---------------------------------------------------------------------------
-# C-FFS checker.
+# C-FFS: inodes embedded in directory entries (the root's in the
+# superblock), numbered ones in the external-inode file, and an extent
+# descriptor table per group.
 # ---------------------------------------------------------------------------
 
-def fsck_cffs(device: BlockDevice, repair: bool = False) -> FsckReport:
-    """Check a C-FFS image by walking the directory hierarchy; with
-    ``repair=True`` also fix it."""
-    report = FsckReport("cffs")
-    raw0 = _check_superblock(
-        device, report, repair, clayout.CFFS_MAGIC, clayout.unpack_superblock)
-    if raw0 is None:
-        return report
-    sb = clayout.unpack_superblock(raw0)
-    if _replay_before_walk(device, report, repair, sb):
-        # The C-FFS superblock (with the embedded root inode) is itself
-        # journaled: re-read it post-replay.
-        raw0 = device.peek_block(0)
-        sb = clayout.unpack_superblock(raw0)
+class _CFFSWalk(_Walk):
+    label = "cffs"
+    MAGIC = clayout.CFFS_MAGIC
+    layout = clayout
+    dirfmt = cdirfmt
+    noun = "external inode"
+    slot_size = SLOT_SIZE
+    unpack_inode = staticmethod(clayout.unpack_cinode)
 
-    claims = _BlockClaims(report)
-    total = device.total_blocks
-    # (fileid, file block index) -> disk block, discovered by the walk.
-    owned_blocks: Dict[int, Tuple[int, int]] = {}
-    ext_refs: Dict[int, int] = {}  # external inum -> names found
-    removed_ext_refs: Dict[int, int] = {}
-    seen_fileids: Set[int] = set()
+    def __init__(self, device, report, repair, sb) -> None:
+        super().__init__(device, report, repair, sb)
+        self.span = sb["group_span"] or clayout.GROUP_SPAN
+        self.n_extents = (sb["blocks_per_cg"] - sb["data_start"]) // self.span
+        self.usable = self.n_extents * self.span
+        # The external-inode file is a file like any other, its inode
+        # fields kept in the superblock.
+        table = _walk_pointers(
+            device,
+            {"direct": sb["ext_direct"], "indirect": sb["ext_indirect"],
+             "dindirect": sb["ext_dindirect"]},
+            "ext-table", self.claims)
+        self.table = table[:sb["ext_size"] // BLOCK_SIZE]
+        self.table_slots = len(self.table) * SLOTS_PER_BLOCK
 
-    def claim_file_blocks(fields: dict, path: str) -> None:
-        data = _walk_pointers(
-            device, fields["direct"], fields["indirect"], fields["dindirect"],
-            path, claims,
-        )
-        # Rebuild file-offset ownership for the group cross-check: only
-        # direct blocks can live in groups.
-        for i, bno in enumerate(fields["direct"]):
-            if bno:
-                owned_blocks[bno] = (fields["fileid"], i)
-        for i, bno in enumerate(data):
-            claims.claim(bno, "%s[blk%d]" % (path, i), total)
+    def pack_superblock(self) -> bytes:
+        return clayout.pack_superblock(
+            self.sb, clayout.root_inode_bytes(self.device.peek_block(0)))
 
-    def check_inode_fields(fields: dict, path: str) -> bool:
-        if fields["fileid"] in seen_fileids:
-            report.error("%s: duplicate fileid %d" % (path, fields["fileid"]))
-            return False
-        seen_fileids.add(fields["fileid"])
-        if fields["mode"] not in (clayout.MODE_FILE, clayout.MODE_DIR):
-            report.error("%s: bad mode %d" % (path, fields["mode"]))
-            return False
-        return True
+    def root(self):
+        return clayout.unpack_cinode(
+            clayout.root_inode_bytes(self.device.peek_block(0))), None
 
-    def ext_inode_location(inum: int) -> Tuple[Optional[int], int]:
-        blk, slot = divmod(inum - 1, _EXT_SLOTS_PER_BLOCK)
-        return _ext_table_block(device, sb, blk), slot * _EXT_SLOT_SIZE
+    def entries(self, block: bytes) -> Iterator[Entry]:
+        for _sector, entry in cdirfmt.live_entries(block):
+            _off, _reclen, etype, kind, name, payload_off = entry
+            is_dir = kind == cdirfmt.DK_DIR
+            if etype == cdirfmt.ET_EMBEDDED:
+                embedded = block[payload_off:payload_off + clayout.CINODE_SIZE]
+                yield name, is_dir, clayout.unpack_cinode(embedded), payload_off
+            elif etype == cdirfmt.ET_EXTERNAL:
+                yield name, is_dir, None, cdirfmt.entry_ident(block, payload_off)
 
-    def ext_inode(inum: int) -> Optional[dict]:
-        bno, off = ext_inode_location(inum)
-        if bno is None:
-            report.error("external inode %d beyond table" % inum)
-            return None
-        raw = device.peek_block(bno)[off:off + clayout.CINODE_SIZE]
-        return clayout.unpack_cinode(raw)
+    def identity(self, fields: dict, inum: Optional[int]) -> int:
+        return fields["fileid"]
 
-    def poke_ext_slot(inum: int, packed: bytes) -> None:
-        bno, off = ext_inode_location(inum)
-        raw = bytearray(device.peek_block(bno))
-        raw[off:off + len(packed)] = packed
-        device.poke_block(bno, bytes(raw))
+    def pack_inode(self, f: dict) -> bytes:
+        return clayout.pack_cinode(
+            f["fileid"], f["mode"], f["nlink"], f["flags"], f["gen"],
+            f["size"], f["mtime"], f["direct"], f["indirect"], f["dindirect"],
+            f["nblocks"])
 
-    drop_dirent = partial(_drop_dirent, device, report, cdirfmt)
+    def table_slot(self, inum: int) -> Tuple[int, int]:
+        blk, slot = divmod(inum - 1, SLOTS_PER_BLOCK)
+        return self.table[blk], slot * SLOT_SIZE
 
-    def rewrite_embedded(bno: int, payload_off: int, child: dict) -> None:
-        raw = bytearray(device.peek_block(bno))
-        cdirfmt.rewrite_payload(raw, payload_off, _pack_cinode_fields(child))
-        device.poke_block(bno, bytes(raw))
+    def mark_superblock(self) -> None:
+        # The next-fileid counter must clear every fileid in use, or the
+        # remounted file system would mint duplicates.
+        needed = max(self.idents) + 1
+        if self.sb["next_fileid"] < needed:
+            self.report.repair("next_fileid %d but fileid %d is in use"
+                               % (self.sb["next_fileid"], needed - 1))
+            self.sb["next_fileid"] = needed
 
-    def walk_dir(fields: dict, path: str) -> None:
-        report.directories += 1
-        claim_file_blocks(fields, path or "/")
-        nblocks = fields["size"] // BLOCK_SIZE
-        data = _collect_blocks(device, fields)
-        if len(data) < nblocks:
-            report.error("%s: directory size %d but only %d blocks"
-                         % (path or "/", fields["size"], len(data)))
-        for bno in data[:nblocks]:
-            entries = _live_entries_or_reinit(
-                device, report, cdirfmt, repair, bno, path)
-            if entries is None:
-                continue
-            for _sector, entry in entries:
-                _off, _reclen, etype, kind, name, payload_off = entry
-                child_path = "%s/%s" % (path, name)
-                block = device.peek_block(bno)
-                if etype == cdirfmt.ET_EMBEDDED:
-                    child = clayout.unpack_cinode(
-                        block[payload_off:payload_off + clayout.CINODE_SIZE]
-                    )
-                    if child["mode"] == clayout.MODE_FREE:
-                        report.error("%s: embedded inode is free" % child_path)
-                        if repair:
-                            drop_dirent(bno, name, "free embedded inode")
-                        continue
-                    if child["nlink"] != 1:
-                        report.error("%s: embedded inode with nlink %d"
-                                     % (child_path, child["nlink"]))
-                        if repair:
-                            child["nlink"] = 1
-                            rewrite_embedded(bno, payload_off, child)
-                            report.fix("%s: embedded nlink set to 1" % child_path)
-                    if not check_inode_fields(child, child_path):
-                        continue
-                    if kind == cdirfmt.DK_DIR:
-                        walk_dir(child, child_path)
-                    else:
-                        report.files += 1
-                        claim_file_blocks(child, child_path)
-                elif etype == cdirfmt.ET_EXTERNAL:
-                    inum = struct.unpack_from("<Q", block, payload_off)[0]
-                    ext_refs[inum] = ext_refs.get(inum, 0) + 1
-                    if ext_refs[inum] == 1:
-                        child = ext_inode(inum)
-                        if child is None or child["mode"] == clayout.MODE_FREE:
-                            if child is not None:
-                                report.error(
-                                    "%s: references free external inode %d"
-                                    % (child_path, inum))
-                            if repair:
-                                drop_dirent(bno, name, "free external inode")
-                                removed_ext_refs[inum] = (
-                                    removed_ext_refs.get(inum, 0) + 1)
-                            continue
-                        if not check_inode_fields(child, child_path):
-                            continue
-                        if kind == cdirfmt.DK_DIR:
-                            walk_dir(child, child_path)
-                        else:
-                            report.files += 1
-                            claim_file_blocks(child, child_path)
+    def mark_group(self, cgi, base, expected, bitmap) -> int:
+        """The group's extent descriptors against the walk: every valid
+        slot of a group is owned by the (file, offset) found at that
+        block.  Kept groups own their whole span in the bitmap."""
+        report, device, span = self.report, self.device, self.span
+        claims, owners = self.claims.claims, self.owners
+        data_start = self.sb["data_start"]
+        free_desc = {"state": clayout.EXT_FREE, "valid_mask": 0, "owner": 0,
+                     "slots": [(0, 0)] * clayout.GROUP_SPAN}
+        gdt_new: Dict[int, bytearray] = {}
+        for idx in range(self.n_extents):
+            gdt_bno = cylgroup.table_block(base, idx // clayout.GDESC_PER_BLOCK)
+            off = (idx % clayout.GDESC_PER_BLOCK) * clayout.GDESC_SIZE
+            desc = clayout.unpack_gdesc_from(device.peek_block(gdt_bno), off)
+            ext_base = base + data_start + idx * span
+            claimed = [s for s in range(span) if (ext_base + s) in claims]
 
-    # External inode table blocks are metadata: claim them.
-    for blk in range(sb["ext_size"] // BLOCK_SIZE):
-        bno = _ext_table_block(device, sb, blk)
-        if bno is not None:
-            claims.claim(bno, "ext-table[%d]" % blk, total)
-    # (Indirect blocks of the table are claimed inside _ext_table_block
-    # walks implicitly; keep it simple: direct-only tables are typical.)
+            if desc["state"] == clayout.EXT_GROUPED:
+                for slot in range(span):
+                    bno = ext_base + slot
+                    owner = owners.get(bno)
+                    if not desc["valid_mask"] & (1 << slot):
+                        if owner is not None:
+                            report.repair(
+                                "block %d referenced by a file but its group slot is free"
+                                % bno)
+                    elif owner is None:
+                        report.repair(
+                            "group slot %d (block %d) valid but unreferenced"
+                            % (slot, bno))
+                    elif owner != desc["slots"][slot]:
+                        report.repair(
+                            "group slot %d (block %d): descriptor says %r, walk says %r"
+                            % (slot, bno, desc["slots"][slot], owner))
+            elif desc["state"] == clayout.EXT_FREE:
+                for s in claimed:
+                    report.repair(
+                        "block %d allocated but its extent descriptor is free"
+                        % (ext_base + s))
+            elif desc["state"] != clayout.EXT_UNGROUPED:
+                report.repair("extent (%d, %d): bad state %d"
+                              % (cgi, idx, desc["state"]))
 
-    root = clayout.unpack_cinode(clayout.root_inode_bytes(raw0))
-    if root["mode"] != clayout.MODE_DIR:
-        report.error("root inode in superblock is not a directory")
-        return report
-    seen_fileids.add(root["fileid"])
-    walk_dir(root, "")
+            # Rebuilt state: trust the walk.  An extent stays a group
+            # only when everything in it belongs to files at known
+            # offsets; otherwise it degrades to individually-allocated.
+            if not claimed:
+                new = (desc if desc["state"] == clayout.EXT_UNGROUPED
+                       else free_desc)
+            elif (desc["state"] == clayout.EXT_GROUPED
+                    and all((ext_base + s) in owners for s in claimed)):
+                slots = [(0, 0)] * clayout.GROUP_SPAN
+                for s in claimed:
+                    slots[s] = owners[ext_base + s]
+                new = {"state": clayout.EXT_GROUPED,
+                       "valid_mask": sum(1 << s for s in claimed),
+                       "owner": desc["owner"], "slots": slots}
+                for s in range(span):
+                    cylgroup.set_bit(expected, data_start + idx * span + s)
+            else:
+                new = dict(free_desc, state=clayout.EXT_UNGROUPED)
 
-    # External link counts.
-    for inum in sorted(ext_refs):
-        found = ext_refs[inum] - removed_ext_refs.get(inum, 0)
-        if found <= 0:
-            continue
-        fields = ext_inode(inum)
-        if fields is not None and fields["mode"] != clayout.MODE_FREE:
-            if fields["nlink"] != found:
-                report.error("external inode %d: nlink %d but %d names"
-                             % (inum, fields["nlink"], found))
-                if repair:
-                    fields["nlink"] = found
-                    poke_ext_slot(inum, _pack_cinode_fields(fields))
-                    report.fix("external inode %d: nlink set to %d"
-                               % (inum, found))
-
-    # Orphan scan of the external inode table: allocated slots the walk
-    # never reached leak their blocks; repair collects them.
-    for blk in range(sb["ext_size"] // BLOCK_SIZE):
-        bno = _ext_table_block(device, sb, blk)
-        if bno is None:
-            continue
-        raw = device.peek_block(bno)
-        for slot in range(_EXT_SLOTS_PER_BLOCK):
-            fields = clayout.unpack_cinode(
-                raw[slot * _EXT_SLOT_SIZE:
-                    slot * _EXT_SLOT_SIZE + clayout.CINODE_SIZE])
-            if fields["mode"] == clayout.MODE_FREE:
-                continue
-            inum = blk * _EXT_SLOTS_PER_BLOCK + slot + 1
-            if ext_refs.get(inum, 0) - removed_ext_refs.get(inum, 0) > 0:
-                continue
-            report.warn("external inode %d allocated but unreachable (orphan)"
-                        % inum)
-            if repair:
-                poke_ext_slot(inum, bytes(_EXT_SLOT_SIZE))
-                report.fix("cleared orphan external inode %d" % inum)
-                raw = device.peek_block(bno)
-
-    # The next-fileid counter must clear every fileid in use, or the
-    # remounted file system would mint duplicates.
-    if seen_fileids:
-        needed = max(seen_fileids) + 1
-        if sb["next_fileid"] < needed:
-            report.repair("next_fileid %d but fileid %d is in use"
-                          % (sb["next_fileid"], needed - 1))
-            if repair:
-                sb["next_fileid"] = needed
-
-    # Group descriptor cross-check and bitmap agreement.
-    free_blocks = _check_cffs_groups(
-        device, sb, claims, owned_blocks, report, repair)
-    if sb["free_blocks"] != free_blocks:
-        report.repair("superblock free block count %d but walk says %d"
-                      % (sb["free_blocks"], free_blocks))
-        if repair:
-            sb["free_blocks"] = free_blocks
-    if repair:
-        packed = clayout.pack_superblock(
-            sb, clayout.root_inode_bytes(device.peek_block(0)))
-        if packed != device.peek_block(0):
-            device.poke_block(0, packed)
-            report.fix("superblock counters corrected")
-    _check_replica(device, report, repair, sb)
-    report.blocks_in_use = len(claims.claims)
-    return report
-
-
-def _pack_cinode_fields(fields: dict) -> bytes:
-    return clayout.pack_cinode(
-        fields["fileid"], fields["mode"], fields["nlink"], fields["flags"],
-        fields["gen"], fields["size"], fields["mtime"], fields["direct"],
-        fields["indirect"], fields["dindirect"], fields["nblocks"],
-    )
-
-
-def _ext_table_block(device: BlockDevice, sb: dict, blk: int) -> Optional[int]:
-    if blk < 12:
-        bno = sb["ext_direct"][blk]
-        return bno or None
-    blk -= 12
-    if blk < flayout.PTRS_PER_INDIRECT and sb["ext_indirect"]:
-        ptr = _PTRS.unpack(device.peek_block(sb["ext_indirect"]))[blk]
-        return ptr or None
-    return None
-
-
-def _collect_blocks(device: BlockDevice, fields: dict) -> List[int]:
-    """Ordered data blocks of an inode (for directory walking)."""
-    out = [b for b in fields["direct"] if b]
-    if fields["indirect"]:
-        out.extend(p for p in _PTRS.unpack(device.peek_block(fields["indirect"])) if p)
-    if fields["dindirect"]:
-        for l1 in _PTRS.unpack(device.peek_block(fields["dindirect"])):
-            if l1:
-                out.extend(p for p in _PTRS.unpack(device.peek_block(l1)) if p)
-    return out
+            if self.repair and _canonical_desc(new, span) != _canonical_desc(desc, span):
+                block = gdt_new.setdefault(
+                    gdt_bno, bytearray(device.peek_block(gdt_bno)))
+                block[off:off + clayout.GDESC_SIZE] = clayout.pack_gdesc(
+                    new["state"], new["valid_mask"], new["owner"], new["slots"])
+                report.fix("extent (%d, %d): descriptor rebuilt" % (cgi, idx))
+        for gdt_bno, block in gdt_new.items():
+            device.poke_block(gdt_bno, bytes(block))
+        return 0
 
 
 def _canonical_desc(desc: dict, span: int) -> tuple:
@@ -772,145 +783,21 @@ def _canonical_desc(desc: dict, span: int) -> tuple:
             desc["owner"], slots)
 
 
-def _check_cffs_groups(
-    device: BlockDevice,
-    sb: dict,
-    claims: _BlockClaims,
-    owned_blocks: Dict[int, Tuple[int, int]],
-    report: FsckReport,
-    repair: bool,
-) -> int:
-    """Check (and optionally rebuild) extent descriptors and bitmaps.
+def fsck_cffs(device: BlockDevice, repair: bool = False) -> FsckReport:
+    """Check a C-FFS image by walking the directory hierarchy; with
+    ``repair=True`` also fix it."""
+    return _CFFSWalk.check(device, repair)
 
-    Returns the volume's free data block count per the walk, counted
-    the way the allocator does (claiming a group extent costs its full
-    span, so kept-GROUPED extents count as entirely allocated).
-    """
-    bpc = sb["blocks_per_cg"]
-    data_start = sb["data_start"]
-    span = sb["group_span"] or clayout.GROUP_SPAN
-    n_extents = (bpc - data_start) // span
-    usable = n_extents * span
-    total_free = 0
-    for cgi in range(sb["n_cgs"]):
-        base = 1 + cgi * bpc
-        bitmap = device.peek_block(base + 1)
-        expected = bytearray(BLOCK_SIZE)
-        for off in range(data_start):
-            _set_bit(expected, off)
-        for off in range(data_start + usable, bpc):
-            _set_bit(expected, off)  # unusable tail, marked used at mkfs
 
-        # Extent descriptors: decide each extent's rebuilt state first,
-        # because grouped extents own their whole span in the bitmap.
-        gdt_new: Dict[int, bytearray] = {}
-        for idx in range(n_extents):
-            gdt_bno = base + 2 + idx // clayout.GDESC_PER_BLOCK
-            off = (idx % clayout.GDESC_PER_BLOCK) * clayout.GDESC_SIZE
-            desc = clayout.unpack_gdesc(
-                device.peek_block(gdt_bno)[off:off + clayout.GDESC_SIZE]
-            )
-            ext_base = base + data_start + idx * span
-            claimed = [s for s in range(span)
-                       if (ext_base + s) in claims.claims]
+#: Every format's checker, in the order to try them on an image whose
+#: magic is itself the damage.
+CHECKERS: Tuple[Callable[..., FsckReport], ...] = (fsck_ffs, fsck_cffs)
+_BY_KEY = {key: check
+           for fmt, check in zip((_FFSWalk, _CFFSWalk), CHECKERS)
+           for key in (fmt.label, fmt.MAGIC)}
 
-            if desc["state"] == clayout.EXT_GROUPED:
-                for slot in range(span):
-                    bno = ext_base + slot
-                    valid = bool(desc["valid_mask"] & (1 << slot))
-                    if valid:
-                        fileid, fblock = desc["slots"][slot]
-                        owner = owned_blocks.get(bno)
-                        if owner is None:
-                            report.repair(
-                                "group slot %d (block %d) valid but unreferenced"
-                                % (slot, bno)
-                            )
-                        elif owner != (fileid, fblock):
-                            report.repair(
-                                "group slot %d (block %d): descriptor says %r, walk says %r"
-                                % (slot, bno, (fileid, fblock), owner)
-                            )
-                    else:
-                        if bno in owned_blocks:
-                            report.repair(
-                                "block %d referenced by a file but its group slot is free"
-                                % bno
-                            )
-            elif desc["state"] == clayout.EXT_FREE:
-                for s in claimed:
-                    report.repair(
-                        "block %d allocated but its extent descriptor is free"
-                        % (ext_base + s)
-                    )
-            elif desc["state"] != clayout.EXT_UNGROUPED:
-                report.repair("extent (%d, %d): bad state %d"
-                              % (cgi, idx, desc["state"]))
 
-            # Rebuilt state: trust the walk.  An extent stays a group
-            # only when everything in it belongs to files at known
-            # offsets; otherwise it degrades to individually-allocated.
-            if not claimed:
-                if desc["state"] == clayout.EXT_UNGROUPED:
-                    new = dict(desc, state=clayout.EXT_UNGROUPED)
-                else:
-                    new = {"state": clayout.EXT_FREE, "valid_mask": 0,
-                           "owner": 0, "slots": [(0, 0)] * clayout.GROUP_SPAN}
-            elif (desc["state"] == clayout.EXT_GROUPED
-                    and all((ext_base + s) in owned_blocks for s in claimed)):
-                mask = 0
-                slots = [(0, 0)] * clayout.GROUP_SPAN
-                for s in claimed:
-                    mask |= 1 << s
-                    slots[s] = owned_blocks[ext_base + s]
-                new = {"state": clayout.EXT_GROUPED, "valid_mask": mask,
-                       "owner": desc["owner"], "slots": slots}
-            else:
-                new = {"state": clayout.EXT_UNGROUPED, "valid_mask": 0,
-                       "owner": 0, "slots": [(0, 0)] * clayout.GROUP_SPAN}
-
-            # Expected bitmap bits and free count, from the final state.
-            if new["state"] == clayout.EXT_GROUPED:
-                for s in range(span):
-                    _set_bit(expected, data_start + idx * span + s)
-            else:
-                for s in claimed:
-                    _set_bit(expected, data_start + idx * span + s)
-                total_free += span - len(claimed)
-
-            if repair and _canonical_desc(new, span) != _canonical_desc(desc, span):
-                block = gdt_new.setdefault(
-                    gdt_bno, bytearray(device.peek_block(gdt_bno)))
-                block[off:off + clayout.GDESC_SIZE] = clayout.pack_gdesc(
-                    new["state"], new["valid_mask"], new["owner"], new["slots"])
-                report.fix("extent (%d, %d): descriptor rebuilt" % (cgi, idx))
-        for gdt_bno, block in gdt_new.items():
-            device.poke_block(gdt_bno, bytes(block))
-
-        # Bitmap agreement against the expected (rebuilt) bitmap.
-        for off in range(data_start, data_start + usable):
-            bno = base + off
-            want = _bit(expected, off)
-            have = _bit(bitmap, off)
-            if bno in claims.claims and not have:
-                report.repair("block %d in use but free in bitmap" % bno)
-            elif have and not want:
-                report.warn("block %d marked used but unreferenced" % bno)
-        if repair and bytes(expected) != bytes(bitmap):
-            device.poke_block(base + 1, bytes(expected))
-            report.fix("cg %d: bitmap rebuilt" % cgi)
-
-        # Descriptor free count, the allocator's way.
-        cg_free = sum(
-            1 for off in range(data_start, data_start + usable)
-            if not _bit(expected, off))
-        desc = flayout.unpack_cg(device.peek_block(base))
-        if desc["free_blocks"] != cg_free:
-            report.repair("cg %d: descriptor free blocks %d but walk says %d"
-                          % (cgi, desc["free_blocks"], cg_free))
-            if repair:
-                device.poke_block(base, flayout.pack_cg(
-                    cg_free, desc["free_inodes"],
-                    desc["block_rotor"] % bpc, desc["inode_rotor"]))
-                report.fix("cg %d: descriptor rebuilt" % cgi)
-    return total_free
+def checker_for(key) -> Optional[Callable[..., FsckReport]]:
+    """The checker of the format named by its label ("ffs", "cffs") or
+    by its superblock magic; None when there is no such format."""
+    return _BY_KEY.get(key)

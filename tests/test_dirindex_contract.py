@@ -86,3 +86,46 @@ def test_skeleton_mechanisms_are_defined_once():
     for module in (ffs_fs, core_fs):
         assert not hasattr(module, "_DirIndex")
         assert not hasattr(module, "DirIndex")
+
+
+def test_fsck_and_group_format_are_single_sourced():
+    """One walk over one cylinder-group format: the checker borrows its
+    bit helpers from ``ffs.cylgroup`` and its slot geometry from
+    ``core.extinodes``, follows block pointers in one place, and mkfs
+    leaves bitmap bytes to the group's owner."""
+    import ast
+    import inspect
+    import textwrap
+
+    from repro.core import extinodes
+    from repro.ffs import cylgroup
+    from repro.fsck import checker
+
+    own = {name for name, obj in vars(checker).items()
+           if getattr(obj, "__module__", checker.__name__) == checker.__name__
+           and not inspect.ismodule(obj)}
+    assert not [name for name in own if "bit" in name.lower()], own
+    slot_names = [name for name in vars(checker) if "SLOT" in name]
+    assert sorted(slot_names) == ["SLOTS_PER_BLOCK", "SLOT_SIZE"]
+    assert checker.SLOT_SIZE is extinodes.SLOT_SIZE
+    assert checker.cylgroup is cylgroup
+    # Exactly one place decodes an indirect block; exactly one walker class
+    # defines each step.
+    assert inspect.getsource(checker).count("_PTRS.unpack") == 1
+    for gone in ("_collect_blocks", "_ext_table_block", "_bit", "_set_bit",
+                 "_check_cffs_groups", "_EXT_SLOT_SIZE"):
+        assert not hasattr(checker, gone), gone
+    for step in ("run", "_inode", "_entry", "_sweep_table", "_check_groups",
+                 "_check_counters"):
+        assert step in vars(checker._Walk), step
+        for fmt in (checker._FFSWalk, checker._CFFSWalk):
+            assert step not in vars(fmt), (fmt.__name__, step)
+    for fs_class in (FFS, CFFS):
+        tree = ast.parse(textwrap.dedent(
+            inspect.getsource(fs_class._init_volume)))
+        assert not [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.AugAssign)
+            or (isinstance(n, ast.Subscript)
+                and isinstance(n.value, ast.Attribute)
+                and n.value.attr == "data")], fs_class
