@@ -405,3 +405,37 @@ class TestCffsRepair:
                 assert first.fixed, (embedded, grouping)
                 second = fsck_cffs(fs.device)
                 assert second.pristine, (embedded, grouping, second.render())
+
+
+# ---------------------------------------------------------------------------
+# Defects of the former C-FFS-only walker; the images are also pinned in
+# tests/test_fsck_corpus.py.
+# ---------------------------------------------------------------------------
+
+N_LINKED = 13 * 32 + 5   # one more external-inode block than 12 direct ones
+
+
+def many_links_cffs():
+    """Enough hard-linked files that the external-inode file needs its
+    indirect block."""
+    fs = make_cffs()
+    fs.mkdir("/a")
+    fs.mkdir("/b")
+    for i in range(N_LINKED):
+        fs.write_file("/a/f%03d" % i, b"%03d" % i)
+        fs.link("/a/f%03d" % i, "/b/l%03d" % i)
+    fs.sync()
+    assert fs.sb["ext_indirect"]
+    return fs
+
+
+class TestExternalInodeFileIsClaimed:
+    def test_indirect_block_survives_check_and_repair(self):
+        fs = many_links_cffs()
+        report = fsck_cffs(fs.device)
+        assert report.pristine, report.render()
+        fsck_cffs(fs.device, repair=True)
+        remounted = CFFS.mount(fs.device)
+        assert remounted.alloc.block_is_allocated(remounted.sb["ext_indirect"])
+        for i in range(N_LINKED):
+            assert remounted.read_file("/b/l%03d" % i) == b"%03d" % i

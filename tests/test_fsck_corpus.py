@@ -42,7 +42,7 @@ from repro.ffs import directory as fdir
 from repro.ffs import layout as flayout
 from repro.fsck import fsck_cffs, fsck_ffs
 from tests.conftest import make_cffs, make_ffs
-from tests.test_fsck import populated_cffs, populated_ffs
+from tests.test_fsck import many_links_cffs, populated_cffs, populated_ffs
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "fsck_corpus.json")
@@ -309,6 +309,7 @@ def corrupted_images():
             yield name + "/smashed-superblock", "cffs", fs.device
     for label in CHECKERS:
         yield label + "/unusable-journal", label, _unusable_journal(label)
+    yield "cffs/external-inode-file-indirect", "cffs", many_links_cffs().device
 
 
 def crash_images():
