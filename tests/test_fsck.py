@@ -439,3 +439,25 @@ class TestExternalInodeFileIsClaimed:
         assert remounted.alloc.block_is_allocated(remounted.sb["ext_indirect"])
         for i in range(N_LINKED):
             assert remounted.read_file("/b/l%03d" % i) == b"%03d" % i
+
+
+def free_external_inode(fs) -> int:
+    """Zero the external inode /top and /top2 share; returns its number."""
+    inum = fs._resolve("/top").loc[1]
+    bno, _blk, off = fs.ext._locate(inum)
+    raw = bytearray(fs.device.peek_block(bno))
+    raw[off:off + clayout.CINODE_SIZE] = bytes(clayout.CINODE_SIZE)
+    fs.device.poke_block(bno, bytes(raw))
+    return inum
+
+
+class TestEveryNameOfAFreeInodeIsDropped:
+    def test_one_repair_pass_converges(self):
+        fs = populated_cffs()
+        inum = free_external_inode(fs)
+        first = fsck_cffs(fs.device, repair=True)
+        wanted = "references free external inode %d" % inum
+        assert sum(wanted in e for e in first.errors) == 2, first.render()
+        again = fsck_cffs(fs.device)
+        assert again.pristine, again.render()
+        assert sorted(CFFS.mount(fs.device).readdir("/")) == ["big", "d"]

@@ -42,7 +42,8 @@ from repro.ffs import directory as fdir
 from repro.ffs import layout as flayout
 from repro.fsck import fsck_cffs, fsck_ffs
 from tests.conftest import make_cffs, make_ffs
-from tests.test_fsck import many_links_cffs, populated_cffs, populated_ffs
+from tests.test_fsck import (free_external_inode, many_links_cffs,
+                             populated_cffs, populated_ffs)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "fsck_corpus.json")
@@ -273,6 +274,7 @@ CFFS_DAMAGE = {
     "double-claimed-block": lambda fs: _cffs_set_embedded(
         fs, "/d", "f01", direct=_cffs_embedded(fs, "/d", "f02")[2]["direct"]),
     "orphan-external-inode": _cffs_orphan_external,
+    "free-external-inode-two-names": free_external_inode,
     "garbage-directory-block": _garbage_dir_block,
     "stale-replica": _stale_replica,
     "cg-descriptor-count": lambda fs: _set_cg_descriptor(fs, 0, 7),
