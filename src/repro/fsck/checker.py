@@ -139,8 +139,11 @@ class _BlockClaims:
         self.total_blocks = total_blocks
         self.claims: Dict[int, str] = {}
 
+    def in_range(self, bno: int) -> bool:
+        return 0 < bno < self.total_blocks
+
     def claim(self, bno: int, owner: str) -> bool:
-        if not 0 < bno < self.total_blocks:
+        if not self.in_range(bno):
             self.report.error("%s references out-of-range block %d" % (owner, bno))
             return False
         existing = self.claims.get(bno)
@@ -157,7 +160,9 @@ def _walk_pointers(device: BlockDevice, fields: dict, owner: str,
                    claims: _BlockClaims) -> List[int]:
     """The data blocks of an inode (or anything with its pointer
     fields) in file order, every one claimed for ``owner`` — the
-    indirect blocks on the way too."""
+    indirect blocks on the way too.  A pointer out of the volume is
+    reported by the claim and stays in the list, so positions hold;
+    whoever reads a block checks ``claims.in_range`` first."""
 
     def pointers(bno: int, role: str) -> List[int]:
         if bno and claims.claim(bno, owner + role):
@@ -324,10 +329,13 @@ class _Walk:
     # -- numbered inodes -----------------------------------------------------------------
 
     def table_inode(self, inum: int) -> Optional[dict]:
-        """Numbered inode ``inum``; None when the table has no such slot."""
+        """Numbered inode ``inum``; None when the table has no such slot
+        (or a wild pointer where the slot's block should be)."""
         if not 1 <= inum <= self.table_slots:
             return None
         bno, off = self.table_slot(inum)
+        if not self.claims.in_range(bno):
+            return None
         return self.unpack_inode(
             self.device.peek_block(bno)[off:off + self.slot_size])
 
@@ -410,7 +418,10 @@ class _Walk:
 
     def _live_entries(self, bno: int, path: str) -> List[Entry]:
         """The live entries of directory block ``bno``; none when the
-        block does not parse (reported; reinitialized under repair)."""
+        block does not parse (reported; reinitialized under repair) or
+        lies outside the volume (reported when claimed)."""
+        if not self.claims.in_range(bno):
+            return []
         try:
             return list(self.entries(self.device.peek_block(bno)))
         except CorruptFileSystem as exc:
@@ -469,7 +480,7 @@ class _Walk:
         report, noun = self.report, self.noun
         for inum in range(1, self.table_slots + 1):
             fields = self.table_inode(inum)
-            if fields["mode"] == MODE_FREE:
+            if fields is None or fields["mode"] == MODE_FREE:
                 continue
             found = self.names.get(inum, 0)
             bno, off = self.table_slot(inum)

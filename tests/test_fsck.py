@@ -3,6 +3,8 @@ is detected."""
 
 
 
+import pytest
+
 from repro.blockdev.device import BLOCK_SIZE
 from repro.ffs import layout as flayout
 from repro.fsck import fsck_cffs, fsck_ffs
@@ -461,3 +463,96 @@ class TestEveryNameOfAFreeInodeIsDropped:
         again = fsck_cffs(fs.device)
         assert again.pristine, again.render()
         assert sorted(CFFS.mount(fs.device).readdir("/")) == ["big", "d"]
+
+
+# Hostile input: a pointer far outside the 3200-block test volume.
+WILD = 10 ** 7
+
+
+def _set_ffs_inode(fs, path, **changes):
+    bno, slot = fs._inode_location(fs._resolve(path).inum)
+    lo = slot * flayout.INODE_SIZE
+    raw = bytearray(fs.device.peek_block(bno))
+    f = flayout.unpack_inode(bytes(raw[lo:lo + flayout.INODE_SIZE]))
+    f.update(changes)
+    raw[lo:lo + flayout.INODE_SIZE] = flayout.pack_inode(
+        f["mode"], f["nlink"], f["flags"], f["gen"], f["size"], f["mtime"],
+        f["direct"], f["indirect"], f["dindirect"], f["nblocks"])
+    fs.device.poke_block(bno, bytes(raw))
+
+
+def _set_cffs_inode(fs, path, **changes):
+    """Rewrite the on-disk inode of ``path`` wherever C-FFS keeps it."""
+    node = fs._resolve(path)
+    for name, value in changes.items():
+        setattr(node, name, value)
+    fs._istore(node)
+    fs.sync()
+
+
+def _set_cffs_superblock(fs, **changes):
+    raw = fs.device.peek_block(0)
+    sb = clayout.unpack_superblock(raw)
+    sb.update(changes)
+    fs.device.poke_block(
+        0, clayout.pack_superblock(sb, clayout.root_inode_bytes(raw)))
+
+
+def _direct(first):
+    return [first] + [0] * (flayout.NDIRECT - 1)
+
+
+#: name -> (image factory, checker): one wild pointer each.
+WILD_POINTERS = {}
+for _field, _value in (("direct", _direct(WILD)), ("indirect", WILD),
+                       ("dindirect", WILD)):
+    for _where, _path in (("file", "/d/f03"), ("directory", "/d")):
+        def _ffs(path=_path, change={_field: _value}):
+            fs = populated_ffs()
+            _set_ffs_inode(fs, path, **change)
+            return fs.device
+
+        def _cffs(path=_path, change={_field: _value}):
+            fs = populated_cffs()
+            _set_cffs_inode(fs, path, **change)
+            return fs.device
+
+        WILD_POINTERS["ffs/wild-%s-in-%s" % (_field, _where)] = (_ffs, fsck_ffs)
+        WILD_POINTERS["cffs/wild-%s-in-%s" % (_field, _where)] = (_cffs, fsck_cffs)
+
+
+def _ffs_wild_root_inum():
+    fs = populated_ffs()
+    sb = flayout.unpack_superblock(fs.device.peek_block(0))
+    sb["root_inum"] = WILD
+    fs.device.poke_block(0, flayout.pack_superblock(sb))
+    return fs.device
+
+
+def _cffs_wild_root_pointer():
+    fs = populated_cffs()
+    _set_cffs_inode(fs, "/", indirect=WILD)
+    return fs.device
+
+
+def _cffs_wild_ext_direct():
+    fs = populated_cffs()
+    _set_cffs_superblock(fs, ext_direct=_direct(WILD))
+    return fs.device
+
+
+WILD_POINTERS["ffs/wild-root-inum"] = (_ffs_wild_root_inum, fsck_ffs)
+WILD_POINTERS["cffs/wild-indirect-in-superblock-root"] = (
+    _cffs_wild_root_pointer, fsck_cffs)
+WILD_POINTERS["cffs/wild-external-inode-file-pointer"] = (
+    _cffs_wild_ext_direct, fsck_cffs)
+
+
+@pytest.mark.parametrize("name", sorted(WILD_POINTERS))
+def test_wild_pointer_is_a_finding_not_an_abort(name):
+    make, check = WILD_POINTERS[name]
+    report = check(make())
+    assert report.errors, report.render()
+    assert not report.ok
+    repaired = check(make(), repair=True)
+    assert repaired.errors, repaired.render()

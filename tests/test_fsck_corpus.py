@@ -42,8 +42,8 @@ from repro.ffs import directory as fdir
 from repro.ffs import layout as flayout
 from repro.fsck import fsck_cffs, fsck_ffs
 from tests.conftest import make_cffs, make_ffs
-from tests.test_fsck import (free_external_inode, many_links_cffs,
-                             populated_cffs, populated_ffs)
+from tests.test_fsck import (WILD_POINTERS, free_external_inode,
+                             many_links_cffs, populated_cffs, populated_ffs)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "fsck_corpus.json")
@@ -312,6 +312,8 @@ def corrupted_images():
     for label in CHECKERS:
         yield label + "/unusable-journal", label, _unusable_journal(label)
     yield "cffs/external-inode-file-indirect", "cffs", many_links_cffs().device
+    for name, (make, _check) in WILD_POINTERS.items():
+        yield name, name.split("/")[0], make()
 
 
 def crash_images():
