@@ -54,6 +54,7 @@ from repro.errors import CorruptFileSystem, JournalCorrupt, ReplayError
 from repro.ffs import cylgroup
 from repro.ffs import directory as fdirfmt
 from repro.ffs import layout as flayout
+from repro.ffs.inode import BaseInode
 from repro.ffs.layout import MODE_DIR, MODE_FILE, MODE_FREE
 from repro.journal import replay_journal
 from repro.journal import wal as jwal
@@ -309,6 +310,7 @@ class _Walk:
         raise NotImplementedError
 
     def pack_inode(self, fields: dict) -> bytes:
+        """(``BaseInode.__slots__`` is the pack order both layouts share.)"""
         raise NotImplementedError
 
     def table_slot(self, inum: int) -> Tuple[int, int]:
@@ -368,8 +370,7 @@ class _Walk:
             self.names[inum] = 1    # the root needs no name
         self._inode(root, inum, "", True)
         self._sweep_table()
-        free = self._check_groups()
-        self._check_counters(*free)
+        self._check_counters(*self._check_groups())
         report.blocks_in_use = len(self.claims.claims)
 
     def _claim(self, fields: dict, ident: int, owner: str) -> List[int]:
@@ -403,14 +404,15 @@ class _Walk:
             report.error("%s is not a directory on disk" % path)
             return
         report.directories += 1
-        data = self._claim(fields, ident, path or "/")
+        where = path or "/"
+        data = self._claim(fields, ident, where)
         nblocks = fields["size"] // BLOCK_SIZE
         if len(data) < nblocks:
             report.error("%s: directory size %d but only %d blocks"
-                         % (path or "/", fields["size"], len(data)))
+                         % (where, fields["size"], len(data)))
         elif len(data) > nblocks:
             report.warn("%s: directory size %d but %d blocks"
-                        % (path or "/", fields["size"], len(data)))
+                        % (where, fields["size"], len(data)))
         for bno in data[:nblocks]:
             for name, child_is_dir, child, ref in self._live_entries(bno, path):
                 self._entry(bno, "%s/%s" % (path, name), name, child_is_dir,
@@ -440,19 +442,20 @@ class _Walk:
         """One name: count it, and walk what it names when new."""
         report = self.report
         inum = ref if child is None else None
-        what = ("embedded inode" if inum is None
-                else "%s %d" % (self.noun, inum))
         if inum is not None:
             child = self.table_inode(inum)
         if child is None or child["mode"] == MODE_FREE:
-            why = "impossible " if child is None else "free "
-            report.error("%s: references %s" % (path, why + what))
+            what = "%s %s" % (
+                "impossible" if child is None else "free",
+                "embedded inode" if inum is None
+                else "%s %d" % (self.noun, inum))
+            report.error("%s: references %s" % (path, what))
             if self.repair:
                 raw = bytearray(self.device.peek_block(bno))
                 self.dirfmt.remove_entry(raw, name)
                 self.device.poke_block(bno, bytes(raw))
                 report.fix("removed dirent %r from block %d (%s)"
-                           % (name, bno, why + what))
+                           % (name, bno, what))
             return
         if inum is None:
             # An embedded inode has exactly the one name it lives in.
@@ -508,7 +511,7 @@ class _Walk:
         bpc, data_start = sb["blocks_per_cg"], sb["data_start"]
         data_area = range(data_start, data_start + self.usable)
         claimed = self.claims.claims
-        totals = [0, 0]
+        free_blocks = free_inodes = 0
         for cgi in range(sb["n_cgs"]):
             base = cylgroup.cg_base(cgi, bpc)
             bitmap_bno = cylgroup.bitmap_block(base)
@@ -547,9 +550,9 @@ class _Walk:
                         free_b, free_i, desc["block_rotor"] % bpc,
                         desc["inode_rotor"] % max(self.inodes_per_cg, 1)))
                     report.fix("cg %d: descriptor rebuilt" % cgi)
-            totals[0] += free_b
-            totals[1] += free_i
-        return totals[0], totals[1]
+            free_blocks += free_b
+            free_inodes += free_i
+        return free_blocks, free_inodes
 
     def _check_counters(self, free_blocks: int, free_inodes: int) -> None:
         """Superblock free counts and format counters, then the replica."""
@@ -562,8 +565,9 @@ class _Walk:
                           % (tuple(sb[key] for key in want), tuple(want.values())))
             sb.update(want)
         self.mark_superblock()
-        if self.repair and self.pack_superblock() != device.peek_block(0):
-            device.poke_block(0, self.pack_superblock())
+        packed = self.pack_superblock()
+        if self.repair and packed != device.peek_block(0):
+            device.poke_block(0, packed)
             report.fix("superblock counters corrected")
         # The tail replica must mirror block 0.
         rb = flayout.replica_block(
@@ -603,10 +607,8 @@ class _FFSWalk(_Walk):
     def identity(self, fields: dict, inum: Optional[int]) -> int:
         return inum
 
-    def pack_inode(self, f: dict) -> bytes:
-        return flayout.pack_inode(
-            f["mode"], f["nlink"], f["flags"], f["gen"], f["size"], f["mtime"],
-            f["direct"], f["indirect"], f["dindirect"], f["nblocks"])
+    def pack_inode(self, fields: dict) -> bytes:
+        return flayout.pack_inode(*(fields[k] for k in BaseInode.__slots__))
 
     def table_slot(self, inum: int) -> Tuple[int, int]:
         cgi, within = divmod(inum - 1, self.inodes_per_cg)
@@ -616,11 +618,11 @@ class _FFSWalk(_Walk):
 
     def mark_group(self, cgi, base, expected, bitmap) -> int:
         """The group's inode bits: set for every allocated inode."""
-        report, ipc = self.report, self.inodes_per_cg
+        report, ipc, bpc = self.report, self.inodes_per_cg, self.sb["blocks_per_cg"]
         used = 0
         for idx in range(ipc):
             inum = cgi * ipc + idx + 1
-            bit = cylgroup.inode_bit(self.sb["blocks_per_cg"], idx)
+            bit = cylgroup.inode_bit(bpc, idx)
             in_use = inum in self.live
             marked = cylgroup.bit_is_set(bitmap, bit)
             if in_use:
@@ -690,11 +692,9 @@ class _CFFSWalk(_Walk):
     def identity(self, fields: dict, inum: Optional[int]) -> int:
         return fields["fileid"]
 
-    def pack_inode(self, f: dict) -> bytes:
+    def pack_inode(self, fields: dict) -> bytes:
         return clayout.pack_cinode(
-            f["fileid"], f["mode"], f["nlink"], f["flags"], f["gen"],
-            f["size"], f["mtime"], f["direct"], f["indirect"], f["dindirect"],
-            f["nblocks"])
+            fields["fileid"], *(fields[k] for k in BaseInode.__slots__))
 
     def table_slot(self, inum: int) -> Tuple[int, int]:
         blk, slot = divmod(inum - 1, SLOTS_PER_BLOCK)

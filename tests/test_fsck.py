@@ -469,7 +469,7 @@ class TestEveryNameOfAFreeInodeIsDropped:
 WILD = 10 ** 7
 
 
-def _set_ffs_inode(fs, path, **changes):
+def set_ffs_inode(fs, path, **changes):
     bno, slot = fs._inode_location(fs._resolve(path).inum)
     lo = slot * flayout.INODE_SIZE
     raw = bytearray(fs.device.peek_block(bno))
@@ -481,7 +481,7 @@ def _set_ffs_inode(fs, path, **changes):
     fs.device.poke_block(bno, bytes(raw))
 
 
-def _set_cffs_inode(fs, path, **changes):
+def set_cffs_inode(fs, path, **changes):
     """Rewrite the on-disk inode of ``path`` wherever C-FFS keeps it."""
     node = fs._resolve(path)
     for name, value in changes.items():
@@ -490,7 +490,13 @@ def _set_cffs_inode(fs, path, **changes):
     fs.sync()
 
 
-def _set_cffs_superblock(fs, **changes):
+def set_ffs_superblock(fs, **changes):
+    sb = flayout.unpack_superblock(fs.device.peek_block(0))
+    sb.update(changes)
+    fs.device.poke_block(0, flayout.pack_superblock(sb))
+
+
+def set_cffs_superblock(fs, **changes):
     raw = fs.device.peek_block(0)
     sb = clayout.unpack_superblock(raw)
     sb.update(changes)
@@ -498,54 +504,39 @@ def _set_cffs_superblock(fs, **changes):
         0, clayout.pack_superblock(sb, clayout.root_inode_bytes(raw)))
 
 
+def _damaged(populate, damage, *args, **changes):
+    """An image factory: a populated volume with one field changed."""
+    def build():
+        fs = populate()
+        damage(fs, *args, **changes)
+        return fs.device
+    return build
+
+
 def _direct(first):
     return [first] + [0] * (flayout.NDIRECT - 1)
 
 
 #: name -> (image factory, checker): one wild pointer each.
-WILD_POINTERS = {}
+WILD_POINTERS = {
+    "ffs/wild-root-inum": (
+        _damaged(populated_ffs, set_ffs_superblock, root_inum=WILD), fsck_ffs),
+    "cffs/wild-indirect-in-superblock-root": (
+        _damaged(populated_cffs, set_cffs_inode, "/", indirect=WILD), fsck_cffs),
+    "cffs/wild-external-inode-file-pointer": (
+        _damaged(populated_cffs, set_cffs_superblock, ext_direct=_direct(WILD)),
+        fsck_cffs),
+}
 for _field, _value in (("direct", _direct(WILD)), ("indirect", WILD),
                        ("dindirect", WILD)):
     for _where, _path in (("file", "/d/f03"), ("directory", "/d")):
-        def _ffs(path=_path, change={_field: _value}):
-            fs = populated_ffs()
-            _set_ffs_inode(fs, path, **change)
-            return fs.device
-
-        def _cffs(path=_path, change={_field: _value}):
-            fs = populated_cffs()
-            _set_cffs_inode(fs, path, **change)
-            return fs.device
-
-        WILD_POINTERS["ffs/wild-%s-in-%s" % (_field, _where)] = (_ffs, fsck_ffs)
-        WILD_POINTERS["cffs/wild-%s-in-%s" % (_field, _where)] = (_cffs, fsck_cffs)
-
-
-def _ffs_wild_root_inum():
-    fs = populated_ffs()
-    sb = flayout.unpack_superblock(fs.device.peek_block(0))
-    sb["root_inum"] = WILD
-    fs.device.poke_block(0, flayout.pack_superblock(sb))
-    return fs.device
-
-
-def _cffs_wild_root_pointer():
-    fs = populated_cffs()
-    _set_cffs_inode(fs, "/", indirect=WILD)
-    return fs.device
-
-
-def _cffs_wild_ext_direct():
-    fs = populated_cffs()
-    _set_cffs_superblock(fs, ext_direct=_direct(WILD))
-    return fs.device
-
-
-WILD_POINTERS["ffs/wild-root-inum"] = (_ffs_wild_root_inum, fsck_ffs)
-WILD_POINTERS["cffs/wild-indirect-in-superblock-root"] = (
-    _cffs_wild_root_pointer, fsck_cffs)
-WILD_POINTERS["cffs/wild-external-inode-file-pointer"] = (
-    _cffs_wild_ext_direct, fsck_cffs)
+        _name = "wild-%s-in-%s" % (_field, _where)
+        WILD_POINTERS["ffs/" + _name] = (
+            _damaged(populated_ffs, set_ffs_inode, _path, **{_field: _value}),
+            fsck_ffs)
+        WILD_POINTERS["cffs/" + _name] = (
+            _damaged(populated_cffs, set_cffs_inode, _path, **{_field: _value}),
+            fsck_cffs)
 
 
 @pytest.mark.parametrize("name", sorted(WILD_POINTERS))

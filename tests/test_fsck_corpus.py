@@ -43,7 +43,9 @@ from repro.ffs import layout as flayout
 from repro.fsck import fsck_cffs, fsck_ffs
 from tests.conftest import make_cffs, make_ffs
 from tests.test_fsck import (WILD_POINTERS, free_external_inode,
-                             many_links_cffs, populated_cffs, populated_ffs)
+                             many_links_cffs, populated_cffs, populated_ffs,
+                             set_cffs_superblock, set_ffs_inode,
+                             set_ffs_superblock)
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
                            "fsck_corpus.json")
@@ -103,14 +105,6 @@ def _ffs_inode(fs, path: str):
     return bno, off, flayout.unpack_inode(raw)
 
 
-def _ffs_set_inode(fs, path: str, **changes) -> None:
-    bno, off, f = _ffs_inode(fs, path)
-    f.update(changes)
-    _poke(fs.device, bno, off, flayout.pack_inode(
-        f["mode"], f["nlink"], f["flags"], f["gen"], f["size"], f["mtime"],
-        f["direct"], f["indirect"], f["dindirect"], f["nblocks"]))
-
-
 def _cffs_embedded(fs, dirpath: str, name: str):
     """(directory block, payload offset, unpacked inode) of an embedded
     entry."""
@@ -156,20 +150,6 @@ def _free_slot(desc: dict, slot: int) -> None:
 
 def _bad_state(desc: dict, slot: int) -> None:
     desc["state"] = 7
-
-
-def _cffs_set_superblock(fs, **changes) -> None:
-    raw = fs.device.peek_block(0)
-    sb = clayout.unpack_superblock(raw)
-    sb.update(changes)
-    fs.device.poke_block(
-        0, clayout.pack_superblock(sb, clayout.root_inode_bytes(raw)))
-
-
-def _ffs_set_superblock(fs, **changes) -> None:
-    sb = flayout.unpack_superblock(fs.device.peek_block(0))
-    sb.update(changes)
-    fs.device.poke_block(0, flayout.pack_superblock(sb))
 
 
 def _set_cg_descriptor(fs, cgi: int, free_blocks: int) -> None:
@@ -234,7 +214,7 @@ FFS_DAMAGE = {
     "bad-magic": _bad_magic,
     "smashed-superblock": lambda fs: fs.device.poke_block(0, bytes(BLOCK_SIZE)),
     "dangling-dirent": _ffs_dangling,
-    "wrong-nlink": lambda fs: _ffs_set_inode(fs, "/d/f00", nlink=5),
+    "wrong-nlink": lambda fs: set_ffs_inode(fs, "/d/f00", nlink=5),
     "bitmap-bit-cleared": lambda fs: _clear_bitmap_bit(
         fs, fs._resolve("/d/f05").direct[0]),
     "orphan-inode": _ffs_orphan,
@@ -242,11 +222,11 @@ FFS_DAMAGE = {
     "garbage-directory-block": _garbage_dir_block,
     "stale-replica": _stale_replica,
     "cg-descriptor-count": lambda fs: _set_cg_descriptor(fs, 0, 7),
-    "superblock-counts": lambda fs: _ffs_set_superblock(
+    "superblock-counts": lambda fs: set_ffs_superblock(
         fs, free_blocks=1, free_inodes=2),
-    "double-claimed-block": lambda fs: _ffs_set_inode(
+    "double-claimed-block": lambda fs: set_ffs_inode(
         fs, "/d/f01", direct=_ffs_inode(fs, "/d/f02")[2]["direct"]),
-    "file-size-beyond-blocks": lambda fs: _ffs_set_inode(
+    "file-size-beyond-blocks": lambda fs: set_ffs_inode(
         fs, "/d/f04", size=10 * BLOCK_SIZE),
 }
 
@@ -263,8 +243,8 @@ CFFS_DAMAGE = {
     "external-nlink": _cffs_ext_nlink,
     "bitmap-bit-cleared": lambda fs: _clear_bitmap_bit(
         fs, fs._resolve("/big").direct[0]),
-    "stale-next-fileid": lambda fs: _cffs_set_superblock(fs, next_fileid=3),
-    "superblock-free-count": lambda fs: _cffs_set_superblock(fs, free_blocks=5),
+    "stale-next-fileid": lambda fs: set_cffs_superblock(fs, next_fileid=3),
+    "superblock-free-count": lambda fs: set_cffs_superblock(fs, free_blocks=5),
     "embedded-inode-free": lambda fs: _cffs_set_embedded(
         fs, "/d", "f07", mode=clayout.MODE_FREE),
     "embedded-nlink": lambda fs: _cffs_set_embedded(fs, "/d", "f08", nlink=3),
