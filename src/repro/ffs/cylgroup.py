@@ -59,12 +59,10 @@ def inode_bit(blocks_per_cg: int, idx: int) -> int:
 def fresh_bitmap(blocks_per_cg: int, data_start: int, usable: int) -> bytearray:
     """The bitmap of an empty group: the metadata prefix and whatever
     lies past the ``usable`` data blocks marked in use, forever."""
-    bitmap = bytearray(BLOCK_SIZE)
-    for off in range(data_start):
-        set_bit(bitmap, off)
-    for off in range(data_start + usable, blocks_per_cg):
-        set_bit(bitmap, off)
-    return bitmap
+    # Bit i is bit (i & 7) of byte (i >> 3): a little-endian integer.
+    every_block = (1 << blocks_per_cg) - 1
+    allocatable = ((1 << usable) - 1) << data_start
+    return bytearray((every_block ^ allocatable).to_bytes(BLOCK_SIZE, "little"))
 
 
 def fresh_descriptor(free_blocks: int, free_inodes: int, data_start: int) -> bytes:
