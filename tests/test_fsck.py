@@ -410,8 +410,8 @@ class TestCffsRepair:
 
 
 # ---------------------------------------------------------------------------
-# Defects of the former C-FFS-only walker; the images are also pinned in
-# tests/test_fsck_corpus.py.
+# What holds for numbered inodes and block pointers on either format; the
+# images below are also pinned in tests/test_fsck_corpus.py.
 # ---------------------------------------------------------------------------
 
 N_LINKED = 13 * 32 + 5   # one more external-inode block than 12 direct ones
