@@ -1,11 +1,11 @@
 """The cluster: N independent engines behind one namespace router.
 
 Scale *out*, not just up: each :class:`Shard` is a complete vertical
-stack — its own simulated drive, block device, buffer cache and file
-system (any metadata policy, optionally the self-healing resilient
-device) — and the :class:`Cluster` couples them under **one** shared
-event loop and **one** metrics registry, fronted by the namespace
-router (:mod:`repro.cluster.router`) and the VFS-like facade
+stack — its own simulated drive, block device, buffer cache, file
+system (any metadata policy) and engine — and the :class:`Cluster`
+couples them under **one** shared event loop and **one** metrics
+registry, fronted by the namespace router
+(:mod:`repro.cluster.router`) and the VFS-like facade
 (:mod:`repro.cluster.facade`).
 
 Execution styles mirror the single-engine harness:
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.cluster.evacuate import (
     EvacuatedTop,
@@ -57,17 +56,14 @@ from repro.cluster.intent import (
     recover_shard_intents,
 )
 from repro.cluster.router import ROUTE_CPU_SECONDS, Router, make_router
-from repro.core.filesystem import CFFS
-from repro.disk.profiles import SEAGATE_ST31200, DriveProfile
-from repro.engine.client import Engine, OpRecord
+from repro.engine.client import Engine, OpRecord, OpTally, Replayer, replay
 from repro.engine.eventloop import EventLoop
 from repro.engine.multiclient import resolve_label
 from repro.errors import InvalidArgument, ReproError
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
 from repro.obs.metrics import MetricsRegistry
-from repro.resilience.device import ResilientBlockDevice
-from repro.workloads.configs import build_filesystem, config_for
+from repro.workloads.configs import build_filesystem
 
 #: One leg of a cluster operation: run ``fn`` against this shard's fs.
 Leg = Tuple["Shard", Callable[[object], object]]
@@ -79,9 +75,9 @@ ClusterOp = Tuple[str, object]
 
 
 class Shard:
-    """One vertical stack: device + cache + file system (+ engine)."""
+    """One vertical stack: device + cache + file system + engine."""
 
-    def __init__(self, sid: int, fs, engine: Optional[Engine]) -> None:
+    def __init__(self, sid: int, fs, engine: Engine) -> None:
         self.sid = sid
         self.name = "s%d" % sid
         self.fs = fs
@@ -93,10 +89,6 @@ class Shard:
 
     @property
     def queue(self):
-        if self.engine is None:
-            raise InvalidArgument(
-                "shard %s has no engine (resilient or pre-mounted shards "
-                "support lock-step use only)" % self.name)
         return self.engine.queue
 
 
@@ -135,10 +127,12 @@ class ClusterClient:
                 if phase is None or r.phase == phase]
 
     def _run_ops(self, ops: Sequence[ClusterOp], phase: str):
-        """Generator yielding ("cpu", s) / ("io", (shard, request)).
+        """Generator of :func:`~repro.engine.client.replay` events.
 
-        A failed op (hard fault surfacing from a shard's disk queue)
-        is retried with deterministic exponential backoff when its
+        Owns what is the cluster's: resolving an op to its legs, running
+        them in order on their shards' engines, and the retry loop.  A
+        failed op (hard fault surfacing from a shard's disk queue) is
+        retried with deterministic exponential backoff when its
         resolver is re-runnable — bounded by the cluster retry policy's
         attempt budget and per-op simulated-time timeout.  Every error
         is classified into the per-shard health state first, so routing
@@ -163,41 +157,26 @@ class ClusterClient:
                     legs = []
                     retryable = False
                     error = "route: %s: %s" % (type(exc).__name__, exc)
-                route_cpu = cluster._take_route_cpu()
-                nreq = 0
-                qdelay = 0.0
-                retries = 0
-                cpu = route_cpu
+                tally = OpTally()
                 touched: List[int] = []
+                tally.cpu_seconds = route_cpu = cluster._take_route_cpu()
                 if route_cpu > 0:
                     yield ("cpu", route_cpu)
                 for shard, fn in legs:
                     touched.append(shard.sid)
                     try:
-                        cap = shard.engine.capture(fn)
+                        failed = yield from replay(shard.engine, fn, tally)
                     except ReproError as exc:
                         cluster.health.observe_exception(
                             shard.sid, exc, op="write")
                         error = "%s: %s: %s" % (
                             shard.name, type(exc).__name__, exc)
                         break
-                    cpu += cap.cpu_total
-                    for step in cap.requests:
-                        if step.cpu_before > 0:
-                            yield ("cpu", step.cpu_before)
-                        done = yield ("io", (shard, step))
-                        nreq += 1
-                        qdelay += done.queue_delay
-                        retries += done.retries
-                        if done.error is not None:
-                            cluster.health.observe_error(
-                                shard.sid, done.error, op=step.op)
-                            error = "%s: %s" % (shard.name, done.error)
-                            break
-                    if error is not None:
+                    if failed is not None:
+                        cluster.health.observe_error(
+                            shard.sid, failed.error, op=failed.op)
+                        error = "%s: %s" % (shard.name, failed.error)
                         break
-                    if cap.trailing_cpu > 0:
-                        yield ("cpu", cap.trailing_cpu)
                 if error is None or not retryable:
                     break
                 attempts += 1
@@ -210,16 +189,12 @@ class ClusterClient:
                 yield ("cpu", delay)
             if attempts > 0 and error is None:
                 cluster.metrics.counter("cluster.retry.absorbed").inc()
-            self.records.append(OpRecord(
-                phase=phase, label=label, client=self.cid,
-                start=start, end=loop.now,
-                n_requests=nreq, queue_delay=qdelay,
-                cpu_seconds=cpu, retries=retries, error=error,
-            ))
+            self.records.append(
+                tally.record(phase, label, self.cid, start, loop.now, error))
             self.leg_shards.append(tuple(touched))
 
 
-class Cluster:
+class Cluster(Replayer):
     """N shards, one loop, one router, one registry."""
 
     def __init__(
@@ -229,8 +204,6 @@ class Cluster:
         policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
         scheduler: str = "clook",
         router: str = "util",
-        profile: Optional[DriveProfile] = None,
-        resilient: bool = False,
         filesystems: Optional[Sequence] = None,
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[Dict[int, FaultSchedule]] = None,
@@ -249,23 +222,27 @@ class Cluster:
         self.clients: List[ClusterClient] = []
         self._intent_seq = 0
         self._pending_route_cpu = 0.0
-        faults = faults or {}
-        if filesystems is not None:
-            for sid, fs in enumerate(filesystems):
-                self.shards.append(Shard(sid, fs, self._make_engine(fs)))
-        else:
+        if filesystems is None:
             if n_shards < 1:
                 raise InvalidArgument(
                     "need at least one shard, got %d" % n_shards)
+            filesystems = []
             for sid in range(n_shards):
-                fs = self._build_shard_fs(label, policy, profile, resilient)
-                if sid in faults:
+                fs = build_filesystem(resolve_label(label), policy)
+                if faults and sid in faults:
                     # Wrap the shard's device in the fault-injecting
                     # proxy; lock-step faults fire in the proxy, replay
                     # faults in the shard's disk queue (same schedule).
                     fs.cache.device = FaultyBlockDevice(
                         fs.cache.device, faults[sid])
-                self.shards.append(Shard(sid, fs, self._make_engine(fs)))
+                filesystems.append(fs)
+        for sid, fs in enumerate(filesystems):
+            # Engine picks the fault schedule and drive retry policy off
+            # a FaultyBlockDevice itself, so replayed requests consult
+            # the same schedule the lock-step path does.
+            self.shards.append(Shard(sid, fs, Engine(
+                fs, scheduler=scheduler, loop=self.loop,
+                metrics=self.metrics)))
         self.health = ClusterHealth(len(self.shards), self.metrics,
                                     lambda: self.loop.now,
                                     policy=health_policy)
@@ -279,24 +256,6 @@ class Cluster:
         self.fs = ClusterFS(self)
         for shard in self.shards:
             self.loop.clock.advance_to(shard.device.clock.now)
-
-    @staticmethod
-    def _build_shard_fs(label, policy, profile, resilient):
-        if not resilient:
-            return build_filesystem(resolve_label(label), policy, profile)
-        device = ResilientBlockDevice.format(BlockDevice(
-            profile if profile is not None else SEAGATE_ST31200))
-        return CFFS.mkfs(device, config_for(resolve_label(label), policy))
-
-    def _make_engine(self, fs) -> Optional[Engine]:
-        device = fs.cache.device
-        if not isinstance(device, (BlockDevice, FaultyBlockDevice)):
-            return None   # resilient/wrapped devices: lock-step only
-        # Engine picks the fault schedule and drive retry policy off a
-        # FaultyBlockDevice itself, so replayed requests consult the
-        # same schedule the lock-step path does.
-        return Engine(fs, scheduler=self.scheduler, loop=self.loop,
-                      metrics=self.metrics)
 
     @property
     def n_shards(self) -> int:
@@ -479,42 +438,8 @@ class Cluster:
         self.clients.append(client)
         return client
 
-    def run_phase(self, assignments: Dict[ClusterClient, Sequence[ClusterOp]],
-                  phase: str = "phase") -> float:
-        """Replay every client's ops concurrently; returns elapsed time."""
-        for shard in self.shards:
-            if shard.engine is None:
-                raise InvalidArgument(
-                    "concurrent replay needs an engine on every shard; "
-                    "shard %s is lock-step only" % shard.name)
-        if self.loop.pending:
-            raise InvalidArgument("phase already running")
-        start = self.loop.now
-        for client, ops in assignments.items():
-            gen = client._run_ops(list(ops), phase)
-            self.loop.call_at(start, self._step, client, gen, None)
-        self.loop.run()
-        for shard in self.shards:
-            shard.device.clock.advance_to(self.loop.now)
-        return self.loop.now - start
-
-    def _step(self, client: ClusterClient, gen, payload) -> None:
-        try:
-            kind, arg = gen.send(payload)
-        except StopIteration:
-            client.finished_at = self.loop.now
-            return
-        if kind == "cpu":
-            self.loop.call_later(arg, self._step, client, gen, None)
-            return
-        shard, step = arg
-        if step.op == "flush":
-            shard.queue.flush_barrier(
-                client.cid, lambda req: self._step(client, gen, req))
-        else:
-            shard.queue.submit(
-                step.op, step.lba, step.nsectors, client.cid,
-                lambda req: self._step(client, gen, req))
+    def _devices(self):
+        return [shard.device for shard in self.shards]
 
     # -- cross-shard rename ----------------------------------------------------
 

@@ -174,6 +174,112 @@ class OpRecord:
         return self.end - self.start
 
 
+class OpTally:
+    """What one client operation has cost so far, summed over every leg
+    and every attempt :func:`replay` ran for it."""
+
+    __slots__ = ("n_requests", "reads", "writes", "queue_delay", "retries",
+                 "cpu_seconds")
+
+    def __init__(self) -> None:
+        self.n_requests = self.reads = self.writes = self.retries = 0
+        self.queue_delay = self.cpu_seconds = 0.0
+
+    def record(self, phase: str, label: str, client: int, start: float,
+               end: float, error: Optional[str]) -> OpRecord:
+        return OpRecord(
+            phase=phase, label=label, client=client, start=start, end=end,
+            n_requests=self.n_requests, queue_delay=self.queue_delay,
+            cpu_seconds=self.cpu_seconds, retries=self.retries, error=error)
+
+
+def replay(engine: "Engine", fn: Callable[[FileSystem], object],
+           tally: OpTally):
+    """Capture ``fn`` on ``engine`` and yield its timeline, event by event.
+
+    The one per-request replay loop: a client generator delegates to it
+    (``yield from``) once per leg of an operation.  Events are
+    ``("cpu", seconds)`` and ``("io", (queue, CapturedRequest))``; the
+    driver (:meth:`Replayer._step`) answers an ``io`` event with the
+    completed :class:`QueuedRequest`.  Returns that request when it
+    failed — the synchronous stack would have raised there, so the rest
+    of the captured requests never issue (data effects were applied at
+    capture and are not unwound: this layer models timing and outcome)
+    — and ``None`` when the whole timeline replayed.  A capture-time
+    exception propagates to the delegating generator.
+    """
+    cap = engine.capture(fn)
+    tally.cpu_seconds += cap.cpu_total
+    queue = engine.queue
+    for step in cap.requests:
+        if step.cpu_before > 0:
+            yield ("cpu", step.cpu_before)
+        done: QueuedRequest = yield ("io", (queue, step))
+        tally.n_requests += 1
+        tally.queue_delay += done.queue_delay
+        tally.retries += done.retries
+        if step.op == "read":
+            tally.reads += 1
+        elif step.op == "write":
+            tally.writes += 1
+        if done.error is not None:
+            return done
+    if cap.trailing_cpu > 0:
+        yield ("cpu", cap.trailing_cpu)
+    return None
+
+
+class Replayer:
+    """Drives client generators over ``self.loop``: the phase starter and
+    the generator driver :class:`Engine` and the cluster share.
+
+    A client is anything with ``cid``, ``finished_at`` and a
+    ``_run_ops(ops, phase)`` generator built on :func:`replay`.
+    """
+
+    loop: EventLoop
+
+    def _devices(self) -> Iterable[BlockDevice]:
+        """Every block device whose clock follows the loop's."""
+        raise NotImplementedError
+
+    def run_phase(self, assignments: Dict[object, Sequence],
+                  phase: str = "phase") -> float:
+        """Run every client's op list concurrently; returns elapsed time.
+
+        All clients start at the current time; the phase ends when the
+        last operation (and its disk requests) completes.
+        """
+        if self.loop.pending:
+            raise InvalidArgument("phase already running")
+        start = self.loop.now
+        for client, ops in assignments.items():
+            gen = client._run_ops(list(ops), phase)
+            self.loop.call_at(start, self._step, client, gen, None)
+        self.loop.run()
+        for device in self._devices():
+            device.clock.advance_to(self.loop.now)
+        return self.loop.now - start
+
+    def _step(self, client, gen, payload) -> None:
+        try:
+            kind, arg = gen.send(payload)
+        except StopIteration:
+            client.finished_at = self.loop.now
+            return
+        if kind == "cpu":
+            self.loop.call_later(arg, self._step, client, gen, None)
+            return
+        queue, step = arg
+        if step.op == "flush":
+            queue.flush_barrier(
+                client.cid, lambda req: self._step(client, gen, req))
+        else:
+            queue.submit(
+                step.op, step.lba, step.nsectors, client.cid,
+                lambda req: self._step(client, gen, req))
+
+
 #: Per-operation latency buckets (milliseconds) for the registry
 #: histogram each client feeds; spans the fully-cached to the heavily
 #: queued regime.
@@ -223,49 +329,23 @@ class ClientContext:
                 if phase is None or r.phase == phase]
 
     def _run_ops(self, ops: Sequence[Op], phase: str):
-        """Generator yielding ("cpu", seconds) / ("io", CapturedRequest)."""
+        """Generator of :func:`replay` events, one operation after another."""
         loop = self.engine.loop
         for label, fn in ops:
             start = loop.now
-            cap = self.engine.capture(fn)
-            nreq = 0
-            qdelay = 0.0
-            op_retries = 0
-            error: Optional[str] = None
-            for step in cap.requests:
-                if step.cpu_before > 0:
-                    self.cpu_seconds += step.cpu_before
-                    yield ("cpu", step.cpu_before)
-                done: QueuedRequest = yield ("io", step)
-                nreq += 1
-                qdelay += done.queue_delay
-                op_retries += done.retries
-                if step.op == "read":
-                    self.reads += 1
-                elif step.op == "write":
-                    self.writes += 1
-                if done.error is not None:
-                    # The synchronous stack would have raised here; the
-                    # op aborts and its remaining requests never issue.
-                    # (Data effects were applied at capture and are not
-                    # unwound — this layer models timing and outcome.)
-                    error = done.error
-                    break
-            if error is None and cap.trailing_cpu > 0:
-                self.cpu_seconds += cap.trailing_cpu
-                yield ("cpu", cap.trailing_cpu)
-            self.queue_delay += qdelay
-            self.retries += op_retries
+            tally = OpTally()
+            failed = yield from replay(self.engine, fn, tally)
+            error = failed.error if failed is not None else None
+            self.cpu_seconds += tally.cpu_seconds
+            self.reads += tally.reads
+            self.writes += tally.writes
+            self.queue_delay += tally.queue_delay
+            self.retries += tally.retries
             if error is not None:
                 self.io_errors += 1
             self._latency_ms.observe((loop.now - start) * 1e3)
-            self.records.append(OpRecord(
-                phase=phase, label=label, client=self.cid,
-                start=start, end=loop.now,
-                n_requests=nreq, queue_delay=qdelay,
-                cpu_seconds=cap.cpu_total,
-                retries=op_retries, error=error,
-            ))
+            self.records.append(
+                tally.record(phase, label, self.cid, start, loop.now, error))
 
 
 for _field in _CLIENT_FIELDS:
@@ -273,7 +353,7 @@ for _field in _CLIENT_FIELDS:
 del _field
 
 
-class Engine:
+class Engine(Replayer):
     """Couples one file system, one event loop and one disk queue.
 
     Usage::
@@ -339,22 +419,8 @@ class Engine:
 
     # -- concurrent sections -----------------------------------------------------
 
-    def run_phase(self, assignments: Dict[ClientContext, Sequence[Op]],
-                  phase: str = "phase") -> float:
-        """Run every client's op list concurrently; returns elapsed time.
-
-        All clients start at the current time; the phase ends when the
-        last operation (and its disk requests) completes.
-        """
-        if self.loop.pending:
-            raise InvalidArgument("phase already running")
-        start = self.loop.now
-        for client, ops in assignments.items():
-            gen = client._run_ops(list(ops), phase)
-            self.loop.call_at(start, self._step, client, gen, None)
-        self.loop.run()
-        self.device.clock.advance_to(self.loop.now)
-        return self.loop.now - start
+    def _devices(self) -> Iterable[BlockDevice]:
+        return (self.device,)
 
     def capture(self, fn: Callable[[FileSystem], object]) -> CapturedOp:
         """Run ``fn(fs)`` against the recording device; returns its timeline."""
@@ -380,24 +446,6 @@ class Engine:
                 tracer.clock = saved_tracer_clock
         return proxy.finish()
 
-    # -- generator driving ---------------------------------------------------------
-
-    def _step(self, client: ClientContext, gen, payload) -> None:
-        try:
-            kind, arg = gen.send(payload)
-        except StopIteration:
-            client.finished_at = self.loop.now
-            return
-        if kind == "cpu":
-            self.loop.call_later(arg, self._step, client, gen, None)
-        elif arg.op == "flush":
-            self.queue.flush_barrier(
-                client.cid, lambda req: self._step(client, gen, req))
-        else:
-            self.queue.submit(
-                arg.op, arg.lba, arg.nsectors, client.cid,
-                lambda req: self._step(client, gen, req))
-
 
 # BLOCK_SIZE is re-exported for callers sizing per-client workloads.
 __all__ = [
@@ -408,4 +456,7 @@ __all__ = [
     "Engine",
     "Op",
     "OpRecord",
+    "OpTally",
+    "Replayer",
+    "replay",
 ]
