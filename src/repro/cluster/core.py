@@ -42,6 +42,8 @@ from repro.cluster.evacuate import (
     recover_shard_evacs,
 )
 from repro.cluster.health import (
+    PLAIN,
+    RETRY,
     ClusterHealth,
     ClusterRetryPolicy,
     HealthState,
@@ -140,13 +142,13 @@ class ClusterClient:
         """
         cluster = self.cluster
         loop = cluster.loop
-        policy = cluster.retry
         for label, spec in ops:
             start = loop.now
             attempts = 0
             retryable = callable(spec) and label in self.RETRYABLE_LABELS
             while True:
                 error: Optional[str] = None
+                verdict = PLAIN
                 try:
                     legs = spec() if callable(spec) else spec
                 except ReproError as exc:
@@ -155,7 +157,6 @@ class ClusterClient:
                     # and retrying cannot help — health only worsens
                     # within a phase.
                     legs = []
-                    retryable = False
                     error = "route: %s: %s" % (type(exc).__name__, exc)
                 tally = OpTally()
                 touched: List[int] = []
@@ -169,26 +170,25 @@ class ClusterClient:
                     except ReproError as exc:
                         cluster.health.observe_exception(
                             shard.sid, exc, op="write")
+                        verdict = RETRY
                         error = "%s: %s: %s" % (
                             shard.name, type(exc).__name__, exc)
                         break
                     if failed is not None:
-                        cluster.health.observe_error(
-                            shard.sid, failed.error, op=failed.op)
+                        verdict = cluster.health.classify(
+                            shard.sid, failed.error, failed.op)
                         error = "%s: %s" % (shard.name, failed.error)
                         break
-                if error is None or not retryable:
+                if verdict is not RETRY or not retryable:
                     break
                 attempts += 1
-                delay = policy.delay(attempts - 1)
-                if attempts >= policy.max_attempts or \
-                        loop.now - start + delay > policy.op_timeout:
-                    cluster.metrics.counter("cluster.retry.exhausted").inc()
+                delay = cluster.retry.next_delay(
+                    attempts, loop.now - start, cluster.metrics)
+                if delay is None:
                     break
-                cluster.metrics.counter("cluster.retry.attempts").inc()
                 yield ("cpu", delay)
-            if attempts > 0 and error is None:
-                cluster.metrics.counter("cluster.retry.absorbed").inc()
+            if error is None:
+                cluster.retry.settle(attempts, cluster.metrics)
             self.records.append(
                 tally.record(phase, label, self.cid, start, loop.now, error))
             self.leg_shards.append(tuple(touched))

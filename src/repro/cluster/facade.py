@@ -36,30 +36,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.cluster.health import RETRY, RETRYABLE, SHARD_DOWN
 from repro.cluster.intent import CLUSTER_DIR
 from repro.errors import (
-    DeviceDegraded,
     FileNotFound,
     InvalidArgument,
-    MediaReadError,
-    MediaWriteError,
-    PowerLoss,
     ReadOnlyFileSystem,
     ReproError,
-    TransientDiskError,
 )
 from repro.vfs import FileKind
 
 _RESERVED_TOP = CLUSTER_DIR.strip("/")
-
-#: Errors worth retrying in place: the same shard may well serve the
-#: same call a moment later (recoverable faults, partial hard faults
-#: the drive's own retry budget did not absorb).
-_RETRYABLE = (MediaReadError, MediaWriteError, TransientDiskError)
-
-#: Errors that say the *shard* (not the call) is the problem: retrying
-#: in place is pointless; a write may be redirected instead.
-_SHARD_DOWN = (DeviceDegraded, PowerLoss, ReadOnlyFileSystem)
 
 
 def split_top(path: str) -> Tuple[str, str]:
@@ -115,32 +102,24 @@ class ClusterFS:
             self._annotate(shard, ReadOnlyFileSystem(
                 "shard refuses writes (health %s)"
                 % cluster.health.state(shard.sid).name))
-        policy = cluster.retry
         start = cluster.now
         attempts = 0
         while True:
             try:
                 result = cluster.lockstep(shard, fn)
-            except _RETRYABLE as exc:
-                cluster.health.observe_exception(shard.sid, exc, op=op)
-                attempts += 1
-                delay = policy.delay(attempts - 1)
-                if attempts >= policy.max_attempts or \
-                        cluster.now - start + delay > policy.op_timeout:
-                    cluster.metrics.counter("cluster.retry.exhausted").inc()
-                    self._annotate(shard, exc)
-                cluster.metrics.counter("cluster.retry.attempts").inc()
-                cluster.backoff(delay)
-            except _SHARD_DOWN as exc:
-                cluster.health.observe_exception(shard.sid, exc, op=op)
-                self._annotate(shard, exc)
             except ReproError as exc:
-                # Plain file-system errors (ENOENT and friends) are not
-                # health signals, but they still name their shard.
-                self._annotate(shard, exc)
+                # Whatever the class — media fault, shard down, or a
+                # plain ENOENT — an escaping error names its shard.
+                if cluster.health.classify(shard.sid, exc, op) is not RETRY:
+                    self._annotate(shard, exc)
+                attempts += 1
+                delay = cluster.retry.next_delay(
+                    attempts, cluster.now - start, cluster.metrics)
+                if delay is None:
+                    self._annotate(shard, exc)
+                cluster.backoff(delay)
             else:
-                if attempts > 0:
-                    cluster.metrics.counter("cluster.retry.absorbed").inc()
+                cluster.retry.settle(attempts, cluster.metrics)
                 return result
 
     def _routed_mutate(self, top: str, fn):
@@ -156,12 +135,9 @@ class ClusterFS:
         shard = cluster.route(top)
         try:
             return shard, self._shard_call(shard, fn, op="write")
-        except _SHARD_DOWN:
-            dst = cluster.redirect(top)
-            if dst is None:
-                raise
-            return dst, self._shard_call(dst, fn, op="write")
-        except _RETRYABLE:
+        except RETRYABLE + SHARD_DOWN:
+            # A shard-down error always leaves the owner unwritable; a
+            # media fault only when the budget ran out along the way.
             if cluster.health.writable(shard.sid):
                 raise
             dst = cluster.redirect(top)

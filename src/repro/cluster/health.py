@@ -45,9 +45,22 @@ from repro.errors import (
     PowerLoss,
     ReadOnlyFileSystem,
     ReproError,
+    TransientDiskError,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.health import HealthMonitor, HealthState
+
+#: Errors worth retrying in place: the same shard may well serve the
+#: same call a moment later (recoverable faults, partial hard faults
+#: the drive's own retry budget did not absorb).
+RETRYABLE = (MediaReadError, MediaWriteError, TransientDiskError)
+
+#: Errors that say the *shard* (not the call) is the problem: retrying
+#: in place is pointless; a write may be redirected instead.
+SHARD_DOWN = (DeviceDegraded, PowerLoss, ReadOnlyFileSystem)
+
+#: What :meth:`ClusterHealth.classify` tells the caller it may do.
+RETRY, DOWN, PLAIN = "retry", "down", "plain"
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,28 @@ class ClusterRetryPolicy:
 
     def delay(self, retries: int) -> float:
         return self.backoff * (2 ** retries)
+
+    def next_delay(self, attempts: int, elapsed: float,
+                   metrics: MetricsRegistry) -> Optional[float]:
+        """The backoff before trying again, or ``None``: give up.
+
+        ``attempts`` counts the failures so far (this one included) and
+        ``elapsed`` the simulated time the operation has already spent.
+        The one retry-budget decision; it counts its own answer into
+        ``cluster.retry.attempts`` / ``cluster.retry.exhausted``.
+        """
+        delay = self.delay(attempts - 1)
+        if attempts >= self.max_attempts or \
+                elapsed + delay > self.op_timeout:
+            metrics.counter("cluster.retry.exhausted").inc()
+            return None
+        metrics.counter("cluster.retry.attempts").inc()
+        return delay
+
+    def settle(self, attempts: int, metrics: MetricsRegistry) -> None:
+        """The operation succeeded; after a retry, that fault was absorbed."""
+        if attempts > 0:
+            metrics.counter("cluster.retry.absorbed").inc()
 
 
 class ClusterHealth:
@@ -140,6 +175,24 @@ class ClusterHealth:
         """Explicit transition (fault injection, evacuation retirement)."""
         return self.monitors[sid].transition(state, self._now(), reason)
 
+    def classify(self, sid: int, failure, op: str) -> str:
+        """Record one failure of shard ``sid``; say what the caller may do.
+
+        ``failure`` is a taxonomy exception (a lock-step call, a
+        capture) or the error string of a replayed request; ``op`` is
+        the path that surfaced it.  ``RETRY``: a media fault, counted
+        against the shard's budget — the same call may succeed a moment
+        later.  ``DOWN``: the shard itself is the problem.  ``PLAIN``:
+        a file-system error (ENOENT and friends), no health signal.
+        """
+        if isinstance(failure, str):
+            self.observe_error(sid, failure, op)
+            return DOWN if "power" in failure else RETRY
+        if isinstance(failure, RETRYABLE + SHARD_DOWN):
+            self.observe_exception(sid, failure, op)
+            return RETRY if isinstance(failure, RETRYABLE) else DOWN
+        return PLAIN
+
     def observe_exception(self, sid: int, exc: ReproError,
                           op: str = "read") -> None:
         """Classify a taxonomy exception raised by shard ``sid``."""
@@ -186,6 +239,11 @@ class ClusterHealth:
 __all__ = [
     "ClusterHealth",
     "ClusterRetryPolicy",
+    "DOWN",
     "HealthState",
+    "PLAIN",
+    "RETRY",
+    "RETRYABLE",
+    "SHARD_DOWN",
     "ShardHealthPolicy",
 ]
