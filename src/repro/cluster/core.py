@@ -168,9 +168,10 @@ class ClusterClient:
                     try:
                         failed = yield from replay(shard.engine, fn, tally)
                     except ReproError as exc:
-                        cluster.health.observe_exception(
-                            shard.sid, exc, op="write")
-                        verdict = RETRY
+                        # Raised while capturing: classified exactly as
+                        # the facade classifies a lock-step call.
+                        verdict = cluster.health.classify(
+                            shard.sid, exc, "write")
                         error = "%s: %s: %s" % (
                             shard.name, type(exc).__name__, exc)
                         break

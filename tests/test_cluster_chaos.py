@@ -312,6 +312,29 @@ class TestFacadeRetryAndRedirect:
             cluster.backoff(0.5)
 
 
+class TestReplayClassifiesLikeTheFacade:
+    def test_a_missing_file_is_a_plain_failure_not_a_health_signal(self):
+        cluster, _ = faulty_cluster()
+        client = cluster.add_client()
+
+        def resolve():
+            return [(cluster.route("a"), lambda f: f.read_file("/a/ghost"))]
+
+        cluster.run_phase({client: [("read", resolve)]}, "probe")
+        (record,) = client.records
+        assert "FileNotFound" in record.error
+        assert record.latency < cluster.retry.delay(0)   # no backoff in it
+        assert cluster.health.state(0) is HealthState.HEALTHY
+        snap = cluster.metrics.snapshot()
+        for name in ("attempts", "absorbed", "exhausted"):
+            assert snap.get("cluster.retry." + name, 0) == 0
+        # ... so the next facade write into that top stays where it is.
+        cluster.fs.write_file("/a/g", b"y" * 4096)
+        assert cluster.router.assignments["a"] == 0
+        assert cluster.metrics.snapshot().get(
+            "cluster.retry.redirects", 0) == 0
+
+
 # -- evacuation ------------------------------------------------------------------
 
 
