@@ -146,6 +146,8 @@ class ClusterClient:
             start = loop.now
             attempts = 0
             retryable = callable(spec) and label in self.RETRYABLE_LABELS
+            tally = OpTally()
+            touched: List[int] = []
             while True:
                 error: Optional[str] = None
                 verdict = PLAIN
@@ -158,9 +160,8 @@ class ClusterClient:
                     # within a phase.
                     legs = []
                     error = "route: %s: %s" % (type(exc).__name__, exc)
-                tally = OpTally()
-                touched: List[int] = []
-                tally.cpu_seconds = route_cpu = cluster._take_route_cpu()
+                route_cpu = cluster._take_route_cpu()
+                tally.cpu_seconds += route_cpu
                 if route_cpu > 0:
                     yield ("cpu", route_cpu)
                 for shard, fn in legs:

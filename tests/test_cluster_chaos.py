@@ -33,6 +33,7 @@ from repro.cluster import (
     Cluster,
     ClusterHealth,
     ClusterRetryPolicy,
+    ROUTE_CPU_SECONDS,
     HashRouter,
     HealthState,
     ShardHealthPolicy,
@@ -333,6 +334,32 @@ class TestReplayClassifiesLikeTheFacade:
         assert cluster.router.assignments["a"] == 0
         assert cluster.metrics.snapshot().get(
             "cluster.retry.redirects", 0) == 0
+
+
+    def test_a_retried_op_is_recorded_over_all_its_attempts(self):
+        cluster, schedule = faulty_cluster(
+            retry=ClusterRetryPolicy(max_attempts=3))
+        schedule.fail_write(0)               # the first replayed write
+        client = cluster.add_client()
+        shard = cluster.shards[0]
+
+        def resolve():
+            return [(cluster.route("a"),
+                     lambda f: f.write_file("/a/g", b"y" * 4096))]
+
+        before = shard.queue.stats.snapshot()
+        cluster.run_phase({client: [("write", resolve)]}, "probe")
+        delta = shard.queue.stats.delta(before)
+        (record,) = client.records
+        assert record.error is None
+        assert cluster.metrics.snapshot()["cluster.retry.attempts"] == 1
+        assert delta.failed == 1
+        assert record.n_requests == delta.completed >= 1
+        assert record.queue_delay == pytest.approx(delta.total_queue_delay)
+        assert record.retries == delta.retried
+        assert client.leg_shards == [(0, 0)]
+        # two routes and two captures, not just the last of each
+        assert record.cpu_seconds > 2 * ROUTE_CPU_SECONDS
 
 
 # -- evacuation ------------------------------------------------------------------
