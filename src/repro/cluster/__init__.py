@@ -42,12 +42,14 @@ from repro.cluster.health import (
     ShardHealthPolicy,
 )
 from repro.cluster.intent import (
+    ADOPT,
     CLUSTER_DIR,
-    encode_intent,
-    intent_path,
-    parse_intent,
-    pending_intents,
+    EVAC,
+    INTENT,
+    encode_record,
+    parse_record,
     recover_shard_intents,
+    scan_records,
 )
 from repro.cluster.router import (
     DEFAULT_VNODES,
@@ -71,6 +73,7 @@ from repro.cluster.traffic import (
 )
 
 __all__ = [
+    "ADOPT",
     "CHAOS_SCHEMA",
     "CLUSTER_DIR",
     "CLUSTER_SCHEMA",
@@ -84,9 +87,11 @@ __all__ = [
     "ClusterRetryPolicy",
     "ClusterTrafficResult",
     "DEFAULT_VNODES",
+    "EVAC",
     "EvacuatedTop",
     "HashRouter",
     "HealthState",
+    "INTENT",
     "Leg",
     "ROUTER_KINDS",
     "ROUTE_CPU_SECONDS",
@@ -100,20 +105,19 @@ __all__ = [
     "adopted_tops",
     "chaos_summary",
     "cluster_summary",
-    "encode_intent",
+    "encode_record",
     "evacuate_shard",
     "evacuate_top",
-    "intent_path",
     "make_router",
+    "parse_record",
     "parse_fault_spec",
-    "parse_intent",
-    "pending_intents",
     "recover_shard_evacs",
     "recover_shard_intents",
     "render_chaos",
     "render_cluster",
     "run_cluster_chaos",
     "run_cluster_traffic",
+    "scan_records",
     "split_top",
     "validate_chaos_summary",
     "validate_cluster_summary",

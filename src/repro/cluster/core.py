@@ -51,10 +51,10 @@ from repro.cluster.health import (
 )
 from repro.cluster.intent import (
     CLUSTER_DIR,
+    INTENT,
     durable_unlink,
     durable_write,
-    encode_intent,
-    intent_path,
+    encode_record,
     recover_shard_intents,
 )
 from repro.cluster.router import ROUTE_CPU_SECONDS, Router, make_router
@@ -461,8 +461,8 @@ class Cluster(Replayer):
         earlier legs' shards without dragging unrelated dirty data
         into the rename's critical path.
         """
-        ipath = intent_path(self.next_intent_seq())
-        payload = encode_intent(src_shard.sid, old, new)
+        ipath = INTENT.path(self.next_intent_seq())
+        payload = encode_record(INTENT, src_shard.sid, old, new)
         cell: Dict[str, bytes] = {}
         cluster = self
 

@@ -45,68 +45,18 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.intent import (
-    CLUSTER_DIR,
+    ADOPT,
+    EVAC,
+    Recovery,
     durable_write,
-    parse_fields,
-    seal,
-    unseal,
+    encode_record,
+    scan_records,
 )
 from repro.errors import DiskError, FileSystemError
 from repro.vfs import FileKind
-
-EVAC_PREFIX = "evac-"
-ADOPT_PREFIX = "adopt-"
-_EVAC_MAGIC = "repro-cluster-evac/1"
-_ADOPT_MAGIC = "repro-cluster-adopt/1"
-
-
-def evac_path(seq: int) -> str:
-    return "%s/%s%06d" % (CLUSTER_DIR, EVAC_PREFIX, seq)
-
-
-def adopt_path(top: str) -> str:
-    return "%s/%s%s" % (CLUSTER_DIR, ADOPT_PREFIX, top)
-
-
-def encode_evac(src_shard: int, top: str, n_files: int,
-                n_bytes: int) -> bytes:
-    return seal("%s\nsrc_shard=%d\ntop=%s\nfiles=%d\nbytes=%d\n" % (
-        _EVAC_MAGIC, src_shard, top, n_files, n_bytes))
-
-
-def parse_evac(data: bytes) -> Optional[Tuple[int, str, int, int]]:
-    head = unseal(data)
-    if head is None:
-        return None
-    fields = parse_fields(head, _EVAC_MAGIC, 5)
-    if fields is None:
-        return None
-    try:
-        return (int(fields["src_shard"]), fields["top"],
-                int(fields["files"]), int(fields["bytes"]))
-    except (KeyError, ValueError):
-        return None
-
-
-def encode_adopt(top: str, src_shard: int) -> bytes:
-    return seal("%s\ntop=%s\nsrc_shard=%d\n" % (
-        _ADOPT_MAGIC, top, src_shard))
-
-
-def parse_adopt(data: bytes) -> Optional[Tuple[str, int]]:
-    head = unseal(data)
-    if head is None:
-        return None
-    fields = parse_fields(head, _ADOPT_MAGIC, 3)
-    if fields is None:
-        return None
-    try:
-        return fields["top"], int(fields["src_shard"])
-    except (KeyError, ValueError):
-        return None
 
 
 # -- namespace walking -----------------------------------------------------------
@@ -144,16 +94,8 @@ def remove_tree(fs, root: str) -> None:
 
 def adopted_tops(fs) -> Dict[str, int]:
     """Valid adopt records on a shard: top -> source shard id."""
-    if not fs.exists(CLUSTER_DIR):
-        return {}
-    out: Dict[str, int] = {}
-    for name in sorted(fs.readdir(CLUSTER_DIR)):
-        if not name.startswith(ADOPT_PREFIX):
-            continue
-        parsed = parse_adopt(fs.read_file("%s/%s" % (CLUSTER_DIR, name)))
-        if parsed is not None and parsed[0] == name[len(ADOPT_PREFIX):]:
-            out[parsed[0]] = parsed[1]
-    return out
+    return {values[0]: values[1] for _path, values in scan_records(fs, ADOPT)
+            if values is not None}
 
 
 # -- the evacuator ---------------------------------------------------------------
@@ -185,8 +127,8 @@ def evacuate_top(cluster, top: str, src_shard, dst_shard) -> EvacuatedTop:
     sizes = {path: src_shard.fs.stat(path).size for path in files}
     report = EvacuatedTop(top=top, src=src_shard.sid, dst=dst_shard.sid,
                           files=len(files), bytes=sum(sizes.values()))
-    ipath = evac_path(cluster.next_intent_seq())
-    payload = encode_evac(src_shard.sid, top, report.files, report.bytes)
+    ipath = EVAC.path(cluster.next_intent_seq())
+    payload = encode_record(EVAC, src_shard.sid, top, report.files, report.bytes)
     cluster.lockstep(dst_shard, lambda f: durable_write(f, ipath, payload))
     for dpath in dirs:
         cluster.lockstep(dst_shard,
@@ -202,9 +144,9 @@ def evacuate_top(cluster, top: str, src_shard, dst_shard) -> EvacuatedTop:
         cluster.account(dst_shard, bytes_written=len(data))
         cluster.metrics.counter("cluster.evac.files").inc()
         cluster.metrics.counter("cluster.evac.bytes").inc(len(data))
-    adopt = encode_adopt(top, src_shard.sid)
+    adopt = encode_record(ADOPT, top, src_shard.sid)
     cluster.lockstep(dst_shard,
-                     lambda f: durable_write(f, adopt_path(top), adopt))
+                     lambda f: durable_write(f, ADOPT.path(top), adopt))
     # Clearing the intent may stay cached: a stale evac intent whose
     # adopt record is durable recovers by (idempotent) roll-forward.
     cluster.lockstep(dst_shard, lambda f: f.unlink(ipath))
@@ -249,45 +191,25 @@ def recover_shard_evacs(dst_sid: int, filesystems) -> List[Tuple[int, str]]:
     the source is writable again — the move's deferred unlink).
     Idempotent: a second run over the converged state is a no-op.
     """
-    fs = filesystems[dst_sid]
-    if not fs.exists(CLUSTER_DIR):
-        return []
-    names = sorted(fs.readdir(CLUSTER_DIR))
-    outcomes: List[Tuple[int, str]] = []
-    touched = set()
+    recovery = Recovery(filesystems[dst_sid])
+    fs = recovery.fs
+    # A torn adopt record means the commit never landed, so the evac
+    # intents for its subtree roll back below.
+    adopted: Dict[str, int] = {
+        top: src_sid
+        for _path, (top, src_sid) in recovery.intact(ADOPT, "evac_discarded")}
 
-    adopted: Dict[str, int] = {}
-    for name in [n for n in names if n.startswith(ADOPT_PREFIX)]:
-        path = "%s/%s" % (CLUSTER_DIR, name)
-        parsed = parse_adopt(fs.read_file(path))
-        if parsed is None or parsed[0] != name[len(ADOPT_PREFIX):]:
-            # Torn adopt record: the commit never landed, so the evac
-            # intents for its subtree roll back below.
-            fs.unlink(path)
-            touched.add(dst_sid)
-            outcomes.append((-1, "evac_discarded"))
-            continue
-        adopted[parsed[0]] = parsed[1]
-
-    for name in [n for n in names if n.startswith(EVAC_PREFIX)]:
-        path = "%s/%s" % (CLUSTER_DIR, name)
-        parsed = parse_evac(fs.read_file(path))
-        if parsed is None:
-            fs.unlink(path)
-            touched.add(dst_sid)
-            outcomes.append((-1, "evac_discarded"))
-            continue
-        src_sid, top = parsed[0], parsed[1]
+    for path, (src_sid, top, _files, _bytes) in recovery.intact(
+            EVAC, "evac_discarded"):
         if top in adopted:
-            fs.unlink(path)
-            outcomes.append((src_sid, "evac_rolled_forward"))
+            action = "evac_rolled_forward"
         else:
             root = "/" + top
             if fs.exists(root):
                 remove_tree(fs, root)
-            fs.unlink(path)
-            outcomes.append((src_sid, "evac_rolled_back"))
-        touched.add(dst_sid)
+            action = "evac_rolled_back"
+        recovery.remove(path)
+        recovery.outcomes.append((src_sid, action))
 
     # Deferred source unlink: an adopted subtree's stale source copy is
     # removed once the source shard accepts writes again (post-restart
@@ -303,28 +225,16 @@ def recover_shard_evacs(dst_sid: int, filesystems) -> List[Tuple[int, str]]:
                 src_fs.sync()
             except (DiskError, FileSystemError):
                 continue   # still read-only/failed; keep the record
-            outcomes.append((src_sid, "evac_source_cleared"))
-        fs.unlink(adopt_path(top))
-        touched.add(dst_sid)
-
-    for sid in sorted(touched):
-        filesystems[sid].sync()
-    return outcomes
+            recovery.outcomes.append((src_sid, "evac_source_cleared"))
+        recovery.remove(ADOPT.path(top))
+    return recovery.finish()
 
 
 __all__ = [
-    "ADOPT_PREFIX",
-    "EVAC_PREFIX",
     "EvacuatedTop",
-    "adopt_path",
     "adopted_tops",
-    "encode_adopt",
-    "encode_evac",
-    "evac_path",
     "evacuate_shard",
     "evacuate_top",
-    "parse_adopt",
-    "parse_evac",
     "recover_shard_evacs",
     "remove_tree",
     "subtree_manifest",

@@ -42,77 +42,93 @@ write and checks exactly that).
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
 
-#: Per-shard directory holding cluster-private state (intent files).
+#: Per-shard directory holding cluster-private state (sealed records).
 #: Created at shard attach time; hidden from facade root listings.
 CLUSTER_DIR = "/.cluster"
 
-INTENT_PREFIX = "intent-"
-_INTENT_MAGIC = "repro-cluster-intent/1"
+
+# -- the sealed-record codec -------------------------------------------------------
 
 
-def intent_path(seq: int) -> str:
-    return "%s/%s%06d" % (CLUSTER_DIR, INTENT_PREFIX, seq)
+@dataclass(frozen=True)
+class RecordKind:
+    """One kind of record under ``/.cluster``: the file-name prefix, the
+    magic first line and the ``key=value`` fields in wire order."""
+
+    prefix: str
+    magic: str
+    fields: Tuple[Tuple[str, type], ...]
+    #: The field whose value the file name repeats after the prefix (a
+    #: record filed under another name is as good as torn); ``None``
+    #: for kinds named by sequence number.
+    named_by: Optional[int] = None
+
+    def path(self, key) -> str:
+        """Where the record keyed ``key`` (sequence number or name) lives."""
+        return "%s/%s%s" % (CLUSTER_DIR, self.prefix,
+                            "%06d" % key if isinstance(key, int) else key)
 
 
-def seal(body: str) -> bytes:
-    """CRC-seal a newline-framed record body (shared record format)."""
-    raw = body.encode("utf-8")
+INTENT = RecordKind("intent-", "repro-cluster-intent/1",
+                    (("src_shard", int), ("src", str), ("dst", str)))
+EVAC = RecordKind("evac-", "repro-cluster-evac/1",
+                  (("src_shard", int), ("top", str), ("files", int),
+                   ("bytes", int)))
+ADOPT = RecordKind("adopt-", "repro-cluster-adopt/1",
+                   (("top", str), ("src_shard", int)), named_by=0)
+
+
+def encode_record(kind: RecordKind, *values) -> bytes:
+    """Serialize one record: newline-framed fields under a CRC seal."""
+    raw = "".join(
+        [kind.magic + "\n"]
+        + ["%s=%s\n" % (key, value)
+           for (key, _), value in zip(kind.fields, values)]).encode("utf-8")
     return raw + ("crc=%08x\n" % zlib.crc32(raw)).encode("ascii")
 
 
-def unseal(data: bytes) -> Optional[str]:
-    """The body of a sealed record; None when torn or garbled."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    head, sep, tail = text.rpartition("crc=")
-    if not sep or not tail.endswith("\n"):
+def parse_record(kind: RecordKind, data: bytes) -> Optional[tuple]:
+    """The field values of a sealed ``kind`` record, in table order;
+    ``None`` when it is torn, garbled, unsealed or of another kind."""
+    raw, sep, seal = data.rpartition(b"crc=")
+    if not sep or not seal.endswith(b"\n"):
         return None
     try:
-        if zlib.crc32(head.encode("utf-8")) != int(tail.strip(), 16):
+        if zlib.crc32(raw) != int(seal, 16):
             return None
-    except ValueError:
-        return None
-    return head
-
-
-def encode_intent(src_shard: int, src_path: str, dst_path: str) -> bytes:
-    """Serialize one rename intent (CRC-sealed, newline-framed)."""
-    return seal("%s\nsrc_shard=%d\nsrc=%s\ndst=%s\n" % (
-        _INTENT_MAGIC, src_shard, src_path, dst_path))
-
-
-def parse_fields(head: str, magic: str, n_lines: int) -> Optional[dict]:
-    """key=value fields of a sealed body under ``magic``; None if off."""
-    lines = head.splitlines()
-    if len(lines) != n_lines or lines[0] != magic:
-        return None
-    fields = {}
-    for line in lines[1:]:
-        key, sep, value = line.partition("=")
-        if not sep:
+        lines = raw.decode("utf-8").splitlines()
+        if len(lines) != len(kind.fields) + 1 or lines[0] != kind.magic:
             return None
-        fields[key] = value
-    return fields
+        values = []
+        for (key, convert), line in zip(kind.fields, lines[1:]):
+            name, sep, value = line.partition("=")
+            if not sep or name != key:
+                return None
+            values.append(convert(value))
+    except ValueError:   # UnicodeDecodeError is one
+        return None
+    return tuple(values)
 
 
-def parse_intent(data: bytes) -> Optional[Tuple[int, str, str]]:
-    """Decode an intent file; None when torn, garbled, or unsealed."""
-    head = unseal(data)
-    if head is None:
-        return None
-    fields = parse_fields(head, _INTENT_MAGIC, 4)
-    if fields is None:
-        return None
-    try:
-        return int(fields["src_shard"]), fields["src"], fields["dst"]
-    except (KeyError, ValueError):
-        return None
+def scan_records(fs, kind: RecordKind) -> Iterator[Tuple[str, Optional[tuple]]]:
+    """``(path, field values or None)`` of every ``kind`` record on a
+    shard, in name order — the one place ``/.cluster`` is listed."""
+    if not fs.exists(CLUSTER_DIR):
+        return
+    for name in sorted(fs.readdir(CLUSTER_DIR)):
+        if not name.startswith(kind.prefix):
+            continue
+        path = "%s/%s" % (CLUSTER_DIR, name)
+        values = parse_record(kind, fs.read_file(path))
+        if values is not None and kind.named_by is not None \
+                and values[kind.named_by] != name[len(kind.prefix):]:
+            values = None
+        yield path, values
 
 
 def durable_write(fs, path: str, data: bytes) -> None:
@@ -145,12 +161,43 @@ def durable_unlink(fs, path: str) -> None:
         fs.sync()
 
 
-def pending_intents(fs) -> List[str]:
-    """Intent file names under a shard's cluster directory (sorted)."""
-    if not fs.exists(CLUSTER_DIR):
-        return []
-    return sorted(name for name in fs.readdir(CLUSTER_DIR)
-                  if name.startswith(INTENT_PREFIX))
+# -- recovery ----------------------------------------------------------------------
+
+
+class Recovery:
+    """One shard's recovery pass over its ``/.cluster`` records.
+
+    What the rename rule below and the evacuation rule
+    (:func:`repro.cluster.evacuate.recover_shard_evacs`) share: the
+    scan, the discard of torn records, and the closing sync once
+    anything on the shard changed.  The rules keep what differs — which
+    side a surviving record commits on.
+    """
+
+    def __init__(self, fs) -> None:
+        self.fs = fs
+        #: ``(src_shard, action)`` per record dealt with; -1 for torn.
+        self.outcomes: List[Tuple[int, str]] = []
+        self._changed = False
+
+    def intact(self, kind: RecordKind, torn_action: str):
+        """Yield ``(path, values)`` of the well-formed ``kind`` records;
+        a torn one is removed and reported as ``torn_action``."""
+        for path, values in scan_records(self.fs, kind):
+            if values is None:
+                self.remove(path)
+                self.outcomes.append((-1, torn_action))
+            else:
+                yield path, values
+
+    def remove(self, path: str) -> None:
+        self.fs.unlink(path)
+        self._changed = True
+
+    def finish(self) -> List[Tuple[int, str]]:
+        if self._changed:
+            self.fs.sync()
+        return self.outcomes
 
 
 def recover_shard_intents(dst_sid: int, filesystems) -> List[Tuple[int, str]]:
@@ -158,66 +205,50 @@ def recover_shard_intents(dst_sid: int, filesystems) -> List[Tuple[int, str]]:
 
     ``filesystems`` maps shard id -> mounted file system.  Returns
     ``(src_shard, action)`` pairs, where action is ``"rolled_back"``,
-    ``"rolled_forward"`` or ``"discarded"`` — the sweep asserts on
-    these.  Every touched shard is synced before returning.
+    ``"rolled_forward"`` or ``"discarded"`` (a torn intent:
+    synced-before-copy means nothing else moved) — the sweep asserts on
+    these.  The shard is synced before returning if anything changed.
     """
-    dst_fs = filesystems[dst_sid]
-    outcomes: List[Tuple[int, str]] = []
-    touched = set()
-    # Pass 1: parse every surviving intent.  Destination paths claimed
+    recovery = Recovery(filesystems[dst_sid])
+    dst_fs = recovery.fs
+    # Pass 1: collect every surviving intent.  Destination paths claimed
     # by a roll-forward (source gone => the rename committed) must keep
     # their copy even when an *older* stale intent for the same path
     # wants to roll back — deleting the copy then would lose the only
     # remaining replica of the committed rename's file.
-    parsed_intents: List[Tuple[str, Optional[Tuple[int, str, str]]]] = []
-    claimed: set = set()
-    for name in pending_intents(dst_fs):
-        path = "%s/%s" % (CLUSTER_DIR, name)
-        parsed = parse_intent(dst_fs.read_file(path))
-        parsed_intents.append((path, parsed))
-        if parsed is not None:
-            src_shard, src_path, dst_path = parsed
-            src_fs = filesystems.get(src_shard)
-            if src_fs is None:
-                raise ReproError(
-                    "intent %s names unknown source shard %d"
-                    % (name, src_shard))
-            if not src_fs.exists(src_path):
-                claimed.add(dst_path)
+    intents = list(recovery.intact(INTENT, "discarded"))
+    claimed = set()
+    for path, (src_shard, src_path, dst_path) in intents:
+        src_fs = filesystems.get(src_shard)
+        if src_fs is None:
+            raise ReproError("intent %s names unknown source shard %d"
+                             % (path.rsplit("/", 1)[1], src_shard))
+        if not src_fs.exists(src_path):
+            claimed.add(dst_path)
     # Pass 2: apply the recovery rule, respecting roll-forward claims.
-    for path, parsed in parsed_intents:
-        if parsed is None:
-            # Torn intent: synced-before-copy means nothing else moved.
-            dst_fs.unlink(path)
-            touched.add(dst_sid)
-            outcomes.append((-1, "discarded"))
-            continue
-        src_shard, src_path, dst_path = parsed
+    for path, (src_shard, src_path, dst_path) in intents:
         if filesystems[src_shard].exists(src_path):
             if dst_path not in claimed and dst_fs.exists(dst_path):
                 dst_fs.unlink(dst_path)
-            dst_fs.unlink(path)
-            outcomes.append((src_shard, "rolled_back"))
+            action = "rolled_back"
         else:
-            dst_fs.unlink(path)
-            outcomes.append((src_shard, "rolled_forward"))
-        touched.add(dst_sid)
-    for sid in sorted(touched):
-        filesystems[sid].sync()
-    return outcomes
+            action = "rolled_forward"
+        recovery.remove(path)
+        recovery.outcomes.append((src_shard, action))
+    return recovery.finish()
 
 
 __all__ = [
+    "ADOPT",
     "CLUSTER_DIR",
-    "INTENT_PREFIX",
+    "EVAC",
+    "INTENT",
+    "RecordKind",
+    "Recovery",
     "durable_unlink",
     "durable_write",
-    "encode_intent",
-    "intent_path",
-    "parse_fields",
-    "parse_intent",
-    "pending_intents",
+    "encode_record",
+    "parse_record",
     "recover_shard_intents",
-    "seal",
-    "unseal",
+    "scan_records",
 ]

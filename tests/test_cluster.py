@@ -24,14 +24,15 @@ import pytest
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.cluster import (
+    INTENT,
     Cluster,
     HashRouter,
     TrafficConfig,
     UtilizationRouter,
     cluster_summary,
-    encode_intent,
+    encode_record,
     make_router,
-    parse_intent,
+    parse_record,
     render_cluster,
     run_cluster_traffic,
     split_top,
@@ -122,18 +123,18 @@ class TestRouterPlacement:
 
 class TestIntentCodec:
     def test_roundtrip(self):
-        data = encode_intent(3, "/a/x", "/b/y")
-        assert parse_intent(data) == (3, "/a/x", "/b/y")
+        data = encode_record(INTENT, 3, "/a/x", "/b/y")
+        assert parse_record(INTENT, data) == (3, "/a/x", "/b/y")
 
     def test_torn_and_garbled_intents_parse_to_none(self):
-        data = encode_intent(0, "/a/x", "/b/y")
+        data = encode_record(INTENT, 0, "/a/x", "/b/y")
         for cut in range(len(data)):
-            assert parse_intent(data[:cut]) is None
+            assert parse_record(INTENT, data[:cut]) is None
         flipped = bytearray(data)
         flipped[5] ^= 0xFF
-        assert parse_intent(bytes(flipped)) is None
-        assert parse_intent(b"") is None
-        assert parse_intent(b"\xff\xfe not utf8 \x80") is None
+        assert parse_record(INTENT, bytes(flipped)) is None
+        assert parse_record(INTENT, b"") is None
+        assert parse_record(INTENT, b"\xff\xfe not utf8 \x80") is None
 
 
 # -- the facade ------------------------------------------------------------------
@@ -422,7 +423,7 @@ class TestIntentRecoveryIdempotence:
         dst = cluster.shards[sid_b].fs
         dst.write_file("/b/x", b"partial copy")
         dst.write_file("/.cluster/intent-000001",
-                       encode_intent(sid_a, "/a/x", "/b/x"))
+                       encode_record(INTENT, sid_a, "/a/x", "/b/x"))
         assert cluster.recover() == [(sid_a, "rolled_back")]
         assert not dst.exists("/b/x")
         assert cluster.fs.read_file("/a/x") == b"authoritative"
@@ -439,9 +440,9 @@ class TestIntentRecoveryIdempotence:
         dst = cluster.shards[sid_b].fs
         dst.write_file("/b/x", b"committed copy")
         dst.write_file("/.cluster/intent-000001",
-                       encode_intent(sid_a, "/a/x", "/b/x"))
+                       encode_record(INTENT, sid_a, "/a/x", "/b/x"))
         dst.write_file("/.cluster/intent-000002",
-                       encode_intent(sid_a, "/a/gone", "/b/x"))
+                       encode_record(INTENT, sid_a, "/a/gone", "/b/x"))
         outcomes = cluster.recover()
         assert sorted(outcomes) == [(sid_a, "rolled_back"),
                                     (sid_a, "rolled_forward")]
