@@ -41,9 +41,10 @@ write and checks exactly that).
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
 
@@ -58,11 +59,12 @@ CLUSTER_DIR = "/.cluster"
 @dataclass(frozen=True)
 class RecordKind:
     """One kind of record under ``/.cluster``: the file-name prefix, the
-    magic first line and the ``key=value`` fields in wire order."""
+    magic first line and the ``key=value`` fields in wire order, each
+    with the function that reads its value back."""
 
     prefix: str
     magic: str
-    fields: Tuple[Tuple[str, type], ...]
+    fields: Tuple[Tuple[str, Callable[[str], object]], ...]
     #: The field whose value the file name repeats after the prefix (a
     #: record filed under another name is as good as torn); ``None``
     #: for kinds named by sequence number.
@@ -74,20 +76,31 @@ class RecordKind:
                             "%06d" % key if isinstance(key, int) else key)
 
 
+def _escape(value) -> str:
+    """A field value on the wire: the frame's newline and the escape
+    character itself are the only two characters a name may not keep."""
+    return str(value).replace("\\", "\\\\").replace("\n", "\\n")
+
+
+def _unescape(text: str) -> str:
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], text)
+
+
 INTENT = RecordKind("intent-", "repro-cluster-intent/1",
-                    (("src_shard", int), ("src", str), ("dst", str)))
+                    (("src_shard", int), ("src", _unescape),
+                     ("dst", _unescape)))
 EVAC = RecordKind("evac-", "repro-cluster-evac/1",
-                  (("src_shard", int), ("top", str), ("files", int),
+                  (("src_shard", int), ("top", _unescape), ("files", int),
                    ("bytes", int)))
 ADOPT = RecordKind("adopt-", "repro-cluster-adopt/1",
-                   (("top", str), ("src_shard", int)), named_by=0)
+                   (("top", _unescape), ("src_shard", int)), named_by=0)
 
 
 def encode_record(kind: RecordKind, *values) -> bytes:
     """Serialize one record: newline-framed fields under a CRC seal."""
     raw = "".join(
         [kind.magic + "\n"]
-        + ["%s=%s\n" % (key, value)
+        + ["%s=%s\n" % (key, _escape(value))
            for (key, _), value in zip(kind.fields, values)]).encode("utf-8")
     return raw + ("crc=%08x\n" % zlib.crc32(raw)).encode("ascii")
 
@@ -101,8 +114,9 @@ def parse_record(kind: RecordKind, data: bytes) -> Optional[tuple]:
     try:
         if zlib.crc32(raw) != int(seal, 16):
             return None
-        lines = raw.decode("utf-8").splitlines()
-        if len(lines) != len(kind.fields) + 1 or lines[0] != kind.magic:
+        lines = raw.decode("utf-8").split("\n")
+        if len(lines) != len(kind.fields) + 2 or lines[0] != kind.magic \
+                or lines[-1]:
             return None
         values = []
         for (key, convert), line in zip(kind.fields, lines[1:]):

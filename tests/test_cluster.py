@@ -20,10 +20,14 @@ Four claims are pinned here:
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.cluster import (
+    ADOPT,
+    EVAC,
     INTENT,
     Cluster,
     HashRouter,
@@ -135,6 +139,23 @@ class TestIntentCodec:
         assert parse_record(INTENT, bytes(flipped)) is None
         assert parse_record(INTENT, b"") is None
         assert parse_record(INTENT, b"\xff\xfe not utf8 \x80") is None
+
+    def test_ordinary_names_keep_the_wire_format(self):
+        assert encode_record(INTENT, 3, "/a/x", "/b/y") == (
+            b"repro-cluster-intent/1\nsrc_shard=3\nsrc=/a/x\ndst=/b/y\n"
+            b"crc=0eff8a27\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.text(), st.integers(0, 1 << 40))
+    def test_every_kind_round_trips_any_name(self, one, other, number):
+        for kind, values in ((INTENT, (number, one, other)),
+                             (EVAC, (number, one, number, number)),
+                             (ADOPT, (one, number))):
+            assert parse_record(kind, encode_record(kind, *values)) == values
+
+    def test_a_record_of_another_kind_does_not_parse(self):
+        assert parse_record(EVAC, encode_record(ADOPT, "t", 0)) is None
+        assert parse_record(ADOPT, encode_record(INTENT, 0, "a", "b")) is None
 
 
 # -- the facade ------------------------------------------------------------------
@@ -401,6 +422,46 @@ class TestCrossShardRenameCrashSweep:
         outcomes = cluster.recover()
         assert outcomes == [(-1, "discarded")]
         assert fs.read_file("/src/f") == b"safe"
+
+
+class TestNamesWithNewlinesRecover:
+    """A durable record whose names contain the frame's own delimiter
+    is still a record: the cut protocol rolls back to one copy."""
+
+    def test_cut_rename_of_a_newline_name_rolls_back(self):
+        cluster = Cluster(n_shards=2)
+        fs = cluster.fs
+        fs.mkdir("/a")
+        fs.mkdir("/b")
+        old, new = "/a/x\ny", "/b/x\ny"
+        fs.write_file(old, b"the only copy")
+        src = cluster.shards[cluster.router.assignments["a"]]
+        dst = cluster.shards[cluster.router.assignments["b"]]
+        assert src is not dst
+        for shard, leg in cluster.rename_legs(src, old, dst, new)[:2]:
+            cluster.lockstep(shard, leg)     # read source, intent + copy
+        assert dst.fs.exists(new)
+        assert cluster.recover() == [(src.sid, "rolled_back")]
+        assert fs.read_file(old) == b"the only copy"
+        assert not dst.fs.exists(new)
+        assert cluster.recover() == []
+
+    def test_cut_evacuation_of_a_newline_top_rolls_back(self):
+        cluster = Cluster(n_shards=2)
+        fs = cluster.fs
+        top = "t\nop"
+        fs.mkdir("/" + top)
+        fs.write_file("/%s/f" % top, b"source copy")
+        src = cluster.shards[cluster.router.assignments[top]]
+        dst = cluster.shards[1 - src.sid]
+        # Everything the evacuator writes before the adopt record.
+        dst.fs.write_file(EVAC.path(1), encode_record(EVAC, src.sid, top, 1, 11))
+        dst.fs.mkdir("/" + top)
+        dst.fs.write_file("/%s/f" % top, b"source copy")
+        assert cluster.recover() == [(src.sid, "evac_rolled_back")]
+        assert not dst.fs.exists("/" + top)
+        assert fs.read_file("/%s/f" % top) == b"source copy"
+        assert cluster.recover() == []
 
 
 class TestIntentRecoveryIdempotence:
