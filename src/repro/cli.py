@@ -380,13 +380,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_multiclient(args) -> int:
-    from repro.engine import SCHEDULERS, render_multiclient, run_multiclient
+    from repro.engine import render_multiclient, run_multiclient
 
     policy = policy_from_args(args)
-    if args.scheduler not in SCHEDULERS:
-        print("unknown scheduler %r; known: %s"
-              % (args.scheduler, ", ".join(SCHEDULERS)), file=sys.stderr)
-        return 2
     tracer = None
     if args.trace:
         from repro import obs
@@ -434,26 +430,26 @@ def _cluster_traffic_config(args):
     )
 
 
-def cmd_cluster(args) -> int:
-    import json as _json
+def _write_summary(path: str, summary: dict) -> None:
+    """The ``--json`` summary file of cluster and cluster-chaos."""
+    import json
 
+    with open(path, "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    # stderr: the stdout report must stay byte-identical across
+    # identically-seeded runs regardless of the summary's filename.
+    print("summary -> %s" % path, file=sys.stderr)
+
+
+def cmd_cluster(args) -> int:
     from repro.cluster import (
-        ROUTER_KINDS,
         TrafficConfig,
         cluster_summary,
         render_cluster,
         run_cluster_traffic,
     )
-    from repro.engine import SCHEDULERS
 
-    if args.scheduler not in SCHEDULERS:
-        print("unknown scheduler %r; known: %s"
-              % (args.scheduler, ", ".join(SCHEDULERS)), file=sys.stderr)
-        return 2
-    if args.router not in ROUTER_KINDS:
-        print("unknown router %r; known: %s"
-              % (args.router, ", ".join(ROUTER_KINDS)), file=sys.stderr)
-        return 2
     cfg = _cluster_traffic_config(args)
     result = run_cluster_traffic(cfg)
     print(render_cluster(result))
@@ -465,35 +461,18 @@ def cmd_cluster(args) -> int:
               % (single.ops_per_second, cfg.shards,
                  result.ops_per_second / single.ops_per_second))
     if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(cluster_summary(result), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        # stderr: the stdout report must stay byte-identical across
-        # identically-seeded runs regardless of the summary's filename.
-        print("summary -> %s" % args.json, file=sys.stderr)
+        _write_summary(args.json, cluster_summary(result))
     return 0
 
 
 def cmd_cluster_chaos(args) -> int:
-    import json as _json
-
     from repro.cluster import (
-        ROUTER_KINDS,
         ChaosConfig,
         chaos_summary,
         render_chaos,
         run_cluster_chaos,
     )
-    from repro.engine import SCHEDULERS
 
-    if args.scheduler not in SCHEDULERS:
-        print("unknown scheduler %r; known: %s"
-              % (args.scheduler, ", ".join(SCHEDULERS)), file=sys.stderr)
-        return 2
-    if args.router not in ROUTER_KINDS:
-        print("unknown router %r; known: %s"
-              % (args.router, ", ".join(ROUTER_KINDS)), file=sys.stderr)
-        return 2
     traffic = _cluster_traffic_config(args)
     cfg = ChaosConfig(
         traffic=traffic,
@@ -506,12 +485,7 @@ def cmd_cluster_chaos(args) -> int:
     result = run_cluster_chaos(cfg)
     print(render_chaos(result))
     if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(chaos_summary(result), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        # stderr: the stdout report must stay byte-identical across
-        # identically-seeded runs regardless of the summary's filename.
-        print("summary -> %s" % args.json, file=sys.stderr)
+        _write_summary(args.json, chaos_summary(result))
     return 0 if result.verdict() == "PASS" else 1
 
 
@@ -598,6 +572,51 @@ def cmd_lint(args) -> int:
     else:
         print(render_text(result, show_suppressed=args.show_suppressed))
     return 0 if result.ok else 1
+
+
+def _add_scheduler_argument(parser, help: str) -> None:
+    from repro.engine import SCHEDULERS
+
+    parser.add_argument("--scheduler", choices=SCHEDULERS, default="clook",
+                        metavar="SCHEDULER", help=help)
+
+
+def _add_trace_arguments(parser) -> None:
+    """``--trace PATH`` / ``--trace-format`` of the benchmark commands."""
+    parser.add_argument(
+        "--trace", metavar="PATH",
+        help="record spans during the run and export them here")
+    parser.add_argument("--trace-format", choices=tuple(TRACE_DEFAULT_OUT),
+                        default="chrome")
+
+
+def _add_cluster_traffic_arguments(p, clients: int, dirs: int) -> None:
+    """The traffic model both cluster commands replay; they differ only
+    in how many clients and directories they default to."""
+    p.add_argument("--shards", type=int, default=4)
+    p.add_argument("--clients", type=int, default=clients,
+                   help="concurrent simulated clients (default %d)" % clients)
+    p.add_argument("--ops", type=int, default=3,
+                   help="operations per client")
+    p.add_argument("--dirs", type=int, default=dirs,
+                   help="top-level directories the load targets")
+    p.add_argument("--zipf", type=float, default=0.9,
+                   help="Zipf theta for directory popularity")
+    p.add_argument("--read-mix", type=float, default=0.55,
+                   help="fraction of ops that are reads")
+    p.add_argument("--rename-mix", type=float, default=0.02,
+                   help="fraction of ops that are renames (may cross shards)")
+    p.add_argument("--size", type=int, default=16384,
+                   help="file size written by write ops")
+    p.add_argument("--fs", default="cffs",
+                   help="ffs, conventional, embedded, grouping or cffs")
+    _add_scheduler_argument(
+        p, "per-shard queue discipline: fcfs, sstf or clook")
+    p.add_argument("--router", choices=("hash", "util"), default="util",
+                   help="placement policy: consistent hashing or "
+                        "utilization-aware least-loaded")
+    p.add_argument("--seed", type=int, default=1997)
+    add_policy_argument(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -724,46 +743,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=1024)
     p.add_argument("--fs", default="cffs",
                    help="ffs, conventional, embedded, grouping or cffs")
-    p.add_argument("--scheduler", default="clook",
-                   help="queue discipline: fcfs, sstf or clook")
+    _add_scheduler_argument(p, "queue discipline: fcfs, sstf or clook")
     p.add_argument("--workload", choices=("smallfile", "postmark", "hypertext"),
                    default="smallfile")
     p.add_argument("--phases", default="create,read",
                    help="smallfile phases to run (comma-separated)")
     add_policy_argument(p)
-    p.add_argument("--trace", metavar="PATH",
-                   help="record spans during the run and export them here")
-    p.add_argument("--trace-format", choices=("chrome", "jsonl", "flame"),
-                   default="chrome")
+    _add_trace_arguments(p)
     p.set_defaults(func=cmd_multiclient)
 
     p = sub.add_parser(
         "cluster",
         help="replay a Zipfian many-client load over a sharded cluster")
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--clients", type=int, default=1000,
-                   help="concurrent simulated clients (default 1000)")
-    p.add_argument("--ops", type=int, default=3,
-                   help="operations per client")
-    p.add_argument("--dirs", type=int, default=96,
-                   help="top-level directories the load targets")
-    p.add_argument("--zipf", type=float, default=0.9,
-                   help="Zipf theta for directory popularity")
-    p.add_argument("--read-mix", type=float, default=0.55,
-                   help="fraction of ops that are reads")
-    p.add_argument("--rename-mix", type=float, default=0.02,
-                   help="fraction of ops that are renames (may cross shards)")
-    p.add_argument("--size", type=int, default=16384,
-                   help="file size written by write ops")
-    p.add_argument("--fs", default="cffs",
-                   help="ffs, conventional, embedded, grouping or cffs")
-    p.add_argument("--scheduler", default="clook",
-                   help="per-shard queue discipline: fcfs, sstf or clook")
-    p.add_argument("--router", choices=("hash", "util"), default="util",
-                   help="placement policy: consistent hashing or "
-                        "utilization-aware least-loaded")
-    p.add_argument("--seed", type=int, default=1997)
-    add_policy_argument(p)
+    _add_cluster_traffic_arguments(p, clients=1000, dirs=96)
     p.add_argument("--faults", metavar="SPEC",
                    help="per-shard fault schedules, e.g. "
                         "'1:write_fail_from=0;2:transient_rate=0.05'")
@@ -777,30 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster-chaos",
         help="kill one shard mid-traffic and assert the cluster's "
              "fault-tolerance contract")
-    p.add_argument("--shards", type=int, default=4)
-    p.add_argument("--clients", type=int, default=400,
-                   help="concurrent simulated clients (default 400)")
-    p.add_argument("--ops", type=int, default=3,
-                   help="operations per client")
-    p.add_argument("--dirs", type=int, default=48,
-                   help="top-level directories the load targets")
-    p.add_argument("--zipf", type=float, default=0.9,
-                   help="Zipf theta for directory popularity")
-    p.add_argument("--read-mix", type=float, default=0.55,
-                   help="fraction of ops that are reads")
-    p.add_argument("--rename-mix", type=float, default=0.02,
-                   help="fraction of ops that are renames (may cross shards)")
-    p.add_argument("--size", type=int, default=16384,
-                   help="file size written by write ops")
-    p.add_argument("--fs", default="cffs",
-                   help="ffs, conventional, embedded, grouping or cffs")
-    p.add_argument("--scheduler", default="clook",
-                   help="per-shard queue discipline: fcfs, sstf or clook")
-    p.add_argument("--router", choices=("hash", "util"), default="util",
-                   help="placement policy: consistent hashing or "
-                        "utilization-aware least-loaded")
-    p.add_argument("--seed", type=int, default=1997)
-    add_policy_argument(p)
+    _add_cluster_traffic_arguments(p, clients=400, dirs=48)
     p.add_argument("--fail-shard", type=int, default=1,
                    help="the victim shard (armed between warm and storm)")
     p.add_argument("--fail-op", choices=("write", "read"), default="write",
@@ -838,10 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=1024)
     p.add_argument("--configs", default="conventional,cffs")
     add_policy_argument(p)
-    p.add_argument("--trace", metavar="PATH",
-                   help="record spans during the run and export them here")
-    p.add_argument("--trace-format", choices=("chrome", "jsonl", "flame"),
-                   default="chrome")
+    _add_trace_arguments(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(

@@ -71,10 +71,6 @@ class ShardHealthPolicy:
     max_write_faults: int = 3
     #: Hard read faults tolerated before the shard demotes FAILED.
     max_read_faults: int = 3
-    #: Load multiple at which the utilization router spills new
-    #: placements onto a DEGRADED shard anyway (see
-    #: :class:`~repro.cluster.router.UtilizationRouter`).
-    degraded_pressure: float = 4.0
 
 
 @dataclass(frozen=True)
@@ -150,10 +146,6 @@ class ClusterHealth:
     def ordinal(self, sid: int) -> int:
         """The state ordinal (0..3) — the router's health hook."""
         return self.monitors[sid].state.value
-
-    def accepts(self, sid: int) -> bool:
-        """May new placements land on this shard?"""
-        return self.monitors[sid].state.value < HealthState.READ_ONLY.value
 
     def writable(self, sid: int) -> bool:
         return self.monitors[sid].state.value < HealthState.READ_ONLY.value
