@@ -36,13 +36,17 @@ from typing import Optional
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
-from repro.core import layout as clayout
-from repro.core.filesystem import CFFS, CFFSConfig
+from repro.core.filesystem import CFFS
 from repro.disk.profiles import PROFILES, SEAGATE_ST31200
 from repro.errors import ReproError
-from repro.ffs import layout as flayout
-from repro.ffs.filesystem import FFS, FFSConfig
-from repro.fsck import CHECKERS, checker_for, fsck_resilience, is_resilient, open_logical
+from repro.fsck import (
+    CHECKERS,
+    checker_for,
+    format_for,
+    fsck_resilience,
+    is_resilient,
+    open_logical,
+)
 from repro.resilience import ResiliencePolicy, ResilientBlockDevice
 
 
@@ -87,11 +91,10 @@ def _open_device(path: str):
 def _mount(path: str):
     device = _open_device(path)
     magic = _magic_of(device)
-    if magic == clayout.CFFS_MAGIC:
-        return CFFS.mount(device)
-    if magic == flayout.FFS_MAGIC:
-        return FFS.mount(device)
-    raise ReproError("%s holds no recognizable file system (magic 0x%x)" % (path, magic))
+    fmt = format_for(magic)
+    if fmt is None:
+        raise ReproError("%s holds no recognizable file system (magic 0x%x)" % (path, magic))
+    return fmt.mount(device)
 
 
 def _save(fs, path: str) -> None:
@@ -110,15 +113,12 @@ def cmd_mkfs(args) -> int:
     if args.resilient:
         target = ResilientBlockDevice.format(
             device, ResiliencePolicy(n_spares=args.spares))
-    policy = policy_from_args(args)
-    if args.fs == "ffs":
-        fs = FFS.mkfs(target, FFSConfig(policy=policy))
-    else:
-        fs = CFFS.mkfs(target, CFFSConfig(
-            embedded_inodes=not args.no_embed,
-            explicit_grouping=not args.no_group,
-            policy=policy,
-        ))
+    fmt = format_for(args.fs)
+    techniques = ({"embedded_inodes": not args.no_embed,
+                   "explicit_grouping": not args.no_group}
+                  if fmt is CFFS else {})
+    fs = fmt.mkfs(target, fmt.Config(policy=policy_from_args(args),
+                                     **techniques))
     _save(fs, args.image)
     print("created %s: %s on %s (%.2f GB)%s" % (
         args.image, fs.name, profile.name, profile.capacity_bytes / 1e9,
@@ -267,14 +267,12 @@ def cmd_journal(args) -> int:
 
     device = _open_device(args.image)
     magic = _magic_of(device)
-    if magic == clayout.CFFS_MAGIC:
-        sb = clayout.unpack_superblock(device.peek_block(0))
-    elif magic == flayout.FFS_MAGIC:
-        sb = flayout.unpack_superblock(device.peek_block(0))
-    else:
+    fmt = format_for(magic)
+    if fmt is None:
         print("unrecognizable file system (magic 0x%x)" % magic,
               file=sys.stderr)
         return 2
+    sb = fmt.unpack_superblock(device.peek_block(0))
     print(describe_journal(device, int(sb["journal_start"]),
                            int(sb["journal_blocks"])))
     return 0

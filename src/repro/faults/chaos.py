@@ -32,18 +32,21 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
-from repro.core.filesystem import CFFS
-from repro.ffs.filesystem import FFS
 from repro.errors import (
     ChecksumError,
     DeviceDegraded,
     ReadOnlyFileSystem,
     ReproError,
 )
-from repro.faults.harness import FAULTSIM_PROFILE, _content, _mkfs
+from repro.faults.harness import FAULTSIM_PROFILE, _mkfs, workload_script
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
-from repro.fsck import checker_for, fsck_resilience, open_logical
+from repro.fsck import (
+    checker_for,
+    format_for,
+    fsck_resilience,
+    open_logical,
+)
 from repro.resilience import (
     HealthState,
     ResiliencePolicy,
@@ -302,25 +305,13 @@ class _Soak:
 
     def run(self) -> None:
         cfg = self.cfg
-        versions: Dict[int, int] = {}
-
-        def path_of(index: int) -> str:
-            return "/data/f%04d" % index
-
-        for i in range(cfg.n_files):
-            self._write(path_of(i), _content(cfg.seed, i, 0))
-            versions[i] = 0
-            if i >= 3 and i % 7 == 0:
-                target = i // 2
-                if path_of(target) in self.live:
-                    versions[target] += 1
-                    self._write(path_of(target),
-                                _content(cfg.seed, target, versions[target]))
-            if i >= 3 and i % 11 == 0:
-                target = i // 3
-                if path_of(target) in self.live:
-                    self._unlink(path_of(target))
-            if (i + 1) % cfg.sync_every == 0 and self._sync():
+        for op, path, body in workload_script(
+                cfg.seed, cfg.n_files, cfg.sync_every, self.live):
+            if op == "write":
+                self._write(path, body)
+            elif op == "unlink":
+                self._unlink(path)
+            elif self._sync():
                 # Spot-read a couple of just-synced files: after a good
                 # sync the device must hold exactly this content.
                 stable = [p for p in sorted(self.checkpoint)
@@ -353,9 +344,7 @@ class _Soak:
             pass   # a device too sick to flush is judged by fsck next
 
     def _remount(self):
-        if self.cfg.label == "ffs":
-            return FFS.mount(self.resilient)
-        return CFFS.mount(self.resilient)
+        return format_for(self.cfg.label).mount(self.resilient)
 
 
 def _offline_repair(report: ChaosReport, faulty: FaultyBlockDevice,

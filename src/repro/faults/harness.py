@@ -26,20 +26,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
-from repro.core.filesystem import CFFS, CFFSConfig
 from repro.disk.profiles import DriveProfile
 from repro.errors import ReproError
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
-from repro.ffs.filesystem import FFS, FFSConfig
-from repro.fsck import checker_for, fsck_resilience, open_logical
+from repro.ffs.filesystem import FFS
+from repro.fsck import (
+    FORMAT_LABELS,
+    checker_for,
+    format_for,
+    fsck_resilience,
+    open_logical,
+)
 from repro.resilience import ResiliencePolicy, ResilientBlockDevice
 
-FAULT_FSES = ("ffs", "cffs")
+FAULT_FSES = FORMAT_LABELS
 
 #: Small drive (3200 blocks ≈ 13 MB) so a full sweep — one fsck +
 #: remount per media write — stays fast.  Same geometry the test
@@ -136,12 +141,46 @@ def _content(seed: int, index: int, version: int) -> bytes:
 
 
 def _mkfs(label: str, policy: MetadataPolicy, device) -> object:
-    if label == "ffs":
-        return FFS.mkfs(device, FFSConfig(
-            blocks_per_cg=512, inodes_per_cg=256,
-            policy=policy, cache_blocks=512))
-    return CFFS.mkfs(device, CFFSConfig(
-        blocks_per_cg=512, policy=policy, cache_blocks=512))
+    fmt = format_for(label)
+    # The static inode table is sized to the small groups.
+    table = {"inodes_per_cg": 256} if fmt is FFS else {}
+    return fmt.mkfs(device, fmt.Config(
+        blocks_per_cg=512, policy=policy, cache_blocks=512, **table))
+
+
+def workload_script(seed: int, n_files: int, sync_every: int, live
+                    ) -> Iterator[Tuple[str, str, bytes]]:
+    """The sweep and soak workload, as ``(op, path, body)`` steps.
+
+    Creates ``n_files`` small files, overwriting every 7th earlier file
+    and deleting every 11th as it goes — so crash windows cover create,
+    overwrite and unlink paths — with a ``sync`` step every
+    ``sync_every`` files.  Contents are unique per (file, version), so
+    two checkpoints never agree on a path by accident.  ``live`` is the
+    consumer's own record of the paths that currently exist: it decides
+    which overwrites and deletes are still possible, and only the
+    consumer knows which of its operations succeeded.
+    """
+    versions: Dict[int, int] = {}
+
+    def path_of(index: int) -> str:
+        return "/data/f%04d" % index
+
+    for i in range(n_files):
+        yield "write", path_of(i), _content(seed, i, 0)
+        versions[i] = 0
+        if i >= 3 and i % 7 == 0:
+            target = i // 2
+            if path_of(target) in live:
+                versions[target] += 1
+                yield ("write", path_of(target),
+                       _content(seed, target, versions[target]))
+        if i >= 3 and i % 11 == 0:
+            target = i // 3
+            if path_of(target) in live:
+                yield "unlink", path_of(target), b""
+        if (i + 1) % sync_every == 0:
+            yield "sync", "", b""
 
 
 def run_journaled_workload(
@@ -155,11 +194,8 @@ def run_journaled_workload(
     """Run the sweep workload once; returns the journaling device and
     the checkpoint list (first checkpoint = empty tree after mkfs).
 
-    The workload creates ``n_files`` small files, overwriting every 7th
-    earlier file and deleting every 11th as it goes — so crash windows
-    cover create, overwrite and unlink paths — and syncs every
-    ``sync_every`` operations.  Contents are unique per (file, version),
-    so two checkpoints never agree on a path by accident.
+    The workload is :func:`workload_script`; a checkpoint is taken at
+    each of its syncs and after the closing one.
 
     With ``resilient=True`` the file system runs over a
     :class:`ResilientBlockDevice`, and a deterministic sprinkle of
@@ -187,30 +223,15 @@ def run_journaled_workload(
     fs.sync()
     assert device.journal is not None
     live: Dict[str, bytes] = {}
-    versions: Dict[int, int] = {}
     checkpoints = [Checkpoint(len(device.journal), {})]
-
-    def path_of(index: int) -> str:
-        return "/data/f%04d" % index
-
-    for i in range(n_files):
-        body = _content(seed, i, 0)
-        fs.write_file(path_of(i), body)
-        live[path_of(i)] = body
-        versions[i] = 0
-        if i >= 3 and i % 7 == 0:
-            target = i // 2
-            if path_of(target) in live:
-                versions[target] += 1
-                body = _content(seed, target, versions[target])
-                fs.write_file(path_of(target), body)
-                live[path_of(target)] = body
-        if i >= 3 and i % 11 == 0:
-            target = i // 3
-            if path_of(target) in live:
-                fs.unlink(path_of(target))
-                del live[path_of(target)]
-        if (i + 1) % sync_every == 0:
+    for op, path, body in workload_script(seed, n_files, sync_every, live):
+        if op == "write":
+            fs.write_file(path, body)
+            live[path] = body
+        elif op == "unlink":
+            fs.unlink(path)
+            del live[path]
+        else:
             fs.sync()
             checkpoints.append(Checkpoint(len(device.journal), dict(live)))
     fs.sync()
@@ -266,7 +287,7 @@ def _verify_point(
     try:
         mount_dev = (ResilientBlockDevice.attach(image) if resilient
                      else image)
-        fs = FFS.mount(mount_dev) if label == "ffs" else CFFS.mount(mount_dev)
+        fs = format_for(label).mount(mount_dev)
     except ReproError as exc:
         point.detail = "remount failed: %s" % exc
         return point
