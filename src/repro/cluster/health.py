@@ -27,6 +27,13 @@ Every transition is mirrored into the cluster's metrics registry:
 ``cluster.health.transitions`` counts moves, so the chaos report and
 the observability stack read the same numbers.
 
+Both execution paths — the facade's lock-step calls and the clients'
+capture-replay — put their failures to the same two questions, and
+both are answered here: :meth:`ClusterHealth.classify` ("retry in
+place, shard is down, or a plain error?") and
+:meth:`ClusterRetryPolicy.next_delay` ("retry after how long, or give
+up?").
+
 The monitors are *advisory* at cluster scope: they steer the router
 away from sick shards and gate evacuation; they do not block the
 underlying file systems, whose own health enforcement (the resilient

@@ -19,7 +19,7 @@ cached, because a stale intent only ever triggers a safe roll-forward)::
     4. dst: unlink the intent file
 
 Recovery rule, applied per surviving intent file after the shards are
-individually repaired and remounted (:func:`recover_cluster`):
+individually repaired and remounted (:func:`recover_shard_intents`):
 
 - source path still exists  → **roll back**: remove any destination
   copy, then the intent.  (Crash before step 3 became durable; the
@@ -37,6 +37,13 @@ is fully durable.  At every media-write boundary exactly one shard
 holds the file — no loss, no double-visibility (the crash-point sweep
 in ``tests/test_cluster.py`` kills the protocol at every landed media
 write and checks exactly that).
+
+This module also owns what the evacuation protocol
+(:mod:`repro.cluster.evacuate`) shares with the rename: the record
+format (:class:`RecordKind`, :func:`encode_record`,
+:func:`parse_record`), the one listing of ``/.cluster``
+(:func:`scan_records`) and the recovery pass both rules run over
+(:class:`Recovery`).
 """
 
 from __future__ import annotations

@@ -129,3 +129,70 @@ def test_fsck_and_group_format_are_single_sourced():
             or (isinstance(n, ast.Subscript)
                 and isinstance(n.value, ast.Attribute)
                 and n.value.attr == "data")], fs_class
+
+
+def test_cluster_replays_retries_and_records_through_one_mechanism_each():
+    """The cluster is built *on* the engine, not beside it: one replay
+    loop, generator driver and phase starter (``engine.client``), one
+    retry-budget decision and failure classifier (``cluster.health``),
+    one sealed-record codec and ``/.cluster`` listing
+    (``cluster.intent``)."""
+    import ast
+    import inspect
+    import pkgutil
+    import re
+
+    import repro.cluster
+    from repro.cluster import core, health, intent
+    from repro.engine import client as engine_client
+
+    sources = {
+        name: inspect.getsource(__import__("repro.cluster." + name,
+                                           fromlist=[name]))
+        for _, name, _ in pkgutil.iter_modules(repro.cluster.__path__)}
+
+    # (a) replay: the driver and the phase starter are inherited, the
+    # per-request loop is delegated to, captures happen in one place.
+    for host in (engine_client.Engine, core.Cluster):
+        assert issubclass(host, engine_client.Replayer)
+        for name in ("run_phase", "_step"):
+            assert name not in vars(host), (host.__name__, name)
+    for client in (engine_client.ClientContext, core.ClusterClient):
+        assert "yield from replay(" in inspect.getsource(client._run_ops)
+    for name, source in sources.items():
+        assert not re.search(r"for \w+ in [\w.]+\.requests", source), name
+        assert ".capture(" not in source, name
+        assert ".submit(" not in source and "flush_barrier" not in source, name
+
+    # (b) retry: one comparison against the per-op timeout, one place
+    # the three counters are incremented, both in health.py.
+    for name, source in sources.items():
+        if name != "health":
+            assert "op_timeout" not in source, name
+            assert "max_attempts" not in source, name
+            for counter in ("attempts", "exhausted", "absorbed"):
+                assert 'cluster.retry.%s").inc' % counter not in source, name
+    compares = [
+        node for node in ast.walk(ast.parse(sources["health"]))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(n, ast.Attribute) and n.attr == "op_timeout"
+                for n in ast.walk(node))]
+    assert len(compares) == 1
+    assert "op_timeout" in inspect.getsource(
+        health.ClusterRetryPolicy.next_delay)
+    for name, source in sources.items():
+        if name not in ("health", "__init__"):
+            assert "observe_exception" not in source, name
+            assert "observe_error" not in source, name
+
+    # (c) records: one framing literal and one directory listing.
+    framing = re.compile(r"=%[sd]\\n")
+    for name, source in sources.items():
+        if name != "intent":
+            assert not framing.search(source), name
+    assert len(framing.findall(sources["intent"])) == 1
+    assert framing.search(inspect.getsource(intent.encode_record))
+    listings = [name for name, source in sources.items()
+                for _ in re.findall(r"readdir\(CLUSTER_DIR\)", source)]
+    assert listings == ["intent"]
+    assert "readdir(CLUSTER_DIR)" in inspect.getsource(intent.scan_records)
