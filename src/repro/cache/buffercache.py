@@ -51,7 +51,9 @@ from repro.cache.buffer import Buffer, LogicalId
 from repro.errors import ChecksumError, InvalidArgument
 
 # Given a dirty victim's block number, return block numbers that should
-# travel to disk with it (must include the victim itself).
+# travel to disk with it (the cache writes those that are cached and
+# dirty).  Called inside an eviction, so it must be pure: no device I/O,
+# and no cache call that can insert or evict (``peek``/``get_logical``).
 FlushCompanionsHook = Callable[[int], Iterable[int]]
 
 #: Upper bound on flush passes inside :meth:`BufferCache.sync`.  A
@@ -74,7 +76,6 @@ class BufferCache:
         self._dirty: Set[int] = set()
         self.flush_companions: Optional[FlushCompanionsHook] = None
         self.write_pipeline = None  # see module docstring for the contract
-        self._evicting = False
         # Statistics.
         self.hits = 0
         self.misses = 0
@@ -339,19 +340,14 @@ class BufferCache:
         victim = self._phys[victim_bno]
         if victim.dirty:
             companions = set([victim_bno])
-            # The gather hook may itself touch the cache; guard against
-            # re-entrant eviction (the inner eviction writes its victim
-            # alone, which is always safe).
-            if self.flush_companions is not None and not self._evicting:
-                self._evicting = True
-                try:
-                    companions.update(self.flush_companions(victim_bno))
-                finally:
-                    self._evicting = False
+            # The gather hook is pure (no device I/O, nothing inserted
+            # or evicted), so it cannot re-enter this eviction.
+            if self.flush_companions is not None:
+                companions.update(self.flush_companions(victim_bno))
             writes, cleaned = self._prepare_writes(companions)
             with obs.span("cache", "evict_writeback", victim=victim_bno) as sp:
                 sp.incr("blocks", len(writes))
-                self.device.write_batch(writes)
+                sp.incr("requests", self.device.write_batch(writes))
             if self.write_pipeline is not None and writes:
                 self.write_pipeline.committed(list(writes))
             for bno in cleaned:

@@ -594,14 +594,23 @@ class CFFS(BlockFileSystem):
             super()._fetch_data_blocks(handle, singles)
 
     def _flush_companions(self, victim_bno: int) -> List[int]:
+        """A dirty group leaves the cache as a unit, whether or not its
+        descriptor is cached: a cached descriptor names the valid slots
+        of a group (or says the extent is none: same-file clustering);
+        a cold one leaves the decision to geometry — the whole aligned
+        extent, of which the cache writes the blocks that are dirty."""
         ext = self.groups.extent_of_block(victim_bno)
-        if ext is not None and self.config.explicit_grouping:
-            desc = self.groups.read_desc_cached(ext)
-            if desc is not None and desc["state"] == layout.EXT_GROUPED:
-                base = self.groups.extent_base(ext)
-                return [base + s for s in range(self.config.group_span)
-                        if desc["valid_mask"] & (1 << s)]
-        return super()._flush_companions(victim_bno)  # same-file clustering
+        if ext is None or not self.config.explicit_grouping:
+            return super()._flush_companions(victim_bno)
+        desc = self.groups.read_desc_cached(ext)
+        base = self.groups.extent_base(ext)
+        if desc is None:
+            return (super()._flush_companions(victim_bno)
+                    + list(range(base, base + self.config.group_span)))
+        if desc["state"] == layout.EXT_GROUPED:
+            return [base + s for s in range(self.config.group_span)
+                    if desc["valid_mask"] & (1 << s)]
+        return super()._flush_companions(victim_bno)
 
     # ------------------------------------------------------------------ directories
 

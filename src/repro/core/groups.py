@@ -94,9 +94,9 @@ class GroupTable:
         return unpack_gdesc_from(buf.data, off)
 
     def read_desc_cached(self, ext: ExtentId) -> Optional[dict]:
-        """Like :meth:`read_desc` but never touches the disk; None when
-        the descriptor block is not cached (used by flush gathering,
-        which must not start nested I/O)."""
+        """Like :meth:`read_desc` but never touches the disk or the
+        cache's state; None when the descriptor block is not cached
+        (used by flush gathering, which runs inside an eviction)."""
         bno, off = self._desc_location(ext)
         buf = self.cache.peek(bno)
         if buf is None:

@@ -394,7 +394,10 @@ class BlockFileSystem(FileSystem):
             self.cache.install(bno, data[bno], logical=(fid, idx))
 
     def _flush_companions(self, victim_bno: int) -> List[int]:
-        """Cluster contiguous dirty blocks of the victim's file."""
+        """The cache's gather hook: cluster contiguous dirty blocks of
+        the victim's file.  It runs inside an eviction, so it is pure —
+        no device I/O, and only cache lookups that can neither insert
+        nor evict."""
         buf = self.cache.peek(victim_bno)
         if buf is None or buf.logical is None:
             return [victim_bno]

@@ -10,6 +10,7 @@ extent travel together.
 
 import pytest
 
+from repro import obs
 from repro.cache.policy import MetadataPolicy
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.fsck import fsck_cffs
@@ -97,11 +98,11 @@ def test_gather_hook_is_pure(desc_cached):
     dirty = set(cache._dirty)
     counters = (cache.hits, cache.misses, cache.evictions)
     real = cache.device
-    cache.device = _NoIO(real)
+    cache.device = fs.device = _NoIO(real)
     try:
         companions = set(cache.flush_companions(victim))
     finally:
-        cache.device = real
+        cache.device = fs.device = real
     assert list(cache._phys) == resident
     assert set(cache._dirty) == dirty
     assert (cache.hits, cache.misses, cache.evictions) == counters
@@ -112,3 +113,24 @@ def test_gather_hook_is_pure(desc_cached):
     assert victim in companions
     # Every dirty block of the victim's extent travels with it.
     assert dirty & span <= companions
+
+
+def test_eviction_span_reports_blocks_and_requests():
+    """Blocks per eviction is readable from a trace: the write-back
+    span carries ``requests`` next to ``blocks``, like both flushes."""
+    fs = make_fs("cffs")
+    paths = populate(fs)
+    tracer = obs.install(obs.Tracer(clock=fs.device.clock))
+    try:
+        for path in paths:
+            fs.write_file(path, b"t" * BLOCK)
+    finally:
+        obs.uninstall()
+    spans = [s for s in tracer.spans
+             if (s.layer, s.op) == ("cache", "evict_writeback")]
+    assert spans
+    assert all(set(s.counters) == {"blocks", "requests"} for s in spans)
+    # Whole groups, one request each.
+    assert max(s.counters["blocks"] for s in spans) == fs.config.group_span
+    assert (sum(s.counters["blocks"] for s in spans)
+            >= 8 * sum(s.counters["requests"] for s in spans))
