@@ -302,10 +302,11 @@ class FileSystem(abc.ABC):
     def evict_file_data(self, path: str) -> int:
         """Drop a file's cached data blocks (fadvise(DONTNEED)-style).
 
-        Dirty blocks are flushed first; metadata (directories, inodes)
-        stays cached.  Returns the number of blocks dropped.  Workloads
-        use this to model data-cache turnover without losing the hot
-        name/metadata state a busy system retains.
+        Dirty blocks are flushed first, as one batched write; metadata
+        (directories, inodes) stays cached.  Returns the number of
+        blocks dropped.  Workloads use this to model data-cache
+        turnover without losing the hot name/metadata state a busy
+        system retains.
         """
         # reprolint: disable=L001 -- same shared block-walker wart as fsync.
         from repro.ffs import mapping
@@ -313,13 +314,14 @@ class FileSystem(abc.ABC):
         self.cpu.charge_syscall()
         handle = self._resolve(path)
         fid = self._file_id(handle)  # type: ignore[attr-defined]
+        blocks = list(mapping.enumerate_blocks(self.cache, handle))
+        # One coalesced write (and one ``committed``) for the whole file.
+        self.cache.flush_blocks(bno for _idx, bno in blocks)
         dropped = 0
-        for idx, bno in list(mapping.enumerate_blocks(self.cache, handle)):
+        for idx, bno in blocks:
             buf = self.cache.peek(bno)
-            if buf is None:
-                continue
-            if buf.dirty:
-                self.cache.write_sync(bno)
+            if buf is None or buf.dirty:
+                continue  # dirty still: the write pipeline deferred it
             self.cache.drop_logical((fid, idx))
             self.cache.forget(bno)
             dropped += 1

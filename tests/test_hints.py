@@ -1,6 +1,9 @@
 """Tests for application-hint grouping (the paper's §6 extension)."""
 
 
+import pytest
+
+from repro.cache.policy import MetadataPolicy
 from repro.fsck import fsck_cffs
 from repro.workloads.hypertext import build_site, serve_documents
 from tests.conftest import make_cffs
@@ -118,6 +121,40 @@ class TestEvictFileData:
         cffs.write_file("/a", b"y" * 4096)
         cffs.evict_file_data("/a")
         assert cffs.read_file("/a") == b"y" * 4096
+
+    @pytest.mark.parametrize("policy", [MetadataPolicy.SYNC_METADATA,
+                                        MetadataPolicy.JOURNAL_METADATA],
+                             ids=lambda p: p.value)
+    def test_dirty_file_leaves_as_one_request(self, policy):
+        fs = make_cffs(policy)
+        fs.write_file("/a", b"p" * 4096 + b"q" * 4096)
+        committed = []
+        if fs.cache.write_pipeline is not None:
+            fs.cache.write_pipeline.commit()  # the log write is not the file's
+            inner = fs.cache.write_pipeline.committed
+            fs.cache.write_pipeline.committed = (
+                lambda bnos: (committed.append(list(bnos)), inner(bnos)))
+        before = fs.device.disk.stats.writes
+        assert fs.evict_file_data("/a") == 2
+        assert fs.device.disk.stats.writes == before + 1
+        if fs.cache.write_pipeline is not None:
+            assert len(committed) == 1 and len(committed[0]) == 2
+        assert fs.read_file("/a") == b"p" * 4096 + b"q" * 4096
+
+    def test_deferred_block_is_kept_not_lost(self):
+        """Soft updates gate a reused block until the write that freed
+        it is durable; evicting must not drop the unwritten bytes."""
+        fs = make_cffs(MetadataPolicy.DELAYED_METADATA)
+        fs.mkdir("/d")
+        fs.write_file("/d/a", b"a" * 8192)
+        fs.sync()
+        fs.unlink("/d/a")
+        fs.write_file("/d/b", b"b" * 8192)
+        fs.evict_file_data("/d/b")
+        assert fs.read_file("/d/b") == b"b" * 8192
+        fs.sync()
+        fs.drop_caches()
+        assert fs.read_file("/d/b") == b"b" * 8192
 
 
 class TestHypertextWorkload:
