@@ -340,8 +340,6 @@ class BufferCache:
         victim = self._phys[victim_bno]
         if victim.dirty:
             companions = set([victim_bno])
-            # The gather hook is pure (no device I/O, nothing inserted
-            # or evicted), so it cannot re-enter this eviction.
             if self.flush_companions is not None:
                 companions.update(self.flush_companions(victim_bno))
             writes, cleaned = self._prepare_writes(companions)

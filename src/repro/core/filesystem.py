@@ -600,17 +600,16 @@ class CFFS(BlockFileSystem):
         a cold one leaves the decision to geometry — the whole aligned
         extent, of which the cache writes the blocks that are dirty."""
         ext = self.groups.extent_of_block(victim_bno)
-        if ext is None or not self.config.explicit_grouping:
-            return super()._flush_companions(victim_bno)
-        desc = self.groups.read_desc_cached(ext)
-        base = self.groups.extent_base(ext)
-        if desc is None:
-            return (super()._flush_companions(victim_bno)
-                    + list(range(base, base + self.config.group_span)))
-        if desc["state"] == layout.EXT_GROUPED:
-            return [base + s for s in range(self.config.group_span)
-                    if desc["valid_mask"] & (1 << s)]
-        return super()._flush_companions(victim_bno)
+        if ext is not None and self.config.explicit_grouping:
+            desc = self.groups.read_desc_cached(ext)
+            base = self.groups.extent_base(ext)
+            if desc is None:
+                return (list(range(base, base + self.config.group_span))
+                        + super()._flush_companions(victim_bno))
+            if desc["state"] == layout.EXT_GROUPED:
+                return [base + s for s in range(self.config.group_span)
+                        if desc["valid_mask"] & (1 << s)]
+        return super()._flush_companions(victim_bno)  # same-file clustering
 
     # ------------------------------------------------------------------ directories
 
