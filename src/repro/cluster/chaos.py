@@ -36,7 +36,6 @@ stranded on an unwritable shard.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -45,6 +44,7 @@ from repro.cluster.evacuate import EvacuatedTop
 from repro.cluster.traffic import TrafficConfig, ZipfSampler, build_client_ops
 from repro.errors import InvalidArgument
 from repro.faults.schedule import FaultSchedule
+from repro.resilience.checksums import crc32
 
 #: JSON summary schema identifier (bump on incompatible change).
 CHAOS_SCHEMA = "repro-cluster-chaos/1"
@@ -247,7 +247,7 @@ def run_cluster_chaos(cfg: ChaosConfig,
     for row in evacuated:
         for path in sorted(row.crcs):
             data = cluster.fs.read_file(path)
-            if zlib.crc32(data) == row.crcs[path]:
+            if crc32(data) == row.crcs[path]:
                 verified += 1
             else:
                 mismatches.append(path)

@@ -43,7 +43,6 @@ and all I/O runs lock-step on cluster time.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -56,6 +55,7 @@ from repro.cluster.intent import (
     scan_records,
 )
 from repro.errors import DiskError, FileSystemError
+from repro.resilience.checksums import crc32
 from repro.vfs import FileKind
 
 
@@ -138,7 +138,7 @@ def evacuate_top(cluster, top: str, src_shard, dst_shard) -> EvacuatedTop:
         data = cluster.lockstep(src_shard,
                                 lambda f, p=fpath: f.read_file(p))
         cluster.account(src_shard, bytes_read=len(data))
-        report.crcs[fpath] = zlib.crc32(data)
+        report.crcs[fpath] = crc32(data)
         cluster.lockstep(dst_shard,
                          lambda f, p=fpath, d=data: durable_write(f, p, d))
         cluster.account(dst_shard, bytes_written=len(data))

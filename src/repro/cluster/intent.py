@@ -49,11 +49,11 @@ format (:class:`RecordKind`, :func:`encode_record`,
 from __future__ import annotations
 
 import re
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.resilience.checksums import crc32
 
 #: Per-shard directory holding cluster-private state (sealed records).
 #: Created at shard attach time; hidden from facade root listings.
@@ -109,7 +109,7 @@ def encode_record(kind: RecordKind, *values) -> bytes:
         [kind.magic + "\n"]
         + ["%s=%s\n" % (key, _escape(value))
            for (key, _), value in zip(kind.fields, values)]).encode("utf-8")
-    return raw + ("crc=%08x\n" % zlib.crc32(raw)).encode("ascii")
+    return raw + ("crc=%08x\n" % crc32(raw)).encode("ascii")
 
 
 def parse_record(kind: RecordKind, data: bytes) -> Optional[tuple]:
@@ -119,7 +119,7 @@ def parse_record(kind: RecordKind, data: bytes) -> Optional[tuple]:
     if not sep or not seal.endswith(b"\n"):
         return None
     try:
-        if zlib.crc32(raw) != int(seal, 16):
+        if crc32(raw) != int(seal, 16):
             return None
         lines = raw.decode("utf-8").split("\n")
         if len(lines) != len(kind.fields) + 2 or lines[0] != kind.magic \

@@ -10,7 +10,7 @@ before any file-system walk:
 - the remap table is internally consistent: spare indices unique and
   inside the consumed prefix of the pool, logical blocks inside the
   usable region, nothing both remapped and lost;
-- every non-lost usable block's content matches its sidecar CRC32C.
+- every non-lost usable block's content matches its sidecar CRC-32.
 
 A sidecar mismatch is *expected* after a crash — checksums are flushed
 at sync barriers, so a cut between a media write and the next flush
@@ -33,7 +33,7 @@ from repro.errors import CorruptFileSystem
 from repro.fsck.checker import FsckReport
 from repro.resilience.checksums import (
     CRCS_PER_BLOCK,
-    crc32c,
+    crc32,
     pack_crc_block,
     unpack_crc_block,
 )
@@ -97,7 +97,7 @@ def fsck_resilience(device, repair: bool = False) -> FsckReport:
                 continue
             phys = header.remap.get(bno)
             phys = bno if phys is None else geo.spare_block(phys)
-            actual = crc32c(device.peek_block(phys))
+            actual = crc32(device.peek_block(phys))
             if actual != stored[slot]:
                 stale += 1
                 if stale <= 3:

@@ -6,7 +6,7 @@ Both mechanisms implement the buffer cache's *write pipeline* contract
 :class:`~repro.cache.policy.MetadataPolicy`:
 
 - :class:`~repro.journal.wal.Journal` (``JOURNAL_METADATA``) — ordered
-  metadata updates are batched into CRC32C-protected transactions
+  metadata updates are batched into CRC-32-protected transactions
   appended to a reserved on-disk log region (group commit); mount-time
   replay of the committed tail recovers the volume orders of magnitude
   faster than a full fsck walk.

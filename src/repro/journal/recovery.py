@@ -13,7 +13,7 @@ home locations, and advance the checkpoint.  It comes in two flavors:
 Replay is idempotent (transactions carry full after-images, and the
 checkpoint advance empties the log), and a torn tail — a transaction
 whose descriptor, data, or commit record is missing or fails its
-CRC32C — is discarded, never applied.
+CRC-32 — is discarded, never applied.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ superblock replica::
 
     journal_start          header block (magic, checkpoint sequence)
     journal_start + 1 ...  transactions, appended in order:
-        descriptor block   seq, block numbers covered, CRC32C
+        descriptor block   seq, block numbers covered, CRC-32
         data blocks        full 4 KB after-images, one per number
-        commit block       seq, count, CRC32C over the data images
+        commit block       seq, count, CRC-32 over the data images
 
-Every record is CRC32C-protected (the same Castagnoli code the
-resilience layer uses) so replay can tell a committed transaction from
+Every record is CRC-32-protected (the same checksum the resilience
+layer uses) so replay can tell a committed transaction from
 a torn tail without trusting anything outside the log.  Sequence
 numbers increase monotonically across the volume's life; the header's
 ``checkpoint_seq`` says which transactions are already reflected in
@@ -45,10 +45,11 @@ from repro import obs
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.cache.buffercache import BufferCache
 from repro.errors import JournalCorrupt
-from repro.resilience.checksums import crc32c
+from repro.resilience.checksums import crc32
 
 JOURNAL_MAGIC = b"CFFSJRNL"
-JOURNAL_VERSION = 1
+#: 2 = checksums are zlib CRC-32; any other version is refused.
+JOURNAL_VERSION = 2
 
 DESC_MAGIC = 0x4A445343    # "JDSC"
 COMMIT_MAGIC = 0x4A434D54  # "JCMT"
@@ -57,10 +58,10 @@ COMMIT_MAGIC = 0x4A434D54  # "JCMT"
 #: data block + commit still leave room to breathe.
 MIN_JOURNAL_BLOCKS = 8
 
-# Header: magic, version, nblocks, checkpoint_seq (+ trailing CRC32C).
+# Header: magic, version, nblocks, checkpoint_seq (+ trailing CRC-32).
 _JHDR_FMT = "<8sIIQ"
 _JHDR_SIZE = struct.calcsize(_JHDR_FMT)
-# Descriptor / commit record heads (+ payload, + trailing CRC32C).
+# Descriptor / commit record heads (+ payload, + trailing CRC-32).
 _JDESC_FMT = "<IQI"   # magic, seq, count; then count block numbers
 _JDESC_SIZE = struct.calcsize(_JDESC_FMT)
 _JCOMMIT_FMT = "<IQII"  # magic, seq, count, data_crc
@@ -77,8 +78,8 @@ def default_journal_blocks(total_blocks: int) -> int:
 
 
 def _seal(body: bytes) -> bytes:
-    """``body`` + CRC32C, zero-padded to one block."""
-    sealed = body + _CRC.pack(crc32c(body))
+    """``body`` + CRC-32, zero-padded to one block."""
+    sealed = body + _CRC.pack(crc32(body))
     return sealed + bytes(BLOCK_SIZE - len(sealed))
 
 
@@ -88,13 +89,17 @@ def pack_header(nblocks: int, checkpoint_seq: int) -> bytes:
 
 
 def unpack_header(raw: bytes) -> Optional[dict]:
-    """Parsed header fields, or None when the block is not a valid
-    journal header (wrong magic/version or CRC mismatch)."""
+    """Parsed header fields, or None when the block is not a journal
+    header (wrong magic or CRC mismatch); a journal header of another
+    format version raises :class:`JournalCorrupt` naming it."""
     magic, version, nblocks, checkpoint_seq = struct.unpack_from(_JHDR_FMT, raw, 0)
-    if magic != JOURNAL_MAGIC or version != JOURNAL_VERSION:
+    if magic != JOURNAL_MAGIC:
         return None
+    if version != JOURNAL_VERSION:
+        raise JournalCorrupt(
+            "journal format version %d unsupported" % version)
     (crc,) = _CRC.unpack_from(raw, _JHDR_SIZE)
-    if crc != crc32c(raw[:_JHDR_SIZE]):
+    if crc != crc32(raw[:_JHDR_SIZE]):
         return None
     return {"nblocks": nblocks, "checkpoint_seq": checkpoint_seq}
 
@@ -111,7 +116,7 @@ def parse_descriptor(raw: bytes) -> Optional[Tuple[int, List[int]]]:
         return None
     body_size = _JDESC_SIZE + 4 * count
     (crc,) = _CRC.unpack_from(raw, body_size)
-    if crc != crc32c(raw[:body_size]):
+    if crc != crc32(raw[:body_size]):
         return None
     bnos = list(struct.unpack_from("<%dI" % count, raw, _JDESC_SIZE))
     return seq, bnos
@@ -126,16 +131,16 @@ def parse_commit(raw: bytes) -> Optional[Tuple[int, int, int]]:
     if magic != COMMIT_MAGIC:
         return None
     (crc,) = _CRC.unpack_from(raw, _JCOMMIT_SIZE)
-    if crc != crc32c(raw[:_JCOMMIT_SIZE]):
+    if crc != crc32(raw[:_JCOMMIT_SIZE]):
         return None
     return seq, count, data_crc
 
 
 def extent_crc(images: Sequence[bytes]) -> int:
-    """One CRC32C over a transaction's data images, in order."""
+    """One CRC-32 over a transaction's data images, in order."""
     crc = 0
     for image in images:
-        crc = crc32c(image, crc)
+        crc = crc32(image, crc)
     return crc
 
 

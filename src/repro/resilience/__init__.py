@@ -4,8 +4,8 @@ The package interposes :class:`ResilientBlockDevice` between the file
 systems (or the buffer cache) and the — possibly fault-injecting —
 device below it:
 
-- :mod:`repro.resilience.checksums` — pure-Python CRC32C and the
-  per-block sidecar codec;
+- :mod:`repro.resilience.checksums` — the one checksum (stdlib CRC-32)
+  and the per-block sidecar codec;
 - :mod:`repro.resilience.layout` — the reserved tail region (sidecar,
   spare pool, CRC-protected header with remap + lost tables);
 - :mod:`repro.resilience.health` — the HEALTHY → DEGRADED → READ_ONLY
@@ -19,7 +19,7 @@ See ``docs/RESILIENCE.md`` for the design and its invariants.
 
 from repro.resilience.checksums import (
     CRCS_PER_BLOCK,
-    crc32c,
+    crc32,
     pack_crc_block,
     unpack_crc_block,
 )
@@ -64,7 +64,7 @@ __all__ = [
     "ZERO_CRC",
     "compute_geometry",
     "crc_blocks_for",
-    "crc32c",
+    "crc32",
     "pack_crc_block",
     "try_unpack_header",
     "unpack_crc_block",

@@ -1,141 +1,26 @@
-"""CRC32C (Castagnoli) and the per-block checksum sidecar codec.
+"""The one checksum and the per-block checksum sidecar codec.
 
-Every usable block of a resilient device carries a 4-byte CRC32C in a
-reserved sidecar region at the tail of the underlying device.  CRC32C
-is the polynomial storage systems standardized on (iSCSI, btrfs, ext4
-metadata_csum) because it catches the failure modes that matter here:
-torn multi-sector writes, stuck bits, and wholesale misdirected block
-content.  Pure Python, no dependencies, deterministic everywhere.
+:data:`crc32` is stdlib :func:`zlib.crc32` (CRC-32, the IEEE 802.3
+polynomial), bound directly so the hot path pays no python frame.  It
+is the only checksum in the tree: the resilience sidecar and header,
+the journal's records, and the cluster's sealed ``/.cluster`` records
+and content checks all import this name.  ``crc32(data, prev)``
+continues a run.
 
-Two implementations share the same tables:
-
-- :func:`crc32c_reference` is classic slicing-by-8 (eight 256-entry
-  tables, eight input bytes folded per step) — the original,
-  byte-at-a-time-indexed implementation, kept as the oracle the
-  property tests compare against;
-- :func:`crc32c` is the production fast path: the same eight byte
-  tables folded into four 65536-entry *16-bit* tables, consuming the
-  input as little-endian 64-bit words (one C-speed ``struct`` unpack
-  per buffer, four table lookups per eight bytes instead of eight).
-  The wide tables are built lazily on first use (~0.2 s, ~8 MB) so
-  importing this module stays cheap for code that never checksums.
-
+Every usable block of a resilient device carries its 4-byte checksum
+in a reserved sidecar region at the tail of the underlying device.
 Sidecar layout: checksums are stored little-endian, packed 1024 to a
-4 KB block; the CRC for logical block *b* lives at sidecar block
+4 KB block; the checksum of logical block *b* lives at sidecar block
 ``b // 1024``, offset ``(b % 1024) * 4``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Optional
+import zlib
+from typing import List
 
-#: CRC32C (Castagnoli) reversed polynomial.
-_POLY = 0x82F63B78
-
-
-def _build_tables() -> List[List[int]]:
-    byte_table = []
-    for i in range(256):
-        crc = i
-        for _ in range(8):
-            crc = (crc >> 1) ^ _POLY if crc & 1 else crc >> 1
-        byte_table.append(crc)
-    tables = [byte_table]
-    for k in range(1, 8):
-        prev = tables[k - 1]
-        tables.append([(prev[i] >> 8) ^ byte_table[prev[i] & 0xFF]
-                       for i in range(256)])
-    return tables
-
-
-_TABLES = _build_tables()
-_TABLE = _TABLES[0]
-
-#: The four 16-bit slicing tables (built lazily by :func:`_wide_tables`).
-#: ``_WIDE[j][v]`` is the CRC contribution of the little-endian 16-bit
-#: value ``v`` sitting at byte offset ``2*j`` of an 8-byte word.
-_WIDE: Optional[List[List[int]]] = None
-
-#: 4 KB of zeros and its CRC — the common case on a sparse device.
-_ZERO_BLOCK = bytes(4096)
-_ZERO_BLOCK_CRC = None   # filled in below, once crc32c exists
-
-#: One 4 KB block as 512 little-endian 64-bit words (the hot shape).
-_BLOCK_WORDS = struct.Struct("<512Q")
-
-
-def _wide_tables() -> List[List[int]]:
-    """Build (once) the 16-bit tables by folding the byte tables."""
-    global _WIDE
-    if _WIDE is None:
-        t0, t1, t2, t3, t4, t5, t6, t7 = _TABLES
-        _WIDE = [
-            [t7[v & 0xFF] ^ t6[v >> 8] for v in range(65536)],
-            [t5[v & 0xFF] ^ t4[v >> 8] for v in range(65536)],
-            [t3[v & 0xFF] ^ t2[v >> 8] for v in range(65536)],
-            [t1[v & 0xFF] ^ t0[v >> 8] for v in range(65536)],
-        ]
-    return _WIDE
-
-
-def crc32c_reference(data: bytes, crc: int = 0) -> int:
-    """Slicing-by-8 CRC32C: the oracle implementation.
-
-    Byte-indexed, allocation-free, and independent of the wide-table
-    fast path — the property tests check :func:`crc32c` against this
-    on every length and alignment.
-    """
-    t0, t1, t2, t3, t4, t5, t6, t7 = _TABLES
-    crc ^= 0xFFFFFFFF
-    n = len(data)
-    i = 0
-    end8 = n - (n & 7)
-    while i < end8:
-        crc ^= (data[i] | data[i + 1] << 8
-                | data[i + 2] << 16 | data[i + 3] << 24)
-        crc = (t7[crc & 0xFF] ^ t6[(crc >> 8) & 0xFF]
-               ^ t5[(crc >> 16) & 0xFF] ^ t4[crc >> 24]
-               ^ t3[data[i + 4]] ^ t2[data[i + 5]]
-               ^ t1[data[i + 6]] ^ t0[data[i + 7]])
-        i += 8
-    while i < n:
-        crc = t0[(crc ^ data[i]) & 0xFF] ^ (crc >> 8)
-        i += 1
-    return crc ^ 0xFFFFFFFF
-
-
-def crc32c(data: bytes, crc: int = 0) -> int:
-    """CRC32C of ``data``; pass a previous result to continue a run."""
-    n = len(data)
-    if crc == 0 and n == 4096 and _ZERO_BLOCK_CRC is not None \
-            and data == _ZERO_BLOCK:
-        # Zero detection: scrub and fsck sweep every block of a mostly
-        # empty device, and the C-speed compare is ~100x the table loop.
-        return _ZERO_BLOCK_CRC
-    t0 = _TABLE
-    crc ^= 0xFFFFFFFF
-    nwords = n >> 3
-    if nwords:
-        u0, u1, u2, u3 = _wide_tables()
-        if n == 4096:
-            words = _BLOCK_WORDS.unpack(data)
-        else:
-            words = struct.unpack_from("<%dQ" % nwords, data)
-        for w in words:
-            lo = (w & 0xFFFFFFFF) ^ crc
-            hi = w >> 32
-            crc = (u0[lo & 0xFFFF] ^ u1[lo >> 16]
-                   ^ u2[hi & 0xFFFF] ^ u3[hi >> 16])
-    i = nwords << 3
-    while i < n:
-        crc = t0[(crc ^ data[i]) & 0xFF] ^ (crc >> 8)
-        i += 1
-    return crc ^ 0xFFFFFFFF
-
-
-# Via the reference path so importing never triggers the wide build.
-_ZERO_BLOCK_CRC = crc32c_reference(_ZERO_BLOCK)
+crc32 = zlib.crc32
 
 #: Checksum entries per 4 KB sidecar block.
 CRCS_PER_BLOCK = 1024
@@ -155,8 +40,7 @@ def unpack_crc_block(raw: bytes) -> List[int]:
 
 __all__ = [
     "CRCS_PER_BLOCK",
-    "crc32c",
-    "crc32c_reference",
+    "crc32",
     "pack_crc_block",
     "unpack_crc_block",
 ]

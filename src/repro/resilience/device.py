@@ -5,7 +5,7 @@ buffer cache and file systems use) that sits between them and the —
 optionally fault-injecting — device below, and turns media decay into
 detected, healed, or gracefully-degraded outcomes:
 
-- every read is verified against the per-block CRC32C sidecar; a block
+- every read is verified against the per-block CRC-32 sidecar; a block
   whose bytes do not match raises :class:`~repro.errors.ChecksumError`
   instead of returning, so corruption is *detected*, never silently
   installed into the buffer cache;
@@ -50,7 +50,7 @@ from repro.errors import (
 )
 from repro.resilience.checksums import (
     CRCS_PER_BLOCK,
-    crc32c,
+    crc32,
     pack_crc_block,
     unpack_crc_block,
 )
@@ -65,8 +65,8 @@ from repro.resilience.layout import (
     try_unpack_header,
 )
 
-#: CRC32C of an all-zero block — the sidecar value of unwritten blocks.
-ZERO_CRC = crc32c(bytes(BLOCK_SIZE))
+#: Checksum of an all-zero block — the sidecar value of unwritten blocks.
+ZERO_CRC = crc32(bytes(BLOCK_SIZE))
 
 
 @dataclass
@@ -102,7 +102,7 @@ class ResilientBlockDevice:
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.health = HealthMonitor()
         self.stats = ResilienceStats()
-        self._crc = crcs                      # logical block -> CRC32C
+        self._crc = crcs                      # logical block -> CRC-32
         self._dirty_crc_blocks: set = set()   # sidecar blocks to persist
         self._header_dirty = False
 
@@ -304,7 +304,7 @@ class ResilientBlockDevice:
                 return "healed"
             self._mark_lost(bno, "scrub: unreadable")
             return "lost"
-        if crc32c(data) != self._crc[bno]:
+        if crc32(data) != self._crc[bno]:
             self._mark_lost(bno, "scrub: checksum mismatch")
             return "lost"
         transients = ((faulty_stats.transient_faults
@@ -372,7 +372,7 @@ class ResilientBlockDevice:
         """CRC-check a block read; raise ChecksumError on mismatch."""
         if bno in self.header.lost:
             raise ChecksumError("block %d is marked lost" % bno)
-        if crc32c(data) == self._crc[bno]:
+        if crc32(data) == self._crc[bno]:
             self.stats.verified_reads += 1
             obs.count("resilience.verified_reads")
             return data
@@ -381,7 +381,7 @@ class ResilientBlockDevice:
                 data = self.inner.read_extent(self._phys(bno), 1)[0]
             except MediaReadError:
                 continue
-            if crc32c(data) == self._crc[bno]:
+            if crc32(data) == self._crc[bno]:
                 self.stats.verified_reads += 1
                 obs.count("resilience.verified_reads")
                 return data
@@ -390,7 +390,7 @@ class ResilientBlockDevice:
         self._mark_lost(bno, "read verification failed")
         raise ChecksumError(
             "block %d: data CRC 0x%08x does not match sidecar 0x%08x"
-            % (bno, crc32c(data), self._crc[bno]))
+            % (bno, crc32(data), self._crc[bno]))
 
     def _mark_lost(self, bno: int, reason: str) -> None:
         if bno in self.header.lost:
@@ -459,7 +459,7 @@ class ResilientBlockDevice:
     def _record_written(self, lstart: int, seg: Sequence[bytes]) -> None:
         for i, data in enumerate(seg):
             logical = lstart + i
-            self._crc[logical] = crc32c(data)
+            self._crc[logical] = crc32(data)
             self._dirty_crc_blocks.add(logical // CRCS_PER_BLOCK)
             if logical in self.header.lost:
                 self.header.lost.discard(logical)
@@ -565,7 +565,7 @@ class LogicalView:
         if self.maintain_sidecar:
             sidecar_block, offset = self.header.geometry.crc_location(bno)
             raw = bytearray(self.base.peek_block(sidecar_block))
-            struct.pack_into("<I", raw, offset, crc32c(data))
+            struct.pack_into("<I", raw, offset, crc32(data))
             self.base.poke_block(sidecar_block, bytes(raw))
 
 

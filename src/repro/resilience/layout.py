@@ -4,12 +4,12 @@ A resilient device reserves the tail of the underlying device::
 
     [ usable blocks ... | CRC sidecar | spare pool | header ]
 
-- the *CRC sidecar* holds one CRC32C per usable block
+- the *CRC sidecar* holds one CRC-32 per usable block
   (:mod:`repro.resilience.checksums`);
 - the *spare pool* supplies replacement blocks for bad-block remapping;
 - the *header* (always the last physical block) carries the region's
   magic, the geometry, the remap table (logical block -> spare index),
-  and the lost-block list, all protected by a trailing CRC32C so fsck
+  and the lost-block list, all protected by a trailing CRC-32 so fsck
   and :meth:`ResilientBlockDevice.attach` can tell a real header from
   noise.
 
@@ -26,7 +26,7 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.blockdev.device import BLOCK_SIZE
 from repro.errors import CorruptFileSystem, InvalidArgument
-from repro.resilience.checksums import CRCS_PER_BLOCK, crc32c
+from repro.resilience.checksums import CRCS_PER_BLOCK, crc32
 
 RESILIENCE_MAGIC = b"CFRESIL1"
 
@@ -39,7 +39,8 @@ _REMAP_ENTRY = struct.Struct("<QI")
 _LOST_ENTRY = struct.Struct("<Q")
 _CRC_TRAILER = struct.Struct("<I")
 
-HEADER_VERSION = 1
+#: 2 = checksums are zlib CRC-32; any other version is refused.
+HEADER_VERSION = 2
 
 
 def crc_blocks_for(usable_blocks: int) -> int:
@@ -119,7 +120,7 @@ class ResilienceHeader:
             raise InvalidArgument(
                 "resilience header overflows one block "
                 "(%d remaps, %d lost)" % (len(self.remap), len(self.lost)))
-        body += _CRC_TRAILER.pack(crc32c(bytes(body)))
+        body += _CRC_TRAILER.pack(crc32(body))
         return bytes(body) + bytes(BLOCK_SIZE - len(body))
 
 
@@ -141,7 +142,7 @@ def try_unpack_header(raw: bytes, total_blocks: int) -> Optional[ResilienceHeade
     if body_len + _CRC_TRAILER.size > BLOCK_SIZE:
         raise CorruptFileSystem("resilience header entry counts overflow")
     (stored_crc,) = _CRC_TRAILER.unpack_from(raw, body_len)
-    if crc32c(raw[:body_len]) != stored_crc:
+    if crc32(raw[:body_len]) != stored_crc:
         raise CorruptFileSystem("resilience header CRC mismatch")
     geo = ResilienceGeometry(total_blocks, usable, n_crc, n_spares)
     if (geo.usable_blocks + geo.n_crc_blocks + geo.n_spares + 1

@@ -1,14 +1,9 @@
-"""Property tests for the bit-level fast paths the perf PR introduced.
+"""Property tests for the bitmap-scan fast path.
 
-The CRC32C wide-table implementation (:func:`repro.resilience.crc32c`)
-consumes eight input bytes per step through four 65536-entry tables; it
-must agree with the retained slicing-by-8 oracle
-(:func:`crc32c_reference`) for every length and alignment, because the
-resilience layer trusts it for torn-write detection.  The bitmap scan
-(:func:`repro.ffs.cylgroup.find_clear_bit`) must agree with a
-bit-by-bit probe for every (bitmap, start, end), because the allocator
-trusts it to pick the *same* block the probe loop would have picked —
-that is what keeps disk images byte-identical.
+:func:`repro.ffs.cylgroup.find_clear_bit` must agree with a bit-by-bit
+probe for every (bitmap, start, end), because the allocator trusts it
+to pick the *same* block the probe loop would have picked — that is
+what keeps disk images byte-identical.
 """
 
 from __future__ import annotations
@@ -16,60 +11,6 @@ from __future__ import annotations
 import random
 
 from repro.ffs.cylgroup import bit_is_set, find_clear_bit
-from repro.resilience.checksums import crc32c, crc32c_reference
-
-
-class TestCrcFastPath:
-    def test_standard_check_value(self):
-        # The CRC32C check value from RFC 3720 / the iSCSI test vector.
-        assert crc32c(b"123456789") == 0xE3069283
-        assert crc32c_reference(b"123456789") == 0xE3069283
-
-    def test_all_lengths_0_to_4097(self):
-        """Fast path == oracle on every length spanning a 4 KB block.
-
-        One seeded random buffer, checked at every prefix length: this
-        covers the empty buffer, every word-loop/byte-tail split, the
-        exact-block struct path (4096), and one length past it.
-        """
-        rng = random.Random(0xC4C)
-        buf = bytes(rng.getrandbits(8) for _ in range(4098))
-        for length in range(4098):
-            prefix = buf[:length]
-            assert crc32c(prefix) == crc32c_reference(prefix), (
-                "fast path diverged from slicing-by-8 at length %d" % length)
-
-    def test_chained_crc_matches_one_shot(self):
-        """Continuing from a previous CRC equals checksumming the whole."""
-        rng = random.Random(1997)
-        data = bytes(rng.getrandbits(8) for _ in range(4096))
-        whole = crc32c_reference(data)
-        for split in (0, 1, 7, 8, 9, 511, 512, 2048, 4095, 4096):
-            assert crc32c(data[split:], crc32c(data[:split])) == whole
-        # Nonzero initial crc on both implementations.
-        for seed_crc in (1, 0xDEADBEEF, 0xFFFFFFFF):
-            assert crc32c(data, seed_crc) == crc32c_reference(data, seed_crc)
-
-    def test_zero_block_fast_path(self):
-        """The memcmp-speed zero-block shortcut returns the real CRC."""
-        zero = bytes(4096)
-        assert crc32c(zero) == crc32c_reference(zero)
-        # The shortcut only applies at crc == 0; chained calls take the
-        # table path and must still be right.
-        assert crc32c(zero, 123) == crc32c_reference(zero, 123)
-        # A single set bit anywhere must defeat the shortcut.
-        for pos in (0, 1, 2047, 4095):
-            block = bytearray(4096)
-            block[pos] = 1
-            assert crc32c(bytes(block)) == crc32c_reference(bytes(block))
-            assert crc32c(bytes(block)) != crc32c(zero)
-
-    def test_accepts_bytearray(self):
-        """Cache buffers are bytearrays; both paths must accept them."""
-        rng = random.Random(7)
-        for length in (0, 5, 64, 4096):
-            ba = bytearray(rng.getrandbits(8) for _ in range(length))
-            assert crc32c(ba) == crc32c_reference(bytes(ba))
 
 
 def _probe_clear_bit(bitmap, start, end):

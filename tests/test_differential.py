@@ -1,8 +1,7 @@
 """Differential tests: the optimized hot paths are behavior-neutral.
 
-The perf overhaul (zero-copy block handling, the table-driven CRC32C
-fast path, batched event-loop dispatch, allocation-free disabled
-observability) promises to change *nothing* observable: for a fixed
+The perf overhaul (zero-copy block handling, batched event-loop
+dispatch, allocation-free disabled observability) promises to change *nothing* observable: for a fixed
 seed, the disk image must stay byte-identical, and the trace/metric
 event streams must stay identical too.  These tests pin that promise
 to goldens captured from the pre-optimization code.
@@ -12,7 +11,7 @@ Three seeded scenarios cover the three stacks the optimizations touch:
 - ``fig5``: the paper's smallfile benchmark on the conventional and
   C-FFS configurations (vfs -> core/ffs -> cache -> blockdev -> disk);
 - ``postmark``: mixed transactional churn with deletes and appends;
-- ``chaos``: the resilience soak (CRC32C verify on every read, remap,
+- ``chaos``: the resilience soak (checksum verify on every read, remap,
   scrub) whose report renders deterministically.
 
 Each scenario captures a SHA-256 of the device's logical contents

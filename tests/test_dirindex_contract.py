@@ -136,7 +136,7 @@ def test_cluster_replays_retries_and_records_through_one_mechanism_each():
     loop, generator driver and phase starter (``engine.client``), one
     retry-budget decision and failure classifier (``cluster.health``),
     one sealed-record codec and ``/.cluster`` listing
-    (``cluster.intent``)."""
+    (``cluster.intent``), one checksum (``resilience.checksums``)."""
     import ast
     import inspect
     import pkgutil
@@ -196,3 +196,15 @@ def test_cluster_replays_retries_and_records_through_one_mechanism_each():
                 for _ in re.findall(r"readdir\(CLUSTER_DIR\)", source)]
     assert listings == ["intent"]
     assert "readdir(CLUSTER_DIR)" in inspect.getsource(intent.scan_records)
+
+    # (d) checksum: one name, bound in ``resilience.checksums``; the hash
+    # ring hashes with the stdlib function itself (a hash, not a checksum).
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    mentions = sorted(
+        path.relative_to(root).as_posix() for path in root.rglob("*.py")
+        if re.search(r"\b(zlib|binascii)\.crc32\b", path.read_text()))
+    assert mentions == ["cluster/router.py", "resilience/checksums.py"]

@@ -44,7 +44,7 @@ class TestLogFormat:
 
     def test_header_crc_rejected(self):
         raw = bytearray(wal.pack_header(128, 42))
-        raw[10] ^= 0xFF
+        raw[16] ^= 0xFF    # checkpoint_seq, inside the sealed body
         assert wal.unpack_header(bytes(raw)) is None
 
     def test_header_wrong_magic(self):

@@ -167,7 +167,7 @@ def test_l001_journal_layer_dependencies():
         "src/repro/journal/wal.py": (
             "from repro.blockdev.device import BlockDevice\n"
             "from repro.cache.buffercache import BufferCache\n"
-            "from repro.resilience.checksums import crc32c\n"
+            "from repro.resilience.checksums import crc32\n"
         ),
         "src/repro/ffs/base.py": "from repro.journal import attach_pipeline\n",
         "src/repro/fsck/checker.py": "from repro.journal import replay_journal\n",

@@ -1,4 +1,4 @@
-"""Resilience layer tests: CRC32C, layout, health, device, scrubber, fsck.
+"""Resilience layer tests: checksum, layout, health, device, scrubber, fsck.
 
 The contract under test: every read through a ResilientBlockDevice is
 either verified-correct or raises ChecksumError; hard write faults heal
@@ -7,9 +7,12 @@ attach cycle; exhausting the spares demotes to READ_ONLY instead of
 crashing; and fsck can check and rebuild the sidecar and remap table.
 """
 
+import random
+
 import pytest
 
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
+from repro.disk.geometry import SECTOR_SIZE
 from repro.engine.eventloop import EventLoop
 from repro.errors import (
     AddressError,
@@ -30,12 +33,11 @@ from repro.resilience import (
     Scrubber,
     ZERO_CRC,
     compute_geometry,
-    crc32c,
+    crc32,
     pack_crc_block,
     try_unpack_header,
     unpack_crc_block,
 )
-from repro.resilience.checksums import _TABLE
 from repro.resilience.layout import ResilienceHeader
 from tests.conftest import TEST_PROFILE
 
@@ -54,35 +56,51 @@ def resilient(schedule=None, policy=None, profile=TEST_PROFILE):
 # -- checksums ----------------------------------------------------------------
 
 
-def _crc32c_reference(data: bytes) -> int:
-    """Byte-at-a-time CRC32C, the ground truth for the sliced version."""
-    crc = 0xFFFFFFFF
-    for byte in data:
-        crc = _TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
-    return crc ^ 0xFFFFFFFF
+def _seeded_blocks(seed: str, count: int):
+    rng = random.Random(seed)
+    return [rng.randbytes(BLOCK_SIZE) for _ in range(count)]
 
 
-class TestCrc32c:
+class TestChecksum:
     def test_check_vector(self):
-        # The CRC32C check value from RFC 3720 / the Castagnoli paper.
-        assert crc32c(b"123456789") == 0xE3069283
-
-    def test_matches_bytewise_reference(self):
-        import random
-        rng = random.Random("crc-vectors")
-        for _ in range(50):
-            data = bytes(rng.randrange(256)
-                         for _ in range(rng.randrange(0, 300)))
-            assert crc32c(data) == _crc32c_reference(data)
-
-    def test_zero_block_fast_path_is_honest(self):
-        assert crc32c(bytes(BLOCK_SIZE)) == _crc32c_reference(bytes(BLOCK_SIZE))
-        assert ZERO_CRC == crc32c(bytes(BLOCK_SIZE))
+        # The CRC-32 (IEEE 802.3) check value.
+        assert crc32(b"123456789") == 0xCBF43926
 
     def test_continuation(self):
-        whole = crc32c(b"hello world")
-        # A continued CRC run must equal the one-shot CRC.
-        assert crc32c(b" world", crc32c(b"hello")) == whole
+        (data,) = _seeded_blocks("crc-continuation", 1)
+        whole = crc32(data)
+        # A continued run must equal the one-shot checksum.
+        for split in (0, 1, 7, 8, 511, 512, 2048, 4095, 4096):
+            assert crc32(data[split:], crc32(data[:split])) == whole
+
+    def test_zero_crc(self):
+        assert ZERO_CRC == crc32(bytes(BLOCK_SIZE))
+        assert ZERO_CRC != crc32(b"\x01" + bytes(BLOCK_SIZE - 1))
+
+    def test_accepts_buffer_types(self):
+        # The cache hands down bytearrays; peeks hand down bytes/views.
+        (data,) = _seeded_blocks("crc-buffers", 1)
+        assert (crc32(data) == crc32(bytearray(data))
+                == crc32(memoryview(data)))
+
+    def test_every_single_bit_flip_is_detected(self):
+        for data in _seeded_blocks("crc-bitflips", 3) + [bytes(BLOCK_SIZE)]:
+            good = crc32(data)
+            flipped = bytearray(data)
+            for pos in range(BLOCK_SIZE):
+                for bit in range(8):
+                    flipped[pos] ^= 1 << bit
+                    assert crc32(flipped) != good, (pos, bit)
+                    flipped[pos] ^= 1 << bit
+
+    def test_torn_write_is_detected(self):
+        # First k sectors new, the rest old: matches neither checksum,
+        # whichever of the two the sidecar holds.
+        blocks = _seeded_blocks("crc-torn", 9) + [bytes(BLOCK_SIZE)]
+        for old, new in zip(blocks, blocks[1:]):
+            for k in range(1, BLOCK_SIZE // SECTOR_SIZE):
+                torn = new[:k * SECTOR_SIZE] + old[k * SECTOR_SIZE:]
+                assert crc32(torn) not in (crc32(old), crc32(new)), k
 
     def test_sidecar_codec_roundtrip(self):
         crcs = [(i * 2654435761) & 0xFFFFFFFF for i in range(CRCS_PER_BLOCK)]
