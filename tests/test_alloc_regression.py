@@ -146,3 +146,62 @@ def test_span_names_are_interned_not_rebuilt():
                 span.name
 
     assert _retained_in_repro(hot_loop) <= BUDGET_OBJECTS
+
+
+def test_engine_replay_retains_one_record_per_operation():
+    """With no tracer, the engine keeps an ``OpRecord`` per operation
+    and nothing else: no per-request state, no observability leftovers.
+
+    Two clients replay cached reads, overwrites and a sync (so the disk
+    queue runs: writes, a flush barrier) through ``run_phase``.  What a
+    request costs — its ``QueuedRequest``, the heap entry, the resume
+    callback — is transient; what an operation keeps is its record and
+    the floats in it.  Asserted as in
+    ``test_budget_is_per_loop_not_per_block``: double the loop, bound
+    the growth.
+    """
+    from repro.engine import Engine
+
+    assert not obs.enabled()
+    fs = make_cffs()
+    engine = Engine(fs)
+    clients = [engine.add_client(), engine.add_client()]
+    payload = b"x" * BLOCK_SIZE
+
+    def setup(f):
+        for client in clients:
+            f.mkdir("/%s" % client.name)
+            for i in range(8):
+                f.write_file("/%s/f%d" % (client.name, i), payload)
+        f.sync()
+
+    engine.run_sync(setup)
+
+    def script(client, n_ops):
+        ops = []
+        for i in range(n_ops):
+            path = "/%s/f%d" % (client.name, i % 8)
+            if i % 16 == 15:
+                ops.append(("sync", lambda f: f.sync()))
+            elif i % 2:
+                ops.append(("write", lambda f, p=path: f.write_file(p, payload)))
+            else:
+                ops.append(("read", lambda f, p=path: f.read_file(p)))
+        return ops
+
+    def loop(n_ops):
+        def run():
+            engine.run_phase({c: script(c, n_ops) for c in clients}, "hot")
+        return run
+
+    #: An OpRecord is two blocks (object and attribute values) plus the
+    #: floats only it holds (its cpu_seconds, its end time): 4.1 measured.
+    #: One more object kept per *request* (~1.6 an operation) exceeds it.
+    per_op = 5
+    before = engine.queue.stats.completed
+    small = _retained_in_repro(loop(128))
+    large = _retained_in_repro(loop(256))
+    assert engine.queue.stats.completed > before   # the queue really ran
+    extra_ops = len(clients) * (256 - 128)
+    assert large - small <= extra_ops * per_op + BUDGET_OBJECTS
+    assert large <= len(clients) * 256 * per_op + BUDGET_OBJECTS

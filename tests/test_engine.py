@@ -144,6 +144,53 @@ class TestDiskQueue:
         # The barrier dispatches ahead of the queued positional choice.
         assert order == ["far", "flush", "near"]
 
+    #: policy -> (depth_area, total_queue_delay, service order) of the
+    #: LBAS burst, measured at the arrival-ordered list queue of PR 16.
+    PINNED = {
+        "fcfs": (0.9592592592592593, 0.9592592592592594, LBAS),
+        "sstf": (0.7592592592592593, 0.7592592592592592,
+                 [20000, 18000, 22000, 25000, 12000, 9000, 5000, 3000,
+                  800, 400]),
+        "clook": (0.6874074074074075, 0.6874074074074074,
+                  [20000, 22000, 25000, 400, 800, 3000, 5000, 9000, 12000,
+                   18000]),
+    }
+
+    @pytest.mark.parametrize("policy", ["fcfs", "sstf", "clook"])
+    def test_burst_accounting_is_pinned_float_for_float(self, policy):
+        depth_area, queue_delay, order = self.PINNED[policy]
+        device = BlockDevice(TEST_PROFILE)
+        loop = EventLoop()
+        queue = DiskQueue(loop, device.disk, policy)
+        done = []
+        for lba in self.LBAS:
+            queue.submit("read", lba, 8, on_complete=done.append)
+        assert queue.depth == 9
+        loop.run()
+        assert [r.lba for r in done] == order
+        assert queue.depth == 0
+        assert queue.stats.max_depth == 9
+        assert queue.stats.depth_area == depth_area
+        assert queue.stats.total_queue_delay == queue_delay
+
+    @pytest.mark.parametrize("policy", ["fcfs", "sstf", "clook"])
+    def test_field_equal_requests_are_distinct_requests(self, policy):
+        # A request is its identity: two submissions equal in every
+        # field at the same instant are two requests, each dispatched
+        # and completed once, the earlier arrival first.
+        device = BlockDevice(TEST_PROFILE)
+        loop = EventLoop()
+        queue = DiskQueue(loop, device.disk, policy)
+        first = queue.submit("read", 12000, 8)    # occupies the drive
+        twins = [queue.submit("read", 4000, 8, client=3) for _ in range(2)]
+        assert twins[0] is not twins[1] and twins[0] != twins[1]
+        assert queue.depth == 2
+        loop.run()
+        assert queue.stats.submitted == queue.stats.completed == 3
+        assert (first.complete_time == twins[0].dispatch_time
+                < twins[0].complete_time == twins[1].dispatch_time
+                < twins[1].complete_time == loop.now)
+
 
 def _engine_smallfile_phase_times(fs, paths, file_size, phases):
     """Run the small-file phases through a 1-client engine, mirroring

@@ -158,6 +158,27 @@ class TestMetrics:
         assert h.sum == pytest.approx(16.5)
         assert h.as_pairs() == [(1, 2), (2, 2), (4, 2), (float("inf"), 1)]
 
+    def test_every_latency_bound_belongs_to_the_bucket_it_names(self):
+        # The per-operation histogram every engine client feeds: a value
+        # exactly on a bound counts under that bound, the next float up
+        # in the bucket after it (overflow past the last).
+        import math
+
+        from repro.engine.client import LATENCY_BUCKETS_MS
+
+        for i, bound in enumerate(LATENCY_BUCKETS_MS):
+            h = Histogram("h", LATENCY_BUCKETS_MS)
+            h.observe(bound)
+            h.observe(math.nextafter(bound, math.inf))
+            h.observe(math.nextafter(bound, -math.inf))
+            expected = [0] * len(LATENCY_BUCKETS_MS)
+            expected[i] = 2
+            if i + 1 < len(expected):
+                expected[i + 1] = 1
+            assert h.counts == expected
+            assert h.overflow == (1 if i + 1 == len(expected) else 0)
+            assert h.total == 3
+
     def test_histogram_rejects_bad_bounds(self):
         with pytest.raises(InvalidArgument):
             Histogram("h", ())

@@ -1,18 +1,14 @@
-"""Edge cases for the request-ordering helpers in blockdev/scheduler.
+"""Edge cases for request ordering: the batch helpers in
+blockdev/scheduler and the disk queue's per-dispatch selection.
 
-The happy paths are covered by test_blockdev.py; these pin the corners
-the disk queue depends on: empty inputs, duplicates, run-cap
-boundaries, and head positions outside the outstanding address range.
+The happy paths are covered by test_blockdev.py and test_engine.py;
+these pin the corners: empty inputs, duplicates, run-cap boundaries,
+and head positions outside the outstanding address range.
 """
 
-import pytest
-
-from repro.blockdev.scheduler import (
-    clook_next,
-    clook_order,
-    coalesce_blocks,
-    sstf_next,
-)
+from repro.blockdev.scheduler import clook_order, coalesce_blocks
+from repro.clock import SimClock
+from repro.engine import DiskQueue, EventLoop
 
 
 class TestClookOrderEdges:
@@ -63,14 +59,65 @@ class TestCoalesceEdges:
         assert coalesce_blocks([9, 8, 7]) == [(9, 1), (8, 1), (7, 1)]
 
 
-class TestQueueSelection:
-    def test_sstf_empty_raises(self):
-        with pytest.raises(ValueError):
-            sstf_next([], head_position=0)
+class _ParkedDisk:
+    """Just enough drive for a DiskQueue: the arm stays where the test
+    parks it, every request takes a millisecond."""
 
-    def test_clook_empty_raises(self):
-        with pytest.raises(ValueError):
-            clook_next([], head_position=0)
+    def __init__(self, head_position):
+        self.head_position = head_position
+        self.clock = SimClock()
+
+    def current_lba_estimate(self):
+        return self.head_position
+
+    def read(self, lba, nsectors):
+        self.clock.advance(0.001)
+
+
+def _next_index(policy, addresses, head_position):
+    """Index into ``addresses`` (arrival order) of the request the queue
+    dispatches first with the arm at ``head_position``."""
+    loop = EventLoop()
+    queue = DiskQueue(loop, _ParkedDisk(head_position), policy)
+    served = []
+    queue.submit("read", head_position, 8)      # occupies the drive
+    for index, lba in enumerate(addresses):
+        queue.submit("read", lba, 8,
+                     on_complete=lambda req, index=index: served.append(index))
+    assert queue.depth == len(addresses)
+    loop.run()
+    assert sorted(served) == list(range(len(addresses)))
+    return served[0]
+
+
+def sstf_next(addresses, head_position):
+    return _next_index("sstf", addresses, head_position)
+
+
+def clook_next(addresses, head_position):
+    return _next_index("clook", addresses, head_position)
+
+
+class TestQueueSelection:
+    def test_sstf_empty_queue_dispatches_nothing(self):
+        self._assert_empty_queue_is_inert("sstf")
+
+    def test_clook_empty_queue_dispatches_nothing(self):
+        self._assert_empty_queue_is_inert("clook")
+
+    @staticmethod
+    def _assert_empty_queue_is_inert(policy):
+        loop = EventLoop()
+        queue = DiskQueue(loop, _ParkedDisk(0), policy)
+        loop.run()
+        assert loop.events_run == 0 and queue.stats.completed == 0
+        # ...and a drained queue is as inert as a new one.
+        queue.submit("read", 40, 8)
+        loop.run()
+        events = loop.events_run
+        loop.run()
+        assert loop.events_run == events and queue.depth == 0
+        assert queue.stats.submitted == queue.stats.completed == 1
 
     def test_sstf_picks_closest_either_side(self):
         assert sstf_next([100, 40, 55], head_position=50) == 2
