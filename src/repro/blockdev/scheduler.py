@@ -5,52 +5,13 @@ requests in ascending address order starting from the arm's current
 position, then wrap to the lowest outstanding address.  We apply the
 same discipline to each batch the file system hands down (cache flushes
 and group operations), and coalesce runs of adjacent blocks into single
-scatter/gather requests.
+scatter/gather requests.  The live multi-client queue keeps itself in
+that order (:mod:`repro.engine.diskqueue`); nothing here selects from it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
-
-
-def sstf_next(addresses: Sequence[int], head_position: int) -> int:
-    """Index of the Shortest-Seek-Time-First choice among ``addresses``.
-
-    Picks the address closest to the head; ties (equidistant above and
-    below, or duplicates) go to the earliest-submitted entry so queue
-    behaviour stays deterministic.
-    """
-    if not addresses:
-        raise ValueError("cannot select from an empty queue")
-    best = 0
-    best_dist = abs(addresses[0] - head_position)
-    for i in range(1, len(addresses)):
-        dist = abs(addresses[i] - head_position)
-        if dist < best_dist:
-            best, best_dist = i, dist
-    return best
-
-
-def clook_next(addresses: Sequence[int], head_position: int) -> int:
-    """Index of the C-LOOK choice among ``addresses``.
-
-    The lowest address at or beyond the head is served next; when none
-    remains ahead of the head, the sweep wraps to the lowest address
-    overall.  Ties go to the earliest-submitted entry.
-    """
-    if not addresses:
-        raise ValueError("cannot select from an empty queue")
-    best = -1
-    best_addr = None
-    for i, addr in enumerate(addresses):
-        if addr >= head_position and (best_addr is None or addr < best_addr):
-            best, best_addr = i, addr
-    if best >= 0:
-        return best
-    for i, addr in enumerate(addresses):
-        if best_addr is None or addr < best_addr:
-            best, best_addr = i, addr
-    return best
 
 
 def clook_order(block_numbers: Iterable[int], head_position: int) -> List[int]:

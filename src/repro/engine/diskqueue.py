@@ -8,16 +8,27 @@ discipline:
 
 - ``fcfs``  — submission order;
 - ``sstf``  — shortest seek first (closest LBA to the arm);
-- ``clook`` — the C-LOOK sweep the paper's driver applied to batches
-  (:func:`repro.blockdev.scheduler.clook_next`), here applied to the
-  live queue.
+- ``clook`` — the C-LOOK sweep the paper's driver applied to batches,
+  here applied to the live queue.
+
+The queue is kept in service order the way a driver's disksort keeps
+it: each arrival is inserted at its place by ``(address, arrival)``
+(``fcfs`` keys on arrival alone), so a dispatch is a bisect at the
+drive's head estimate and a ``pop`` — no scan of what is waiting.  The
+tie rules are part of the simulated result and are exact: C-LOOK takes
+the lowest address at or beyond the head, else the lowest overall;
+SSTF compares the two neighbours of the head, equidistant candidates
+going to the earlier arrival; duplicates of one address are served in
+arrival order, a requeued request arriving anew at its resubmit
+(``tests/test_diskqueue_order.py`` holds the order to an
+arrival-ordered reference, request for request).
 
 Every request records its queueing delay (submit → dispatch), and the
 queue integrates depth over time so experiments can report mean queue
 depth alongside latency percentiles.
 
 Flush barriers (``op == "flush"``) drain the drive's write-behind
-buffer; they are dispatched ahead of positional choices so a client's
+buffer; they sort ahead of every address, earliest first, so a client's
 ``sync`` cannot be starved by a stream of better-placed requests.
 
 With a :class:`~repro.faults.schedule.FaultSchedule` attached, each
@@ -33,11 +44,12 @@ fault traffic separately.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.blockdev.scheduler import clook_next, sstf_next
 from repro.disk.drive import SimulatedDisk
 from repro.engine.eventloop import EventLoop
 from repro.errors import InvalidArgument
@@ -52,9 +64,10 @@ RETRY_LATENCY_BUCKETS = (0.002, 0.005, 0.010, 0.020, 0.050,
                          0.100, 0.250, 1.000)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class QueuedRequest:
-    """One host request travelling through the queue."""
+    """One host request travelling through the queue (compared by
+    identity: two submissions equal in every field are two requests)."""
 
     op: str                    # "read" | "write" | "flush"
     lba: int
@@ -134,7 +147,10 @@ class DiskQueue:
         self.faults = faults
         self.retry = retry or RetryPolicy()
         self.stats = QueueAccounting()
-        self._pending: List[QueuedRequest] = []
+        # Waiting requests in service order: (rank, arrival, request),
+        # rank -1 for a barrier, the address for a positional policy.
+        self._pending: List[Tuple[int, int, QueuedRequest]] = []
+        self._arrivals = itertools.count()
         self._busy = False
         self._first_submit: Optional[float] = None
         self._last_depth_mark = 0.0
@@ -162,15 +178,11 @@ class DiskQueue:
         """
         req = QueuedRequest(op=op, lba=lba, nsectors=nsectors, client=client,
                             on_complete=on_complete)
-        req.submit_time = req.first_submit_time = self.loop.now
+        req.submit_time = req.first_submit_time = now = self.loop.now
         if self._first_submit is None:
-            self._first_submit = req.submit_time
-            self._last_depth_mark = req.submit_time
-        self._integrate_depth()
-        self._pending.append(req)
+            self._first_submit = self._last_depth_mark = now
         self.stats.submitted += 1
-        self.stats.max_depth = max(self.stats.max_depth, len(self._pending))
-        self._try_dispatch()
+        self._enqueue(req, now)
         return req
 
     def flush_barrier(
@@ -182,32 +194,46 @@ class DiskQueue:
 
     # -- internals ------------------------------------------------------------
 
-    def _integrate_depth(self) -> None:
-        now = self.loop.now
+    def _integrate_depth(self, now: float) -> None:
         self.stats.depth_area += len(self._pending) * (now - self._last_depth_mark)
         self._last_depth_mark = now
 
-    def _select(self) -> QueuedRequest:
-        """Pick the next request per policy (pending must be non-empty)."""
-        for req in self._pending:           # barriers jump the queue
-            if req.op == "flush":
-                return req
-        if self.policy == "fcfs":
-            return self._pending[0]
-        head = self.disk.current_lba_estimate()
-        addresses = [req.lba for req in self._pending]
-        if self.policy == "sstf":
-            return self._pending[sstf_next(addresses, head)]
-        return self._pending[clook_next(addresses, head)]
+    def _enqueue(self, req: QueuedRequest, now: float) -> None:
+        """Insert an arrival (or a requeue) at its place in service order."""
+        self._integrate_depth(now)
+        if req.op == "flush":
+            rank = -1
+        else:
+            rank = 0 if self.policy == "fcfs" else req.lba
+        insort(self._pending, (rank, next(self._arrivals), req))
+        if len(self._pending) > self.stats.max_depth:
+            self.stats.max_depth = len(self._pending)
+        self._try_dispatch(now)
 
-    def _try_dispatch(self) -> None:
+    def _select(self) -> int:
+        """Index of the next request per policy (pending is non-empty)."""
+        pending = self._pending
+        if self.policy == "fcfs" or pending[0][0] < 0:
+            return 0                        # arrival order; barriers first
+        head = self.disk.current_lba_estimate()
+        ahead = bisect_left(pending, (head,))   # lowest address >= head
+        if self.policy == "clook" or ahead == 0:
+            return ahead if ahead < len(pending) else 0
+        # SSTF: the nearest address below the head (its earliest arrival)
+        # against the nearest at or above it; equidistant, earlier arrival.
+        below = bisect_left(pending, (pending[ahead - 1][0],))
+        if ahead == len(pending):
+            return below
+        lo, hi = pending[below], pending[ahead]
+        return below if (head - lo[0], lo[1]) < (hi[0] - head, hi[1]) else ahead
+
+    def _try_dispatch(self, now: float) -> None:
         if self._busy or not self._pending:
             return
-        req = self._select()
-        self._integrate_depth()
-        self._pending.remove(req)
-        req.dispatch_time = self.loop.now
-        self.stats.total_queue_delay += req.queue_delay
+        self._integrate_depth(now)
+        req = self._pending.pop(self._select())[2]
+        req.dispatch_time = now
+        self.stats.total_queue_delay += now - req.submit_time
 
         if self.faults is not None and req.op in ("read", "write"):
             index = self._attempts[req.op]
@@ -259,39 +285,35 @@ class DiskQueue:
         """Free the drive after a transient fault; resubmit after backoff."""
         self._busy = False
         self.loop.call_later(self.retry.delay(req.retries - 1), self._resubmit, req)
-        self._try_dispatch()
+        self._try_dispatch(self.loop.now)
 
     def _resubmit(self, req: QueuedRequest) -> None:
         # Not a new submission for accounting purposes, but the queue
-        # delay of this attempt starts fresh.
-        req.submit_time = self.loop.now
-        self._integrate_depth()
-        self._pending.append(req)
-        self.stats.max_depth = max(self.stats.max_depth, len(self._pending))
-        self._try_dispatch()
+        # delay of this attempt starts fresh and it arrives anew.
+        req.submit_time = now = self.loop.now
+        self._enqueue(req, now)
 
     def _complete(self, req: QueuedRequest) -> None:
-        req.complete_time = self.loop.now
+        req.complete_time = now = self.loop.now
         self.stats.completed += 1
-        # One queue-layer span per request, covering the client-visible
-        # submit -> complete interval (service time + queueing delay).
-        obs.record("queue", req.op, req.submit_time, req.complete_time,
-                   client=req.client, lba=req.lba, nsectors=req.nsectors,
-                   queue_delay=req.queue_delay, retries=req.retries,
-                   error=req.error)
-        obs.count("queue.completed")
-        if req.error is not None:
-            obs.count("queue.failed")
-        if req.retries > 0:
-            # End-to-end latency of requests that survived at least one
-            # transient fault: original submit -> final completion, so
-            # backoff sleeps and every extra service attempt count.
-            obs.observe("queue.retry_latency",
-                        req.complete_time - req.first_submit_time,
-                        buckets=RETRY_LATENCY_BUCKETS)
-        if self._first_submit is not None:
-            self.stats.span = req.complete_time - self._first_submit
+        if obs.enabled():
+            # One queue-layer span per request, covering the client-visible
+            # submit -> complete interval (service time + queueing delay).
+            obs.record("queue", req.op, req.submit_time, now,
+                       client=req.client, lba=req.lba, nsectors=req.nsectors,
+                       queue_delay=req.queue_delay, retries=req.retries,
+                       error=req.error)
+            obs.count("queue.completed")
+            if req.error is not None:
+                obs.count("queue.failed")
+            if req.retries > 0:
+                # End-to-end latency of requests that survived at least one
+                # transient fault: original submit -> final completion, so
+                # backoff sleeps and every extra service attempt count.
+                obs.observe("queue.retry_latency", now - req.first_submit_time,
+                            buckets=RETRY_LATENCY_BUCKETS)
+        self.stats.span = now - self._first_submit
         self._busy = False
-        self._try_dispatch()
+        self._try_dispatch(now)
         if req.on_complete is not None:
             req.on_complete(req)
