@@ -84,6 +84,11 @@ class Shard:
         self.name = "s%d" % sid
         self.fs = fs
         self.engine = engine
+        # The per-shard balance counters, bound once.
+        counter = engine.metrics.counter
+        self.ops = counter("cluster.%s.ops" % self.name)
+        self.bytes_read = counter("cluster.%s.bytes_read" % self.name)
+        self.bytes_written = counter("cluster.%s.bytes_written" % self.name)
 
     @property
     def device(self):
@@ -105,7 +110,7 @@ class ClusterClient:
     """
 
     __slots__ = ("cluster", "cid", "name", "records", "leg_shards",
-                 "finished_at")
+                 "finished_at", "resume")
 
     #: Op labels whose resolvers are safe to re-run after a failed
     #: replay: reads are pure, and writes re-issue the same payload to
@@ -141,9 +146,9 @@ class ClusterClient:
         reacts while the phase is still running.
         """
         cluster = self.cluster
-        loop = cluster.loop
+        clock = cluster.loop.clock
         for label, spec in ops:
-            start = loop.now
+            start = clock.now
             attempts = 0
             retryable = callable(spec) and label in self.RETRYABLE_LABELS
             tally = OpTally()
@@ -185,14 +190,14 @@ class ClusterClient:
                     break
                 attempts += 1
                 delay = cluster.retry.next_delay(
-                    attempts, loop.now - start, cluster.metrics)
+                    attempts, clock.now - start, cluster.metrics)
                 if delay is None:
                     break
                 yield ("cpu", delay)
             if error is None:
                 cluster.retry.settle(attempts, cluster.metrics)
             self.records.append(
-                tally.record(phase, label, self.cid, start, loop.now, error))
+                tally.record(phase, label, self.cid, start, clock.now, error))
             self.leg_shards.append(tuple(touched))
 
 
@@ -224,6 +229,7 @@ class Cluster(Replayer):
         self.clients: List[ClusterClient] = []
         self._intent_seq = 0
         self._pending_route_cpu = 0.0
+        self._routes = self.metrics.counter("cluster.router.routes")
         if filesystems is None:
             if n_shards < 1:
                 raise InvalidArgument(
@@ -278,20 +284,19 @@ class Cluster(Replayer):
         """
         sid = self.router.place(top)
         self.router.charge(sid)
-        self.metrics.counter("cluster.router.routes").inc()
-        self.metrics.counter("cluster.%s.ops" % self.shards[sid].name).inc()
+        self._routes.inc()
+        shard = self.shards[sid]
+        shard.ops.inc()
         self._pending_route_cpu += ROUTE_CPU_SECONDS
-        return self.shards[sid]
+        return shard
 
     def account(self, shard: Shard, bytes_read: int = 0,
                 bytes_written: int = 0) -> None:
         """Attribute data volume to a shard (per-shard balance report)."""
         if bytes_read:
-            self.metrics.counter(
-                "cluster.%s.bytes_read" % shard.name).inc(bytes_read)
+            shard.bytes_read.inc(bytes_read)
         if bytes_written:
-            self.metrics.counter(
-                "cluster.%s.bytes_written" % shard.name).inc(bytes_written)
+            shard.bytes_written.inc(bytes_written)
 
     def _take_route_cpu(self) -> float:
         cost = self._pending_route_cpu

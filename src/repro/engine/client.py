@@ -48,7 +48,7 @@ from repro.vfs.interface import FileSystem
 Op = Tuple[str, Callable[[FileSystem], object]]
 
 
-@dataclass
+@dataclass(slots=True)
 class CapturedRequest:
     """One disk request recorded during capture."""
 
@@ -233,8 +233,9 @@ class Replayer:
     """Drives client generators over ``self.loop``: the phase starter and
     the generator driver :class:`Engine` and the cluster share.
 
-    A client is anything with ``cid``, ``finished_at`` and a
-    ``_run_ops(ops, phase)`` generator built on :func:`replay`.
+    A client is anything with ``cid``, ``finished_at``, a ``resume``
+    slot for this class to use and a ``_run_ops(ops, phase)`` generator
+    built on :func:`replay`.
     """
 
     loop: EventLoop
@@ -255,6 +256,11 @@ class Replayer:
         start = self.loop.now
         for client, ops in assignments.items():
             gen = client._run_ops(list(ops), phase)
+            # The completion callback of every request this client
+            # replays in this phase: one closure, not one per request
+            # (``_step`` is still looked up at each call).
+            client.resume = (lambda req, client=client, gen=gen:
+                             self._step(client, gen, req))
             self.loop.call_at(start, self._step, client, gen, None)
         self.loop.run()
         for device in self._devices():
@@ -270,14 +276,9 @@ class Replayer:
         if kind == "cpu":
             self.loop.call_later(arg, self._step, client, gen, None)
             return
-        queue, step = arg
-        if step.op == "flush":
-            queue.flush_barrier(
-                client.cid, lambda req: self._step(client, gen, req))
-        else:
-            queue.submit(
-                step.op, step.lba, step.nsectors, client.cid,
-                lambda req: self._step(client, gen, req))
+        queue, step = arg    # a captured flush is ("flush", 0, 0): a barrier
+        queue.submit(step.op, step.lba, step.nsectors, client.cid,
+                     client.resume)
 
 
 #: Per-operation latency buckets (milliseconds) for the registry
@@ -290,24 +291,15 @@ _CLIENT_FIELDS = ("cpu_seconds", "queue_delay", "reads", "writes",
                   "retries", "io_errors")
 
 
-def _client_metric(field: str):
-    def get(self: "ClientContext") -> float:
-        return self._registry.counter(self._prefix + field).value
-
-    def set_(self: "ClientContext", value: float) -> None:
-        self._registry.counter(self._prefix + field).set(value)
-
-    return property(get, set_)
-
-
 class ClientContext:
     """One simulated process: a scripted stream of file operations.
 
     Accounting lives in the engine's metrics registry under
-    ``engine.<client>.*`` names; the attributes below (``reads``,
-    ``cpu_seconds``, ...) are thin read/write views of those registry
-    values, so ``repro multiclient --trace`` exports the same numbers
-    the report tables print.
+    ``engine.<client>.*`` names: the counters are bound once here and
+    only :meth:`_run_ops` increments them; the attributes ``reads``,
+    ``cpu_seconds``, ... are read-only views of their values, so
+    ``repro multiclient --trace`` exports the same numbers the report
+    tables print.
     """
 
     def __init__(self, engine: "Engine", cid: int, name: str) -> None:
@@ -315,13 +307,13 @@ class ClientContext:
         self.cid = cid
         self.name = name
         self.records: List[OpRecord] = []
-        self._registry = engine.metrics
-        self._prefix = "engine.%s." % name
-        for field_name in _CLIENT_FIELDS:
-            self._registry.counter(self._prefix + field_name)
-        self._latency_ms = self._registry.histogram(
-            self._prefix + "latency_ms", LATENCY_BUCKETS_MS)
+        prefix = "engine.%s." % name
+        self._counters = {field_name: engine.metrics.counter(prefix + field_name)
+                          for field_name in _CLIENT_FIELDS}
+        self._latency_ms = engine.metrics.histogram(
+            prefix + "latency_ms", LATENCY_BUCKETS_MS)
         self.finished_at: Optional[float] = None
+        self.resume: Optional[Callable[[QueuedRequest], None]] = None
 
     def latencies(self, phase: Optional[str] = None) -> List[float]:
         """Per-operation latencies, optionally restricted to one phase."""
@@ -330,26 +322,30 @@ class ClientContext:
 
     def _run_ops(self, ops: Sequence[Op], phase: str):
         """Generator of :func:`replay` events, one operation after another."""
-        loop = self.engine.loop
+        clock = self.engine.loop.clock
+        (cpu_seconds, queue_delay, reads, writes, retries,
+         io_errors) = self._counters.values()     # in _CLIENT_FIELDS order
         for label, fn in ops:
-            start = loop.now
+            start = clock.now
             tally = OpTally()
             failed = yield from replay(self.engine, fn, tally)
             error = failed.error if failed is not None else None
-            self.cpu_seconds += tally.cpu_seconds
-            self.reads += tally.reads
-            self.writes += tally.writes
-            self.queue_delay += tally.queue_delay
-            self.retries += tally.retries
+            end = clock.now
+            cpu_seconds.inc(tally.cpu_seconds)
+            queue_delay.inc(tally.queue_delay)
+            reads.inc(tally.reads)
+            writes.inc(tally.writes)
+            retries.inc(tally.retries)
             if error is not None:
-                self.io_errors += 1
-            self._latency_ms.observe((loop.now - start) * 1e3)
+                io_errors.inc()
+            self._latency_ms.observe((end - start) * 1e3)
             self.records.append(
-                tally.record(phase, label, self.cid, start, loop.now, error))
+                tally.record(phase, label, self.cid, start, end, error))
 
 
 for _field in _CLIENT_FIELDS:
-    setattr(ClientContext, _field, _client_metric(_field))
+    setattr(ClientContext, _field, property(
+        lambda self, _field=_field: self._counters[_field].value))
 del _field
 
 

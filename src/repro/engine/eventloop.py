@@ -48,15 +48,17 @@ class EventLoop:
         Times in the past are clamped to ``now`` (the event runs at the
         current instant, after events already scheduled for it).
         """
-        if when < self.clock.now:
-            when = self.clock.now
+        now = self.clock.now
+        if when < now:
+            when = now
         heapq.heappush(self._heap, (when, next(self._seq), callback, args))
 
     def call_later(self, delay: float, callback: Callable, *args: Any) -> None:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise InvalidArgument("cannot schedule an event in the past: %r" % delay)
-        self.call_at(self.clock.now + delay, callback, *args)
+        heapq.heappush(self._heap, (self.clock.now + delay, next(self._seq),
+                                    callback, args))
 
     @property
     def pending(self) -> int:

@@ -16,6 +16,7 @@ optional instance segment for per-client metrics
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import InvalidArgument
@@ -102,11 +103,11 @@ class Histogram:
     def observe(self, value: Number) -> None:
         self.total += 1
         self.sum += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.overflow += 1
+        i = bisect_left(self.bounds, value)     # first bound >= value
+        if i < len(self.counts):
+            self.counts[i] += 1
+        else:
+            self.overflow += 1
 
     def as_pairs(self) -> List[Tuple[Number, int]]:
         """``(upper_bound, count)`` pairs plus the overflow bucket."""
