@@ -307,11 +307,9 @@ def run_cluster_traffic(cfg: TrafficConfig,
     for shard, delta in zip(cluster.shards, deltas):
         per_shard.append(ShardBalance(
             shard=shard.name,
-            ops=int(counters.counter("cluster.%s.ops" % shard.name).value),
-            bytes_read=int(counters.counter(
-                "cluster.%s.bytes_read" % shard.name).value),
-            bytes_written=int(counters.counter(
-                "cluster.%s.bytes_written" % shard.name).value),
+            ops=int(shard.ops.value),
+            bytes_read=int(shard.bytes_read.value),
+            bytes_written=int(shard.bytes_written.value),
             requests=delta.completed,
             mean_queue_depth=(delta.depth_area / seconds
                               if seconds > 0 else 0.0),

@@ -295,6 +295,23 @@ class TestClusterTraffic:
         result = run_cluster_traffic(TrafficConfig(shards=4, seed=3, **SMALL))
         assert sum(s.ops for s in result.per_shard) == result.routes
 
+    def test_a_probe_on_the_class_sees_every_event_of_a_phase(
+            self, monkeypatch):
+        # benchmarks/perf/trace.py charges client generators to the
+        # cluster layer by replacing Cluster._step on the class, after
+        # the cluster exists: no fault here, so every loop event is one.
+        cluster = small_cluster()
+        steps = []
+        real_step = Cluster._step
+
+        def step(*args):
+            steps.append(args)
+            return real_step(*args)
+
+        monkeypatch.setattr(Cluster, "_step", step)
+        run_cluster_traffic(TrafficConfig(shards=2, seed=5, **SMALL), cluster)
+        assert len(steps) == cluster.loop.events_run > 0
+
     def test_summary_schema_is_valid_and_validator_bites(self):
         result = run_cluster_traffic(TrafficConfig(shards=2, seed=5, **SMALL))
         doc = cluster_summary(result)

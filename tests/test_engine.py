@@ -291,6 +291,48 @@ class TestEngineApi:
         assert client.writes > 0
         assert all(r.phase == "create" for r in client.records)
         assert client.latencies("create") == [r.latency for r in client.records]
+        # The attributes are views of the registry's counters, summed
+        # from the records; only the client's own replay moves them.
+        registry = engine.metrics
+        assert client.writes == registry.counter("engine.solo.writes").value
+        assert client.cpu_seconds == sum(r.cpu_seconds for r in client.records)
+        assert client.queue_delay == sum(r.queue_delay for r in client.records)
+        assert client.io_errors == client.retries == 0
+        with pytest.raises(AttributeError):
+            client.reads = 0
+
+    def test_probes_on_class_attributes_see_every_step_and_submit(
+            self, monkeypatch):
+        # benchmarks/perf/trace.py measures the engine from outside by
+        # replacing Engine/Cluster._step and DiskQueue.submit *on the
+        # class* and reading the client id as positional argument 4.  A
+        # bound method cached at construction would slip past it and
+        # zero a layer's host share without failing anything.
+        engine = Engine(make_cffs())
+        clients = [engine.add_client(), engine.add_client()]
+        engine.run_sync(lambda f: f.mkdir("/d"))
+        steps, submit_clients = [], []
+        real_step, real_submit = Engine._step, DiskQueue.submit
+
+        def step(*args):
+            steps.append(args)
+            return real_step(*args)
+
+        def submit(*args, **kwargs):
+            submit_clients.append(
+                args[4] if len(args) > 4 else kwargs.get("client", 0))
+            return real_submit(*args, **kwargs)
+
+        monkeypatch.setattr(Engine, "_step", step)
+        monkeypatch.setattr(DiskQueue, "submit", submit)
+        before = engine.loop.events_run
+        engine.run_phase({
+            c: smallfile_ops(["/d/%s-%d" % (c.name, i) for i in range(6)],
+                             2048, "create") + [("sync", lambda f: f.sync())]
+            for c in clients}, "create")
+        assert len(steps) == engine.loop.events_run - before > 0
+        assert len(submit_clients) == engine.queue.stats.submitted > 0
+        assert set(submit_clients) == {0, 1}
 
     def test_postmark_and_hypertext_workloads_run(self):
         for workload in ("postmark", "hypertext"):
