@@ -272,6 +272,7 @@ class Replayer:
             kind, arg = gen.send(payload)
         except StopIteration:
             client.finished_at = self.loop.now
+            client.resume = None    # drops the finished generator
             return
         if kind == "cpu":
             self.loop.call_later(arg, self._step, client, gen, None)

@@ -57,6 +57,7 @@ class EventLoop:
         """Schedule ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise InvalidArgument("cannot schedule an event in the past: %r" % delay)
+        # Never in the past, so none of call_at's clamping.
         heapq.heappush(self._heap, (self.clock.now + delay, next(self._seq),
                                     callback, args))
 
