@@ -345,6 +345,7 @@ def _write_trace(tracer, path: str, fmt: str,
 
 def cmd_bench(args) -> int:
     from repro import obs
+    from repro.engine.multiclient import resolve_label
     from repro.workloads import build_filesystem, run_smallfile
 
     policy = policy_from_args(args)
@@ -354,7 +355,7 @@ def cmd_bench(args) -> int:
     tracer = obs.Tracer() if args.trace else None
     try:
         for label in args.configs.split(","):
-            fs = build_filesystem(label.strip(), policy)
+            fs = build_filesystem(resolve_label(label.strip()), policy)
             if tracer is not None:
                 # Each config gets a fresh simulation (its own clock);
                 # a root span per config keeps the stacks separable.
@@ -520,42 +521,6 @@ def cmd_trace(args) -> int:
     print("traced %s on %s: %.3f simulated seconds" % (
         args.workload, args.fs, fs.cache.device.clock.now))
     _write_trace(tracer, out, args.format, metrics_path=args.metrics)
-    return 0
-
-
-def cmd_perfbench(args) -> int:
-    from repro.bench import perfbench
-
-    names = ([s.strip() for s in args.scenarios.split(",")]
-             if args.scenarios else None)
-    for name in names or ():
-        if name not in perfbench.SCENARIOS:
-            raise ReproError("unknown perfbench scenario %r (known: %s)"
-                             % (name, ", ".join(perfbench.SCENARIOS)))
-    if args.profile:
-        for name in (names if names else list(perfbench.SCENARIOS)):
-            print("== cProfile: %s ==" % name)
-            print(perfbench.profile_scenario(name, top=args.top))
-        return 0
-    snapshot = perfbench.run_perfbench(
-        names, repeats=args.repeats, measure_alloc=not args.no_alloc,
-        progress=lambda name: print("running %s ..." % name,
-                                    file=sys.stderr))
-    if args.ref:
-        perfbench.attach_reference(snapshot, perfbench.load_snapshot(args.ref),
-                                   ref_path=args.ref)
-    print(perfbench.render_snapshot(snapshot))
-    if args.json:
-        perfbench.save_snapshot(snapshot, args.json)
-        print("snapshot -> %s" % args.json)
-    if args.check:
-        baseline = perfbench.load_snapshot(args.check)
-        failures = perfbench.check_snapshot(snapshot, baseline)
-        if failures:
-            for failure in failures:
-                print("FAIL: %s" % failure, file=sys.stderr)
-            return 1
-        print("check vs %s: ok" % args.check)
     return 0
 
 
@@ -807,28 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_policy_argument(p)
     _add_trace_arguments(p)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
-        "perfbench",
-        help="measure real wall-clock performance of the hot paths")
-    p.add_argument("--scenarios",
-                   help="comma-separated scenario names (default: all)")
-    p.add_argument("--repeats", type=int, default=2,
-                   help="timing runs per scenario; best is kept (default 2)")
-    p.add_argument("--json", metavar="PATH",
-                   help="write the machine-readable snapshot here")
-    p.add_argument("--ref", metavar="PATH",
-                   help="embed speedup vs this prior snapshot")
-    p.add_argument("--check", metavar="PATH",
-                   help="fail on ops/sec or allocation regression vs this "
-                        "baseline snapshot (the CI gate)")
-    p.add_argument("--no-alloc", action="store_true",
-                   help="skip the tracemalloc pass (faster)")
-    p.add_argument("--profile", action="store_true",
-                   help="cProfile the scenarios and print top-cost tables")
-    p.add_argument("--top", type=int, default=25,
-                   help="rows in the --profile table (default 25)")
-    p.set_defaults(func=cmd_perfbench)
 
     p = sub.add_parser(
         "trace",

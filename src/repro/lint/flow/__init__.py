@@ -5,9 +5,9 @@ control-flow graphs), :mod:`dataflow` (forward may-alias and backward
 must-reach solvers plus the shared buffer-origin policy), and
 :mod:`callgraph` (name-based project call graph with fixpoint
 summaries: parameter mutation, seam reachability, buffer-returning
-helpers, and the perfbench-hot set).  The B001/J001/O001 rules in
-``repro.lint.rules`` are clients; see docs/STATIC_ANALYSIS.md for the
-design and its documented imprecision.
+helpers, and the hot set of the workload-driver roots).  The
+B001/J001/O001 rules in ``repro.lint.rules`` are clients; see
+docs/STATIC_ANALYSIS.md for the design and its documented imprecision.
 """
 
 from repro.lint.flow.callgraph import (

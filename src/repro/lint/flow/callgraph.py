@@ -13,7 +13,7 @@ summaries), which is the safe direction for the three consumers:
   metadata-ordering seams (``_meta_write`` / ``mark_dirty`` /
   ``write_sync``).  J001 uses it so a call to ``_grow_directory``
   counts as sealing, not just a literal ``_meta_write``.
-* the *hot set* — functions reachable from the perfbench workload
+* the *hot set* — functions reachable from the workload-driver
   roots.  O001 only audits loops inside hot functions.
 
 All summaries are fixpoints over the bare-name edges, computed once
@@ -36,7 +36,7 @@ SEAM_NAMES: FrozenSet[str] = frozenset(
 HANDOFF_METHODS: FrozenSet[str] = frozenset(
     {"write_block", "write_extent", "write_batch", "poke_block"})
 
-#: perfbench scenario modules; everything they reach is "hot" (O001).
+#: workload-driver roots; everything they reach is "hot" (O001).
 HOT_ROOT_MODULES: FrozenSet[str] = frozenset(
     {"repro.workloads.smallfile", "repro.workloads.postmark",
      "repro.engine.multiclient"})

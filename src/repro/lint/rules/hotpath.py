@@ -1,7 +1,7 @@
-"""O001: hot-path discipline for loops on the perfbench-critical paths.
+"""O001: hot-path discipline for loops the workload drivers reach.
 
 A function is *hot* when the call-graph summary reaches it from the
-perfbench workload roots (smallfile, postmark, multiclient).  Inside a
+workload-driver roots (smallfile, postmark, multiclient).  Inside a
 loop of a hot function:
 
 * ``obs.span(...)`` / ``obs.record(...)`` sites must sit under an
@@ -71,10 +71,10 @@ class HotPathRule(Rule):
     id = "O001"
     title = "hot-loop observability guards and allocation discipline"
     rationale = (
-        "Loops reachable from the perfbench workloads dominate the "
+        "Loops reachable from the workload-driver roots dominate the "
         "benchmark; unguarded span/record sites and per-iteration "
         "struct format parsing there are exactly the costs the PR 7 "
-        "baseline (BENCH_perf.json) was rebuilt to exclude."
+        "hot-path overhaul removed."
     )
     requires_flow = True
 
