@@ -29,7 +29,7 @@ from repro.engine.client import ClientContext, Engine
 from repro.engine.report import ClientSummary, PhaseReport, summarize_phase
 from repro.errors import InvalidArgument
 from repro.faults.schedule import FaultSchedule, RetryPolicy
-from repro.workloads.configs import CONFIG_GRID, build_filesystem
+from repro.workloads.configs import build_filesystem
 from repro.workloads.hypertext import Document
 from repro.workloads.opscript import (
     hypertext_serve_ops,
@@ -45,14 +45,8 @@ DEFAULT_CLIENT_COUNTS = (1, 2, 4, 8, 16, 32)
 
 
 def resolve_label(label: str) -> str:
-    """Map a user-facing file-system label to a configuration label."""
-    if label == "ffs":
-        return "conventional"
-    if label not in CONFIG_GRID:
-        raise InvalidArgument(
-            "unknown file system %r; known: ffs, %s"
-            % (label, ", ".join(CONFIG_GRID)))
-    return label
+    """``ffs`` names ``conventional``; ``config_for`` validates the rest."""
+    return "conventional" if label == "ffs" else label
 
 
 @dataclass

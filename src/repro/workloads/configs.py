@@ -20,6 +20,7 @@ from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.disk.profiles import SEAGATE_ST31200, DriveProfile
+from repro.errors import InvalidArgument
 
 # label -> (embedded_inodes, explicit_grouping)
 CONFIG_GRID: Dict[str, Tuple[bool, bool]] = {
@@ -39,6 +40,12 @@ def config_for(
     policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
     **overrides,
 ) -> CFFSConfig:
+    if label not in CONFIG_GRID:
+        # ``ffs`` is the alias ``engine.multiclient.resolve_label`` maps
+        # to ``conventional`` before a user-typed label gets here.
+        raise InvalidArgument(
+            "unknown file system %r; known: ffs, %s"
+            % (label, ", ".join(CONFIG_GRID)))
     embedded, grouping = CONFIG_GRID[label]
     return CFFSConfig(
         embedded_inodes=embedded,
