@@ -31,7 +31,48 @@ _ZERO_BLOCK = bytes(BLOCK_SIZE)
 _IMAGE_MAGIC = b"CFFSIMG1"
 
 
-class BlockDevice:
+class BatchedIO:
+    """``read_batch`` / ``write_batch`` for every device class.
+
+    The plan — C-LOOK order from the arm's position, adjacent runs
+    coalesced — is made here once; the requests go through the
+    instance's own ``read_extent`` / ``write_extent``, so a proxy's
+    faults, checksums or capture apply to each one.  Needs ``disk``.
+    """
+
+    def write_batch(self, writes: Dict[int, bytes]) -> int:
+        """Write many blocks: C-LOOK order, adjacent runs coalesced.
+
+        Returns the number of disk requests issued.  This is the path
+        the buffer cache uses to flush, and the coalescing is what lets
+        explicitly-grouped blocks travel as single requests.
+        """
+        if not writes:
+            return 0
+        head = self.disk.current_lba_estimate() // SECTORS_PER_BLOCK
+        ordered = clook_order(writes.keys(), head)
+        nrequests = 0
+        for start, count in coalesce_blocks(ordered):
+            self.write_extent(start, [writes[b] for b in range(start, start + count)])
+            nrequests += 1
+        return nrequests
+
+    def read_batch(self, block_numbers: Iterable[int]) -> Dict[int, bytes]:
+        """Read many blocks: C-LOOK order, adjacent runs coalesced."""
+        blocks = list(block_numbers)
+        if not blocks:
+            return {}
+        head = self.disk.current_lba_estimate() // SECTORS_PER_BLOCK
+        ordered = clook_order(blocks, head)
+        out: Dict[int, bytes] = {}
+        for start, count in coalesce_blocks(ordered):
+            data = self.read_extent(start, count)
+            for i in range(count):
+                out[start + i] = data[i]
+        return out
+
+
+class BlockDevice(BatchedIO):
     """4 KB-block view of a simulated disk with scatter/gather batches."""
 
     def __init__(self, profile: DriveProfile, clock: Optional[SimClock] = None) -> None:
@@ -78,39 +119,6 @@ class BlockDevice:
         store = self._blocks
         for i, data in enumerate(blocks):
             store[start + i] = data if type(data) is bytes else bytes(data)
-
-    # -- batched operations (C-LOOK ordered) -----------------------------------
-
-    def write_batch(self, writes: Dict[int, bytes]) -> int:
-        """Write many blocks: C-LOOK order, adjacent runs coalesced.
-
-        Returns the number of disk requests issued.  This is the path
-        the buffer cache uses to flush, and the coalescing is what lets
-        explicitly-grouped blocks travel as single requests.
-        """
-        if not writes:
-            return 0
-        head = self.disk.current_lba_estimate() // SECTORS_PER_BLOCK
-        ordered = clook_order(writes.keys(), head)
-        nrequests = 0
-        for start, count in coalesce_blocks(ordered):
-            self.write_extent(start, [writes[b] for b in range(start, start + count)])
-            nrequests += 1
-        return nrequests
-
-    def read_batch(self, block_numbers: Iterable[int]) -> Dict[int, bytes]:
-        """Read many blocks: C-LOOK order, adjacent runs coalesced."""
-        blocks = list(block_numbers)
-        if not blocks:
-            return {}
-        head = self.disk.current_lba_estimate() // SECTORS_PER_BLOCK
-        ordered = clook_order(blocks, head)
-        out: Dict[int, bytes] = {}
-        for start, count in coalesce_blocks(ordered):
-            data = self.read_extent(start, count)
-            for i in range(count):
-                out[start + i] = data[i]
-        return out
 
     # -- maintenance ------------------------------------------------------------
 

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.blockdev.device import BLOCK_SIZE, SECTORS_PER_BLOCK, BlockDevice
-from repro.blockdev.scheduler import clook_order, coalesce_blocks
+from repro.blockdev.device import BLOCK_SIZE, SECTORS_PER_BLOCK, BatchedIO, BlockDevice
 from repro.clock import SimClock
 from repro.obs.metrics import MetricsRegistry
 from repro.engine.diskqueue import DiskQueue, QueuedRequest
@@ -70,18 +69,19 @@ class CapturedOp:
         return sum(r.cpu_before for r in self.requests) + self.trailing_cpu
 
 
-class _CaptureDevice:
+class _CaptureDevice(BatchedIO):
     """Block-device stand-in that records requests instead of timing them.
 
     Data flows to and from the real device's backing store via the
     untimed ``peek``/``poke`` paths, so every byte is exact; only the
-    *when* is deferred to replay.  Batched operations replicate
-    :class:`BlockDevice`'s C-LOOK ordering and run coalescing so the
+    *when* is deferred to replay.  Batched operations are planned by
+    the same :class:`BatchedIO` around the real arm's position, so the
     captured request stream is the one the synchronous path would issue.
     """
 
     def __init__(self, real: BlockDevice, scratch_clock: SimClock) -> None:
         self._real = real
+        self.disk = real.disk      # read by BatchedIO for the arm position
         self.clock = scratch_clock
         self.total_blocks = real.total_blocks
         self.captured = CapturedOp()
@@ -119,30 +119,6 @@ class _CaptureDevice:
             self._real.poke_block(start + i, data)
         self._record("write", start * SECTORS_PER_BLOCK,
                      len(blocks) * SECTORS_PER_BLOCK)
-
-    def write_batch(self, writes: Dict[int, bytes]) -> int:
-        if not writes:
-            return 0
-        head = self._real.disk.current_lba_estimate() // SECTORS_PER_BLOCK
-        ordered = clook_order(writes.keys(), head)
-        nrequests = 0
-        for start, count in coalesce_blocks(ordered):
-            self.write_extent(start, [writes[b] for b in range(start, start + count)])
-            nrequests += 1
-        return nrequests
-
-    def read_batch(self, block_numbers: Iterable[int]) -> Dict[int, bytes]:
-        blocks = list(block_numbers)
-        if not blocks:
-            return {}
-        head = self._real.disk.current_lba_estimate() // SECTORS_PER_BLOCK
-        ordered = clook_order(blocks, head)
-        out: Dict[int, bytes] = {}
-        for start, count in coalesce_blocks(ordered):
-            data = self.read_extent(start, count)
-            for i in range(count):
-                out[start + i] = data[i]
-        return out
 
     def flush(self) -> None:
         self._record("flush", 0, 0)

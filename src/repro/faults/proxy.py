@@ -28,10 +28,9 @@ replays a prefix onto a fresh device — the crash-point sweep images.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.blockdev.device import BLOCK_SIZE, SECTORS_PER_BLOCK, BlockDevice
-from repro.blockdev.scheduler import clook_order, coalesce_blocks
+from repro.blockdev.device import BLOCK_SIZE, SECTORS_PER_BLOCK, BatchedIO, BlockDevice
 from repro.errors import MediaReadError, MediaWriteError, PowerLoss
 from repro.faults.schedule import (
     HARD,
@@ -43,7 +42,7 @@ from repro.faults.schedule import (
 )
 
 
-class FaultyBlockDevice:
+class FaultyBlockDevice(BatchedIO):
     """Wraps a :class:`BlockDevice`, injecting faults per a schedule."""
 
     def __init__(
@@ -125,18 +124,6 @@ class FaultyBlockDevice:
             datas = self._apply_rot(start, datas)
         return datas
 
-    def read_batch(self, block_numbers: Iterable[int]) -> Dict[int, bytes]:
-        blocks = list(block_numbers)
-        if not blocks:
-            return {}
-        head = self.disk.current_lba_estimate() // SECTORS_PER_BLOCK
-        out: Dict[int, bytes] = {}
-        for start, count in coalesce_blocks(clook_order(blocks, head)):
-            data = self.read_extent(start, count)
-            for i in range(count):
-                out[start + i] = data[i]
-        return out
-
     # -- writes ----------------------------------------------------------------
 
     def write_block(self, bno: int, data: bytes) -> None:
@@ -201,17 +188,6 @@ class FaultyBlockDevice:
             raise MediaWriteError(
                 "torn write: %d of %d blocks at %d landed"
                 % (landed, count, start))
-
-    def write_batch(self, writes: Dict[int, bytes]) -> int:
-        if not writes:
-            return 0
-        head = self.disk.current_lba_estimate() // SECTORS_PER_BLOCK
-        ordered = clook_order(writes.keys(), head)
-        nrequests = 0
-        for start, count in coalesce_blocks(ordered):
-            self.write_extent(start, [writes[b] for b in range(start, start + count)])
-            nrequests += 1
-        return nrequests
 
     # -- maintenance -----------------------------------------------------------
 

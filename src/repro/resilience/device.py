@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.blockdev.device import BLOCK_SIZE, SECTORS_PER_BLOCK
-from repro.blockdev.scheduler import clook_order, coalesce_blocks
+from repro.blockdev.device import BLOCK_SIZE, BatchedIO
+from repro.blockdev.scheduler import coalesce_blocks
 from repro.errors import (
     AddressError,
     ChecksumError,
@@ -84,7 +84,7 @@ class ResilienceStats:
     sidecar_flushes: int = 0     # sidecar persistence barriers
 
 
-class ResilientBlockDevice:
+class ResilientBlockDevice(BatchedIO):
     """A verified, self-healing view over a (possibly faulty) device.
 
     Create with :meth:`format` on a fresh device or :meth:`attach` on
@@ -184,18 +184,6 @@ class ResilientBlockDevice:
             raise
         return out  # type: ignore[return-value]
 
-    def read_batch(self, block_numbers: Iterable[int]) -> Dict[int, bytes]:
-        blocks = list(block_numbers)
-        if not blocks:
-            return {}
-        head = self.disk.current_lba_estimate() // SECTORS_PER_BLOCK
-        out: Dict[int, bytes] = {}
-        for bstart, n in coalesce_blocks(clook_order(blocks, head)):
-            data = self.read_extent(bstart, n)
-            for i in range(n):
-                out[bstart + i] = data[i]
-        return out
-
     def write_block(self, bno: int, data: bytes) -> None:
         self.write_extent(bno, [data])
 
@@ -223,19 +211,6 @@ class ResilientBlockDevice:
             self.health.transition(HealthState.FAILED, self.clock.now,
                                    "power lost")
             raise
-
-    def write_batch(self, writes: Dict[int, bytes]) -> int:
-        if not writes:
-            return 0
-        self.health.check_writable()
-        head = self.disk.current_lba_estimate() // SECTORS_PER_BLOCK
-        ordered = clook_order(writes.keys(), head)
-        nrequests = 0
-        for bstart, n in coalesce_blocks(ordered):
-            self.write_extent(bstart, [writes[b]
-                                       for b in range(bstart, bstart + n)])
-            nrequests += 1
-        return nrequests
 
     def flush(self) -> None:
         """Persist dirty checksums and the remap table, then drain the
