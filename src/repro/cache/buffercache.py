@@ -211,6 +211,25 @@ class BufferCache:
                 cleaned.append(bno)
         return writes, cleaned
 
+    def _write_out(self, op: str, block_numbers: Iterable[int],
+                   **attrs: object) -> int:
+        """Write those of ``block_numbers`` the pipeline lets go, as one
+        batch under a ``cache`` span named ``op``; returns the request
+        count (0, and no span, when nothing was writable)."""
+        writes, cleaned = self._prepare_writes(block_numbers)
+        if not writes:
+            return 0
+        with obs.span("cache", op, **attrs) as sp:
+            sp.incr("blocks", len(writes))
+            nreq = self.device.write_batch(writes)
+            sp.incr("requests", nreq)
+        if self.write_pipeline is not None:
+            self.write_pipeline.committed(list(writes))
+        for bno in cleaned:
+            self._phys[bno].dirty = False
+            self._dirty.discard(bno)
+        return nreq
+
     def flush(self) -> int:
         """Write every writable dirty buffer (batched, C-LOOK); returns
         the request count.  With a write pipeline installed some blocks
@@ -220,37 +239,15 @@ class BufferCache:
             return 0
         if self.write_pipeline is not None:
             self.write_pipeline.pre_flush()
-        writes, cleaned = self._prepare_writes(list(self._dirty))
-        if not writes:
-            return 0
-        with obs.span("cache", "flush") as sp:
-            nreq = self.device.write_batch(writes)
-            sp.incr("blocks", len(writes))
-            sp.incr("requests", nreq)
-        if self.write_pipeline is not None:
-            self.write_pipeline.committed(list(writes))
-        for bno in cleaned:
-            self._phys[bno].dirty = False
-            self._dirty.discard(bno)
-        if self.write_pipeline is not None:
+        nreq = self._write_out("flush", list(self._dirty))
+        # A pass that wrote nothing is not followed by a checkpoint.
+        if nreq and self.write_pipeline is not None:
             self.write_pipeline.post_flush()
         return nreq
 
     def flush_blocks(self, block_numbers: Iterable[int]) -> int:
         """Write the given blocks if dirty (batched); returns requests."""
-        writes, cleaned = self._prepare_writes(block_numbers)
-        if not writes:
-            return 0
-        with obs.span("cache", "flush_blocks") as sp:
-            nreq = self.device.write_batch(writes)
-            sp.incr("blocks", len(writes))
-            sp.incr("requests", nreq)
-        if self.write_pipeline is not None:
-            self.write_pipeline.committed(list(writes))
-        for bno in cleaned:
-            self._phys[bno].dirty = False
-            self._dirty.discard(bno)
-        return nreq
+        return self._write_out("flush_blocks", block_numbers)
 
     def sync(self) -> int:
         """Flush dirty buffers to convergence and drain the drive's
@@ -342,15 +339,9 @@ class BufferCache:
             companions = set([victim_bno])
             if self.flush_companions is not None:
                 companions.update(self.flush_companions(victim_bno))
-            writes, cleaned = self._prepare_writes(companions)
-            with obs.span("cache", "evict_writeback", victim=victim_bno) as sp:
-                sp.incr("blocks", len(writes))
-                sp.incr("requests", self.device.write_batch(writes))
-            if self.write_pipeline is not None and writes:
-                self.write_pipeline.committed(list(writes))
-            for bno in cleaned:
-                self._phys[bno].dirty = False
-                self._dirty.discard(bno)
+            # ``ready`` promised the victim is writable in full, so the
+            # set is never empty here.
+            self._write_out("evict_writeback", companions, victim=victim_bno)
         self._phys.pop(victim_bno, None)
         if victim.logical is not None:
             self._logical.pop(victim.logical, None)
