@@ -1,4 +1,7 @@
-"""Tests for the grouped allocator and the block-mapping trees."""
+"""Tests for the grouped allocator, its bitmap scan, and the
+block-mapping trees."""
+
+import random
 
 import pytest
 
@@ -6,6 +9,7 @@ from repro.cache.buffercache import BufferCache
 from repro.errors import NoSpace
 from repro.ffs import mapping
 from repro.ffs.alloc import GroupedAllocator
+from repro.ffs.cylgroup import bit_is_set, find_clear_bit
 from repro.ffs.layout import NDIRECT, PTRS_PER_INDIRECT
 from tests.conftest import make_device
 
@@ -33,6 +37,46 @@ def make_alloc(n_cgs: int = 3, blocks_per_cg: int = 128, data_start: int = 4):
         cache.mark_dirty(base)
         cache.mark_dirty(base + 1)
     return alloc, cache
+
+
+def _probe_clear_bit(bitmap, start, end):
+    """The reference for :func:`find_clear_bit`: probe each offset in
+    order.  The allocator trusts the byte-skipping scan to pick the
+    *same* block, which is what keeps disk images byte-identical."""
+    for offset in range(start, end):
+        if not bit_is_set(bitmap, offset):
+            return offset
+    return None
+
+
+class TestFindClearBit:
+    def test_matches_probe_loop_on_random_bitmaps(self):
+        rng = random.Random(0xB17)
+        for _ in range(400):
+            nbits = rng.randrange(8, 257)
+            nbytes = (nbits + 7) // 8
+            # Mostly-full bitmaps: the shape the byte-skip targets.
+            bitmap = bytearray(
+                0xFF if rng.random() < 0.7 else rng.getrandbits(8)
+                for _ in range(nbytes))
+            start = rng.randrange(0, nbits)
+            end = rng.randrange(start, nbits + 1)
+            assert find_clear_bit(bitmap, start, end) == \
+                _probe_clear_bit(bitmap, start, end)
+
+    def test_edges(self):
+        full = bytearray(b"\xff" * 8)
+        assert find_clear_bit(full, 0, 64) is None
+        assert find_clear_bit(full, 5, 5) is None  # empty range
+        empty = bytearray(8)
+        assert find_clear_bit(empty, 0, 64) == 0
+        assert find_clear_bit(empty, 63, 64) == 63
+        # First clear bit sits exactly on / just past the end bound.
+        bm = bytearray(b"\xff" * 8)
+        bm[4] = 0xFE  # bit 33 onward set, bit 32 clear
+        assert find_clear_bit(bm, 0, 33) == 32
+        assert find_clear_bit(bm, 0, 32) is None
+        assert find_clear_bit(bm, 33, 64) is None
 
 
 class TestBlockAllocation:
