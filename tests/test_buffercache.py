@@ -67,6 +67,19 @@ class TestLookups:
         cache.install(9, b"y" * BLOCK_SIZE)
         assert bytes(cache.get(9).data) == b"y" * BLOCK_SIZE
 
+    def test_install_checks_length_fresh_and_over_a_cached_buffer(self):
+        """A short image is refused where it enters the buffer, not at
+        some later write-out of the block."""
+        cache = make_cache()
+        with pytest.raises(ValueError):
+            cache.install(4, b"short")
+        assert cache.peek(4) is None
+        cache.get(5)
+        with pytest.raises(ValueError):
+            cache.install(5, b"short")
+        assert len(cache.get(5).data) == BLOCK_SIZE
+        cache.sync()
+
 
 class TestWrites:
     def test_write_sync_reaches_device(self):
