@@ -26,9 +26,20 @@ from repro.errors import AddressError, InvalidArgument
 BLOCK_SIZE = 4096
 SECTORS_PER_BLOCK = BLOCK_SIZE // SECTOR_SIZE
 
-_ZERO_BLOCK = bytes(BLOCK_SIZE)
+ZERO_BLOCK = bytes(BLOCK_SIZE)
 
 _IMAGE_MAGIC = b"CFFSIMG1"
+
+
+def block_image(data: bytes) -> bytes:
+    """``data`` as the immutable image of one block, checked before it
+    becomes anyone's state.  ``bytes`` is returned as it is, so every
+    holder of a block version — device store, cache buffer, fault
+    recorder — shares one object; anything mutable (``bytearray``,
+    ``memoryview``) is snapshotted here."""
+    if len(data) != BLOCK_SIZE:
+        raise ValueError("a block is exactly %d bytes" % BLOCK_SIZE)
+    return data if type(data) is bytes else bytes(data)
 
 
 class BatchedIO:
@@ -87,18 +98,14 @@ class BlockDevice(BatchedIO):
         """Read one block (timed)."""
         self._check(bno, 1)
         self.disk.read(bno * SECTORS_PER_BLOCK, SECTORS_PER_BLOCK)
-        return self._blocks.get(bno, _ZERO_BLOCK)
+        return self._blocks.get(bno, ZERO_BLOCK)
 
     def write_block(self, bno: int, data: bytes) -> None:
         """Write one block (timed)."""
         self._check(bno, 1)
-        if len(data) != BLOCK_SIZE:
-            raise ValueError("block write must be exactly %d bytes" % BLOCK_SIZE)
+        image = block_image(data)
         self.disk.write(bno * SECTORS_PER_BLOCK, SECTORS_PER_BLOCK)
-        # Immutable payloads are aliased rather than copied; anything
-        # mutable (bytearray, memoryview) is snapshotted here, at the
-        # single point where data becomes device state.
-        self._blocks[bno] = data if type(data) is bytes else bytes(data)
+        self._blocks[bno] = image
 
     # -- extent operations ----------------------------------------------------
 
@@ -106,19 +113,15 @@ class BlockDevice(BatchedIO):
         """Read ``count`` adjacent blocks in one disk request."""
         self._check(start, count)
         self.disk.read(start * SECTORS_PER_BLOCK, count * SECTORS_PER_BLOCK)
-        return [self._blocks.get(b, _ZERO_BLOCK) for b in range(start, start + count)]
+        return [self._blocks.get(b, ZERO_BLOCK) for b in range(start, start + count)]
 
     def write_extent(self, start: int, blocks: Sequence[bytes]) -> None:
         """Write adjacent blocks in one scatter/gather disk request."""
         count = len(blocks)
         self._check(start, count)
-        for data in blocks:
-            if len(data) != BLOCK_SIZE:
-                raise ValueError("block write must be exactly %d bytes" % BLOCK_SIZE)
+        images = [block_image(data) for data in blocks]
         self.disk.write(start * SECTORS_PER_BLOCK, count * SECTORS_PER_BLOCK)
-        store = self._blocks
-        for i, data in enumerate(blocks):
-            store[start + i] = data if type(data) is bytes else bytes(data)
+        self._blocks.update(zip(range(start, start + count), images))
 
     # -- maintenance ------------------------------------------------------------
 
@@ -131,7 +134,7 @@ class BlockDevice(BatchedIO):
         when the experiment explicitly excludes their cost, and by
         tests)."""
         self._check(bno, 1)
-        return self._blocks.get(bno, _ZERO_BLOCK)
+        return self._blocks.get(bno, ZERO_BLOCK)
 
     def content_digest(self) -> str:
         """SHA-256 over the device's logical contents (hex).
@@ -148,7 +151,7 @@ class BlockDevice(BatchedIO):
         pack = struct.Struct("<Q").pack
         for bno in sorted(self._blocks):
             data = self._blocks[bno]
-            if data == _ZERO_BLOCK:
+            if data == ZERO_BLOCK:
                 continue
             hasher.update(pack(bno))
             hasher.update(data)
@@ -157,9 +160,7 @@ class BlockDevice(BatchedIO):
     def poke_block(self, bno: int, data: bytes) -> None:
         """Write data without timing (test corruption injection)."""
         self._check(bno, 1)
-        if len(data) != BLOCK_SIZE:
-            raise ValueError("block write must be exactly %d bytes" % BLOCK_SIZE)
-        self._blocks[bno] = data if type(data) is bytes else bytes(data)
+        self._blocks[bno] = block_image(data)
 
     # -- image persistence -------------------------------------------------------
 

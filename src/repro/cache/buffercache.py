@@ -46,7 +46,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterable, Optional, Set
 
 from repro import obs
-from repro.blockdev.device import BLOCK_SIZE, BlockDevice
+from repro.blockdev.device import ZERO_BLOCK, BlockDevice
 from repro.cache.buffer import Buffer, LogicalId
 from repro.errors import ChecksumError, InvalidArgument
 
@@ -140,21 +140,28 @@ class BufferCache:
         An existing *dirty* buffer keeps its data — the cached copy is
         newer than what the group read returned from the media path.
         """
+        return self._place(bno, data, logical, over_dirty=False)
+
+    def create(self, bno: int, logical: Optional[LogicalId] = None,
+               image: bytes = ZERO_BLOCK) -> Buffer:
+        """A buffer holding ``image`` — zeros unless given — for a block
+        whose old contents no longer matter: freshly allocated, or about
+        to be written wholesale (no read)."""
+        return self._place(bno, image, logical, over_dirty=True)
+
+    def _place(self, bno: int, image: bytes, logical: Optional[LogicalId],
+               over_dirty: bool) -> Buffer:
         buf = self._phys.get(bno)
         if buf is None:
-            buf = Buffer(bno, data, logical)
+            buf = Buffer(bno, image, logical)
             self._insert(buf)
         else:
             self._phys.move_to_end(bno)
-            if not buf.dirty:
-                buf.data[:] = data
+            if over_dirty or not buf.dirty:
+                buf.replace(image)
         if logical is not None and buf.logical != logical:
             self._set_logical(buf, logical)
         return buf
-
-    def create(self, bno: int, logical: Optional[LogicalId] = None) -> Buffer:
-        """A zero-filled buffer for a freshly allocated block (no read)."""
-        return self.install(bno, bytes(BLOCK_SIZE), logical)
 
     def mark_dirty(self, bno: int) -> None:
         """Record that the buffer's data diverges from the disk."""
@@ -165,11 +172,13 @@ class BufferCache:
     def write_sync(self, bno: int) -> None:
         """Write the buffer through to the device immediately (timed)."""
         buf = self._phys[bno]
-        # Without a pipeline the live bytearray goes straight down: every
-        # device layer either only reads it (checksums) or snapshots it
-        # at the final store, so no copy is needed here.  Pipelines get
-        # the immutable snapshot their contract promises.
-        image, clean = buf.data, True
+        # The one write that hands the live bytes down: a block written
+        # through on every update (an inode or directory block under
+        # synchronous metadata) is edited again at once, and freezing it
+        # here would cost a copy-on-write per operation.  The device
+        # snapshots at its store; pipelines get the immutable snapshot
+        # their contract promises.
+        image, clean = buf.image, True
         if self.write_pipeline is not None:
             prepared = self.write_pipeline.prepare(bno, bytes(image))
             if prepared is None:
@@ -197,15 +206,15 @@ class BufferCache:
             buf = self._phys.get(bno)
             if buf is None or not buf.dirty:
                 continue
+            # Frozen once, here: this one object is what the pipeline
+            # sees, what the device and its recorders store, and what
+            # the buffer keeps until its next edit.
+            image, clean = buf.freeze(), True
             if pipeline is not None:
-                prepared = pipeline.prepare(bno, bytes(buf.data))
+                prepared = pipeline.prepare(bno, image)
                 if prepared is None:
                     continue  # deferred: dependencies not durable yet
                 image, clean = prepared
-            else:
-                # Alias the live bytearray: the flush that follows is
-                # synchronous and the device snapshots at its store.
-                image, clean = buf.data, True
             writes[bno] = image
             if clean:
                 cleaned.append(bno)

@@ -84,7 +84,7 @@ class ExtInodeTable:
     def get(self, inum: int) -> CNode:
         bno, blk, off = self._locate(inum)
         buf = self.fs.cache.get(bno, logical=(EXT_TABLE_FILEID, blk))
-        node = CNode.unpack(bytes(buf.data[off:off + layout.CINODE_SIZE]))
+        node = CNode.unpack(bytes(buf.image[off:off + layout.CINODE_SIZE]))
         if node.mode == layout.MODE_FREE:
             raise FileNotFound("external inode %d is free" % inum)
         node.loc = (LOC_EXT, inum)
@@ -145,7 +145,7 @@ class ExtInodeTable:
             for slot in range(SLOTS_PER_BLOCK):
                 off = slot * SLOT_SIZE
                 fields = layout.unpack_cinode(
-                    bytes(buf.data[off:off + layout.CINODE_SIZE])
+                    bytes(buf.image[off:off + layout.CINODE_SIZE])
                 )
                 if fields["mode"] == layout.MODE_FREE:
                     self._free.append(blk * SLOTS_PER_BLOCK + slot + 1)

@@ -444,11 +444,10 @@ class CFFS(BlockFileSystem):
                 grouped.append((idx, bno))
         fid = handle.fileid
         for idx, old_bno in grouped:
-            data = bytes(self.cache.get(old_bno, logical=(fid, idx)).data)
+            data = bytes(self.cache.get(old_bno, logical=(fid, idx)).image)
             self.cache.forget(old_bno)
             new_bno = self._alloc_ungrouped(handle, idx if idx else 0)
-            buf = self.cache.create(new_bno, logical=(fid, idx))
-            buf.data[:] = data
+            self.cache.create(new_bno, logical=(fid, idx), image=data)
             self.cache.mark_dirty(new_bno)
             handle.direct[idx] = new_bno  # grouped blocks are always direct
             self._free_file_block(handle, old_bno)
@@ -519,10 +518,9 @@ class CFFS(BlockFileSystem):
                     break  # ran out of pre-claimed extents
                 ext = nxt
                 new = self.groups.take_slot(ext, fid, idx)
-            data = bytes(self.cache.get(old, logical=(fid, idx)).data)
+            data = bytes(self.cache.get(old, logical=(fid, idx)).image)
             self.cache.forget(old)
-            buf = self.cache.create(new, logical=(fid, idx))
-            buf.data[:] = data
+            self.cache.create(new, logical=(fid, idx), image=data)
             self.cache.mark_dirty(new)
             node.direct[idx] = new
             self._free_file_block(node, old)
@@ -634,7 +632,7 @@ class CFFS(BlockFileSystem):
         payload_off = dirfmt.add_entry(buf.data, sector, name, etype, kind, payload)
         if payload_off is None:
             raise CorruptFileSystem("sector free-space accounting disagrees")
-        data = buf.data
+        data = buf.image
         index.set_free((blk, sector), dirfmt.sector_free_bytes(data, sector))
         ident = dirfmt.entry_ident(data, payload_off)
         # The entry layout is header, padded name, payload, so the
@@ -662,7 +660,7 @@ class CFFS(BlockFileSystem):
             raise CorruptFileSystem("index and block disagree on %r" % name)
         sector, _ = removed
         index.set_free((blk, sector),
-                       dirfmt.sector_free_bytes(buf.data, sector))
+                       dirfmt.sector_free_bytes(buf.image, sector))
         del index.names[name]
         dirh.mtime = self.device.clock.now
         self._istore(dirh, sync_op=False)
@@ -694,7 +692,7 @@ class CFFS(BlockFileSystem):
                 bno = self._dir_block_bno(dirh, blk)
                 buf = self.cache.get(bno, logical=(dirh.fileid, blk))
                 node = CNode.unpack(
-                    bytes(buf.data[payload_off:payload_off + layout.CINODE_SIZE])
+                    bytes(buf.image[payload_off:payload_off + layout.CINODE_SIZE])
                 )
                 node.loc = (LOC_DIR, dirh, blk, entry_off, payload_off)
                 node.home_cg = dirh.home_cg
@@ -850,7 +848,7 @@ class CFFS(BlockFileSystem):
                     pindex.set_free(
                         (blk, entry_off // layout.SECTOR_SIZE),
                         dirfmt.sector_free_bytes(
-                            buf.data, entry_off // layout.SECTOR_SIZE
+                            buf.image, entry_off // layout.SECTOR_SIZE
                         ),
                     )
                     break

@@ -91,7 +91,7 @@ class GroupTable:
     def read_desc(self, ext: ExtentId) -> dict:
         bno, off = self._desc_location(ext)
         buf = self.cache.get(bno)
-        return unpack_gdesc_from(buf.data, off)
+        return unpack_gdesc_from(buf.image, off)
 
     def read_desc_cached(self, ext: ExtentId) -> Optional[dict]:
         """Like :meth:`read_desc` but never touches the disk or the
@@ -101,7 +101,7 @@ class GroupTable:
         buf = self.cache.peek(bno)
         if buf is None:
             return None
-        return unpack_gdesc_from(buf.data, off)
+        return unpack_gdesc_from(buf.image, off)
 
     def write_desc(self, ext: ExtentId, desc: dict) -> None:
         bno, off = self._desc_location(ext)

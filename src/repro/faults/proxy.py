@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.blockdev.device import BLOCK_SIZE, SECTORS_PER_BLOCK, BatchedIO, BlockDevice
+from repro.blockdev.device import (SECTORS_PER_BLOCK, BatchedIO, BlockDevice,
+                                   block_image)
 from repro.errors import MediaReadError, MediaWriteError, PowerLoss
 from repro.faults.schedule import (
     HARD,
@@ -132,10 +133,7 @@ class FaultyBlockDevice(BatchedIO):
     def write_extent(self, start: int, blocks: Sequence[bytes]) -> None:
         count = len(blocks)
         self.inner._check(start, count)
-        for data in blocks:
-            if len(data) != BLOCK_SIZE:
-                raise ValueError(
-                    "block write must be exactly %d bytes" % BLOCK_SIZE)
+        images = [block_image(data) for data in blocks]
         self._require_power()
         self.stats.writes += 1
         index = self.stats.writes - 1
@@ -167,16 +165,17 @@ class FaultyBlockDevice(BatchedIO):
                 cut = True
         if landed:
             self.disk.write(start * SECTORS_PER_BLOCK, landed * SECTORS_PER_BLOCK)
-            for i in range(landed):
-                self.inner.poke_block(start + i, blocks[i])
+            for bno, image in zip(range(start, start + landed), images):
+                # One object for the store, the recorder and the hook.
+                self.inner.poke_block(bno, image)
                 # Fresh data cancels pending decay and supersedes any
                 # rot already applied at this location.
-                self.schedule.rot_blocks.discard(start + i)
-                self._rotted.discard(start + i)
+                self.schedule.rot_blocks.discard(bno)
+                self._rotted.discard(bno)
                 if self.journal is not None:
-                    self.journal.append((start + i, bytes(blocks[i])))
+                    self.journal.append((bno, image))
                 if self.on_media_write is not None:
-                    self.on_media_write(start + i, bytes(blocks[i]))
+                    self.on_media_write(bno, image)
             self.stats.media_writes += landed
         if cut:
             self.stats.power_cuts += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.cache.buffer import Buffer
 from repro.cache.buffercache import BufferCache
 from repro.errors import NoSpace
 from repro.ffs.cylgroup import (CylinderGroup, bit_is_set, bitmap_block,
@@ -74,9 +75,11 @@ class GroupedAllocator:
             self._groups[cgi] = cg
         return cg
 
-    def _bitmap(self, cg: CylinderGroup) -> bytearray:
-        """The live bitmap buffer for a group (cache is authoritative)."""
-        return self.cache.get(cg.bitmap_block).data
+    def _bitmap(self, cg: CylinderGroup) -> Buffer:
+        """The cached bitmap block of a group (the cache is
+        authoritative): scans read ``.image``, and only a caller that
+        found a bit to flip takes ``.data``."""
+        return self.cache.get(cg.bitmap_block)
 
     def format_group(self, cgi: int, usable: int) -> None:
         """mkfs: an empty group ``cgi`` with ``usable`` data blocks —
@@ -88,7 +91,7 @@ class GroupedAllocator:
             (descriptor_block(base),
              fresh_descriptor(usable, self.inodes_per_cg, self.data_start)),
         ):
-            self.cache.create(bno).data[:] = image
+            self.cache.create(bno, image=image)
             self.cache.mark_dirty(bno)
 
     def drop_mirrors(self) -> None:
@@ -137,10 +140,10 @@ class GroupedAllocator:
                 if start >= self.blocks_per_cg:
                     continue  # this group's strides are used up
                 bitmap = self._bitmap(cg)
-                offset = self._find_free_no_wrap(bitmap, start)
+                offset = self._find_free_no_wrap(bitmap.image, start)
                 if offset is None:
                     continue
-                set_bit(bitmap, offset)
+                set_bit(bitmap.data, offset)
                 self.cache.mark_dirty(cg.bitmap_block)
                 cg.free_blocks -= 1
                 self._charge("free_blocks", -1)
@@ -159,10 +162,10 @@ class GroupedAllocator:
                 start = cg.block_rotor
                 if start < self.data_start or start >= self.blocks_per_cg:
                     start = self.data_start
-            offset = self._find_free(bitmap, start)
+            offset = self._find_free(bitmap.image, start)
             if offset is None:
                 continue
-            set_bit(bitmap, offset)
+            set_bit(bitmap.data, offset)
             self.cache.mark_dirty(cg.bitmap_block)
             cg.free_blocks -= 1
             self._charge("free_blocks", -1)
@@ -189,6 +192,7 @@ class GroupedAllocator:
             if cg.free_blocks < count:
                 continue
             bitmap = self._bitmap(cg)
+            scan = bitmap.image
             offset = self.data_start
             while offset + count <= self.blocks_per_cg:
                 aligned = offset
@@ -200,13 +204,14 @@ class GroupedAllocator:
                             break
                 run_ok = True
                 for i in range(count):
-                    if bit_is_set(bitmap, aligned + i):
+                    if bit_is_set(scan, aligned + i):
                         run_ok = False
                         offset = aligned + i + 1
                         break
                 if run_ok:
+                    run = bitmap.data
                     for i in range(count):
-                        set_bit(bitmap, aligned + i)
+                        set_bit(run, aligned + i)
                     self.cache.mark_dirty(cg.bitmap_block)
                     cg.free_blocks -= count
                     self._charge("free_blocks", -count)
@@ -218,9 +223,9 @@ class GroupedAllocator:
         cg = self.group(cgi)
         offset = bno - cg.base
         bitmap = self._bitmap(cg)
-        if not bit_is_set(bitmap, offset):
+        if not bit_is_set(bitmap.image, offset):
             raise NoSpace("double free of block %d" % bno)
-        clear_bit(bitmap, offset)
+        clear_bit(bitmap.data, offset)
         self.cache.mark_dirty(cg.bitmap_block)
         cg.free_blocks += 1
         self._charge("free_blocks", 1)
@@ -228,7 +233,7 @@ class GroupedAllocator:
     def block_is_allocated(self, bno: int) -> bool:
         cgi = self.cg_of_block(bno)
         cg = self.group(cgi)
-        return bit_is_set(self._bitmap(cg), bno - cg.base)
+        return bit_is_set(self._bitmap(cg).image, bno - cg.base)
 
     def cg_of_block(self, bno: int) -> int:
         return (bno - self._cg_base_of(0)) // self.blocks_per_cg
@@ -276,11 +281,12 @@ class GroupedAllocator:
         return self._inode_used(self.group(cgi), idx)
 
     def _inode_used(self, cg: CylinderGroup, idx: int) -> bool:
-        return bit_is_set(self._bitmap(cg), inode_bit(self.blocks_per_cg, idx))
+        return bit_is_set(
+            self._bitmap(cg).image, inode_bit(self.blocks_per_cg, idx))
 
     def _set_inode_used(self, cg: CylinderGroup, idx: int, used: bool) -> None:
         flip = set_bit if used else clear_bit
-        flip(self._bitmap(cg), inode_bit(self.blocks_per_cg, idx))
+        flip(self._bitmap(cg).data, inode_bit(self.blocks_per_cg, idx))
         self.cache.mark_dirty(cg.bitmap_block)
 
     # -- internals -----------------------------------------------------------------
@@ -291,11 +297,11 @@ class GroupedAllocator:
             nxt = (pref + d) % self.n_cgs
             yield nxt
 
-    def _find_free_no_wrap(self, bitmap: bytearray, start: int) -> Optional[int]:
+    def _find_free_no_wrap(self, bitmap: bytes, start: int) -> Optional[int]:
         """Linear search for a clear bit from ``start`` to the group end."""
         return find_clear_bit(bitmap, start, self.blocks_per_cg)
 
-    def _find_free(self, bitmap: bytearray, start: int) -> Optional[int]:
+    def _find_free(self, bitmap: bytes, start: int) -> Optional[int]:
         """Next-fit search for a clear bit, wrapping within the data area."""
         total = self.blocks_per_cg
         if start < self.data_start or start >= total:

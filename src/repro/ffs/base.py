@@ -148,7 +148,7 @@ class BlockFileSystem(FileSystem):
         if probe["magic"] == cls.MAGIC and probe["journal_start"]:
             timed_replay(device, probe["journal_start"], probe["journal_blocks"])
         fs = cls(device, config)
-        raw = bytes(fs.cache.get(0).data)
+        raw = bytes(fs.cache.get(0).image)
         sb = cls.unpack_superblock(raw)
         if sb["magic"] != cls.MAGIC:
             raise CorruptFileSystem(
@@ -224,7 +224,7 @@ class BlockFileSystem(FileSystem):
             rbuf = self.cache.peek(rb)
             if rbuf is None:
                 rbuf = self.cache.create(rb)
-            rbuf.data[:] = buf.data
+            rbuf.data[:] = buf.image
             self.cache.mark_dirty(rb)
         return token
 
@@ -281,7 +281,7 @@ class BlockFileSystem(FileSystem):
         if self.policy.is_journal:
             pipe.note(bno)
             return None
-        return pipe.record(bno, bytes(self.cache.peek(bno).data), requires)
+        return pipe.record(bno, bytes(self.cache.peek(bno).image), requires)
 
     def _gate_freed_blocks(self, freed: List[int], token: OrderToken) -> None:
         """Forbid reuse writes into freed blocks until the write that
@@ -437,9 +437,9 @@ class BlockFileSystem(FileSystem):
         while index.scanned_blocks < nblocks:
             blk = index.scanned_blocks
             # The scan only reads scalars out of the block, so it walks
-            # the cache's live bytearray without a snapshot.
+            # the cached image without a snapshot.
             data = self.cache.get(self._dir_block_bno(dirh, blk),
-                                  logical=(fid, blk)).data
+                                  logical=(fid, blk)).image
             entries = dirfmt.index_entries(data, blk)
             index.names.update(entries)
             entries_seen += len(entries)
@@ -485,8 +485,8 @@ class BlockFileSystem(FileSystem):
             alloc_data=lambda: self._alloc_data_block(dirh, blk),
             alloc_meta=lambda: self._alloc_meta_block(dirh),
         )
-        buf = self.cache.create(bno, logical=(fid, blk))
-        buf.data[:] = self.dirfmt.init_block()
+        image = self.dirfmt.init_block()
+        self.cache.create(bno, logical=(fid, blk), image=image)
         # Ordering: the initialized directory block reaches disk before
         # the inode's grown size exposes it to the lookup path.
         init_token = self._meta_write(bno)
@@ -496,7 +496,7 @@ class BlockFileSystem(FileSystem):
         self._istore(dirh, sync_op=True, requires=(init_token,))
         index = self._dir_index.get(fid)
         if index is not None:
-            for slot, free in self.dirfmt.free_slots(buf.data, blk):
+            for slot, free in self.dirfmt.free_slots(image, blk):
                 index.set_free(slot, free)
             if index.complete:
                 index.scanned_blocks = blk + 1
@@ -507,7 +507,7 @@ class BlockFileSystem(FileSystem):
         fid = self._file_id(dirh)
         for blk in range(dirh.size // BLOCK_SIZE):
             data = self.cache.get(self._dir_block_bno(dirh, blk),
-                                  logical=(fid, blk)).data
+                                  logical=(fid, blk)).image
             names.extend(name for name, _ in self.dirfmt.index_entries(data, blk))
         self.cpu.charge_dirent_scan(len(names))
         return names
@@ -546,10 +546,11 @@ class BlockFileSystem(FileSystem):
             if idx in holes:
                 chunks.append(bytes(hi - lo))
             else:
-                # One copy per chunk, made directly from the cached
-                # bytearray (a memoryview keeps partial slices from
-                # snapshotting the whole block first).
-                cached = self.cache.get(by_idx[idx], logical=(fid, idx)).data
+                # A whole block that nobody is editing is returned as
+                # the shared image itself; otherwise one copy per chunk
+                # (a memoryview keeps partial slices from snapshotting
+                # the whole block first).
+                cached = self.cache.get(by_idx[idx], logical=(fid, idx)).image
                 if lo == 0 and hi == BLOCK_SIZE:
                     chunks.append(bytes(cached))
                 else:
@@ -628,11 +629,17 @@ class BlockFileSystem(FileSystem):
             )
             if was_created:
                 created += 1
-            if was_created or full:
-                buf = self.cache.create(bno, logical=(fid, idx))
+            piece = data[pos:pos + (hi - lo)]
+            if full:
+                # Built once and handed over as the image: the slice
+                # itself, zero-padded when the write stops short at EOF.
+                if hi < BLOCK_SIZE:
+                    piece = bytes(piece).ljust(BLOCK_SIZE, b"\0")
+                self.cache.create(bno, logical=(fid, idx), image=piece)
+            elif was_created:
+                self.cache.create(bno, logical=(fid, idx)).data[lo:hi] = piece
             else:
-                buf = self.cache.get(bno, logical=(fid, idx))
-            buf.data[lo:hi] = data[pos:pos + (hi - lo)]
+                self.cache.get(bno, logical=(fid, idx)).data[lo:hi] = piece
             self.cache.mark_dirty(bno)
             pos += hi - lo
 

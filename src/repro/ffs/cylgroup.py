@@ -164,5 +164,5 @@ class CylinderGroup:
         cls, cache: BufferCache, index: int, base: int, blocks: int, inodes: int
     ) -> "CylinderGroup":
         cg = cls(index, base, blocks, inodes)
-        cg.load_descriptor(bytes(cache.get(cg.descriptor_block).data))
+        cg.load_descriptor(cache.get(cg.descriptor_block).image)
         return cg

@@ -139,7 +139,7 @@ class FFS(BlockFileSystem):
             # embedded inodes eliminate (visible as fs.inode_fetch spans).
             with obs.span("fs", "inode_fetch", inum=inum):
                 buf = self.cache.get(bno)
-            raw = bytes(buf.data[slot * layout.INODE_SIZE:(slot + 1) * layout.INODE_SIZE])
+            raw = bytes(buf.image[slot * layout.INODE_SIZE:(slot + 1) * layout.INODE_SIZE])
             inode = Inode.unpack(inum, raw)
             self._icache[inum] = inode
         return inode
@@ -181,13 +181,13 @@ class FFS(BlockFileSystem):
         if target_blk is None:
             target_blk = self._grow_directory(dirh)
         bno = self._dir_block_bno(dirh, target_blk)
-        data = self.cache.get(bno, logical=(dirh.inum, target_blk)).data
+        buf = self.cache.get(bno, logical=(dirh.inum, target_blk))
         # reprolint: disable=J001 -- add_entry mutates only when it returns True; the False path raises over an untouched block
-        if not dirfmt.add_entry(data, inum, kind, name):
+        if not dirfmt.add_entry(buf.data, inum, kind, name):
             raise CorruptFileSystem("free-space accounting disagrees with block")
         token = self._meta_write(bno, requires)
         index.names[name] = (inum, kind, target_blk)
-        index.set_free(target_blk, dirfmt.free_bytes(data))
+        index.set_free(target_blk, dirfmt.free_bytes(buf.image))
         dirh.mtime = self.device.clock.now
         self._istore(dirh)
         return token
@@ -200,8 +200,8 @@ class FFS(BlockFileSystem):
             raise FileNotFound("no entry %r" % name)
         inum, kind, blk = entry
         bno = self._dir_block_bno(dirh, blk)
-        data = self.cache.get(bno, logical=(dirh.inum, blk)).data
-        removed = dirfmt.remove_entry(data, name)
+        buf = self.cache.get(bno, logical=(dirh.inum, blk))
+        removed = dirfmt.remove_entry(buf.data, name)
         # Seal before the consistency check: if the block disagrees with
         # the index, remove_entry still scrubbed *some* entry out of the
         # cached bytes, and the journal/soft-updates trackers must hear
@@ -211,7 +211,7 @@ class FFS(BlockFileSystem):
         if removed != inum:
             raise CorruptFileSystem("index and block disagree on %r" % name)
         del index.names[name]
-        index.set_free(blk, dirfmt.free_bytes(data))
+        index.set_free(blk, dirfmt.free_bytes(buf.image))
         dirh.mtime = self.device.clock.now
         self._istore(dirh)
         return inum, kind, token

@@ -29,8 +29,8 @@ FreeFn = Callable[[int], None]
 
 
 def _read_ptrs(cache: BufferCache, bno: int) -> Tuple[int, ...]:
-    # Decoded in place from the cache's live bytearray (no 4 KB copy).
-    return _PTR_STRUCT.unpack_from(cache.get(bno).data, 0)
+    # Decoded in place from the cached image (no 4 KB copy).
+    return _PTR_STRUCT.unpack_from(cache.get(bno).image, 0)
 
 
 def _write_ptr(cache: BufferCache, bno: int, index: int, value: int) -> None:

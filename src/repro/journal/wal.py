@@ -194,7 +194,7 @@ class Journal:
         images: Dict[int, bytes] = {}
         for bno in bnos:
             buf = self.cache.peek(bno)
-            images[bno] = (bytes(buf.data) if buf is not None
+            images[bno] = (bytes(buf.image) if buf is not None
                            else self.device.peek_block(bno))
         logged = 0
         with obs.span("journal", "commit", blocks=len(bnos)) as sp:

@@ -41,10 +41,11 @@ def make_device(profile: DriveProfile = TEST_PROFILE) -> BlockDevice:
     return BlockDevice(profile)
 
 
-def make_ffs(policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA, **overrides) -> FFS:
+def make_ffs(policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
+             cache_blocks: int = 512, **overrides) -> FFS:
     config = FFSConfig(
-        blocks_per_cg=512, inodes_per_cg=256, policy=policy, cache_blocks=512,
-        **overrides,
+        blocks_per_cg=512, inodes_per_cg=256, policy=policy,
+        cache_blocks=cache_blocks, **overrides,
     )
     return FFS.mkfs(make_device(), config)
 
@@ -53,6 +54,7 @@ def make_cffs(
     policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
     embedded: bool = True,
     grouping: bool = True,
+    cache_blocks: int = 512,
     **overrides,
 ) -> CFFS:
     config = CFFSConfig(
@@ -60,7 +62,7 @@ def make_cffs(
         embedded_inodes=embedded,
         explicit_grouping=grouping,
         policy=policy,
-        cache_blocks=512,
+        cache_blocks=cache_blocks,
         **overrides,
     )
     return CFFS.mkfs(make_device(), config)

@@ -11,6 +11,10 @@ the kwargs-building observability path with observability off).
 tracemalloc tracks live objects, so transient per-call garbage (the
 returned read bytes, unpacked tuples) does not count — exactly the
 contract: steady-state loops must not *accumulate*.
+
+The last group pins, in bytes, that a block version is one object:
+what the cache holds *is* what the device stores and what a fault
+recorder keeps, until somebody edits it.
 """
 
 from __future__ import annotations
@@ -299,3 +303,68 @@ def test_cluster_traffic_retains_one_record_bundle_per_operation():
     extra_ops = (80 - 40) * 3
     assert large - small <= extra_ops * per_op
     assert sum(len(c.records) for c in held[-1].clients) == 80 * 3
+    # After sync_concurrent() a cached block is the device's object, not
+    # a second 4 KB beside it (at the parent of PR 19: every one of them).
+    for shard in held[-1].shards:
+        cached = shard.fs.cache._phys
+        second = sum(len(buf.image) for bno, buf in cached.items()
+                     if buf.image is not shard.device.peek_block(bno))
+        assert len(cached) > 1000
+        assert second * 16 <= len(cached) * BLOCK_SIZE
+
+
+# -- one image per block version ----------------------------------------------------
+
+
+def test_read_fill_holds_the_devices_bytes_not_copies_of_them():
+    """Filling a 256-block cache from a written device costs the cache
+    its bookkeeping and nothing per byte of data."""
+    device = make_device()
+    bnos = range(1, 257)
+    for bno in bnos:
+        device.poke_block(bno, bytes([bno % 251]) * BLOCK_SIZE)
+    tracemalloc.start()
+    try:
+        cache = BufferCache(device, capacity_blocks=256)
+        for bno in bnos:
+            cache.get(bno)
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    in_cache = snapshot.filter_traces([tracemalloc.Filter(
+        True, "*" + os.sep + "repro" + os.sep + "cache" + os.sep + "*")])
+    retained = sum(stat.size for stat in in_cache.statistics("filename"))
+    #: Measured: 149 B a block (the Buffer, its OrderedDict slot);
+    #: 4302 B at the parent of PR 19, which copied every block.
+    assert 0 < retained <= 256 * 512
+    for bno in bnos:
+        assert cache.peek(bno).image is device.peek_block(bno)
+
+
+def test_written_blocks_are_one_object_in_cache_device_and_recorder():
+    """Whole-block and 3.5 KB files, then sync(): every data block in
+    the cache is the object the device stores, and every landed write
+    the recorder kept is the object the device stored."""
+    from repro.faults import FaultyBlockDevice
+    from repro.ffs import mapping
+
+    device = FaultyBlockDevice(make_device(), record_journal=True)
+    fs = CFFS.mkfs(device, CFFSConfig(blocks_per_cg=512, cache_blocks=512))
+    fs.mkdir("/d")
+    sizes = {"/d/whole%d" % i: 2 * BLOCK_SIZE for i in range(8)}
+    sizes.update(("/d/small%d" % i, 3584) for i in range(24))
+    for k, (path, size) in enumerate(sorted(sizes.items())):
+        fs.write_file(path, bytes([k + 1]) * size)
+    fs.sync()
+    data_blocks = [bno for path in sizes for _idx, bno in
+                   mapping.enumerate_blocks(fs.cache, fs._resolve(path))]
+    assert len(data_blocks) == 8 * 2 + 24
+    for bno in data_blocks:
+        assert fs.cache.peek(bno).image is device.peek_block(bno)
+    last = dict(device.journal)     # the newest landed write of each block
+    assert set(data_blocks) <= set(last)
+    for bno, image in last.items():
+        assert image is device.peek_block(bno)
+    for path, size in sizes.items():
+        assert fs.read_file(path) == bytes([sorted(sizes).index(path) + 1]) * size

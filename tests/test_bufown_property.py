@@ -98,7 +98,7 @@ def divergences(fs, shipped: Dict[int, bytes]) -> List[int]:
         if bno in fs.cache._dirty:
             continue
         want = shipped.get(bno)
-        if want is not None and bytes(buf.data) != want:
+        if want is not None and buf.image != want:
             out.append(bno)
     return out
 

@@ -167,6 +167,39 @@ def test_random_ops_cffs_softdep(ops):
 
 
 # ---------------------------------------------------------------------------
+# The same sequences through a 16-block cache: evictions and gathered
+# write-outs fall between any two edits, so an edit made through a
+# reference a write-out has replaced (Buffer.data's one hazard) would
+# lose bytes the model still has.  At 512 blocks nothing ever evicts.
+# ---------------------------------------------------------------------------
+
+from repro.cache.policy import MetadataPolicy  # noqa: E402
+
+_SMALL_CACHE = {
+    "cffs": (lambda: make_cffs(cache_blocks=16), fsck_cffs),
+    "conventional": (lambda: make_cffs(embedded=False, grouping=False,
+                                       cache_blocks=16), fsck_cffs),
+    "ffs": (lambda: make_ffs(cache_blocks=16), fsck_ffs),
+    "softdep": (lambda: make_cffs(policy=MetadataPolicy.DELAYED_METADATA,
+                                  cache_blocks=16), fsck_cffs),
+    "journal": (lambda: make_cffs(policy=MetadataPolicy.JOURNAL_METADATA,
+                                  cache_blocks=16), fsck_cffs),
+}
+
+
+@pytest.mark.parametrize("config", sorted(_SMALL_CACHE))
+@given(operations)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_random_ops_through_a_16_block_cache(config, ops):
+    make, fsck = _SMALL_CACHE[config]
+    fs = run_model(make(), ops)
+    assert fs.cache.capacity == 16
+    report = fsck(fs.device)
+    assert report.ok, report.render()
+
+
+# ---------------------------------------------------------------------------
 # Fault injection: transient faults are invisible to the oracle; hard
 # faults surface as clean errors and a retried sync leaves no damage.
 # ---------------------------------------------------------------------------
