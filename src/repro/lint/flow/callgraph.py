@@ -26,7 +26,7 @@ import ast
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.core import LintModule, dotted_name
-from repro.lint.flow.dataflow import MUTATING_METHODS
+from repro.lint.flow.dataflow import MUTATING_METHODS, pack_into_buffer_arg
 
 #: direct metadata-ordering seams (J001).
 SEAM_NAMES: FrozenSet[str] = frozenset(
@@ -85,20 +85,6 @@ def _param_names(func: ast.AST) -> List[str]:
     args = func.args  # type: ignore[attr-defined]
     names = [a.arg for a in args.posonlyargs] + [a.arg for a in args.args]
     return names
-
-
-def pack_into_buffer_arg(call: ast.Call) -> Optional[ast.expr]:
-    """The buffer argument of a ``pack_into`` call, if this is one.
-
-    ``struct.pack_into(fmt, buf, off, ...)`` takes the buffer second;
-    a precompiled ``Struct.pack_into(buf, off, ...)`` takes it first.
-    """
-    func = call.func
-    if not (isinstance(func, ast.Attribute) and func.attr == "pack_into"):
-        return None
-    base = dotted_name(func.value)
-    index = 1 if base == "struct" else 0
-    return call.args[index] if len(call.args) > index else None
 
 
 def _direct_mutated_params(info: FunctionInfo) -> Set[int]:

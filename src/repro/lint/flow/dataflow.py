@@ -17,7 +17,10 @@ state maps each local name to the set of origins it may alias.
 Attribute chains (``buf.data``) are canonicalised to string tokens so
 two loads of the same chain alias each other; that is exactly as
 precise as the codebase's idiom needs and no more (see
-docs/STATIC_ANALYSIS.md for the known holes).
+docs/STATIC_ANALYSIS.md for the known holes).  A cache buffer's read
+accessor ``buf.image`` aliases ``buf.data`` and carries one more
+origin, of kind ``image``, that marks the bytes as possibly shared
+with the device: B001 flags any in-place write that origin reaches.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from typing import (
 )
 
 from repro.lint.core import dotted_name
-from repro.lint.flow.cfg import CFG, header_exprs
+from repro.lint.flow.cfg import CFG, header_exprs, node_calls
 
 # An abstract buffer identity: ("site", line, col) for allocation
 # sites, ("attr", "buf.data") for canonicalised attribute chains,
-# ("cache", line, col) for cache-getter call results, and
-# ("ret", callee) for calls summarised as returning a buffer.
+# ("cache", line, col) for cache-getter call results, ("ret", callee)
+# for calls summarised as returning a buffer, and ("image", ...) —
+# beside the attr or cache origin of the same buffer — for bytes taken
+# through the read accessor ``.image``.
 Origin = Tuple[str, ...]
 Origins = FrozenSet[Origin]
 EMPTY: Origins = frozenset()
@@ -106,7 +111,7 @@ class OriginPolicy:
 
     #: constructor names whose call results are tracked buffers
     allocators: FrozenSet[str] = frozenset({"bytearray", "memoryview"})
-    #: track ``<chain>.data`` attribute loads as canonical tokens
+    #: track ``<chain>.data`` / ``<chain>.image`` loads as canonical tokens
     track_data_attr: bool = True
     #: method names on a ``...cache`` object whose results are Buffers
     cache_getters: FrozenSet[str] = frozenset({"get"})
@@ -120,18 +125,20 @@ class OriginPolicy:
         if isinstance(expr, ast.Starred):
             return self.origins_of(expr.value, state)
         if isinstance(expr, ast.Attribute):
-            if self.track_data_attr and expr.attr == "data":
-                chain = dotted_name(expr)
-                if chain is not None:
-                    return frozenset({("attr", chain)})
-                # ``cache.get(...).data``: the buffer of the call result
-                if isinstance(expr.value, ast.Call):
-                    inner = self.origins_of(expr.value, state)
-                    if inner:
-                        return inner
-                    if self._is_cache_getter(expr.value):
-                        return frozenset(
-                            {("cache", str(expr.lineno), str(expr.col_offset))})
+            if self.track_data_attr and expr.attr in ("data", "image"):
+                at = (str(expr.lineno), str(expr.col_offset))
+                owner = dotted_name(expr.value)
+                found: Origins = EMPTY
+                if owner is not None:
+                    found = frozenset({("attr", owner + ".data")})
+                elif isinstance(expr.value, ast.Call):
+                    # ``cache.get(...).data``: the buffer of the call result
+                    found = self.origins_of(expr.value, state)
+                    if not found and self._is_cache_getter(expr.value):
+                        found = frozenset({("cache",) + at})
+                if expr.attr == "image":
+                    found |= {("image",) + at}
+                return found
             return EMPTY
         if isinstance(expr, ast.Call):
             func = expr.func
@@ -235,6 +242,38 @@ def statement_assignments(
             if isinstance(item.optional_vars, ast.Name):
                 return [item.optional_vars], item.context_expr
     return None
+
+
+def pack_into_buffer_arg(call: ast.Call) -> Optional[ast.expr]:
+    """The buffer argument of a ``pack_into`` call, if this is one.
+
+    ``struct.pack_into(fmt, buf, off, ...)`` takes the buffer second;
+    a precompiled ``Struct.pack_into(buf, off, ...)`` takes it first.
+    """
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "pack_into"):
+        return None
+    base = dotted_name(func.value)
+    index = 1 if base == "struct" else 0
+    return call.args[index] if len(call.args) > index else None
+
+
+def written_through(
+    stmt: ast.stmt,
+    mutated_arg_positions: Callable[[ast.Call], Iterable[int]],
+) -> List[Tuple[ast.AST, ast.expr]]:
+    """``(where, buffer expression)`` for every in-place write a
+    statement makes: what :func:`mutated_exprs` finds (reported at the
+    statement), and the buffer argument of a ``pack_into`` or any
+    argument the callee's summary says it mutates (at the call)."""
+    out: List[Tuple[ast.AST, ast.expr]] = [
+        (stmt, expr) for expr in mutated_exprs(stmt)]
+    for call in node_calls(stmt):
+        buf = pack_into_buffer_arg(call)
+        suspect = mutated_arg_positions(call)
+        out.extend((call, arg) for pos, arg in enumerate(call.args)
+                   if arg is buf or pos in suspect)
+    return out
 
 
 MUTATING_METHODS: FrozenSet[str] = frozenset(

@@ -6,9 +6,21 @@ buffer's ``.data``) has been handed to a device-boundary write
 ``poke_block``), the handing function must not mutate it or return it.
 The device snapshots mutable payloads at the final store, so a
 *later* in-place write silently diverges the caller's view from what
-went to disk — exactly the aliasing hazard the zero-copy block paths
-(PR 7) are balanced on.  Views (``memoryview``) alias their backing
-buffer, so handing a view hands the backing store too.
+went to disk.  Views (``memoryview``) alias their backing buffer, so
+handing a view hands the backing store too.
+
+What the cache itself hands down: a batch write-out (flush,
+``flush_blocks``, eviction) freezes each dirty buffer into ``bytes``
+first, so nothing live crosses there any more and device, recorders
+and buffer share that one object.  ``BufferCache.write_sync`` alone
+still hands the live ``bytearray`` down, for the device to snapshot.
+
+The second half of the rule follows from the sharing: bytes taken
+through a buffer's read accessor ``.image`` may *be* the device's
+stored block, so any in-place write that reaches them — subscript or
+slice store, ``struct.pack_into``, a helper that mutates its argument
+— is a finding wherever it happens.  Edits go through ``.data``, which
+copies a shared image first.
 
 Flow-sensitive: the rule tracks which locals may alias which buffers
 along the CFG (forward may-analysis), accumulates the handed-off set
@@ -20,14 +32,13 @@ forwards its argument is the callee's problem, not a finding here.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, List, Set, Tuple
+from typing import FrozenSet, Iterator, List, Tuple
 
 from repro.lint.core import Finding, LintModule, Rule
 from repro.lint.flow.callgraph import (
     HANDOFF_METHODS,
     FlowContext,
     FunctionInfo,
-    pack_into_buffer_arg,
 )
 from repro.lint.flow.cfg import build_cfg, node_calls
 from repro.lint.flow.dataflow import (
@@ -35,12 +46,16 @@ from repro.lint.flow.dataflow import (
     AliasState,
     OriginPolicy,
     bind_targets,
-    mutated_exprs,
     solve_forward,
     statement_assignments,
+    written_through,
 )
 
 _HANDED = "__handed__"  # pseudo-name carrying the handed-off origin set
+
+#: The layers that hold cache buffers; elsewhere ``.image`` is somebody
+#: else's attribute (the CLI's image path, a crash image).
+_IMAGE_SCOPES = ("repro.cache.", "repro.journal.", "repro.ffs.", "repro.core.")
 
 
 class _BufferPolicy(OriginPolicy):
@@ -55,7 +70,8 @@ class BufferOwnershipRule(Rule):
         "The block device aliases immutable bytes and snapshots mutable "
         "payloads at the store; mutating or returning a buffer after "
         "handing it to write_block/write_extent/write_batch/poke_block "
-        "diverges the in-memory view from the on-disk image."
+        "diverges the in-memory view from the on-disk image; so does "
+        "editing bytes taken through a cache buffer's read accessor."
     )
     requires_flow = True
 
@@ -71,8 +87,12 @@ class BufferOwnershipRule(Rule):
                         policy: _BufferPolicy,
                         info: FunctionInfo) -> Iterator[Finding]:
         cfg = build_cfg(info.node)
-        if not any(self._handoffs(node.stmt) for node in cfg.real_nodes()):
-            return  # nothing crosses the boundary here
+        reads_image = mod.module.startswith(_IMAGE_SCOPES) and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "image"
+            for sub in ast.walk(info.node))
+        if not reads_image and not any(
+                self._handoffs(node.stmt) for node in cfg.real_nodes()):
+            return  # nothing crosses the boundary or reads an image here
 
         def transfer(index: int, state: AliasState) -> AliasState:
             stmt = cfg.nodes[index].stmt
@@ -104,27 +124,23 @@ class BufferOwnershipRule(Rule):
         for node in cfg.real_nodes():
             state = states[node.index]
             handed = state.get(_HANDED, EMPTY)
-            if not handed:
-                continue
             stmt = node.stmt
-            for expr in mutated_exprs(stmt):
-                if policy.origins_of(expr, state) & handed:
+            for where, expr in written_through(
+                    stmt, flow.mutated_arg_positions):
+                origins = policy.origins_of(expr, state)
+                if origins & handed:
                     findings.append((
-                        stmt.lineno, stmt.col_offset,
-                        "buffer mutated after device handoff in %s()"
-                        % info.name))
-                    break
-            for call in node_calls(stmt):
-                buf = pack_into_buffer_arg(call)
-                args = list(call.args)
-                suspect: Set[int] = flow.mutated_arg_positions(call)
-                for pos, arg in enumerate(args):
-                    writes = (buf is arg) or (pos in suspect)
-                    if writes and policy.origins_of(arg, state) & handed:
-                        findings.append((
-                            call.lineno, call.col_offset,
-                            "call mutates a buffer already handed to the "
-                            "device in %s()" % info.name))
+                        where.lineno, where.col_offset,
+                        ("buffer mutated after device handoff in %s()"
+                         if where is stmt else
+                         "call mutates a buffer already handed to the "
+                         "device in %s()") % info.name))
+                if reads_image and any(o[0] == "image" for o in origins):
+                    findings.append((
+                        where.lineno, where.col_offset,
+                        "bytes taken through .image edited in place in "
+                        "%s(): the device may hold the same object; edit "
+                        "through .data" % info.name))
             if isinstance(stmt, ast.Return) and stmt.value is not None:
                 if policy.origins_of(stmt.value, state) & handed:
                     findings.append((

@@ -2,10 +2,11 @@
 
 In ``repro.ffs`` and ``repro.core``, any in-place mutation of
 cache-owned metadata bytes (a buffer obtained via ``.data`` on a cache
-buffer, or returned by a buffer-yielding helper like ``_dir_block``)
-must reach an ordering seam — ``_meta_write`` / ``mark_dirty`` /
-``write_sync``, directly or through a helper that transitively calls
-one — on *every* path out of the function.  A path that mutates the
+buffer — or via its read accessor ``.image``, which B001 flags as an
+edit in its own right — or returned by a buffer-yielding helper like
+``_dir_block``) must reach an ordering seam — ``_meta_write`` /
+``mark_dirty`` / ``write_sync``, directly or through a helper that
+transitively calls one — on *every* path out of the function.  A path that mutates the
 buffer and then returns or raises without sealing leaves the cache
 holding bytes the journal/soft-updates machinery never heard about:
 under MetadataPolicy.JOURNAL_METADATA that write can neither be
@@ -26,11 +27,7 @@ import ast
 from typing import Iterator, List, Tuple
 
 from repro.lint.core import Finding, LintModule, Rule
-from repro.lint.flow.callgraph import (
-    FlowContext,
-    FunctionInfo,
-    pack_into_buffer_arg,
-)
+from repro.lint.flow.callgraph import FlowContext, FunctionInfo
 from repro.lint.flow.cfg import build_cfg, node_calls
 from repro.lint.flow.dataflow import (
     AliasState,
@@ -38,14 +35,14 @@ from repro.lint.flow.dataflow import (
     Origins,
     bind_targets,
     must_reach_after,
-    mutated_exprs,
     solve_forward,
     statement_assignments,
+    written_through,
 )
 
 #: origin kinds that denote cache-owned metadata bytes (a plain local
 #: ``bytearray`` is scratch space and may go straight to the device).
-_META_KINDS = ("attr", "ret", "cache")
+_META_KINDS = ("attr", "ret", "cache", "image")
 
 
 def _meta(origins: Origins) -> Origins:
@@ -119,16 +116,6 @@ class JournalOrderingRule(Rule):
     @staticmethod
     def _mutates_metadata(flow: FlowContext, policy: OriginPolicy,
                           state: AliasState, stmt: ast.stmt) -> bool:
-        for expr in mutated_exprs(stmt):
-            if _meta(policy.origins_of(expr, state)):
-                return True
-        for call in node_calls(stmt):
-            buf = pack_into_buffer_arg(call)
-            if buf is not None and _meta(policy.origins_of(buf, state)):
-                return True
-            suspect = flow.mutated_arg_positions(call)
-            for pos in suspect:
-                if pos < len(call.args) and _meta(
-                        policy.origins_of(call.args[pos], state)):
-                    return True
-        return False
+        return any(
+            _meta(policy.origins_of(expr, state))
+            for _, expr in written_through(stmt, flow.mutated_arg_positions))

@@ -339,6 +339,78 @@ def test_b001_fresh_allocation_rebind_is_clean():
     assert "B001" not in rules_of(result)
 
 
+def _b001_messages(source, path="src/repro/ffs/filesystem.py"):
+    result = lint_sources({path: source}, flow=True)
+    return [f.message for f in result.findings
+            if f.rule == "B001" and not f.suppressed]
+
+
+def test_b001_store_through_the_read_accessor_is_flagged():
+    # ``.image`` may be the device's own stored bytes: a store through
+    # it is a second write path that skips the copy-on-edit, sealed or
+    # not, by any name it travels under.
+    for body in (
+        "    self.cache.get(bno).image[0] = 1\n",
+        "    buf = self.cache.get(bno)\n    buf.image[4:8] = b'abcd'\n",
+        "    img = self.cache.peek(bno).image\n    img[0] = 1\n",
+        "    view = memoryview(self.cache.get(bno).image)\n    view[0] = 1\n",
+    ):
+        found = _b001_messages(
+            "def poke(self, bno):\n" + body + "    self.cache.mark_dirty(bno)\n")
+        assert len(found) == 1 and ".image edited in place in poke()" in found[0]
+
+
+def test_b001_pack_into_and_helper_through_the_read_accessor_are_flagged():
+    found = _b001_messages(
+        "import struct\n"
+        "_PTR = struct.Struct('<I')\n"
+        "def scrub(block, name):\n"
+        "    block[0] = 0\n"
+        "def edit(self, bno):\n"
+        "    buf = self.cache.get(bno)\n"
+        "    struct.pack_into('<I', buf.image, 0, 7)\n"
+        "    _PTR.pack_into(buf.image, 4, 7)\n"
+        "    scrub(buf.image, 'x')\n"
+        "    self.cache.mark_dirty(bno)\n")
+    assert len(found) == 3
+
+
+def test_b001_reads_through_image_and_edits_through_data_are_clean():
+    assert _b001_messages(
+        "import struct\n"
+        "def scrub(block, name):\n"
+        "    block[0] = 0\n"
+        "def edit(self, bno, dev):\n"
+        "    buf = self.cache.get(bno)\n"
+        "    first = buf.image[0]\n"
+        "    (ptr,) = struct.unpack_from('<I', buf.image, 4)\n"
+        "    copy = bytes(buf.image)\n"
+        "    scrub(buf.data, 'x')\n"
+        "    buf.data[0] = first + ptr\n"
+        "    self.cache.mark_dirty(bno)\n"
+        "    return copy\n") == []
+
+
+def test_b001_image_rule_keeps_to_the_layers_that_hold_buffers():
+    # The CLI's ``args.image`` is a path, not a block.
+    assert _b001_messages(
+        "def scrub(block):\n"
+        "    block[0] = 0\n"
+        "def cmd(args):\n"
+        "    scrub(args.image)\n", path="src/repro/cli.py") == []
+
+
+def test_b001_image_aliases_data_across_a_handoff():
+    # Handing ``.image`` down and then editing ``.data`` of the same
+    # buffer is the old hazard under the new name.
+    found = _b001_messages(
+        "def flush(self, dev, bno):\n"
+        "    buf = self.cache.get(bno)\n"
+        "    dev.write_block(bno, buf.image)\n"
+        "    buf.data[0] = 1\n", path="src/repro/cache/writeback.py")
+    assert found == ["buffer mutated after device handoff in flush()"]
+
+
 # -- J001 journal ordering ----------------------------------------------------
 
 
@@ -433,6 +505,33 @@ def test_j001_ignores_codec_parameter_mutation():
         ),
     }, flow=True)
     assert "J001" not in rules_of(result)
+
+
+def test_j001_counts_a_store_through_image_as_a_metadata_mutation():
+    # The read accessor is a cache-owned origin too: an unsealed store
+    # through it is J001's finding as well as B001's.
+    result = lint_sources({
+        "src/repro/ffs/filesystem.py": (
+            "def set_flag(self, bno, flag):\n"
+            "    img = self.cache.peek(bno).image\n"
+            "    img[0] = 1\n"
+            "    if not flag:\n"
+            "        return\n"
+            "    self._meta_write(bno)\n"
+        ),
+    }, flow=True)
+    assert {"J001", "B001"} <= rules_of(result, suppressed=False)
+
+
+def test_j001_read_through_image_needs_no_seam():
+    result = lint_sources({
+        "src/repro/ffs/filesystem.py": (
+            "def flag(self, bno):\n"
+            "    img = self.cache.get(bno).image\n"
+            "    return img[0]\n"
+        ),
+    }, flow=True)
+    assert not rules_of(result)
 
 
 def test_j001_scratch_bytearray_is_not_metadata():
