@@ -409,14 +409,14 @@ class CFFS(BlockFileSystem):
         ext = self.groups.extent_of_block(bno)
         if ext is None:
             return False
-        return self.groups.read_desc(ext)["state"] == layout.EXT_GROUPED
+        return self.groups.read_head(ext)[0] == layout.EXT_GROUPED
 
     def _free_file_block(self, handle: CNode, bno: int) -> None:
         ext = self.groups.extent_of_block(bno)
         if ext is not None:
-            desc = self.groups.read_desc(ext)
+            state, valid_mask, _owner = self.groups.read_head(ext)
             slot = bno - self.groups.extent_base(ext)
-            if desc["state"] == layout.EXT_GROUPED and desc["valid_mask"] & (1 << slot):
+            if state == layout.EXT_GROUPED and valid_mask & (1 << slot):
                 released = self.groups.free_slot(bno)
                 if released:
                     base = self.groups.extent_base(ext)
@@ -438,9 +438,9 @@ class CFFS(BlockFileSystem):
             ext = self.groups.extent_of_block(bno)
             if ext is None:
                 continue
-            desc = self.groups.read_desc(ext)
+            state, valid_mask, _owner = self.groups.read_head(ext)
             slot = bno - self.groups.extent_base(ext)
-            if desc["state"] == layout.EXT_GROUPED and desc["valid_mask"] & (1 << slot):
+            if state == layout.EXT_GROUPED and valid_mask & (1 << slot):
                 grouped.append((idx, bno))
         fid = handle.fileid
         for idx, old_bno in grouped:
@@ -599,14 +599,15 @@ class CFFS(BlockFileSystem):
         extent, of which the cache writes the blocks that are dirty."""
         ext = self.groups.extent_of_block(victim_bno)
         if ext is not None and self.config.explicit_grouping:
-            desc = self.groups.read_desc_cached(ext)
+            head = self.groups.read_head_cached(ext)
             base = self.groups.extent_base(ext)
-            if desc is None:
+            if head is None:
                 return (list(range(base, base + self.config.group_span))
                         + super()._flush_companions(victim_bno))
-            if desc["state"] == layout.EXT_GROUPED:
+            state, valid_mask, _owner = head
+            if state == layout.EXT_GROUPED:
                 return [base + s for s in range(self.config.group_span)
-                        if desc["valid_mask"] & (1 << s)]
+                        if valid_mask & (1 << s)]
         return super()._flush_companions(victim_bno)  # same-file clustering
 
     # ------------------------------------------------------------------ directories

@@ -11,6 +11,16 @@ Descriptors are read and written through the buffer cache, so the
 cache is the single source of truth and descriptor updates are ordinary
 delayed metadata writes (descriptors are a placement/performance map;
 the authoritative reachability data stays in the inodes).
+
+A state transition reads the 12-byte head of its descriptor in the
+cached block and packs only the fields it changes back into that block
+(the mask, one slot record, the state, or the head of an extent that
+empties): the bytes are the ones a whole-descriptor rewrite would
+leave, without decoding or copying the other fifteen slots.  The buffer
+is held only from its ``get`` to the ``mark_dirty`` with no cache call
+in between (docs/ARCHITECTURE.md §3).  ``read_head`` answers "grouped?
+which slots valid?"; ``read_desc`` / ``write_desc`` are the view of all
+sixteen slots for the callers that need them.
 """
 
 from __future__ import annotations
@@ -22,9 +32,15 @@ from repro.core.layout import (
     EXT_FREE,
     EXT_GROUPED,
     EXT_UNGROUPED,
+    GDESC_HEAD,
+    GDESC_MASK_OFFSET,
     GDESC_PER_BLOCK,
     GDESC_SIZE,
+    GDESC_SLOT,
+    GDESC_STATE_OFFSET,
+    GDESC_U16,
     GROUP_SPAN,
+    gdesc_slot_offset,
     pack_gdesc,
     unpack_gdesc_from,
 )
@@ -32,6 +48,8 @@ from repro.errors import CorruptFileSystem
 from repro.ffs.cylgroup import table_block
 
 ExtentId = Tuple[int, int]  # (cylinder group, extent index within its data area)
+
+_NO_SLOTS = ((0, 0),) * GROUP_SPAN  # a descriptor always carries 16 slot records
 
 
 class GroupTable:
@@ -54,9 +72,14 @@ class GroupTable:
         self.blocks_per_cg = blocks_per_cg
         self.gdt_blocks = gdt_blocks
         self.data_start = data_start
-        self._cg_base_of = cg_base_of
         self.span = span
         self.extents_per_cg = (blocks_per_cg - data_start) // span
+        self._full_mask = (1 << span) - 1
+        # Groups sit back to back, ``blocks_per_cg`` apart: everything
+        # below is arithmetic from the first group's base.
+        self._first_base = cg_base_of(0)
+        self._first_data = self._first_base + data_start
+        self._first_table = table_block(self._first_base, 0)
         # In-memory hint: directory fileid -> extent with free slots.
         self._active: Dict[int, ExtentId] = {}
 
@@ -64,13 +87,11 @@ class GroupTable:
 
     def extent_of_block(self, bno: int) -> Optional[ExtentId]:
         """The extent containing ``bno``; None for metadata blocks."""
-        if bno < self._cg_base_of(0):
+        if bno < self._first_base:
             return None
-        cgi = (bno - self._cg_base_of(0)) // self.blocks_per_cg
-        if cgi >= self.n_cgs:
-            return None
-        rel = bno - self._cg_base_of(cgi) - self.data_start
-        if rel < 0:
+        cgi, rel = divmod(bno - self._first_base, self.blocks_per_cg)
+        rel -= self.data_start
+        if cgi >= self.n_cgs or rel < 0:
             return None
         idx = rel // self.span
         if idx >= self.extents_per_cg:
@@ -79,28 +100,34 @@ class GroupTable:
 
     def extent_base(self, ext: ExtentId) -> int:
         cgi, idx = ext
-        return self._cg_base_of(cgi) + self.data_start + idx * self.span
+        return self._first_data + cgi * self.blocks_per_cg + idx * self.span
 
     def _desc_location(self, ext: ExtentId) -> Tuple[int, int]:
         cgi, idx = ext
-        bno = table_block(self._cg_base_of(cgi), idx // GDESC_PER_BLOCK)
+        bno = self._first_table + cgi * self.blocks_per_cg + idx // GDESC_PER_BLOCK
         return bno, (idx % GDESC_PER_BLOCK) * GDESC_SIZE
 
     # -- descriptor I/O -----------------------------------------------------------
 
-    def read_desc(self, ext: ExtentId) -> dict:
+    def read_head(self, ext: ExtentId) -> Tuple[int, int, int]:
+        """(state, valid_mask, owner): all that "is it a group, which
+        slots are valid" needs."""
         bno, off = self._desc_location(ext)
-        buf = self.cache.get(bno)
-        return unpack_gdesc_from(buf.image, off)
+        return GDESC_HEAD.unpack_from(self.cache.get(bno).image, off)
 
-    def read_desc_cached(self, ext: ExtentId) -> Optional[dict]:
-        """Like :meth:`read_desc` but never touches the disk or the
+    def read_head_cached(self, ext: ExtentId) -> Optional[Tuple[int, int, int]]:
+        """Like :meth:`read_head` but never touches the disk or the
         cache's state; None when the descriptor block is not cached
         (used by flush gathering, which runs inside an eviction)."""
         bno, off = self._desc_location(ext)
         buf = self.cache.peek(bno)
         if buf is None:
             return None
+        return GDESC_HEAD.unpack_from(buf.image, off)
+
+    def read_desc(self, ext: ExtentId) -> dict:
+        bno, off = self._desc_location(ext)
+        buf = self.cache.get(bno)
         return unpack_gdesc_from(buf.image, off)
 
     def write_desc(self, ext: ExtentId, desc: dict) -> None:
@@ -111,6 +138,15 @@ class GroupTable:
         )
         self.cache.mark_dirty(bno)
 
+    def _open(self, ext: ExtentId):
+        """(buffer, block, offset, state, valid_mask, owner) of a
+        descriptor about to be edited in place.  The buffer is good
+        until the next cache call that can insert."""
+        bno, off = self._desc_location(ext)
+        buf = self.cache.get(bno)
+        state, mask, owner = GDESC_HEAD.unpack_from(buf.image, off)
+        return buf, bno, off, state, mask, owner
+
     # -- state transitions ----------------------------------------------------------
 
     def note_ungrouped_alloc(self, bno: int) -> None:
@@ -118,11 +154,11 @@ class GroupTable:
         ext = self.extent_of_block(bno)
         if ext is None:
             return
-        desc = self.read_desc(ext)
-        if desc["state"] == EXT_FREE:
-            desc["state"] = EXT_UNGROUPED
-            self.write_desc(ext, desc)
-        elif desc["state"] == EXT_GROUPED:
+        buf, dbno, off, state, _mask, _owner = self._open(ext)
+        if state == EXT_FREE:
+            GDESC_U16.pack_into(buf.data, off + GDESC_STATE_OFFSET, EXT_UNGROUPED)
+            self.cache.mark_dirty(dbno)
+        elif state == EXT_GROUPED:
             raise CorruptFileSystem(
                 "individual allocation landed inside explicit group %r" % (ext,)
             )
@@ -132,75 +168,73 @@ class GroupTable:
         ext = self.extent_of_block(bno)
         if ext is None:
             return
-        desc = self.read_desc(ext)
-        if desc["state"] != EXT_UNGROUPED:
+        if self.read_head(ext)[0] != EXT_UNGROUPED:
             return
         base = self.extent_base(ext)
         for i in range(self.span):
             if block_is_allocated(base + i):
                 return
-        desc["state"] = EXT_FREE
-        self.write_desc(ext, desc)
+        # The probes went through the cache and may have evicted the
+        # descriptor's block: take its buffer again, after them.
+        buf, dbno, off, _state, _mask, _owner = self._open(ext)
+        GDESC_U16.pack_into(buf.data, off + GDESC_STATE_OFFSET, EXT_FREE)
+        self.cache.mark_dirty(dbno)
 
     # -- group slot management ---------------------------------------------------------
 
     def claim_extent(self, ext: ExtentId, owner: int) -> None:
         """Turn a FREE extent into an explicit group owned by ``owner``."""
-        desc = self.read_desc(ext)
-        if desc["state"] != EXT_FREE:
+        buf, bno, off, state, _mask, _owner = self._open(ext)
+        if state != EXT_FREE:
             raise CorruptFileSystem("cannot claim non-free extent %r" % (ext,))
-        self.write_desc(ext, {
-            "state": EXT_GROUPED,
-            "valid_mask": 0,
-            "owner": owner,
-            "slots": [(0, 0)] * GROUP_SPAN,  # descriptor always carries 16 slot records
-        })
+        buf.data[off:off + GDESC_SIZE] = pack_gdesc(EXT_GROUPED, 0, owner, _NO_SLOTS)
+        self.cache.mark_dirty(bno)
         self._active[owner] = ext
 
     def take_slot(self, ext: ExtentId, fileid: int, fblock: int) -> Optional[int]:
         """Claim the lowest free slot; returns its block number or None."""
-        desc = self.read_desc(ext)
-        if desc["state"] != EXT_GROUPED:
+        buf, bno, off, state, mask, owner = self._open(ext)
+        if state != EXT_GROUPED:
             return None
-        mask = desc["valid_mask"]
-        for slot in range(self.span):
-            if not mask & (1 << slot):
-                desc["valid_mask"] = mask | (1 << slot)
-                desc["slots"][slot] = (fileid, fblock)
-                self.write_desc(ext, desc)
-                if desc["valid_mask"] == (1 << self.span) - 1:
-                    owner = desc["owner"]
-                    if self._active.get(owner) == ext:
-                        del self._active[owner]
-                return self.extent_base(ext) + slot
-        owner = desc["owner"]
-        if self._active.get(owner) == ext:
+        free = ~mask & self._full_mask
+        if not free:
+            if self._active.get(owner) == ext:
+                del self._active[owner]
+            return None
+        lowest = free & -free
+        slot = lowest.bit_length() - 1
+        data = buf.data
+        GDESC_U16.pack_into(data, off + GDESC_MASK_OFFSET, mask | lowest)
+        GDESC_SLOT.pack_into(data, off + gdesc_slot_offset(slot), fileid, fblock)
+        self.cache.mark_dirty(bno)
+        if mask | lowest == self._full_mask and self._active.get(owner) == ext:
             del self._active[owner]
-        return None
+        return self.extent_base(ext) + slot
 
     def free_slot(self, bno: int) -> bool:
         """Release the slot holding ``bno``; True when the extent empties."""
         ext = self.extent_of_block(bno)
         if ext is None:
             raise CorruptFileSystem("block %d is not in any extent" % bno)
-        desc = self.read_desc(ext)
-        if desc["state"] != EXT_GROUPED:
+        buf, dbno, off, state, mask, owner = self._open(ext)
+        if state != EXT_GROUPED:
             raise CorruptFileSystem("freeing group slot in non-group extent")
         slot = bno - self.extent_base(ext)
-        if not desc["valid_mask"] & (1 << slot):
+        if not mask & (1 << slot):
             raise CorruptFileSystem("double free of group slot %d" % slot)
-        desc["valid_mask"] &= ~(1 << slot)
-        desc["slots"][slot] = (0, 0)
-        if desc["valid_mask"] == 0:
-            desc["state"] = EXT_FREE
-            desc["owner"] = 0
-            self.write_desc(ext, desc)
-            for owner, active in list(self._active.items()):
+        mask &= ~(1 << slot)
+        data = buf.data
+        GDESC_SLOT.pack_into(data, off + gdesc_slot_offset(slot), 0, 0)
+        if mask == 0:
+            GDESC_HEAD.pack_into(data, off, EXT_FREE, 0, 0)
+            self.cache.mark_dirty(dbno)
+            for hinted, active in list(self._active.items()):
                 if active == ext:
-                    del self._active[owner]
+                    del self._active[hinted]
             return True
-        self.write_desc(ext, desc)
-        self._active.setdefault(desc["owner"], ext)
+        GDESC_U16.pack_into(data, off + GDESC_MASK_OFFSET, mask)
+        self.cache.mark_dirty(dbno)
+        self._active.setdefault(owner, ext)
         return False
 
     def active_extent(self, owner: int) -> Optional[ExtentId]:

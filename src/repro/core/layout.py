@@ -98,6 +98,34 @@ _GDESC_STRUCT = struct.Struct(_GDESC_HEAD_FMT + "QI" * GROUP_SPAN)
 assert _GDESC_STRUCT.size == _GDESC_HEAD_SIZE + GROUP_SPAN * _GDESC_SLOT_SIZE
 assert _GDESC_STRUCT.size <= GDESC_SIZE
 
+# The pieces one state transition touches, for reading and editing a
+# descriptor in place in its cached block: the head without its pad
+# (state, valid_mask, owner) at offset 0, either 16-bit head field alone
+# (state at GDESC_STATE_OFFSET, mask at GDESC_MASK_OFFSET), and one slot
+# record at gdesc_slot_offset(slot).
+GDESC_HEAD = struct.Struct("<HHQ")
+GDESC_U16 = struct.Struct("<H")
+GDESC_STATE_OFFSET = 0
+GDESC_MASK_OFFSET = 2
+GDESC_SLOT = struct.Struct(_GDESC_SLOT_FMT)
+
+
+def gdesc_slot_offset(slot: int) -> int:
+    return _GDESC_HEAD_SIZE + slot * _GDESC_SLOT_SIZE
+
+
+# Tie the pieces to the whole: a descriptor packed in one go must read
+# back piece by piece.
+_probe = _GDESC_STRUCT.pack(1, 2, 3, *range(4, 4 + 2 * GROUP_SPAN))
+assert GDESC_HEAD.unpack_from(_probe, 0) == (1, 2, 3)
+assert GDESC_U16.unpack_from(_probe, GDESC_STATE_OFFSET) == (1,)
+assert GDESC_U16.unpack_from(_probe, GDESC_MASK_OFFSET) == (2,)
+assert all(
+    GDESC_SLOT.unpack_from(_probe, gdesc_slot_offset(s)) == (4 + 2 * s, 5 + 2 * s)
+    for s in range(GROUP_SPAN)
+)
+del _probe
+
 
 def pack_gdesc(state: int, valid_mask: int, owner: int, slots) -> bytes:
     """``slots`` is a list of GROUP_SPAN (fileid, fblock) pairs."""

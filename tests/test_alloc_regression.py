@@ -27,6 +27,7 @@ from repro import obs
 from repro.blockdev.device import BLOCK_SIZE
 from repro.cache.buffercache import BufferCache
 from repro.core.filesystem import CFFS, CFFSConfig
+from repro.core.layout import EXT_GROUPED
 from tests.conftest import make_cffs, make_device
 
 #: Net retained allocations allowed inside src/repro for a whole
@@ -311,6 +312,52 @@ def test_cluster_traffic_retains_one_record_bundle_per_operation():
                      if buf.image is not shard.device.peek_block(bno))
         assert len(cached) > 1000
         assert second * 16 <= len(cached) * BLOCK_SIZE
+
+
+def test_descriptor_transitions_read_the_head_and_get_the_block_once():
+    """A slot taken, a slot freed and "is this block grouped?" each cost
+    one ``cache.get`` and build no decoded descriptor: the peak of
+    traced memory over 1000 rounds stays where one round puts it."""
+    fs = make_cffs()
+    fs.mkdir("/d")
+    fs.write_file("/d/f", b"x" * 100)
+    bno = fs._resolve("/d/f").direct[0]
+    groups = fs.groups
+    ext = groups.extent_of_block(bno)
+    desc = groups.read_desc(ext)
+    assert (desc["state"], desc["valid_mask"]) == (EXT_GROUPED, 0b1)
+    gets = [0]
+    cache_get = fs.cache.get
+
+    def counting_get(bno, logical=None):
+        gets[0] += 1
+        return cache_get(bno, logical)
+
+    fs.cache.get = counting_get
+
+    def rounds(n):
+        take, free, grouped = groups.take_slot, groups.free_slot, fs._block_is_grouped
+        for _ in range(n):
+            assert free(take(ext, 7, 0)) is False   # slot 1 and back
+            assert grouped(bno)
+
+    rounds(10)
+    gets[0] = 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rounds(1000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert gets[0] == 3 * 1000
+    #: Measured: 0.8 KB (the head's 3-tuple, ints, frames).  At the
+    #: parent of PR 20, which decoded every descriptor into a dict, a
+    #: list and 16 tuples and encoded all of it back: 8 KB and 5 gets a
+    #: round.
+    assert peak <= 3 * 1024
 
 
 # -- one image per block version ----------------------------------------------------

@@ -186,6 +186,60 @@ class TestUngroupedTransitions:
         assert table.active_extent(1) is None
 
 
+class TestHeads:
+    def test_read_head_is_the_first_three_fields(self):
+        table, _ = make_table()
+        assert table.read_head((0, 3)) == (EXT_FREE, 0, 0)
+        table.claim_extent((0, 3), owner=1 << 40)
+        table.take_slot((0, 3), 7, 0)
+        table.take_slot((0, 3), 8, 0)
+        assert table.read_head((0, 3)) == (EXT_GROUPED, 0b11, 1 << 40)
+        desc = table.read_desc((0, 3))
+        assert table.read_head((0, 3)) == (
+            desc["state"], desc["valid_mask"], desc["owner"])
+
+    def test_read_head_cached_leaves_the_cache_alone(self):
+        table, cache = make_table()
+        table.claim_extent((1, 0), owner=9)
+        bno, _ = table._desc_location((1, 0))
+        order, hits = list(cache._phys), cache.hits
+        assert table.read_head_cached((1, 0)) == (EXT_GROUPED, 0, 9)
+        assert (list(cache._phys), cache.hits) == (order, hits)
+        cache.sync()
+        cache.forget(bno)
+        assert table.read_head_cached((1, 0)) is None   # cold: no disk read
+        assert cache.peek(bno) is None
+        assert table.read_head((1, 0)) == (EXT_GROUPED, 0, 9)
+
+
+class TestHeldBuffer:
+    """A buffer taken before a cache call that can insert may be gone
+    by the time it is edited (docs/ARCHITECTURE.md section 3)."""
+
+    def test_probes_that_evict_the_descriptor_block(self):
+        device = make_device()
+        cache = BufferCache(device, 8)
+        table = GroupTable(cache, n_cgs=1, blocks_per_cg=BPC, gdt_blocks=2,
+                           data_start=DATA_START,
+                           cg_base_of=lambda cgi: 1, span=GROUP_SPAN)
+        ext = (0, 2)
+        desc_bno, off = table._desc_location(ext)
+        bno = table.extent_base(ext) + 5
+        table.note_ungrouped_alloc(bno)
+        cache.sync()
+
+        def probe(block):
+            cache.get(100 + block)     # sixteen fills through eight buffers
+            return False
+
+        table.note_ungrouped_free(bno, probe)
+        assert cache.evictions >= 8
+        assert table.read_head(ext)[0] == EXT_FREE
+        cache.sync()
+        on_disk = unpack_gdesc_from(device.peek_block(desc_bno), off)
+        assert on_disk["state"] == EXT_FREE
+
+
 # -- differential oracle: descriptor transitions against the dict round trip ----------
 #
 # How a transition reaches the descriptor's bytes is free to change;
