@@ -529,16 +529,6 @@ class CFFS(BlockFileSystem):
         for node in nodes:
             if node.fileid in touched:
                 self._istore(node, sync_op=False)
-        # Release pre-claimed extents that ended up unused.
-        for unused in ext_iter:
-            base = self.groups.extent_base(unused)
-            if self.groups.read_desc(unused)["valid_mask"] == 0:
-                desc = self.groups.read_desc(unused)
-                desc["state"] = layout.EXT_FREE
-                desc["owner"] = 0
-                self.groups.write_desc(unused, desc)
-                for i in range(span):
-                    self.alloc.free_block(base + i)
         return moved
 
     # ------------------------------------------------------------------ group-aware I/O

@@ -228,9 +228,10 @@ class GroupTable:
         if mask == 0:
             GDESC_HEAD.pack_into(data, off, EXT_FREE, 0, 0)
             self.cache.mark_dirty(dbno)
-            for hinted, active in list(self._active.items()):
-                if active == ext:
-                    del self._active[hinted]
+            # Only the owner's hint can name the extent: hints are set
+            # under the descriptor's owner, here and in claim_extent.
+            if self._active.get(owner) == ext:
+                del self._active[owner]
             return True
         GDESC_U16.pack_into(data, off + GDESC_MASK_OFFSET, mask)
         self.cache.mark_dirty(dbno)

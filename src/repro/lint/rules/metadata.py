@@ -12,7 +12,9 @@ The rule flags, outside the allowed modules:
 
 * stores to attributes or string-keyed subscripts named
   ``free_blocks``/``free_inodes`` (plain or augmented assignment);
-* calls to the bitmap primitives ``set_bit``/``clear_bit``.
+* calls to the bitmap primitives ``set_bit``/``clear_bit``;
+* calls to ``write_desc``, the whole-descriptor write of
+  ``repro.core.groups.GroupTable``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ from typing import FrozenSet, Iterator
 from repro.lint.core import Finding, LintModule, Rule, literal_str_keys
 
 WATCHED_NAMES: FrozenSet[str] = frozenset({"free_blocks", "free_inodes"})
-WATCHED_CALLS: FrozenSet[str] = frozenset({"set_bit", "clear_bit"})
+#: Watched call -> what it mutates.
+WATCHED_CALLS = {
+    "set_bit": "an allocation bitmap",
+    "clear_bit": "an allocation bitmap",
+    "write_desc": "an extent descriptor",
+}
 
 ALLOWED_MODULES: FrozenSet[str] = frozenset(
     {"repro.ffs.alloc", "repro.ffs.cylgroup", "repro.core.groups"}
@@ -71,8 +78,8 @@ class DerivedMetadataRule(Rule):
                     yield self.found(
                         mod,
                         node,
-                        "%s() mutates an allocation bitmap outside the "
-                        "allocator/fsck layers" % attr,
+                        "%s() mutates %s outside the "
+                        "allocator/fsck layers" % (attr, WATCHED_CALLS[attr]),
                     )
 
     @staticmethod

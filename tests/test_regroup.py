@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import layout
 from repro.errors import NotADirectory
 from repro.fsck import fsck_cffs
 from tests.conftest import make_cffs
@@ -114,3 +115,28 @@ class TestRegroup:
     def test_empty_directory(self, cffs):
         cffs.mkdir("/d")
         assert cffs.regroup_directory("/d") == 0
+
+    @pytest.mark.parametrize("n_blocks", [1, 15, 16, 17, 32])
+    def test_every_claimed_extent_is_used(self, cffs, n_blocks):
+        """Plans of 1, span-1, span, span+1 and 2*span blocks: the pass
+        claims ceil(plan/span) extents up front and fills each, so none
+        is left a group with no valid slot, and the directory's hint
+        names a group that still has room (or nothing)."""
+        span = cffs.config.group_span
+        assert sorted({1, span - 1, span, span + 1, 2 * span}) == [1, 15, 16, 17, 32]
+        cffs.mkdir("/d")
+        for i in range(n_blocks):
+            cffs.write_file("/d/f%02d" % i, bytes([i + 1]) * 1024)
+        assert cffs.regroup_directory("/d") == n_blocks
+        groups = cffs.groups
+        full = (1 << span) - 1
+        for cgi in range(groups.n_cgs):
+            for idx in range(groups.extents_per_cg):
+                state, mask, _owner = groups.read_head((cgi, idx))
+                assert (state, mask) != (layout.EXT_GROUPED, 0), (cgi, idx)
+        hinted = groups.active_extent(cffs._resolve("/d").fileid)
+        if hinted is not None:
+            state, mask, _owner = groups.read_head(hinted)
+            assert state == layout.EXT_GROUPED and 0 < mask < full
+        cffs.sync()
+        assert fsck_cffs(cffs.device).ok

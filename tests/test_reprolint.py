@@ -477,6 +477,34 @@ def test_m001_bitmap_call_outside_allocator_flagged():
     assert any(f.rule == "M001" for f in result.unsuppressed)
 
 
+def test_m001_descriptor_write_outside_groups_flagged():
+    result = lint_sources({
+        "src/repro/core/filesystem.py": (
+            "class FS:\n"
+            "    def release(self, ext, desc):\n"
+            "        self.groups.write_desc(ext, desc)\n"
+        ),
+    })
+    found = [f for f in result.unsuppressed if f.rule == "M001"]
+    assert len(found) == 1 and "extent descriptor" in found[0].message
+
+
+def test_m001_descriptor_reads_and_the_owner_module_are_clean():
+    result = lint_sources({
+        "src/repro/core/filesystem.py": (
+            "class FS:\n"
+            "    def grouped(self, ext):\n"
+            "        return self.groups.read_desc(ext)['state'] == 1\n"
+        ),
+        "src/repro/core/groups.py": (
+            "class GroupTable:\n"
+            "    def reset(self, ext, desc):\n"
+            "        self.write_desc(ext, desc)\n"
+        ),
+    })
+    assert "M001" not in rules_of(result, suppressed=False)
+
+
 def test_m001_allocator_and_fsck_may_mutate():
     result = lint_sources({
         "src/repro/ffs/alloc.py": (
