@@ -417,14 +417,12 @@ class CFFS(BlockFileSystem):
             state, valid_mask, _owner = self.groups.read_head(ext)
             slot = bno - self.groups.extent_base(ext)
             if state == layout.EXT_GROUPED and valid_mask & (1 << slot):
-                released = self.groups.free_slot(bno)
-                if released:
-                    base = self.groups.extent_base(ext)
-                    for i in range(self.config.group_span):
-                        self.alloc.free_block(base + i)
+                if self.groups.free_slot(bno):  # the group emptied
+                    self.alloc.free_contiguous(
+                        self.groups.extent_base(ext), self.config.group_span)
                 return
         self.alloc.free_block(bno)
-        self.groups.note_ungrouped_free(bno, self.alloc.block_is_allocated)
+        self.groups.note_ungrouped_free(bno, self.alloc.run_is_free)
 
     def _ungroup_file(self, handle: CNode) -> None:
         """Move a growing file's blocks out of explicit groups.

@@ -163,19 +163,18 @@ class GroupTable:
                 "individual allocation landed inside explicit group %r" % (ext,)
             )
 
-    def note_ungrouped_free(self, bno: int, block_is_allocated) -> None:
-        """An individual free; revert the extent to FREE when emptied."""
+    def note_ungrouped_free(self, bno: int, run_is_free) -> None:
+        """An individual free; revert the extent to FREE when emptied.
+        ``run_is_free(start, count)`` is the allocator's answer."""
         ext = self.extent_of_block(bno)
         if ext is None:
             return
         if self.read_head(ext)[0] != EXT_UNGROUPED:
             return
-        base = self.extent_base(ext)
-        for i in range(self.span):
-            if block_is_allocated(base + i):
-                return
-        # The probes went through the cache and may have evicted the
-        # descriptor's block: take its buffer again, after them.
+        if not run_is_free(self.extent_base(ext), self.span):
+            return
+        # The question went through the cache and may have evicted the
+        # descriptor's block: take its buffer again, after it.
         buf, dbno, off, _state, _mask, _owner = self._open(ext)
         GDESC_U16.pack_into(buf.data, off + GDESC_STATE_OFFSET, EXT_FREE)
         self.cache.mark_dirty(dbno)

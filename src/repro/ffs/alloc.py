@@ -230,10 +230,40 @@ class GroupedAllocator:
         cg.free_blocks += 1
         self._charge("free_blocks", 1)
 
+    def free_contiguous(self, start: int, count: int) -> None:
+        """Release the ``count`` adjacent blocks from ``start``, all in
+        one group: the inverse of :meth:`alloc_contiguous`."""
+        cg = self.group(self.cg_of_block(start))
+        bitmap = self._bitmap(cg)
+        lo, hi, run = self._run(start - cg.base, count)
+        bits = int.from_bytes(bitmap.image[lo:hi], "little")
+        if bits & run != run:
+            clear = ~bits & run
+            first = (lo << 3) + (clear & -clear).bit_length() - 1
+            raise NoSpace("double free of block %d" % (cg.base + first))
+        bitmap.data[lo:hi] = (bits & ~run).to_bytes(hi - lo, "little")
+        self.cache.mark_dirty(cg.bitmap_block)
+        cg.free_blocks += count
+        self._charge("free_blocks", count)
+
     def block_is_allocated(self, bno: int) -> bool:
         cgi = self.cg_of_block(bno)
         cg = self.group(cgi)
         return bit_is_set(self._bitmap(cg).image, bno - cg.base)
+
+    def run_is_free(self, start: int, count: int) -> bool:
+        """True when none of the ``count`` adjacent blocks from
+        ``start`` (all in one group) is allocated."""
+        cg = self.group(self.cg_of_block(start))
+        lo, hi, run = self._run(start - cg.base, count)
+        return not int.from_bytes(self._bitmap(cg).image[lo:hi], "little") & run
+
+    @staticmethod
+    def _run(offset: int, count: int):
+        """(first byte, end byte, mask within those bytes read as one
+        little-endian integer) of bitmap bits ``offset .. offset+count``."""
+        lo = offset >> 3
+        return lo, (offset + count + 7) >> 3, ((1 << count) - 1) << (offset & 7)
 
     def cg_of_block(self, bno: int) -> int:
         return (bno - self._cg_base_of(0)) // self.blocks_per_cg

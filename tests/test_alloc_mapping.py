@@ -200,6 +200,41 @@ class TestContiguous:
         assert start is not None
         assert alloc.cg_of_block(start) == 1
 
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 16])
+    def test_free_contiguous_is_free_block_count_times(self, count):
+        """Same bitmap bytes, same counts, one bitmap edit: runs that
+        start mid-byte and cross byte boundaries included."""
+        counts_a, counts_b = {"free_blocks": 0}, {"free_blocks": 0}
+        (a, cache_a), (b, cache_b) = make_alloc(), make_alloc()
+        a.counts, b.counts = counts_a, counts_b
+        for alloc in (a, b):
+            for _ in range(3):       # shift the run off a byte boundary
+                alloc.alloc_block(1)
+        start = a.alloc_contiguous(1, count)
+        assert b.alloc_contiguous(1, count) == start
+        assert not a.run_is_free(start, count)
+        a.free_contiguous(start, count)
+        for i in range(count):
+            b.free_block(start + i)
+        bitmap = a.group(1).bitmap_block
+        assert cache_a.peek(bitmap).image == cache_b.peek(bitmap).image
+        assert a.group(1).free_blocks == b.group(1).free_blocks
+        assert counts_a == counts_b == {"free_blocks": -3}
+        assert a.run_is_free(start, count)
+        assert not a.run_is_free(start - 1, count)    # a neighbour is in use
+
+    def test_free_contiguous_refuses_a_run_with_a_free_block(self):
+        alloc, cache = make_alloc()
+        start = alloc.alloc_contiguous(0, 16, align=16)
+        alloc.free_block(start + 5)
+        bitmap = alloc.group(0).bitmap_block
+        before = bytes(cache.peek(bitmap).image)
+        free_before = alloc.group(0).free_blocks
+        with pytest.raises(NoSpace, match="double free of block %d$" % (start + 5)):
+            alloc.free_contiguous(start, 16)
+        assert cache.peek(bitmap).image == before     # nothing half-freed
+        assert alloc.group(0).free_blocks == free_before
+
 
 class TestInodeAllocation:
     def test_alloc_in_pref_group(self):

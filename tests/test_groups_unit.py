@@ -167,8 +167,8 @@ class TestUngroupedTransitions:
         table, _ = make_table()
         bno = table.extent_base((0, 2)) + 5
         table.note_ungrouped_alloc(bno)
-        allocated = {bno}
-        table.note_ungrouped_free(bno, lambda b: b in allocated - {bno})
+        table.note_ungrouped_free(
+            bno, lambda start, count: (start, count) == (bno - 5, GROUP_SPAN))
         assert table.read_desc((0, 2))["state"] == EXT_FREE
 
     def test_ungrouped_stays_while_occupied(self):
@@ -176,7 +176,7 @@ class TestUngroupedTransitions:
         base = table.extent_base((0, 2))
         table.note_ungrouped_alloc(base)
         table.note_ungrouped_alloc(base + 1)
-        table.note_ungrouped_free(base, lambda b: b == base + 1)
+        table.note_ungrouped_free(base, lambda start, count: False)
         assert table.read_desc((0, 2))["state"] == EXT_UNGROUPED
 
     def test_drop_hints(self):
@@ -228,11 +228,12 @@ class TestHeldBuffer:
         table.note_ungrouped_alloc(bno)
         cache.sync()
 
-        def probe(block):
-            cache.get(100 + block)     # sixteen fills through eight buffers
-            return False
+        def run_is_free(start, count):
+            for block in range(start, start + count):
+                cache.get(block)       # sixteen fills through eight buffers
+            return True
 
-        table.note_ungrouped_free(bno, probe)
+        table.note_ungrouped_free(bno, run_is_free)
         assert cache.evictions >= 8
         assert table.read_head(ext)[0] == EXT_FREE
         cache.sync()
@@ -424,7 +425,13 @@ class _Side:
 
     def ungrouped_free(self, bno):
         self.allocated.discard(bno)
-        self.table.note_ungrouped_free(bno, self.allocated.__contains__)
+        if isinstance(self.table, ReferenceGroupTable):
+            # As it was asked before PR 20: block by block.
+            self.table.note_ungrouped_free(bno, self.allocated.__contains__)
+        else:
+            self.table.note_ungrouped_free(
+                bno, lambda start, count:
+                self.allocated.isdisjoint(range(start, start + count)))
 
     def ungrouped_alloc(self, bno):
         self.table.note_ungrouped_alloc(bno)
