@@ -202,11 +202,12 @@ class GroupTable:
             return None
         lowest = free & -free
         slot = lowest.bit_length() - 1
+        mask |= lowest
         data = buf.data
-        GDESC_U16.pack_into(data, off + GDESC_MASK_OFFSET, mask | lowest)
+        GDESC_U16.pack_into(data, off + GDESC_MASK_OFFSET, mask)
         GDESC_SLOT.pack_into(data, off + gdesc_slot_offset(slot), fileid, fblock)
         self.cache.mark_dirty(bno)
-        if mask | lowest == self._full_mask and self._active.get(owner) == ext:
+        if mask == self._full_mask and self._active.get(owner) == ext:
             del self._active[owner]
         return self.extent_base(ext) + slot
 

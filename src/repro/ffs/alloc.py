@@ -21,9 +21,9 @@ from repro.cache.buffer import Buffer
 from repro.cache.buffercache import BufferCache
 from repro.errors import NoSpace
 from repro.ffs.cylgroup import (CylinderGroup, bit_is_set, bitmap_block,
-                                clear_bit, descriptor_block, find_clear_bit,
-                                fresh_bitmap, fresh_descriptor, inode_bit,
-                                set_bit)
+                                clear_bit, clear_run, descriptor_block,
+                                find_clear_bit, fresh_bitmap, fresh_descriptor,
+                                inode_bit, run_bits, set_bit)
 
 
 class GroupedAllocator:
@@ -234,14 +234,13 @@ class GroupedAllocator:
         """Release the ``count`` adjacent blocks from ``start``, all in
         one group: the inverse of :meth:`alloc_contiguous`."""
         cg = self.group(self.cg_of_block(start))
+        offset = start - cg.base
         bitmap = self._bitmap(cg)
-        lo, hi, run = self._run(start - cg.base, count)
-        bits = int.from_bytes(bitmap.image[lo:hi], "little")
-        if bits & run != run:
-            clear = ~bits & run
-            first = (lo << 3) + (clear & -clear).bit_length() - 1
-            raise NoSpace("double free of block %d" % (cg.base + first))
-        bitmap.data[lo:hi] = (bits & ~run).to_bytes(hi - lo, "little")
+        clear = ~run_bits(bitmap.image, offset, count) & ((1 << count) - 1)
+        if clear:
+            first = (clear & -clear).bit_length() - 1
+            raise NoSpace("double free of block %d" % (start + first))
+        clear_run(bitmap.data, offset, count)
         self.cache.mark_dirty(cg.bitmap_block)
         cg.free_blocks += count
         self._charge("free_blocks", count)
@@ -255,15 +254,7 @@ class GroupedAllocator:
         """True when none of the ``count`` adjacent blocks from
         ``start`` (all in one group) is allocated."""
         cg = self.group(self.cg_of_block(start))
-        lo, hi, run = self._run(start - cg.base, count)
-        return not int.from_bytes(self._bitmap(cg).image[lo:hi], "little") & run
-
-    @staticmethod
-    def _run(offset: int, count: int):
-        """(first byte, end byte, mask within those bytes read as one
-        little-endian integer) of bitmap bits ``offset .. offset+count``."""
-        lo = offset >> 3
-        return lo, (offset + count + 7) >> 3, ((1 << count) - 1) << (offset & 7)
+        return not run_bits(self._bitmap(cg).image, start - cg.base, count)
 
     def cg_of_block(self, bno: int) -> int:
         return (bno - self._cg_base_of(0)) // self.blocks_per_cg

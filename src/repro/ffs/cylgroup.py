@@ -114,6 +114,21 @@ def clear_bit(bitmap: bytearray, offset: int) -> None:
     bitmap[offset >> 3] &= ~(1 << (offset & 7))
 
 
+def run_bits(bitmap: bytearray, offset: int, count: int) -> int:
+    """Bits ``offset .. offset+count`` as one integer: bit i of the
+    result is bit ``offset + i`` of the bitmap."""
+    chunk = bitmap[offset >> 3:(offset + count + 7) >> 3]
+    return int.from_bytes(chunk, "little") >> (offset & 7) & ((1 << count) - 1)
+
+
+def clear_run(bitmap: bytearray, offset: int, count: int) -> None:
+    """:func:`clear_bit` for ``count`` adjacent bits, as one edit."""
+    lo, hi = offset >> 3, (offset + count + 7) >> 3
+    keep = ~(((1 << count) - 1) << (offset & 7))
+    bitmap[lo:hi] = (int.from_bytes(bitmap[lo:hi], "little") & keep).to_bytes(
+        hi - lo, "little")
+
+
 class CylinderGroup:
     """In-memory mirror of one group's descriptor (counts and rotors)."""
 

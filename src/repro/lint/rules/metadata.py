@@ -12,7 +12,7 @@ The rule flags, outside the allowed modules:
 
 * stores to attributes or string-keyed subscripts named
   ``free_blocks``/``free_inodes`` (plain or augmented assignment);
-* calls to the bitmap primitives ``set_bit``/``clear_bit``;
+* calls to the bitmap primitives ``set_bit``/``clear_bit``/``clear_run``;
 * calls to ``write_desc``, the whole-descriptor write of
   ``repro.core.groups.GroupTable``.
 """
@@ -29,6 +29,7 @@ WATCHED_NAMES: FrozenSet[str] = frozenset({"free_blocks", "free_inodes"})
 WATCHED_CALLS = {
     "set_bit": "an allocation bitmap",
     "clear_bit": "an allocation bitmap",
+    "clear_run": "an allocation bitmap",
     "write_desc": "an extent descriptor",
 }
 

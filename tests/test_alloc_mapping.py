@@ -9,7 +9,8 @@ from repro.cache.buffercache import BufferCache
 from repro.errors import NoSpace
 from repro.ffs import mapping
 from repro.ffs.alloc import GroupedAllocator
-from repro.ffs.cylgroup import bit_is_set, find_clear_bit
+from repro.ffs.cylgroup import (bit_is_set, clear_bit, clear_run,
+                                find_clear_bit, run_bits)
 from repro.ffs.layout import NDIRECT, PTRS_PER_INDIRECT
 from tests.conftest import make_device
 
@@ -161,6 +162,23 @@ class TestBlockAllocation:
         for b in bnos:
             alloc.free_block(b)
         assert alloc.free_blocks_total == before
+
+
+class TestRunBits:
+    def test_match_the_single_bit_primitives_on_random_bitmaps(self):
+        rng = random.Random(0xC1EA)
+        for _ in range(300):
+            bitmap = bytearray(rng.getrandbits(8) for _ in range(12))
+            count = rng.randrange(1, 17)
+            offset = rng.randrange(0, 96 - count)
+            bits = run_bits(bitmap, offset, count)
+            assert [bits >> i & 1 for i in range(count)] == [
+                int(bit_is_set(bitmap, offset + i)) for i in range(count)]
+            expected = bytearray(bitmap)
+            for i in range(count):
+                clear_bit(expected, offset + i)
+            clear_run(bitmap, offset, count)
+            assert bitmap == expected
 
 
 class TestContiguous:
