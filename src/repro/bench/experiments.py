@@ -23,7 +23,13 @@ from repro.workloads.aging import age_filesystem
 from repro.workloads.appsuite import build_source_tree, run_app_suite
 from repro.workloads.configs import CONFIG_GRID, build_filesystem
 from repro.workloads.sizes import run_size_sweep
-from repro.workloads.smallfile import PHASES, SmallFileResult, run_smallfile
+from repro.workloads.smallfile import (
+    PHASES,
+    SmallFileResult,
+    run_smallfile,
+    smallfile_ops,
+    smallfile_paths,
+)
 
 GRID = list(CONFIG_GRID.keys())
 
@@ -419,15 +425,15 @@ def ablation_group_size(
                             n_dirs=n_dirs, label="span%d" % span,
                             phases=("create",))
         creates.append(res["create"].files_per_second)
-        paths = ["/bench/d%03d/f%06d" % (i % n_dirs, i) for i in range(n_files)]
+        paths = smallfile_paths("/bench", n_files, n_dirs)
         random.Random(seed).shuffle(paths)
         fs.drop_caches()
         disk = fs.cache.device.disk
         clock = fs.cache.device.clock
         before = disk.stats.snapshot()
         start = clock.now
-        for path in paths:
-            fs.read_file(path)
+        for _label, op in smallfile_ops(paths, 1024, "read"):
+            op(fs)
         elapsed = clock.now - start
         delta = disk.stats.delta(before)
         reads.append(n_files / elapsed)

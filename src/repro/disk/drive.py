@@ -45,6 +45,16 @@ class SimulatedDisk:
         self.profile = profile
         self.clock = clock if clock is not None else SimClock()
         self.stats = stats if stats is not None else DiskStats()
+        # The accumulators a request bumps, bound once.
+        counters = self.stats.counters
+        self._overhead_time = counters["overhead_time"]
+        self._bus_total = counters["bus_time"]  # _bus_time is the method
+        self._cache_hits = counters["cache_hits"]
+        self._stall_time = counters["stall_time"]
+        self._write_absorbed = counters["write_absorbed"]
+        self._seek_time = counters["seek_time"]
+        self._rotation_time = counters["rotation_time"]
+        self._transfer_time = counters["transfer_time"]
         self.geometry = profile.geometry()
         self.seek_curve = profile.seek_curve()
         self.rotation = profile.rotation()
@@ -77,14 +87,14 @@ class SimulatedDisk:
         now = self.clock.now
         self.stats.record_request(is_write=False, nsectors=nsectors)
         t = now + self._overhead_s
-        self.stats.overhead_time += self._overhead_s
+        self._overhead_time.inc(self._overhead_s)
 
         # Serve from the write-behind buffer when it fully covers the
         # request (the data has not reached the media yet).
         if self.write_buffer is not None and self.write_buffer.covering_range(lba, nsectors):
             t += self._bus_time(nsectors)
-            self.stats.bus_time += self._bus_time(nsectors)
-            self.stats.cache_hits += 1
+            self._bus_total.inc(self._bus_time(nsectors))
+            self._cache_hits.inc()
             self.clock.advance_to(t)
             self._log("read", lba, nsectors, now, t, "buffer")
             return
@@ -104,8 +114,8 @@ class SimulatedDisk:
             seg, ready = hit
             bus = self._bus_time(nsectors)
             completion = max(t, ready) + bus
-            self.stats.cache_hits += 1
-            self.stats.bus_time += bus
+            self._cache_hits.inc()
+            self._bus_total.inc(bus)
             self.read_cache.extend_cap(seg, lba + nsectors, self.total_sectors)
             # A streaming continuation occupies the media as it fills.
             if seg.frozen_extent is None:
@@ -133,7 +143,7 @@ class SimulatedDisk:
         self.stats.record_request(is_write=True, nsectors=nsectors)
         self.read_cache.invalidate_range(lba, nsectors)
         t = now + self._overhead_s
-        self.stats.overhead_time += self._overhead_s
+        self._overhead_time.inc(self._overhead_s)
 
         if self.write_buffer is None:
             completion = self._media_operation(lba, nsectors, t, is_write=True)
@@ -150,12 +160,12 @@ class SimulatedDisk:
             while self.write_buffer.would_overflow(nsectors) and not self.write_buffer.empty:
                 self._drain_one(max(t, self._media_free_at))
                 t = max(t, self._media_free_at)
-            self.stats.stall_time += max(0.0, t - stall_from)
+            self._stall_time.inc(max(0.0, t - stall_from))
         absorbed = self.write_buffer.add(lba, nsectors, when=t)
         if absorbed:
-            self.stats.write_absorbed += 1
+            self._write_absorbed.inc()
         bus = self._bus_time(nsectors)
-        self.stats.bus_time += bus
+        self._bus_total.inc(bus)
         self.clock.advance_to(t + bus)
         self._log("write", lba, nsectors, now, t + bus, "buffer")
 
@@ -262,9 +272,9 @@ class SimulatedDisk:
         self.current_cylinder = end_cyl
 
         if charge_stats:
-            self.stats.seek_time += seek
-            self.stats.rotation_time += rot_wait
-            self.stats.transfer_time += transfer
+            self._seek_time.inc(seek)
+            self._rotation_time.inc(rot_wait)
+            self._transfer_time.inc(transfer)
         return t
 
     def _advance_background(self, now: float) -> None:

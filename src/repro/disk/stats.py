@@ -5,12 +5,11 @@ and where the time went (positioning vs. transfer), so the drive keeps
 both.  The "order of magnitude fewer disk accesses" claim is checked
 directly against these counters.
 
-Since the observability subsystem landed, the counters live in a
-:class:`~repro.obs.metrics.MetricsRegistry` under ``disk.*`` names; the
-attribute API below (``stats.reads``, ``stats.seek_time += x``) is a
-thin read/write view over the registry values, so existing callers and
-the snapshot/delta discipline are unchanged while ``repro trace`` can
-pull the same numbers as a metrics snapshot.
+The counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
+under ``disk.*`` names, so ``repro trace`` can pull the same numbers as
+a metrics snapshot; the attributes below (``stats.reads``,
+``stats.seek_time``) are a read-only view of them.  The drive
+increments the counters themselves (``stats.counters[name]``).
 """
 
 from __future__ import annotations
@@ -57,13 +56,7 @@ class RequestRecord:
 
 
 def _registry_field(name: str):
-    def get(self: "DiskStats") -> float:
-        return self._counters[name].value
-
-    def set_(self: "DiskStats", value: float) -> None:
-        self._counters[name].set(value)
-
-    return property(get, set_)
+    return property(lambda self: self.counters[name].value)
 
 
 class DiskStats:
@@ -74,19 +67,19 @@ class DiskStats:
         if unknown:
             raise TypeError("unknown DiskStats fields: %s" % ", ".join(sorted(unknown)))
         self.registry = registry if registry is not None else MetricsRegistry()
-        # The attribute view and record_request run on every host
-        # request, so the Counter objects are resolved once here; the
-        # field properties and the hot-path aliases below all read the
-        # same live instruments (registry.reset() zeroes in place).
-        self._counters = {}
+        # The Counter objects are resolved once here; the field
+        # properties, record_request's aliases and the ones the drive
+        # binds are the same live instruments (registry.reset() zeroes
+        # in place).
+        self.counters = {}
         for name in _FIELDS:
             counter = self.registry.counter("disk." + name)
             counter.set(values.get(name, 0))
-            self._counters[name] = counter
-        self._reads = self._counters["reads"]
-        self._writes = self._counters["writes"]
-        self._sectors_read = self._counters["sectors_read"]
-        self._sectors_written = self._counters["sectors_written"]
+            self.counters[name] = counter
+        self._reads = self.counters["reads"]
+        self._writes = self.counters["writes"]
+        self._sectors_read = self.counters["sectors_read"]
+        self._sectors_written = self.counters["sectors_written"]
         self._request_hist = self.registry.histogram(
             "disk.request_sectors", REQUEST_SIZE_BUCKETS)
         self.request_sizes: Dict[int, int] = {}
@@ -137,10 +130,6 @@ class DiskStats:
                 sizes[size] = diff
         out.request_sizes = sizes
         return out
-
-    def metrics_snapshot(self) -> Dict[str, object]:
-        """The registry view (``disk.*`` names), for trace/metrics dumps."""
-        return self.registry.snapshot()
 
     def reset(self) -> None:
         self.registry.reset()

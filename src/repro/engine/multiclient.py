@@ -17,9 +17,8 @@ as the ``ffs`` label.
 from __future__ import annotations
 
 import contextlib
-import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.analysis.report import Table
@@ -30,13 +29,9 @@ from repro.engine.report import ClientSummary, PhaseReport, summarize_phase
 from repro.errors import InvalidArgument
 from repro.faults.schedule import FaultSchedule, RetryPolicy
 from repro.workloads.configs import build_filesystem
-from repro.workloads.hypertext import Document
-from repro.workloads.opscript import (
-    hypertext_serve_ops,
-    postmark_ops,
-    smallfile_ops,
-    smallfile_paths,
-)
+from repro.workloads.hypertext import Document, build_site, serve_ops
+from repro.workloads.postmark import PostmarkConfig, postmark_script
+from repro.workloads.smallfile import smallfile_ops, smallfile_paths
 
 WORKLOADS = ("smallfile", "postmark", "hypertext")
 
@@ -65,27 +60,6 @@ class MultiClientResult:
 
     def __getitem__(self, phase: str) -> PhaseReport:
         return self.phases[phase]
-
-
-def _build_client_site(fs, client_dir: str, n_documents: int,
-                       seed: int) -> List[Document]:
-    """A per-client hypertext corpus (page + assets per document)."""
-    rng = random.Random(seed)
-    documents: List[Document] = []
-    for n in range(n_documents):
-        name = "doc%04d" % n
-        files: List[Tuple[str, int]] = [
-            ("%s/%s.html" % (client_dir, name), rng.randrange(2048, 8192))]
-        for a in range(rng.randrange(3, 7)):
-            files.append(("%s/%s-a%d.gif" % (client_dir, name, a),
-                          rng.randrange(1024, 12288)))
-        paths: List[str] = []
-        for path, size in files:
-            fs.write_file(path, b"w" * size)
-            paths.append(path)
-        documents.append(Document(
-            name=name, paths=paths, total_bytes=sum(s for _, s in files)))
-    return documents
 
 
 def run_multiclient(
@@ -141,36 +115,31 @@ def run_multiclient(
             for d in dirs.values():
                 f.mkdir(d)
             if workload == "hypertext":
-                for i, client in enumerate(clients):
-                    documents[client] = _build_client_site(
-                        f, dirs[client], files_per_client, seed + i)
+                for client in clients:
+                    documents[client] = build_site(
+                        f, n_documents=files_per_client,
+                        seed=seed + client.cid, root=dirs[client])
             f.sync()
             f.drop_caches()
 
         engine.run_sync(setup)
 
-        if workload == "smallfile":
-            phase_list = list(phases)
-            paths = {client: smallfile_paths(dirs[client], files_per_client)
-                     for client in clients}
+        phase_list = {"smallfile": list(phases), "postmark": ["churn"],
+                      "hypertext": ["serve"]}[workload]
 
-            def ops_for(client, phase):
-                return smallfile_ops(paths[client], file_size, phase)
-        elif workload == "postmark":
-            phase_list = ["churn"]
-            scripts = {client: postmark_ops(
-                dirs[client], n_files=files_per_client,
-                n_transactions=2 * files_per_client, seed=seed + client.cid)
-                for client in clients}
-
-            def ops_for(client, phase):
-                return scripts[client]
-        else:  # hypertext
-            phase_list = ["serve"]
-
-            def ops_for(client, phase):
-                return hypertext_serve_ops(documents[client],
-                                           order_seed=seed + client.cid)
+        def ops_for(client, phase):
+            if workload == "smallfile":
+                return smallfile_ops(
+                    smallfile_paths(dirs[client], files_per_client),
+                    file_size, phase)
+            if workload == "hypertext":
+                return serve_ops(documents[client], seed + client.cid)
+            script = postmark_script(
+                PostmarkConfig(n_files=files_per_client,
+                               n_transactions=2 * files_per_client,
+                               seed=seed + client.cid, n_dirs=1),
+                [dirs[client]])
+            return script["create"] + script["transactions"]
 
         result = MultiClientResult(label=label, n_clients=n_clients,
                                    scheduler=scheduler, workload=workload)

@@ -57,6 +57,9 @@ class Finding:
     line: int
     col: int
     suppressed: bool = False
+    #: qualname of the enclosing def ("" at module level); the runner
+    #: fills it in, and only the position-free baseline reads it.
+    function: str = ""
 
     def location(self) -> str:
         return "%s:%d:%d" % (self.path, self.line, self.col + 1)
@@ -158,6 +161,27 @@ class LintModule:
         if len(parts) >= 3 and parts[0] == "repro":
             return parts[1]
         return ""
+
+    def function_at(self, line: int) -> str:
+        """Qualname of the innermost def containing ``line`` ("" if none)."""
+        found = ""
+        for qualname, node in iter_functions(self.tree):
+            if node.lineno <= line <= node.end_lineno:
+                found = qualname  # outermost first, so the last hit is innermost
+        return found
+
+
+def iter_functions(
+    tree: ast.AST, prefix: str = ""
+) -> Iterator[Tuple[str, ast.AST]]:
+    """``(qualname, node)`` of every def reached through def and class
+    bodies (not through ``if``/``for`` blocks), outermost first."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child
+            yield from iter_functions(child, prefix + child.name + ".")
 
 
 def module_name_of(path: str) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.core import LintModule, dotted_name
+from repro.lint.core import LintModule, dotted_name, iter_functions
 from repro.lint.flow.dataflow import MUTATING_METHODS, pack_into_buffer_arg
 
 #: direct metadata-ordering seams (J001).
@@ -174,21 +174,11 @@ class FlowContext:
     # -- collection ----------------------------------------------------
 
     def _collect(self, mod: LintModule) -> None:
-        def walk(node: ast.AST, prefix: str) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = f"{prefix}{child.name}" if prefix else child.name
-                    info = FunctionInfo(
-                        mod.module, qual, child, _param_names(child))
-                    self.functions.append(info)
-                    self.by_name.setdefault(info.name, []).append(info)
-                    self._by_node[id(child)] = info
-                    walk(child, qual + ".")
-                elif isinstance(child, ast.ClassDef):
-                    qual = f"{prefix}{child.name}" if prefix else child.name
-                    walk(child, qual + ".")
-
-        walk(mod.tree, "")
+        for qualname, node in iter_functions(mod.tree):
+            info = FunctionInfo(mod.module, qualname, node, _param_names(node))
+            self.functions.append(info)
+            self.by_name.setdefault(info.name, []).append(info)
+            self._by_node[id(node)] = info
 
     # -- summaries -----------------------------------------------------
 

@@ -1,4 +1,5 @@
-"""D001 — determinism: no wall clock, no module-level random state.
+"""D001 — determinism: no wall clock, no module-level random state,
+no salted builtin ``hash()``.
 
 Every benchmark number this repo produces is *simulated* time, and the
 crash-point sweeps replay exact sequences of cache states; both break
@@ -6,6 +7,10 @@ silently if any code path consults the host clock or shared RNG state.
 Time comes from :class:`repro.clock.SimClock` instances; randomness
 comes from an explicitly seeded ``random.Random`` threaded through
 constructors (``random.Random(seed)`` is the one blessed attribute).
+The builtin ``hash()`` of a ``str`` or ``bytes`` differs from process
+to process, so nothing seeded or written to an image may derive from
+it; only a ``__hash__`` method, whose value never leaves the process,
+may call it.
 """
 
 from __future__ import annotations
@@ -85,6 +90,15 @@ class DeterminismRule(Rule):
                 node,
                 "%s(): wall clock reads break deterministic replay; "
                 "simulated time lives in repro.clock.SimClock" % name,
+            )
+        elif (name == "hash" and mod.module.split(".")[0] == "repro"
+              and not mod.function_at(node.lineno).endswith("__hash__")):
+            yield self.found(
+                mod,
+                node,
+                "hash(): the builtin is salted per process "
+                "(PYTHONHASHSEED); derive seeds and digests from a CRC of the "
+                "encoded value",
             )
 
     def _check_random_attr(

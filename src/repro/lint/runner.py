@@ -11,7 +11,7 @@ fails only on unsuppressed findings.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.lint.core import (
@@ -114,7 +114,9 @@ def lint_modules(
     findings: List[Finding] = []
     for mod in modules:
         for rule in rules:
-            findings.extend(rule.check(mod, context))
+            findings.extend(
+                replace(f, function=mod.function_at(f.line))
+                for f in rule.check(mod, context))
     return LintResult(
         findings=findings_sorted(findings),
         files_checked=len(modules),

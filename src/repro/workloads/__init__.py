@@ -1,6 +1,13 @@
 """Workload generators for the paper's experiments."""
 
-from repro.workloads.smallfile import PHASES, PhaseResult, SmallFileResult, run_smallfile
+from repro.workloads.smallfile import (
+    PHASES,
+    PhaseResult,
+    SmallFileResult,
+    run_smallfile,
+    smallfile_ops,
+    smallfile_paths,
+)
 from repro.workloads.configs import (
     CONFIG_GRID,
     build_filesystem,
@@ -26,13 +33,9 @@ from repro.workloads.hypertext import (
     ServeResult,
     build_site,
     serve_documents,
+    serve_ops as hypertext_serve_ops,
 )
-from repro.workloads.opscript import (
-    hypertext_serve_ops,
-    postmark_ops,
-    smallfile_ops,
-    smallfile_paths,
-)
+from repro.workloads.postmark import postmark_script
 from repro.workloads.trace import (
     ReplayResult,
     Trace,
@@ -68,7 +71,7 @@ __all__ = [
     "serve_documents",
     "smallfile_paths",
     "smallfile_ops",
-    "postmark_ops",
+    "postmark_script",
     "hypertext_serve_ops",
     "ReplayResult",
     "Trace",

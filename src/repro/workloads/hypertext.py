@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.vfs.interface import FileSystem
+from repro.workloads.smallfile import Op
 
 DIRECTORIES = ("/pages", "/images", "/styles")
 
@@ -55,24 +56,25 @@ def build_site(
     n_documents: int = 60,
     use_hints: bool = False,
     seed: int = 77,
-    assets_range=(3, 7),
+    root: str = "",
 ) -> List[Document]:
-    """Create the site; with ``use_hints`` each document is written
-    inside its own group context (C-FFS only)."""
+    """Create the site under ``root`` (one per client when several
+    share a volume); with ``use_hints`` each document is written inside
+    its own group context (C-FFS only)."""
     rng = random.Random(seed)
     for d in DIRECTORIES:
-        if not fs.exists(d):
-            fs.mkdir(d)
+        if not fs.exists(root + d):
+            fs.mkdir(root + d)
     documents: List[Document] = []
     for n in range(n_documents):
         name = "doc%04d" % n
         paths: List[str] = []
-        page = "/pages/%s.html" % name
+        page = "%s/pages/%s.html" % (root, name)
         page_bytes = rng.randrange(2048, 8192)
         files = [(page, page_bytes)]
-        for a in range(rng.randrange(*assets_range)):
+        for a in range(rng.randrange(3, 7)):
             kind = rng.choice(("/images/%s-a%d.gif", "/styles/%s-a%d.css"))
-            files.append((kind % (name, a), rng.randrange(1024, 12288)))
+            files.append((root + kind % (name, a), rng.randrange(1024, 12288)))
 
         def write_all() -> None:
             for path, size in files:
@@ -91,49 +93,57 @@ def build_site(
     return documents
 
 
+def serve_ops(documents: Sequence[Document], order_seed: int = 5) -> List[Op]:
+    """Serve each document once (page plus assets), in shuffled order."""
+    order = list(documents)
+    random.Random(order_seed).shuffle(order)
+
+    def serve(doc: Document) -> Op:
+        def body(fs: FileSystem) -> None:
+            for path in doc.paths:
+                fs.read_file(path)
+        return ("serve", body)
+
+    return [serve(doc) for doc in order]
+
+
+def _evict_data(fs: FileSystem, documents: Sequence[Document]) -> None:
+    for doc in documents:
+        for path in doc.paths:
+            fs.evict_file_data(path)
+
+
 def serve_documents(
     fs: FileSystem,
     documents: Sequence[Document],
     label: str = "",
-    order_seed: Optional[int] = 5,
-    cold_per_document: bool = True,
+    order_seed: int = 5,
 ) -> ServeResult:
-    """Serve every document once, in shuffled order.
+    """Time :func:`serve_ops`, every document cold.
 
-    With ``cold_per_document`` (the default) every file's *data* is
-    evicted between documents while metadata (directories, inodes)
-    stays warm — a busy server whose data cache has turned over between
-    two requests for related files, which is the situation the hint
-    interface targets: the only co-location that helps is the one on
-    disk.
+    Every file's *data* is evicted between documents while metadata
+    (directories, inodes) stays warm — a busy server whose data cache
+    has turned over between two requests for related files, which is
+    the situation the hint interface targets: the only co-location that
+    helps is the one on disk.
     """
     fs.sync()
-    for doc in documents:
-        for path in doc.paths:
-            fs.evict_file_data(path)
-    order = list(documents)
-    if order_seed is not None:
-        random.Random(order_seed).shuffle(order)
+    _evict_data(fs, documents)
     disk = fs.cache.device.disk
     clock = fs.cache.device.clock
     before = disk.stats.snapshot()
     elapsed = 0.0
-    for doc in order:
+    for _label, serve in serve_ops(documents, order_seed):
         start = clock.now
-        for path in doc.paths:
-            fs.read_file(path)
+        serve(fs)
         elapsed += clock.now - start
-        if cold_per_document:
-            # Full data-cache turnover: group reads install sibling
-            # blocks, so every document's data must go, not just the
-            # served one's.
-            for other in documents:
-                for path in other.paths:
-                    fs.evict_file_data(path)
+        # Full data-cache turnover: group reads install sibling blocks,
+        # so every document's data must go, not just the served one's.
+        _evict_data(fs, documents)
     delta = disk.stats.delta(before)
     return ServeResult(
         label=label or fs.name,
-        documents=len(order),
+        documents=len(documents),
         seconds=elapsed,
         disk_requests=delta.total_requests,
     )

@@ -18,11 +18,14 @@ groups must survive: holes appear and refill continuously).
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.vfs.interface import FileSystem
+from repro.workloads.smallfile import Op
 
 
 @dataclass
@@ -66,75 +69,85 @@ class PostmarkResult:
         return self.create_seconds + self.transaction_seconds + self.delete_seconds
 
 
+def postmark_script(cfg: PostmarkConfig,
+                    dirs: Sequence[str]) -> Dict[str, List[Op]]:
+    """The three phases as scripts: ``create``, ``transactions``, ``delete``.
+
+    Every directory, size, victim and transaction kind is drawn here
+    from ``cfg.seed``; none depends on what the file system answers, so
+    the stream is the same however it is later timed or interleaved.
+    """
+    rng = random.Random(cfg.seed)
+    pool: List[str] = []
+    serial = itertools.count()
+
+    def create() -> Op:
+        path = "%s/p%06d" % (rng.choice(dirs), next(serial))
+        size = rng.randint(cfg.min_size, cfg.max_size)
+        pool.append(path)
+        return ("create", lambda fs: fs.write_file(path, b"p" * size))
+
+    def append(path: str, size: int) -> Op:
+        def body(fs: FileSystem) -> None:
+            at = fs.stat(path).size
+            fd = fs.open(path)
+            try:
+                fs.pwrite(fd, at, b"a" * size)
+            finally:
+                fs.close(fd)
+        return ("append", body)
+
+    def delete(path: str) -> Op:
+        return ("delete", lambda fs: fs.unlink(path))
+
+    creates = [create() for _ in range(cfg.n_files)]
+    transactions: List[Op] = []
+    for _ in range(cfg.n_transactions):
+        if rng.random() < cfg.data_fraction and pool:
+            victim = rng.choice(pool)
+            if rng.random() < cfg.read_bias:
+                transactions.append(
+                    ("read", lambda fs, p=victim: fs.read_file(p)))
+            else:
+                transactions.append(append(victim, rng.randint(256, 4096)))
+        elif rng.random() < cfg.create_bias or not pool:
+            transactions.append(create())
+        else:
+            transactions.append(delete(pool.pop(rng.randrange(len(pool)))))
+    return {"create": creates, "transactions": transactions,
+            "delete": [delete(path) for path in pool]}
+
+
 def run_postmark(
     fs: FileSystem,
     config: Optional[PostmarkConfig] = None,
     label: str = "",
 ) -> PostmarkResult:
-    """Run the three phases; returns timings in simulated seconds."""
+    """Time the script's three phases; returns simulated seconds."""
     cfg = config if config is not None else PostmarkConfig()
-    rng = random.Random(cfg.seed)
+    dirs = ["/postmark/d%03d" % d for d in range(cfg.n_dirs)]
+    script = postmark_script(cfg, dirs)
     clock = fs.cache.device.clock
     disk = fs.cache.device.disk
-    result = PostmarkResult(label=label or fs.name)
     before = disk.stats.snapshot()
 
-    dirs = ["/postmark/d%03d" % d for d in range(cfg.n_dirs)]
     fs.mkdir("/postmark")
     for d in dirs:
         fs.mkdir(d)
 
-    def new_size() -> int:
-        return rng.randint(cfg.min_size, cfg.max_size)
+    def run_phase(phase: str) -> float:
+        start = clock.now
+        for _label, op in script[phase]:
+            op(fs)
+        fs.sync()
+        return clock.now - start
 
-    # Phase 1: create the pool.
-    pool: List[str] = []
-    serial = 0
-    start = clock.now
-    for _ in range(cfg.n_files):
-        path = "%s/p%06d" % (rng.choice(dirs), serial)
-        serial += 1
-        fs.write_file(path, b"p" * new_size())
-        pool.append(path)
-    fs.sync()
-    result.create_seconds = clock.now - start
-
-    # Phase 2: transactions.
-    start = clock.now
-    for _ in range(cfg.n_transactions):
-        if rng.random() < cfg.data_fraction and pool:
-            victim = rng.choice(pool)
-            if rng.random() < cfg.read_bias:
-                fs.read_file(victim)
-                result.reads += 1
-            else:
-                size = fs.stat(victim).size
-                fd = fs.open(victim)
-                try:
-                    fs.pwrite(fd, size, b"a" * rng.randint(256, 4096))
-                finally:
-                    fs.close(fd)
-                result.appends += 1
-        else:
-            if (rng.random() < cfg.create_bias or not pool):
-                path = "%s/p%06d" % (rng.choice(dirs), serial)
-                serial += 1
-                fs.write_file(path, b"p" * new_size())
-                pool.append(path)
-                result.creates += 1
-            else:
-                victim = pool.pop(rng.randrange(len(pool)))
-                fs.unlink(victim)
-                result.deletes += 1
-    fs.sync()
-    result.transaction_seconds = clock.now - start
-
-    # Phase 3: delete the pool.
-    start = clock.now
-    for path in pool:
-        fs.unlink(path)
-    fs.sync()
-    result.delete_seconds = clock.now - start
-
+    kinds = Counter(kind for kind, _op in script["transactions"])
+    result = PostmarkResult(
+        label=label or fs.name, reads=kinds["read"], appends=kinds["append"],
+        creates=kinds["create"], deletes=kinds["delete"])
+    result.create_seconds = run_phase("create")
+    result.transaction_seconds = run_phase("transactions")
+    result.delete_seconds = run_phase("delete")
     result.disk_requests = disk.stats.delta(before).total_requests
     return result

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.vfs.interface import FileSystem
+from repro.workloads.smallfile import smallfile_ops, smallfile_paths
 
 # Piecewise size distribution: (upper bound in bytes, cumulative mass).
 # Calibrated so that P(size < 8 KB) = 0.79 and a long tail reaches a
@@ -81,7 +82,6 @@ def run_size_sweep(
     fs: FileSystem,
     file_sizes: Sequence[int],
     total_bytes: int = 4 << 20,
-    min_files: int = 16,
 ) -> List[SweepPoint]:
     """Create-then-read workloads at each file size.
 
@@ -94,14 +94,14 @@ def run_size_sweep(
     clock = fs.cache.device.clock
     disk = fs.cache.device.disk
     for size in file_sizes:
-        n_files = max(min_files, total_bytes // size)
+        n_files = max(16, total_bytes // size)
         dirname = "/sweep%d" % size
         fs.mkdir(dirname)
-        payload = b"z" * size
+        paths = smallfile_paths(dirname, n_files)
         before = disk.stats.snapshot()
         start = clock.now
-        for i in range(n_files):
-            fs.write_file("%s/f%06d" % (dirname, i), payload)
+        for _label, op in smallfile_ops(paths, size, "create", b"z" * size):
+            op(fs)
         fs.sync()
         create_seconds = clock.now - start
         create_delta = disk.stats.delta(before)
@@ -109,10 +109,8 @@ def run_size_sweep(
 
         before = disk.stats.snapshot()
         start = clock.now
-        for i in range(n_files):
-            got = fs.read_file("%s/f%06d" % (dirname, i))
-            if len(got) != size:
-                raise AssertionError("short read in sweep")
+        for _label, op in smallfile_ops(paths, size, "read"):
+            op(fs)
         read_seconds = clock.now - start
         read_delta = disk.stats.delta(before)
         fs.drop_caches()

@@ -10,12 +10,17 @@ phase runs cold — matching the paper's measurement discipline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
+from repro.errors import InvalidArgument
 from repro.vfs.interface import FileSystem
 
 PHASES = ("create", "read", "overwrite", "delete")
+
+#: One scripted operation: a label plus a callable on the file system
+#: (the shape of repro.engine.client.Op, which this layer cannot import).
+Op = Tuple[str, Callable[[FileSystem], object]]
 
 
 @dataclass
@@ -58,15 +63,44 @@ class SmallFileResult:
         return self.phases[phase]
 
 
-def _file_paths(n_files: int, n_dirs: int) -> List[str]:
+def smallfile_paths(root: str, n_files: int, n_dirs: int = 1) -> List[str]:
+    """The file names one small-file run touches, in creation order."""
     if n_dirs == 1:
-        return ["/bench/f%06d" % i for i in range(n_files)]
+        return ["%s/f%06d" % (root, i) for i in range(n_files)]
     # Round-robin across directories: creation (and hence access) order
     # interleaves the directories, as concurrent activity would.
-    return [
-        "/bench/d%03d/f%06d" % (i % n_dirs, i)
-        for i in range(n_files)
-    ]
+    return ["%s/d%03d/f%06d" % (root, i % n_dirs, i) for i in range(n_files)]
+
+
+def smallfile_ops(paths: Sequence[str], file_size: int, phase: str,
+                  payload: Optional[bytes] = None) -> List[Op]:
+    """One phase (create / read / overwrite / delete) as a script.
+
+    This is the phase's one definition: :func:`run_smallfile` and the
+    size sweep run it in lock-step inside their timing windows, the
+    engine interleaves it with other clients' scripts.
+    """
+    data = payload if payload is not None else b"s" * file_size
+    if len(data) != file_size:
+        raise ValueError("payload length must equal file_size")
+
+    def write(fs: FileSystem, path: str) -> None:
+        fs.write_file(path, data)
+
+    def read(fs: FileSystem, path: str) -> None:
+        got = fs.read_file(path)
+        if len(got) != file_size:
+            raise AssertionError("short read of %s" % path)
+
+    def delete(fs: FileSystem, path: str) -> None:
+        fs.unlink(path)
+
+    bodies = {"create": write, "read": read, "overwrite": write,
+              "delete": delete}
+    if phase not in bodies:
+        raise InvalidArgument("unknown small-file phase %r" % phase)
+    body = bodies[phase]
+    return [(phase, lambda fs, p=path: body(fs, p)) for path in paths]
 
 
 def run_smallfile(
@@ -84,18 +118,15 @@ def run_smallfile(
     available for creation).  Phase timing includes the final write-back
     of all dirty blocks, and caches are dropped between phases.
     """
-    data = payload if payload is not None else b"s" * file_size
-    if len(data) != file_size:
-        raise ValueError("payload length must equal file_size")
-    paths = _file_paths(n_files, n_dirs)
+    paths = smallfile_paths("/bench", n_files, n_dirs)
+    # Built before the volume is touched: a bad payload or phase fails first.
+    scripts = {name: smallfile_ops(paths, file_size, name, payload)
+               for name in phases}
 
     fs.mkdir("/bench")
-    made = set()
-    for p in paths:
-        parent = p.rsplit("/", 1)[0]
-        if parent != "/bench" and parent not in made:
+    for parent in dict.fromkeys(p.rsplit("/", 1)[0] for p in paths):
+        if parent != "/bench":
             fs.mkdir(parent)
-            made.add(parent)
     fs.sync()
     fs.drop_caches()
 
@@ -103,13 +134,14 @@ def run_smallfile(
     disk = fs.cache.device.disk
     result = SmallFileResult(label=label if label is not None else fs.name)
 
-    def run_phase(name: str, body) -> None:
+    def run_phase(name: str) -> None:
         before_stats = disk.stats.snapshot()
         start = clock.now
-        # The workload span brackets exactly the measured window (body
-        # plus the final write-back), so traces slice per phase.
+        # The workload span brackets exactly the measured window (the
+        # script plus the final write-back), so traces slice per phase.
         with obs.span("workload", name, files=n_files, size=file_size):
-            body()
+            for _label, op in scripts[name]:
+                op(fs)
             fs.sync()
         elapsed = clock.now - start
         delta = disk.stats.delta(before_stats)
@@ -123,30 +155,6 @@ def run_smallfile(
         )
         fs.drop_caches()
 
-    def do_create() -> None:
-        for p in paths:
-            fs.write_file(p, data)
-
-    def do_read() -> None:
-        for p in paths:
-            got = fs.read_file(p)
-            if len(got) != file_size:
-                raise AssertionError("short read of %s" % p)
-
-    def do_overwrite() -> None:
-        for p in paths:
-            fs.write_file(p, data)
-
-    def do_delete() -> None:
-        for p in paths:
-            fs.unlink(p)
-
-    bodies = {
-        "create": do_create,
-        "read": do_read,
-        "overwrite": do_overwrite,
-        "delete": do_delete,
-    }
     for name in phases:
-        run_phase(name, bodies[name])
+        run_phase(name)
     return result

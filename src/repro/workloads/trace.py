@@ -26,6 +26,7 @@ offset at replay time — traces capture *activity*, not data.
 from __future__ import annotations
 
 import io
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, TextIO
 
@@ -34,7 +35,9 @@ from repro.vfs.interface import FileSystem
 
 
 def _payload(path: str, offset: int, length: int) -> bytes:
-    seed = (hash((path, offset)) & 0xFF) or 1
+    # crc32, never the salted builtin hash: two processes replaying one
+    # trace must write the same bytes.
+    seed = (zlib.crc32(b"%s@%d" % (path.encode("utf-8"), offset)) & 0xFF) or 1
     return bytes((seed + i) % 256 for i in range(length))
 
 

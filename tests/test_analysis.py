@@ -93,10 +93,7 @@ class TestDiskStats:
         assert snap.reads == 0
 
     def test_mechanical_time(self):
-        stats = DiskStats()
-        stats.seek_time = 1.0
-        stats.rotation_time = 2.0
-        stats.transfer_time = 3.0
+        stats = DiskStats(seek_time=1.0, rotation_time=2.0, transfer_time=3.0)
         assert stats.mechanical_time == 6.0
 
 

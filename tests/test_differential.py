@@ -17,7 +17,11 @@ Three seeded scenarios cover the three stacks the optimizations touch:
 Each scenario captures a SHA-256 of the device's logical contents
 (:meth:`BlockDevice.content_digest` — independent of the image
 compressor), of the JSONL trace export, and of the canonical metrics
-snapshot, plus the simulated end time.  Regenerate with::
+snapshot, plus the simulated end time.  ``trace_sans_cache_hits`` is the
+trace digest again with ``counters["cache.hits"]`` struck from every
+span: a change in how often a *resident* block is looked up moves
+``trace`` and ``metrics`` but not this one, which then certifies that
+nothing else in the trace moved.  Regenerate with::
 
     REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_differential.py
 
@@ -54,6 +58,16 @@ def _metrics_digest(registry) -> str:
     return _sha(json.dumps(registry.snapshot(), sort_keys=True))
 
 
+def _sans_cache_hits(jsonl: str) -> str:
+    """The JSONL export with ``cache.hits`` struck from each span."""
+    lines = []
+    for line in jsonl.splitlines():
+        span = json.loads(line)
+        span["counters"].pop("cache.hits", None)
+        lines.append(json.dumps(span, sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines)
+
+
 def _traced_run(fs, body) -> dict:
     """Run ``body`` under a tracer; capture image/trace/metric digests.
 
@@ -69,9 +83,11 @@ def _traced_run(fs, body) -> dict:
         body()
     finally:
         obs.uninstall()
+    jsonl = obs.export_jsonl(tracer)
     return {
         "image": device.content_digest(),
-        "trace": _sha(obs.export_jsonl(tracer)),
+        "trace": _sha(jsonl),
+        "trace_sans_cache_hits": _sha(_sans_cache_hits(jsonl)),
         "metrics": _metrics_digest(tracer.registry),
         "spans": len(tracer.spans),
         "sim_seconds": round(device.clock.now, 9),
@@ -143,6 +159,16 @@ def test_differential(scenario):
         "If the divergence is *intended* (a semantic change, not an "
         "optimization), regenerate with REPRO_REGEN_GOLDENS=1 and "
         "explain the change in the PR." % scenario)
+
+
+def test_struck_digest_ignores_only_cache_hits():
+    def span(hits, misses):
+        return json.dumps({"id": 1, "op": "get", "counters": {
+            "cache.hits": hits, "cache.misses": misses}}) + "\n"
+
+    assert _sans_cache_hits(span(3, 1)) == _sans_cache_hits(span(9, 1))
+    assert _sans_cache_hits(span(3, 1)) != _sans_cache_hits(span(3, 2))
+    assert "cache.hits" not in _sans_cache_hits(span(3, 1))
 
 
 def test_image_digest_ignores_compression_and_zero_blocks():

@@ -198,7 +198,8 @@ def test_cluster_replays_retries_and_records_through_one_mechanism_each():
     assert "readdir(CLUSTER_DIR)" in inspect.getsource(intent.scan_records)
 
     # (d) checksum: one name, bound in ``resilience.checksums``; the hash
-    # ring hashes with the stdlib function itself (a hash, not a checksum).
+    # ring and the trace replayer's payload seed hash with the stdlib
+    # function itself (a process-independent hash, not a checksum).
     import pathlib
 
     import repro
@@ -207,4 +208,5 @@ def test_cluster_replays_retries_and_records_through_one_mechanism_each():
     mentions = sorted(
         path.relative_to(root).as_posix() for path in root.rglob("*.py")
         if re.search(r"\b(zlib|binascii)\.crc32\b", path.read_text()))
-    assert mentions == ["cluster/router.py", "resilience/checksums.py"]
+    assert mentions == ["cluster/router.py", "resilience/checksums.py",
+                        "workloads/trace.py"]

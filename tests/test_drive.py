@@ -56,6 +56,23 @@ class TestBasics:
         assert d.stats.request_sizes[8] == 2
         assert d.stats.request_sizes[128] == 1
 
+    def test_reset_keeps_the_drives_bound_counters_live(self):
+        # The drive binds its counters once; reset() zeroes them in
+        # place, so requests after a reset are still counted.
+        disk = cached_disk()
+        far = disk.total_sectors - 64
+        disk.read(far, 8)
+        disk.write(500, 8)
+        assert disk.stats.overhead_time > 0 and disk.stats.seek_time > 0
+        disk.stats.reset()
+        assert disk.stats.total_requests == 0
+        assert disk.stats.overhead_time == disk.stats.bus_time == 0
+        disk.read(0, 8)
+        disk.write(far, 8)
+        assert (disk.stats.reads, disk.stats.writes) == (1, 1)
+        assert disk.stats.overhead_time > 0 and disk.stats.bus_time > 0
+        assert disk.stats.seek_time > 0 and disk.stats.transfer_time > 0
+
 
 class TestMechanicalCosts:
     def test_small_read_dominated_by_positioning(self):

@@ -22,8 +22,12 @@ from repro.engine import (
     run_multiclient,
 )
 from repro.errors import InvalidArgument
-from repro.workloads import run_smallfile
-from repro.workloads.opscript import smallfile_ops
+from repro.workloads import run_smallfile, smallfile_ops, smallfile_paths
+from repro.workloads.postmark import (
+    PostmarkConfig,
+    postmark_script,
+    run_postmark,
+)
 from tests.conftest import TEST_PROFILE, make_cffs
 
 
@@ -192,26 +196,22 @@ class TestDiskQueue:
                 < twins[1].complete_time == loop.now)
 
 
-def _engine_smallfile_phase_times(fs, paths, file_size, phases):
-    """Run the small-file phases through a 1-client engine, mirroring
-    run_smallfile's measurement discipline (sync ends a phase, caches
-    drop between phases)."""
+def _engine_phase_times(fs, setup, scripts, cold):
+    """Replay ``{phase: ops}`` through a 1-client engine with the
+    synchronous drivers' measurement discipline: a sync ends each phase,
+    and ``cold`` drops caches between phases (run_smallfile does,
+    run_postmark does not)."""
     engine = Engine(fs)
     client = engine.add_client()
-
-    def setup(f):
-        f.mkdir("/bench")
-        f.sync()
-        f.drop_caches()
-
     engine.run_sync(setup)
     times = {}
-    for phase in phases:
+    for phase, ops in scripts.items():
         start = engine.now
-        engine.run_phase({client: smallfile_ops(paths, file_size, phase)}, phase)
+        engine.run_phase({client: ops}, phase)
         engine.run_sync(lambda f: f.sync())
         times[phase] = engine.now - start
-        engine.run_sync(lambda f: f.drop_caches())
+        if cold:
+            engine.run_sync(lambda f: f.drop_caches())
     return times, client
 
 
@@ -220,20 +220,46 @@ class TestEngineEquivalence:
 
     def test_single_client_matches_synchronous_driver(self):
         n_files, file_size = 60, 1024
-        paths = ["/bench/f%06d" % i for i in range(n_files)]
+        paths = smallfile_paths("/bench", n_files)
 
         sync_fs = make_cffs()
         sync_result = run_smallfile(
             sync_fs, n_files=n_files, file_size=file_size, phases=self.PHASES)
 
-        engine_fs = make_cffs()
-        engine_times, client = _engine_smallfile_phase_times(
-            engine_fs, paths, file_size, self.PHASES)
+        def setup(f):
+            f.mkdir("/bench")
+            f.sync()
+            f.drop_caches()
+
+        engine_times, client = _engine_phase_times(
+            make_cffs(), setup,
+            {phase: smallfile_ops(paths, file_size, phase)
+             for phase in self.PHASES}, cold=True)
 
         for phase in self.PHASES:
             reference = sync_result[phase].seconds
             assert engine_times[phase] == pytest.approx(reference, rel=1e-3), phase
         # A lone client never waits in the host queue.
+        assert client.queue_delay == 0.0
+
+    def test_single_client_postmark_matches_run_postmark(self):
+        # One PostMark: the script run_postmark times is the script the
+        # engine replays, so a lone client reproduces its three phases.
+        cfg = PostmarkConfig(n_files=40, n_transactions=90, n_dirs=3, seed=11)
+        reference = run_postmark(make_cffs(), cfg)
+        dirs = ["/postmark/d%03d" % d for d in range(cfg.n_dirs)]
+
+        def setup(f):
+            f.mkdir("/postmark")
+            for d in dirs:
+                f.mkdir(d)
+
+        times, client = _engine_phase_times(
+            make_cffs(), setup, postmark_script(cfg, dirs), cold=False)
+        assert times == pytest.approx({
+            "create": reference.create_seconds,
+            "transactions": reference.transaction_seconds,
+            "delete": reference.delete_seconds}, rel=1e-3)
         assert client.queue_delay == 0.0
 
     def test_single_client_no_queueing_in_multiclient_driver(self):
@@ -334,14 +360,41 @@ class TestEngineApi:
         assert len(submit_clients) == engine.queue.stats.submitted > 0
         assert set(submit_clients) == {0, 1}
 
-    def test_postmark_and_hypertext_workloads_run(self):
+    def test_postmark_and_hypertext_workloads_run(self, monkeypatch):
+        # The driver returns summaries only; keep its engines to look at
+        # the per-operation records and the volume behind them.
+        engines = []
+
+        class KeptEngine(Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr("repro.engine.multiclient.Engine", KeptEngine)
         for workload in ("postmark", "hypertext"):
             result = run_multiclient(
                 label="cffs", n_clients=2, files_per_client=6,
-                workload=workload, profile=TEST_PROFILE)
+                workload=workload, profile=TEST_PROFILE, seed=31)
             (phase,) = result.phases.values()
             assert phase.n_ops > 0
             assert phase.seconds > 0.0
+        postmark, hypertext = engines
+
+        # Client 0 ran PostMark's own create + transactions, label for label.
+        script = postmark_script(
+            PostmarkConfig(n_files=6, n_transactions=12, seed=31, n_dirs=1),
+            ["/mc/c00"])
+        assert [r.label for r in postmark.clients[0].records] == [
+            label for label, _ in script["create"] + script["transactions"]]
+
+        # Each client's site is the type-scattered one of paper section 6.
+        fs = hypertext.fs
+        for client in hypertext.clients:
+            root = "/mc/%s" % client.name
+            assert sorted(fs.readdir(root)) == ["images", "pages", "styles"]
+            assert len(fs.readdir(root + "/pages")) == 6
+            assert fs.readdir(root + "/images") and fs.readdir(root + "/styles")
+            assert len(client.records) == 6
 
 
 def _faulty_burst(policy, lbas, schedule, retry=None):

@@ -11,6 +11,7 @@ from repro.lint import lint_sources, rule_catalog
 from repro.lint.core import LintError, module_name_of
 from repro.lint.reporters import render_json, render_text
 from repro.lint.rules.structfmt import count_format_values
+from tests.test_reprolint_selfhost import position_free_report
 
 
 def rules_of(result, suppressed=None):
@@ -247,6 +248,32 @@ def test_d001_tracer_simclock_stamping_clean():
             "        span.start = self.clock.now\n"
             "    def _exit(self, span):\n"
             "        span.end = self.clock.now\n"
+        ),
+    })
+    assert result.ok
+
+
+def test_d001_builtin_hash_flagged_outside_dunder_hash():
+    # The bug this rule was added for: a replay payload seeded from the
+    # per-process salted hash of its path.
+    result = lint_sources({
+        "src/repro/workloads/trace.py": (
+            "def _payload(path, offset):\n"
+            "    return hash((path, offset)) & 0xFF\n"
+        ),
+    })
+    assert "D001" in rules_of(result, suppressed=False)
+
+
+def test_d001_hash_inside_dunder_hash_and_crc32_clean():
+    result = lint_sources({
+        "src/repro/engine/diskqueue.py": (
+            "import zlib\n\n"
+            "class Key:\n"
+            "    def __hash__(self):\n"
+            "        return hash((self.a, self.b))\n\n"
+            "def seed(path):\n"
+            "    return zlib.crc32(path.encode()) & 0xFF\n"
         ),
     })
     assert result.ok
@@ -704,6 +731,32 @@ def test_json_reporter_golden():
     }
     # Stable output: serialising twice is byte-identical.
     assert render_json(result) == render_json(result)
+
+
+def test_baseline_report_is_position_free():
+    body = (
+        "class Store:\n"
+        "    def load(self, dev):\n"
+        "        dev.read_block(1)\n"
+        "        dev.read_block(2)\n"
+    )
+    before = lint_sources({"src/repro/ffs/store.py": body}, rule_ids=["L001"])
+    # Same findings after the code moves down and another file appears.
+    after = lint_sources({
+        "src/repro/ffs/store.py": "import struct\n\n\n" + body,
+        "src/repro/ffs/other.py": "X = 1\n",
+    }, rule_ids=["L001"])
+    assert render_json(before) != render_json(after)
+    assert position_free_report(before) == position_free_report(after)
+    findings = json.loads(position_free_report(before))["findings"]
+    assert [(f["function"], f["occurrence"]) for f in findings] == [
+        ("Store.load", 0), ("Store.load", 1)]
+    assert not {"line", "col", "path"} & set(findings[0])
+    # A finding that moves to another function does move the baseline.
+    moved = lint_sources({
+        "src/repro/ffs/store.py": body.replace("def load", "def fetch"),
+    }, rule_ids=["L001"])
+    assert position_free_report(moved) != position_free_report(before)
 
 
 def test_lint_error_is_repro_error():

@@ -1,5 +1,9 @@
 """Tests for trace record/replay."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import InvalidArgument
@@ -109,3 +113,21 @@ class TestReplay:
         target = make_cffs()
         replay(trace, target)
         assert len(target.readdir("/proj")) == 10
+
+    def test_replay_writes_the_same_bytes_in_every_process(self):
+        # Payloads are synthesized at replay time; a seed taken from the
+        # salted builtin hash() gave each process its own bytes.
+        script = (
+            "from repro.workloads import build_filesystem\n"
+            "from repro.workloads.trace import Trace, replay\n"
+            "fs = build_filesystem('cffs')\n"
+            "replay(Trace.loads('mkdir /d\\nwrite /d/a 0 5000\\nsync\\n'), fs)\n"
+            "print(fs.cache.device.content_digest())\n")
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            digests.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout)
+        assert len(digests) == 1, digests

@@ -2,19 +2,24 @@
 distribution, aging, and the application suite."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.fsck import fsck_cffs
 from repro.workloads import (
+    TracingFileSystem,
     age_filesystem,
     build_source_tree,
     fraction_under,
+    postmark_script,
     run_app_suite,
     run_size_sweep,
     run_smallfile,
     sample_file_size,
+    smallfile_paths,
 )
+from repro.workloads.postmark import PostmarkConfig, run_postmark
 from tests.conftest import make_cffs
 
 
@@ -47,7 +52,10 @@ class TestSmallFile:
         fs = make_cffs()
         result = run_smallfile(fs, n_files=60, file_size=1024, n_dirs=4)
         assert result["create"].n_files == 60
-        assert fs.readdir("/bench") != []  # the subdirectories remain
+        # The subdirectories remain, and are the ones the paths name.
+        assert sorted(fs.readdir("/bench")) == ["d000", "d001", "d002", "d003"]
+        assert smallfile_paths("/bench", 6, 4)[3:] == [
+            "/bench/d003/f000003", "/bench/d000/f000004", "/bench/d001/f000005"]
 
     def test_image_clean_afterwards(self):
         fs = make_cffs()
@@ -87,6 +95,46 @@ class TestSizeDistribution:
     def test_sizes_positive(self):
         rng = random.Random(2)
         assert all(sample_file_size(rng) > 0 for _ in range(1000))
+
+
+class TestPostmarkScript:
+    CFG = PostmarkConfig(n_files=30, n_transactions=80, n_dirs=2, seed=5)
+    DIRS = ["/postmark/d000", "/postmark/d001"]
+    PHASES = ("create", "transactions", "delete")
+
+    def _built_and_replayed(self):
+        """A fresh script and the trace of its calls (paths, sizes)."""
+        script = postmark_script(self.CFG, self.DIRS)
+        fs = TracingFileSystem(make_cffs())
+        fs.mkdir("/postmark")
+        for d in self.DIRS:
+            fs.mkdir(d)
+        for phase in self.PHASES:
+            for _label, op in script[phase]:
+                op(fs)
+        return script, fs.trace.dumps()
+
+    def test_built_twice_is_the_same_stream(self):
+        (a, calls_a), (b, calls_b) = (self._built_and_replayed(),
+                                      self._built_and_replayed())
+        assert tuple(a) == tuple(b) == self.PHASES
+        for phase in self.PHASES:
+            assert ([label for label, _ in a[phase]]
+                    == [label for label, _ in b[phase]])
+        assert calls_a == calls_b
+
+    def test_run_postmark_counts_are_the_scripts_labels(self):
+        script, _calls = self._built_and_replayed()
+        kinds = Counter(label for label, _ in script["transactions"])
+        result = run_postmark(make_cffs(), self.CFG)
+        assert ((result.reads, result.appends, result.creates, result.deletes)
+                == (kinds["read"], kinds["append"], kinds["create"],
+                    kinds["delete"]))
+        assert sum(kinds.values()) == self.CFG.n_transactions
+        assert len(script["create"]) == self.CFG.n_files
+        # The delete phase removes exactly what the churn left behind.
+        assert len(script["delete"]) == (
+            self.CFG.n_files + kinds["create"] - kinds["delete"])
 
 
 class TestSizeSweep:
