@@ -1,7 +1,8 @@
 """Supplementary experiment: disk time breakdown.
 
-The Section 2 mechanism, measured: conventional small-file activity is
-positioning-dominated; C-FFS converts the budget into transfer.
+The Section 2 mechanism, measured over the cold read phase: conventional
+small-file activity is positioning-dominated; C-FFS converts the budget
+into transfer.
 """
 
 from benchmarks.conftest import save_artifact
@@ -15,16 +16,22 @@ def test_breakdown(benchmark):
     save_artifact("breakdown_time", out.text)
     rows = out.data["rows"]
 
+    def positioning(row):
+        return row["seek"] + row["rotation"]
+
     def positioning_share(row):
-        positioning = row["seek"] + row["rotation"]
-        total = positioning + row["transfer"] + row["overhead"]
-        return positioning / total
+        return positioning(row) / (
+            positioning(row) + row["transfer"] + row["overhead"])
 
     conv = rows["conventional"]
     cffs = rows["cffs"]
-    # Conventional: mostly positioning.  C-FFS: mostly not.
-    assert positioning_share(conv) > 0.55, positioning_share(conv)
-    assert positioning_share(cffs) < positioning_share(conv) - 0.15
-    # C-FFS moves at least as many media bytes per useful byte — the
-    # win is *not* from transferring less, it is from positioning less.
-    assert cffs["transfer"] > 0.5 * conv["transfer"]
+    # Read phase alone (0.71 and 0.22 measured).  Conventional: mostly
+    # positioning.  C-FFS: mostly not.
+    assert positioning_share(conv) > 0.65, positioning_share(conv)
+    assert positioning_share(cffs) < positioning_share(conv) - 0.40
+    # The win is *not* from transferring less, it is from positioning
+    # less: both read the same sectors, and of the disk time C-FFS
+    # saves, positioning is 6.6x the foreground transfer (most of its
+    # requests are served off the drive's read-ahead of the group).
+    saved_transfer = conv["transfer"] - cffs["transfer"]
+    assert positioning(conv) - positioning(cffs) > 5 * saved_transfer

@@ -1,5 +1,5 @@
-"""Measurement helpers: tables, figure-shaped text output, and request
-stream analysis."""
+"""Measurement helpers: tables, figure-shaped text output and latency
+summaries."""
 
 from repro.analysis.report import Table, bar_chart, format_series
 from repro.analysis.metrics import (
@@ -9,12 +9,6 @@ from repro.analysis.metrics import (
     percentile,
     speedup,
     summarize_latencies,
-)
-from repro.analysis.requestlog import (
-    LogSummary,
-    compare_streams,
-    render_summary,
-    summarize,
 )
 
 __all__ = [
@@ -27,8 +21,4 @@ __all__ = [
     "LatencySummary",
     "summarize_latencies",
     "jain_fairness",
-    "LogSummary",
-    "summarize",
-    "render_summary",
-    "compare_streams",
 ]

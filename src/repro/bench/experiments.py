@@ -19,9 +19,10 @@ from repro.disk.profiles import (
     TABLE1_DRIVES,
     DriveProfile,
 )
-from repro.workloads.aging import age_filesystem
+from repro.workloads.aging import age_filesystem, read_aged_files
 from repro.workloads.appsuite import build_source_tree, run_app_suite
 from repro.workloads.configs import CONFIG_GRID, build_filesystem
+from repro.workloads.measure import run_script, window
 from repro.workloads.sizes import run_size_sweep
 from repro.workloads.smallfile import (
     PHASES,
@@ -309,8 +310,6 @@ def fig8_aging(
     space), and cold reads of the *surviving aged files* themselves
     (their groups carry real holes).
     """
-    from repro.workloads.aging import read_aged_files
-
     read_series: Dict[str, List[float]] = {label: [] for label in labels}
     create_series: Dict[str, List[float]] = {label: [] for label in labels}
     aged_read_series: Dict[str, List[float]] = {label: [] for label in labels}
@@ -322,10 +321,8 @@ def fig8_aging(
                 fs, target_utilization=util, operations=operations, seed=seed
             )
             aging_info[label].append(info)
-            seconds, count, nbytes, _reqs = read_aged_files(
-                fs, info, sample=aged_sample
-            )
-            aged_read_series[label].append(count / seconds if seconds else 0.0)
+            aged_read_series[label].append(
+                read_aged_files(fs, info, sample=aged_sample).files_per_second)
             res = run_smallfile(fs, n_files=n_files, file_size=1024, label=label)
             read_series[label].append(res["read"].files_per_second)
             create_series[label].append(res["create"].files_per_second)
@@ -428,16 +425,9 @@ def ablation_group_size(
         paths = smallfile_paths("/bench", n_files, n_dirs)
         random.Random(seed).shuffle(paths)
         fs.drop_caches()
-        disk = fs.cache.device.disk
-        clock = fs.cache.device.clock
-        before = disk.stats.snapshot()
-        start = clock.now
-        for _label, op in smallfile_ops(paths, 1024, "read"):
-            op(fs)
-        elapsed = clock.now - start
-        delta = disk.stats.delta(before)
-        reads.append(n_files / elapsed)
-        requests_per_file.append(delta.total_requests / n_files)
+        read = run_script(fs, smallfile_ops(paths, 1024, "read"))
+        reads.append(n_files / read.seconds)
+        requests_per_file.append(read.disk_requests / n_files)
     text = format_series(
         "Ablation: explicit group span (random-order reads)",
         "span (blocks)", list(spans),
@@ -471,11 +461,11 @@ def ablation_embed_dirsize(
                 fs.create("/d/e%06d" % i)
             fs.sync()
             fs.drop_caches()
-            start = fs.cache.device.clock.now
-            names = fs.readdir("/d")
+            with window(fs) as scan:
+                names = fs.readdir("/d")
             if len(names) != count:
                 raise AssertionError("directory scan lost entries")
-            scan_times[key].append(fs.cache.device.clock.now - start)
+            scan_times[key].append(scan.seconds)
             dir_blocks[key].append(fs.stat("/d").nblocks)
     text = format_series(
         "Ablation: directory scan cost, embedded vs external entries",
@@ -510,8 +500,7 @@ def breakdown_read_time(
             fs, n_files=n_files, file_size=1024, label=label,
             phases=("create", "read"),
         )
-        # Re-run the read phase alone with a fresh stats window.
-        stats = fs.cache.device.disk.stats
+        stats = res["read"].measured.disk
         rows[label] = {
             "seek": stats.seek_time,
             "rotation": stats.rotation_time,
@@ -520,7 +509,7 @@ def breakdown_read_time(
             "read_files_per_s": res["read"].files_per_second,
         }
     table = Table(
-        "Supplementary: disk time breakdown (whole benchmark)",
+        "Supplementary: disk time breakdown (read phase)",
         ["configuration", "seek s", "rotation s", "transfer s",
          "overhead s", "positioning share"],
     )

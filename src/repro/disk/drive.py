@@ -19,14 +19,14 @@ drive is timing-only: data bytes live at the block-device layer.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro import obs
 from repro.clock import SimClock
 from repro.disk.cache import ReadCache, WriteBuffer
 from repro.disk.geometry import SECTOR_SIZE
 from repro.disk.profiles import DriveProfile
-from repro.disk.stats import DiskStats, RequestRecord
+from repro.disk.stats import DiskStats
 from repro.errors import AddressError
 
 # Controller time to set up each background drain operation.
@@ -72,8 +72,6 @@ class SimulatedDisk:
         self._bus_s_per_sector = SECTOR_SIZE / (profile.bus_mb_per_s * 1e6)
         # Absolute time at which the media (arm) becomes free.
         self._media_free_at = 0.0
-        # Optional request log (enable with start_request_log()).
-        self.request_log: Optional[List[RequestRecord]] = None
 
     # -- public API ---------------------------------------------------------
 
@@ -184,30 +182,15 @@ class SimulatedDisk:
             t = self._media_free_at
         self.clock.advance_to(t)
 
-    def start_request_log(self) -> None:
-        """Begin recording every host request (see ``request_log``)."""
-        self.request_log = []
-
-    def stop_request_log(self) -> List[RequestRecord]:
-        """Stop recording and return what was captured."""
-        log = self.request_log if self.request_log is not None else []
-        self.request_log = None
-        return log
-
     def _log(self, op: str, lba: int, nsectors: int, issue: float,
              completion: float, source: str) -> None:
-        # Every host-visible request passes through here once; the
-        # trace span and the optional request log see the same stream.
-        # The enabled() guard keeps the disabled path allocation-free
-        # (obs.record's keyword dict is built at the call).
+        # Every host-visible request passes through here once: the
+        # ``disk`` span is the one per-request record.  The enabled()
+        # guard keeps the disabled path allocation-free (obs.record's
+        # keyword dict is built at the call).
         if obs.enabled():
             obs.record("disk", op, issue, completion,
                        lba=lba, nsectors=nsectors, source=source)
-        if self.request_log is not None:
-            self.request_log.append(RequestRecord(
-                op=op, lba=lba, nsectors=nsectors,
-                issue=issue, completion=completion, source=source,
-            ))
 
     def current_lba_estimate(self) -> int:
         """Approximate LBA under the head (for C-LOOK batch ordering)."""

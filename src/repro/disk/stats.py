@@ -14,7 +14,6 @@ increments the counters themselves (``stats.counters[name]``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from repro.obs.metrics import MetricsRegistry
@@ -37,22 +36,6 @@ _FIELDS = _COUNT_FIELDS + _TIME_FIELDS
 #: keeps alongside the exact ``request_sizes`` dict: one block, the
 #: paper's 16-block group span, and powers of two between and beyond.
 REQUEST_SIZE_BUCKETS = (8, 16, 32, 64, 128, 256, 512)
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """One host-visible disk request (for the optional request log)."""
-
-    op: str            # "read" | "write"
-    lba: int
-    nsectors: int
-    issue: float       # simulated time the request arrived
-    completion: float  # simulated time the host saw it finish
-    source: str        # "media" | "cache" | "buffer"
-
-    @property
-    def latency(self) -> float:
-        return self.completion - self.issue
 
 
 def _registry_field(name: str):

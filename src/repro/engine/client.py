@@ -272,9 +272,8 @@ class ClientContext:
     """One simulated process: a scripted stream of file operations.
 
     Accounting lives in the engine's metrics registry under
-    ``engine.<client>.*`` names: the counters are bound once here and
-    only :meth:`_run_ops` increments them; the attributes ``reads``,
-    ``cpu_seconds``, ... are read-only views of their values, so
+    ``engine.<client>.<field>`` names (``_CLIENT_FIELDS``): the counters
+    are bound once here and only :meth:`_run_ops` increments them, so
     ``repro multiclient --trace`` exports the same numbers the report
     tables print.
     """
@@ -318,12 +317,6 @@ class ClientContext:
             self._latency_ms.observe((end - start) * 1e3)
             self.records.append(
                 tally.record(phase, label, self.cid, start, end, error))
-
-
-for _field in _CLIENT_FIELDS:
-    setattr(ClientContext, _field, property(
-        lambda self, _field=_field: self._counters[_field].value))
-del _field
 
 
 class Engine(Replayer):

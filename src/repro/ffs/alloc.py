@@ -105,10 +105,6 @@ class GroupedAllocator:
     def free_blocks_total(self) -> int:
         return sum(self.group(cgi).free_blocks for cgi in range(self.n_cgs))
 
-    @property
-    def free_inodes_total(self) -> int:
-        return sum(self.group(cgi).free_inodes for cgi in range(self.n_cgs))
-
     # -- block allocation --------------------------------------------------------
 
     def alloc_block(

@@ -23,8 +23,6 @@ dependency rules, and the recovery protocol.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.cache.buffercache import BufferCache
 from repro.cache.policy import MetadataPolicy
 from repro.errors import JournalCorrupt
@@ -76,9 +74,3 @@ def attach_pipeline(
             cache.device, cache, journal_start, journal_blocks)
     else:
         cache.write_pipeline = None
-
-
-def installed_journal(cache: BufferCache) -> Optional[Journal]:
-    """The cache's journal pipeline, if one is installed."""
-    pipe = cache.write_pipeline
-    return pipe if isinstance(pipe, Journal) else None

@@ -95,10 +95,6 @@ class SoftDepTracker:
             return True  # tracking ended: every version reached the disk
         return idx < track.durable
 
-    @property
-    def tracked_blocks(self) -> int:
-        return len(self._tracks)
-
     # -- writeback decisions -----------------------------------------------------
 
     def _gated(self, bno: int) -> bool:

@@ -306,12 +306,6 @@ def iter_imported_repro_modules(
                 yield node, name, tuple(a.name for a in node.names)
 
 
-def walk_statements(tree: ast.AST) -> Iterator[ast.stmt]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.stmt):
-            yield node
-
-
 def literal_str_keys(node: ast.expr) -> Optional[str]:
     """The literal string of a subscript slice, if it is one."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):

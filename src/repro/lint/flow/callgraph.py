@@ -23,7 +23,7 @@ per lint run and shared by every rule through :class:`FlowContext`.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.lint.core import LintModule, dotted_name, iter_functions
 from repro.lint.flow.dataflow import MUTATING_METHODS, pack_into_buffer_arg
@@ -160,7 +160,6 @@ class FlowContext:
     def __init__(self, modules: Sequence[LintModule]) -> None:
         self.functions: List[FunctionInfo] = []
         self.by_name: Dict[str, List[FunctionInfo]] = {}
-        self._by_node: Dict[int, FunctionInfo] = {}
         for mod in modules:
             self._collect(mod)
         for info in self.functions:
@@ -178,7 +177,6 @@ class FlowContext:
             info = FunctionInfo(mod.module, qualname, node, _param_names(node))
             self.functions.append(info)
             self.by_name.setdefault(info.name, []).append(info)
-            self._by_node[id(node)] = info
 
     # -- summaries -----------------------------------------------------
 
@@ -230,9 +228,6 @@ class FlowContext:
                         frontier.append(target)
 
     # -- queries used by the rules ------------------------------------
-
-    def info_for(self, node: ast.AST) -> Optional[FunctionInfo]:
-        return self._by_node.get(id(node))
 
     def functions_in(self, mod: LintModule) -> List[FunctionInfo]:
         return [f for f in self.functions if f.module == mod.module]

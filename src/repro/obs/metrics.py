@@ -71,9 +71,6 @@ class Gauge:
     def inc(self, delta: Number = 1) -> None:
         self._value += delta
 
-    def dec(self, delta: Number = 1) -> None:
-        self._value -= delta
-
 
 class Histogram:
     """Fixed-bucket histogram with ``le`` (inclusive upper-bound) edges.

@@ -1,5 +1,6 @@
 """Workload generators for the paper's experiments."""
 
+from repro.workloads.measure import Measured, run_script, window
 from repro.workloads.smallfile import (
     PHASES,
     PhaseResult,
@@ -21,7 +22,12 @@ from repro.workloads.sizes import (
     run_size_sweep,
     sample_file_size,
 )
-from repro.workloads.aging import AgingResult, age_filesystem, read_aged_files
+from repro.workloads.aging import (
+    AgedRead,
+    AgingResult,
+    age_filesystem,
+    read_aged_files,
+)
 from repro.workloads.appsuite import (
     AppResult,
     SourceTree,
@@ -45,6 +51,9 @@ from repro.workloads.trace import (
 )
 
 __all__ = [
+    "Measured",
+    "run_script",
+    "window",
     "PHASES",
     "PhaseResult",
     "SmallFileResult",
@@ -58,6 +67,7 @@ __all__ = [
     "fraction_under",
     "run_size_sweep",
     "sample_file_size",
+    "AgedRead",
     "AgingResult",
     "age_filesystem",
     "read_aged_files",

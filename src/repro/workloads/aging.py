@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.vfs.interface import FileSystem
+from repro.workloads.measure import Measured, window
 from repro.workloads.sizes import sample_file_size
 
 
@@ -41,14 +42,13 @@ def age_filesystem(
     operations: int = 20000,
     n_dirs: int = 8,
     seed: int = 42,
-    bias: float = 8.0,
     max_file_bytes: int = 1 << 20,
 ) -> AgingResult:
     """Create/delete files until the image looks ``operations`` old.
 
-    ``bias`` controls how sharply the create probability responds to
-    the distance from the target utilization (a logistic curve through
-    p=0.5 at the target).
+    The create probability follows the distance from the target
+    utilization along a logistic curve through p=0.5 at the target
+    (steepness 8).
     """
     if not 0.05 <= target_utilization <= 0.95:
         raise ValueError("target utilization must be within [0.05, 0.95]")
@@ -67,7 +67,7 @@ def age_filesystem(
     for _ in range(operations):
         utilization = 1.0 - fs.free_blocks() / total
         # Logistic pull toward the target.
-        x = bias * (target_utilization - utilization)
+        x = 8.0 * (target_utilization - utilization)
         p_create = 1.0 / (1.0 + pow(2.718281828, -x))
         if (rng.random() < p_create or not live):
             size = min(sample_file_size(rng), max_file_bytes)
@@ -91,42 +91,43 @@ def age_filesystem(
     )
 
 
+@dataclass
+class AgedRead:
+    """The cold read of a sample of aged survivors."""
+
+    files: int
+    measured: Measured
+
+    @property
+    def files_per_second(self) -> float:
+        seconds = self.measured.seconds
+        return self.files / seconds if seconds else 0.0
+
+
 def read_aged_files(
     fs: FileSystem,
     result: AgingResult,
     sample: int = 400,
-    max_bytes: int = 64 * 1024,
-    seed: int = 17,
-):
+) -> AgedRead:
     """Cold-read a directory-local sample of the files aging left behind.
 
     This is the measurement the aged image is *for*: survivors live in
     groups that have accumulated internal holes and in scattered
-    ungrouped space.  Files are read with directory locality (sorted by
-    path, from a random starting point) — the access pattern name-space
-    co-location bets on.  Returns (seconds, files read, bytes read,
-    disk requests).
+    ungrouped space.  Small files (up to 64 KB) are read with directory
+    locality (sorted by path, from a random starting point) — the
+    access pattern name-space co-location bets on.
     """
-    rng = random.Random(seed)
     candidates = sorted(result.survivors or [])
-    if not candidates:
-        return 0.0, 0, 0, 0
-    start_at = rng.randrange(len(candidates))
-    rotated = candidates[start_at:] + candidates[:start_at]
-    chosen = []
-    for path in rotated:
-        if fs.stat(path).size <= max_bytes:
-            chosen.append(path)
-        if len(chosen) >= sample:
-            break
+    chosen: List[str] = []
+    if candidates:
+        start_at = random.Random(17).randrange(len(candidates))
+        for path in candidates[start_at:] + candidates[:start_at]:
+            if fs.stat(path).size <= 64 * 1024:
+                chosen.append(path)
+            if len(chosen) >= sample:
+                break
     fs.drop_caches()
-    disk = fs.cache.device.disk
-    clock = fs.cache.device.clock
-    before = disk.stats.snapshot()
-    start = clock.now
-    total_bytes = 0
-    for path in chosen:
-        total_bytes += len(fs.read_file(path))
-    seconds = clock.now - start
-    delta = disk.stats.delta(before)
-    return seconds, len(chosen), total_bytes, delta.total_requests
+    with window(fs) as measured:
+        for path in chosen:
+            fs.read_file(path)
+    return AgedRead(len(chosen), measured)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.vfs.interface import FileSystem
+from repro.workloads.measure import Measured, window
 from repro.workloads.sizes import sample_file_size
 
 PASSES = ("copy", "scan", "compile", "clean")
@@ -46,15 +47,14 @@ class SourceTree:
 
 def build_source_tree(
     fs: FileSystem,
-    root: str = "/src",
     n_dirs: int = 12,
     files_per_dir: int = 40,
     n_headers: int = 12,
-    seed: int = 1234,
     max_file_bytes: int = 256 << 10,
 ) -> SourceTree:
-    """Create a synthetic project tree on ``fs``."""
-    rng = random.Random(seed)
+    """Create a synthetic project tree under ``/src`` on ``fs``."""
+    rng = random.Random(1234)
+    root = "/src"
     fs.mkdir(root)
     directories = []
     files: List[Tuple[str, int]] = []
@@ -85,28 +85,31 @@ def build_source_tree(
 
 @dataclass
 class AppResult:
-    """Simulated seconds per pass for one configuration."""
+    """One window per pass for one configuration."""
 
     label: str
-    seconds: Dict[str, float] = field(default_factory=dict)
-    requests: Dict[str, int] = field(default_factory=dict)
+    passes: Dict[str, Measured] = field(default_factory=dict)
+
+    @property
+    def seconds(self) -> Dict[str, float]:
+        return {name: m.seconds for name, m in self.passes.items()}
+
+    @property
+    def requests(self) -> Dict[str, int]:
+        return {name: m.disk_requests for name, m in self.passes.items()}
 
 
 def run_app_suite(fs: FileSystem, tree: SourceTree, label: str = "") -> AppResult:
     """Run the four passes over an existing tree."""
-    clock = fs.cache.device.clock
-    disk = fs.cache.device.disk
     result = AppResult(label=label or fs.name)
 
     def timed(name: str, body) -> None:
         fs.sync()
         fs.drop_caches()
-        before = disk.stats.snapshot()
-        start = clock.now
-        body()
-        fs.sync()
-        result.seconds[name] = clock.now - start
-        result.requests[name] = disk.stats.delta(before).total_requests
+        with window(fs) as measured:
+            body()
+            fs.sync()
+        result.passes[name] = measured
 
     def do_copy() -> None:
         dst_root = tree.root + "-copy"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.vfs.interface import FileSystem
-from repro.workloads.smallfile import Op
+from repro.workloads.measure import Measured, Op, run_script
 
 DIRECTORIES = ("/pages", "/images", "/styles")
 
@@ -35,12 +35,22 @@ class Document:
 
 @dataclass
 class ServeResult:
-    """Cost of serving every document once, cold."""
+    """Cost of serving every document once, cold: one window each."""
 
     label: str
-    documents: int
-    seconds: float
-    disk_requests: int
+    served: List[Measured]
+
+    @property
+    def documents(self) -> int:
+        return len(self.served)
+
+    @property
+    def seconds(self) -> float:
+        return sum(m.seconds for m in self.served)
+
+    @property
+    def disk_requests(self) -> int:
+        return sum(m.disk_requests for m in self.served)
 
     @property
     def documents_per_second(self) -> float:
@@ -129,21 +139,10 @@ def serve_documents(
     """
     fs.sync()
     _evict_data(fs, documents)
-    disk = fs.cache.device.disk
-    clock = fs.cache.device.clock
-    before = disk.stats.snapshot()
-    elapsed = 0.0
-    for _label, serve in serve_ops(documents, order_seed):
-        start = clock.now
-        serve(fs)
-        elapsed += clock.now - start
+    served: List[Measured] = []
+    for op in serve_ops(documents, order_seed):
+        served.append(run_script(fs, [op]))
         # Full data-cache turnover: group reads install sibling blocks,
         # so every document's data must go, not just the served one's.
         _evict_data(fs, documents)
-    delta = disk.stats.delta(before)
-    return ServeResult(
-        label=label or fs.name,
-        documents=len(documents),
-        seconds=elapsed,
-        disk_requests=delta.total_requests,
-    )
+    return ServeResult(label or fs.name, served)

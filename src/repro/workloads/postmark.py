@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.vfs.interface import FileSystem
-from repro.workloads.smallfile import Op
+from repro.workloads.measure import Measured, Op, run_script
 
 
 @dataclass
@@ -45,17 +45,26 @@ class PostmarkConfig:
 
 @dataclass
 class PostmarkResult:
-    """Timing and counts for one run."""
+    """Transaction counts and the three phases' windows for one run."""
 
     label: str
-    create_seconds: float = 0.0
-    transaction_seconds: float = 0.0
-    delete_seconds: float = 0.0
-    reads: int = 0
-    appends: int = 0
-    creates: int = 0
-    deletes: int = 0
-    disk_requests: int = 0
+    reads: int
+    appends: int
+    creates: int
+    deletes: int
+    phases: Dict[str, Measured]   # create, transactions, delete
+
+    @property
+    def create_seconds(self) -> float:
+        return self.phases["create"].seconds
+
+    @property
+    def transaction_seconds(self) -> float:
+        return self.phases["transactions"].seconds
+
+    @property
+    def delete_seconds(self) -> float:
+        return self.phases["delete"].seconds
 
     @property
     def transactions_per_second(self) -> float:
@@ -66,7 +75,11 @@ class PostmarkResult:
 
     @property
     def total_seconds(self) -> float:
-        return self.create_seconds + self.transaction_seconds + self.delete_seconds
+        return sum(m.seconds for m in self.phases.values())
+
+    @property
+    def disk_requests(self) -> int:
+        return sum(m.disk_requests for m in self.phases.values())
 
 
 def postmark_script(cfg: PostmarkConfig,
@@ -127,27 +140,13 @@ def run_postmark(
     cfg = config if config is not None else PostmarkConfig()
     dirs = ["/postmark/d%03d" % d for d in range(cfg.n_dirs)]
     script = postmark_script(cfg, dirs)
-    clock = fs.cache.device.clock
-    disk = fs.cache.device.disk
-    before = disk.stats.snapshot()
 
     fs.mkdir("/postmark")
     for d in dirs:
         fs.mkdir(d)
 
-    def run_phase(phase: str) -> float:
-        start = clock.now
-        for _label, op in script[phase]:
-            op(fs)
-        fs.sync()
-        return clock.now - start
-
     kinds = Counter(kind for kind, _op in script["transactions"])
-    result = PostmarkResult(
-        label=label or fs.name, reads=kinds["read"], appends=kinds["append"],
-        creates=kinds["create"], deletes=kinds["delete"])
-    result.create_seconds = run_phase("create")
-    result.transaction_seconds = run_phase("transactions")
-    result.delete_seconds = run_phase("delete")
-    result.disk_requests = disk.stats.delta(before).total_requests
-    return result
+    phases = {phase: run_script(fs, ops, sync=True)
+              for phase, ops in script.items()}
+    return PostmarkResult(label or fs.name, kinds["read"], kinds["append"],
+                          kinds["create"], kinds["delete"], phases)

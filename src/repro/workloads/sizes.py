@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.vfs.interface import FileSystem
+from repro.workloads.measure import Measured, run_script
 from repro.workloads.smallfile import smallfile_ops, smallfile_paths
 
 # Piecewise size distribution: (upper bound in bytes, cumulative mass).
@@ -51,31 +52,30 @@ def sample_file_size(rng: random.Random) -> int:
     return SIZE_BUCKETS[-1][0]
 
 
-def fraction_under(limit: int, samples: int = 20000, seed: int = 7) -> float:
+def fraction_under(limit: int) -> float:
     """Empirical P(size < limit) of the distribution (for tests)."""
-    rng = random.Random(seed)
+    rng = random.Random(7)
+    samples = 20000
     hits = sum(1 for _ in range(samples) if sample_file_size(rng) < limit)
     return hits / samples
 
 
 @dataclass
 class SweepPoint:
-    """Throughput at one file size."""
+    """Throughput at one file size: the create and the cold-read window."""
 
     file_size: int
     n_files: int
-    create_seconds: float
-    read_seconds: float
-    create_requests: int
-    read_requests: int
+    create: Measured
+    read: Measured
 
     @property
     def create_mb_per_s(self) -> float:
-        return self.n_files * self.file_size / self.create_seconds / 1e6
+        return self.n_files * self.file_size / self.create.seconds / 1e6
 
     @property
     def read_mb_per_s(self) -> float:
-        return self.n_files * self.file_size / self.read_seconds / 1e6
+        return self.n_files * self.file_size / self.read.seconds / 1e6
 
 
 def run_size_sweep(
@@ -87,40 +87,19 @@ def run_size_sweep(
 
     Each point creates enough files of the given size to move roughly
     ``total_bytes`` of payload, syncs, drops caches, reads them back
-    cold, and records both times.  Every size gets its own directory so
+    cold, and records both windows.  Every size gets its own directory so
     explicit grouping behaves as it would for a fresh directory tree.
     """
     points: List[SweepPoint] = []
-    clock = fs.cache.device.clock
-    disk = fs.cache.device.disk
     for size in file_sizes:
         n_files = max(16, total_bytes // size)
         dirname = "/sweep%d" % size
         fs.mkdir(dirname)
         paths = smallfile_paths(dirname, n_files)
-        before = disk.stats.snapshot()
-        start = clock.now
-        for _label, op in smallfile_ops(paths, size, "create", b"z" * size):
-            op(fs)
-        fs.sync()
-        create_seconds = clock.now - start
-        create_delta = disk.stats.delta(before)
+        create = run_script(
+            fs, smallfile_ops(paths, size, "create", b"z" * size), sync=True)
         fs.drop_caches()
-
-        before = disk.stats.snapshot()
-        start = clock.now
-        for _label, op in smallfile_ops(paths, size, "read"):
-            op(fs)
-        read_seconds = clock.now - start
-        read_delta = disk.stats.delta(before)
+        read = run_script(fs, smallfile_ops(paths, size, "read"))
         fs.drop_caches()
-
-        points.append(SweepPoint(
-            file_size=size,
-            n_files=n_files,
-            create_seconds=create_seconds,
-            read_seconds=read_seconds,
-            create_requests=create_delta.total_requests,
-            read_requests=read_delta.total_requests,
-        ))
+        points.append(SweepPoint(size, n_files, create, read))
     return points

@@ -10,17 +10,13 @@ phase runs cold — matching the paper's measurement discipline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro import obs
 from repro.errors import InvalidArgument
 from repro.vfs.interface import FileSystem
+from repro.workloads.measure import Measured, Op, run_script
 
 PHASES = ("create", "read", "overwrite", "delete")
-
-#: One scripted operation: a label plus a callable on the file system
-#: (the shape of repro.engine.client.Op, which this layer cannot import).
-Op = Tuple[str, Callable[[FileSystem], object]]
 
 
 @dataclass
@@ -28,24 +24,29 @@ class PhaseResult:
     """One phase's measurements (simulated time)."""
 
     phase: str
-    seconds: float
     n_files: int
     file_size: int
-    disk_reads: int
-    disk_writes: int
+    measured: Measured
+
+    @property
+    def seconds(self) -> float:
+        return self.measured.seconds
+
+    @property
+    def disk_reads(self) -> int:
+        return self.measured.disk_reads
+
+    @property
+    def disk_writes(self) -> int:
+        return self.measured.disk_writes
+
+    @property
+    def disk_requests(self) -> int:
+        return self.measured.disk_requests
 
     @property
     def files_per_second(self) -> float:
         return self.n_files / self.seconds if self.seconds > 0 else float("inf")
-
-    @property
-    def useful_mb_per_second(self) -> float:
-        """Throughput counted in file payload bytes."""
-        return self.n_files * self.file_size / self.seconds / 1e6 if self.seconds > 0 else float("inf")
-
-    @property
-    def disk_requests(self) -> int:
-        return self.disk_reads + self.disk_writes
 
     @property
     def requests_per_file(self) -> float:
@@ -130,31 +131,13 @@ def run_smallfile(
     fs.sync()
     fs.drop_caches()
 
-    clock = fs.cache.device.clock
-    disk = fs.cache.device.disk
     result = SmallFileResult(label=label if label is not None else fs.name)
-
-    def run_phase(name: str) -> None:
-        before_stats = disk.stats.snapshot()
-        start = clock.now
+    for name in phases:
         # The workload span brackets exactly the measured window (the
         # script plus the final write-back), so traces slice per phase.
-        with obs.span("workload", name, files=n_files, size=file_size):
-            for _label, op in scripts[name]:
-                op(fs)
-            fs.sync()
-        elapsed = clock.now - start
-        delta = disk.stats.delta(before_stats)
         result.phases[name] = PhaseResult(
-            phase=name,
-            seconds=elapsed,
-            n_files=n_files,
-            file_size=file_size,
-            disk_reads=delta.reads,
-            disk_writes=delta.writes,
-        )
+            name, n_files, file_size,
+            run_script(fs, scripts[name], sync=True,
+                       workload=name, files=n_files, size=file_size))
         fs.drop_caches()
-
-    for name in phases:
-        run_phase(name)
     return result

@@ -32,6 +32,7 @@ from typing import Iterable, List, Optional, TextIO
 
 from repro.errors import InvalidArgument
 from repro.vfs.interface import FileSystem
+from repro.workloads.measure import Measured, window
 
 
 def _payload(path: str, offset: int, length: int) -> bytes:
@@ -173,52 +174,50 @@ class ReplayResult:
 
     label: str
     operations: int
-    seconds: float
-    disk_requests: int
+    measured: Measured
+
+    @property
+    def seconds(self) -> float:
+        return self.measured.seconds
+
+    @property
+    def disk_requests(self) -> int:
+        return self.measured.disk_requests
 
 
 def replay(trace: Trace, fs: FileSystem, label: str = "") -> ReplayResult:
     """Run a trace against ``fs``; returns simulated timing."""
-    disk = fs.cache.device.disk
-    clock = fs.cache.device.clock
-    before = disk.stats.snapshot()
-    start = clock.now
-    for entry in trace.ops:
-        op, args = entry.op, entry.args
-        if op == "create":
-            fs.create(args[0])
-        elif op == "mkdir":
-            fs.mkdir(args[0])
-        elif op == "write":
-            path, offset, length = args
-            fd = fs.open(path, create=True)
-            try:
-                fs.pwrite(fd, offset, _payload(path, offset, length))
-            finally:
-                fs.close(fd)
-        elif op == "read":
-            path, offset, length = args
-            fd = fs.open(path)
-            try:
-                fs.pread(fd, offset, length)
-            finally:
-                fs.close(fd)
-        elif op == "unlink":
-            fs.unlink(args[0])
-        elif op == "rmdir":
-            fs.rmdir(args[0])
-        elif op == "rename":
-            fs.rename(args[0], args[1])
-        elif op == "link":
-            fs.link(args[0], args[1])
-        elif op == "truncate":
-            fs.truncate(args[0], args[1])
-        elif op == "sync":
-            fs.sync()
-    delta = disk.stats.delta(before)
-    return ReplayResult(
-        label=label or fs.name,
-        operations=len(trace),
-        seconds=clock.now - start,
-        disk_requests=delta.total_requests,
-    )
+    with window(fs) as measured:
+        for entry in trace.ops:
+            op, args = entry.op, entry.args
+            if op == "create":
+                fs.create(args[0])
+            elif op == "mkdir":
+                fs.mkdir(args[0])
+            elif op == "write":
+                path, offset, length = args
+                fd = fs.open(path, create=True)
+                try:
+                    fs.pwrite(fd, offset, _payload(path, offset, length))
+                finally:
+                    fs.close(fd)
+            elif op == "read":
+                path, offset, length = args
+                fd = fs.open(path)
+                try:
+                    fs.pread(fd, offset, length)
+                finally:
+                    fs.close(fd)
+            elif op == "unlink":
+                fs.unlink(args[0])
+            elif op == "rmdir":
+                fs.rmdir(args[0])
+            elif op == "rename":
+                fs.rename(args[0], args[1])
+            elif op == "link":
+                fs.link(args[0], args[1])
+            elif op == "truncate":
+                fs.truncate(args[0], args[1])
+            elif op == "sync":
+                fs.sync()
+    return ReplayResult(label or fs.name, len(trace), measured)

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.disk.drive import SimulatedDisk
 from repro.disk.profiles import SEAGATE_ST31200
 from repro.errors import AddressError
@@ -72,6 +73,45 @@ class TestBasics:
         assert (disk.stats.reads, disk.stats.writes) == (1, 1)
         assert disk.stats.overhead_time > 0 and disk.stats.bus_time > 0
         assert disk.stats.seek_time > 0 and disk.stats.transfer_time > 0
+
+
+class TestRequestSpans:
+    """The ``disk`` span is the drive's one per-request record."""
+
+    @pytest.fixture
+    def traced(self):
+        disk = cached_disk()
+        tracer = obs.install(obs.Tracer(clock=disk.clock))
+        try:
+            yield disk, tracer.spans
+        finally:
+            obs.uninstall()
+
+    def test_captures_reads_and_writes(self, traced):
+        disk, spans = traced
+        disk.read(0, 8)
+        disk.write(100, 8)
+        assert [s.name for s in spans] == ["disk.read", "disk.write"]
+        assert spans[0].attrs == {"lba": 0, "nsectors": 8, "source": "media"}
+        assert spans[1].attrs["source"] == "buffer"  # write-behind profile
+
+    def test_latency_positive_and_ordered(self, traced):
+        disk, spans = traced
+        for i in range(5):
+            disk.read(i * 500, 8)
+        assert all(s.duration > 0 for s in spans)
+        issues = [s.start for s in spans]
+        assert issues == sorted(issues)
+        assert spans[-1].end == disk.clock.now
+
+    def test_source_classification(self, traced):
+        disk, spans = traced
+        disk.read(0, 8)       # media
+        disk.read(0, 8)       # cache (same segment)
+        disk.write(5000, 8)   # buffer
+        disk.read(5000, 8)    # buffer (pending write)
+        assert [s.attrs["source"] for s in spans] == [
+            "media", "cache", "buffer", "buffer"]
 
 
 class TestMechanicalCosts:

@@ -129,6 +129,14 @@ class TestBreakdownDriver:
         cffs_pos = cffs["seek"] + cffs["rotation"]
         assert conv_pos > cffs_pos
         assert "positioning share" in out.text
+        # The rows are the read phase's window, not the drive's lifetime
+        # counters (mkfs + create + read): its disk time fits inside
+        # the phase's own seconds.
+        assert "(read phase)" in out.text
+        for row in rows.values():
+            disk_time = sum(row[part] for part in
+                            ("seek", "rotation", "transfer", "overhead"))
+            assert 0 < disk_time <= 300 / row["read_files_per_s"]
 
 
 class TestHintedSiteDeterminism:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from repro.engine import Engine
 from repro.fsck import fsck_cffs
 from repro.workloads import (
     TracingFileSystem,
@@ -14,13 +15,94 @@ from repro.workloads import (
     fraction_under,
     postmark_script,
     run_app_suite,
+    run_script,
     run_size_sweep,
     run_smallfile,
     sample_file_size,
+    smallfile_ops,
     smallfile_paths,
+    window,
 )
 from repro.workloads.postmark import PostmarkConfig, run_postmark
 from tests.conftest import make_cffs
+
+
+class TestMeasure:
+    """workloads/measure.py: the one window a phase is measured in."""
+
+    PATHS = smallfile_paths("/d", 30)
+
+    def _created(self, fs=None):
+        fs = fs if fs is not None else make_cffs()
+        fs.mkdir("/d")
+        run_script(fs, smallfile_ops(self.PATHS, 1024, "create"), sync=True)
+        fs.drop_caches()
+        return fs
+
+    def test_window_closes_when_the_body_raises(self):
+        fs = self._created()
+        device = fs.cache.device
+        before, start = device.disk.stats.snapshot(), device.clock.now
+        with pytest.raises(RuntimeError):
+            with window(fs) as measured:
+                fs.read_file(self.PATHS[0])
+                raise RuntimeError("mid-phase")
+        expected = device.disk.stats.delta(before)
+        assert measured.seconds == device.clock.now - start > 0
+        assert measured.disk_reads == expected.reads > 0
+        assert measured.disk_writes == expected.writes
+        assert measured.disk_requests == expected.total_requests
+        assert measured.disk.seek_time == expected.seek_time
+        assert measured.disk.request_sizes == expected.request_sizes
+
+    def test_windows_nest(self):
+        fs = self._created()
+        with window(fs) as outer:
+            fs.read_file(self.PATHS[0])
+            with window(fs) as inner:
+                fs.write_file("/d/new", b"n" * 1024)
+                fs.sync()
+            fs.drop_caches()
+            fs.read_file(self.PATHS[-1])
+        assert 0 < inner.seconds < outer.seconds
+        assert 0 < inner.disk_writes <= outer.disk_writes
+        assert inner.disk_reads < outer.disk_reads
+        assert inner.disk_requests < outer.disk_requests
+
+    def test_run_script_is_a_one_client_engine_replay(self):
+        # The equivalence engine/client.py states: with a single client
+        # the replayed timeline is the lock-step one.
+        ops = smallfile_ops(self.PATHS, 1024, "read")
+        lockstep = run_script(self._created(), ops, sync=True)
+
+        engine = Engine(make_cffs())
+        client = engine.add_client()
+        engine.run_sync(self._created)
+        stats = engine.device.disk.stats
+        before, start = stats.snapshot(), engine.now
+        engine.run_phase({client: ops}, "read")
+        engine.run_sync(lambda fs: fs.sync())
+        replayed = stats.delta(before)
+        assert engine.now - start == pytest.approx(lockstep.seconds, rel=1e-3)
+        assert (replayed.reads, replayed.writes) == (
+            lockstep.disk_reads, lockstep.disk_writes)
+        assert replayed.request_sizes == lockstep.disk.request_sizes
+
+    def test_cffs_stream_is_larger_and_fewer(self):
+        """The mechanism, visible in the request stream: C-FFS issues
+        fewer, larger requests for the same reads."""
+        def cold_reads(fs):
+            ops = smallfile_ops(self.PATHS, 1024, "read")
+            return run_script(self._created(fs), ops).disk
+
+        def mean_sectors(disk):
+            return ((disk.sectors_read + disk.sectors_written)
+                    / disk.total_requests)
+
+        cffs = cold_reads(make_cffs())
+        conv = cold_reads(make_cffs(embedded=False, grouping=False))
+        assert cffs.total_requests < conv.total_requests / 2
+        assert mean_sectors(cffs) > 2 * mean_sectors(conv)
 
 
 class TestSmallFile:
@@ -135,6 +217,19 @@ class TestPostmarkScript:
         # The delete phase removes exactly what the churn left behind.
         assert len(script["delete"]) == (
             self.CFG.n_files + kinds["create"] - kinds["delete"])
+
+    def test_run_postmark_counts_requests_in_the_windows_it_times(self):
+        fs = make_cffs()
+        stats = fs.device.disk.stats
+        mkfs_requests = stats.total_requests
+        result = run_postmark(fs, self.CFG)
+        assert tuple(result.phases) == self.PHASES
+        # The /postmark mkdirs (synchronous writes) run before the first
+        # phase: they are in neither the seconds nor the request count.
+        assert 0 < result.disk_requests < stats.total_requests - mkfs_requests
+        assert result.total_seconds == (
+            result.create_seconds + result.transaction_seconds
+            + result.delete_seconds) > 0
 
 
 class TestSizeSweep:
