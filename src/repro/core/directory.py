@@ -54,36 +54,42 @@ def init_block() -> bytearray:
     return block
 
 
-def iter_sector(block: bytes, sector: int) -> Iterator[DirEntry]:
-    """Entries (live and free) of one sector, in chain order."""
+def _headers(block: bytes, sector: int) -> Iterator[Tuple[int, int, int, int, int]]:
+    """The one validated chain walk: (offset, reclen, namelen, etype,
+    kind) of every record of one sector, live and free, names
+    untouched.  A record length that is too small to hold a header,
+    overruns the sector or leaves a tail no header fits in ends in
+    ``CorruptFileSystem``."""
     unpack_header = _DENT_HEADER.unpack_from
     offset = sector * SECTOR_SIZE
     end = offset + SECTOR_SIZE
-    while offset < end:
+    last_header = end - DENT_HEADER_SIZE
+    while offset <= last_header:
         reclen, namelen, etype, kind = unpack_header(block, offset)
         if reclen < DENT_HEADER_SIZE or offset + reclen > end:
             raise CorruptFileSystem(
                 "bad embedded dirent reclen %d at offset %d" % (reclen, offset)
             )
-        name_off = offset + DENT_HEADER_SIZE
-        if etype != ET_FREE and namelen:
-            # str() accepts bytes and bytearray alike, so callers can
-            # hand the cache's live buffer in without a copy.
-            name = str(block[name_off:name_off + namelen], "utf-8", "replace")
-        else:
-            name = ""
-        payload_off = name_off + ((namelen + DENT_ALIGN - 1) & -DENT_ALIGN)
-        yield offset, reclen, etype, kind, name, payload_off
+        yield offset, reclen, namelen, etype, kind
         offset += reclen
     if offset != end:
         raise CorruptFileSystem("embedded dirent chain does not tile the sector")
 
 
 def iter_block(block: bytes) -> Iterator[Tuple[int, DirEntry]]:
-    """All entries of a block as (sector, entry) pairs."""
+    """All entries (live and free) of a block as (sector, entry) pairs,
+    each sector's in chain order."""
     for s in range(SECTORS_PER_DIR_BLOCK):
-        for entry in iter_sector(block, s):
-            yield s, entry
+        for offset, reclen, namelen, etype, kind in _headers(block, s):
+            name_off = offset + DENT_HEADER_SIZE
+            if etype != ET_FREE and namelen:
+                # str() accepts bytes and bytearray alike, so callers can
+                # hand the cache's live buffer in without a copy.
+                name = str(block[name_off:name_off + namelen], "utf-8", "replace")
+            else:
+                name = ""
+            payload_off = name_off + ((namelen + DENT_ALIGN - 1) & -DENT_ALIGN)
+            yield s, (offset, reclen, etype, kind, name, payload_off)
 
 
 def live_entries(block: bytes) -> List[Tuple[int, DirEntry]]:
@@ -117,32 +123,23 @@ def free_slots(block: bytes, blk: int) -> List[Tuple[Tuple[int, int], int]]:
 
 
 def sector_free_bytes(block: bytes, sector: int) -> int:
-    """Largest insertion this sector can accept."""
-    # Walks raw headers (namelen is stored, so no name decode needed).
-    unpack_header = _DENT_HEADER.unpack_from
-    offset = sector * SECTOR_SIZE
-    end = offset + SECTOR_SIZE
+    """Largest insertion this sector can accept: the index scan asks
+    once per sector; an edit reports the new value itself."""
     best = 0
-    while offset < end:
-        reclen, namelen, etype, _kind = unpack_header(block, offset)
-        if reclen < DENT_HEADER_SIZE or offset + reclen > end:
-            raise CorruptFileSystem(
-                "bad embedded dirent reclen %d at offset %d" % (reclen, offset)
-            )
+    for _, reclen, namelen, etype, _ in _headers(block, sector):
         avail = reclen if etype == ET_FREE else reclen - dent_size(namelen, etype)
         if avail > best:
             best = avail
-        offset += reclen
-    if offset != end:
-        raise CorruptFileSystem("embedded dirent chain does not tile the sector")
     return best
 
 
 def add_entry(
     block: bytearray, sector: int, name: str, etype: int, kind: int, payload: bytes
-) -> Optional[int]:
-    """Insert an entry into one sector; returns the payload offset
-    (block-relative) or None when the sector lacks space."""
+) -> Optional[Tuple[int, int]]:
+    """Insert an entry into the first record of one sector with room;
+    returns (payload offset, block-relative; the largest insertion the
+    sector accepts afterwards), or None (block untouched) when the
+    sector lacks space."""
     if etype == ET_FREE:
         raise InvalidArgument("cannot insert a free entry")
     encoded = name.encode("utf-8")
@@ -151,36 +148,36 @@ def add_entry(
     if len(payload) != dent_payload_size(etype):
         raise InvalidArgument("payload size does not match entry type")
     needed = dent_size(len(encoded), etype)
-
-    base = sector * SECTOR_SIZE
-    offset = base
-    end = base + SECTOR_SIZE
-    while offset < end:
-        reclen, namelen, cur_etype, cur_kind = _DENT_HEADER.unpack_from(
-            block, offset
-        )
-        if cur_etype == ET_FREE and reclen >= needed:
-            remainder = reclen - needed
-            if remainder >= DENT_HEADER_SIZE:
-                _write_entry(block, offset, needed, etype, kind, encoded, payload)
-                _DENT_HEADER.pack_into(
-                    block, offset + needed, remainder, 0, ET_FREE, 0
-                )
-            else:
-                _write_entry(block, offset, reclen, etype, kind, encoded, payload)
-            return offset + DENT_HEADER_SIZE + _pad(len(encoded))
-        if cur_etype != ET_FREE:
-            used = dent_size(namelen, cur_etype)
-            slack = reclen - used
-            if slack >= needed:
-                _DENT_HEADER.pack_into(
-                    block, offset, used, namelen, cur_etype, cur_kind
-                )
-                new_off = offset + used
-                _write_entry(block, new_off, slack, etype, kind, encoded, payload)
-                return new_off + DENT_HEADER_SIZE + _pad(len(encoded))
-        offset += reclen
-    return None
+    target = None
+    best = 0
+    for record in _headers(block, sector):
+        _, reclen, namelen, cur_etype, _ = record
+        avail = reclen if cur_etype == ET_FREE else reclen - dent_size(namelen, cur_etype)
+        if target is None and avail >= needed:
+            target = record
+            # Whichever way the record is split, what is left of its
+            # room is one piece of this size.
+            avail -= needed
+        if avail > best:
+            best = avail
+    if target is None:
+        return None
+    offset, reclen, namelen, cur_etype, cur_kind = target
+    if cur_etype == ET_FREE:
+        # Claim the free record, leaving the remainder free; slack too
+        # small for a header is absorbed into the new entry.
+        remainder = reclen - needed
+        if remainder >= DENT_HEADER_SIZE:
+            _DENT_HEADER.pack_into(block, offset + needed, remainder, 0, ET_FREE, 0)
+            reclen = needed
+    else:
+        # Split the slack off the live entry.
+        used = dent_size(namelen, cur_etype)
+        _DENT_HEADER.pack_into(block, offset, used, namelen, cur_etype, cur_kind)
+        offset += used
+        reclen -= used
+    _write_entry(block, offset, reclen, etype, kind, encoded, payload)
+    return offset + DENT_HEADER_SIZE + _pad(len(encoded)), best
 
 
 def _write_entry(
@@ -196,44 +193,41 @@ def _write_entry(
     block[payload_off:payload_off + len(payload)] = payload
 
 
-def find_entry(block: bytes, name: str) -> Optional[Tuple[int, DirEntry]]:
-    """Locate a live entry by name; returns (sector, entry) or None."""
-    for s, entry in iter_block(block):
-        if entry[4] == name:
-            return s, entry
-    return None
-
-
 def remove_entry(block: bytearray, name: str) -> Optional[Tuple[int, int]]:
-    """Remove ``name``; returns (sector, etype) or None if absent."""
+    """Remove ``name``; returns (its sector, the insertion the record
+    that took its space now accepts), or None if absent.
+
+    Only that one record's room changed, so the sector's largest
+    insertion is the larger of what it was and the second result."""
+    encoded = name.encode("utf-8")
+    n = len(encoded)
+    # A stored name that is not UTF-8 reads back with U+FFFD in it, so
+    # only a name containing one can match other bytes than its own.
+    lossy = "\ufffd" in name
     for sector in range(SECTORS_PER_DIR_BLOCK):
-        base = sector * SECTOR_SIZE
-        end = base + SECTOR_SIZE
-        prev_offset = None
-        offset = base
-        while offset < end:
-            reclen, namelen, etype, kind = _DENT_HEADER.unpack_from(block, offset)
-            if etype != ET_FREE:
-                raw = bytes(block[offset + DENT_HEADER_SIZE:offset + DENT_HEADER_SIZE + namelen])
-                if raw.decode("utf-8", errors="replace") == name:
-                    if prev_offset is None:
-                        _DENT_HEADER.pack_into(block, offset, reclen, 0, ET_FREE, 0)
-                        # Scrub the payload so stale inodes never look live.
-                        block[offset + DENT_HEADER_SIZE:offset + reclen] = bytes(
-                            reclen - DENT_HEADER_SIZE
-                        )
-                    else:
-                        p_reclen, p_namelen, p_etype, p_kind = _DENT_HEADER.unpack_from(
-                            block, prev_offset
-                        )
-                        _DENT_HEADER.pack_into(
-                            block, prev_offset,
-                            p_reclen + reclen, p_namelen, p_etype, p_kind,
-                        )
-                        block[offset:offset + reclen] = bytes(reclen)
-                    return sector, etype
-            prev_offset = offset
-            offset += reclen
+        prev = None
+        for record in _headers(block, sector):
+            offset, reclen, namelen, etype, _ = record
+            name_off = offset + DENT_HEADER_SIZE
+            if etype != ET_FREE and (
+                (namelen == n and block.startswith(encoded, name_off))
+                or (lossy and str(block[name_off:name_off + namelen],
+                                  "utf-8", "replace") == name)
+            ):
+                if prev is None:
+                    _DENT_HEADER.pack_into(block, offset, reclen, 0, ET_FREE, 0)
+                    # Scrub the payload so stale inodes never look live.
+                    block[name_off:offset + reclen] = bytes(reclen - DENT_HEADER_SIZE)
+                    return sector, reclen
+                p_offset, p_reclen, p_namelen, p_etype, p_kind = prev
+                p_reclen += reclen
+                _DENT_HEADER.pack_into(
+                    block, p_offset, p_reclen, p_namelen, p_etype, p_kind)
+                block[offset:offset + reclen] = bytes(reclen)
+                if p_etype != ET_FREE:
+                    p_reclen -= dent_size(p_namelen, p_etype)
+                return sector, p_reclen
+            prev = record
     return None
 
 
@@ -244,12 +238,12 @@ def rewrite_payload(block: bytearray, payload_off: int, payload: bytes) -> None:
 
 def change_entry_type(
     block: bytearray, entry_off: int, new_etype: int, payload: bytes
-) -> int:
+) -> Tuple[int, int]:
     """Convert an entry between embedded and external in place.
 
     The record length never changes (external payloads are smaller than
-    embedded ones, so conversion always fits); returns the new payload
-    offset.
+    embedded ones, so conversion always fits); returns (the new payload
+    offset, the insertion the retyped record now accepts).
     """
     reclen, namelen, etype, kind = _DENT_HEADER.unpack_from(block, entry_off)
     if etype == ET_FREE:
@@ -263,4 +257,4 @@ def change_entry_type(
         reclen - DENT_HEADER_SIZE - _pad(namelen)
     )
     block[payload_off:payload_off + len(payload)] = payload
-    return payload_off
+    return payload_off, reclen - needed

@@ -617,13 +617,13 @@ class CFFS(BlockFileSystem):
         blk, sector = target
         bno = self._dir_block_bno(dirh, blk)
         buf = self.cache.get(bno, logical=(dirh.fileid, blk))
-        # reprolint: disable=J001 -- add_entry mutates only on success; the None path raises over an untouched sector, and the caller performs the policy write
-        payload_off = dirfmt.add_entry(buf.data, sector, name, etype, kind, payload)
-        if payload_off is None:
+        # reprolint: disable=J001 -- add_entry mutates only when it returns (payload offset, the sector's new free count); the None path raises over an untouched sector, and the caller performs the policy write
+        added = dirfmt.add_entry(buf.data, sector, name, etype, kind, payload)
+        if added is None:
             raise CorruptFileSystem("sector free-space accounting disagrees")
-        data = buf.image
-        index.set_free((blk, sector), dirfmt.sector_free_bytes(data, sector))
-        ident = dirfmt.entry_ident(data, payload_off)
+        payload_off, free = added
+        index.set_free((blk, sector), free)
+        ident = dirfmt.entry_ident(buf.image, payload_off)
         # The entry layout is header, padded name, payload, so the
         # entry offset falls straight out of the payload offset.
         entry_off = payload_off - layout.DENT_HEADER_SIZE - layout._pad(namelen)
@@ -643,13 +643,14 @@ class CFFS(BlockFileSystem):
         _etype, _kind, blk, _entry_off, _payload_off, _ident = info
         bno = self._dir_block_bno(dirh, blk)
         buf = self.cache.get(bno, logical=(dirh.fileid, blk))
-        # reprolint: disable=J001 -- remove_entry mutates only when it finds the name; the None path raises over an untouched block, and the caller performs the policy write
+        # reprolint: disable=J001 -- remove_entry mutates only when it returns (sector, freed); the None path raises over an untouched block, and the caller performs the policy write
         removed = dirfmt.remove_entry(buf.data, name)
         if removed is None:
             raise CorruptFileSystem("index and block disagree on %r" % name)
-        sector, _ = removed
-        index.set_free((blk, sector),
-                       dirfmt.sector_free_bytes(buf.image, sector))
+        sector, freed = removed
+        # A removal grows one record and shrinks none.
+        slot = (blk, sector)
+        index.set_free(slot, max(index.free[slot], freed))
         del index.names[name]
         dirh.mtime = self.device.clock.now
         self._istore(dirh, sync_op=False)
@@ -820,7 +821,7 @@ class CFFS(BlockFileSystem):
         inum, ext_token = self.ext.allocate(handle, sync=True)  # external copy first
         bno = self._dir_block_bno(parent, blk)
         buf = self.cache.get(bno, logical=(parent.fileid, blk))
-        new_payload_off = dirfmt.change_entry_type(
+        new_payload_off, freed = dirfmt.change_entry_type(
             buf.data, entry_off, dirfmt.ET_EXTERNAL, struct.pack("<Q", inum)
         )
         self._meta_write(bno, requires=(ext_token,))
@@ -834,12 +835,9 @@ class CFFS(BlockFileSystem):
                         dirfmt.ET_EXTERNAL, info[1], blk, entry_off,
                         new_payload_off, inum,
                     )
-                    pindex.set_free(
-                        (blk, entry_off // layout.SECTOR_SIZE),
-                        dirfmt.sector_free_bytes(
-                            buf.image, entry_off // layout.SECTOR_SIZE
-                        ),
-                    )
+                    # The smaller payload grows this one record's room.
+                    slot = (blk, entry_off // layout.SECTOR_SIZE)
+                    pindex.set_free(slot, max(pindex.free[slot], freed))
                     break
 
     def _rename(self, src_dir: CNode, old: str, dst_dir: CNode, new: str) -> None:

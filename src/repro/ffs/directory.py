@@ -27,6 +27,8 @@ DirEntry = Tuple[int, int, int, str, int]
 # record per lookup/insert/remove, making this the hottest struct in
 # the FFS tree (the C-FFS analogue lives in repro.core.directory).
 _DIRENT_HEADER = struct.Struct(DIRENT_HEADER_FMT)
+# Last offset at which a whole header still fits in the block.
+_LAST_HEADER = BLOCK_SIZE - DIRENT_HEADER_SIZE
 
 
 def init_block() -> bytearray:
@@ -36,23 +38,33 @@ def init_block() -> bytearray:
     return block
 
 
-def iter_entries(block: bytes) -> Iterator[DirEntry]:
-    """Yield every record (live and free) in chain order."""
+def _headers(block: bytes) -> Iterator[Tuple[int, int, int, int, int]]:
+    """The one validated chain walk: (offset, inum, reclen, namelen,
+    kind) of every record, live and free, names untouched.  A record
+    length that is too small to hold a header, overruns the block or
+    leaves a tail no header fits in ends in ``CorruptFileSystem``."""
+    unpack_header = _DIRENT_HEADER.unpack_from
     offset = 0
-    while offset < BLOCK_SIZE:
-        inum, reclen, namelen, kind = _DIRENT_HEADER.unpack_from(block, offset)
+    while offset <= _LAST_HEADER:
+        inum, reclen, namelen, kind = unpack_header(block, offset)
         if reclen < DIRENT_HEADER_SIZE or offset + reclen > BLOCK_SIZE:
             raise CorruptFileSystem(
                 "bad dirent reclen %d at offset %d" % (reclen, offset)
             )
-        name = ""
-        if inum != 0 and namelen:
-            raw = bytes(block[offset + DIRENT_HEADER_SIZE:offset + DIRENT_HEADER_SIZE + namelen])
-            name = raw.decode("utf-8", errors="replace")
-        yield offset, inum, kind, name, reclen
+        yield offset, inum, reclen, namelen, kind
         offset += reclen
     if offset != BLOCK_SIZE:
         raise CorruptFileSystem("dirent chain does not tile the block")
+
+
+def iter_entries(block: bytes) -> Iterator[DirEntry]:
+    """Yield every record (live and free) in chain order."""
+    for offset, inum, reclen, namelen, kind in _headers(block):
+        name = ""
+        if inum != 0 and namelen:
+            name_off = offset + DIRENT_HEADER_SIZE
+            name = str(block[name_off:name_off + namelen], "utf-8", "replace")
+        yield offset, inum, kind, name, reclen
 
 
 def live_entries(block: bytes) -> List[Tuple[str, int, int]]:
@@ -71,97 +83,92 @@ def free_slots(block: bytes, blk: int) -> Tuple[Tuple[int, int], ...]:
     return ((blk, free_bytes(block)),)
 
 
-def find_entry(block: bytes, name: str) -> Optional[Tuple[int, int]]:
-    """Locate ``name``: returns (inum, kind) or None."""
-    for _, inum, kind, entry_name, _ in iter_entries(block):
-        if inum != 0 and entry_name == name:
-            return inum, kind
-    return None
-
-
 def free_bytes(block: bytes) -> int:
-    """Largest insertion the block can accept right now."""
+    """Largest insertion the block can accept right now: the index scan
+    asks once per block; an edit reports the new value itself."""
     best = 0
-    for _, inum, _, entry_name, reclen in iter_entries(block):
-        if inum == 0:
-            avail = reclen
-        else:
-            avail = reclen - dirent_size(len(entry_name.encode("utf-8")))
-        best = max(best, avail)
+    for _, inum, reclen, namelen, _ in _headers(block):
+        # The stored namelen, not the name: what add_entry splits by.
+        avail = reclen if inum == 0 else reclen - dirent_size(namelen)
+        if avail > best:
+            best = avail
     return best
 
 
-def add_entry(block: bytearray, inum: int, kind: int, name: str) -> bool:
-    """Insert an entry; returns False if no record has enough slack."""
+def add_entry(block: bytearray, inum: int, kind: int, name: str) -> Optional[int]:
+    """Insert an entry into the first record with room; returns the
+    largest insertion the block accepts afterwards, or None (block
+    untouched) when no record has enough slack."""
     if inum == 0:
         raise InvalidArgument("inum 0 is reserved for free records")
     encoded = name.encode("utf-8")
     needed = dirent_size(len(encoded))
-    offset = 0
-    while offset < BLOCK_SIZE:
-        cur_inum, reclen, namelen, cur_kind = _DIRENT_HEADER.unpack_from(
-            block, offset
-        )
-        if cur_inum == 0 and reclen >= needed:
-            # Claim the free record, leaving the remainder free.
-            _write_entry(block, offset, inum, needed, kind, encoded)
-            remainder = reclen - needed
-            if remainder >= DIRENT_HEADER_SIZE:
-                _DIRENT_HEADER.pack_into(
-                    block, offset + needed, 0, remainder, 0, 0
-                )
-            else:
-                # Absorb unusable slack into the new entry.
-                _DIRENT_HEADER.pack_into(
-                    block, offset, inum, needed + remainder,
-                    len(encoded), kind,
-                )
-            return True
-        if cur_inum != 0:
-            used = dirent_size(namelen)
-            slack = reclen - used
-            if slack >= needed:
-                # Split the slack off the live entry.
-                _DIRENT_HEADER.pack_into(
-                    block, offset, cur_inum, used, namelen, cur_kind
-                )
-                _write_entry(block, offset + used, inum, slack, kind, encoded)
-                return True
-        offset += reclen
-    return False
+    target = None
+    best = 0
+    for record in _headers(block):
+        _, cur_inum, reclen, namelen, _ = record
+        avail = reclen if cur_inum == 0 else reclen - dirent_size(namelen)
+        if target is None and avail >= needed:
+            target = record
+            # Whichever way the record is split, what is left of its
+            # room is one piece of this size.
+            avail -= needed
+        if avail > best:
+            best = avail
+    if target is None:
+        return None
+    offset, cur_inum, reclen, namelen, cur_kind = target
+    if cur_inum == 0:
+        # Claim the free record, leaving the remainder free; slack too
+        # small for a header is absorbed into the new entry.
+        remainder = reclen - needed
+        if remainder >= DIRENT_HEADER_SIZE:
+            _DIRENT_HEADER.pack_into(block, offset + needed, 0, remainder, 0, 0)
+            reclen = needed
+    else:
+        # Split the slack off the live entry.
+        used = dirent_size(namelen)
+        _DIRENT_HEADER.pack_into(block, offset, cur_inum, used, namelen, cur_kind)
+        offset += used
+        reclen -= used
+    _DIRENT_HEADER.pack_into(block, offset, inum, reclen, len(encoded), kind)
+    name_off = offset + DIRENT_HEADER_SIZE
+    block[name_off:name_off + len(encoded)] = encoded
+    return best
 
 
-def remove_entry(block: bytearray, name: str) -> Optional[int]:
-    """Remove ``name``; returns its inum or None if absent.
+def remove_entry(block: bytearray, name: str) -> Optional[Tuple[int, int]]:
+    """Remove ``name``; returns (its inum, the insertion the record that
+    took its space now accepts), or None if absent.
 
     The freed record merges into its predecessor (or becomes a free
-    record when it heads the chain), so other entries stay in place.
+    record when it heads the chain), so other entries stay in place —
+    and only that one record's room changed, so the block's largest
+    insertion is the larger of what it was and the second result.
     """
-    prev_offset = None
-    offset = 0
-    while offset < BLOCK_SIZE:
-        inum, reclen, namelen, kind = _DIRENT_HEADER.unpack_from(block, offset)
-        if inum != 0:
-            raw = bytes(block[offset + DIRENT_HEADER_SIZE:offset + DIRENT_HEADER_SIZE + namelen])
-            if raw.decode("utf-8", errors="replace") == name:
-                if prev_offset is None:
-                    _DIRENT_HEADER.pack_into(block, offset, 0, reclen, 0, 0)
-                else:
-                    p_inum, p_reclen, p_namelen, p_kind = _DIRENT_HEADER.unpack_from(
-                        block, prev_offset
-                    )
-                    _DIRENT_HEADER.pack_into(
-                        block, prev_offset,
-                        p_inum, p_reclen + reclen, p_namelen, p_kind,
-                    )
-                return inum
-        prev_offset = offset
-        offset += reclen
+    encoded = name.encode("utf-8")
+    n = len(encoded)
+    # A stored name that is not UTF-8 reads back with U+FFFD in it, so
+    # only a name containing one can match other bytes than its own.
+    lossy = "\ufffd" in name
+    prev = None
+    for record in _headers(block):
+        offset, inum, reclen, namelen, _ = record
+        name_off = offset + DIRENT_HEADER_SIZE
+        if inum != 0 and (
+            (namelen == n and block.startswith(encoded, name_off))
+            or (lossy and str(block[name_off:name_off + namelen],
+                              "utf-8", "replace") == name)
+        ):
+            if prev is None:
+                _DIRENT_HEADER.pack_into(block, offset, 0, reclen, 0, 0)
+                return inum, reclen
+            p_offset, p_inum, p_reclen, p_namelen, p_kind = prev
+            p_reclen += reclen
+            _DIRENT_HEADER.pack_into(
+                block, p_offset, p_inum, p_reclen, p_namelen, p_kind)
+            if p_inum != 0:
+                p_reclen -= dirent_size(p_namelen)
+            return inum, p_reclen
+        prev = record
     return None
-
-
-def _write_entry(
-    block: bytearray, offset: int, inum: int, reclen: int, kind: int, encoded: bytes
-) -> None:
-    _DIRENT_HEADER.pack_into(block, offset, inum, reclen, len(encoded), kind)
-    block[offset + DIRENT_HEADER_SIZE:offset + DIRENT_HEADER_SIZE + len(encoded)] = encoded

@@ -137,7 +137,13 @@ class FFS(BlockFileSystem):
             bno, slot = self._inode_location(inum)
             # The static inode-table fetch: the per-file metadata request
             # embedded inodes eliminate (visible as fs.inode_fetch spans).
-            with obs.span("fs", "inode_fetch", inum=inum):
+            # enabled() guards keep the disabled-observability hot path
+            # free of the span call's keyword-dict allocation (here and
+            # below).
+            if obs.enabled():
+                with obs.span("fs", "inode_fetch", inum=inum):
+                    buf = self.cache.get(bno)
+            else:
                 buf = self.cache.get(bno)
             raw = bytes(buf.image[slot * layout.INODE_SIZE:(slot + 1) * layout.INODE_SIZE])
             inode = Inode.unpack(inum, raw)
@@ -182,12 +188,13 @@ class FFS(BlockFileSystem):
             target_blk = self._grow_directory(dirh)
         bno = self._dir_block_bno(dirh, target_blk)
         buf = self.cache.get(bno, logical=(dirh.inum, target_blk))
-        # reprolint: disable=J001 -- add_entry mutates only when it returns True; the False path raises over an untouched block
-        if not dirfmt.add_entry(buf.data, inum, kind, name):
+        # reprolint: disable=J001 -- add_entry mutates only when it returns the block's new free count; the None path raises over an untouched block
+        free = dirfmt.add_entry(buf.data, inum, kind, name)
+        if free is None:
             raise CorruptFileSystem("free-space accounting disagrees with block")
         token = self._meta_write(bno, requires)
         index.names[name] = (inum, kind, target_blk)
-        index.set_free(target_blk, dirfmt.free_bytes(buf.image))
+        index.set_free(target_blk, free)
         dirh.mtime = self.device.clock.now
         self._istore(dirh)
         return token
@@ -208,10 +215,11 @@ class FFS(BlockFileSystem):
         # about that mutation before the raise unwinds.  In a healthy
         # run removed == inum, so the order is unobservable.
         token = self._meta_write(bno, requires)
-        if removed != inum:
+        if removed is None or removed[0] != inum:
             raise CorruptFileSystem("index and block disagree on %r" % name)
         del index.names[name]
-        index.set_free(blk, dirfmt.free_bytes(buf.image))
+        # A removal grows one record and shrinks none.
+        index.set_free(blk, max(index.free[blk], removed[1]))
         dirh.mtime = self.device.clock.now
         self._istore(dirh)
         return inum, kind, token
@@ -222,15 +230,22 @@ class FFS(BlockFileSystem):
         return self._iget(ROOT_INUM)
 
     def _lookup(self, dirh: Inode, name: str) -> Inode:
-        with obs.span("fs", "lookup", name=name, embedded=False):
-            entry = self._find_entry(dirh, name)
-            if entry is None:
-                raise FileNotFound("no entry %r in directory %d" % (name, dirh.inum))
-            return self._iget(entry[0])
+        if obs.enabled():
+            with obs.span("fs", "lookup", name=name, embedded=False):
+                return self._lookup_entry(dirh, name)
+        return self._lookup_entry(dirh, name)
+
+    def _lookup_entry(self, dirh: Inode, name: str) -> Inode:
+        entry = self._find_entry(dirh, name)
+        if entry is None:
+            raise FileNotFound("no entry %r in directory %d" % (name, dirh.inum))
+        return self._iget(entry[0])
 
     def _create_file(self, dirh: Inode, name: str) -> Inode:
-        with obs.span("fs", "create_node", name=name, embedded=False):
-            return self._create_node(dirh, name, layout.MODE_FILE, layout.DT_FILE)
+        if obs.enabled():
+            with obs.span("fs", "create_node", name=name, embedded=False):
+                return self._create_node(dirh, name, layout.MODE_FILE, layout.DT_FILE)
+        return self._create_node(dirh, name, layout.MODE_FILE, layout.DT_FILE)
 
     def _make_directory(self, dirh: Inode, name: str) -> Inode:
         return self._create_node(dirh, name, layout.MODE_DIR, layout.DT_DIR)
@@ -250,8 +265,11 @@ class FFS(BlockFileSystem):
         return inode
 
     def _unlink(self, dirh: Inode, name: str) -> None:
-        with obs.span("fs", "unlink_node", name=name, embedded=False):
-            self._unlink_entry(dirh, name)
+        if obs.enabled():
+            with obs.span("fs", "unlink_node", name=name, embedded=False):
+                self._unlink_entry(dirh, name)
+            return
+        self._unlink_entry(dirh, name)
 
     def _unlink_entry(self, dirh: Inode, name: str) -> None:
         entry = self._find_entry(dirh, name)

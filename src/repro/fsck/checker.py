@@ -512,7 +512,7 @@ class _Walk:
         volume's (free blocks, free inodes)."""
         report, device, sb = self.report, self.device, self.sb
         bpc, data_start = sb["blocks_per_cg"], sb["data_start"]
-        data_area = range(data_start, data_start + self.usable)
+        usable = self.usable
         claimed = self.claims.claims
         free_blocks = free_inodes = 0
         for cgi in range(sb["n_cgs"]):
@@ -524,23 +524,29 @@ class _Walk:
                 if base + off in claimed:
                     cylgroup.set_bit(expected, off)
             free_i = self.mark_group(cgi, base, expected, bitmap)
+            want = cylgroup.run_bits(expected, data_start, usable)
             if expected != bitmap:
-                for off in data_area:
-                    have = cylgroup.bit_is_set(bitmap, off)
-                    if base + off in claimed and not have:
-                        report.repair(
-                            "block %d in use but free in bitmap" % (base + off))
-                    elif have and not cylgroup.bit_is_set(expected, off):
+                # The data area as two integers: only the offsets where
+                # they differ can have something to say, lowest first.
+                have = cylgroup.run_bits(bitmap, data_start, usable)
+                differ = want ^ have
+                while differ:
+                    low = differ & -differ
+                    differ ^= low
+                    bno = base + data_start + low.bit_length() - 1
+                    if have & low:
                         report.warn(
-                            "block %d marked used but unreferenced" % (base + off))
+                            "block %d marked used but unreferenced" % bno)
+                    elif bno in claimed:    # else a kept group's spare slot
+                        report.repair(
+                            "block %d in use but free in bitmap" % bno)
                 if self.repair:
                     device.poke_block(bitmap_bno, bytes(expected))
                     report.fix("cg %d: bitmap rebuilt" % cgi)
 
             # Free blocks the allocator's way: whatever the rebuilt
             # bitmap leaves clear (a kept group costs its whole span).
-            free_b = sum(1 for off in data_area
-                         if not cylgroup.bit_is_set(expected, off))
+            free_b = usable - bin(want).count("1")
             desc_bno = cylgroup.descriptor_block(base)
             desc = flayout.unpack_cg(device.peek_block(desc_bno))
             if (desc["free_blocks"], desc["free_inodes"]) != (free_b, free_i):

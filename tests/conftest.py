@@ -68,6 +68,27 @@ def make_cffs(
     return CFFS.mkfs(make_device(), config)
 
 
+def assert_dir_index_matches_blocks(fs) -> int:
+    """``DirIndex.free`` is kept from what the directory edits return,
+    never from a rescan: recompute it from the cached image of every
+    scanned directory block and require equality.  Reads the cache's
+    map directly so the check moves neither the LRU order nor a
+    counter; an evicted block was checked while it was cached.  Returns
+    the number of slots compared."""
+    compared = 0
+    for fid, index in fs._dir_index.items():
+        for blk in range(index.scanned_blocks):
+            buf = fs.cache._logical.get((fid, blk))
+            if buf is None:
+                continue
+            for slot, free in fs.dirfmt.free_slots(buf.image, blk):
+                assert index.free[slot] == free, (
+                    "directory %d slot %r: index says %d free, block says %d"
+                    % (fid, slot, index.free[slot], free))
+                compared += 1
+    return compared
+
+
 @pytest.fixture
 def device() -> BlockDevice:
     return make_device()

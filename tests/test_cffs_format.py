@@ -97,15 +97,13 @@ class TestEmbeddedDirents:
     def test_add_embedded_and_find(self):
         block = dirfmt.init_block()
         payload = embedded_payload(55)
-        off = dirfmt.add_entry(block, 0, "file.txt", dirfmt.ET_EMBEDDED,
-                               dirfmt.DK_FILE, payload)
-        assert off is not None
-        found = dirfmt.find_entry(bytes(block), "file.txt")
-        assert found is not None
-        sector, entry = found
+        added = dirfmt.add_entry(block, 0, "file.txt", dirfmt.ET_EMBEDDED,
+                                 dirfmt.DK_FILE, payload)
+        assert added is not None
+        [(sector, entry)] = dirfmt.live_entries(bytes(block))
         assert sector == 0
         _o, _r, etype, kind, name, payload_off = entry
-        assert etype == dirfmt.ET_EMBEDDED
+        assert (name, etype, payload_off) == ("file.txt", dirfmt.ET_EMBEDDED, added[0])
         assert bytes(block[payload_off:payload_off + layout.CINODE_SIZE]) == payload
 
     def test_entry_never_crosses_sector(self):
@@ -158,8 +156,8 @@ class TestEmbeddedDirents:
         """Deleted embedded inodes are zeroed so stale ones never look
         live to fsck."""
         block = dirfmt.init_block()
-        off = dirfmt.add_entry(block, 0, "victim", dirfmt.ET_EMBEDDED,
-                               dirfmt.DK_FILE, embedded_payload(9))
+        off, _free = dirfmt.add_entry(block, 0, "victim", dirfmt.ET_EMBEDDED,
+                                      dirfmt.DK_FILE, embedded_payload(9))
         dirfmt.remove_entry(block, "victim")
         fields = layout.unpack_cinode(bytes(block[off:off + layout.CINODE_SIZE]))
         assert fields["mode"] == layout.MODE_FREE
@@ -169,17 +167,16 @@ class TestEmbeddedDirents:
         offs = {}
         for i, name in enumerate(("aa", "bb", "cc")):
             offs[name] = dirfmt.add_entry(block, 0, name, dirfmt.ET_EMBEDDED,
-                                          dirfmt.DK_FILE, embedded_payload(i + 1))
+                                          dirfmt.DK_FILE, embedded_payload(i + 1))[0]
         dirfmt.remove_entry(block, "bb")
-        for name in ("aa", "cc"):
-            found = dirfmt.find_entry(bytes(block), name)
-            assert found is not None
-            assert found[1][5] == offs[name]  # payload offset unchanged
+        # Payload offsets of the survivors are unchanged.
+        assert {e[4]: e[5] for _s, e in dirfmt.live_entries(bytes(block))} == {
+            "aa": offs["aa"], "cc": offs["cc"]}
 
     def test_rewrite_payload(self):
         block = dirfmt.init_block()
-        off = dirfmt.add_entry(block, 0, "f", dirfmt.ET_EMBEDDED,
-                               dirfmt.DK_FILE, embedded_payload(3))
+        off, _free = dirfmt.add_entry(block, 0, "f", dirfmt.ET_EMBEDDED,
+                                      dirfmt.DK_FILE, embedded_payload(3))
         node = CNode.unpack(bytes(block[off:off + layout.CINODE_SIZE]))
         node.size = 777
         dirfmt.rewrite_payload(block, off, node.pack())
@@ -190,14 +187,17 @@ class TestEmbeddedDirents:
         block = dirfmt.init_block()
         dirfmt.add_entry(block, 0, "linked", dirfmt.ET_EMBEDDED,
                          dirfmt.DK_FILE, embedded_payload(8))
-        found = dirfmt.find_entry(bytes(block), "linked")
-        entry_off = found[1][0]
-        new_off = dirfmt.change_entry_type(
-            block, entry_off, dirfmt.ET_EXTERNAL, struct.pack("<Q", 123)
+        [(_s, entry)] = dirfmt.live_entries(bytes(block))
+        before = dirfmt.sector_free_bytes(bytes(block), 0)
+        new_off, freed = dirfmt.change_entry_type(
+            block, entry[0], dirfmt.ET_EXTERNAL, struct.pack("<Q", 123)
         )
-        found = dirfmt.find_entry(bytes(block), "linked")
-        assert found[1][2] == dirfmt.ET_EXTERNAL
+        [(_s, entry)] = dirfmt.live_entries(bytes(block))
+        assert entry[2] == dirfmt.ET_EXTERNAL
         assert struct.unpack_from("<Q", block, new_off)[0] == 123
+        # The smaller payload is room the sector's free count gains.
+        assert freed == layout.CINODE_SIZE - layout.EXTERNAL_REF_SIZE
+        assert dirfmt.sector_free_bytes(bytes(block), 0) == max(before, freed)
 
     def test_sectors_independent(self):
         """Filling one sector leaves the others untouched."""

@@ -9,7 +9,7 @@ from repro.blockdev.device import BLOCK_SIZE
 from repro.core.filesystem import CFFS
 from repro.ffs.base import BlockFileSystem
 from repro.ffs.filesystem import FFS
-from tests.conftest import make_cffs, make_ffs
+from tests.conftest import assert_dir_index_matches_blocks, make_cffs, make_ffs
 
 FORMATS = {
     "ffs": make_ffs,
@@ -40,6 +40,7 @@ def test_directory_index_contract(fmt):
     while fs._resolve("/d").size < 3 * BLOCK_SIZE:
         fs.create("/d/" + _name(created))
         created += 1
+        assert assert_dir_index_matches_blocks(fs) > 0
     fs.sync()
 
     # A name in block 0 is found after scanning one block of three.
@@ -57,12 +58,23 @@ def test_directory_index_contract(fmt):
 
     # Space freed in block 0 is reused first-fit before the directory grows.
     fs.unlink("/d/" + _name(0))
+    assert_dir_index_matches_blocks(fs)
     fs.create("/d/" + _name(created))
+    assert_dir_index_matches_blocks(fs)
     dirh, index = _index(fs)
     assert dirh.size == 3 * BLOCK_SIZE
     assert index.names[_name(created)][BLK] == 0
     assert sorted(fs.readdir("/d")) == sorted(
         _name(i) for i in range(1, created + 1))
+
+    # A second link (with embedded inodes the entry is retyped in place
+    # and gives up most of its payload; the new name goes to another
+    # directory, so no insert recounts that sector) and a rename keep
+    # the same books.
+    fs.link("/d/" + _name(5), "/hard")
+    assert_dir_index_matches_blocks(fs)
+    fs.rename("/d/" + _name(2), "/d/moved")
+    assert assert_dir_index_matches_blocks(fs) >= 3
 
     fs.drop_caches()
     assert fs._dir_index == {}

@@ -93,13 +93,14 @@ class TestDirentBlock:
 
     def test_add_and_find(self):
         block = dirfmt.init_block()
-        assert dirfmt.add_entry(block, 5, layout.DT_FILE, "hello")
-        assert dirfmt.find_entry(bytes(block), "hello") == (5, layout.DT_FILE)
+        assert dirfmt.add_entry(block, 5, layout.DT_FILE, "hello") is not None
+        assert dirfmt.live_entries(bytes(block)) == [("hello", 5, layout.DT_FILE)]
 
     def test_add_many_until_full(self):
         block = dirfmt.init_block()
         added = 0
-        while dirfmt.add_entry(block, added + 1, layout.DT_FILE, "name%05d" % added):
+        while dirfmt.add_entry(block, added + 1, layout.DT_FILE,
+                               "name%05d" % added) is not None:
             added += 1
         # 16-byte records: a 4KB block holds 256.
         assert added == BLOCK_SIZE // layout.dirent_size(9)
@@ -108,8 +109,8 @@ class TestDirentBlock:
     def test_remove_returns_inum(self):
         block = dirfmt.init_block()
         dirfmt.add_entry(block, 9, layout.DT_FILE, "gone")
-        assert dirfmt.remove_entry(block, "gone") == 9
-        assert dirfmt.find_entry(bytes(block), "gone") is None
+        assert dirfmt.remove_entry(block, "gone") == (9, layout.dirent_size(4))
+        assert dirfmt.live_entries(bytes(block)) == []
 
     def test_remove_missing(self):
         block = dirfmt.init_block()
@@ -118,10 +119,10 @@ class TestDirentBlock:
     def test_space_reclaimed_after_remove(self):
         block = dirfmt.init_block()
         i = 0
-        while dirfmt.add_entry(block, i + 1, layout.DT_FILE, "n%06d" % i):
+        while dirfmt.add_entry(block, i + 1, layout.DT_FILE, "n%06d" % i) is not None:
             i += 1
         dirfmt.remove_entry(block, "n000003")
-        assert dirfmt.add_entry(block, 999, layout.DT_FILE, "newone")
+        assert dirfmt.add_entry(block, 999, layout.DT_FILE, "newone") is not None
 
     def test_other_entries_untouched_by_remove(self):
         block = dirfmt.init_block()
@@ -161,7 +162,7 @@ class TestDirentBlock:
         block = dirfmt.init_block()
         inserted = []
         for i, name in enumerate(entry_names):
-            if dirfmt.add_entry(block, i + 1, layout.DT_FILE, name):
+            if dirfmt.add_entry(block, i + 1, layout.DT_FILE, name) is not None:
                 inserted.append(name)
         live = {n for n, _, _ in dirfmt.live_entries(bytes(block))}
         assert live == set(inserted)
@@ -179,8 +180,8 @@ class TestDirentBlock:
         for i, name in enumerate(entry_names):
             if live and data.draw(st.booleans(), label="remove?"):
                 victim = data.draw(st.sampled_from(sorted(live)), label="victim")
-                assert dirfmt.remove_entry(block, victim) == live.pop(victim)
-            if dirfmt.add_entry(block, i + 1, layout.DT_FILE, name):
+                assert dirfmt.remove_entry(block, victim)[0] == live.pop(victim)
+            if dirfmt.add_entry(block, i + 1, layout.DT_FILE, name) is not None:
                 live[name] = i + 1
         found = {n: i for n, i, _ in dirfmt.live_entries(bytes(block))}
         assert found == live

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import FileExists, FileNotFound
 from repro.fsck import fsck_cffs, fsck_ffs
-from tests.conftest import make_cffs, make_ffs
+from tests.conftest import assert_dir_index_matches_blocks, make_cffs, make_ffs
 
 # Small name pool so operations collide meaningfully.
 name_pool = st.sampled_from(["a", "b", "c", "dd", "ee", "file1", "file2"])
@@ -84,6 +84,8 @@ def run_model(fs, ops):
         elif kind == "sync_drop":
             fs.sync()
             fs.drop_caches()
+        # Incremental free-space accounting may not drift from the bytes.
+        assert_dir_index_matches_blocks(fs)
 
     # Final verification: contents and directory listing agree.
     assert sorted(fs.readdir("/")) == sorted(model.keys())
