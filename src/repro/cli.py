@@ -47,8 +47,14 @@ from repro.fsck import (
     is_resilient,
     open_logical,
 )
-from repro.resilience import ResiliencePolicy, ResilientBlockDevice
+from repro.resilience import ResilientBlockDevice
 
+
+#: ``--fs`` of the commands that run the paper's configuration grid.
+GRID_FS_HELP = ("conventional, embedded, grouping or cffs: the C-FFS code "
+                "with the techniques toggled; ffs here means conventional, "
+                "the paper's baseline (mkfs, faultsim and chaos build the "
+                "classic FFS class instead)")
 
 #: CLI spelling -> metadata policy; the single place the mapping lives.
 POLICY_NAMES = {
@@ -111,8 +117,7 @@ def cmd_mkfs(args) -> int:
     device = BlockDevice(profile)
     target = device
     if args.resilient:
-        target = ResilientBlockDevice.format(
-            device, ResiliencePolicy(n_spares=args.spares))
+        target = ResilientBlockDevice.format(device, n_spares=args.spares)
     fmt = format_for(args.fs)
     techniques = ({"embedded_inodes": not args.no_embed,
                    "explicit_grouping": not args.no_group}
@@ -345,7 +350,6 @@ def _write_trace(tracer, path: str, fmt: str,
 
 def cmd_bench(args) -> int:
     from repro import obs
-    from repro.engine.multiclient import resolve_label
     from repro.workloads import build_filesystem, run_smallfile
 
     policy = policy_from_args(args)
@@ -355,7 +359,7 @@ def cmd_bench(args) -> int:
     tracer = obs.Tracer() if args.trace else None
     try:
         for label in args.configs.split(","):
-            fs = build_filesystem(resolve_label(label.strip()), policy)
+            fs = build_filesystem(label.strip(), policy)
             if tracer is not None:
                 # Each config gets a fresh simulation (its own clock);
                 # a root span per config keeps the stacks separable.
@@ -490,13 +494,12 @@ def cmd_cluster_chaos(args) -> int:
 
 def cmd_trace(args) -> int:
     from repro import obs
-    from repro.engine.multiclient import resolve_label
     from repro.workloads import build_filesystem, run_smallfile
     from repro.workloads.hypertext import build_site, serve_documents
     from repro.workloads.postmark import PostmarkConfig, run_postmark
 
     policy = policy_from_args(args)
-    fs = build_filesystem(resolve_label(args.fs), policy)
+    fs = build_filesystem(args.fs, policy)
     # Share the disk's registry so the --metrics snapshot carries the
     # drive counters and request-size histogram alongside trace counts.
     tracer = obs.Tracer(clock=fs.cache.device.clock,
@@ -571,8 +574,7 @@ def _add_cluster_traffic_arguments(p, clients: int, dirs: int) -> None:
                    help="fraction of ops that are renames (may cross shards)")
     p.add_argument("--size", type=int, default=16384,
                    help="file size written by write ops")
-    p.add_argument("--fs", default="cffs",
-                   help="ffs, conventional, embedded, grouping or cffs")
+    p.add_argument("--fs", default="cffs", help=GRID_FS_HELP)
     _add_scheduler_argument(
         p, "per-shard queue discipline: fcfs, sstf or clook")
     p.add_argument("--router", choices=("hash", "util"), default="util",
@@ -704,8 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--files", type=int, default=40,
                    help="files (or pool size / documents) per client")
     p.add_argument("--size", type=int, default=1024)
-    p.add_argument("--fs", default="cffs",
-                   help="ffs, conventional, embedded, grouping or cffs")
+    p.add_argument("--fs", default="cffs", help=GRID_FS_HELP)
     _add_scheduler_argument(p, "queue discipline: fcfs, sstf or clook")
     p.add_argument("--workload", choices=("smallfile", "postmark", "hypertext"),
                    default="smallfile")
@@ -768,7 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the small-file benchmark")
     p.add_argument("--files", type=int, default=2000)
     p.add_argument("--size", type=int, default=1024)
-    p.add_argument("--configs", default="conventional,cffs")
+    p.add_argument("--configs", default="conventional,cffs",
+                   help="comma-separated; " + GRID_FS_HELP)
     add_policy_argument(p)
     _add_trace_arguments(p)
     p.set_defaults(func=cmd_bench)
@@ -779,8 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload",
                    choices=("smallfile", "postmark", "hypertext"),
                    default="smallfile")
-    p.add_argument("--fs", default="cffs",
-                   help="ffs, conventional, embedded, grouping or cffs")
+    p.add_argument("--fs", default="cffs", help=GRID_FS_HELP)
     p.add_argument("--files", type=int, default=200,
                    help="files (or documents) the workload touches")
     p.add_argument("--size", type=int, default=1024,

@@ -35,12 +35,7 @@ from repro.cluster.evacuate import (
     recover_shard_evacs,
 )
 from repro.cluster.facade import ClusterFS, split_top
-from repro.cluster.health import (
-    ClusterHealth,
-    ClusterRetryPolicy,
-    HealthState,
-    ShardHealthPolicy,
-)
+from repro.cluster.health import ClusterHealth, HealthState
 from repro.cluster.intent import (
     ADOPT,
     CLUSTER_DIR,
@@ -84,7 +79,6 @@ __all__ = [
     "ClusterFS",
     "ClusterHealth",
     "ClusterOp",
-    "ClusterRetryPolicy",
     "ClusterTrafficResult",
     "DEFAULT_VNODES",
     "EVAC",
@@ -98,7 +92,6 @@ __all__ = [
     "Router",
     "Shard",
     "ShardBalance",
-    "ShardHealthPolicy",
     "TrafficConfig",
     "UtilizationRouter",
     "ZipfSampler",

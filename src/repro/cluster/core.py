@@ -45,9 +45,9 @@ from repro.cluster.health import (
     PLAIN,
     RETRY,
     ClusterHealth,
-    ClusterRetryPolicy,
     HealthState,
-    ShardHealthPolicy,
+    next_delay,
+    settle,
 )
 from repro.cluster.intent import (
     CLUSTER_DIR,
@@ -60,7 +60,6 @@ from repro.cluster.intent import (
 from repro.cluster.router import ROUTE_CPU_SECONDS, Router, make_router
 from repro.engine.client import Engine, OpRecord, OpTally, Replayer, replay
 from repro.engine.eventloop import EventLoop
-from repro.engine.multiclient import resolve_label
 from repro.errors import InvalidArgument, ReproError
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
@@ -140,7 +139,7 @@ class ClusterClient:
         them in order on their shards' engines, and the retry loop.  A
         failed op (hard fault surfacing from a shard's disk queue) is
         retried with deterministic exponential backoff when its
-        resolver is re-runnable — bounded by the cluster retry policy's
+        resolver is re-runnable — bounded by the cluster retry rule's
         attempt budget and per-op simulated-time timeout.  Every error
         is classified into the per-shard health state first, so routing
         reacts while the phase is still running.
@@ -189,13 +188,13 @@ class ClusterClient:
                 if verdict is not RETRY or not retryable:
                     break
                 attempts += 1
-                delay = cluster.retry.next_delay(
-                    attempts, clock.now - start, cluster.metrics)
+                delay = next_delay(attempts, clock.now - start,
+                                   cluster.metrics)
                 if delay is None:
                     break
                 yield ("cpu", delay)
             if error is None:
-                cluster.retry.settle(attempts, cluster.metrics)
+                settle(attempts, cluster.metrics)
             self.records.append(
                 tally.record(phase, label, self.cid, start, clock.now, error))
             self.leg_shards.append(tuple(touched))
@@ -214,8 +213,6 @@ class Cluster(Replayer):
         filesystems: Optional[Sequence] = None,
         metrics: Optional[MetricsRegistry] = None,
         faults: Optional[Dict[int, FaultSchedule]] = None,
-        health_policy: Optional[ShardHealthPolicy] = None,
-        retry: Optional[ClusterRetryPolicy] = None,
     ) -> None:
         self.loop = EventLoop()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -224,7 +221,6 @@ class Cluster(Replayer):
         self.scheduler = scheduler
         self.label = label
         self.policy = policy
-        self.retry = retry if retry is not None else ClusterRetryPolicy()
         self.shards: List[Shard] = []
         self.clients: List[ClusterClient] = []
         self._intent_seq = 0
@@ -236,7 +232,7 @@ class Cluster(Replayer):
                     "need at least one shard, got %d" % n_shards)
             filesystems = []
             for sid in range(n_shards):
-                fs = build_filesystem(resolve_label(label), policy)
+                fs = build_filesystem(label, policy)
                 if faults and sid in faults:
                     # Wrap the shard's device in the fault-injecting
                     # proxy; lock-step faults fire in the proxy, replay
@@ -245,15 +241,14 @@ class Cluster(Replayer):
                         fs.cache.device, faults[sid])
                 filesystems.append(fs)
         for sid, fs in enumerate(filesystems):
-            # Engine picks the fault schedule and drive retry policy off
-            # a FaultyBlockDevice itself, so replayed requests consult
-            # the same schedule the lock-step path does.
+            # Engine picks the fault schedule off a FaultyBlockDevice
+            # itself, so replayed requests consult the same schedule the
+            # lock-step path does.
             self.shards.append(Shard(sid, fs, Engine(
                 fs, scheduler=scheduler, loop=self.loop,
                 metrics=self.metrics)))
         self.health = ClusterHealth(len(self.shards), self.metrics,
-                                    lambda: self.loop.now,
-                                    policy=health_policy)
+                                    lambda: self.loop.now)
         self.router.set_health(self.health.ordinal)
         for shard in self.shards:
             if not shard.fs.exists(CLUSTER_DIR):

@@ -21,7 +21,7 @@ invisible here: it never appears in root listings and cannot be
 addressed through the facade.
 
 Fault tolerance (PR 10): every shard call runs under the cluster's
-:class:`~repro.cluster.health.ClusterRetryPolicy` — transient and hard
+retry rule (:func:`~repro.cluster.health.next_delay`) — transient and hard
 media errors are retried with deterministic exponential backoff on
 cluster time, every failure is classified into the per-shard health
 state, and a write refused by a READ_ONLY (or newly FAILED) owner is
@@ -36,7 +36,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.cluster.health import RETRY, RETRYABLE, SHARD_DOWN
+from repro.cluster.health import (
+    RETRY,
+    RETRYABLE,
+    SHARD_DOWN,
+    next_delay,
+    settle,
+)
 from repro.cluster.intent import CLUSTER_DIR
 from repro.errors import (
     FileNotFound,
@@ -86,7 +92,7 @@ class ClusterFS:
         raise exc
 
     def _shard_call(self, shard, fn, op: str = "read"):
-        """Run ``fn`` on ``shard`` under the cluster retry policy.
+        """Run ``fn`` on ``shard`` under the cluster retry rule.
 
         Retryable faults back the clock off deterministically and try
         again (bounded by attempts and per-op simulated-time timeout);
@@ -113,13 +119,13 @@ class ClusterFS:
                 if cluster.health.classify(shard.sid, exc, op) is not RETRY:
                     self._annotate(shard, exc)
                 attempts += 1
-                delay = cluster.retry.next_delay(
-                    attempts, cluster.now - start, cluster.metrics)
+                delay = next_delay(attempts, cluster.now - start,
+                                   cluster.metrics)
                 if delay is None:
                     self._annotate(shard, exc)
                 cluster.backoff(delay)
             else:
-                cluster.retry.settle(attempts, cluster.metrics)
+                settle(attempts, cluster.metrics)
                 return result
 
     def _routed_mutate(self, top: str, fn):
@@ -130,6 +136,15 @@ class ClusterFS:
         retry budget *and* demote the owner below writable along the
         way.  Either way the subtree is evacuated to a spare on the
         spot and the write retried there, exactly once.
+
+        The second road needs a write that faults on every attempt.  No
+        public operation is known to: a failed create, mkdir or unlink
+        leaves cached state its retry meets before the device (the file
+        written, or a FileExists / FileNotFound), larger writes absorb
+        the faults in the cache, and
+        ``link`` does not route through here.  Only internal
+        callers reach it until the ROADMAP item on retrying against a
+        shard the fault just demoted is fixed.
         """
         cluster = self._cluster
         shard = cluster.route(top)

@@ -8,18 +8,19 @@ state transitions over the same monotonic machine::
 
     HEALTHY --> DEGRADED --> READ_ONLY --> FAILED
 
-Classification (the budgets are :class:`ShardHealthPolicy` knobs):
+Classification (the budgets are :data:`MAX_WRITE_FAULTS` and
+:data:`MAX_READ_FAULTS`):
 
 - :class:`~repro.errors.ReadOnlyFileSystem` — the shard's own stack
   already demoted itself: mirror it as READ_ONLY.
 - :class:`~repro.errors.DeviceDegraded` / :class:`~repro.errors.
   PowerLoss` — the device is gone: FAILED.
 - hard media-write failures — DEGRADED on the first, READ_ONLY once
-  ``max_write_faults`` have been seen (the write path cannot be
+  ``MAX_WRITE_FAULTS`` have been seen (the write path cannot be
   trusted; reads keep working, which is what makes evacuation
   possible).
 - hard media-read failures — DEGRADED on the first, FAILED once
-  ``max_read_faults`` have been seen (a shard that cannot read cannot
+  ``MAX_READ_FAULTS`` have been seen (a shard that cannot read cannot
   even be evacuated).
 
 Every transition is mirrored into the cluster's metrics registry:
@@ -30,9 +31,8 @@ the observability stack read the same numbers.
 Both execution paths — the facade's lock-step calls and the clients'
 capture-replay — put their failures to the same two questions, and
 both are answered here: :meth:`ClusterHealth.classify` ("retry in
-place, shard is down, or a plain error?") and
-:meth:`ClusterRetryPolicy.next_delay` ("retry after how long, or give
-up?").
+place, shard is down, or a plain error?") and :func:`next_delay`
+("retry after how long, or give up?").
 
 The monitors are *advisory* at cluster scope: they steer the router
 away from sick shards and gate evacuation; they do not block the
@@ -42,7 +42,6 @@ device) stays where PR 5 put it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import (
@@ -70,62 +69,48 @@ SHARD_DOWN = (DeviceDegraded, PowerLoss, ReadOnlyFileSystem)
 RETRY, DOWN, PLAIN = "retry", "down", "plain"
 
 
-@dataclass(frozen=True)
-class ShardHealthPolicy:
-    """Failure budgets for shard-level demotion decisions."""
+#: Hard write faults tolerated before the shard demotes READ_ONLY.
+MAX_WRITE_FAULTS = 3
+#: Hard read faults tolerated before the shard demotes FAILED.
+MAX_READ_FAULTS = 3
 
-    #: Hard write faults tolerated before the shard demotes READ_ONLY.
-    max_write_faults: int = 3
-    #: Hard read faults tolerated before the shard demotes FAILED.
-    max_read_faults: int = 3
+#: Bounded retry per cluster op: attempts, the backoff before the first
+#: retry (doubling per retry, on the SimClock), and the *simulated* time
+#: one operation may spend including backoff, so a sick shard cannot
+#: stall a client forever.
+OP_ATTEMPTS = 3
+OP_BACKOFF = 0.004
+OP_TIMEOUT = 2.0
 
 
-@dataclass(frozen=True)
-class ClusterRetryPolicy:
-    """Bounded retry with deterministic SimClock backoff per cluster op.
+def next_delay(attempts: int, elapsed: float,
+               metrics: MetricsRegistry) -> Optional[float]:
+    """The backoff before trying again, or ``None``: give up.
 
-    ``backoff`` doubles per attempt; ``op_timeout`` bounds the total
-    *simulated* time one operation may spend including backoff, so a
-    sick shard cannot stall a client forever.
+    ``attempts`` counts the failures so far (this one included) and
+    ``elapsed`` the simulated time the operation has already spent.
+    The one retry-budget decision; it counts its own answer into
+    ``cluster.retry.attempts`` / ``cluster.retry.exhausted``.
     """
+    delay = OP_BACKOFF * (2 ** (attempts - 1))
+    if attempts >= OP_ATTEMPTS or elapsed + delay > OP_TIMEOUT:
+        metrics.counter("cluster.retry.exhausted").inc()
+        return None
+    metrics.counter("cluster.retry.attempts").inc()
+    return delay
 
-    max_attempts: int = 3
-    backoff: float = 0.004
-    op_timeout: float = 2.0
 
-    def delay(self, retries: int) -> float:
-        return self.backoff * (2 ** retries)
-
-    def next_delay(self, attempts: int, elapsed: float,
-                   metrics: MetricsRegistry) -> Optional[float]:
-        """The backoff before trying again, or ``None``: give up.
-
-        ``attempts`` counts the failures so far (this one included) and
-        ``elapsed`` the simulated time the operation has already spent.
-        The one retry-budget decision; it counts its own answer into
-        ``cluster.retry.attempts`` / ``cluster.retry.exhausted``.
-        """
-        delay = self.delay(attempts - 1)
-        if attempts >= self.max_attempts or \
-                elapsed + delay > self.op_timeout:
-            metrics.counter("cluster.retry.exhausted").inc()
-            return None
-        metrics.counter("cluster.retry.attempts").inc()
-        return delay
-
-    def settle(self, attempts: int, metrics: MetricsRegistry) -> None:
-        """The operation succeeded; after a retry, that fault was absorbed."""
-        if attempts > 0:
-            metrics.counter("cluster.retry.absorbed").inc()
+def settle(attempts: int, metrics: MetricsRegistry) -> None:
+    """The operation succeeded; after a retry, that fault was absorbed."""
+    if attempts > 0:
+        metrics.counter("cluster.retry.absorbed").inc()
 
 
 class ClusterHealth:
     """Per-shard :class:`HealthMonitor` bank with error classification."""
 
     def __init__(self, n_shards: int, metrics: MetricsRegistry,
-                 now: Callable[[], float],
-                 policy: Optional[ShardHealthPolicy] = None) -> None:
-        self.policy = policy if policy is not None else ShardHealthPolicy()
+                 now: Callable[[], float]) -> None:
         self.metrics = metrics
         self._now = now
         self.monitors: List[HealthMonitor] = []
@@ -222,7 +207,7 @@ class ClusterHealth:
             n = self._write_faults[sid]
             self.mark(sid, HealthState.DEGRADED,
                       "hard write fault (%d in budget)" % n)
-            if n >= self.policy.max_write_faults:
+            if n >= MAX_WRITE_FAULTS:
                 self.mark(sid, HealthState.READ_ONLY,
                           "write fault budget exhausted (%d)" % n)
         else:
@@ -230,19 +215,19 @@ class ClusterHealth:
             n = self._read_faults[sid]
             self.mark(sid, HealthState.DEGRADED,
                       "hard read fault (%d in budget)" % n)
-            if n >= self.policy.max_read_faults:
+            if n >= MAX_READ_FAULTS:
                 self.mark(sid, HealthState.FAILED,
                           "read fault budget exhausted (%d)" % n)
 
 
 __all__ = [
     "ClusterHealth",
-    "ClusterRetryPolicy",
     "DOWN",
     "HealthState",
     "PLAIN",
     "RETRY",
     "RETRYABLE",
     "SHARD_DOWN",
-    "ShardHealthPolicy",
+    "next_delay",
+    "settle",
 ]

@@ -40,6 +40,9 @@ from repro.faults.schedule import FaultSchedule
 #: JSON summary schema identifier (bump on incompatible change).
 CLUSTER_SCHEMA = "repro-cluster/1"
 
+#: Files the first toucher of a directory writes into it; reads pick one.
+SEED_FILES = 2
+
 
 @dataclass
 class TrafficConfig:
@@ -53,7 +56,6 @@ class TrafficConfig:
     read_fraction: float = 0.55
     rename_fraction: float = 0.02
     file_size: int = 16384
-    seed_files: int = 2
     label: str = "cffs"
     policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA
     scheduler: str = "clook"
@@ -186,7 +188,7 @@ def build_client_ops(cluster: Cluster, cfg: TrafficConfig, cid: int,
         # honest — someone pays the cold mkdir.
         f.mkdir("/" + fn_top)
         seeded = 0
-        for s in range(cfg.seed_files):
+        for s in range(SEED_FILES):
             data = _seed_payload(fn_top, s, cfg.file_size)
             f.write_file("/%s/f%d" % (fn_top, s), data)
             seeded += len(data)
@@ -215,7 +217,7 @@ def build_client_ops(cluster: Cluster, cfg: TrafficConfig, cid: int,
             first = top not in created
             if first:
                 created.add(top)
-            path = "/%s/f%d" % (top, index % cfg.seed_files)
+            path = "/%s/f%d" % (top, index % SEED_FILES)
 
             def fn(f):
                 if first:
@@ -387,7 +389,7 @@ def cluster_summary(result: ClusterTrafficResult) -> dict:
             "read_fraction": cfg.read_fraction,
             "rename_fraction": cfg.rename_fraction,
             "file_size": cfg.file_size,
-            "seed_files": cfg.seed_files,
+            "seed_files": SEED_FILES,
             "label": cfg.label,
             "policy": cfg.policy.name.lower(),
             "scheduler": cfg.scheduler,

@@ -46,6 +46,7 @@ from repro.ffs import mapping
 from repro.ffs.alloc import GroupedAllocator
 from repro.ffs.base import BlockFileSystem, OrderToken, VolumeConfig
 from repro.ffs.cylgroup import table_block
+from repro.ffs.layout import NDIRECT
 from repro.vfs.stat import StatResult
 
 ROOT_FILEID = 1
@@ -59,7 +60,6 @@ class CFFSConfig(VolumeConfig):
 
     embedded_inodes: bool = True
     explicit_grouping: bool = True
-    smallfile_max_blocks: int = 12  # files beyond this migrate out of groups
     group_span: int = layout.GROUP_SPAN  # blocks per explicit group (<= 16)
 
     @property
@@ -163,7 +163,7 @@ class CFFS(BlockFileSystem):
             "next_gen": 1,
             "free_blocks": n_cgs * self._usable_per_cg(),
             "ext_size": 0,
-            "ext_direct": [0] * 12,
+            "ext_direct": [0] * NDIRECT,
             "ext_indirect": 0,
             "ext_dindirect": 0,
         }
@@ -352,8 +352,9 @@ class CFFS(BlockFileSystem):
             and handle.is_file
             and not handle.is_large
         )
-        if grouping and idx >= self.config.smallfile_max_blocks:
-            # The file just outgrew grouping: migrate and fall through.
+        if grouping and idx >= NDIRECT:
+            # The file just outgrew grouping (grouped blocks are always
+            # direct): migrate and fall through.
             self._ungroup_file(handle)
             grouping = False
         if grouping:
@@ -483,7 +484,7 @@ class CFFS(BlockFileSystem):
         span = self.config.group_span
         plan: List[Tuple[CNode, int, int]] = []
         for node in nodes:
-            for idx in range(min(self.config.smallfile_max_blocks, 12)):
+            for idx in range(NDIRECT):
                 if node.direct[idx]:
                     plan.append((node, idx, node.direct[idx]))
         if not plan:

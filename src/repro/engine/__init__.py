@@ -32,7 +32,6 @@ from repro.engine.multiclient import (
     multiclient_scaling,
     render_multiclient,
     render_scaling,
-    resolve_label,
     run_multiclient,
 )
 
@@ -51,7 +50,6 @@ __all__ = [
     "render_multiclient",
     "multiclient_scaling",
     "render_scaling",
-    "resolve_label",
     "MultiClientResult",
     "PhaseReport",
     "ClientSummary",

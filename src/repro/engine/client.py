@@ -39,7 +39,7 @@ from repro.engine.diskqueue import DiskQueue, QueuedRequest
 from repro.engine.eventloop import EventLoop
 from repro.errors import InvalidArgument
 from repro.faults.proxy import FaultyBlockDevice
-from repro.faults.schedule import FaultSchedule, RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.vfs.interface import FileSystem
 
 #: One scripted client operation: a display label plus a callable that
@@ -334,7 +334,6 @@ class Engine(Replayer):
     def __init__(self, fs: FileSystem, scheduler: str = "clook",
                  loop: Optional[EventLoop] = None,
                  faults: Optional["FaultSchedule"] = None,
-                 retry: Optional["RetryPolicy"] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.fs = fs
         self.device = fs.cache.device
@@ -344,8 +343,6 @@ class Engine(Replayer):
         if isinstance(self.device, FaultyBlockDevice):
             if faults is None:
                 faults = self.device.schedule
-            if retry is None:
-                retry = self.device.retry
         elif not isinstance(self.device, BlockDevice):
             raise InvalidArgument("engine needs a file system over a BlockDevice")
         self.loop = loop if loop is not None else EventLoop()
@@ -355,7 +352,7 @@ class Engine(Replayer):
         self.loop.clock.advance_to(self.device.clock.now)
         self.device.clock.advance_to(self.loop.now)
         self.queue = DiskQueue(self.loop, self.device.disk, scheduler,
-                               faults=faults, retry=retry)
+                               faults=faults)
         self.clients: List[ClientContext] = []
 
     @property

@@ -53,12 +53,19 @@ from repro import obs
 from repro.disk.drive import SimulatedDisk
 from repro.engine.eventloop import EventLoop
 from repro.errors import InvalidArgument
-from repro.faults.schedule import HARD, OK, FaultSchedule, RetryPolicy
+from repro.faults.schedule import (
+    ERROR_LATENCY,
+    HARD,
+    OK,
+    RETRY_ATTEMPTS,
+    FaultSchedule,
+    retry_delay,
+)
 
 SCHEDULERS = ("fcfs", "sstf", "clook")
 
 #: Histogram buckets (seconds) for the retried-request latency metric.
-#: Sized around the default RetryPolicy: 2 ms backoff doubling per
+#: Sized around the drive's retry rule: 2 ms backoff doubling per
 #: retry, plus one drive service time (~10 ms) per extra attempt.
 RETRY_LATENCY_BUCKETS = (0.002, 0.005, 0.010, 0.020, 0.050,
                          0.100, 0.250, 1.000)
@@ -135,7 +142,6 @@ class DiskQueue:
         disk: SimulatedDisk,
         policy: str = "clook",
         faults: Optional[FaultSchedule] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         if policy not in SCHEDULERS:
             raise InvalidArgument(
@@ -145,7 +151,6 @@ class DiskQueue:
         self.disk = disk
         self.policy = policy
         self.faults = faults
-        self.retry = retry or RetryPolicy()
         self.stats = QueueAccounting()
         # Waiting requests in service order: (rank, arrival, request),
         # rank -1 for a barrier, the address for a positional policy.
@@ -242,10 +247,10 @@ class DiskQueue:
             if decision.kind != OK:
                 # The drive is occupied for the time it takes to report
                 # the error, but no media transfer happens.
-                completion = req.dispatch_time + self.retry.error_latency
+                completion = req.dispatch_time + ERROR_LATENCY
                 self._busy = True
-                self.stats.busy_time += self.retry.error_latency
-                if decision.kind == HARD or req.retries + 1 >= self.retry.max_attempts:
+                self.stats.busy_time += ERROR_LATENCY
+                if decision.kind == HARD or req.retries + 1 >= RETRY_ATTEMPTS:
                     req.error = (
                         "hard %s fault at lba %d" % (req.op, req.lba)
                         if decision.kind == HARD
@@ -284,7 +289,7 @@ class DiskQueue:
     def _release_and_requeue(self, req: QueuedRequest) -> None:
         """Free the drive after a transient fault; resubmit after backoff."""
         self._busy = False
-        self.loop.call_later(self.retry.delay(req.retries - 1), self._resubmit, req)
+        self.loop.call_later(retry_delay(req.retries - 1), self._resubmit, req)
         self._try_dispatch(self.loop.now)
 
     def _resubmit(self, req: QueuedRequest) -> None:

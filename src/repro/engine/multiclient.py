@@ -9,9 +9,10 @@ queue depth and fairness.
 
 ``run_multiclient`` runs one configuration; ``multiclient_scaling``
 sweeps client count over two configurations (FFS-style baseline vs.
-C-FFS) and renders the comparison.  ``conventional`` — the C-FFS code
-with both techniques disabled, exactly the paper's baseline — doubles
-as the ``ffs`` label.
+C-FFS) and renders the comparison.  ``ffs`` there names
+``conventional`` — the C-FFS code with both techniques disabled,
+exactly the paper's baseline (see :func:`~repro.workloads.configs.
+config_for`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.disk.profiles import DriveProfile
 from repro.engine.client import ClientContext, Engine
 from repro.engine.report import ClientSummary, PhaseReport, summarize_phase
 from repro.errors import InvalidArgument
-from repro.faults.schedule import FaultSchedule, RetryPolicy
+from repro.faults.schedule import FaultSchedule
 from repro.workloads.configs import build_filesystem
 from repro.workloads.hypertext import Document, build_site, serve_ops
 from repro.workloads.postmark import PostmarkConfig, postmark_script
@@ -37,11 +38,6 @@ WORKLOADS = ("smallfile", "postmark", "hypertext")
 
 #: Client counts the scaling sweep uses by default.
 DEFAULT_CLIENT_COUNTS = (1, 2, 4, 8, 16, 32)
-
-
-def resolve_label(label: str) -> str:
-    """``ffs`` names ``conventional``; ``config_for`` validates the rest."""
-    return "conventional" if label == "ffs" else label
 
 
 @dataclass
@@ -74,7 +70,6 @@ def run_multiclient(
     profile: Optional[DriveProfile] = None,
     seed: int = 1997,
     faults: Optional[FaultSchedule] = None,
-    retry: Optional[RetryPolicy] = None,
     tracer: Optional[obs.Tracer] = None,
 ) -> MultiClientResult:
     """Run ``n_clients`` concurrent clients over one shared file system.
@@ -94,7 +89,7 @@ def run_multiclient(
     if files_per_client < 1:
         raise InvalidArgument(
             "need at least one file per client, got %d" % files_per_client)
-    fs = build_filesystem(resolve_label(label), policy, profile)
+    fs = build_filesystem(label, policy, profile)
     if tracer is not None:
         # Trace the whole run: spans stamp from the device clock during
         # lock-step sections (capture rebinds to its scratch clock), and
@@ -103,7 +98,7 @@ def run_multiclient(
         tracer.clock = fs.cache.device.clock
         obs.install(tracer)
     try:
-        engine = Engine(fs, scheduler=scheduler, faults=faults, retry=retry,
+        engine = Engine(fs, scheduler=scheduler, faults=faults,
                         metrics=tracer.registry if tracer is not None else None)
         clients = [engine.add_client() for _ in range(n_clients)]
         dirs = {client: "/mc/%s" % client.name for client in clients}

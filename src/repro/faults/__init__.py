@@ -17,7 +17,6 @@ from repro.faults.schedule import (
     FaultDecision,
     FaultSchedule,
     FaultStats,
-    RetryPolicy,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "FaultyBlockDevice",
     "HARD",
     "OK",
-    "RetryPolicy",
     "TORN",
     "TRANSIENT",
     "render_chaos",

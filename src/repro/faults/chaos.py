@@ -47,14 +47,12 @@ from repro.fsck import (
     fsck_resilience,
     open_logical,
 )
-from repro.resilience import (
-    HealthState,
-    ResiliencePolicy,
-    ResilientBlockDevice,
-    Scrubber,
-)
+from repro.resilience import HealthState, ResilientBlockDevice, Scrubber
 
 _FAILED = object()   # sentinel: the operation raised (and was recorded)
+
+#: Operations between scrubber steps.
+SCRUB_EVERY = 6
 
 
 @dataclass(frozen=True)
@@ -65,9 +63,6 @@ class ChaosConfig:
     seed: int = 2026
     n_files: int = 150
     sync_every: int = 8
-    #: Operations between scrubber steps.
-    scrub_every: int = 6
-    scrub_batch: int = 128
     n_spares: int = 32
     #: Locations that cost in-drive retries on every read.
     weak_count: int = 32
@@ -172,8 +167,7 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosReport:
                              transient_rate=cfg.transient_rate,
                              torn_rate=cfg.torn_rate)
     faulty = FaultyBlockDevice(BlockDevice(FAULTSIM_PROFILE), schedule)
-    resilient = ResilientBlockDevice.format(
-        faulty, ResiliencePolicy(n_spares=cfg.n_spares))
+    resilient = ResilientBlockDevice.format(faulty, n_spares=cfg.n_spares)
     fs = _mkfs(cfg.label, MetadataPolicy.SYNC_METADATA, resilient)
     fs.mkdir("/data")
     fs.sync()
@@ -193,7 +187,7 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosReport:
     schedule.break_reads(picks[cut2:cut3])
     schedule.rot(picks[cut3:])
 
-    scrubber = Scrubber(resilient, batch_blocks=cfg.scrub_batch)
+    scrubber = Scrubber(resilient)
     soak = _Soak(cfg, fs, resilient, scrubber, report.ops)
     soak.run()
 
@@ -260,7 +254,7 @@ class _Soak:
 
     def _maybe_scrub(self) -> None:
         self._since_scrub += 1
-        if self._since_scrub >= self.cfg.scrub_every:
+        if self._since_scrub >= SCRUB_EVERY:
             self._since_scrub = 0
             if self.resilient.health.state is not HealthState.FAILED:
                 self.scrubber.step()

@@ -42,7 +42,7 @@ from repro.fsck import (
     fsck_resilience,
     open_logical,
 )
-from repro.resilience import ResiliencePolicy, ResilientBlockDevice
+from repro.resilience import ResilientBlockDevice
 
 FAULT_FSES = FORMAT_LABELS
 
@@ -212,8 +212,7 @@ def run_journaled_workload(
                                record_journal=True)
     target = device
     if resilient:
-        target = ResilientBlockDevice.format(
-            device, ResiliencePolicy(n_spares=8))
+        target = ResilientBlockDevice.format(device, n_spares=8)
         # Break a deterministic sample of usable locations so the
         # workload's own writes trigger remaps (and journal them).
         rng = random.Random("faultsim-resilient:%d" % seed)

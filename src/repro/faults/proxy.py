@@ -34,12 +34,14 @@ from repro.blockdev.device import (SECTORS_PER_BLOCK, BatchedIO, BlockDevice,
                                    block_image)
 from repro.errors import MediaReadError, MediaWriteError, PowerLoss
 from repro.faults.schedule import (
+    ERROR_LATENCY,
     HARD,
+    RETRY_ATTEMPTS,
     TORN,
     TRANSIENT,
     FaultSchedule,
     FaultStats,
-    RetryPolicy,
+    retry_delay,
 )
 
 
@@ -50,12 +52,10 @@ class FaultyBlockDevice(BatchedIO):
         self,
         inner: BlockDevice,
         schedule: Optional[FaultSchedule] = None,
-        retry: Optional[RetryPolicy] = None,
         record_journal: bool = False,
     ) -> None:
         self.inner = inner
         self.schedule = schedule if schedule is not None else FaultSchedule()
-        self.retry = retry if retry is not None else RetryPolicy()
         self.stats = FaultStats()
         self.journal: Optional[List[Tuple[int, bytes]]] = (
             [] if record_journal else None)
@@ -98,13 +98,13 @@ class FaultyBlockDevice(BatchedIO):
         decision = self.schedule.decide("read", index)
         if decision.kind == HARD:
             self.stats.hard_read_faults += 1
-            self.clock.advance(self.retry.error_latency)
+            self.clock.advance(ERROR_LATENCY)
             raise MediaReadError(
                 "unreadable blocks [%d, %d)" % (start, start + count))
         bad = self._touches(start, count, self.schedule.bad_read_blocks)
         if bad is not None:
             self.stats.hard_read_faults += 1
-            self.clock.advance(self.retry.error_latency)
+            self.clock.advance(ERROR_LATENCY)
             raise MediaReadError(
                 "unreadable blocks [%d, %d): bad media at block %d"
                 % (start, start + count, bad))
@@ -119,7 +119,7 @@ class FaultyBlockDevice(BatchedIO):
             self._absorb_transient(
                 "read", start, count,
                 min(len(weak) * self.schedule.weak_failures,
-                    self.retry.max_attempts - 1))
+                    RETRY_ATTEMPTS - 1))
         datas = self.inner.read_extent(start, count)
         if self.schedule.rot_blocks:
             datas = self._apply_rot(start, datas)
@@ -140,13 +140,13 @@ class FaultyBlockDevice(BatchedIO):
         decision = self.schedule.decide("write", index)
         if decision.kind == HARD:
             self.stats.hard_write_faults += 1
-            self.clock.advance(self.retry.error_latency)
+            self.clock.advance(ERROR_LATENCY)
             raise MediaWriteError(
                 "write to blocks [%d, %d) failed" % (start, start + count))
         bad = self._touches(start, count, self.schedule.bad_write_blocks)
         if bad is not None:
             self.stats.hard_write_faults += 1
-            self.clock.advance(self.retry.error_latency)
+            self.clock.advance(ERROR_LATENCY)
             raise MediaWriteError(
                 "write to blocks [%d, %d) failed: bad media at block %d"
                 % (start, start + count, bad))
@@ -236,9 +236,9 @@ class FaultyBlockDevice(BatchedIO):
     def _absorb_transient(self, op: str, start: int, count: int,
                           failures: int) -> None:
         """In-drive retry: charge backoff per failed attempt, or give up."""
-        if failures >= self.retry.max_attempts:
+        if failures >= RETRY_ATTEMPTS:
             self.stats.transient_faults += failures
-            self.clock.advance(self.retry.error_latency)
+            self.clock.advance(ERROR_LATENCY)
             if op == "read":
                 self.stats.hard_read_faults += 1
                 raise MediaReadError(
@@ -250,7 +250,7 @@ class FaultyBlockDevice(BatchedIO):
                 % (start, start + count, failures))
         for attempt in range(failures):
             self.stats.transient_faults += 1
-            self.clock.advance(self.retry.delay(attempt))
+            self.clock.advance(retry_delay(attempt))
 
     # -- crash images ------------------------------------------------------------
 

@@ -221,28 +221,26 @@ class FaultSchedule:
         return FaultDecision()
 
 
-@dataclass
-class RetryPolicy:
-    """How a layer above the device responds to transient faults.
+#: The drive's retry rule for transient faults, shared by the device
+#: proxy (lock-step) and the disk queue (replay): attempts per request
+#: before the fault is reported as hard, and the backoff before the
+#: first retry, doubling per retry.
+RETRY_ATTEMPTS = 4
+RETRY_BACKOFF = 0.002
+#: Time a definitively failed request still occupies the drive before
+#: the error is reported.
+ERROR_LATENCY = 0.001
 
-    ``backoff`` doubles per retry (exponential); ``error_latency`` is
-    the time a definitively failed request still occupies the drive
-    before the error is reported.
-    """
 
-    max_attempts: int = 4
-    backoff: float = 0.002
-    error_latency: float = 0.001
-
-    def delay(self, retries: int) -> float:
-        return self.backoff * (2 ** retries)
+def retry_delay(retries: int) -> float:
+    """The backoff before retry number ``retries + 1``."""
+    return RETRY_BACKOFF * (2 ** retries)
 
 
 __all__ = [
     "FaultDecision",
     "FaultSchedule",
     "FaultStats",
-    "RetryPolicy",
     "OK",
     "TRANSIENT",
     "HARD",

@@ -51,7 +51,6 @@ class VolumeConfig:
     policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA
     cache_blocks: int = 4096           # 16 MB buffer cache
     file_readahead_blocks: int = 0     # FS-level sequential prefetch (off)
-    journal_blocks: Optional[int] = None  # None = auto-size (journal policy)
 
 
 class BlockFileSystem(FileSystem):
@@ -98,10 +97,7 @@ class BlockFileSystem(FileSystem):
         # A journal policy carves its log region out of the post-cg tail
         # (just before the superblock replica); other policies keep the
         # historical layout byte-for-byte.
-        jb = 0
-        if config.policy.is_journal:
-            jb = (config.journal_blocks if config.journal_blocks is not None
-                  else default_journal_blocks(total))
+        jb = default_journal_blocks(total) if config.policy.is_journal else 0
         if jb:
             n_cgs = (total - 2 - jb) // config.blocks_per_cg
         else:

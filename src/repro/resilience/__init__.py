@@ -9,9 +9,10 @@ device below it:
 - :mod:`repro.resilience.layout` — the reserved tail region (sidecar,
   spare pool, CRC-protected header with remap + lost tables);
 - :mod:`repro.resilience.health` — the HEALTHY → DEGRADED → READ_ONLY
-  → FAILED state machine and the :class:`ResiliencePolicy` budgets;
+  → FAILED state machine;
 - :mod:`repro.resilience.device` — the verified, self-healing device
-  itself plus the offline :class:`LogicalView` fsck uses;
+  itself, its retry and failure budgets, plus the offline
+  :class:`LogicalView` fsck uses;
 - :mod:`repro.resilience.scrub` — the batched background scrubber.
 
 See ``docs/RESILIENCE.md`` for the design and its invariants.
@@ -33,7 +34,6 @@ from repro.resilience.health import (
     HealthMonitor,
     HealthState,
     HealthTransition,
-    ResiliencePolicy,
 )
 from repro.resilience.layout import (
     HEADER_VERSION,
@@ -56,7 +56,6 @@ __all__ = [
     "RESILIENCE_MAGIC",
     "ResilienceGeometry",
     "ResilienceHeader",
-    "ResiliencePolicy",
     "ResilienceStats",
     "ResilientBlockDevice",
     "ScrubStats",

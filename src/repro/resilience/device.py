@@ -12,7 +12,7 @@ detected, healed, or gracefully-degraded outcomes:
 - a write that fails hard is healed transparently: the block is
   remapped to a spare from the reserved pool and the remap table is
   persisted before the write is acknowledged;
-- reads retry within a policy budget and follow the remap table, so
+- reads retry within a fixed budget and follow the remap table, so
   they fall back to the remapped copy of a block whose original
   location has gone bad;
 - a :class:`~repro.resilience.health.HealthMonitor` demotes service
@@ -54,11 +54,7 @@ from repro.resilience.checksums import (
     pack_crc_block,
     unpack_crc_block,
 )
-from repro.resilience.health import (
-    HealthMonitor,
-    HealthState,
-    ResiliencePolicy,
-)
+from repro.resilience.health import HealthMonitor, HealthState
 from repro.resilience.layout import (
     ResilienceHeader,
     compute_geometry,
@@ -67,6 +63,19 @@ from repro.resilience.layout import (
 
 #: Checksum of an all-zero block — the sidecar value of unwritten blocks.
 ZERO_CRC = crc32(bytes(BLOCK_SIZE))
+
+#: Attempts at one block before a read gives up (per request); a
+#: reserved-region block gets as many write attempts.
+MAX_READ_RETRIES = 3
+#: Re-reads after a checksum mismatch before declaring the data bad
+#: (a mismatch caused by an in-flight transient may clear on retry).
+VERIFY_RETRIES = 1
+#: Checksum failures tolerated before writes are no longer trusted and
+#: the device demotes itself to READ_ONLY.
+MAX_CHECKSUM_FAILURES = 64
+#: Hard read failures (retry budget exhausted, no remap copy) tolerated
+#: before the device demotes itself to READ_ONLY.
+MAX_UNREADABLE_BLOCKS = 64
 
 
 @dataclass
@@ -94,12 +103,10 @@ class ResilientBlockDevice(BatchedIO):
     """
 
     def __init__(self, inner, header: ResilienceHeader,
-                 crcs: List[int],
-                 policy: Optional[ResiliencePolicy] = None) -> None:
+                 crcs: List[int]) -> None:
         self.inner = inner
         self.header = header
         self.geometry = header.geometry
-        self.policy = policy if policy is not None else ResiliencePolicy()
         self.health = HealthMonitor()
         self.stats = ResilienceStats()
         self._crc = crcs                      # logical block -> CRC-32
@@ -109,19 +116,18 @@ class ResilientBlockDevice(BatchedIO):
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def format(cls, inner, policy: Optional[ResiliencePolicy] = None
-               ) -> "ResilientBlockDevice":
-        """Initialize the reserved region on ``inner`` (timed writes).
+    def format(cls, inner, n_spares: int = 32) -> "ResilientBlockDevice":
+        """Initialize the reserved region on ``inner`` (timed writes),
+        with ``n_spares`` blocks reserved for bad-block remapping.
 
         The sidecar starts as the CRC of the zero block for every
         logical block (unwritten blocks read as zeros), the spare pool
         empty, the remap table empty.
         """
-        policy = policy if policy is not None else ResiliencePolicy()
-        geo = compute_geometry(inner.total_blocks, policy.n_spares)
+        geo = compute_geometry(inner.total_blocks, n_spares)
         header = ResilienceHeader(geo)
         crcs = [ZERO_CRC] * geo.usable_blocks
-        device = cls(inner, header, crcs, policy)
+        device = cls(inner, header, crcs)
         writes = {geo.crc_start + i: device._pack_sidecar_block(i)
                   for i in range(geo.n_crc_blocks)}
         writes[geo.header_block] = header.pack()
@@ -130,8 +136,7 @@ class ResilientBlockDevice(BatchedIO):
         return device
 
     @classmethod
-    def attach(cls, inner, policy: Optional[ResiliencePolicy] = None
-               ) -> "ResilientBlockDevice":
+    def attach(cls, inner) -> "ResilientBlockDevice":
         """Open the resilience region already present on ``inner``."""
         raw = inner.read_block(inner.total_blocks - 1)
         header = try_unpack_header(raw, inner.total_blocks)
@@ -144,7 +149,7 @@ class ResilientBlockDevice(BatchedIO):
         crcs: List[int] = []
         for i in range(geo.n_crc_blocks):
             crcs.extend(unpack_crc_block(sidecar[geo.crc_start + i]))
-        return cls(inner, header, crcs[:geo.usable_blocks], policy)
+        return cls(inner, header, crcs[:geo.usable_blocks])
 
     # -- device surface --------------------------------------------------------
 
@@ -320,10 +325,10 @@ class ResilientBlockDevice(BatchedIO):
         return segs
 
     def _read_block_retrying(self, bno: int) -> bytes:
-        """Read one logical block, retrying within the policy budget."""
+        """Read one logical block, retrying within the read budget."""
         phys = self._phys(bno)
         last: Optional[MediaReadError] = None
-        for attempt in range(self.policy.max_read_retries):
+        for attempt in range(MAX_READ_RETRIES):
             if attempt:
                 self.stats.read_retries += 1
                 obs.count("resilience.read_retries")
@@ -335,7 +340,7 @@ class ResilientBlockDevice(BatchedIO):
         obs.count("resilience.unreadable_blocks")
         self.health.transition(HealthState.DEGRADED, self.clock.now,
                                "unreadable block %d" % bno)
-        if self.stats.unreadable_blocks >= self.policy.max_unreadable_blocks:
+        if self.stats.unreadable_blocks >= MAX_UNREADABLE_BLOCKS:
             self.health.transition(
                 HealthState.READ_ONLY, self.clock.now,
                 "unreadable-block budget exhausted (%d)"
@@ -351,7 +356,7 @@ class ResilientBlockDevice(BatchedIO):
             self.stats.verified_reads += 1
             obs.count("resilience.verified_reads")
             return data
-        for _ in range(self.policy.verify_retries):
+        for _ in range(VERIFY_RETRIES):
             try:
                 data = self.inner.read_extent(self._phys(bno), 1)[0]
             except MediaReadError:
@@ -376,7 +381,7 @@ class ResilientBlockDevice(BatchedIO):
         obs.count("resilience.lost_blocks")
         self.health.transition(HealthState.DEGRADED, self.clock.now,
                                "%s (block %d)" % (reason, bno))
-        if self.stats.checksum_failures >= self.policy.max_checksum_failures:
+        if self.stats.checksum_failures >= MAX_CHECKSUM_FAILURES:
             self.health.transition(
                 HealthState.READ_ONLY, self.clock.now,
                 "checksum-failure budget exhausted (%d)"
@@ -483,7 +488,7 @@ class ResilientBlockDevice(BatchedIO):
                     pass   # isolate the failing block below
             for bno in range(start, start + count):
                 last: Optional[MediaWriteError] = None
-                for _ in range(self.policy.max_read_retries):
+                for _ in range(MAX_READ_RETRIES):
                     try:
                         self.inner.write_extent(bno, [writes[bno]])
                         last = None

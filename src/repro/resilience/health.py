@@ -1,4 +1,4 @@
-"""Device health: a one-way state machine with policy-driven budgets.
+"""Device health: a one-way state machine.
 
 ::
 
@@ -37,29 +37,6 @@ class HealthState(Enum):
     DEGRADED = 1
     READ_ONLY = 2
     FAILED = 3
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """Budgets and knobs for the resilient device and its scrubber."""
-
-    #: Spare blocks reserved for bad-block remapping.
-    n_spares: int = 32
-    #: Read attempts against a block before giving up (per request).
-    max_read_retries: int = 3
-    #: Re-reads after a checksum mismatch before declaring the data bad
-    #: (a mismatch caused by an in-flight transient may clear on retry).
-    verify_retries: int = 1
-    #: Checksum failures tolerated before writes are no longer trusted
-    #: and the device demotes itself to READ_ONLY.
-    max_checksum_failures: int = 64
-    #: Hard read failures (budget exhausted, no remap copy) tolerated
-    #: before the device demotes itself to READ_ONLY.
-    max_unreadable_blocks: int = 64
-    #: Blocks the scrubber verifies per step (one idle-time slice).
-    scrub_batch_blocks: int = 64
-    #: Simulated seconds between scrub steps when loop-scheduled.
-    scrub_interval: float = 0.050
 
 
 @dataclass
@@ -123,5 +100,4 @@ __all__ = [
     "HealthMonitor",
     "HealthState",
     "HealthTransition",
-    "ResiliencePolicy",
 ]

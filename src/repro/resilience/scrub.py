@@ -1,18 +1,11 @@
 """Background scrubbing: walk the device, verify, heal what's decaying.
 
 A :class:`Scrubber` sweeps the usable region of a
-:class:`~repro.resilience.device.ResilientBlockDevice` in fixed-size
-batches, calling :meth:`scrub_block` on each block.  Each batch is one
-*step* — a bounded slice of work a driver can interleave with real I/O,
-either by calling :meth:`step` directly (the chaos harness does this
-between workload phases) or by letting :meth:`attach` schedule a
-bounded number of passes on the engine's
-:class:`~repro.engine.eventloop.EventLoop`.
-
-``attach`` is deliberately pass-bounded: ``EventLoop.run()`` drains the
-heap until it is empty, so an unconditionally self-rescheduling scrub
-event would keep the loop alive forever.  The scrubber reschedules
-itself only while it has passes left to finish.
+:class:`~repro.resilience.device.ResilientBlockDevice` in batches of
+:data:`SCRUB_BATCH_BLOCKS`, calling :meth:`scrub_block` on each block.
+Each batch is one *step* — a bounded slice of work a driver interleaves
+with real I/O by calling :meth:`step` (the chaos harness does this
+between workload operations).
 
 Scrub outcomes per block (see ``scrub_block`` for the semantics):
 ``ok``, ``rescued``, ``healed``, ``lost``, ``lost-known`` — tallied in
@@ -25,7 +18,10 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro import obs
-from repro.errors import DeviceDegraded, InvalidArgument
+from repro.errors import DeviceDegraded
+
+#: Blocks the scrubber verifies per step (one idle-time slice).
+SCRUB_BATCH_BLOCKS = 128
 
 
 @dataclass
@@ -45,16 +41,8 @@ class ScrubStats:
 class Scrubber:
     """Batched background verification sweep over a resilient device."""
 
-    def __init__(self, device, batch_blocks: int = None,
-                 interval: float = None) -> None:
-        policy = device.policy
+    def __init__(self, device) -> None:
         self.device = device
-        self.batch_blocks = (batch_blocks if batch_blocks is not None
-                             else policy.scrub_batch_blocks)
-        self.interval = (interval if interval is not None
-                         else policy.scrub_interval)
-        if self.batch_blocks < 1:
-            raise InvalidArgument("scrub batch must cover at least 1 block")
         self.stats = ScrubStats()
         self._cursor = 0
 
@@ -73,7 +61,7 @@ class Scrubber:
         total = self.device.total_blocks
         verdicts: Dict[str, int] = {}
         self.stats.steps += 1
-        for _ in range(min(self.batch_blocks, total)):
+        for _ in range(min(SCRUB_BATCH_BLOCKS, total)):
             try:
                 verdict = self.device.scrub_block(self._cursor)
             except DeviceDegraded:
@@ -88,40 +76,6 @@ class Scrubber:
                 obs.count("resilience.scrub_passes")
                 break
         return verdicts
-
-    def run_pass(self) -> Dict[str, int]:
-        """Scrub until one full pass completes; returns the pass tally."""
-        start_passes = self.stats.passes_completed
-        tally: Dict[str, int] = {}
-        while self.stats.passes_completed == start_passes:
-            step = self.step()
-            for verdict, n in step.items():
-                tally[verdict] = tally.get(verdict, 0) + n
-            if not step:
-                break   # device failed mid-pass
-        return tally
-
-    def attach(self, loop, passes: int = 1) -> None:
-        """Schedule ``passes`` full sweeps on ``loop``, one step per
-        ``interval`` of simulated time.
-
-        Bounded on purpose: the engine's loop runs until its heap
-        drains, so the scrubber stops rescheduling once the requested
-        passes are done (or the device fails).
-        """
-        if passes < 1:
-            raise InvalidArgument("must schedule at least one scrub pass")
-        target = self.stats.passes_completed + passes
-
-        def tick() -> None:
-            step = self.step()
-            if self.stats.passes_completed >= target:
-                return
-            if not step and self.device.health.state.name == "FAILED":
-                return
-            loop.call_later(self.interval, tick)
-
-        loop.call_later(self.interval, tick)
 
 
 __all__ = ["ScrubStats", "Scrubber"]

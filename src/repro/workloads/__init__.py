@@ -13,7 +13,6 @@ from repro.workloads.configs import (
     CONFIG_GRID,
     build_filesystem,
     config_for,
-    grid_labels,
 )
 from repro.workloads.sizes import (
     SIZE_BUCKETS,
@@ -61,7 +60,6 @@ __all__ = [
     "CONFIG_GRID",
     "build_filesystem",
     "config_for",
-    "grid_labels",
     "SIZE_BUCKETS",
     "SweepPoint",
     "fraction_under",

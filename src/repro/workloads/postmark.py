@@ -4,10 +4,10 @@ PostMark (Katcher, 1997 — the same year as the paper) models a busy
 mail/news/web server: a pool of small files under constant churn.
 Three phases:
 
-1. **create pool** — N files with sizes uniform in [min, max],
-   scattered over subdirectories;
+1. **create pool** — N files with sizes uniform in
+   [:data:`MIN_SIZE`, :data:`MAX_SIZE`], scattered over subdirectories;
 2. **transactions** — T operations, each randomly a read, an append,
-   a create, or a delete of a pool file;
+   a create, or a delete of a pool file (even odds at each choice);
 3. **delete pool** — remove whatever remains.
 
 It complements the LFS small-file benchmark: operations are *mixed and
@@ -27,6 +27,15 @@ from typing import Dict, List, Optional, Sequence
 from repro.vfs.interface import FileSystem
 from repro.workloads.measure import Measured, Op, run_script
 
+#: Pool file sizes, bytes (uniform).
+MIN_SIZE = 512
+MAX_SIZE = 16384
+#: Data vs pool transactions, read vs append within "data", create vs
+#: delete within "pool".
+DATA_FRACTION = 0.5
+READ_BIAS = 0.5
+CREATE_BIAS = 0.5
+
 
 @dataclass
 class PostmarkConfig:
@@ -34,12 +43,7 @@ class PostmarkConfig:
 
     n_files: int = 1000
     n_transactions: int = 2000
-    min_size: int = 512
-    max_size: int = 16384
     n_dirs: int = 10
-    read_bias: float = 0.5      # read vs append within "data" transactions
-    create_bias: float = 0.5    # create vs delete within "pool" transactions
-    data_fraction: float = 0.5  # data vs pool transactions
     seed: int = 1997
 
 
@@ -96,7 +100,7 @@ def postmark_script(cfg: PostmarkConfig,
 
     def create() -> Op:
         path = "%s/p%06d" % (rng.choice(dirs), next(serial))
-        size = rng.randint(cfg.min_size, cfg.max_size)
+        size = rng.randint(MIN_SIZE, MAX_SIZE)
         pool.append(path)
         return ("create", lambda fs: fs.write_file(path, b"p" * size))
 
@@ -116,14 +120,14 @@ def postmark_script(cfg: PostmarkConfig,
     creates = [create() for _ in range(cfg.n_files)]
     transactions: List[Op] = []
     for _ in range(cfg.n_transactions):
-        if rng.random() < cfg.data_fraction and pool:
+        if rng.random() < DATA_FRACTION and pool:
             victim = rng.choice(pool)
-            if rng.random() < cfg.read_bias:
+            if rng.random() < READ_BIAS:
                 transactions.append(
                     ("read", lambda fs, p=victim: fs.read_file(p)))
             else:
                 transactions.append(append(victim, rng.randint(256, 4096)))
-        elif rng.random() < cfg.create_bias or not pool:
+        elif rng.random() < CREATE_BIAS or not pool:
             transactions.append(create())
         else:
             transactions.append(delete(pool.pop(rng.randrange(len(pool)))))

@@ -5,6 +5,7 @@ grouping, and large-file migration."""
 from repro.blockdev.device import BLOCK_SIZE
 from repro.core import layout
 from repro.core.inode import LOC_DIR, LOC_EXT, LOC_SUPER
+from repro.ffs.layout import NDIRECT
 from tests.conftest import make_cffs
 
 
@@ -186,8 +187,17 @@ class TestGrouping:
 
 
 class TestLargeFileMigration:
+    def test_grouping_limit_is_the_direct_pointer_count(self, cffs):
+        cffs.mkdir("/d")
+        cffs.write_file("/d/edge", b"e" * (BLOCK_SIZE * NDIRECT))
+        cffs.write_file("/d/over", b"o" * (BLOCK_SIZE * (NDIRECT + 1)))
+        assert cffs.stat("/d/edge").grouped
+        assert not cffs._resolve("/d/edge").is_large
+        assert not cffs.stat("/d/over").grouped
+        assert cffs._resolve("/d/over").is_large
+
     def test_large_file_not_grouped(self, cffs):
-        big = BLOCK_SIZE * (cffs.config.smallfile_max_blocks + 4)
+        big = BLOCK_SIZE * (NDIRECT + 4)
         cffs.write_file("/big", b"B" * big)
         st = cffs.stat("/big")
         assert not st.grouped
@@ -206,7 +216,7 @@ class TestLargeFileMigration:
         cffs.mkdir("/d")
         cffs.write_file("/d/small", b"s" * 1024)
         small_ext = cffs.groups.extent_of_block(cffs._resolve("/d/small").direct[0])
-        big = BLOCK_SIZE * (cffs.config.smallfile_max_blocks + 2)
+        big = BLOCK_SIZE * (NDIRECT + 2)
         cffs.write_file("/d/grow", b"g" * 1024)
         cffs.write_file("/d/grow", b"g" * big)  # overwrite bigger
         desc = cffs.groups.read_desc(small_ext)

@@ -32,11 +32,9 @@ from repro.cluster import (
     ChaosConfig,
     Cluster,
     ClusterHealth,
-    ClusterRetryPolicy,
     ROUTE_CPU_SECONDS,
     HashRouter,
     HealthState,
-    ShardHealthPolicy,
     TrafficConfig,
     UtilizationRouter,
     adopted_tops,
@@ -45,6 +43,12 @@ from repro.cluster import (
     render_chaos,
     run_cluster_chaos,
     validate_chaos_summary,
+)
+from repro.cluster.health import (
+    MAX_READ_FAULTS,
+    MAX_WRITE_FAULTS,
+    OP_ATTEMPTS,
+    OP_BACKOFF,
 )
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.errors import (
@@ -65,9 +69,9 @@ from tests.conftest import TEST_PROFILE
 CHAOS_SMALL = dict(clients=80, ops_per_client=3, dirs=24, file_size=8192)
 
 
-def make_health(n_shards=2, policy=None):
+def make_health(n_shards=2):
     metrics = MetricsRegistry()
-    return ClusterHealth(n_shards, metrics, lambda: 0.0, policy=policy), metrics
+    return ClusterHealth(n_shards, metrics, lambda: 0.0), metrics
 
 
 # -- health classification -------------------------------------------------------
@@ -89,8 +93,8 @@ class TestShardHealth:
         assert health.readable(0) and not health.writable(0)
 
     def test_write_fault_budget_degrades_then_demotes_read_only(self):
-        health, _ = make_health(policy=ShardHealthPolicy(max_write_faults=3))
-        for _ in range(2):
+        health, _ = make_health()
+        for _ in range(MAX_WRITE_FAULTS - 1):
             health.observe_exception(0, MediaWriteError("hard"))
             assert health.state(0) is HealthState.DEGRADED
         health.observe_exception(0, MediaWriteError("hard"))
@@ -98,15 +102,18 @@ class TestShardHealth:
         assert health.readable(0)   # evacuation stays possible
 
     def test_read_fault_budget_fails_the_shard(self):
-        health, _ = make_health(policy=ShardHealthPolicy(max_read_faults=2))
-        health.observe_error(0, "hard read error at block 7", op="read")
-        assert health.state(0) is HealthState.DEGRADED
-        health.observe_error(0, "hard read error at block 9", op="read")
+        health, _ = make_health()
+        for block in range(MAX_READ_FAULTS - 1):
+            health.observe_error(0, "hard read error at block %d" % block,
+                                 op="read")
+            assert health.state(0) is HealthState.DEGRADED
+        health.observe_error(0, "hard read error at block 99", op="read")
         assert health.state(0) is HealthState.FAILED
 
     def test_transient_faults_charge_the_surfacing_path(self):
-        health, _ = make_health(policy=ShardHealthPolicy(max_write_faults=1))
-        health.observe_exception(0, TransientDiskError("blip"), op="write")
+        health, _ = make_health()
+        for _ in range(MAX_WRITE_FAULTS):
+            health.observe_exception(0, TransientDiskError("blip"), op="write")
         assert health.state(0) is HealthState.READ_ONLY
 
     def test_power_error_string_fails_regardless_of_path(self):
@@ -220,9 +227,9 @@ class TestHealthAwareRouting:
 # -- facade retry and redirect ---------------------------------------------------
 
 
-def faulty_cluster(**kwargs):
+def faulty_cluster():
     schedule = FaultSchedule()
-    cluster = Cluster(n_shards=2, faults={0: schedule}, **kwargs)
+    cluster = Cluster(n_shards=2, faults={0: schedule})
     fs = cluster.fs
     fs.mkdir("/a")                       # util router: lands on shard 0
     fs.write_file("/a/f", b"x" * 8192)
@@ -248,25 +255,26 @@ class TestFacadeRetryAndRedirect:
         schedule.fail_writes_from(0)
         before = cluster.now
         cluster.fs.write_file("/a/g", b"y" * 4096)
-        assert cluster.now - before >= cluster.retry.delay(0)
+        assert cluster.now - before >= OP_BACKOFF
 
     def test_exhaustion_against_a_demoted_shard_redirects(self):
-        # One hard fault both exhausts the retry budget and demotes the
-        # shard READ_ONLY, so the surfaced error must convert into an
+        # A link faults on every attempt (a failed one leaves nothing
+        # behind, where a failed create leaves its name), so the hard
+        # faults that exhaust the retry budget also demote the shard
+        # READ_ONLY: the surfaced error must convert into an
         # evacuate-and-redirect rather than reaching the caller.
-        cluster, schedule = faulty_cluster(
-            retry=ClusterRetryPolicy(max_attempts=1),
-            health_policy=ShardHealthPolicy(max_write_faults=1))
+        assert MAX_WRITE_FAULTS <= OP_ATTEMPTS
+        cluster, schedule = faulty_cluster()
         schedule.fail_writes_from(0)
-        cluster.fs.write_file("/a/g", b"y" * 8192)
+        cluster.fs._routed_mutate("a", lambda f: f.link("/a/f", "/a/g"))
         assert cluster.router.assignments["a"] == 1
         assert cluster.health.state(0) is HealthState.READ_ONLY
         snap = cluster.metrics.snapshot()
         assert snap["cluster.retry.exhausted"] == 1
         assert snap["cluster.retry.redirects"] == 1
-        # both the pre-fault file and the redirected write are readable
+        # both the pre-fault file and the redirected link are readable
         assert cluster.fs.read_file("/a/f") == b"x" * 8192
-        assert cluster.fs.read_file("/a/g") == b"y" * 8192
+        assert cluster.fs.read_file("/a/g") == b"x" * 8192
         assert adopted_tops(cluster.shards[1].fs) == {"a": 0}
 
     def test_writes_against_a_read_only_shard_redirect(self):
@@ -324,7 +332,7 @@ class TestReplayClassifiesLikeTheFacade:
         cluster.run_phase({client: [("read", resolve)]}, "probe")
         (record,) = client.records
         assert "FileNotFound" in record.error
-        assert record.latency < cluster.retry.delay(0)   # no backoff in it
+        assert record.latency < OP_BACKOFF   # no backoff in it
         assert cluster.health.state(0) is HealthState.HEALTHY
         snap = cluster.metrics.snapshot()
         for name in ("attempts", "absorbed", "exhausted"):
@@ -337,8 +345,7 @@ class TestReplayClassifiesLikeTheFacade:
 
 
     def test_a_retried_op_is_recorded_over_all_its_attempts(self):
-        cluster, schedule = faulty_cluster(
-            retry=ClusterRetryPolicy(max_attempts=3))
+        cluster, schedule = faulty_cluster()
         schedule.fail_write(0)               # the first replayed write
         client = cluster.add_client()
         shard = cluster.shards[0]

@@ -23,8 +23,14 @@ import pytest
 from repro.blockdev.device import BlockDevice
 from repro.engine import DiskQueue, EventLoop
 from repro.engine.diskqueue import SCHEDULERS, QueuedRequest
-from repro.faults import FaultSchedule, RetryPolicy
-from repro.faults.schedule import HARD, OK
+from repro.faults import FaultSchedule
+from repro.faults.schedule import (
+    ERROR_LATENCY,
+    HARD,
+    OK,
+    RETRY_ATTEMPTS,
+    retry_delay,
+)
 from tests.conftest import TEST_PROFILE
 
 SEEDS = range(12)
@@ -81,9 +87,9 @@ class ReferenceQueue:
     policy's pick at the drive's head estimate.
     """
 
-    def __init__(self, loop, disk, policy, faults=None, retry=None):
+    def __init__(self, loop, disk, policy, faults=None):
         self.loop, self.disk, self.policy = loop, disk, policy
-        self.faults, self.retry = faults, retry or RetryPolicy()
+        self.faults = faults
         self.waiting = []
         self.busy = False
         self.attempts = {"read": 0, "write": 0}
@@ -135,8 +141,8 @@ class ReferenceQueue:
             self.attempts[req.op] = index + 1
             kind = self.faults.decide(req.op, index).kind
             if kind != OK:
-                reported = now + self.retry.error_latency
-                if kind == HARD or req.retries + 1 >= self.retry.max_attempts:
+                reported = now + ERROR_LATENCY
+                if kind == HARD or req.retries + 1 >= RETRY_ATTEMPTS:
                     req.error = "failed"
                     self.loop.call_at(reported, self._complete, req)
                 else:
@@ -155,7 +161,7 @@ class ReferenceQueue:
 
     def _requeue(self, req):
         self.busy = False
-        self.loop.call_later(self.retry.delay(req.retries - 1),
+        self.loop.call_later(retry_delay(req.retries - 1),
                              self._rearrive, req)
         self._dispatch()
 
@@ -178,21 +184,30 @@ class ReferenceQueue:
 _POOL = [8 * i for i in range(40)] + list(range(900, 25000, 1700))
 
 
+#: Write attempts 8 .. 8 + 4 * RETRY_ATTEMPTS all fail transiently: a
+#: write dispatched early in that run keeps failing until its retries
+#: run out, a corner the seeded rate alone almost never reaches.
+_EXHAUST_FROM, _EXHAUST_RUN = 8, 4 * RETRY_ATTEMPTS
+
+
 def _faults(seed):
-    """One hard and one pinned transient fault on top of a seeded rate;
-    every third seed runs with no schedule attached at all."""
+    """One hard and one pinned transient fault, plus a run of transient
+    write faults, on top of a seeded rate; every third seed runs with no
+    schedule attached at all."""
     if seed % 3 == 0:
         return None
-    return (FaultSchedule(seed=seed, transient_rate=0.12)
-            .fail_read(3, transient=True).fail_write(5))
+    schedule = (FaultSchedule(seed=seed, transient_rate=0.12)
+                .fail_read(3, transient=True).fail_write(5))
+    for index in range(_EXHAUST_FROM, _EXHAUST_FROM + _EXHAUST_RUN):
+        schedule.fail_write(index, transient=True)
+    return schedule
 
 
 def _run_script(make_queue, policy, seed):
     """Drive one queue with the script of ``seed``; returns (queue, log)."""
     disk = BlockDevice(TEST_PROFILE).disk
     loop = EventLoop()
-    queue = make_queue(loop, disk, policy, faults=_faults(seed),
-                       retry=RetryPolicy(max_attempts=3))
+    queue = make_queue(loop, disk, policy, faults=_faults(seed))
     rng = random.Random(seed)
     tags = itertools.count()
     log = []
@@ -249,16 +264,20 @@ def test_dispatch_order_matches_the_reference(policy, seed):
 
 def test_the_script_reaches_the_corners():
     """The oracle is only as good as its script: over the seeds it must
-    requeue, fail for good, wrap, queue duplicates and jump a barrier."""
-    retried = failed = barriers = duplicates = wraps = deep = 0
+    requeue, fail for good (on a hard fault and on running out of
+    retries), wrap, queue duplicates and jump a barrier."""
+    retried = failed = exhausted = barriers = duplicates = wraps = deep = 0
     for seed in SEEDS:
         reference, log = _run_script(ReferenceQueue, "clook", seed)
         retried += sum(entry[6] for entry in log)
         failed += sum(entry[7] for entry in log)
+        exhausted += sum(entry[7] and entry[6] == RETRY_ATTEMPTS - 1
+                         for entry in log)
         barriers += sum(entry[1] == "flush" for entry in log)
         lbas = [entry[2] for entry in log if entry[1] != "flush"]
         duplicates += len(lbas) - len(set(lbas))
         wraps += sum(b < a for a, b in zip(lbas, lbas[1:]))
         deep = max(deep, reference.max_depth)
     assert retried >= 100 and failed >= 5 and barriers >= 100
+    assert exhausted >= 5 and failed - exhausted >= 5
     assert duplicates >= 1000 and wraps >= 200 and deep >= 50

@@ -406,13 +406,10 @@ class TestEngineApi:
             assert len(client.records) == 6
 
 
-def _faulty_burst(policy, lbas, schedule, retry=None):
-    from repro.faults import RetryPolicy
-
+def _faulty_burst(policy, lbas, schedule):
     device = BlockDevice(TEST_PROFILE)
     loop = EventLoop()
-    queue = DiskQueue(loop, device.disk, policy, faults=schedule,
-                      retry=retry or RetryPolicy())
+    queue = DiskQueue(loop, device.disk, policy, faults=schedule)
     done = []
     for lba in lbas:
         queue.submit("read", lba, 8, client=lba % 3, on_complete=done.append)
@@ -454,19 +451,19 @@ class TestDiskQueueFaults:
         assert queue.stats.completed == len(self.LBAS)
 
     def test_exhausted_retries_surface_as_error(self):
-        from repro.faults import FaultSchedule, RetryPolicy
+        from repro.faults import FaultSchedule
+        from repro.faults.schedule import RETRY_ATTEMPTS
 
         # Every dispatch of every read fails transiently: the retry
         # budget caps the attempts and the request fails for good —
         # no starvation, no infinite loop.
         schedule = FaultSchedule(transient_rate=1.0)
-        retry = RetryPolicy(max_attempts=3)
-        queue, done = _faulty_burst("sstf", self.LBAS, schedule, retry)
+        queue, done = _faulty_burst("sstf", self.LBAS, schedule)
         assert len(done) == len(self.LBAS)
         assert all(r.error is not None for r in done)
-        assert all(r.retries == retry.max_attempts - 1 for r in done)
+        assert all(r.retries == RETRY_ATTEMPTS - 1 for r in done)
         assert queue.stats.failed == len(self.LBAS)
-        assert queue.stats.retried == (retry.max_attempts - 1) * len(self.LBAS)
+        assert queue.stats.retried == (RETRY_ATTEMPTS - 1) * len(self.LBAS)
 
     def test_faulty_runs_are_deterministic(self):
         from repro.faults import FaultSchedule
@@ -487,10 +484,7 @@ class TestDiskQueueFaults:
         lbas = [25000] + [100 + 8 * i for i in range(12)]
         device = BlockDevice(TEST_PROFILE)
         loop = EventLoop()
-        from repro.faults import RetryPolicy
-
-        queue = DiskQueue(loop, device.disk, "sstf", faults=schedule,
-                          retry=RetryPolicy())
+        queue = DiskQueue(loop, device.disk, "sstf", faults=schedule)
         done = []
         for lba in lbas:
             queue.submit("read", lba, 8, on_complete=done.append)

@@ -18,8 +18,8 @@ from repro.faults import (
     TRANSIENT,
     FaultSchedule,
     FaultyBlockDevice,
-    RetryPolicy,
 )
+from repro.faults.schedule import RETRY_ATTEMPTS, retry_delay
 from repro.fsck import fsck_cffs, fsck_ffs
 from tests.conftest import TEST_PROFILE, make_cffs, make_ffs
 
@@ -28,9 +28,32 @@ def block(tag: int) -> bytes:
     return bytes([tag & 0xFF]) * BLOCK_SIZE
 
 
-def proxy(schedule=None, retry=None, journal=False) -> FaultyBlockDevice:
+def proxy(schedule=None, journal=False) -> FaultyBlockDevice:
     return FaultyBlockDevice(BlockDevice(TEST_PROFILE), schedule=schedule,
-                             retry=retry, record_journal=journal)
+                             record_journal=journal)
+
+
+def assert_backoff_charged(schedule, setup, step, delays) -> None:
+    """Run ``step`` on a faulty proxy and on two fault-free twins.
+
+    The faulty proxy must end exactly where the twin that had ``delays``
+    advanced by hand before ``step`` ends: the backoff is charged before
+    the drive request, so both reach the drive at the same instant.  The
+    uncharged twin must end elsewhere, or the step hides the backoff (in
+    a rotational or media-busy wait) and the check could not tell a
+    skipped backoff apart.
+    """
+    ends = []
+    for sched, charge in ((schedule, ()), (None, delays), (None, ())):
+        dev = proxy(schedule=sched)
+        setup(dev)
+        for delay in charge:
+            dev.clock.advance(delay)
+        step(dev)
+        ends.append(dev.clock.now)
+    faulty, charged, uncharged = ends
+    assert faulty == charged
+    assert charged != uncharged
 
 
 class TestFaultSchedule:
@@ -95,16 +118,20 @@ class TestProxyTransparent:
 class TestTransient:
     def test_absorbed_with_latency(self):
         s = FaultSchedule().fail_write(0, transient=True, failures=2)
-        dev = proxy(schedule=s, retry=RetryPolicy(backoff=0.5))
-        before = dev.clock.now
+        dev = proxy(schedule=s)
         dev.write_block(4, block(4))
         assert dev.read_block(4) == block(4)          # data landed
         assert dev.stats.transient_faults == 2
-        assert dev.clock.now - before >= 0.5 + 1.0    # backoff 0.5, then 1.0
+        # The backoff, then twice that.
+        assert_backoff_charged(
+            FaultSchedule().fail_write(0, transient=True, failures=2),
+            lambda dev: None, lambda dev: dev.write_block(4, block(4)),
+            (retry_delay(0), retry_delay(1)))
 
     def test_exhausted_budget_escalates(self):
-        s = FaultSchedule().fail_read(0, transient=True, failures=4)
-        dev = proxy(schedule=s, retry=RetryPolicy(max_attempts=4))
+        s = FaultSchedule().fail_read(0, transient=True,
+                                      failures=RETRY_ATTEMPTS)
+        dev = proxy(schedule=s)
         dev.write_block(2, block(2))
         with pytest.raises(MediaReadError):
             dev.read_extent(2, 1)
@@ -210,13 +237,22 @@ class TestBatchPaths:
 
     def test_read_batch_transient_absorbed_with_latency(self):
         s = FaultSchedule().fail_read(0, transient=True, failures=1)
-        dev = proxy(schedule=s, retry=RetryPolicy(backoff=0.25))
+        dev = proxy(schedule=s)
         dev.write_batch({4: block(4), 9: block(9)})
-        before = dev.clock.now
         out = dev.read_batch([4, 9])
         assert out == {4: block(4), 9: block(9)}
         assert dev.stats.transient_faults == 1
-        assert dev.clock.now - before >= 0.25  # the backoff was paid
+
+        def warm(dev):
+            # Hit the drive's read cache in the step: a media read would
+            # wait for the platter and could hide the backoff in that wait.
+            dev.write_batch({4: block(4), 9: block(9)})
+            dev.flush()
+            dev.read_batch([4, 9])                 # read requests 0 and 1
+
+        assert_backoff_charged(                    # the backoff was paid
+            FaultSchedule().fail_read(2, transient=True, failures=1),
+            warm, lambda dev: dev.read_batch([4, 9]), (retry_delay(0),))
 
     def test_read_batch_hard_fault_raises(self):
         s = FaultSchedule().fail_read(0)

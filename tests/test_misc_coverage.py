@@ -11,17 +11,23 @@ from repro.cli import main
 from repro.core.filesystem import CFFSConfig
 from repro.disk.drive import SimulatedDisk
 from repro.errors import InvalidArgument
-from repro.workloads.configs import CONFIG_GRID, config_for, grid_labels
+from repro.workloads.configs import CONFIG_GRID, config_for
 from tests.conftest import TEST_PROFILE, make_cffs
 
 
 class TestConfigGrid:
     def test_four_configurations(self):
-        assert set(grid_labels()) == {"conventional", "embedded", "grouping", "cffs"}
+        assert set(CONFIG_GRID) == {"conventional", "embedded", "grouping", "cffs"}
 
     def test_flags_match_labels(self):
         assert CONFIG_GRID["conventional"] == (False, False)
         assert CONFIG_GRID["cffs"] == (True, True)
+
+    def test_ffs_is_the_conventional_baseline(self):
+        assert config_for("ffs") == config_for("conventional")
+        assert "ffs" not in CONFIG_GRID   # the artefact grid runs it once
+        with pytest.raises(InvalidArgument):
+            config_for("ext2")
 
     def test_config_for_builds_matching_config(self):
         cfg = config_for("embedded", MetadataPolicy.DELAYED_METADATA)

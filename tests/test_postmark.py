@@ -2,7 +2,11 @@
 
 
 from repro.fsck import fsck_cffs
-from repro.workloads.postmark import PostmarkConfig, run_postmark
+from repro.workloads.postmark import (
+    PostmarkConfig,
+    postmark_script,
+    run_postmark,
+)
 from tests.conftest import make_cffs
 
 SMALL = PostmarkConfig(n_files=60, n_transactions=150, n_dirs=3)
@@ -53,8 +57,25 @@ class TestPostmark:
 
     def test_appends_grow_files(self):
         fs = make_cffs()
-        cfg = PostmarkConfig(n_files=40, n_transactions=100, n_dirs=2,
-                             read_bias=0.0, data_fraction=1.0)
-        result = run_postmark(fs, cfg)
-        assert result.appends == 100
-        assert result.reads == 0
+        fs.mkdir("/p")
+        script = postmark_script(SMALL, ["/p"])
+
+        def sizes():
+            return {name: fs.stat("/p/" + name).size
+                    for name in fs.readdir("/p")}
+
+        for _kind, op in script["create"]:
+            op(fs)
+        appends = 0
+        for kind, op in script["transactions"]:
+            before = sizes() if kind == "append" else None
+            op(fs)
+            if before is not None:
+                after = sizes()
+                grown = {name: after[name] - before[name] for name in after
+                         if after[name] != before[name]}
+                assert after.keys() == before.keys()
+                assert len(grown) == 1
+                assert 256 <= next(iter(grown.values())) <= 4096
+                appends += 1
+        assert appends > 0

@@ -3,8 +3,9 @@
 The contract under test: every read through a ResilientBlockDevice is
 either verified-correct or raises ChecksumError; hard write faults heal
 transparently via the spare pool; the remap table survives a detach/
-attach cycle; exhausting the spares demotes to READ_ONLY instead of
-crashing; and fsck can check and rebuild the sidecar and remap table.
+attach cycle; exhausting the spares or a failure budget demotes to
+READ_ONLY instead of crashing; and fsck can check and rebuild the
+sidecar and remap table.
 """
 
 import random
@@ -13,7 +14,6 @@ import pytest
 
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.disk.geometry import SECTOR_SIZE
-from repro.engine.eventloop import EventLoop
 from repro.errors import (
     AddressError,
     ChecksumError,
@@ -28,7 +28,6 @@ from repro.resilience import (
     HealthMonitor,
     HealthState,
     LogicalView,
-    ResiliencePolicy,
     ResilientBlockDevice,
     Scrubber,
     ZERO_CRC,
@@ -38,6 +37,10 @@ from repro.resilience import (
     try_unpack_header,
     unpack_crc_block,
 )
+from repro.resilience.device import (
+    MAX_CHECKSUM_FAILURES,
+    MAX_UNREADABLE_BLOCKS,
+)
 from repro.resilience.layout import ResilienceHeader
 from tests.conftest import TEST_PROFILE
 
@@ -46,11 +49,11 @@ def block(tag: int) -> bytes:
     return bytes([tag & 0xFF]) * BLOCK_SIZE
 
 
-def resilient(schedule=None, policy=None, profile=TEST_PROFILE):
+def resilient(schedule=None, n_spares=32, profile=TEST_PROFILE):
     inner = BlockDevice(profile)
     if schedule is not None:
         inner = FaultyBlockDevice(inner, schedule)
-    return ResilientBlockDevice.format(inner, policy)
+    return ResilientBlockDevice.format(inner, n_spares)
 
 
 # -- checksums ----------------------------------------------------------------
@@ -237,7 +240,7 @@ class TestResilientDevice:
 
     def test_spare_exhaustion_degrades_to_read_only(self):
         schedule = FaultSchedule(seed=1).break_writes([20, 21, 22])
-        dev = resilient(schedule, ResiliencePolicy(n_spares=2))
+        dev = resilient(schedule, n_spares=2)
         dev.write_block(20, block(1))
         dev.write_block(21, block(2))
         with pytest.raises(ReadOnlyFileSystem):
@@ -247,6 +250,36 @@ class TestResilientDevice:
         assert dev.read_block(20) == block(1)
         with pytest.raises(ReadOnlyFileSystem):
             dev.write_block(30, block(4))
+
+    @staticmethod
+    def _spend_budget(dev, blocks, error):
+        """Fail a read of each block: DEGRADED up to one failure below
+        the budget, READ_ONLY exactly at it."""
+        for spent, bno in enumerate(blocks, start=1):
+            with pytest.raises(error):
+                dev.read_block(bno)
+            assert dev.health.state is (
+                HealthState.READ_ONLY if spent == len(blocks)
+                else HealthState.DEGRADED), spent
+
+    def test_checksum_failure_budget_demotes_to_read_only(self):
+        dev = resilient()
+        blocks = range(1, MAX_CHECKSUM_FAILURES + 1)
+        for bno in blocks:
+            dev.write_block(bno, block(bno))
+            dev.poke_block(bno, block(bno + 1))   # behind the CRC's back
+        self._spend_budget(dev, blocks, ChecksumError)
+        assert dev.stats.checksum_failures == MAX_CHECKSUM_FAILURES
+        with pytest.raises(ReadOnlyFileSystem):
+            dev.write_block(0, block(0))
+
+    def test_unreadable_block_budget_demotes_to_read_only(self):
+        blocks = range(1, MAX_UNREADABLE_BLOCKS + 1)
+        dev = resilient(FaultSchedule(seed=1).break_reads(blocks))
+        self._spend_budget(dev, blocks, MediaReadError)
+        assert dev.stats.unreadable_blocks == MAX_UNREADABLE_BLOCKS
+        with pytest.raises(ReadOnlyFileSystem):
+            dev.write_block(0, block(0))
 
     def test_weak_block_absorbed_within_retry_budget(self):
         schedule = FaultSchedule(seed=1).weaken_reads([40], failures=1)
@@ -289,8 +322,10 @@ class TestScrubber:
     def test_clean_pass_is_all_ok(self):
         dev = resilient()
         dev.write_block(3, block(3))
-        tally = Scrubber(dev).run_pass()
-        assert tally == {"ok": dev.total_blocks}
+        scrubber = Scrubber(dev)
+        while not scrubber.stats.passes_completed:
+            assert scrubber.step()
+        assert scrubber.stats.verdicts == {"ok": dev.total_blocks}
 
     def test_scrub_rescues_weak_data_block(self):
         schedule = FaultSchedule(seed=1).weaken_reads([60], failures=1)
@@ -324,17 +359,6 @@ class TestScrubber:
         assert dev.scrub_block(63) == "lost-known"
         with pytest.raises(ChecksumError):
             dev.read_block(63)          # lost blocks fail fast
-
-    def test_attach_schedules_bounded_passes_on_event_loop(self):
-        dev = resilient()
-        dev.write_block(9, block(9))
-        loop = EventLoop()
-        scrubber = Scrubber(dev, batch_blocks=512, interval=0.01)
-        scrubber.attach(loop, passes=2)
-        end = loop.run()                # terminates: rescheduling is bounded
-        assert scrubber.stats.passes_completed == 2
-        assert scrubber.stats.blocks_scrubbed == 2 * dev.total_blocks
-        assert end > 0.0
 
 
 # -- fsck over the resilience region ------------------------------------------

@@ -1,6 +1,6 @@
 """The source tree is one contract too: a phase is measured in one
-place, and every module is there because something outside the tests
-uses it."""
+place, every module is there because something outside the tests uses
+it, and so is every configuration field."""
 
 import ast
 from pathlib import Path
@@ -81,3 +81,60 @@ def orphan_modules():
 
 def test_every_module_has_a_user_outside_the_tests():
     assert orphan_modules() == []
+
+
+#: Configuration fields no call in src/, benchmarks/ or examples/ sets,
+#: each with the reason it is a field and not a constant.
+UNPASSED_FIELDS = {
+    "small_file_spread": "the ROADMAP sensitivity sweep varies it",
+    "file_readahead_blocks": "the DESIGN.md section 4b prefetch extension, "
+                             "which tests/test_prefetch.py turns on",
+    "weak_count": "a soak scenario field tier-1's QUICK soak shrinks",
+    "bad_read_count": "a soak scenario field tier-1's QUICK soak shrinks",
+    "rot_count": "a soak scenario field tier-1's QUICK soak shrinks",
+}
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def config_fields():
+    """``(class, field)`` for every annotated field of a dataclass named
+    ``*Config`` or ``*Policy`` under src/repro."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                    and node.name.endswith(("Config", "Policy"))):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        yield node.name, stmt.target.id
+
+
+def test_every_config_field_has_a_caller():
+    # A field only its default or a test sets is a constant: one more
+    # setting the oracle and the benchmark would otherwise have to cover.
+    #
+    # The match is by keyword name alone, from any call: a field counts
+    # as passed when some unrelated call shares its name (seed=, label=,
+    # transient_rate= to FaultSchedule, ...).  So this catches a knob
+    # with a name of its own, not one with a common name.  Resolving
+    # each call to its class would also need subclasses (CFFSConfig sets
+    # VolumeConfig's fields), ``fmt.Config(...)`` and ``replace(cfg,
+    # ...)``, and would flag three faults.chaos.ChaosConfig fields today
+    # (sync_every, transient_rate, torn_rate); see ROADMAP.md.
+    passed = {keyword.arg
+              for base in ("src", "benchmarks", "examples")
+              for path in (ROOT / base).rglob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Call)
+              for keyword in node.keywords}
+    unpassed = {field for _cls, field in config_fields()
+                if field not in passed}
+    assert unpassed == set(UNPASSED_FIELDS)
