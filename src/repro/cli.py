@@ -532,7 +532,7 @@ def cmd_lint(args) -> int:
     from repro.lint.reporters import render_json, render_text
 
     rule_ids = ([r.strip() for r in args.rules.split(",")] if args.rules else None)
-    result = lint_paths(args.paths, rule_ids, flow=args.flow)
+    result = lint_paths(args.paths, rule_ids)
     if args.format == "json":
         print(render_json(result))
     else:
@@ -757,11 +757,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--rules",
                    help="comma-separated rule ids to run (default: all)")
-    p.add_argument("--flow", action="store_true",
-                   help="also run the flow-sensitive rules (B001 buffer "
-                        "ownership, J001 journal ordering, O001 hot-path "
-                        "discipline); builds whole-tree call-graph "
-                        "summaries, see docs/STATIC_ANALYSIS.md")
     p.add_argument("--show-suppressed", action="store_true",
                    help="also list findings silenced by reprolint directives")
     p.set_defaults(func=cmd_lint)

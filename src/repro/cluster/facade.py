@@ -91,6 +91,12 @@ class ClusterFS:
             exc.args = ("%s: %s" % (shard.name, exc),)
         raise exc
 
+    def _refuse_write(self, shard) -> None:
+        """Raise the annotated ReadOnlyFileSystem of a demoted shard."""
+        self._annotate(shard, ReadOnlyFileSystem(
+            "shard refuses writes (health %s)"
+            % self._cluster.health.state(shard.sid).name))
+
     def _shard_call(self, shard, fn, op: str = "read"):
         """Run ``fn`` on ``shard`` under the cluster retry rule.
 
@@ -105,9 +111,7 @@ class ClusterFS:
             # demoted shard must not keep absorbing writes into a
             # cache that can never flush.  _routed_mutate turns this
             # into a redirect; descriptor-pinned writes surface it.
-            self._annotate(shard, ReadOnlyFileSystem(
-                "shard refuses writes (health %s)"
-                % cluster.health.state(shard.sid).name))
+            self._refuse_write(shard)
         start = cluster.now
         attempts = 0
         while True:
@@ -123,6 +127,10 @@ class ClusterFS:
                                    cluster.metrics)
                 if delay is None:
                     self._annotate(shard, exc)
+                if op == "write" and not cluster.health.writable(shard.sid):
+                    # The fault just demoted the shard: the same refusal
+                    # as above, instead of a retry into its cache.
+                    self._refuse_write(shard)
                 cluster.backoff(delay)
             else:
                 settle(attempts, cluster.metrics)
@@ -132,19 +140,11 @@ class ClusterFS:
         """(shard, result) of a write-path call with health redirect.
 
         Two roads lead to the redirect: the owner refuses outright
-        (READ_ONLY/FAILED classes), or hard media faults burn the whole
-        retry budget *and* demote the owner below writable along the
-        way.  Either way the subtree is evacuated to a spare on the
-        spot and the write retried there, exactly once.
-
-        The second road needs a write that faults on every attempt.  No
-        public operation is known to: a failed create, mkdir or unlink
-        leaves cached state its retry meets before the device (the file
-        written, or a FileExists / FileNotFound), larger writes absorb
-        the faults in the cache, and
-        ``link`` does not route through here.  Only internal
-        callers reach it until the ROADMAP item on retrying against a
-        shard the fault just demoted is fixed.
+        (READ_ONLY/FAILED classes, also when a media fault of this very
+        call demoted it), or hard media faults burn the whole retry
+        budget *and* demote the owner below writable along the way.
+        Either way the subtree is evacuated to a spare on the spot and
+        the write retried there, exactly once.
         """
         cluster = self._cluster
         shard = cluster.route(top)

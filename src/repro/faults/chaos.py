@@ -53,6 +53,11 @@ _FAILED = object()   # sentinel: the operation raised (and was recorded)
 
 #: Operations between scrubber steps.
 SCRUB_EVERY = 6
+#: Files written between syncs of the soak's workload.
+SYNC_EVERY = 8
+#: Per-request probabilities of a transient and of a torn fault.
+TRANSIENT_RATE = 0.02
+TORN_RATE = 0.005
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,6 @@ class ChaosConfig:
     label: str = "cffs"
     seed: int = 2026
     n_files: int = 150
-    sync_every: int = 8
     n_spares: int = 32
     #: Locations that cost in-drive retries on every read.
     weak_count: int = 32
@@ -72,8 +76,6 @@ class ChaosConfig:
     bad_read_count: int = 6
     #: Blocks that silently corrupt on their next read.
     rot_count: int = 6
-    transient_rate: float = 0.02
-    torn_rate: float = 0.005
     #: Whether the scenario is built to exhaust the spare pool (the
     #: soak then asserts the READ_ONLY demotion *happened*).
     expect_readonly: bool = False
@@ -163,9 +165,8 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosReport:
     cfg = config if config is not None else ChaosConfig()
     report = ChaosReport(config=cfg)
 
-    schedule = FaultSchedule(seed=cfg.seed,
-                             transient_rate=cfg.transient_rate,
-                             torn_rate=cfg.torn_rate)
+    schedule = FaultSchedule(seed=cfg.seed, transient_rate=TRANSIENT_RATE,
+                             torn_rate=TORN_RATE)
     faulty = FaultyBlockDevice(BlockDevice(FAULTSIM_PROFILE), schedule)
     resilient = ResilientBlockDevice.format(faulty, n_spares=cfg.n_spares)
     fs = _mkfs(cfg.label, MetadataPolicy.SYNC_METADATA, resilient)
@@ -300,7 +301,7 @@ class _Soak:
     def run(self) -> None:
         cfg = self.cfg
         for op, path, body in workload_script(
-                cfg.seed, cfg.n_files, cfg.sync_every, self.live):
+                cfg.seed, cfg.n_files, SYNC_EVERY, self.live):
             if op == "write":
                 self._write(path, body)
             elif op == "unlink":
@@ -388,7 +389,7 @@ def render_chaos(report: ChaosReport) -> str:
         "  faults: weak=%d bad-write=%d bad-read=%d rot=%d "
         "transient=%.3f torn=%.3f"
         % (cfg.weak_count, cfg.bad_write_count, cfg.bad_read_count,
-           cfg.rot_count, cfg.transient_rate, cfg.torn_rate),
+           cfg.rot_count, TRANSIENT_RATE, TORN_RATE),
         "  ops: %d total, %d ok, %d failed (checksum=%d io=%d "
         "readonly=%d), %d mutations skipped"
         % (ops.total, ops.ok, ops.failed, ops.detected_checksum,

@@ -12,8 +12,10 @@ invariants that ordinary linters cannot see:
   derives from :class:`repro.errors.ReproError` (rule E001);
 * **on-disk format** — every ``struct`` format string carries an
   explicit endianness marker and matches its argument count (rule F001);
-* **derived-metadata discipline** — bitmaps, group descriptors, and
-  free counts are mutated only by the allocator/fsck layers (rule M001).
+* **metadata ordering** — every edit of cached metadata reaches an
+  ordering seam on every path out of the function (rule J001);
+* **hot-path discipline** — loops the workloads reach guard their
+  spans and use precompiled codecs (rule O001).
 
 ``python -m repro lint src`` runs the pass; findings can be silenced
 per line with ``# reprolint: disable=RULE`` (with a comment explaining

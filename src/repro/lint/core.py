@@ -252,9 +252,6 @@ class Rule:
     id = "X000"
     title = "untitled rule"
     rationale = ""
-    #: True for rules that consume the dataflow engine; the runner
-    #: builds a FlowContext (call-graph fixpoint) only when one runs.
-    requires_flow = False
 
     def check(self, mod: LintModule, context: "object") -> Iterator[Finding]:
         raise NotImplementedError
@@ -304,13 +301,6 @@ def iter_imported_repro_modules(
             name = node.module
             if name == "repro" or name.startswith("repro."):
                 yield node, name, tuple(a.name for a in node.names)
-
-
-def literal_str_keys(node: ast.expr) -> Optional[str]:
-    """The literal string of a subscript slice, if it is one."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
 
 
 def findings_sorted(findings: Iterable[Finding]) -> List[Finding]:

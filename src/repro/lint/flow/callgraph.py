@@ -3,16 +3,18 @@
 The graph is *name-based*: a call to ``self._write_entry(...)`` edges
 to every collected function named ``_write_entry``, regardless of
 receiver type.  That over-approximates targets (and therefore
-summaries), which is the safe direction for the three consumers:
+summaries), which is the safe direction for the consumers:
 
 * ``mutates_params`` — positional parameters a function may mutate in
   place (subscript/slice stores, ``struct.pack_into``, mutating
   method calls, and transitively via calls that pass the parameter
-  on).  B001 uses it to treat ``helper(buf)`` as a write to ``buf``.
+  on).  J001 uses it to treat ``helper(buf)`` as a write to ``buf``.
 * ``reaches_seam`` — the function transitively calls one of the
   metadata-ordering seams (``_meta_write`` / ``mark_dirty`` /
   ``write_sync``).  J001 uses it so a call to ``_grow_directory``
   counts as sealing, not just a literal ``_meta_write``.
+* ``returns_buffer`` — the function returns a buffer's bytes; J001
+  tracks what a call to it returns as cache-owned.
 * the *hot set* — functions reachable from the workload-driver
   roots.  O001 only audits loops inside hot functions.
 
@@ -25,16 +27,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from repro.lint.core import LintModule, dotted_name, iter_functions
+from repro.lint.core import LintModule, iter_functions
 from repro.lint.flow.dataflow import MUTATING_METHODS, pack_into_buffer_arg
 
 #: direct metadata-ordering seams (J001).
 SEAM_NAMES: FrozenSet[str] = frozenset(
     {"_meta_write", "mark_dirty", "write_sync"})
-
-#: device-boundary methods that take ownership of payload buffers (B001).
-HANDOFF_METHODS: FrozenSet[str] = frozenset(
-    {"write_block", "write_extent", "write_batch", "poke_block"})
 
 #: workload-driver roots; everything they reach is "hot" (O001).
 HOT_ROOT_MODULES: FrozenSet[str] = frozenset(
@@ -155,7 +153,7 @@ def _direct_returns_buffer(info: FunctionInfo) -> bool:
 
 
 class FlowContext:
-    """All function summaries for one lint run, built lazily once."""
+    """All function summaries for one lint run, built once."""
 
     def __init__(self, modules: Sequence[LintModule]) -> None:
         self.functions: List[FunctionInfo] = []

@@ -1,26 +1,25 @@
-"""Dataflow solvers and the shared buffer-alias tracker.
+"""Dataflow solvers and the buffer-alias tracker of the flow rules.
 
-Two solvers cover everything the flow rules need:
+Two solvers cover everything J001 needs:
 
 * :func:`solve_forward` — a worklist *may*-analysis (join = union)
-  producing the state at entry to every CFG node.  B001 and J001 use
-  it to track which local names alias which abstract buffers.
+  producing the state at entry to every CFG node; it tracks which
+  local names alias which cache-owned buffers.
 * :func:`must_reach_after` — a backward *must*-analysis (join =
   intersection, greatest fixpoint) answering "does every path that
-  leaves this node hit an event before function exit?".  J001 uses it
-  to prove a metadata mutation is sealed on all paths.
+  leaves this node hit an event before function exit?", which proves a
+  metadata mutation is sealed on all paths.
 
 The alias domain is deliberately small: an *origin* is the source
-expression that produced a buffer (a ``bytearray()`` call site, a
-``cache.get(...)`` result, an ``x.data`` attribute chain), and the
-state maps each local name to the set of origins it may alias.
-Attribute chains (``buf.data``) are canonicalised to string tokens so
-two loads of the same chain alias each other; that is exactly as
-precise as the codebase's idiom needs and no more (see
-docs/STATIC_ANALYSIS.md for the known holes).  A cache buffer's read
-accessor ``buf.image`` aliases ``buf.data`` and carries one more
-origin, of kind ``image``, that marks the bytes as possibly shared
-with the device: B001 flags any in-place write that origin reaches.
+expression that produced cache-owned bytes (a ``cache.get(...)`` or
+``cache.peek(...)`` result, an ``x.data`` attribute chain, a call to a
+helper that returns a buffer), and the state maps each local name to
+the set of origins it may alias.  Attribute chains are canonicalised
+to string tokens so two loads of the same chain alias each other, and
+the read accessor ``buf.image`` is the same token as ``buf.data``: the
+same bytes.  A scratch ``bytearray(...)`` has no origin.  That is
+exactly as precise as the codebase's idiom needs and no more (see
+docs/STATIC_ANALYSIS.md for the known holes).
 """
 
 from __future__ import annotations
@@ -33,18 +32,18 @@ from typing import (
 from repro.lint.core import dotted_name
 from repro.lint.flow.cfg import CFG, header_exprs, node_calls
 
-# An abstract buffer identity: ("site", line, col) for allocation
-# sites, ("attr", "buf.data") for canonicalised attribute chains,
-# ("cache", line, col) for cache-getter call results, ("ret", callee)
-# for calls summarised as returning a buffer, and ("image", ...) —
-# beside the attr or cache origin of the same buffer — for bytes taken
-# through the read accessor ``.image``.
+# An abstract buffer identity: ("attr", "buf.data") for canonicalised
+# attribute chains, ("cache", line, col) for cache-getter call results
+# and ("ret", callee) for calls summarised as returning a buffer.
 Origin = Tuple[str, ...]
 Origins = FrozenSet[Origin]
 EMPTY: Origins = frozenset()
 
 #: name -> origins it may alias.
 AliasState = Dict[str, Origins]
+
+#: method names on a ``...cache`` object whose results are Buffers
+_CACHE_GETTERS: FrozenSet[str] = frozenset({"get", "peek"})
 
 
 def solve_forward(
@@ -107,16 +106,11 @@ def must_reach_after(cfg: CFG, is_event: Sequence[bool]) -> List[bool]:
 
 
 class OriginPolicy:
-    """What counts as a buffer source.  Rules subclass/parameterise."""
+    """Where an expression's cache-owned bytes may come from."""
 
-    #: constructor names whose call results are tracked buffers
-    allocators: FrozenSet[str] = frozenset({"bytearray", "memoryview"})
-    #: track ``<chain>.data`` / ``<chain>.image`` loads as canonical tokens
-    track_data_attr: bool = True
-    #: method names on a ``...cache`` object whose results are Buffers
-    cache_getters: FrozenSet[str] = frozenset({"get"})
-    #: bare names of project functions summarised as returning a buffer
-    returns_buffer: FrozenSet[str] = frozenset()
+    def __init__(self, returns_buffer: FrozenSet[str] = frozenset()) -> None:
+        #: bare names of project functions summarised as returning a buffer
+        self.returns_buffer = returns_buffer
 
     def origins_of(self, expr: ast.expr, state: AliasState) -> Origins:
         """The buffer origins an expression may evaluate to."""
@@ -125,34 +119,29 @@ class OriginPolicy:
         if isinstance(expr, ast.Starred):
             return self.origins_of(expr.value, state)
         if isinstance(expr, ast.Attribute):
-            if self.track_data_attr and expr.attr in ("data", "image"):
-                at = (str(expr.lineno), str(expr.col_offset))
-                owner = dotted_name(expr.value)
-                found: Origins = EMPTY
-                if owner is not None:
-                    found = frozenset({("attr", owner + ".data")})
-                elif isinstance(expr.value, ast.Call):
-                    # ``cache.get(...).data``: the buffer of the call result
-                    found = self.origins_of(expr.value, state)
-                    if not found and self._is_cache_getter(expr.value):
-                        found = frozenset({("cache",) + at})
-                if expr.attr == "image":
-                    found |= {("image",) + at}
-                return found
+            if expr.attr not in ("data", "image"):
+                return EMPTY
+            owner = dotted_name(expr.value)
+            if owner is not None:
+                return frozenset({("attr", owner + ".data")})
+            if isinstance(expr.value, ast.Call):
+                # ``cache.get(...).data``: the buffer of the call result
+                return self.origins_of(expr.value, state)
             return EMPTY
         if isinstance(expr, ast.Call):
             func = expr.func
-            if isinstance(func, ast.Name) and func.id in self.allocators:
-                site: Origins = frozenset(
-                    {("site", str(expr.lineno), str(expr.col_offset))})
-                if func.id == "memoryview" and expr.args:
-                    # A view aliases its backing buffer.
-                    return site | self.origins_of(expr.args[0], state)
-                return site
-            if self._is_cache_getter(expr):
-                return frozenset(
-                    {("cache", str(expr.lineno), str(expr.col_offset))})
-            callee = self._bare_callee(expr)
+            if isinstance(func, ast.Name) and func.id == "memoryview":
+                # A view aliases its backing buffer.
+                return self.origins_of(expr.args[0], state) if expr.args else EMPTY
+            if (isinstance(func, ast.Attribute)
+                    and func.attr in _CACHE_GETTERS):
+                base = dotted_name(func.value)
+                if base is not None and (
+                        base == "cache" or base.endswith(".cache")):
+                    return frozenset(
+                        {("cache", str(expr.lineno), str(expr.col_offset))})
+            callee = (func.id if isinstance(func, ast.Name) else
+                      func.attr if isinstance(func, ast.Attribute) else None)
             if callee is not None and callee in self.returns_buffer:
                 return frozenset({("ret", callee)})
             return EMPTY
@@ -174,24 +163,6 @@ class OriginPolicy:
             return self.origins_of(expr.value, state)
         return EMPTY
 
-    def _is_cache_getter(self, call: ast.Call) -> bool:
-        func = call.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in self.cache_getters):
-            return False
-        base = dotted_name(func.value)
-        return base is not None and (
-            base == "cache" or base.endswith(".cache"))
-
-    @staticmethod
-    def _bare_callee(call: ast.Call) -> Optional[str]:
-        func = call.func
-        if isinstance(func, ast.Name):
-            return func.id
-        if isinstance(func, ast.Attribute):
-            return func.attr
-        return None
-
 
 def bind_targets(
     policy: OriginPolicy,
@@ -202,9 +173,9 @@ def bind_targets(
     """Apply an assignment's effect on the alias state (in place).
 
     Name targets rebind; subscript stores into a tracked *name* make
-    the container alias the stored value's origins (weak update — how
-    ``writes[bno] = buf.data`` hands the buffer to a later
-    ``write_batch(writes)``); everything else is a no-op.
+    the container alias the stored value's origins (weak update — after
+    ``blocks[i] = buf.data`` a write through ``blocks`` is a write to
+    that buffer); everything else is a no-op.
     """
     for target in targets:
         if isinstance(target, ast.Name):
@@ -261,17 +232,15 @@ def pack_into_buffer_arg(call: ast.Call) -> Optional[ast.expr]:
 def written_through(
     stmt: ast.stmt,
     mutated_arg_positions: Callable[[ast.Call], Iterable[int]],
-) -> List[Tuple[ast.AST, ast.expr]]:
-    """``(where, buffer expression)`` for every in-place write a
-    statement makes: what :func:`mutated_exprs` finds (reported at the
-    statement), and the buffer argument of a ``pack_into`` or any
-    argument the callee's summary says it mutates (at the call)."""
-    out: List[Tuple[ast.AST, ast.expr]] = [
-        (stmt, expr) for expr in mutated_exprs(stmt)]
+) -> List[ast.expr]:
+    """The buffer expressions a statement writes through in place: what
+    :func:`mutated_exprs` finds, the buffer argument of a ``pack_into``,
+    and any argument the callee's summary says it mutates."""
+    out = mutated_exprs(stmt)
     for call in node_calls(stmt):
         buf = pack_into_buffer_arg(call)
         suspect = mutated_arg_positions(call)
-        out.extend((call, arg) for pos, arg in enumerate(call.args)
+        out.extend(arg for pos, arg in enumerate(call.args)
                    if arg is buf or pos in suspect)
     return out
 

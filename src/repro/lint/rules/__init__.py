@@ -2,11 +2,10 @@
 
 To add a rule: write a :class:`repro.lint.core.Rule` subclass in a new
 module under ``repro/lint/rules/``, give it a fresh id (letter +
-three digits), and append an instance to :data:`RULES` — or to
-:data:`FLOW_RULES` if it sets ``requires_flow`` and consumes the
-dataflow engine (those run only under ``repro lint --flow``, or when
-selected explicitly by id).  The id is the suppression token, so it
-must never be recycled for a different check.
+three digits), append an instance to :data:`RULES`, and give it a row
+in ``tests/test_lint_mutations.py`` (docs/STATIC_ANALYSIS.md, "Adding a
+rule").  The id is the suppression token, so it must never be recycled
+for a different check.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from repro.lint.rules.layering import LayeringRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.errors_rule import ErrorTaxonomyRule
 from repro.lint.rules.structfmt import StructFormatRule
-from repro.lint.rules.metadata import DerivedMetadataRule
 from repro.lint.rules.suppress_rule import SuppressionHygieneRule
-from repro.lint.rules.bufown import BufferOwnershipRule
 from repro.lint.rules.jorder import JournalOrderingRule
 from repro.lint.rules.hotpath import HotPathRule
 
@@ -29,18 +26,11 @@ RULES: List[Rule] = [
     DeterminismRule(),
     ErrorTaxonomyRule(),
     StructFormatRule(),
-    DerivedMetadataRule(),
     SuppressionHygieneRule(),
-]
-
-#: flow-sensitive rules; they need a FlowContext, which costs a whole-
-#: tree call-graph fixpoint, so they are opt-in via ``--flow``.
-FLOW_RULES: List[Rule] = [
-    BufferOwnershipRule(),
     JournalOrderingRule(),
     HotPathRule(),
 ]
 
 
 def rule_catalog() -> Dict[str, Rule]:
-    return {rule.id: rule for rule in RULES + FLOW_RULES}
+    return {rule.id: rule for rule in RULES}

@@ -11,6 +11,10 @@ The builtin ``hash()`` of a ``str`` or ``bytes`` differs from process
 to process, so nothing seeded or written to an image may derive from
 it; only a ``__hash__`` method, whose value never leaves the process,
 may call it.
+
+Mutation row (``tests/test_lint_mutations.py``): a replayed trace's
+payload seeded from ``hash()`` instead of a CRC, the defect the
+``hash()`` check was added for.
 """
 
 from __future__ import annotations

@@ -27,6 +27,10 @@ arguments to internal helpers, ``AssertionError``, ``KeyError``,
 ``NotImplementedError``) signal programmer error, not simulated-world
 failure, and remain allowed — the same split the kernel draws between
 ``BUG_ON`` and error returns.
+
+Mutation row (``tests/test_lint_mutations.py``): ``FileSystem._open``'s
+``except FileNotFound`` widened to a bare ``except``, which would turn
+a power loss during the lookup into a create.
 """
 
 from __future__ import annotations

@@ -14,6 +14,12 @@ loop of a hot function:
 
 The obs package itself is exempt (it implements the discipline), as
 is the lint tree (never hot, and full of fixture strings).
+
+Mutation rows (``tests/test_lint_mutations.py``): the group fetch's
+span built unguarded in ``CFFS._fetch_data_blocks``, and the embedded
+dirent header re-parsed from ``DENT_HEADER_FMT`` in the chain walk of
+``core/directory.py`` — the two costs this rule was written to keep
+out.  Neither moves a simulated number or an allocation budget.
 """
 
 from __future__ import annotations
@@ -76,7 +82,6 @@ class HotPathRule(Rule):
         "struct format parsing there are exactly the costs the PR 7 "
         "hot-path overhaul removed."
     )
-    requires_flow = True
 
     def check(self, mod: LintModule, context: object) -> Iterator[Finding]:
         if not mod.module.startswith("repro"):

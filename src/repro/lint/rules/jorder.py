@@ -1,17 +1,22 @@
 """J001: journal-ordering discipline for metadata mutations.
 
 In ``repro.ffs`` and ``repro.core``, any in-place mutation of
-cache-owned metadata bytes (a buffer obtained via ``.data`` on a cache
-buffer — or via its read accessor ``.image``, which B001 flags as an
-edit in its own right — or returned by a buffer-yielding helper like
-``_dir_block``) must reach an ordering seam — ``_meta_write`` /
-``mark_dirty`` / ``write_sync``, directly or through a helper that
-transitively calls one — on *every* path out of the function.  A path that mutates the
-buffer and then returns or raises without sealing leaves the cache
-holding bytes the journal/soft-updates machinery never heard about:
-under MetadataPolicy.JOURNAL_METADATA that write can neither be
-ordered nor replayed, which is precisely the crash-consistency hole
-PR 6 exists to close.
+cache-owned metadata bytes (a buffer obtained via ``.data`` or the
+read accessor ``.image`` on a cache buffer, or returned by a
+buffer-yielding helper like ``_dir_block``) must reach an ordering
+seam — ``_meta_write`` / ``mark_dirty`` / ``write_sync``, directly or
+through a helper that transitively calls one — on *every* path out of
+the function.  A path that mutates the buffer and then returns or
+raises without sealing leaves the cache holding bytes the
+journal/soft-updates machinery never heard about: under
+MetadataPolicy.JOURNAL_METADATA that write can neither be ordered nor
+replayed, which is precisely the crash-consistency hole the journal
+exists to close.
+
+Mutation row (``tests/test_lint_mutations.py``): ``FFS._dir_remove_entry``
+sealing after its consistency raise instead of before it, the hole this
+rule found when it was written.  Tier-1 passes with that defect in
+place: the raise path runs only on a corrupt directory.
 
 Flow-sensitive: forward alias analysis finds the mutation sites,
 then a backward must-analysis over the CFG (exception edges included)
@@ -32,21 +37,12 @@ from repro.lint.flow.cfg import build_cfg, node_calls
 from repro.lint.flow.dataflow import (
     AliasState,
     OriginPolicy,
-    Origins,
     bind_targets,
     must_reach_after,
     solve_forward,
     statement_assignments,
     written_through,
 )
-
-#: origin kinds that denote cache-owned metadata bytes (a plain local
-#: ``bytearray`` is scratch space and may go straight to the device).
-_META_KINDS = ("attr", "ret", "cache", "image")
-
-
-def _meta(origins: Origins) -> Origins:
-    return frozenset(o for o in origins if o[0] in _META_KINDS)
 
 
 class JournalOrderingRule(Rule):
@@ -58,7 +54,6 @@ class JournalOrderingRule(Rule):
         "path, or the journal and soft-updates trackers never see the "
         "write and crash recovery cannot order or replay it."
     )
-    requires_flow = True
 
     _SCOPES = ("repro.ffs.", "repro.core.")
 
@@ -66,8 +61,7 @@ class JournalOrderingRule(Rule):
         if not mod.module.startswith(self._SCOPES):
             return
         flow = context.flow  # type: ignore[attr-defined]
-        policy = OriginPolicy()
-        policy.returns_buffer = flow.returns_buffer_names()
+        policy = OriginPolicy(flow.returns_buffer_names())
         for info in flow.functions_in(mod):
             yield from self._check_function(mod, flow, policy, info)
 
@@ -117,5 +111,5 @@ class JournalOrderingRule(Rule):
     def _mutates_metadata(flow: FlowContext, policy: OriginPolicy,
                           state: AliasState, stmt: ast.stmt) -> bool:
         return any(
-            _meta(policy.origins_of(expr, state))
-            for _, expr in written_through(stmt, flow.mutated_arg_positions))
+            policy.origins_of(expr, state)
+            for expr in written_through(stmt, flow.mutated_arg_positions))

@@ -27,6 +27,9 @@ back-edges).
 The rule also flags direct device-I/O *calls* (``...device.read_block``
 and friends) in the file-system layers, which an import check alone
 would miss when the device object arrives through the cache.
+
+Mutation row (``tests/test_lint_mutations.py``): a block read from the
+device behind the cache in ``BlockFileSystem._fetch_data_blocks``.
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ modules (``from repro.ffs.layout import DIRENT_HEADER_FMT``), through
 string concatenation, and through ``struct.Struct`` objects bound at
 module level.  Formats built with ``%`` keep their literal prefix, so
 endianness is still checked even when the final width is dynamic.
+
+Mutation row (``tests/test_lint_mutations.py``): ``DIRENT_HEADER_FMT``
+without its ``<``.  On a little-endian host the header keeps its size
+and byte order, so nothing at run time notices.
 """
 
 from __future__ import annotations

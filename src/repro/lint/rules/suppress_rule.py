@@ -5,6 +5,9 @@ the text after the rule ids (conventionally separated by ``--``)
 saying *why* the finding is acceptable.  A suppression without one is
 itself a finding — an undocumented hole in the rule set that the next
 reader cannot audit.
+
+Mutation row (``tests/test_lint_mutations.py``): the rationale dropped
+from the L001 waiver in ``BlockFileSystem._fetch_data_blocks``.
 """
 
 from __future__ import annotations

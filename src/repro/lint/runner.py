@@ -1,8 +1,9 @@
 """Run the rule set over a file tree and aggregate findings.
 
 The runner does a two-phase pass: first every file is parsed and the
-cross-module constant table is built (so F001 can resolve a format
-string through ``from repro.ffs.layout import DIRENT_HEADER_FMT``),
+cross-module state is built — the constant table (so F001 can resolve
+a format string through ``from repro.ffs.layout import
+DIRENT_HEADER_FMT``) and the call-graph summaries J001 and O001 read —
 then each rule visits each module.  Findings covered by a suppression
 directive are kept but marked, so reporters can audit them; the run
 fails only on unsuppressed findings.
@@ -23,7 +24,8 @@ from repro.lint.core import (
     load_module,
     load_source,
 )
-from repro.lint.rules import FLOW_RULES, RULES
+from repro.lint.flow.callgraph import FlowContext
+from repro.lint.rules import RULES
 from repro.lint.rules.structfmt import _ConstResolver
 
 SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
@@ -35,8 +37,8 @@ class LintContext:
 
     modules: Dict[str, LintModule]
     struct_resolver: _ConstResolver
-    #: call-graph/dataflow summaries; built only when a flow rule runs.
-    flow: Optional[object] = None
+    #: call-graph summaries of every linted function (J001, O001).
+    flow: FlowContext
 
 
 @dataclass
@@ -76,41 +78,31 @@ def collect_files(paths: Iterable[str]) -> List[str]:
     return sorted(set(out))
 
 
-def _select_rules(
-    rule_ids: Optional[Sequence[str]], flow: bool
-) -> List[Rule]:
-    """The rules this run executes.
-
-    Default selection is the AST rule set; ``flow=True`` adds the
-    flow-sensitive rules.  Explicit ``rule_ids`` may name any rule —
-    asking for B001 by id implies the flow engine without ``--flow``.
-    """
-    pool = list(RULES) + list(FLOW_RULES)
+def _select_rules(rule_ids: Optional[Sequence[str]]) -> List[Rule]:
+    """The rules this run executes: all of them unless ``rule_ids``
+    names some."""
     if rule_ids is None:
-        return list(RULES) + (list(FLOW_RULES) if flow else [])
+        return list(RULES)
     wanted = set(rule_ids)
-    known = {rule.id for rule in pool}
+    known = {rule.id for rule in RULES}
     unknown = wanted - known
     if unknown:
         raise LintError(
             "unknown rule id(s): %s (known: %s)"
             % (", ".join(sorted(unknown)), ", ".join(sorted(known)))
         )
-    return [rule for rule in pool if rule.id in wanted]
+    return [rule for rule in RULES if rule.id in wanted]
 
 
 def lint_modules(
     modules: Sequence[LintModule],
     rule_ids: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> LintResult:
-    rules = _select_rules(rule_ids, flow)
+    rules = _select_rules(rule_ids)
     by_name = {mod.module: mod for mod in modules}
-    context = LintContext(modules=by_name, struct_resolver=_ConstResolver(by_name))
-    if any(rule.requires_flow for rule in rules):
-        from repro.lint.flow import FlowContext
-
-        context.flow = FlowContext(modules)
+    context = LintContext(modules=by_name,
+                          struct_resolver=_ConstResolver(by_name),
+                          flow=FlowContext(modules))
     findings: List[Finding] = []
     for mod in modules:
         for rule in rules:
@@ -127,17 +119,15 @@ def lint_modules(
 def lint_paths(
     paths: Iterable[str],
     rule_ids: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> LintResult:
     """Lint every .py file under ``paths`` (files or directories)."""
     modules = [load_module(path) for path in collect_files(paths)]
-    return lint_modules(modules, rule_ids, flow=flow)
+    return lint_modules(modules, rule_ids)
 
 
 def lint_sources(
     sources: Dict[str, str],
     rule_ids: Optional[Sequence[str]] = None,
-    flow: bool = False,
 ) -> LintResult:
     """Lint in-memory sources keyed by pseudo-path (test fixtures).
 
@@ -145,4 +135,4 @@ def lint_sources(
     derive from them exactly as for on-disk files.
     """
     modules = [load_source(text, path) for path, text in sorted(sources.items())]
-    return lint_modules(modules, rule_ids, flow=flow)
+    return lint_modules(modules, rule_ids)

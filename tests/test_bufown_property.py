@@ -1,87 +1,95 @@
-"""Runtime agreement check for B001 (buffer ownership).
+"""Runtime check of buffer ownership across the device boundary.
 
-B001's static claim is that no function mutates a buffer after handing
-it to a device-boundary write.  The observable consequence at runtime:
-once ``fs.sync()`` has drained the dirty set, every *clean* cached
-buffer must hold exactly the bytes last shipped to the device for its
-block — if some code path mutated a buffer after its final handoff
-(without re-marking it dirty), the in-memory view diverges from the
-on-disk image and this tracer catches it, regardless of whether the
-mutation went through ``__setitem__`` or a C-level buffer-protocol
-write like ``struct.pack_into``.
+A cached block and the device share bytes: a write-out hands the
+device the buffer's image, and from then on the cache's view and the
+disk must agree until the buffer is edited *and* re-marked dirty.  The
+observable consequence: once ``fs.sync()`` has drained the dirty set,
+every *clean* cached buffer holds exactly the bytes last shipped to the
+device for its block.  Some code path that edited a buffer after its
+final handoff without re-marking it dirty, or stored through the
+shared read accessor, breaks that equality; this tracer catches it
+whether the edit was a subscript store, ``struct.pack_into`` or a
+helper, and in whichever function it happened.
 
-The tracer wraps the device's four handoff methods (the same set B001
-keys on: ``write_block`` / ``write_extent`` / ``write_batch`` /
-``poke_block``) and snapshots each payload at the moment of handoff —
-the instant ownership transfers under the B001 contract.  A
-hypothesis-driven small-file workload (the fig-5 shape: create, read,
-overwrite, delete over a flat tree of small files) then exercises the
-real allocation, directory, and flush-gathering paths, asserting the
-invariant after every sync.
-
-The positive control demonstrates the harness is not vacuous: a
-hand-injected mutation-after-handoff trips the runtime tracer, and the
-same code shape trips B001 statically — the two detectors agree in
-both directions.
+The tracer wraps the device's own stores (every method
+``BlockDevice`` defines that puts a payload into its block map) and
+snapshots each payload at the moment of handoff.  A hypothesis-driven
+small-file workload (the fig-5 shape: create, read, overwrite, delete
+over a flat tree of small files) then exercises the real allocation,
+directory and flush-gathering paths under every metadata policy —
+synchronous writes, soft-updates rollbacks and journal commits and
+checkpoints — asserting the invariant after every sync.  The positive
+control shows the harness is not vacuous.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+import itertools
+import textwrap
 from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint import lint_sources
-from repro.lint.flow import HANDOFF_METHODS
+from repro.blockdev.device import BlockDevice
+from repro.cache.policy import MetadataPolicy
 from tests.conftest import make_cffs, make_ffs
 
-#: handoff seams traced at runtime; must stay == B001's HANDOFF_METHODS.
-_TRACED = ("write_block", "write_extent", "write_batch", "poke_block")
+#: BlockDevice's stores, each with how its arguments name the blocks.
+#: ``write_batch`` (inherited) reaches the device through
+#: ``write_extent``, so the journal's commits and checkpoints are seen.
+_SEAMS = {
+    "write_block": lambda bno, data: ((bno, data),),
+    "poke_block": lambda bno, data: ((bno, data),),
+    "write_extent": lambda start, blocks: zip(itertools.count(start), blocks),
+}
 
 
-def test_traced_seams_match_b001_handoff_set():
-    # If B001 grows a new device seam, this trips and the tracer below
-    # must learn to wrap it too — the two detectors watch the same door.
-    assert frozenset(_TRACED) == HANDOFF_METHODS
+def test_the_tracer_wraps_every_store_the_device_defines():
+    # A new way into BlockDevice._blocks must be traced too.
+    stores = set()
+    for name, member in vars(BlockDevice).items():
+        if not inspect.isfunction(member):
+            continue
+        tree = ast.parse(textwrap.dedent(inspect.getsource(member)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                target = node.targets[0]
+            elif isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", None) == "update":
+                target = node.func
+            else:
+                continue
+            if (isinstance(target, (ast.Subscript, ast.Attribute))
+                    and ast.unparse(target.value) == "self._blocks"):
+                stores.add(name)
+    assert stores == set(_SEAMS)
 
 
 def trace_handoffs(device) -> Dict[int, bytes]:
-    """Wrap the device's write seams; returns the live handoff log.
+    """Wrap the device's stores; returns the live handoff log.
 
     The log maps block number -> bytes snapshotted at the most recent
     handoff of that block.  Snapshots are taken on entry, before the
-    device acts: that is the instant B001 says ownership transfers.
+    device acts: that is the instant ownership transfers.
     """
     shipped: Dict[int, bytes] = {}
-    real_block = device.write_block
-    real_extent = device.write_extent
-    real_batch = device.write_batch
-    real_poke = device.poke_block
 
-    def write_block(bno, data):
-        shipped[bno] = bytes(data)
-        return real_block(bno, data)
+    def wrap(name, blocks_of):
+        real = getattr(device, name)
 
-    def write_extent(start, blocks):
-        for i, data in enumerate(blocks):
-            shipped[start + i] = bytes(data)
-        return real_extent(start, blocks)
+        def traced(first, payload):
+            for bno, data in blocks_of(first, payload):
+                shipped[bno] = bytes(data)
+            return real(first, payload)
 
-    def write_batch(writes):
-        for bno, data in writes.items():
-            shipped[bno] = bytes(data)
-        return real_batch(writes)
+        setattr(device, name, traced)
 
-    def poke_block(bno, data):
-        shipped[bno] = bytes(data)
-        return real_poke(bno, data)
-
-    device.write_block = write_block
-    device.write_extent = write_extent
-    device.write_batch = write_batch
-    device.poke_block = poke_block
+    for name, blocks_of in _SEAMS.items():
+        wrap(name, blocks_of)
     return shipped
 
 
@@ -89,9 +97,9 @@ def divergences(fs, shipped: Dict[int, bytes]) -> List[int]:
     """Clean cached buffers whose bytes differ from their last handoff.
 
     Dirty buffers are excluded — mutating a buffer and re-marking it
-    dirty is the legitimate life cycle; the hazard B001 (and this
-    tracer) rejects is mutation after the *final* handoff, which is
-    exactly a clean buffer that no longer matches what went to disk.
+    dirty is the legitimate life cycle; the hazard is mutation after
+    the *final* handoff, which is exactly a clean buffer that no longer
+    matches what went to disk.
     """
     out: List[int] = []
     for bno, buf in fs.cache._phys.items():
@@ -122,13 +130,8 @@ def fig5_scripts(draw):
     return n_files, file_size, fill, ops
 
 
-@pytest.mark.parametrize("factory", [make_ffs, make_cffs],
-                         ids=["ffs", "cffs"])
-@settings(max_examples=8, deadline=None)
-@given(script=fig5_scripts())
-def test_clean_buffers_match_last_handoff(factory, script):
+def _run_script(fs, script) -> None:
     n_files, file_size, fill, ops = script
-    fs = factory()
     shipped = trace_handoffs(fs.cache.device)
     paths = _paths(n_files)
     live = set()
@@ -157,9 +160,18 @@ def test_clean_buffers_match_last_handoff(factory, script):
     assert divergences(fs, shipped) == []
 
 
+@pytest.mark.parametrize("factory", [make_ffs, make_cffs],
+                         ids=["ffs", "cffs"])
+@settings(max_examples=8, deadline=None)
+@given(script=fig5_scripts())
+def test_clean_buffers_match_last_handoff(factory, script):
+    for policy in MetadataPolicy:
+        _run_script(factory(policy=policy), script)
+
+
 def test_positive_control_runtime_tracer_catches_injection():
     # Prove the tracer is not vacuous: mutate a clean buffer after its
-    # final handoff (the exact hazard B001 rejects) and watch it fire.
+    # final handoff and watch it fire.
     fs = make_cffs()
     shipped = trace_handoffs(fs.cache.device)
     fs.mkdir("/bench")
@@ -172,17 +184,3 @@ def test_positive_control_runtime_tracer_catches_injection():
         if bno in shipped and bno not in fs.cache._dirty)
     victim.data[0] = (victim.data[0] + 1) % 256  # mutation after handoff
     assert divergences(fs, shipped) == [victim.bno]
-
-
-def test_positive_control_static_rule_agrees():
-    # The same shape, written as source, is what B001 flags statically:
-    # the two detectors condemn the identical pattern.
-    result = lint_sources({
-        "src/repro/cache/writeback.py": (
-            "def flush(dev, bno):\n"
-            "    data = bytearray(4096)\n"
-            "    dev.write_block(bno, data)\n"
-            "    data[0] = (data[0] + 1) % 256\n"
-        ),
-    }, flow=True)
-    assert any(f.rule == "B001" and not f.suppressed for f in result.findings)

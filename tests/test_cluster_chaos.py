@@ -238,6 +238,29 @@ def faulty_cluster():
     return cluster, schedule
 
 
+def one_write_fault_from_read_only():
+    """A faulty pair whose shard 0 has one write fault of its budget
+    left, an open descriptor on ``/a/f``, and the list that receives the
+    shard device's write count at the moment it demotes READ_ONLY."""
+    cluster, schedule = faulty_cluster()
+    fd = cluster.fs.open("/a/f")
+    schedule.fail_writes_from(0)
+    for i in range(MAX_WRITE_FAULTS - 1):   # each absorbs one fault
+        cluster.fs.write_file("/a/g%d" % i, b"y" * 4096)
+    assert cluster.health.state(0) is HealthState.DEGRADED
+    device = cluster.shards[0].fs.cache.device
+    at_demotion = []
+    mirror = cluster.health.monitors[0].on_transition
+
+    def watch(change):
+        mirror(change)
+        if change.state is HealthState.READ_ONLY:
+            at_demotion.append(device.stats.writes)
+
+    cluster.health.monitors[0].on_transition = watch
+    return cluster, fd, device, at_demotion
+
+
 class TestFacadeRetryAndRedirect:
     def test_retry_absorbs_a_hard_fault_within_budget(self):
         cluster, schedule = faulty_cluster()
@@ -276,6 +299,31 @@ class TestFacadeRetryAndRedirect:
         assert cluster.fs.read_file("/a/f") == b"x" * 8192
         assert cluster.fs.read_file("/a/g") == b"x" * 8192
         assert adopted_tops(cluster.shards[1].fs) == {"a": 0}
+
+    def test_a_write_whose_fault_demotes_its_shard_is_redirected(self):
+        # The fault that spends the last of the budget demotes shard 0
+        # with retries still left: the write must move, not retry into
+        # the demoted shard's cache.
+        cluster, _fd, device, at_demotion = one_write_fault_from_read_only()
+        cluster.fs.write_file("/a/g", b"moved" * 100)
+        assert cluster.health.state(0) is HealthState.READ_ONLY
+        assert device.stats.writes == at_demotion[0]
+        assert cluster.router.assignments["a"] == 1
+        snap = cluster.metrics.snapshot()
+        assert snap["cluster.retry.redirects"] == 1
+        assert snap["cluster.retry.absorbed"] == MAX_WRITE_FAULTS - 1
+        assert cluster.fs.read_file("/a/g") == b"moved" * 100
+        assert cluster.fs.read_file("/a/f") == b"x" * 8192
+
+    def test_a_pinned_write_whose_fault_demotes_its_shard_surfaces_it(self):
+        cluster, fd, device, at_demotion = one_write_fault_from_read_only()
+        cluster.fs.pwrite(fd, 0, b"z" * 4096)   # cached, no device write
+        with pytest.raises(ReadOnlyFileSystem) as info:
+            cluster.fs.fsync(fd)
+        assert cluster.health.state(0) is HealthState.READ_ONLY
+        assert device.stats.writes == at_demotion[0]
+        assert info.value.shard == 0
+        assert str(info.value).startswith("s0: ")
 
     def test_writes_against_a_read_only_shard_redirect(self):
         cluster, _ = faulty_cluster()

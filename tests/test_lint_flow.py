@@ -1,7 +1,7 @@
 """Flow-engine tests: CFG shape, dataflow solvers, call-graph
-summaries, and trigger/non-trigger fixtures for the three flow rules
-(B001 buffer ownership, J001 journal ordering, O001 hot-path
-discipline), plus a JSON-report golden for a flow run.
+summaries, and trigger/non-trigger fixtures for the two flow rules
+(J001 journal ordering, O001 hot-path discipline), plus a JSON-report
+golden for a flow rule's finding.
 
 Every trigger fixture is the pre-fix shape of a pattern that really
 existed in the tree (e.g. J001's mutate-check-raise mirrors the old
@@ -239,178 +239,6 @@ def test_callgraph_returns_buffer_summary():
     assert "block_of" in flow.returns_buffer_names()
 
 
-# -- B001 buffer ownership ----------------------------------------------------
-
-
-def test_b001_mutation_after_handoff_is_flagged():
-    result = lint_sources({
-        "src/repro/cache/writeback.py": (
-            "def flush(dev, bno):\n"
-            "    data = bytearray(4096)\n"
-            "    dev.write_block(bno, data)\n"
-            "    data[0] = 1\n"
-        ),
-    }, flow=True)
-    assert "B001" in rules_of(result, suppressed=False)
-
-
-def test_b001_mutation_before_handoff_is_clean():
-    result = lint_sources({
-        "src/repro/cache/writeback.py": (
-            "def flush(dev, bno):\n"
-            "    data = bytearray(4096)\n"
-            "    data[0] = 1\n"
-            "    dev.write_block(bno, data)\n"
-        ),
-    }, flow=True)
-    assert "B001" not in rules_of(result)
-
-
-def test_b001_is_path_sensitive():
-    # The mutation happens only on the path where no handoff occurred:
-    # a line-based rule would flag it, the dataflow rule must not.
-    result = lint_sources({
-        "src/repro/cache/writeback.py": (
-            "def flush(dev, bno, urgent):\n"
-            "    data = bytearray(4096)\n"
-            "    if urgent:\n"
-            "        dev.write_block(bno, data)\n"
-            "        return\n"
-            "    data[0] = 1\n"
-            "    dev.write_block(bno, data)\n"
-        ),
-    }, flow=True)
-    assert "B001" not in rules_of(result)
-
-
-def test_b001_view_aliases_its_backing_buffer():
-    result = lint_sources({
-        "src/repro/cache/writeback.py": (
-            "def flush(dev, bno):\n"
-            "    backing = bytearray(4096)\n"
-            "    view = memoryview(backing)\n"
-            "    dev.write_block(bno, view)\n"
-            "    backing[0] = 1\n"
-        ),
-    }, flow=True)
-    assert "B001" in rules_of(result, suppressed=False)
-
-
-def test_b001_escape_via_return_is_flagged():
-    result = lint_sources({
-        "src/repro/cache/writeback.py": (
-            "def flush(dev, bno):\n"
-            "    data = bytearray(4096)\n"
-            "    dev.write_block(bno, data)\n"
-            "    return data\n"
-        ),
-    }, flow=True)
-    assert "B001" in rules_of(result, suppressed=False)
-
-
-def test_b001_mutation_through_helper_summary():
-    # helper() mutates its parameter; calling it on a handed-off buffer
-    # is a mutation even though no subscript store appears here.
-    result = lint_sources({
-        "src/repro/cache/writeback.py": (
-            "def helper(buf):\n"
-            "    buf[0] = 1\n"
-            "def flush(dev, bno):\n"
-            "    data = bytearray(4096)\n"
-            "    dev.write_block(bno, data)\n"
-            "    helper(data)\n"
-        ),
-    }, flow=True)
-    assert "B001" in rules_of(result, suppressed=False)
-
-
-def test_b001_fresh_allocation_rebind_is_clean():
-    # A loop body that re-allocates its buffer each iteration starts a
-    # new ownership generation; mutating the fresh one is fine.
-    result = lint_sources({
-        "src/repro/cache/writeback.py": (
-            "def flush(dev, blocks):\n"
-            "    for bno in blocks:\n"
-            "        data = bytearray(4096)\n"
-            "        data[0] = bno\n"
-            "        dev.write_block(bno, data)\n"
-        ),
-    }, flow=True)
-    assert "B001" not in rules_of(result)
-
-
-def _b001_messages(source, path="src/repro/ffs/filesystem.py"):
-    result = lint_sources({path: source}, flow=True)
-    return [f.message for f in result.findings
-            if f.rule == "B001" and not f.suppressed]
-
-
-def test_b001_store_through_the_read_accessor_is_flagged():
-    # ``.image`` may be the device's own stored bytes: a store through
-    # it is a second write path that skips the copy-on-edit, sealed or
-    # not, by any name it travels under.
-    for body in (
-        "    self.cache.get(bno).image[0] = 1\n",
-        "    buf = self.cache.get(bno)\n    buf.image[4:8] = b'abcd'\n",
-        "    img = self.cache.peek(bno).image\n    img[0] = 1\n",
-        "    view = memoryview(self.cache.get(bno).image)\n    view[0] = 1\n",
-    ):
-        found = _b001_messages(
-            "def poke(self, bno):\n" + body + "    self.cache.mark_dirty(bno)\n")
-        assert len(found) == 1 and ".image edited in place in poke()" in found[0]
-
-
-def test_b001_pack_into_and_helper_through_the_read_accessor_are_flagged():
-    found = _b001_messages(
-        "import struct\n"
-        "_PTR = struct.Struct('<I')\n"
-        "def scrub(block, name):\n"
-        "    block[0] = 0\n"
-        "def edit(self, bno):\n"
-        "    buf = self.cache.get(bno)\n"
-        "    struct.pack_into('<I', buf.image, 0, 7)\n"
-        "    _PTR.pack_into(buf.image, 4, 7)\n"
-        "    scrub(buf.image, 'x')\n"
-        "    self.cache.mark_dirty(bno)\n")
-    assert len(found) == 3
-
-
-def test_b001_reads_through_image_and_edits_through_data_are_clean():
-    assert _b001_messages(
-        "import struct\n"
-        "def scrub(block, name):\n"
-        "    block[0] = 0\n"
-        "def edit(self, bno, dev):\n"
-        "    buf = self.cache.get(bno)\n"
-        "    first = buf.image[0]\n"
-        "    (ptr,) = struct.unpack_from('<I', buf.image, 4)\n"
-        "    copy = bytes(buf.image)\n"
-        "    scrub(buf.data, 'x')\n"
-        "    buf.data[0] = first + ptr\n"
-        "    self.cache.mark_dirty(bno)\n"
-        "    return copy\n") == []
-
-
-def test_b001_image_rule_keeps_to_the_layers_that_hold_buffers():
-    # The CLI's ``args.image`` is a path, not a block.
-    assert _b001_messages(
-        "def scrub(block):\n"
-        "    block[0] = 0\n"
-        "def cmd(args):\n"
-        "    scrub(args.image)\n", path="src/repro/cli.py") == []
-
-
-def test_b001_image_aliases_data_across_a_handoff():
-    # Handing ``.image`` down and then editing ``.data`` of the same
-    # buffer is the old hazard under the new name.
-    found = _b001_messages(
-        "def flush(self, dev, bno):\n"
-        "    buf = self.cache.get(bno)\n"
-        "    dev.write_block(bno, buf.image)\n"
-        "    buf.data[0] = 1\n", path="src/repro/cache/writeback.py")
-    assert found == ["buffer mutated after device handoff in flush()"]
-
-
 # -- J001 journal ordering ----------------------------------------------------
 
 
@@ -424,7 +252,7 @@ def test_j001_early_return_skipping_seam_is_flagged():
             "        return\n"
             "    self._meta_write(bno)\n"
         ),
-    }, flow=True)
+    })
     assert "J001" in rules_of(result, suppressed=False)
 
 
@@ -443,7 +271,7 @@ def test_j001_mutate_check_raise_before_seam_is_flagged():
             "        raise ValueError(name)\n"
             "    self._meta_write(bno)\n"
         ),
-    }, flow=True)
+    })
     assert "J001" in rules_of(result, suppressed=False)
 
 
@@ -461,7 +289,7 @@ def test_j001_seal_before_check_is_clean():
             "    if removed != inum:\n"
             "        raise ValueError(name)\n"
         ),
-    }, flow=True)
+    })
     assert "J001" not in rules_of(result)
 
 
@@ -476,7 +304,7 @@ def test_j001_sealed_on_all_paths_is_clean():
             "    else:\n"
             "        self.cache.mark_dirty(bno)\n"
         ),
-    }, flow=True)
+    })
     assert "J001" not in rules_of(result)
 
 
@@ -490,7 +318,7 @@ def test_j001_helper_reaching_seam_counts_as_sealing():
             "    data[0] = 1\n"
             "    self._seal(bno)\n"
         ),
-    }, flow=True)
+    })
     assert "J001" not in rules_of(result)
 
 
@@ -503,13 +331,13 @@ def test_j001_ignores_codec_parameter_mutation():
             "    block[0] = inum\n"
             "    return True\n"
         ),
-    }, flow=True)
+    })
     assert "J001" not in rules_of(result)
 
 
 def test_j001_counts_a_store_through_image_as_a_metadata_mutation():
     # The read accessor is a cache-owned origin too: an unsealed store
-    # through it is J001's finding as well as B001's.
+    # through it is a finding.
     result = lint_sources({
         "src/repro/ffs/filesystem.py": (
             "def set_flag(self, bno, flag):\n"
@@ -519,8 +347,8 @@ def test_j001_counts_a_store_through_image_as_a_metadata_mutation():
             "        return\n"
             "    self._meta_write(bno)\n"
         ),
-    }, flow=True)
-    assert {"J001", "B001"} <= rules_of(result, suppressed=False)
+    })
+    assert "J001" in rules_of(result, suppressed=False)
 
 
 def test_j001_read_through_image_needs_no_seam():
@@ -530,7 +358,7 @@ def test_j001_read_through_image_needs_no_seam():
             "    img = self.cache.get(bno).image\n"
             "    return img[0]\n"
         ),
-    }, flow=True)
+    })
     assert not rules_of(result)
 
 
@@ -546,7 +374,7 @@ def test_j001_scratch_bytearray_is_not_metadata():
             "        return\n"
             "    dev.write_block(bno, raw)\n"
         ),
-    }, flow=True)
+    })
     assert "J001" not in rules_of(result)
 
 
@@ -568,7 +396,7 @@ def test_o001_unguarded_span_in_hot_loop_is_flagged():
             "        with obs.span('fs', 'fetch'):\n"
             "            cache.get(bno)\n"
         ),
-    }, flow=True)
+    })
     assert "O001" in rules_of(result, suppressed=False)
 
 
@@ -585,7 +413,7 @@ def test_o001_guarded_span_is_clean():
             "        else:\n"
             "            cache.get(bno)\n"
         ),
-    }, flow=True)
+    })
     assert "O001" not in rules_of(result)
 
 
@@ -601,7 +429,7 @@ def test_o001_struct_in_hot_loop_only_when_reachable():
             "    for off in range(0, 64, 8):\n"
             "        struct.unpack_from('<II', block, off)\n"
         ),
-    }, flow=True)
+    })
     findings = [f for f in result.findings if f.rule == "O001"]
     assert len(findings) == 1
     assert findings[0].line == 4  # touch_hot's loop, not cold_helper's
@@ -617,7 +445,7 @@ def test_o001_precompiled_struct_is_clean():
             "    for off in range(0, 64, 8):\n"
             "        _HDR.unpack_from(block, off)\n"
         ),
-    }, flow=True)
+    })
     assert "O001" not in rules_of(result)
 
 
@@ -630,26 +458,8 @@ def test_o001_span_outside_loop_is_clean():
             "    with obs.span('fs', 'fetch'):\n"
             "        cache.get(bno)\n"
         ),
-    }, flow=True)
+    })
     assert "O001" not in rules_of(result)
-
-
-# -- flow rules stay out of the default run ----------------------------------
-
-
-def test_flow_rules_require_opt_in():
-    sources = {
-        "src/repro/cache/writeback.py": (
-            "def flush(dev, bno):\n"
-            "    data = bytearray(4096)\n"
-            "    dev.write_block(bno, data)\n"
-            "    data[0] = 1\n"
-        ),
-    }
-    assert "B001" not in rules_of(lint_sources(sources))
-    assert "B001" in rules_of(lint_sources(sources, flow=True))
-    # Asking for the rule by id also works without the flow switch.
-    assert "B001" in rules_of(lint_sources(sources, rule_ids=["B001"]))
 
 
 # -- JSON golden for a flow run ----------------------------------------------
@@ -657,27 +467,33 @@ def test_flow_rules_require_opt_in():
 
 def test_flow_json_reporter_golden():
     result = lint_sources({
-        "src/repro/cache/writeback.py": (
-            "def flush(dev, bno):\n"
-            "    data = bytearray(4096)\n"
-            "    dev.write_block(bno, data)\n"
+        "src/repro/ffs/filesystem.py": (
+            "def set_flag(self, bno, flag):\n"
+            "    data = self.cache.get(bno).data\n"
             "    data[0] = 1\n"
+            "    if not flag:\n"
+            "        return\n"
+            "    self._meta_write(bno)\n"
         ),
-    }, rule_ids=["B001"])
+    }, rule_ids=["J001"])
     payload = json.loads(render_json(result))
     assert payload == {
         "tool": "reprolint",
         "rules": {
-            "B001": "buffer ownership across the device boundary",
+            "J001": "metadata mutation must reach the ordering seam on all paths",
         },
         "files_checked": 1,
         "findings": [
             {
-                "rule": "B001",
-                "message": "buffer mutated after device handoff in flush()",
-                "path": "src/repro/cache/writeback.py",
-                "module": "repro.cache.writeback",
-                "line": 4,
+                "rule": "J001",
+                "message": (
+                    "metadata bytes mutated in set_flag() can leave the "
+                    "function without reaching _meta_write/mark_dirty/"
+                    "write_sync (early return, raise, or unsealed "
+                    "fall-through)"),
+                "path": "src/repro/ffs/filesystem.py",
+                "module": "repro.ffs.filesystem",
+                "line": 3,
                 "col": 5,
                 "suppressed": False,
             }

@@ -48,8 +48,8 @@ def test_unknown_rule_id_rejected():
 
 def test_rule_catalog_lists_all_rules():
     assert set(rule_catalog()) == {
-        "L001", "D001", "E001", "F001", "M001", "S001",  # AST rules
-        "B001", "J001", "O001",                          # flow rules
+        "L001", "D001", "E001", "F001", "S001",  # AST rules
+        "J001", "O001",                          # flow rules
     }
 
 
@@ -480,75 +480,6 @@ def test_f001_correct_usage_clean():
     assert result.ok
 
 
-# -- M001 derived metadata ----------------------------------------------------
-
-
-def test_m001_free_count_mutation_outside_allocator_flagged():
-    result = lint_sources({
-        "src/repro/core/filesystem.py": (
-            "class FS:\n"
-            "    def grab(self):\n"
-            "        self.sb['free_blocks'] -= 1\n"
-        ),
-    })
-    assert "M001" in rules_of(result, suppressed=False)
-
-
-def test_m001_bitmap_call_outside_allocator_flagged():
-    result = lint_sources({
-        "src/repro/vfs/interface.py": (
-            "from repro.ffs.cylgroup import set_bit\n\n"
-            "def claim(bitmap, i):\n    set_bit(bitmap, i)\n"
-        ),
-    })
-    assert any(f.rule == "M001" for f in result.unsuppressed)
-
-
-def test_m001_descriptor_write_outside_groups_flagged():
-    result = lint_sources({
-        "src/repro/core/filesystem.py": (
-            "class FS:\n"
-            "    def release(self, ext, desc):\n"
-            "        self.groups.write_desc(ext, desc)\n"
-        ),
-    })
-    found = [f for f in result.unsuppressed if f.rule == "M001"]
-    assert len(found) == 1 and "extent descriptor" in found[0].message
-
-
-def test_m001_descriptor_reads_and_the_owner_module_are_clean():
-    result = lint_sources({
-        "src/repro/core/filesystem.py": (
-            "class FS:\n"
-            "    def grouped(self, ext):\n"
-            "        return self.groups.read_desc(ext)['state'] == 1\n"
-        ),
-        "src/repro/core/groups.py": (
-            "class GroupTable:\n"
-            "    def reset(self, ext, desc):\n"
-            "        self.write_desc(ext, desc)\n"
-        ),
-    })
-    assert "M001" not in rules_of(result, suppressed=False)
-
-
-def test_m001_allocator_and_fsck_may_mutate():
-    result = lint_sources({
-        "src/repro/ffs/alloc.py": (
-            "from repro.ffs.cylgroup import set_bit\n\n"
-            "class Alloc:\n"
-            "    def take(self, bitmap, i):\n"
-            "        set_bit(bitmap, i)\n"
-            "        self.counts['free_blocks'] -= 1\n"
-        ),
-        "src/repro/fsck/repair.py": (
-            "def rebuild(sb, computed):\n"
-            "    sb['free_blocks'] = computed\n"
-        ),
-    })
-    assert result.ok
-
-
 # -- suppression --------------------------------------------------------------
 
 
@@ -691,7 +622,7 @@ def test_text_reporter_format():
     text = render_text(result)
     assert "src/repro/ffs/filesystem.py:1:1: L001" in text
     assert text.splitlines()[-1] == (
-        "checked 1 file(s), 6 rule(s): 1 finding(s), 0 suppressed"
+        "checked 1 file(s), 7 rule(s): 1 finding(s), 0 suppressed"
     )
 
 

@@ -2,13 +2,13 @@
 
 Any new violation must either be fixed or carry an explanatory
 suppression comment; this test is what CI and local pytest enforce.
-The flow-sensitive rules (B001/J001/O001) hold the same bar under
-``--flow``, and the committed golden baseline
-(tests/golden/lint_flow_baseline.json) pins the position-free report so
-a CI diff shows exactly which finding or suppression moved.
+The committed golden baseline (tests/golden/lint_baseline.json) pins
+the position-free report of the one rule set, so a CI diff shows
+exactly which finding or suppression moved.
 """
 
 import difflib
+import functools
 import json
 import os
 import subprocess
@@ -19,12 +19,17 @@ from repro.lint.reporters import render_json
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
-FLOW_BASELINE = os.path.join(
-    REPO_ROOT, "tests", "golden", "lint_flow_baseline.json")
+BASELINE = os.path.join(REPO_ROOT, "tests", "golden", "lint_baseline.json")
+
+
+@functools.lru_cache(maxsize=None)
+def tree_result():
+    """The one lint run over the source tree the tests below read."""
+    return lint_paths([SRC])
 
 
 def test_src_tree_has_no_unsuppressed_findings():
-    result = lint_paths([SRC])
+    result = tree_result()
     assert result.files_checked > 50  # the walk found the real tree
     offenders = [
         "%s:%d: %s %s" % (f.path, f.line, f.rule, f.message)
@@ -34,18 +39,12 @@ def test_src_tree_has_no_unsuppressed_findings():
 
 
 def test_src_tree_is_flow_clean():
-    # The tentpole gate: zero unsuppressed B001/J001/O001 findings.
-    result = lint_paths([SRC], flow=True)
-    offenders = [
-        "%s:%d: %s %s" % (f.path, f.line, f.rule, f.message)
-        for f in result.unsuppressed
-    ]
-    assert not offenders, "unsuppressed flow findings:\n" + "\n".join(offenders)
-    assert {"B001", "J001", "O001"} <= set(result.rules_run)
+    # The flow-engine rules are part of the one rule set: no switch.
+    assert {"J001", "O001"} <= set(tree_result().rules_run)
 
 
 def position_free_report(result) -> str:
-    """The ``--flow`` report in the form the committed baseline pins.
+    """The report in the form the committed baseline pins.
 
     A finding is named by rule, module, enclosing function and message,
     plus its index among the findings that share those four (in line
@@ -71,19 +70,19 @@ def position_free_report(result) -> str:
 
 def baseline_diff() -> str:
     """Unified diff of the committed baseline against the current tree
-    (empty when they agree); CI's lint-flow step prints and tests it."""
-    current = position_free_report(lint_paths([SRC], flow=True))
+    (empty when they agree); CI's reprolint step prints and tests it."""
+    current = position_free_report(tree_result())
     if os.environ.get("REPRO_REGEN_GOLDENS") == "1":
-        with open(FLOW_BASELINE, "w", encoding="utf-8") as handle:
+        with open(BASELINE, "w", encoding="utf-8") as handle:
             handle.write(current)
-    with open(FLOW_BASELINE, "r", encoding="utf-8") as handle:
+    with open(BASELINE, "r", encoding="utf-8") as handle:
         committed = handle.read()
     return "".join(difflib.unified_diff(
         committed.splitlines(True), current.splitlines(True),
-        "tests/golden/lint_flow_baseline.json", "current"))
+        "tests/golden/lint_baseline.json", "current"))
 
 
-def test_flow_report_matches_committed_baseline():
+def test_report_matches_committed_baseline():
     # The committed report moves only when a finding or suppression
     # appears, disappears or changes function.  Regenerate, then review
     # the diff, with
@@ -100,7 +99,7 @@ def test_suppressions_are_finite_and_audited():
     # fixture strings, +3 J001 conditional-mutation codec calls, -1 when
     # the two make_* factory imports became BlockFileSystem.fresh, -5
     # wall-clock reads (D001) deleted with the second perf harness.
-    result = lint_paths([SRC], flow=True)
+    result = tree_result()
     assert len(result.suppressed) <= 13
     # And every one of them carries a rationale (S001 self-host).
     assert "S001" not in {f.rule for f in result.findings if not f.suppressed}
@@ -116,21 +115,21 @@ def test_cli_lint_exits_zero_on_clean_tree():
         cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 finding(s)" in proc.stdout
+    assert "7 rule(s): 0 finding(s)" in proc.stdout
 
 
 def test_cli_lint_flow_exits_zero_on_clean_tree():
+    # The flow rules are selected by id like any other.
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", SRC, "--flow"],
+        [sys.executable, "-m", "repro", "lint", SRC, "--rules", "J001,O001"],
         capture_output=True,
         text=True,
         env=env,
         cwd=REPO_ROOT,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 finding(s)" in proc.stdout
-    assert "9 rule(s)" in proc.stdout
+    assert "2 rule(s): 0 finding(s), 3 suppressed" in proc.stdout
 
 
 def test_cli_lint_exits_nonzero_on_violation(tmp_path):

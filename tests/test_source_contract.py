@@ -86,12 +86,17 @@ def test_every_module_has_a_user_outside_the_tests():
 #: Configuration fields no call in src/, benchmarks/ or examples/ sets,
 #: each with the reason it is a field and not a constant.
 UNPASSED_FIELDS = {
-    "small_file_spread": "the ROADMAP sensitivity sweep varies it",
-    "file_readahead_blocks": "the DESIGN.md section 4b prefetch extension, "
-                             "which tests/test_prefetch.py turns on",
-    "weak_count": "a soak scenario field tier-1's QUICK soak shrinks",
-    "bad_read_count": "a soak scenario field tier-1's QUICK soak shrinks",
-    "rot_count": "a soak scenario field tier-1's QUICK soak shrinks",
+    "ffs.base.VolumeConfig.small_file_spread":
+        "the ROADMAP sensitivity sweep varies it",
+    "ffs.base.VolumeConfig.file_readahead_blocks":
+        "the DESIGN.md section 4b prefetch extension, which "
+        "tests/test_prefetch.py turns on",
+    "faults.chaos.ChaosConfig.weak_count":
+        "a soak scenario field tier-1's QUICK soak shrinks",
+    "faults.chaos.ChaosConfig.bad_read_count":
+        "a soak scenario field tier-1's QUICK soak shrinks",
+    "faults.chaos.ChaosConfig.rot_count":
+        "a soak scenario field tier-1's QUICK soak shrinks",
 }
 
 
@@ -103,38 +108,169 @@ def _is_dataclass(node):
     return False
 
 
-def config_fields():
-    """``(class, field)`` for every annotated field of a dataclass named
-    ``*Config`` or ``*Policy`` under src/repro."""
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.ClassDef) and _is_dataclass(node)
-                    and node.name.endswith(("Config", "Policy"))):
+def _own_fields(node):
+    return [stmt.target.id for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)]
+
+
+class Program:
+    """src/, benchmarks/ and examples/, parsed once: what a name in a
+    module stands for, and which config class a call constructs."""
+
+    def __init__(self):
+        self.trees = {}
+        for base in ("src", "benchmarks", "examples"):
+            for path in (ROOT / base).rglob("*.py"):
+                rel = path.relative_to(SRC if SRC in path.parents else ROOT)
+                parts = list(rel.with_suffix("").parts)
+                if parts[-1] == "__init__":
+                    parts.pop()
+                self.trees[".".join(parts)] = ast.parse(
+                    path.read_text(encoding="utf-8"))
+        self.defs = {
+            module: {node.name: node for node in tree.body
+                     if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+            for module, tree in self.trees.items()}
+        self.imports = {
+            module: {alias.asname or alias.name: (node.module, alias.name)
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     for alias in node.names}
+            for module, tree in self.trees.items()}
+        #: (module, class name) of every ``*Config`` / ``*Policy``
+        #: dataclass under src/repro.
+        self.configs = {
+            (module, name) for module, defs in self.defs.items()
+            if module.startswith("repro")
+            for name, node in defs.items()
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            and name.endswith(("Config", "Policy"))}
+        #: class attribute -> the config classes bound to it
+        #: (``Config = CFFSConfig``, so ``fmt.Config(...)``).
+        self.aliases = {}
+        for module, defs in self.defs.items():
+            for node in defs.values():
+                if not isinstance(node, ast.ClassDef):
+                    continue
                 for stmt in node.body:
-                    if (isinstance(stmt, ast.AnnAssign)
-                            and isinstance(stmt.target, ast.Name)):
-                        yield node.name, stmt.target.id
+                    if (isinstance(stmt, ast.Assign)
+                            and isinstance(stmt.value, ast.Name)):
+                        target = self.resolve(module, stmt.value.id)
+                        if target in self.configs:
+                            for name in stmt.targets:
+                                self.aliases.setdefault(
+                                    name.id, set()).add(target)
+
+    def resolve(self, module, name, seen=()):
+        """(module, name) of the def ``name`` stands for in ``module``,
+        through imports and package re-exports; None if not ours."""
+        if name in self.defs.get(module, {}):
+            return module, name
+        source = self.imports.get(module, {}).get(name)
+        if source is None or source in seen:
+            return None
+        return self.resolve(source[0], source[1], seen + (source,))
+
+    def lineage(self, cls):
+        """``cls`` and its config base classes, base-most first."""
+        node = self.defs[cls[0]][cls[1]]
+        out = []
+        for base in node.bases:
+            target = self.resolve(cls[0], getattr(base, "id", ""))
+            if target in self.configs:
+                out += self.lineage(target)
+        return out + [cls]
+
+    def fields(self, cls):
+        """(declaring class, field) in dataclass order, inherited first."""
+        return [(owner, field) for owner in self.lineage(cls)
+                for field in _own_fields(self.defs[owner[0]][owner[1]])]
+
+    def is_replace(self, module, call):
+        return self.imports[module].get(
+            getattr(call.func, "id", None)) == ("dataclasses", "replace")
+
+    def annotated(self, module, annotation):
+        target = self.resolve(module, getattr(annotation, "id", ""))
+        return {target} if target in self.configs else set()
+
+    def built_by(self, module, func, call, seen=frozenset()):
+        """The config classes whose fields ``call``'s arguments set: a
+        constructor, by name or through a class attribute, or
+        ``replace(cfg, ...)``."""
+        callee = call.func
+        if isinstance(callee, ast.Attribute):
+            return self.aliases.get(callee.attr, set())
+        if self.is_replace(module, call):
+            return (self.instance_of(module, func, call.args[0], seen)
+                    if call.args else set())
+        target = self.resolve(module, getattr(callee, "id", ""))
+        return {target} if target in self.configs else set()
+
+    def instance_of(self, module, func, expr, seen=frozenset()):
+        """The config classes ``expr`` (a call, or a name local to
+        ``func``) may evaluate to."""
+        if isinstance(expr, ast.Name) and func is not None:
+            if expr.id in seen:
+                return set()
+            seen = seen | {expr.id}
+            out = set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == expr.id for t in node.targets):
+                    out |= self.instance_of(module, func, node.value, seen)
+                elif (isinstance(node, ast.Return)
+                        and getattr(node.value, "id", None) == expr.id):
+                    out |= self.annotated(module, func.returns)
+            return out
+        if not isinstance(expr, ast.Call):
+            return set()
+        built = self.built_by(module, func, expr, seen)
+        target = self.resolve(module, getattr(expr.func, "id", ""))
+        if not built and target is not None:
+            node = self.defs[target[0]][target[1]]
+            if isinstance(node, ast.FunctionDef):
+                return self.annotated(target[0], node.returns)
+        return built
+
+    def calls(self, module=None, node=None, func=None):
+        """``(module, innermost enclosing def or None, call)`` for every
+        call."""
+        if module is None:
+            for module, tree in self.trees.items():
+                yield from self.calls(module, tree)
+            return
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield module, func, child
+            yield from self.calls(module, child, child if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+
+def _key(owner, field):
+    return "%s.%s.%s" % (owner[0].split(".", 1)[1], owner[1], field)
 
 
 def test_every_config_field_has_a_caller():
     # A field only its default or a test sets is a constant: one more
     # setting the oracle and the benchmark would otherwise have to cover.
-    #
-    # The match is by keyword name alone, from any call: a field counts
-    # as passed when some unrelated call shares its name (seed=, label=,
-    # transient_rate= to FaultSchedule, ...).  So this catches a knob
-    # with a name of its own, not one with a common name.  Resolving
-    # each call to its class would also need subclasses (CFFSConfig sets
-    # VolumeConfig's fields), ``fmt.Config(...)`` and ``replace(cfg,
-    # ...)``, and would flag three faults.chaos.ChaosConfig fields today
-    # (sync_every, transient_rate, torn_rate); see ROADMAP.md.
-    passed = {keyword.arg
-              for base in ("src", "benchmarks", "examples")
-              for path in (ROOT / base).rglob("*.py")
-              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-              if isinstance(node, ast.Call)
-              for keyword in node.keywords}
-    unpassed = {field for _cls, field in config_fields()
-                if field not in passed}
+    # Each call is resolved to the class it builds: by name through the
+    # imports, ``fmt.Config(...)`` through the class attribute it names,
+    # ``replace(cfg, ...)`` through what ``cfg`` was assigned or the
+    # enclosing function's return type; a subclass sets its bases'
+    # fields, and positional arguments count in field order.
+    program = Program()
+    passed = set()
+    for module, func, call in program.calls():
+        for cls in program.built_by(module, func, call):
+            fields = program.fields(cls)
+            skip = 1 if program.is_replace(module, call) else 0
+            passed.update(fields[:len(call.args) - skip])
+            by_name = {field: owner for owner, field in fields}
+            passed.update((by_name[kw.arg], kw.arg) for kw in call.keywords
+                          if kw.arg in by_name)
+    unpassed = {_key(owner, field) for cls in program.configs
+                for owner, field in program.fields(cls)
+                if (owner, field) not in passed}
     assert unpassed == set(UNPASSED_FIELDS)
