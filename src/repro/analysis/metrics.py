@@ -59,11 +59,11 @@ class LatencySummary:
     p99: float
     maximum: float
 
-    def render(self, scale: float = 1e3, unit: str = "ms") -> str:
-        return ("n=%d  mean=%.3f%s  p50=%.3f%s  p95=%.3f%s  p99=%.3f%s  max=%.3f%s"
-                % (self.count, self.mean * scale, unit, self.p50 * scale, unit,
-                   self.p95 * scale, unit, self.p99 * scale, unit,
-                   self.maximum * scale, unit))
+    def render(self) -> str:
+        """One line, in milliseconds."""
+        return ("n=%d  mean=%.3fms  p50=%.3fms  p95=%.3fms  p99=%.3fms  max=%.3fms"
+                % (self.count, self.mean * 1e3, self.p50 * 1e3,
+                   self.p95 * 1e3, self.p99 * 1e3, self.maximum * 1e3))
 
 
 def summarize_latencies(values: Sequence[float]) -> LatencySummary:

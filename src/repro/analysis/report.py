@@ -42,13 +42,17 @@ class Table:
         return "\n".join(lines)
 
 
+#: Characters in a bar chart's longest bar.
+BAR_WIDTH = 48
+
+
 def bar_chart(
     title: str,
     entries: Iterable[Tuple[str, float]],
     unit: str = "",
-    width: int = 48,
 ) -> str:
-    """A horizontal ASCII bar chart (one figure series)."""
+    """A horizontal ASCII bar chart (one figure series), the longest bar
+    ``BAR_WIDTH`` characters."""
     items = list(entries)
     if not items:
         return title + "\n(no data)"
@@ -56,7 +60,7 @@ def bar_chart(
     label_w = max(len(k) for k, _ in items)
     lines = [title, ""]
     for key, value in items:
-        bar = "#" * max(1, int(round(value / peak * width)))
+        bar = "#" * max(1, int(round(value / peak * BAR_WIDTH)))
         lines.append("%s  %s %.3g %s" % (key.ljust(label_w), bar, value, unit))
     return "\n".join(lines)
 

@@ -16,7 +16,6 @@ import struct
 import zlib
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.clock import SimClock
 from repro.disk.drive import SimulatedDisk
 from repro.disk.geometry import SECTOR_SIZE
 from repro.disk.profiles import PROFILES, DriveProfile
@@ -86,9 +85,9 @@ class BatchedIO:
 class BlockDevice(BatchedIO):
     """4 KB-block view of a simulated disk with scatter/gather batches."""
 
-    def __init__(self, profile: DriveProfile, clock: Optional[SimClock] = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
-        self.disk = SimulatedDisk(profile, self.clock)
+    def __init__(self, profile: DriveProfile) -> None:
+        self.disk = SimulatedDisk(profile)
+        self.clock = self.disk.clock
         self.total_blocks = self.disk.total_sectors // SECTORS_PER_BLOCK
         self._blocks: Dict[int, bytes] = {}
 

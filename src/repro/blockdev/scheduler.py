@@ -26,18 +26,23 @@ def clook_order(block_numbers: Iterable[int], head_position: int) -> List[int]:
     return ge + lt
 
 
-def coalesce_blocks(block_numbers: Sequence[int], max_blocks: int = 256) -> List[Tuple[int, int]]:
+#: The longest extent one coalesced request covers, in blocks.
+MAX_EXTENT_BLOCKS = 256
+
+
+def coalesce_blocks(block_numbers: Sequence[int]) -> List[Tuple[int, int]]:
     """Collapse runs of adjacent block numbers into (start, count) extents.
 
     The input order is preserved run-by-run (callers pass C-LOOK-ordered
-    lists), and runs are capped at ``max_blocks`` so a single request
-    cannot grow without bound.
+    lists), and runs are capped at ``MAX_EXTENT_BLOCKS`` so a single
+    request cannot grow without bound.
     """
     extents: List[Tuple[int, int]] = []
     run_start = None
     run_len = 0
     for bno in block_numbers:
-        if run_start is not None and bno == run_start + run_len and run_len < max_blocks:
+        if (run_start is not None and bno == run_start + run_len
+                and run_len < MAX_EXTENT_BLOCKS):
             run_len += 1
         else:
             if run_start is not None:

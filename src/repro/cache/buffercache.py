@@ -193,10 +193,6 @@ class BufferCache:
 
     # -- flushing and eviction ------------------------------------------------------
 
-    @property
-    def dirty_count(self) -> int:
-        return len(self._dirty)
-
     def _prepare_writes(self, block_numbers: Iterable[int]):
         """Pipeline-filtered (writes, cleaned) for the given dirty blocks."""
         writes: Dict[int, bytes] = {}

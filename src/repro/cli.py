@@ -41,6 +41,7 @@ from repro.disk.profiles import PROFILES, SEAGATE_ST31200
 from repro.errors import ReproError
 from repro.fsck import (
     CHECKERS,
+    FORMAT_LABELS,
     checker_for,
     format_for,
     fsck_resilience,
@@ -48,6 +49,7 @@ from repro.fsck import (
     open_logical,
 )
 from repro.resilience import ResilientBlockDevice
+from repro.resilience.device import DEFAULT_SPARES
 
 
 #: ``--fs`` of the commands that run the paper's configuration grid.
@@ -64,13 +66,11 @@ POLICY_NAMES = {
 }
 
 
-def add_policy_argument(parser, default: str = "sync",
-                        extra_choices: tuple = ()) -> None:
+def add_policy_argument(parser) -> None:
     """The common ``--policy`` flag shared by every command that builds
     a file system."""
     parser.add_argument(
-        "--policy", choices=tuple(POLICY_NAMES) + extra_choices,
-        default=default,
+        "--policy", choices=tuple(POLICY_NAMES), default="sync",
         help="metadata policy: synchronous ordering writes, soft-update "
              "dependency tracking, or write-ahead journaling")
 
@@ -558,33 +558,44 @@ def _add_trace_arguments(parser) -> None:
 
 def _add_cluster_traffic_arguments(p, clients: int, dirs: int) -> None:
     """The traffic model both cluster commands replay; they differ only
-    in how many clients and directories they default to."""
-    p.add_argument("--shards", type=int, default=4)
+    in how many clients and directories they default to.  The other
+    defaults are :class:`~repro.cluster.TrafficConfig`'s."""
+    from repro.cluster import ROUTER_KINDS, TrafficConfig
+
+    p.add_argument("--shards", type=int, default=TrafficConfig.shards)
     p.add_argument("--clients", type=int, default=clients,
                    help="concurrent simulated clients (default %d)" % clients)
-    p.add_argument("--ops", type=int, default=3,
+    p.add_argument("--ops", type=int, default=TrafficConfig.ops_per_client,
                    help="operations per client")
     p.add_argument("--dirs", type=int, default=dirs,
                    help="top-level directories the load targets")
-    p.add_argument("--zipf", type=float, default=0.9,
+    p.add_argument("--zipf", type=float, default=TrafficConfig.zipf_theta,
                    help="Zipf theta for directory popularity")
-    p.add_argument("--read-mix", type=float, default=0.55,
+    p.add_argument("--read-mix", type=float,
+                   default=TrafficConfig.read_fraction,
                    help="fraction of ops that are reads")
-    p.add_argument("--rename-mix", type=float, default=0.02,
+    p.add_argument("--rename-mix", type=float,
+                   default=TrafficConfig.rename_fraction,
                    help="fraction of ops that are renames (may cross shards)")
-    p.add_argument("--size", type=int, default=16384,
+    p.add_argument("--size", type=int, default=TrafficConfig.file_size,
                    help="file size written by write ops")
-    p.add_argument("--fs", default="cffs", help=GRID_FS_HELP)
+    p.add_argument("--fs", default=TrafficConfig.label, help=GRID_FS_HELP)
     _add_scheduler_argument(
         p, "per-shard queue discipline: fcfs, sstf or clook")
-    p.add_argument("--router", choices=("hash", "util"), default="util",
+    p.add_argument("--router", choices=ROUTER_KINDS,
+                   default=TrafficConfig.router,
                    help="placement policy: consistent hashing or "
                         "utilization-aware least-loaded")
-    p.add_argument("--seed", type=int, default=1997)
+    p.add_argument("--seed", type=int, default=TrafficConfig.seed)
     add_policy_argument(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.cluster import TrafficConfig
+    from repro.cluster.chaos import FAIL_OPS, ChaosConfig
+    from repro.engine.multiclient import WORKLOADS
+    from repro.faults import CHAOS_SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="C-FFS reproduction: simulated file system images",
@@ -593,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mkfs", help="create a fresh file system image")
     p.add_argument("image")
-    p.add_argument("--fs", choices=("cffs", "ffs"), default="cffs")
+    p.add_argument("--fs", choices=FORMAT_LABELS, default="cffs")
     p.add_argument("--profile", default=SEAGATE_ST31200.name)
     p.add_argument("--no-embed", action="store_true",
                    help="disable embedded inodes (C-FFS only)")
@@ -602,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resilient", action="store_true",
                    help="reserve a checksum sidecar + spare pool so the "
                         "image self-heals (see docs/RESILIENCE.md)")
-    p.add_argument("--spares", type=int, default=32,
+    p.add_argument("--spares", type=int, default=DEFAULT_SPARES,
                    help="spare blocks for bad-block remapping "
                         "(with --resilient)")
     add_policy_argument(p)
@@ -686,11 +697,11 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="soak a file system on decaying media and assert the "
              "self-healing contract")
-    p.add_argument("--scenario", choices=("sustained", "exhaust"),
+    p.add_argument("--scenario", choices=tuple(CHAOS_SCENARIOS),
                    default="sustained",
                    help="sustained decay, or spare-pool exhaustion "
                         "(expects the READ_ONLY demotion)")
-    p.add_argument("--fs", choices=("cffs", "ffs"),
+    p.add_argument("--fs", choices=FORMAT_LABELS,
                    help="override the scenario's file system")
     p.add_argument("--files", type=int,
                    help="override the scenario's workload size")
@@ -708,8 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=1024)
     p.add_argument("--fs", default="cffs", help=GRID_FS_HELP)
     _add_scheduler_argument(p, "queue discipline: fcfs, sstf or clook")
-    p.add_argument("--workload", choices=("smallfile", "postmark", "hypertext"),
-                   default="smallfile")
+    p.add_argument("--workload", choices=WORKLOADS, default="smallfile")
     p.add_argument("--phases", default="create,read",
                    help="smallfile phases to run (comma-separated)")
     add_policy_argument(p)
@@ -719,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "cluster",
         help="replay a Zipfian many-client load over a sharded cluster")
-    _add_cluster_traffic_arguments(p, clients=1000, dirs=96)
+    _add_cluster_traffic_arguments(p, clients=TrafficConfig.clients,
+                                   dirs=TrafficConfig.dirs)
     p.add_argument("--faults", metavar="SPEC",
                    help="per-shard fault schedules, e.g. "
                         "'1:write_fail_from=0;2:transient_rate=0.05'")
@@ -734,13 +745,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill one shard mid-traffic and assert the cluster's "
              "fault-tolerance contract")
     _add_cluster_traffic_arguments(p, clients=400, dirs=48)
-    p.add_argument("--fail-shard", type=int, default=1,
+    p.add_argument("--fail-shard", type=int, default=ChaosConfig.fail_shard,
                    help="the victim shard (armed between warm and storm)")
-    p.add_argument("--fail-op", choices=("write", "read"), default="write",
+    p.add_argument("--fail-op", choices=FAIL_OPS, default=ChaosConfig.fail_op,
                    help="which path breaks on the victim")
-    p.add_argument("--warm-fraction", type=float, default=0.4,
+    p.add_argument("--warm-fraction", type=float,
+                   default=ChaosConfig.warm_fraction,
                    help="fraction of clients that run before the fault")
-    p.add_argument("--floor", type=float, default=0.95,
+    p.add_argument("--floor", type=float,
+                   default=ChaosConfig.availability_floor,
                    help="required availability on surviving shards")
     p.add_argument("--faults", metavar="SPEC",
                    help="additional per-shard fault schedules, e.g. "
@@ -773,15 +786,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "trace",
         help="run a workload with tracing on and export the spans")
-    p.add_argument("--workload",
-                   choices=("smallfile", "postmark", "hypertext"),
-                   default="smallfile")
+    p.add_argument("--workload", choices=WORKLOADS, default="smallfile")
     p.add_argument("--fs", default="cffs", help=GRID_FS_HELP)
     p.add_argument("--files", type=int, default=200,
                    help="files (or documents) the workload touches")
     p.add_argument("--size", type=int, default=1024,
                    help="file size for smallfile")
-    p.add_argument("--format", choices=("chrome", "jsonl", "flame"),
+    p.add_argument("--format", choices=tuple(TRACE_DEFAULT_OUT),
                    default="chrome")
     p.add_argument("--out", metavar="PATH",
                    help="output path (default: trace.<format extension>)")

@@ -50,12 +50,16 @@ class SimClock:
             self._now = when
         return self._now
 
-    def reset(self, start: float = 0.0) -> None:
-        """Rewind the clock (only used between benchmark phases)."""
-        self._now = float(start)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SimClock(now=%.6f)" % self._now
+
+
+#: The CPU costs of the paper's 120 MHz Pentium: one system-call
+#: crossing, copying one KB between cache and user buffers, scanning one
+#: directory entry.
+SYSCALL_US = 20.0
+COPY_US_PER_KB = 25.0
+DIRENT_SCAN_NS = 400.0
 
 
 class CpuModel:
@@ -68,28 +72,19 @@ class CpuModel:
     is part of why many small disk requests lose to few large ones.
     """
 
-    __slots__ = ("clock", "syscall_us", "copy_us_per_kb", "dirent_scan_ns")
+    __slots__ = ("clock",)
 
-    def __init__(
-        self,
-        clock: SimClock,
-        syscall_us: float = 20.0,
-        copy_us_per_kb: float = 25.0,
-        dirent_scan_ns: float = 400.0,
-    ) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self.clock = clock
-        self.syscall_us = syscall_us
-        self.copy_us_per_kb = copy_us_per_kb
-        self.dirent_scan_ns = dirent_scan_ns
 
     def charge_syscall(self) -> None:
         """Fixed cost of crossing the (simulated) system-call boundary."""
-        self.clock.advance(self.syscall_us * 1e-6)
+        self.clock.advance(SYSCALL_US * 1e-6)
 
     def charge_copy(self, nbytes: int) -> None:
         """Cost of copying ``nbytes`` between cache and user buffers."""
         if nbytes > 0:
-            self.clock.advance(self.copy_us_per_kb * 1e-6 * (nbytes / 1024.0))
+            self.clock.advance(COPY_US_PER_KB * 1e-6 * (nbytes / 1024.0))
 
     def charge_dirent_scan(self, nentries: int) -> None:
         """Cost of scanning ``nentries`` directory entries.
@@ -100,4 +95,4 @@ class CpuModel:
         honest.
         """
         if nentries > 0:
-            self.clock.advance(self.dirent_scan_ns * 1e-9 * nentries)
+            self.clock.advance(DIRENT_SCAN_NS * 1e-9 * nentries)

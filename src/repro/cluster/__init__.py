@@ -47,9 +47,10 @@ from repro.cluster.intent import (
     scan_records,
 )
 from repro.cluster.router import (
-    DEFAULT_VNODES,
+    DEGRADED_PRESSURE,
     ROUTE_CPU_SECONDS,
     ROUTER_KINDS,
+    VNODES,
     HashRouter,
     Router,
     UtilizationRouter,
@@ -80,7 +81,7 @@ __all__ = [
     "ClusterHealth",
     "ClusterOp",
     "ClusterTrafficResult",
-    "DEFAULT_VNODES",
+    "DEGRADED_PRESSURE",
     "EVAC",
     "EvacuatedTop",
     "HashRouter",
@@ -94,6 +95,7 @@ __all__ = [
     "ShardBalance",
     "TrafficConfig",
     "UtilizationRouter",
+    "VNODES",
     "ZipfSampler",
     "adopted_tops",
     "chaos_summary",

@@ -196,18 +196,15 @@ class ChaosResult:
         return "PASS" if ok else "FAIL"
 
 
-def run_cluster_chaos(cfg: ChaosConfig,
-                      cluster: Optional[Cluster] = None) -> ChaosResult:
+def run_cluster_chaos(cfg: ChaosConfig) -> ChaosResult:
     """Run the five phases; returns the result (see module docstring)."""
     cfg.validate()
     t = cfg.traffic
     storm_schedule = FaultSchedule(seed=t.seed * 31 + cfg.fail_shard)
     faults = dict(cfg.extra_faults or {})
     faults[cfg.fail_shard] = storm_schedule
-    if cluster is None:
-        cluster = Cluster(n_shards=t.shards, label=t.label,
-                          policy=t.policy, scheduler=t.scheduler,
-                          router=t.router, faults=faults)
+    cluster = Cluster(n_shards=t.shards, label=t.label, policy=t.policy,
+                      scheduler=t.scheduler, router=t.router, faults=faults)
     sampler = ZipfSampler(t.dirs, t.zipf_theta)
     created: set = set()
     n_warm = max(1, int(t.clients * cfg.warm_fraction))

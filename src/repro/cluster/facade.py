@@ -160,9 +160,9 @@ class ClusterFS:
                 raise
             return dst, self._shard_call(dst, fn, op="write")
 
-    def _call(self, path: str, fn, op: str = "read"):
-        shard = self._owner(path)
-        return self._shard_call(shard, fn, op=op)
+    def _call(self, path: str, fn):
+        """Run a read ``fn`` on the shard owning ``path``."""
+        return self._shard_call(self._owner(path), fn)
 
     def _mutate(self, path: str, fn):
         top, _ = split_top(path)
@@ -267,10 +267,6 @@ class ClusterFS:
         self._cluster.account(shard, bytes_written=len(data))
         return self._shard_call(
             shard, lambda f: f.pwrite(inner, offset, data), op="write")
-
-    def seek(self, fd: int, offset: int) -> None:
-        shard, inner = self._shard_fd(fd)
-        self._shard_call(shard, lambda f: f.seek(inner, offset))
 
     def fsync(self, fd: int) -> int:
         shard, inner = self._shard_fd(fd)

@@ -168,10 +168,12 @@ class ClusterHealth:
         against the shard's budget — the same call may succeed a moment
         later.  ``DOWN``: the shard itself is the problem.  ``PLAIN``:
         a file-system error (ENOENT and friends), no health signal.
+        A replayed request fails only with a hard or retry-exhausted
+        media fault of its own read or write.
         """
         if isinstance(failure, str):
-            self.observe_error(sid, failure, op)
-            return DOWN if "power" in failure else RETRY
+            self._count_fault(sid, op)
+            return RETRY
         if isinstance(failure, RETRYABLE + SHARD_DOWN):
             self.observe_exception(sid, failure, op)
             return RETRY if isinstance(failure, RETRYABLE) else DOWN
@@ -193,13 +195,6 @@ class ClusterHealth:
             # TransientDiskError and anything else: charged to the
             # path (read or write) that surfaced it.
             self._count_fault(sid, op)
-
-    def observe_error(self, sid: int, error: str, op: str) -> None:
-        """Classify a replayed request's error string (op = read|write)."""
-        if "power" in error:
-            self.mark(sid, HealthState.FAILED, error)
-        else:
-            self._count_fault(sid, "write" if op == "write" else "read")
 
     def _count_fault(self, sid: int, op: str) -> None:
         if op == "write":

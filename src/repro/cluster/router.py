@@ -41,7 +41,13 @@ ROUTER_KINDS = ("hash", "util")
 #: Virtual nodes per shard on the consistent-hash ring.  Enough that
 #: the ring's arc lengths even out (the classic variance argument);
 #: small enough that building the ring is negligible.
-DEFAULT_VNODES = 64
+VNODES = 64
+
+#: Spill threshold of the utilization router: a DEGRADED shard receives
+#: a new placement only when the least-loaded healthy shard carries
+#: more than this many times the degraded shard's load (+1, so a
+#: completely idle cluster still prefers healthy shards).
+DEGRADED_PRESSURE = 4.0
 
 #: Simulated CPU seconds one routing decision costs (a CRC over a short
 #: name plus a dictionary probe).  Charged by the cluster per routed
@@ -125,8 +131,8 @@ class Router:
         """Where ``top`` lives, *without* placing it (None if unknown)."""
         return self.assignments.get(top)
 
-    def charge(self, sid: int, ops: int = 1) -> None:
-        """Account ``ops`` routed operations against shard ``sid``."""
+    def charge(self, sid: int) -> None:
+        """Account one routed operation against shard ``sid``."""
 
     def _pick(self, top: str, exclude: FrozenSet[int] = _NO_EXCLUDE) -> int:
         raise NotImplementedError
@@ -137,15 +143,12 @@ class HashRouter(Router):
 
     kind = "hash"
 
-    def __init__(self, n_shards: int, vnodes: int = DEFAULT_VNODES) -> None:
+    def __init__(self, n_shards: int) -> None:
         super().__init__(n_shards)
-        if vnodes < 1:
-            raise InvalidArgument("need at least one vnode, got %d" % vnodes)
-        self.vnodes = vnodes
         ring = sorted(
             (zlib.crc32(b"shard-%d/vnode-%d" % (sid, v)), sid)
             for sid in range(n_shards)
-            for v in range(vnodes)
+            for v in range(VNODES)
         )
         self._points: List[int] = [point for point, _ in ring]
         self._owners: List[int] = [sid for _, sid in ring]
@@ -209,15 +212,9 @@ class UtilizationRouter(Router):
 
     kind = "util"
 
-    def __init__(self, n_shards: int,
-                 degraded_pressure: float = 4.0) -> None:
+    def __init__(self, n_shards: int) -> None:
         super().__init__(n_shards)
         self.load: List[int] = [0] * n_shards
-        #: Spill threshold: a DEGRADED shard receives a new placement
-        #: only when the least-loaded healthy shard carries more than
-        #: ``degraded_pressure`` times the degraded shard's load (+1,
-        #: so a completely idle cluster still prefers healthy shards).
-        self.degraded_pressure = degraded_pressure
 
     def _pick(self, top: str, exclude: FrozenSet[int] = _NO_EXCLUDE) -> int:
         def least(candidates: List[int]) -> int:
@@ -236,7 +233,7 @@ class UtilizationRouter(Router):
             h, d = least(healthy), least(degraded)
             # Avoid DEGRADED shards until the healthy ones are loaded
             # past the pressure threshold.
-            if self.load[h] > self.degraded_pressure * (self.load[d] + 1):
+            if self.load[h] > DEGRADED_PRESSURE * (self.load[d] + 1):
                 choice = d
             else:
                 choice = h
@@ -260,8 +257,8 @@ class UtilizationRouter(Router):
         # rebuilt router starts from the same relative ordering).
         self.load[sid] += 1
 
-    def charge(self, sid: int, ops: int = 1) -> None:
-        self.load[sid] += ops
+    def charge(self, sid: int) -> None:
+        self.load[sid] += 1
 
 
 def make_router(kind: str, n_shards: int) -> Router:
@@ -275,11 +272,12 @@ def make_router(kind: str, n_shards: int) -> Router:
 
 
 __all__ = [
-    "DEFAULT_VNODES",
+    "DEGRADED_PRESSURE",
     "HashRouter",
     "ROUTER_KINDS",
     "ROUTE_CPU_SECONDS",
     "Router",
     "UtilizationRouter",
+    "VNODES",
     "make_router",
 ]

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.blockdev.device import BlockDevice
-from repro.cache.buffercache import BufferCache
 from repro.core import directory as dirfmt
 from repro.core import layout
 from repro.core.extinodes import ExtInodeTable
@@ -129,9 +128,8 @@ class CFFS(BlockFileSystem):
     unpack_superblock = staticmethod(layout.unpack_superblock)
     dirfmt = dirfmt
 
-    def __init__(self, device: BlockDevice, config: CFFSConfig,
-                 cache: Optional[BufferCache] = None) -> None:
-        super().__init__(device, config, cache)
+    def __init__(self, device: BlockDevice, config: CFFSConfig) -> None:
+        super().__init__(device, config)
         self.name = config.label
         if config.explicit_grouping:
             self.file_spread = 0  # ungrouped first blocks go to the rotor
@@ -901,5 +899,5 @@ class CFFS(BlockFileSystem):
 
 
 #: Convenience factory: a fresh C-FFS on a fresh simulated disk
-#: (``make_cffs(profile=None, config=None, device=None)``).
+#: (``make_cffs(config=None)``).
 make_cffs = CFFS.fresh

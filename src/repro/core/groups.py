@@ -19,13 +19,13 @@ empties): the bytes are the ones a whole-descriptor rewrite would
 leave, without decoding or copying the other fifteen slots.  The buffer
 is held only from its ``get`` to the ``mark_dirty`` with no cache call
 in between (docs/ARCHITECTURE.md §3).  ``read_head`` answers "grouped?
-which slots valid?"; ``read_desc`` / ``write_desc`` are the view of all
-sixteen slots for the callers that need them.
+which slots valid?"; ``read_desc`` is the view of all sixteen slots for
+the callers that need it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.cache.buffercache import BufferCache
 from repro.core.layout import (
@@ -129,14 +129,6 @@ class GroupTable:
         bno, off = self._desc_location(ext)
         buf = self.cache.get(bno)
         return unpack_gdesc_from(buf.image, off)
-
-    def write_desc(self, ext: ExtentId, desc: dict) -> None:
-        bno, off = self._desc_location(ext)
-        buf = self.cache.get(bno)
-        buf.data[off:off + GDESC_SIZE] = pack_gdesc(
-            desc["state"], desc["valid_mask"], desc["owner"], desc["slots"]
-        )
-        self.cache.mark_dirty(bno)
 
     def _open(self, ext: ExtentId):
         """(buffer, block, offset, state, valid_mask, owner) of a
@@ -252,17 +244,6 @@ class GroupTable:
         hi = max(s for s in range(self.span) if mask & (1 << s))
         base = self.extent_base(ext)
         return base + lo, hi - lo + 1, desc
-
-    def grouped_blocks(self, ext: ExtentId) -> List[Tuple[int, int, int]]:
-        """All valid (block, fileid, fblock) triples of an extent."""
-        desc = self.read_desc(ext)
-        base = self.extent_base(ext)
-        out = []
-        for slot in range(self.span):
-            if desc["valid_mask"] & (1 << slot):
-                fileid, fblock = desc["slots"][slot]
-                out.append((base + slot, fileid, fblock))
-        return out
 
     def drop_hints(self) -> None:
         self._active.clear()

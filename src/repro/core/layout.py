@@ -148,10 +148,6 @@ def unpack_gdesc_from(data: bytes, offset: int = 0) -> dict:
     }
 
 
-def unpack_gdesc(data: bytes) -> dict:
-    return unpack_gdesc_from(data, 0)
-
-
 # ---------------------------------------------------------------------------
 # Superblock.
 # ---------------------------------------------------------------------------

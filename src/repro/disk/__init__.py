@@ -18,7 +18,7 @@ The public surface is:
 - :mod:`repro.disk.profiles` — parameter sets for the paper's drives.
 """
 
-from repro.disk.geometry import DiskGeometry, Zone, chs_of_lba
+from repro.disk.geometry import DiskGeometry, Zone
 from repro.disk.mechanics import RotationModel, SeekCurve
 from repro.disk.drive import SimulatedDisk
 from repro.disk.stats import DiskStats
@@ -35,7 +35,6 @@ from repro.disk.profiles import (
 __all__ = [
     "DiskGeometry",
     "Zone",
-    "chs_of_lba",
     "SeekCurve",
     "RotationModel",
     "SimulatedDisk",

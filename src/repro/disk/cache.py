@@ -153,6 +153,10 @@ class ReadCache:
         self._segments.append(seg)
 
 
+#: The most sectors one drain operation writes.
+MAX_COALESCE_SECTORS = 1024
+
+
 class WriteBuffer:
     """Write-behind buffer: pending ranges keyed by start LBA.
 
@@ -163,9 +167,8 @@ class WriteBuffer:
     operations.
     """
 
-    def __init__(self, capacity_sectors: int, max_coalesce_sectors: int = 1024) -> None:
+    def __init__(self, capacity_sectors: int) -> None:
         self.capacity = capacity_sectors
-        self.max_coalesce = max_coalesce_sectors
         self._pending: Dict[int, Tuple[int, float]] = {}  # start -> (nsectors, enqueue time)
         self._starts: List[int] = []                      # sorted keys
         self.pending_sectors = 0
@@ -244,7 +247,7 @@ class WriteBuffer:
         self.remove(start)
         # Coalesce a chain of physically adjacent pending ranges.
         nxt = start + total
-        while total < self.max_coalesce and nxt in self._pending:
+        while total < MAX_COALESCE_SECTORS and nxt in self._pending:
             n, enq = self._pending[nxt]
             self.remove(nxt)
             ready = max(ready, enq)

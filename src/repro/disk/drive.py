@@ -36,15 +36,10 @@ _DRAIN_OVERHEAD_S = 0.0003
 class SimulatedDisk:
     """A single disk drive with mechanical timing and on-board caching."""
 
-    def __init__(
-        self,
-        profile: DriveProfile,
-        clock: Optional[SimClock] = None,
-        stats: Optional[DiskStats] = None,
-    ) -> None:
+    def __init__(self, profile: DriveProfile) -> None:
         self.profile = profile
-        self.clock = clock if clock is not None else SimClock()
-        self.stats = stats if stats is not None else DiskStats()
+        self.clock = SimClock()
+        self.stats = DiskStats()
         # The accumulators a request bumps, bound once.
         counters = self.stats.counters
         self._overhead_time = counters["overhead_time"]
@@ -195,11 +190,6 @@ class SimulatedDisk:
     def current_lba_estimate(self) -> int:
         """Approximate LBA under the head (for C-LOOK batch ordering)."""
         return self.geometry.lba(self.current_cylinder, 0, 0)
-
-    def idle(self, seconds: float) -> None:
-        """Let simulated time pass (background drains proceed)."""
-        self.clock.advance(seconds)
-        self._advance_background(self.clock.now)
 
     # -- internals ----------------------------------------------------------
 

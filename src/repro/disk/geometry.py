@@ -64,11 +64,6 @@ class DiskGeometry:
             lba += zone.cylinders * heads * zone.sectors_per_track
         self.total_sectors = lba
 
-    @classmethod
-    def uniform(cls, cylinders: int, heads: int, sectors_per_track: int) -> "DiskGeometry":
-        """A single-zone geometry (handy for tests and old drives)."""
-        return cls(heads, [Zone(cylinders, sectors_per_track)])
-
     @property
     def capacity_bytes(self) -> int:
         return self.total_sectors * SECTOR_SIZE
@@ -140,7 +135,3 @@ class DiskGeometry:
             self.total_sectors,
         )
 
-
-def chs_of_lba(geometry: DiskGeometry, lba: int) -> Tuple[int, int, int]:
-    """Module-level convenience wrapper around :meth:`DiskGeometry.chs`."""
-    return geometry.chs(lba)

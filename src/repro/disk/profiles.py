@@ -31,7 +31,7 @@ results; see DESIGN.md §2 and EXPERIMENTS.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.disk.geometry import DiskGeometry, Zone
@@ -88,10 +88,6 @@ class DriveProfile:
         """Media rate of the outermost zone in MB/s."""
         spt = self.zone_table[0][1]
         return spt * 512.0 / (self.rotation_ms / 1000.0) / 1e6
-
-    def with_overrides(self, **kwargs) -> "DriveProfile":
-        """A copy of this profile with some fields replaced."""
-        return replace(self, **kwargs)
 
 
 # ---------------------------------------------------------------------------

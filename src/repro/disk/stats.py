@@ -52,8 +52,7 @@ class DiskStats:
         self.registry = registry if registry is not None else MetricsRegistry()
         # The Counter objects are resolved once here; the field
         # properties, record_request's aliases and the ones the drive
-        # binds are the same live instruments (registry.reset() zeroes
-        # in place).
+        # binds are the same live instruments.
         self.counters = {}
         for name in _FIELDS:
             counter = self.registry.counter("disk." + name)
@@ -78,10 +77,6 @@ class DiskStats:
     @property
     def bytes_written(self) -> int:
         return self.sectors_written * 512
-
-    @property
-    def mechanical_time(self) -> float:
-        return self.seek_time + self.rotation_time + self.transfer_time
 
     def record_request(self, is_write: bool, nsectors: int) -> None:
         if is_write:
@@ -113,10 +108,6 @@ class DiskStats:
                 sizes[size] = diff
         out.request_sizes = sizes
         return out
-
-    def reset(self) -> None:
-        self.registry.reset()
-        self.request_sizes = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "DiskStats(%s)" % ", ".join(

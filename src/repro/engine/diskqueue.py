@@ -163,11 +163,6 @@ class DiskQueue:
 
     # -- public -------------------------------------------------------------
 
-    @property
-    def depth(self) -> int:
-        """Requests waiting (excludes the one in service)."""
-        return len(self._pending)
-
     def submit(
         self,
         op: str,
@@ -189,13 +184,6 @@ class DiskQueue:
         self.stats.submitted += 1
         self._enqueue(req, now)
         return req
-
-    def flush_barrier(
-        self, client: int = 0,
-        on_complete: Optional[Callable[[QueuedRequest], None]] = None,
-    ) -> QueuedRequest:
-        """Queue a write-behind drain (a client's ``sync`` boundary)."""
-        return self.submit("flush", 0, 0, client=client, on_complete=on_complete)
 
     # -- internals ------------------------------------------------------------
 

@@ -31,8 +31,8 @@ class EventLoop:
     scheduled (FIFO), which keeps runs reproducible.
     """
 
-    def __init__(self, clock: SimClock = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self.events_run = 0

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence
 from repro import obs
 from repro.analysis.report import Table
 from repro.cache.policy import MetadataPolicy
-from repro.disk.profiles import DriveProfile
 from repro.engine.client import ClientContext, Engine
 from repro.engine.report import ClientSummary, PhaseReport, summarize_phase
 from repro.errors import InvalidArgument
@@ -38,6 +37,10 @@ WORKLOADS = ("smallfile", "postmark", "hypertext")
 
 #: Client counts the scaling sweep uses by default.
 DEFAULT_CLIENT_COUNTS = (1, 2, 4, 8, 16, 32)
+
+#: Seed of client 0's postmark and hypertext scripts; client ``c`` uses
+#: ``SEED + c``.
+SEED = 1997
 
 
 @dataclass
@@ -67,8 +70,6 @@ def run_multiclient(
     scheduler: str = "clook",
     policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
     workload: str = "smallfile",
-    profile: Optional[DriveProfile] = None,
-    seed: int = 1997,
     faults: Optional[FaultSchedule] = None,
     tracer: Optional[obs.Tracer] = None,
 ) -> MultiClientResult:
@@ -89,7 +90,7 @@ def run_multiclient(
     if files_per_client < 1:
         raise InvalidArgument(
             "need at least one file per client, got %d" % files_per_client)
-    fs = build_filesystem(label, policy, profile)
+    fs = build_filesystem(label, policy)
     if tracer is not None:
         # Trace the whole run: spans stamp from the device clock during
         # lock-step sections (capture rebinds to its scratch clock), and
@@ -113,7 +114,7 @@ def run_multiclient(
                 for client in clients:
                     documents[client] = build_site(
                         f, n_documents=files_per_client,
-                        seed=seed + client.cid, root=dirs[client])
+                        seed=SEED + client.cid, root=dirs[client])
             f.sync()
             f.drop_caches()
 
@@ -128,11 +129,11 @@ def run_multiclient(
                     smallfile_paths(dirs[client], files_per_client),
                     file_size, phase)
             if workload == "hypertext":
-                return serve_ops(documents[client], seed + client.cid)
+                return serve_ops(documents[client], SEED + client.cid)
             script = postmark_script(
                 PostmarkConfig(n_files=files_per_client,
                                n_transactions=2 * files_per_client,
-                               seed=seed + client.cid, n_dirs=1),
+                               seed=SEED + client.cid, n_dirs=1),
                 [dirs[client]])
             return script["create"] + script["transactions"]
 
@@ -222,9 +223,6 @@ def multiclient_scaling(
     client_counts: Sequence[int] = (1, 2, 4, 8),
     labels: Sequence[str] = ("ffs", "cffs"),
     files_per_client: int = 40,
-    file_size: int = 1024,
-    scheduler: str = "clook",
-    policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
 ) -> Dict[str, List[ScalingPoint]]:
     """Sweep client count for each label; returns points per label.
 
@@ -237,8 +235,7 @@ def multiclient_scaling(
         for n in client_counts:
             result = run_multiclient(
                 label=label, n_clients=n, files_per_client=files_per_client,
-                file_size=file_size, phases=("create", "read"),
-                scheduler=scheduler, policy=policy)
+                phases=("create", "read"))
             read = result["read"]
             points[label].append(ScalingPoint(
                 label=label,

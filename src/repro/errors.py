@@ -111,12 +111,6 @@ class BadFileDescriptor(FileSystemError):
     errno_name = "EBADF"
 
 
-class CrossDevice(FileSystemError):
-    """Rename or link across file systems (EXDEV)."""
-
-    errno_name = "EXDEV"
-
-
 class ReadOnlyFileSystem(FileSystemError):
     """A mutating operation reached a volume demoted to read-only
     service (EROFS) — the graceful-degradation alternative to dying
@@ -144,10 +138,6 @@ class ReplayError(FileSystemError):
     block outside the volume, or the log contradicts itself)."""
 
     errno_name = "EIO"
-
-
-class FsckError(ReproError):
-    """The offline checker found an inconsistency it could not repair."""
 
 
 class LintError(ReproError):

@@ -48,6 +48,7 @@ from repro.fsck import (
     open_logical,
 )
 from repro.resilience import HealthState, ResilientBlockDevice, Scrubber
+from repro.resilience.device import DEFAULT_SPARES
 
 _FAILED = object()   # sentinel: the operation raised (and was recorded)
 
@@ -67,7 +68,7 @@ class ChaosConfig:
     label: str = "cffs"
     seed: int = 2026
     n_files: int = 150
-    n_spares: int = 32
+    n_spares: int = DEFAULT_SPARES
     #: Locations that cost in-drive retries on every read.
     weak_count: int = 32
     #: Locations where every write fails (remap fodder).

@@ -46,6 +46,9 @@ from repro.resilience import ResilientBlockDevice
 
 FAULT_FSES = FORMAT_LABELS
 
+#: The sweep workload syncs after every this many files.
+SYNC_EVERY = 5
+
 #: Small drive (3200 blocks ≈ 13 MB) so a full sweep — one fsck +
 #: remount per media write — stays fast.  Same geometry the test
 #: suite uses.
@@ -188,7 +191,6 @@ def run_journaled_workload(
     policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
     n_files: int = 50,
     seed: int = 1997,
-    sync_every: int = 5,
     resilient: bool = False,
 ) -> Tuple[FaultyBlockDevice, List[Checkpoint]]:
     """Run the sweep workload once; returns the journaling device and
@@ -223,7 +225,7 @@ def run_journaled_workload(
     assert device.journal is not None
     live: Dict[str, bytes] = {}
     checkpoints = [Checkpoint(len(device.journal), {})]
-    for op, path, body in workload_script(seed, n_files, sync_every, live):
+    for op, path, body in workload_script(seed, n_files, SYNC_EVERY, live):
         if op == "write":
             fs.write_file(path, body)
             live[path] = body
@@ -329,7 +331,6 @@ def crash_point_sweep(
     n_files: int = 50,
     seed: int = 1997,
     stride: int = 1,
-    sync_every: int = 5,
     resilient: bool = False,
 ) -> SweepResult:
     """Power-cut after every ``stride``-th media write; repair and verify.
@@ -343,8 +344,7 @@ def crash_point_sweep(
     if stride < 1:
         raise ReproError("stride must be >= 1, got %d" % stride)
     device, checkpoints = run_journaled_workload(
-        label, policy, n_files=n_files, seed=seed, sync_every=sync_every,
-        resilient=resilient)
+        label, policy, n_files=n_files, seed=seed, resilient=resilient)
     assert device.journal is not None
     total = len(device.journal)
     base = checkpoints[0].journal_len

@@ -118,8 +118,7 @@ class FaultyBlockDevice(BatchedIO):
             # in-drive give-up threshold so only latency is charged.
             self._absorb_transient(
                 "read", start, count,
-                min(len(weak) * self.schedule.weak_failures,
-                    RETRY_ATTEMPTS - 1))
+                min(len(weak), RETRY_ATTEMPTS - 1))
         datas = self.inner.read_extent(start, count)
         if self.schedule.rot_blocks:
             datas = self._apply_rot(start, datas)

@@ -9,9 +9,9 @@ same fault sequence, regardless of the order in which different
 request kinds interleave, so experiments are reproducible and failures
 shrink to a seed.
 
-Independently of the random rates, explicit faults can be pinned to a
-specific request index (``fail_read``/``fail_write``/``tear_write``)
-and a power cut can be scheduled after the k-th media block-write
+Independently of the random rates, every request of a kind from some
+index on can be failed (``fail_reads_from``/``fail_writes_from``), and
+a power cut can be scheduled after the k-th media block-write
 (``power_cut_after_write``) — the primitive the crash-point sweep
 harness enumerates.
 
@@ -19,9 +19,9 @@ Index-based faults model a *drive* having a bad moment; media decay is
 tied to *locations* instead.  A schedule can therefore also carry
 per-block fault sets (the self-healing layer's diet):
 
-- ``weaken_reads(blocks)`` — reads touching these blocks need in-drive
-  retries (transient latency) but still return correct data: the
-  early-warning signal a scrubber rescues;
+- ``weaken_reads(blocks)`` — each of these blocks a read touches
+  costs one in-drive retry (transient latency) but the read still
+  returns correct data: the early-warning signal a scrubber rescues;
 - ``break_reads(blocks)`` / ``break_writes(blocks)`` — sticky hard
   failures at those locations, forever: the case bad-block remapping
   exists for;
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional, Set
 
 #: Decision kinds.
 OK = "ok"
@@ -106,7 +106,6 @@ class FaultSchedule:
         #: Power is cut immediately after this many media block-writes
         #: have landed (None = never).
         self.power_cut_after_write = power_cut_after_write
-        self._explicit: Dict[Tuple[str, int], FaultDecision] = {}
         #: Every request of the kind at index >= the mark fails hard
         #: (None = never).  Setting the mark to 0 mid-run breaks the
         #: drive "from now on": past requests already consumed their
@@ -120,24 +119,8 @@ class FaultSchedule:
         self.bad_read_blocks: Set[int] = set()
         self.bad_write_blocks: Set[int] = set()
         self.rot_blocks: Set[int] = set()
-        #: Transient attempts a weak location costs per read touching it.
-        self.weak_failures: int = 1
 
     # -- explicit injections --------------------------------------------------
-
-    def fail_read(self, index: int, transient: bool = False,
-                  failures: int = 1) -> "FaultSchedule":
-        """Pin a fault onto the ``index``-th read request."""
-        kind = TRANSIENT if transient else HARD
-        self._explicit[("read", index)] = FaultDecision(kind, failures=failures)
-        return self
-
-    def fail_write(self, index: int, transient: bool = False,
-                   failures: int = 1) -> "FaultSchedule":
-        """Pin a fault onto the ``index``-th write request."""
-        kind = TRANSIENT if transient else HARD
-        self._explicit[("write", index)] = FaultDecision(kind, failures=failures)
-        return self
 
     def fail_reads_from(self, index: int = 0) -> "FaultSchedule":
         """Fail every read whose index is >= ``index``, forever."""
@@ -149,21 +132,11 @@ class FaultSchedule:
         self.write_fail_from = index
         return self
 
-    def tear_write(self, index: int, landed_blocks: int) -> "FaultSchedule":
-        """Make the ``index``-th write land only ``landed_blocks`` blocks."""
-        self._explicit[("write", index)] = FaultDecision(
-            TORN, torn_blocks=landed_blocks)
-        return self
-
     # -- location-based media decay -------------------------------------------
 
-    def weaken_reads(self, blocks: Iterable[int],
-                     failures: int = 1) -> "FaultSchedule":
-        """Make reads of ``blocks`` need ``failures`` in-drive retries."""
-        if failures < 1:
-            raise ValueError("weak locations must cost at least 1 retry")
+    def weaken_reads(self, blocks: Iterable[int]) -> "FaultSchedule":
+        """Make reads of ``blocks`` need an in-drive retry each."""
         self.weak_read_blocks.update(blocks)
-        self.weak_failures = failures
         return self
 
     def break_reads(self, blocks: Iterable[int]) -> "FaultSchedule":
@@ -197,9 +170,6 @@ class FaultSchedule:
         stable algorithm in CPython) makes decisions order-independent:
         interleaving reads differently does not perturb write faults.
         """
-        explicit = self._explicit.get((op, index))
-        if explicit is not None:
-            return explicit
         mark = self.read_fail_from if op == "read" else self.write_fail_from
         if mark is not None and index >= mark:
             return FaultDecision(HARD)

@@ -101,10 +101,6 @@ class GroupedAllocator:
         for cg in self._groups.values():
             cg.store_descriptor(self.cache)
 
-    @property
-    def free_blocks_total(self) -> int:
-        return sum(self.group(cgi).free_blocks for cgi in range(self.n_cgs))
-
     # -- block allocation --------------------------------------------------------
 
     def alloc_block(
@@ -241,11 +237,6 @@ class GroupedAllocator:
         cg.free_blocks += count
         self._charge("free_blocks", count)
 
-    def block_is_allocated(self, bno: int) -> bool:
-        cgi = self.cg_of_block(bno)
-        cg = self.group(cgi)
-        return bit_is_set(self._bitmap(cg).image, bno - cg.base)
-
     def run_is_free(self, start: int, count: int) -> bool:
         """True when none of the ``count`` adjacent blocks from
         ``start`` (all in one group) is allocated."""
@@ -292,10 +283,6 @@ class GroupedAllocator:
         self._set_inode_used(cg, idx, False)
         cg.free_inodes += 1
         self._charge("free_inodes", 1)
-
-    def inode_is_allocated(self, inum: int) -> bool:
-        cgi, idx = divmod(inum - 1, self.inodes_per_cg)
-        return self._inode_used(self.group(cgi), idx)
 
     def _inode_used(self, cg: CylinderGroup, idx: int) -> bool:
         return bit_is_set(

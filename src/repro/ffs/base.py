@@ -65,10 +65,9 @@ class BlockFileSystem(FileSystem):
     ``free_slots(block, blk)`` and ``init_block()``.
     """
 
-    def __init__(self, device: BlockDevice, config: VolumeConfig,
-                 cache: Optional[BufferCache] = None) -> None:
-        cache = cache if cache is not None else BufferCache(device, config.cache_blocks)
-        super().__init__(cache, CpuModel(device.clock))
+    def __init__(self, device: BlockDevice, config: VolumeConfig) -> None:
+        super().__init__(BufferCache(device, config.cache_blocks),
+                         CpuModel(device.clock))
         self.device = device
         self.config = config
         self.policy = config.policy
@@ -125,23 +124,21 @@ class BlockFileSystem(FileSystem):
         return fs
 
     @classmethod
-    def mount(cls, device: BlockDevice, config: Optional[VolumeConfig] = None):
+    def mount(cls, device: BlockDevice):
         """Mount an existing file system (reads and validates block 0).
 
-        Without an explicit ``config`` the geometry (and, for C-FFS, the
-        technique flags) is derived from the superblock, so any valid
-        image mounts."""
+        The geometry (and, for C-FFS, the technique flags) is derived
+        from the superblock, so any valid image mounts."""
         probe = cls.unpack_superblock(device.peek_block(0))
-        if config is None:
-            if probe["magic"] != cls.MAGIC:
-                raise CorruptFileSystem(
-                    "bad %s magic 0x%x" % (cls.SB_LABEL, probe["magic"]))
-            config = cls._config_from_superblock(probe)
+        if probe["magic"] != cls.MAGIC:
+            raise CorruptFileSystem(
+                "bad %s magic 0x%x" % (cls.SB_LABEL, probe["magic"]))
+        config = cls._config_from_superblock(probe)
         # Replay the journal (if the volume carries one) before the first
         # cache fill, so the cache only ever sees post-replay state.
         # This IS the fast remount path: a sequential log read plus one
         # batched home write, instead of a full fsck walk.
-        if probe["magic"] == cls.MAGIC and probe["journal_start"]:
+        if probe["journal_start"]:
             timed_replay(device, probe["journal_start"], probe["journal_blocks"])
         fs = cls(device, config)
         raw = bytes(fs.cache.get(0).image)
@@ -158,20 +155,15 @@ class BlockFileSystem(FileSystem):
         return fs
 
     @classmethod
-    def fresh(cls, profile=None, config: Optional[VolumeConfig] = None,
-              device: Optional[BlockDevice] = None):
-        """Convenience factory: a fresh volume on a fresh simulated disk.
+    def fresh(cls, config: Optional[VolumeConfig] = None):
+        """Convenience factory: a fresh volume on a fresh simulated disk,
+        the paper's experimental platform (the Seagate ST31200)."""
+        # The factory assembles the whole stack (disk + device + fs);
+        # the file system proper never touches repro.disk.
+        # reprolint: disable=L001 -- factory-only import of the disk profile; the fs layer itself stays above the device seam
+        from repro.disk.profiles import SEAGATE_ST31200
 
-        ``profile`` defaults to the paper's experimental platform (the
-        Seagate ST31200)."""
-        if device is None:
-            # The factory assembles the whole stack (disk + device + fs);
-            # the file system proper never touches repro.disk.
-            # reprolint: disable=L001 -- factory-only import of the disk profile; the fs layer itself stays above the device seam
-            from repro.disk.profiles import SEAGATE_ST31200
-
-            device = BlockDevice(profile if profile is not None else SEAGATE_ST31200)
-        return cls.mkfs(device, config)
+        return cls.mkfs(BlockDevice(SEAGATE_ST31200), config)
 
     @abc.abstractmethod
     def _superblock_fields(self, n_cgs: int) -> dict:

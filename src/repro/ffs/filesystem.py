@@ -349,5 +349,5 @@ class FFS(BlockFileSystem):
 
 
 #: Convenience factory: a fresh FFS on a fresh simulated disk
-#: (``make_ffs(profile=None, config=None, device=None)``).
+#: (``make_ffs(config=None)``).
 make_ffs = FFS.fresh

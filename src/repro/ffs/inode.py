@@ -69,10 +69,6 @@ class Inode(BaseInode):
         super().__init__()
         self.inum = inum
 
-    @property
-    def is_free(self) -> bool:
-        return self.mode == layout.MODE_FREE
-
     def clear(self) -> None:
         """Reset to the free state (file deletion)."""
         self.init_as(layout.MODE_FREE, self.gen, 0.0)

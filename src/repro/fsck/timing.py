@@ -22,9 +22,7 @@ from repro.fsck.checker import FsckReport
 class _ChargingDevice:
     """Device proxy: the first peek of each block costs a timed read.
 
-    Repairs (``poke_block``) stay untimed — the comparison is about
-    finding the state, not rewriting it — and every other attribute
-    passes straight through to the wrapped device.
+    Every other attribute passes straight through to the wrapped device.
     """
 
     def __init__(self, device: BlockDevice) -> None:
@@ -48,15 +46,15 @@ class _ChargingDevice:
 def timed_fsck(
     device: BlockDevice,
     checker: Callable[..., FsckReport],
-    repair: bool = False,
 ) -> Tuple[FsckReport, float]:
-    """Run ``checker`` (fsck_ffs / fsck_cffs) charging its reads to the
-    simulated clock; returns (report, elapsed simulated seconds)."""
+    """Run ``checker`` (fsck_ffs / fsck_cffs), check only, charging its
+    reads to the simulated clock; returns (report, elapsed simulated
+    seconds)."""
     clock = device.clock
     began = clock.now
     proxy = _ChargingDevice(device)
     with obs.span("fsck", "timed_walk") as sp:
-        report = checker(proxy, repair=repair)
+        report = checker(proxy)
         sp.incr("blocks_read", proxy.blocks_read)
     elapsed = clock.now - began
     obs.observe("fsck.walk_seconds", elapsed,

@@ -65,19 +65,21 @@ class ReplayStats:
     elapsed: float = 0.0  # simulated seconds (timed replay only)
 
 
+#: Log blocks one timed read of the replay scan fetches.
+_READ_CHUNK = 32
+
+
 class _ExtentReader:
     """Sequential, chunked, timed reads over the log region."""
 
-    def __init__(self, device: BlockDevice, start: int, end: int,
-                 chunk: int = 32) -> None:
+    def __init__(self, device: BlockDevice, end: int) -> None:
         self.device = device
         self.end = end
-        self.chunk = chunk
         self._have: Dict[int, bytes] = {}
 
     def read(self, bno: int) -> bytes:
         if bno not in self._have:
-            count = min(self.chunk, self.end - bno)
+            count = min(_READ_CHUNK, self.end - bno)
             for i, raw in enumerate(self.device.read_extent(bno, count)):
                 self._have[bno + i] = raw
         return self._have[bno]
@@ -170,7 +172,7 @@ def timed_replay(device: BlockDevice, start: int,
     clock = device.clock
     began = clock.now
     with obs.span("journal", "replay", start=start) as sp:
-        reader = _ExtentReader(device, start, start + nblocks)
+        reader = _ExtentReader(device, start + nblocks)
         scan = scan_journal(device, start, nblocks, read=reader.read)
         _check_targets(scan, device.total_blocks)
         stats = ReplayStats(discarded=len(scan.txns) - len(scan.replayable))

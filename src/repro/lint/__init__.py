@@ -23,7 +23,7 @@ why) or per file with ``# reprolint: disable-file=RULE``.
 """
 
 from repro.lint.core import Finding, LintModule, Rule, load_module, load_source
-from repro.lint.runner import LintResult, lint_modules, lint_paths, lint_sources
+from repro.lint.runner import LintResult, lint_modules, lint_paths
 from repro.lint.rules import RULES, rule_catalog
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "Rule",
     "lint_modules",
     "lint_paths",
-    "lint_sources",
     "load_module",
     "load_source",
     "rule_catalog",

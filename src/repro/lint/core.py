@@ -213,7 +213,7 @@ def _build_import_map(tree: ast.AST) -> Dict[str, str]:
     return imports
 
 
-def load_source(source: str, path: str, module: Optional[str] = None) -> LintModule:
+def load_source(source: str, path: str) -> LintModule:
     """Parse ``source`` into a :class:`LintModule` (raises LintError)."""
     try:
         tree = ast.parse(source, filename=path)
@@ -221,7 +221,7 @@ def load_source(source: str, path: str, module: Optional[str] = None) -> LintMod
         raise LintError("%s: %s" % (path, exc)) from exc
     mod = LintModule(
         path=path,
-        module=module if module is not None else module_name_of(path),
+        module=module_name_of(path),
         source=source,
         tree=tree,
         suppressions=Suppressions(source),
@@ -230,14 +230,14 @@ def load_source(source: str, path: str, module: Optional[str] = None) -> LintMod
     return mod
 
 
-def load_module(path: str, module: Optional[str] = None) -> LintModule:
+def load_module(path: str) -> LintModule:
     """Read and parse one file from disk."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             source = handle.read()
     except OSError as exc:
         raise LintError("cannot read %s: %s" % (path, exc)) from exc
-    return load_source(source, path, module)
+    return load_source(source, path)
 
 
 class Rule:

@@ -37,12 +37,9 @@ def render_text(result: LintResult, show_suppressed: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_json(result: LintResult, show_suppressed: bool = True) -> str:
-    findings = [
-        f.as_dict()
-        for f in result.findings
-        if show_suppressed or not f.suppressed
-    ]
+def render_json(result: LintResult) -> str:
+    """Every finding, suppressed ones included, as a JSON document."""
+    findings = [f.as_dict() for f in result.findings]
     payload = {
         "tool": "reprolint",
         "rules": {rule_id: rule.title

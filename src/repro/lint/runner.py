@@ -22,7 +22,6 @@ from repro.lint.core import (
     Rule,
     findings_sorted,
     load_module,
-    load_source,
 )
 from repro.lint.flow.callgraph import FlowContext
 from repro.lint.rules import RULES
@@ -124,15 +123,3 @@ def lint_paths(
     modules = [load_module(path) for path in collect_files(paths)]
     return lint_modules(modules, rule_ids)
 
-
-def lint_sources(
-    sources: Dict[str, str],
-    rule_ids: Optional[Sequence[str]] = None,
-) -> LintResult:
-    """Lint in-memory sources keyed by pseudo-path (test fixtures).
-
-    Keys look like paths (``src/repro/ffs/filesystem.py``); module names
-    derive from them exactly as for on-disk files.
-    """
-    modules = [load_source(text, path) for path, text in sorted(sources.items())]
-    return lint_modules(modules, rule_ids)

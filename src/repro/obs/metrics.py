@@ -17,7 +17,7 @@ optional instance segment for per-client metrics
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import InvalidArgument
 
@@ -34,9 +34,9 @@ class Counter:
 
     __slots__ = ("name", "_value")
 
-    def __init__(self, name: str, value: Number = 0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._value = value
+        self._value: Number = 0
 
     @property
     def value(self) -> Number:
@@ -57,9 +57,9 @@ class Gauge:
 
     __slots__ = ("name", "_value")
 
-    def __init__(self, name: str, value: Number = 0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._value = value
+        self._value: Number = 0
 
     @property
     def value(self) -> Number:
@@ -105,12 +105,6 @@ class Histogram:
             self.counts[i] += 1
         else:
             self.overflow += 1
-
-    def as_pairs(self) -> List[Tuple[Number, int]]:
-        """``(upper_bound, count)`` pairs plus the overflow bucket."""
-        pairs: List[Tuple[Number, int]] = list(zip(self.bounds, self.counts))
-        pairs.append((float("inf"), self.overflow))
-        return pairs
 
 
 class MetricsRegistry:
@@ -189,14 +183,3 @@ class MetricsRegistry:
         return sorted(list(self._counters) + list(self._gauges)
                       + list(self._histograms))
 
-    def reset(self) -> None:
-        """Zero every instrument (between benchmark phases)."""
-        for c in self._counters.values():
-            c.set(0)
-        for g in self._gauges.values():
-            g.set(0)
-        for h in self._histograms.values():
-            h.counts = [0] * len(h.bounds)
-            h.overflow = 0
-            h.total = 0
-            h.sum = 0

@@ -181,19 +181,10 @@ class Tracer:
 
     # -- state ----------------------------------------------------------------
 
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost open span, or None."""
-        return self._stack[-1] if self._stack else None
-
     def incr(self, counter: str, delta: Number = 1) -> None:
         """Bump a counter on the innermost open span (no-op at top level)."""
         if self._stack:
             self._stack[-1].incr(counter, delta)
-
-    def count(self, metric: str, delta: Number = 1) -> None:
-        """Bump a registry counter (tracer-lifetime, not span-local)."""
-        self.registry.counter(metric).inc(delta)
 
     # -- internals used by Span -----------------------------------------------
 

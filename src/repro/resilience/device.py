@@ -76,6 +76,9 @@ MAX_CHECKSUM_FAILURES = 64
 #: Hard read failures (retry budget exhausted, no remap copy) tolerated
 #: before the device demotes itself to READ_ONLY.
 MAX_UNREADABLE_BLOCKS = 64
+#: Spare blocks a volume reserves for bad-block remapping unless told
+#: otherwise (``repro mkfs --resilient``, the chaos soak).
+DEFAULT_SPARES = 32
 
 
 @dataclass
@@ -116,7 +119,7 @@ class ResilientBlockDevice(BatchedIO):
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def format(cls, inner, n_spares: int = 32) -> "ResilientBlockDevice":
+    def format(cls, inner, n_spares: int = DEFAULT_SPARES) -> "ResilientBlockDevice":
         """Initialize the reserved region on ``inner`` (timed writes),
         with ``n_spares`` blocks reserved for bad-block remapping.
 
@@ -516,11 +519,9 @@ class LogicalView:
     unreadable at the next mount.
     """
 
-    def __init__(self, base, header: ResilienceHeader,
-                 maintain_sidecar: bool = True) -> None:
+    def __init__(self, base, header: ResilienceHeader) -> None:
         self.base = base
         self.header = header
-        self.maintain_sidecar = maintain_sidecar
         self.total_blocks = header.geometry.usable_blocks
 
     def _phys(self, bno: int) -> int:
@@ -542,11 +543,10 @@ class LogicalView:
                 "blocks [%d, %d) outside device of %d blocks"
                 % (bno, bno + 1, self.total_blocks))
         self.base.poke_block(self._phys(bno), data)
-        if self.maintain_sidecar:
-            sidecar_block, offset = self.header.geometry.crc_location(bno)
-            raw = bytearray(self.base.peek_block(sidecar_block))
-            struct.pack_into("<I", raw, offset, crc32(data))
-            self.base.poke_block(sidecar_block, bytes(raw))
+        sidecar_block, offset = self.header.geometry.crc_location(bno)
+        raw = bytearray(self.base.peek_block(sidecar_block))
+        struct.pack_into("<I", raw, offset, crc32(data))
+        self.base.poke_block(sidecar_block, bytes(raw))
 
 
 __all__ = [

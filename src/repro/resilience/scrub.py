@@ -46,11 +46,6 @@ class Scrubber:
         self.stats = ScrubStats()
         self._cursor = 0
 
-    @property
-    def position(self) -> int:
-        """Next block the scrubber will examine."""
-        return self._cursor
-
     def step(self) -> Dict[str, int]:
         """Scrub one batch; returns this step's verdict tally.
 

@@ -202,11 +202,6 @@ class FileSystem(abc.ABC):
         sp.incr("bytes", written)
         return written
 
-    def seek(self, fd: int, offset: int) -> None:
-        if offset < 0:
-            raise InvalidArgument("cannot seek to a negative offset")
-        self.fds.lookup(fd).offset = offset
-
     def truncate(self, path: str, size: int = 0) -> None:
         with obs.span("vfs", "truncate", path=path, size=size):
             self.cpu.charge_syscall()

@@ -17,7 +17,6 @@ from repro.workloads.configs import (
 from repro.workloads.sizes import (
     SIZE_BUCKETS,
     SweepPoint,
-    fraction_under,
     run_size_sweep,
     sample_file_size,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "config_for",
     "SIZE_BUCKETS",
     "SweepPoint",
-    "fraction_under",
     "run_size_sweep",
     "sample_file_size",
     "AgedRead",

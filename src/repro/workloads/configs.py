@@ -14,12 +14,12 @@ paper measured "the same file system without these techniques".
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.core.filesystem import CFFS, CFFSConfig
-from repro.disk.profiles import SEAGATE_ST31200, DriveProfile
+from repro.disk.profiles import SEAGATE_ST31200
 from repro.errors import InvalidArgument
 
 # label -> (embedded_inodes, explicit_grouping)
@@ -56,9 +56,9 @@ def config_for(
 def build_filesystem(
     label: str,
     policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA,
-    profile: Optional[DriveProfile] = None,
     **overrides,
 ) -> CFFS:
-    """A fresh file system of the given configuration on a fresh disk."""
-    device = BlockDevice(profile if profile is not None else SEAGATE_ST31200)
-    return CFFS.mkfs(device, config_for(label, policy, **overrides))
+    """A fresh file system of the given configuration on a fresh
+    Seagate ST31200."""
+    return CFFS.mkfs(BlockDevice(SEAGATE_ST31200),
+                     config_for(label, policy, **overrides))

@@ -36,14 +36,6 @@ class Measured:
     disk: Any = None
 
     @property
-    def disk_reads(self) -> int:
-        return self.disk.reads
-
-    @property
-    def disk_writes(self) -> int:
-        return self.disk.writes
-
-    @property
     def disk_requests(self) -> int:
         return self.disk.total_requests
 

@@ -59,16 +59,8 @@ class PostmarkResult:
     phases: Dict[str, Measured]   # create, transactions, delete
 
     @property
-    def create_seconds(self) -> float:
-        return self.phases["create"].seconds
-
-    @property
     def transaction_seconds(self) -> float:
         return self.phases["transactions"].seconds
-
-    @property
-    def delete_seconds(self) -> float:
-        return self.phases["delete"].seconds
 
     @property
     def transactions_per_second(self) -> float:

@@ -52,14 +52,6 @@ def sample_file_size(rng: random.Random) -> int:
     return SIZE_BUCKETS[-1][0]
 
 
-def fraction_under(limit: int) -> float:
-    """Empirical P(size < limit) of the distribution (for tests)."""
-    rng = random.Random(7)
-    samples = 20000
-    hits = sum(1 for _ in range(samples) if sample_file_size(rng) < limit)
-    return hits / samples
-
-
 @dataclass
 class SweepPoint:
     """Throughput at one file size: the create and the cold-read window."""

@@ -33,14 +33,6 @@ class PhaseResult:
         return self.measured.seconds
 
     @property
-    def disk_reads(self) -> int:
-        return self.measured.disk_reads
-
-    @property
-    def disk_writes(self) -> int:
-        return self.measured.disk_writes
-
-    @property
     def disk_requests(self) -> int:
         return self.measured.disk_requests
 
@@ -109,7 +101,6 @@ def run_smallfile(
     n_files: int = 10000,
     file_size: int = 1024,
     n_dirs: int = 1,
-    payload: Optional[bytes] = None,
     label: Optional[str] = None,
     phases: tuple = PHASES,
 ) -> SmallFileResult:
@@ -120,9 +111,8 @@ def run_smallfile(
     of all dirty blocks, and caches are dropped between phases.
     """
     paths = smallfile_paths("/bench", n_files, n_dirs)
-    # Built before the volume is touched: a bad payload or phase fails first.
-    scripts = {name: smallfile_ops(paths, file_size, name, payload)
-               for name in phases}
+    # Built before the volume is touched: a bad phase fails first.
+    scripts = {name: smallfile_ops(paths, file_size, name) for name in phases}
 
     fs.mkdir("/bench")
     for parent in dict.fromkeys(p.rsplit("/", 1)[0] for p in paths):

@@ -114,9 +114,9 @@ class TracingFileSystem:
     use); everything else passes through unrecorded.
     """
 
-    def __init__(self, fs: FileSystem, trace: Optional[Trace] = None) -> None:
+    def __init__(self, fs: FileSystem) -> None:
         self.fs = fs
-        self.trace = trace if trace is not None else Trace()
+        self.trace = Trace()
 
     # -- recorded operations ---------------------------------------------------
 

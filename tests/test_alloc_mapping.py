@@ -12,7 +12,7 @@ from repro.ffs.alloc import GroupedAllocator
 from repro.ffs.cylgroup import (bit_is_set, clear_bit, clear_run,
                                 find_clear_bit, run_bits)
 from repro.ffs.layout import NDIRECT, PTRS_PER_INDIRECT
-from tests.conftest import make_device
+from tests.conftest import free_blocks, make_device
 
 
 def make_alloc(n_cgs: int = 3, blocks_per_cg: int = 128, data_start: int = 4):
@@ -89,7 +89,7 @@ class TestBlockAllocation:
     def test_alloc_marks_bitmap(self):
         alloc, _ = make_alloc()
         bno = alloc.alloc_block(0)
-        assert alloc.block_is_allocated(bno)
+        assert not alloc.run_is_free(bno, 1)
 
     def test_alloc_unique(self):
         alloc, _ = make_alloc()
@@ -100,7 +100,7 @@ class TestBlockAllocation:
         alloc, _ = make_alloc()
         bno = alloc.alloc_block(0)
         alloc.free_block(bno)
-        assert not alloc.block_is_allocated(bno)
+        assert alloc.run_is_free(bno, 1)
 
     def test_double_free_rejected(self):
         alloc, _ = make_alloc()
@@ -156,12 +156,12 @@ class TestBlockAllocation:
 
     def test_free_counts_tracked(self):
         alloc, _ = make_alloc()
-        before = alloc.free_blocks_total
+        before = free_blocks(alloc)
         bnos = [alloc.alloc_block(0) for _ in range(10)]
-        assert alloc.free_blocks_total == before - 10
+        assert free_blocks(alloc) == before - 10
         for b in bnos:
             alloc.free_block(b)
-        assert alloc.free_blocks_total == before
+        assert free_blocks(alloc) == before
 
 
 class TestRunBits:
@@ -187,7 +187,7 @@ class TestContiguous:
         start = alloc.alloc_contiguous(0, 16, align=16)
         assert start is not None
         for i in range(16):
-            assert alloc.block_is_allocated(start + i)
+            assert not alloc.run_is_free(start + i, 1)
 
     def test_alignment(self):
         alloc, _ = make_alloc()
@@ -266,10 +266,10 @@ class TestInodeAllocation:
         assert len(inums) == 40
 
     def test_free_and_reuse(self):
-        alloc, _ = make_alloc()
-        inum = alloc.alloc_inode(0)
-        alloc.free_inode(inum)
-        assert not alloc.inode_is_allocated(inum)
+        alloc, _ = make_alloc(n_cgs=1)
+        inums = [alloc.alloc_inode(0) for _ in range(32)]
+        alloc.free_inode(inums[5])
+        assert alloc.alloc_inode(0) == inums[5]   # the only free one
 
     def test_double_free_rejected(self):
         alloc, _ = make_alloc()
@@ -292,8 +292,8 @@ class TestInodeAllocation:
         alloc.store_descriptors()
         cache.flush()
         alloc.drop_mirrors()
-        assert alloc.inode_is_allocated(inum)
-        assert alloc.block_is_allocated(bno)
+        alloc.free_inode(inum)          # a free inode would be a NoSpace
+        assert not alloc.run_is_free(bno, 1)
 
 
 class _FakeInode:

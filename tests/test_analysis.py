@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis import Table, bar_chart, format_series, percent_improvement, speedup
+from repro.disk.drive import SimulatedDisk
 from repro.disk.stats import DiskStats
+from tests.conftest import TEST_PROFILE_PLAIN
 
 
 class TestMetrics:
@@ -93,8 +95,15 @@ class TestDiskStats:
         assert snap.reads == 0
 
     def test_mechanical_time(self):
-        stats = DiskStats(seek_time=1.0, rotation_time=2.0, transfer_time=3.0)
-        assert stats.mechanical_time == 6.0
+        # Seek, rotation and transfer are a request's mechanical time;
+        # with the overhead they are all the time the drive charged.
+        disk = SimulatedDisk(TEST_PROFILE_PLAIN)
+        disk.read(disk.total_sectors - 64, 8)
+        stats = disk.stats
+        mechanical = stats.seek_time + stats.rotation_time + stats.transfer_time
+        assert 0 < mechanical < disk.clock.now
+        assert (mechanical + stats.overhead_time + stats.bus_time
+                == pytest.approx(disk.clock.now))
 
 
 class TestLatencyMetrics:

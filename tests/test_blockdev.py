@@ -3,7 +3,7 @@
 import pytest
 
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
-from repro.blockdev.scheduler import clook_order, coalesce_blocks
+from repro.blockdev.scheduler import MAX_EXTENT_BLOCKS, clook_order, coalesce_blocks
 from repro.errors import AddressError
 from tests.conftest import TEST_PROFILE
 
@@ -26,8 +26,10 @@ class TestScheduler:
         assert coalesce_blocks([1, 2, 3, 7, 8, 20]) == [(1, 3), (7, 2), (20, 1)]
 
     def test_coalesce_respects_cap(self):
-        runs = coalesce_blocks(list(range(100)), max_blocks=40)
-        assert runs == [(0, 40), (40, 40), (80, 20)]
+        runs = coalesce_blocks(list(range(2 * MAX_EXTENT_BLOCKS + 20)))
+        assert runs == [(0, MAX_EXTENT_BLOCKS),
+                        (MAX_EXTENT_BLOCKS, MAX_EXTENT_BLOCKS),
+                        (2 * MAX_EXTENT_BLOCKS, 20)]
 
     def test_coalesce_empty(self):
         assert coalesce_blocks([]) == []

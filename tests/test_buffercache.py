@@ -5,8 +5,8 @@ import pytest
 from repro.blockdev.device import BLOCK_SIZE
 from repro.cache.buffercache import BufferCache
 from repro.errors import InvalidArgument, MediaWriteError
-from repro.faults import FaultSchedule, FaultyBlockDevice
-from tests.conftest import make_device
+from repro.faults import FaultyBlockDevice
+from tests.conftest import PinnedFaults, dirty_count, make_device
 
 
 def make_cache(capacity: int = 16) -> BufferCache:
@@ -90,16 +90,16 @@ class TestWrites:
         cache.write_sync(7)
         cache.device.flush()
         assert cache.device.peek_block(7) == b"z" * BLOCK_SIZE
-        assert cache.dirty_count == 0
+        assert dirty_count(cache) == 0
 
     def test_mark_dirty_then_flush(self):
         cache = make_cache()
         buf = cache.create(7)
         buf.data[:] = b"w" * BLOCK_SIZE
         cache.mark_dirty(7)
-        assert cache.dirty_count == 1
+        assert dirty_count(cache) == 1
         cache.sync()
-        assert cache.dirty_count == 0
+        assert dirty_count(cache) == 0
         assert cache.device.peek_block(7) == b"w" * BLOCK_SIZE
 
     def test_flush_batches_requests(self):
@@ -116,7 +116,7 @@ class TestWrites:
         cache.create(7)
         cache.mark_dirty(7)
         cache.forget(7)
-        assert cache.dirty_count == 0
+        assert dirty_count(cache) == 0
         cache.sync()
         assert cache.device.peek_block(7) == bytes(BLOCK_SIZE)
 
@@ -164,7 +164,7 @@ class TestEviction:
             cache.get(b)
         # All three went out in one coalesced request.
         assert cache.device.disk.stats.writes == before + 1
-        assert cache.dirty_count == 0
+        assert dirty_count(cache) == 0
 
     def test_lru_order(self):
         cache = make_cache(8)
@@ -314,7 +314,7 @@ class TestImageOwnership:
         cache.create(9).data[:4] = b"goes"
         cache.mark_dirty(9)
         cache.flush()
-        assert cache.peek(7).dirty and cache.dirty_count == 1
+        assert cache.peek(7).dirty and dirty_count(cache) == 1
         assert cache.peek(7).image[:4] == b"keep"
         assert cache.device.peek_block(7) == bytes(BLOCK_SIZE)
         assert cache.device.peek_block(9)[:4] == b"goes"
@@ -337,10 +337,10 @@ class TestImageOwnership:
         pipe.answers.clear()
         cache.sync()
         assert cache.device.peek_block(7)[:3] == b"new"
-        assert cache.dirty_count == 0
+        assert dirty_count(cache) == 0
 
     def test_hard_write_fault_mid_batch_keeps_every_buffer_and_retries(self):
-        device = FaultyBlockDevice(make_device(), schedule=FaultSchedule())
+        device = FaultyBlockDevice(make_device(), schedule=PinnedFaults())
         cache = BufferCache(device, capacity_blocks=16)
         bnos = (10, 20, 30)                  # three requests, one each
         for bno in bnos:
@@ -351,12 +351,12 @@ class TestImageOwnership:
             cache.flush()
         landed = [b for b in bnos if device.peek_block(b)[:2] == b"%02d" % b]
         assert len(landed) == 1
-        assert cache.dirty_count == 3
+        assert dirty_count(cache) == 3
         for bno in bnos:
             assert cache.peek(bno).dirty
             assert cache.peek(bno).image[:2] == b"%02d" % bno
         cache.sync()
-        assert cache.dirty_count == 0
+        assert dirty_count(cache) == 0
         for bno in bnos:
             assert device.peek_block(bno) is cache.peek(bno).image
 

@@ -54,14 +54,14 @@ class TestGroupDescriptor:
         slots = [(i * 100, i) for i in range(layout.GROUP_SPAN)]
         packed = layout.pack_gdesc(layout.EXT_GROUPED, 0xBEEF, 424242, slots)
         assert len(packed) == layout.GDESC_SIZE
-        fields = layout.unpack_gdesc(packed)
+        fields = layout.unpack_gdesc_from(packed, 0)
         assert fields["state"] == layout.EXT_GROUPED
         assert fields["valid_mask"] == 0xBEEF
         assert fields["owner"] == 424242
         assert fields["slots"] == slots
 
     def test_zeroed_is_free(self):
-        fields = layout.unpack_gdesc(bytes(layout.GDESC_SIZE))
+        fields = layout.unpack_gdesc_from(bytes(layout.GDESC_SIZE), 0)
         assert fields["state"] == layout.EXT_FREE
         assert fields["valid_mask"] == 0
 

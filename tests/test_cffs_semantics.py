@@ -52,7 +52,7 @@ class TestExternalization:
         cffs.write_file("/a", b"payload")
         cffs.link("/a", "/b")
         cffs.sync()
-        remounted = type(cffs).mount(cffs.device, cffs.config)
+        remounted = type(cffs).mount(cffs.device)
         assert remounted.read_file("/a") == b"payload"
         assert remounted.read_file("/b") == b"payload"
         assert remounted.stat("/a").nlink == 2
@@ -234,7 +234,7 @@ class TestLargeFileMigration:
     def test_large_flag_persists(self, cffs):
         cffs.write_file("/big", b"x" * (BLOCK_SIZE * 16))
         cffs.sync()
-        remounted = type(cffs).mount(cffs.device, cffs.config)
+        remounted = type(cffs).mount(cffs.device)
         assert remounted._resolve("/big").is_large
 
 

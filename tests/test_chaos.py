@@ -64,8 +64,7 @@ class TestResilientCrashSweep:
     @pytest.mark.parametrize("label", ["cffs", "ffs"])
     def test_all_points_recover(self, label):
         result = crash_point_sweep(label, MetadataPolicy.SYNC_METADATA,
-                                   n_files=12, stride=29, sync_every=4,
-                                   resilient=True)
+                                   n_files=12, stride=29, resilient=True)
         assert result.resilient
         assert result.n_points > 3
         bad = [p for p in result.points if not p.recovered]

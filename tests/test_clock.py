@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clock import CpuModel, SimClock
+from repro.clock import COPY_US_PER_KB, DIRENT_SCAN_NS, SYSCALL_US, CpuModel, SimClock
 
 
 class TestSimClock:
@@ -37,23 +37,18 @@ class TestSimClock:
         clock.advance_to(4.0)
         assert clock.now == 10.0
 
-    def test_reset(self):
-        clock = SimClock(9.0)
-        clock.reset()
-        assert clock.now == 0.0
-
 
 class TestCpuModel:
     def test_syscall_charges_time(self):
         clock = SimClock()
-        cpu = CpuModel(clock, syscall_us=20.0)
-        cpu.charge_syscall()
+        CpuModel(clock).charge_syscall()
+        assert SYSCALL_US == 20.0
         assert clock.now == pytest.approx(20e-6)
 
     def test_copy_scales_with_bytes(self):
         clock = SimClock()
-        cpu = CpuModel(clock, copy_us_per_kb=25.0)
-        cpu.charge_copy(4096)
+        CpuModel(clock).charge_copy(4096)
+        assert COPY_US_PER_KB == 25.0
         assert clock.now == pytest.approx(100e-6)
 
     def test_copy_of_nothing_is_free(self):
@@ -63,6 +58,6 @@ class TestCpuModel:
 
     def test_dirent_scan_scales_with_entries(self):
         clock = SimClock()
-        cpu = CpuModel(clock, dirent_scan_ns=400.0)
-        cpu.charge_dirent_scan(1000)
+        CpuModel(clock).charge_dirent_scan(1000)
+        assert DIRENT_SCAN_NS == 400.0
         assert clock.now == pytest.approx(400e-9 * 1000)

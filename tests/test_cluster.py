@@ -81,13 +81,15 @@ class TestRouterPlacement:
     def test_util_router_steers_away_from_loaded_shards(self):
         router = UtilizationRouter(2)
         router.place("hot")           # -> shard 0
-        router.charge(0, ops=100)     # hot directory hammers shard 0
+        for _ in range(100):          # hot directory hammers shard 0
+            router.charge(0)
         assert router.place("cold") == 1
 
     def test_place_is_first_touch_sticky(self):
         router = UtilizationRouter(2)
         sid = router.place("a")
-        router.charge(sid, ops=50)
+        for _ in range(50):
+            router.charge(sid)
         assert router.place("a") == sid   # load never moves an assignment
 
     def test_adopt_rejects_out_of_range_shard(self):
@@ -215,8 +217,7 @@ class TestClusterFacade:
         fs.mkdir("/a")
         fd = fs.open("/a/f", create=True)
         assert fs.write(fd, b"hello world") == 11
-        fs.seek(fd, 6)
-        assert fs.read(fd, 5) == b"world"
+        assert fs.pread(fd, 6, 5) == b"world"
         fs.fsync(fd)
         fs.close(fd)
         with pytest.raises(InvalidArgument):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.disk.cache import ReadCache, ReadSegment, WriteBuffer
+from repro.disk.cache import MAX_COALESCE_SECTORS, ReadCache, ReadSegment, WriteBuffer
 
 
 class TestReadSegment:
@@ -185,9 +185,10 @@ class TestWriteBuffer:
         assert wb.pop_drain()[0] == 20
 
     def test_drain_coalesce_cap(self):
-        wb = WriteBuffer(100000, max_coalesce_sectors=16)
-        wb.add(0, 8)
-        wb.add(8, 8)
-        wb.add(16, 8)
+        wb = WriteBuffer(100000)
+        half = MAX_COALESCE_SECTORS // 2
+        wb.add(0, half)
+        wb.add(half, half)
+        wb.add(2 * half, 8)
         start, n, _ = wb.pop_drain()
-        assert (start, n) == (0, 16)
+        assert (start, n) == (0, MAX_COALESCE_SECTORS)

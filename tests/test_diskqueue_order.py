@@ -23,7 +23,6 @@ import pytest
 from repro.blockdev.device import BlockDevice
 from repro.engine import DiskQueue, EventLoop
 from repro.engine.diskqueue import SCHEDULERS, QueuedRequest
-from repro.faults import FaultSchedule
 from repro.faults.schedule import (
     ERROR_LATENCY,
     HARD,
@@ -31,7 +30,7 @@ from repro.faults.schedule import (
     RETRY_ATTEMPTS,
     retry_delay,
 )
-from tests.conftest import TEST_PROFILE
+from tests.conftest import TEST_PROFILE, PinnedFaults, queue_depth
 
 SEEDS = range(12)
 
@@ -108,9 +107,6 @@ class ReferenceQueue:
         req.submit_time = req.first_submit_time = self.loop.now
         self._arrive(req)
         return req
-
-    def flush_barrier(self, client=0, on_complete=None):
-        return self.submit("flush", 0, 0, client, on_complete)
 
     def _arrive(self, req):
         self._integrate()
@@ -196,7 +192,7 @@ def _faults(seed):
     schedule attached at all."""
     if seed % 3 == 0:
         return None
-    schedule = (FaultSchedule(seed=seed, transient_rate=0.12)
+    schedule = (PinnedFaults(seed=seed, transient_rate=0.12)
                 .fail_read(3, transient=True).fail_write(5))
     for index in range(_EXHAUST_FROM, _EXHAUST_FROM + _EXHAUST_RUN):
         schedule.fail_write(index, transient=True)
@@ -226,7 +222,7 @@ def _run_script(make_queue, policy, seed):
 
         roll = rng.random()
         if roll < 0.07:
-            queue.flush_barrier(tag % 5, done)
+            queue.submit("flush", 0, 0, tag % 5, done)   # a sync barrier
             return
         head = disk.current_lba_estimate()
         if roll < 0.17:
@@ -257,7 +253,7 @@ def test_dispatch_order_matches_the_reference(policy, seed):
     reference, expected = _run_script(ReferenceQueue, policy, seed)
     assert log == expected
     assert len(log) == queue.stats.submitted == queue.stats.completed
-    assert queue.depth == 0 and not reference.waiting
+    assert queue_depth(queue) == 0 and not reference.waiting
     assert queue.stats.max_depth == reference.max_depth
     assert queue.stats.depth_area == reference.depth_area
 

@@ -14,13 +14,13 @@ Three properties are load-bearing:
 import pytest
 
 from repro.blockdev.device import BlockDevice
-from repro.clock import SimClock
 from repro.engine import (
     DiskQueue,
     Engine,
     EventLoop,
     run_multiclient,
 )
+from repro.engine.multiclient import SEED
 from repro.errors import InvalidArgument
 from repro.workloads import run_smallfile, smallfile_ops, smallfile_paths
 from repro.workloads.postmark import (
@@ -28,7 +28,7 @@ from repro.workloads.postmark import (
     postmark_script,
     run_postmark,
 )
-from tests.conftest import TEST_PROFILE, make_cffs
+from tests.conftest import TEST_PROFILE, PinnedFaults, make_cffs, queue_depth
 
 
 class TestEventLoop:
@@ -65,7 +65,8 @@ class TestEventLoop:
         assert seen == [0, 1, 2, 3]
 
     def test_past_events_clamp_to_now(self):
-        loop = EventLoop(SimClock(10.0))
+        loop = EventLoop()
+        loop.clock.advance(10.0)
         seen = []
         loop.call_at(5.0, lambda: seen.append(loop.now))
         loop.run()
@@ -127,9 +128,9 @@ class TestDiskQueue:
         queue = DiskQueue(loop, device.disk, "fcfs")
         for lba in self.LBAS:
             queue.submit("read", lba, 8)
-        assert queue.depth == len(self.LBAS) - 1  # one already in service
+        assert queue_depth(queue) == len(self.LBAS) - 1  # one already in service
         loop.run()
-        assert queue.depth == 0
+        assert queue_depth(queue) == 0
         assert queue.stats.max_depth == len(self.LBAS) - 1
         assert queue.stats.mean_queue_depth > 0.0
         assert queue.stats.completed == len(self.LBAS)
@@ -143,7 +144,8 @@ class TestDiskQueue:
                      on_complete=lambda r: order.append("far"))
         queue.submit("read", 100, 8,
                      on_complete=lambda r: order.append("near"))
-        queue.flush_barrier(on_complete=lambda r: order.append("flush"))
+        queue.submit("flush", 0, 0,
+                     on_complete=lambda r: order.append("flush"))
         loop.run()
         # The barrier dispatches ahead of the queued positional choice.
         assert order == ["far", "flush", "near"]
@@ -169,10 +171,10 @@ class TestDiskQueue:
         done = []
         for lba in self.LBAS:
             queue.submit("read", lba, 8, on_complete=done.append)
-        assert queue.depth == 9
+        assert queue_depth(queue) == 9
         loop.run()
         assert [r.lba for r in done] == order
-        assert queue.depth == 0
+        assert queue_depth(queue) == 0
         assert queue.stats.max_depth == 9
         assert queue.stats.depth_area == depth_area
         assert queue.stats.total_queue_delay == queue_delay
@@ -188,7 +190,7 @@ class TestDiskQueue:
         first = queue.submit("read", 12000, 8)    # occupies the drive
         twins = [queue.submit("read", 4000, 8, client=3) for _ in range(2)]
         assert twins[0] is not twins[1] and twins[0] != twins[1]
-        assert queue.depth == 2
+        assert queue_depth(queue) == 2
         loop.run()
         assert queue.stats.submitted == queue.stats.completed == 3
         assert (first.complete_time == twins[0].dispatch_time
@@ -264,15 +266,13 @@ class TestEngineEquivalence:
         times, engine = _engine_phase_times(
             make_cffs(), setup, postmark_script(cfg, dirs), cold=False)
         assert times == pytest.approx({
-            "create": reference.create_seconds,
-            "transactions": reference.transaction_seconds,
-            "delete": reference.delete_seconds}, rel=1e-3)
+            phase: reference.phases[phase].seconds
+            for phase in ("create", "transactions", "delete")}, rel=1e-3)
         assert _lone_queue_delay(engine) == 0.0
 
     def test_single_client_no_queueing_in_multiclient_driver(self):
-        result = run_multiclient(
-            label="cffs", n_clients=1, files_per_client=30,
-            profile=TEST_PROFILE)
+        result = run_multiclient(label="cffs", n_clients=1,
+                                 files_per_client=30)
         for phase in result.phases.values():
             assert phase.mean_queue_depth == 0.0
             assert phase.fairness == 1.0
@@ -281,8 +281,7 @@ class TestEngineEquivalence:
 class TestEngineDeterminism:
     def _run(self):
         return run_multiclient(
-            label="cffs", n_clients=4, files_per_client=12,
-            file_size=1024, profile=TEST_PROFILE)
+            label="cffs", n_clients=4, files_per_client=12, file_size=1024)
 
     def test_identical_runs_produce_identical_timelines(self):
         a = self._run()
@@ -383,7 +382,7 @@ class TestEngineApi:
         for workload in ("postmark", "hypertext"):
             result = run_multiclient(
                 label="cffs", n_clients=2, files_per_client=6,
-                workload=workload, profile=TEST_PROFILE, seed=31)
+                workload=workload)
             (phase,) = result.phases.values()
             assert phase.n_ops > 0
             assert phase.seconds > 0.0
@@ -391,7 +390,7 @@ class TestEngineApi:
 
         # Client 0 ran PostMark's own create + transactions, label for label.
         script = postmark_script(
-            PostmarkConfig(n_files=6, n_transactions=12, seed=31, n_dirs=1),
+            PostmarkConfig(n_files=6, n_transactions=12, seed=SEED, n_dirs=1),
             ["/mc/c00"])
         assert [r.label for r in postmark.clients[0].records] == [
             label for label, _ in script["create"] + script["transactions"]]
@@ -424,9 +423,7 @@ class TestDiskQueueFaults:
     LBAS = [20000, 400, 12000, 25000, 3000, 18000, 800, 9000, 22000, 5000]
 
     def test_transient_fault_retried_and_completed(self):
-        from repro.faults import FaultSchedule
-
-        schedule = FaultSchedule().fail_read(0, transient=True)
+        schedule = PinnedFaults().fail_read(0, transient=True)
         for policy in ("fcfs", "sstf", "clook"):
             queue, done = _faulty_burst(policy, self.LBAS, schedule)
             assert len(done) == len(self.LBAS)
@@ -438,9 +435,7 @@ class TestDiskQueueFaults:
             assert queue.stats.submitted == queue.stats.completed == len(self.LBAS)
 
     def test_hard_fault_completes_with_error(self):
-        from repro.faults import FaultSchedule
-
-        schedule = FaultSchedule().fail_read(2)
+        schedule = PinnedFaults().fail_read(2)
         queue, done = _faulty_burst("fcfs", self.LBAS, schedule)
         assert len(done) == len(self.LBAS)
         failed = [r for r in done if r.error is not None]
@@ -476,11 +471,9 @@ class TestDiskQueueFaults:
         assert run() == run()
 
     def test_requeued_request_not_starved_under_sstf(self):
-        from repro.faults import FaultSchedule
-
         # The far request fails once; SSTF would always prefer the
         # near cluster, but the retried request must still complete.
-        schedule = FaultSchedule().fail_read(0, transient=True)
+        schedule = PinnedFaults().fail_read(0, transient=True)
         lbas = [25000] + [100 + 8 * i for i in range(12)]
         device = BlockDevice(TEST_PROFILE)
         loop = EventLoop()
@@ -491,7 +484,7 @@ class TestDiskQueueFaults:
         loop.run()
         assert len(done) == len(lbas)
         assert all(r.error is None for r in done)
-        assert queue.depth == 0
+        assert queue_depth(queue) == 0
 
 
 class TestEngineFaults:
@@ -516,9 +509,7 @@ class TestEngineFaults:
         assert clean["create"].retried == 0 and clean["create"].failed == 0
 
     def test_multiclient_hard_faults_abort_ops_not_the_run(self):
-        from repro.faults import FaultSchedule
-
-        schedule = FaultSchedule().fail_write(4).fail_write(9)
+        schedule = PinnedFaults().fail_write(4).fail_write(9)
         result = run_multiclient(label="ffs", n_clients=2,
                                  files_per_client=8, phases=("create",),
                                  faults=schedule)
@@ -549,13 +540,12 @@ class TestDiskQueueRetryMetrics:
 
     def test_retries_counted_and_latency_observed(self):
         from repro import obs
-        from repro.faults import FaultSchedule
 
         tracer = obs.install(obs.Tracer())
         try:
             # Dispatches 0 and 1 hit transients (each dispatch consumes
             # one schedule index), so retry traffic definitely flows.
-            schedule = (FaultSchedule().fail_read(0, transient=True)
+            schedule = (PinnedFaults().fail_read(0, transient=True)
                         .fail_read(1, transient=True))
             queue, done = _faulty_burst("fcfs", self.LBAS, schedule)
         finally:
@@ -576,9 +566,7 @@ class TestDiskQueueRetryMetrics:
         assert hist.sum >= len(retried) * 0.002   # backoff sleeps included
 
     def test_untraced_runs_cost_nothing_and_keep_stats(self):
-        from repro.faults import FaultSchedule
-
-        schedule = FaultSchedule().fail_read(0, transient=True)
+        schedule = PinnedFaults().fail_read(0, transient=True)
         queue, done = _faulty_burst("fcfs", self.LBAS, schedule)
         assert queue.stats.retried == 1  # queue accounting works untraced
         assert all(r.error is None for r in done)

@@ -9,7 +9,6 @@ from repro.disk.profiles import (
     PROFILES,
     QUANTUM_ATLAS_II,
     SEAGATE_BARRACUDA_4LP,
-    SEAGATE_ST31200,
     TABLE1_DRIVES,
 )
 
@@ -91,13 +90,6 @@ class TestProfiles:
         )
         assert bw_ratio > 2.0
         assert access_ratio < 1.5
-
-    def test_with_overrides(self):
-        quiet = SEAGATE_ST31200.with_overrides(write_cache=False, cache_segments=0)
-        assert quiet.write_cache is False
-        assert quiet.cache_segments == 0
-        assert quiet.rpm == SEAGATE_ST31200.rpm
-        assert SEAGATE_ST31200.write_cache is True  # original untouched
 
     def test_table1_drives_are_the_1996_trio(self):
         names = {p.name for p in TABLE1_DRIVES}

@@ -65,13 +65,13 @@ class TestSmallfileFigures:
                 > results["cffs"]["create"].files_per_second)
 
     def test_fig6_softdep_faster_creates(self):
-        sync = fig5_smallfile(n_files=200, labels=("conventional",))
-        soft = fig6_smallfile_softdep(n_files=200, labels=("conventional",))
+        sync = fig5_smallfile(n_files=200)
+        soft = fig6_smallfile_softdep(n_files=200)
         assert (soft.data["results"]["conventional"]["create"].files_per_second
                 > sync.data["results"]["conventional"]["create"].files_per_second)
 
     def test_table3_reduction_column(self):
-        out = table3_requests(n_files=250, labels=("conventional", "cffs"))
+        out = table3_requests(n_files=250)
         assert "read reduction" in out.text
         conv = out.data["results"]["conventional"]["read"].requests_per_file
         cffs = out.data["results"]["cffs"]["read"].requests_per_file

@@ -21,7 +21,7 @@ from repro.faults import (
 )
 from repro.faults.schedule import RETRY_ATTEMPTS, retry_delay
 from repro.fsck import fsck_cffs, fsck_ffs
-from tests.conftest import TEST_PROFILE, make_cffs, make_ffs
+from tests.conftest import TEST_PROFILE, PinnedFaults, make_cffs, make_ffs
 
 
 def block(tag: int) -> bytes:
@@ -83,7 +83,7 @@ class TestFaultSchedule:
         assert all(s.decide("write", i).kind == OK for i in range(100))
 
     def test_explicit_injections_override(self):
-        s = (FaultSchedule(seed=1)
+        s = (PinnedFaults(seed=1)
              .fail_read(3, transient=True, failures=2)
              .fail_write(5)
              .tear_write(7, landed_blocks=2))
@@ -108,7 +108,7 @@ class TestProxyTransparent:
         assert faulty.stats.transient_faults == 0
 
     def test_batches_route_through_fault_path(self):
-        s = FaultSchedule().fail_write(0)
+        s = PinnedFaults().fail_write(0)
         dev = proxy(schedule=s)
         with pytest.raises(MediaWriteError):
             dev.write_batch({1: block(1), 2: block(2)})
@@ -117,19 +117,19 @@ class TestProxyTransparent:
 
 class TestTransient:
     def test_absorbed_with_latency(self):
-        s = FaultSchedule().fail_write(0, transient=True, failures=2)
+        s = PinnedFaults().fail_write(0, transient=True, failures=2)
         dev = proxy(schedule=s)
         dev.write_block(4, block(4))
         assert dev.read_block(4) == block(4)          # data landed
         assert dev.stats.transient_faults == 2
         # The backoff, then twice that.
         assert_backoff_charged(
-            FaultSchedule().fail_write(0, transient=True, failures=2),
+            PinnedFaults().fail_write(0, transient=True, failures=2),
             lambda dev: None, lambda dev: dev.write_block(4, block(4)),
             (retry_delay(0), retry_delay(1)))
 
     def test_exhausted_budget_escalates(self):
-        s = FaultSchedule().fail_read(0, transient=True,
+        s = PinnedFaults().fail_read(0, transient=True,
                                       failures=RETRY_ATTEMPTS)
         dev = proxy(schedule=s)
         dev.write_block(2, block(2))
@@ -140,7 +140,7 @@ class TestTransient:
 
 class TestHardAndTorn:
     def test_hard_write_lands_nothing(self):
-        s = FaultSchedule().fail_write(0)
+        s = PinnedFaults().fail_write(0)
         dev = proxy(schedule=s)
         with pytest.raises(MediaWriteError):
             dev.write_extent(10, [block(1), block(2)])
@@ -148,13 +148,13 @@ class TestHardAndTorn:
         assert dev.stats.media_writes == 0
 
     def test_hard_read_raises(self):
-        s = FaultSchedule().fail_read(0)
+        s = PinnedFaults().fail_read(0)
         dev = proxy(schedule=s)
         with pytest.raises(MediaReadError):
             dev.read_block(0)
 
     def test_torn_write_lands_prefix(self):
-        s = FaultSchedule().tear_write(0, landed_blocks=2)
+        s = PinnedFaults().tear_write(0, landed_blocks=2)
         dev = proxy(schedule=s)
         with pytest.raises(MediaWriteError):
             dev.write_extent(20, [block(1), block(2), block(3), block(4)])
@@ -236,7 +236,7 @@ class TestBatchPaths:
         assert out == {4: block(4), 9: block(9), 10: block(10)}
 
     def test_read_batch_transient_absorbed_with_latency(self):
-        s = FaultSchedule().fail_read(0, transient=True, failures=1)
+        s = PinnedFaults().fail_read(0, transient=True, failures=1)
         dev = proxy(schedule=s)
         dev.write_batch({4: block(4), 9: block(9)})
         out = dev.read_batch([4, 9])
@@ -251,18 +251,18 @@ class TestBatchPaths:
             dev.read_batch([4, 9])                 # read requests 0 and 1
 
         assert_backoff_charged(                    # the backoff was paid
-            FaultSchedule().fail_read(2, transient=True, failures=1),
+            PinnedFaults().fail_read(2, transient=True, failures=1),
             warm, lambda dev: dev.read_batch([4, 9]), (retry_delay(0),))
 
     def test_read_batch_hard_fault_raises(self):
-        s = FaultSchedule().fail_read(0)
+        s = PinnedFaults().fail_read(0)
         dev = proxy(schedule=s)
         with pytest.raises(MediaReadError):
             dev.read_batch([3, 4, 5])
         assert dev.stats.hard_read_faults == 1
 
     def test_write_batch_transient_lands_everything(self):
-        s = FaultSchedule().fail_write(0, transient=True, failures=2)
+        s = PinnedFaults().fail_write(0, transient=True, failures=2)
         dev = proxy(schedule=s)
         nrequests = dev.write_batch({10: block(1), 11: block(2), 40: block(3)})
         assert nrequests == 2  # coalesced runs [10,11] and [40]
@@ -271,7 +271,7 @@ class TestBatchPaths:
         assert dev.stats.transient_faults == 2
 
     def test_write_batch_hard_fault_lands_nothing_of_that_request(self):
-        s = FaultSchedule().fail_write(0)
+        s = PinnedFaults().fail_write(0)
         dev = proxy(schedule=s)
         with pytest.raises(MediaWriteError):
             dev.write_batch({10: block(1), 11: block(2)})

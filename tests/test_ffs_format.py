@@ -43,7 +43,7 @@ class TestInodePacking:
         ino.init_as(layout.MODE_FILE, gen=3, mtime=0.0)
         ino.direct[0] = 7
         ino.clear()
-        assert ino.is_free
+        assert ino.mode == layout.MODE_FREE
         assert ino.nlink == 0
         assert ino.direct[0] == 0
         assert ino.gen == 3  # generation survives reuse

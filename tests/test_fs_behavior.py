@@ -104,8 +104,7 @@ class TestReadWrite:
         fd = anyfs.open("/a", create=True)
         anyfs.write(fd, b"one")
         anyfs.write(fd, b"two")
-        anyfs.seek(fd, 0)
-        assert anyfs.read(fd, 6) == b"onetwo"
+        assert anyfs.pread(fd, 0, 6) == b"onetwo"
         anyfs.close(fd)
 
     def test_closed_fd_rejected(self, anyfs):
@@ -398,7 +397,7 @@ class TestPersistence:
         anyfs.write_file("/d/a", b"A" * 5000)
         anyfs.write_file("/top", b"B" * 100)
         anyfs.sync()
-        remounted = type(anyfs).mount(anyfs.device, anyfs.config)
+        remounted = type(anyfs).mount(anyfs.device)
         assert remounted.read_file("/d/a") == b"A" * 5000
         assert remounted.read_file("/top") == b"B" * 100
         assert sorted(remounted.readdir("/")) == ["d", "top"]
@@ -407,5 +406,5 @@ class TestPersistence:
         anyfs.write_file("/a", b"x" * 50000)
         anyfs.sync()
         free = anyfs.free_blocks()
-        remounted = type(anyfs).mount(anyfs.device, anyfs.config)
+        remounted = type(anyfs).mount(anyfs.device)
         assert remounted.free_blocks() == free

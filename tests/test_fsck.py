@@ -8,7 +8,7 @@ import pytest
 from repro.blockdev.device import BLOCK_SIZE
 from repro.ffs import layout as flayout
 from repro.fsck import fsck_cffs, fsck_ffs
-from tests.conftest import make_cffs, make_ffs
+from tests.conftest import make_cffs, make_ffs, write_desc
 
 
 def populated_ffs():
@@ -182,7 +182,7 @@ class TestCffsCorruption:
         desc = fs.groups.read_desc(ext)
         slot = bno - fs.groups.extent_base(ext)
         desc["slots"][slot] = (999999, 0)  # wrong owner
-        fs.groups.write_desc(ext, desc)
+        write_desc(fs, ext, desc)
         fs.sync()
         report = fsck_cffs(fs.device)
         assert any("descriptor says" in r for r in report.repairs)
@@ -196,7 +196,7 @@ class TestCffsCorruption:
         desc = fs.groups.read_desc(ext)
         slot = bno - fs.groups.extent_base(ext)
         desc["valid_mask"] &= ~(1 << slot)
-        fs.groups.write_desc(ext, desc)
+        write_desc(fs, ext, desc)
         fs.sync()
         report = fsck_cffs(fs.device)
         assert any("slot is free" in r for r in report.repairs)
@@ -346,7 +346,7 @@ class TestCffsRepair:
         ext = fs.groups.extent_of_block(bno)
         desc = fs.groups.read_desc(ext)
         desc["slots"][bno - fs.groups.extent_base(ext)] = (999999, 0)
-        fs.groups.write_desc(ext, desc)
+        write_desc(fs, ext, desc)
         fs.sync()
         first, _ = repair_roundtrip(fsck_cffs, fs.device)
         assert any("descriptor rebuilt" in f for f in first.fixed)
@@ -358,7 +358,7 @@ class TestCffsRepair:
         ext = fs.groups.extent_of_block(bno)
         desc = fs.groups.read_desc(ext)
         desc["valid_mask"] &= ~(1 << (bno - fs.groups.extent_base(ext)))
-        fs.groups.write_desc(ext, desc)
+        write_desc(fs, ext, desc)
         fs.sync()
         repair_roundtrip(fsck_cffs, fs.device)
 
@@ -438,7 +438,7 @@ class TestExternalInodeFileIsClaimed:
         assert report.pristine, report.render()
         fsck_cffs(fs.device, repair=True)
         remounted = CFFS.mount(fs.device)
-        assert remounted.alloc.block_is_allocated(remounted.sb["ext_indirect"])
+        assert not remounted.alloc.run_is_free(remounted.sb["ext_indirect"], 1)
         for i in range(N_LINKED):
             assert remounted.read_file("/b/l%03d" % i) == b"%03d" % i
 

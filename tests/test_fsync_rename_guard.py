@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidArgument
-from tests.conftest import make_cffs
+from tests.conftest import dirty_count, make_cffs
 
 
 class TestRenameCycleGuard:
@@ -71,7 +71,7 @@ class TestFsync:
         anyfs.pwrite(fd, 0, b"f" * 100)
         anyfs.fsync(fd)
         anyfs.close(fd)
-        assert anyfs.cache.dirty_count > 0  # /other's blocks still dirty
+        assert dirty_count(anyfs.cache) > 0  # /other's blocks still dirty
 
     def test_fsync_then_crash_is_durable(self):
         from repro.blockdev.device import BlockDevice
@@ -91,5 +91,5 @@ class TestFsync:
             image.poke_block(bno, data)
         from repro.core.filesystem import CFFS
 
-        survivor = CFFS.mount(image, fs.config)
+        survivor = CFFS.mount(image)
         assert survivor.read_file("/d/precious") == b"must survive"

@@ -22,7 +22,7 @@ class TestConstruction:
         assert g.capacity_bytes == g.total_sectors * SECTOR_SIZE
 
     def test_uniform_constructor(self):
-        g = DiskGeometry.uniform(10, 2, 8)
+        g = DiskGeometry(2, [Zone(10, 8)])
         assert g.total_sectors == 160
         assert g.cylinders == 10
 

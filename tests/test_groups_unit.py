@@ -146,8 +146,9 @@ class TestSlots:
         table.claim_extent((0, 0), owner=1)
         table.take_slot((0, 0), 10, 0)
         table.take_slot((0, 0), 11, 3)
-        base = table.extent_base((0, 0))
-        assert table.grouped_blocks((0, 0)) == [(base, 10, 0), (base + 1, 11, 3)]
+        desc = table.read_desc((0, 0))
+        assert desc["valid_mask"] == 0b11
+        assert desc["slots"][:2] == [(10, 0), (11, 3)]
 
 
 class TestUngroupedTransitions:

@@ -12,12 +12,6 @@ from repro.errors import (
 
 
 class TestArgumentValidation:
-    def test_negative_seek(self, anyfs):
-        fd = anyfs.open("/f", create=True)
-        with pytest.raises(InvalidArgument):
-            anyfs.seek(fd, -1)
-        anyfs.close(fd)
-
     def test_negative_pread_offset(self, anyfs):
         fd = anyfs.open("/f", create=True)
         with pytest.raises(InvalidArgument):
@@ -79,10 +73,10 @@ class TestOffsetSemantics:
     def test_interleaved_read_write_fd(self, anyfs):
         fd = anyfs.open("/f", create=True)
         anyfs.write(fd, b"aaaa")
-        anyfs.seek(fd, 2)
-        anyfs.write(fd, b"BB")
-        anyfs.seek(fd, 0)
-        assert anyfs.read(fd, 10) == b"aaBB"
+        anyfs.pwrite(fd, 2, b"BB")
+        assert anyfs.read(fd, 10) == b""        # the offset stayed at 4
+        anyfs.write(fd, b"c")
+        assert anyfs.pread(fd, 0, 10) == b"aaBBc"
         anyfs.close(fd)
 
     def test_two_fds_independent_offsets(self, anyfs):

@@ -13,7 +13,6 @@ import ast
 import json
 import textwrap
 
-from repro.lint import lint_sources
 from repro.lint.core import load_source
 from repro.lint.flow import (
     FlowContext,
@@ -22,6 +21,7 @@ from repro.lint.flow import (
     node_calls,
 )
 from repro.lint.reporters import render_json
+from tests.conftest import lint_sources
 
 
 def rules_of(result, suppressed=None):

@@ -12,7 +12,8 @@ docs/STATIC_ANALYSIS.md.
 
 from pathlib import Path
 
-from repro.lint import lint_sources
+from tests.conftest import lint_sources
+
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -3,6 +3,8 @@ edge cases, drive idle drains, zone-boundary transfers, breakdown
 driver."""
 
 
+from dataclasses import replace
+
 import pytest
 
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
@@ -66,18 +68,19 @@ class TestDriveCorners:
         for i in range(8):
             disk.write(1000 + i * 640, 8)
         assert not disk.write_buffer.empty
-        disk.idle(2.0)
+        disk.clock.advance(2.0)      # idle time, then the next request
+        disk.read(0, 8)
         assert disk.write_buffer.empty
 
     def test_multi_track_transfer_charges_switches(self):
-        disk = SimulatedDisk(TEST_PROFILE.with_overrides(
-            cache_segments=0, readahead_sectors=0, write_cache=False,
-        ))
+        disk = SimulatedDisk(replace(
+            TEST_PROFILE, cache_segments=0, readahead_sectors=0,
+            write_cache=False))
         # 120 sectors spans 3 tracks of 40 in zone 0.
         disk.read(0, 120)
-        single = SimulatedDisk(TEST_PROFILE.with_overrides(
-            cache_segments=0, readahead_sectors=0, write_cache=False,
-        ))
+        single = SimulatedDisk(replace(
+            TEST_PROFILE, cache_segments=0, readahead_sectors=0,
+            write_cache=False))
         single.read(0, 30)
         assert disk.stats.transfer_time > single.stats.transfer_time * 3
 
@@ -97,9 +100,8 @@ class TestImageEdgeCases:
         device = BlockDevice(TEST_PROFILE)
         path = str(tmp_path / "x.img")
         device.save_image(path)
-        small = TEST_PROFILE.with_overrides(
-            name="smaller", zone_table=((50, 40), (50, 24)),
-        )
+        small = replace(TEST_PROFILE, name="smaller",
+                        zone_table=((50, 40), (50, 24)))
         with pytest.raises(InvalidArgument):
             BlockDevice.load_image(path, profile=small)
 

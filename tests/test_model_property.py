@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from repro.errors import FileExists, FileNotFound
 from repro.fsck import fsck_cffs, fsck_ffs
-from tests.conftest import assert_dir_index_matches_blocks, make_cffs, make_ffs
+from tests.conftest import (
+    PinnedFaults,
+    assert_dir_index_matches_blocks,
+    dirty_count,
+    make_cffs,
+    make_ffs,
+)
 
 # Small name pool so operations collide meaningfully.
 name_pool = st.sampled_from(["a", "b", "c", "dd", "ee", "file1", "file2"])
@@ -246,14 +252,14 @@ def test_hard_write_fault_fails_sync_cleanly_then_retries():
     from repro.cache.policy import MetadataPolicy
 
     fs = _faulty(make_cffs(policy=MetadataPolicy.DELAYED_METADATA),
-                 FaultSchedule())
+                 PinnedFaults())
     for i in range(8):
         fs.write_file("/f%d" % i, b"h" * (700 * (i + 1)))
     # Fail the next media write — it will happen inside sync's flush.
     fs.device.schedule.fail_write(fs.device.stats.writes)
     with pytest.raises(MediaWriteError):
         fs.sync()
-    assert fs.cache.dirty_count > 0  # nothing silently marked clean
+    assert dirty_count(fs.cache) > 0  # nothing silently marked clean
     fs.sync()  # the fault was one-shot; the retry lands everything
     report = fsck_cffs(fs.device)
     assert report.pristine, report.render()
@@ -263,7 +269,7 @@ def test_hard_write_fault_fails_sync_cleanly_then_retries():
 
 
 def test_hard_read_fault_surfaces_not_corrupts():
-    fs = _faulty(make_ffs(), FaultSchedule())
+    fs = _faulty(make_ffs(), PinnedFaults())
     fs.write_file("/x", b"y" * 5000)
     fs.sync()
     fs.drop_caches()

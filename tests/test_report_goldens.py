@@ -24,6 +24,7 @@ import pytest
 from repro.cli import main
 from repro.cluster import Cluster, TrafficConfig, run_cluster_traffic
 from repro.faults import FaultSchedule
+from tests.conftest import PinnedFaults
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "reports")
 REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
@@ -113,7 +114,7 @@ def test_retried_timeline_matches_golden():
     # Shard 2's drive-level retry absorbs a background transient rate;
     # shard 1 is armed once the cluster is up (as the chaos harness arms
     # its victim) with hard faults at chosen replayed requests.
-    hard = FaultSchedule()
+    hard = PinnedFaults()
     cfg, cluster = _cluster({1: hard, 2: FaultSchedule(transient_rate=0.05)})
     for index in (3, 20, 21, 40, 41, 42, 90):
         hard.fail_write(index)

@@ -7,10 +7,11 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.lint import lint_sources, rule_catalog
+from repro.lint import rule_catalog
 from repro.lint.core import LintError, module_name_of
 from repro.lint.reporters import render_json, render_text
 from repro.lint.rules.structfmt import count_format_values
+from tests.conftest import lint_sources
 from tests.test_reprolint_selfhost import position_free_report
 
 

@@ -282,7 +282,7 @@ class TestResilientDevice:
             dev.write_block(0, block(0))
 
     def test_weak_block_absorbed_within_retry_budget(self):
-        schedule = FaultSchedule(seed=1).weaken_reads([40], failures=1)
+        schedule = FaultSchedule(seed=1).weaken_reads([40])
         dev = resilient(schedule)
         dev.write_block(40, block(4))
         assert dev.read_block(40) == block(4)
@@ -328,7 +328,7 @@ class TestScrubber:
         assert scrubber.stats.verdicts == {"ok": dev.total_blocks}
 
     def test_scrub_rescues_weak_data_block(self):
-        schedule = FaultSchedule(seed=1).weaken_reads([60], failures=1)
+        schedule = FaultSchedule(seed=1).weaken_reads([60])
         dev = resilient(schedule)
         dev.write_block(60, block(6))
         verdict = dev.scrub_block(60)
@@ -339,7 +339,7 @@ class TestScrubber:
         assert dev.stats.scrub_rescues == 1
 
     def test_scrub_does_not_burn_spares_on_weak_empty_blocks(self):
-        schedule = FaultSchedule(seed=1).weaken_reads([61], failures=1)
+        schedule = FaultSchedule(seed=1).weaken_reads([61])
         dev = resilient(schedule)
         assert dev.scrub_block(61) == "ok"
         assert dev.header.remap == {}

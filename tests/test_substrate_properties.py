@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.disk.cache import WriteBuffer
 from repro.disk.drive import SimulatedDisk
-from tests.conftest import TEST_PROFILE
+from tests.conftest import TEST_PROFILE, free_blocks
 from tests.test_alloc_mapping import make_alloc
 
 
@@ -23,7 +23,7 @@ class TestAllocatorModel:
         allocations, frees restore availability, counts agree."""
         alloc, _cache = make_alloc(n_cgs=2, blocks_per_cg=64, data_start=4)
         model = set()
-        initial_free = alloc.free_blocks_total
+        initial_free = free_blocks(alloc)
         for op, cg in ops:
             cg = cg % 2
             if op == "alloc":
@@ -38,9 +38,9 @@ class TestAllocatorModel:
                 victim = sorted(model)[0]
                 alloc.free_block(victim)
                 model.discard(victim)
-            assert alloc.free_blocks_total == initial_free - len(model)
+            assert free_blocks(alloc) == initial_free - len(model)
         for bno in model:
-            assert alloc.block_is_allocated(bno)
+            assert not alloc.run_is_free(bno, 1)
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=40))
     @settings(max_examples=30, deadline=None)
@@ -152,7 +152,8 @@ class TestEndToEndDeterminism:
         def run():
             fs = make_cffs()
             res = run_smallfile(fs, n_files=120, file_size=1024)
-            return [(p, r.seconds, r.disk_reads, r.disk_writes)
+            return [(p, r.seconds, r.measured.disk.reads,
+                     r.measured.disk.writes)
                     for p, r in res.phases.items()]
 
         assert run() == run()

@@ -12,7 +12,6 @@ from repro.workloads import (
     TracingFileSystem,
     age_filesystem,
     build_source_tree,
-    fraction_under,
     postmark_script,
     run_app_suite,
     run_script,
@@ -49,8 +48,8 @@ class TestMeasure:
                 raise RuntimeError("mid-phase")
         expected = device.disk.stats.delta(before)
         assert measured.seconds == device.clock.now - start > 0
-        assert measured.disk_reads == expected.reads > 0
-        assert measured.disk_writes == expected.writes
+        assert measured.disk.reads == expected.reads > 0
+        assert measured.disk.writes == expected.writes
         assert measured.disk_requests == expected.total_requests
         assert measured.disk.seek_time == expected.seek_time
         assert measured.disk.request_sizes == expected.request_sizes
@@ -65,8 +64,8 @@ class TestMeasure:
             fs.drop_caches()
             fs.read_file(self.PATHS[-1])
         assert 0 < inner.seconds < outer.seconds
-        assert 0 < inner.disk_writes <= outer.disk_writes
-        assert inner.disk_reads < outer.disk_reads
+        assert 0 < inner.disk.writes <= outer.disk.writes
+        assert inner.disk.reads < outer.disk.reads
         assert inner.disk_requests < outer.disk_requests
 
     def test_run_script_is_a_one_client_engine_replay(self):
@@ -85,7 +84,7 @@ class TestMeasure:
         replayed = stats.delta(before)
         assert engine.now - start == pytest.approx(lockstep.seconds, rel=1e-3)
         assert (replayed.reads, replayed.writes) == (
-            lockstep.disk_reads, lockstep.disk_writes)
+            lockstep.disk.reads, lockstep.disk.writes)
         assert replayed.request_sizes == lockstep.disk.request_sizes
 
     def test_cffs_stream_is_larger_and_fewer(self):
@@ -126,9 +125,9 @@ class TestSmallFile:
     def test_request_accounting(self):
         fs = make_cffs()
         result = run_smallfile(fs, n_files=40, file_size=1024)
-        read = result["read"]
-        assert read.disk_requests == read.disk_reads + read.disk_writes
-        assert read.disk_reads > 0
+        read = result["read"].measured
+        assert read.disk_requests == read.disk.reads + read.disk.writes
+        assert read.disk.reads > 0
 
     def test_multiple_directories(self):
         fs = make_cffs()
@@ -145,15 +144,20 @@ class TestSmallFile:
         assert fsck_cffs(fs.device).ok
 
     def test_payload_validation(self):
-        fs = make_cffs()
         with pytest.raises(ValueError):
-            run_smallfile(fs, n_files=4, file_size=10, payload=b"wrong length")
+            smallfile_ops(["/bench/f0"], 10, "create", b"wrong length")
 
     def test_subset_of_phases(self):
         fs = make_cffs()
         result = run_smallfile(fs, n_files=30, file_size=1024,
                                phases=("create", "read"))
         assert set(result.phases) == {"create", "read"}
+
+
+def fraction_under(limit: int) -> float:
+    """Empirical P(size < limit) of the size distribution."""
+    rng = random.Random(7)
+    return sum(sample_file_size(rng) < limit for _ in range(20000)) / 20000
 
 
 class TestSizeDistribution:
@@ -227,9 +231,9 @@ class TestPostmarkScript:
         # The /postmark mkdirs (synchronous writes) run before the first
         # phase: they are in neither the seconds nor the request count.
         assert 0 < result.disk_requests < stats.total_requests - mkfs_requests
-        assert result.total_seconds == (
-            result.create_seconds + result.transaction_seconds
-            + result.delete_seconds) > 0
+        assert result.total_seconds == sum(
+            result.phases[phase].seconds
+            for phase in ("create", "transactions", "delete")) > 0
 
 
 class TestSizeSweep:
