@@ -195,7 +195,10 @@ def build_client_ops(cluster: Cluster, cfg: TrafficConfig, cid: int,
         cluster.account(shard, bytes_written=seeded)
 
     def write_resolver(top: str, path: str, payload: bytes):
+        booked = False
+
         def resolve():
+            nonlocal booked
             shard = cluster.route(top)
             first = top not in created
             if first:
@@ -206,8 +209,10 @@ def build_client_ops(cluster: Cluster, cfg: TrafficConfig, cid: int,
                     ensure_dir(top, shard, f)
                 f.write_file(path, payload)
 
-            cluster.account(shard, bytes_written=len(payload))
-            written.append(path)
+            if not booked:   # a retry re-resolves: book the write once
+                booked = True
+                cluster.account(shard, bytes_written=len(payload))
+                written.append(path)
             return [(shard, fn)]
         return resolve
 
