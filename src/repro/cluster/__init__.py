@@ -24,7 +24,6 @@ from repro.cluster.chaos import (
     parse_fault_spec,
     render_chaos,
     run_cluster_chaos,
-    validate_chaos_summary,
 )
 from repro.cluster.core import Cluster, ClusterClient, ClusterOp, Leg, Shard
 from repro.cluster.evacuate import (
@@ -65,7 +64,6 @@ from repro.cluster.traffic import (
     cluster_summary,
     render_cluster,
     run_cluster_traffic,
-    validate_cluster_summary,
 )
 
 __all__ = [
@@ -114,6 +112,4 @@ __all__ = [
     "run_cluster_traffic",
     "scan_records",
     "split_top",
-    "validate_chaos_summary",
-    "validate_cluster_summary",
 ]

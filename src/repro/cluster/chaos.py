@@ -164,7 +164,6 @@ class ChaosResult:
     retry_attempts: int
     retry_absorbed: int
     retry_exhausted: int
-    redirects: int
     router_skips: int
     evacuated: List[EvacuatedTop]
     verified_files: int
@@ -281,7 +280,6 @@ def run_cluster_chaos(cfg: ChaosConfig) -> ChaosResult:
         retry_absorbed=int(counters.counter("cluster.retry.absorbed").value),
         retry_exhausted=int(
             counters.counter("cluster.retry.exhausted").value),
-        redirects=int(counters.counter("cluster.retry.redirects").value),
         router_skips=cluster.router.skips,
         evacuated=evacuated,
         verified_files=verified,
@@ -325,9 +323,9 @@ def render_chaos(result: ChaosResult) -> str:
                     for sid, name in enumerate(result.final_states)),
         "",
         "retries: %d attempts, %d absorbed, %d exhausted; "
-        "%d redirects, %d router skips"
+        "%d router skips"
         % (result.retry_attempts, result.retry_absorbed,
-           result.retry_exhausted, result.redirects, result.router_skips),
+           result.retry_exhausted, result.router_skips),
         "evacuation: %d subtrees, %d files, %d bytes; "
         "%d verified, %d mismatched, %d stranded"
         % (len(result.evacuated),
@@ -392,7 +390,6 @@ def chaos_summary(result: ChaosResult) -> dict:
             "attempts": result.retry_attempts,
             "absorbed": result.retry_absorbed,
             "exhausted": result.retry_exhausted,
-            "redirects": result.redirects,
             "router_skips": result.router_skips,
         },
         "evacuation": {
@@ -420,49 +417,6 @@ def chaos_summary(result: ChaosResult) -> dict:
     }
 
 
-def validate_chaos_summary(doc: dict) -> List[str]:
-    """Schema problems in a chaos summary (empty when valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["summary is not an object"]
-    if doc.get("schema") != CHAOS_SCHEMA:
-        problems.append("schema is %r, expected %r"
-                        % (doc.get("schema"), CHAOS_SCHEMA))
-    for section in ("config", "phases", "health", "retries",
-                    "evacuation", "availability"):
-        if not isinstance(doc.get(section), dict):
-            problems.append("missing section %r" % section)
-    if doc.get("verdict") not in ("PASS", "FAIL"):
-        problems.append("verdict must be PASS or FAIL")
-    health = doc.get("health")
-    if isinstance(health, dict):
-        final = health.get("final")
-        if not isinstance(final, list) or not final:
-            problems.append("health.final must be a non-empty list")
-        if not isinstance(health.get("transitions"), list):
-            problems.append("health.transitions must be a list")
-    availability = doc.get("availability")
-    if isinstance(availability, dict):
-        for key in ("ops", "failed", "overall", "surviving", "floor"):
-            if not isinstance(availability.get(key), (int, float)):
-                problems.append(
-                    "availability.%s missing or non-numeric" % key)
-        surviving = availability.get("surviving")
-        if isinstance(surviving, (int, float)) \
-                and not 0.0 <= surviving <= 1.0:
-            problems.append("availability.surviving outside [0, 1]")
-    evacuation = doc.get("evacuation")
-    if isinstance(evacuation, dict):
-        if not isinstance(evacuation.get("subtrees"), list):
-            problems.append("evacuation.subtrees must be a list")
-        for key in ("files", "bytes", "verified", "stranded"):
-            if not isinstance(evacuation.get(key), int):
-                problems.append("evacuation.%s missing or non-integer" % key)
-        if not isinstance(evacuation.get("mismatches"), list):
-            problems.append("evacuation.mismatches must be a list")
-    return problems
-
-
 __all__ = [
     "CHAOS_SCHEMA",
     "ChaosConfig",
@@ -471,5 +425,4 @@ __all__ = [
     "parse_fault_spec",
     "render_chaos",
     "run_cluster_chaos",
-    "validate_chaos_summary",
 ]

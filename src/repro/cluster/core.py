@@ -38,17 +38,9 @@ from repro.cluster.evacuate import (
     EvacuatedTop,
     adopted_tops,
     evacuate_shard,
-    evacuate_top,
     recover_shard_evacs,
 )
-from repro.cluster.health import (
-    PLAIN,
-    RETRY,
-    ClusterHealth,
-    HealthState,
-    next_delay,
-    settle,
-)
+from repro.cluster.health import ClusterHealth, HealthState, settle
 from repro.cluster.intent import (
     CLUSTER_DIR,
     INTENT,
@@ -60,7 +52,12 @@ from repro.cluster.intent import (
 from repro.cluster.router import ROUTE_CPU_SECONDS, Router, make_router
 from repro.engine.client import Engine, OpRecord, OpTally, Replayer, replay
 from repro.engine.eventloop import EventLoop
-from repro.errors import InvalidArgument, ReproError
+from repro.errors import (
+    InvalidArgument,
+    MediaReadError,
+    MediaWriteError,
+    ReproError,
+)
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
 from repro.obs.metrics import MetricsRegistry
@@ -140,9 +137,11 @@ class ClusterClient:
         failed op (hard fault surfacing from a shard's disk queue) is
         retried with deterministic exponential backoff when its
         resolver is re-runnable — bounded by the cluster retry rule's
-        attempt budget and per-op simulated-time timeout.  Every error
-        is classified into the per-shard health state first, so routing
-        reacts while the phase is still running.
+        attempt budget and per-op simulated-time timeout.  Every failure
+        goes to the facade's decision
+        (:meth:`~repro.cluster.health.ClusterHealth.after_failure`),
+        which classifies it into the per-shard health state first, so
+        routing reacts while the phase is still running.
         """
         cluster = self.cluster
         clock = cluster.loop.clock
@@ -154,7 +153,7 @@ class ClusterClient:
             touched: List[int] = []
             while True:
                 error: Optional[str] = None
-                verdict = PLAIN
+                failure: Optional[ReproError] = None
                 try:
                     legs = spec() if callable(spec) else spec
                 except ReproError as exc:
@@ -173,33 +172,34 @@ class ClusterClient:
                     try:
                         failed = yield from replay(shard.engine, fn, tally)
                     except ReproError as exc:
-                        # Raised while capturing: classified exactly as
-                        # the facade classifies a lock-step call.
-                        verdict = cluster.health.classify(
-                            shard.sid, exc, "write")
+                        # Raised while capturing, as a lock-step call
+                        # raises it.
+                        failure = exc
                         error = "%s: %s: %s" % (
                             shard.name, type(exc).__name__, exc)
                         break
                     if failed is not None:
-                        verdict = cluster.health.classify(
-                            shard.sid, failed.error, failed.op)
+                        # The request the synchronous stack would have
+                        # raised at, as the media error it stands for.
+                        kind = (MediaWriteError if failed.op == "write"
+                                else MediaReadError)
+                        failure = kind(failed.error)
                         error = "%s: %s" % (shard.name, failed.error)
                         break
-                if verdict is not RETRY or not retryable:
+                if failure is None:
                     break
                 attempts += 1
-                delay = next_delay(attempts, clock.now - start,
-                                   cluster.metrics)
-                if delay is None:
+                answer = cluster.health.after_failure(
+                    shard.sid, failure, label, attempts, clock.now - start,
+                    retryable)
+                if answer is None:
                     break
-                if label == "write" and not cluster.health.writable(shard.sid):
-                    # The fault just demoted the shard, and the sticky
-                    # route would send the retry straight back: refuse,
-                    # as the facade does.
-                    error = "%s: shard refuses writes (health %s)" % (
-                        shard.name, cluster.health.state(shard.sid).name)
+                if not isinstance(answer, float):
+                    # The sticky route would send the retry straight
+                    # back to the shard this fault demoted.
+                    error = "%s: %s" % (shard.name, answer)
                     break
-                yield ("cpu", delay)
+                yield ("cpu", answer)
             if error is None:
                 settle(attempts, cluster.metrics)
             self.records.append(
@@ -356,30 +356,6 @@ class Cluster(Replayer):
                 "cannot back off with events pending")
         self.loop.clock.advance(seconds)
 
-    def redirect(self, top: str) -> Optional[Shard]:
-        """Move ``top`` off its sick owner so a blocked write proceeds.
-
-        A READ_ONLY owner can still be read, so its subtree is
-        evacuated to a health-picked spare on the spot and the new
-        owner returned.  A FAILED owner has nothing to copy from:
-        return ``None`` and let the caller surface the error.  An
-        owner whose subtree never materialized (the failure struck
-        before first mkdir) is simply reassigned.
-        """
-        sid = self.router.assignments.get(top)
-        if sid is None:
-            return None
-        if not self.health.readable(sid):
-            return None
-        dst_sid = self.router.pick_spare(top, exclude=(sid,))
-        src, dst = self.shards[sid], self.shards[dst_sid]
-        if src.fs.exists("/" + top):
-            evacuate_top(self, top, src, dst)
-        else:
-            self.router.reassign(top, dst_sid)
-        self.metrics.counter("cluster.retry.redirects").inc()
-        return dst
-
     def evacuate_unhealthy(self) -> List[EvacuatedTop]:
         """Evacuate every READ_ONLY shard (FAILED ones cannot be read)."""
         reports: List[EvacuatedTop] = []
@@ -402,13 +378,6 @@ class Cluster(Replayer):
         result = fn(shard.fs)
         self.loop.clock.advance_to(shard.device.clock.now)
         return result
-
-    def run_sync(self, fn: Callable) -> object:
-        """Run ``fn(cluster.fs)`` — existing workloads, unmodified."""
-        if self.loop.pending:
-            raise InvalidArgument(
-                "cannot run a sync section with events pending")
-        return fn(self.fs)
 
     def sync_all(self) -> int:
         """Sync every shard (the cluster-wide barrier); returns requests."""
@@ -456,9 +425,11 @@ class Cluster(Replayer):
 
     def rename_legs(self, src_shard: Shard, old: str,
                     dst_shard: Shard, new: str) -> List[Leg]:
-        """The four legs of a crash-safe cross-shard file rename.
+        """The legs of a rename, counted by kind.
 
-        See :mod:`repro.cluster.intent` for the protocol and recovery
+        One shard: the single local rename leg.  Across shards: the
+        four legs of a crash-safe file rename — see
+        :mod:`repro.cluster.intent` for the protocol and recovery
         argument.  The legs run in order (lock-step, or sequentially
         within one client's replayed op) and each ends with *targeted*
         durability — intent and copy fsynced, source unlink forced per
@@ -466,6 +437,9 @@ class Cluster(Replayer):
         earlier legs' shards without dragging unrelated dirty data
         into the rename's critical path.
         """
+        if src_shard is dst_shard:
+            self.metrics.counter("cluster.rename.local").inc()
+            return [(src_shard, lambda f: f.rename(old, new))]
         ipath = INTENT.path(self.next_intent_seq())
         payload = encode_record(INTENT, src_shard.sid, old, new)
         cell: Dict[str, bytes] = {}

@@ -21,12 +21,14 @@ invisible here: it never appears in root listings and cannot be
 addressed through the facade.
 
 Fault tolerance (PR 10): every shard call runs under the cluster's
-retry rule (:func:`~repro.cluster.health.next_delay`) — transient and hard
-media errors are retried with deterministic exponential backoff on
-cluster time, every failure is classified into the per-shard health
-state, and a write refused by a READ_ONLY (or newly FAILED) owner is
-*redirected*: the subtree is evacuated to a health-picked spare on the
-spot and the write retried there (see :meth:`Cluster.redirect`).
+failure decision (:meth:`~repro.cluster.health.ClusterHealth.
+after_failure`), the one the replay clients use too — transient and
+hard media errors are retried with deterministic exponential backoff
+on cluster time, every failure is classified into the per-shard health
+state, and a write to an owner that is not writable (READ_ONLY or
+FAILED, also when this very call's fault demoted it) is refused with
+:class:`~repro.errors.ReadOnlyFileSystem`.  A sick shard's subtrees
+move only by evacuation (:meth:`Cluster.evacuate_unhealthy`).
 Errors that escape carry shard context — the message gains an ``s<k>:``
 prefix and the exception grows a ``shard`` attribute — so a caller can
 tell *which* shard of the cluster failed.
@@ -36,20 +38,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.cluster.health import (
-    RETRY,
-    RETRYABLE,
-    SHARD_DOWN,
-    next_delay,
-    settle,
-)
+from repro.cluster.health import settle
 from repro.cluster.intent import CLUSTER_DIR
-from repro.errors import (
-    FileNotFound,
-    InvalidArgument,
-    ReadOnlyFileSystem,
-    ReproError,
-)
+from repro.errors import FileNotFound, InvalidArgument, ReproError
 from repro.vfs import FileKind
 
 _RESERVED_TOP = CLUSTER_DIR.strip("/")
@@ -91,14 +82,8 @@ class ClusterFS:
             exc.args = ("%s: %s" % (shard.name, exc),)
         raise exc
 
-    def _refuse_write(self, shard) -> None:
-        """Raise the annotated ReadOnlyFileSystem of a demoted shard."""
-        self._annotate(shard, ReadOnlyFileSystem(
-            "shard refuses writes (health %s)"
-            % self._cluster.health.state(shard.sid).name))
-
     def _shard_call(self, shard, fn, op: str = "read"):
-        """Run ``fn`` on ``shard`` under the cluster retry rule.
+        """Run ``fn`` on ``shard`` under the cluster's failure decision.
 
         Retryable faults back the clock off deterministically and try
         again (bounded by attempts and per-op simulated-time timeout);
@@ -106,67 +91,40 @@ class ClusterFS:
         Whatever escapes carries the shard's name in its message.
         """
         cluster = self._cluster
-        if op == "write" and not cluster.health.writable(shard.sid):
+        health = cluster.health
+        if op == "write":
             # Enforce the advisory health state on the write path: a
             # demoted shard must not keep absorbing writes into a
-            # cache that can never flush.  _routed_mutate turns this
-            # into a redirect; descriptor-pinned writes surface it.
-            self._refuse_write(shard)
+            # cache that can never flush.
+            refusal = health.refusal(shard.sid)
+            if refusal is not None:
+                self._annotate(shard, refusal)
         start = cluster.now
         attempts = 0
         while True:
             try:
                 result = cluster.lockstep(shard, fn)
             except ReproError as exc:
-                # Whatever the class — media fault, shard down, or a
-                # plain ENOENT — an escaping error names its shard.
-                if cluster.health.classify(shard.sid, exc, op) is not RETRY:
-                    self._annotate(shard, exc)
                 attempts += 1
-                delay = next_delay(attempts, cluster.now - start,
-                                   cluster.metrics)
-                if delay is None:
-                    self._annotate(shard, exc)
-                if op == "write" and not cluster.health.writable(shard.sid):
-                    # The fault just demoted the shard: the same refusal
-                    # as above, instead of a retry into its cache.
-                    self._refuse_write(shard)
-                cluster.backoff(delay)
+                answer = health.after_failure(shard.sid, exc, op, attempts,
+                                              cluster.now - start,
+                                              retryable=True)
+                if not isinstance(answer, float):
+                    # Give up on ``exc`` or surface the refusal; either
+                    # way the escaping error names its shard.
+                    self._annotate(shard, exc if answer is None else answer)
+                cluster.backoff(answer)
             else:
                 settle(attempts, cluster.metrics)
                 return result
-
-    def _routed_mutate(self, top: str, fn):
-        """(shard, result) of a write-path call with health redirect.
-
-        Two roads lead to the redirect: the owner refuses outright
-        (READ_ONLY/FAILED classes, also when a media fault of this very
-        call demoted it), or hard media faults burn the whole retry
-        budget *and* demote the owner below writable along the way.
-        Either way the subtree is evacuated to a spare on the spot and
-        the write retried there, exactly once.
-        """
-        cluster = self._cluster
-        shard = cluster.route(top)
-        try:
-            return shard, self._shard_call(shard, fn, op="write")
-        except RETRYABLE + SHARD_DOWN:
-            # A shard-down error always leaves the owner unwritable; a
-            # media fault only when the budget ran out along the way.
-            if cluster.health.writable(shard.sid):
-                raise
-            dst = cluster.redirect(top)
-            if dst is None:
-                raise
-            return dst, self._shard_call(dst, fn, op="write")
 
     def _call(self, path: str, fn):
         """Run a read ``fn`` on the shard owning ``path``."""
         return self._shard_call(self._owner(path), fn)
 
     def _mutate(self, path: str, fn):
-        top, _ = split_top(path)
-        return self._routed_mutate(top, fn)[1]
+        """Run a write ``fn`` on the shard owning ``path``."""
+        return self._shard_call(self._owner(path), fn, op="write")
 
     def _shard_fd(self, fd: int) -> Tuple[object, int]:
         entry = self._fds.get(fd)
@@ -198,39 +156,29 @@ class ClusterFS:
         self._shard_call(src, lambda f: f.link(existing, new), op="write")
 
     def rename(self, old: str, new: str) -> None:
-        cluster = self._cluster
         src = self._owner(old)
         dst = self._owner(new)
-        if src is dst:
-            cluster.metrics.counter("cluster.rename.local").inc()
-            self._shard_call(src, lambda f: f.rename(old, new), op="write")
-            return
-        kind = self._shard_call(src, lambda f: f.stat(old)).kind
-        if kind is not FileKind.FILE:
-            raise InvalidArgument(
-                "cross-shard rename supports regular files only: %r is a %s"
-                % (old, kind.name.lower()))
-        if self._shard_call(dst, lambda f: f.exists(new)):
-            raise InvalidArgument(
-                "cross-shard rename target %r already exists" % new)
-        legs = cluster.rename_legs(src, old, dst, new)
-        # First leg reads the source; the rest write.  No redirect: the
-        # rename protocol carries its own crash-safety story, and a
+        if src is not dst:
+            kind = self._shard_call(src, lambda f: f.stat(old)).kind
+            if kind is not FileKind.FILE:
+                raise InvalidArgument(
+                    "cross-shard rename supports regular files only: "
+                    "%r is a %s" % (old, kind.name.lower()))
+            if self._shard_call(dst, lambda f: f.exists(new)):
+                raise InvalidArgument(
+                    "cross-shard rename target %r already exists" % new)
+        # Every leg is on the write path: a rename mutates its source,
+        # so a source that cannot unlink is refused before any copy.  A
         # mid-protocol failure recovers via the intent record.
-        for index, (shard, fn) in enumerate(legs):
-            self._shard_call(shard, fn,
-                             op="read" if index == 0 else "write")
+        for shard, fn in self._cluster.rename_legs(src, old, dst, new):
+            self._shard_call(shard, fn, op="write")
 
     # -- file-descriptor operations --------------------------------------------
 
     def open(self, path: str, create: bool = False) -> int:
-        top, _ = split_top(path)
-        if create:
-            shard, inner = self._routed_mutate(
-                top, lambda f: f.open(path, create))
-        else:
-            shard = self._cluster.route(top)
-            inner = self._shard_call(shard, lambda f: f.open(path, create))
+        shard = self._owner(path)
+        inner = self._shard_call(shard, lambda f: f.open(path, create),
+                                 op="write" if create else "read")
         fd = self._next_fd
         self._next_fd += 1
         self._fds[fd] = (shard, inner)
@@ -248,8 +196,6 @@ class ClusterFS:
         return data
 
     def write(self, fd: int, data: bytes) -> int:
-        # Descriptor writes are pinned to their shard (the open file
-        # lives there): retry yes, redirect no.
         shard, inner = self._shard_fd(fd)
         self._cluster.account(shard, bytes_written=len(data))
         return self._shard_call(
@@ -276,9 +222,9 @@ class ClusterFS:
     # -- whole-file helpers ----------------------------------------------------
 
     def write_file(self, path: str, data: bytes) -> None:
-        top, _ = split_top(path)
-        shard, _result = self._routed_mutate(
-            top, lambda f: f.write_file(path, data))
+        shard = self._owner(path)
+        self._shard_call(shard, lambda f: f.write_file(path, data),
+                         op="write")
         self._cluster.account(shard, bytes_written=len(data))
 
     def read_file(self, path: str) -> bytes:

@@ -2,9 +2,8 @@
 
 PR 5's :class:`~repro.resilience.health.HealthMonitor` tracks one
 device.  The cluster keeps one monitor *per shard* and classifies the
-errors its execution paths surface — taxonomy exceptions from lock-step
-facade calls, error strings from replayed disk-queue requests — into
-state transitions over the same monotonic machine::
+taxonomy errors its execution paths surface into state transitions
+over the same monotonic machine::
 
     HEALTHY --> DEGRADED --> READ_ONLY --> FAILED
 
@@ -29,10 +28,11 @@ Every transition is mirrored into the cluster's metrics registry:
 the observability stack read the same numbers.
 
 Both execution paths — the facade's lock-step calls and the clients'
-capture-replay — put their failures to the same two questions, and
-both are answered here: :meth:`ClusterHealth.classify` ("retry in
-place, shard is down, or a plain error?") and :func:`next_delay`
-("retry after how long, or give up?").
+capture-replay — hand every failure to one decision,
+:meth:`ClusterHealth.after_failure`: classify it, spend the retry
+budget (:func:`next_delay`), and refuse a write whose shard is no
+longer writable (:meth:`ClusterHealth.refusal`).  A sick shard's
+subtrees move only by evacuation (:mod:`repro.cluster.evacuate`).
 
 The monitors are *advisory* at cluster scope: they steer the router
 away from sick shards and gate evacuation; they do not block the
@@ -42,7 +42,7 @@ device) stays where PR 5 put it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.errors import (
     DeviceDegraded,
@@ -55,19 +55,6 @@ from repro.errors import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.health import HealthMonitor, HealthState
-
-#: Errors worth retrying in place: the same shard may well serve the
-#: same call a moment later (recoverable faults, partial hard faults
-#: the drive's own retry budget did not absorb).
-RETRYABLE = (MediaReadError, MediaWriteError, TransientDiskError)
-
-#: Errors that say the *shard* (not the call) is the problem: retrying
-#: in place is pointless; a write may be redirected instead.
-SHARD_DOWN = (DeviceDegraded, PowerLoss, ReadOnlyFileSystem)
-
-#: What :meth:`ClusterHealth.classify` tells the caller it may do.
-RETRY, DOWN, PLAIN = "retry", "down", "plain"
-
 
 #: Hard write faults tolerated before the shard demotes READ_ONLY.
 MAX_WRITE_FAULTS = 3
@@ -117,9 +104,7 @@ class ClusterHealth:
         self._write_faults = [0] * n_shards
         self._read_faults = [0] * n_shards
         for sid in range(n_shards):
-            monitor = HealthMonitor()
-            monitor.on_transition = self._mirror(sid)
-            self.monitors.append(monitor)
+            self.monitors.append(HealthMonitor(on_transition=self._mirror(sid)))
             metrics.gauge("cluster.health.s%d" % sid).set(
                 HealthState.HEALTHY.value)
 
@@ -145,6 +130,13 @@ class ClusterHealth:
     def readable(self, sid: int) -> bool:
         return self.monitors[sid].state is not HealthState.FAILED
 
+    def refusal(self, sid: int) -> Optional[ReadOnlyFileSystem]:
+        """The error a write to shard ``sid`` gets, or ``None``: writable."""
+        if self.writable(sid):
+            return None
+        return ReadOnlyFileSystem("shard refuses writes (health %s)"
+                                  % self.state(sid).name)
+
     def log(self) -> List[Tuple[float, int, str, str, str]]:
         """All transitions, ordered by (time, shard) — deterministic."""
         rows = []
@@ -159,42 +151,52 @@ class ClusterHealth:
         """Explicit transition (fault injection, evacuation retirement)."""
         return self.monitors[sid].transition(state, self._now(), reason)
 
-    def classify(self, sid: int, failure, op: str) -> str:
-        """Record one failure of shard ``sid``; say what the caller may do.
+    def classify(self, sid: int, exc: ReproError, op: str) -> bool:
+        """Record one failure of shard ``sid``: is it worth retrying?
 
-        ``failure`` is a taxonomy exception (a lock-step call, a
-        capture) or the error string of a replayed request; ``op`` is
-        the path that surfaced it.  ``RETRY``: a media fault, counted
-        against the shard's budget — the same call may succeed a moment
-        later.  ``DOWN``: the shard itself is the problem.  ``PLAIN``:
-        a file-system error (ENOENT and friends), no health signal.
-        A replayed request fails only with a hard or retry-exhausted
-        media fault of its own read or write.
+        True for a media fault, counted against the shard's budget of
+        its kind (a :class:`TransientDiskError` is charged to ``op``,
+        the path that surfaced it): the same call may succeed a moment
+        later.  False when the shard itself is the problem (it goes
+        READ_ONLY or FAILED) or for a plain file-system error (ENOENT
+        and friends), which is no health signal.
         """
-        if isinstance(failure, str):
-            self._count_fault(sid, op)
-            return RETRY
-        if isinstance(failure, RETRYABLE + SHARD_DOWN):
-            self.observe_exception(sid, failure, op)
-            return RETRY if isinstance(failure, RETRYABLE) else DOWN
-        return PLAIN
-
-    def observe_exception(self, sid: int, exc: ReproError,
-                          op: str = "read") -> None:
-        """Classify a taxonomy exception raised by shard ``sid``."""
-        if isinstance(exc, (DeviceDegraded, PowerLoss)):
-            self.mark(sid, HealthState.FAILED, "%s: %s"
-                      % (type(exc).__name__, exc))
-        elif isinstance(exc, ReadOnlyFileSystem):
-            self.mark(sid, HealthState.READ_ONLY, "shard refused writes")
-        elif isinstance(exc, MediaWriteError):
+        if isinstance(exc, MediaWriteError):
             self._count_fault(sid, "write")
         elif isinstance(exc, MediaReadError):
             self._count_fault(sid, "read")
-        else:
-            # TransientDiskError and anything else: charged to the
-            # path (read or write) that surfaced it.
+        elif isinstance(exc, TransientDiskError):
             self._count_fault(sid, op)
+        else:
+            if isinstance(exc, (DeviceDegraded, PowerLoss)):
+                self.mark(sid, HealthState.FAILED, "%s: %s"
+                          % (type(exc).__name__, exc))
+            elif isinstance(exc, ReadOnlyFileSystem):
+                self.mark(sid, HealthState.READ_ONLY, "shard refused writes")
+            return False
+        return True
+
+    def after_failure(self, sid: int, exc: ReproError, op: str,
+                      attempts: int, elapsed: float, retryable: bool
+                      ) -> Union[float, ReadOnlyFileSystem, None]:
+        """The one post-failure decision of both execution paths.
+
+        ``exc`` is what the call on shard ``sid`` raised; ``op`` is the
+        call's path (``"write"`` for a mutation); ``attempts`` counts
+        the op's failures so far, this one included, and ``elapsed``
+        its simulated time.  ``retryable`` is False for an op the
+        caller cannot re-run.  Returns the backoff before trying again,
+        a refusal to surface instead of ``exc`` (the failure left the
+        shard unwritable under a write), or ``None``: give up and
+        surface ``exc``.
+        """
+        if not self.classify(sid, exc, op) or not retryable:
+            return None
+        delay = next_delay(attempts, elapsed, self.metrics)
+        if delay is None or op != "write":
+            return delay
+        refusal = self.refusal(sid)
+        return delay if refusal is None else refusal
 
     def _count_fault(self, sid: int, op: str) -> None:
         if op == "write":
@@ -217,12 +219,7 @@ class ClusterHealth:
 
 __all__ = [
     "ClusterHealth",
-    "DOWN",
     "HealthState",
-    "PLAIN",
-    "RETRY",
-    "RETRYABLE",
-    "SHARD_DOWN",
     "next_delay",
     "settle",
 ]

@@ -250,13 +250,6 @@ def build_client_ops(cluster: Cluster, cfg: TrafficConfig, cid: int,
                 setup.append(
                     (dst_shard, lambda f: ensure_dir(dst_top, dst_shard, f)))
             written.append(new)
-            if src_shard is dst_shard:
-                cluster.metrics.counter("cluster.rename.local").inc()
-
-                def fn(f):
-                    f.rename(old, new)
-
-                return setup + [(src_shard, fn)]
             return setup + cluster.rename_legs(src_shard, old, dst_shard, new)
         return resolve
 
@@ -443,50 +436,6 @@ def cluster_summary(result: ClusterTrafficResult) -> dict:
     }
 
 
-def validate_cluster_summary(doc: dict) -> List[str]:
-    """Schema problems in a summary document (empty when valid)."""
-    problems: List[str] = []
-    if not isinstance(doc, dict):
-        return ["summary is not an object"]
-    if doc.get("schema") != CLUSTER_SCHEMA:
-        problems.append("schema is %r, expected %r"
-                        % (doc.get("schema"), CLUSTER_SCHEMA))
-    for section in ("config", "totals", "balance", "router", "renames"):
-        if not isinstance(doc.get(section), dict):
-            problems.append("missing section %r" % section)
-    shards = doc.get("per_shard")
-    if not isinstance(shards, list) or not shards:
-        problems.append("per_shard must be a non-empty list")
-        shards = []
-    config = doc.get("config")
-    if isinstance(config, dict) and isinstance(shards, list) and shards:
-        if config.get("shards") != len(shards):
-            problems.append("per_shard has %d rows for %r shards"
-                            % (len(shards), config.get("shards")))
-    for i, row in enumerate(shards):
-        if not isinstance(row, dict):
-            problems.append("per_shard[%d] is not an object" % i)
-            continue
-        for key in ("shard", "ops", "bytes_read", "bytes_written",
-                    "requests", "mean_queue_depth", "busy_seconds"):
-            if key not in row:
-                problems.append("per_shard[%d] missing %r" % (i, key))
-    totals = doc.get("totals")
-    if isinstance(totals, dict):
-        for key in ("ops", "seconds", "ops_per_second",
-                    "p50_ms", "p95_ms", "p99_ms"):
-            if not isinstance(totals.get(key), (int, float)):
-                problems.append("totals.%s missing or non-numeric" % key)
-        if isinstance(totals.get("ops"), int) and totals["ops"] < 0:
-            problems.append("totals.ops is negative")
-    balance = doc.get("balance")
-    if isinstance(balance, dict):
-        imbalance = balance.get("imbalance")
-        if not isinstance(imbalance, (int, float)) or imbalance < 0:
-            problems.append("balance.imbalance missing or negative")
-    return problems
-
-
 __all__ = [
     "CLUSTER_SCHEMA",
     "ClusterTrafficResult",
@@ -497,5 +446,4 @@ __all__ = [
     "cluster_summary",
     "render_cluster",
     "run_cluster_traffic",
-    "validate_cluster_summary",
 ]

@@ -54,7 +54,11 @@ from repro.resilience.checksums import (
     pack_crc_block,
     unpack_crc_block,
 )
-from repro.resilience.health import HealthMonitor, HealthState
+from repro.resilience.health import (
+    HealthMonitor,
+    HealthState,
+    HealthTransition,
+)
 from repro.resilience.layout import (
     ResilienceHeader,
     compute_geometry,
@@ -79,6 +83,12 @@ MAX_UNREADABLE_BLOCKS = 64
 #: Spare blocks a volume reserves for bad-block remapping unless told
 #: otherwise (``repro mkfs --resilient``, the chaos soak).
 DEFAULT_SPARES = 32
+
+
+def _meter_health(change: HealthTransition) -> None:
+    """Mirror one device health transition into the obs registry."""
+    obs.count("resilience.health_transitions")
+    obs.gauge_set("resilience.health", change.state.value)
 
 
 @dataclass
@@ -110,7 +120,7 @@ class ResilientBlockDevice(BatchedIO):
         self.inner = inner
         self.header = header
         self.geometry = header.geometry
-        self.health = HealthMonitor()
+        self.health = HealthMonitor(on_transition=_meter_health)
         self.stats = ResilienceStats()
         self._crc = crcs                      # logical block -> CRC-32
         self._dirty_crc_blocks: set = set()   # sidecar blocks to persist

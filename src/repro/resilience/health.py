@@ -16,10 +16,11 @@
   budget too); every request raises.
 
 Transitions are monotonic (never back toward HEALTHY within a run —
-recovering trust is an offline fsck decision, not an online one), are
-recorded with the simulated timestamp and a reason, and are mirrored
-into the obs metrics registry (``resilience.health`` gauge holds the
-state ordinal, ``resilience.health_transitions`` counts moves).
+recovering trust is an offline fsck decision, not an online one) and
+are recorded with the simulated timestamp and a reason.  The monitor
+meters nothing itself: its owner mirrors each transition into the
+metrics it owns through ``on_transition`` (the resilient device into
+``resilience.health``, the cluster into ``cluster.health.s<k>``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Tuple
 
-from repro import obs
 from repro.errors import DeviceDegraded, ReadOnlyFileSystem
 
 
@@ -51,12 +51,11 @@ class HealthTransition:
 
 @dataclass
 class HealthMonitor:
-    """Tracks the state, enforces monotonicity, meters transitions."""
+    """Tracks the state, enforces monotonicity, records transitions."""
 
     state: HealthState = HealthState.HEALTHY
     transitions: List[HealthTransition] = field(default_factory=list)
-    #: Optional hook fired after each transition (chaos harness,
-    #: engine-level remount logic).
+    #: Hook fired after each transition: the owner's metrics mirror.
     on_transition: Optional[Callable[[HealthTransition], None]] = None
 
     def transition(self, state: HealthState, now: float, reason: str) -> bool:
@@ -69,8 +68,6 @@ class HealthMonitor:
         change = HealthTransition(now, self.state, state, reason)
         self.state = state
         self.transitions.append(change)
-        obs.count("resilience.health_transitions")
-        obs.gauge_set("resilience.health", state.value)
         if self.on_transition is not None:
             self.on_transition(change)
         return True

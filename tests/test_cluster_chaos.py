@@ -2,17 +2,18 @@
 
 Five claims are pinned here:
 
-- **Health classification** — taxonomy exceptions and replayed error
-  strings drive the per-shard monotonic state machine exactly as the
-  budgets say, and every transition is mirrored into the cluster
-  metrics registry.
+- **Health classification** — taxonomy exceptions drive the per-shard
+  monotonic state machine exactly as the budgets say, and every
+  transition is mirrored into the cluster metrics registry (and never
+  into the resilient device's metrics).
 - **Health-aware routing** — both routers keep new placements off
   READ_ONLY/FAILED shards, prefer HEALTHY over DEGRADED, and are
   byte-identical to the pre-health behavior when no hook is attached.
-- **Retry and redirect** — the facade absorbs transient shard faults
-  within the retry budget, annotates surfaced errors with their shard,
-  and turns writes against a demoted shard into an evacuate-and-
-  redirect instead of a hard failure.
+- **Retry and refusal** — the facade and the replay clients absorb
+  transient shard faults within the retry budget, annotate surfaced
+  errors with their shard, and refuse a write to a shard that is not
+  writable (also when the write's own fault demoted it); only
+  evacuation moves a subtree.
 - **Evacuation crash safety** — the copy-then-adopt protocol, killed
   at every landed media write, always recovers to exactly one intact
   copy of every file, with the adopt record as the commit point.
@@ -26,6 +27,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.cluster import (
@@ -45,14 +47,12 @@ from repro.cluster import (
     parse_fault_spec,
     render_chaos,
     run_cluster_chaos,
-    validate_chaos_summary,
 )
 from repro.cluster.health import (
     MAX_READ_FAULTS,
     MAX_WRITE_FAULTS,
     OP_ATTEMPTS,
     OP_BACKOFF,
-    RETRY,
 )
 from repro.cluster.traffic import build_client_ops
 from repro.core.filesystem import CFFS, CFFSConfig
@@ -60,6 +60,7 @@ from repro.errors import (
     DeviceDegraded,
     FileNotFound,
     InvalidArgument,
+    MediaReadError,
     MediaWriteError,
     PowerLoss,
     ReadOnlyFileSystem,
@@ -85,23 +86,24 @@ class TestShardHealth:
     def test_device_gone_exceptions_fail_the_shard(self):
         for exc in (DeviceDegraded("dead"), PowerLoss("cut")):
             health, _ = make_health()
-            health.observe_exception(0, exc)
+            assert not health.classify(0, exc, "read")
             assert health.state(0) is HealthState.FAILED
             assert not health.readable(0)
             assert health.state(1) is HealthState.HEALTHY
 
     def test_read_only_exception_mirrors_the_shard_demotion(self):
         health, _ = make_health()
-        health.observe_exception(0, ReadOnlyFileSystem("fs refused"))
+        assert not health.classify(0, ReadOnlyFileSystem("fs refused"),
+                                   "write")
         assert health.state(0) is HealthState.READ_ONLY
         assert health.readable(0) and not health.writable(0)
 
     def test_write_fault_budget_degrades_then_demotes_read_only(self):
         health, _ = make_health()
         for _ in range(MAX_WRITE_FAULTS - 1):
-            health.observe_exception(0, MediaWriteError("hard"))
+            assert health.classify(0, MediaWriteError("hard"), "read")
             assert health.state(0) is HealthState.DEGRADED
-        health.observe_exception(0, MediaWriteError("hard"))
+        health.classify(0, MediaWriteError("hard"), "read")
         assert health.state(0) is HealthState.READ_ONLY
         assert health.readable(0)   # evacuation stays possible
 
@@ -109,16 +111,33 @@ class TestShardHealth:
         health, _ = make_health()
         for lba in range(MAX_READ_FAULTS - 1):
             assert health.classify(
-                0, "hard read fault at lba %d" % lba, "read") == RETRY
+                0, MediaReadError("hard read fault at lba %d" % lba), "write")
             assert health.state(0) is HealthState.DEGRADED
-        health.classify(0, "read at lba 99 failed after 4 attempts", "read")
+        health.classify(
+            0, MediaReadError("read at lba 99 failed after 4 attempts"),
+            "write")
         assert health.state(0) is HealthState.FAILED
 
     def test_transient_faults_charge_the_surfacing_path(self):
         health, _ = make_health()
         for _ in range(MAX_WRITE_FAULTS):
-            health.observe_exception(0, TransientDiskError("blip"), op="write")
+            assert health.classify(0, TransientDiskError("blip"), "write")
         assert health.state(0) is HealthState.READ_ONLY
+
+    def test_shard_transitions_export_no_device_health_metrics(self):
+        # One monitor per shard: a shard's demotion is the cluster's
+        # gauge, never the resilient device's ``resilience.health``.
+        cluster = Cluster(n_shards=2)
+        tracer = obs.install(obs.Tracer())
+        try:
+            cluster.health.mark(0, HealthState.DEGRADED, "wobbly")
+        finally:
+            obs.uninstall()
+        exported = tracer.registry.snapshot()
+        assert not [name for name in exported
+                    if name.startswith("resilience.")]
+        assert cluster.metrics.gauge("cluster.health.s0").value == \
+            HealthState.DEGRADED.value
 
     def test_states_are_monotonic(self):
         health, _ = make_health()
@@ -225,7 +244,7 @@ class TestHealthAwareRouting:
             router.reassign("a", 9)
 
 
-# -- facade retry and redirect ---------------------------------------------------
+# -- facade retry and refusal ----------------------------------------------------
 
 
 def faulty_cluster():
@@ -281,39 +300,43 @@ class TestFacadeRetryAndRedirect:
         cluster.fs.write_file("/a/g", b"y" * 4096)
         assert cluster.now - before >= OP_BACKOFF
 
-    def test_exhaustion_against_a_demoted_shard_redirects(self):
+    def test_exhaustion_against_a_demoted_shard_surfaces_its_fault(self):
         # A link faults on every attempt (a failed one leaves nothing
         # behind, where a failed create leaves its name), so the hard
         # faults that exhaust the retry budget also demote the shard
-        # READ_ONLY: the surfaced error must convert into an
-        # evacuate-and-redirect rather than reaching the caller.
+        # READ_ONLY: the last fault reaches the caller, annotated, and
+        # the subtree stays where it is.
         assert MAX_WRITE_FAULTS <= OP_ATTEMPTS
         cluster, schedule = faulty_cluster()
         schedule.fail_writes_from(0)
-        cluster.fs._routed_mutate("a", lambda f: f.link("/a/f", "/a/g"))
-        assert cluster.router.assignments["a"] == 1
+        with pytest.raises(MediaWriteError) as info:
+            cluster.fs.link("/a/f", "/a/g")
+        assert info.value.shard == 0
+        assert str(info.value).startswith("s0: ")
         assert cluster.health.state(0) is HealthState.READ_ONLY
+        assert cluster.router.assignments["a"] == 0
         snap = cluster.metrics.snapshot()
         assert snap["cluster.retry.exhausted"] == 1
-        assert snap["cluster.retry.redirects"] == 1
-        # both the pre-fault file and the redirected link are readable
         assert cluster.fs.read_file("/a/f") == b"x" * 8192
-        assert cluster.fs.read_file("/a/g") == b"x" * 8192
-        assert adopted_tops(cluster.shards[1].fs) == {"a": 0}
+        assert not cluster.fs.exists("/a/g")
 
-    def test_a_write_whose_fault_demotes_its_shard_is_redirected(self):
+    def test_a_write_whose_fault_demotes_its_shard_is_refused(self):
         # The fault that spends the last of the budget demotes shard 0
-        # with retries still left: the write must move, not retry into
-        # the demoted shard's cache.
+        # with retries still left: the write is refused, not retried
+        # into the demoted shard's cache, and the subtree stays put
+        # until evacuation moves it.
         cluster, _fd, device, at_demotion = one_write_fault_from_read_only()
-        cluster.fs.write_file("/a/g", b"moved" * 100)
+        with pytest.raises(ReadOnlyFileSystem) as info:
+            cluster.fs.write_file("/a/g", b"moved" * 100)
+        assert str(info.value) == "s0: shard refuses writes (health READ_ONLY)"
+        assert info.value.shard == 0
         assert cluster.health.state(0) is HealthState.READ_ONLY
         assert device.stats.writes == at_demotion[0]
-        assert cluster.router.assignments["a"] == 1
+        assert cluster.router.assignments["a"] == 0
         snap = cluster.metrics.snapshot()
-        assert snap["cluster.retry.redirects"] == 1
         assert snap["cluster.retry.absorbed"] == MAX_WRITE_FAULTS - 1
-        assert cluster.fs.read_file("/a/g") == b"moved" * 100
+        assert [r.top for r in cluster.evacuate_unhealthy()] == ["a"]
+        assert cluster.router.assignments["a"] == 1
         assert cluster.fs.read_file("/a/f") == b"x" * 8192
 
     def test_a_pinned_write_whose_fault_demotes_its_shard_surfaces_it(self):
@@ -326,14 +349,20 @@ class TestFacadeRetryAndRedirect:
         assert info.value.shard == 0
         assert str(info.value).startswith("s0: ")
 
-    def test_writes_against_a_read_only_shard_redirect(self):
+    def test_path_writes_against_a_read_only_shard_are_refused(self):
         cluster, _ = faulty_cluster()
         cluster.health.mark(0, HealthState.READ_ONLY, "operator demotion")
-        cluster.fs.write_file("/a/g", b"moved" * 100)
-        assert cluster.router.assignments["a"] == 1
-        assert cluster.metrics.snapshot()["cluster.retry.redirects"] == 1
+        for write in (lambda fs: fs.write_file("/a/g", b"moved" * 100),
+                      lambda fs: fs.open("/a/g", create=True),
+                      lambda fs: fs.rename("/a/f", "/a/h"),
+                      lambda fs: fs.link("/a/f", "/a/h")):
+            with pytest.raises(ReadOnlyFileSystem) as info:
+                write(cluster.fs)
+            assert str(info.value) == \
+                "s0: shard refuses writes (health READ_ONLY)"
+        assert cluster.router.assignments["a"] == 0
         assert cluster.fs.read_file("/a/f") == b"x" * 8192
-        assert cluster.fs.read_file("/a/g") == b"moved" * 100
+        assert not cluster.fs.exists("/a/g")
 
     def test_new_top_on_a_read_only_shard_routes_elsewhere(self):
         cluster, _ = faulty_cluster()
@@ -386,12 +415,9 @@ class TestReplayClassifiesLikeTheFacade:
         snap = cluster.metrics.snapshot()
         for name in ("attempts", "absorbed", "exhausted"):
             assert snap.get("cluster.retry." + name, 0) == 0
-        # ... so the next facade write into that top stays where it is.
+        # ... so the next facade write into that top still lands there.
         cluster.fs.write_file("/a/g", b"y" * 4096)
-        assert cluster.router.assignments["a"] == 0
-        assert cluster.metrics.snapshot().get(
-            "cluster.retry.redirects", 0) == 0
-
+        assert cluster.fs.read_file("/a/g") == b"y" * 4096
 
     def test_a_retried_op_is_recorded_over_all_its_attempts(self):
         cluster, schedule = faulty_cluster()
@@ -447,8 +473,9 @@ class TestReplayClassifiesLikeTheFacade:
         # into a cache that can no longer flush.
         cluster, schedule = faulty_cluster()
         for lba in range(MAX_WRITE_FAULTS - 1):
-            cluster.health.classify(0, "hard write fault at lba %d" % lba,
-                                    "write")
+            cluster.health.classify(
+                0, MediaWriteError("hard write fault at lba %d" % lba),
+                "write")
         assert cluster.health.state(0) is HealthState.DEGRADED
         schedule.fail_write(0)               # the first replayed write
         client = cluster.add_client()
@@ -657,25 +684,6 @@ class TestChaosHarness:
         result = run_cluster_chaos(chaos_config(fail_op="read"))
         assert result.verdict() == "PASS"
         assert result.stranded == 0
-
-    def test_summary_schema_is_valid_and_validator_bites(self):
-        doc = chaos_summary(run_cluster_chaos(chaos_config()))
-        assert validate_chaos_summary(doc) == []
-        assert validate_chaos_summary({}) != []
-        for mutate, fragment in [
-            (lambda d: d.update(schema="repro-cluster-chaos/0"), "schema"),
-            (lambda d: d.pop("evacuation"), "evacuation"),
-            (lambda d: d.update(verdict="MAYBE"), "verdict"),
-            (lambda d: d["availability"].update(surviving=1.5),
-             "surviving"),
-            (lambda d: d["evacuation"].update(files="many"),
-             "evacuation.files"),
-            (lambda d: d["health"].update(final=[]), "health.final"),
-        ]:
-            bad = json.loads(json.dumps(doc))
-            mutate(bad)
-            problems = validate_chaos_summary(bad)
-            assert any(fragment in p for p in problems), (fragment, problems)
 
     def test_invalid_configs_are_rejected(self):
         with pytest.raises(InvalidArgument):

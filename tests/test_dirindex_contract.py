@@ -191,10 +191,18 @@ def test_cluster_replays_retries_and_records_through_one_mechanism_each():
                 for n in ast.walk(node))]
     assert len(compares) == 1
     assert "OP_TIMEOUT" in inspect.getsource(health.next_delay)
+    # One post-failure decision: the budget is spent, and the write
+    # refusal worded, in one place each, both inside health.py.
+    decide = inspect.getsource(health.ClusterHealth.after_failure)
+    for needle in (r"(?<!def )next_delay\(", "shard refuses writes"):
+        sites = [name for name, source in sources.items()
+                 for _ in re.findall(needle, source)]
+        assert sites == ["health"], (needle, sites)
+    assert "next_delay(" in decide
     for name, source in sources.items():
-        if name not in ("health", "__init__"):
-            assert "observe_exception" not in source, name
-            assert "observe_error" not in source, name
+        assert name == "health" or ".classify(" not in source, name
+        assert source.count(".after_failure(") == (
+            name in ("core", "facade")), name
 
     # (c) records: one framing literal and one directory listing.
     framing = re.compile(r"=%[sd]\\n")

@@ -173,6 +173,20 @@ class TestHealth:
         with pytest.raises(Exception):
             h.check_readable()
 
+    def test_device_transitions_export_the_health_metrics(self):
+        from repro import obs
+
+        dev = resilient()
+        tracer = obs.install(obs.Tracer())
+        try:
+            dev.health.transition(HealthState.DEGRADED, 1.0, "remap")
+            dev.health.transition(HealthState.READ_ONLY, 2.0, "spares gone")
+        finally:
+            obs.uninstall()
+        snap = tracer.registry.snapshot()
+        assert snap["resilience.health_transitions"] == 2
+        assert snap["resilience.health"] == HealthState.READ_ONLY.value
+
 
 # -- the device ---------------------------------------------------------------
 
