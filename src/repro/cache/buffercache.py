@@ -76,10 +76,13 @@ class BufferCache:
         self._dirty: Set[int] = set()
         self.flush_companions: Optional[FlushCompanionsHook] = None
         self.write_pipeline = None  # see module docstring for the contract
-        # Statistics.
+        # Statistics, read by the drive's registry as ``cache.*``.
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.checksum_rejects = 0   # reads refused after a ChecksumError
+        device.disk.registry.register(
+            "cache", self, ("hits", "misses", "evictions", "checksum_rejects"))
 
     # -- lookups ---------------------------------------------------------------
 
@@ -116,7 +119,7 @@ class BufferCache:
             # The device below vouches for nothing here; refuse to
             # install the buffer so no caller ever sees the bad bytes
             # through the cache.
-            obs.count("cache.checksum_rejects")
+            self.checksum_rejects += 1
             raise
 
     def peek(self, bno: int) -> Optional[Buffer]:

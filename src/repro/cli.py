@@ -338,14 +338,11 @@ TRACE_DEFAULT_OUT = {
 }
 
 
-def _write_trace(tracer, path: str, fmt: str,
-                 metrics_path: Optional[str] = None) -> None:
+def _write_trace(tracer, path: str, fmt: str) -> None:
     from repro.obs.export import write_export
 
-    write_export(tracer, path, fmt, metrics_path=metrics_path)
+    write_export(tracer, path, fmt)
     print("trace: %d spans -> %s (%s)" % (len(tracer.spans), path, fmt))
-    if metrics_path:
-        print("metrics snapshot -> %s" % metrics_path)
 
 
 def cmd_bench(args) -> int:
@@ -500,10 +497,7 @@ def cmd_trace(args) -> int:
 
     policy = policy_from_args(args)
     fs = build_filesystem(args.fs, policy)
-    # Share the disk's registry so the --metrics snapshot carries the
-    # drive counters and request-size histogram alongside trace counts.
-    tracer = obs.Tracer(clock=fs.cache.device.clock,
-                        registry=fs.cache.device.disk.stats.registry)
+    tracer = obs.Tracer(clock=fs.cache.device.clock)
     obs.install(tracer)
     try:
         with tracer.span("run", args.workload, fs=args.fs,
@@ -523,7 +517,11 @@ def cmd_trace(args) -> int:
     out = args.out if args.out else TRACE_DEFAULT_OUT[args.format]
     print("traced %s on %s: %.3f simulated seconds" % (
         args.workload, args.fs, fs.cache.device.clock.now))
-    _write_trace(tracer, out, args.format, metrics_path=args.metrics)
+    _write_trace(tracer, out, args.format)
+    if args.metrics:
+        # Every layer of the stack counts into its drive's registry.
+        obs.write_metrics(fs.cache.device.disk.registry, args.metrics)
+        print("metrics snapshot -> %s" % args.metrics)
     return 0
 
 

@@ -75,13 +75,15 @@ ClusterOp = Tuple[str, object]
 class Shard:
     """One vertical stack: device + cache + file system + engine."""
 
-    def __init__(self, sid: int, fs, engine: Engine) -> None:
+    def __init__(self, sid: int, fs, engine: Engine,
+                 metrics: MetricsRegistry) -> None:
         self.sid = sid
         self.name = "s%d" % sid
         self.fs = fs
         self.engine = engine
-        # The per-shard balance counters, bound once.
-        counter = engine.metrics.counter
+        # The per-shard balance counters, bound once on the cluster's
+        # registry (the shard's own layers count into its drive's).
+        counter = metrics.counter
         self.ops = counter("cluster.%s.ops" % self.name)
         self.bytes_read = counter("cluster.%s.bytes_read" % self.name)
         self.bytes_written = counter("cluster.%s.bytes_written" % self.name)
@@ -251,8 +253,7 @@ class Cluster(Replayer):
             # itself, so replayed requests consult the same schedule the
             # lock-step path does.
             self.shards.append(Shard(sid, fs, Engine(
-                fs, scheduler=scheduler, loop=self.loop,
-                metrics=self.metrics)))
+                fs, scheduler=scheduler, loop=self.loop), self.metrics))
         self.health = ClusterHealth(len(self.shards), self.metrics,
                                     lambda: self.loop.now)
         self.router.set_health(self.health.ordinal)

@@ -33,7 +33,7 @@ from repro.analysis.report import Table
 from repro.cache.policy import MetadataPolicy
 from repro.cluster.core import Cluster, ClusterClient, ClusterOp
 from repro.cluster.router import ROUTE_CPU_SECONDS
-from repro.engine.report import PhaseReport, merge_queue_deltas, summarize_phase
+from repro.engine.report import PhaseReport, replay_window, summarize_phase
 from repro.errors import InvalidArgument
 from repro.faults.schedule import FaultSchedule
 
@@ -292,19 +292,16 @@ def run_cluster_traffic(cfg: TrafficConfig,
         assignments[client] = build_client_ops(
             cluster, cfg, cid, sampler, created, written=[])
 
-    queue_before = [shard.queue.stats.snapshot() for shard in cluster.shards]
-    start = cluster.now
-    cluster.run_phase(assignments, "traffic")
-    cluster.sync_concurrent()
-    seconds = cluster.now - start
-    deltas = [shard.queue.stats.delta(before)
-              for shard, before in zip(cluster.shards, queue_before)]
+    with replay_window(cluster.loop.clock,
+                       [shard.queue for shard in cluster.shards]) as window:
+        cluster.run_phase(assignments, "traffic")
+        cluster.sync_concurrent()
+    seconds = window.seconds
 
-    phase = summarize_phase("traffic", start, seconds, cluster.clients,
-                            merge_queue_deltas(deltas))
+    phase = summarize_phase("traffic", cluster.clients, window)
     counters = cluster.metrics
     per_shard = []
-    for shard, delta in zip(cluster.shards, deltas):
+    for shard, delta in zip(cluster.shards, window.queues):
         per_shard.append(ShardBalance(
             shard=shard.name,
             ops=int(shard.ops.value),

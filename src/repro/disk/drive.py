@@ -26,8 +26,9 @@ from repro.clock import SimClock
 from repro.disk.cache import ReadCache, WriteBuffer
 from repro.disk.geometry import SECTOR_SIZE
 from repro.disk.profiles import DriveProfile
-from repro.disk.stats import DiskStats
+from repro.disk.stats import REQUEST_SIZE_BUCKETS, DiskStats
 from repro.errors import AddressError
+from repro.obs.metrics import MetricsRegistry
 
 # Controller time to set up each background drain operation.
 _DRAIN_OVERHEAD_S = 0.0003
@@ -40,16 +41,12 @@ class SimulatedDisk:
         self.profile = profile
         self.clock = SimClock()
         self.stats = DiskStats()
-        # The accumulators a request bumps, bound once.
-        counters = self.stats.counters
-        self._overhead_time = counters["overhead_time"]
-        self._bus_total = counters["bus_time"]  # _bus_time is the method
-        self._cache_hits = counters["cache_hits"]
-        self._stall_time = counters["stall_time"]
-        self._write_absorbed = counters["write_absorbed"]
-        self._seek_time = counters["seek_time"]
-        self._rotation_time = counters["rotation_time"]
-        self._transfer_time = counters["transfer_time"]
+        # The stack's registry: every layer over this drive registers
+        # the fields it counts in here.
+        self.registry = MetricsRegistry()
+        self.registry.register("disk", self.stats)
+        self._request_sectors = self.registry.histogram(
+            "disk.request_sectors", REQUEST_SIZE_BUCKETS)
         self.geometry = profile.geometry()
         self.seek_curve = profile.seek_curve()
         self.rotation = profile.rotation()
@@ -78,16 +75,18 @@ class SimulatedDisk:
         """Service a read; advances the clock to its completion."""
         self._check_range(lba, nsectors)
         now = self.clock.now
-        self.stats.record_request(is_write=False, nsectors=nsectors)
+        stats = self.stats
+        stats.record_request(is_write=False, nsectors=nsectors)
+        self._request_sectors.observe(nsectors)
         t = now + self._overhead_s
-        self._overhead_time.inc(self._overhead_s)
+        stats.overhead_time += self._overhead_s
 
         # Serve from the write-behind buffer when it fully covers the
         # request (the data has not reached the media yet).
         if self.write_buffer is not None and self.write_buffer.covering_range(lba, nsectors):
             t += self._bus_time(nsectors)
-            self._bus_total.inc(self._bus_time(nsectors))
-            self._cache_hits.inc()
+            stats.bus_time += self._bus_time(nsectors)
+            stats.cache_hits += 1
             self.clock.advance_to(t)
             self._log("read", lba, nsectors, now, t, "buffer")
             return
@@ -107,8 +106,8 @@ class SimulatedDisk:
             seg, ready = hit
             bus = self._bus_time(nsectors)
             completion = max(t, ready) + bus
-            self._cache_hits.inc()
-            self._bus_total.inc(bus)
+            stats.cache_hits += 1
+            stats.bus_time += bus
             self.read_cache.extend_cap(seg, lba + nsectors, self.total_sectors)
             # A streaming continuation occupies the media as it fills.
             if seg.frozen_extent is None:
@@ -133,10 +132,12 @@ class SimulatedDisk:
         """Service a write; advances the clock to its (host) completion."""
         self._check_range(lba, nsectors)
         now = self.clock.now
-        self.stats.record_request(is_write=True, nsectors=nsectors)
+        stats = self.stats
+        stats.record_request(is_write=True, nsectors=nsectors)
+        self._request_sectors.observe(nsectors)
         self.read_cache.invalidate_range(lba, nsectors)
         t = now + self._overhead_s
-        self._overhead_time.inc(self._overhead_s)
+        stats.overhead_time += self._overhead_s
 
         if self.write_buffer is None:
             completion = self._media_operation(lba, nsectors, t, is_write=True)
@@ -153,12 +154,12 @@ class SimulatedDisk:
             while self.write_buffer.would_overflow(nsectors) and not self.write_buffer.empty:
                 self._drain_one(max(t, self._media_free_at))
                 t = max(t, self._media_free_at)
-            self._stall_time.inc(max(0.0, t - stall_from))
+            stats.stall_time += max(0.0, t - stall_from)
         absorbed = self.write_buffer.add(lba, nsectors, when=t)
         if absorbed:
-            self._write_absorbed.inc()
+            stats.write_absorbed += 1
         bus = self._bus_time(nsectors)
-        self._bus_total.inc(bus)
+        stats.bus_time += bus
         self.clock.advance_to(t + bus)
         self._log("write", lba, nsectors, now, t + bus, "buffer")
 
@@ -245,9 +246,10 @@ class SimulatedDisk:
         self.current_cylinder = end_cyl
 
         if charge_stats:
-            self._seek_time.inc(seek)
-            self._rotation_time.inc(rot_wait)
-            self._transfer_time.inc(transfer)
+            stats = self.stats
+            stats.seek_time += seek
+            stats.rotation_time += rot_wait
+            stats.transfer_time += transfer
         return t
 
     def _advance_background(self, now: float) -> None:

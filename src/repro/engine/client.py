@@ -34,7 +34,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.blockdev.device import BLOCK_SIZE, SECTORS_PER_BLOCK, BatchedIO, BlockDevice
 from repro.clock import SimClock
-from repro.obs.metrics import MetricsRegistry
 from repro.engine.diskqueue import DiskQueue, QueuedRequest
 from repro.engine.eventloop import EventLoop
 from repro.errors import InvalidArgument
@@ -263,19 +262,14 @@ class Replayer:
 #: queued regime.
 LATENCY_BUCKETS_MS = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
 
-#: ClientContext accounting fields backed by the engine's registry.
-_CLIENT_FIELDS = ("cpu_seconds", "queue_delay", "reads", "writes",
-                  "retries", "io_errors")
-
 
 class ClientContext:
     """One simulated process: a scripted stream of file operations.
 
-    Accounting lives in the engine's metrics registry under
-    ``engine.<client>.<field>`` names (``_CLIENT_FIELDS``): the counters
-    are bound once here and only :meth:`_run_ops` increments them, so
-    ``repro multiclient --trace`` exports the same numbers the report
-    tables print.
+    Its accounting fields are summed from its records by
+    :meth:`_run_ops` alone; the drive's registry reads them as
+    ``engine.<client>.<field>``, next to the client's
+    ``engine.<client>.latency_ms`` histogram.
     """
 
     def __init__(self, engine: "Engine", cid: int, name: str) -> None:
@@ -283,11 +277,14 @@ class ClientContext:
         self.cid = cid
         self.name = name
         self.records: List[OpRecord] = []
-        prefix = "engine.%s." % name
-        self._counters = {field_name: engine.metrics.counter(prefix + field_name)
-                          for field_name in _CLIENT_FIELDS}
-        self._latency_ms = engine.metrics.histogram(
-            prefix + "latency_ms", LATENCY_BUCKETS_MS)
+        self.cpu_seconds = self.queue_delay = 0.0
+        self.reads = self.writes = self.retries = self.io_errors = 0
+        registry = engine.device.disk.registry
+        registry.register("engine." + name, self, (
+            "cpu_seconds", "queue_delay", "reads", "writes", "retries",
+            "io_errors"))
+        self._latency_ms = registry.histogram(
+            "engine.%s.latency_ms" % name, LATENCY_BUCKETS_MS)
         self.finished_at: Optional[float] = None
         self.resume: Optional[Callable[[QueuedRequest], None]] = None
 
@@ -299,21 +296,19 @@ class ClientContext:
     def _run_ops(self, ops: Sequence[Op], phase: str):
         """Generator of :func:`replay` events, one operation after another."""
         clock = self.engine.loop.clock
-        (cpu_seconds, queue_delay, reads, writes, retries,
-         io_errors) = self._counters.values()     # in _CLIENT_FIELDS order
         for label, fn in ops:
             start = clock.now
             tally = OpTally()
             failed = yield from replay(self.engine, fn, tally)
             error = failed.error if failed is not None else None
             end = clock.now
-            cpu_seconds.inc(tally.cpu_seconds)
-            queue_delay.inc(tally.queue_delay)
-            reads.inc(tally.reads)
-            writes.inc(tally.writes)
-            retries.inc(tally.retries)
+            self.cpu_seconds += tally.cpu_seconds
+            self.queue_delay += tally.queue_delay
+            self.reads += tally.reads
+            self.writes += tally.writes
+            self.retries += tally.retries
             if error is not None:
-                io_errors.inc()
+                self.io_errors += 1
             self._latency_ms.observe((end - start) * 1e3)
             self.records.append(
                 tally.record(phase, label, self.cid, start, end, error))
@@ -333,8 +328,7 @@ class Engine(Replayer):
 
     def __init__(self, fs: FileSystem, scheduler: str = "clook",
                  loop: Optional[EventLoop] = None,
-                 faults: Optional["FaultSchedule"] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 faults: Optional["FaultSchedule"] = None) -> None:
         self.fs = fs
         self.device = fs.cache.device
         # A fault-injecting proxy exposes the full capture surface
@@ -346,13 +340,15 @@ class Engine(Replayer):
         elif not isinstance(self.device, BlockDevice):
             raise InvalidArgument("engine needs a file system over a BlockDevice")
         self.loop = loop if loop is not None else EventLoop()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         # The device clock (mkfs may have advanced it) and the loop
         # clock meet at the later of the two.
         self.loop.clock.advance_to(self.device.clock.now)
         self.device.clock.advance_to(self.loop.now)
         self.queue = DiskQueue(self.loop, self.device.disk, scheduler,
                                faults=faults)
+        # An engine counts into its drive's registry, as every layer does.
+        self.device.disk.registry.read(
+            "engine.events", lambda: self.loop.events_run)
         self.clients: List[ClientContext] = []
 
     @property

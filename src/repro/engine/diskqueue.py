@@ -25,7 +25,8 @@ arrival-ordered reference, request for request).
 
 Every request records its queueing delay (submit → dispatch), and the
 queue integrates depth over time so experiments can report mean queue
-depth alongside latency percentiles.
+depth alongside latency percentiles.  The queue registers its
+:class:`QueueAccounting` with the drive's registry as ``queue.*``.
 
 Flush barriers (``op == "flush"``) drain the drive's write-behind
 buffer; they sort ahead of every address, earliest first, so a client's
@@ -47,6 +48,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
@@ -61,6 +63,7 @@ from repro.faults.schedule import (
     FaultSchedule,
     retry_delay,
 )
+from repro.obs.metrics import Stats
 
 SCHEDULERS = ("fcfs", "sstf", "clook")
 
@@ -101,8 +104,10 @@ class QueuedRequest:
 
 
 @dataclass
-class QueueAccounting:
+class QueueAccounting(Stats):
     """Counters the queue accumulates (diffable, like DiskStats)."""
+
+    HIGH_WATER = ("max_depth",)
 
     submitted: int = 0
     completed: int = 0
@@ -121,16 +126,6 @@ class QueueAccounting:
     @property
     def mean_queue_delay(self) -> float:
         return self.total_queue_delay / self.completed if self.completed else 0.0
-
-    def snapshot(self) -> "QueueAccounting":
-        return QueueAccounting(**vars(self))
-
-    def delta(self, earlier: "QueueAccounting") -> "QueueAccounting":
-        out = QueueAccounting()
-        for name in vars(out):
-            setattr(out, name, getattr(self, name) - getattr(earlier, name))
-        out.max_depth = self.max_depth  # high-water mark, not a counter
-        return out
 
 
 class DiskQueue:
@@ -152,6 +147,15 @@ class DiskQueue:
         self.policy = policy
         self.faults = faults
         self.stats = QueueAccounting()
+        #: ``stats.retried`` by request kind.
+        self.retried_ops: Dict[str, int] = {"read": 0, "write": 0}
+        registry = disk.registry
+        registry.register("queue", self.stats)
+        for kind in self.retried_ops:
+            registry.read("queue.retried." + kind,
+                          partial(self.retried_ops.get, kind))
+        self._retry_latency = registry.histogram(
+            "queue.retry_latency", RETRY_LATENCY_BUCKETS)
         # Waiting requests in service order: (rank, arrival, request),
         # rank -1 for a barrier, the address for a positional policy.
         self._pending: List[Tuple[int, int, QueuedRequest]] = []
@@ -250,8 +254,7 @@ class DiskQueue:
                 else:
                     req.retries += 1
                     self.stats.retried += 1
-                    obs.count("queue.retried")
-                    obs.count("queue.retried.%s" % req.op)
+                    self.retried_ops[req.op] += 1
                     self.loop.call_at(completion, self._release_and_requeue, req)
                 return
 
@@ -296,15 +299,11 @@ class DiskQueue:
                        client=req.client, lba=req.lba, nsectors=req.nsectors,
                        queue_delay=req.queue_delay, retries=req.retries,
                        error=req.error)
-            obs.count("queue.completed")
-            if req.error is not None:
-                obs.count("queue.failed")
-            if req.retries > 0:
-                # End-to-end latency of requests that survived at least one
-                # transient fault: original submit -> final completion, so
-                # backoff sleeps and every extra service attempt count.
-                obs.observe("queue.retry_latency", now - req.first_submit_time,
-                            buckets=RETRY_LATENCY_BUCKETS)
+        if req.retries > 0:
+            # End-to-end latency of requests that survived at least one
+            # transient fault: original submit -> final completion, so
+            # backoff sleeps and every extra service attempt count.
+            self._retry_latency.observe(now - req.first_submit_time)
         self.stats.span = now - self._first_submit
         self._busy = False
         self._try_dispatch(now)

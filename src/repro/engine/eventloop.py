@@ -19,7 +19,6 @@ import heapq
 import itertools
 from typing import Any, Callable, List, Tuple
 
-from repro import obs
 from repro.clock import SimClock
 from repro.errors import InvalidArgument
 
@@ -72,10 +71,9 @@ class EventLoop:
         further events; the loop keeps going until the queue drains.
         """
         # Dispatch with hoisted locals, counting events in a local and
-        # publishing once at the end: the engine.events counter is only
-        # observed through registry snapshots taken between runs, so
-        # batching the update is invisible to metrics consumers while
-        # removing two attribute walks and a counter lookup per event.
+        # adding it to ``events_run`` once at the end: the count is only
+        # read between runs, so batching the update is invisible to its
+        # readers while removing an attribute walk per event.
         heap = self._heap
         pop = heapq.heappop
         advance_to = self.clock.advance_to
@@ -88,6 +86,4 @@ class EventLoop:
                 callback(*args)
         finally:
             self.events_run += ran
-            if ran:
-                obs.count("engine.events", ran)
         return self.clock.now

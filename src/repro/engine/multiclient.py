@@ -25,7 +25,12 @@ from repro import obs
 from repro.analysis.report import Table
 from repro.cache.policy import MetadataPolicy
 from repro.engine.client import ClientContext, Engine
-from repro.engine.report import ClientSummary, PhaseReport, summarize_phase
+from repro.engine.report import (
+    ClientSummary,
+    PhaseReport,
+    replay_window,
+    summarize_phase,
+)
 from repro.errors import InvalidArgument
 from repro.faults.schedule import FaultSchedule
 from repro.workloads.configs import build_filesystem
@@ -93,14 +98,11 @@ def run_multiclient(
     fs = build_filesystem(label, policy)
     if tracer is not None:
         # Trace the whole run: spans stamp from the device clock during
-        # lock-step sections (capture rebinds to its scratch clock), and
-        # the engine's per-client accounting lands in the tracer's
-        # registry so one export carries both.
+        # lock-step sections (capture rebinds to its scratch clock).
         tracer.clock = fs.cache.device.clock
         obs.install(tracer)
     try:
-        engine = Engine(fs, scheduler=scheduler, faults=faults,
-                        metrics=tracer.registry if tracer is not None else None)
+        engine = Engine(fs, scheduler=scheduler, faults=faults)
         clients = [engine.add_client() for _ in range(n_clients)]
         dirs = {client: "/mc/%s" % client.name for client in clients}
 
@@ -140,19 +142,15 @@ def run_multiclient(
         result = MultiClientResult(label=label, n_clients=n_clients,
                                    scheduler=scheduler, workload=workload)
         for index, phase in enumerate(phase_list):
-            queue_before = engine.queue.stats.snapshot()
-            start = engine.now
             phase_ctx = (tracer.context(phase=phase) if tracer is not None
                          else contextlib.nullcontext())
-            with phase_ctx:
-                engine.run_phase(
-                    {client: ops_for(client, phase) for client in clients},
-                    phase)
-            engine.run_sync(lambda f: f.sync())
-            seconds = engine.now - start
-            queue_delta = engine.queue.stats.delta(queue_before)
-            result.phases[phase] = summarize_phase(
-                phase, start, seconds, clients, queue_delta)
+            with replay_window(engine.loop.clock, [engine.queue]) as window:
+                with phase_ctx:
+                    engine.run_phase(
+                        {client: ops_for(client, phase) for client in clients},
+                        phase)
+                engine.run_sync(lambda f: f.sync())
+            result.phases[phase] = summarize_phase(phase, clients, window)
             if index + 1 < len(phase_list):
                 engine.run_sync(lambda f: f.drop_caches())
         return result

@@ -2,10 +2,11 @@
 
 Both drivers replay scripted clients over the event loop and end up
 with the same raw material: per-client :class:`~repro.engine.client.
-OpRecord` lists plus a :class:`~repro.engine.diskqueue.QueueAccounting`
-delta for the phase.  This module owns the reduction from that raw
-material to the report dataclasses the CLIs render — one client's
-summary, and one phase's aggregate — so the single-engine harness
+OpRecord` lists plus, from :func:`replay_window`, each disk queue's
+:class:`~repro.engine.diskqueue.QueueAccounting` delta for the phase.
+This module owns the bracket and the reduction from that raw material
+to the report dataclasses the CLIs render — one client's summary, and
+one phase's aggregate — so the single-engine harness
 (:mod:`repro.engine.multiclient`) and the sharded cluster
 (:mod:`repro.cluster`) cannot drift apart in how they measure.
 
@@ -16,15 +17,17 @@ client satisfy that shape.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Sequence
 
 from repro.analysis.metrics import (
     LatencySummary,
     jain_fairness,
     summarize_latencies,
 )
-from repro.engine.diskqueue import QueueAccounting
+from repro.clock import SimClock
+from repro.engine.diskqueue import DiskQueue, QueueAccounting
 
 
 @dataclass
@@ -82,20 +85,41 @@ def summarize_client(client, phase: str, start: float) -> ClientSummary:
     )
 
 
-def summarize_phase(
-    phase: str,
-    start: float,
-    seconds: float,
-    clients: Sequence,
-    queue_delta: Optional[QueueAccounting] = None,
-) -> PhaseReport:
+@dataclass
+class Window:
+    """One replayed phase as its disk queues saw it; complete once the
+    window has closed."""
+
+    start: float
+    seconds: float = 0.0
+    #: Each queue's accounting inside the window, in the order given.
+    queues: List[QueueAccounting] = field(default_factory=list)
+
+
+@contextmanager
+def replay_window(clock: SimClock,
+                  queues: Sequence[DiskQueue]) -> Iterator[Window]:
+    """Bracket a replayed phase (its replay and the sync that ends it)
+    on the loop ``clock``: the one place a queue's counters are diffed."""
+    before = [queue.stats.snapshot() for queue in queues]
+    window = Window(clock.now)
+    try:
+        yield window
+    finally:
+        window.seconds = clock.now - window.start
+        window.queues = [queue.stats.delta(earlier)
+                         for queue, earlier in zip(queues, before)]
+
+
+def summarize_phase(phase: str, clients: Sequence,
+                    window: Window) -> PhaseReport:
     """Reduce every client's records for ``phase`` to the phase report.
 
-    ``queue_delta`` carries the host-queue accounting accumulated over
-    the phase; the cluster driver sums per-shard deltas into one before
-    calling (the fields are plain counters, so addition is well-defined
-    — ``max_depth`` becomes the worst shard's high-water mark).
+    The queue figures are the sum over ``window``'s queues (the fields
+    are plain counters, so addition is well-defined — ``max_depth``
+    becomes the worst queue's high-water mark).
     """
+    start, seconds = window.start, window.seconds
     summaries: List[ClientSummary] = []
     all_latencies: List[float] = []
     total_ops = 0
@@ -104,7 +128,7 @@ def summarize_phase(
         summaries.append(summary)
         all_latencies.extend(client.latencies(phase))
         total_ops += summary.n_ops
-    delta = queue_delta if queue_delta is not None else QueueAccounting()
+    delta = QueueAccounting.total(window.queues)
     return PhaseReport(
         phase=phase,
         seconds=seconds,
@@ -119,22 +143,11 @@ def summarize_phase(
     )
 
 
-def merge_queue_deltas(deltas: Sequence[QueueAccounting]) -> QueueAccounting:
-    """Sum per-shard queue deltas into one cluster-wide accounting."""
-    out = QueueAccounting()
-    for delta in deltas:
-        for name in vars(out):
-            if name == "max_depth":   # high-water mark, not a counter
-                out.max_depth = max(out.max_depth, delta.max_depth)
-            else:
-                setattr(out, name, getattr(out, name) + getattr(delta, name))
-    return out
-
-
 __all__ = [
     "ClientSummary",
     "PhaseReport",
-    "merge_queue_deltas",
+    "Window",
+    "replay_window",
     "summarize_client",
     "summarize_phase",
 ]

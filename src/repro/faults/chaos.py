@@ -199,7 +199,7 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosReport:
     report.resilience = _public_counters(resilient.stats)
     report.faults = _public_counters(faulty.stats)
     report.scrub = dict(sorted(scrubber.stats.verdicts.items()))
-    report.scrub_passes = scrubber.stats.passes_completed
+    report.scrub_passes = scrubber.stats.scrub_passes
     report.files_verified = soak.files_verified
     report.files_unverifiable = len(soak.tainted)
 

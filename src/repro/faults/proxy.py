@@ -57,6 +57,7 @@ class FaultyBlockDevice(BatchedIO):
         self.inner = inner
         self.schedule = schedule if schedule is not None else FaultSchedule()
         self.stats = FaultStats()
+        inner.disk.registry.register("faults", self.stats)
         self.journal: Optional[List[Tuple[int, bytes]]] = (
             [] if record_journal else None)
         # Called once per landed media write as (block, data), after the

@@ -37,6 +37,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Set
 
+from repro.obs.metrics import Stats
+
 #: Decision kinds.
 OK = "ok"
 TRANSIENT = "transient"
@@ -60,8 +62,11 @@ class FaultDecision:
 
 
 @dataclass
-class FaultStats:
-    """Counters the proxy keeps; reports read them."""
+class FaultStats(Stats):
+    """Counters the proxy keeps; reports and the drive's registry
+    (``faults.*``) read them.  ``reads``, ``writes`` and
+    ``media_writes`` also index the fault decisions and the power-cut
+    budget."""
 
     reads: int = 0
     writes: int = 0

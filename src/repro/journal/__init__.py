@@ -64,7 +64,9 @@ def attach_pipeline(
     region (``journal_start``/``journal_blocks`` from the superblock).
     """
     if policy.is_softdep:
-        cache.write_pipeline = SoftDepTracker()
+        tracker = cache.write_pipeline = SoftDepTracker()
+        cache.device.disk.registry.register(
+            "journal", tracker, ("deferred_writes", "rollbacks"))
     elif policy.is_journal:
         if not journal_start or not journal_blocks:
             raise JournalCorrupt(

@@ -157,8 +157,6 @@ def replay_journal(device: BlockDevice, start: int,
         last_seq = txn.seq
     if last_seq != scan.checkpoint_seq:
         device.poke_block(start, wal.pack_header(nblocks, last_seq))
-    obs.count("journal.replays")
-    obs.count("journal.replay_txns", stats.txns)
     return stats
 
 
@@ -192,10 +190,6 @@ def timed_replay(device: BlockDevice, start: int,
         sp.incr("txns", stats.txns)
         sp.incr("blocks", stats.blocks)
     stats.elapsed = clock.now - began
-    obs.count("journal.replays")
-    obs.count("journal.replay_txns", stats.txns)
-    obs.observe("journal.replay_seconds", stats.elapsed,
-                buckets=(0.001, 0.01, 0.1, 1.0, 10.0))
     return stats
 
 

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
-
 #: An ordering token: (block number, tracking generation, version index).
 Token = Tuple[int, int, int]
 
@@ -63,6 +61,9 @@ class SoftDepTracker:
         self._gates: Dict[int, List[Token]] = {}
         self._pending: Dict[int, int] = {}  # bno -> durable count on commit
         self._next_gen = 1
+        # Writeback decisions, read by the drive's registry as
+        # ``journal.deferred_writes`` / ``journal.rollbacks``.
+        self.deferred_writes = self.rollbacks = 0
 
     # -- recording ---------------------------------------------------------------
 
@@ -121,7 +122,7 @@ class SoftDepTracker:
 
     def prepare(self, bno: int, data: bytes):
         if self._gated(bno):
-            obs.count("journal.deferred_writes")
+            self.deferred_writes += 1
             return None
         track = self._tracks.get(bno)
         if track is None:
@@ -131,12 +132,12 @@ class SoftDepTracker:
             self._pending[bno] = -1  # current content is fully safe
             return (data, True)
         if k <= track.durable:
-            obs.count("journal.deferred_writes")
+            self.deferred_writes += 1
             return None  # nothing new is safe yet
         # Roll back: write the newest safe image, stay dirty, roll
         # forward on a later pass.
         self._pending[bno] = k
-        obs.count("journal.rollbacks")
+        self.rollbacks += 1
         return (track.versions[k - 1][0], False)
 
     def committed(self, bnos) -> None:

@@ -166,6 +166,9 @@ class Journal:
         self._head = start + 1
         self._noted: Set[int] = set()     # dirty blocks of the open txn
         self._unhomed: Dict[int, bytes] = {}  # committed, not yet home
+        self.commits = self.commit_blocks = self.checkpoints = 0
+        device.disk.registry.register(
+            "journal", self, ("commits", "commit_blocks", "checkpoints"))
 
     @classmethod
     def format(cls, device: BlockDevice, start: int, nblocks: int) -> None:
@@ -218,8 +221,8 @@ class Journal:
                     self._unhomed[b] = images[b]
                 logged += len(chunk)
                 sp.incr("log_blocks", len(chunk) + 2)
-        obs.count("journal.commits")
-        obs.count("journal.commit_blocks", logged)
+        self.commits += 1
+        self.commit_blocks += logged
         return logged
 
     def checkpoint(self) -> None:
@@ -233,7 +236,7 @@ class Journal:
         self.device.write_block(self.start, pack_header(self.nblocks, self._seq))
         self._checkpoint_seq = self._seq
         self._head = self.start + 1
-        obs.count("journal.checkpoints")
+        self.checkpoints += 1
 
     # -- cache write-pipeline contract -------------------------------------------
 

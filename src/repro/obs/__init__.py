@@ -9,9 +9,9 @@ modules, so it can never create a layering cycle.
 Instrumented code talks to the *installed* tracer through the
 module-level helpers below.  With no tracer installed (the default),
 ``span`` returns the shared :data:`~repro.obs.tracer.NULL_SPAN`
-singleton and ``record``/``incr``/``count`` return immediately — no
-span objects, no clock reads, no timestamps — so permanent
-instrumentation costs effectively nothing in untraced runs::
+singleton and ``record``/``incr`` return immediately — no span
+objects, no clock reads, no timestamps — so permanent instrumentation
+costs effectively nothing in untraced runs::
 
     from repro import obs
 
@@ -29,13 +29,19 @@ A run that wants traces installs a tracer around the workload::
         obs.uninstall()
     obs.write_export(tracer, "trace.json", "chrome")
 
+A tracer holds spans only.  Counts live in the fields of the layer that
+counts them and are read through the drive's
+:class:`~repro.obs.metrics.MetricsRegistry`
+(``obs.write_metrics(device.disk.registry, "metrics.json")``), traced or
+not.
+
 See ``docs/OBSERVABILITY.md`` for the span model, metric naming rules
 and the export formats.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from repro.clock import SimClock
 from repro.obs.export import (
@@ -45,6 +51,7 @@ from repro.obs.export import (
     export_flame,
     export_jsonl,
     write_export,
+    write_metrics,
 )
 from repro.obs.metrics import (
     Counter,
@@ -52,6 +59,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     Number,
+    Stats,
 )
 from repro.obs.tracer import NULL_SPAN, Span, Tracer, _NullSpan, span_name
 
@@ -63,23 +71,22 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "Span",
+    "Stats",
     "Tracer",
     "active",
-    "count",
     "enabled",
     "export",
     "export_chrome",
     "export_flame",
     "export_jsonl",
-    "gauge_set",
     "incr",
     "install",
-    "observe",
     "record",
     "span",
     "span_name",
     "uninstall",
     "write_export",
+    "write_metrics",
 ]
 
 # The installed tracer.  Module-level on purpose: instrumentation sits
@@ -131,25 +138,3 @@ def incr(counter: str, delta: Number = 1) -> None:
     if _tracer is not None:
         _tracer.incr(counter, delta)
 
-
-def count(metric: str, delta: Number = 1) -> None:
-    """Bump a registry counter on the installed tracer (no-op when off)."""
-    if _tracer is not None:
-        _tracer.registry.counter(metric).inc(delta)
-
-
-def gauge_set(metric: str, value: Number) -> None:
-    """Set a registry gauge on the installed tracer (no-op when off)."""
-    if _tracer is not None:
-        _tracer.registry.gauge(metric).set(value)
-
-
-def observe(metric: str, value: Number,
-            buckets: Optional[Sequence[Number]] = None) -> None:
-    """Observe into a registry histogram on the installed tracer.
-
-    ``buckets`` is required the first time a histogram name is seen
-    (ignored afterwards); with no tracer installed this is a no-op.
-    """
-    if _tracer is not None:
-        _tracer.registry.histogram(metric, buckets).observe(value)

@@ -21,9 +21,10 @@ seeded runs export byte-identical artifacts (pinned by
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import InvalidArgument
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, Tracer
 
 FORMATS = ("chrome", "jsonl", "flame")
@@ -134,14 +135,16 @@ def export(tracer: Tracer, fmt: str) -> str:
         "unknown trace format %r; known: %s" % (fmt, ", ".join(FORMATS)))
 
 
-def write_export(tracer: Tracer, path: str, fmt: str,
-                 metrics_path: Optional[str] = None) -> None:
-    """Write the chosen export (and optionally a metrics snapshot) to disk."""
+def write_export(tracer: Tracer, path: str, fmt: str) -> None:
+    """Write the chosen export of the tracer's spans to ``path``."""
     text = export(tracer, fmt)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
-    if metrics_path is not None:
-        with open(metrics_path, "w", encoding="utf-8") as handle:
-            json.dump(tracer.registry.snapshot(), handle, sort_keys=True,
-                      indent=2)
-            handle.write("\n")
+
+
+def write_metrics(registry: MetricsRegistry, path: str) -> None:
+    """Write a snapshot of ``registry`` (a drive's: the stack's counts)
+    to ``path`` as sorted JSON."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(registry.snapshot(), handle, sort_keys=True, indent=2)
+        handle.write("\n")

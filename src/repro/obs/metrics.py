@@ -1,36 +1,86 @@
-"""The metrics registry: named counters, gauges and fixed-bucket histograms.
+"""The metrics registry: what a stack counts, read out as one snapshot.
 
-The registry replaces the ad-hoc stat dicts that used to live in
-``engine/``, ``cache/`` and ``disk/stats.py`` with one pull-based model:
-instruments are created on first use (``registry.counter(name)`` is
-idempotent), mutated in place by the instrumented code, and read out as
-a deterministic snapshot.  Nothing here pushes anywhere; a snapshot is
-a plain dict keyed by metric name, sorted, so two identical seeded runs
-serialize byte-identically.
+Counting and reading are separate.  Every layer counts in plain fields
+of its own (``DiskStats``, ``ResilienceStats``, ``BufferCache.hits``)
+and registers them once, at construction, with the registry of the
+drive below it; :meth:`MetricsRegistry.snapshot` reads them.  Nothing
+is pushed anywhere, so a count costs a field increment and needs no
+tracer.  Histograms, which one field cannot hold, are instruments the
+registry owns; so are the cluster-scope counters of ``Cluster.metrics``.
+A snapshot is a plain dict keyed by metric name, sorted, so two
+identical seeded runs serialize byte-identically.
 
-Naming convention (see ``docs/OBSERVABILITY.md``): dotted lowercase
-paths, ``<layer>.<what>`` (``disk.reads``, ``cache.misses``) with an
-optional instance segment for per-client metrics
-(``engine.c00.queue_delay``).
+Naming convention (see ``docs/OBSERVABILITY.md``, whose catalogue a
+tier-1 test holds to the code): dotted lowercase paths,
+``<layer>.<what>`` (``disk.reads``, ``cache.misses``) with an optional
+instance segment for per-client metrics (``engine.c00.queue_delay``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import fields
+from functools import partial
+from typing import (Callable, ClassVar, Dict, Iterable, List, Optional,
+                    Sequence, Tuple, Type, TypeVar, Union)
 
 from repro.errors import InvalidArgument
 
 Number = Union[int, float]
 
+S = TypeVar("S", bound="Stats")
+
+
+class Stats:
+    """Base of a dataclass of counters: the one snapshot, delta and sum.
+
+    A numeric field is a counter; a dict field counts per key
+    (``DiskStats.request_sizes``); a field named in ``HIGH_WATER`` is a
+    level, which a delta keeps at its later value and a sum at its
+    largest.
+    """
+
+    __slots__ = ()
+    HIGH_WATER: ClassVar[Tuple[str, ...]] = ()
+
+    def _values(self) -> List[Tuple[str, object]]:
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+
+    def snapshot(self: S) -> S:
+        """A copy, so a caller can diff before and after a window."""
+        return type(self)(**{
+            name: dict(value) if isinstance(value, dict) else value
+            for name, value in self._values()})
+
+    def delta(self: S, earlier: S) -> S:
+        """What accumulated since ``earlier`` (a prior snapshot)."""
+        out: Dict[str, object] = {}
+        for name, value in self._values():
+            before = getattr(earlier, name)
+            if isinstance(value, dict):
+                value = {key: count - before.get(key, 0)
+                         for key, count in value.items()
+                         if count != before.get(key, 0)}
+            elif name not in self.HIGH_WATER:
+                value = value - before
+            out[name] = value
+        return type(self)(**out)
+
+    @classmethod
+    def total(cls: Type[S], parts: Iterable[S]) -> S:
+        """The sum of ``parts``, whose fields are all numeric (one
+        window's queue deltas over several shards)."""
+        out = cls()
+        for part in parts:
+            for name, value in part._values():
+                mine = getattr(out, name)
+                setattr(out, name, max(mine, value)
+                        if name in cls.HIGH_WATER else mine + value)
+        return out
+
 
 class Counter:
-    """A cumulative value (int or float); supports diffable reads.
-
-    Counters are conceptually monotone, but ``set`` exists so that
-    legacy snapshot/delta APIs (``DiskStats.delta``) can be expressed as
-    thin reads and writes of registry values.
-    """
+    """A cumulative value (int or float)."""
 
     __slots__ = ("name", "_value")
 
@@ -44,12 +94,6 @@ class Counter:
 
     def inc(self, delta: Number = 1) -> None:
         self._value += delta
-
-    def set(self, value: Number) -> None:
-        self._value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "Counter(%r, %r)" % (self.name, self._value)
 
 
 class Gauge:
@@ -67,9 +111,6 @@ class Gauge:
 
     def set(self, value: Number) -> None:
         self._value = value
-
-    def inc(self, delta: Number = 1) -> None:
-        self._value += delta
 
 
 class Histogram:
@@ -108,17 +149,43 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A namespace of instruments, created on first use.
+    """A namespace of metrics: registered fields and owned instruments.
 
-    Re-requesting a name returns the same instrument; requesting a name
-    already registered as a different kind is an error (it would split
-    one logical metric across two objects).
+    Instruments are created on first use; re-requesting a name returns
+    the same instrument, and requesting a name already taken by another
+    kind is an error (it would split one logical metric across two
+    objects).  A registered field name may be registered again: the
+    newer owner replaces the older one.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._fields: Dict[str, Callable[[], Number]] = {}
+
+    # -- what the layers own ------------------------------------------------
+
+    def register(self, prefix: str, source: object,
+                 names: Optional[Sequence[str]] = None) -> None:
+        """Read ``source``'s counters at every snapshot, as ``prefix.<name>``.
+
+        ``names`` are the attributes to read; by default, every numeric
+        field of the dataclass ``source``.  A name registered again
+        reads the newer object, so two objects never merge their counts
+        (a remount, a device re-attached over the same drive).
+        """
+        if names is None:
+            names = [f.name for f in fields(source)
+                     if isinstance(getattr(source, f.name), (int, float))]
+        for name in names:
+            self.read(prefix + "." + name, partial(getattr, source, name))
+
+    def read(self, name: str, value: Callable[[], Number]) -> None:
+        """Take ``name`` from ``value()`` at every snapshot: a state
+        gauge, or a count its owner keeps under another name."""
+        self._check_free(name, "field")
+        self._fields[name] = value
 
     # -- instrument accessors ------------------------------------------------
 
@@ -150,8 +217,9 @@ class MetricsRegistry:
     def _check_free(self, name: str, kind: str) -> None:
         for other_kind, table in (("counter", self._counters),
                                   ("gauge", self._gauges),
-                                  ("histogram", self._histograms)):
-            if name in table:
+                                  ("histogram", self._histograms),
+                                  ("field", self._fields)):
+            if other_kind != kind and name in table:
                 raise InvalidArgument(
                     "metric %r is already a %s, cannot re-register as a %s"
                     % (name, other_kind, kind))
@@ -161,11 +229,14 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """All current values, keyed and sorted by metric name.
 
-        Counters and gauges map to their value; histograms map to a
-        dict of ``buckets`` (bound -> count, overflow keyed ``"+inf"``),
-        ``total`` and ``sum``.  The result is JSON-serializable.
+        Fields, counters and gauges map to their value; histograms map
+        to a dict of ``buckets`` (bound -> count, overflow keyed
+        ``"+inf"``), ``total`` and ``sum``.  The result is
+        JSON-serializable.
         """
         out: Dict[str, object] = {}
+        for name, read in self._fields.items():
+            out[name] = read()
         for name, c in self._counters.items():
             out[name] = c.value
         for name, g in self._gauges.items():
@@ -180,6 +251,5 @@ class MetricsRegistry:
         return dict(sorted(out.items()))
 
     def names(self) -> List[str]:
-        return sorted(list(self._counters) + list(self._gauges)
-                      + list(self._histograms))
-
+        return sorted(list(self._fields) + list(self._counters)
+                      + list(self._gauges) + list(self._histograms))

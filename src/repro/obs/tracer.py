@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.clock import SimClock
 from repro.errors import InvalidArgument
-from repro.obs.metrics import MetricsRegistry, Number
+from repro.obs.metrics import Number
 
 #: Interned ``"layer.op"`` names, keyed by the (layer, op) pair.  Span
 #: names draw from a small fixed vocabulary but are read on every hot
@@ -128,6 +128,9 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Collects spans stamped from a shared simulated clock.
 
+    A tracer holds spans and nothing else: counts live in the fields of
+    the layers that keep them (see :mod:`repro.obs.metrics`).
+
     ``clock`` is any object with a ``.now`` float property — normally
     the run's :class:`~repro.clock.SimClock`.  The engine rebinds it
     around capture sections (see ``Engine.capture``) so span timestamps
@@ -138,10 +141,8 @@ class Tracer:
     spans without threading labels through every call site.
     """
 
-    def __init__(self, clock: Optional[SimClock] = None,
-                 registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.spans: List[Span] = []          # finished spans, completion order
         self._stack: List[Span] = []
         self._next_id = 0

@@ -24,11 +24,11 @@ Checksums are maintained in memory and persisted to the sidecar on
 crash can leave them stale at most back to the last sync — which fsck
 detects and rebuilds (see ``repro.fsck``).
 
-Everything is metered through the PR 4 obs registry:
-``resilience.verified_reads``, ``resilience.checksum_failures``,
-``resilience.remaps``, ``resilience.read_retries``,
-``resilience.health`` / ``resilience.health_transitions``, and the
-scrub counters (see :mod:`repro.resilience.scrub`).
+The device counts in :class:`ResilienceStats` and registers it with
+the drive's registry as ``resilience.*``, next to three values it reads
+from itself: ``resilience.health`` (the state ordinal),
+``resilience.health_transitions`` and ``resilience.spares_used``.  The
+scrubber adds its own (see :mod:`repro.resilience.scrub`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.blockdev.device import BLOCK_SIZE, BatchedIO
 from repro.blockdev.scheduler import coalesce_blocks
 from repro.errors import (
@@ -54,11 +53,8 @@ from repro.resilience.checksums import (
     pack_crc_block,
     unpack_crc_block,
 )
-from repro.resilience.health import (
-    HealthMonitor,
-    HealthState,
-    HealthTransition,
-)
+from repro.obs.metrics import Stats
+from repro.resilience.health import HealthMonitor, HealthState
 from repro.resilience.layout import (
     ResilienceHeader,
     compute_geometry,
@@ -85,14 +81,8 @@ MAX_UNREADABLE_BLOCKS = 64
 DEFAULT_SPARES = 32
 
 
-def _meter_health(change: HealthTransition) -> None:
-    """Mirror one device health transition into the obs registry."""
-    obs.count("resilience.health_transitions")
-    obs.gauge_set("resilience.health", change.state.value)
-
-
 @dataclass
-class ResilienceStats:
+class ResilienceStats(Stats):
     """Counters the resilient device keeps (the chaos report reads them)."""
 
     verified_reads: int = 0      # blocks read with a matching CRC
@@ -120,8 +110,15 @@ class ResilientBlockDevice(BatchedIO):
         self.inner = inner
         self.header = header
         self.geometry = header.geometry
-        self.health = HealthMonitor(on_transition=_meter_health)
+        self.health = HealthMonitor()
         self.stats = ResilienceStats()
+        registry = inner.disk.registry
+        registry.register("resilience", self.stats)
+        registry.read("resilience.health", lambda: self.health.state.value)
+        registry.read("resilience.health_transitions",
+                      lambda: len(self.health.transitions))
+        registry.read("resilience.spares_used",
+                      lambda: self.header.spares_used)
         self._crc = crcs                      # logical block -> CRC-32
         self._dirty_crc_blocks: set = set()   # sidecar blocks to persist
         self._header_dirty = False
@@ -309,7 +306,6 @@ class ResilientBlockDevice(BatchedIO):
             # (Struggling *empty* blocks are not worth a spare.)
             if self._try_remap(bno, data):
                 self.stats.scrub_rescues += 1
-                obs.count("resilience.scrub_rescues")
                 return "rescued"
         return "ok"
 
@@ -344,13 +340,11 @@ class ResilientBlockDevice(BatchedIO):
         for attempt in range(MAX_READ_RETRIES):
             if attempt:
                 self.stats.read_retries += 1
-                obs.count("resilience.read_retries")
             try:
                 return self.inner.read_extent(phys, 1)[0]
             except MediaReadError as exc:
                 last = exc
         self.stats.unreadable_blocks += 1
-        obs.count("resilience.unreadable_blocks")
         self.health.transition(HealthState.DEGRADED, self.clock.now,
                                "unreadable block %d" % bno)
         if self.stats.unreadable_blocks >= MAX_UNREADABLE_BLOCKS:
@@ -367,7 +361,6 @@ class ResilientBlockDevice(BatchedIO):
             raise ChecksumError("block %d is marked lost" % bno)
         if crc32(data) == self._crc[bno]:
             self.stats.verified_reads += 1
-            obs.count("resilience.verified_reads")
             return data
         for _ in range(VERIFY_RETRIES):
             try:
@@ -376,10 +369,8 @@ class ResilientBlockDevice(BatchedIO):
                 continue
             if crc32(data) == self._crc[bno]:
                 self.stats.verified_reads += 1
-                obs.count("resilience.verified_reads")
                 return data
         self.stats.checksum_failures += 1
-        obs.count("resilience.checksum_failures")
         self._mark_lost(bno, "read verification failed")
         raise ChecksumError(
             "block %d: data CRC 0x%08x does not match sidecar 0x%08x"
@@ -391,7 +382,6 @@ class ResilientBlockDevice(BatchedIO):
         self.header.lost.add(bno)
         self._header_dirty = True
         self.stats.lost_blocks += 1
-        obs.count("resilience.lost_blocks")
         self.health.transition(HealthState.DEGRADED, self.clock.now,
                                "%s (block %d)" % (reason, bno))
         if self.stats.checksum_failures >= MAX_CHECKSUM_FAILURES:
@@ -414,7 +404,6 @@ class ResilientBlockDevice(BatchedIO):
                         "no spare blocks left to remap block %d; "
                         "device demoted to read-only" % logical)
                 self.stats.write_heals += 1
-                obs.count("resilience.write_heals")
             self._record_written(logical, [data])
 
     def _try_remap(self, logical: int, data: bytes) -> bool:
@@ -439,8 +428,6 @@ class ResilientBlockDevice(BatchedIO):
             self.header.remap[logical] = spare_index
             self.header.lost.discard(logical)
             self.stats.remaps += 1
-            obs.count("resilience.remaps")
-            obs.gauge_set("resilience.spares_used", self.header.spares_used)
             self._record_written(logical, [data])
             self._persist_header()
             self.health.transition(HealthState.DEGRADED, self.clock.now,
@@ -473,7 +460,6 @@ class ResilientBlockDevice(BatchedIO):
         self._write_reserved(writes)
         self._dirty_crc_blocks.clear()
         self.stats.sidecar_flushes += 1
-        obs.count("resilience.sidecar_flushes")
 
     def _persist_header(self) -> None:
         self._write_reserved({self.geometry.header_block: self.header.pack()})

@@ -18,9 +18,9 @@
 Transitions are monotonic (never back toward HEALTHY within a run —
 recovering trust is an offline fsck decision, not an online one) and
 are recorded with the simulated timestamp and a reason.  The monitor
-meters nothing itself: its owner mirrors each transition into the
-metrics it owns through ``on_transition`` (the resilient device into
-``resilience.health``, the cluster into ``cluster.health.s<k>``).
+meters nothing itself: the resilient device's registry reads its state
+and transitions (``resilience.health``), and the cluster mirrors each
+transition into ``cluster.health.s<k>`` through ``on_transition``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ between workload operations).
 
 Scrub outcomes per block (see ``scrub_block`` for the semantics):
 ``ok``, ``rescued``, ``healed``, ``lost``, ``lost-known`` — tallied in
-:class:`ScrubStats` and mirrored as ``resilience.scrub_*`` counters.
+:class:`ScrubStats`, which the drive's registry reads as
+``resilience.scrub_blocks`` and ``resilience.scrub_passes``.
 """
 
 from __future__ import annotations
@@ -17,24 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro import obs
 from repro.errors import DeviceDegraded
+from repro.obs.metrics import Stats
 
 #: Blocks the scrubber verifies per step (one idle-time slice).
 SCRUB_BATCH_BLOCKS = 128
 
 
 @dataclass
-class ScrubStats:
+class ScrubStats(Stats):
     """Cumulative scrub accounting across all passes."""
 
-    steps: int = 0
-    passes_completed: int = 0
-    blocks_scrubbed: int = 0
+    scrub_passes: int = 0
+    scrub_blocks: int = 0
     verdicts: Dict[str, int] = field(default_factory=dict)
 
     def tally(self, verdict: str) -> None:
-        self.blocks_scrubbed += 1
+        self.scrub_blocks += 1
         self.verdicts[verdict] = self.verdicts.get(verdict, 0) + 1
 
 
@@ -44,6 +44,7 @@ class Scrubber:
     def __init__(self, device) -> None:
         self.device = device
         self.stats = ScrubStats()
+        device.disk.registry.register("resilience", self.stats)
         self._cursor = 0
 
     def step(self) -> Dict[str, int]:
@@ -55,7 +56,6 @@ class Scrubber:
         """
         total = self.device.total_blocks
         verdicts: Dict[str, int] = {}
-        self.stats.steps += 1
         for _ in range(min(SCRUB_BATCH_BLOCKS, total)):
             try:
                 verdict = self.device.scrub_block(self._cursor)
@@ -63,12 +63,10 @@ class Scrubber:
                 break
             self.stats.tally(verdict)
             verdicts[verdict] = verdicts.get(verdict, 0) + 1
-            obs.count("resilience.scrub_blocks")
             self._cursor += 1
             if self._cursor >= total:
                 self._cursor = 0
-                self.stats.passes_completed += 1
-                obs.count("resilience.scrub_passes")
+                self.stats.scrub_passes += 1
                 break
         return verdicts
 

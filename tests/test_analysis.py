@@ -86,7 +86,7 @@ class TestDiskStats:
         stats.record_request(False, 8)
         stats.record_request(True, 8)
         assert stats.total_requests == 2
-        assert stats.bytes_read == 8 * 512
+        assert stats.sectors_read == stats.sectors_written == 8
 
     def test_snapshot_independent(self):
         stats = DiskStats()

@@ -27,7 +27,6 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.cluster import (
@@ -128,13 +127,11 @@ class TestShardHealth:
         # One monitor per shard: a shard's demotion is the cluster's
         # gauge, never the resilient device's ``resilience.health``.
         cluster = Cluster(n_shards=2)
-        tracer = obs.install(obs.Tracer())
-        try:
-            cluster.health.mark(0, HealthState.DEGRADED, "wobbly")
-        finally:
-            obs.uninstall()
-        exported = tracer.registry.snapshot()
-        assert not [name for name in exported
+        cluster.health.mark(0, HealthState.DEGRADED, "wobbly")
+        registries = [cluster.metrics] + [shard.device.disk.registry
+                                          for shard in cluster.shards]
+        assert not [name for registry in registries
+                    for name in registry.names()
                     if name.startswith("resilience.")]
         assert cluster.metrics.gauge("cluster.health.s0").value == \
             HealthState.DEGRADED.value

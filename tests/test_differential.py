@@ -71,13 +71,12 @@ def _sans_cache_hits(jsonl: str) -> str:
 def _traced_run(fs, body) -> dict:
     """Run ``body`` under a tracer; capture image/trace/metric digests.
 
-    The tracer shares the drive's metrics registry (the ``repro trace``
-    wiring), so the metrics digest covers disk counters, the request
-    histogram, and every ``obs.count`` the layers emit, in one object.
+    The metrics digest is of the drive's registry (what ``repro trace
+    --metrics`` writes): the disk counters, the request histogram and
+    every field the layers over the drive registered there.
     """
     device = fs.cache.device
-    tracer = obs.Tracer(clock=device.clock,
-                        registry=device.disk.stats.registry)
+    tracer = obs.Tracer(clock=device.clock)
     obs.install(tracer)
     try:
         body()
@@ -88,7 +87,7 @@ def _traced_run(fs, body) -> dict:
         "image": device.content_digest(),
         "trace": _sha(jsonl),
         "trace_sans_cache_hits": _sha(_sans_cache_hits(jsonl)),
-        "metrics": _metrics_digest(tracer.registry),
+        "metrics": _metrics_digest(device.disk.registry),
         "spans": len(tracer.spans),
         "sim_seconds": round(device.clock.now, 9),
     }

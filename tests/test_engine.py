@@ -220,8 +220,7 @@ def _engine_phase_times(fs, setup, scripts, cold):
 def _lone_queue_delay(engine):
     (client,) = engine.clients
     assert client.records, "the client replayed nothing"
-    return engine.metrics.counter(
-        "engine.%s.queue_delay" % client.name).value
+    return client.queue_delay
 
 
 class TestEngineEquivalence:
@@ -321,12 +320,14 @@ class TestEngineApi:
         assert len(client.records) == 5
         assert all(r.phase == "create" for r in client.records)
         assert client.latencies("create") == [r.latency for r in client.records]
-        # The accounting is the registry's ``engine.<name>.<field>``
-        # counters, summed from the records; only the client's own
-        # replay moves them.
+        # The accounting is the client's own fields, summed from the
+        # records; the drive's registry reads them as
+        # ``engine.<name>.<field>``, beside the queue's and the loop's.
+        snap = fs.cache.device.disk.registry.snapshot()
 
         def counted(field):
-            return engine.metrics.counter("engine.solo." + field).value
+            assert snap["engine.solo." + field] == getattr(client, field)
+            return getattr(client, field)
 
         assert counted("writes") > 0
         assert counted("cpu_seconds") == sum(
@@ -334,6 +335,9 @@ class TestEngineApi:
         assert counted("queue_delay") == sum(
             r.queue_delay for r in client.records)
         assert counted("io_errors") == counted("retries") == 0
+        assert snap["engine.solo.latency_ms"]["total"] == 5
+        assert snap["queue.completed"] == engine.queue.stats.completed > 0
+        assert snap["engine.events"] == engine.loop.events_run > 0
 
     def test_probes_on_class_attributes_see_every_step_and_submit(
             self, monkeypatch):
@@ -533,27 +537,23 @@ class TestEngineFaults:
 
 
 class TestDiskQueueRetryMetrics:
-    """Retry traffic must surface in the obs registry: a counter per
+    """Retry traffic must surface in the drive's registry: a count per
     requeue and a latency histogram for requests that needed retries."""
 
     LBAS = [20000, 400, 12000, 25000, 3000]
 
     def test_retries_counted_and_latency_observed(self):
-        from repro import obs
-
-        tracer = obs.install(obs.Tracer())
-        try:
-            # Dispatches 0 and 1 hit transients (each dispatch consumes
-            # one schedule index), so retry traffic definitely flows.
-            schedule = (PinnedFaults().fail_read(0, transient=True)
-                        .fail_read(1, transient=True))
-            queue, done = _faulty_burst("fcfs", self.LBAS, schedule)
-        finally:
-            obs.uninstall()
+        # Dispatches 0 and 1 hit transients (each dispatch consumes
+        # one schedule index), so retry traffic definitely flows.
+        schedule = (PinnedFaults().fail_read(0, transient=True)
+                    .fail_read(1, transient=True))
+        queue, done = _faulty_burst("fcfs", self.LBAS, schedule)
         assert queue.stats.retried == 2
-        registry = tracer.registry
-        assert registry.counter("queue.retried").value == 2
-        assert registry.counter("queue.retried.read").value == 2
+        registry = queue.disk.registry
+        snap = registry.snapshot()
+        assert snap["queue.retried"] == 2
+        assert snap["queue.retried.read"] == 2
+        assert snap["queue.retried.write"] == 0
         retried = [r for r in done if r.retries > 0]
         assert retried and sum(r.retries for r in retried) == 2
         hist = registry.histogram("queue.retry_latency")

@@ -1,7 +1,8 @@
 """Tests for the observability subsystem (``repro.obs``).
 
 Covers the span model (nesting, attribute propagation, counters), the
-metrics registry (bucket edges, kind conflicts, snapshots), all three
+metrics registry (registered fields, bucket edges, kind conflicts,
+snapshots), the one stats helper (snapshot, delta, total), all three
 exporters against embedded goldens, the zero-overhead disabled path,
 byte-identical determinism of exports across identical seeded runs, and
 the paper-shaped acceptance check: a traced small-file read phase shows
@@ -11,12 +12,16 @@ conventional layout.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Dict
+
 import pytest
 
 from repro import obs
 from repro.clock import SimClock
+from repro.engine.diskqueue import QueueAccounting
 from repro.errors import InvalidArgument
-from repro.obs import Histogram, MetricsRegistry, Tracer
+from repro.obs import Histogram, MetricsRegistry, Stats, Tracer
 from repro.obs.export import (
     FORMATS,
     export,
@@ -124,7 +129,6 @@ class TestDisabledPath:
             sp.incr("bytes", 4096)
         obs.record("disk", "read", 0.0, 1.0, lba=1)
         obs.incr("cache.hits")
-        obs.count("engine.events")
 
     def test_install_routes_uninstall_restores(self):
         clock = SimClock()
@@ -133,17 +137,24 @@ class TestDisabledPath:
         with obs.span("vfs", "read"):
             clock.advance(1.0)
             obs.incr("bytes", 10)
-        obs.count("events", 3)
         assert obs.uninstall() is t
         assert obs.active() is None
         assert obs.span("vfs", "read") is obs.NULL_SPAN
         assert len(t.spans) == 1
         assert t.spans[0].duration == pytest.approx(1.0)
         assert t.spans[0].counters == {"bytes": 10}
-        assert t.registry.counter("events").value == 3
 
 
 # -- metrics ------------------------------------------------------------------
+
+
+@dataclass
+class _Counts(Stats):
+    HIGH_WATER = ("level",)
+
+    ops: int = 0
+    level: int = 0
+    sizes: Dict[int, int] = field(default_factory=dict)
 
 
 class TestMetrics:
@@ -199,6 +210,41 @@ class TestMetrics:
             reg.gauge("x")
         with pytest.raises(InvalidArgument):
             reg.histogram("x", (1,))
+
+    def test_registered_fields_are_read_at_every_snapshot(self):
+        reg = MetricsRegistry()
+        first, second = _Counts(), _Counts()
+        reg.register("x", first)
+        first.ops += 3
+        assert reg.snapshot() == {"x.level": 0, "x.ops": 3}
+        # A second owner of the same names replaces the first: counts
+        # are per object, never merged.
+        reg.register("x", second, ("ops",))
+        first.ops += 1
+        assert reg.snapshot()["x.ops"] == 0
+        reg.read("x.state", lambda: 7)
+        assert reg.snapshot()["x.state"] == 7
+        with pytest.raises(InvalidArgument):
+            reg.counter("x.ops")        # already a registered field
+        reg.gauge("y")
+        with pytest.raises(InvalidArgument):
+            reg.read("y", lambda: 0)
+
+    def test_stats_snapshot_delta_and_total(self):
+        counts = _Counts(ops=2, level=5, sizes={8: 1})
+        before = counts.snapshot()
+        counts.ops += 3
+        counts.level = 4
+        counts.sizes[8] += 1
+        counts.sizes[16] = 2
+        assert before == _Counts(ops=2, level=5, sizes={8: 1})
+        delta = counts.delta(before)
+        assert delta == _Counts(ops=3, level=4, sizes={8: 1, 16: 2})
+        # A sum is of numeric fields: the queue deltas of several shards.
+        parts = [QueueAccounting(completed=3, max_depth=4),
+                 QueueAccounting(completed=1, max_depth=9)]
+        total = QueueAccounting.total(parts)
+        assert (total.completed, total.max_depth) == (4, 9)
 
     def test_snapshot_sorted(self):
         reg = MetricsRegistry()
@@ -279,12 +325,12 @@ class TestExportGoldens:
             export(_golden_tracer(), "pprof")
 
     def test_write_export_with_metrics(self, tmp_path):
-        t = _golden_tracer()
-        t.registry.counter("disk.reads").inc(7)
+        registry = MetricsRegistry()
+        registry.counter("disk.reads").inc(7)
         trace_path = tmp_path / "t.json"
         metrics_path = tmp_path / "m.json"
-        obs.write_export(t, str(trace_path), "chrome",
-                         metrics_path=str(metrics_path))
+        obs.write_export(_golden_tracer(), str(trace_path), "chrome")
+        obs.write_metrics(registry, str(metrics_path))
         assert trace_path.read_text() == CHROME_GOLDEN
         assert '"disk.reads": 7' in metrics_path.read_text()
 

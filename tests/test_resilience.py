@@ -174,18 +174,13 @@ class TestHealth:
             h.check_readable()
 
     def test_device_transitions_export_the_health_metrics(self):
-        from repro import obs
-
         dev = resilient()
-        tracer = obs.install(obs.Tracer())
-        try:
-            dev.health.transition(HealthState.DEGRADED, 1.0, "remap")
-            dev.health.transition(HealthState.READ_ONLY, 2.0, "spares gone")
-        finally:
-            obs.uninstall()
-        snap = tracer.registry.snapshot()
+        dev.health.transition(HealthState.DEGRADED, 1.0, "remap")
+        dev.health.transition(HealthState.READ_ONLY, 2.0, "spares gone")
+        snap = dev.disk.registry.snapshot()
         assert snap["resilience.health_transitions"] == 2
         assert snap["resilience.health"] == HealthState.READ_ONLY.value
+        assert snap["resilience.spares_used"] == dev.header.spares_used
 
 
 # -- the device ---------------------------------------------------------------
@@ -337,7 +332,7 @@ class TestScrubber:
         dev = resilient()
         dev.write_block(3, block(3))
         scrubber = Scrubber(dev)
-        while not scrubber.stats.passes_completed:
+        while not scrubber.stats.scrub_passes:
             assert scrubber.step()
         assert scrubber.stats.verdicts == {"ok": dev.total_blocks}
 
@@ -436,21 +431,17 @@ class TestCacheBoundary:
     buffer cache — the ChecksumError propagates and the miss is counted."""
 
     def test_checksum_error_rejected_not_cached(self):
-        from repro import obs
         from repro.cache.buffercache import BufferCache
 
         dev = resilient()
         dev.write_block(5, block(5))
         dev.poke_block(5, block(99))    # corrupt behind the CRC's back
         cache = BufferCache(dev, capacity_blocks=16)
-        tracer = obs.install(obs.Tracer())
-        try:
-            with pytest.raises(ChecksumError):
-                cache.get(5)
-        finally:
-            obs.uninstall()
+        with pytest.raises(ChecksumError):
+            cache.get(5)
         assert cache.peek(5) is None    # nothing installed
-        assert tracer.registry.counter("cache.checksum_rejects").value == 1
+        assert cache.checksum_rejects == 1
+        assert dev.disk.registry.snapshot()["cache.checksum_rejects"] == 1
         # A healing rewrite makes the same block cacheable again.
         dev.write_block(5, block(6))
         assert cache.get(5).data == block(6)

@@ -9,6 +9,7 @@ and head positions outside the outstanding address range.
 from repro.blockdev.scheduler import MAX_EXTENT_BLOCKS, clook_order, coalesce_blocks
 from repro.clock import SimClock
 from repro.engine import DiskQueue, EventLoop
+from repro.obs import MetricsRegistry
 from tests.conftest import queue_depth
 
 
@@ -65,6 +66,7 @@ class _ParkedDisk:
     def __init__(self, head_position):
         self.head_position = head_position
         self.clock = SimClock()
+        self.registry = MetricsRegistry()
 
     def current_lba_estimate(self):
         return self.head_position

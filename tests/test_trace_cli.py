@@ -92,7 +92,9 @@ class TestTraceFlags:
 
 
 class TestEngineIntegration:
-    def test_multiclient_tracer_carries_phases_and_metrics(self):
+    def test_multiclient_tracer_carries_phases(self):
+        # Spans only: the engine's counts live in its drive's registry
+        # (tests/test_engine.py, test_per_client_accounting).
         tracer = obs.Tracer()
         run_multiclient(n_clients=2, files_per_client=5,
                         phases=("create", "read"), tracer=tracer)
@@ -100,9 +102,3 @@ class TestEngineIntegration:
         phases = {s.attrs.get("phase") for s in tracer.spans
                   if s.layer == "queue"}
         assert {"create", "read"} <= phases
-        names = tracer.registry.names()
-        assert "queue.completed" in names
-        assert "engine.events" in names
-        # Per-client accounting lands in the same registry.
-        assert any(n.startswith("engine.c00.") for n in names)
-        assert tracer.registry.counter("queue.completed").value > 0
