@@ -346,7 +346,6 @@ class Engine(Replayer):
         self.device.clock.advance_to(self.loop.now)
         self.queue = DiskQueue(self.loop, self.device.disk, scheduler,
                                faults=faults)
-        # An engine counts into its drive's registry, as every layer does.
         self.device.disk.registry.read(
             "engine.events", lambda: self.loop.events_run)
         self.clients: List[ClientContext] = []

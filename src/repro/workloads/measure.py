@@ -9,7 +9,8 @@ plus the window's whole ``DiskStats`` delta, so a phase's request counts
 and its seek / rotation / transfer split are read off one object.
 
 The engine's and the cluster's phase reports follow a different clock
-discipline (queued, event-driven) and do not pass through here.
+discipline (queued, event-driven) and do not pass through here; their
+bracket is ``repro.engine.report.replay_window``.
 """
 
 from __future__ import annotations
