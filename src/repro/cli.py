@@ -38,16 +38,9 @@ from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.core.filesystem import CFFS
 from repro.disk.profiles import PROFILES, SEAGATE_ST31200
-from repro.errors import ReproError
-from repro.fsck import (
-    CHECKERS,
-    FORMAT_LABELS,
-    checker_for,
-    format_for,
-    fsck_resilience,
-    is_resilient,
-    open_logical,
-)
+from repro.errors import ReproError, UnknownFormat
+from repro.fsck import (FORMAT_LABELS, check_image, format_for,
+                        mount_image, open_image)
 from repro.resilience import ResilientBlockDevice
 from repro.resilience.device import DEFAULT_SPARES
 
@@ -80,27 +73,8 @@ def policy_from_args(args) -> MetadataPolicy:
     return POLICY_NAMES[args.policy]
 
 
-def _magic_of(device) -> int:
-    import struct
-
-    return struct.unpack_from("<I", device.peek_block(0), 0)[0]
-
-
-def _open_device(path: str):
-    """The device to mount: resilient images get their verified view."""
-    base = BlockDevice.load_image(path)
-    if is_resilient(base):
-        return ResilientBlockDevice.attach(base)
-    return base
-
-
 def _mount(path: str):
-    device = _open_device(path)
-    magic = _magic_of(device)
-    fmt = format_for(magic)
-    if fmt is None:
-        raise ReproError("%s holds no recognizable file system (magic 0x%x)" % (path, magic))
-    return fmt.mount(device)
+    return mount_image(BlockDevice.load_image(path))
 
 
 def _save(fs, path: str) -> None:
@@ -229,53 +203,29 @@ def cmd_regroup(args) -> int:
 
 
 def cmd_fsck(args) -> int:
-    repair = getattr(args, "repair", False)
     device = BlockDevice.load_image(args.image)
-    saved_by_resilience = False
-    target = device
-    if is_resilient(device):
-        # Check (and possibly repair) the self-healing layer's own
-        # metadata first; the format checker then runs over the
-        # remap-resolving logical view.
-        res_report = fsck_resilience(device, repair=repair)
-        print(res_report.render())
-        if not res_report.ok:
-            return 1
-        saved_by_resilience = bool(res_report.fixed)
-        target = open_logical(device)
-    magic = _magic_of(target)
-    check = checker_for(magic)
-    if check is not None:
-        report = check(target, repair=repair)
-    elif repair:
-        # The magic may itself be the damage; try whichever checker can
-        # recover a superblock from the replica.
-        for check in CHECKERS:
-            report = check(target, repair=True)
-            if report.fixed:
-                break
-        else:
-            print("unrecognizable file system (magic 0x%x), no usable "
-                  "superblock replica" % magic, file=sys.stderr)
-            return 2
-    else:
-        print("unrecognizable file system (magic 0x%x)" % magic, file=sys.stderr)
-        return 2
-    if repair and (report.fixed or saved_by_resilience):
+    result = check_image(device, repair=args.repair)
+    if result.filesystem is not None and result.fixed:
         device.save_image(args.image)
-    print(report.render())
-    return 0 if report.ok else 1
+    text = result.render()
+    if text:
+        print(text)
+    if result.unknown_magic is not None:
+        print("unrecognizable file system (magic 0x%x)%s" % (
+            result.unknown_magic,
+            ", no usable superblock replica" if args.repair else ""),
+            file=sys.stderr)
+        return 2
+    return 0 if result.ok else 1
 
 
 def cmd_journal(args) -> int:
     from repro.journal import describe_journal
 
-    device = _open_device(args.image)
-    magic = _magic_of(device)
-    fmt = format_for(magic)
-    if fmt is None:
-        print("unrecognizable file system (magic 0x%x)" % magic,
-              file=sys.stderr)
+    try:
+        device, fmt = open_image(BlockDevice.load_image(args.image))
+    except UnknownFormat as exc:
+        print(exc, file=sys.stderr)
         return 2
     sb = fmt.unpack_superblock(device.peek_block(0))
     print(describe_journal(device, int(sb["journal_start"]),
@@ -284,14 +234,14 @@ def cmd_journal(args) -> int:
 
 
 def cmd_faultsim(args) -> int:
-    from repro.faults.harness import FAULT_FSES, crash_point_sweep, render_sweep
+    from repro.faults.harness import crash_point_sweep, render_sweep
 
     labels = ([f.strip() for f in args.fs.split(",")]
-              if args.fs != "both" else list(FAULT_FSES))
+              if args.fs != "both" else list(FORMAT_LABELS))
     for label in labels:
-        if label not in FAULT_FSES:
+        if label not in FORMAT_LABELS:
             print("unknown file system %r; known: both, %s"
-                  % (label, ", ".join(FAULT_FSES)), file=sys.stderr)
+                  % (label, ", ".join(FORMAT_LABELS)), file=sys.stderr)
             return 2
     if args.policy == "all":
         policies = list(POLICY_NAMES.values())

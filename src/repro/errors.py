@@ -125,6 +125,10 @@ class CorruptFileSystem(FileSystemError):
     errno_name = "EIO"
 
 
+class UnknownFormat(CorruptFileSystem):
+    """Block 0's magic names no file-system format this package reads."""
+
+
 class JournalCorrupt(FileSystemError):
     """The on-disk journal failed a structural check (bad magic, CRC
     mismatch on the header, impossible geometry).  The committed state

@@ -17,8 +17,9 @@ The soak asserts the layer's contract, not the absence of faults:
 - **graceful degradation** — the device heals what it can (remaps,
   rewrites, scrub rescues) and *demotes* to READ_ONLY when the spare
   pool runs out, instead of crashing;
-- **repairability** — after the soak, ``fsck_resilience`` plus the
-  format's own fsck repair the image to pristine;
+- **repairability** — after the soak, the offline check
+  (:func:`~repro.fsck.check_image`) repairs the resilience region and
+  then the file system to pristine;
 - **determinism** — the same config renders a byte-identical report.
 
 Runs via ``repro chaos`` (see :mod:`repro.cli`).
@@ -41,12 +42,7 @@ from repro.errors import (
 from repro.faults.harness import FAULTSIM_PROFILE, _mkfs, workload_script
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
-from repro.fsck import (
-    checker_for,
-    format_for,
-    fsck_resilience,
-    open_logical,
-)
+from repro.fsck import check_image, format_for
 from repro.resilience import HealthState, ResilientBlockDevice, Scrubber
 from repro.resilience.device import DEFAULT_SPARES
 
@@ -203,7 +199,7 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosReport:
     report.files_verified = soak.files_verified
     report.files_unverifiable = len(soak.tainted)
 
-    _offline_repair(report, faulty, cfg.label)
+    _offline_repair(report, faulty)
     return report
 
 
@@ -343,25 +339,20 @@ class _Soak:
         return format_for(self.cfg.label).mount(self.resilient)
 
 
-def _offline_repair(report: ChaosReport, faulty: FaultyBlockDevice,
-                    label: str) -> None:
-    """Post-soak: repair resilience metadata, then the file system."""
-    first = fsck_resilience(faulty, repair=True)
-    second = fsck_resilience(faulty)
-    report.fsck_res_errors = len(first.errors)
-    report.fsck_res_repairs = len(first.repairs)
-    report.fsck_res_clean = second.pristine
-    view = open_logical(faulty)
-    if view is None:
+def _offline_repair(report: ChaosReport, faulty: FaultyBlockDevice) -> None:
+    """Post-soak: repair the image offline, then check it again."""
+    first = check_image(faulty, repair=True)
+    second = check_image(faulty)
+    report.fsck_res_errors = len(first.resilience.errors)
+    report.fsck_res_repairs = len(first.resilience.repairs)
+    report.fsck_res_clean = second.resilience.pristine
+    if first.filesystem is None or second.filesystem is None:
         report.fsck_fs_clean = False
         return
-    check = checker_for(label)
-    repaired = check(view, repair=True)
-    recheck = check(view)
-    report.fsck_fs_errors = len(repaired.errors)
-    report.fsck_fs_repairs = len(repaired.repairs)
-    report.fsck_fs_fixes = len(repaired.fixed)
-    report.fsck_fs_clean = recheck.pristine
+    report.fsck_fs_errors = len(first.filesystem.errors)
+    report.fsck_fs_repairs = len(first.filesystem.repairs)
+    report.fsck_fs_fixes = len(first.filesystem.fixed)
+    report.fsck_fs_clean = second.filesystem.pristine
 
 
 def _public_counters(stats: object) -> Dict[str, int]:

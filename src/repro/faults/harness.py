@@ -35,16 +35,8 @@ from repro.errors import ReproError
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
 from repro.ffs.filesystem import FFS
-from repro.fsck import (
-    FORMAT_LABELS,
-    checker_for,
-    format_for,
-    fsck_resilience,
-    open_logical,
-)
+from repro.fsck import FORMAT_LABELS, check_image, format_for, mount_image
 from repro.resilience import ResilientBlockDevice
-
-FAULT_FSES = FORMAT_LABELS
 
 #: The sweep workload syncs after every this many files.
 SYNC_EVERY = 5
@@ -206,9 +198,9 @@ def run_journaled_workload(
     windows land *between* them (the remap-write boundaries repair must
     survive).
     """
-    if label not in FAULT_FSES:
+    if label not in FORMAT_LABELS:
         raise ReproError("unknown file system %r; known: %s"
-                         % (label, ", ".join(FAULT_FSES)))
+                         % (label, ", ".join(FORMAT_LABELS)))
     schedule = FaultSchedule(seed=seed)
     device = FaultyBlockDevice(BlockDevice(FAULTSIM_PROFILE), schedule,
                                record_journal=True)
@@ -240,41 +232,17 @@ def run_journaled_workload(
     return device, checkpoints
 
 
-def _verify_point(
-    label: str,
-    device: FaultyBlockDevice,
-    checkpoints: List[Checkpoint],
-    k: int,
-    resilient: bool = False,
-) -> CrashPoint:
+def _verify_point(device: FaultyBlockDevice, checkpoints: List[Checkpoint],
+                  k: int) -> CrashPoint:
     """Repair, re-check, remount and read back one crash image."""
-    check = checker_for(label)
     image = device.image_at(k)
-    pre_fixes = 0
-    if resilient:
-        # The self-healing layer's own metadata is repaired first (the
-        # sidecar is legitimately stale between syncs); the format
-        # checker then runs over the remap-resolving logical view.
-        pre = fsck_resilience(image, repair=True)
-        pre_fixes = len(pre.fixed)
-        if pre.errors or not fsck_resilience(image).pristine:
-            return CrashPoint(
-                k=k, first_errors=len(pre.errors),
-                first_repairs=len(pre.repairs), fixes=pre_fixes,
-                pristine_after=False, remounted=False, files_checked=0,
-                intact=False,
-                detail="resilience metadata unrepairable: %s"
-                % "; ".join(pre.errors[:3]))
-        target = open_logical(image)
-    else:
-        target = image
-    first = check(target, repair=True)
-    second = check(target)
+    first = check_image(image, repair=True)
+    second = check_image(image)
     point = CrashPoint(
         k=k,
         first_errors=len(first.errors),
         first_repairs=len(first.repairs),
-        fixes=len(first.fixed) + pre_fixes,
+        fixes=len(first.fixed),
         pristine_after=second.pristine,
         remounted=False,
         files_checked=0,
@@ -286,9 +254,7 @@ def _verify_point(
         return point
 
     try:
-        mount_dev = (ResilientBlockDevice.attach(image) if resilient
-                     else image)
-        fs = format_for(label).mount(mount_dev)
+        fs = mount_image(image)
     except ReproError as exc:
         point.detail = "remount failed: %s" % exc
         return point
@@ -357,7 +323,7 @@ def crash_point_sweep(
         ks.append(total)
     for k in ks:
         result.points.append(
-            _verify_point(label, device, checkpoints, k, resilient=resilient))
+            _verify_point(device, checkpoints, k))
     return result
 
 
@@ -384,7 +350,6 @@ def render_sweep(results: List[SweepResult]) -> str:
 
 
 __all__ = [
-    "FAULT_FSES",
     "FAULTSIM_PROFILE",
     "Checkpoint",
     "CrashPoint",

@@ -44,19 +44,16 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.core import directory as cdirfmt
 from repro.core import layout as clayout
 from repro.core.extinodes import SLOT_SIZE, SLOTS_PER_BLOCK
-from repro.core.filesystem import CFFS
 from repro.errors import CorruptFileSystem, JournalCorrupt, ReplayError
 from repro.ffs import cylgroup
 from repro.ffs import directory as fdirfmt
 from repro.ffs import layout as flayout
-from repro.ffs.base import BlockFileSystem
-from repro.ffs.filesystem import FFS
 from repro.ffs.inode import BaseInode
 from repro.ffs.layout import MODE_DIR, MODE_FILE, MODE_FREE
 from repro.journal import replay_journal
@@ -807,26 +804,3 @@ def fsck_cffs(device: BlockDevice, repair: bool = False) -> FsckReport:
     """Check a C-FFS image by walking the directory hierarchy; with
     ``repair=True`` also fix it."""
     return _CFFSWalk.check(device, repair)
-
-
-#: Every format's checker, in the order to try them on an image whose
-#: magic is itself the damage.
-CHECKERS: Tuple[Callable[..., FsckReport], ...] = (fsck_ffs, fsck_cffs)
-_FORMATS = tuple(zip((_FFSWalk, _CFFSWalk), (FFS, CFFS), CHECKERS))
-
-#: The format labels, in that order.
-FORMAT_LABELS: Tuple[str, ...] = tuple(walk.label for walk, _, _ in _FORMATS)
-_BY_KEY = {key: (cls, check) for walk, cls, check in _FORMATS
-           for key in (walk.label, walk.MAGIC)}
-
-
-def format_for(key) -> Optional[Type[BlockFileSystem]]:
-    """The file-system class (``mkfs``, ``mount``, ``Config``,
-    ``unpack_superblock``) of the format named by its label ("ffs",
-    "cffs") or by its superblock magic; None when there is none."""
-    return _BY_KEY.get(key, (None, None))[0]
-
-
-def checker_for(key) -> Optional[Callable[..., FsckReport]]:
-    """The checker of that format; None when there is no such format."""
-    return _BY_KEY.get(key, (None, None))[1]

@@ -6,7 +6,7 @@ checkers use) and validates the self-healing layer's own metadata
 before any file-system walk:
 
 - the header block decodes, its CRC holds, and its geometry covers the
-  device;
+  device (:func:`~repro.fsck.image.check_image` decodes it);
 - the remap table is internally consistent: spare indices unique and
   inside the consumed prefix of the pool, logical blocks inside the
   usable region, nothing both remapped and lost;
@@ -17,19 +17,12 @@ at sync barriers, so a cut between a media write and the next flush
 leaves the sidecar stale — which is why repair mode rebuilds the
 sidecar from the media rather than condemning the data: structural
 trust in the content is exactly what the file-system walk that follows
-(over :func:`open_logical`'s remap-resolving view) establishes.
-
-:func:`open_logical` is how the format checkers see a resilient image:
-a :class:`~repro.resilience.device.LogicalView` that resolves the
-remap table and exposes only the usable window, so ``fsck_ffs`` and
-``fsck_cffs`` work on resilient and bare images identically.
+(over the remap-resolving
+:class:`~repro.resilience.device.LogicalView`) establishes.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.errors import CorruptFileSystem
 from repro.fsck.checker import FsckReport
 from repro.resilience.checksums import (
     CRCS_PER_BLOCK,
@@ -37,49 +30,14 @@ from repro.resilience.checksums import (
     pack_crc_block,
     unpack_crc_block,
 )
-from repro.resilience.device import LogicalView
-from repro.resilience.layout import ResilienceHeader, try_unpack_header
+from repro.resilience.layout import ResilienceHeader
 
 
-def is_resilient(device) -> bool:
-    """Whether the image carries a resilience region (magic check only)."""
-    try:
-        return try_unpack_header(
-            device.peek_block(device.total_blocks - 1),
-            device.total_blocks) is not None
-    except CorruptFileSystem:
-        return True   # right magic, damaged header: resilient but sick
-
-
-def open_logical(device) -> Optional[LogicalView]:
-    """The remap-resolving usable-window view of a resilient image.
-
-    Returns None for a bare (non-resilient) image; raises
-    :class:`CorruptFileSystem` when the header is present but damaged
-    (run :func:`fsck_resilience` first).
-    """
-    header = try_unpack_header(
-        device.peek_block(device.total_blocks - 1), device.total_blocks)
-    if header is None:
-        return None
-    return LogicalView(device, header)
-
-
-def fsck_resilience(device, repair: bool = False) -> FsckReport:
-    """Check (and with ``repair=True`` rebuild) the resilience metadata."""
+def check_region(device, header: ResilienceHeader,
+                 repair: bool) -> FsckReport:
+    """Check (and with ``repair=True`` rebuild) the resilience metadata
+    ``header`` describes; a repaired header is rewritten in place."""
     report = FsckReport(filesystem="resilience")
-    try:
-        header = try_unpack_header(
-            device.peek_block(device.total_blocks - 1), device.total_blocks)
-    except CorruptFileSystem as exc:
-        # The geometry lives only in the header; with its CRC broken
-        # there is nothing trustworthy to rebuild from.
-        report.error("resilience header unreadable: %s" % exc)
-        return report
-    if header is None:
-        report.error("no resilience region on this image")
-        return report
-
     geo = header.geometry
     header_dirty = _check_tables(report, header, repair)
 
@@ -95,9 +53,7 @@ def fsck_resilience(device, repair: bool = False) -> FsckReport:
             bno = base + slot
             if bno in header.lost:
                 continue
-            phys = header.remap.get(bno)
-            phys = bno if phys is None else geo.spare_block(phys)
-            actual = crc32(device.peek_block(phys))
+            actual = crc32(device.peek_block(header.phys(bno)))
             if actual != stored[slot]:
                 stale += 1
                 if stale <= 3:
@@ -185,6 +141,3 @@ def _check_tables(report: FsckReport, header: ResilienceHeader,
                 header.lost.discard(logical)
                 dirty = True
     return dirty
-
-
-__all__ = ["fsck_resilience", "is_resilient", "open_logical"]

@@ -244,7 +244,7 @@ class ResilientBlockDevice(BatchedIO):
     def peek_block(self, bno: int) -> bytes:
         """Untimed read of a *logical* block (remap-resolved, unverified)."""
         self._check(bno, 1)
-        return self.inner.peek_block(self._phys(bno))
+        return self.inner.peek_block(self.header.phys(bno))
 
     def poke_block(self, bno: int, data: bytes) -> None:
         """Untimed raw write of a *logical* block.
@@ -254,7 +254,7 @@ class ResilientBlockDevice(BatchedIO):
         bypassed the checksummed write path *should* fail verification.
         """
         self._check(bno, 1)
-        self.inner.poke_block(self._phys(bno), data)
+        self.inner.poke_block(self.header.phys(bno), data)
 
     def save_image(self, path: str) -> None:
         self.inner.save_image(path)
@@ -282,7 +282,7 @@ class ResilientBlockDevice(BatchedIO):
         self._check(bno, 1)
         if bno in self.header.lost:
             return "lost-known"
-        phys = self._phys(bno)
+        phys = self.header.phys(bno)
         faulty_stats = getattr(self.inner, "stats", None)
         transients_before = (faulty_stats.transient_faults
                              if faulty_stats is not None else 0)
@@ -311,20 +311,14 @@ class ResilientBlockDevice(BatchedIO):
 
     # -- internals -------------------------------------------------------------
 
-    def _phys(self, bno: int) -> int:
-        spare = self.header.remap.get(bno)
-        if spare is None:
-            return bno
-        return self.geometry.spare_block(spare)
-
     def _segments(self, start: int, count: int
                   ) -> List[Tuple[int, int, int]]:
         """Split a logical run into physically-contiguous segments:
         ``(logical_start, physical_start, length)`` triples."""
         segs: List[Tuple[int, int, int]] = []
-        run_l, run_p, n = start, self._phys(start), 1
+        run_l, run_p, n = start, self.header.phys(start), 1
         for logical in range(start + 1, start + count):
-            phys = self._phys(logical)
+            phys = self.header.phys(logical)
             if phys == run_p + n:
                 n += 1
             else:
@@ -335,7 +329,7 @@ class ResilientBlockDevice(BatchedIO):
 
     def _read_block_retrying(self, bno: int) -> bytes:
         """Read one logical block, retrying within the read budget."""
-        phys = self._phys(bno)
+        phys = self.header.phys(bno)
         last: Optional[MediaReadError] = None
         for attempt in range(MAX_READ_RETRIES):
             if attempt:
@@ -364,7 +358,7 @@ class ResilientBlockDevice(BatchedIO):
             return data
         for _ in range(VERIFY_RETRIES):
             try:
-                data = self.inner.read_extent(self._phys(bno), 1)[0]
+                data = self.inner.read_extent(self.header.phys(bno), 1)[0]
             except MediaReadError:
                 continue
             if crc32(data) == self._crc[bno]:
@@ -394,7 +388,7 @@ class ResilientBlockDevice(BatchedIO):
         for i, data in enumerate(seg):
             logical = lstart + i
             try:
-                self.inner.write_extent(self._phys(logical), [data])
+                self.inner.write_extent(self.header.phys(logical), [data])
             except MediaWriteError:
                 if not self._try_remap(logical, data):
                     self.health.transition(
@@ -520,25 +514,19 @@ class LogicalView:
         self.header = header
         self.total_blocks = header.geometry.usable_blocks
 
-    def _phys(self, bno: int) -> int:
-        spare = self.header.remap.get(bno)
-        if spare is None:
-            return bno
-        return self.header.geometry.spare_block(spare)
+    def _check(self, bno: int) -> None:
+        if not 0 <= bno < self.total_blocks:
+            raise AddressError(
+                "blocks [%d, %d) outside device of %d blocks"
+                % (bno, bno + 1, self.total_blocks))
 
     def peek_block(self, bno: int) -> bytes:
-        if not 0 <= bno < self.total_blocks:
-            raise AddressError(
-                "blocks [%d, %d) outside device of %d blocks"
-                % (bno, bno + 1, self.total_blocks))
-        return self.base.peek_block(self._phys(bno))
+        self._check(bno)
+        return self.base.peek_block(self.header.phys(bno))
 
     def poke_block(self, bno: int, data: bytes) -> None:
-        if not 0 <= bno < self.total_blocks:
-            raise AddressError(
-                "blocks [%d, %d) outside device of %d blocks"
-                % (bno, bno + 1, self.total_blocks))
-        self.base.poke_block(self._phys(bno), data)
+        self._check(bno)
+        self.base.poke_block(self.header.phys(bno), data)
         sidecar_block, offset = self.header.geometry.crc_location(bno)
         raw = bytearray(self.base.peek_block(sidecar_block))
         struct.pack_into("<I", raw, offset, crc32(data))

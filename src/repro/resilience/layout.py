@@ -106,6 +106,12 @@ class ResilienceHeader:
     remap: Dict[int, int] = field(default_factory=dict)   # logical -> spare idx
     lost: Set[int] = field(default_factory=set)           # logical blocks
 
+    def phys(self, bno: int) -> int:
+        """The physical block holding logical block ``bno``: its spare
+        when remapped, else its home location."""
+        spare = self.remap.get(bno)
+        return bno if spare is None else self.geometry.spare_block(spare)
+
     def pack(self) -> bytes:
         geo = self.geometry
         body = bytearray(_HEADER.pack(

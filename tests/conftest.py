@@ -13,11 +13,14 @@ import pytest
 
 from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
+from repro.cluster import Cluster
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.core.layout import GDESC_SIZE, pack_gdesc
 from repro.disk.profiles import DriveProfile
+from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import HARD, TORN, TRANSIENT, FaultDecision, FaultSchedule
 from repro.ffs.filesystem import FFS, FFSConfig
+from repro.fsck import check_image, mount_image
 from repro.lint import lint_modules, load_source
 
 TEST_PROFILE = DriveProfile(
@@ -102,6 +105,54 @@ def lint_sources(sources, rule_ids=None):
     exactly as ``repro lint`` derives them from files."""
     return lint_modules([load_source(text, path)
                          for path, text in sorted(sources.items())], rule_ids)
+
+
+def sharded_pair():
+    """Two CFFS shards on journaling fault proxies, under one cluster;
+    returns the cluster and the two proxies."""
+    filesystems = []
+    devices = []
+    for _ in range(2):
+        device = FaultyBlockDevice(BlockDevice(TEST_PROFILE),
+                                   record_journal=True)
+        config = CFFSConfig(blocks_per_cg=512, cache_blocks=512,
+                            policy=MetadataPolicy.SYNC_METADATA)
+        filesystems.append(CFFS.mkfs(device, config))
+        devices.append(device)
+    return Cluster(filesystems=filesystems, router="util"), devices
+
+
+def crash_sweep(devices, action):
+    """Run ``action``, recording the global order of the media writes
+    it makes on ``devices`` (journaling fault proxies, one per shard).
+
+    Returns that order (the shard index of each write) and an iterator
+    of ``(k, shards)`` for every prefix length ``k``: the shards as a
+    power cut after the k-th write leaves them, each image repaired,
+    re-checked (asserted pristine) and mounted."""
+    base = [len(dev.journal) for dev in devices]
+    order = []
+    for sid, dev in enumerate(devices):
+        dev.on_media_write = lambda bno, data, sid=sid: order.append(sid)
+    action()
+    for dev in devices:
+        dev.on_media_write = None
+    assert order, "the action wrote nothing"
+
+    def points():
+        for k in range(len(order) + 1):
+            shards = []
+            for sid, dev in enumerate(devices):
+                image = dev.image_at(base[sid] + order[:k].count(sid))
+                check_image(image, repair=True)
+                report = check_image(image)
+                assert report.pristine, (
+                    "crash point %d/%d: shard %d unrepairable: %s"
+                    % (k, len(order), sid, report.render()))
+                shards.append(mount_image(image))
+            yield k, shards
+
+    return order, points()
 
 
 def make_device(profile: DriveProfile = TEST_PROFILE) -> BlockDevice:

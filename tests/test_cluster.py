@@ -23,8 +23,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blockdev.device import BlockDevice
-from repro.cache.policy import MetadataPolicy
 from repro.cluster import (
     ADOPT,
     EVAC,
@@ -41,11 +39,8 @@ from repro.cluster import (
     run_cluster_traffic,
     split_top,
 )
-from repro.core.filesystem import CFFS, CFFSConfig
 from repro.errors import InvalidArgument
-from repro.faults.proxy import FaultyBlockDevice
-from repro.fsck import fsck_cffs
-from tests.conftest import TEST_PROFILE
+from tests.conftest import crash_sweep, sharded_pair
 
 SMALL = dict(clients=48, ops_per_client=3, dirs=16, file_size=4096)
 
@@ -350,24 +345,9 @@ class TestClusterAcceptance:
 # -- crash-point sweep over the cross-shard rename -------------------------------
 
 
-def _sharded_pair():
-    """Two CFFS shards on journaling fault proxies, under one cluster."""
-    filesystems = []
-    devices = []
-    for _ in range(2):
-        device = FaultyBlockDevice(BlockDevice(TEST_PROFILE),
-                                   record_journal=True)
-        config = CFFSConfig(blocks_per_cg=512, cache_blocks=512,
-                            policy=MetadataPolicy.SYNC_METADATA)
-        filesystems.append(CFFS.mkfs(device, config))
-        devices.append(device)
-    cluster = Cluster(filesystems=filesystems, router="util")
-    return cluster, devices
-
-
 class TestCrossShardRenameCrashSweep:
     def test_every_media_write_boundary_recovers_to_exactly_one_copy(self):
-        cluster, devices = _sharded_pair()
+        cluster, devices = sharded_pair()
         fs = cluster.fs
         payload = b"exactly-once" * 700   # spans multiple blocks
         fs.mkdir("/src")
@@ -377,32 +357,13 @@ class TestCrossShardRenameCrashSweep:
         assert cluster.router.assignments["src"] != \
             cluster.router.assignments["dst"]
 
-        # Record the *global* interleaved media-write order from here on.
-        base = [len(dev.journal) for dev in devices]
-        order = []
-        for sid, dev in enumerate(devices):
-            dev.on_media_write = (
-                lambda bno, data, sid=sid: order.append(sid))
+        def rename():
+            fs.rename("/src/f", "/dst/f")
+            fs.sync()
 
-        fs.rename("/src/f", "/dst/f")
-        fs.sync()
-        for dev in devices:
-            dev.on_media_write = None
-        assert len(order) > 0
-
+        order, points = crash_sweep(devices, rename)
         outcomes = set()
-        for k in range(len(order) + 1):
-            prefix = order[:k]
-            images = [dev.image_at(base[sid] + prefix.count(sid))
-                      for sid, dev in enumerate(devices)]
-            mounted = []
-            for image in images:
-                fsck_cffs(image, repair=True)
-                report = fsck_cffs(image)
-                assert report.pristine, (
-                    "crash point %d unrepairable: %s"
-                    % (k, "; ".join(report.errors + report.repairs)))
-                mounted.append(CFFS.mount(image))
+        for k, mounted in points:
             recovered = Cluster(filesystems=mounted, router="util")
             for _, action in recovered.recover():
                 outcomes.add(action)
@@ -423,7 +384,7 @@ class TestCrossShardRenameCrashSweep:
         assert "rolled_forward" in outcomes
 
     def test_recovery_discards_garbled_intents_without_touching_files(self):
-        cluster, _ = _sharded_pair()
+        cluster, _ = sharded_pair()
         fs = cluster.fs
         fs.mkdir("/src")
         fs.write_file("/src/f", b"safe")

@@ -27,8 +27,6 @@ import json
 
 import pytest
 
-from repro.blockdev.device import BlockDevice
-from repro.cache.policy import MetadataPolicy
 from repro.cluster import (
     ChaosConfig,
     Cluster,
@@ -54,7 +52,6 @@ from repro.cluster.health import (
     OP_BACKOFF,
 )
 from repro.cluster.traffic import build_client_ops
-from repro.core.filesystem import CFFS, CFFSConfig
 from repro.errors import (
     DeviceDegraded,
     FileNotFound,
@@ -65,10 +62,8 @@ from repro.errors import (
     ReadOnlyFileSystem,
     TransientDiskError,
 )
-from repro.faults.proxy import FaultyBlockDevice
-from repro.fsck import fsck_cffs
 from repro.obs.metrics import MetricsRegistry
-from tests.conftest import TEST_PROFILE, PinnedFaults
+from tests.conftest import PinnedFaults, crash_sweep, sharded_pair
 
 CHAOS_SMALL = dict(clients=80, ops_per_client=3, dirs=24, file_size=8192)
 
@@ -565,24 +560,9 @@ class TestEvacuation:
 # -- evacuation crash-point sweep ------------------------------------------------
 
 
-def _sharded_pair():
-    """Two CFFS shards on journaling fault proxies, under one cluster."""
-    filesystems = []
-    devices = []
-    for _ in range(2):
-        device = FaultyBlockDevice(BlockDevice(TEST_PROFILE),
-                                   record_journal=True)
-        config = CFFSConfig(blocks_per_cg=512, cache_blocks=512,
-                            policy=MetadataPolicy.SYNC_METADATA)
-        filesystems.append(CFFS.mkfs(device, config))
-        devices.append(device)
-    cluster = Cluster(filesystems=filesystems, router="util")
-    return cluster, devices
-
-
 class TestEvacuationCrashSweep:
     def test_every_media_write_boundary_keeps_exactly_one_copy(self):
-        cluster, devices = _sharded_pair()
+        cluster, devices = sharded_pair()
         fs = cluster.fs
         payloads = {"/a/one": b"survivor" * 600, "/a/two": b"also" * 250}
         fs.mkdir("/a")
@@ -591,35 +571,18 @@ class TestEvacuationCrashSweep:
         fs.sync()
         assert cluster.router.assignments["a"] == 0
 
-        base = [len(dev.journal) for dev in devices]
-        order = []
-        for sid, dev in enumerate(devices):
-            dev.on_media_write = (
-                lambda bno, data, sid=sid: order.append(sid))
+        def evacuate():
+            cluster.health.mark(0, HealthState.READ_ONLY, "demoted")
+            evacuate_shard(cluster, 0)
+            fs.sync()
 
-        cluster.health.mark(0, HealthState.READ_ONLY, "demoted")
-        evacuate_shard(cluster, 0)
-        fs.sync()
-        for dev in devices:
-            dev.on_media_write = None
-        assert len(order) > 0
+        order, points = crash_sweep(devices, evacuate)
         # Every copy and record lands on the destination; the source
         # sees at most metadata touches from its read path.
         assert 1 in set(order)
 
         outcomes = set()
-        for k in range(len(order) + 1):
-            prefix = order[:k]
-            images = [dev.image_at(base[sid] + prefix.count(sid))
-                      for sid, dev in enumerate(devices)]
-            mounted = []
-            for image in images:
-                fsck_cffs(image, repair=True)
-                report = fsck_cffs(image)
-                assert report.pristine, (
-                    "crash point %d unrepairable: %s"
-                    % (k, "; ".join(report.errors + report.repairs)))
-                mounted.append(CFFS.mount(image))
+        for k, mounted in points:
             recovered = Cluster(filesystems=mounted, router="util")
             for _, action in recovered.recover():
                 outcomes.add(action)

@@ -19,7 +19,7 @@ from repro.disk.profiles import SEAGATE_ST31200
 from repro.errors import JournalCorrupt, ReplayError
 from repro.faults.harness import FAULTSIM_PROFILE
 from repro.ffs.filesystem import FFS, FFSConfig
-from repro.fsck import fsck_cffs, timed_fsck
+from repro.fsck import check_image, fsck_cffs, mount_image, timed_fsck
 from repro.journal import (
     SoftDepTracker,
     attach_pipeline,
@@ -350,14 +350,40 @@ class TestCrashImageReplay:
 
     def test_replayed_image_checks_clean_and_remounts(self):
         image, start, nblocks, checkpoints, k = crash_after_last_log_write()
-        report = fsck_cffs(image, repair=True)
-        assert fsck_cffs(image).pristine, report.render()
-        fs = CFFS.mount(image)
+        report = check_image(image, repair=True)
+        assert check_image(image).pristine, report.render()
+        fs = mount_image(image)
         durable = [c for c in checkpoints if c.journal_len <= k][-1]
         final = checkpoints[-1].files
         for path, body in durable.files.items():
             if final.get(path) == body:
                 assert fs.read_file(path) == body
+
+    def test_journal_command_shows_the_pending_log_of_a_resilient_crash_image(
+            self, tmp_path, capsys):
+        """``repro journal`` reads the log as the crash left it: a mount
+        would replay it first, and on a resilient image would refuse the
+        blocks whose sidecar the crash left stale."""
+        from repro.cli import main
+        from repro.faults.proxy import FaultyBlockDevice
+        from repro.resilience import ResilientBlockDevice
+
+        device = FaultyBlockDevice(BlockDevice(SEAGATE_ST31200),
+                                   record_journal=True)
+        fs = CFFS.mkfs(ResilientBlockDevice.format(device), CFFSConfig(
+            policy=MetadataPolicy.JOURNAL_METADATA))
+        fs.write_file("/f", b"x" * 3000)
+        fs.sync()
+        sb = clayout.unpack_superblock(device.peek_block(0))
+        start, nblocks = sb["journal_start"], sb["journal_blocks"]
+        k = 1 + max(i for i, (bno, _) in enumerate(device.journal)
+                    if start < bno < start + nblocks)
+        path = str(tmp_path / "crash.img")
+        device.image_at(k).save_image(path)
+        capsys.readouterr()
+        assert main(["journal", path]) == 0
+        out = capsys.readouterr().out
+        assert "log: 1 transaction(s)" in out and "committed" in out, out
 
 
 class TestFastRemount:

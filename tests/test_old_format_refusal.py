@@ -18,7 +18,7 @@ from repro.core import layout as clayout
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.errors import CorruptFileSystem, JournalCorrupt
 from repro.faults.harness import FAULTSIM_PROFILE
-from repro.fsck import fsck_cffs, fsck_resilience
+from repro.fsck import check_image, fsck_cffs
 from repro.journal import replay_journal
 from repro.resilience import ResilientBlockDevice
 
@@ -93,7 +93,7 @@ class TestResilienceV1:
             ResilientBlockDevice.attach(self.image())
 
     def test_fsck_reports_it(self):
-        report = fsck_resilience(self.image(), repair=True)
+        report = check_image(self.image(), repair=True).resilience
         assert not report.ok and not report.fixed
         assert any("version 1 unsupported" in line for line in report.errors)
 

@@ -22,7 +22,7 @@ from repro.errors import (
     ReadOnlyFileSystem,
 )
 from repro.faults import FaultSchedule, FaultyBlockDevice
-from repro.fsck import fsck_resilience, is_resilient, open_logical
+from repro.fsck import check_image
 from repro.resilience import (
     CRCS_PER_BLOCK,
     HealthMonitor,
@@ -378,13 +378,12 @@ class TestFsckResilience:
         dev = resilient()
         dev.write_block(5, block(5))
         dev.flush()
-        assert is_resilient(dev.inner)
-        report = fsck_resilience(dev.inner)
+        report = check_image(dev.inner).resilience
+        assert report is not None
         assert report.pristine, report.render()
 
     def test_bare_image_is_not_resilient(self):
-        assert not is_resilient(BlockDevice(TEST_PROFILE))
-        assert open_logical(BlockDevice(TEST_PROFILE)) is None
+        assert check_image(BlockDevice(TEST_PROFILE)).resilience is None
 
     def test_stale_sidecar_detected_and_rebuilt(self):
         dev = resilient()
@@ -392,11 +391,11 @@ class TestFsckResilience:
         dev.flush()
         # Crash-stale sidecar: the data changed after the last flush.
         dev.inner.poke_block(5, block(6))
-        report = fsck_resilience(dev.inner)
+        report = check_image(dev.inner).resilience
         assert report.ok and not report.pristine   # rebuildable, not fatal
-        repaired = fsck_resilience(dev.inner, repair=True)
+        repaired = check_image(dev.inner, repair=True).resilience
         assert repaired.fixed
-        assert fsck_resilience(dev.inner).pristine
+        assert check_image(dev.inner).resilience.pristine
         again = ResilientBlockDevice.attach(dev.inner)
         assert again.read_block(5) == block(6)
 
@@ -409,9 +408,9 @@ class TestFsckResilience:
         dev.header.spares_used = 0
         dev.inner.poke_block(dev.geometry.header_block, dev.header.pack())
         dev.inner.poke_block(dev.geometry.spare_block(1), block(5))
-        report = fsck_resilience(dev.inner, repair=True)
+        report = check_image(dev.inner, repair=True).resilience
         assert report.fixed
-        assert fsck_resilience(dev.inner).ok
+        assert check_image(dev.inner).resilience.ok
 
     def test_logical_view_poke_maintains_sidecar(self):
         dev = resilient()
@@ -419,7 +418,7 @@ class TestFsckResilience:
         dev.flush()
         view = LogicalView(dev.inner, dev.header)
         view.poke_block(5, block(9))    # the fsck repair channel
-        assert fsck_resilience(dev.inner).pristine
+        assert check_image(dev.inner).resilience.pristine
         assert ResilientBlockDevice.attach(dev.inner).read_block(5) == block(9)
 
 

@@ -484,7 +484,7 @@ class Subjects:
         if not things and isinstance(callee, ast.Name) and func is not None:
             # A local bound to a method (``alloc_block =
             # self.alloc.alloc_block``), or to a function value taken
-            # out of a table (``check = checker_for(magic)``): then any
+            # out of a table (``check = _BY_KEY.get(magic)[0]``): then any
             # function used as a value may run, and keywords are all the
             # call can pass it.
             bound = [node.value for node in ast.walk(func)
