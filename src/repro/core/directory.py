@@ -194,40 +194,51 @@ def _write_entry(
 
 
 def remove_entry(block: bytearray, name: str) -> Optional[Tuple[int, int]]:
-    """Remove ``name``; returns (its sector, the insertion the record
-    that took its space now accepts), or None if absent.
+    """Remove ``name`` from whichever sector holds it; returns (its
+    sector, the insertion the record that took its space now accepts),
+    or None if absent."""
+    for sector in range(SECTORS_PER_DIR_BLOCK):
+        freed = remove_from_sector(block, sector, name)
+        if freed is not None:
+            return sector, freed
+    return None
+
+
+def remove_from_sector(block: bytearray, sector: int, name: str) -> Optional[int]:
+    """Remove ``name`` from one sector; returns the insertion the record
+    that took its space now accepts, or None (sector untouched) if the
+    sector does not hold it.
 
     Only that one record's room changed, so the sector's largest
-    insertion is the larger of what it was and the second result."""
+    insertion is the larger of what it was and the result."""
     encoded = name.encode("utf-8")
     n = len(encoded)
     # A stored name that is not UTF-8 reads back with U+FFFD in it, so
     # only a name containing one can match other bytes than its own.
     lossy = "\ufffd" in name
-    for sector in range(SECTORS_PER_DIR_BLOCK):
-        prev = None
-        for record in _headers(block, sector):
-            offset, reclen, namelen, etype, _ = record
-            name_off = offset + DENT_HEADER_SIZE
-            if etype != ET_FREE and (
-                (namelen == n and block.startswith(encoded, name_off))
-                or (lossy and str(block[name_off:name_off + namelen],
-                                  "utf-8", "replace") == name)
-            ):
-                if prev is None:
-                    _DENT_HEADER.pack_into(block, offset, reclen, 0, ET_FREE, 0)
-                    # Scrub the payload so stale inodes never look live.
-                    block[name_off:offset + reclen] = bytes(reclen - DENT_HEADER_SIZE)
-                    return sector, reclen
-                p_offset, p_reclen, p_namelen, p_etype, p_kind = prev
-                p_reclen += reclen
-                _DENT_HEADER.pack_into(
-                    block, p_offset, p_reclen, p_namelen, p_etype, p_kind)
-                block[offset:offset + reclen] = bytes(reclen)
-                if p_etype != ET_FREE:
-                    p_reclen -= dent_size(p_namelen, p_etype)
-                return sector, p_reclen
-            prev = record
+    prev = None
+    for record in _headers(block, sector):
+        offset, reclen, namelen, etype, _ = record
+        name_off = offset + DENT_HEADER_SIZE
+        if etype != ET_FREE and (
+            (namelen == n and block.startswith(encoded, name_off))
+            or (lossy and str(block[name_off:name_off + namelen],
+                              "utf-8", "replace") == name)
+        ):
+            if prev is None:
+                _DENT_HEADER.pack_into(block, offset, reclen, 0, ET_FREE, 0)
+                # Scrub the payload so stale inodes never look live.
+                block[name_off:offset + reclen] = bytes(reclen - DENT_HEADER_SIZE)
+                return reclen
+            p_offset, p_reclen, p_namelen, p_etype, p_kind = prev
+            p_reclen += reclen
+            _DENT_HEADER.pack_into(
+                block, p_offset, p_reclen, p_namelen, p_etype, p_kind)
+            block[offset:offset + reclen] = bytes(reclen)
+            if p_etype != ET_FREE:
+                p_reclen -= dent_size(p_namelen, p_etype)
+            return p_reclen
+        prev = record
     return None
 
 

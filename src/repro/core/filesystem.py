@@ -631,22 +631,21 @@ class CFFS(BlockFileSystem):
         self._istore(dirh, sync_op=False)
         return blk, bno, entry_off, payload_off
 
-    def _dir_remove(self, dirh: CNode, name: str) -> int:
-        """Remove an entry from the cached block; returns the block's bno.
+    def _dir_remove(self, dirh: CNode, name: str, info: tuple) -> int:
+        """Remove ``name``, whose index entry is ``info``, from the
+        cached block; returns the block's bno.
 
-        The caller performs the policy write."""
-        info = self._find_entry(dirh, name)
+        Only the sector the entry's offset names is walked.  The caller
+        performs the policy write."""
         index = self._index_for(dirh)
-        if info is None:
-            raise FileNotFound("no entry %r" % name)
-        _etype, _kind, blk, _entry_off, _payload_off, _ident = info
+        _etype, _kind, blk, entry_off, _payload_off, _ident = info
         bno = self._dir_block_bno(dirh, blk)
         buf = self.cache.get(bno, logical=(dirh.fileid, blk))
-        # reprolint: disable=J001 -- remove_entry mutates only when it returns (sector, freed); the None path raises over an untouched block, and the caller performs the policy write
-        removed = dirfmt.remove_entry(buf.data, name)
-        if removed is None:
+        sector = entry_off // layout.SECTOR_SIZE
+        # reprolint: disable=J001 -- remove_from_sector mutates only when it returns the freed room; the None path raises over an untouched sector, and the caller performs the policy write
+        freed = dirfmt.remove_from_sector(buf.data, sector, name)
+        if freed is None:
             raise CorruptFileSystem("index and block disagree on %r" % name)
-        sector, freed = removed
         # A removal grows one record and shrinks none.
         slot = (blk, sector)
         index.set_free(slot, max(index.free[slot], freed))
@@ -661,7 +660,7 @@ class CFFS(BlockFileSystem):
         assert self._root is not None
         return self._root
 
-    def _lookup(self, dirh: CNode, name: str) -> CNode:
+    def _lookup(self, dirh: CNode, name: str) -> Optional[CNode]:
         # enabled() guards keep the disabled-observability hot path free
         # of the span call's keyword-dict allocation (here and below).
         if obs.enabled():
@@ -670,10 +669,25 @@ class CFFS(BlockFileSystem):
                 return self._lookup_entry(dirh, name)
         return self._lookup_entry(dirh, name)
 
-    def _lookup_entry(self, dirh: CNode, name: str) -> CNode:
-        info = self._find_entry(dirh, name)
-        if info is None:
-            raise FileNotFound("no entry %r in directory %d" % (name, dirh.fileid))
+    def _lookup_entry(self, dirh: CNode, name: str) -> Optional[CNode]:
+        # A warm index answers in one probe; only a cold one is scanned.
+        index = self._dir_index.get(dirh.fileid)
+        info = index.names.get(name) if index is not None else None
+        if info is None and (index is None or not index.complete):
+            info = self._find_entry(dirh, name)
+        return self._node_at(dirh, info) if info is not None else None
+
+    def _named_node(self, dirh: CNode, name: str, info: tuple) -> CNode:
+        """The node of ``name``, whose index entry is ``info``: what a
+        lookup of ``name`` returns, under the span a lookup opens."""
+        if obs.enabled():
+            with obs.span("fs", "lookup", name=name,
+                          embedded=self.config.embedded_inodes):
+                return self._node_at(dirh, info)
+        return self._node_at(dirh, info)
+
+    def _node_at(self, dirh: CNode, info: tuple) -> CNode:
+        """The node an index entry of ``dirh`` names."""
         etype, _kind, blk, entry_off, payload_off, ident = info
         if etype == dirfmt.ET_EMBEDDED:
             node = self._icache.get(ident)
@@ -756,8 +770,8 @@ class CFFS(BlockFileSystem):
         if kind == dirfmt.DK_DIR:
             raise IsADirectory("%r is a directory (use rmdir)" % name)
         if etype == dirfmt.ET_EMBEDDED:
-            node = self._lookup(dirh, name)
-            bno = self._dir_remove(dirh, name)
+            node = self._named_node(dirh, name, info)
+            bno = self._dir_remove(dirh, name, info)
             # Name + inode (and with it every block pointer) vanish
             # atomically; freed blocks stay quarantined until the
             # removal is on disk.
@@ -767,7 +781,7 @@ class CFFS(BlockFileSystem):
             self._icache.pop(node.fileid, None)
         else:
             node = self._ext_cache_get(ident)
-            bno = self._dir_remove(dirh, name)
+            bno = self._dir_remove(dirh, name, info)
             rm_token = self._meta_write(bno)  # name removal first
             node.nlink -= 1
             self.ext.store(ident, node, sync=True,  # dropped link count
@@ -787,11 +801,11 @@ class CFFS(BlockFileSystem):
             raise FileNotFound("no entry %r" % name)
         if info[1] != dirfmt.DK_DIR:
             raise NotADirectory("%r is not a directory" % name)
-        victim = self._lookup(dirh, name)
+        victim = self._named_node(dirh, name, info)
         victim_index = self._complete_index(victim)
         if victim_index.names:
             raise DirectoryNotEmpty("%r is not empty" % name)
-        bno = self._dir_remove(dirh, name)
+        bno = self._dir_remove(dirh, name, info)
         rm_token = self._meta_write(bno)
         freed = self._release_all_blocks(victim)
         self._gate_freed_blocks(freed, rm_token)
@@ -844,7 +858,7 @@ class CFFS(BlockFileSystem):
         if info is None:
             raise FileNotFound("no entry %r" % old)
         etype, kind, _blk, _eo, _po, ident = info
-        node = self._lookup(src_dir, old)
+        node = self._named_node(src_dir, old, info)
         dst_index = self._complete_index(dst_dir)
         existing = dst_index.names.get(new)
         if existing is not None:
@@ -866,7 +880,7 @@ class CFFS(BlockFileSystem):
         if etype == dirfmt.ET_EMBEDDED:
             node.loc = (LOC_DIR, dst_dir, blk, entry_off, payload_off)
             node.home_cg = dst_dir.home_cg
-        src_bno = self._dir_remove(src_dir, old)
+        src_bno = self._dir_remove(src_dir, old, info)
         self._meta_write(src_bno, requires=(add_token,))
         if node.is_dir:
             self._dir_index.pop(node.fileid, None)

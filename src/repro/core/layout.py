@@ -257,5 +257,6 @@ def _pad(n: int) -> int:
 
 
 def max_name_for_sector() -> int:
-    """Longest name an embedded entry can carry within one sector."""
-    return SECTOR_SIZE - DENT_HEADER_SIZE - CINODE_SIZE
+    """Longest name an embedded entry can carry: what fits in one sector
+    beside its inode, and what the header's one-byte ``namelen`` holds."""
+    return min(SECTOR_SIZE - DENT_HEADER_SIZE - CINODE_SIZE, 0xFF)

@@ -329,10 +329,6 @@ class BlockFileSystem(FileSystem):
         thread soft-updates ordering tokens (see :meth:`_meta_write`)."""
 
     @abc.abstractmethod
-    def _file_id(self, handle: Handle) -> int:
-        """Stable identity used for the cache's logical index."""
-
-    @abc.abstractmethod
     def _metadata_block_of(self, handle: Handle) -> int:
         """The disk block holding the handle's on-disk inode (used by
         fsync to force it out even under delayed-metadata policy)."""
@@ -576,40 +572,35 @@ class BlockFileSystem(FileSystem):
             return 0
         fid = self._file_id(handle)
         end = offset + len(data)
-        first = offset // BLOCK_SIZE
-        last = (end - 1) // BLOCK_SIZE
+        size = handle.size
 
-        def cover(idx: int):
+        # Pass 1: what the write covers of each block, and a fetch of
+        # the existing partially-covered ones (group-aware, batched)
+        # before any allocation happens — allocation may migrate a
+        # growing file's blocks, so block numbers are only final in
+        # pass 2.
+        covers = []
+        rmw = []
+        for idx in range(offset // BLOCK_SIZE, (end - 1) // BLOCK_SIZE + 1):
             block_lo = idx * BLOCK_SIZE
-            lo = max(offset, block_lo) - block_lo
-            hi = min(end, block_lo + BLOCK_SIZE) - block_lo
+            lo = offset - block_lo if offset > block_lo else 0
+            hi = end - block_lo if end < block_lo + BLOCK_SIZE else BLOCK_SIZE
             # No read-modify-write when the write covers the whole block
             # or everything from its start through (at least) EOF --
             # bytes past EOF are undefined and read back as zeros anyway.
-            covers_to_eof = lo == 0 and block_lo + hi >= handle.size
-            full = (lo == 0 and hi == BLOCK_SIZE) or covers_to_eof
-            return lo, hi, full
-
-        # Pass 1: fetch existing partially-covered blocks (group-aware,
-        # batched) before any allocation happens — allocation may migrate
-        # a growing file's blocks, so block numbers are only final in
-        # pass 2.
-        rmw = []
-        for idx in range(first, last + 1):
-            _lo, _hi, full = cover(idx)
-            if full:
-                continue
-            bno = mapping.bmap_lookup(self.cache, handle, idx)
-            if bno:
-                rmw.append((idx, bno))
+            full = lo == 0 and (hi == BLOCK_SIZE or block_lo + hi >= size)
+            covers.append((idx, lo, hi, full))
+            if not full:
+                bno = mapping.bmap_lookup(self.cache, handle, idx)
+                if bno:
+                    rmw.append((idx, bno))
         if rmw:
             self._fetch_data_blocks(handle, rmw)
 
         # Pass 2: allocate and write block by block.
         created = 0
         pos = 0
-        for idx in range(first, last + 1):
-            lo, hi, full = cover(idx)
+        for idx, lo, hi, full in covers:
             bno, was_created = mapping.bmap_ensure(
                 self.cache, handle, idx,
                 alloc_data=lambda i=idx: self._alloc_data_block(handle, i),

@@ -18,7 +18,7 @@ Section 4 quantifies exactly that difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro import obs
 from repro.errors import (
@@ -199,13 +199,11 @@ class FFS(BlockFileSystem):
         self._istore(dirh)
         return token
 
-    def _dir_remove_entry(self, dirh: Inode, name: str,
-                          requires: Tuple = ()) -> Tuple[int, int, OrderToken]:
-        entry = self._find_entry(dirh, name)
+    def _dir_remove_entry(self, dirh: Inode, name: str, entry: tuple,
+                          requires: Tuple = ()) -> OrderToken:
+        """Remove ``name``, whose index entry is ``entry``."""
         index = self._index_for(dirh)
-        if entry is None:
-            raise FileNotFound("no entry %r" % name)
-        inum, kind, blk = entry
+        inum, _kind, blk = entry
         bno = self._dir_block_bno(dirh, blk)
         buf = self.cache.get(bno, logical=(dirh.inum, blk))
         removed = dirfmt.remove_entry(buf.data, name)
@@ -222,24 +220,26 @@ class FFS(BlockFileSystem):
         index.set_free(blk, max(index.free[blk], removed[1]))
         dirh.mtime = self.device.clock.now
         self._istore(dirh)
-        return inum, kind, token
+        return token
 
     # ------------------------------------------------------------------ VFS internals
 
     def _root_handle(self) -> Inode:
         return self._iget(ROOT_INUM)
 
-    def _lookup(self, dirh: Inode, name: str) -> Inode:
+    def _lookup(self, dirh: Inode, name: str) -> Optional[Inode]:
         if obs.enabled():
             with obs.span("fs", "lookup", name=name, embedded=False):
                 return self._lookup_entry(dirh, name)
         return self._lookup_entry(dirh, name)
 
-    def _lookup_entry(self, dirh: Inode, name: str) -> Inode:
-        entry = self._find_entry(dirh, name)
-        if entry is None:
-            raise FileNotFound("no entry %r in directory %d" % (name, dirh.inum))
-        return self._iget(entry[0])
+    def _lookup_entry(self, dirh: Inode, name: str) -> Optional[Inode]:
+        # A warm index answers in one probe; only a cold one is scanned.
+        index = self._dir_index.get(dirh.inum)
+        entry = index.names.get(name) if index is not None else None
+        if entry is None and (index is None or not index.complete):
+            entry = self._find_entry(dirh, name)
+        return self._iget(entry[0]) if entry is not None else None
 
     def _create_file(self, dirh: Inode, name: str) -> Inode:
         if obs.enabled():
@@ -277,8 +277,8 @@ class FFS(BlockFileSystem):
             raise FileNotFound("no entry %r" % name)
         if entry[1] == layout.DT_DIR:
             raise IsADirectory("%r is a directory (use rmdir)" % name)
-        inum, _, rm_token = self._dir_remove_entry(dirh, name)  # name removal first
-        inode = self._iget(inum)
+        rm_token = self._dir_remove_entry(dirh, name, entry)  # name removal first
+        inode = self._iget(entry[0])
         inode.nlink -= 1
         self._istore(inode, sync_op=True,             # dropped link count
                      requires=(rm_token,))
@@ -307,7 +307,7 @@ class FFS(BlockFileSystem):
         victim_index = self._complete_index(victim)
         if victim_index.names:
             raise DirectoryNotEmpty("%r is not empty" % name)
-        _, _, rm_token = self._dir_remove_entry(dirh, name)
+        rm_token = self._dir_remove_entry(dirh, name, entry)
         self._reclaim(victim, rm_token)
         self._dir_index.pop(victim.inum, None)
 
@@ -337,7 +337,7 @@ class FFS(BlockFileSystem):
         # New name first, then old-name removal: a crash leaves the file
         # reachable (possibly under both names), never lost.
         add_token = self._dir_add_entry(dst_dir, new, inum, kind)
-        self._dir_remove_entry(src_dir, old, requires=(add_token,))
+        self._dir_remove_entry(src_dir, old, entry, requires=(add_token,))
 
     # ------------------------------------------------------------------ introspection
 

@@ -28,9 +28,9 @@ arguments to internal helpers, ``AssertionError``, ``KeyError``,
 failure, and remain allowed — the same split the kernel draws between
 ``BUG_ON`` and error returns.
 
-Mutation row (``tests/test_lint_mutations.py``): ``FileSystem._open``'s
+Mutation row (``tests/test_lint_mutations.py``): ``FileSystem.exists``'s
 ``except FileNotFound`` widened to a bare ``except``, which would turn
-a power loss during the lookup into a create.
+a power loss during the stat into a missing file.
 """
 
 from __future__ import annotations

@@ -7,14 +7,13 @@ interchangeable everywhere.
 """
 
 from repro.vfs.stat import FileKind, StatResult
-from repro.vfs.path import basename_of, normalize, split_path
+from repro.vfs.path import basename_of, split_path
 from repro.vfs.interface import FileSystem
 from repro.vfs.fdtable import FdTable, OpenFile
 
 __all__ = [
     "FileKind",
     "StatResult",
-    "normalize",
     "split_path",
     "basename_of",
     "FileSystem",

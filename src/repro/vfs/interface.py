@@ -9,7 +9,7 @@ per-format work to a small set of internal inode operations.
 from __future__ import annotations
 
 import abc
-from typing import Any, List
+from typing import Any, List, Optional
 
 from repro import obs
 from repro.clock import CpuModel
@@ -24,7 +24,7 @@ from repro.vfs.fdtable import FdTable, OpenFile
 from repro.vfs.path import basename_of, split_path
 from repro.vfs.stat import FileKind, StatResult
 
-Handle = Any  # per-implementation in-memory inode object
+Handle = Any  # per-implementation in-memory inode object, with ``is_dir``
 
 
 class FileSystem(abc.ABC):
@@ -127,13 +127,12 @@ class FileSystem(abc.ABC):
         self.cpu.charge_syscall()
         parents, name = basename_of(path)
         dirh = self._walk(parents)
-        try:
-            handle = self._lookup(dirh, name)
-        except FileNotFound:
+        handle = self._lookup(dirh, name)
+        if handle is None:
             if not create:
-                raise
+                raise self._not_found(dirh, name)
             handle = self._create_file(dirh, name)
-        if self._kind_of(handle) is FileKind.DIRECTORY:
+        if handle.is_dir:
             raise IsADirectory("cannot open a directory for file I/O: %r" % path)
         return self.fds.allocate(OpenFile(handle, path))
 
@@ -308,7 +307,7 @@ class FileSystem(abc.ABC):
 
         self.cpu.charge_syscall()
         handle = self._resolve(path)
-        fid = self._file_id(handle)  # type: ignore[attr-defined]
+        fid = self._file_id(handle)
         blocks = list(mapping.enumerate_blocks(self.cache, handle))
         # One coalesced write (and one ``committed``) for the whole file.
         self.cache.flush_blocks(bno for _idx, bno in blocks)
@@ -333,11 +332,15 @@ class FileSystem(abc.ABC):
     def _walk(self, components: List[str]) -> Handle:
         """Resolve directory components from the root."""
         handle = self._root_handle()
+        lookup = self._lookup
         for name in components:
-            if self._kind_of(handle) is not FileKind.DIRECTORY:
+            if not handle.is_dir:
                 raise NotADirectory("path component %r is not a directory" % name)
-            handle = self._lookup(handle, name)
-        if self._kind_of(handle) is not FileKind.DIRECTORY:
+            child = lookup(handle, name)
+            if child is None:
+                raise self._not_found(handle, name)
+            handle = child
+        if not handle.is_dir:
             raise NotADirectory("final path component is not a directory")
         return handle
 
@@ -345,8 +348,16 @@ class FileSystem(abc.ABC):
         parts = split_path(path)
         if not parts:
             return self._root_handle()
-        dirh = self._walk(parts[:-1])
-        return self._lookup(dirh, parts[-1])
+        name = parts.pop()
+        dirh = self._walk(parts)
+        handle = self._lookup(dirh, name)
+        if handle is None:
+            raise self._not_found(dirh, name)
+        return handle
+
+    def _not_found(self, dirh: Handle, name: str) -> FileNotFound:
+        return FileNotFound(
+            "no entry %r in directory %d" % (name, self._file_id(dirh)))
 
     # -- abstract per-format operations --------------------------------------
 
@@ -357,7 +368,13 @@ class FileSystem(abc.ABC):
     def _kind_of(self, handle: Handle) -> FileKind: ...
 
     @abc.abstractmethod
-    def _lookup(self, dirh: Handle, name: str) -> Handle: ...
+    def _file_id(self, handle: Handle) -> int:
+        """Stable identity used for the cache's logical index."""
+
+    @abc.abstractmethod
+    def _lookup(self, dirh: Handle, name: str) -> Optional[Handle]:
+        """The node ``name`` names in directory ``dirh``; None if the
+        directory has no such entry."""
 
     @abc.abstractmethod
     def _create_file(self, dirh: Handle, name: str) -> Handle: ...

@@ -23,12 +23,14 @@ import gc
 import os
 import tracemalloc
 
+import pytest
+
 from repro import obs
 from repro.blockdev.device import BLOCK_SIZE
 from repro.cache.buffercache import BufferCache
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.core.layout import EXT_GROUPED
-from tests.conftest import make_cffs, make_device
+from tests.conftest import make_cffs, make_device, make_ffs
 
 #: Net retained allocations allowed inside src/repro for a whole
 #: measured loop (thousands of block touches).  Small and fixed: one
@@ -358,6 +360,42 @@ def test_descriptor_transitions_read_the_head_and_get_the_block_once():
     #: list and 16 tuples and encoded all of it back: 8 KB and 5 gets a
     #: round.
     assert peak <= 3 * 1024
+
+
+@pytest.mark.parametrize("make_fs", [make_cffs, make_ffs], ids=["cffs", "ffs"])
+def test_warm_resolve_allocates_nothing_per_component(make_fs):
+    """Opening a file three directories deep on a warm index touches no
+    cache buffer, keeps nothing, and allocates only what one path's
+    components and one descriptor need: the peak of traced memory over
+    1000 opens stays where one open puts it."""
+    assert not obs.enabled()
+    fs = make_fs()
+    for path in ("/a", "/a/b", "/a/b/c"):
+        fs.mkdir(path)
+    fs.write_file("/a/b/c/f", b"x" * 100)
+
+    def rounds(n):
+        open_, close = fs.open, fs.close
+        for _ in range(n):
+            close(open_("/a/b/c/f"))
+
+    rounds(10)
+    touched = fs.cache.hits + fs.cache.misses
+    assert _retained_in_repro(lambda: rounds(1000)) <= BUDGET_OBJECTS
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rounds(1000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fs.cache.hits + fs.cache.misses == touched
+    #: Measured: 968 B on both formats (the path's component list and
+    #: strings, the descriptor record, frames); 992 B before the resolve
+    #: path stopped re-finding names.
+    assert peak <= 1536
 
 
 # -- one image per block version ----------------------------------------------------

@@ -576,8 +576,8 @@ def test_cffs_hostile_chain_is_corrupt_filesystem(case):
     with pytest.raises(CorruptFileSystem):
         cdir.sector_free_bytes(block, 0)
     with pytest.raises(CorruptFileSystem):
-        cdir.add_entry(block, 0, "x" * 300, cdir.ET_EMBEDDED, cdir.DK_FILE,
-                       embedded_payload(9))
+        cdir.add_entry(block, 0, "x" * 255, cdir.ET_EMBEDDED, cdir.DK_FILE,
+                       embedded_payload(9))               # the longest name
     with pytest.raises(CorruptFileSystem):
         cdir.add_entry(block, 0, "new", cdir.ET_EXTERNAL, cdir.DK_FILE, payload)
     with pytest.raises(CorruptFileSystem):

@@ -9,6 +9,7 @@ from repro.errors import (
     NameTooLong,
     NotADirectory,
 )
+from repro.fsck import check_image
 
 
 class TestArgumentValidation:
@@ -67,6 +68,37 @@ class TestArgumentValidation:
         anyfs.write_file("/plainfile", b"x")
         with pytest.raises(NotADirectory):
             anyfs.read_file("/plainfile/child")
+
+
+class TestNameBytes:
+    """A name is measured in UTF-8 bytes, the unit of both formats'
+    one-byte ``namelen``: a name that does not fit, or has no UTF-8
+    form, is refused before anything is touched."""
+
+    @pytest.mark.parametrize("name, error", [
+        ("\u20ac" * 100, NameTooLong),     # 300 bytes in 100 characters
+        ("\u20ac" * 200, NameTooLong),     # 600 bytes
+        ("\udc80", InvalidArgument),       # a lone surrogate
+    ], ids=["300-bytes", "600-bytes", "surrogate"])
+    def test_refused_before_anything_is_touched(self, anyfs, name, error):
+        anyfs.write_file("/kept", b"k")
+        anyfs.sync()
+        for attempt in (lambda: anyfs.create("/" + name),
+                        lambda: anyfs.mkdir("/" + name),
+                        lambda: anyfs.open("/" + name, create=True),
+                        lambda: anyfs.rename("/kept", "/" + name)):
+            with pytest.raises(error):
+                attempt()
+        assert anyfs.readdir("/") == ["kept"]
+        anyfs.sync()
+        report = check_image(anyfs.device)
+        assert report.pristine, report.render()
+
+    def test_longest_name_fits(self, anyfs):
+        name = "\u20ac" * 85                    # 255 bytes
+        anyfs.write_file("/" + name, b"x")
+        assert anyfs.readdir("/") == [name]
+        assert anyfs.read_file("/" + name) == b"x"
 
 
 class TestOffsetSemantics:

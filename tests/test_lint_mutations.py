@@ -33,11 +33,11 @@ ROWS = [
      "    seed = (zlib.crc32(b\"%s@%d\" % (path.encode(\"utf-8\"), offset))"
      " & 0xFF) or 1\n",
      "    seed = (hash((path, offset)) & 0xFF) or 1\n"),
-    # A bare except that would turn a PowerLoss during lookup into a
-    # create.
+    # A bare except that would turn a PowerLoss during the stat into a
+    # missing file.
     ("E001", "src/repro/vfs/interface.py",
-     "        except FileNotFound:\n            if not create:\n",
-     "        except:  # noqa: E722\n            if not create:\n"),
+     "        except FileNotFound:\n            return False\n",
+     "        except:  # noqa: E722\n            return False\n"),
     # A dirent header packed in host byte order.
     ("F001", "src/repro/ffs/layout.py",
      'DIRENT_HEADER_FMT = "<IHBB"\n',
