@@ -242,11 +242,6 @@ def remove_from_sector(block: bytearray, sector: int, name: str) -> Optional[int
     return None
 
 
-def rewrite_payload(block: bytearray, payload_off: int, payload: bytes) -> None:
-    """Update an entry's payload in place (embedded inode writeback)."""
-    block[payload_off:payload_off + len(payload)] = payload
-
-
 def change_entry_type(
     block: bytearray, entry_off: int, new_etype: int, payload: bytes
 ) -> Tuple[int, int]:

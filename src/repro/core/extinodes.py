@@ -84,7 +84,7 @@ class ExtInodeTable:
     def get(self, inum: int) -> CNode:
         bno, blk, off = self._locate(inum)
         buf = self.fs.cache.get(bno, logical=(EXT_TABLE_FILEID, blk))
-        node = CNode.unpack(bytes(buf.image[off:off + layout.CINODE_SIZE]))
+        node = CNode.unpack(buf.image, off)
         if node.mode == layout.MODE_FREE:
             raise FileNotFound("external inode %d is free" % inum)
         node.loc = (LOC_EXT, inum)
@@ -95,7 +95,7 @@ class ExtInodeTable:
               requires: Tuple = ()) -> OrderToken:
         bno, blk, off = self._locate(inum)
         buf = self.fs.cache.get(bno, logical=(EXT_TABLE_FILEID, blk))
-        buf.data[off:off + layout.CINODE_SIZE] = node.pack()
+        node.pack_into(buf.data, off)
         if sync:
             return self.fs._meta_write(bno, requires)
         self.fs.cache.mark_dirty(bno)

@@ -51,6 +51,9 @@ from repro.vfs.stat import StatResult
 ROOT_FILEID = 1
 FIRST_DYNAMIC_FILEID = 3  # 1 = root, 2 = external inode table
 
+# What an embedded entry is inserted with before its node is packed over it.
+_BLANK_INODE = bytes(layout.CINODE_SIZE)
+
 
 @dataclass
 class CFFSConfig(VolumeConfig):
@@ -174,9 +177,8 @@ class CFFS(BlockFileSystem):
                 gdt = table_block(self.cg_base(cgi), g)
                 self.cache.create(gdt)
                 self.cache.mark_dirty(gdt)
-        root = CNode(ROOT_FILEID)
-        root.init_as(layout.MODE_DIR, gen=1, mtime=self.device.clock.now)
-        self._adopt_root(root)
+        self._adopt_root(
+            CNode(ROOT_FILEID, layout.MODE_DIR, 1, self.device.clock.now))
 
     def _adopt_root(self, root: CNode) -> None:
         root.loc = (LOC_SUPER,)
@@ -204,11 +206,12 @@ class CFFS(BlockFileSystem):
             )
 
     def _load_root(self, raw_sb: bytes) -> None:
-        self._adopt_root(CNode.unpack(layout.root_inode_bytes(raw_sb)))
+        self._adopt_root(CNode.unpack(raw_sb, layout.SB_ROOT_INODE_OFFSET))
 
-    def _pack_superblock(self) -> bytes:
-        root = self._root if self._root is not None else CNode(ROOT_FILEID)
-        return layout.pack_superblock(self.sb, root.pack())
+    def _pack_superblock(self) -> bytearray:
+        image = layout.superblock_image(self.sb)
+        self._root_handle().pack_into(image, layout.SB_ROOT_INODE_OFFSET)
+        return image
 
     def _build_allocator(self) -> None:
         sb = self.sb
@@ -295,8 +298,8 @@ class CFFS(BlockFileSystem):
         if tag == LOC_DIR:
             _, parent, blk, _entry_off, payload_off = handle.loc
             bno = self._dir_block_bno(parent, blk)
-            buf = self.cache.get(bno, logical=(parent.fileid, blk))
-            dirfmt.rewrite_payload(buf.data, payload_off, handle.pack())
+            handle.pack_into(
+                self.cache.get(bno, logical=(parent.fileid, blk)).data, payload_off)
             if sync_op:
                 return self._meta_write(bno, requires)
             self.cache.mark_dirty(bno)
@@ -600,9 +603,12 @@ class CFFS(BlockFileSystem):
     # ------------------------------------------------------------------ directories
 
     def _dir_insert(
-        self, dirh: CNode, name: str, etype: int, kind: int, payload: bytes
+        self, dirh: CNode, name: str, etype: int, kind: int, payload
     ) -> Tuple[int, int, int, int]:
         """Insert an entry; returns (blk, bno, entry_off, payload_off).
+        ``payload`` is the node an embedded entry carries, packed
+        straight into the block, or an external entry's 8-byte
+        reference.
 
         The caller performs the policy write of ``bno`` — insertion only
         mutates the cached block.
@@ -616,11 +622,15 @@ class CFFS(BlockFileSystem):
         blk, sector = target
         bno = self._dir_block_bno(dirh, blk)
         buf = self.cache.get(bno, logical=(dirh.fileid, blk))
+        embedded = etype == dirfmt.ET_EMBEDDED
         # reprolint: disable=J001 -- add_entry mutates only when it returns (payload offset, the sector's new free count); the None path raises over an untouched sector, and the caller performs the policy write
-        added = dirfmt.add_entry(buf.data, sector, name, etype, kind, payload)
+        added = dirfmt.add_entry(buf.data, sector, name, etype, kind,
+                                 _BLANK_INODE if embedded else payload)
         if added is None:
             raise CorruptFileSystem("sector free-space accounting disagrees")
         payload_off, free = added
+        if embedded:
+            payload.pack_into(buf.data, payload_off)
         index.set_free((blk, sector), free)
         ident = dirfmt.entry_ident(buf.image, payload_off)
         # The entry layout is header, padded name, payload, so the
@@ -693,10 +703,8 @@ class CFFS(BlockFileSystem):
             node = self._icache.get(ident)
             if node is None:
                 bno = self._dir_block_bno(dirh, blk)
-                buf = self.cache.get(bno, logical=(dirh.fileid, blk))
                 node = CNode.unpack(
-                    bytes(buf.image[payload_off:payload_off + layout.CINODE_SIZE])
-                )
+                    self.cache.get(bno, logical=(dirh.fileid, blk)).image, payload_off)
                 node.loc = (LOC_DIR, dirh, blk, entry_off, payload_off)
                 node.home_cg = dirh.home_cg
                 self._icache[node.fileid] = node
@@ -735,13 +743,13 @@ class CFFS(BlockFileSystem):
         index = self._complete_index(dirh)
         if name in index.names:
             raise FileExists("%r already exists" % name)
-        node = CNode(self._next_fileid())
-        node.init_as(mode, gen=self._next_gen(), mtime=self.device.clock.now)
+        node = CNode(self._next_fileid(), mode, self._next_gen(),
+                     self.device.clock.now)
         node.home_cg = dirh.home_cg
         node.owner_dir = dirh
         if self.config.embedded_inodes:
             blk, bno, entry_off, payload_off = self._dir_insert(
-                dirh, name, dirfmt.ET_EMBEDDED, kind, node.pack()
+                dirh, name, dirfmt.ET_EMBEDDED, kind, node
             )
             node.loc = (LOC_DIR, dirh, blk, entry_off, payload_off)
             self._meta_write(bno)  # the single ordering write
@@ -868,10 +876,7 @@ class CFFS(BlockFileSystem):
                 self._unlink(dst_dir, new)
             else:
                 raise FileExists("%r already exists" % new)
-        if etype == dirfmt.ET_EMBEDDED:
-            payload = node.pack()
-        else:
-            payload = struct.pack("<Q", ident)
+        payload = node if etype == dirfmt.ET_EMBEDDED else struct.pack("<Q", ident)
         # New name first, then old-name removal.
         blk, bno, entry_off, payload_off = self._dir_insert(
             dst_dir, new, etype, kind, payload

@@ -15,6 +15,9 @@ from typing import Any, Optional, Tuple
 from repro.core import layout
 from repro.ffs.inode import BaseInode
 
+_pack_into = layout.CINODE.pack_into
+_unpack_from = layout.CINODE.unpack_from
+
 FLAG_LARGE = 0x1  # file outgrew explicit grouping and was migrated out
 
 # Location tags.
@@ -28,8 +31,8 @@ class CNode(BaseInode):
 
     __slots__ = ("fileid", "loc", "home_cg", "owner_dir")
 
-    def __init__(self, fileid: int) -> None:
-        super().__init__()
+    def __init__(self, fileid: int, mode: int, gen: int, mtime: float) -> None:
+        self.init_as(mode, gen, mtime)
         self.fileid = fileid
         # loc: (LOC_SUPER,) | (LOC_DIR, parent CNode, blk, entry_off,
         #      payload_off) | (LOC_EXT, inum)
@@ -47,14 +50,27 @@ class CNode(BaseInode):
     def mark_large(self) -> None:
         self.flags |= FLAG_LARGE
 
-    def pack(self) -> bytes:
-        return layout.pack_cinode(self.fileid, *self._packed_fields())
+    def pack_into(self, block: bytearray, off: int) -> None:
+        """Write the 96-byte record at ``off`` of ``block`` (a cached
+        block's ``data``): no intermediate bytes, no argument tuple."""
+        d = self.direct
+        _pack_into(block, off, self.fileid, self.mode, self.nlink,
+                   self.flags, self.gen, self.size, self.mtime,
+                   d[0], d[1], d[2], d[3], d[4], d[5],
+                   d[6], d[7], d[8], d[9], d[10], d[11],
+                   self.indirect, self.dindirect, self.nblocks)
 
     @classmethod
-    def unpack(cls, data: bytes) -> "CNode":
-        fields = layout.unpack_cinode(data)
-        node = cls(fields["fileid"])
-        node._load(fields)
+    def unpack(cls, image: bytes, off: int) -> "CNode":
+        """The node whose record sits at ``off`` of ``image``, read in
+        place; location and hints as a fresh node has them."""
+        node = cls.__new__(cls)
+        (node.fileid, node.mode, node.nlink, node.flags, node.gen,
+         node.size, node.mtime, *node.direct,
+         node.indirect, node.dindirect, node.nblocks) = _unpack_from(image, off)
+        node.loc = (LOC_SUPER,)
+        node.home_cg = 0
+        node.owner_dir = None
         return node
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -34,10 +34,11 @@ CFFS_MAGIC = 0x0CFF5197
 
 CINODE_SIZE = 96
 # fileid, mode, nlink, flags, gen, size, mtime, 12 direct, indirect,
-# dindirect, nblocks.
-_CINODE_FMT = "<QHHHHQd12IIII4x"
-_CINODE_STRUCT = struct.Struct(_CINODE_FMT)
-assert _CINODE_STRUCT.size == CINODE_SIZE
+# dindirect, nblocks.  ``CNode`` packs into and unpacks from a cached
+# block at the record's offset with this one Struct; the field dicts
+# below are fsck's view.
+CINODE = struct.Struct("<QHHHHQd12IIII4x")
+assert CINODE.size == CINODE_SIZE
 
 MODE_FREE = 0
 MODE_FILE = 1
@@ -50,14 +51,14 @@ def pack_cinode(
 ) -> bytes:
     if len(direct) != NDIRECT:
         raise ValueError("inode needs exactly %d direct pointers" % NDIRECT)
-    return _CINODE_STRUCT.pack(
+    return CINODE.pack(
         fileid, mode, nlink, flags, gen, size, mtime,
         *direct, indirect, dindirect, nblocks,
     )
 
 
 def unpack_cinode(data: bytes) -> dict:
-    fields = _CINODE_STRUCT.unpack_from(data, 0)
+    fields = CINODE.unpack_from(data, 0)
     return {
         "fileid": fields[0],
         "mode": fields[1],
@@ -166,11 +167,12 @@ _SB_SIZE = struct.calcsize(_SB_FMT)
 SB_ROOT_INODE_OFFSET = (_SB_SIZE + 7) // 8 * 8
 
 
-def pack_superblock(sb: dict, root_inode_bytes: bytes) -> bytes:
-    if len(root_inode_bytes) != CINODE_SIZE:
-        raise ValueError("root inode must be %d bytes" % CINODE_SIZE)
-    head = struct.pack(
-        _SB_FMT,
+def superblock_image(sb: dict) -> bytearray:
+    """Block 0 with the superblock's fields and a zeroed root inode,
+    for the caller to pack the root into at ``SB_ROOT_INODE_OFFSET``."""
+    out = bytearray(BLOCK_SIZE)
+    struct.pack_into(
+        _SB_FMT, out, 0,
         sb["magic"], sb["version"], sb["total_blocks"], sb["n_cgs"],
         sb["blocks_per_cg"], sb["gdt_blocks"], sb["data_start"],
         sb["group_span"], sb["config_flags"],
@@ -178,8 +180,13 @@ def pack_superblock(sb: dict, root_inode_bytes: bytes) -> bytes:
         sb["ext_size"], *sb["ext_direct"], sb["ext_indirect"], sb["ext_dindirect"],
         sb.get("journal_start", 0), sb.get("journal_blocks", 0),
     )
-    out = bytearray(BLOCK_SIZE)
-    out[:len(head)] = head
+    return out
+
+
+def pack_superblock(sb: dict, root_inode_bytes: bytes) -> bytes:
+    if len(root_inode_bytes) != CINODE_SIZE:
+        raise ValueError("root inode must be %d bytes" % CINODE_SIZE)
+    out = superblock_image(sb)
     out[SB_ROOT_INODE_OFFSET:SB_ROOT_INODE_OFFSET + CINODE_SIZE] = root_inode_bytes
     return bytes(out)
 

@@ -20,19 +20,22 @@ names = st.text(
 )
 
 
+def packed(node: CNode) -> bytes:
+    record = bytearray(layout.CINODE_SIZE)
+    node.pack_into(record, 0)
+    return bytes(record)
+
+
 def embedded_payload(fileid: int = 7) -> bytes:
-    node = CNode(fileid)
-    node.init_as(layout.MODE_FILE, gen=1, mtime=0.5)
-    return node.pack()
+    return packed(CNode(fileid, layout.MODE_FILE, 1, 0.5))
 
 
 class TestCInode:
     def test_roundtrip(self):
-        node = CNode(99)
-        node.init_as(layout.MODE_FILE, gen=3, mtime=2.5)
+        node = CNode(99, layout.MODE_FILE, 3, 2.5)
         node.size = 4242
         node.direct[3] = 1000
-        back = CNode.unpack(node.pack())
+        back = CNode.unpack(packed(node), 0)
         assert back.fileid == 99
         assert back.size == 4242
         assert back.direct[3] == 1000
@@ -42,11 +45,10 @@ class TestCInode:
         assert len(embedded_payload()) == layout.CINODE_SIZE
 
     def test_large_flag(self):
-        node = CNode(1)
-        node.init_as(layout.MODE_FILE, 1, 0.0)
+        node = CNode(1, layout.MODE_FILE, 1, 0.0)
         assert not node.is_large
         node.mark_large()
-        assert CNode.unpack(node.pack()).is_large
+        assert CNode.unpack(packed(node), 0).is_large
 
 
 class TestGroupDescriptor:
@@ -177,9 +179,9 @@ class TestEmbeddedDirents:
         block = dirfmt.init_block()
         off, _free = dirfmt.add_entry(block, 0, "f", dirfmt.ET_EMBEDDED,
                                       dirfmt.DK_FILE, embedded_payload(3))
-        node = CNode.unpack(bytes(block[off:off + layout.CINODE_SIZE]))
+        node = CNode.unpack(block, off)
         node.size = 777
-        dirfmt.rewrite_payload(block, off, node.pack())
+        node.pack_into(block, off)
         back = layout.unpack_cinode(bytes(block[off:off + layout.CINODE_SIZE]))
         assert back["size"] == 777
 

@@ -310,9 +310,9 @@ class FfsPair:
 
 
 def embedded_payload(fileid):
-    node = CNode(fileid)
-    node.init_as(clayout.MODE_FILE, gen=1, mtime=0.5)
-    return node.pack()
+    record = bytearray(clayout.CINODE_SIZE)
+    CNode(fileid, clayout.MODE_FILE, 1, 0.5).pack_into(record, 0)
+    return bytes(record)
 
 
 class CffsPair:

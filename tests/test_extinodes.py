@@ -10,9 +10,7 @@ from repro.errors import FileNotFound
 
 
 def fresh_node(fs, mode=layout.MODE_FILE) -> CNode:
-    node = CNode(fs._next_fileid())
-    node.init_as(mode, gen=1, mtime=0.0)
-    return node
+    return CNode(fs._next_fileid(), mode, 1, 0.0)
 
 
 class TestAllocation:
