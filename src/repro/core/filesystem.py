@@ -539,6 +539,7 @@ class CFFS(BlockFileSystem):
             return
         singles: List[Tuple[int, int]] = []
         fetched_extents = set()
+        slot_record = layout.GDESC_SLOT.unpack_from
         for idx, bno in pairs:
             if self.cache.peek(bno) is not None:
                 continue
@@ -552,7 +553,7 @@ class CFFS(BlockFileSystem):
             if span is None:
                 singles.append((idx, bno))
                 continue
-            start, count, desc = span
+            start, count, mask, image, off = span
             # The paper's key mechanism: a grouped extent is fetched as
             # one large request for bandwidth, then installed block-by-
             # block into the cache (which remains the source of truth).
@@ -570,11 +571,11 @@ class CFFS(BlockFileSystem):
             installs = []
             for slot in range(self.config.group_span):
                 block = base + slot
-                if (desc["valid_mask"] & (1 << slot)
-                        and start <= block < start + count):
+                if mask & (1 << slot) and start <= block < start + count:
                     cached = self.cache.peek(block)
                     if cached is None or not cached.dirty:
-                        installs.append((block, desc["slots"][slot]))
+                        installs.append((block, slot_record(
+                            image, off + layout.gdesc_slot_offset(slot))))
             for block, logical in installs:
                 self.cache.install(block, data[block - start], logical=logical)
             fetched_extents.add(ext)

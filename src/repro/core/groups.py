@@ -19,8 +19,8 @@ empties): the bytes are the ones a whole-descriptor rewrite would
 leave, without decoding or copying the other fifteen slots.  The buffer
 is held only from its ``get`` to the ``mark_dirty`` with no cache call
 in between (docs/ARCHITECTURE.md §3).  ``read_head`` answers "grouped?
-which slots valid?"; ``read_desc`` is the view of all sixteen slots for
-the callers that need it.
+which slots valid?"; ``live_span`` adds where the descriptor sits, so a
+group fetch reads only the slot records it installs.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from repro.core.layout import (
     GROUP_SPAN,
     gdesc_slot_offset,
     pack_gdesc,
-    unpack_gdesc_from,
 )
 from repro.errors import CorruptFileSystem
 from repro.ffs.cylgroup import table_block
@@ -124,11 +123,6 @@ class GroupTable:
         if buf is None:
             return None
         return GDESC_HEAD.unpack_from(buf.image, off)
-
-    def read_desc(self, ext: ExtentId) -> dict:
-        bno, off = self._desc_location(ext)
-        buf = self.cache.get(bno)
-        return unpack_gdesc_from(buf.image, off)
 
     def _open(self, ext: ExtentId):
         """(buffer, block, offset, state, valid_mask, owner) of a
@@ -234,16 +228,21 @@ class GroupTable:
         """The directory's current partially-filled group, if known."""
         return self._active.get(owner)
 
-    def live_span(self, ext: ExtentId) -> Optional[Tuple[int, int, dict]]:
-        """(first block, count, desc) covering every valid slot."""
-        desc = self.read_desc(ext)
-        mask = desc["valid_mask"]
-        if desc["state"] != EXT_GROUPED or mask == 0:
+    def live_span(self, ext: ExtentId) -> Optional[Tuple[int, int, int, bytes, int]]:
+        """(first block, count, valid_mask, image, offset): the run
+        covering every valid slot of a group, and the cached image and
+        offset its descriptor sits at, for reading a slot's (fileid,
+        file block) record with ``GDESC_SLOT`` at
+        ``offset + gdesc_slot_offset(slot)``.  None when the extent is
+        no group or has no valid slot."""
+        bno, off = self._desc_location(ext)
+        image = self.cache.get(bno).image
+        state, mask, _owner = GDESC_HEAD.unpack_from(image, off)
+        mask &= self._full_mask
+        if state != EXT_GROUPED or mask == 0:
             return None
-        lo = min(s for s in range(self.span) if mask & (1 << s))
-        hi = max(s for s in range(self.span) if mask & (1 << s))
-        base = self.extent_base(ext)
-        return base + lo, hi - lo + 1, desc
+        lo = (mask & -mask).bit_length() - 1
+        return self.extent_base(ext) + lo, mask.bit_length() - lo, mask, image, off
 
     def drop_hints(self) -> None:
         self._active.clear()

@@ -15,7 +15,7 @@ from repro.blockdev.device import BlockDevice
 from repro.cache.policy import MetadataPolicy
 from repro.cluster import Cluster
 from repro.core.filesystem import CFFS, CFFSConfig
-from repro.core.layout import GDESC_SIZE, pack_gdesc
+from repro.core.layout import GDESC_SIZE, pack_gdesc, unpack_gdesc_from
 from repro.disk.profiles import DriveProfile
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import HARD, TORN, TRANSIENT, FaultDecision, FaultSchedule
@@ -73,6 +73,13 @@ class PinnedFaults(FaultSchedule):
     def decide(self, op, index):
         pinned = self.pinned.get((op, index))
         return pinned if pinned is not None else super().decide(op, index)
+
+
+def read_desc(groups, ext):
+    """A whole group descriptor of a C-FFS volume as a dict, read
+    through its cache (state, valid_mask, owner, all sixteen slots)."""
+    bno, off = groups._desc_location(ext)
+    return unpack_gdesc_from(groups.cache.get(bno).image, off)
 
 
 def write_desc(fs, ext, desc):

@@ -30,7 +30,7 @@ from repro.blockdev.device import BLOCK_SIZE
 from repro.cache.buffercache import BufferCache
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.core.layout import EXT_GROUPED
-from tests.conftest import make_cffs, make_device, make_ffs
+from tests.conftest import make_cffs, make_device, make_ffs, read_desc
 
 #: Net retained allocations allowed inside src/repro for a whole
 #: measured loop (thousands of block touches).  Small and fixed: one
@@ -326,7 +326,7 @@ def test_descriptor_transitions_read_the_head_and_get_the_block_once():
     bno = fs._resolve("/d/f").direct[0]
     groups = fs.groups
     ext = groups.extent_of_block(bno)
-    desc = groups.read_desc(ext)
+    desc = read_desc(groups, ext)
     assert (desc["state"], desc["valid_mask"]) == (EXT_GROUPED, 0b1)
     gets = [0]
     cache_get = fs.cache.get

@@ -6,7 +6,7 @@ from repro.blockdev.device import BLOCK_SIZE
 from repro.core import layout
 from repro.core.inode import LOC_DIR, LOC_EXT, LOC_SUPER
 from repro.ffs.layout import NDIRECT
-from tests.conftest import make_cffs
+from tests.conftest import make_cffs, read_desc
 
 
 class TestEmbedding:
@@ -130,9 +130,9 @@ class TestGrouping:
         cffs.write_file("/d/a", b"a" * 1024)
         cffs.write_file("/d/b", b"b" * 1024)
         ext = cffs.groups.extent_of_block(cffs._resolve("/d/a").direct[0])
-        mask_before = cffs.groups.read_desc(ext)["valid_mask"]
+        mask_before = read_desc(cffs.groups, ext)["valid_mask"]
         cffs.unlink("/d/a")
-        mask_after = cffs.groups.read_desc(ext)["valid_mask"]
+        mask_after = read_desc(cffs.groups, ext)["valid_mask"]
         assert bin(mask_after).count("1") == bin(mask_before).count("1") - 1
 
     def test_extent_released_when_empty(self, cffs):
@@ -141,7 +141,7 @@ class TestGrouping:
         ext = cffs.groups.extent_of_block(cffs._resolve("/d/a").direct[0])
         free_with_group = cffs.free_blocks()
         cffs.unlink("/d/a")
-        assert cffs.groups.read_desc(ext)["state"] == layout.EXT_FREE
+        assert read_desc(cffs.groups, ext)["state"] == layout.EXT_FREE
         assert cffs.free_blocks() == free_with_group + cffs.config.group_span
 
     def test_deleted_slot_reused(self, cffs):
@@ -158,7 +158,7 @@ class TestGrouping:
         cffs.write_file("/d/a", b"a" * 1024)
         dirh = cffs._resolve("/d")
         ext = cffs.groups.extent_of_block(cffs._resolve("/d/a").direct[0])
-        assert cffs.groups.read_desc(ext)["owner"] == dirh.fileid
+        assert read_desc(cffs.groups, ext)["owner"] == dirh.fileid
 
     def test_slot_records_file_and_offset(self, cffs):
         cffs.mkdir("/d")
@@ -167,7 +167,7 @@ class TestGrouping:
         for idx in range(3):
             bno = h.direct[idx]
             ext = cffs.groups.extent_of_block(bno)
-            desc = cffs.groups.read_desc(ext)
+            desc = read_desc(cffs.groups, ext)
             slot = bno - cffs.groups.extent_base(ext)
             assert desc["slots"][slot] == (h.fileid, idx)
 
@@ -183,7 +183,7 @@ class TestGrouping:
         dirh = cffs._resolve("/d")
         ext = cffs.groups.extent_of_block(dirh.direct[0])
         if ext is not None:
-            assert cffs.groups.read_desc(ext)["state"] != layout.EXT_GROUPED
+            assert read_desc(cffs.groups, ext)["state"] != layout.EXT_GROUPED
 
 
 class TestLargeFileMigration:
@@ -219,7 +219,7 @@ class TestLargeFileMigration:
         big = BLOCK_SIZE * (NDIRECT + 2)
         cffs.write_file("/d/grow", b"g" * 1024)
         cffs.write_file("/d/grow", b"g" * big)  # overwrite bigger
-        desc = cffs.groups.read_desc(small_ext)
+        desc = read_desc(cffs.groups, small_ext)
         # Only the small file's slot remains in the group.
         owners = {fid for fid, _ in desc["slots"] if fid}
         assert owners == {cffs._resolve("/d/small").fileid}

@@ -8,7 +8,7 @@ import pytest
 from repro.blockdev.device import BLOCK_SIZE
 from repro.ffs import layout as flayout
 from repro.fsck import fsck_cffs, fsck_ffs
-from tests.conftest import make_cffs, make_ffs, write_desc
+from tests.conftest import make_cffs, make_ffs, read_desc, write_desc
 
 
 def populated_ffs():
@@ -179,7 +179,7 @@ class TestCffsCorruption:
         handle = fs._resolve("/d/f00")
         bno = handle.direct[0]
         ext = fs.groups.extent_of_block(bno)
-        desc = fs.groups.read_desc(ext)
+        desc = read_desc(fs.groups, ext)
         slot = bno - fs.groups.extent_base(ext)
         desc["slots"][slot] = (999999, 0)  # wrong owner
         write_desc(fs, ext, desc)
@@ -193,7 +193,7 @@ class TestCffsCorruption:
         handle = fs._resolve("/d/f00")
         bno = handle.direct[0]
         ext = fs.groups.extent_of_block(bno)
-        desc = fs.groups.read_desc(ext)
+        desc = read_desc(fs.groups, ext)
         slot = bno - fs.groups.extent_base(ext)
         desc["valid_mask"] &= ~(1 << slot)
         write_desc(fs, ext, desc)
@@ -344,7 +344,7 @@ class TestCffsRepair:
         handle = fs._resolve("/d/f00")
         bno = handle.direct[0]
         ext = fs.groups.extent_of_block(bno)
-        desc = fs.groups.read_desc(ext)
+        desc = read_desc(fs.groups, ext)
         desc["slots"][bno - fs.groups.extent_base(ext)] = (999999, 0)
         write_desc(fs, ext, desc)
         fs.sync()
@@ -356,7 +356,7 @@ class TestCffsRepair:
         handle = fs._resolve("/d/f00")
         bno = handle.direct[0]
         ext = fs.groups.extent_of_block(bno)
-        desc = fs.groups.read_desc(ext)
+        desc = read_desc(fs.groups, ext)
         desc["valid_mask"] &= ~(1 << (bno - fs.groups.extent_base(ext)))
         write_desc(fs, ext, desc)
         fs.sync()

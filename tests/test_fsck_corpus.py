@@ -41,7 +41,7 @@ from repro.faults.harness import run_journaled_workload
 from repro.ffs import directory as fdir
 from repro.ffs import layout as flayout
 from repro.fsck import fsck_cffs, fsck_ffs
-from tests.conftest import make_cffs, make_ffs, write_desc
+from tests.conftest import make_cffs, make_ffs, read_desc, write_desc
 from tests.test_fsck import (WILD_POINTERS, free_external_inode,
                              many_links_cffs, populated_cffs, populated_ffs,
                              set_cffs_superblock, set_ffs_inode,
@@ -134,7 +134,7 @@ def _cffs_set_desc(fs, path: str, change) -> None:
     ``path``'s first block."""
     bno = fs._resolve(path).direct[0]
     ext = fs.groups.extent_of_block(bno)
-    desc = fs.groups.read_desc(ext)
+    desc = read_desc(fs.groups, ext)
     change(desc, bno - fs.groups.extent_base(ext))
     write_desc(fs, ext, desc)
     fs.sync()

@@ -14,7 +14,7 @@ from repro import obs
 from repro.cache.policy import MetadataPolicy
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.fsck import fsck_cffs
-from tests.conftest import make_device
+from tests.conftest import make_device, read_desc
 
 N_FILES = 600
 CACHE_BLOCKS = 128
@@ -91,7 +91,7 @@ def test_gather_hook_is_pure(desc_cached):
     victim = members[0]
     desc_bno, _ = fs.groups._desc_location(ext)
     if desc_cached:
-        fs.groups.read_desc(ext)
+        read_desc(fs.groups, ext)
     assert (cache.peek(desc_bno) is not None) == desc_cached
 
     resident = list(cache._phys)  # LRU order included

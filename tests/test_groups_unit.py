@@ -12,7 +12,7 @@ from repro.core.layout import (EXT_FREE, EXT_GROUPED, EXT_UNGROUPED,
                                pack_gdesc, unpack_gdesc_from)
 from repro.errors import CorruptFileSystem, ReproError
 from repro.ffs.cylgroup import table_block
-from tests.conftest import make_device
+from tests.conftest import make_device, read_desc
 
 BPC = 512
 DATA_START = 4
@@ -70,12 +70,12 @@ class TestSlots:
     def test_claim_then_take(self):
         table, _ = make_table()
         table.claim_extent((0, 0), owner=99)
-        desc = table.read_desc((0, 0))
+        desc = read_desc(table, (0, 0))
         assert desc["state"] == EXT_GROUPED
         assert desc["owner"] == 99
         bno = table.take_slot((0, 0), fileid=7, fblock=0)
         assert bno == table.extent_base((0, 0))
-        assert table.read_desc((0, 0))["slots"][0] == (7, 0)
+        assert read_desc(table, (0, 0))["slots"][0] == (7, 0)
 
     def test_take_fills_lowest_first(self):
         table, _ = make_table()
@@ -108,7 +108,7 @@ class TestSlots:
         b = table.take_slot((0, 0), 2, 0)
         assert table.free_slot(a) is False
         assert table.free_slot(b) is True
-        assert table.read_desc((0, 0))["state"] == EXT_FREE
+        assert read_desc(table, (0, 0))["state"] == EXT_FREE
 
     def test_double_free_slot_rejected(self):
         table, _ = make_table()
@@ -134,8 +134,8 @@ class TestSlots:
         table.free_slot(base)           # hole at slot 0
         table.take_slot((0, 0), 3, 0)   # refills slot 0
         table.take_slot((0, 0), 4, 0)   # slot 2
-        start, count, _desc = table.live_span((0, 0))
-        assert (start, count) == (base, 3)
+        start, count, mask, _image, _off = table.live_span((0, 0))
+        assert (start, count, mask) == (base, 3, 0b111)
 
     def test_live_span_none_for_empty(self):
         table, _ = make_table()
@@ -146,7 +146,7 @@ class TestSlots:
         table.claim_extent((0, 0), owner=1)
         table.take_slot((0, 0), 10, 0)
         table.take_slot((0, 0), 11, 3)
-        desc = table.read_desc((0, 0))
+        desc = read_desc(table, (0, 0))
         assert desc["valid_mask"] == 0b11
         assert desc["slots"][:2] == [(10, 0), (11, 3)]
 
@@ -156,7 +156,7 @@ class TestUngroupedTransitions:
         table, _ = make_table()
         bno = table.extent_base((0, 2)) + 5
         table.note_ungrouped_alloc(bno)
-        assert table.read_desc((0, 2))["state"] == EXT_UNGROUPED
+        assert read_desc(table, (0, 2))["state"] == EXT_UNGROUPED
 
     def test_foreign_alloc_in_group_rejected(self):
         table, _ = make_table()
@@ -170,7 +170,7 @@ class TestUngroupedTransitions:
         table.note_ungrouped_alloc(bno)
         table.note_ungrouped_free(
             bno, lambda start, count: (start, count) == (bno - 5, GROUP_SPAN))
-        assert table.read_desc((0, 2))["state"] == EXT_FREE
+        assert read_desc(table, (0, 2))["state"] == EXT_FREE
 
     def test_ungrouped_stays_while_occupied(self):
         table, _ = make_table()
@@ -178,7 +178,7 @@ class TestUngroupedTransitions:
         table.note_ungrouped_alloc(base)
         table.note_ungrouped_alloc(base + 1)
         table.note_ungrouped_free(base, lambda start, count: False)
-        assert table.read_desc((0, 2))["state"] == EXT_UNGROUPED
+        assert read_desc(table, (0, 2))["state"] == EXT_UNGROUPED
 
     def test_drop_hints(self):
         table, _ = make_table()
@@ -195,7 +195,7 @@ class TestHeads:
         table.take_slot((0, 3), 7, 0)
         table.take_slot((0, 3), 8, 0)
         assert table.read_head((0, 3)) == (EXT_GROUPED, 0b11, 1 << 40)
-        desc = table.read_desc((0, 3))
+        desc = read_desc(table, (0, 3))
         assert table.read_head((0, 3)) == (
             desc["state"], desc["valid_mask"], desc["owner"])
 
@@ -526,9 +526,9 @@ def _run_script(seed, span, steps=1200):
             bno = rng.choice(sorted(ref.allocated) + [a_block(ext), 2])
             ext = table.extent_of_block(bno)
             was_ungrouped = (ext is not None
-                             and table.read_desc(ext)["state"] == EXT_UNGROUPED)
+                             and read_desc(table, ext)["state"] == EXT_UNGROUPED)
             both("ungrouped_free", bno)
-            if was_ungrouped and table.read_desc(ext)["state"] == EXT_FREE:
+            if was_ungrouped and read_desc(table, ext)["state"] == EXT_FREE:
                 reached.add("ungrouped_reverts_to_free")
         elif roll < 0.93:
             both("drop_hints")
@@ -536,7 +536,7 @@ def _run_script(seed, span, steps=1200):
             name, offset, raw = rng.choice(_hostile_pokes(span, rng.randrange(span)))
             if name == "stale_slot_under_clear_bit":
                 slot = (offset - 16) // 12
-                if table.read_desc(ext)["valid_mask"] & (1 << slot):
+                if read_desc(table, ext)["valid_mask"] & (1 << slot):
                     continue  # the bit is set: that record is live, not stale
             if name == "state_back_to_free" and ext in table._active.values():
                 # FREE under a live hint lets a second directory claim

@@ -6,7 +6,7 @@ import pytest
 from repro.cache.policy import MetadataPolicy
 from repro.fsck import fsck_cffs
 from repro.workloads.hypertext import build_site, serve_documents
-from tests.conftest import make_cffs
+from tests.conftest import make_cffs, read_desc
 
 
 class TestGroupContext:
@@ -57,7 +57,7 @@ class TestGroupContext:
         cffs.write_file("/d/plain", b"p" * 1024)
         dirh = cffs._resolve("/d")
         ext = cffs.groups.extent_of_block(cffs._resolve("/d/plain").direct[0])
-        assert cffs.groups.read_desc(ext)["owner"] == dirh.fileid
+        assert read_desc(cffs.groups, ext)["owner"] == dirh.fileid
 
     def test_content_roundtrip(self, cffs):
         cffs.mkdir("/d")

@@ -23,7 +23,7 @@ from repro.workloads import (
     window,
 )
 from repro.workloads.postmark import PostmarkConfig, run_postmark
-from tests.conftest import make_cffs
+from tests.conftest import make_cffs, read_desc
 
 
 class TestMeasure:
@@ -299,7 +299,7 @@ class TestAging:
         fragmented = 0
         for cgi in range(fs.groups.n_cgs):
             for idx in range(fs.groups.extents_per_cg):
-                desc = fs.groups.read_desc((cgi, idx))
+                desc = read_desc(fs.groups, (cgi, idx))
                 if desc["state"] == EXT_GROUPED:
                     mask = desc["valid_mask"]
                     bits = [s for s in range(fs.config.group_span)
