@@ -15,7 +15,7 @@ positioning cost.  Set ``spread=1`` for dense sequential allocation
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.cache.buffer import Buffer
 from repro.cache.buffercache import BufferCache
@@ -23,7 +23,7 @@ from repro.errors import NoSpace
 from repro.ffs.cylgroup import (CylinderGroup, bit_is_set, bitmap_block,
                                 clear_bit, clear_run, descriptor_block,
                                 find_clear_bit, fresh_bitmap, fresh_descriptor,
-                                inode_bit, run_bits, set_bit)
+                                inode_bit, run_bits, set_bit, set_run)
 
 
 class GroupedAllocator:
@@ -53,6 +53,12 @@ class GroupedAllocator:
         self.data_start = data_start
         self._cg_base_of = cg_base_of
         self._groups: Dict[int, CylinderGroup] = {}
+        # Per group, the offset below which no aligned run of the
+        # (count, align) last asked of alloc_contiguous is free: its
+        # scan starts there.  Allocations only set bits, so only a free
+        # can lower it.  In-memory, like the group mirrors.
+        self._run_floor: Dict[int, int] = {}
+        self._run_shape: Tuple[int, int] = (0, 0)
         # Owning file system's superblock counters (a live reference).
         # The allocator is the single writer of the free_blocks /
         # free_inodes rollups, so the summary can never drift from the
@@ -96,6 +102,7 @@ class GroupedAllocator:
 
     def drop_mirrors(self) -> None:
         self._groups.clear()
+        self._run_floor.clear()
 
     def store_descriptors(self) -> None:
         for cg in self._groups.values():
@@ -177,15 +184,20 @@ class GroupedAllocator:
         Returns the absolute block number of the run's start, or None
         when no group has an aligned free run of that length.  ``align``
         is relative to each group's data area so descriptor lookups can
-        be O(1).
+        be O(1).  The first fit from the data area's start, found from
+        the group's floor: every candidate below it holds a used block.
         """
+        if (count, align) != self._run_shape:
+            self._run_shape = (count, align)
+            self._run_floor.clear()
+        floors = self._run_floor
         for cgi in self._cg_search_order(pref_cg):
             cg = self.group(cgi)
             if cg.free_blocks < count:
                 continue
             bitmap = self._bitmap(cg)
             scan = bitmap.image
-            offset = self.data_start
+            offset = floors.get(cgi, self.data_start)
             while offset + count <= self.blocks_per_cg:
                 aligned = offset
                 if align > 1:
@@ -194,21 +206,28 @@ class GroupedAllocator:
                         aligned += align - rel
                         if aligned + count > self.blocks_per_cg:
                             break
-                run_ok = True
-                for i in range(count):
-                    if bit_is_set(scan, aligned + i):
-                        run_ok = False
-                        offset = aligned + i + 1
-                        break
-                if run_ok:
-                    run = bitmap.data
-                    for i in range(count):
-                        set_bit(run, aligned + i)
-                    self.cache.mark_dirty(cg.bitmap_block)
-                    cg.free_blocks -= count
-                    self._charge("free_blocks", -count)
-                    return cg.base + aligned
+                used = run_bits(scan, aligned, count)
+                if used:
+                    # Every candidate up to the last used block holds it.
+                    offset = aligned + used.bit_length()
+                    continue
+                set_run(bitmap.data, aligned, count)
+                self.cache.mark_dirty(cg.bitmap_block)
+                cg.free_blocks -= count
+                self._charge("free_blocks", -count)
+                floors[cgi] = aligned + count
+                return cg.base + aligned
+            floors[cgi] = offset
         return None
+
+    def _lower_run_floor(self, cgi: int, offset: int) -> None:
+        """Block ``offset`` of group ``cgi`` came free: a run through it
+        may now fit below the floor."""
+        floor = self._run_floor.get(cgi)
+        if floor is not None:
+            lowest = max(self.data_start, offset - self._run_shape[0] + 1)
+            if lowest < floor:
+                self._run_floor[cgi] = lowest
 
     def free_block(self, bno: int) -> None:
         cgi = self.cg_of_block(bno)
@@ -221,11 +240,13 @@ class GroupedAllocator:
         self.cache.mark_dirty(cg.bitmap_block)
         cg.free_blocks += 1
         self._charge("free_blocks", 1)
+        self._lower_run_floor(cgi, offset)
 
     def free_contiguous(self, start: int, count: int) -> None:
         """Release the ``count`` adjacent blocks from ``start``, all in
         one group: the inverse of :meth:`alloc_contiguous`."""
-        cg = self.group(self.cg_of_block(start))
+        cgi = self.cg_of_block(start)
+        cg = self.group(cgi)
         offset = start - cg.base
         bitmap = self._bitmap(cg)
         clear = ~run_bits(bitmap.image, offset, count) & ((1 << count) - 1)
@@ -236,6 +257,7 @@ class GroupedAllocator:
         self.cache.mark_dirty(cg.bitmap_block)
         cg.free_blocks += count
         self._charge("free_blocks", count)
+        self._lower_run_floor(cgi, offset)
 
     def run_is_free(self, start: int, count: int) -> bool:
         """True when none of the ``count`` adjacent blocks from

@@ -121,6 +121,14 @@ def run_bits(bitmap: bytearray, offset: int, count: int) -> int:
     return int.from_bytes(chunk, "little") >> (offset & 7) & ((1 << count) - 1)
 
 
+def set_run(bitmap: bytearray, offset: int, count: int) -> None:
+    """:func:`set_bit` for ``count`` adjacent bits, as one edit."""
+    lo, hi = offset >> 3, (offset + count + 7) >> 3
+    run = ((1 << count) - 1) << (offset & 7)
+    bitmap[lo:hi] = (int.from_bytes(bitmap[lo:hi], "little") | run).to_bytes(
+        hi - lo, "little")
+
+
 def clear_run(bitmap: bytearray, offset: int, count: int) -> None:
     """:func:`clear_bit` for ``count`` adjacent bits, as one edit."""
     lo, hi = offset >> 3, (offset + count + 7) >> 3
