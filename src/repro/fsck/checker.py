@@ -717,21 +717,29 @@ class _CFFSWalk(_Walk):
     def mark_group(self, cgi, base, expected, bitmap) -> int:
         """The group's extent descriptors against the walk: every valid
         slot of a group is owned by the (file, offset) found at that
-        block.  Kept groups own their whole span in the bitmap."""
+        block.  Kept groups own their whole span in the bitmap.  Only
+        a group's descriptor is decoded whole; any other is its head."""
         report, device, span = self.report, self.device, self.span
         claims, owners = self.claims.claims, self.owners
         data_start = self.sb["data_start"]
+        read_head = clayout.GDESC_HEAD.unpack_from
         free_desc = {"state": clayout.EXT_FREE, "valid_mask": 0, "owner": 0,
                      "slots": [(0, 0)] * clayout.GROUP_SPAN}
+        ungrouped_desc = dict(free_desc, state=clayout.EXT_UNGROUPED)
         gdt_new: Dict[int, bytearray] = {}
         for idx in range(self.n_extents):
-            gdt_bno = cylgroup.table_block(base, idx // clayout.GDESC_PER_BLOCK)
-            off = (idx % clayout.GDESC_PER_BLOCK) * clayout.GDESC_SIZE
-            desc = clayout.unpack_gdesc_from(device.peek_block(gdt_bno), off)
+            slot_idx = idx % clayout.GDESC_PER_BLOCK
+            if slot_idx == 0:
+                gdt_bno = cylgroup.table_block(base, idx // clayout.GDESC_PER_BLOCK)
+                table = device.peek_block(gdt_bno)
+            off = slot_idx * clayout.GDESC_SIZE
+            state = read_head(table, off)[0]
             ext_base = base + data_start + idx * span
             claimed = [s for s in range(span) if (ext_base + s) in claims]
 
-            if desc["state"] == clayout.EXT_GROUPED:
+            desc = None
+            if state == clayout.EXT_GROUPED:
+                desc = clayout.unpack_gdesc_from(table, off)
                 for slot in range(span):
                     bno = ext_base + slot
                     owner = owners.get(bno)
@@ -748,23 +756,21 @@ class _CFFSWalk(_Walk):
                         report.repair(
                             "group slot %d (block %d): descriptor says %r, walk says %r"
                             % (slot, bno, desc["slots"][slot], owner))
-            elif desc["state"] == clayout.EXT_FREE:
+            elif state == clayout.EXT_FREE:
                 for s in claimed:
                     report.repair(
                         "block %d allocated but its extent descriptor is free"
                         % (ext_base + s))
-            elif desc["state"] != clayout.EXT_UNGROUPED:
-                report.repair("extent (%d, %d): bad state %d"
-                              % (cgi, idx, desc["state"]))
+            elif state != clayout.EXT_UNGROUPED:
+                report.repair("extent (%d, %d): bad state %d" % (cgi, idx, state))
 
             # Rebuilt state: trust the walk.  An extent stays a group
             # only when everything in it belongs to files at known
             # offsets; otherwise it degrades to individually-allocated.
+            # (None: an ungrouped extent nothing claims stays as it is.)
             if not claimed:
-                new = (desc if desc["state"] == clayout.EXT_UNGROUPED
-                       else free_desc)
-            elif (desc["state"] == clayout.EXT_GROUPED
-                    and all((ext_base + s) in owners for s in claimed)):
+                new = None if state == clayout.EXT_UNGROUPED else free_desc
+            elif desc is not None and all((ext_base + s) in owners for s in claimed):
                 slots = [(0, 0)] * clayout.GROUP_SPAN
                 for s in claimed:
                     slots[s] = owners[ext_base + s]
@@ -774,11 +780,11 @@ class _CFFSWalk(_Walk):
                 for s in range(span):
                     cylgroup.set_bit(expected, data_start + idx * span + s)
             else:
-                new = dict(free_desc, state=clayout.EXT_UNGROUPED)
+                new = ungrouped_desc
 
-            if self.repair and _canonical_desc(new, span) != _canonical_desc(desc, span):
-                block = gdt_new.setdefault(
-                    gdt_bno, bytearray(device.peek_block(gdt_bno)))
+            if self.repair and new is not None and _canonical_desc(new, span) != (
+                    _canonical_desc(desc, span) if desc is not None else (state,)):
+                block = gdt_new.setdefault(gdt_bno, bytearray(table))
                 block[off:off + clayout.GDESC_SIZE] = clayout.pack_gdesc(
                     new["state"], new["valid_mask"], new["owner"], new["slots"])
                 report.fix("extent (%d, %d): descriptor rebuilt" % (cgi, idx))
