@@ -331,13 +331,26 @@ def _load() -> dict:
         return json.load(handle)
 
 
-def test_regen_golden():
-    """Regeneration entry point (no-op unless REPRO_REGEN_GOLDENS=1)."""
+def test_regen_golden(capsys):
+    """Regeneration entry point (no-op unless REPRO_REGEN_GOLDENS=1).
+    Prints each stack's old -> new ``cache_calls``, so a moved golden
+    reports its size."""
     if not REGEN:
         pytest.skip("set REPRO_REGEN_GOLDENS=1 to regenerate")
+    old = _load() if os.path.exists(GOLDEN_PATH) else {}
+    new = capture()
     with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(capture(), handle, indent=2, sort_keys=True)
+        json.dump(new, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    with capsys.disabled():
+        print()
+        for key in sorted(new):
+            if isinstance(new[key], dict):
+                before = old.get(key, {})
+                print("%-20s cache_calls %s -> %d%s" % (
+                    key, before.get("cache_calls", "-"), new[key]["cache_calls"],
+                    "" if before.get("digest") == new[key]["digest"]
+                    else "  (digest moved)"))
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
