@@ -604,15 +604,19 @@ class CFFS(BlockFileSystem):
     # ------------------------------------------------------------------ directories
 
     def _dir_insert(
-        self, dirh: CNode, name: str, etype: int, kind: int, payload
-    ) -> Tuple[int, int, int, int]:
-        """Insert an entry; returns (blk, bno, entry_off, payload_off).
-        ``payload`` is the node an embedded entry carries, packed
-        straight into the block, or an external entry's 8-byte
+        self, dirh: CNode, name: str, etype: int, kind: int, payload,
+        requires: Tuple,
+    ) -> Tuple[int, int, int, OrderToken]:
+        """Insert an entry and perform the block's policy write (after
+        ``requires``); returns (blk, entry_off, payload_off, token of
+        the write).  ``payload`` is the node an embedded entry carries,
+        packed straight into the block, or an external entry's 8-byte
         reference.
 
-        The caller performs the policy write of ``bno`` — insertion only
-        mutates the cached block.
+        The directory's own inode is stored after the policy write has
+        marked the block dirty: that store can read another block, and
+        a read that evicted the edited block while it was still clean
+        would lose the entry.
         """
         index = self._complete_index(dirh)
         namelen = len(name.encode("utf-8"))
@@ -624,7 +628,7 @@ class CFFS(BlockFileSystem):
         bno = self._dir_block_bno(dirh, blk)
         buf = self.cache.get(bno, logical=(dirh.fileid, blk))
         embedded = etype == dirfmt.ET_EMBEDDED
-        # reprolint: disable=J001 -- add_entry mutates only when it returns (payload offset, the sector's new free count); the None path raises over an untouched sector, and the caller performs the policy write
+        # reprolint: disable=J001 -- add_entry mutates only when it returns (payload offset, the sector's new free count); the None path raises over an untouched sector
         added = dirfmt.add_entry(buf.data, sector, name, etype, kind,
                                  _BLANK_INODE if embedded else payload)
         if added is None:
@@ -639,21 +643,23 @@ class CFFS(BlockFileSystem):
         entry_off = payload_off - layout.DENT_HEADER_SIZE - layout._pad(namelen)
         index.names[name] = (etype, kind, blk, entry_off, payload_off, ident)
         dirh.mtime = self.device.clock.now
+        token = self._meta_write(bno, requires)
         self._istore(dirh, sync_op=False)
-        return blk, bno, entry_off, payload_off
+        return blk, entry_off, payload_off, token
 
-    def _dir_remove(self, dirh: CNode, name: str, info: tuple) -> int:
-        """Remove ``name``, whose index entry is ``info``, from the
-        cached block; returns the block's bno.
-
-        Only the sector the entry's offset names is walked.  The caller
-        performs the policy write."""
+    def _dir_remove(self, dirh: CNode, name: str, info: tuple,
+                    requires: Tuple) -> OrderToken:
+        """Remove ``name``, whose index entry is ``info``, and perform
+        the block's policy write (after ``requires``); returns its
+        token.  Only the sector the entry's offset names is walked.  As
+        in :meth:`_dir_insert`, the directory's inode is stored after
+        the write."""
         index = self._index_for(dirh)
         _etype, _kind, blk, entry_off, _payload_off, _ident = info
         bno = self._dir_block_bno(dirh, blk)
         buf = self.cache.get(bno, logical=(dirh.fileid, blk))
         sector = entry_off // layout.SECTOR_SIZE
-        # reprolint: disable=J001 -- remove_from_sector mutates only when it returns the freed room; the None path raises over an untouched sector, and the caller performs the policy write
+        # reprolint: disable=J001 -- remove_from_sector mutates only when it returns the freed room; the None path raises over an untouched sector
         freed = dirfmt.remove_from_sector(buf.data, sector, name)
         if freed is None:
             raise CorruptFileSystem("index and block disagree on %r" % name)
@@ -662,8 +668,9 @@ class CFFS(BlockFileSystem):
         index.set_free(slot, max(index.free[slot], freed))
         del index.names[name]
         dirh.mtime = self.device.clock.now
+        token = self._meta_write(bno, requires)
         self._istore(dirh, sync_op=False)
-        return bno
+        return token
 
     # ------------------------------------------------------------------ VFS internals
 
@@ -749,17 +756,14 @@ class CFFS(BlockFileSystem):
         node.home_cg = dirh.home_cg
         node.owner_dir = dirh
         if self.config.embedded_inodes:
-            blk, bno, entry_off, payload_off = self._dir_insert(
-                dirh, name, dirfmt.ET_EMBEDDED, kind, node
-            )
+            # The single ordering write.
+            blk, entry_off, payload_off, _token = self._dir_insert(
+                dirh, name, dirfmt.ET_EMBEDDED, kind, node, ())
             node.loc = (LOC_DIR, dirh, blk, entry_off, payload_off)
-            self._meta_write(bno)  # the single ordering write
         else:
             inum, init_token = self.ext.allocate(node, sync=True)  # inode before name
-            _blk, bno, _eo, _po = self._dir_insert(
-                dirh, name, dirfmt.ET_EXTERNAL, kind, struct.pack("<Q", inum)
-            )
-            self._meta_write(bno, requires=(init_token,))
+            self._dir_insert(dirh, name, dirfmt.ET_EXTERNAL, kind,
+                             struct.pack("<Q", inum), (init_token,))
         self._icache[node.fileid] = node
         return node
 
@@ -780,18 +784,16 @@ class CFFS(BlockFileSystem):
             raise IsADirectory("%r is a directory (use rmdir)" % name)
         if etype == dirfmt.ET_EMBEDDED:
             node = self._named_node(dirh, name, info)
-            bno = self._dir_remove(dirh, name, info)
             # Name + inode (and with it every block pointer) vanish
             # atomically; freed blocks stay quarantined until the
             # removal is on disk.
-            rm_token = self._meta_write(bno)
+            rm_token = self._dir_remove(dirh, name, info, ())
             freed = self._release_all_blocks(node)
             self._gate_freed_blocks(freed, rm_token)
             self._icache.pop(node.fileid, None)
         else:
             node = self._ext_cache_get(ident)
-            bno = self._dir_remove(dirh, name, info)
-            rm_token = self._meta_write(bno)  # name removal first
+            rm_token = self._dir_remove(dirh, name, info, ())  # name removal first
             node.nlink -= 1
             self.ext.store(ident, node, sync=True,  # dropped link count
                            requires=(rm_token,))
@@ -814,8 +816,7 @@ class CFFS(BlockFileSystem):
         victim_index = self._complete_index(victim)
         if victim_index.names:
             raise DirectoryNotEmpty("%r is not empty" % name)
-        bno = self._dir_remove(dirh, name, info)
-        rm_token = self._meta_write(bno)
+        rm_token = self._dir_remove(dirh, name, info, ())
         freed = self._release_all_blocks(victim)
         self._gate_freed_blocks(freed, rm_token)
         self._icache.pop(victim.fileid, None)
@@ -832,10 +833,8 @@ class CFFS(BlockFileSystem):
         inum = handle.loc[1]
         handle.nlink += 1
         link_token = self.ext.store(inum, handle, sync=True)
-        _blk, bno, _eo, _po = self._dir_insert(
-            dirh, name, dirfmt.ET_EXTERNAL, dirfmt.DK_FILE, struct.pack("<Q", inum)
-        )
-        self._meta_write(bno, requires=(link_token,))
+        self._dir_insert(dirh, name, dirfmt.ET_EXTERNAL, dirfmt.DK_FILE,
+                         struct.pack("<Q", inum), (link_token,))
 
     def _externalize(self, handle: CNode) -> None:
         """Move an embedded inode to the external table (second link)."""
@@ -879,15 +878,12 @@ class CFFS(BlockFileSystem):
                 raise FileExists("%r already exists" % new)
         payload = node if etype == dirfmt.ET_EMBEDDED else struct.pack("<Q", ident)
         # New name first, then old-name removal.
-        blk, bno, entry_off, payload_off = self._dir_insert(
-            dst_dir, new, etype, kind, payload
-        )
-        add_token = self._meta_write(bno)
+        blk, entry_off, payload_off, add_token = self._dir_insert(
+            dst_dir, new, etype, kind, payload, ())
         if etype == dirfmt.ET_EMBEDDED:
             node.loc = (LOC_DIR, dst_dir, blk, entry_off, payload_off)
             node.home_cg = dst_dir.home_cg
-        src_bno = self._dir_remove(src_dir, old, info)
-        self._meta_write(src_bno, requires=(add_token,))
+        self._dir_remove(src_dir, old, info, (add_token,))
         if node.is_dir:
             self._dir_index.pop(node.fileid, None)
 

@@ -235,14 +235,12 @@ def script(seed: int):
     op("cold open existing", write(wide[100], b"x" * 5000))
     op("cold rmdir empty", lambda fs: fs.rmdir("/e/empty"))
 
-    # Seeded churn over what is left.  It stops short of step 294, where
-    # conventional/softdep hits the defect ROADMAP lists under *Known
-    # defects* (a directory block edited but not yet dirty is evicted by
-    # the directory's own inode store, and ``mark_dirty`` then raises
-    # KeyError).
+    # Seeded churn over what is left.  At step 294 conventional/softdep
+    # creates a file while every other buffer is dirty and deferred: the
+    # directory's inode store must not evict the edited directory block.
     live = [p for p in names[16:-3] if "/c/" not in p] + wide[10:30]
     dirs = ["/a", "/a/b", "/e", "/w"]
-    for step in range(280):
+    for step in range(400):
         roll = rng.random()
         if roll < 0.3 or not live:
             path = "%s/%s" % (rng.choice(dirs), _name(rng, "g%03d" % step))

@@ -1,8 +1,12 @@
 """C-FFS-specific semantics: embedding, externalization, explicit
 grouping, and large-file migration."""
 
+import random
+
+import pytest
 
 from repro.blockdev.device import BLOCK_SIZE
+from repro.cache.policy import MetadataPolicy
 from repro.core import layout
 from repro.core.inode import LOC_DIR, LOC_EXT, LOC_SUPER
 from repro.ffs.layout import NDIRECT
@@ -288,3 +292,69 @@ class TestSyncWriteCounts:
         for i in range(20):
             fs.create("/f%03d" % i)
         assert fs.device.disk.stats.writes == before  # all delayed
+
+
+def soft_updates_churn(fs, seed: int, steps: int):
+    """A seeded churn of creates, unlinks, renames, appends, mkdirs and
+    dropped caches; returns the directories and files it left."""
+    rng = random.Random(seed)
+    dirs = ["/a", "/b"]
+    for d in dirs:
+        fs.mkdir(d)
+    files = {}
+    for i in range(steps):
+        roll = rng.random()
+        if roll < 0.4 or not files:
+            path = "%s/%s%d" % (rng.choice(dirs), "n" * rng.randrange(4, 90), i)
+            files[path] = b"x" * rng.randrange(1, 9000)
+            fs.write_file(path, files[path])
+        elif roll < 0.55:
+            path = rng.choice(sorted(files))
+            fs.unlink(path)
+            del files[path]
+        elif roll < 0.65:
+            old = rng.choice(sorted(files))
+            new = "%s/r%d" % (rng.choice(dirs), i)
+            fs.rename(old, new)
+            files[new] = files.pop(old)
+        elif roll < 0.85:
+            path = rng.choice(sorted(files))
+            more = b"+" * rng.randrange(1, 5000)
+            fd = fs.open(path)
+            try:
+                fs.pwrite(fd, len(files[path]), more)
+            finally:
+                fs.close(fd)
+            files[path] += more
+        elif roll < 0.95:
+            d = "%s/d%d" % (rng.choice(dirs), i)
+            fs.mkdir(d)
+            dirs.append(d)
+        else:
+            fs.drop_caches()
+    return dirs, files
+
+
+class TestSoftUpdatesSmallCache:
+    """Under soft updates a 16-block cache fills with dirty blocks whose
+    writes wait on others.  A directory edit must still reach the disk:
+    its block is marked dirty before the directory's own inode store
+    reads another block (with external inodes, an inode-file block) that
+    could evict it."""
+
+    @pytest.mark.parametrize("embedded", [False, True],
+                             ids=["external", "embedded"])
+    def test_churn_keeps_every_entry(self, embedded):
+        fs = make_cffs(MetadataPolicy.DELAYED_METADATA, embedded=embedded,
+                       grouping=False, cache_blocks=16)
+        # With external inodes this seed reaches a directory edit while
+        # every other buffer is dirty and deferred.
+        dirs, files = soft_updates_churn(fs, 20, 250)
+        fs.sync()
+        fs.drop_caches()
+        for d in dirs:
+            want = [p.rsplit("/", 1)[1] for p in list(files) + dirs
+                    if p.rsplit("/", 1)[0] == d]
+            assert sorted(fs.readdir(d)) == sorted(want)
+        for path, data in files.items():
+            assert fs.read_file(path) == data
