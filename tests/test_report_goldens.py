@@ -51,6 +51,13 @@ COMMANDS = {
     "multiclient-hypertext": (
         ["multiclient", "--clients", "4", "--files", "20",
          "--workload", "hypertext"], False),
+    "multiclient-sstf-softdep": (
+        ["multiclient", "--clients", "4", "--files", "20",
+         "--scheduler", "sstf", "--policy", "softdep",
+         "--phases", "create,read,overwrite,delete"], False),
+    "multiclient-fcfs-postmark": (
+        ["multiclient", "--clients", "4", "--files", "20",
+         "--scheduler", "fcfs", "--workload", "postmark"], False),
     "chaos-sustained": (
         ["chaos", "--scenario", "sustained", "--files", "80",
          "--seed", "2026"], False),
