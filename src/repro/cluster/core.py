@@ -50,7 +50,7 @@ from repro.cluster.intent import (
     recover_shard_intents,
 )
 from repro.cluster.router import ROUTE_CPU_SECONDS, Router, make_router
-from repro.engine.client import Engine, OpRecord, OpTally, Replayer, replay
+from repro.engine.client import Engine, OpRecord, Replayer, replay
 from repro.engine.eventloop import EventLoop
 from repro.errors import (
     InvalidArgument,
@@ -151,7 +151,8 @@ class ClusterClient:
             start = clock.now
             attempts = 0
             retryable = callable(spec) and label in self.RETRYABLE_LABELS
-            tally = OpTally()
+            # Every leg and every attempt adds into the one record.
+            record = OpRecord(phase, label, self.cid, start)
             touched: List[int] = []
             while True:
                 error: Optional[str] = None
@@ -166,13 +167,13 @@ class ClusterClient:
                     legs = []
                     error = "route: %s: %s" % (type(exc).__name__, exc)
                 route_cpu = cluster._take_route_cpu()
-                tally.cpu_seconds += route_cpu
+                record.cpu_seconds += route_cpu
                 if route_cpu > 0:
                     yield ("cpu", route_cpu)
                 for shard, fn in legs:
                     touched.append(shard.sid)
                     try:
-                        failed = yield from replay(shard.engine, fn, tally)
+                        failed = yield from replay(shard.engine, fn, record)
                     except ReproError as exc:
                         # Raised while capturing, as a lock-step call
                         # raises it.
@@ -204,8 +205,9 @@ class ClusterClient:
                 yield ("cpu", answer)
             if error is None:
                 settle(attempts, cluster.metrics)
-            self.records.append(
-                tally.record(phase, label, self.cid, start, clock.now, error))
+            record.end = clock.now
+            record.error = error
+            self.records.append(record)
             self.leg_shards.append(tuple(touched))
 
 

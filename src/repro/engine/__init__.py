@@ -9,7 +9,6 @@ client contexts that interleave at disk-request granularity
 """
 
 from repro.engine.client import (
-    CapturedOp,
     CapturedRequest,
     ClientContext,
     Engine,
@@ -43,7 +42,6 @@ __all__ = [
     "SCHEDULERS",
     "Engine",
     "ClientContext",
-    "CapturedOp",
     "CapturedRequest",
     "OpRecord",
     "run_multiclient",

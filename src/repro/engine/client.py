@@ -24,11 +24,22 @@ each client operation in two steps:
 With a single client the replayed timeline is identical to the
 synchronous execution — the engine is a strict generalization of the
 lock-step path (``tests/test_engine.py`` pins this).
+
+Nothing in this path is built per operation that outlives it except
+the operation's :class:`OpRecord`.  Each :class:`Engine` owns one
+capture device and one scratch clock for its whole life; a capture
+re-arms them (a fresh request list, the clock set back to loop time)
+and the device sums the operation's CPU as it records.  The record is
+made when the operation starts and is the accumulator :func:`replay`
+adds into — requests, queueing, retries, CPU — over every leg and
+every retry of a cluster operation; the client appends it when the
+operation ends.  ``tests/test_engine_replay_oracle.py`` holds this
+path to the per-operation objects it replaced, field for field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -56,18 +67,6 @@ class CapturedRequest:
     cpu_before: float  # CPU seconds since the previous request
 
 
-@dataclass
-class CapturedOp:
-    """The timed skeleton of one file-system operation."""
-
-    requests: List[CapturedRequest] = field(default_factory=list)
-    trailing_cpu: float = 0.0
-
-    @property
-    def cpu_total(self) -> float:
-        return sum(r.cpu_before for r in self.requests) + self.trailing_cpu
-
-
 class _CaptureDevice(BatchedIO):
     """Block-device stand-in that records requests instead of timing them.
 
@@ -76,26 +75,43 @@ class _CaptureDevice(BatchedIO):
     *when* is deferred to replay.  Batched operations are planned by
     the same :class:`BatchedIO` around the real arm's position, so the
     captured request stream is the one the synchronous path would issue.
+
+    One per engine, re-armed by :meth:`arm` for each capture; after
+    :meth:`finish` its ``requests``, ``trailing_cpu`` and ``cpu_total``
+    describe the operation just captured until the next :meth:`arm`.
     """
 
-    def __init__(self, real: BlockDevice, scratch_clock: SimClock) -> None:
+    def __init__(self, real: BlockDevice, now: float) -> None:
         self._real = real
         self.disk = real.disk      # read by BatchedIO for the arm position
-        self.clock = scratch_clock
+        self.clock = SimClock(now)
         self.total_blocks = real.total_blocks
-        self.captured = CapturedOp()
-        self._mark = scratch_clock.now
+        self.requests: List[CapturedRequest] = []
+        self.trailing_cpu = self.cpu_total = 0.0
+        self._mark = now
 
     # -- recording ----------------------------------------------------------
 
-    def _record(self, op: str, lba: int, nsectors: int) -> None:
-        gap = self.clock.now - self._mark
-        self._mark = self.clock.now
-        self.captured.requests.append(CapturedRequest(op, lba, nsectors, gap))
+    def arm(self, now: float) -> None:
+        """Start a capture at loop time ``now``."""
+        # The scratch clock goes *back* to the loop's time (the last
+        # capture ran it ahead); SimClock's one field is set directly.
+        self.clock._now = self._mark = now
+        self.requests = []
+        self.cpu_total = 0.0
 
-    def finish(self) -> CapturedOp:
-        self.captured.trailing_cpu = self.clock.now - self._mark
-        return self.captured
+    def _record(self, op: str, lba: int, nsectors: int) -> None:
+        now = self.clock.now
+        gap = now - self._mark
+        self._mark = now
+        # Summed in request order, as ``sum()`` over the gaps would.
+        self.cpu_total += gap
+        self.requests.append(CapturedRequest(op, lba, nsectors, gap))
+
+    def finish(self) -> "_CaptureDevice":
+        self.trailing_cpu = trailing = self.clock.now - self._mark
+        self.cpu_total += trailing
+        return self
 
     # -- BlockDevice surface -------------------------------------------------
 
@@ -129,78 +145,70 @@ class _CaptureDevice(BatchedIO):
         self._real.poke_block(bno, data)
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
-    """One completed client operation, as replayed under load."""
+    """One client operation, as replayed under load.
+
+    Made when the operation starts; :func:`replay` adds each leg's
+    requests, queueing, retries and CPU into it, and the client sets
+    ``end`` (and ``error``) when the operation completes.
+    """
 
     phase: str
     label: str
     client: int
     start: float
-    end: float
-    n_requests: int
-    queue_delay: float
-    cpu_seconds: float
+    end: float = 0.0
+    n_requests: int = 0
+    queue_delay: float = 0.0
+    cpu_seconds: float = 0.0
     retries: int = 0             # transient disk faults absorbed
     error: Optional[str] = None  # first hard fault that aborted the op
+    reads: int = 0               # of n_requests, the reads and the writes
+    writes: int = 0
 
     @property
     def latency(self) -> float:
         return self.end - self.start
 
 
-class OpTally:
-    """What one client operation has cost so far, summed over every leg
-    and every attempt :func:`replay` ran for it."""
-
-    __slots__ = ("n_requests", "reads", "writes", "queue_delay", "retries",
-                 "cpu_seconds")
-
-    def __init__(self) -> None:
-        self.n_requests = self.reads = self.writes = self.retries = 0
-        self.queue_delay = self.cpu_seconds = 0.0
-
-    def record(self, phase: str, label: str, client: int, start: float,
-               end: float, error: Optional[str]) -> OpRecord:
-        return OpRecord(
-            phase=phase, label=label, client=client, start=start, end=end,
-            n_requests=self.n_requests, queue_delay=self.queue_delay,
-            cpu_seconds=self.cpu_seconds, retries=self.retries, error=error)
-
-
 def replay(engine: "Engine", fn: Callable[[FileSystem], object],
-           tally: OpTally):
+           record: OpRecord):
     """Capture ``fn`` on ``engine`` and yield its timeline, event by event.
 
     The one per-request replay loop: a client generator delegates to it
-    (``yield from``) once per leg of an operation.  Events are
-    ``("cpu", seconds)`` and ``("io", (queue, CapturedRequest))``; the
-    driver (:meth:`Replayer._step`) answers an ``io`` event with the
-    completed :class:`QueuedRequest`.  Returns that request when it
-    failed — the synchronous stack would have raised there, so the rest
-    of the captured requests never issue (data effects were applied at
-    capture and are not unwound: this layer models timing and outcome)
-    — and ``None`` when the whole timeline replayed.  A capture-time
+    (``yield from``) once per leg of an operation, adding into the
+    operation's ``record``.  Events are ``("cpu", seconds)`` and
+    ``("io", (queue, CapturedRequest))``; the driver
+    (:meth:`Replayer._step`) answers an ``io`` event with the completed
+    :class:`QueuedRequest`.  Returns that request when it failed — the
+    synchronous stack would have raised there, so the rest of the
+    captured requests never issue (data effects were applied at capture
+    and are not unwound: this layer models timing and outcome) — and
+    ``None`` when the whole timeline replayed.  A capture-time
     exception propagates to the delegating generator.
     """
     cap = engine.capture(fn)
-    tally.cpu_seconds += cap.cpu_total
+    # The capture device is re-armed by the next capture on this
+    # engine, which may run while this timeline is still replaying.
+    requests, trailing = cap.requests, cap.trailing_cpu
+    record.cpu_seconds += cap.cpu_total
     queue = engine.queue
-    for step in cap.requests:
+    for step in requests:
         if step.cpu_before > 0:
             yield ("cpu", step.cpu_before)
         done: QueuedRequest = yield ("io", (queue, step))
-        tally.n_requests += 1
-        tally.queue_delay += done.queue_delay
-        tally.retries += done.retries
+        record.n_requests += 1
+        record.queue_delay += done.queue_delay
+        record.retries += done.retries
         if step.op == "read":
-            tally.reads += 1
+            record.reads += 1
         elif step.op == "write":
-            tally.writes += 1
+            record.writes += 1
         if done.error is not None:
             return done
-    if cap.trailing_cpu > 0:
-        yield ("cpu", cap.trailing_cpu)
+    if trailing > 0:
+        yield ("cpu", trailing)
     return None
 
 
@@ -295,23 +303,22 @@ class ClientContext:
 
     def _run_ops(self, ops: Sequence[Op], phase: str):
         """Generator of :func:`replay` events, one operation after another."""
-        clock = self.engine.loop.clock
+        engine = self.engine
+        clock = engine.loop.clock
         for label, fn in ops:
-            start = clock.now
-            tally = OpTally()
-            failed = yield from replay(self.engine, fn, tally)
-            error = failed.error if failed is not None else None
-            end = clock.now
-            self.cpu_seconds += tally.cpu_seconds
-            self.queue_delay += tally.queue_delay
-            self.reads += tally.reads
-            self.writes += tally.writes
-            self.retries += tally.retries
-            if error is not None:
+            record = OpRecord(phase, label, self.cid, clock.now)
+            failed = yield from replay(engine, fn, record)
+            record.end = end = clock.now
+            self.cpu_seconds += record.cpu_seconds
+            self.queue_delay += record.queue_delay
+            self.reads += record.reads
+            self.writes += record.writes
+            self.retries += record.retries
+            if failed is not None:
+                record.error = failed.error
                 self.io_errors += 1
-            self._latency_ms.observe((end - start) * 1e3)
-            self.records.append(
-                tally.record(phase, label, self.cid, start, end, error))
+            self._latency_ms.observe((end - record.start) * 1e3)
+            self.records.append(record)
 
 
 class Engine(Replayer):
@@ -349,6 +356,7 @@ class Engine(Replayer):
         self.device.disk.registry.read(
             "engine.events", lambda: self.loop.events_run)
         self.clients: List[ClientContext] = []
+        self._capture = _CaptureDevice(self.device, self.loop.now)
 
     @property
     def now(self) -> float:
@@ -380,10 +388,12 @@ class Engine(Replayer):
     def _devices(self) -> Iterable[BlockDevice]:
         return (self.device,)
 
-    def capture(self, fn: Callable[[FileSystem], object]) -> CapturedOp:
-        """Run ``fn(fs)`` against the recording device; returns its timeline."""
-        scratch = SimClock(self.loop.now)
-        proxy = _CaptureDevice(self.device, scratch)
+    def capture(self, fn: Callable[[FileSystem], object]) -> _CaptureDevice:
+        """Run ``fn(fs)`` against the recording device; returns it,
+        holding the timeline until the next capture."""
+        proxy = self._capture
+        proxy.arm(self.loop.now)
+        scratch = proxy.clock
         fs = self.fs
         saved_cpu_clock = fs.cpu.clock
         fs.cache.device = proxy  # type: ignore[assignment]
@@ -408,13 +418,11 @@ class Engine(Replayer):
 # BLOCK_SIZE is re-exported for callers sizing per-client workloads.
 __all__ = [
     "BLOCK_SIZE",
-    "CapturedOp",
     "CapturedRequest",
     "ClientContext",
     "Engine",
     "Op",
     "OpRecord",
-    "OpTally",
     "Replayer",
     "replay",
 ]

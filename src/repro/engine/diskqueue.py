@@ -180,9 +180,8 @@ class DiskQueue:
         ``on_complete(request)`` fires (as a loop event) when the drive
         reports host completion.
         """
-        req = QueuedRequest(op=op, lba=lba, nsectors=nsectors, client=client,
-                            on_complete=on_complete)
-        req.submit_time = req.first_submit_time = now = self.loop.now
+        now = self.loop.clock.now
+        req = QueuedRequest(op, lba, nsectors, client, on_complete, now, now)
         if self._first_submit is None:
             self._first_submit = self._last_depth_mark = now
         self.stats.submitted += 1
@@ -192,6 +191,9 @@ class DiskQueue:
     # -- internals ------------------------------------------------------------
 
     def _integrate_depth(self, now: float) -> None:
+        """Add the depth held since the last change; called before each
+        change of ``_pending`` (once per instant: a second call at the
+        same time would add zero)."""
         self.stats.depth_area += len(self._pending) * (now - self._last_depth_mark)
         self._last_depth_mark = now
 
@@ -202,10 +204,19 @@ class DiskQueue:
             rank = -1
         else:
             rank = 0 if self.policy == "fcfs" else req.lba
-        insort(self._pending, (rank, next(self._arrivals), req))
-        if len(self._pending) > self.stats.max_depth:
-            self.stats.max_depth = len(self._pending)
-        self._try_dispatch(now)
+        pending = self._pending
+        insort(pending, (rank, next(self._arrivals), req))
+        if len(pending) > self.stats.max_depth:
+            self.stats.max_depth = len(pending)
+        if not self._busy:
+            self._dispatch(now)
+
+    def _drive_free(self, now: float) -> None:
+        """The drive finished (or reported a fault): start the next one."""
+        self._busy = False
+        if self._pending:
+            self._integrate_depth(now)
+            self._dispatch(now)
 
     def _select(self) -> int:
         """Index of the next request per policy (pending is non-empty)."""
@@ -224,10 +235,9 @@ class DiskQueue:
         lo, hi = pending[below], pending[ahead]
         return below if (head - lo[0], lo[1]) < (hi[0] - head, hi[1]) else ahead
 
-    def _try_dispatch(self, now: float) -> None:
-        if self._busy or not self._pending:
-            return
-        self._integrate_depth(now)
+    def _dispatch(self, now: float) -> None:
+        """Start the next request on the idle drive (pending is
+        non-empty and its depth integrated up to ``now``)."""
         req = self._pending.pop(self._select())[2]
         req.dispatch_time = now
         self.stats.total_queue_delay += now - req.submit_time
@@ -279,9 +289,8 @@ class DiskQueue:
 
     def _release_and_requeue(self, req: QueuedRequest) -> None:
         """Free the drive after a transient fault; resubmit after backoff."""
-        self._busy = False
         self.loop.call_later(retry_delay(req.retries - 1), self._resubmit, req)
-        self._try_dispatch(self.loop.now)
+        self._drive_free(self.loop.now)
 
     def _resubmit(self, req: QueuedRequest) -> None:
         # Not a new submission for accounting purposes, but the queue
@@ -305,7 +314,6 @@ class DiskQueue:
             # backoff sleeps and every extra service attempt count.
             self._retry_latency.observe(now - req.first_submit_time)
         self.stats.span = now - self._first_submit
-        self._busy = False
-        self._try_dispatch(now)
+        self._drive_free(now)
         if req.on_complete is not None:
             req.on_complete(req)

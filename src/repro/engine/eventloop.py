@@ -47,7 +47,7 @@ class EventLoop:
         Times in the past are clamped to ``now`` (the event runs at the
         current instant, after events already scheduled for it).
         """
-        now = self.clock.now
+        now = self.clock._now
         if when < now:
             when = now
         heapq.heappush(self._heap, (when, next(self._seq), callback, args))
@@ -57,7 +57,7 @@ class EventLoop:
         if delay < 0:
             raise InvalidArgument("cannot schedule an event in the past: %r" % delay)
         # Never in the past, so none of call_at's clamping.
-        heapq.heappush(self._heap, (self.clock.now + delay, next(self._seq),
+        heapq.heappush(self._heap, (self.clock._now + delay, next(self._seq),
                                     callback, args))
 
     @property
@@ -73,15 +73,17 @@ class EventLoop:
         # Dispatch with hoisted locals, counting events in a local and
         # adding it to ``events_run`` once at the end: the count is only
         # read between runs, so batching the update is invisible to its
-        # readers while removing an attribute walk per event.
+        # readers while removing an attribute walk per event.  Popped
+        # times never decrease (``call_at`` clamps to now, ``call_later``
+        # refuses negative delays), so the clock is set, not advanced.
         heap = self._heap
         pop = heapq.heappop
-        advance_to = self.clock.advance_to
+        clock = self.clock
         ran = 0
         try:
             while heap:
                 when, _seq, callback, args = pop(heap)
-                advance_to(when)
+                clock._now = when
                 ran += 1
                 callback(*args)
         finally:
