@@ -41,7 +41,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.core import Cluster, ClusterClient, ClusterOp
 from repro.cluster.evacuate import EvacuatedTop
-from repro.cluster.traffic import TrafficConfig, ZipfSampler, build_client_ops
+from repro.cluster.traffic import (
+    SUMMARY_PRECISION,
+    TrafficConfig,
+    ZipfSampler,
+    build_client_ops,
+    rounded,
+)
 from repro.errors import InvalidArgument
 from repro.faults.schedule import FaultSchedule
 from repro.resilience.checksums import crc32
@@ -371,18 +377,19 @@ def chaos_summary(result: ChaosResult) -> dict:
             "warm_fraction": cfg.warm_fraction,
             "availability_floor": cfg.availability_floor,
         },
-        "phases": {
+        "phases": rounded({
             "warm_clients": result.warm_clients,
             "storm_clients": result.storm_clients,
-            "warm_seconds": round(result.warm_seconds, 9),
-            "storm_seconds": round(result.storm_seconds, 9),
-            "drain_seconds": round(result.drain_seconds, 9),
-            "evacuate_seconds": round(result.evacuate_seconds, 9),
-        },
+            "warm_seconds": result.warm_seconds,
+            "storm_seconds": result.storm_seconds,
+            "drain_seconds": result.drain_seconds,
+            "evacuate_seconds": result.evacuate_seconds,
+        }),
         "health": {
             "final": list(result.final_states),
             "transitions": [
-                [round(when, 9), sid, prev, state, reason]
+                [round(when, SUMMARY_PRECISION["when"]), sid, prev, state,
+                 reason]
                 for when, sid, prev, state, reason in result.health_log
             ],
         },
@@ -404,15 +411,15 @@ def chaos_summary(result: ChaosResult) -> dict:
             "mismatches": list(result.crc_mismatches),
             "stranded": result.stranded,
         },
-        "availability": {
+        "availability": rounded({
             "ops": result.ops_total,
             "failed": result.ops_failed,
-            "overall": round(result.availability, 6),
+            "overall": result.availability,
             "surviving_ops": result.surviving_ops,
             "surviving_failed": result.surviving_failed,
-            "surviving": round(result.surviving_availability, 6),
+            "surviving": result.surviving_availability,
             "floor": cfg.availability_floor,
-        },
+        }),
         "verdict": result.verdict(),
     }
 

@@ -369,6 +369,29 @@ def render_cluster(result: ClusterTrafficResult) -> str:
     return "\n".join(lines)
 
 
+#: Decimal places of every rounded field of the cluster summaries
+#: (``repro-cluster/1`` and ``repro-cluster-chaos/1``), declared once
+#: per field name: simulated seconds to the nanosecond; milliseconds,
+#: microseconds, ratios and queue depths to 1e-6; a rate to 1e-3.
+SUMMARY_PRECISION: Dict[str, int] = {
+    "seconds": 9, "busy_seconds": 9, "overhead_cpu_seconds": 9,
+    "warm_seconds": 9, "storm_seconds": 9, "drain_seconds": 9,
+    "evacuate_seconds": 9, "when": 9,
+    "p50_ms": 6, "p95_ms": 6, "p99_ms": 6, "max_ms": 6,
+    "overhead_us_per_op": 6, "imbalance": 6, "fairness": 6,
+    "mean_queue_depth": 6, "overall": 6, "surviving": 6,
+    "ops_per_second": 3,
+}
+
+
+def rounded(fields: Dict[str, object]) -> Dict[str, object]:
+    """``fields`` with each one :data:`SUMMARY_PRECISION` names rounded
+    to its declared places (the rest, counts and names, as given)."""
+    return {name: (round(value, SUMMARY_PRECISION[name])
+                   if name in SUMMARY_PRECISION else value)
+            for name, value in fields.items()}
+
+
 def cluster_summary(result: ClusterTrafficResult) -> dict:
     """The machine-readable summary (schema ``repro-cluster/1``)."""
     cfg = result.config
@@ -391,43 +414,43 @@ def cluster_summary(result: ClusterTrafficResult) -> dict:
             "router": cfg.router,
             "seed": cfg.seed,
         },
-        "totals": {
+        "totals": rounded({
             "ops": result.phase.n_ops,
-            "seconds": round(result.seconds, 9),
-            "ops_per_second": round(result.ops_per_second, 3),
-            "p50_ms": round(agg.p50 * 1e3, 6),
-            "p95_ms": round(agg.p95 * 1e3, 6),
-            "p99_ms": round(agg.p99 * 1e3, 6),
-            "max_ms": round(agg.maximum * 1e3, 6),
+            "seconds": result.seconds,
+            "ops_per_second": result.ops_per_second,
+            "p50_ms": agg.p50 * 1e3,
+            "p95_ms": agg.p95 * 1e3,
+            "p99_ms": agg.p99 * 1e3,
+            "max_ms": agg.maximum * 1e3,
             "retried": result.phase.retried,
             "failed": result.phase.failed,
-        },
-        "balance": {
-            "imbalance": round(result.imbalance, 6),
-            "fairness": round(result.phase.fairness, 6),
-        },
-        "router": {
+        }),
+        "balance": rounded({
+            "imbalance": result.imbalance,
+            "fairness": result.phase.fairness,
+        }),
+        "router": rounded({
             "kind": cfg.router,
             "routes": result.routes,
-            "overhead_cpu_seconds": round(result.route_cpu_seconds, 9),
-            "overhead_us_per_op": round(
+            "overhead_cpu_seconds": result.route_cpu_seconds,
+            "overhead_us_per_op": (
                 result.route_cpu_seconds / result.phase.n_ops * 1e6
-                if result.phase.n_ops else 0.0, 6),
-        },
+                if result.phase.n_ops else 0.0),
+        }),
         "renames": {
             "local": result.local_renames,
             "cross_shard": result.cross_shard_renames,
         },
         "per_shard": [
-            {
+            rounded({
                 "shard": row.shard,
                 "ops": row.ops,
                 "bytes_read": row.bytes_read,
                 "bytes_written": row.bytes_written,
                 "requests": row.requests,
-                "mean_queue_depth": round(row.mean_queue_depth, 6),
-                "busy_seconds": round(row.busy_seconds, 9),
-            }
+                "mean_queue_depth": row.mean_queue_depth,
+                "busy_seconds": row.busy_seconds,
+            })
             for row in result.per_shard
         ],
     }
@@ -436,11 +459,13 @@ def cluster_summary(result: ClusterTrafficResult) -> dict:
 __all__ = [
     "CLUSTER_SCHEMA",
     "ClusterTrafficResult",
+    "SUMMARY_PRECISION",
     "ShardBalance",
     "TrafficConfig",
     "ZipfSampler",
     "build_client_ops",
     "cluster_summary",
     "render_cluster",
+    "rounded",
     "run_cluster_traffic",
 ]
