@@ -104,7 +104,7 @@ class _CaptureDevice(BatchedIO):
         now = self.clock.now
         gap = now - self._mark
         self._mark = now
-        # Summed in request order, as ``sum()`` over the gaps would.
+        # In request order: the total must round as a sum over the gaps.
         self.cpu_total += gap
         self.requests.append(CapturedRequest(op, lba, nsectors, gap))
 
