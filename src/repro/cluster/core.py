@@ -10,10 +10,10 @@ registry, fronted by the namespace router
 
 Execution styles mirror the single-engine harness:
 
-- **lock-step** — facade calls run synchronously against the owning
-  shard, with the shard's device clock and the shared loop clock
-  meeting at the later of the two around every call (the cluster-wide
-  generalization of ``Engine.run_sync``).
+- **lock-step** — :meth:`Cluster.call` (every facade call) runs each
+  leg synchronously on its shard's engine (``Engine.run_sync``: the
+  shard's device clock and the shared loop clock meet at the later of
+  the two around the call).
 - **concurrent** — :meth:`Cluster.run_phase` replays
   :class:`ClusterClient` op scripts through the capture-replay
   machinery.  A cluster op resolves (lazily, at op start) to one or
@@ -23,6 +23,10 @@ Execution styles mirror the single-engine harness:
   its shard's engine and its requests replay into that shard's disk
   queue, so N shards genuinely run N arms in parallel while every
   client still executes its own ops in order.
+
+Both styles run an op through one loop, :meth:`Cluster.run_op`: route
+CPU, the write gate, the legs, the failure decision and the retry
+backoff are the same code whichever way the legs execute.
 
 Determinism is inherited wholesale: one event loop, FIFO tie-breaks,
 seeded scripts, no wall clock — two identically-seeded cluster runs
@@ -132,81 +136,21 @@ class ClusterClient:
                 if phase is None or r.phase == phase]
 
     def _run_ops(self, ops: Sequence[ClusterOp], phase: str):
-        """Generator of :func:`~repro.engine.client.replay` events.
+        """Generator of :func:`~repro.engine.client.replay` events: each
+        op runs through :meth:`Cluster.run_op` with its legs replayed.
 
-        Owns what is the cluster's: resolving an op to its legs, running
-        them in order on their shards' engines, and the retry loop.  A
-        failed op (hard fault surfacing from a shard's disk queue) is
-        retried with deterministic exponential backoff when its
-        resolver is re-runnable — bounded by the cluster retry rule's
-        attempt budget and per-op simulated-time timeout.  Every failure
-        goes to the facade's decision
-        (:meth:`~repro.cluster.health.ClusterHealth.after_failure`),
-        which classifies it into the per-shard health state first, so
-        routing reacts while the phase is still running.
+        An op is retried only when its resolver is re-runnable and its
+        label is in :attr:`RETRYABLE_LABELS`.
         """
-        cluster = self.cluster
-        clock = cluster.loop.clock
+        clock = self.cluster.loop.clock
+        run_op = self.cluster.run_op
         for label, spec in ops:
-            start = clock.now
-            attempts = 0
-            retryable = callable(spec) and label in self.RETRYABLE_LABELS
             # Every leg and every attempt adds into the one record.
-            record = OpRecord(phase, label, self.cid, start)
+            record = OpRecord(phase, label, self.cid, clock.now)
             touched: List[int] = []
-            while True:
-                error: Optional[str] = None
-                failure: Optional[ReproError] = None
-                try:
-                    legs = spec() if callable(spec) else spec
-                except ReproError as exc:
-                    # Routing refused (e.g. no shard can accept a new
-                    # placement): the op fails without issuing a leg,
-                    # and retrying cannot help — health only worsens
-                    # within a phase.
-                    legs = []
-                    error = "route: %s: %s" % (type(exc).__name__, exc)
-                route_cpu = cluster._take_route_cpu()
-                record.cpu_seconds += route_cpu
-                if route_cpu > 0:
-                    yield ("cpu", route_cpu)
-                for shard, fn in legs:
-                    touched.append(shard.sid)
-                    try:
-                        failed = yield from replay(shard.engine, fn, record)
-                    except ReproError as exc:
-                        # Raised while capturing, as a lock-step call
-                        # raises it.
-                        failure = exc
-                        error = "%s: %s: %s" % (
-                            shard.name, type(exc).__name__, exc)
-                        break
-                    if failed is not None:
-                        # The request the synchronous stack would have
-                        # raised at, as the media error it stands for.
-                        kind = (MediaWriteError if failed.op == "write"
-                                else MediaReadError)
-                        failure = kind(failed.error)
-                        error = "%s: %s" % (shard.name, failed.error)
-                        break
-                if failure is None:
-                    break
-                attempts += 1
-                answer = cluster.health.after_failure(
-                    shard.sid, failure, label, attempts, clock.now - start,
-                    retryable)
-                if answer is None:
-                    break
-                if not isinstance(answer, float):
-                    # The sticky route would send the retry straight
-                    # back to the shard this fault demoted.
-                    error = "%s: %s" % (shard.name, answer)
-                    break
-                yield ("cpu", answer)
-            if error is None:
-                settle(attempts, cluster.metrics)
+            yield from run_op(label, spec, record, touched, replay,
+                              callable(spec) and label in self.RETRYABLE_LABELS)
             record.end = clock.now
-            record.error = error
             self.records.append(record)
             self.leg_shards.append(tuple(touched))
 
@@ -302,11 +246,6 @@ class Cluster(Replayer):
         if bytes_written:
             shard.bytes_written.inc(bytes_written)
 
-    def _take_route_cpu(self) -> float:
-        cost = self._pending_route_cpu
-        self._pending_route_cpu = 0.0
-        return cost
-
     def rebuild_assignments(self) -> Dict[str, int]:
         """Re-derive the router table from the shards' root namespaces.
 
@@ -367,20 +306,123 @@ class Cluster(Replayer):
                 reports.extend(evacuate_shard(self, shard.sid))
         return reports
 
+    # -- the per-operation loop ------------------------------------------------
+
+    def run_op(self, label: str, spec, record: OpRecord,
+               touched: List[int], run_leg: Callable, retryable: bool):
+        """One cluster op, the loop both execution styles share (generator).
+
+        Resolves ``spec`` (the legs, or a zero-argument resolver
+        returning them) and charges the route CPU, then runs the legs in
+        order through ``run_leg(engine, fn, record)``: a generator that
+        returns the request that failed, or ``None`` (:func:`replay`
+        is one).  Each leg's shard id goes to ``touched``.  Every
+        :class:`ReproError` goes to the one post-failure decision,
+        :meth:`~repro.cluster.health.ClusterHealth.after_failure`, and a
+        write is refused, never retried, once its fault has left its
+        shard unwritable.  CPU — route cost and retry backoff — is
+        yielded as ``("cpu", seconds)``.  Sets ``record.error`` and
+        returns the error the op surfaced, or ``None``.
+        """
+        clock = self.loop.clock
+        health = self.health
+        start = clock.now
+        attempts = 0
+        while True:
+            failure: Optional[ReproError] = None
+            error: Optional[str] = None
+            try:
+                legs = spec() if callable(spec) else spec
+            except ReproError as exc:
+                # Routing refused (e.g. no shard can accept a new
+                # placement): the op fails without issuing a leg, and
+                # retrying cannot help — health only worsens within a
+                # phase.
+                legs = ()
+                failure = exc
+                error = "route: %s: %s" % (type(exc).__name__, exc)
+            route_cpu = self._pending_route_cpu
+            self._pending_route_cpu = 0.0
+            record.cpu_seconds += route_cpu
+            if route_cpu > 0:
+                yield ("cpu", route_cpu)
+            for shard, fn in legs:
+                touched.append(shard.sid)
+                try:
+                    failed = yield from run_leg(shard.engine, fn, record)
+                except ReproError as exc:
+                    # Raised while capturing, as a lock-step call
+                    # raises it.
+                    failure = exc
+                    error = "%s: %s: %s" % (
+                        shard.name, type(exc).__name__, exc)
+                    break
+                if failed is not None:
+                    # The request the synchronous stack would have
+                    # raised at, as the media error it stands for.
+                    kind = (MediaWriteError if failed.op == "write"
+                            else MediaReadError)
+                    failure = kind(failed.error)
+                    error = "%s: %s" % (shard.name, failed.error)
+                    break
+            else:
+                if failure is None:
+                    settle(attempts, self.metrics)
+                break
+            attempts += 1
+            delay = health.after_failure(shard.sid, failure, label, attempts,
+                                         clock.now - start, retryable)
+            if delay is None:
+                break
+            if label == "write" and not health.writable(shard.sid):
+                # The sticky route would send the retry straight back to
+                # the shard this fault demoted.
+                failure = health.refusal(shard.sid)
+                error = "%s: %s" % (shard.name, failure)
+                break
+            yield ("cpu", delay)
+        record.error = error
+        return failure
+
+    def call(self, label: str, legs: Sequence[Leg]) -> object:
+        """Run ``legs`` lock-step through :meth:`run_op`; returns the
+        last leg's result.
+
+        Route CPU and retry backoff advance cluster time
+        (:meth:`backoff`).  The error the op surfaces is raised with its
+        shard's context: a ``shard`` attribute and an ``s<k>:`` prefix.
+        """
+        results: List[object] = []
+
+        def run_leg(engine, fn, record):
+            results.append(engine.run_sync(fn))
+            return None
+            yield   # a generator, as run_op delegates to it
+
+        touched: List[int] = [legs[0][0].sid]
+        failure = (self.health.refusal(legs[0][0].sid) if label == "write"
+                   else None)
+        op = self.run_op(label, legs, OpRecord(label, label, -1, self.now),
+                         touched, run_leg, True)
+        while failure is None:
+            try:
+                self.backoff(next(op)[1])
+            except StopIteration as stop:
+                failure = stop.value
+                break
+        if failure is None:
+            return results[-1]
+        if getattr(failure, "shard", None) is None:
+            shard = self.shards[touched[-1]]
+            failure.shard = shard.sid
+            failure.args = ("%s: %s" % (shard.name, failure),)
+        raise failure
+
     # -- lock-step sections ----------------------------------------------------
 
     def lockstep(self, shard: Shard, fn: Callable) -> object:
         """Run ``fn(shard.fs)`` synchronously on cluster time."""
-        if self.loop.pending:
-            raise InvalidArgument(
-                "cannot run a lock-step section with events pending")
-        shard.device.clock.advance_to(self.loop.now)
-        cost = self._take_route_cpu()
-        if cost > 0:
-            shard.fs.cpu.clock.advance(cost)
-        result = fn(shard.fs)
-        self.loop.clock.advance_to(shard.device.clock.now)
-        return result
+        return shard.engine.run_sync(fn)
 
     def sync_all(self) -> int:
         """Sync every shard (the cluster-wide barrier); returns requests."""

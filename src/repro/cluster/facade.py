@@ -20,27 +20,28 @@ The reserved per-shard ``/.cluster`` directory (intent files) is
 invisible here: it never appears in root listings and cannot be
 addressed through the facade.
 
-Fault tolerance (PR 10): every shard call runs under the cluster's
-failure decision (:meth:`~repro.cluster.health.ClusterHealth.
-after_failure`), the one the replay clients use too — transient and
-hard media errors are retried with deterministic exponential backoff
-on cluster time, every failure is classified into the per-shard health
-state, and a write to an owner that is not writable (READ_ONLY or
-FAILED, also when this very call's fault demoted it) is refused with
-:class:`~repro.errors.ReadOnlyFileSystem`.  A sick shard's subtrees
-move only by evacuation (:meth:`Cluster.evacuate_unhealthy`).
-Errors that escape carry shard context — the message gains an ``s<k>:``
-prefix and the exception grows a ``shard`` attribute — so a caller can
-tell *which* shard of the cluster failed.
+Fault tolerance: every shard call is one cluster op through
+:meth:`~repro.cluster.core.Cluster.call`, the per-op loop the replay
+clients use too (:meth:`~repro.cluster.core.Cluster.run_op`) —
+transient and hard media errors are retried with deterministic
+exponential backoff on cluster time, every failure is classified into
+the per-shard health state, and a write to an owner that is not
+writable (READ_ONLY or FAILED, also when this very call's fault
+demoted it) is refused with :class:`~repro.errors.ReadOnlyFileSystem`.
+The probes (``exists``, ``stat("/")``, the root ``readdir``) are cluster
+ops as well.  A sick shard's subtrees move only by evacuation
+(:meth:`Cluster.evacuate_unhealthy`).  Errors that escape carry shard
+context — the message gains an ``s<k>:`` prefix and the exception grows
+a ``shard`` attribute — so a caller can tell *which* shard of the
+cluster failed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.cluster.health import settle
 from repro.cluster.intent import CLUSTER_DIR
-from repro.errors import FileNotFound, InvalidArgument, ReproError
+from repro.errors import FileNotFound, InvalidArgument
 from repro.vfs import FileKind
 
 _RESERVED_TOP = CLUSTER_DIR.strip("/")
@@ -74,49 +75,9 @@ class ClusterFS:
         top, _ = split_top(path)
         return self._cluster.route(top)
 
-    @staticmethod
-    def _annotate(shard, exc: ReproError) -> None:
-        """Attach shard context to ``exc`` and re-raise it."""
-        if getattr(exc, "shard", None) is None:
-            exc.shard = shard.sid
-            exc.args = ("%s: %s" % (shard.name, exc),)
-        raise exc
-
     def _shard_call(self, shard, fn, op: str = "read"):
-        """Run ``fn`` on ``shard`` under the cluster's failure decision.
-
-        Retryable faults back the clock off deterministically and try
-        again (bounded by attempts and per-op simulated-time timeout);
-        every fault is classified into the shard's health state first.
-        Whatever escapes carries the shard's name in its message.
-        """
-        cluster = self._cluster
-        health = cluster.health
-        if op == "write":
-            # Enforce the advisory health state on the write path: a
-            # demoted shard must not keep absorbing writes into a
-            # cache that can never flush.
-            refusal = health.refusal(shard.sid)
-            if refusal is not None:
-                self._annotate(shard, refusal)
-        start = cluster.now
-        attempts = 0
-        while True:
-            try:
-                result = cluster.lockstep(shard, fn)
-            except ReproError as exc:
-                attempts += 1
-                answer = health.after_failure(shard.sid, exc, op, attempts,
-                                              cluster.now - start,
-                                              retryable=True)
-                if not isinstance(answer, float):
-                    # Give up on ``exc`` or surface the refusal; either
-                    # way the escaping error names its shard.
-                    self._annotate(shard, exc if answer is None else answer)
-                cluster.backoff(answer)
-            else:
-                settle(attempts, cluster.metrics)
-                return result
+        """Run ``fn`` on ``shard`` as one cluster op (``op``: its path)."""
+        return self._cluster.call(op, [(shard, fn)])
 
     def _call(self, path: str, fn):
         """Run a read ``fn`` on the shard owning ``path``."""
@@ -240,8 +201,8 @@ class ClusterFS:
 
     def stat(self, path: str):
         if path == "/":
-            return self._cluster.lockstep(
-                self._cluster.shards[0], lambda f: f.stat("/"))
+            return self._shard_call(self._cluster.shards[0],
+                                    lambda f: f.stat("/"))
         return self._call(path, lambda f: f.stat(path))
 
     def exists(self, path: str) -> bool:
@@ -254,8 +215,8 @@ class ClusterFS:
         sid = self._cluster.router.probe(top)
         if sid is None:
             return False
-        shard = self._cluster.shards[sid]
-        return bool(self._cluster.lockstep(shard, lambda f: f.exists(path)))
+        return bool(self._shard_call(self._cluster.shards[sid],
+                                     lambda f: f.exists(path)))
 
     def readdir(self, path: str) -> List[str]:
         cluster = self._cluster
@@ -266,7 +227,7 @@ class ClusterFS:
                     # A FAILED shard's subtrees were (or are being)
                     # evacuated; the survivors list them.
                     continue
-                merged.update(cluster.lockstep(shard,
+                merged.update(self._shard_call(shard,
                                                lambda f: f.readdir("/")))
             merged.discard(_RESERVED_TOP)
             return sorted(merged)

@@ -28,10 +28,11 @@ Every transition is mirrored into the cluster's metrics registry:
 the observability stack read the same numbers.
 
 Both execution paths — the facade's lock-step calls and the clients'
-capture-replay — hand every failure to one decision,
-:meth:`ClusterHealth.after_failure`: classify it, spend the retry
-budget (:func:`next_delay`), and refuse a write whose shard is no
-longer writable (:meth:`ClusterHealth.refusal`).  A sick shard's
+capture-replay — run an op through one loop
+(:meth:`~repro.cluster.core.Cluster.run_op`), which hands every failure
+to one decision, :meth:`ClusterHealth.after_failure` (classify it,
+spend the retry budget: :func:`next_delay`), and refuses a write whose
+shard is not writable (:meth:`ClusterHealth.refusal`).  A sick shard's
 subtrees move only by evacuation (:mod:`repro.cluster.evacuate`).
 
 The monitors are *advisory* at cluster scope: they steer the router
@@ -42,7 +43,7 @@ device) stays where PR 5 put it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import (
     DeviceDegraded,
@@ -178,7 +179,7 @@ class ClusterHealth:
 
     def after_failure(self, sid: int, exc: ReproError, op: str,
                       attempts: int, elapsed: float, retryable: bool
-                      ) -> Union[float, ReadOnlyFileSystem, None]:
+                      ) -> Optional[float]:
         """The one post-failure decision of both execution paths.
 
         ``exc`` is what the call on shard ``sid`` raised; ``op`` is the
@@ -186,17 +187,11 @@ class ClusterHealth:
         the op's failures so far, this one included, and ``elapsed``
         its simulated time.  ``retryable`` is False for an op the
         caller cannot re-run.  Returns the backoff before trying again,
-        a refusal to surface instead of ``exc`` (the failure left the
-        shard unwritable under a write), or ``None``: give up and
-        surface ``exc``.
+        or ``None``: give up and surface ``exc``.
         """
         if not self.classify(sid, exc, op) or not retryable:
             return None
-        delay = next_delay(attempts, elapsed, self.metrics)
-        if delay is None or op != "write":
-            return delay
-        refusal = self.refusal(sid)
-        return delay if refusal is None else refusal
+        return next_delay(attempts, elapsed, self.metrics)
 
     def _count_fault(self, sid: int, op: str) -> None:
         if op == "write":

@@ -169,8 +169,14 @@ def test_cluster_replays_retries_and_records_through_one_mechanism_each():
         assert issubclass(host, engine_client.Replayer)
         for name in ("run_phase", "_step"):
             assert name not in vars(host), (host.__name__, name)
-    for client in (engine_client.ClientContext, core.ClusterClient):
-        assert "yield from replay(" in inspect.getsource(client._run_ops)
+    assert "yield from replay(" in inspect.getsource(
+        engine_client.ClientContext._run_ops)
+    # The cluster's one per-op loop delegates each leg to its runner;
+    # the replay clients hand it ``replay`` itself.
+    run_op = inspect.getsource(core.Cluster.run_op)
+    assert "yield from run_leg(" in run_op
+    assert re.search(r"run_op\([^)]*\breplay\b",
+                     inspect.getsource(core.ClusterClient._run_ops))
     for name, source in sources.items():
         assert not re.search(r"for \w+ in [\w.]+\.requests", source), name
         assert ".capture(" not in source, name
@@ -201,8 +207,19 @@ def test_cluster_replays_retries_and_records_through_one_mechanism_each():
     assert "next_delay(" in decide
     for name, source in sources.items():
         assert name == "health" or ".classify(" not in source, name
-        assert source.count(".after_failure(") == (
-            name in ("core", "facade")), name
+    # One request path: the per-op loop hands every failure to that
+    # decision and settles every success; the facade and the lock-step
+    # section only delegate.
+    for needle in (r"\.after_failure\(", r"(?<!def )settle\("):
+        sites = [name for name, source in sources.items()
+                 for _ in re.findall(needle, source)]
+        assert sites == ["core"], (needle, sites)
+        assert re.search(needle, run_op), needle
+    for needle in ("after_failure(", "refusal(", "settle(", "backoff(",
+                   "lockstep("):
+        assert needle not in sources["facade"], needle
+    lockstep = inspect.getsource(core.Cluster.lockstep)
+    assert "run_sync(" in lockstep and "pending" not in lockstep
 
     # (c) records: one framing literal and one directory listing.
     framing = re.compile(r"=%[sd]\\n")
