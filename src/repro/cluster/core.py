@@ -316,13 +316,14 @@ class Cluster(Replayer):
         returning them) and charges the route CPU, then runs the legs in
         order through ``run_leg(engine, fn, record)``: a generator that
         returns the request that failed, or ``None`` (:func:`replay`
-        is one).  Each leg's shard id goes to ``touched``.  Every
-        :class:`ReproError` goes to the one post-failure decision,
-        :meth:`~repro.cluster.health.ClusterHealth.after_failure`, and a
-        write is refused, never retried, once its fault has left its
-        shard unwritable.  CPU — route cost and retry backoff — is
-        yielded as ``("cpu", seconds)``.  Sets ``record.error`` and
-        returns the error the op surfaced, or ``None``.
+        is one).  Each leg's shard id goes to ``touched``, also when a
+        ``write`` leg is refused because its shard is not writable —
+        before the leg runs, or once the leg's own fault demoted it.
+        Every :class:`ReproError` goes to the one post-failure decision,
+        :meth:`~repro.cluster.health.ClusterHealth.after_failure`.  CPU —
+        route cost and retry backoff — is yielded as ``("cpu",
+        seconds)``.  Sets ``record.error`` and returns the error the op
+        surfaced, or ``None``.
         """
         clock = self.loop.clock
         health = self.health
@@ -348,6 +349,8 @@ class Cluster(Replayer):
                 yield ("cpu", route_cpu)
             for shard, fn in legs:
                 touched.append(shard.sid)
+                if label == "write" and not health.writable(shard.sid):
+                    break       # refused below, before the leg runs
                 try:
                     failed = yield from run_leg(shard.engine, fn, record)
                 except ReproError as exc:
@@ -369,18 +372,22 @@ class Cluster(Replayer):
                 if failure is None:
                     settle(attempts, self.metrics)
                 break
-            attempts += 1
-            delay = health.after_failure(shard.sid, failure, label, attempts,
-                                         clock.now - start, retryable)
-            if delay is None:
-                break
-            if label == "write" and not health.writable(shard.sid):
-                # The sticky route would send the retry straight back to
-                # the shard this fault demoted.
-                failure = health.refusal(shard.sid)
-                error = "%s: %s" % (shard.name, failure)
-                break
-            yield ("cpu", delay)
+            if failure is not None:
+                attempts += 1
+                delay = health.after_failure(shard.sid, failure, label,
+                                             attempts, clock.now - start,
+                                             retryable)
+                if delay is None:
+                    break
+                if label != "write" or health.writable(shard.sid):
+                    yield ("cpu", delay)
+                    continue
+            # A write to a shard that is not writable — also when this
+            # op's own fault demoted it, where the sticky route would
+            # send the retry straight back — is refused, never moved.
+            failure = health.refusal(shard.sid)
+            error = "%s: %s" % (shard.name, failure)
+            break
         record.error = error
         return failure
 
@@ -399,12 +406,10 @@ class Cluster(Replayer):
             return None
             yield   # a generator, as run_op delegates to it
 
-        touched: List[int] = [legs[0][0].sid]
-        failure = (self.health.refusal(legs[0][0].sid) if label == "write"
-                   else None)
+        touched: List[int] = []
         op = self.run_op(label, legs, OpRecord(label, label, -1, self.now),
                          touched, run_leg, True)
-        while failure is None:
+        while True:
             try:
                 self.backoff(next(op)[1])
             except StopIteration as stop:

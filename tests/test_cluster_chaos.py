@@ -356,6 +356,24 @@ class TestFacadeRetryAndRedirect:
         assert cluster.fs.read_file("/a/f") == b"x" * 8192
         assert not cluster.fs.exists("/a/g")
 
+    def test_replayed_writes_against_a_read_only_shard_are_refused(self):
+        # Refused before the leg runs: capture would otherwise put the
+        # file into the demoted shard's cache and image.
+        cluster, _ = faulty_cluster()
+        cluster.health.mark(0, HealthState.READ_ONLY, "operator demotion")
+        client = cluster.add_client()
+
+        def resolve():
+            return [(cluster.route("a"),
+                     lambda f: f.write_file("/a/g", b"moved" * 100))]
+
+        cluster.run_phase({client: [("write", resolve)]}, "probe")
+        (record,) = client.records
+        assert record.error == "s0: shard refuses writes (health READ_ONLY)"
+        assert record.n_requests == 0
+        assert client.leg_shards == [(0,)]
+        assert not cluster.shards[0].fs.exists("/a/g")
+
     def test_new_top_on_a_read_only_shard_routes_elsewhere(self):
         cluster, _ = faulty_cluster()
         cluster.health.mark(0, HealthState.READ_ONLY, "demoted")

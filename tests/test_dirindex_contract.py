@@ -207,10 +207,11 @@ def test_cluster_replays_retries_and_records_through_one_mechanism_each():
     assert "next_delay(" in decide
     for name, source in sources.items():
         assert name == "health" or ".classify(" not in source, name
-    # One request path: the per-op loop hands every failure to that
-    # decision and settles every success; the facade and the lock-step
-    # section only delegate.
-    for needle in (r"\.after_failure\(", r"(?<!def )settle\("):
+    # One request path: the per-op loop gates every write, hands every
+    # failure to that decision and settles every success; the facade
+    # and the lock-step section only delegate.
+    for needle in (r"\.after_failure\(", r"\.refusal\(",
+                   r"(?<!def )settle\("):
         sites = [name for name, source in sources.items()
                  for _ in re.findall(needle, source)]
         assert sites == ["core"], (needle, sites)
