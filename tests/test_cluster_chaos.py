@@ -374,6 +374,16 @@ class TestFacadeRetryAndRedirect:
         assert client.leg_shards == [(0,)]
         assert not cluster.shards[0].fs.exists("/a/g")
 
+    def test_a_probe_absorbs_a_read_fault_within_budget(self):
+        cluster, schedule = faulty_cluster()
+        cluster.fs.drop_caches()
+        device = cluster.shards[0].fs.cache.device
+        schedule.fail_read(device.stats.reads)   # the probe's first read
+        assert cluster.fs.exists("/a/f")
+        snap = cluster.metrics.snapshot()
+        assert snap["cluster.retry.absorbed"] == 1
+        assert cluster.health.state(0) is HealthState.DEGRADED
+
     def test_new_top_on_a_read_only_shard_routes_elsewhere(self):
         cluster, _ = faulty_cluster()
         cluster.health.mark(0, HealthState.READ_ONLY, "demoted")
