@@ -10,10 +10,8 @@ registry, fronted by the namespace router
 
 Execution styles mirror the single-engine harness:
 
-- **lock-step** — :meth:`Cluster.call` (every facade call) runs each
-  leg synchronously on its shard's engine (``Engine.run_sync``: the
-  shard's device clock and the shared loop clock meet at the later of
-  the two around the call).
+- **lock-step** — facade calls (:meth:`Cluster.call`) run each leg
+  synchronously on its shard's engine (``Engine.run_sync``).
 - **concurrent** — :meth:`Cluster.run_phase` replays
   :class:`ClusterClient` op scripts through the capture-replay
   machinery.  A cluster op resolves (lazily, at op start) to one or
@@ -24,9 +22,8 @@ Execution styles mirror the single-engine harness:
   queue, so N shards genuinely run N arms in parallel while every
   client still executes its own ops in order.
 
-Both styles run an op through one loop, :meth:`Cluster.run_op`: route
-CPU, the write gate, the legs, the failure decision and the retry
-backoff are the same code whichever way the legs execute.
+Both styles run an op through one loop, :meth:`Cluster.run_op`; only
+how a leg executes differs.
 
 Determinism is inherited wholesale: one event loop, FIFO tie-breaks,
 seeded scripts, no wall clock — two identically-seeded cluster runs
@@ -137,11 +134,7 @@ class ClusterClient:
 
     def _run_ops(self, ops: Sequence[ClusterOp], phase: str):
         """Generator of :func:`~repro.engine.client.replay` events: each
-        op runs through :meth:`Cluster.run_op` with its legs replayed.
-
-        An op is retried only when its resolver is re-runnable and its
-        label is in :attr:`RETRYABLE_LABELS`.
-        """
+        op runs through :meth:`Cluster.run_op`, its legs replayed."""
         clock = self.cluster.loop.clock
         run_op = self.cluster.run_op
         for label, spec in ops:
@@ -310,20 +303,17 @@ class Cluster(Replayer):
 
     def run_op(self, label: str, spec, record: OpRecord,
                touched: List[int], run_leg: Callable, retryable: bool):
-        """One cluster op, the loop both execution styles share (generator).
+        """One cluster op: the loop both execution styles share (generator).
 
-        Resolves ``spec`` (the legs, or a zero-argument resolver
-        returning them) and charges the route CPU, then runs the legs in
-        order through ``run_leg(engine, fn, record)``: a generator that
-        returns the request that failed, or ``None`` (:func:`replay`
-        is one).  Each leg's shard id goes to ``touched``, also when a
-        ``write`` leg is refused because its shard is not writable —
-        before the leg runs, or once the leg's own fault demoted it.
-        Every :class:`ReproError` goes to the one post-failure decision,
-        :meth:`~repro.cluster.health.ClusterHealth.after_failure`.  CPU —
-        route cost and retry backoff — is yielded as ``("cpu",
-        seconds)``.  Sets ``record.error`` and returns the error the op
-        surfaced, or ``None``.
+        Resolves ``spec`` (legs, or a resolver returning them), charges
+        the route CPU and runs the legs in order through
+        ``run_leg(engine, fn, record)``, a generator returning the
+        request that failed or ``None`` (:func:`replay` is one), listing
+        each leg's shard in ``touched``.  A ``write`` leg whose shard is
+        not writable is refused.  Every failure goes to
+        :meth:`~repro.cluster.health.ClusterHealth.after_failure` once;
+        CPU (route cost, retry backoff) is yielded as ``("cpu", s)``.
+        Sets ``record.error``; returns the surfaced error or ``None``.
         """
         clock = self.loop.clock
         health = self.health
@@ -350,7 +340,10 @@ class Cluster(Replayer):
             for shard, fn in legs:
                 touched.append(shard.sid)
                 if label == "write" and not health.writable(shard.sid):
-                    break       # refused below, before the leg runs
+                    # Refused below, before the leg runs: a demoted shard
+                    # must not take writes into a cache (or, by capture,
+                    # an image) that can never flush.
+                    break
                 try:
                     failed = yield from run_leg(shard.engine, fn, record)
                 except ReproError as exc:
@@ -392,13 +385,9 @@ class Cluster(Replayer):
         return failure
 
     def call(self, label: str, legs: Sequence[Leg]) -> object:
-        """Run ``legs`` lock-step through :meth:`run_op`; returns the
-        last leg's result.
-
-        Route CPU and retry backoff advance cluster time
-        (:meth:`backoff`).  The error the op surfaces is raised with its
-        shard's context: a ``shard`` attribute and an ``s<k>:`` prefix.
-        """
+        """Run ``legs`` lock-step through :meth:`run_op`, each cpu event
+        a :meth:`backoff`.  Returns the last leg's result, or raises the
+        op's error with its shard's context (``shard``, ``s<k>:``)."""
         results: List[object] = []
 
         def run_leg(engine, fn, record):
@@ -409,12 +398,11 @@ class Cluster(Replayer):
         touched: List[int] = []
         op = self.run_op(label, legs, OpRecord(label, label, -1, self.now),
                          touched, run_leg, True)
-        while True:
-            try:
+        try:
+            while True:
                 self.backoff(next(op)[1])
-            except StopIteration as stop:
-                failure = stop.value
-                break
+        except StopIteration as stop:
+            failure = stop.value
         if failure is None:
             return results[-1]
         if getattr(failure, "shard", None) is None:
