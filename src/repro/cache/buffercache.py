@@ -43,7 +43,7 @@ passes to converge (each pass makes strictly more updates durable).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro import obs
 from repro.blockdev.device import ZERO_BLOCK, BlockDevice
@@ -165,6 +165,17 @@ class BufferCache:
         if logical is not None and buf.logical != logical:
             self._set_logical(buf, logical)
         return buf
+
+    def create_dirty(self, blocks: Iterable[Tuple[int, bytes]]) -> None:
+        """:meth:`create` then :meth:`mark_dirty` for each ``(bno,
+        image)`` in order: mkfs's way of handing a run of fresh metadata
+        blocks to the cache in one call.  A block is dirty before the
+        next one is placed, so an eviction inside the run writes back
+        earlier blocks of it exactly as separate calls would."""
+        dirty = self._dirty
+        for bno, image in blocks:
+            self._place(bno, image, None, over_dirty=True).dirty = True
+            dirty.add(bno)
 
     def mark_dirty(self, bno: int) -> None:
         """Record that the buffer's data diverges from the disk."""

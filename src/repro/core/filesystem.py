@@ -44,7 +44,6 @@ from repro.errors import (
 from repro.ffs import mapping
 from repro.ffs.alloc import GroupedAllocator
 from repro.ffs.base import BlockFileSystem, OrderToken, VolumeConfig
-from repro.ffs.cylgroup import table_block
 from repro.ffs.layout import NDIRECT
 from repro.vfs.stat import StatResult
 
@@ -170,13 +169,9 @@ class CFFS(BlockFileSystem):
         }
 
     def _init_volume(self, n_cgs: int) -> None:
-        for cgi in range(n_cgs):
-            # Blocks past the last whole extent are unusable.
-            self.alloc.format_group(cgi, self._usable_per_cg())
-            for g in range(self.config.gdt_blocks):
-                gdt = table_block(self.cg_base(cgi), g)
-                self.cache.create(gdt)
-                self.cache.mark_dirty(gdt)
+        # Blocks past the last whole extent are unusable.
+        self.alloc.format_groups(n_cgs, self._usable_per_cg(),
+                                 self.config.gdt_blocks)
         self._adopt_root(
             CNode(ROOT_FILEID, layout.MODE_DIR, 1, self.device.clock.now))
 

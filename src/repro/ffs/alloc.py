@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.blockdev.device import BLOCK_SIZE
 from repro.cache.buffer import Buffer
 from repro.cache.buffercache import BufferCache
 from repro.errors import NoSpace
 from repro.ffs.cylgroup import (CylinderGroup, bit_is_set, bitmap_block,
                                 clear_bit, clear_run, descriptor_block,
                                 find_clear_bit, fresh_bitmap, fresh_descriptor,
-                                inode_bit, run_bits, set_bit, set_run)
+                                inode_bit, run_bits, set_bit, set_run,
+                                table_block)
 
 
 class GroupedAllocator:
@@ -87,18 +89,21 @@ class GroupedAllocator:
         found a bit to flip takes ``.data``."""
         return self.cache.get(cg.bitmap_block)
 
-    def format_group(self, cgi: int, usable: int) -> None:
-        """mkfs: an empty group ``cgi`` with ``usable`` data blocks —
-        fresh bitmap and descriptor into the cache, to be written."""
-        base = self._cg_base_of(cgi)
-        for bno, image in (
-            (bitmap_block(base),
-             fresh_bitmap(self.blocks_per_cg, self.data_start, usable)),
-            (descriptor_block(base),
-             fresh_descriptor(usable, self.inodes_per_cg, self.data_start)),
-        ):
-            self.cache.create(bno, image=image)
-            self.cache.mark_dirty(bno)
+    def format_groups(self, n_cgs: int, usable: int, table_blocks: int) -> None:
+        """mkfs: ``n_cgs`` empty groups of ``usable`` data blocks each.
+        Each group's bitmap, descriptor and ``table_blocks`` zeroed
+        table blocks go into the cache, dirty, in one call; every group
+        shares the same three images (an edit copies its block's)."""
+        bitmap = fresh_bitmap(self.blocks_per_cg, self.data_start, usable)
+        descriptor = fresh_descriptor(usable, self.inodes_per_cg,
+                                      self.data_start)
+        zero = bytes(BLOCK_SIZE)
+        for cgi in range(n_cgs):
+            base = self._cg_base_of(cgi)
+            run = [(bitmap_block(base), bitmap),
+                   (descriptor_block(base), descriptor)]
+            run += [(table_block(base, g), zero) for g in range(table_blocks)]
+            self.cache.create_dirty(run)
 
     def drop_mirrors(self) -> None:
         self._groups.clear()

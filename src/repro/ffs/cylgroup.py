@@ -11,8 +11,9 @@ systems (C-FFS keeps the FFS group and swaps the table)::
                           extent descriptors), up to ``data_start``
     base + data_start ... data blocks
 
-mkfs, the allocator and fsck's rebuild all go through the helpers
-below, so nothing else knows an offset or touches a bit by hand.
+mkfs (``GroupedAllocator.format_groups``), the allocator and fsck's
+rebuild all go through the helpers below, so nothing else knows an
+offset or touches a bit by hand.
 
 At run time free counts and rotors are mirrored in memory (one small
 object per group) and flushed to their descriptor blocks before each
@@ -56,13 +57,13 @@ def inode_bit(blocks_per_cg: int, idx: int) -> int:
     return blocks_per_cg + idx
 
 
-def fresh_bitmap(blocks_per_cg: int, data_start: int, usable: int) -> bytearray:
+def fresh_bitmap(blocks_per_cg: int, data_start: int, usable: int) -> bytes:
     """The bitmap of an empty group: the metadata prefix and whatever
     lies past the ``usable`` data blocks marked in use, forever."""
     # Bit i is bit (i & 7) of byte (i >> 3): a little-endian integer.
     every_block = (1 << blocks_per_cg) - 1
     allocatable = ((1 << usable) - 1) << data_start
-    return bytearray((every_block ^ allocatable).to_bytes(BLOCK_SIZE, "little"))
+    return (every_block ^ allocatable).to_bytes(BLOCK_SIZE, "little")
 
 
 def fresh_descriptor(free_blocks: int, free_inodes: int, data_start: int) -> bytes:

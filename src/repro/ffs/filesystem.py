@@ -81,9 +81,8 @@ class FFS(BlockFileSystem):
 
     def _init_volume(self, n_cgs: int) -> None:
         config = self.config
-        for cgi in range(n_cgs):
-            self.alloc.format_group(
-                cgi, config.blocks_per_cg - config.data_start)
+        self.alloc.format_groups(
+            n_cgs, config.blocks_per_cg - config.data_start, 0)
         # Root directory: inode 1 in group 0, no data blocks yet.
         root_inum = self.alloc.alloc_inode(0)
         if root_inum != ROOT_INUM:

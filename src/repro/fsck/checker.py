@@ -511,11 +511,12 @@ class _Walk:
         usable = self.usable
         claimed = self.claims.claims
         free_blocks = free_inodes = 0
+        fresh = cylgroup.fresh_bitmap(bpc, data_start, usable)
         for cgi in range(sb["n_cgs"]):
             base = cylgroup.cg_base(cgi, bpc)
             bitmap_bno = cylgroup.bitmap_block(base)
             bitmap = device.peek_block(bitmap_bno)
-            expected = cylgroup.fresh_bitmap(bpc, data_start, self.usable)
+            expected = bytearray(fresh)
             for off in range(data_start, bpc):
                 if base + off in claimed:
                     cylgroup.set_bit(expected, off)

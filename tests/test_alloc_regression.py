@@ -26,10 +26,12 @@ import tracemalloc
 import pytest
 
 from repro import obs
-from repro.blockdev.device import BLOCK_SIZE
+from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.cache.buffercache import BufferCache
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.core.layout import EXT_GROUPED
+from repro.disk.profiles import SEAGATE_ST31200
+from repro.ffs.filesystem import FFS, FFSConfig
 from tests.conftest import make_cffs, make_device, make_ffs, read_desc
 
 #: Net retained allocations allowed inside src/repro for a whole
@@ -491,6 +493,33 @@ def test_warm_resolve_allocates_nothing_per_component(make_fs):
 
 
 # -- one image per block version ----------------------------------------------------
+
+
+def _retained_by_mkfs(cls, config) -> int:
+    """Traced memory a fresh ST31200 volume keeps once mkfs returns
+    (the device is built before tracing starts)."""
+    device = BlockDevice(SEAGATE_ST31200)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fs = cls.mkfs(device, config)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert fs.sb["n_cgs"] > 100
+    return retained
+
+
+def test_mkfs_shares_one_image_per_kind_of_group_block():
+    """Every cylinder group's fresh bitmap, descriptor and zeroed table
+    blocks are the same three objects in the cache and in the device's
+    store, so what mkfs keeps is the buffers, not one image per block.
+    Measured: 320 KB for C-FFS's 1 124 buffers and 101 KB for FFS.
+    Building each group's own bitmap and descriptor, as mkfs did
+    before: 1 211 KB and 988 KB."""
+    assert _retained_by_mkfs(CFFS, CFFSConfig()) <= 400 * 1024
+    assert _retained_by_mkfs(FFS, FFSConfig()) <= 150 * 1024
 
 
 def test_read_fill_holds_the_devices_bytes_not_copies_of_them():

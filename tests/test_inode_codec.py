@@ -305,8 +305,7 @@ def _recording_allocator(calls):
         cache, n_cgs=N_CGS, blocks_per_cg=BLOCKS_PER_CG, inodes_per_cg=0,
         data_start=DATA_START, cg_base_of=lambda cgi: cg_base(cgi, BLOCKS_PER_CG),
         counts=counts)
-    for cgi in range(N_CGS):
-        alloc.format_group(cgi, USABLE)
+    alloc.format_groups(N_CGS, USABLE, 0)
     return alloc, cache, counts
 
 
