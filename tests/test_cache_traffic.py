@@ -65,10 +65,12 @@ POLICIES = {
 #: The BufferCache entry points, each recorded as (method, block,
 #: logical id): the position of the block argument (None: the method
 #: takes none) and of the logical id (None: it takes none).  The block
-#: argument of ``flush_blocks`` is recorded as a list.
+#: argument of ``flush_blocks`` is recorded as a list, and that of
+#: ``create_dirty`` as the list of its block numbers.
 _RECORDED = {
     "get": (0, 1), "peek": (0, None), "get_logical": (None, 0),
-    "install": (0, 2), "create": (0, 1), "mark_dirty": (0, None),
+    "install": (0, 2), "create": (0, 1), "create_dirty": (0, None),
+    "mark_dirty": (0, None),
     "write_sync": (0, None), "flush": (None, None),
     "flush_blocks": (0, None), "sync": (None, None),
     "invalidate_all": (None, None), "drop_logical": (None, 0),
@@ -88,6 +90,8 @@ def recording(calls):
             if name == "flush_blocks":
                 args = (list(args[0]),)
             block = args[block_at] if block_at is not None else None
+            if name == "create_dirty":
+                block = [bno for bno, _image in block]
             logical = kwargs.get("logical")
             if logical_at is not None and len(args) > logical_at:
                 logical = args[logical_at]
