@@ -295,7 +295,8 @@ def _recording_allocator(calls):
     """An allocator over its own 8-block cache (its groups have twelve
     metadata blocks) whose every cache call lands in ``calls``."""
     cache = BufferCache(make_device(), capacity_blocks=8)
-    for name in ("get", "peek", "create", "install", "mark_dirty", "forget"):
+    for name in ("get", "peek", "create", "create_dirty", "install",
+                 "mark_dirty", "forget"):
         def wrapper(*args, _name=name, _fn=getattr(cache, name), **kwargs):
             calls.append((_name, args, tuple(sorted(kwargs.items()))))
             return _fn(*args, **kwargs)
