@@ -513,9 +513,9 @@ def _retained_by_mkfs(cls, config) -> int:
 
 def test_mkfs_shares_one_image_per_kind_of_group_block():
     """Every cylinder group's fresh bitmap, descriptor and zeroed table
-    blocks are the same three objects in the cache and in the device's
-    store, so what mkfs keeps is the buffers, not one image per block.
-    Measured: 320 KB for C-FFS's 1 124 buffers and 101 KB for FFS.
+    blocks share three images, in the cache and in the device's store,
+    so what mkfs keeps is the buffers, not one image per block.
+    Measured: 320 KB for C-FFS's 1 122 buffers and 101 KB for FFS's 227.
     Building each group's own bitmap and descriptor, as mkfs did
     before: 1 211 KB and 988 KB."""
     assert _retained_by_mkfs(CFFS, CFFSConfig()) <= 400 * 1024
