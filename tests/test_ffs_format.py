@@ -1,5 +1,8 @@
 """Tests for FFS on-disk structures: inodes, superblock, directory blocks."""
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +12,42 @@ from repro.errors import CorruptFileSystem, InvalidArgument
 from repro.ffs import directory as dirfmt
 from repro.ffs import layout
 from repro.ffs.inode import Inode
+from tests.conftest import make_ffs
 
 names = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126, exclude_characters="/"),
     min_size=1,
     max_size=24,
 )
+
+
+_U16 = st.integers(0, 0xFFFF) | st.sampled_from([0, 0xFFFF])
+_U32 = st.integers(0, 0xFFFFFFFF) | st.sampled_from([0, 0xFFFFFFFF])
+_U64 = st.integers(0, 0xFFFFFFFFFFFFFFFF) | st.sampled_from([0, 0xFFFFFFFFFFFFFFFF])
+
+inode_fields = st.fixed_dictionaries({
+    "mode": _U16,
+    "nlink": _U16,
+    "flags": _U16,
+    "gen": _U16,
+    "size": _U64,
+    "mtime": st.floats(allow_nan=True, allow_infinity=True),
+    "direct": st.lists(_U32, min_size=layout.NDIRECT, max_size=layout.NDIRECT),
+    "indirect": _U32,
+    "dindirect": _U32,
+    "nblocks": _U32,
+})
+
+
+def _bits(fields: dict) -> dict:
+    """``fields`` with ``mtime`` as its bit pattern (NaN != NaN)."""
+    return dict(fields, mtime=struct.pack("<d", fields["mtime"]))
+
+
+# A volume whose second inode-table block the examples overwrite: the
+# root's inode lives in the first, so the volume stays usable.
+_EXTREMES = make_ffs()
+_EXTREMES_FIRST = layout.INODES_PER_BLOCK + 1
 
 
 class TestInodePacking:
@@ -53,16 +86,43 @@ class TestInodePacking:
         ino.init_as(layout.MODE_DIR, 1, 0.0)
         assert ino.is_dir and not ino.is_file
 
-    @given(
-        st.integers(min_value=0, max_value=2**40),
-        st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=12, max_size=12),
-    )
-    @settings(max_examples=100)
-    def test_roundtrip_property(self, size, direct):
-        packed = layout.pack_inode(1, 2, 0, 5, size, 3.5, direct, 7, 8, 9)
-        fields = layout.unpack_inode(packed)
-        assert fields["size"] == size
-        assert fields["direct"] == direct
+    @settings(max_examples=150, deadline=None)
+    @given(fields=inode_fields, seed=st.integers(0, 2 ** 32),
+           slot=st.integers(0, layout.INODES_PER_BLOCK - 1))
+    def test_store_and_cold_fetch_at_field_extremes(self, fields, seed, slot):
+        """Through ``_istore`` into a table block whose other bytes are
+        random, then a cold ``_iget``: the slot holds the declared record
+        and nothing else moved, and the node read back carries every
+        field."""
+        fs = _EXTREMES
+        inum = _EXTREMES_FIRST + slot
+        bno, at = fs._inode_location(inum)
+        assert at == slot
+        buf = fs.cache.get(bno)
+        buf.data[:] = random.Random(seed).randbytes(BLOCK_SIZE)
+        fs.cache.mark_dirty(bno)
+        before = bytes(buf.image)
+
+        node = Inode(inum)
+        for name, value in fields.items():
+            setattr(node, name, list(value) if name == "direct" else value)
+        fs._istore(node)
+        off = slot * layout.INODE_SIZE
+        record = struct.pack(
+            "<HHHHQd12IIII44x", fields["mode"], fields["nlink"],
+            fields["flags"], fields["gen"], fields["size"], fields["mtime"],
+            *fields["direct"], fields["indirect"], fields["dindirect"],
+            fields["nblocks"])
+        after = bytes(fs.cache.get(bno).image)
+        assert after[off:off + layout.INODE_SIZE] == record
+        assert after[:off] == before[:off]
+        assert after[off + layout.INODE_SIZE:] == before[off + layout.INODE_SIZE:]
+
+        fs._icache.pop(inum, None)
+        back = fs._iget(inum)
+        fs._icache.pop(inum, None)
+        assert back.inum == inum
+        assert _bits(dict((name, getattr(back, name)) for name in fields)) == _bits(fields)
 
 
 class TestSuperblock:
