@@ -593,6 +593,55 @@ def test_cffs_hostile_chain_is_corrupt_filesystem(case):
                           payload) is not None
 
 
+# A live record must hold its header, its padded name and its entry
+# type's payload. At 01fdf5e the walk checked only that a record fit its
+# sector, so a record too short for its payload went through and the
+# index scan read the payload past the record, or (at the end of the
+# block) raised struct.error.
+
+#: name -> (sector, the records that tile it: (reclen, namelen, etype)).
+SHORT_CFFS = {
+    "embedded-at-block-end": (7, [(504, 0, cdir.ET_FREE), (8, 0, cdir.ET_EMBEDDED)]),
+    "external-at-block-end": (7, [(500, 0, cdir.ET_FREE), (12, 3, cdir.ET_EXTERNAL)]),
+    "unknown-type-at-block-end": (7, [(504, 0, cdir.ET_FREE), (8, 0, 3)]),
+    "embedded-without-its-inode": (0, [(12, 3, cdir.ET_EMBEDDED), (500, 0, cdir.ET_FREE)]),
+    "name-past-the-record": (0, [(16, 40, cdir.ET_EXTERNAL), (496, 0, cdir.ET_FREE)]),
+}
+
+
+def _cffs_block_with_records(sector, records):
+    block = cdir.init_block()
+    offset = sector * SECTOR
+    for reclen, namelen, etype in records:
+        _C_HEADER.pack_into(block, offset, reclen, namelen, etype, cdir.DK_FILE)
+        offset += reclen
+    assert offset == (sector + 1) * SECTOR
+    return block
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_CFFS))
+def test_cffs_short_live_record_is_corrupt_filesystem(case):
+    sector, records = SHORT_CFFS[case]
+    block = _cffs_block_with_records(sector, records)
+    before = bytes(block)
+    with pytest.raises(CorruptFileSystem):
+        cdir.index_entries(block, 0)
+    with pytest.raises(CorruptFileSystem):
+        list(cdir.iter_block(block))
+    with pytest.raises(CorruptFileSystem):
+        cdir.sector_free_bytes(block, sector)
+    with pytest.raises(CorruptFileSystem):
+        cdir.add_entry(block, sector, "new", cdir.ET_EXTERNAL, cdir.DK_FILE,
+                       struct.pack("<Q", 9))
+    with pytest.raises(CorruptFileSystem):
+        cdir.remove_entry(block, "absent")
+    assert bytes(block) == before, "an edit wrote before the walk had validated"
+    other = 3
+    assert cdir.sector_free_bytes(block, other) == SECTOR
+    assert cdir.add_entry(block, other, "new", cdir.ET_EXTERNAL, cdir.DK_FILE,
+                          struct.pack("<Q", 9)) is not None
+
+
 # -- stored names that are not UTF-8 ------------------------------------------
 
 

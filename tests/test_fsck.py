@@ -3,11 +3,14 @@ is detected."""
 
 
 
+import struct
+
 import pytest
 
 from repro.blockdev.device import BLOCK_SIZE
+from repro.errors import CorruptFileSystem
 from repro.ffs import layout as flayout
-from repro.fsck import fsck_cffs, fsck_ffs
+from repro.fsck import check_image, fsck_cffs, fsck_ffs, mount_image
 from tests.conftest import make_cffs, make_ffs, read_desc, write_desc
 
 
@@ -463,6 +466,35 @@ class TestEveryNameOfAFreeInodeIsDropped:
         again = fsck_cffs(fs.device)
         assert again.pristine, again.render()
         assert sorted(CFFS.mount(fs.device).readdir("/")) == ["big", "d"]
+
+
+class TestShortDirectoryRecord:
+    """A live C-FFS record too short for its embedded inode, at the very
+    end of a directory block: every path ends in the error taxonomy."""
+
+    def damaged(self):
+        fs = populated_cffs()
+        bno = fs._resolve("/d").direct[0]
+        raw = bytearray(fs.device.peek_block(bno))
+        tail = 7 * clayout.SECTOR_SIZE
+        header = struct.Struct(clayout.DENT_HEADER_FMT)
+        header.pack_into(raw, tail, 504, 0, clayout.ET_FREE, 0)
+        header.pack_into(raw, tail + 504, 8, 0, clayout.ET_EMBEDDED, clayout.DK_FILE)
+        fs.device.poke_block(bno, bytes(raw))
+        return fs.device, bno
+
+    def test_lookup_fsck_and_repair(self):
+        device, bno = self.damaged()
+        with pytest.raises(CorruptFileSystem):
+            mount_image(device).exists("/d/zzz")
+        report = check_image(device)
+        assert any("/d: corrupt directory block %d" % bno in e
+                   for e in report.errors), report.render()
+        repaired = check_image(device, repair=True)
+        assert ("reinitialized corrupt directory block %d of /d" % bno
+                in repaired.fixed), repaired.render()
+        assert check_image(device).pristine
+        assert not mount_image(device).exists("/d/zzz")
 
 
 # Hostile input: a pointer far outside the 3200-block test volume.
