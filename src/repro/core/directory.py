@@ -59,7 +59,8 @@ def _headers(block: bytes, sector: int) -> Iterator[Tuple[int, int, int, int, in
     kind) of every record of one sector, live and free, names
     untouched.  A record length that is too small to hold a header,
     overruns the sector or leaves a tail no header fits in ends in
-    ``CorruptFileSystem``."""
+    ``CorruptFileSystem``; so does a live record of an unknown type or
+    too short for its padded name and its type's payload."""
     unpack_header = _DENT_HEADER.unpack_from
     offset = sector * SECTOR_SIZE
     end = offset + SECTOR_SIZE
@@ -69,6 +70,12 @@ def _headers(block: bytes, sector: int) -> Iterator[Tuple[int, int, int, int, in
         if reclen < DENT_HEADER_SIZE or offset + reclen > end:
             raise CorruptFileSystem(
                 "bad embedded dirent reclen %d at offset %d" % (reclen, offset)
+            )
+        if etype != ET_FREE and (etype > ET_EXTERNAL
+                                 or reclen < dent_size(namelen, etype)):
+            raise CorruptFileSystem(
+                "embedded dirent at offset %d (type %d, name %d bytes) "
+                "does not fit its reclen %d" % (offset, etype, namelen, reclen)
             )
         yield offset, reclen, namelen, etype, kind
         offset += reclen
