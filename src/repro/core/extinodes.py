@@ -142,12 +142,9 @@ class ExtInodeTable:
             if bno == 0:
                 continue
             buf = self.fs.cache.get(bno, logical=(EXT_TABLE_FILEID, blk))
+            image = buf.image
             for slot in range(SLOTS_PER_BLOCK):
-                off = slot * SLOT_SIZE
-                fields = layout.unpack_cinode(
-                    bytes(buf.image[off:off + layout.CINODE_SIZE])
-                )
-                if fields["mode"] == layout.MODE_FREE:
+                if CNode.unpack(image, slot * SLOT_SIZE).mode == layout.MODE_FREE:
                     self._free.append(blk * SLOTS_PER_BLOCK + slot + 1)
         self._scanned = True
 

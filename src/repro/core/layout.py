@@ -23,7 +23,6 @@ from __future__ import annotations
 import struct
 
 from repro.blockdev.device import BLOCK_SIZE
-from repro.ffs.layout import NDIRECT
 
 CFFS_MAGIC = 0x0CFF5197
 
@@ -34,44 +33,15 @@ CFFS_MAGIC = 0x0CFF5197
 
 CINODE_SIZE = 96
 # fileid, mode, nlink, flags, gen, size, mtime, 12 direct, indirect,
-# dindirect, nblocks.  ``CNode`` packs into and unpacks from a cached
-# block at the record's offset with this one Struct; the field dicts
-# below are fsck's view.
+# dindirect, nblocks.  The one codec: only ``CNode`` packs into and
+# unpacks from a block at the record's offset with it — the file
+# system, the external-inode file and fsck alike.
 CINODE = struct.Struct("<QHHHHQd12IIII4x")
 assert CINODE.size == CINODE_SIZE
 
 MODE_FREE = 0
 MODE_FILE = 1
 MODE_DIR = 2
-
-
-def pack_cinode(
-    fileid: int, mode: int, nlink: int, flags: int, gen: int,
-    size: int, mtime: float, direct, indirect: int, dindirect: int, nblocks: int,
-) -> bytes:
-    if len(direct) != NDIRECT:
-        raise ValueError("inode needs exactly %d direct pointers" % NDIRECT)
-    return CINODE.pack(
-        fileid, mode, nlink, flags, gen, size, mtime,
-        *direct, indirect, dindirect, nblocks,
-    )
-
-
-def unpack_cinode(data: bytes) -> dict:
-    fields = CINODE.unpack_from(data, 0)
-    return {
-        "fileid": fields[0],
-        "mode": fields[1],
-        "nlink": fields[2],
-        "flags": fields[3],
-        "gen": fields[4],
-        "size": fields[5],
-        "mtime": fields[6],
-        "direct": list(fields[7:19]),
-        "indirect": fields[19],
-        "dindirect": fields[20],
-        "nblocks": fields[21],
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,7 @@ class FFS(BlockFileSystem):
                     buf = self.cache.get(bno)
             else:
                 buf = self.cache.get(bno)
-            raw = bytes(buf.image[slot * layout.INODE_SIZE:(slot + 1) * layout.INODE_SIZE])
-            inode = Inode.unpack(inum, raw)
+            inode = Inode.unpack(inum, buf.image, slot * layout.INODE_SIZE)
             self._icache[inum] = inode
         return inode
 
@@ -153,7 +152,7 @@ class FFS(BlockFileSystem):
                 requires: Tuple = ()) -> OrderToken:
         bno, slot = self._inode_location(handle.inum)
         buf = self.cache.get(bno)
-        buf.data[slot * layout.INODE_SIZE:(slot + 1) * layout.INODE_SIZE] = handle.pack()
+        handle.pack_into(buf.data, slot * layout.INODE_SIZE)
         if sync_op:
             return self._meta_write(bno, requires)
         self.cache.mark_dirty(bno)

@@ -1,10 +1,11 @@
 """In-memory inodes for the FFS baseline.
 
-An :class:`Inode` is a parsed view of one 128-byte on-disk record.  The
-file system writes every metadata change through to the owning inode
-table buffer immediately (synchronously or as a delayed write depending
-on the metadata policy), so the in-memory copy never holds state the
-buffer cache does not.
+An :class:`Inode` is a parsed view of one 128-byte on-disk record
+(``layout.INODE``), packed into and unpacked from its inode-table block
+where it sits.  The file system writes every metadata change through to
+the owning inode table buffer immediately (synchronously or as a delayed
+write depending on the metadata policy), so the in-memory copy never
+holds state the buffer cache does not.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.ffs import layout
+
+_pack_into = layout.INODE.pack_into
+_unpack_from = layout.INODE.unpack_from
 
 
 class BaseInode:
@@ -48,17 +52,6 @@ class BaseInode:
         self.dindirect = 0
         self.nblocks = 0
 
-    def _packed_fields(self) -> tuple:
-        """The shared fields in both layouts' pack order."""
-        return (self.mode, self.nlink, self.flags, self.gen, self.size,
-                self.mtime, self.direct, self.indirect, self.dindirect,
-                self.nblocks)
-
-    def _load(self, fields: dict) -> None:
-        """Adopt the shared fields of an unpacked on-disk record."""
-        for name in BaseInode.__slots__:
-            setattr(self, name, fields[name])
-
 
 class Inode(BaseInode):
     """A parsed FFS inode plus its identity."""
@@ -74,13 +67,27 @@ class Inode(BaseInode):
         self.init_as(layout.MODE_FREE, self.gen, 0.0)
         self.nlink = 0
 
-    def pack(self) -> bytes:
-        return layout.pack_inode(*self._packed_fields())
+    def pack_into(self, block: bytearray, off: int) -> None:
+        """Write the 128-byte record at ``off`` of ``block`` (a cached
+        block's ``data``): no intermediate bytes, no argument tuple."""
+        d = self.direct
+        _pack_into(block, off, self.mode, self.nlink, self.flags, self.gen,
+                   self.size, self.mtime,
+                   d[0], d[1], d[2], d[3], d[4], d[5],
+                   d[6], d[7], d[8], d[9], d[10], d[11],
+                   self.indirect, self.dindirect, self.nblocks)
 
     @classmethod
-    def unpack(cls, inum: int, data: bytes) -> "Inode":
-        inode = cls(inum)
-        inode._load(layout.unpack_inode(data))
+    def unpack(cls, inum: int, image: bytes, off: int) -> "Inode":
+        """Inode ``inum``, whose record sits at ``off`` of ``image``,
+        read in place."""
+        f = _unpack_from(image, off)
+        inode = cls.__new__(cls)
+        (inode.mode, inode.nlink, inode.flags, inode.gen, inode.size,
+         inode.mtime) = f[:6]
+        inode.direct = list(f[6:18])
+        inode.indirect, inode.dindirect, inode.nblocks = f[18:]
+        inode.inum = inum
         return inode
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

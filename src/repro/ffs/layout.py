@@ -2,7 +2,9 @@
 
 Everything on disk is real packed bytes — the offline checker and the
 corruption-injection tests parse the same serialization the file system
-writes.
+writes.  An inode record has one codec: :data:`INODE`, which only
+:class:`repro.ffs.inode.Inode` packs into and unpacks from a block at
+the record's offset.
 
 Disk layout::
 
@@ -40,9 +42,10 @@ MODE_FREE = 0
 MODE_FILE = 1
 MODE_DIR = 2
 
-# 2+2+2+2 + 8 + 8 + 48 + 4 + 4 + 4 = 84 bytes used, padded to 128.
-_INODE_FMT = "<HHHHQd12IIII44x"
-assert struct.calcsize(_INODE_FMT) == INODE_SIZE
+# mode, nlink, flags, gen, size, mtime, 12 direct, indirect, dindirect,
+# nblocks: 2+2+2+2 + 8 + 8 + 48 + 4 + 4 + 4 = 84 bytes used, padded to 128.
+INODE = struct.Struct("<HHHHQd12IIII44x")
+assert INODE.size == INODE_SIZE
 
 # Superblock: magic, version, total_blocks, n_cgs, blocks_per_cg,
 # inodes_per_cg, itable_blocks, data_start, root_inum, next_gen,
@@ -68,42 +71,6 @@ def dirent_size(namelen: int) -> int:
     """Bytes a directory entry with an ``namelen``-byte name occupies."""
     raw = DIRENT_HEADER_SIZE + namelen
     return (raw + DIRENT_ALIGN - 1) // DIRENT_ALIGN * DIRENT_ALIGN
-
-
-def pack_inode(
-    mode: int,
-    nlink: int,
-    flags: int,
-    gen: int,
-    size: int,
-    mtime: float,
-    direct: list,
-    indirect: int,
-    dindirect: int,
-    nblocks: int,
-) -> bytes:
-    if len(direct) != NDIRECT:
-        raise ValueError("inode needs exactly %d direct pointers" % NDIRECT)
-    return struct.pack(
-        _INODE_FMT, mode, nlink, flags, gen, size, mtime, *direct,
-        indirect, dindirect, nblocks,
-    )
-
-
-def unpack_inode(data: bytes) -> dict:
-    fields = struct.unpack(_INODE_FMT, data[:INODE_SIZE])
-    return {
-        "mode": fields[0],
-        "nlink": fields[1],
-        "flags": fields[2],
-        "gen": fields[3],
-        "size": fields[4],
-        "mtime": fields[5],
-        "direct": list(fields[6:18]),
-        "indirect": fields[18],
-        "dindirect": fields[19],
-        "nblocks": fields[20],
-    }
 
 
 def pack_superblock(sb: dict) -> bytes:

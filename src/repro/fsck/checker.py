@@ -50,11 +50,12 @@ from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.core import directory as cdirfmt
 from repro.core import layout as clayout
 from repro.core.extinodes import SLOT_SIZE, SLOTS_PER_BLOCK
+from repro.core.inode import CNode
 from repro.errors import CorruptFileSystem, JournalCorrupt, ReplayError
 from repro.ffs import cylgroup
 from repro.ffs import directory as fdirfmt
 from repro.ffs import layout as flayout
-from repro.ffs.inode import BaseInode
+from repro.ffs.inode import BaseInode, Inode
 from repro.ffs.layout import MODE_DIR, MODE_FILE, MODE_FREE
 from repro.journal import replay_journal
 from repro.journal import wal as jwal
@@ -155,13 +156,15 @@ class _BlockClaims:
         return True
 
 
-def _walk_pointers(device: BlockDevice, fields: dict, owner: str,
+def _walk_pointers(device: BlockDevice, direct: List[int], indirect: int,
+                   dindirect: int, owner: str,
                    claims: _BlockClaims) -> List[int]:
-    """The data blocks of an inode (or anything with its pointer
-    fields) in file order, every one claimed for ``owner`` — the
-    indirect blocks on the way too.  A pointer out of the volume is
-    reported by the claim and stays in the list, so positions hold;
-    whoever reads a block checks ``claims.in_range`` first."""
+    """The data blocks an inode's pointer fields (or the superblock's
+    for the external-inode file) map, in file order, every one claimed
+    for ``owner`` — the indirect blocks on the way too.  A pointer out
+    of the volume is reported by the claim and stays in the list, so
+    positions hold; whoever reads a block checks ``claims.in_range``
+    first."""
 
     def pointers(bno: int, role: str) -> List[int]:
         if bno and claims.claim(bno, owner + role):
@@ -169,9 +172,9 @@ def _walk_pointers(device: BlockDevice, fields: dict, owner: str,
                     if p]
         return []
 
-    blocks = [b for b in fields["direct"] if b]
-    blocks += pointers(fields["indirect"], ":indirect")
-    for l1 in pointers(fields["dindirect"], ":dindirect"):
+    blocks = [b for b in direct if b]
+    blocks += pointers(indirect, ":indirect")
+    for l1 in pointers(dindirect, ":dindirect"):
         blocks += pointers(l1, ":dindirect1")
     for i, bno in enumerate(blocks):
         claims.claim(bno, "%s[blk%d]" % (owner, i))
@@ -257,10 +260,10 @@ def _replay_before_walk(device: BlockDevice, report: FsckReport,
 # ---------------------------------------------------------------------------
 
 #: What :meth:`_Walk.entries` yields per live directory entry: (name,
-#: names a directory?, the embedded inode's fields or None, reference).
-#: The reference of an embedded inode is its offset in the directory
-#: block; otherwise it is the number of an inode in the table.
-Entry = Tuple[str, bool, Optional[dict], int]
+#: names a directory?, the embedded inode or None, reference).  The
+#: reference of an embedded inode is its offset in the directory block;
+#: otherwise it is the number of an inode in the table.
+Entry = Tuple[str, bool, Optional[BaseInode], int]
 
 
 class _Walk:
@@ -274,7 +277,6 @@ class _Walk:
     dirfmt = fdirfmt         # directory-block codec module
     noun = "inode"           # how findings name a numbered inode
     slot_size = 0            # bytes per slot of the numbered-inode table
-    unpack_inode = staticmethod(flayout.unpack_inode)
     table_slots = 0          # slots in the numbered-inode table
     inodes_per_cg = 0        # inode bits per cylinder-group bitmap
     usable = 0               # allocatable data blocks per cylinder group
@@ -297,19 +299,20 @@ class _Walk:
     def pack_superblock(self) -> bytes:
         raise NotImplementedError
 
-    def root(self) -> Tuple[Optional[dict], Optional[int]]:
-        """(fields, table number or None) of the root directory's inode."""
+    def root(self) -> Tuple[Optional[BaseInode], Optional[int]]:
+        """(node, table number or None) of the root directory's inode."""
         raise NotImplementedError
 
     def entries(self, block: bytes) -> Iterator[Entry]:
         raise NotImplementedError
 
-    def identity(self, fields: dict, inum: Optional[int]) -> int:
+    def identity(self, node: BaseInode) -> int:
         """What must be unique across all inodes of the volume."""
         raise NotImplementedError
 
-    def pack_inode(self, fields: dict) -> bytes:
-        """(``BaseInode.__slots__`` is the pack order both layouts share.)"""
+    def node_at(self, inum: int, image: bytes, off: int) -> BaseInode:
+        """Numbered inode ``inum``, whose record sits at ``off`` of
+        ``image``: the file system's own node codec."""
         raise NotImplementedError
 
     def table_slot(self, inum: int) -> Tuple[int, int]:
@@ -329,7 +332,7 @@ class _Walk:
 
     # -- numbered inodes -----------------------------------------------------------------
 
-    def table_inode(self, inum: int) -> Optional[dict]:
+    def table_inode(self, inum: int) -> Optional[BaseInode]:
         """Numbered inode ``inum``; None when the table has no such slot
         (or a wild pointer where the slot's block should be)."""
         if not 1 <= inum <= self.table_slots:
@@ -337,12 +340,16 @@ class _Walk:
         bno, off = self.table_slot(inum)
         if not self.claims.in_range(bno):
             return None
-        return self.unpack_inode(
-            self.device.peek_block(bno)[off:off + self.slot_size])
+        return self.node_at(inum, self.device.peek_block(bno), off)
 
-    def _patch(self, bno: int, off: int, data: bytes) -> None:
+    def _patch(self, bno: int, off: int, node: Optional[BaseInode]) -> None:
+        """Write ``node``'s record at ``off`` of block ``bno``, or clear
+        the numbered-inode slot there when ``node`` is None."""
         raw = bytearray(self.device.peek_block(bno))
-        raw[off:off + len(data)] = data
+        if node is None:
+            raw[off:off + self.slot_size] = bytes(self.slot_size)
+        else:
+            node.pack_into(raw, off)
         self.device.poke_block(bno, bytes(raw))
 
     # -- the walk ----------------------------------------------------------------------
@@ -362,56 +369,56 @@ class _Walk:
     def run(self) -> None:
         report = self.report
         root, inum = self.root()
-        if root is None or root["mode"] != MODE_DIR:
+        if root is None or root.mode != MODE_DIR:
             report.error("root inode is not a directory")
             return
         if inum is not None:
             self.names[inum] = 1    # the root needs no name
-        self._inode(root, inum, "", True)
+        self._inode(root, "", True)
         self._sweep_table()
         self._check_counters(*self._check_groups())
         report.blocks_in_use = len(self.claims.claims)
 
-    def _claim(self, fields: dict, ident: int, owner: str) -> List[int]:
-        for i, bno in enumerate(fields["direct"]):
+    def _claim(self, node: BaseInode, ident: int, owner: str) -> List[int]:
+        for i, bno in enumerate(node.direct):
             if bno:
                 self.owners[bno] = (ident, i)
-        return _walk_pointers(self.device, fields, owner, self.claims)
+        return _walk_pointers(self.device, node.direct, node.indirect,
+                              node.dindirect, owner, self.claims)
 
-    def _inode(self, fields: dict, inum: Optional[int], path: str,
-               is_dir: bool) -> None:
+    def _inode(self, node: BaseInode, path: str, is_dir: bool) -> None:
         """First sighting of a live inode: claim its blocks; descend
         into it if its name says it is a directory."""
         report = self.report
-        ident = self.identity(fields, inum)
+        ident = self.identity(node)
         if ident in self.idents:
             report.error("%s: duplicate fileid %d" % (path, ident))
             return
         self.idents.add(ident)
-        if fields["mode"] not in (MODE_FILE, MODE_DIR):
-            report.error("%s: bad mode %d" % (path, fields["mode"]))
+        if node.mode not in (MODE_FILE, MODE_DIR):
+            report.error("%s: bad mode %d" % (path, node.mode))
             return
         if not is_dir:
             report.files += 1
-            data = self._claim(fields, ident, path)
-            if (fields["size"] > len(data) * BLOCK_SIZE
-                    and fields["nblocks"] >= len(data)):
+            data = self._claim(node, ident, path)
+            if (node.size > len(data) * BLOCK_SIZE
+                    and node.nblocks >= len(data)):
                 report.warn("%s: size %d exceeds allocated %d bytes"
-                            % (path, fields["size"], len(data) * BLOCK_SIZE))
+                            % (path, node.size, len(data) * BLOCK_SIZE))
             return
-        if fields["mode"] != MODE_DIR:
+        if node.mode != MODE_DIR:
             report.error("%s is not a directory on disk" % path)
             return
         report.directories += 1
         where = path or "/"
-        data = self._claim(fields, ident, where)
-        nblocks = fields["size"] // BLOCK_SIZE
+        data = self._claim(node, ident, where)
+        nblocks = node.size // BLOCK_SIZE
         if len(data) < nblocks:
             report.error("%s: directory size %d but only %d blocks"
-                         % (where, fields["size"], len(data)))
+                         % (where, node.size, len(data)))
         elif len(data) > nblocks:
             report.warn("%s: directory size %d but %d blocks"
-                        % (where, fields["size"], len(data)))
+                        % (where, node.size, len(data)))
         for bno in data[:nblocks]:
             for name, child_is_dir, child, ref in self._live_entries(bno, path):
                 self._entry(bno, "%s/%s" % (path, name), name, child_is_dir,
@@ -437,13 +444,13 @@ class _Walk:
             return []
 
     def _entry(self, bno: int, path: str, name: str, is_dir: bool,
-               child: Optional[dict], ref: int) -> None:
+               child: Optional[BaseInode], ref: int) -> None:
         """One name: count it, and walk what it names when new."""
         report = self.report
         inum = ref if child is None else None
         if inum is not None:
             child = self.table_inode(inum)
-        if child is None or child["mode"] == MODE_FREE:
+        if child is None or child.mode == MODE_FREE:
             what = "%s %s" % (
                 "impossible" if child is None else "free",
                 "embedded inode" if inum is None
@@ -458,12 +465,12 @@ class _Walk:
             return
         if inum is None:
             # An embedded inode has exactly the one name it lives in.
-            if child["nlink"] != 1:
+            if child.nlink != 1:
                 report.error("%s: embedded inode with nlink %d"
-                             % (path, child["nlink"]))
+                             % (path, child.nlink))
                 if self.repair:
-                    child["nlink"] = 1
-                    self._patch(bno, ref, self.pack_inode(child))
+                    child.nlink = 1
+                    self._patch(bno, ref, child)
                     report.fix("%s: embedded nlink set to 1" % path)
         else:
             self.names[inum] = self.names.get(inum, 0) + 1
@@ -471,7 +478,7 @@ class _Walk:
                 if is_dir:
                     report.error("directory %s visited twice (cycle?)" % path)
                 return
-        self._inode(child, inum, path, is_dir)
+        self._inode(child, path, is_dir)
 
     def _sweep_table(self) -> None:
         """Numbered inodes against the names the walk found.  The walk
@@ -481,8 +488,8 @@ class _Walk:
         it; a reached one must carry exactly the link count found."""
         report, noun = self.report, self.noun
         for inum in range(1, self.table_slots + 1):
-            fields = self.table_inode(inum)
-            if fields is None or fields["mode"] == MODE_FREE:
+            node = self.table_inode(inum)
+            if node is None or node.mode == MODE_FREE:
                 continue
             found = self.names.get(inum, 0)
             bno, off = self.table_slot(inum)
@@ -490,15 +497,15 @@ class _Walk:
                 report.warn("%s %d allocated but unreachable (orphan)"
                             % (noun, inum))
                 if self.repair:
-                    self._patch(bno, off, bytes(self.slot_size))
+                    self._patch(bno, off, None)
                     report.fix("cleared orphan %s %d" % (noun, inum))
                     continue
-            elif fields["nlink"] != found:
+            elif node.nlink != found:
                 report.error("%s %d: nlink %d but %d names found"
-                             % (noun, inum, fields["nlink"], found))
+                             % (noun, inum, node.nlink, found))
                 if self.repair:
-                    fields["nlink"] = found
-                    self._patch(bno, off, self.pack_inode(fields))
+                    node.nlink = found
+                    self._patch(bno, off, node)
                     report.fix("%s %d: nlink set to %d" % (noun, inum, found))
             self.live.add(inum)
 
@@ -610,11 +617,10 @@ class _FFSWalk(_Walk):
         for name, inum, kind in fdirfmt.live_entries(block):
             yield name, kind == flayout.DT_DIR, None, inum
 
-    def identity(self, fields: dict, inum: Optional[int]) -> int:
-        return inum
+    def identity(self, node: Inode) -> int:
+        return node.inum
 
-    def pack_inode(self, fields: dict) -> bytes:
-        return flayout.pack_inode(*(fields[k] for k in BaseInode.__slots__))
+    node_at = staticmethod(Inode.unpack)
 
     def table_slot(self, inum: int) -> Tuple[int, int]:
         cgi, within = divmod(inum - 1, self.inodes_per_cg)
@@ -660,7 +666,6 @@ class _CFFSWalk(_Walk):
     dirfmt = cdirfmt
     noun = "external inode"
     slot_size = SLOT_SIZE
-    unpack_inode = staticmethod(clayout.unpack_cinode)
 
     def __init__(self, device, report, repair, sb) -> None:
         super().__init__(device, report, repair, sb)
@@ -669,11 +674,8 @@ class _CFFSWalk(_Walk):
         self.usable = self.n_extents * self.span
         # The external-inode file is a file like any other, its inode
         # fields kept in the superblock.
-        table = _walk_pointers(
-            device,
-            {"direct": sb["ext_direct"], "indirect": sb["ext_indirect"],
-             "dindirect": sb["ext_dindirect"]},
-            "ext-table", self.claims)
+        table = _walk_pointers(device, sb["ext_direct"], sb["ext_indirect"],
+                               sb["ext_dindirect"], "ext-table", self.claims)
         self.table = table[:sb["ext_size"] // BLOCK_SIZE]
         self.table_slots = len(self.table) * SLOTS_PER_BLOCK
 
@@ -682,25 +684,23 @@ class _CFFSWalk(_Walk):
             self.sb, clayout.root_inode_bytes(self.device.peek_block(0)))
 
     def root(self):
-        return clayout.unpack_cinode(
-            clayout.root_inode_bytes(self.device.peek_block(0))), None
+        return CNode.unpack(self.device.peek_block(0),
+                            clayout.SB_ROOT_INODE_OFFSET), None
 
     def entries(self, block: bytes) -> Iterator[Entry]:
         for _sector, entry in cdirfmt.live_entries(block):
             _off, _reclen, etype, kind, name, payload_off = entry
             is_dir = kind == cdirfmt.DK_DIR
             if etype == cdirfmt.ET_EMBEDDED:
-                embedded = block[payload_off:payload_off + clayout.CINODE_SIZE]
-                yield name, is_dir, clayout.unpack_cinode(embedded), payload_off
+                yield name, is_dir, CNode.unpack(block, payload_off), payload_off
             elif etype == cdirfmt.ET_EXTERNAL:
                 yield name, is_dir, None, cdirfmt.entry_ident(block, payload_off)
 
-    def identity(self, fields: dict, inum: Optional[int]) -> int:
-        return fields["fileid"]
+    def identity(self, node: CNode) -> int:
+        return node.fileid
 
-    def pack_inode(self, fields: dict) -> bytes:
-        return clayout.pack_cinode(
-            fields["fileid"], *(fields[k] for k in BaseInode.__slots__))
+    def node_at(self, inum: int, image: bytes, off: int) -> CNode:
+        return CNode.unpack(image, off)
 
     def table_slot(self, inum: int) -> Tuple[int, int]:
         blk, slot = divmod(inum - 1, SLOTS_PER_BLOCK)

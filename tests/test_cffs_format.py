@@ -161,8 +161,7 @@ class TestEmbeddedDirents:
         off, _free = dirfmt.add_entry(block, 0, "victim", dirfmt.ET_EMBEDDED,
                                       dirfmt.DK_FILE, embedded_payload(9))
         dirfmt.remove_entry(block, "victim")
-        fields = layout.unpack_cinode(bytes(block[off:off + layout.CINODE_SIZE]))
-        assert fields["mode"] == layout.MODE_FREE
+        assert CNode.unpack(block, off).mode == layout.MODE_FREE
 
     def test_remove_keeps_others_in_place(self):
         block = dirfmt.init_block()
@@ -182,8 +181,7 @@ class TestEmbeddedDirents:
         node = CNode.unpack(block, off)
         node.size = 777
         node.pack_into(block, off)
-        back = layout.unpack_cinode(bytes(block[off:off + layout.CINODE_SIZE]))
-        assert back["size"] == 777
+        assert CNode.unpack(block, off).size == 777
 
     def test_change_entry_type_to_external(self):
         block = dirfmt.init_block()

@@ -59,7 +59,10 @@ class TestInodePacking:
         ino.direct[11] = 1234
         ino.indirect = 555
         ino.nblocks = 13
-        back = Inode.unpack(42, ino.pack())
+        block = bytearray(BLOCK_SIZE)
+        ino.pack_into(block, layout.INODE_SIZE)
+        back = Inode.unpack(42, bytes(block), layout.INODE_SIZE)
+        assert back.inum == 42
         assert back.size == 123456
         assert back.direct == ino.direct
         assert back.indirect == 555
@@ -68,8 +71,11 @@ class TestInodePacking:
         assert back.nblocks == 13
 
     def test_packed_size(self):
-        ino = Inode(1)
-        assert len(ino.pack()) == layout.INODE_SIZE
+        """The record fills its 128-byte slot, pad zeroed, and no more."""
+        block = bytearray(b"\xff" * (2 * layout.INODE_SIZE))
+        Inode(1).pack_into(block, 0)
+        assert block[84:layout.INODE_SIZE] == bytes(44)    # the pad
+        assert block[layout.INODE_SIZE:] == b"\xff" * layout.INODE_SIZE
 
     def test_clear_resets(self):
         ino = Inode(1)

@@ -93,19 +93,7 @@ class TestFfsCorruption:
 
     def test_wrong_nlink(self):
         fs = populated_ffs()
-        handle = fs._resolve("/d/f00")
-        bno, slot = fs._inode_location(handle.inum)
-        raw = bytearray(fs.device.peek_block(bno))
-        fields = flayout.unpack_inode(
-            bytes(raw[slot * flayout.INODE_SIZE:(slot + 1) * flayout.INODE_SIZE])
-        )
-        repacked = flayout.pack_inode(
-            fields["mode"], 5, fields["flags"], fields["gen"], fields["size"],
-            fields["mtime"], fields["direct"], fields["indirect"],
-            fields["dindirect"], fields["nblocks"],
-        )
-        raw[slot * flayout.INODE_SIZE:(slot + 1) * flayout.INODE_SIZE] = repacked
-        fs.device.poke_block(bno, bytes(raw))
+        set_ffs_inode(fs, "/d/f00", nlink=5)
         report = fsck_ffs(fs.device)
         assert any("nlink" in e for e in report.errors)
 
@@ -239,6 +227,7 @@ from repro.core import layout as clayout  # noqa: E402
 from repro.core.filesystem import CFFS  # noqa: E402
 from repro.ffs import directory as fdir  # noqa: E402
 from repro.ffs.filesystem import FFS  # noqa: E402
+from repro.ffs.inode import Inode  # noqa: E402
 
 
 def repair_roundtrip(check, device):
@@ -281,19 +270,7 @@ class TestFfsRepair:
 
     def test_wrong_nlink_repaired(self):
         fs = populated_ffs()
-        handle = fs._resolve("/d/f00")
-        bno, slot = fs._inode_location(handle.inum)
-        raw = bytearray(fs.device.peek_block(bno))
-        fields = flayout.unpack_inode(
-            bytes(raw[slot * flayout.INODE_SIZE:(slot + 1) * flayout.INODE_SIZE])
-        )
-        raw[slot * flayout.INODE_SIZE:(slot + 1) * flayout.INODE_SIZE] = (
-            flayout.pack_inode(
-                fields["mode"], 5, fields["flags"], fields["gen"],
-                fields["size"], fields["mtime"], fields["direct"],
-                fields["indirect"], fields["dindirect"], fields["nblocks"],
-            ))
-        fs.device.poke_block(bno, bytes(raw))
+        set_ffs_inode(fs, "/d/f00", nlink=5)
         first, _ = repair_roundtrip(fsck_ffs, fs.device)
         assert any("nlink" in f for f in first.fixed)
         assert FFS.mount(fs.device).read_file("/d/f00") == b"x" * 512
@@ -502,14 +479,15 @@ WILD = 10 ** 7
 
 
 def set_ffs_inode(fs, path, **changes):
-    bno, slot = fs._inode_location(fs._resolve(path).inum)
-    lo = slot * flayout.INODE_SIZE
+    """Rewrite fields of ``path``'s on-disk inode in its table slot."""
+    inum = fs._resolve(path).inum
+    bno, slot = fs._inode_location(inum)
+    off = slot * flayout.INODE_SIZE
     raw = bytearray(fs.device.peek_block(bno))
-    f = flayout.unpack_inode(bytes(raw[lo:lo + flayout.INODE_SIZE]))
-    f.update(changes)
-    raw[lo:lo + flayout.INODE_SIZE] = flayout.pack_inode(
-        f["mode"], f["nlink"], f["flags"], f["gen"], f["size"], f["mtime"],
-        f["direct"], f["indirect"], f["dindirect"], f["nblocks"])
+    node = Inode.unpack(inum, raw, off)
+    for name, value in changes.items():
+        setattr(node, name, value)
+    node.pack_into(raw, off)
     fs.device.poke_block(bno, bytes(raw))
 
 

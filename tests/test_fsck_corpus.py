@@ -37,9 +37,11 @@ from repro.blockdev.device import BLOCK_SIZE
 from repro.cache.policy import MetadataPolicy
 from repro.core import directory as cdir
 from repro.core import layout as clayout
+from repro.core.inode import CNode
 from repro.faults.harness import run_journaled_workload
 from repro.ffs import directory as fdir
 from repro.ffs import layout as flayout
+from repro.ffs.inode import Inode
 from repro.fsck import fsck_cffs, fsck_ffs
 from tests.conftest import make_cffs, make_ffs, read_desc, write_desc
 from tests.test_fsck import (WILD_POINTERS, free_external_inode,
@@ -98,15 +100,15 @@ def _clear_bitmap_bit(fs, bno: int) -> None:
 
 
 def _ffs_inode(fs, path: str):
-    """(table block, byte offset, unpacked fields) of ``path``'s inode."""
-    bno, slot = fs._inode_location(fs._resolve(path).inum)
+    """(table block, byte offset, on-disk node) of ``path``'s inode."""
+    inum = fs._resolve(path).inum
+    bno, slot = fs._inode_location(inum)
     off = slot * flayout.INODE_SIZE
-    raw = fs.device.peek_block(bno)[off:off + flayout.INODE_SIZE]
-    return bno, off, flayout.unpack_inode(raw)
+    return bno, off, Inode.unpack(inum, fs.device.peek_block(bno), off)
 
 
 def _cffs_embedded(fs, dirpath: str, name: str):
-    """(directory block, payload offset, unpacked inode) of an embedded
+    """(directory block, payload offset, on-disk node) of an embedded
     entry."""
     dirh = fs._resolve(dirpath)
     for bno in dirh.direct:
@@ -116,17 +118,17 @@ def _cffs_embedded(fs, dirpath: str, name: str):
         for _sector, entry in cdir.live_entries(block):
             if entry[4] == name and entry[2] == cdir.ET_EMBEDDED:
                 off = entry[5]
-                return bno, off, clayout.unpack_cinode(
-                    block[off:off + clayout.CINODE_SIZE])
+                return bno, off, CNode.unpack(block, off)
     raise AssertionError("no embedded entry %s/%s" % (dirpath, name))
 
 
 def _cffs_set_embedded(fs, dirpath: str, name: str, **changes) -> None:
-    bno, off, f = _cffs_embedded(fs, dirpath, name)
-    f.update(changes)
-    _poke(fs.device, bno, off, clayout.pack_cinode(
-        f["fileid"], f["mode"], f["nlink"], f["flags"], f["gen"], f["size"],
-        f["mtime"], f["direct"], f["indirect"], f["dindirect"], f["nblocks"]))
+    bno, off, node = _cffs_embedded(fs, dirpath, name)
+    for field, value in changes.items():
+        setattr(node, field, value)
+    raw = bytearray(fs.device.peek_block(bno))
+    node.pack_into(raw, off)
+    fs.device.poke_block(bno, bytes(raw))
 
 
 def _cffs_set_desc(fs, path: str, change) -> None:
@@ -225,7 +227,7 @@ FFS_DAMAGE = {
     "superblock-counts": lambda fs: set_ffs_superblock(
         fs, free_blocks=1, free_inodes=2),
     "double-claimed-block": lambda fs: set_ffs_inode(
-        fs, "/d/f01", direct=_ffs_inode(fs, "/d/f02")[2]["direct"]),
+        fs, "/d/f01", direct=_ffs_inode(fs, "/d/f02")[2].direct),
     "file-size-beyond-blocks": lambda fs: set_ffs_inode(
         fs, "/d/f04", size=10 * BLOCK_SIZE),
 }
@@ -250,9 +252,9 @@ CFFS_DAMAGE = {
     "embedded-nlink": lambda fs: _cffs_set_embedded(fs, "/d", "f08", nlink=3),
     "embedded-bad-mode": lambda fs: _cffs_set_embedded(fs, "/d", "f09", mode=9),
     "duplicate-fileid": lambda fs: _cffs_set_embedded(
-        fs, "/d", "f10", fileid=_cffs_embedded(fs, "/d", "f11")[2]["fileid"]),
+        fs, "/d", "f10", fileid=_cffs_embedded(fs, "/d", "f11")[2].fileid),
     "double-claimed-block": lambda fs: _cffs_set_embedded(
-        fs, "/d", "f01", direct=_cffs_embedded(fs, "/d", "f02")[2]["direct"]),
+        fs, "/d", "f01", direct=_cffs_embedded(fs, "/d", "f02")[2].direct),
     "orphan-external-inode": _cffs_orphan_external,
     "free-external-inode-two-names": free_external_inode,
     "garbage-directory-block": _garbage_dir_block,
