@@ -4,12 +4,21 @@ The base class owns everything that is identical across the paper's
 four configurations — path walking, descriptor bookkeeping, the public
 POSIX-flavoured API and its CPU cost charging — and delegates the
 per-format work to a small set of internal inode operations.
+
+Path walking remembers directories: a parent path whose walk from the
+root made no buffer-cache ``get`` (every lookup on it answered from the
+in-memory name index and inode cache) maps to its directory handle, and
+the next path under it goes straight to the final lookup.  A walk that
+read any block through the cache is never remembered, so every cache
+call, disk request and simulated-clock charge stays what the full walk
+would have made.  rmdir, rename and drop_caches forget the whole memo;
+nothing else replaces a directory's handle.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.clock import CpuModel
@@ -21,7 +30,7 @@ from repro.errors import (
     NotADirectory,
 )
 from repro.vfs.fdtable import FdTable, OpenFile
-from repro.vfs.path import basename_of, split_path
+from repro.vfs.path import MAX_NAME_LEN, basename_of
 from repro.vfs.stat import FileKind, StatResult
 
 Handle = Any  # per-implementation in-memory inode object, with ``is_dir``
@@ -41,6 +50,9 @@ class FileSystem(abc.ABC):
         self.cache = cache
         self.cpu = cpu
         self.fds = FdTable()
+        # Parent-path string -> directory handle, for walks that made no
+        # cache call (see _parent).
+        self._dirs: Dict[str, Handle] = {}
 
     # ------------------------------------------------------------------ public
 
@@ -54,16 +66,14 @@ class FileSystem(abc.ABC):
 
     def _create(self, path: str) -> None:
         self.cpu.charge_syscall()
-        parents, name = basename_of(path)
-        dirh = self._walk(parents)
+        dirh, name = self._parent(path)
         self._create_file(dirh, name)
 
     def mkdir(self, path: str) -> None:
         """Create an empty directory."""
         with obs.span("vfs", "mkdir", path=path):
             self.cpu.charge_syscall()
-            parents, name = basename_of(path)
-            dirh = self._walk(parents)
+            dirh, name = self._parent(path)
             self._make_directory(dirh, name)
 
     def unlink(self, path: str) -> None:
@@ -76,16 +86,15 @@ class FileSystem(abc.ABC):
 
     def _unlink_path(self, path: str) -> None:
         self.cpu.charge_syscall()
-        parents, name = basename_of(path)
-        dirh = self._walk(parents)
+        dirh, name = self._parent(path)
         self._unlink(dirh, name)
 
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
         with obs.span("vfs", "rmdir", path=path):
             self.cpu.charge_syscall()
-            parents, name = basename_of(path)
-            dirh = self._walk(parents)
+            dirh, name = self._parent(path)
+            self._dirs.clear()
             self._rmdir(dirh, name)
 
     def link(self, existing: str, new: str) -> None:
@@ -95,8 +104,7 @@ class FileSystem(abc.ABC):
             handle = self._resolve(existing)
             if self._kind_of(handle) is FileKind.DIRECTORY:
                 raise IsADirectory("cannot hard-link a directory: %r" % existing)
-            parents, name = basename_of(new)
-            dirh = self._walk(parents)
+            dirh, name = self._parent(new)
             self._link(handle, dirh, name)
 
     def rename(self, old: str, new: str) -> None:
@@ -114,6 +122,7 @@ class FileSystem(abc.ABC):
                 )
             src_dir = self._walk(old_parents)
             dst_dir = self._walk(new_parents)
+            self._dirs.clear()
             self._rename(src_dir, old_name, dst_dir, new_name)
 
     def open(self, path: str, create: bool = False) -> int:
@@ -125,8 +134,7 @@ class FileSystem(abc.ABC):
 
     def _open(self, path: str, create: bool) -> int:
         self.cpu.charge_syscall()
-        parents, name = basename_of(path)
-        dirh = self._walk(parents)
+        dirh, name = self._parent(path)
         handle = self._lookup(dirh, name)
         if handle is None:
             if not create:
@@ -324,6 +332,7 @@ class FileSystem(abc.ABC):
     def drop_caches(self) -> None:
         """Flush, then forget all cached state (cold-cache phase barrier)."""
         self.sync()
+        self._dirs.clear()
         self._drop_private_caches()
         self.cache.invalidate_all()
 
@@ -344,12 +353,32 @@ class FileSystem(abc.ABC):
             raise NotADirectory("final path component is not a directory")
         return handle
 
+    def _parent(self, path: str) -> Tuple[Handle, str]:
+        """The directory that holds ``path``'s final name, and the name.
+
+        A parent path whose walk made no cache call is remembered, and
+        the next path under it skips the walk: the lookups it skips
+        would have touched no buffer and charged no simulated time.  A
+        final name split_path must check closely (empty, '.', '..',
+        non-ASCII or too long) takes the walk and its errors.  rmdir,
+        rename and drop_caches forget every remembered directory."""
+        head, slash, tail = path.rpartition("/")
+        dirh = self._dirs.get(head) if slash else None
+        if (dirh is not None and tail and tail != "." and tail != ".."
+                and tail.isascii() and len(tail) <= MAX_NAME_LEN):
+            return dirh, tail
+        parents, name = basename_of(path)
+        cache = self.cache
+        calls = cache.hits + cache.misses
+        dirh = self._walk(parents)
+        if name == tail and cache.hits + cache.misses == calls:
+            self._dirs[head] = dirh
+        return dirh, name
+
     def _resolve(self, path: str) -> Handle:
-        parts = split_path(path)
-        if not parts:
+        if path and not path.strip("/"):
             return self._root_handle()
-        name = parts.pop()
-        dirh = self._walk(parts)
+        dirh, name = self._parent(path)
         handle = self._lookup(dirh, name)
         if handle is None:
             raise self._not_found(dirh, name)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import BadFileDescriptor, InvalidArgument, NameTooLong
 from repro.vfs.fdtable import FdTable, OpenFile
 from repro.vfs.path import basename_of, split_path
+from tests.conftest import make_cffs, make_ffs
 
 
 class TestPaths:
@@ -52,6 +53,55 @@ class TestPaths:
     def test_basename_of_root_invalid(self):
         with pytest.raises(InvalidArgument):
             basename_of("/")
+
+
+class TestWalkMemo:
+    """A parent directory whose walk made no cache call is remembered,
+    so a path under it is not walked again."""
+
+    @staticmethod
+    def _opens(fs, path, times):
+        """``_lookup`` names and cache calls of each of ``times`` opens."""
+        names = []
+        lookup = fs._lookup
+
+        def counting(dirh, name):
+            names.append(name)
+            return lookup(dirh, name)
+
+        fs._lookup = counting
+        cache = fs.cache
+        runs = []
+        for _ in range(times):
+            del names[:]
+            before = cache.hits + cache.misses
+            fs.close(fs.open(path))
+            runs.append((list(names), cache.hits + cache.misses - before))
+        return runs
+
+    @staticmethod
+    def _deep(fs):
+        for path in ("/a", "/a/b", "/a/b/c"):
+            fs.mkdir(path)
+        fs.write_file("/a/b/c/f", b"f" * 100)
+        return fs
+
+    @pytest.mark.parametrize("make", [make_cffs, make_ffs])
+    def test_second_open_looks_up_the_file_only(self, make):
+        fs = self._deep(make())
+        runs = self._opens(fs, "/a/b/c/f", 3)
+        assert [names for names, _calls in runs[1:]] == [["f"], ["f"]]
+        fs.drop_caches()
+        first, *_ = self._opens(fs, "/a/b/c/f", 1)
+        assert first[0] == ["a", "b", "c", "f"]
+
+    def test_conventional_walks_every_component(self):
+        # An external inode is read through the cache on every lookup,
+        # so no walk of the conventional layout is remembered.
+        fs = self._deep(make_cffs(embedded=False, grouping=False))
+        runs = self._opens(fs, "/a/b/c/f", 3)
+        assert [names for names, _calls in runs] == [["a", "b", "c", "f"]] * 3
+        assert len({calls for _names, calls in runs}) == 1
 
 
 class TestFdTable:
