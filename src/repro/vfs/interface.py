@@ -50,8 +50,7 @@ class FileSystem(abc.ABC):
         self.cache = cache
         self.cpu = cpu
         self.fds = FdTable()
-        # Parent-path string -> directory handle, for walks that made no
-        # cache call (see _parent).
+        # Parent-path string -> directory handle (see _parent).
         self._dirs: Dict[str, Handle] = {}
 
     # ------------------------------------------------------------------ public
@@ -356,12 +355,9 @@ class FileSystem(abc.ABC):
     def _parent(self, path: str) -> Tuple[Handle, str]:
         """The directory that holds ``path``'s final name, and the name.
 
-        A parent path whose walk made no cache call is remembered, and
-        the next path under it skips the walk: the lookups it skips
-        would have touched no buffer and charged no simulated time.  A
-        final name split_path must check closely (empty, '.', '..',
-        non-ASCII or too long) takes the walk and its errors.  rmdir,
-        rename and drop_caches forget every remembered directory."""
+        Answered from ``_dirs`` unless the final name needs split_path's
+        closer checks (empty, '.', '..', non-ASCII or too long); a walk
+        is remembered only if it made no cache call."""
         head, slash, tail = path.rpartition("/")
         dirh = self._dirs.get(head) if slash else None
         if (dirh is not None and tail and tail != "." and tail != ".."
