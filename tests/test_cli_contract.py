@@ -1,8 +1,16 @@
 """The command line is one contract: every subcommand a document or the
-CI workflow tells a reader to run exists, and a bad file-system label
-is the same clean error on every subcommand that takes one."""
+CI workflow tells a reader to run exists, a bad file-system label is the
+same clean error on every subcommand that takes one, and the options of
+every subcommand are pinned (``tests/golden/cli_parser.json``).  A change
+that adds, removes or re-defaults an option regenerates that golden on
+purpose:
+
+    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_cli_contract.py -k pinned
+"""
 
 import argparse
+import json
+import os
 import re
 from pathlib import Path
 
@@ -11,6 +19,8 @@ import pytest
 from repro.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
+PARSER_GOLDEN = ROOT / "tests" / "golden" / "cli_parser.json"
+REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 #: Where commands are written down for people and for CI to run.
 DOCUMENTS = sorted(
@@ -25,10 +35,39 @@ DOCUMENTS = sorted(
 _COMMAND = re.compile(r"(?:python3? -m repro(?:\.cli)?|`repro) +([a-z][a-z-]*)")
 
 
-def _registered():
+def _subparsers():
     (sub,) = [a for a in build_parser()._actions
               if isinstance(a, argparse._SubParsersAction)]
-    return set(sub.choices)
+    return sub.choices
+
+
+def _registered():
+    return set(_subparsers())
+
+
+def _pinned_options() -> dict:
+    """Subcommand -> action ``dest`` -> its ``default`` and ``choices``,
+    as JSON values.  Keyed by ``dest``, so declaration order (which only
+    the help text shows) is not pinned."""
+    def plain(value):
+        return list(value) if isinstance(value, tuple) else value
+
+    return {name: {a.dest: {"default": plain(a.default),
+                            "choices": plain(a.choices)}
+                   for a in p._actions}
+            for name, p in _subparsers().items()}
+
+
+def test_parser_is_pinned():
+    options = _pinned_options()
+    assert len(options) == 19
+    assert all(len(actions) == len(p._actions)      # no dest declared twice
+               for actions, p in zip(options.values(),
+                                     _subparsers().values()))
+    text = json.dumps(options, indent=1, sort_keys=True) + "\n"
+    if REGEN:
+        PARSER_GOLDEN.write_text(text)
+    assert text == PARSER_GOLDEN.read_text(), "the command line moved"
 
 
 def test_every_documented_command_is_a_registered_subcommand():
