@@ -68,11 +68,6 @@ def add_policy_argument(parser) -> None:
              "dependency tracking, or write-ahead journaling")
 
 
-def policy_from_args(args) -> MetadataPolicy:
-    """Resolve the shared policy flag to a :class:`MetadataPolicy`."""
-    return POLICY_NAMES[args.policy]
-
-
 def _mount(path: str):
     return mount_image(BlockDevice.load_image(path))
 
@@ -96,7 +91,7 @@ def cmd_mkfs(args) -> int:
     techniques = ({"embedded_inodes": not args.no_embed,
                    "explicit_grouping": not args.no_group}
                   if fmt is CFFS else {})
-    fs = fmt.mkfs(target, fmt.Config(policy=policy_from_args(args),
+    fs = fmt.mkfs(target, fmt.Config(policy=POLICY_NAMES[args.policy],
                                      **techniques))
     _save(fs, args.image)
     print("created %s: %s on %s (%.2f GB)%s" % (
@@ -243,13 +238,8 @@ def cmd_faultsim(args) -> int:
             print("unknown file system %r; known: both, %s"
                   % (label, ", ".join(FORMAT_LABELS)), file=sys.stderr)
             return 2
-    if args.policy == "all":
-        policies = list(POLICY_NAMES.values())
-    elif args.policy == "both":
-        policies = [MetadataPolicy.SYNC_METADATA,
-                    MetadataPolicy.DELAYED_METADATA]
-    else:
-        policies = [policy_from_args(args)]
+    policies = (list(POLICY_NAMES.values()) if args.policy == "all"
+                else [POLICY_NAMES[args.policy]])
     results = [
         crash_point_sweep(label, policy=policy, n_files=args.files,
                           seed=args.seed, stride=args.stride,
@@ -265,12 +255,10 @@ def cmd_chaos(args) -> int:
 
     from repro.faults.chaos import render_chaos, run_chaos, scenario
 
-    cfg = scenario(args.scenario, seed=args.seed)
-    if args.fs:
-        cfg = replace(cfg, label=args.fs)
-    if args.files:
-        cfg = replace(cfg, n_files=args.files)
-    report = run_chaos(cfg)
+    cfg = scenario(args.scenario)
+    report = run_chaos(replace(
+        cfg, label=args.fs or cfg.label, n_files=args.files or cfg.n_files,
+        seed=cfg.seed if args.seed is None else args.seed))
     text = render_chaos(report)
     if args.out:
         with open(args.out, "w") as handle:
@@ -296,43 +284,24 @@ def _write_trace(tracer, path: str, fmt: str) -> None:
 
 
 def cmd_bench(args) -> int:
-    from repro import obs
     from repro.workloads import build_filesystem, run_smallfile
 
-    policy = policy_from_args(args)
+    policy = POLICY_NAMES[args.policy]
     print("small-file benchmark: %d x %d B files, %s metadata" % (
         args.files, args.size, policy.value,
     ))
-    tracer = obs.Tracer() if args.trace else None
-    try:
-        for label in args.configs.split(","):
-            fs = build_filesystem(label.strip(), policy)
-            if tracer is not None:
-                # Each config gets a fresh simulation (its own clock);
-                # a root span per config keeps the stacks separable.
-                tracer.clock = fs.cache.device.clock
-                obs.install(tracer)
-                with tracer.span("bench", label.strip()):
-                    result = run_smallfile(fs, n_files=args.files,
-                                           file_size=args.size)
-            else:
-                result = run_smallfile(fs, n_files=args.files,
-                                       file_size=args.size)
-            row = "  ".join("%s %7.1f/s" % (p, r.files_per_second)
-                            for p, r in result.phases.items())
-            print("%-14s %s" % (label.strip(), row))
-    finally:
-        if tracer is not None:
-            obs.uninstall()
-    if tracer is not None:
-        _write_trace(tracer, args.trace, args.trace_format)
+    for label in args.configs.split(","):
+        fs = build_filesystem(label.strip(), policy)
+        result = run_smallfile(fs, n_files=args.files, file_size=args.size)
+        row = "  ".join("%s %7.1f/s" % (p, r.files_per_second)
+                        for p, r in result.phases.items())
+        print("%-14s %s" % (label.strip(), row))
     return 0
 
 
 def cmd_multiclient(args) -> int:
     from repro.engine import render_multiclient, run_multiclient
 
-    policy = policy_from_args(args)
     tracer = None
     if args.trace:
         from repro import obs
@@ -345,7 +314,7 @@ def cmd_multiclient(args) -> int:
         file_size=args.size,
         phases=tuple(p.strip() for p in args.phases.split(",")),
         scheduler=args.scheduler,
-        policy=policy,
+        policy=POLICY_NAMES[args.policy],
         workload=args.workload,
         tracer=tracer,
     )
@@ -359,9 +328,6 @@ def _cluster_traffic_config(args):
     """Shared TrafficConfig assembly for cluster and cluster-chaos."""
     from repro.cluster import TrafficConfig, parse_fault_spec
 
-    faults = None
-    if getattr(args, "faults", None):
-        faults = parse_fault_spec(args.faults, args.shards)
     return TrafficConfig(
         shards=args.shards,
         clients=args.clients,
@@ -372,11 +338,12 @@ def _cluster_traffic_config(args):
         rename_fraction=args.rename_mix,
         file_size=args.size,
         label=args.fs,
-        policy=policy_from_args(args),
+        policy=POLICY_NAMES[args.policy],
         scheduler=args.scheduler,
         router=args.router,
         seed=args.seed,
-        faults=faults,
+        faults=(parse_fault_spec(args.faults, args.shards)
+                if args.faults else None),
     )
 
 
@@ -423,14 +390,12 @@ def cmd_cluster_chaos(args) -> int:
         run_cluster_chaos,
     )
 
-    traffic = _cluster_traffic_config(args)
     cfg = ChaosConfig(
-        traffic=traffic,
+        traffic=_cluster_traffic_config(args),
         fail_shard=args.fail_shard,
         fail_op=args.fail_op,
         warm_fraction=args.warm_fraction,
         availability_floor=args.floor,
-        extra_faults=traffic.faults,
     )
     result = run_cluster_chaos(cfg)
     print(render_chaos(result))
@@ -445,8 +410,7 @@ def cmd_trace(args) -> int:
     from repro.workloads.hypertext import build_site, serve_documents
     from repro.workloads.postmark import PostmarkConfig, run_postmark
 
-    policy = policy_from_args(args)
-    fs = build_filesystem(args.fs, policy)
+    fs = build_filesystem(args.fs, POLICY_NAMES[args.policy])
     tracer = obs.Tracer(clock=fs.cache.device.clock)
     obs.install(tracer)
     try:
@@ -495,19 +459,11 @@ def _add_scheduler_argument(parser, help: str) -> None:
                         metavar="SCHEDULER", help=help)
 
 
-def _add_trace_arguments(parser) -> None:
-    """``--trace PATH`` / ``--trace-format`` of the benchmark commands."""
-    parser.add_argument(
-        "--trace", metavar="PATH",
-        help="record spans during the run and export them here")
-    parser.add_argument("--trace-format", choices=tuple(TRACE_DEFAULT_OUT),
-                        default="chrome")
-
-
 def _add_cluster_traffic_arguments(p, clients: int, dirs: int) -> None:
-    """The traffic model both cluster commands replay; they differ only
-    in how many clients and directories they default to.  The other
-    defaults are :class:`~repro.cluster.TrafficConfig`'s."""
+    """The traffic model both cluster commands replay, its fault spec and
+    the summary file; the commands differ only in how many clients and
+    directories they default to.  The other defaults are
+    :class:`~repro.cluster.TrafficConfig`'s."""
     from repro.cluster import ROUTER_KINDS, TrafficConfig
 
     p.add_argument("--shards", type=int, default=TrafficConfig.shards)
@@ -536,6 +492,11 @@ def _add_cluster_traffic_arguments(p, clients: int, dirs: int) -> None:
                         "utilization-aware least-loaded")
     p.add_argument("--seed", type=int, default=TrafficConfig.seed)
     add_policy_argument(p)
+    p.add_argument("--faults", metavar="SPEC",
+                   help="per-shard fault schedules active from the start, "
+                        "e.g. '1:write_fail_from=0;2:transient_rate=0.05'")
+    p.add_argument("--json", metavar="PATH",
+                   help="write the machine-readable summary here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,10 +588,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fs", default="both",
                    help="both, or comma-separated subset of: ffs, cffs")
     p.add_argument("--policy",
-                   choices=tuple(POLICY_NAMES) + ("both", "all"),
+                   choices=tuple(POLICY_NAMES) + ("all",),
                    default="all",
-                   help="one policy, 'both' (sync+softdep), or 'all' "
-                        "(sync+softdep+journal; the default)")
+                   help="one policy, or 'all' (sync+softdep+journal; "
+                        "the default)")
     p.add_argument("--files", type=int, default=50,
                    help="workload size (files created during the run)")
     p.add_argument("--stride", type=int, default=1,
@@ -671,7 +632,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phases", default="create,read",
                    help="smallfile phases to run (comma-separated)")
     add_policy_argument(p)
-    _add_trace_arguments(p)
+    p.add_argument("--trace", metavar="PATH",
+                   help="record spans during the run and export them here")
+    p.add_argument("--trace-format", choices=tuple(TRACE_DEFAULT_OUT),
+                   default="chrome")
     p.set_defaults(func=cmd_multiclient)
 
     p = sub.add_parser(
@@ -679,13 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a Zipfian many-client load over a sharded cluster")
     _add_cluster_traffic_arguments(p, clients=TrafficConfig.clients,
                                    dirs=TrafficConfig.dirs)
-    p.add_argument("--faults", metavar="SPEC",
-                   help="per-shard fault schedules, e.g. "
-                        "'1:write_fail_from=0;2:transient_rate=0.05'")
     p.add_argument("--baseline", action="store_true",
                    help="also run the same load on 1 shard and report speedup")
-    p.add_argument("--json", metavar="PATH",
-                   help="write the machine-readable summary here")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser(
@@ -703,11 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", type=float,
                    default=ChaosConfig.availability_floor,
                    help="required availability on surviving shards")
-    p.add_argument("--faults", metavar="SPEC",
-                   help="additional per-shard fault schedules, e.g. "
-                        "'2:transient_rate=0.05'")
-    p.add_argument("--json", metavar="PATH",
-                   help="write the machine-readable summary here")
     p.set_defaults(func=cmd_cluster_chaos)
 
     p = sub.add_parser(
@@ -728,7 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--configs", default="conventional,cffs",
                    help="comma-separated; " + GRID_FS_HELP)
     add_policy_argument(p)
-    _add_trace_arguments(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(

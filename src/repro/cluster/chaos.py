@@ -37,7 +37,7 @@ stranded on an unwritable shard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.cluster.core import Cluster, ClusterClient, ClusterOp
 from repro.cluster.evacuate import EvacuatedTop
@@ -131,9 +131,6 @@ class ChaosConfig:
     #: Minimum success fraction required of ops that touched only
     #: surviving shards.
     availability_floor: float = 0.95
-    #: Additional per-shard schedules active from the start (the
-    #: ``--faults`` spec); the victim's storm schedule wins on overlap.
-    extra_faults: Optional[Dict[int, FaultSchedule]] = None
 
     def validate(self) -> None:
         self.traffic.validate()
@@ -206,7 +203,9 @@ def run_cluster_chaos(cfg: ChaosConfig) -> ChaosResult:
     cfg.validate()
     t = cfg.traffic
     storm_schedule = FaultSchedule(seed=t.seed * 31 + cfg.fail_shard)
-    faults = dict(cfg.extra_faults or {})
+    # The traffic's own schedules are active from the start; the
+    # victim's storm schedule wins on overlap.
+    faults = dict(t.faults or {})
     faults[cfg.fail_shard] = storm_schedule
     cluster = Cluster(n_shards=t.shards, label=t.label, policy=t.policy,
                       scheduler=t.scheduler, router=t.router, faults=faults)

@@ -28,7 +28,7 @@ Runs via ``repro chaos`` (see :mod:`repro.cli`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.blockdev.device import BlockDevice
@@ -414,15 +414,12 @@ def render_chaos(report: ChaosReport) -> str:
     return "\n".join(lines)
 
 
-def scenario(name: str, seed: Optional[int] = None) -> ChaosConfig:
-    """A named scenario, optionally re-seeded."""
+def scenario(name: str) -> ChaosConfig:
+    """A named scenario."""
     if name not in CHAOS_SCENARIOS:
         raise ReproError("unknown chaos scenario %r; known: %s"
                          % (name, ", ".join(sorted(CHAOS_SCENARIOS))))
-    cfg = CHAOS_SCENARIOS[name]
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+    return CHAOS_SCENARIOS[name]
 
 
 __all__ = [

@@ -62,6 +62,7 @@ from repro.errors import (
     ReadOnlyFileSystem,
     TransientDiskError,
 )
+from repro.faults import FaultSchedule
 from repro.obs.metrics import MetricsRegistry
 from tests.conftest import PinnedFaults, crash_sweep, sharded_pair
 
@@ -686,6 +687,15 @@ class TestChaosHarness:
             run_cluster_chaos(ChaosConfig(
                 traffic=TrafficConfig(shards=1, **CHAOS_SMALL),
                 fail_shard=0))
+
+    def test_traffic_faults_naming_a_missing_shard_are_rejected(self):
+        # The traffic's fault schedules are the run's only extra faults,
+        # so a schedule for a shard the cluster lacks cannot be ignored.
+        traffic = TrafficConfig(shards=2, faults={9: FaultSchedule()},
+                                **CHAOS_SMALL)
+        with pytest.raises(InvalidArgument,
+                           match="fault schedule names shard 9 of 2"):
+            run_cluster_chaos(ChaosConfig(traffic=traffic, fail_shard=1))
 
 
 # -- fault spec parsing ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The ``repro trace`` subcommand and the ``--trace`` benchmark flags."""
+"""The ``repro trace`` subcommand and ``multiclient``'s ``--trace`` flag."""
 
 from __future__ import annotations
 
@@ -70,17 +70,6 @@ class TestTraceCommand:
 
 
 class TestTraceFlags:
-    def test_bench_trace_flag(self, tmp_path, capsys):
-        out = tmp_path / "b.flame"
-        rc = main(["bench", "--files", "15", "--configs", "conventional,cffs",
-                   "--trace", str(out), "--trace-format", "flame"])
-        assert rc == 0
-        text = out.read_text()
-        # One root stack per benchmarked config.
-        assert "bench.conventional;" in text
-        assert "bench.cffs;" in text
-        assert obs.active() is None
-
     def test_multiclient_trace_flag(self, tmp_path):
         out = tmp_path / "mc.jsonl"
         rc = main(["multiclient", "--clients", "2", "--files", "5",
