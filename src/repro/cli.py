@@ -710,12 +710,6 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # Output piped to a consumer that closed early (| head).
         # Detach stdout so interpreter shutdown doesn't retry the
@@ -723,6 +717,10 @@ def main(argv: Optional[list] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    except (ReproError, OSError) as exc:
+        # OSError: a host path that is missing, a directory, unwritable.
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

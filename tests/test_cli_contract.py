@@ -103,6 +103,29 @@ def test_unknown_file_system_is_one_clean_error(argv, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["put", "IMG", "DIR", "/g"],
+    ["get", "IMG", "/f", "DIR"],
+    ["mkfs", "DIR"],
+    ["ls", "DIR"],
+    ["trace", "--files", "5", "--out", "DIR"],
+    ["chaos", "--files", "10", "--out", "DIR"],
+])
+def test_a_directory_given_for_a_file_is_one_clean_error(argv, tmp_path,
+                                                         capsys):
+    paths = {"DIR": str(tmp_path)}
+    if "IMG" in argv:
+        paths["IMG"] = str(tmp_path / "v.img")
+        (tmp_path / "h.txt").write_bytes(b"hello")
+        assert main(["mkfs", paths["IMG"]]) == 0
+        assert main(["put", paths["IMG"], str(tmp_path / "h.txt"), "/f"]) == 0
+        capsys.readouterr()
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_bench_accepts_the_ffs_alias_its_error_names(capsys):
     assert main(["bench", "--configs", "ffs", "--files", "5"]) == 0
     assert "ffs " in capsys.readouterr().out
