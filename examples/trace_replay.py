@@ -1,46 +1,49 @@
 #!/usr/bin/env python3
-"""Record a workload once, replay it everywhere.
+"""Write a workload down once, replay it everywhere.
 
-A :class:`TracingFileSystem` records every operation of a working
-session into a plain-text trace; replaying the trace against each
-configuration of the grid measures them on *identical* activity — the
-methodology behind every comparison in the paper.
+A working session is a script of :class:`Operation` records — plain
+data, one VFS call each.  Printed, the script is a text trace; read
+back, the trace runs against each configuration of the grid, which
+measures them on *identical* activity — the methodology behind every
+comparison in the paper.
 
 Run:  python examples/trace_replay.py
 """
 
 from repro.analysis import Table
 from repro.cache.policy import MetadataPolicy
-from repro.workloads import Trace, TracingFileSystem, build_filesystem, replay
+from repro.workloads import Operation, build_filesystem, run_script
+from repro.workloads.trace import dumps, loads
 
 
-def record_session() -> Trace:
+def session() -> list:
     """A small development session: project setup, edits, cleanup."""
-    fs = TracingFileSystem(build_filesystem("cffs", MetadataPolicy.SYNC_METADATA))
-    fs.mkdir("/proj")
-    fs.mkdir("/proj/src")
-    fs.mkdir("/proj/build")
-    for i in range(60):
-        fs.write_file("/proj/src/mod%02d.c" % i, b"c" * (800 + 113 * i % 4000))
-    fs.sync()
+    ops = [Operation("mkdir", (d,))
+           for d in ("/proj", "/proj/src", "/proj/build")]
+    ops += [Operation("write_file", ("/proj/src/mod%02d.c" % i,),
+                      size=800 + 113 * i % 4000, fill=ord("c"))
+            for i in range(60)]
+    ops.append(Operation("sync"))
     # An edit/build cycle.
-    for round_ in range(3):
-        for i in range(0, 60, 3):
-            fs.read_file("/proj/src/mod%02d.c" % i)
-        for i in range(0, 60, 3):
-            fs.write_file("/proj/build/mod%02d.o" % i, b"o" * 2400)
-        fs.sync()
+    for _round in range(3):
+        ops += [Operation("read_file", ("/proj/src/mod%02d.c" % i,))
+                for i in range(0, 60, 3)]
+        ops += [Operation("write_file", ("/proj/build/mod%02d.o" % i,),
+                          size=2400, fill=ord("o"))
+                for i in range(0, 60, 3)]
+        ops.append(Operation("sync"))
     # Cleanup.
-    for i in range(0, 60, 3):
-        fs.unlink("/proj/build/mod%02d.o" % i)
-    fs.sync()
-    return fs.trace
+    ops += [Operation("unlink", ("/proj/build/mod%02d.o" % i,))
+            for i in range(0, 60, 3)]
+    ops.append(Operation("sync"))
+    return [(op.kind, op) for op in ops]
 
 
 def main() -> None:
-    trace = record_session()
-    print("recorded %d operations; first lines of the trace:" % len(trace))
-    for line in trace.dumps().splitlines()[:5]:
+    text = dumps(session())
+    script = loads(text)
+    print("%d operations; first lines of the trace:" % len(script))
+    for line in text.splitlines()[:5]:
         print("   ", line)
     print("    ...")
     print()
@@ -51,8 +54,8 @@ def main() -> None:
     )
     for label in ("conventional", "embedded", "grouping", "cffs"):
         fs = build_filesystem(label, MetadataPolicy.SYNC_METADATA)
-        result = replay(trace, fs, label=label)
-        table.add_row(label, "%.2f" % result.seconds, result.disk_requests)
+        measured = run_script(fs, script)
+        table.add_row(label, "%.2f" % measured.seconds, measured.disk_requests)
     table.caption = "identical operations; only the on-disk layout differs"
     print(table.render())
 

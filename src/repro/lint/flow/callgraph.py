@@ -37,7 +37,7 @@ SEAM_NAMES: FrozenSet[str] = frozenset(
 #: workload-driver roots; everything they reach is "hot" (O001).
 HOT_ROOT_MODULES: FrozenSet[str] = frozenset(
     {"repro.workloads.smallfile", "repro.workloads.postmark",
-     "repro.engine.multiclient"})
+     "repro.workloads.trace", "repro.engine.multiclient"})
 
 
 class FunctionInfo:

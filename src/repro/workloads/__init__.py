@@ -40,13 +40,7 @@ from repro.workloads.hypertext import (
     serve_ops as hypertext_serve_ops,
 )
 from repro.workloads.postmark import postmark_script
-from repro.workloads.trace import (
-    ReplayResult,
-    Trace,
-    TraceOp,
-    TracingFileSystem,
-    replay,
-)
+from repro.workloads.trace import Operation
 
 __all__ = [
     "Measured",
@@ -79,9 +73,5 @@ __all__ = [
     "smallfile_ops",
     "postmark_script",
     "hypertext_serve_ops",
-    "ReplayResult",
-    "Trace",
-    "TraceOp",
-    "TracingFileSystem",
-    "replay",
+    "Operation",
 ]

@@ -20,6 +20,7 @@ from typing import List, Sequence
 
 from repro.vfs.interface import FileSystem
 from repro.workloads.measure import Measured, Op, run_script
+from repro.workloads.trace import Operation
 
 DIRECTORIES = ("/pages", "/images", "/styles")
 
@@ -107,14 +108,8 @@ def serve_ops(documents: Sequence[Document], order_seed: int = 5) -> List[Op]:
     """Serve each document once (page plus assets), in shuffled order."""
     order = list(documents)
     random.Random(order_seed).shuffle(order)
-
-    def serve(doc: Document) -> Op:
-        def body(fs: FileSystem) -> None:
-            for path in doc.paths:
-                fs.read_file(path)
-        return ("serve", body)
-
-    return [serve(doc) for doc in order]
+    return [("serve", Operation("read_file", tuple(doc.paths)))
+            for doc in order]
 
 
 def _evict_data(fs: FileSystem, documents: Sequence[Document]) -> None:

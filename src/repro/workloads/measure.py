@@ -23,7 +23,8 @@ from repro import obs
 from repro.vfs.interface import FileSystem
 
 #: One scripted operation: a label plus a callable on the file system
-#: (the shape of repro.engine.client.Op, which this layer cannot import).
+#: (the shape of repro.engine.client.Op, which this layer cannot import),
+#: in the workloads an :class:`~repro.workloads.trace.Operation` record.
 Op = Tuple[str, Callable[[FileSystem], object]]
 
 

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.vfs.interface import FileSystem
 from repro.workloads.measure import Measured, Op, run_script
+from repro.workloads.trace import Operation
 
 #: Pool file sizes, bytes (uniform).
 MIN_SIZE = 512
@@ -94,20 +95,11 @@ def postmark_script(cfg: PostmarkConfig,
         path = "%s/p%06d" % (rng.choice(dirs), next(serial))
         size = rng.randint(MIN_SIZE, MAX_SIZE)
         pool.append(path)
-        return ("create", lambda fs: fs.write_file(path, b"p" * size))
-
-    def append(path: str, size: int) -> Op:
-        def body(fs: FileSystem) -> None:
-            at = fs.stat(path).size
-            fd = fs.open(path)
-            try:
-                fs.pwrite(fd, at, b"a" * size)
-            finally:
-                fs.close(fd)
-        return ("append", body)
+        return ("create", Operation("write_file", (path,), size=size,
+                                    fill=ord("p")))
 
     def delete(path: str) -> Op:
-        return ("delete", lambda fs: fs.unlink(path))
+        return ("delete", Operation("unlink", (path,)))
 
     creates = [create() for _ in range(cfg.n_files)]
     transactions: List[Op] = []
@@ -116,9 +108,11 @@ def postmark_script(cfg: PostmarkConfig,
             victim = rng.choice(pool)
             if rng.random() < READ_BIAS:
                 transactions.append(
-                    ("read", lambda fs, p=victim: fs.read_file(p)))
+                    ("read", Operation("read_file", (victim,))))
             else:
-                transactions.append(append(victim, rng.randint(256, 4096)))
+                transactions.append(("append", Operation(
+                    "append", (victim,), size=rng.randint(256, 4096),
+                    fill=ord("a"))))
         elif rng.random() < CREATE_BIAS or not pool:
             transactions.append(create())
         else:

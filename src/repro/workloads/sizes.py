@@ -89,7 +89,7 @@ def run_size_sweep(
         fs.mkdir(dirname)
         paths = smallfile_paths(dirname, n_files)
         create = run_script(
-            fs, smallfile_ops(paths, size, "create", b"z" * size), sync=True)
+            fs, smallfile_ops(paths, size, "create", ord("z")), sync=True)
         fs.drop_caches()
         read = run_script(fs, smallfile_ops(paths, size, "read"))
         fs.drop_caches()

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import InvalidArgument
 from repro.vfs.interface import FileSystem
 from repro.workloads.measure import Measured, Op, run_script
+from repro.workloads.trace import Operation
 
 PHASES = ("create", "read", "overwrite", "delete")
 
@@ -66,34 +67,22 @@ def smallfile_paths(root: str, n_files: int, n_dirs: int = 1) -> List[str]:
 
 
 def smallfile_ops(paths: Sequence[str], file_size: int, phase: str,
-                  payload: Optional[bytes] = None) -> List[Op]:
+                  fill: int = ord("s")) -> List[Op]:
     """One phase (create / read / overwrite / delete) as a script.
 
     This is the phase's one definition: :func:`run_smallfile` and the
     size sweep run it in lock-step inside their timing windows, the
-    engine interleaves it with other clients' scripts.
+    engine interleaves it with other clients' scripts.  Writes are
+    ``file_size`` copies of ``fill``; a read of any other length fails.
     """
-    data = payload if payload is not None else b"s" * file_size
-    if len(data) != file_size:
-        raise ValueError("payload length must equal file_size")
-
-    def write(fs: FileSystem, path: str) -> None:
-        fs.write_file(path, data)
-
-    def read(fs: FileSystem, path: str) -> None:
-        got = fs.read_file(path)
-        if len(got) != file_size:
-            raise AssertionError("short read of %s" % path)
-
-    def delete(fs: FileSystem, path: str) -> None:
-        fs.unlink(path)
-
-    bodies = {"create": write, "read": read, "overwrite": write,
-              "delete": delete}
-    if phase not in bodies:
+    write = ("write_file", file_size, fill)
+    records = {"create": write, "read": ("read_file", file_size, None),
+               "overwrite": write, "delete": ("unlink", None, None)}
+    if phase not in records:
         raise InvalidArgument("unknown small-file phase %r" % phase)
-    body = bodies[phase]
-    return [(phase, lambda fs, p=path: body(fs, p)) for path in paths]
+    kind, size, byte = records[phase]
+    return [(phase, Operation(kind, (path,), size=size, fill=byte))
+            for path in paths]
 
 
 def run_smallfile(

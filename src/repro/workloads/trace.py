@@ -1,12 +1,13 @@
-"""Operation trace record and replay.
+"""Workload operations as data: one record, its text form, one interpreter.
 
-A :class:`TracingFileSystem` wraps any file system and records every
-mutating and reading operation as one line of a plain-text trace; a
-trace replays against any other configuration, so one captured workload
-can be measured across the whole grid (the way the paper replays the
-same benchmark against each file system).
-
-Trace format, one operation per line::
+A workload script is a list of ``(label, Operation)`` pairs.  An
+:class:`Operation` is frozen data — the VFS call, its paths, its sizes
+and its payload rule — and calling it on a file system makes that call
+directly, so one record runs the same in lock-step
+(:func:`~repro.workloads.measure.run_script`), under the engine, and
+read back from a trace.  Printed, a record is one line of the trace, so
+one workload replays against any configuration (the way the paper
+replays the same benchmark against each file system)::
 
     create /path
     mkdir /path
@@ -18,21 +19,25 @@ Trace format, one operation per line::
     link /existing /new
     truncate /path <size>
     sync
+    write_file /path <size> [fill]
+    append /path <size> [fill]
+    read_file /path... [size]
 
-Write payloads are synthesized deterministically from the path and
-offset at replay time — traces capture *activity*, not data.
+``write_file`` replaces the whole file, ``append`` writes at its end,
+and ``read_file`` reads whole files — with a size, each must be that
+long.  A ``write_file`` or ``append`` payload is its fill byte repeated;
+without one, and for ``write``, it is bytes synthesized from the path
+and offset — traces capture *activity*, not data.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import zlib
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, TextIO
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import InvalidArgument
 from repro.vfs.interface import FileSystem
-from repro.workloads.measure import Measured, window
 
 
 def _payload(path: str, offset: int, length: int) -> bytes:
@@ -42,182 +47,162 @@ def _payload(path: str, offset: int, length: int) -> bytes:
     return bytes((seed + i) % 256 for i in range(length))
 
 
-@dataclass
-class TraceOp:
-    """One recorded operation."""
-
-    op: str
-    args: tuple
-
-    def render(self) -> str:
-        return " ".join([self.op] + [str(a) for a in self.args])
-
-    @classmethod
-    def parse(cls, line: str) -> "TraceOp":
-        parts = line.split()
-        if not parts:
-            raise InvalidArgument("empty trace line")
-        op, args = parts[0], parts[1:]
-        arity = {
-            "create": 1, "mkdir": 1, "unlink": 1, "rmdir": 1, "sync": 0,
-            "rename": 2, "link": 2, "truncate": 2, "write": 3, "read": 3,
-        }.get(op)
-        if arity is None:
-            raise InvalidArgument("unknown trace op %r" % op)
-        if len(args) != arity:
-            raise InvalidArgument("trace op %r expects %d args" % (op, arity))
-        converted = tuple(
-            int(a) if not a.startswith("/") else a for a in args
-        )
-        return cls(op, converted)
+#: kind -> (paths, required numbers, optional trailing number); ``None``
+#: paths means one or more.
+_SHAPES: Dict[str, Tuple[Optional[int], Tuple[str, ...], Optional[str]]] = {
+    "create": (1, (), None), "mkdir": (1, (), None),
+    "unlink": (1, (), None), "rmdir": (1, (), None),
+    "rename": (2, (), None), "link": (2, (), None),
+    "truncate": (1, ("size",), None), "sync": (0, (), None),
+    "write": (1, ("offset", "size"), None),
+    "read": (1, ("offset", "size"), None),
+    "write_file": (1, ("size",), "fill"),
+    "append": (1, ("size",), "fill"),
+    "read_file": (None, (), "size"),
+}
 
 
-class Trace:
-    """An ordered list of operations with (de)serialization."""
+class Operation(NamedTuple):
+    """One workload operation; calling it runs it on a file system.
 
-    def __init__(self, ops: Optional[List[TraceOp]] = None) -> None:
-        self.ops: List[TraceOp] = ops if ops is not None else []
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def append(self, op: str, *args) -> None:
-        self.ops.append(TraceOp(op, tuple(args)))
-
-    def dump(self, stream: TextIO) -> None:
-        for op in self.ops:
-            stream.write(op.render() + "\n")
-
-    def dumps(self) -> str:
-        out = io.StringIO()
-        self.dump(out)
-        return out.getvalue()
-
-    @classmethod
-    def load(cls, stream: Iterable[str]) -> "Trace":
-        ops = []
-        for line in stream:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                ops.append(TraceOp.parse(line))
-        return cls(ops)
-
-    @classmethod
-    def loads(cls, text: str) -> "Trace":
-        return cls.load(text.splitlines())
-
-
-class TracingFileSystem:
-    """Transparent recording proxy around a :class:`FileSystem`.
-
-    Only the whole-file/path-level API is proxied (the subset workloads
-    use); everything else passes through unrecorded.
+    Immutable; a tuple because scripts build tens of thousands of them
+    on the host-time path, and a tuple builds fastest.
     """
 
-    def __init__(self, fs: FileSystem) -> None:
-        self.fs = fs
-        self.trace = Trace()
+    kind: str
+    paths: Tuple[str, ...] = ()
+    offset: int = 0
+    #: bytes written or read, truncate's size, or the length every
+    #: ``read_file`` must return (``None``: not checked).
+    size: Optional[int] = None
+    #: the payload's fill byte; ``None`` synthesizes it (:func:`_payload`).
+    fill: Optional[int] = None
 
-    # -- recorded operations ---------------------------------------------------
+    def __call__(self, fs: FileSystem) -> None:
+        _RUN[self.kind](fs, self)
 
-    def create(self, path: str) -> None:
-        self.fs.create(path)
-        self.trace.append("create", path)
+    def payload(self, offset: int) -> bytes:
+        """The ``size`` bytes this operation writes at ``offset``."""
+        if self.fill is None:
+            return _payload(self.paths[0], offset, self.size)
+        return bytes((self.fill,)) * self.size
 
-    def mkdir(self, path: str) -> None:
-        self.fs.mkdir(path)
-        self.trace.append("mkdir", path)
+    def __str__(self) -> str:
+        _, fields, optional = _SHAPES[self.kind]
+        numbers = [getattr(self, name) for name in fields]
+        if optional is not None and getattr(self, optional) is not None:
+            numbers.append(getattr(self, optional))
+        return " ".join([self.kind, *self.paths, *map(str, numbers)])
 
-    def write_file(self, path: str, data: bytes) -> None:
-        self.fs.write_file(path, data)
-        self.trace.append("write", path, 0, len(data))
-
-    def read_file(self, path: str) -> bytes:
-        data = self.fs.read_file(path)
-        self.trace.append("read", path, 0, len(data))
-        return data
-
-    def unlink(self, path: str) -> None:
-        self.fs.unlink(path)
-        self.trace.append("unlink", path)
-
-    def rmdir(self, path: str) -> None:
-        self.fs.rmdir(path)
-        self.trace.append("rmdir", path)
-
-    def rename(self, old: str, new: str) -> None:
-        self.fs.rename(old, new)
-        self.trace.append("rename", old, new)
-
-    def link(self, existing: str, new: str) -> None:
-        self.fs.link(existing, new)
-        self.trace.append("link", existing, new)
-
-    def truncate(self, path: str, size: int = 0) -> None:
-        self.fs.truncate(path, size)
-        self.trace.append("truncate", path, size)
-
-    def sync(self) -> int:
-        nreq = self.fs.sync()
-        self.trace.append("sync")
-        return nreq
-
-    # -- passthrough -------------------------------------------------------------
-
-    def __getattr__(self, name: str):
-        return getattr(self.fs, name)
+    @classmethod
+    def parse(cls, line: str) -> "Operation":
+        """The record one trace line prints as."""
+        kind, *words = line.split() or [""]
+        if kind not in _SHAPES:
+            raise InvalidArgument("unknown trace op %r" % kind)
+        npaths, fields, optional = _SHAPES[kind]
+        paths = tuple(itertools.takewhile(lambda w: w.startswith("/"), words))
+        names = fields + ((optional,) if optional else ())
+        numbers = words[len(paths):]
+        paths_ok = len(paths) == npaths if npaths is not None else bool(paths)
+        if not paths_ok or not len(fields) <= len(numbers) <= len(names):
+            raise InvalidArgument("trace op %r: bad arguments %r" % (kind, words))
+        try:
+            values = [int(word) for word in numbers]
+        except ValueError:
+            raise InvalidArgument(
+                "trace op %r: %r are not numbers" % (kind, numbers)) from None
+        return cls(kind, paths, **dict(zip(names, values)))
 
 
-@dataclass
-class ReplayResult:
-    """Timing of one trace replay."""
-
-    label: str
-    operations: int
-    measured: Measured
-
-    @property
-    def seconds(self) -> float:
-        return self.measured.seconds
-
-    @property
-    def disk_requests(self) -> int:
-        return self.measured.disk_requests
+def dumps(script: Iterable[Tuple[str, Operation]]) -> str:
+    """The trace of a script of records: one line each (labels go)."""
+    return "".join(str(op) + "\n" for _label, op in script)
 
 
-def replay(trace: Trace, fs: FileSystem, label: str = "") -> ReplayResult:
-    """Run a trace against ``fs``; returns simulated timing."""
-    with window(fs) as measured:
-        for entry in trace.ops:
-            op, args = entry.op, entry.args
-            if op == "create":
-                fs.create(args[0])
-            elif op == "mkdir":
-                fs.mkdir(args[0])
-            elif op == "write":
-                path, offset, length = args
-                fd = fs.open(path, create=True)
-                try:
-                    fs.pwrite(fd, offset, _payload(path, offset, length))
-                finally:
-                    fs.close(fd)
-            elif op == "read":
-                path, offset, length = args
-                fd = fs.open(path)
-                try:
-                    fs.pread(fd, offset, length)
-                finally:
-                    fs.close(fd)
-            elif op == "unlink":
-                fs.unlink(args[0])
-            elif op == "rmdir":
-                fs.rmdir(args[0])
-            elif op == "rename":
-                fs.rename(args[0], args[1])
-            elif op == "link":
-                fs.link(args[0], args[1])
-            elif op == "truncate":
-                fs.truncate(args[0], args[1])
-            elif op == "sync":
-                fs.sync()
-    return ReplayResult(label or fs.name, len(trace), measured)
+def loads(text: str) -> List[Tuple[str, Operation]]:
+    """A trace's records as a script, each labelled with its kind;
+    blank lines and ``#`` comments are skipped."""
+    ops = [Operation.parse(line) for line in text.splitlines()
+           if line.strip() and not line.lstrip().startswith("#")]
+    return [(op.kind, op) for op in ops]
+
+
+# -- the interpreter: one direct VFS call (or short sequence) per kind ---------
+
+def _run_create(fs: FileSystem, op: Operation) -> None:
+    fs.create(op.paths[0])
+
+
+def _run_mkdir(fs: FileSystem, op: Operation) -> None:
+    fs.mkdir(op.paths[0])
+
+
+def _run_unlink(fs: FileSystem, op: Operation) -> None:
+    fs.unlink(op.paths[0])
+
+
+def _run_rmdir(fs: FileSystem, op: Operation) -> None:
+    fs.rmdir(op.paths[0])
+
+
+def _run_rename(fs: FileSystem, op: Operation) -> None:
+    fs.rename(op.paths[0], op.paths[1])
+
+
+def _run_link(fs: FileSystem, op: Operation) -> None:
+    fs.link(op.paths[0], op.paths[1])
+
+
+def _run_truncate(fs: FileSystem, op: Operation) -> None:
+    fs.truncate(op.paths[0], op.size)
+
+
+def _run_sync(fs: FileSystem, op: Operation) -> None:
+    fs.sync()
+
+
+def _run_write(fs: FileSystem, op: Operation) -> None:
+    fd = fs.open(op.paths[0], create=True)
+    try:
+        fs.pwrite(fd, op.offset, op.payload(op.offset))
+    finally:
+        fs.close(fd)
+
+
+def _run_read(fs: FileSystem, op: Operation) -> None:
+    fd = fs.open(op.paths[0])
+    try:
+        fs.pread(fd, op.offset, op.size)
+    finally:
+        fs.close(fd)
+
+
+def _run_write_file(fs: FileSystem, op: Operation) -> None:
+    fs.write_file(op.paths[0], op.payload(0))
+
+
+def _run_append(fs: FileSystem, op: Operation) -> None:
+    path = op.paths[0]
+    at = fs.stat(path).size
+    fd = fs.open(path)
+    try:
+        fs.pwrite(fd, at, op.payload(at))
+    finally:
+        fs.close(fd)
+
+
+def _run_read_file(fs: FileSystem, op: Operation) -> None:
+    for path in op.paths:
+        got = fs.read_file(path)
+        if op.size is not None and len(got) != op.size:
+            raise AssertionError("short read of %s" % path)
+
+
+_RUN: Dict[str, Callable[[FileSystem, Operation], None]] = {
+    "create": _run_create, "mkdir": _run_mkdir, "unlink": _run_unlink,
+    "rmdir": _run_rmdir, "rename": _run_rename, "link": _run_link,
+    "truncate": _run_truncate, "sync": _run_sync, "write": _run_write,
+    "read": _run_read, "write_file": _run_write_file,
+    "append": _run_append, "read_file": _run_read_file,
+}

@@ -12,6 +12,7 @@ fix, so the rules provably separate the two.
 import ast
 import json
 import textwrap
+from pathlib import Path
 
 from repro.lint.core import load_source
 from repro.lint.flow import (
@@ -226,6 +227,29 @@ def test_callgraph_hot_marking_from_workload_roots():
     assert flow.by_name["run"][0].hot          # root module
     assert flow.by_name["touch_hot"][0].hot    # reached by name
     assert not flow.by_name["cold_helper"][0].hot
+
+
+def test_every_filesystem_call_a_workload_record_makes_is_hot():
+    # O001 audits only hot loops.  The record interpreter's module is a
+    # root, so every VFS entry point a record kind calls stays hot on
+    # its own account, not through a name it shares with the engine.
+    src = Path(__file__).resolve().parent.parent / "src"
+    modules = [load_source(path.read_text(), str(path.relative_to(src.parent)))
+               for path in sorted(src.rglob("*.py"))]
+    flow = FlowContext(modules)
+    interpreter = next(m for m in modules
+                       if m.module == "repro.workloads.trace")
+    called = {node.func.attr for node in ast.walk(interpreter.tree)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "fs"}
+    assert {"rename", "link", "rmdir", "truncate", "stat", "write_file",
+            "read_file", "pwrite", "pread"} <= called
+    entry = {f.name: f for f in flow.functions
+             if f.module == "repro.vfs.interface"
+             and f.qualname.startswith("FileSystem.")}
+    assert sorted(name for name in called if not entry[name].hot) == []
 
 
 def test_callgraph_returns_buffer_summary():

@@ -9,7 +9,6 @@ import pytest
 from repro.engine import Engine
 from repro.fsck import fsck_cffs
 from repro.workloads import (
-    TracingFileSystem,
     age_filesystem,
     build_source_tree,
     postmark_script,
@@ -143,10 +142,6 @@ class TestSmallFile:
         run_smallfile(fs, n_files=40, file_size=1024)
         assert fsck_cffs(fs.device).ok
 
-    def test_payload_validation(self):
-        with pytest.raises(ValueError):
-            smallfile_ops(["/bench/f0"], 10, "create", b"wrong length")
-
     def test_subset_of_phases(self):
         fs = make_cffs()
         result = run_smallfile(fs, n_files=30, file_size=1024,
@@ -188,34 +183,35 @@ class TestPostmarkScript:
     DIRS = ["/postmark/d000", "/postmark/d001"]
     PHASES = ("create", "transactions", "delete")
 
-    def _built_and_replayed(self):
-        """A fresh script and the trace of its calls (paths, sizes)."""
-        script = postmark_script(self.CFG, self.DIRS)
-        fs = TracingFileSystem(make_cffs())
-        fs.mkdir("/postmark")
-        for d in self.DIRS:
-            fs.mkdir(d)
-        for phase in self.PHASES:
-            for _label, op in script[phase]:
-                op(fs)
-        return script, fs.trace.dumps()
+    #: transaction label -> the record kind it runs.
+    KINDS = {"read": "read_file", "append": "append", "create": "write_file",
+             "delete": "unlink"}
 
     def test_built_twice_is_the_same_stream(self):
-        (a, calls_a), (b, calls_b) = (self._built_and_replayed(),
-                                      self._built_and_replayed())
+        a = postmark_script(self.CFG, self.DIRS)
+        b = postmark_script(self.CFG, self.DIRS)
         assert tuple(a) == tuple(b) == self.PHASES
-        for phase in self.PHASES:
-            assert ([label for label, _ in a[phase]]
-                    == [label for label, _ in b[phase]])
-        assert calls_a == calls_b
+        # Labels and records: every path, size and fill byte, appends too.
+        assert a == b
+        created = {op.paths[0] for label, op in a["create"] + a["transactions"]
+                   if label == "create"}
+        appends = [op for label, op in a["transactions"] if label == "append"]
+        assert appends
+        for op in appends:
+            assert op.paths[0] in created
+            assert 256 <= op.size <= 4096 and op.fill == ord("a")
 
     def test_run_postmark_counts_are_the_scripts_labels(self):
-        script, _calls = self._built_and_replayed()
+        script = postmark_script(self.CFG, self.DIRS)
         kinds = Counter(label for label, _ in script["transactions"])
         result = run_postmark(make_cffs(), self.CFG)
         assert ((result.reads, result.appends, result.creates, result.deletes)
                 == (kinds["read"], kinds["append"], kinds["create"],
                     kinds["delete"]))
+        # Every kind run_postmark counts is in the records, as its call.
+        assert all(kinds[label] > 0 for label in self.KINDS)
+        assert all(op.kind == self.KINDS[label]
+                   for phase in self.PHASES for label, op in script[phase])
         assert sum(kinds.values()) == self.CFG.n_transactions
         assert len(script["create"]) == self.CFG.n_files
         # The delete phase removes exactly what the churn left behind.
