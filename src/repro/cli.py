@@ -259,11 +259,7 @@ def cmd_chaos(args) -> int:
     report = run_chaos(replace(
         cfg, label=args.fs or cfg.label, n_files=args.files or cfg.n_files,
         seed=cfg.seed if args.seed is None else args.seed))
-    text = render_chaos(report)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    print(text)
+    print(render_chaos(report))
     passed, _reasons = report.verdict()
     return 0 if passed else 1
 
@@ -616,8 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the scenario's workload size")
     p.add_argument("--seed", type=int,
                    help="override the scenario's seed")
-    p.add_argument("--out", metavar="PATH",
-                   help="also write the report here (CI diffs two runs)")
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser("multiclient",

@@ -109,7 +109,6 @@ def test_unknown_file_system_is_one_clean_error(argv, tmp_path, capsys,
     ["mkfs", "DIR"],
     ["ls", "DIR"],
     ["trace", "--files", "5", "--out", "DIR"],
-    ["chaos", "--files", "10", "--out", "DIR"],
 ])
 def test_a_directory_given_for_a_file_is_one_clean_error(argv, tmp_path,
                                                          capsys):

@@ -1,13 +1,23 @@
-"""Seeded reports pinned across commits.
+"""Seeded command output pinned across commits: the one determinism gate.
 
-The CI smoke jobs compare two runs of the *same* commit, which proves a
-report is deterministic but not that a refactor left it alone.  These
-goldens (``tests/golden/reports/``) are what each command printed, and
-wrote with ``--json``, at the commit that added this file; a change that
-moves a simulated number, a counter or a line of a report has to
-regenerate them on purpose:
+``COMMANDS`` is the manifest of every seeded ``repro`` output that must
+not drift.  An entry is a list of argv lists, run in order through
+``repro.cli.main`` in a fresh directory that holds ``h.txt``
+(``hello``), the host file the image lifecycles ``put``; file names are
+relative, so what a command prints of them is the same in every run.
+The steps' stdout is pinned verbatim as ``tests/golden/reports/<name>.txt``
+and each file the entry names as ``<name>.<file>``: verbatim, or, for a
+name ending in ``.sha256`` (disk images, the span export), by the sha256
+of the file's bytes.  CI runs tier-1 under ``PYTHONHASHSEED=1`` on one
+Python and ``=2`` on the other, so every output is held to one committed
+value under two hash seeds.  A change that moves one has to regenerate
+the goldens on purpose:
 
     REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_report_goldens.py
+
+A new seeded output is a new entry here, never a two-run ``cmp`` in CI:
+``test_the_manifest_is_the_only_determinism_gate`` fails on an orphaned
+or missing golden and on a ``cmp`` in ``ci.yml``.
 
 The two digests pin what the reports do not print: every client's
 per-operation records of a fault-free traffic run, and the operation
@@ -17,7 +27,9 @@ timeline (start, end, outcome) of a faulted run whose clients retry.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import re
 
 import pytest
 
@@ -27,6 +39,8 @@ from repro.faults import FaultSchedule
 from tests.conftest import PinnedFaults
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "reports")
+CI_YML = os.path.join(os.path.dirname(__file__), os.pardir, ".github",
+                      "workflows", "ci.yml")
 REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 _CLUSTER = ["cluster", "--shards", "4", "--clients", "200", "--dirs", "48",
@@ -34,35 +48,73 @@ _CLUSTER = ["cluster", "--shards", "4", "--clients", "200", "--dirs", "48",
 _CLUSTER_CHAOS = ["cluster-chaos", "--shards", "4", "--clients", "160",
                   "--dirs", "32", "--seed", "2026", "--fail-shard", "1"]
 _TRANSIENT = ["--faults", "2:transient_rate=0.05"]
+# A summary is written to a file named ``json``, so that its golden is
+# ``<name>.json``.
+_JSON = ["--json", "json"]
+_MULTICLIENT = ["multiclient", "--clients", "4", "--files", "20"]
+_MKFS = ["mkfs", "m.img", "--fs"]
 
-#: name -> (argv, whether the command takes ``--json PATH``).
+#: name -> (argv of each step, files pinned after the last step).
 COMMANDS = {
-    "cluster": (_CLUSTER, True),
-    "cluster-hash": (_CLUSTER + ["--router", "hash"], True),
-    "cluster-faults": (_CLUSTER + _TRANSIENT, True),
-    "cluster-chaos": (_CLUSTER_CHAOS, True),
-    "cluster-chaos-faults": (_CLUSTER_CHAOS + _TRANSIENT, True),
+    "cluster": ([_CLUSTER + _JSON], ["json"]),
+    "cluster-hash": ([_CLUSTER + ["--router", "hash"] + _JSON], ["json"]),
+    "cluster-faults": ([_CLUSTER + _TRANSIENT + _JSON], ["json"]),
+    "cluster-chaos": ([_CLUSTER_CHAOS + _JSON], ["json"]),
+    "cluster-chaos-faults": ([_CLUSTER_CHAOS + _TRANSIENT + _JSON], ["json"]),
     "multiclient-smallfile": (
-        ["multiclient", "--clients", "4", "--files", "20",
-         "--workload", "smallfile"], False),
+        [_MULTICLIENT + ["--workload", "smallfile"]], []),
     "multiclient-postmark": (
-        ["multiclient", "--clients", "4", "--files", "20",
-         "--workload", "postmark"], False),
+        [_MULTICLIENT + ["--workload", "postmark"]], []),
     "multiclient-hypertext": (
-        ["multiclient", "--clients", "4", "--files", "20",
-         "--workload", "hypertext"], False),
+        [_MULTICLIENT + ["--workload", "hypertext"]], []),
     "multiclient-sstf-softdep": (
-        ["multiclient", "--clients", "4", "--files", "20",
-         "--scheduler", "sstf", "--policy", "softdep",
-         "--phases", "create,read,overwrite,delete"], False),
+        [_MULTICLIENT + ["--scheduler", "sstf", "--policy", "softdep",
+                         "--phases", "create,read,overwrite,delete"]], []),
     "multiclient-fcfs-postmark": (
-        ["multiclient", "--clients", "4", "--files", "20",
-         "--scheduler", "fcfs", "--workload", "postmark"], False),
+        [_MULTICLIENT + ["--scheduler", "fcfs", "--workload", "postmark"]],
+        []),
+    "multiclient-sstf-8": (
+        [["multiclient", "--clients", "8", "--files", "40",
+          "--scheduler", "sstf",
+          "--phases", "create,read,overwrite,delete"]], []),
     "chaos-sustained": (
-        ["chaos", "--scenario", "sustained", "--files", "80",
-         "--seed", "2026"], False),
+        [["chaos", "--scenario", "sustained", "--files", "80",
+          "--seed", "2026"]], []),
+    "chaos-exhaust": ([["chaos", "--scenario", "exhaust", "--seed", "2026"]],
+                      []),
+    "faultsim": (
+        [["faultsim", "--files", "20", "--stride", "5", "--seed", "1997"]],
+        []),
+    "faultsim-journal": (
+        [["faultsim", "--policy", "journal", "--files", "16",
+          "--stride", "4", "--seed", "2026"]], []),
+    "bench-softdep": (
+        [["bench", "--files", "200", "--configs", "ffs,cffs",
+          "--policy", "softdep"]], []),
+    "trace-smallfile": (
+        [["trace", "--workload", "smallfile", "--files", "100",
+          "--format", "chrome", "--out", "trace.json",
+          "--metrics", "metrics.json"]],
+        ["trace.json.sha256", "metrics.json"]),
+    "mkfs-ffs": ([_MKFS + ["ffs"]], ["m.img.sha256"]),
+    "mkfs-cffs": ([_MKFS + ["cffs"]], ["m.img.sha256"]),
+    "mkfs-conventional": (
+        [_MKFS + ["cffs", "--no-embed", "--no-group"]], ["m.img.sha256"]),
+    "journal-lifecycle": (
+        [["mkfs", "j.img", "--policy", "journal"],
+         ["put", "j.img", "h.txt", "/hello"],
+         ["journal", "j.img"],
+         ["fsck", "j.img"]],
+        ["j.img.sha256"]),
+    "resilient-lifecycle": (
+        [["mkfs", "r.img", "--resilient"],
+         ["put", "r.img", "h.txt", "/hello"],
+         ["info", "r.img"],
+         ["fsck", "r.img"],
+         ["fsck", "r.img", "--repair"],
+         ["ls", "r.img", "/"]],
+        ["r.img.sha256"]),
 }
-
 
 def _check(name: str, text: str) -> None:
     path = os.path.join(GOLDEN_DIR, name)
@@ -75,16 +127,55 @@ def _check(name: str, text: str) -> None:
         assert text == handle.read(), "%s moved" % name
 
 
+def _golden(name: str):
+    with open(os.path.join(GOLDEN_DIR, name)) as handle:
+        return json.load(handle)
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_command_output_matches_golden(name, tmp_path, capsys):
-    argv, takes_json = COMMANDS[name]
-    summary = tmp_path / "summary.json"
-    if takes_json:
-        argv = argv + ["--json", str(summary)]
-    assert main(argv) == 0
+def test_command_output_matches_golden(name, tmp_path, capsys, monkeypatch):
+    steps, files = COMMANDS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.txt").write_text("hello\n")
+    for argv in steps:
+        assert main(argv) == 0, argv
     _check(name + ".txt", capsys.readouterr().out)
-    if takes_json:
-        _check(name + ".json", summary.read_text())
+    for pinned in files:
+        path = tmp_path / pinned.removesuffix(".sha256")
+        text = (hashlib.sha256(path.read_bytes()).hexdigest() + "\n"
+                if pinned.endswith(".sha256") else path.read_text())
+        _check("%s.%s" % (name, pinned), text)
+
+
+def test_summaries_clear_their_floors():
+    # The goldens equal what the runs wrote, so a regenerated golden of a
+    # failing run fails here.
+    cluster = _golden("cluster.json")
+    assert cluster["config"]["shards"] == 4
+    assert cluster["totals"]["ops"] == 600
+    assert cluster["balance"]["imbalance"] >= 0.0
+    chaos = _golden("cluster-chaos.json")
+    assert chaos["verdict"] == "PASS"
+    assert chaos["availability"]["surviving"] >= chaos["availability"]["floor"]
+    evacuation = chaos["evacuation"]
+    assert evacuation["verified"] == evacuation["files"]
+    assert not evacuation["mismatches"]
+    assert evacuation["stranded"] == 0
+    assert chaos["health"]["final"][1] == "FAILED"
+
+
+def test_the_manifest_is_the_only_determinism_gate():
+    # Written by the two digest tests at the end of this file.
+    written = {"traffic-records.sha256", "retried-timeline.sha256"}
+    for name, (_steps, files) in COMMANDS.items():
+        written.add(name + ".txt")
+        written.update("%s.%s" % (name, pinned) for pinned in files)
+    committed = set(os.listdir(GOLDEN_DIR))
+    assert not committed - written, "orphaned: %s" % sorted(committed - written)
+    assert not written - committed, "missing: %s" % sorted(written - committed)
+    with open(CI_YML) as handle:
+        assert not re.search(r"\bcmp\b", handle.read()), (
+            "ci.yml compares two runs; add a COMMANDS entry instead")
 
 
 def _digest(rows) -> str:

@@ -1,13 +1,9 @@
 """Tests for workload records: their text form and their replay."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from repro.errors import InvalidArgument
-from repro.workloads import run_script
+from repro.workloads import build_filesystem, run_script
 from repro.workloads.trace import Operation, dumps, loads
 from tests.conftest import make_cffs, make_ffs
 
@@ -150,18 +146,9 @@ class TestReplay:
 
     def test_replay_writes_the_same_bytes_in_every_process(self):
         # Payloads are synthesized at replay time; a seed taken from the
-        # salted builtin hash() gave each process its own bytes.
-        program = (
-            "from repro.workloads import build_filesystem, run_script\n"
-            "from repro.workloads.trace import loads\n"
-            "fs = build_filesystem('cffs')\n"
-            "run_script(fs, loads('mkdir /d\\nwrite /d/a 0 5000\\n'\n"
-            "                     'write /d/b 4096 9000\\nsync\\n'))\n"
-            "print(fs.cache.device.content_digest())\n")
-        for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join(sys.path))
-            digest = subprocess.run(
-                [sys.executable, "-c", program], env=env, check=True,
-                capture_output=True, text=True).stdout.strip()
-            assert digest == REPLAY_DIGEST, hash_seed
+        # salted builtin hash() gave each process its own bytes.  CI runs
+        # tier-1 under two hash seeds against this one digest.
+        fs = build_filesystem("cffs")
+        run_script(fs, loads("mkdir /d\nwrite /d/a 0 5000\n"
+                             "write /d/b 4096 9000\nsync\n"))
+        assert fs.cache.device.content_digest() == REPLAY_DIGEST

@@ -29,10 +29,14 @@ class TestTraceCommand:
         assert doc["otherData"]["clock"] == "simulated"
         assert events[0]["ph"] == "M"
         layers = {e.get("cat") for e in events}
-        assert {"run", "workload", "vfs", "cache", "disk"} <= layers
+        assert {"run", "workload", "vfs", "fs", "cache", "disk"} <= layers
         for event in events[1:]:
             assert event["ph"] == "X"
             assert event["ts"] >= 0 and event["dur"] >= 0
+        # The disk spans are the only per-request record of the drive.
+        disk = [e["args"] for e in events[1:] if e["cat"] == "disk"]
+        assert all({"lba", "nsectors", "source"} <= set(a) for a in disk)
+        assert {a["source"] for a in disk} <= {"media", "cache", "buffer"}
 
     def test_flame_and_metrics_outputs(self, tmp_path):
         out = tmp_path / "t.flame"
@@ -47,6 +51,18 @@ class TestTraceCommand:
         snap = json.loads(metrics.read_text())
         assert snap["disk.reads"] > 0
         assert snap["disk.request_sectors"]["total"] > 0
+
+    def test_journaled_snapshot_counts_every_layer(self, tmp_path):
+        # The snapshot is the drive's registry, which every layer over
+        # the drive registers its fields with; it needs no tracer.
+        metrics = tmp_path / "m.json"
+        rc = main(["trace", "--workload", "postmark", "--policy", "journal",
+                   "--files", "100", "--out", str(tmp_path / "pm.json"),
+                   "--metrics", str(metrics)])
+        assert rc == 0
+        snap = json.loads(metrics.read_text())
+        assert snap["journal.commits"] > 0
+        assert snap["disk.reads"] > 0
 
     def test_postmark_jsonl(self, tmp_path):
         out = tmp_path / "t.jsonl"
