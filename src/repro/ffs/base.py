@@ -50,7 +50,6 @@ class VolumeConfig:
     small_file_spread: int = 6         # rotational spreading of new files
     policy: MetadataPolicy = MetadataPolicy.SYNC_METADATA
     cache_blocks: int = 4096           # 16 MB buffer cache
-    file_readahead_blocks: int = 0     # FS-level sequential prefetch (off)
 
 
 class BlockFileSystem(FileSystem):
@@ -71,12 +70,6 @@ class BlockFileSystem(FileSystem):
         self.device = device
         self.config = config
         self.policy = config.policy
-        # File-level sequential prefetch (the paper's implementation
-        # "currently does not support prefetching"; this is the
-        # future-work feature, disabled by default to match the paper).
-        self.file_readahead_blocks = config.file_readahead_blocks
-        # fileid -> (next expected block index, streak length)
-        self._seq_state: Dict[int, Tuple[int, int]] = {}
         # Spread of a new file's first block under conventional placement.
         self.file_spread = config.small_file_spread
         self.sb: Dict[str, Any] = {}
@@ -223,7 +216,6 @@ class BlockFileSystem(FileSystem):
     def _drop_private_caches(self) -> None:
         self._icache.clear()
         self._dir_index.clear()
-        self._seq_state.clear()
         self.alloc.drop_mirrors()
 
     def cg_base(self, cgi: int) -> int:
@@ -517,7 +509,6 @@ class BlockFileSystem(FileSystem):
             else:
                 located.append((idx, bno))
         self._fetch_data_blocks(handle, located)
-        self._maybe_readahead(handle, first, last)
 
         fid = self._file_id(handle)
         by_idx = dict(located)
@@ -540,30 +531,6 @@ class BlockFileSystem(FileSystem):
                 else:
                     chunks.append(bytes(memoryview(cached)[lo:hi]))
         return b"".join(chunks)
-
-    def _maybe_readahead(self, handle: Handle, first: int, last: int) -> None:
-        """Sequential-pattern detection plus bounded read-ahead.
-
-        After the second consecutive sequential read of a file, the
-        next ``file_readahead_blocks`` blocks are fetched through the
-        normal (group-aware, batched) path.  No-op unless enabled.
-        """
-        if self.file_readahead_blocks <= 0:
-            return
-        fid = self._file_id(handle)
-        expected, streak = self._seq_state.get(fid, (-1, 0))
-        streak = streak + 1 if first == expected else 1
-        self._seq_state[fid] = (last + 1, streak)
-        if streak < 2:
-            return
-        max_idx = (handle.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-        ahead: List[Tuple[int, int]] = []
-        for idx in range(last + 1, min(last + 1 + self.file_readahead_blocks, max_idx)):
-            bno = mapping.bmap_lookup(self.cache, handle, idx)
-            if bno:
-                ahead.append((idx, bno))
-        if ahead:
-            self._fetch_data_blocks(handle, ahead)
 
     def _write(self, handle: Handle, offset: int, data: bytes) -> int:
         if offset < 0:

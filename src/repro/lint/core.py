@@ -1,9 +1,10 @@
 """Core types for reprolint: findings, modules, rules, suppressions.
 
 A :class:`LintModule` is one parsed source file plus everything a rule
-needs to reason about it: the AST, the dotted module name (derived from
-the ``repro`` package root in its path), its intra-repo import map, and
-the suppression directives found in its comments.
+needs to reason about it on its own: the AST, the dotted module name
+(derived from the ``repro`` package root in its path), and the
+suppression directives found in its comments.  What its names stand
+for across modules is :mod:`repro.lint.program`'s business.
 
 Suppression syntax (mirrors pylint's, but deliberately tiny):
 
@@ -31,8 +32,8 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 # LintError lives in the central taxonomy (E001 enforces that); it is
 # re-exported here because it is part of this package's API.
@@ -147,12 +148,8 @@ class LintModule:
     path: str
     module: str  # dotted name, e.g. "repro.ffs.alloc"
     source: str
-    tree: ast.AST
+    tree: ast.Module
     suppressions: Suppressions
-    # name -> dotted source module, for names brought in via
-    # ``from repro.x.y import NAME`` (values are the *module*, so a
-    # constant imported under an alias still resolves).
-    import_map: Dict[str, str] = field(default_factory=dict)
 
     @property
     def package(self) -> str:
@@ -203,31 +200,19 @@ def module_name_of(path: str) -> str:
     return ".".join(parts)
 
 
-def _build_import_map(tree: ast.AST) -> Dict[str, str]:
-    imports: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-            if node.module == "repro" or node.module.startswith("repro."):
-                for alias in node.names:
-                    imports[alias.asname or alias.name] = node.module
-    return imports
-
-
 def load_source(source: str, path: str) -> LintModule:
     """Parse ``source`` into a :class:`LintModule` (raises LintError)."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         raise LintError("%s: %s" % (path, exc)) from exc
-    mod = LintModule(
+    return LintModule(
         path=path,
         module=module_name_of(path),
         source=source,
         tree=tree,
         suppressions=Suppressions(source),
     )
-    mod.import_map = _build_import_map(tree)
-    return mod
 
 
 def load_module(path: str) -> LintModule:
@@ -246,7 +231,7 @@ class Rule:
     Subclasses set ``id``/``title``/``rationale`` and implement
     :meth:`check`, yielding findings via :meth:`found`.  ``context`` is
     the :class:`repro.lint.runner.LintContext` shared across the run
-    (cross-module constant tables live there).
+    (the program index and the call-graph summaries live there).
     """
 
     id = "X000"
@@ -280,27 +265,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def iter_imported_repro_modules(
-    tree: ast.AST,
-) -> Iterator[Tuple[ast.AST, str, Sequence[str]]]:
-    """Yield ``(node, target_module, imported_names)`` for repro imports.
-
-    ``imported_names`` is empty for plain ``import repro.x.y`` and for
-    ``from repro.x import submodule`` where the name is itself a module
-    (the caller cannot tell; it receives the alias names and decides).
-    """
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                name = alias.name
-                if name == "repro" or name.startswith("repro."):
-                    yield node, name, ()
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            name = node.module
-            if name == "repro" or name.startswith("repro."):
-                yield node, name, tuple(a.name for a in node.names)
 
 
 def findings_sorted(findings: Iterable[Finding]) -> List[Finding]:

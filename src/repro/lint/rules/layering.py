@@ -37,7 +37,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, Iterator
 
-from repro.lint.core import Finding, LintModule, Rule, iter_imported_repro_modules
+from repro.lint.core import Finding, LintModule, Rule
 
 # Utility leaves importable from anywhere.  ``obs`` is the cross-layer
 # observability seam: every layer may emit spans and counters through
@@ -129,7 +129,10 @@ class LayeringRule(Rule):
             # application shell: they assemble the whole stack.
             return
         allowed = LAYER_DAG[pkg]
-        for node, target, names in iter_imported_repro_modules(mod.tree):
+        program = context.program  # type: ignore[attr-defined]
+        for node, target, names in program.units[mod.module].imports:
+            if target != "repro" and not target.startswith("repro."):
+                continue
             tpkg = _target_package(target)
             if tpkg == "" or tpkg == pkg or tpkg in UTILITY:
                 continue

@@ -12,9 +12,10 @@ Two classes of latent corruption hide there:
   crash-recovery sweep happens to exercise.
 
 The rule resolves format strings through module-level constants, across
-modules (``from repro.ffs.layout import DIRENT_HEADER_FMT``), through
-string concatenation, and through ``struct.Struct`` objects bound at
-module level.  Formats built with ``%`` keep their literal prefix, so
+modules by the program model (``from repro.ffs.layout import
+DIRENT_HEADER_FMT``, re-exported or renamed on the way), through string
+concatenation, and through ``struct.Struct`` objects bound at module
+level.  Formats built with ``%`` keep their literal prefix, so
 endianness is still checked even when the final width is dynamic.
 
 Mutation row (``tests/test_lint_mutations.py``): ``DIRENT_HEADER_FMT``
@@ -28,6 +29,7 @@ import ast
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.lint.core import Finding, LintModule, Rule, dotted_name
+from repro.lint.program import Program
 
 # (value-consuming?) struct codes; 's'/'p' consume one value per group.
 _CODES = "xcbB?hHiIlLqQnNefdspP"
@@ -69,64 +71,41 @@ def count_format_values(fmt: str) -> Optional[int]:
     return total
 
 
-class _ConstResolver:
-    """Resolve names to format strings across the linted module set.
-
-    ``exact`` is False when only a literal prefix is known (formats
-    built with ``%``), in which case arity cannot be checked but the
-    byte-order marker still can.
-    """
-
-    def __init__(self, modules: Dict[str, LintModule]) -> None:
-        self.modules = modules
-        self.raw: Dict[Tuple[str, str], ast.expr] = {}
-        self.cache: Dict[Tuple[str, str], Optional[Tuple[str, bool]]] = {}
-        for mod in modules.values():
-            body = getattr(mod.tree, "body", [])
-            for stmt in body:
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target = stmt.targets[0]
-                    if isinstance(target, ast.Name):
-                        self.raw[(mod.module, target.id)] = stmt.value
-
-    def resolve_name(self, module: str, name: str) -> Optional[Tuple[str, bool]]:
-        key = (module, name)
-        if key in self.cache:
-            return self.cache[key]
-        self.cache[key] = None  # cycle guard
-        value: Optional[Tuple[str, bool]] = None
-        if key in self.raw:
-            value = self.resolve_expr(module, self.raw[key])
-        else:
-            mod = self.modules.get(module)
-            if mod is not None and name in mod.import_map:
-                value = self.resolve_name(mod.import_map[name], name)
-        self.cache[key] = value
-        return value
-
-    def resolve_expr(self, module: str, node: ast.expr) -> Optional[Tuple[str, bool]]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value, True
-        if isinstance(node, ast.Name):
-            return self.resolve_name(module, node.id)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            left = self.resolve_expr(module, node.left)
-            if left is None:
-                return None
-            right = self.resolve_expr(module, node.right)
-            if right is None or not left[1]:
-                return left[0], False
-            return left[0] + right[0], left[1] and right[1]
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
-            left = self.resolve_expr(module, node.left)
-            if left is None:
-                return None
-            return left[0], False  # dynamic width; prefix known
-        if isinstance(node, ast.Call):
-            # NAME = struct.Struct(fmt): carry the format through.
-            if dotted_name(node.func) == "struct.Struct" and node.args:
-                return self.resolve_expr(module, node.args[0])
+def resolve_expr(program: Program, module: str, node: ast.expr,
+                 seen: Tuple[Tuple[str, str], ...] = ()
+                 ) -> Optional[Tuple[str, bool]]:
+    """The format string ``node`` evaluates to in ``module``, with
+    ``exact`` False when only a literal prefix is known (formats built
+    with ``%``): then arity cannot be checked but the byte-order marker
+    still can.  Names are followed through ``program`` to the top-level
+    value they stand for; None if that is no format."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value, True
+    if isinstance(node, ast.Name):
+        for thing in sorted(program.resolve(module, node.id)):
+            if thing[0] == "value" and thing[1:] not in seen:
+                return resolve_expr(program, thing[1],
+                                    program.units[thing[1]].values[thing[2]],
+                                    seen + ((thing[1], thing[2]),))
         return None
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left = resolve_expr(program, module, node.left, seen)
+        if left is None:
+            return None
+        right = resolve_expr(program, module, node.right, seen)
+        if right is None or not left[1]:
+            return left[0], False
+        return left[0] + right[0], left[1] and right[1]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        left = resolve_expr(program, module, node.left, seen)
+        if left is None:
+            return None
+        return left[0], False  # dynamic width; prefix known
+    if isinstance(node, ast.Call):
+        # NAME = struct.Struct(fmt): carry the format through.
+        if dotted_name(node.func) == "struct.Struct" and node.args:
+            return resolve_expr(program, module, node.args[0], seen)
+    return None
 
 
 class StructFormatRule(Rule):
@@ -138,17 +117,16 @@ class StructFormatRule(Rule):
     )
 
     def check(self, mod: LintModule, context: object) -> Iterator[Finding]:
-        resolver: _ConstResolver = context.struct_resolver  # type: ignore[attr-defined]
+        program: Program = context.program  # type: ignore[attr-defined]
+        unit = program.units[mod.module]
         unpack_assigns = self._unpack_assignment_targets(mod)
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for _, _, _, node in unit.calls:
             name = dotted_name(node.func)
-            kind = self._call_kind(mod, resolver, node, name)
+            kind = self._call_kind(unit, node, name)
             if kind is None:
                 continue
             fmt_arg_index, is_pack, is_unpack, fmt_expr = kind
-            fmt = resolver.resolve_expr(mod.module, fmt_expr)
+            fmt = resolve_expr(program, mod.module, fmt_expr)
             if fmt is None:
                 continue
             text, exact = fmt
@@ -191,7 +169,7 @@ class StructFormatRule(Rule):
                         "assignment unpacks %d" % (text, nvalues, ntargets),
                     )
 
-    def _call_kind(self, mod, resolver, node, name):
+    def _call_kind(self, unit, node, name):
         """(fmt_arg_index, is_pack, is_unpack, fmt_expr) or None."""
         if name in PACK_CALLS and len(node.args) > PACK_CALLS[name]:
             return PACK_CALLS[name] - 1 if name == "struct.pack" else 2, \
@@ -206,7 +184,7 @@ class StructFormatRule(Rule):
             and isinstance(node.func.value, ast.Name)
             and node.func.attr in ("pack", "unpack", "pack_into", "unpack_from")
         ):
-            const = resolver.raw.get((mod.module, node.func.value.id))
+            const = unit.values.get(node.func.value.id)
             if (
                 isinstance(const, ast.Call)
                 and dotted_name(const.func) == "struct.Struct"

@@ -1,8 +1,8 @@
 """Run the rule set over a file tree and aggregate findings.
 
 The runner does a two-phase pass: first every file is parsed and the
-cross-module state is built — the constant table (so F001 can resolve
-a format string through ``from repro.ffs.layout import
+cross-module state is built — the program index (so F001 can resolve a
+format string through ``from repro.ffs.layout import
 DIRENT_HEADER_FMT``) and the call-graph summaries J001 and O001 read —
 then each rule visits each module.  Findings covered by a suppression
 directive are kept but marked, so reporters can audit them; the run
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.core import (
     Finding,
@@ -24,8 +24,8 @@ from repro.lint.core import (
     load_module,
 )
 from repro.lint.flow.callgraph import FlowContext
+from repro.lint.program import Program, Unit
 from repro.lint.rules import RULES
-from repro.lint.rules.structfmt import _ConstResolver
 
 SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
 
@@ -34,8 +34,8 @@ SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
 class LintContext:
     """Shared state rules may consult during a run."""
 
-    modules: Dict[str, LintModule]
-    struct_resolver: _ConstResolver
+    #: what every name of the linted modules stands for (F001).
+    program: Program
     #: call-graph summaries of every linted function (J001, O001).
     flow: FlowContext
 
@@ -98,10 +98,10 @@ def lint_modules(
     rule_ids: Optional[Sequence[str]] = None,
 ) -> LintResult:
     rules = _select_rules(rule_ids)
-    by_name = {mod.module: mod for mod in modules}
-    context = LintContext(modules=by_name,
-                          struct_resolver=_ConstResolver(by_name),
-                          flow=FlowContext(modules))
+    context = LintContext(
+        program=Program(Unit(mod.module, mod.path, mod.tree)
+                        for mod in modules),
+        flow=FlowContext(modules))
     findings: List[Finding] = []
     for mod in modules:
         for rule in rules:

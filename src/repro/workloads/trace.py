@@ -108,11 +108,15 @@ class Operation(NamedTuple):
         if not paths_ok or not len(fields) <= len(numbers) <= len(names):
             raise InvalidArgument("trace op %r: bad arguments %r" % (kind, words))
         try:
-            values = [int(word) for word in numbers]
+            values = dict(zip(names, (int(word) for word in numbers)))
         except ValueError:
             raise InvalidArgument(
                 "trace op %r: %r are not numbers" % (kind, numbers)) from None
-        return cls(kind, paths, **dict(zip(names, values)))
+        if min(values.values(), default=0) < 0 or values.get("fill", 0) > 255:
+            raise InvalidArgument(
+                "trace op %r: %r holds a negative number or a fill byte "
+                "past 255" % (kind, numbers))
+        return cls(kind, paths, **values)
 
 
 def dumps(script: Iterable[Tuple[str, Operation]]) -> str:

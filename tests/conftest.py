@@ -7,7 +7,9 @@ full ST31200 profile.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.faults.schedule import HARD, TORN, TRANSIENT, FaultDecision, FaultSch
 from repro.ffs.filesystem import FFS, FFSConfig
 from repro.fsck import check_image, mount_image
 from repro.lint import lint_modules, load_source
+from repro.lint.runner import collect_files
 
 TEST_PROFILE = DriveProfile(
     name="TestDrive 13MB",
@@ -104,6 +107,19 @@ def free_blocks(alloc):
 def dirty_count(cache):
     """Blocks a buffer cache holds dirty."""
     return len(cache._dirty)
+
+
+@functools.lru_cache(maxsize=None)
+def src_modules():
+    """src/repro parsed once per session, each module under its
+    repo-relative path (``src/repro/ffs/base.py``): what the self-host
+    lint, the mutation table, the hot-set check and the source
+    contracts read."""
+    root = Path(__file__).resolve().parent.parent
+    return tuple(
+        load_source(Path(path).read_text(encoding="utf-8"),
+                    Path(path).relative_to(root).as_posix())
+        for path in collect_files([str(root / "src" / "repro")]))
 
 
 def lint_sources(sources, rule_ids=None):

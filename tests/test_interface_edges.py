@@ -129,6 +129,18 @@ class TestOffsetSemantics:
         assert st.size == 5 * BLOCK_SIZE + 11
         assert st.nblocks == 1  # only the tail block is allocated
 
+    def test_block_reads_of_a_cold_file_end_at_eof(self, anyfs):
+        # A block-at-a-time fd loop over a file read back cold returns
+        # every byte once, its short last block included, then nothing.
+        data = bytes(range(256)) * (BLOCK_SIZE // 256) * 3 + b"tail"
+        anyfs.write_file("/f", data)
+        anyfs.sync()
+        anyfs.drop_caches()
+        fd = anyfs.open("/f")
+        assert b"".join(iter(lambda: anyfs.read(fd, BLOCK_SIZE), b"")) == data
+        assert anyfs.read(fd, BLOCK_SIZE) == b""
+        anyfs.close(fd)
+
     def test_pwrite_then_pread_same_fd(self, anyfs):
         fd = anyfs.open("/f", create=True)
         anyfs.pwrite(fd, 100, b"spot")

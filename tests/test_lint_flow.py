@@ -12,7 +12,6 @@ fix, so the rules provably separate the two.
 import ast
 import json
 import textwrap
-from pathlib import Path
 
 from repro.lint.core import load_source
 from repro.lint.flow import (
@@ -22,7 +21,7 @@ from repro.lint.flow import (
     node_calls,
 )
 from repro.lint.reporters import render_json
-from tests.conftest import lint_sources
+from tests.conftest import lint_sources, src_modules
 
 
 def rules_of(result, suppressed=None):
@@ -233,9 +232,7 @@ def test_every_filesystem_call_a_workload_record_makes_is_hot():
     # O001 audits only hot loops.  The record interpreter's module is a
     # root, so every VFS entry point a record kind calls stays hot on
     # its own account, not through a name it shares with the engine.
-    src = Path(__file__).resolve().parent.parent / "src"
-    modules = [load_source(path.read_text(), str(path.relative_to(src.parent)))
-               for path in sorted(src.rglob("*.py"))]
+    modules = src_modules()
     flow = FlowContext(modules)
     interpreter = next(m for m in modules
                        if m.module == "repro.workloads.trace")

@@ -2,20 +2,17 @@
 
 A row puts one rule's defect back into a real site of ``src/``: the
 rule, the file, the exact text there today, and the same text with the
-defect.  All rows are applied to one in-memory copy of the tree, which
-is linted once; each row must raise an unsuppressed finding of its rule
-in its file.  A row whose exact text is gone fails
+defect.  All rows are applied to one in-memory copy of the tree (the
+session's parse, with the mutated files parsed again), which is linted
+once; each row must raise an unsuppressed finding of its rule in its
+file.  A row whose exact text is gone fails
 too: move it to the site's new shape, or to another real site of the
 same defect.  The rows come from the mutation table in
 docs/STATIC_ANALYSIS.md.
 """
 
-from pathlib import Path
-
-from tests.conftest import lint_sources
-
-
-ROOT = Path(__file__).resolve().parent.parent
+from repro.lint import lint_modules, load_source
+from tests.conftest import src_modules
 
 _FETCH = ("data = self.cache.device.read_extent(start, count)  "
           "# reprolint: disable=L001 -- grouped extent fetch is the one "
@@ -79,12 +76,16 @@ ROWS = [
 
 
 def test_every_row_fires():
-    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
-               for path in (ROOT / "src" / "repro").rglob("*.py")}
+    modules = {mod.path: mod for mod in src_modules()}
+    sources = {}
     for rule, path, text, mutated in ROWS:
-        assert sources[path].count(text) == 1, (rule, path, text)
-        sources[path] = sources[path].replace(text, mutated)
+        source = sources.get(path, modules[path].source)
+        assert source.count(text) == 1, (rule, path, text)
+        sources[path] = source.replace(text, mutated)
+    modules.update((path, load_source(source, path))
+                   for path, source in sources.items())
     # The tree itself lints clean (tests/test_reprolint_selfhost.py), so
     # every unsuppressed finding here is one a row put back.
-    fired = {(f.rule, f.path) for f in lint_sources(sources).unsuppressed}
+    fired = {(f.rule, f.path)
+             for f in lint_modules(list(modules.values())).unsuppressed}
     assert [row[:2] for row in ROWS if row[:2] not in fired] == []

@@ -14,8 +14,9 @@ import os
 import subprocess
 import sys
 
-from repro.lint import lint_paths
+from repro.lint import lint_modules
 from repro.lint.reporters import render_json
+from tests.conftest import src_modules
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src", "repro")
@@ -25,7 +26,7 @@ BASELINE = os.path.join(REPO_ROOT, "tests", "golden", "lint_baseline.json")
 @functools.lru_cache(maxsize=None)
 def tree_result():
     """The one lint run over the source tree the tests below read."""
-    return lint_paths([SRC])
+    return lint_modules(src_modules())
 
 
 def test_src_tree_has_no_unsuppressed_findings():
@@ -70,7 +71,7 @@ def position_free_report(result) -> str:
 
 def baseline_diff() -> str:
     """Unified diff of the committed baseline against the current tree
-    (empty when they agree); CI's reprolint step prints and tests it."""
+    (empty when they agree)."""
     current = position_free_report(tree_result())
     if os.environ.get("REPRO_REGEN_GOLDENS") == "1":
         with open(BASELINE, "w", encoding="utf-8") as handle:

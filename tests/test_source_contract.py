@@ -5,9 +5,10 @@ tests uses it."""
 
 import ast
 import functools
-import re
-import textwrap
 from pathlib import Path
+
+from repro.lint.program import Program, Unit
+from tests.conftest import src_modules
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -31,24 +32,17 @@ def test_only_the_window_module_diffs_the_drive_counters():
     assert diffing("engine", "cluster") == ["report.py"]
 
 
-def _module_name(path):
-    parts = list(path.relative_to(SRC).with_suffix("").parts)
-    if parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)
-
-
-def _imports(tree):
-    """``(module, name)`` for every import in a file (name None for a
-    plain ``import a.b``)."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.name, None
-        elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "relative import"
-            for alias in node.names:
-                yield node.module, alias.name
+@functools.lru_cache(maxsize=None)
+def program():
+    """src/, benchmarks/ and examples/ as one program model; src/ is the
+    session's parse the lint tests read too."""
+    units = [Unit(mod.module, mod.path, mod.tree) for mod in src_modules()]
+    for base in ("benchmarks", "examples"):
+        for path in sorted((ROOT / base).rglob("*.py")):
+            name = ".".join(path.relative_to(ROOT).with_suffix("").parts)
+            units.append(Unit(name.removesuffix(".__init__"), str(path),
+                              ast.parse(path.read_text(encoding="utf-8"))))
+    return Program(units)
 
 
 def orphan_modules():
@@ -57,36 +51,39 @@ def orphan_modules():
     ``__init__``, nor reached through it (``__init__`` uses a name it
     takes from the module, or someone imports that name from the
     package).  Tests do not count as users."""
-    files = {path: ast.parse(path.read_text(encoding="utf-8"))
-             for base in ("src", "benchmarks", "examples")
-             for path in (ROOT / base).rglob("*.py")}
-    modules = {_module_name(path): path for path in files
-               if SRC in path.parents
-               and path.name not in ("__init__.py", "__main__.py")}
+    units = program().units
+    modules = {name for name, unit in units.items()
+               if name.startswith("repro")
+               and not unit.path.endswith(("__init__.py", "__main__.py"))}
 
-    def own_init(module):
-        return modules[module].parent / "__init__.py"
+    def package(module):
+        return module.rpartition(".")[0]
 
+    # (module, name) of every import (name None for ``import a.b``).
+    imports = {unit.name: [(module, name) for _, module, names in unit.imports
+                           for name in names or (None,)]
+               for unit in units.values()}
     used = set()
     handed_on = {}     # (package, name) -> the module the name comes from
-    for path, tree in files.items():
-        if path.name != "__init__.py" or SRC not in path.parents:
+    for unit in units.values():
+        if not (unit.name.startswith("repro")
+                and unit.path.endswith("__init__.py")):
             continue
-        loaded = {node.id for node in ast.walk(tree)
+        loaded = {node.id for node in ast.walk(unit.tree)
                   if isinstance(node, ast.Name)
                   and isinstance(node.ctx, ast.Load)}
-        for module, name in _imports(tree):
-            if name and module in modules and own_init(module) == path:
-                handed_on[(_module_name(path), name)] = module
+        for module, name in imports[unit.name]:
+            if name and module in modules and package(module) == unit.name:
+                handed_on[(unit.name, name)] = module
                 if name in loaded:
                     used.add(module)
-    for path, tree in files.items():
-        for module, name in _imports(tree):
+    for unit in units.values():
+        for module, name in imports[unit.name]:
             for target in (module, "%s.%s" % (module, name),
                            handed_on.get((module, name))):
-                if target in modules and own_init(target) != path:
+                if target in modules and package(target) != unit.name:
                     used.add(target)
-    return sorted(set(modules) - used)
+    return sorted(modules - used)
 
 
 def test_every_module_has_a_user_outside_the_tests():
@@ -98,9 +95,6 @@ def test_every_module_has_a_user_outside_the_tests():
 UNPASSED_FIELDS = {
     "ffs.base.VolumeConfig.small_file_spread":
         "the ROADMAP sensitivity sweep varies it",
-    "ffs.base.VolumeConfig.file_readahead_blocks":
-        "the DESIGN.md section 4b prefetch extension, which "
-        "tests/test_prefetch.py turns on",
     "faults.chaos.ChaosConfig.weak_count":
         "a soak scenario field tier-1's QUICK soak shrinks",
     "faults.chaos.ChaosConfig.bad_read_count":
@@ -124,86 +118,62 @@ def _own_fields(node):
             and isinstance(stmt.target, ast.Name)]
 
 
-class Program:
-    """src/, benchmarks/ and examples/, parsed once: what a name in a
-    module stands for, and which config class a call constructs."""
+def _class_defs(unit):
+    return [(name, node) for name, node in unit.defs.items()
+            if isinstance(node, ast.ClassDef)]
 
-    def __init__(self):
-        self.trees = {}
-        for base in ("src", "benchmarks", "examples"):
-            for path in (ROOT / base).rglob("*.py"):
-                rel = path.relative_to(SRC if SRC in path.parents else ROOT)
-                parts = list(rel.with_suffix("").parts)
-                if parts[-1] == "__init__":
-                    parts.pop()
-                self.trees[".".join(parts)] = ast.parse(
-                    path.read_text(encoding="utf-8"))
-        self.defs = {
-            module: {node.name: node for node in tree.body
-                     if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-            for module, tree in self.trees.items()}
-        self.imports = {
-            module: {alias.asname or alias.name: (node.module, alias.name)
-                     for node in ast.walk(tree)
-                     if isinstance(node, ast.ImportFrom)
-                     for alias in node.names}
-            for module, tree in self.trees.items()}
-        #: (module, class name) of every ``*Config`` / ``*Policy``
-        #: dataclass under src/repro.
+
+class Configs:
+    """The ``*Config`` / ``*Policy`` dataclasses under src/repro, and
+    which of them a call constructs."""
+
+    def __init__(self, program):
+        self.program = program
+        #: (module, class name) of every config dataclass.
         self.configs = {
-            (module, name) for module, defs in self.defs.items()
+            (module, name) for module, unit in program.units.items()
             if module.startswith("repro")
-            for name, node in defs.items()
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
-            and name.endswith(("Config", "Policy"))}
+            for name, node in _class_defs(unit)
+            if _is_dataclass(node) and name.endswith(("Config", "Policy"))}
         #: class attribute -> the config classes bound to it
         #: (``Config = CFFSConfig``, so ``fmt.Config(...)``).
         self.aliases = {}
-        for module, defs in self.defs.items():
-            for node in defs.values():
-                if not isinstance(node, ast.ClassDef):
-                    continue
+        for module, unit in program.units.items():
+            for _, node in _class_defs(unit):
                 for stmt in node.body:
                     if (isinstance(stmt, ast.Assign)
                             and isinstance(stmt.value, ast.Name)):
-                        target = self.resolve(module, stmt.value.id)
-                        if target in self.configs:
-                            for name in stmt.targets:
-                                self.aliases.setdefault(
-                                    name.id, set()).add(target)
+                        for name in stmt.targets:
+                            self.aliases.setdefault(name.id, set()).update(
+                                self.named(module, stmt.value))
 
-    def resolve(self, module, name, seen=()):
-        """(module, name) of the def ``name`` stands for in ``module``,
-        through imports and package re-exports; None if not ours."""
-        if name in self.defs.get(module, {}):
-            return module, name
-        source = self.imports.get(module, {}).get(name)
-        if source is None or source in seen:
-            return None
-        return self.resolve(source[0], source[1], seen + (source,))
+    def defs(self, module, expr):
+        """(module, name) of the defs a bare name may stand for."""
+        if not isinstance(expr, ast.Name):
+            return set()
+        return {thing[1:] for thing in self.program.resolve(module, expr.id)
+                if thing[0] == "def"}
+
+    def named(self, module, expr):
+        return self.defs(module, expr) & self.configs
 
     def lineage(self, cls):
         """``cls`` and its config base classes, base-most first."""
-        node = self.defs[cls[0]][cls[1]]
         out = []
-        for base in node.bases:
-            target = self.resolve(cls[0], getattr(base, "id", ""))
-            if target in self.configs:
-                out += self.lineage(target)
+        for base in self.program.bases(cls):
+            if base in self.configs:
+                out += self.lineage(base)
         return out + [cls]
 
     def fields(self, cls):
         """(declaring class, field) in dataclass order, inherited first."""
         return [(owner, field) for owner in self.lineage(cls)
-                for field in _own_fields(self.defs[owner[0]][owner[1]])]
+                for field in _own_fields(
+                    self.program.units[owner[0]].defs[owner[1]])]
 
     def is_replace(self, module, call):
-        return self.imports[module].get(
-            getattr(call.func, "id", None)) == ("dataclasses", "replace")
-
-    def annotated(self, module, annotation):
-        target = self.resolve(module, getattr(annotation, "id", ""))
-        return {target} if target in self.configs else set()
+        return ("from", "dataclasses", "replace") in self.program.units[
+            module].bound.get(getattr(call.func, "id", None), ())
 
     def built_by(self, module, func, call, seen=frozenset()):
         """The config classes whose fields ``call``'s arguments set: a
@@ -215,8 +185,7 @@ class Program:
         if self.is_replace(module, call):
             return (self.instance_of(module, func, call.args[0], seen)
                     if call.args else set())
-        target = self.resolve(module, getattr(callee, "id", ""))
-        return {target} if target in self.configs else set()
+        return self.named(module, callee)
 
     def instance_of(self, module, func, expr, seen=frozenset()):
         """The config classes ``expr`` (a call, or a name local to
@@ -232,30 +201,19 @@ class Program:
                     out |= self.instance_of(module, func, node.value, seen)
                 elif (isinstance(node, ast.Return)
                         and getattr(node.value, "id", None) == expr.id):
-                    out |= self.annotated(module, func.returns)
+                    out |= self.named(module, func.returns)
             return out
         if not isinstance(expr, ast.Call):
             return set()
         built = self.built_by(module, func, expr, seen)
-        target = self.resolve(module, getattr(expr.func, "id", ""))
-        if not built and target is not None:
-            node = self.defs[target[0]][target[1]]
+        if built:
+            return built
+        out = set()
+        for target in self.defs(module, expr.func):
+            node = self.program.units[target[0]].defs[target[1]]
             if isinstance(node, ast.FunctionDef):
-                return self.annotated(target[0], node.returns)
-        return built
-
-    def calls(self, module=None, node=None, func=None):
-        """``(module, innermost enclosing def or None, call)`` for every
-        call."""
-        if module is None:
-            for module, tree in self.trees.items():
-                yield from self.calls(module, tree)
-            return
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                yield module, func, child
-            yield from self.calls(module, child, child if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+                out |= self.named(target[0], node.returns)
+        return out
 
 
 def _key(owner, field):
@@ -270,18 +228,18 @@ def test_every_config_field_has_a_caller():
     # ``replace(cfg, ...)`` through what ``cfg`` was assigned or the
     # enclosing function's return type; a subclass sets its bases'
     # fields, and positional arguments count in field order.
-    program = Program()
+    configs = Configs(program())
     passed = set()
-    for module, func, call in program.calls():
-        for cls in program.built_by(module, func, call):
-            fields = program.fields(cls)
-            skip = 1 if program.is_replace(module, call) else 0
+    for module, _, func, call in program().calls():
+        for cls in configs.built_by(module, func, call):
+            fields = configs.fields(cls)
+            skip = 1 if configs.is_replace(module, call) else 0
             passed.update(fields[:len(call.args) - skip])
             by_name = {field: owner for owner, field in fields}
             passed.update((by_name[kw.arg], kw.arg) for kw in call.keywords
                           if kw.arg in by_name)
-    unpassed = {_key(owner, field) for cls in program.configs
-                for owner, field in program.fields(cls)
+    unpassed = {_key(owner, field) for cls in configs.configs
+                for owner, field in configs.fields(cls)
                 if (owner, field) not in passed}
     assert unpassed == set(UNPASSED_FIELDS)
 
@@ -350,18 +308,18 @@ def _subject_key(module, *path):
 
 
 class Subjects:
-    """src/repro's subjects, and what every name, attribute and call in
-    src/, benchmarks/ and examples/ resolves to among them."""
+    """src/repro's subjects, and the ones every call and reference in
+    src/, benchmarks/ and examples/ may reach."""
 
-    def __init__(self):
-        self.program = program = Program()
+    def __init__(self, program):
+        self.program = program
         self.nodes = {}            # key -> FunctionDef / ClassDef
         self.methods = {}          # method name -> keys of those methods
         self.functions = {}        # function name -> keys of those functions
-        for module, defs in program.defs.items():
+        for module, unit in program.units.items():
             if not module.startswith("repro"):
                 continue
-            for name, node in defs.items():
+            for name, node in unit.defs.items():
                 self.nodes[_subject_key(module, name)] = node
                 if isinstance(node, ast.FunctionDef):
                     self.functions.setdefault(name, []).append(
@@ -373,102 +331,32 @@ class Subjects:
                         self.nodes[key] = stmt
                         self.methods.setdefault(stmt.name, []).append(key)
         self.owner = {id(node): key for key, node in self.nodes.items()}
-        # What a bound name may stand for: ``from m import n [as a]``
-        # (one module may import the same name from two places, in two
-        # functions), ``import a.b [as c]``, ``name = other.name``.
-        self.bound = {module: {} for module in program.trees}
-        for module, tree in program.trees.items():
-            bound = self.bound[module]
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom):
-                    for alias in node.names:
-                        bound.setdefault(alias.asname or alias.name, []).append(
-                            ("from", node.module, alias.name))
-                elif isinstance(node, ast.Import):
-                    for alias in node.names:
-                        target = alias.name if alias.asname \
-                            else alias.name.split(".")[0]
-                        bound.setdefault(alias.asname or target, []).append(
-                            ("module", target))
-            for stmt in tree.body:
-                if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and isinstance(stmt.value, (ast.Name, ast.Attribute))):
-                    bound.setdefault(stmt.targets[0].id, []).append(
-                        ("alias", stmt.value))
         self.subclasses = {}
-        for module, defs in program.defs.items():
-            for name, node in defs.items():
-                if isinstance(node, ast.ClassDef):
-                    for base in self.bases((module, name)):
-                        self.subclasses.setdefault(base, []).append(
-                            (module, name))
+        for module, unit in program.units.items():
+            for name, _ in _class_defs(unit):
+                for base in program.bases((module, name)):
+                    self.subclasses.setdefault(base, []).append((module, name))
 
     # -- what a name stands for ---------------------------------------
 
-    def name(self, module, name, seen=()):
-        """What ``name`` may mean at the top of ``module``: a set of
-        ``("module", m)``, ``("def", m, name)`` and ``("method", key)``;
-        empty if nothing of ours."""
-        if name in self.program.defs.get(module, {}):
-            return {("def", module, name)}
-        if (module, name) in seen:
-            return set()
-        seen += ((module, name),)
-        out = set()
-        for how, *what in self.bound.get(module, {}).get(name, ()):
-            if how == "alias":
-                out |= self.value(module, what[0], seen)
-            elif how == "module":
-                if what[0] in self.program.trees:
-                    out.add(("module", what[0]))
-            elif "%s.%s" % tuple(what) in self.program.trees:
-                out.add(("module", "%s.%s" % tuple(what)))
-            else:
-                out |= self.name(what[0], what[1], seen)
-        return out
+    def meaning(self, module, expr):
+        """The modules, defs and src/repro methods ``expr`` may stand
+        for: what a call through it can reach."""
+        return {thing for thing in self.program.value(module, expr)
+                if thing[0] in ("module", "def")
+                or thing[0] == "method" and thing[1].startswith("repro")}
 
-    def value(self, module, expr, seen=()):
-        """What a name or attribute chain may stand for in ``module``."""
-        if isinstance(expr, ast.Name):
-            return self.name(module, expr.id, seen)
-        if not isinstance(expr, ast.Attribute):
-            return set()
-        out = set()
-        for base in self.value(module, expr.value, seen):
-            if base[0] == "module":
-                dotted = "%s.%s" % (base[1], expr.attr)
-                if dotted in self.program.trees:
-                    out.add(("module", dotted))
-                else:
-                    out |= self.name(base[1], expr.attr, seen)
-            elif base[0] == "def":
-                key = self.lookup(base[1:], expr.attr)
-                if key:
-                    out.add(("method", key))
-        return out
+    def method(self, cls, attr):
+        """Key of the def ``cls.attr`` runs; None if it is not ours."""
+        found = self.program.lookup(cls, attr)
+        return (_subject_key(*found[1:])
+                if found and found[1].startswith("repro") else None)
 
-    def bases(self, cls):
-        return [target[1:] for base in self.program.defs[cls[0]][cls[1]].bases
-                for target in self.value(cls[0], base) if target[0] == "def"]
-
-    def lookup(self, cls, attr):
-        """Key of the def ``cls.attr`` runs, searching the bases in
-        order; None if it is not ours."""
-        node = self.program.defs.get(cls[0], {}).get(cls[1])
-        if not isinstance(node, ast.ClassDef):
-            return None
-        if any(isinstance(stmt, ast.FunctionDef) and stmt.name == attr
-               for stmt in node.body):
-            return _subject_key(*cls, attr) if cls[0].startswith("repro") \
-                else None
-        return next(filter(None, (self.lookup(base, attr)
-                                  for base in self.bases(cls))), None)
-
-    def keys_of(self, things):
-        return {_subject_key(t[1], t[2]) if t[0] == "def" else t[1]
-                for t in things if t[0] == "method"
-                or t[0] == "def" and t[1].startswith("repro")}
+    @staticmethod
+    def keys_of(things):
+        return {_subject_key(*thing[1:]) for thing in things
+                if thing[0] in ("def", "method")
+                and thing[1].startswith("repro")}
 
     # -- what a call runs ---------------------------------------------
 
@@ -479,8 +367,8 @@ class Subjects:
         callee = call.func
         if getattr(callee, "id", None) == "cls" and cls:
             return [(key, 1) for c in [cls] + self.subclasses.get(cls, [])
-                    for key in [self.lookup(c, "__init__")] if key]
-        things = self.value(module, callee)
+                    for key in [self.method(c, "__init__")] if key]
+        things = self.meaning(module, callee)
         if not things and isinstance(callee, ast.Name) and func is not None:
             # A local bound to a method (``alloc_block =
             # self.alloc.alloc_block``), or to a function value taken
@@ -500,8 +388,8 @@ class Subjects:
         if not things and isinstance(callee, ast.Attribute):
             if getattr(getattr(callee.value, "func", None), "id", None) \
                     == "super" and cls:
-                keys = [self.lookup(base, callee.attr)
-                        for base in self.bases(cls)]
+                keys = [self.method(base, callee.attr)
+                        for base in self.program.bases(cls)]
                 return [(key, 1) for key in keys if key][:1]
             return [(key, 0 if "staticmethod" in _decorators(self.nodes[key])
                      else 1) for key in self.methods.get(callee.attr, [])] + [
@@ -509,12 +397,13 @@ class Subjects:
         out = []
         for thing in things:
             if thing[0] == "method":
-                node = self.nodes[thing[1]]
-                out.append((thing[1], int("classmethod" in _decorators(node))))
+                key = _subject_key(*thing[1:])
+                out.append((key, int("classmethod" in _decorators(
+                    self.nodes[key]))))
             elif thing[0] == "def":
-                node = self.program.defs[thing[1]][thing[2]]
+                node = self.program.units[thing[1]].defs[thing[2]]
                 if isinstance(node, ast.ClassDef):
-                    key = self.lookup(thing[1:], "__init__")
+                    key = self.method(thing[1:], "__init__")
                     out += [(key, 1)] if key else []
                 else:
                     out += [(key, 0) for key in self.keys_of([thing])]
@@ -524,41 +413,27 @@ class Subjects:
     def escaping(self):
         """Keys of the module-level functions used as values."""
         called = {id(call.func) for _, _, _, call in self.calls()}
-        return {key for module, tree in self.program.trees.items()
-                for node in ast.walk(tree)
+        return {key for module, unit in self.program.units.items()
+                for node in ast.walk(unit.tree)
                 if isinstance(node, ast.Name) and id(node) not in called
                 and isinstance(node.ctx, ast.Load)
-                for key in self.keys_of(self.name(module, node.id))
+                for key in self.keys_of(self.program.resolve(module, node.id))
                 if isinstance(self.nodes[key], ast.FunctionDef)}
 
     def calls(self):
-        """``(module, enclosing class, enclosing def, call)`` for every
-        call, plus the call of ``f`` that ``partial(f, ...)`` and
-        ``benchmark.pedantic(f, ...)`` stand for."""
-        for module, tree in self.program.trees.items():
-            for cls, func, call in self._calls(module, tree, None, None):
-                yield module, cls, func, call
-                inner = self._unwrapped(module, call)
-                if inner is not None:
-                    yield module, cls, func, inner
-
-    def _calls(self, module, node, cls, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                yield cls, func, child
-            if isinstance(child, ast.ClassDef) and node is \
-                    self.program.trees[module]:
-                yield from self._calls(module, child, (module, child.name),
-                                       func)
-            else:
-                yield from self._calls(module, child, cls, child if isinstance(
-                    child, ast.FunctionDef) else func)
+        """The program's calls, plus the call of ``f`` that ``partial(f,
+        ...)`` and ``benchmark.pedantic(f, ...)`` stand for."""
+        for module, cls, func, call in self.program.calls():
+            yield module, cls, func, call
+            inner = self._unwrapped(module, call)
+            if inner is not None:
+                yield module, cls, func, inner
 
     def _unwrapped(self, module, call):
         if not call.args:
             return None
-        if ("from", "functools", "partial") in self.bound[module].get(
-                getattr(call.func, "id", None), ()):
+        if ("from", "functools", "partial") in self.program.units[
+                module].bound.get(getattr(call.func, "id", None), ()):
             return ast.Call(func=call.args[0], args=call.args[1:],
                             keywords=call.keywords)
         if getattr(call.func, "attr", None) != "pedantic":
@@ -604,29 +479,25 @@ class Subjects:
     def used(self):
         """Keys of the subjects something outside their own body refers
         to: a name or attribute that resolves to one, an attribute of an
-        object we cannot resolve named like a method or function, a
-        method name benchmarks/perf/trace.py wraps, or a name CI's inline
-        Python uses.  A dunder method is used by the language."""
+        object we cannot resolve named like a method or function, or a
+        method name benchmarks/perf/trace.py wraps.  A dunder method is
+        used by the language."""
         out = set()
-        for module, tree in self.program.trees.items():
-            for node, inside in self._references(tree, ()):
-                if isinstance(node, ast.Name):
-                    found = self.keys_of(self.name(module, node.id))
-                else:
-                    found = self.keys_of(self.value(module, node))
+        for module, unit in self.program.units.items():
+            for node, inside in self._references(unit.tree, ()):
+                found = self.keys_of(self.program.value(module, node))
+                if isinstance(node, ast.Attribute):
                     found.update(self.methods.get(node.attr, []))
-                    if not self.value(module, node.value):
+                    if not self.meaning(module, node.value):
                         found.update(self.functions.get(node.attr, []))
                 out.update(found - set(inside))
         wrapped = {node.value for node in ast.walk(
-            self.program.trees["benchmarks.perf.trace"])
+            self.program.units["benchmarks.perf.trace"].tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
         for name, keys in self.methods.items():
             if name in wrapped or (name.startswith("__")
                                    and name.endswith("__")):
                 out.update(keys)
-        ci = ci_python_names()
-        out.update(key for key, node in self.nodes.items() if node.name in ci)
         return out
 
     def _references(self, node, inside):
@@ -639,30 +510,9 @@ class Subjects:
             yield from self._references(child, here)
 
 
-def ci_python_names():
-    """Every identifier in the Python that .github/workflows/ci.yml runs
-    inline: the ``python - <<'EOF'`` blocks and the ``python -c "$VAR"``
-    bodies declared as block scalars under ``env:``."""
-    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text(
-        encoding="utf-8")
-    blocks = re.findall(r"<<'EOF'\n(.*?)\n\s*EOF\n", text, re.S)
-    blocks += [body for _, body in re.findall(
-        r"\n( +)[A-Z_]+: \|\n((?:\1 +.*\n)+)", text)]
-    out = set()
-    for block in blocks:
-        for node in ast.walk(ast.parse(textwrap.dedent(block))):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.alias):
-                out.add(node.name.split(".")[-1])
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def subjects():
-    return Subjects()
+    return Subjects(program())
 
 
 def test_every_parameter_has_a_caller():

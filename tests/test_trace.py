@@ -56,6 +56,18 @@ class TestTraceFormat:
             with pytest.raises(InvalidArgument):
                 Operation.parse(line)
 
+    def test_bad_numbers_rejected(self):
+        # A negative offset or size, or a fill byte outside 0-255, is a
+        # malformed line: rejected where it is read, not left to write
+        # nothing, empty a file or fail bare when it runs.
+        for line in ("write /a 0 -5", "write /a -1 5", "read /a -1 4",
+                     "write_file /a -4", "read_file /a -1", "truncate /a -1",
+                     "append /a 10 300", "write_file /a 10 -1"):
+            with pytest.raises(InvalidArgument, match="trace op"):
+                Operation.parse(line)
+        assert Operation.parse("write_file /a 0 255").fill == 255
+        assert Operation.parse("append /a 1 0").fill == 0
+
     def test_numeric_args_parsed(self):
         op = Operation.parse("write /f 100 200")
         assert op == Operation("write", ("/f",), offset=100, size=200)
