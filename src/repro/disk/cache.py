@@ -139,11 +139,11 @@ class ReadCache:
     def invalidate_range(self, start: int, nsectors: int) -> None:
         """Drop segments overlapping a written range (write coherence)."""
         end = start + nsectors
-        self._segments = [
-            seg
-            for seg in self._segments
-            if seg.end_cap <= start or seg.start >= end
-        ]
+        for seg in self._segments:
+            if seg.start < end and seg.end_cap > start:
+                self._segments = [seg for seg in self._segments
+                                  if seg.end_cap <= start or seg.start >= end]
+                return
 
     def invalidate_all(self) -> None:
         self._segments.clear()

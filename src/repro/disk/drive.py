@@ -19,7 +19,7 @@ drive is timing-only: data bytes live at the block-device layer.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro import obs
 from repro.clock import SimClock
@@ -58,10 +58,15 @@ class SimulatedDisk:
         else:
             self.write_buffer = None
         self.current_cylinder = 0
+        # First LBA of the arm's cylinder (what C-LOOK orders from).
+        self._arm_lba = 0
         # Per-request constants, computed once (read/write pay them on
-        # every host request).
+        # every host request), and per zone: the geometry's spans plus
+        # the seconds one sector takes to pass under the head.
         self._overhead_s = profile.command_overhead_ms * 1e-3
         self._bus_s_per_sector = SECTOR_SIZE / (profile.bus_mb_per_s * 1e6)
+        self._zones = [span + (self.rotation.sector_time(span[3]),)
+                       for span in self.geometry.zone_spans()]
         # Absolute time at which the media (arm) becomes free.
         self._media_free_at = 0.0
 
@@ -76,7 +81,7 @@ class SimulatedDisk:
         self._check_range(lba, nsectors)
         now = self.clock.now
         stats = self.stats
-        stats.record_request(is_write=False, nsectors=nsectors)
+        stats.record_request(False, nsectors)
         self._request_sectors.observe(nsectors)
         t = now + self._overhead_s
         stats.overhead_time += self._overhead_s
@@ -84,8 +89,9 @@ class SimulatedDisk:
         # Serve from the write-behind buffer when it fully covers the
         # request (the data has not reached the media yet).
         if self.write_buffer is not None and self.write_buffer.covering_range(lba, nsectors):
-            t += self._bus_time(nsectors)
-            stats.bus_time += self._bus_time(nsectors)
+            bus = nsectors * self._bus_s_per_sector
+            t += bus
+            stats.bus_time += bus
             stats.cache_hits += 1
             self.clock.advance_to(t)
             self._log("read", lba, nsectors, now, t, "buffer")
@@ -104,7 +110,7 @@ class SimulatedDisk:
         hit = self.read_cache.lookup(lba, nsectors, t)
         if hit is not None:
             seg, ready = hit
-            bus = self._bus_time(nsectors)
+            bus = nsectors * self._bus_s_per_sector
             completion = max(t, ready) + bus
             stats.cache_hits += 1
             stats.bus_time += bus
@@ -116,14 +122,9 @@ class SimulatedDisk:
             self._log("read", lba, nsectors, now, completion, "cache")
             return
 
-        completion = self._media_operation(lba, nsectors, t, is_write=False)
-        seg = self.read_cache.install(
-            lba,
-            nsectors,
-            completion,
-            self._sector_time(lba),
-            self.total_sectors,
-        )
+        completion, sector_s = self._media_operation(lba, nsectors, t)
+        seg = self.read_cache.install(lba, nsectors, completion, sector_s,
+                                      self.total_sectors)
         self.read_cache.freeze_all(completion, except_segment=seg)
         self.clock.advance_to(completion)
         self._log("read", lba, nsectors, now, completion, "media")
@@ -133,14 +134,14 @@ class SimulatedDisk:
         self._check_range(lba, nsectors)
         now = self.clock.now
         stats = self.stats
-        stats.record_request(is_write=True, nsectors=nsectors)
+        stats.record_request(True, nsectors)
         self._request_sectors.observe(nsectors)
         self.read_cache.invalidate_range(lba, nsectors)
         t = now + self._overhead_s
         stats.overhead_time += self._overhead_s
 
         if self.write_buffer is None:
-            completion = self._media_operation(lba, nsectors, t, is_write=True)
+            completion, _ = self._media_operation(lba, nsectors, t)
             self.read_cache.freeze_all(completion)
             self.clock.advance_to(completion)
             self._log("write", lba, nsectors, now, completion, "media")
@@ -148,7 +149,8 @@ class SimulatedDisk:
 
         # Write-behind: stall for space if needed, then complete at bus
         # speed; the media work happens during background drains.
-        self._advance_background(t)
+        if self._media_free_at < t and not self.write_buffer.empty:
+            self._advance_background(t)
         if self.write_buffer.would_overflow(nsectors):
             stall_from = t
             while self.write_buffer.would_overflow(nsectors) and not self.write_buffer.empty:
@@ -158,7 +160,7 @@ class SimulatedDisk:
         absorbed = self.write_buffer.add(lba, nsectors, when=t)
         if absorbed:
             stats.write_absorbed += 1
-        bus = self._bus_time(nsectors)
+        bus = nsectors * self._bus_s_per_sector
         stats.bus_time += bus
         self.clock.advance_to(t + bus)
         self._log("write", lba, nsectors, now, t + bus, "buffer")
@@ -190,17 +192,9 @@ class SimulatedDisk:
 
     def current_lba_estimate(self) -> int:
         """Approximate LBA under the head (for C-LOOK batch ordering)."""
-        return self.geometry.lba(self.current_cylinder, 0, 0)
+        return self._arm_lba
 
     # -- internals ----------------------------------------------------------
-
-    def _bus_time(self, nsectors: int) -> float:
-        return nsectors * self._bus_s_per_sector
-
-    def _sector_time(self, lba: int) -> float:
-        cyl, _, _ = self.geometry.chs(lba)
-        spt = self.geometry.sectors_per_track_at(cyl)
-        return self.rotation.period_s / spt
 
     def _check_range(self, lba: int, nsectors: int) -> None:
         if nsectors <= 0:
@@ -211,46 +205,50 @@ class SimulatedDisk:
                 % (lba, lba + nsectors, self.geometry.total_sectors)
             )
 
-    def _media_operation(self, lba: int, nsectors: int, earliest: float, is_write: bool) -> float:
-        """Perform a foreground media access; returns its completion time."""
+    def _media_operation(self, lba: int, nsectors: int, earliest: float) -> Tuple[float, float]:
+        """Perform a foreground media access; returns its completion time
+        and the seconds per sector of its first zone."""
         self._advance_background(earliest)
         start = max(earliest, self._media_free_at)
-        completion = self._mechanical_access(lba, nsectors, start, charge_stats=True)
+        completion, sector_s = self._mechanical_access(lba, nsectors, start)
         self._media_free_at = completion
-        if is_write:
-            # Freezing happens at the caller for reads (the new segment
-            # must be exempted); for writes freeze everything here.
-            pass
-        return completion
+        return completion, sector_s
 
-    def _mechanical_access(
-        self, lba: int, nsectors: int, start: float, charge_stats: bool
-    ) -> float:
-        """Seek + rotate + transfer starting at absolute time ``start``."""
-        cyl, _, sector = self.geometry.chs(lba)
-        spt = self.geometry.sectors_per_track_at(cyl)
+    def _mechanical_access(self, lba: int, nsectors: int, start: float) -> Tuple[float, float]:
+        """Seek + rotate + transfer starting at absolute time ``start``;
+        returns the completion time and the seconds per sector of the
+        zone the access starts in.  One zone lookup serves the whole
+        access unless it ends in another zone."""
+        first_lba, end_lba, first_cyl, spt, spc, sector_s = self._zones[
+            self.geometry.zone_of_lba(lba)]
+        cyl_offset, rem = divmod(lba - first_lba, spc)
+        sector = rem % spt
 
-        seek = self.seek_curve.seek_time(cyl - self.current_cylinder)
+        seek = self.seek_curve.seek_time(first_cyl + cyl_offset - self.current_cylinder)
         t = start + seek
 
         rot_wait = self.rotation.wait_for_sector(t, sector, spt)
         t += rot_wait
 
-        sector_time = self.rotation.period_s / spt
-        transfer = nsectors * sector_time
+        transfer = nsectors * sector_s
         switches = (sector + nsectors - 1) // spt
         transfer += switches * self.profile.track_switch_ms * 1e-3
         t += transfer
 
-        end_cyl, _, _ = self.geometry.chs(min(lba + nsectors, self.total_sectors) - 1)
-        self.current_cylinder = end_cyl
+        end = lba + nsectors - 1
+        if end < end_lba:
+            cyl_offset = (end - first_lba) // spc
+            self.current_cylinder = first_cyl + cyl_offset
+            self._arm_lba = first_lba + cyl_offset * spc
+        else:
+            self.current_cylinder, _, _ = self.geometry.chs(end)
+            self._arm_lba = self.geometry.lba(self.current_cylinder, 0, 0)
 
-        if charge_stats:
-            stats = self.stats
-            stats.seek_time += seek
-            stats.rotation_time += rot_wait
-            stats.transfer_time += transfer
-        return t
+        stats = self.stats
+        stats.seek_time += seek
+        stats.rotation_time += rot_wait
+        stats.transfer_time += transfer
+        return t, sector_s
 
     def _advance_background(self, now: float) -> None:
         """Run background drains that fit before ``now``."""
@@ -267,6 +265,6 @@ class SimulatedDisk:
             return
         lba, nsectors, ready = item
         begin = max(start, ready) + _DRAIN_OVERHEAD_S
-        completion = self._mechanical_access(lba, nsectors, begin, charge_stats=True)
+        completion, _ = self._mechanical_access(lba, nsectors, begin)
         self._media_free_at = completion
         self.read_cache.freeze_all(completion)

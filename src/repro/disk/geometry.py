@@ -8,6 +8,7 @@ LBA <-> (cylinder, head, sector) translation the mechanical model needs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -52,14 +53,20 @@ class DiskGeometry:
         self.zones = list(zones)
         self.cylinders = sum(z.cylinders for z in self.zones)
 
-        # Prefix tables: first cylinder and first LBA of each zone.
+        # Prefix tables (first cylinder and first LBA of each zone) for
+        # bisect, and each zone's sectors per track and per cylinder,
+        # computed once.
         self._zone_first_cyl: List[int] = []
         self._zone_first_lba: List[int] = []
+        self._zone_spt: List[int] = []
+        self._zone_spc: List[int] = []
         cyl = 0
         lba = 0
         for zone in self.zones:
             self._zone_first_cyl.append(cyl)
             self._zone_first_lba.append(lba)
+            self._zone_spt.append(zone.sectors_per_track)
+            self._zone_spc.append(zone.sectors_per_track * heads)
             cyl += zone.cylinders
             lba += zone.cylinders * heads * zone.sectors_per_track
         self.total_sectors = lba
@@ -72,60 +79,38 @@ class DiskGeometry:
         """Index of the zone containing ``cylinder``."""
         if not 0 <= cylinder < self.cylinders:
             raise AddressError("cylinder %d outside [0, %d)" % (cylinder, self.cylinders))
-        lo, hi = 0, len(self.zones) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._zone_first_cyl[mid] <= cylinder:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect_right(self._zone_first_cyl, cylinder) - 1
 
     def zone_of_lba(self, lba: int) -> int:
         """Index of the zone containing logical block address ``lba``."""
         if not 0 <= lba < self.total_sectors:
             raise AddressError("lba %d outside [0, %d)" % (lba, self.total_sectors))
-        lo, hi = 0, len(self.zones) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._zone_first_lba[mid] <= lba:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect_right(self._zone_first_lba, lba) - 1
 
-    def sectors_per_track_at(self, cylinder: int) -> int:
-        return self.zones[self.zone_of_cylinder(cylinder)].sectors_per_track
+    def zone_spans(self) -> List[Tuple[int, int, int, int, int]]:
+        """Per zone: first LBA, end LBA (exclusive), first cylinder,
+        sectors per track and sectors per cylinder."""
+        ends = self._zone_first_lba[1:] + [self.total_sectors]
+        return list(zip(self._zone_first_lba, ends, self._zone_first_cyl,
+                        self._zone_spt, self._zone_spc))
 
     def chs(self, lba: int) -> Tuple[int, int, int]:
         """Translate an LBA to (cylinder, head, sector-on-track)."""
         zi = self.zone_of_lba(lba)
-        zone = self.zones[zi]
-        offset = lba - self._zone_first_lba[zi]
-        spt = zone.sectors_per_track
-        sectors_per_cyl = spt * self.heads
-        cylinder = self._zone_first_cyl[zi] + offset // sectors_per_cyl
-        rem = offset % sectors_per_cyl
-        head = rem // spt
-        sector = rem % spt
-        return cylinder, head, sector
+        cyl_offset, rem = divmod(lba - self._zone_first_lba[zi], self._zone_spc[zi])
+        head, sector = divmod(rem, self._zone_spt[zi])
+        return self._zone_first_cyl[zi] + cyl_offset, head, sector
 
     def lba(self, cylinder: int, head: int, sector: int) -> int:
         """Translate (cylinder, head, sector) back to an LBA."""
         zi = self.zone_of_cylinder(cylinder)
-        zone = self.zones[zi]
+        spt = self._zone_spt[zi]
         if not 0 <= head < self.heads:
             raise AddressError("head %d outside [0, %d)" % (head, self.heads))
-        if not 0 <= sector < zone.sectors_per_track:
-            raise AddressError(
-                "sector %d outside [0, %d)" % (sector, zone.sectors_per_track)
-            )
+        if not 0 <= sector < spt:
+            raise AddressError("sector %d outside [0, %d)" % (sector, spt))
         cyl_offset = cylinder - self._zone_first_cyl[zi]
-        return (
-            self._zone_first_lba[zi]
-            + (cyl_offset * self.heads + head) * zone.sectors_per_track
-            + sector
-        )
+        return self._zone_first_lba[zi] + (cyl_offset * self.heads + head) * spt + sector
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "DiskGeometry(cyls=%d, heads=%d, zones=%d, sectors=%d)" % (

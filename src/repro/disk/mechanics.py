@@ -17,7 +17,7 @@ this model reproduces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,11 @@ class RotationModel:
     """
 
     rpm: float
+    #: Seconds per revolution, computed once.
+    period_s: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def period_s(self) -> float:
-        """Seconds per revolution."""
-        return 60.0 / self.rpm
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "period_s", 60.0 / self.rpm)
 
     def angle_at(self, time_s: float) -> float:
         """Platter angle (fraction of a revolution) at an absolute time."""
@@ -115,8 +115,6 @@ class RotationModel:
         delta = (target - angle) % 1.0
         return delta * self.period_s
 
-    def transfer_time(self, nsectors: int, spt: int) -> float:
-        """Seconds for ``nsectors`` to pass under the head on one track."""
-        if nsectors < 0:
-            raise ValueError("cannot transfer a negative sector count")
-        return (nsectors / spt) * self.period_s
+    def sector_time(self, spt: int) -> float:
+        """Seconds for one sector of a track with ``spt`` sectors to pass."""
+        return self.period_s / spt

@@ -62,8 +62,10 @@ class TestTranslation:
 
     def test_sectors_per_track_by_zone(self):
         g = two_zone()
-        assert g.sectors_per_track_at(0) == 40
-        assert g.sectors_per_track_at(150) == 24
+        assert g.zone_spans() == [(0, 16000, 0, 40, 160),
+                                  (16000, 25600, 100, 24, 96)]
+        assert g.zones[g.zone_of_cylinder(99)].sectors_per_track == 40
+        assert g.zones[g.zone_of_cylinder(100)].sectors_per_track == 24
 
     def test_out_of_range_lba(self):
         g = two_zone()

@@ -80,13 +80,10 @@ class TestRotation:
         for s in range(64):
             assert 0.0 <= r.wait_for_sector(0.123, s, 64) < r.period_s
 
-    def test_transfer_time_full_track(self):
+    def test_a_track_of_sectors_takes_one_period(self):
         r = RotationModel(5400)
-        assert r.transfer_time(80, 80) == pytest.approx(r.period_s)
-
-    def test_transfer_rejects_negative(self):
-        with pytest.raises(ValueError):
-            RotationModel(5400).transfer_time(-1, 80)
+        assert 80 * r.sector_time(80) == pytest.approx(r.period_s)
+        assert r.sector_time(80) == r.period_s / 80
 
     @given(
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
