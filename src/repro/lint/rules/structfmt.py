@@ -14,13 +14,17 @@ Two classes of latent corruption hide there:
 The rule resolves format strings through module-level constants, across
 modules by the program model (``from repro.ffs.layout import
 DIRENT_HEADER_FMT``, re-exported or renamed on the way), through string
-concatenation, and through ``struct.Struct`` objects bound at module
-level.  Formats built with ``%`` keep their literal prefix, so
-endianness is still checked even when the final width is dynamic.
+concatenation, and through ``struct.Struct`` objects bound at the top
+of any module: ``NAME.pack`` / ``NAME.pack_into`` arguments and
+``NAME.unpack`` / ``NAME.unpack_from`` targets are counted wherever
+``NAME`` is used, imported or reached through a module attribute.
+Formats built with ``%`` keep their literal prefix, so endianness is
+still checked even when the final width is dynamic.
 
-Mutation row (``tests/test_lint_mutations.py``): ``DIRENT_HEADER_FMT``
-without its ``<``.  On a little-endian host the header keeps its size
-and byte order, so nothing at run time notices.
+Mutation rows (``tests/test_lint_mutations.py``): ``DIRENT_HEADER_FMT``
+without its ``<`` (on a little-endian host the header keeps its size
+and byte order, so nothing at run time notices), and a group slot
+cleared through the imported ``GDESC_SLOT`` with one value.
 """
 
 from __future__ import annotations
@@ -122,11 +126,11 @@ class StructFormatRule(Rule):
         unpack_assigns = self._unpack_assignment_targets(mod)
         for _, _, _, node in unit.calls:
             name = dotted_name(node.func)
-            kind = self._call_kind(unit, node, name)
+            kind = self._call_kind(program, mod.module, node, name)
             if kind is None:
                 continue
-            fmt_arg_index, is_pack, is_unpack, fmt_expr = kind
-            fmt = resolve_expr(program, mod.module, fmt_expr)
+            fmt_arg_index, is_pack, is_unpack, fmt_module, fmt_expr = kind
+            fmt = resolve_expr(program, fmt_module, fmt_expr)
             if fmt is None:
                 continue
             text, exact = fmt
@@ -169,34 +173,36 @@ class StructFormatRule(Rule):
                         "assignment unpacks %d" % (text, nvalues, ntargets),
                     )
 
-    def _call_kind(self, unit, node, name):
-        """(fmt_arg_index, is_pack, is_unpack, fmt_expr) or None."""
+    @staticmethod
+    def _call_kind(program, module, node, name):
+        """(fmt_arg_index, is_pack, is_unpack, fmt_module, fmt_expr) or
+        None; the format expression is resolved in ``fmt_module``."""
         if name in PACK_CALLS and len(node.args) > PACK_CALLS[name]:
             return PACK_CALLS[name] - 1 if name == "struct.pack" else 2, \
-                True, False, node.args[0]
+                True, False, module, node.args[0]
         if name in UNPACK_CALLS and node.args:
-            return 0, False, True, node.args[0]
+            return 0, False, True, module, node.args[0]
         if name in FMT_ONLY_CALLS and node.args:
-            return 0, False, False, node.args[0]
-        # Module-level struct.Struct instances: NAME.pack / NAME.unpack.
-        if (
-            isinstance(node.func, ast.Attribute)
-            and isinstance(node.func.value, ast.Name)
-            and node.func.attr in ("pack", "unpack", "pack_into", "unpack_from")
-        ):
-            const = unit.values.get(node.func.value.id)
-            if (
-                isinstance(const, ast.Call)
-                and dotted_name(const.func) == "struct.Struct"
-                and const.args
-            ):
-                is_pack = node.func.attr.startswith("pack")
-                # Methods take no fmt argument; report against the
-                # constructor's format expression.
-                if is_pack and node.func.attr == "pack":
-                    return -1, True, False, const.args[0]
-                if node.func.attr in ("unpack", "unpack_from"):
-                    return -1, False, True, const.args[0]
+            return 0, False, False, module, node.args[0]
+        # struct.Struct instances bound at the top of any module of the
+        # program, named here directly, imported or through a module:
+        # NAME.pack(*values), NAME.pack_into(buffer, offset, *values),
+        # NAME.unpack / NAME.unpack_from.  Methods take no format
+        # argument, so a finding is reported against the constructor's.
+        method = node.func.attr if isinstance(node.func, ast.Attribute) else None
+        if method not in ("pack", "pack_into", "unpack", "unpack_from"):
+            return None
+        for thing in sorted(program.value(module, node.func.value)):
+            if thing[0] != "value":
+                continue
+            const = program.units[thing[1]].values[thing[2]]
+            if (isinstance(const, ast.Call)
+                    and dotted_name(const.func) == "struct.Struct"
+                    and const.args):
+                if method.startswith("pack"):
+                    return (-1 if method == "pack" else 1), True, False, \
+                        thing[1], const.args[0]
+                return -1, False, True, thing[1], const.args[0]
         return None
 
     @staticmethod

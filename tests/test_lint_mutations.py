@@ -39,6 +39,11 @@ ROWS = [
     ("F001", "src/repro/ffs/layout.py",
      'DIRENT_HEADER_FMT = "<IHBB"\n',
      'DIRENT_HEADER_FMT = "IHBB"\n'),
+    # A freed group slot cleared through the imported slot codec with
+    # one value for its two fields.
+    ("F001", "src/repro/core/groups.py",
+     "        GDESC_SLOT.pack_into(data, off + gdesc_slot_offset(slot), 0, 0)\n",
+     "        GDESC_SLOT.pack_into(data, off + gdesc_slot_offset(slot), 0)\n"),
     # A waiver that no longer says why.
     ("S001", "src/repro/ffs/base.py",
      "# reprolint: disable=L001 -- clustered prefetch is a sanctioned "

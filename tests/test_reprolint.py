@@ -466,6 +466,68 @@ def test_f001_resolves_constant_across_modules():
     )
 
 
+_REC_LAYOUT = "import struct\n\nREC = struct.Struct('<II')\n"
+
+
+def _f001(result):
+    return [(f.path, f.message) for f in result.unsuppressed if f.rule == "F001"]
+
+
+def test_f001_checks_an_imported_struct():
+    result = lint_sources({
+        "src/repro/fmt/layout.py": _REC_LAYOUT,
+        "src/repro/fmt/user.py": (
+            "from repro.fmt.layout import REC\n\n"
+            "def pack(a):\n    return REC.pack(a)\n"
+        ),
+    })
+    assert _f001(result) == [(
+        "src/repro/fmt/user.py",
+        "struct format '<II' consumes 2 value(s) but the call passes 1")]
+
+
+def test_f001_checks_pack_into_arity():
+    result = lint_sources({
+        "src/repro/fmt/layout.py": _REC_LAYOUT + (
+            "\ndef store(b, a):\n    REC.pack_into(b, 0, a)\n"
+        ),
+    })
+    assert _f001(result) == [(
+        "src/repro/fmt/layout.py",
+        "struct format '<II' consumes 2 value(s) but the call passes 1")]
+
+
+def test_f001_checks_unpack_from_through_a_module_attribute():
+    result = lint_sources({
+        "src/repro/fmt/layout.py": _REC_LAYOUT,
+        "src/repro/fmt/user.py": (
+            "from repro.fmt import layout\n\n"
+            "def parse(b):\n"
+            "    x, y, z = layout.REC.unpack_from(b, 0)\n"
+            "    return x\n"
+        ),
+    })
+    assert _f001(result) == [(
+        "src/repro/fmt/user.py",
+        "struct format '<II' produces 2 value(s) but the assignment "
+        "unpacks 3")]
+
+
+def test_f001_imported_struct_used_correctly_is_clean():
+    result = lint_sources({
+        "src/repro/fmt/layout.py": _REC_LAYOUT,
+        "src/repro/fmt/user.py": (
+            "from repro.fmt import layout\n"
+            "from repro.fmt.layout import REC as R\n\n"
+            "def roundtrip(b, a):\n"
+            "    R.pack_into(b, 4, a, a)\n"
+            "    x, y = layout.REC.unpack_from(b, 4)\n"
+            "    return R.pack(x, y)\n"
+        ),
+    })
+    assert result.ok
+
+
 def test_f001_correct_usage_clean():
     result = lint_sources({
         "src/repro/ffs/layout.py": (
