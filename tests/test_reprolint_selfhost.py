@@ -106,44 +106,52 @@ def test_suppressions_are_finite_and_audited():
     assert "S001" not in {f.rule for f in result.findings if not f.suppressed}
 
 
-def test_cli_lint_exits_zero_on_clean_tree():
+def _clean_tree(root):
+    """A small tree that lints clean: a codec, and an import outside
+    the layer DAG waived with a reason (one suppressed L001)."""
+    pkg = root / "src" / "repro" / "ffs"
+    pkg.mkdir(parents=True)
+    (pkg / "codec.py").write_text(
+        "import struct\n\nHEADER = struct.Struct('<IH')\n\n\n"
+        "def pack(a, b):\n    return HEADER.pack(a, b)\n")
+    (pkg / "waived.py").write_text(
+        "from repro.disk.drive import SimulatedDisk  "
+        "# reprolint: disable=L001 -- fixture: a waived import\n")
+    return pkg.parent
+
+
+def _cli_lint(*args):
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", SRC],
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "lint", *args],
         capture_output=True,
         text=True,
         env=env,
         cwd=REPO_ROOT,
     )
+
+
+# The whole tree is linted in-process by tree_result(); the command
+# line runs over a small clean tree.
+def test_cli_lint_exits_zero_on_clean_tree(tmp_path):
+    proc = _cli_lint(str(_clean_tree(tmp_path)))
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "7 rule(s): 0 finding(s)" in proc.stdout
+    assert proc.stdout.strip().endswith(
+        "checked 2 file(s), 7 rule(s): 0 finding(s), 1 suppressed")
 
 
-def test_cli_lint_flow_exits_zero_on_clean_tree():
+def test_cli_lint_flow_exits_zero_on_clean_tree(tmp_path):
     # The flow rules are selected by id like any other.
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", SRC, "--rules", "J001,O001"],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
+    proc = _cli_lint(str(_clean_tree(tmp_path)), "--rules", "J001,O001")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "2 rule(s): 0 finding(s), 3 suppressed" in proc.stdout
+    assert proc.stdout.strip().endswith(
+        "checked 2 file(s), 2 rule(s): 0 finding(s), 0 suppressed")
 
 
 def test_cli_lint_exits_nonzero_on_violation(tmp_path):
     bad = tmp_path / "src" / "repro" / "ffs" / "bad.py"
     bad.parent.mkdir(parents=True)
     bad.write_text("from repro.disk.drive import Drive\n")
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", str(bad), "--format", "json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=REPO_ROOT,
-    )
+    proc = _cli_lint(str(bad), "--format", "json")
     assert proc.returncode == 1
     assert '"ok": false' in proc.stdout
