@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import tracemalloc
 
 import pytest
@@ -30,7 +31,8 @@ from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.cache.buffercache import BufferCache
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.core.layout import EXT_GROUPED
-from repro.disk.profiles import SEAGATE_ST31200
+from repro.disk.drive import SimulatedDisk
+from repro.disk.profiles import HP_C3653, SEAGATE_ST31200
 from repro.ffs.filesystem import FFS, FFSConfig
 from tests.conftest import make_cffs, make_device, make_ffs, read_desc
 
@@ -574,3 +576,62 @@ def test_written_blocks_are_one_object_in_cache_device_and_recorder():
         assert image is device.peek_block(bno)
     for path, size in sizes.items():
         assert fs.read_file(path) == bytes([sorted(sizes).index(path) + 1]) * size
+
+
+#: Bytes a drive may keep after 10 000 requests and a flush: its fixed
+#: state (read-ahead segments, the emptied write buffer's tables, the
+#: stats' floats) re-made, and no more.  One 28-byte int per request
+#: would be 280 000.
+DRIVE_BUDGET_BYTES = 4096
+
+
+def _mixed_requests(total_sectors, count=10000, seed=1997):
+    """``count`` reads and writes: runs of sequential blocks, rewrites
+    of recent ones and random seeks, with idle gaps of several sizes."""
+    rng = random.Random(seed)
+    out, recent = [], [0]
+    for _ in range(count):
+        n = rng.choice((8, 8, 8, 16, 32, 128))
+        roll = rng.random()
+        if roll < 0.4:
+            lba = recent[-1] + 8
+        elif roll < 0.7:
+            lba = rng.choice(recent)
+        else:
+            lba = rng.randrange(0, total_sectors - 256, 8)
+        lba = min(lba, total_sectors - n)
+        recent = (recent + [lba])[-16:]
+        out.append((rng.random() < 0.6, lba, n,
+                    rng.choice((0.0, 0.0, 1e-4, 2e-3, 2e-2))))
+    return out
+
+
+@pytest.mark.parametrize("profile", [SEAGATE_ST31200, HP_C3653],
+                         ids=["write-behind", "write-through"])
+def test_drive_retains_nothing_per_request_but_request_sizes(profile):
+    """10 000 mixed requests through a drive, then a flush: what the
+    drive holds afterwards is bounded by its configuration, not by the
+    request count.  ``request_sizes`` keeps one entry per distinct size,
+    and the script uses four."""
+    assert not obs.enabled()
+    disk = SimulatedDisk(profile)
+    requests = _mixed_requests(disk.total_sectors)
+    _disk = tracemalloc.Filter(
+        True, "*" + os.sep + "repro" + os.sep + "disk" + os.sep + "*")
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.take_snapshot()
+        for is_write, lba, n, gap in requests:
+            disk.clock.advance(gap)
+            (disk.write if is_write else disk.read)(lba, n)
+        disk.flush_write_buffer()
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    grown = sum(stat.size_diff for stat in after.filter_traces([_disk])
+                .compare_to(before.filter_traces([_disk]), "filename"))
+    assert disk.stats.total_requests == 10000
+    assert len(disk.stats.request_sizes) == 4
+    assert grown <= DRIVE_BUDGET_BYTES, grown
