@@ -141,8 +141,8 @@ class ReadCache:
         end = start + nsectors
         for seg in self._segments:
             if seg.start < end and seg.end_cap > start:
-                self._segments = [seg for seg in self._segments
-                                  if seg.end_cap <= start or seg.start >= end]
+                self._segments = [kept for kept in self._segments
+                                  if kept.end_cap <= start or kept.start >= end]
                 return
 
     def invalidate_all(self) -> None:
