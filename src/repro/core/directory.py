@@ -39,6 +39,8 @@ from repro.core.layout import (
 
 # (entry offset in block, reclen, etype, kind, name, payload offset in block)
 DirEntry = Tuple[int, int, int, int, str, int]
+# (offset in block, reclen, namelen, etype, kind, room): one chain record.
+Record = Tuple[int, int, int, int, int, int]
 
 # Precompiled header codec: the scan loops below decode one header per
 # entry per lookup, which makes this the hottest struct in the tree.
@@ -54,10 +56,14 @@ def init_block() -> bytearray:
     return block
 
 
-def _headers(block: bytes, sector: int) -> Iterator[Tuple[int, int, int, int, int]]:
-    """The one validated chain walk: (offset, reclen, namelen, etype,
-    kind) of every record of one sector, live and free, names
-    untouched.  A record length that is too small to hold a header,
+def _headers(block: bytes, sector: int,
+             stop: Optional[bytes] = None) -> Optional[List[Record]]:
+    """The one validated chain walk: the records of one sector, live
+    and free, in chain order, names untouched; a free record's room is
+    its length, a live one's the slack past its header, padded name and
+    payload.  With ``stop``, the records up to and including the first
+    live one whose stored name is those bytes, or None if there is no
+    such record.  A record length that is too small to hold a header,
     overruns the sector or leaves a tail no header fits in ends in
     ``CorruptFileSystem``; so does a live record of an unknown type or
     too short for its padded name and its type's payload."""
@@ -65,29 +71,38 @@ def _headers(block: bytes, sector: int) -> Iterator[Tuple[int, int, int, int, in
     offset = sector * SECTOR_SIZE
     end = offset + SECTOR_SIZE
     last_header = end - DENT_HEADER_SIZE
+    stop_len = -1 if stop is None else len(stop)
+    records: List[Record] = []
+    append = records.append
     while offset <= last_header:
         reclen, namelen, etype, kind = unpack_header(block, offset)
         if reclen < DENT_HEADER_SIZE or offset + reclen > end:
             raise CorruptFileSystem(
                 "bad embedded dirent reclen %d at offset %d" % (reclen, offset)
             )
-        if etype != ET_FREE and (etype > ET_EXTERNAL
-                                 or reclen < dent_size(namelen, etype)):
-            raise CorruptFileSystem(
-                "embedded dirent at offset %d (type %d, name %d bytes) "
-                "does not fit its reclen %d" % (offset, etype, namelen, reclen)
-            )
-        yield offset, reclen, namelen, etype, kind
+        room = reclen
+        if etype != ET_FREE:
+            room -= dent_size(namelen, etype)
+            if etype > ET_EXTERNAL or room < 0:
+                raise CorruptFileSystem(
+                    "embedded dirent at offset %d (type %d, name %d bytes) "
+                    "does not fit its reclen %d" % (offset, etype, namelen, reclen)
+                )
+        append((offset, reclen, namelen, etype, kind, room))
+        if (namelen == stop_len and etype != ET_FREE
+                and block.startswith(stop, offset + DENT_HEADER_SIZE)):
+            return records
         offset += reclen
     if offset != end:
         raise CorruptFileSystem("embedded dirent chain does not tile the sector")
+    return records if stop is None else None
 
 
 def iter_block(block: bytes) -> Iterator[Tuple[int, DirEntry]]:
     """All entries (live and free) of a block as (sector, entry) pairs,
     each sector's in chain order."""
     for s in range(SECTORS_PER_DIR_BLOCK):
-        for offset, reclen, namelen, etype, kind in _headers(block, s):
+        for offset, reclen, namelen, etype, kind, _room in _headers(block, s):
             name_off = offset + DENT_HEADER_SIZE
             if etype != ET_FREE and namelen:
                 # str() accepts bytes and bytearray alike, so callers can
@@ -110,34 +125,27 @@ def entry_ident(block: bytes, payload_off: int) -> int:
     return _IDENT.unpack_from(block, payload_off)[0]
 
 
-def index_entries(block: bytes, blk: int) -> List[Tuple[str, tuple]]:
-    """Live entries of directory block ``blk`` as the directory index
-    keeps them: (name, (etype, kind, blk, entry_off, payload_off,
-    ident)), ``ident`` as in :func:`entry_ident`."""
+def scan_block(block: bytes, blk: int) -> Tuple[List[tuple], List[tuple]]:
+    """What the directory index keeps of block ``blk``, from one walk
+    per sector: its live entries as (name, (etype, kind, blk,
+    entry_off, payload_off, ident)), ``ident`` as in
+    :func:`entry_ident`, and (slot, largest insertion) pairs, every
+    sector its own slot."""
     ident_at = _IDENT.unpack_from
-    return [
-        (name, (etype, kind, blk, off, payload_off,
-                ident_at(block, payload_off)[0]))
-        for _, (off, _reclen, etype, kind, name, payload_off)
-        in iter_block(block) if etype != ET_FREE
-    ]
-
-
-def free_slots(block: bytes, blk: int) -> List[Tuple[Tuple[int, int], int]]:
-    """(slot, largest insertion) pairs: every sector is its own slot."""
-    return [((blk, s), sector_free_bytes(block, s))
-            for s in range(SECTORS_PER_DIR_BLOCK)]
-
-
-def sector_free_bytes(block: bytes, sector: int) -> int:
-    """Largest insertion this sector can accept: the index scan asks
-    once per sector; an edit reports the new value itself."""
-    best = 0
-    for _, reclen, namelen, etype, _ in _headers(block, sector):
-        avail = reclen if etype == ET_FREE else reclen - dent_size(namelen, etype)
-        if avail > best:
-            best = avail
-    return best
+    entries, slots = [], []
+    for s in range(SECTORS_PER_DIR_BLOCK):
+        best = 0
+        for offset, _reclen, namelen, etype, kind, room in _headers(block, s):
+            if room > best:
+                best = room
+            if etype != ET_FREE:
+                name_off = offset + DENT_HEADER_SIZE
+                name = str(block[name_off:name_off + namelen], "utf-8", "replace")
+                payload_off = name_off + ((namelen + DENT_ALIGN - 1) & -DENT_ALIGN)
+                entries.append((name, (etype, kind, blk, offset, payload_off,
+                                       ident_at(block, payload_off)[0])))
+        slots.append(((blk, s), best))
+    return entries, slots
 
 
 def add_entry(
@@ -158,18 +166,17 @@ def add_entry(
     target = None
     best = 0
     for record in _headers(block, sector):
-        _, reclen, namelen, cur_etype, _ = record
-        avail = reclen if cur_etype == ET_FREE else reclen - dent_size(namelen, cur_etype)
-        if target is None and avail >= needed:
+        room = record[5]
+        if target is None and room >= needed:
             target = record
             # Whichever way the record is split, what is left of its
             # room is one piece of this size.
-            avail -= needed
-        if avail > best:
-            best = avail
+            room -= needed
+        if room > best:
+            best = room
     if target is None:
         return None
-    offset, reclen, namelen, cur_etype, cur_kind = target
+    offset, reclen, namelen, cur_etype, cur_kind, room = target
     if cur_etype == ET_FREE:
         # Claim the free record, leaving the remainder free; slack too
         # small for a header is absorbed into the new entry.
@@ -179,25 +186,16 @@ def add_entry(
             reclen = needed
     else:
         # Split the slack off the live entry.
-        used = dent_size(namelen, cur_etype)
+        used = reclen - room
         _DENT_HEADER.pack_into(block, offset, used, namelen, cur_etype, cur_kind)
         offset += used
         reclen -= used
-    _write_entry(block, offset, reclen, etype, kind, encoded, payload)
-    return offset + DENT_HEADER_SIZE + _pad(len(encoded)), best
-
-
-def _write_entry(
-    block: bytearray, offset: int, reclen: int, etype: int, kind: int,
-    encoded: bytes, payload: bytes,
-) -> None:
     _DENT_HEADER.pack_into(block, offset, reclen, len(encoded), etype, kind)
     name_off = offset + DENT_HEADER_SIZE
-    block[name_off:name_off + _pad(len(encoded))] = encoded + bytes(
-        _pad(len(encoded)) - len(encoded)
-    )
     payload_off = name_off + _pad(len(encoded))
+    block[name_off:payload_off] = encoded + bytes(payload_off - name_off - len(encoded))
     block[payload_off:payload_off + len(payload)] = payload
+    return payload_off, best
 
 
 def remove_entry(block: bytearray, name: str) -> Optional[Tuple[int, int]]:
@@ -218,34 +216,35 @@ def remove_from_sector(block: bytearray, sector: int, name: str) -> Optional[int
 
     Only that one record's room changed, so the sector's largest
     insertion is the larger of what it was and the result."""
-    encoded = name.encode("utf-8")
-    n = len(encoded)
-    # A stored name that is not UTF-8 reads back with U+FFFD in it, so
-    # only a name containing one can match other bytes than its own.
-    lossy = "\ufffd" in name
-    prev = None
-    for record in _headers(block, sector):
-        offset, reclen, namelen, etype, _ = record
-        name_off = offset + DENT_HEADER_SIZE
-        if etype != ET_FREE and (
-            (namelen == n and block.startswith(encoded, name_off))
-            or (lossy and str(block[name_off:name_off + namelen],
-                              "utf-8", "replace") == name)
-        ):
-            if prev is None:
-                _DENT_HEADER.pack_into(block, offset, reclen, 0, ET_FREE, 0)
-                # Scrub the payload so stale inodes never look live.
-                block[name_off:offset + reclen] = bytes(reclen - DENT_HEADER_SIZE)
-                return reclen
-            p_offset, p_reclen, p_namelen, p_etype, p_kind = prev
-            p_reclen += reclen
-            _DENT_HEADER.pack_into(
-                block, p_offset, p_reclen, p_namelen, p_etype, p_kind)
-            block[offset:offset + reclen] = bytes(reclen)
-            if p_etype != ET_FREE:
-                p_reclen -= dent_size(p_namelen, p_etype)
-            return p_reclen
-        prev = record
+    if "\ufffd" in name:
+        records = _chain_to_decoded(block, sector, name)
+    else:
+        records = _headers(block, sector, name.encode("utf-8"))
+    if records is None:
+        return None
+    offset, reclen = records[-1][:2]
+    if len(records) == 1:
+        _DENT_HEADER.pack_into(block, offset, reclen, 0, ET_FREE, 0)
+        # Scrub the payload so stale inodes never look live.
+        block[offset + DENT_HEADER_SIZE:offset + reclen] = bytes(
+            reclen - DENT_HEADER_SIZE)
+        return reclen
+    p_offset, p_reclen, p_namelen, p_etype, p_kind, p_room = records[-2]
+    _DENT_HEADER.pack_into(
+        block, p_offset, p_reclen + reclen, p_namelen, p_etype, p_kind)
+    block[offset:offset + reclen] = bytes(reclen)
+    return p_room + reclen
+
+
+def _chain_to_decoded(block: bytes, sector: int, name: str) -> Optional[List[Record]]:
+    """The sector's records up to the first live one whose name decodes
+    to ``name``: a stored name that is not UTF-8 reads back with U+FFFD
+    in it, so a name containing one can match other bytes than its own."""
+    records = _headers(block, sector)
+    for i, (off, _reclen, namelen, etype, _kind, _room) in enumerate(records):
+        off += DENT_HEADER_SIZE
+        if etype != ET_FREE and str(block[off:off + namelen], "utf-8", "replace") == name:
+            return records[:i + 1]
     return None
 
 
@@ -266,8 +265,6 @@ def change_entry_type(
         raise InvalidArgument("entry too small for new payload")
     _DENT_HEADER.pack_into(block, entry_off, reclen, namelen, new_etype, kind)
     payload_off = entry_off + DENT_HEADER_SIZE + _pad(namelen)
-    block[payload_off:payload_off + reclen - (DENT_HEADER_SIZE + _pad(namelen))] = bytes(
-        reclen - DENT_HEADER_SIZE - _pad(namelen)
-    )
-    block[payload_off:payload_off + len(payload)] = payload
+    end = entry_off + reclen
+    block[payload_off:end] = payload + bytes(end - payload_off - len(payload))
     return payload_off, reclen - needed

@@ -19,7 +19,7 @@ drive is timing-only: data bytes live at the block-device layer.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.clock import SimClock
@@ -28,7 +28,7 @@ from repro.disk.geometry import SECTOR_SIZE
 from repro.disk.profiles import DriveProfile
 from repro.disk.stats import REQUEST_SIZE_BUCKETS, DiskStats
 from repro.errors import AddressError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 # Controller time to set up each background drain operation.
 _DRAIN_OVERHEAD_S = 0.0003
@@ -45,8 +45,8 @@ class SimulatedDisk:
         # the fields it counts in here.
         self.registry = MetricsRegistry()
         self.registry.register("disk", self.stats)
-        self._request_sectors = self.registry.histogram(
-            "disk.request_sectors", REQUEST_SIZE_BUCKETS)
+        # Counted from stats.request_sizes when a snapshot asks for it.
+        self.registry.read("disk.request_sectors", self._request_sectors)
         self.geometry = profile.geometry()
         self.seek_curve = profile.seek_curve()
         self.rotation = profile.rotation()
@@ -76,13 +76,18 @@ class SimulatedDisk:
     def total_sectors(self) -> int:
         return self.geometry.total_sectors
 
+    def _request_sectors(self) -> Dict[str, object]:
+        hist = Histogram("disk.request_sectors", REQUEST_SIZE_BUCKETS)
+        for nsectors, n in self.stats.request_sizes.items():
+            hist.observe(nsectors, n)
+        return hist.value
+
     def read(self, lba: int, nsectors: int) -> None:
         """Service a read; advances the clock to its completion."""
         self._check_range(lba, nsectors)
         now = self.clock.now
         stats = self.stats
         stats.record_request(False, nsectors)
-        self._request_sectors.observe(nsectors)
         t = now + self._overhead_s
         stats.overhead_time += self._overhead_s
 
@@ -135,7 +140,6 @@ class SimulatedDisk:
         now = self.clock.now
         stats = self.stats
         stats.record_request(True, nsectors)
-        self._request_sectors.observe(nsectors)
         self.read_cache.invalidate_range(lba, nsectors)
         t = now + self._overhead_s
         stats.overhead_time += self._overhead_s

@@ -17,8 +17,8 @@ from typing import Dict
 
 from repro.obs.metrics import Stats
 
-#: Bucket bounds (sectors) for the request-size histogram the drive's
-#: registry keeps alongside the exact ``request_sizes`` dict: one block,
+#: Bucket bounds (sectors) of the request-size histogram the drive's
+#: registry reports, counted from the exact ``request_sizes``: one block,
 #: the paper's 16-block group span, and powers of two between and beyond.
 REQUEST_SIZE_BUCKETS = (8, 16, 32, 64, 128, 256, 512)
 

@@ -60,8 +60,8 @@ class BlockFileSystem(FileSystem):
     attributes ``Config`` (its :class:`VolumeConfig`), ``MAGIC``,
     ``SB_LABEL`` (how error messages name its superblock),
     ``unpack_superblock`` and ``dirfmt`` — the directory-block codec
-    module, of which the skeleton uses ``index_entries(block, blk)``,
-    ``free_slots(block, blk)`` and ``init_block()``.
+    module, of which the skeleton uses ``scan_block(block, blk)`` (the
+    index entries and the free slots of one block) and ``init_block()``.
     """
 
     def __init__(self, device: BlockDevice, config: VolumeConfig) -> None:
@@ -416,10 +416,10 @@ class BlockFileSystem(FileSystem):
             # the cached image without a snapshot.
             data = self.cache.get(self._dir_block_bno(dirh, blk),
                                   logical=(fid, blk)).image
-            entries = dirfmt.index_entries(data, blk)
+            entries, slots = dirfmt.scan_block(data, blk)
             index.names.update(entries)
             entries_seen += len(entries)
-            for slot, free in dirfmt.free_slots(data, blk):
+            for slot, free in slots:
                 index.set_free(slot, free)
             index.scanned_blocks += 1
             if name is not None and name in index.names:
@@ -472,7 +472,7 @@ class BlockFileSystem(FileSystem):
         self._istore(dirh, sync_op=True, requires=(init_token,))
         index = self._dir_index.get(fid)
         if index is not None:
-            for slot, free in self.dirfmt.free_slots(image, blk):
+            for slot, free in self.dirfmt.scan_block(image, blk)[1]:
                 index.set_free(slot, free)
             if index.complete:
                 index.scanned_blocks = blk + 1
@@ -484,7 +484,7 @@ class BlockFileSystem(FileSystem):
         for blk in range(dirh.size // BLOCK_SIZE):
             data = self.cache.get(self._dir_block_bno(dirh, blk),
                                   logical=(fid, blk)).image
-            names.extend(name for name, _ in self.dirfmt.index_entries(data, blk))
+            names.extend(name for name, _ in self.dirfmt.scan_block(data, blk)[0])
         self.cpu.charge_dirent_scan(len(names))
         return names
 

@@ -10,18 +10,19 @@ into its predecessor so live entries never move, which keeps cached
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.blockdev.device import BLOCK_SIZE
 from repro.errors import CorruptFileSystem, InvalidArgument
 from repro.ffs.layout import (
+    DIRENT_ALIGN as _ALIGN,
     DIRENT_HEADER_FMT,
     DIRENT_HEADER_SIZE,
     dirent_size,
 )
 
-# (offset, inum, kind, name, reclen)
-DirEntry = Tuple[int, int, int, str, int]
+# (offset, inum, reclen, namelen, kind, room): one chain record.
+Record = Tuple[int, int, int, int, int, int]
 
 # Precompiled header codec: the chain walks below decode one header per
 # record per lookup/insert/remove, making this the hottest struct in
@@ -38,61 +39,58 @@ def init_block() -> bytearray:
     return block
 
 
-def _headers(block: bytes) -> Iterator[Tuple[int, int, int, int, int]]:
-    """The one validated chain walk: (offset, inum, reclen, namelen,
-    kind) of every record, live and free, names untouched.  A record
-    length that is too small to hold a header, overruns the block or
-    leaves a tail no header fits in ends in ``CorruptFileSystem``."""
+def _headers(block: bytes,
+             stop: Optional[bytes] = None) -> Optional[List[Record]]:
+    """The one validated chain walk: the records, live and free, in
+    chain order, names untouched; a free record's room is its length, a
+    live one's the slack past its header and name.  With ``stop``, the
+    records up to and including the first live one whose stored name is
+    those bytes, or None if there is no such record.  A record length
+    that is too small to hold a header, overruns the block or leaves a
+    tail no header fits in ends in ``CorruptFileSystem``."""
     unpack_header = _DIRENT_HEADER.unpack_from
     offset = 0
+    stop_len = -1 if stop is None else len(stop)
+    records: List[Record] = []
+    append = records.append
     while offset <= _LAST_HEADER:
         inum, reclen, namelen, kind = unpack_header(block, offset)
         if reclen < DIRENT_HEADER_SIZE or offset + reclen > BLOCK_SIZE:
             raise CorruptFileSystem(
                 "bad dirent reclen %d at offset %d" % (reclen, offset)
             )
-        yield offset, inum, reclen, namelen, kind
+        # The stored namelen, not the name, sizes a live record (what
+        # add_entry splits by): layout.dirent_size, spelled out.
+        append((offset, inum, reclen, namelen, kind, reclen if inum == 0 else
+                reclen - ((DIRENT_HEADER_SIZE + namelen + _ALIGN - 1) & -_ALIGN)))
+        if (namelen == stop_len and inum != 0
+                and block.startswith(stop, offset + DIRENT_HEADER_SIZE)):
+            return records
         offset += reclen
     if offset != BLOCK_SIZE:
         raise CorruptFileSystem("dirent chain does not tile the block")
-
-
-def iter_entries(block: bytes) -> Iterator[DirEntry]:
-    """Yield every record (live and free) in chain order."""
-    for offset, inum, reclen, namelen, kind in _headers(block):
-        name = ""
-        if inum != 0 and namelen:
-            name_off = offset + DIRENT_HEADER_SIZE
-            name = str(block[name_off:name_off + namelen], "utf-8", "replace")
-        yield offset, inum, kind, name, reclen
+    return records if stop is None else None
 
 
 def live_entries(block: bytes) -> List[Tuple[str, int, int]]:
-    """All (name, inum, kind) triples of live entries."""
-    return [(name, inum, kind) for _, inum, kind, name, _ in iter_entries(block) if inum != 0]
+    """All (name, inum, kind) triples of live entries, in chain order."""
+    return [(name, inum, kind) for name, (inum, kind, _) in scan_block(block, 0)[0]]
 
 
-def index_entries(block: bytes, blk: int) -> List[Tuple[str, Tuple[int, int, int]]]:
-    """Live entries of directory block ``blk`` as the directory index
-    keeps them: (name, (inum, kind, blk))."""
-    return [(name, (inum, kind, blk)) for name, inum, kind in live_entries(block)]
-
-
-def free_slots(block: bytes, blk: int) -> Tuple[Tuple[int, int], ...]:
-    """(slot, largest insertion) pairs: a whole block is one slot."""
-    return ((blk, free_bytes(block)),)
-
-
-def free_bytes(block: bytes) -> int:
-    """Largest insertion the block can accept right now: the index scan
-    asks once per block; an edit reports the new value itself."""
+def scan_block(block: bytes, blk: int) -> Tuple[List[tuple], Tuple[tuple]]:
+    """What the directory index keeps of block ``blk``, from one walk:
+    its live entries as (name, (inum, kind, blk)) and the one (slot,
+    largest insertion) pair, a whole block being one slot."""
+    entries = []
     best = 0
-    for _, inum, reclen, namelen, _ in _headers(block):
-        # The stored namelen, not the name: what add_entry splits by.
-        avail = reclen if inum == 0 else reclen - dirent_size(namelen)
-        if avail > best:
-            best = avail
-    return best
+    for offset, inum, _reclen, namelen, kind, room in _headers(block):
+        if room > best:
+            best = room
+        if inum != 0:
+            name_off = offset + DIRENT_HEADER_SIZE
+            name = str(block[name_off:name_off + namelen], "utf-8", "replace")
+            entries.append((name, (inum, kind, blk)))
+    return entries, ((blk, best),)
 
 
 def add_entry(block: bytearray, inum: int, kind: int, name: str) -> Optional[int]:
@@ -106,18 +104,17 @@ def add_entry(block: bytearray, inum: int, kind: int, name: str) -> Optional[int
     target = None
     best = 0
     for record in _headers(block):
-        _, cur_inum, reclen, namelen, _ = record
-        avail = reclen if cur_inum == 0 else reclen - dirent_size(namelen)
-        if target is None and avail >= needed:
+        room = record[5]
+        if target is None and room >= needed:
             target = record
             # Whichever way the record is split, what is left of its
             # room is one piece of this size.
-            avail -= needed
-        if avail > best:
-            best = avail
+            room -= needed
+        if room > best:
+            best = room
     if target is None:
         return None
-    offset, cur_inum, reclen, namelen, cur_kind = target
+    offset, cur_inum, reclen, namelen, cur_kind, room = target
     if cur_inum == 0:
         # Claim the free record, leaving the remainder free; slack too
         # small for a header is absorbed into the new entry.
@@ -127,7 +124,7 @@ def add_entry(block: bytearray, inum: int, kind: int, name: str) -> Optional[int
             reclen = needed
     else:
         # Split the slack off the live entry.
-        used = dirent_size(namelen)
+        used = reclen - room
         _DIRENT_HEADER.pack_into(block, offset, cur_inum, used, namelen, cur_kind)
         offset += used
         reclen -= used
@@ -146,29 +143,29 @@ def remove_entry(block: bytearray, name: str) -> Optional[Tuple[int, int]]:
     and only that one record's room changed, so the block's largest
     insertion is the larger of what it was and the second result.
     """
-    encoded = name.encode("utf-8")
-    n = len(encoded)
-    # A stored name that is not UTF-8 reads back with U+FFFD in it, so
-    # only a name containing one can match other bytes than its own.
-    lossy = "\ufffd" in name
-    prev = None
-    for record in _headers(block):
-        offset, inum, reclen, namelen, _ = record
-        name_off = offset + DIRENT_HEADER_SIZE
-        if inum != 0 and (
-            (namelen == n and block.startswith(encoded, name_off))
-            or (lossy and str(block[name_off:name_off + namelen],
-                              "utf-8", "replace") == name)
-        ):
-            if prev is None:
-                _DIRENT_HEADER.pack_into(block, offset, 0, reclen, 0, 0)
-                return inum, reclen
-            p_offset, p_inum, p_reclen, p_namelen, p_kind = prev
-            p_reclen += reclen
-            _DIRENT_HEADER.pack_into(
-                block, p_offset, p_inum, p_reclen, p_namelen, p_kind)
-            if p_inum != 0:
-                p_reclen -= dirent_size(p_namelen)
-            return inum, p_reclen
-        prev = record
+    if "\ufffd" in name:
+        records = _chain_to_decoded(block, name)
+    else:
+        records = _headers(block, name.encode("utf-8"))
+    if records is None:
+        return None
+    offset, inum, reclen = records[-1][:3]
+    if len(records) == 1:
+        _DIRENT_HEADER.pack_into(block, offset, 0, reclen, 0, 0)
+        return inum, reclen
+    p_offset, p_inum, p_reclen, p_namelen, p_kind, p_room = records[-2]
+    _DIRENT_HEADER.pack_into(
+        block, p_offset, p_inum, p_reclen + reclen, p_namelen, p_kind)
+    return inum, p_room + reclen
+
+
+def _chain_to_decoded(block: bytes, name: str) -> Optional[List[Record]]:
+    """The records up to the first live one whose name decodes to
+    ``name``: a stored name that is not UTF-8 reads back with U+FFFD in
+    it, so a name containing one can match other bytes than its own."""
+    records = _headers(block)
+    for i, (off, inum, _reclen, namelen, _kind, _room) in enumerate(records):
+        off += DIRENT_HEADER_SIZE
+        if inum != 0 and str(block[off:off + namelen], "utf-8", "replace") == name:
+            return records[:i + 1]
     return None

@@ -138,14 +138,21 @@ class Histogram:
         self.total = 0
         self.sum: Number = 0
 
-    def observe(self, value: Number) -> None:
-        self.total += 1
-        self.sum += value
+    def observe(self, value: Number, n: int = 1) -> None:
+        self.total += n
+        self.sum += value * n
         i = bisect_left(self.bounds, value)     # first bound >= value
         if i < len(self.counts):
-            self.counts[i] += 1
+            self.counts[i] += n
         else:
-            self.overflow += 1
+            self.overflow += n
+
+    @property
+    def value(self) -> Dict[str, object]:
+        """What a snapshot reports: ``buckets`` (bound -> count),
+        ``"+inf"`` (the overflow), ``total`` and ``sum``."""
+        return {"buckets": {str(b): n for b, n in zip(self.bounds, self.counts)},
+                "+inf": self.overflow, "total": self.total, "sum": self.sum}
 
 
 class MetricsRegistry:
@@ -183,7 +190,7 @@ class MetricsRegistry:
 
     def read(self, name: str, value: Callable[[], Number]) -> None:
         """Take ``name`` from ``value()`` at every snapshot: a state
-        gauge, or a count its owner keeps under another name."""
+        gauge, or a count (or histogram) its owner keeps in another form."""
         self._check_free(name, "field")
         self._fields[name] = value
 
@@ -242,12 +249,7 @@ class MetricsRegistry:
         for name, g in self._gauges.items():
             out[name] = g.value
         for name, h in self._histograms.items():
-            out[name] = {
-                "buckets": {str(b): n for b, n in zip(h.bounds, h.counts)},
-                "+inf": h.overflow,
-                "total": h.total,
-                "sum": h.sum,
-            }
+            out[name] = h.value
         return dict(sorted(out.items()))
 
     def names(self) -> List[str]:

@@ -210,19 +210,26 @@ def make_cffs(
 
 
 def assert_dir_index_matches_blocks(fs) -> int:
-    """``DirIndex.free`` is kept from what the directory edits return,
-    never from a rescan: recompute it from the cached image of every
-    scanned directory block and require equality.  Reads the cache's
-    map directly so the check moves neither the LRU order nor a
-    counter; an evicted block was checked while it was cached.  Returns
-    the number of slots compared."""
+    """``DirIndex`` is kept from what the directory edits return, never
+    from a rescan: scan the cached image of every scanned directory
+    block with the codec's ``scan_block`` and require that each slot's
+    free count equals the index's and that each live entry is in
+    ``index.names`` with the same tuple.  Reads the cache's map directly
+    so the check moves neither the LRU order nor a counter; an evicted
+    block was checked while it was cached.  Returns the number of slots
+    compared."""
     compared = 0
     for fid, index in fs._dir_index.items():
         for blk in range(index.scanned_blocks):
             buf = fs.cache._logical.get((fid, blk))
             if buf is None:
                 continue
-            for slot, free in fs.dirfmt.free_slots(buf.image, blk):
+            entries, slots = fs.dirfmt.scan_block(buf.image, blk)
+            for name, info in entries:
+                assert index.names.get(name) == info, (
+                    "directory %d block %d: index has %r for %r, block has %r"
+                    % (fid, blk, index.names.get(name), name, info))
+            for slot, free in slots:
                 assert index.free[slot] == free, (
                     "directory %d slot %r: index says %d free, block says %d"
                     % (fid, slot, index.free[slot], free))

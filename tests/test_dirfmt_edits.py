@@ -248,6 +248,19 @@ def ref_c_remove_entry(block, name):
 # --------------------------------------------------------------------------
 
 
+def f_free(block):
+    """The block's largest insertion, as the index scan reads it."""
+    [(_slot, free)] = fdir.scan_block(block, 0)[1]
+    return free
+
+
+def c_free(block, sector):
+    """One sector's largest insertion, as the index scan reads it."""
+    slot, free = cdir.scan_block(block, 0)[1][sector]
+    assert slot == (0, sector)
+    return free
+
+
 def _room_at(records, offset):
     """Room of the record covering ``offset``; ``records`` are (offset,
     reclen, room) triples from a reference walk."""
@@ -265,7 +278,7 @@ class FfsPair:
         self.real = fdir.init_block()
         self.ref = fdir.init_block()
         self.live = {}          # name -> inum
-        self.free = fdir.free_bytes(self.real)
+        self.free = f_free(self.real)
 
     def _records(self):
         return [(offset, reclen, reclen if inum == 0 else
@@ -289,7 +302,7 @@ class FfsPair:
         else:
             assert got is None
             assert bytes(self.real) == before, "a refused insert wrote"
-        assert fdir.free_bytes(self.real) == self.free
+        assert f_free(self.real) == self.free
         return want
 
     def remove(self, name):
@@ -305,7 +318,7 @@ class FfsPair:
             assert inum == want
             assert freed == _room_at(self._records(), offset)
             self.free = max(self.free, freed)
-        assert self.free == ref_f_free_bytes(self.ref) == fdir.free_bytes(self.real)
+        assert self.free == ref_f_free_bytes(self.ref) == f_free(self.real)
         return want
 
 
@@ -324,7 +337,7 @@ class CffsPair:
         self.real = cdir.init_block()
         self.ref = cdir.init_block()
         self.live = {}          # name -> sector
-        self.free = [cdir.sector_free_bytes(self.real, s) for s in range(SECTORS)]
+        self.free = [c_free(self.real, s) for s in range(SECTORS)]
 
     def _records(self, sector):
         records = []
@@ -348,7 +361,7 @@ class CffsPair:
     def _check_free(self):
         for s in range(SECTORS):
             assert (self.free[s] == ref_c_sector_free_bytes(self.ref, s)
-                    == cdir.sector_free_bytes(self.real, s)), "sector %d" % s
+                    == c_free(self.real, s)), "sector %d" % s
 
     def add(self, name, sector, etype, ident):
         payload = (embedded_payload(ident) if etype == cdir.ET_EMBEDDED
@@ -546,12 +559,20 @@ HOSTILE_CFFS = {
 }
 
 
+def _with_sector_of(block, sector):
+    """A fresh block holding ``block``'s ``sector`` and nothing else:
+    one sector scanned apart from a damaged neighbour."""
+    fresh = cdir.init_block()
+    fresh[sector * SECTOR:(sector + 1) * SECTOR] = block[sector * SECTOR:(sector + 1) * SECTOR]
+    return fresh
+
+
 @pytest.mark.parametrize("case", sorted(HOSTILE_FFS))
 def test_ffs_hostile_chain_is_corrupt_filesystem(case):
     block = _ffs_block_with(HOSTILE_FFS[case])
     before = bytes(block)
     with pytest.raises(CorruptFileSystem):
-        fdir.free_bytes(block)
+        fdir.scan_block(block, 0)
     with pytest.raises(CorruptFileSystem):
         fdir.add_entry(block, 9, flayout.DT_FILE, "x" * 300)   # fits nowhere
     with pytest.raises(CorruptFileSystem):
@@ -561,7 +582,7 @@ def test_ffs_hostile_chain_is_corrupt_filesystem(case):
     with pytest.raises(CorruptFileSystem):
         fdir.remove_entry(block, "absent")
     with pytest.raises(CorruptFileSystem):
-        list(fdir.iter_entries(block))
+        fdir.live_entries(block)
     assert bytes(block) == before, "an edit wrote before the walk had validated"
     # An entry in front of the damage is still found and removed: the
     # walk validates as far as it goes, like the lookup scan.
@@ -574,7 +595,7 @@ def test_cffs_hostile_chain_is_corrupt_filesystem(case):
     before = bytes(block)
     payload = struct.pack("<Q", 9)
     with pytest.raises(CorruptFileSystem):
-        cdir.sector_free_bytes(block, 0)
+        cdir.scan_block(block, 0)
     with pytest.raises(CorruptFileSystem):
         cdir.add_entry(block, 0, "x" * 255, cdir.ET_EMBEDDED, cdir.DK_FILE,
                        embedded_payload(9))               # the longest name
@@ -588,7 +609,7 @@ def test_cffs_hostile_chain_is_corrupt_filesystem(case):
         list(cdir.iter_block(block))
     assert bytes(block) == before, "an edit wrote before the walk had validated"
     # The other seven sectors are independent chains.
-    assert cdir.sector_free_bytes(block, 1) == SECTOR
+    assert c_free(_with_sector_of(block, 1), 1) == SECTOR
     assert cdir.add_entry(block, 1, "new", cdir.ET_EXTERNAL, cdir.DK_FILE,
                           payload) is not None
 
@@ -625,11 +646,9 @@ def test_cffs_short_live_record_is_corrupt_filesystem(case):
     block = _cffs_block_with_records(sector, records)
     before = bytes(block)
     with pytest.raises(CorruptFileSystem):
-        cdir.index_entries(block, 0)
+        cdir.scan_block(block, 0)
     with pytest.raises(CorruptFileSystem):
         list(cdir.iter_block(block))
-    with pytest.raises(CorruptFileSystem):
-        cdir.sector_free_bytes(block, sector)
     with pytest.raises(CorruptFileSystem):
         cdir.add_entry(block, sector, "new", cdir.ET_EXTERNAL, cdir.DK_FILE,
                        struct.pack("<Q", 9))
@@ -637,7 +656,7 @@ def test_cffs_short_live_record_is_corrupt_filesystem(case):
         cdir.remove_entry(block, "absent")
     assert bytes(block) == before, "an edit wrote before the walk had validated"
     other = 3
-    assert cdir.sector_free_bytes(block, other) == SECTOR
+    assert c_free(_with_sector_of(block, other), other) == SECTOR
     assert cdir.add_entry(block, other, "new", cdir.ET_EXTERNAL, cdir.DK_FILE,
                           struct.pack("<Q", 9)) is not None
 
@@ -674,7 +693,7 @@ def test_ffs_free_space_is_counted_from_the_stored_namelen():
     head = flayout.dirent_size(2) + 16
     assert [r for _o, _i, _k, _n, r in ref_f_iter_entries(block)] == (
         [head] + [208] * 19 + [116])
-    assert fdir.free_bytes(block) == 16
+    assert f_free(block) == 16
     assert ref_f_free_bytes(block) == head - flayout.dirent_size(6) == 12
     # An 8-byte name needs the 16: both edit paths accept it.
     ref = bytearray(block)
@@ -715,7 +734,7 @@ def test_cffs_not_utf8_names_free_space_and_removal():
         _C_HEADER.pack_into(block, offset, reclen, len(raw), cdir.ET_EXTERNAL,
                             cdir.DK_FILE)
         block[offset + _C_HSIZE:offset + _C_HSIZE + len(raw)] = raw
-    assert (cdir.sector_free_bytes(block, 0) == ref_c_sector_free_bytes(block, 0)
+    assert (c_free(block, 0) == ref_c_sector_free_bytes(block, 0)
             == SECTOR - size - clayout.dent_size(4, cdir.ET_EXTERNAL))
     ref = bytearray(block)
     assert ref_c_remove_entry(ref, "a\ufffd") == (0, cdir.ET_EXTERNAL)

@@ -6,7 +6,9 @@ import pytest
 import repro.core.filesystem as core_fs
 import repro.ffs.filesystem as ffs_fs
 from repro.blockdev.device import BLOCK_SIZE
+from repro.core import directory as cdir
 from repro.core.filesystem import CFFS
+from repro.ffs import directory as fdir
 from repro.ffs.base import BlockFileSystem
 from repro.ffs.filesystem import FFS
 from tests.conftest import assert_dir_index_matches_blocks, make_cffs, make_ffs
@@ -78,6 +80,65 @@ def test_directory_index_contract(fmt):
 
     fs.drop_caches()
     assert fs._dir_index == {}
+
+
+class _Recording:
+    """Stands in for a codec module on one file system: records the
+    name of every function the skeleton calls on it."""
+
+    def __init__(self, codec, calls):
+        self._codec, self._calls = codec, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._codec, name)
+
+
+class _CountingHeader:
+    """Stands in for a codec's header ``Struct``: counts decodes."""
+
+    def __init__(self, header):
+        self._header, self.decodes = header, 0
+
+    def unpack_from(self, block, offset):
+        self.decodes += 1
+        return self._header.unpack_from(block, offset)
+
+
+def _records(codec, image) -> int:
+    if codec is cdir:
+        return sum(len(cdir._headers(image, s))
+                   for s in range(cdir.SECTORS_PER_DIR_BLOCK))
+    return len(fdir._headers(image))
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_index_scan_decodes_each_header_once(fmt, monkeypatch):
+    """A cold full scan calls the codec's ``scan_block`` once per block
+    and nothing else of it, and decodes every record header of the
+    directory exactly once."""
+    fs = FORMATS[fmt]()
+    fs.mkdir("/d")
+    created = 0
+    while fs._resolve("/d").size < 3 * BLOCK_SIZE:
+        fs.create("/d/" + _name(created))
+        created += 1
+    fs.sync()
+    fs.drop_caches()
+    dirh = fs._resolve("/d")           # the root's scan happens here
+    codec = fs.dirfmt
+    fid = fs._file_id(dirh)
+    records = sum(_records(codec, fs.cache.get(fs._dir_block_bno(dirh, blk),
+                                               logical=(fid, blk)).image)
+                  for blk in range(3))
+    header_name = "_DENT_HEADER" if codec is cdir else "_DIRENT_HEADER"
+    header = _CountingHeader(getattr(codec, header_name))
+    monkeypatch.setattr(codec, header_name, header)
+    calls = []
+    fs.dirfmt = _Recording(codec, calls)
+    assert not fs.exists("/d/absent")
+    assert calls == ["scan_block"] * 3
+    assert header.decodes == records > 3 * 8
 
 
 HOISTED = (

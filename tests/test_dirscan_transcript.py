@@ -49,7 +49,8 @@ HEAD_STEPS = 3
 
 def scan(codec, block: bytes, blk: int):
     """(index entries, free slots) of one block, as lists."""
-    return (codec.index_entries(block, blk), list(codec.free_slots(block, blk)))
+    entries, slots = codec.scan_block(block, blk)
+    return entries, list(slots)
 
 
 def _check_shapes(codec, entries, slots) -> None:

@@ -180,10 +180,9 @@ def _ffs_orphan(fs):
 
 def _ffs_bad_inum(fs):
     bno = fs._resolve("/d").direct[0]
-    for offset, _inum, _kind, name, _reclen in fdir.iter_entries(
-            fs.device.peek_block(bno)):
-        if name == "f03":   # the dirent leads with its inode number
-            _poke(fs.device, bno, offset, struct.pack("<I", 10 ** 6))
+    # The dirent leads with its inode number; its name follows the header.
+    offset = fs.device.peek_block(bno).index(b"f03") - flayout.DIRENT_HEADER_SIZE
+    _poke(fs.device, bno, offset, struct.pack("<I", 10 ** 6))
 
 
 def _cffs_orphan_external(fs):
