@@ -742,3 +742,28 @@ def test_cffs_not_utf8_names_free_space_and_removal():
     assert block == ref
     # The head went (the not-UTF-8 one); the real name is still there.
     assert [e[4] for _s, e in cdir.live_entries(bytes(block))] == ["a\ufffd"]
+
+
+def test_removal_skips_a_free_record_that_kept_a_name():
+    """A removal walks only as far as the name, and only a live record
+    can be the name: a free record whose header still carries the same
+    name length and bytes (no edit writes one, damage can) is passed
+    over, in both codecs."""
+    name = b"abc"
+    block = fdir.init_block()
+    _F_HEADER.pack_into(block, 0, 0, 12, len(name), flayout.DT_FILE)   # free
+    block[_F_HSIZE:_F_HSIZE + 3] = name
+    _F_HEADER.pack_into(block, 12, 5, 12, len(name), flayout.DT_FILE)  # live
+    block[12 + _F_HSIZE:12 + _F_HSIZE + 3] = name
+    _F_HEADER.pack_into(block, 24, 0, BLOCK_SIZE - 24, 0, 0)
+    assert fdir.remove_entry(block, "abc") == (5, 24)
+    assert fdir.live_entries(bytes(block)) == []
+
+    block = cdir.init_block()
+    size = clayout.dent_size(len(name), cdir.ET_EXTERNAL)
+    for offset, etype in ((0, clayout.ET_FREE), (size, cdir.ET_EXTERNAL)):
+        _C_HEADER.pack_into(block, offset, size, len(name), etype, cdir.DK_FILE)
+        block[offset + _C_HSIZE:offset + _C_HSIZE + 3] = name
+    _C_HEADER.pack_into(block, 2 * size, SECTOR - 2 * size, 0, clayout.ET_FREE, 0)
+    assert cdir.remove_entry(block, "abc") == (0, 2 * size)
+    assert cdir.live_entries(bytes(block)) == []
