@@ -8,22 +8,30 @@ scans directory blocks only until its name appears, the way a real
 lookup walks the directory, and only absence checks (create, link,
 rename targets) force a full scan.  The file system charges all scan
 costs (disk reads, per-entry CPU) as it fills the index.
+
+For the FFS format the index also keeps each block's *room list*
+(``rooms``: block -> ``ffs.directory.room_list``), built by one walk
+the first time the block takes an insert and kept from what the edits
+return, so an insert reads only its target record's header.  It lives
+and dies with the index.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Dict, Hashable, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 
 class DirIndex:
     """Name cache and free-space map of one directory."""
 
-    __slots__ = ("names", "free", "scan_hint", "scanned_blocks", "complete")
+    __slots__ = ("names", "free", "rooms", "scan_hint", "scanned_blocks",
+                 "complete")
 
     def __init__(self) -> None:
         self.names: Dict[str, tuple] = {}
         self.free: Dict[Hashable, int] = {}
+        self.rooms: Dict[int, List[Tuple[int, int]]] = {}
         # needed-size -> position in ``free``'s (insertion) order before
         # which no slot can hold an entry of that size.  Keys are never
         # removed from ``free`` and new ones append at the end, so a hint

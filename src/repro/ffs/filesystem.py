@@ -186,8 +186,11 @@ class FFS(BlockFileSystem):
             target_blk = self._grow_directory(dirh)
         bno = self._dir_block_bno(dirh, target_blk)
         buf = self.cache.get(bno, logical=(dirh.inum, target_blk))
+        rooms = index.rooms.get(target_blk)
+        if rooms is None:
+            rooms = index.rooms[target_blk] = dirfmt.room_list(buf.image)
         # reprolint: disable=J001 -- add_entry mutates only when it returns the block's new free count; the None path raises over an untouched block
-        free = dirfmt.add_entry(buf.data, inum, kind, name)
+        free = dirfmt.add_entry(buf.data, rooms, inum, kind, name)
         if free is None:
             raise CorruptFileSystem("free-space accounting disagrees with block")
         token = self._meta_write(bno, requires)
@@ -205,6 +208,9 @@ class FFS(BlockFileSystem):
         bno = self._dir_block_bno(dirh, blk)
         buf = self.cache.get(bno, logical=(dirh.inum, blk))
         removed = dirfmt.remove_entry(buf.data, name)
+        # The room list follows the bytes, whichever entry went.
+        if removed is not None and blk in index.rooms:
+            dirfmt.merge_room(index.rooms[blk], *removed[1:])
         # Seal before the consistency check: if the block disagrees with
         # the index, remove_entry still scrubbed *some* entry out of the
         # cached bytes, and the journal/soft-updates trackers must hear
@@ -215,7 +221,7 @@ class FFS(BlockFileSystem):
             raise CorruptFileSystem("index and block disagree on %r" % name)
         del index.names[name]
         # A removal grows one record and shrinks none.
-        index.set_free(blk, max(index.free[blk], removed[1]))
+        index.set_free(blk, max(index.free[blk], removed[3]))
         dirh.mtime = self.device.clock.now
         self._istore(dirh)
         return token

@@ -214,12 +214,19 @@ def assert_dir_index_matches_blocks(fs) -> int:
     from a rescan: scan the cached image of every scanned directory
     block with the codec's ``scan_block`` and require that each slot's
     free count equals the index's and that each live entry is in
-    ``index.names`` with the same tuple.  Reads the cache's map directly
-    so the check moves neither the LRU order nor a counter; an evicted
-    block was checked while it was cached.  Returns the number of slots
-    compared."""
+    ``index.names`` with the same tuple; and that every FFS block's
+    room list (``index.rooms``) is the one a fresh walk gives.  Reads the
+    cache's map directly so the check moves neither the LRU order nor a
+    counter; an evicted block was checked while it was cached.  Returns
+    the number of slots compared."""
     compared = 0
     for fid, index in fs._dir_index.items():
+        for blk, rooms in index.rooms.items():
+            buf = fs.cache._logical.get((fid, blk))
+            if buf is not None:
+                assert rooms == fs.dirfmt.room_list(buf.image), (
+                    "directory %d block %d: room list %r, block has %r"
+                    % (fid, blk, rooms, fs.dirfmt.room_list(buf.image)))
         for blk in range(index.scanned_blocks):
             buf = fs.cache._logical.get((fid, blk))
             if buf is None:

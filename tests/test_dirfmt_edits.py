@@ -271,14 +271,22 @@ def _room_at(records, offset):
 
 class FfsPair:
     """One FFS directory block edited by the codec and by the reference.
-    ``free`` is kept the way ``FFS._dir_add_entry`` / ``_dir_remove_entry``
-    keep ``DirIndex.free``: from what the edits return, never a rescan."""
+    ``free`` and the room list ``rooms`` are kept the way
+    ``FFS._dir_add_entry`` / ``_dir_remove_entry`` keep ``DirIndex.free``
+    and ``DirIndex.rooms``: from what the edits return, never a rescan
+    (the list is built by the first insert's walk).  After every step
+    the list must be what a fresh walk of the block gives."""
 
     def __init__(self):
         self.real = fdir.init_block()
         self.ref = fdir.init_block()
         self.live = {}          # name -> inum
         self.free = f_free(self.real)
+        self.rooms = None
+
+    def _check_rooms(self):
+        if self.rooms is not None:
+            assert self.rooms == fdir.room_list(bytes(self.real))
 
     def _records(self):
         return [(offset, reclen, reclen if inum == 0 else
@@ -293,7 +301,9 @@ class FfsPair:
     def add(self, name, inum):
         before = bytes(self.ref)
         want = ref_f_add_entry(self.ref, inum, flayout.DT_FILE, name)
-        got = fdir.add_entry(self.real, inum, flayout.DT_FILE, name)
+        if self.rooms is None:
+            self.rooms = fdir.room_list(self.real)
+        got = fdir.add_entry(self.real, self.rooms, inum, flayout.DT_FILE, name)
         assert self.real == self.ref
         if want:
             self.live[name] = inum
@@ -303,6 +313,7 @@ class FfsPair:
             assert got is None
             assert bytes(self.real) == before, "a refused insert wrote"
         assert f_free(self.real) == self.free
+        self._check_rooms()
         return want
 
     def remove(self, name):
@@ -314,11 +325,15 @@ class FfsPair:
         if want is None:
             assert got is None
         else:
-            inum, freed = got
+            inum, start, reclen, freed = got
             assert inum == want
             assert freed == _room_at(self._records(), offset)
+            assert (start, reclen, freed) in self._records()
+            if self.rooms is not None:
+                fdir.merge_room(self.rooms, start, reclen, freed)
             self.free = max(self.free, freed)
         assert self.free == ref_f_free_bytes(self.ref) == f_free(self.real)
+        self._check_rooms()
         return want
 
 
@@ -528,8 +543,9 @@ def _ffs_block_with(hostile_reclen):
     """Three live entries, then the second record's reclen overwritten
     with ``hostile_reclen(its offset)``."""
     block = fdir.init_block()
+    rooms = fdir.room_list(block)
     for i, name in enumerate(("first", "second", "third")):
-        fdir.add_entry(block, i + 1, flayout.DT_FILE, name)
+        fdir.add_entry(block, rooms, i + 1, flayout.DT_FILE, name)
     second = flayout.dirent_size(5)
     inum, _reclen, namelen, kind = _F_HEADER.unpack_from(block, second)
     _F_HEADER.pack_into(block, second, inum, hostile_reclen(second), namelen, kind)
@@ -573,10 +589,15 @@ def test_ffs_hostile_chain_is_corrupt_filesystem(case):
     before = bytes(block)
     with pytest.raises(CorruptFileSystem):
         fdir.scan_block(block, 0)
+    # An insert's room list comes from one walk of the whole chain.
     with pytest.raises(CorruptFileSystem):
-        fdir.add_entry(block, 9, flayout.DT_FILE, "x" * 300)   # fits nowhere
+        fdir.room_list(block)
     with pytest.raises(CorruptFileSystem):
-        fdir.add_entry(block, 9, flayout.DT_FILE, "new")       # fits past the damage
+        fdir.add_entry(block, fdir.room_list(block), 9, flayout.DT_FILE,
+                       "x" * 300)                              # fits nowhere
+    with pytest.raises(CorruptFileSystem):
+        fdir.add_entry(block, fdir.room_list(block), 9, flayout.DT_FILE,
+                       "new")                                  # fits past the damage
     with pytest.raises(CorruptFileSystem):
         fdir.remove_entry(block, "third")                      # lives past the damage
     with pytest.raises(CorruptFileSystem):
@@ -586,7 +607,8 @@ def test_ffs_hostile_chain_is_corrupt_filesystem(case):
     assert bytes(block) == before, "an edit wrote before the walk had validated"
     # An entry in front of the damage is still found and removed: the
     # walk validates as far as it goes, like the lookup scan.
-    assert fdir.remove_entry(block, "first") == (1, flayout.dirent_size(5))
+    assert fdir.remove_entry(block, "first") == (
+        1, 0, flayout.dirent_size(5), flayout.dirent_size(5))
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_CFFS))
@@ -661,6 +683,39 @@ def test_cffs_short_live_record_is_corrupt_filesystem(case):
                           struct.pack("<Q", 9)) is not None
 
 
+#: name -> the records that tile an FFS block: (inum, reclen, namelen,
+#: name bytes).  Until the walk checked a live record's room, the first
+#: read back as one entry named ``abcd`` followed by the next header's
+#: bytes and zeros.
+SHORT_FFS = {
+    "name-past-the-record": [(5, 12, 40, b"abcd"), (0, BLOCK_SIZE - 12, 0, b"")],
+    "name-past-the-block-end": [(0, BLOCK_SIZE - 8, 0, b""), (5, 8, 1, b"")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_FFS))
+def test_ffs_short_live_record_is_corrupt_filesystem(case):
+    block = fdir.init_block()
+    offset = 0
+    for inum, reclen, namelen, raw in SHORT_FFS[case]:
+        _F_HEADER.pack_into(block, offset, inum, reclen, namelen, flayout.DT_FILE)
+        block[offset + _F_HSIZE:offset + _F_HSIZE + len(raw)] = raw
+        offset += reclen
+    assert offset == BLOCK_SIZE
+    before = bytes(block)
+    with pytest.raises(CorruptFileSystem):
+        fdir.scan_block(block, 0)
+    with pytest.raises(CorruptFileSystem):
+        fdir.live_entries(block)
+    with pytest.raises(CorruptFileSystem):
+        fdir.room_list(block)
+    with pytest.raises(CorruptFileSystem):
+        fdir.remove_entry(block, "abcd")
+    with pytest.raises(CorruptFileSystem):
+        fdir.remove_entry(block, "absent")
+    assert bytes(block) == before, "an edit wrote before the walk had validated"
+
+
 # -- stored names that are not UTF-8 ------------------------------------------
 
 
@@ -698,7 +753,8 @@ def test_ffs_free_space_is_counted_from_the_stored_namelen():
     # An 8-byte name needs the 16: both edit paths accept it.
     ref = bytearray(block)
     assert ref_f_add_entry(ref, 77, flayout.DT_FILE, "eightlen")
-    assert fdir.add_entry(block, 77, flayout.DT_FILE, "eightlen") == 0
+    assert fdir.add_entry(block, fdir.room_list(block), 77, flayout.DT_FILE,
+                          "eightlen") == 0
     assert block == ref
 
 
@@ -756,7 +812,7 @@ def test_removal_skips_a_free_record_that_kept_a_name():
     _F_HEADER.pack_into(block, 12, 5, 12, len(name), flayout.DT_FILE)  # live
     block[12 + _F_HSIZE:12 + _F_HSIZE + 3] = name
     _F_HEADER.pack_into(block, 24, 0, BLOCK_SIZE - 24, 0, 0)
-    assert fdir.remove_entry(block, "abc") == (5, 24)
+    assert fdir.remove_entry(block, "abc") == (5, 0, 24, 24)
     assert fdir.live_entries(bytes(block)) == []
 
     block = cdir.init_block()

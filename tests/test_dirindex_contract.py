@@ -8,7 +8,9 @@ import repro.ffs.filesystem as ffs_fs
 from repro.blockdev.device import BLOCK_SIZE
 from repro.core import directory as cdir
 from repro.core.filesystem import CFFS
+from repro.errors import CorruptFileSystem
 from repro.ffs import directory as fdir
+from repro.ffs import layout as fdir_layout
 from repro.ffs.base import BlockFileSystem
 from repro.ffs.filesystem import FFS
 from tests.conftest import assert_dir_index_matches_blocks, make_cffs, make_ffs
@@ -104,6 +106,9 @@ class _CountingHeader:
         self.decodes += 1
         return self._header.unpack_from(block, offset)
 
+    def pack_into(self, *args):
+        return self._header.pack_into(*args)
+
 
 def _records(codec, image) -> int:
     if codec is cdir:
@@ -139,6 +144,88 @@ def test_index_scan_decodes_each_header_once(fmt, monkeypatch):
     assert not fs.exists("/d/absent")
     assert calls == ["scan_block"] * 3
     assert header.decodes == records > 3 * 8
+
+
+def test_ffs_insert_decodes_one_header(monkeypatch):
+    """Once a block has its room list, an FFS insert into it decodes
+    exactly one record header (its target's) and calls nothing of the
+    codec but ``add_entry``; the list is built by one walk per block per
+    index lifetime."""
+    fs = make_ffs()
+    fs.mkdir("/d")
+    calls = []
+    monkeypatch.setattr(ffs_fs, "dirfmt", _Recording(fdir, calls))
+    created = 0
+    while fs._resolve("/d").size < 3 * BLOCK_SIZE:
+        fs.create("/d/" + _name(created))
+        created += 1
+    assert calls.count("room_list") == 3
+    _, index = _index(fs)
+    assert sorted(index.rooms) == [0, 1, 2]
+    header = _CountingHeader(fdir._DIRENT_HEADER)
+    monkeypatch.setattr(fdir, "_DIRENT_HEADER", header)
+    del calls[:]
+    fs.create("/d/" + _name(created))
+    assert calls == ["add_entry"]
+    assert header.decodes == 1
+    assert_dir_index_matches_blocks(fs)
+    # Removals keep the list; the next insert into that block walks nothing.
+    fs.unlink("/d/" + _name(0))
+    del calls[:]
+    header.decodes = 0
+    fs.create("/d/" + _name(created + 1))
+    assert index.names[_name(created + 1)][BLK] == 0
+    assert "room_list" not in calls and header.decodes == 1
+    assert_dir_index_matches_blocks(fs)
+
+
+def _skewed(rooms):
+    """Each way a room list can disagree with the block at its target."""
+    (offset, room), = rooms
+    return {
+        "room": [(offset, room + 4)],
+        "offset": [(offset + 4, room - 4)],
+        "before-a-live-record": [(0, room)],
+    }
+
+
+@pytest.mark.parametrize("case", ["room", "offset", "before-a-live-record"])
+def test_ffs_insert_against_a_skewed_room_list_is_corrupt(case):
+    block = fdir.init_block()
+    rooms = fdir.room_list(block)
+    for i in range(3):
+        fdir.add_entry(block, rooms, i + 1, fdir_layout.DT_FILE, "n%d" % i)
+    before = bytes(block)
+    skewed = _skewed(rooms)[case]
+    with pytest.raises(CorruptFileSystem):
+        fdir.add_entry(block, skewed, 9, fdir_layout.DT_FILE, "new")
+    assert bytes(block) == before
+
+    # Through the file system: the cached block is left as it was.
+    fs = make_ffs()
+    fs.mkdir("/d")
+    fs.create("/d/a")
+    dirh, index = _index(fs)
+    buf = fs.cache._logical[(fs._file_id(dirh), 0)]
+    before = bytes(buf.image)
+    index.rooms[0] = _skewed(index.rooms[0])[case]
+    with pytest.raises(CorruptFileSystem):
+        fs.create("/d/b")
+    assert bytes(buf.image) == before
+
+
+def test_ffs_insert_into_an_overrunning_record_is_corrupt():
+    """A target whose header agrees with its list entry but runs past
+    the block end is refused too, block untouched."""
+    block = fdir.init_block()
+    rooms = fdir.room_list(block)
+    fdir.add_entry(block, rooms, 1, fdir_layout.DT_FILE, "n0")
+    (offset, room), = rooms
+    fdir._DIRENT_HEADER.pack_into(block, offset, 0, room + 4, 0, 0)
+    before = bytes(block)
+    with pytest.raises(CorruptFileSystem):
+        fdir.add_entry(block, [(offset, room + 4)], 9, fdir_layout.DT_FILE, "new")
+    assert bytes(block) == before
 
 
 HOISTED = (

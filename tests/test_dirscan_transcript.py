@@ -71,22 +71,32 @@ def _recorder(codec, block, blk, steps):
 
 
 def ffs_steps(seed: int) -> list:
-    """``test_ffs_random_edits_match_reference``'s sequence, real codec only."""
+    """``test_ffs_random_edits_match_reference``'s sequence, real codec
+    only; the block's room list is built by the first insert and kept
+    from the edits' results, as ``FFS._dir_add_entry`` /
+    ``_dir_remove_entry`` keep it."""
     rng = random.Random(seed)
     block = fdir.init_block()
     live = {}
+    rooms = None
     inums = iter(range(1, 1 << 20))
     steps: list = []
     record = _recorder(fdir, block, seed, steps)
 
     def add(name):
+        nonlocal rooms
         inum = next(inums)
-        if fdir.add_entry(block, inum, flayout.DT_FILE, name) is not None:
+        if rooms is None:
+            rooms = fdir.room_list(block)
+        if fdir.add_entry(block, rooms, inum, flayout.DT_FILE, name) is not None:
             live[name] = inum
         record()
 
     def remove(name):
-        assert fdir.remove_entry(block, name)[0] == live.pop(name)
+        removed = fdir.remove_entry(block, name)
+        assert removed[0] == live.pop(name)
+        if rooms is not None:
+            fdir.merge_room(rooms, *removed[1:])
         record()
 
     record()

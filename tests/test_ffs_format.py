@@ -158,6 +158,15 @@ def block_free(block):
     return free
 
 
+def remove(block, rooms, name):
+    """``remove_entry``, with the block's room list kept as
+    ``FFS._dir_remove_entry`` keeps it."""
+    removed = dirfmt.remove_entry(block, name)
+    if removed is not None:
+        dirfmt.merge_room(rooms, *removed[1:])
+    return removed
+
+
 class TestDirentBlock:
     def test_fresh_block_is_empty(self):
         block = dirfmt.init_block()
@@ -165,13 +174,15 @@ class TestDirentBlock:
 
     def test_add_and_find(self):
         block = dirfmt.init_block()
-        assert dirfmt.add_entry(block, 5, layout.DT_FILE, "hello") is not None
+        rooms = dirfmt.room_list(block)
+        assert dirfmt.add_entry(block, rooms, 5, layout.DT_FILE, "hello") is not None
         assert dirfmt.live_entries(bytes(block)) == [("hello", 5, layout.DT_FILE)]
 
     def test_add_many_until_full(self):
         block = dirfmt.init_block()
+        rooms = dirfmt.room_list(block)
         added = 0
-        while dirfmt.add_entry(block, added + 1, layout.DT_FILE,
+        while dirfmt.add_entry(block, rooms, added + 1, layout.DT_FILE,
                                "name%05d" % added) is not None:
             added += 1
         # 16-byte records: a 4KB block holds 256.
@@ -180,35 +191,41 @@ class TestDirentBlock:
 
     def test_remove_returns_inum(self):
         block = dirfmt.init_block()
-        dirfmt.add_entry(block, 9, layout.DT_FILE, "gone")
-        assert dirfmt.remove_entry(block, "gone") == (9, layout.dirent_size(4))
+        rooms = dirfmt.room_list(block)
+        dirfmt.add_entry(block, rooms, 9, layout.DT_FILE, "gone")
+        assert remove(block, rooms, "gone") == (
+            9, 0, layout.dirent_size(4), layout.dirent_size(4))
         assert dirfmt.live_entries(bytes(block)) == []
 
     def test_remove_missing(self):
         block = dirfmt.init_block()
-        assert dirfmt.remove_entry(block, "nope") is None
+        rooms = dirfmt.room_list(block)
+        assert remove(block, rooms, "nope") is None
 
     def test_space_reclaimed_after_remove(self):
         block = dirfmt.init_block()
+        rooms = dirfmt.room_list(block)
         i = 0
-        while dirfmt.add_entry(block, i + 1, layout.DT_FILE, "n%06d" % i) is not None:
+        while dirfmt.add_entry(block, rooms, i + 1, layout.DT_FILE, "n%06d" % i) is not None:
             i += 1
-        dirfmt.remove_entry(block, "n000003")
-        assert dirfmt.add_entry(block, 999, layout.DT_FILE, "newone") is not None
+        remove(block, rooms, "n000003")
+        assert dirfmt.add_entry(block, rooms, 999, layout.DT_FILE, "newone") is not None
 
     def test_other_entries_untouched_by_remove(self):
         block = dirfmt.init_block()
+        rooms = dirfmt.room_list(block)
         for i in range(10):
-            dirfmt.add_entry(block, i + 1, layout.DT_FILE, "k%02d" % i)
-        dirfmt.remove_entry(block, "k04")
+            dirfmt.add_entry(block, rooms, i + 1, layout.DT_FILE, "k%02d" % i)
+        remove(block, rooms, "k04")
         live = dict((n, i) for n, i, _ in dirfmt.live_entries(bytes(block)))
         assert len(live) == 9
         assert live["k00"] == 1 and live["k09"] == 10
 
     def test_zero_inum_rejected(self):
         block = dirfmt.init_block()
+        rooms = dirfmt.room_list(block)
         with pytest.raises(InvalidArgument):
-            dirfmt.add_entry(block, 0, layout.DT_FILE, "x")
+            dirfmt.add_entry(block, rooms, 0, layout.DT_FILE, "x")
 
     def test_corrupt_reclen_detected(self):
         block = dirfmt.init_block()
@@ -219,9 +236,10 @@ class TestDirentBlock:
 
     def test_free_bytes_decreases_monotonically(self):
         block = dirfmt.init_block()
+        rooms = dirfmt.room_list(block)
         prev = block_free(block)
         for i in range(20):
-            dirfmt.add_entry(block, i + 1, layout.DT_FILE, "mono%03d" % i)
+            dirfmt.add_entry(block, rooms, i + 1, layout.DT_FILE, "mono%03d" % i)
             cur = block_free(block)
             assert cur <= prev
             prev = cur
@@ -232,28 +250,32 @@ class TestDirentBlock:
         """Entries added then individually removed leave no live entries,
         and the reclen chain always tiles the block exactly."""
         block = dirfmt.init_block()
+        rooms = dirfmt.room_list(block)
         inserted = []
         for i, name in enumerate(entry_names):
-            if dirfmt.add_entry(block, i + 1, layout.DT_FILE, name) is not None:
+            if dirfmt.add_entry(block, rooms, i + 1, layout.DT_FILE, name) is not None:
                 inserted.append(name)
         live = {n for n, _, _ in dirfmt.live_entries(bytes(block))}
         assert live == set(inserted)
         for name in inserted:
-            assert dirfmt.remove_entry(block, name) is not None
-            # Chain invariant holds after every mutation.
+            assert remove(block, rooms, name) is not None
+            # Chain invariant holds after every mutation, and the room
+            # list kept from the edits is what a fresh walk gives.
             dirfmt.scan_block(bytes(block), 0)
+            assert rooms == dirfmt.room_list(bytes(block))
         assert dirfmt.live_entries(bytes(block)) == []
 
     @given(st.lists(names, min_size=1, max_size=40, unique=True), st.data())
     @settings(max_examples=60, deadline=None)
     def test_interleaved_add_remove_property(self, entry_names, data):
         block = dirfmt.init_block()
+        rooms = dirfmt.room_list(block)
         live = {}
         for i, name in enumerate(entry_names):
             if live and data.draw(st.booleans(), label="remove?"):
                 victim = data.draw(st.sampled_from(sorted(live)), label="victim")
-                assert dirfmt.remove_entry(block, victim)[0] == live.pop(victim)
-            if dirfmt.add_entry(block, i + 1, layout.DT_FILE, name) is not None:
+                assert remove(block, rooms, victim)[0] == live.pop(victim)
+            if dirfmt.add_entry(block, rooms, i + 1, layout.DT_FILE, name) is not None:
                 live[name] = i + 1
         found = {n: i for n, i, _ in dirfmt.live_entries(bytes(block))}
         assert found == live
