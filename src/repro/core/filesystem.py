@@ -883,12 +883,13 @@ class CFFS(BlockFileSystem):
             self._dir_index.pop(node.fileid, None)
 
     def _stat_handle(self, handle: CNode) -> StatResult:
-        grouped = False
-        if handle.is_file and handle.direct[0]:
-            grouped = self._block_is_grouped(handle.direct[0])
         return super()._stat_handle(
-            handle, embedded=handle.loc[0] in (LOC_DIR, LOC_SUPER),
-            grouped=grouped)
+            handle, embedded=handle.loc[0] in (LOC_DIR, LOC_SUPER))
+
+    def _data_grouped(self, handle: CNode) -> bool:
+        if handle.is_file and handle.direct[0]:
+            return self._block_is_grouped(handle.direct[0])
+        return False
 
     def _pick_dir_cg(self) -> int:
         return max(range(self.sb["n_cgs"]),

@@ -229,11 +229,11 @@ class BlockFileSystem(FileSystem):
     def _kind_of(self, handle: Handle) -> FileKind:
         return FileKind.DIRECTORY if handle.is_dir else FileKind.FILE
 
-    def _stat_handle(self, handle: Handle, **format_flags: bool) -> StatResult:
+    def _stat_handle(self, handle: Handle, embedded: bool = False) -> StatResult:
         return StatResult(
             kind=self._kind_of(handle), size=handle.size, nlink=handle.nlink,
             nblocks=handle.nblocks, file_id=self._file_id(handle),
-            **format_flags)
+            embedded=embedded, grouped=self._data_grouped(handle))
 
     def free_blocks(self) -> int:
         return self.sb["free_blocks"]

@@ -13,6 +13,15 @@ read any block through the cache is never remembered, so every cache
 call, disk request and simulated-clock charge stays what the full walk
 would have made.  rmdir, rename and drop_caches forget the whole memo;
 nothing else replaces a directory's handle.
+
+The whole-file helpers (``write_file``, ``read_file``) and ``exists``
+take no descriptor and build no ``StatResult`` unless a tracer is
+installed: they resolve the file once, through the helper ``open``
+uses, and read or write that handle directly.  They charge the same
+syscalls and copy, and make the same cache calls in the same order, as
+the open / pread or pwrite / close (or stat) sequence they stand for;
+traced, they run that sequence, so its spans are exported unchanged.
+Untraced, they use no descriptor number.
 """
 
 from __future__ import annotations
@@ -128,10 +137,13 @@ class FileSystem(abc.ABC):
         """Open a regular file, optionally creating it; returns an fd."""
         if obs.enabled():
             with obs.span("vfs", "open", path=path, create=create):
-                return self._open(path, create)
-        return self._open(path, create)
+                return self.fds.allocate(
+                    OpenFile(self._open_handle(path, create), path))
+        return self.fds.allocate(OpenFile(self._open_handle(path, create), path))
 
-    def _open(self, path: str, create: bool) -> int:
+    def _open_handle(self, path: str, create: bool) -> Handle:
+        """What ``open`` resolves, its syscall charged: the regular file
+        ``path`` names, created first when ``create`` asks for it."""
         self.cpu.charge_syscall()
         dirh, name = self._parent(path)
         handle = self._lookup(dirh, name)
@@ -141,7 +153,7 @@ class FileSystem(abc.ABC):
             handle = self._create_file(dirh, name)
         if handle.is_dir:
             raise IsADirectory("cannot open a directory for file I/O: %r" % path)
-        return self.fds.allocate(OpenFile(handle, path))
+        return handle
 
     def close(self, fd: int) -> None:
         self.cpu.charge_syscall()
@@ -225,11 +237,19 @@ class FileSystem(abc.ABC):
         return self._stat_handle(self._resolve(path))
 
     def exists(self, path: str) -> bool:
+        """Whether ``path`` names anything: ``stat`` without its result."""
+        if obs.enabled():
+            try:
+                self.stat(path)
+                return True
+            except FileNotFound:
+                return False
+        self.cpu.charge_syscall()
         try:
-            self.stat(path)
-            return True
+            self._data_grouped(self._resolve(path))
         except FileNotFound:
             return False
+        return True
 
     def readdir(self, path: str) -> List[str]:
         """Names in a directory (no '.' / '..' entries)."""
@@ -240,27 +260,52 @@ class FileSystem(abc.ABC):
                 raise NotADirectory("%r is not a directory" % path)
             return self._readdir(handle)
 
-    # Whole-file helpers used heavily by workloads.
+    # Whole-file helpers used heavily by workloads; untraced, they take
+    # no descriptor (see the module docstring).
 
     def write_file(self, path: str, data: bytes) -> None:
         """Create or replace ``path`` with exactly ``data``."""
-        fd = self.open(path, create=True)
+        if obs.enabled():
+            fd = self.open(path, create=True)
+            try:
+                handle = self.fds.lookup(fd).handle
+                if data:
+                    self.pwrite(fd, 0, data)
+                if handle.size > len(data):
+                    self._truncate(handle, len(data))
+            finally:
+                self.close(fd)
+            return
+        handle = self._open_handle(path, True)
+        cpu = self.cpu
         try:
-            handle = self.fds.lookup(fd).handle
             if data:
-                self.pwrite(fd, 0, data)
+                cpu.charge_syscall()
+                cpu.charge_copy(self._write(handle, 0, data))
             if handle.size > len(data):
                 self._truncate(handle, len(data))
         finally:
-            self.close(fd)
+            cpu.charge_syscall()
 
     def read_file(self, path: str) -> bytes:
-        fd = self.open(path)
+        """The whole content of the regular file ``path``."""
+        if obs.enabled():
+            fd = self.open(path)
+            try:
+                size = self._stat_handle(self.fds.lookup(fd).handle).size
+                return self.pread(fd, 0, size)
+            finally:
+                self.close(fd)
+        handle = self._open_handle(path, False)
+        cpu = self.cpu
         try:
-            size = self._stat_handle(self.fds.lookup(fd).handle).size
-            return self.pread(fd, 0, size)
+            self._data_grouped(handle)
+            cpu.charge_syscall()
+            data = self._read(handle, 0, handle.size)
+            cpu.charge_copy(len(data))
+            return data
         finally:
-            self.close(fd)
+            cpu.charge_syscall()
 
     def sync(self) -> int:
         """Flush all dirty state to disk; returns disk requests issued."""
@@ -429,7 +474,16 @@ class FileSystem(abc.ABC):
     def _truncate(self, handle: Handle, size: int) -> None: ...
 
     @abc.abstractmethod
-    def _stat_handle(self, handle: Handle) -> StatResult: ...
+    def _stat_handle(self, handle: Handle) -> StatResult:
+        """``stat``'s result; calls :meth:`_data_grouped` once."""
+
+    def _data_grouped(self, handle: Handle) -> bool:
+        """Whether the file's data sits in an explicit group.  The
+        formats without groups answer False from memory; C-FFS reads
+        the group descriptor through the cache, and ``read_file`` and
+        ``exists`` call this for that read alone, so that they touch
+        the cache exactly as ``stat`` does."""
+        return False
 
     @abc.abstractmethod
     def _readdir(self, dirh: Handle) -> List[str]: ...

@@ -1,10 +1,18 @@
-"""Tests for path handling and descriptor bookkeeping."""
+"""Tests for path handling, descriptor bookkeeping and the whole-file
+helpers' contract."""
 
 import pytest
 
-from repro.errors import BadFileDescriptor, InvalidArgument, NameTooLong
+from repro import obs
+from repro.errors import (
+    BadFileDescriptor,
+    InvalidArgument,
+    IsADirectory,
+    NameTooLong,
+)
 from repro.vfs.fdtable import FdTable, OpenFile
 from repro.vfs.path import basename_of, split_path
+from tests import test_wholefile_transcript as wholefile
 from tests.conftest import make_cffs, make_ffs
 
 
@@ -140,3 +148,69 @@ class TestFdTable:
         table.allocate(OpenFile(None, "/x"))
         table.allocate(OpenFile(None, "/y"))
         assert len(table) == 2
+
+
+class TestWholeFileContract:
+    """Untraced, ``read_file`` / ``write_file`` / ``exists`` go straight
+    to the file system on one resolved handle: no descriptor, no
+    ``StatResult``.  Traced, the helpers keep the span sequence of the
+    open / pread / pwrite calls they stand for.  (What they charge and
+    touch is pinned by ``tests/test_wholefile_transcript.py``.)"""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        """Counting stand-ins for the descriptor record and the stat
+        result, where the file systems build them; returns the list of
+        the names of the objects built."""
+        from repro.ffs import base
+        from repro.vfs import interface
+        built = []
+
+        def stand_in(cls):
+            def make(*args, **kwargs):
+                built.append(cls.__name__)
+                return cls(*args, **kwargs)
+            return make
+
+        monkeypatch.setattr(interface, "OpenFile", stand_in(interface.OpenFile))
+        monkeypatch.setattr(base, "StatResult", stand_in(base.StatResult))
+        return built
+
+    @pytest.mark.parametrize("stack", sorted(wholefile.STACKS))
+    def test_untraced_builds_no_descriptor_and_no_stat(self, stack,
+                                                       monkeypatch):
+        fs = wholefile.STACKS[stack]()
+        fs.mkdir("/d")
+        built = self._counting(monkeypatch)
+        for n in (5000, 100, 0, 3 * 4096 + 1, 0):
+            fs.write_file("/d/f", b"x" * n)
+            assert fs.read_file("/d/f") == b"x" * n
+        assert fs.exists("/d/f") and not fs.exists("/d/g")
+        with pytest.raises(IsADirectory):
+            fs.read_file("/d")
+        assert built == []
+        assert len(fs.fds) == 0 and fs.fds.allocate(None) == 3
+        # The stand-ins do see what the descriptor calls build.
+        fs.stat("/d/f")
+        fs.close(fs.open("/d/f"))
+        assert built == ["StatResult", "OpenFile"]
+
+    @pytest.mark.parametrize("stack", sorted(wholefile.STACKS))
+    def test_traced_keeps_the_vfs_spans(self, stack):
+        fs = wholefile.STACKS[stack]()
+        fs.mkdir("/d")
+        tracer = obs.install(obs.Tracer(clock=fs.cache.device.clock))
+        try:
+            fs.write_file("/d/f", b"x" * 5000)
+            fs.write_file("/d/f", b"")
+            fs.write_file("/d/f", b"y" * 100)
+            assert fs.read_file("/d/f") == b"y" * 100
+            assert fs.exists("/d/f")
+        finally:
+            obs.uninstall()
+        vfs = sorted((sp.span_id, sp.op) for sp in tracer.spans
+                     if sp.layer == "vfs")
+        assert [op for _id, op in vfs] == [
+            "open", "pwrite", "open", "open", "pwrite", "open", "pread",
+            "stat"]
+        assert len(fs.fds) == 0
