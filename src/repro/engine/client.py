@@ -50,6 +50,7 @@ from repro.engine.eventloop import EventLoop
 from repro.errors import InvalidArgument
 from repro.faults.proxy import FaultyBlockDevice
 from repro.faults.schedule import FaultSchedule
+from repro.obs.metrics import Histogram
 from repro.vfs.interface import FileSystem
 
 #: One scripted client operation: a display label plus a callable that
@@ -265,9 +266,9 @@ class Replayer:
                      client.resume)
 
 
-#: Per-operation latency buckets (milliseconds) for the registry
-#: histogram each client feeds; spans the fully-cached to the heavily
-#: queued regime.
+#: Per-operation latency buckets (milliseconds) for each client's
+#: registry histogram; spans the fully-cached to the heavily queued
+#: regime.
 LATENCY_BUCKETS_MS = (0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0)
 
 
@@ -276,8 +277,11 @@ class ClientContext:
 
     Its accounting fields are summed from its records by
     :meth:`_run_ops` alone; the drive's registry reads them as
-    ``engine.<client>.<field>``, next to the client's
-    ``engine.<client>.latency_ms`` histogram.
+    ``engine.<client>.<field>``, and counts the client's
+    ``engine.<client>.latency_ms`` histogram from its records, in
+    record order, when a snapshot asks.  Like every registered name, a
+    client name registered again on the same drive reads the newer
+    client.
     """
 
     def __init__(self, engine: "Engine", cid: int, name: str) -> None:
@@ -291,10 +295,15 @@ class ClientContext:
         registry.register("engine." + name, self, (
             "cpu_seconds", "queue_delay", "reads", "writes", "retries",
             "io_errors"))
-        self._latency_ms = registry.histogram(
-            "engine.%s.latency_ms" % name, LATENCY_BUCKETS_MS)
+        registry.read("engine.%s.latency_ms" % name, self._latency_ms)
         self.finished_at: Optional[float] = None
         self.resume: Optional[Callable[[QueuedRequest], None]] = None
+
+    def _latency_ms(self) -> Dict[str, object]:
+        hist = Histogram("engine.%s.latency_ms" % self.name, LATENCY_BUCKETS_MS)
+        for record in self.records:
+            hist.observe((record.end - record.start) * 1e3)
+        return hist.value
 
     def latencies(self, phase: Optional[str] = None) -> List[float]:
         """Per-operation latencies, optionally restricted to one phase."""
@@ -308,7 +317,7 @@ class ClientContext:
         for label, fn in ops:
             record = OpRecord(phase, label, self.cid, clock.now)
             failed = yield from replay(engine, fn, record)
-            record.end = end = clock.now
+            record.end = clock.now
             self.cpu_seconds += record.cpu_seconds
             self.queue_delay += record.queue_delay
             self.reads += record.reads
@@ -317,7 +326,6 @@ class ClientContext:
             if failed is not None:
                 record.error = failed.error
                 self.io_errors += 1
-            self._latency_ms.observe((end - record.start) * 1e3)
             self.records.append(record)
 
 

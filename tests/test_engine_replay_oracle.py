@@ -29,9 +29,10 @@ from repro import obs
 from repro.blockdev.device import SECTORS_PER_BLOCK, BatchedIO
 from repro.clock import SimClock
 from repro.engine import Engine
-from repro.engine.client import OpRecord
+from repro.engine.client import LATENCY_BUCKETS_MS, OpRecord
 from repro.engine.diskqueue import SCHEDULERS
 from repro.errors import InvalidArgument
+from repro.obs.metrics import Histogram
 from tests.conftest import PinnedFaults, make_cffs
 
 SEEDS = (3, 1997)
@@ -287,6 +288,12 @@ def _run(scheduler: str, fault_kind: str, seed: int, reference: bool):
     engine = Engine(make_cffs(cache_blocks=48), scheduler=scheduler,
                     faults=_faults(fault_kind, seed))
     clients = [engine.add_client() for _ in setup]
+    if reference:
+        # The verbatim _run_ops observes every operation into a histogram
+        # of its own; the registry counts its own from the records.
+        for client in clients:
+            client._latency_ms = Histogram(
+                "engine.%s.latency_ms" % client.name, LATENCY_BUCKETS_MS)
 
     def prepare(f):
         for d, files in setup:
@@ -315,6 +322,9 @@ def _run(scheduler: str, fault_kind: str, seed: int, reference: bool):
         "now": engine.loop.now,
         "registry": engine.device.disk.registry.snapshot(),
         "image": engine.device.content_digest(),
+        "observed": {"engine.%s.latency_ms" % client.name:
+                     client._latency_ms.value for client in clients
+                     if reference},
     }
 
 
@@ -331,6 +341,12 @@ def test_replay_matches_reference(seed, scheduler, fault_kind):
     got = _run(scheduler, fault_kind, seed, reference=False)
     assert sum(len(r) for r in got["records"]) == 4 * 24 * 2
     assert got["stats"][0] > 0
+    # Each client's latency histogram, counted from its records when the
+    # snapshot asks, equals one fed by a per-operation observe.
+    observed = want.pop("observed")
+    assert len(observed) == 4 and not got.pop("observed")
+    for name, value in observed.items():
+        assert got["registry"][name] == value, name
     for key in want:
         assert got[key] == want[key], key
 
