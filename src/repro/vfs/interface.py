@@ -15,13 +15,13 @@ would have made.  rmdir, rename and drop_caches forget the whole memo;
 nothing else replaces a directory's handle.
 
 The whole-file helpers (``write_file``, ``read_file``) and ``exists``
-take no descriptor and build no ``StatResult`` unless a tracer is
-installed: they resolve the file once, through the helper ``open``
-uses, and read or write that handle directly.  They charge the same
-syscalls and copy, and make the same cache calls in the same order, as
-the open / pread or pwrite / close (or stat) sequence they stand for;
-traced, they run that sequence, so its spans are exported unchanged.
-Untraced, they use no descriptor number.
+take no descriptor and build no ``StatResult``: they resolve the file
+once, through the helper ``open`` uses, and read or write that handle
+through the bodies ``pread`` and ``pwrite`` share.  They charge the
+same syscalls and copy, and make the same cache calls in the same
+order, as the open / pread or pwrite / close (or stat) sequence they
+stand for, and open that sequence's ``vfs`` spans when traced.  Traced
+or not, they use no descriptor number.
 """
 
 from __future__ import annotations
@@ -135,11 +135,15 @@ class FileSystem(abc.ABC):
 
     def open(self, path: str, create: bool = False) -> int:
         """Open a regular file, optionally creating it; returns an fd."""
+        return self.fds.allocate(OpenFile(self._open_file(path, create), path))
+
+    def _open_file(self, path: str, create: bool) -> Handle:
+        """``_open_handle`` in the ``vfs open`` span when traced; ``open``
+        and the whole-file helpers share it."""
         if obs.enabled():
             with obs.span("vfs", "open", path=path, create=create):
-                return self.fds.allocate(
-                    OpenFile(self._open_handle(path, create), path))
-        return self.fds.allocate(OpenFile(self._open_handle(path, create), path))
+                return self._open_handle(path, create)
+        return self._open_handle(path, create)
 
     def _open_handle(self, path: str, create: bool) -> Handle:
         """What ``open`` resolves, its syscall charged: the regular file
@@ -199,8 +203,12 @@ class FileSystem(abc.ABC):
 
     def _pread_fd(self, fd: int, offset: int, size: int, sp) -> bytes:
         self.cpu.charge_syscall()
-        record = self.fds.lookup(fd)
-        data = self._read(record.handle, offset, size)
+        return self._pread_handle(self.fds.lookup(fd).handle, offset, size, sp)
+
+    def _pread_handle(self, handle: Handle, offset: int, size: int,
+                      sp) -> bytes:
+        """``pread`` on a resolved file, its syscall already charged."""
+        data = self._read(handle, offset, size)
         self.cpu.charge_copy(len(data))
         sp.incr("bytes", len(data))
         return data
@@ -214,8 +222,12 @@ class FileSystem(abc.ABC):
 
     def _pwrite_fd(self, fd: int, offset: int, data: bytes, sp) -> int:
         self.cpu.charge_syscall()
-        record = self.fds.lookup(fd)
-        written = self._write(record.handle, offset, data)
+        return self._pwrite_handle(self.fds.lookup(fd).handle, offset, data, sp)
+
+    def _pwrite_handle(self, handle: Handle, offset: int, data: bytes,
+                       sp) -> int:
+        """``pwrite`` on a resolved file, its syscall already charged."""
+        written = self._write(handle, offset, data)
         self.cpu.charge_copy(written)
         sp.incr("bytes", written)
         return written
@@ -238,15 +250,14 @@ class FileSystem(abc.ABC):
 
     def exists(self, path: str) -> bool:
         """Whether ``path`` names anything: ``stat`` without its result."""
-        if obs.enabled():
-            try:
-                self.stat(path)
-                return True
-            except FileNotFound:
-                return False
-        self.cpu.charge_syscall()
         try:
-            self._data_grouped(self._resolve(path))
+            if obs.enabled():
+                with obs.span("vfs", "stat", path=path):
+                    self.cpu.charge_syscall()
+                    self._data_grouped(self._resolve(path))
+            else:
+                self.cpu.charge_syscall()
+                self._data_grouped(self._resolve(path))
         except FileNotFound:
             return False
         return True
@@ -260,28 +271,24 @@ class FileSystem(abc.ABC):
                 raise NotADirectory("%r is not a directory" % path)
             return self._readdir(handle)
 
-    # Whole-file helpers used heavily by workloads; untraced, they take
-    # no descriptor (see the module docstring).
+    # Whole-file helpers used heavily by workloads; they take no
+    # descriptor (see the module docstring).  The last charge stands
+    # for the close.
 
     def write_file(self, path: str, data: bytes) -> None:
         """Create or replace ``path`` with exactly ``data``."""
-        if obs.enabled():
-            fd = self.open(path, create=True)
-            try:
-                handle = self.fds.lookup(fd).handle
-                if data:
-                    self.pwrite(fd, 0, data)
-                if handle.size > len(data):
-                    self._truncate(handle, len(data))
-            finally:
-                self.close(fd)
-            return
-        handle = self._open_handle(path, True)
+        handle = self._open_file(path, True)
         cpu = self.cpu
         try:
             if data:
-                cpu.charge_syscall()
-                cpu.charge_copy(self._write(handle, 0, data))
+                if obs.enabled():
+                    with obs.span("vfs", "pwrite", offset=0,
+                                  size=len(data)) as sp:
+                        cpu.charge_syscall()
+                        self._pwrite_handle(handle, 0, data, sp)
+                else:
+                    cpu.charge_syscall()
+                    self._pwrite_handle(handle, 0, data, obs.NULL_SPAN)
             if handle.size > len(data):
                 self._truncate(handle, len(data))
         finally:
@@ -289,21 +296,18 @@ class FileSystem(abc.ABC):
 
     def read_file(self, path: str) -> bytes:
         """The whole content of the regular file ``path``."""
-        if obs.enabled():
-            fd = self.open(path)
-            try:
-                size = self._stat_handle(self.fds.lookup(fd).handle).size
-                return self.pread(fd, 0, size)
-            finally:
-                self.close(fd)
-        handle = self._open_handle(path, False)
+        handle = self._open_file(path, False)
         cpu = self.cpu
         try:
+            # stat's cache touch, which sizing the read once made.
             self._data_grouped(handle)
+            size = handle.size
+            if obs.enabled():
+                with obs.span("vfs", "pread", offset=0, size=size) as sp:
+                    cpu.charge_syscall()
+                    return self._pread_handle(handle, 0, size, sp)
             cpu.charge_syscall()
-            data = self._read(handle, 0, handle.size)
-            cpu.charge_copy(len(data))
-            return data
+            return self._pread_handle(handle, 0, size, obs.NULL_SPAN)
         finally:
             cpu.charge_syscall()
 

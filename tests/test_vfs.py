@@ -151,8 +151,8 @@ class TestFdTable:
 
 
 class TestWholeFileContract:
-    """Untraced, ``read_file`` / ``write_file`` / ``exists`` go straight
-    to the file system on one resolved handle: no descriptor, no
+    """``read_file`` / ``write_file`` / ``exists`` go straight to the
+    file system on one resolved handle: no descriptor, no
     ``StatResult``.  Traced, the helpers keep the span sequence of the
     open / pread / pwrite calls they stand for.  (What they charge and
     touch is pinned by ``tests/test_wholefile_transcript.py``.)"""
@@ -181,6 +181,8 @@ class TestWholeFileContract:
                                                        monkeypatch):
         fs = wholefile.STACKS[stack]()
         fs.mkdir("/d")
+        first = fs.open("/d/f", create=True)
+        fs.close(first)
         built = self._counting(monkeypatch)
         for n in (5000, 100, 0, 3 * 4096 + 1, 0):
             fs.write_file("/d/f", b"x" * n)
@@ -188,17 +190,19 @@ class TestWholeFileContract:
         assert fs.exists("/d/f") and not fs.exists("/d/g")
         with pytest.raises(IsADirectory):
             fs.read_file("/d")
-        assert built == []
-        assert len(fs.fds) == 0 and fs.fds.allocate(None) == 3
-        # The stand-ins do see what the descriptor calls build.
+        assert built == [] and len(fs.fds) == 0
+        # The stand-ins do see what the descriptor calls build, and no
+        # descriptor number went to the whole-file calls.
         fs.stat("/d/f")
-        fs.close(fs.open("/d/f"))
-        assert built == ["StatResult", "OpenFile"]
+        fd = fs.open("/d/f")
+        fs.close(fd)
+        assert built == ["StatResult", "OpenFile"] and fd == first + 1
 
     @pytest.mark.parametrize("stack", sorted(wholefile.STACKS))
-    def test_traced_keeps_the_vfs_spans(self, stack):
+    def test_traced_keeps_the_vfs_spans(self, stack, monkeypatch):
         fs = wholefile.STACKS[stack]()
         fs.mkdir("/d")
+        built = self._counting(monkeypatch)
         tracer = obs.install(obs.Tracer(clock=fs.cache.device.clock))
         try:
             fs.write_file("/d/f", b"x" * 5000)
@@ -213,4 +217,4 @@ class TestWholeFileContract:
         assert [op for _id, op in vfs] == [
             "open", "pwrite", "open", "open", "pwrite", "open", "pread",
             "stat"]
-        assert len(fs.fds) == 0
+        assert built == [] and len(fs.fds) == 0

@@ -1,8 +1,9 @@
 """Whole-file calls pinned as a transcript, step by step, per stack.
 
-``write_file``, ``read_file`` and ``unlink`` are every operation of the
-benchmark workloads; ``stat``, ``exists`` and an explicit
-``open`` / ``pread`` / ``close`` run next to them.  A seeded script
+``write_file`` and ``read_file`` carry most operations of the benchmark
+workloads (all of ``webserve-resilient``'s, half of ``postmark-journal``'s);
+``stat``, ``exists`` and an explicit ``open`` / ``pread`` / ``close`` run
+next to them.  A seeded script
 (creates, rewrites longer and shorter, an empty rewrite over data, a
 file that reaches an indirect block, the refusals: a missing name, a
 directory, ``/``, a path through a file, and on the resilient stack a
