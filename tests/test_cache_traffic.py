@@ -13,8 +13,18 @@ evictions interleave with the operations.  The test records
 
 and compares one digest per stack with ``tests/golden/cache_traffic.json``.
 A change to how the file systems find, add or remove a name must leave
-all of it unchanged.  One more run per configuration under a tracer pins
-the span export.  Regenerate with::
+all of it unchanged.
+
+The same run also records the cache's *effects* after every operation,
+independent of which entry points made them: the outcome, the hit,
+miss and eviction counts, the drive's request count, the clock as
+``float.hex`` and the LRU order with each buffer's logical id and dirty
+flag.  Their digest is pinned per stack under ``<stack>/<policy>/effects``:
+a change to how the cache is called (a batch in place of single calls)
+moves the call digest but must leave the effects unchanged.
+
+One more run per configuration under a tracer pins the span export.
+Regenerate with::
 
     REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_cache_traffic.py
 
@@ -24,6 +34,7 @@ only from code whose behaviour is the accepted baseline.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
@@ -296,17 +307,32 @@ def _sha(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
-def run_stack(stack: str, policy: str) -> dict:
+def _effects(fs, outcome) -> list:
+    """What the cache and the drive show after one operation."""
+    cache = fs.cache
+    return [outcome, cache.hits, cache.misses, cache.evictions,
+            cache.device.disk.stats.total_requests,
+            cache.device.clock.now.hex(),
+            [[bno, buf.logical, buf.dirty] for bno, buf in cache._phys.items()]]
+
+
+@functools.lru_cache(maxsize=None)
+def run_stack(stack: str, policy: str) -> tuple:
+    """(call record, effect digest) of the script on one stack."""
     calls = []
     outcomes = []
+    effects = []
     with recording(calls):
         fs = STACKS[stack](POLICIES[policy])
         clock = fs.cache.device.clock
         for label, fn in script(1997):
-            outcomes.append([label, _outcome(fn, fs), repr(clock.now)])
+            outcome = _outcome(fn, fs)
+            outcomes.append([label, outcome, repr(clock.now)])
+            effects.append(_effects(fs, outcome))
     image = fs.cache.device.content_digest()
-    return {"cache_calls": len(calls),
-            "digest": _sha(json.dumps([calls, outcomes, image]))}
+    return ({"cache_calls": len(calls),
+             "digest": _sha(json.dumps([calls, outcomes, image]))},
+            _sha(json.dumps(effects)))
 
 
 def traced_spans(stack: str) -> str:
@@ -322,8 +348,11 @@ def traced_spans(stack: str) -> str:
 
 
 def capture() -> dict:
-    out = {"%s/%s" % (stack, policy): run_stack(stack, policy)
-           for stack in STACKS for policy in POLICIES}
+    out = {}
+    for stack in STACKS:
+        for policy in POLICIES:
+            key = "%s/%s" % (stack, policy)
+            out[key], out[key + "/effects"] = run_stack(stack, policy)
     out.update(("%s/spans" % stack, traced_spans(stack)) for stack in STACKS)
     return out
 
@@ -336,7 +365,7 @@ def _load() -> dict:
 def test_regen_golden(capsys):
     """Regeneration entry point (no-op unless REPRO_REGEN_GOLDENS=1).
     Prints each stack's old -> new ``cache_calls``, so a moved golden
-    reports its size."""
+    reports its size, and each stack whose effect digest moved."""
     if not REGEN:
         pytest.skip("set REPRO_REGEN_GOLDENS=1 to regenerate")
     old = _load() if os.path.exists(GOLDEN_PATH) else {}
@@ -353,6 +382,9 @@ def test_regen_golden(capsys):
                     key, before.get("cache_calls", "-"), new[key]["cache_calls"],
                     "" if before.get("digest") == new[key]["digest"]
                     else "  (digest moved)"))
+            elif key.endswith("/effects") and old.get(key) != new[key]:
+                print("%-20s effects %s" % (key[:-len("/effects")],
+                                            "moved" if key in old else "added"))
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -360,7 +392,15 @@ def test_regen_golden(capsys):
 def test_cache_traffic_and_outcomes(stack, policy):
     if REGEN:
         pytest.skip("regenerating")
-    assert run_stack(stack, policy) == _load()["%s/%s" % (stack, policy)]
+    assert run_stack(stack, policy)[0] == _load()["%s/%s" % (stack, policy)]
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_cache_effects(stack, policy):
+    if REGEN:
+        pytest.skip("regenerating")
+    assert run_stack(stack, policy)[1] == _load()["%s/%s/effects" % (stack, policy)]
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
