@@ -27,7 +27,7 @@ class Buffer:
 
     def __init__(self, bno: int, image: bytes, logical: Optional[LogicalId] = None) -> None:
         self.bno = bno
-        self.replace(image)
+        self.image = block_image(image)
         self.dirty = False
         self.logical = logical
 

@@ -136,32 +136,48 @@ class BufferCache:
 
     # -- installs and writes -----------------------------------------------------
 
-    def install(self, bno: int, data: bytes, logical: Optional[LogicalId] = None) -> Buffer:
-        """Insert block data obtained outside the per-block read path
-        (group reads); no disk access, existing buffer is reused.
+    def install(self, blocks: Iterable[Tuple[int, bytes, Optional[LogicalId]]]) -> None:
+        """Place ``(bno, image, logical)`` blocks obtained outside the
+        per-block read path (group reads), in order; no disk access.
 
-        An existing *dirty* buffer keeps its data — the cached copy is
+        Each block is placed as if installed alone: its image is checked
+        before room is made for it, an existing buffer is reused, and an
+        existing *dirty* buffer keeps its data — the cached copy is
         newer than what the group read returned from the media path.
+        A bad image raises with the earlier blocks already placed.
         """
-        return self._place(bno, data, logical, over_dirty=False)
+        phys = self._phys
+        for bno, image, logical in blocks:
+            buf = phys.get(bno)
+            if buf is None:
+                buf = Buffer(bno, image, logical)
+                if len(phys) >= self.capacity:
+                    self._make_room()
+                phys[bno] = buf
+                if logical is not None:
+                    self._logical[logical] = buf
+                continue
+            phys.move_to_end(bno)
+            if not buf.dirty:
+                buf.replace(image)
+            if logical is not None and buf.logical != logical:
+                self._set_logical(buf, logical)
 
     def create(self, bno: int, logical: Optional[LogicalId] = None,
                image: bytes = ZERO_BLOCK) -> Buffer:
         """A buffer holding ``image`` — zeros unless given — for a block
         whose old contents no longer matter: freshly allocated, or about
-        to be written wholesale (no read)."""
-        return self._place(bno, image, logical, over_dirty=True)
+        to be written wholesale (no read).  A dirty buffer is overwritten."""
+        return self._place(bno, image, logical)
 
-    def _place(self, bno: int, image: bytes, logical: Optional[LogicalId],
-               over_dirty: bool) -> Buffer:
+    def _place(self, bno: int, image: bytes, logical: Optional[LogicalId]) -> Buffer:
         buf = self._phys.get(bno)
         if buf is None:
             buf = Buffer(bno, image, logical)
             self._insert(buf)
         else:
             self._phys.move_to_end(bno)
-            if over_dirty or not buf.dirty:
-                buf.replace(image)
+            buf.replace(image)
         if logical is not None and buf.logical != logical:
             self._set_logical(buf, logical)
         return buf
@@ -174,7 +190,7 @@ class BufferCache:
         earlier blocks of it exactly as separate calls would."""
         dirty = self._dirty
         for bno, image in blocks:
-            self._place(bno, image, None, over_dirty=True).dirty = True
+            self._place(bno, image, None).dirty = True
             dirty.add(bno)
 
     def mark_dirty(self, bno: int) -> None:
@@ -315,11 +331,26 @@ class BufferCache:
     # -- internals --------------------------------------------------------------
 
     def _insert(self, buf: Buffer) -> None:
-        while len(self._phys) >= self.capacity:
-            self._evict_one()
+        self._make_room()
         self._phys[buf.bno] = buf
         if buf.logical is not None:
             self._logical[buf.logical] = buf
+
+    def _make_room(self) -> None:
+        """Evict until one more buffer fits.  A clean LRU head is the
+        victim :meth:`_pick_victim` would choose, pipeline or not, so it
+        is dropped here in place; a dirty head goes through
+        :meth:`_evict_one` (victim choice, write-back companions)."""
+        phys = self._phys
+        while len(phys) >= self.capacity:
+            victim = next(iter(phys.values()))
+            if victim.dirty:
+                self._evict_one()
+                continue
+            del phys[victim.bno]
+            if victim.logical is not None:
+                self._logical.pop(victim.logical, None)
+            self.evictions += 1
 
     def _set_logical(self, buf: Buffer, logical: LogicalId) -> None:
         if buf.logical is not None:

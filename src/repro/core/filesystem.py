@@ -535,6 +535,7 @@ class CFFS(BlockFileSystem):
         singles: List[Tuple[int, int]] = []
         fetched_extents = set()
         slot_record = layout.GDESC_SLOT.unpack_from
+        slot_offset = layout.GDESC_SLOT_OFFSET
         for idx, bno in pairs:
             if self.cache.peek(bno) is not None:
                 continue
@@ -550,29 +551,33 @@ class CFFS(BlockFileSystem):
                 continue
             start, count, mask, image, off = span
             # The paper's key mechanism: a grouped extent is fetched as
-            # one large request for bandwidth, then installed block-by-
-            # block into the cache (which remains the source of truth).
+            # one large request for bandwidth, then installed into the
+            # cache (which remains the source of truth) in one batch.
             if obs.enabled():
                 with obs.span("fs", "group_fetch", extent=ext, blocks=count):
                     data = self.cache.device.read_extent(start, count)  # reprolint: disable=L001 -- grouped extent fetch is the one sanctioned boundary read below the cache
             else:
                 data = self.cache.device.read_extent(start, count)  # reprolint: disable=L001 -- grouped extent fetch is the one sanctioned boundary read below the cache
             base = self.groups.extent_base(ext)
-            # Choose the slots before the first install: an install can
+            # Choose the slots before the install: placing a block can
             # evict a dirty sibling of this extent (written back
             # correctly), and re-installing that sibling from ``data`` —
             # read before the write-back — would serve its old bytes.
             # A slot that is dirty now is newer than ``data``; skip it.
+            # ``live_span`` covers every valid slot, so the walk visits
+            # the set bits of the mask only.
             installs = []
-            for slot in range(self.config.group_span):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                slot = low.bit_length() - 1
                 block = base + slot
-                if mask & (1 << slot) and start <= block < start + count:
-                    cached = self.cache.peek(block)
-                    if cached is None or not cached.dirty:
-                        installs.append((block, slot_record(
-                            image, off + layout.gdesc_slot_offset(slot))))
-            for block, logical in installs:
-                self.cache.install(block, data[block - start], logical=logical)
+                cached = self.cache.peek(block)
+                if cached is None or not cached.dirty:
+                    installs.append((block, data[block - start], slot_record(
+                        image, off + slot_offset[slot])))
+            if installs:
+                self.cache.install(installs)
             fetched_extents.add(ext)
         if singles:
             super()._fetch_data_blocks(handle, singles)

@@ -37,10 +37,10 @@ from repro.core.layout import (
     GDESC_PER_BLOCK,
     GDESC_SIZE,
     GDESC_SLOT,
+    GDESC_SLOT_OFFSET,
     GDESC_STATE_OFFSET,
     GDESC_U16,
     GROUP_SPAN,
-    gdesc_slot_offset,
     pack_gdesc,
 )
 from repro.errors import CorruptFileSystem
@@ -191,7 +191,7 @@ class GroupTable:
         mask |= lowest
         data = buf.data
         GDESC_U16.pack_into(data, off + GDESC_MASK_OFFSET, mask)
-        GDESC_SLOT.pack_into(data, off + gdesc_slot_offset(slot), fileid, fblock)
+        GDESC_SLOT.pack_into(data, off + GDESC_SLOT_OFFSET[slot], fileid, fblock)
         self.cache.mark_dirty(bno)
         if mask == self._full_mask and self._active.get(owner) == ext:
             del self._active[owner]
@@ -210,7 +210,7 @@ class GroupTable:
             raise CorruptFileSystem("double free of group slot %d" % slot)
         mask &= ~(1 << slot)
         data = buf.data
-        GDESC_SLOT.pack_into(data, off + gdesc_slot_offset(slot), 0, 0)
+        GDESC_SLOT.pack_into(data, off + GDESC_SLOT_OFFSET[slot], 0, 0)
         if mask == 0:
             GDESC_HEAD.pack_into(data, off, EXT_FREE, 0, 0)
             self.cache.mark_dirty(dbno)
@@ -233,7 +233,7 @@ class GroupTable:
         covering every valid slot of a group, and the cached image and
         offset its descriptor sits at, for reading a slot's (fileid,
         file block) record with ``GDESC_SLOT`` at
-        ``offset + gdesc_slot_offset(slot)``.  None when the extent is
+        ``offset + GDESC_SLOT_OFFSET[slot]``.  None when the extent is
         no group or has no valid slot."""
         bno, off = self._desc_location(ext)
         image = self.cache.get(bno).image

@@ -73,17 +73,14 @@ assert _GDESC_STRUCT.size <= GDESC_SIZE
 # descriptor in place in its cached block: the head without its pad
 # (state, valid_mask, owner) at offset 0, either 16-bit head field alone
 # (state at GDESC_STATE_OFFSET, mask at GDESC_MASK_OFFSET), and one slot
-# record at gdesc_slot_offset(slot).
+# record at GDESC_SLOT_OFFSET[slot].
 GDESC_HEAD = struct.Struct("<HHQ")
 GDESC_U16 = struct.Struct("<H")
 GDESC_STATE_OFFSET = 0
 GDESC_MASK_OFFSET = 2
 GDESC_SLOT = struct.Struct(_GDESC_SLOT_FMT)
-
-
-def gdesc_slot_offset(slot: int) -> int:
-    return _GDESC_HEAD_SIZE + slot * _GDESC_SLOT_SIZE
-
+GDESC_SLOT_OFFSET = tuple(_GDESC_HEAD_SIZE + slot * _GDESC_SLOT_SIZE
+                          for slot in range(GROUP_SPAN))
 
 # Tie the pieces to the whole: a descriptor packed in one go must read
 # back piece by piece.
@@ -92,7 +89,7 @@ assert GDESC_HEAD.unpack_from(_probe, 0) == (1, 2, 3)
 assert GDESC_U16.unpack_from(_probe, GDESC_STATE_OFFSET) == (1,)
 assert GDESC_U16.unpack_from(_probe, GDESC_MASK_OFFSET) == (2,)
 assert all(
-    GDESC_SLOT.unpack_from(_probe, gdesc_slot_offset(s)) == (4 + 2 * s, 5 + 2 * s)
+    GDESC_SLOT.unpack_from(_probe, GDESC_SLOT_OFFSET[s]) == (4 + 2 * s, 5 + 2 * s)
     for s in range(GROUP_SPAN)
 )
 del _probe

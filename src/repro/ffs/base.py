@@ -366,8 +366,7 @@ class BlockFileSystem(FileSystem):
         # path exists to avoid.  The blocks are installed in the cache
         # immediately below, so the cache stays authoritative.
         data = self.cache.device.read_batch([bno for _, bno in missing])  # reprolint: disable=L001 -- clustered prefetch is a sanctioned boundary read; blocks install into the cache immediately below
-        for idx, bno in missing:
-            self.cache.install(bno, data[bno], logical=(fid, idx))
+        self.cache.install([(bno, data[bno], (fid, idx)) for idx, bno in missing])
 
     def _flush_companions(self, victim_bno: int) -> List[int]:
         """The cache's gather hook: cluster contiguous dirty blocks of

@@ -315,6 +315,8 @@ class ResilientBlockDevice(BatchedIO):
                   ) -> List[Tuple[int, int, int]]:
         """Split a logical run into physically-contiguous segments:
         ``(logical_start, physical_start, length)`` triples."""
+        if not self.header.remap:
+            return [(start, start, count)]
         segs: List[Tuple[int, int, int]] = []
         run_l, run_p, n = start, self.header.phys(start), 1
         for logical in range(start + 1, start + count):

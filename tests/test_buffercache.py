@@ -49,7 +49,7 @@ class TestLookups:
     def test_install_without_read(self):
         cache = make_cache()
         before = cache.device.disk.stats.reads
-        cache.install(9, b"x" * BLOCK_SIZE, logical=(1, 0))
+        cache.install([(9, b"x" * BLOCK_SIZE, (1, 0))])
         assert cache.device.disk.stats.reads == before
         assert bytes(cache.get(9).data) == b"x" * BLOCK_SIZE
 
@@ -59,13 +59,13 @@ class TestLookups:
         buf = cache.create(9)
         buf.data[:4] = b"NEW!"
         cache.mark_dirty(9)
-        cache.install(9, b"old " * 1024)
+        cache.install([(9, b"old " * 1024, None)])
         assert bytes(cache.get(9).data[:4]) == b"NEW!"
 
     def test_install_overwrites_clean_data(self):
         cache = make_cache()
         cache.get(9)
-        cache.install(9, b"y" * BLOCK_SIZE)
+        cache.install([(9, b"y" * BLOCK_SIZE, None)])
         assert bytes(cache.get(9).data) == b"y" * BLOCK_SIZE
 
     def test_install_checks_length_fresh_and_over_a_cached_buffer(self):
@@ -73,13 +73,103 @@ class TestLookups:
         some later write-out of the block."""
         cache = make_cache()
         with pytest.raises(ValueError):
-            cache.install(4, b"short")
+            cache.install([(4, b"short", None)])
         assert cache.peek(4) is None
         cache.get(5)
         with pytest.raises(ValueError):
-            cache.install(5, b"short")
+            cache.install([(5, b"short", None)])
         assert len(cache.get(5).data) == BLOCK_SIZE
         cache.sync()
+
+
+class _NotReady:
+    """Write pipeline that writes every block as it is and refuses to
+    let the blocks in ``held`` be evicted."""
+
+    def __init__(self, held):
+        self.held = held
+        self.prepared = []
+
+    def prepare(self, bno, data):
+        self.prepared.append(bno)
+        return (data, True)
+
+    def committed(self, bnos):
+        pass
+
+    def ready(self, bno):
+        return bno not in self.held
+
+    def pre_flush(self):
+        pass
+
+    def post_flush(self):
+        pass
+
+    def forgotten(self, bno):
+        pass
+
+
+def _batch_scenario(one_at_a_time: bool):
+    """An 8-block cache with dirty victims (one the pipeline will not
+    let go, three gathered as companions), a dirty and a clean block
+    that the batch also names, then a ten-block install."""
+    cache = make_cache(8)
+    pipeline = cache.write_pipeline = _NotReady(held={0})
+    cache.flush_companions = lambda victim: [1, 2, 3] if victim == 1 else [victim]
+    for bno in range(5):
+        cache.create(bno, logical=(7, bno)).data[:1] = b"D"
+        cache.mark_dirty(bno)
+    cache.get(40)
+    cache.get(41, logical=(8, 0))
+    cache.create(42).data[:1] = b"K"
+    cache.mark_dirty(42)
+    batch = [(bno, bytes([bno]) * BLOCK_SIZE, (9, bno) if bno % 3 else None)
+             for bno in (50, 41, 51, 42, 52, 53, 54, 55, 56, 57)]
+    if one_at_a_time:
+        for item in batch:
+            cache.install([item])
+    else:
+        cache.install(batch)
+    disk = cache.device.disk.stats
+    return {
+        "lru": [(bno, buf.logical, buf.dirty, bytes(buf.image))
+                for bno, buf in cache._phys.items()],
+        "logical": sorted((key, buf.bno) for key, buf in cache._logical.items()),
+        "evictions": cache.evictions,
+        "prepared": pipeline.prepared,
+        "writes": (disk.writes, disk.sectors_written),
+        "clock": cache.device.clock.now.hex(),
+        "device": [cache.device.peek_block(bno) for bno in range(5)],
+    }
+
+
+class TestInstallBatch:
+    def test_batch_places_evicts_and_writes_as_single_installs(self):
+        batched = _batch_scenario(one_at_a_time=False)
+        assert batched == _batch_scenario(one_at_a_time=True)
+        # The scenario reaches what it is for: dirty victims written
+        # back with their companions, the held block kept, the dirty
+        # block in the batch keeping its data.
+        assert batched["evictions"] >= 8
+        assert batched["prepared"][:3] == [1, 2, 3]
+        lru = {bno: (dirty, image[:1]) for bno, _l, dirty, image in batched["lru"]}
+        assert lru[0] == (True, b"D")
+        assert lru[42] == (True, b"K")
+
+    def test_short_image_mid_batch_raises_before_making_room(self):
+        cache = make_cache(8)
+        for bno in range(8):
+            cache.get(bno)
+        good = b"g" * BLOCK_SIZE
+        with pytest.raises(ValueError):
+            cache.install([(20, good, (1, 0)), (21, b"short", (1, 1)),
+                           (22, good, (1, 2))])
+        assert cache.peek(20).image is good
+        assert cache.get_logical((1, 0)).bno == 20
+        assert cache.peek(21) is None and cache.peek(22) is None
+        assert cache.evictions == 1
+        assert len(cache._phys) == 8
 
 
 class TestWrites:
@@ -246,10 +336,12 @@ class TestImageOwnership:
         image = b"i" * BLOCK_SIZE
         cache.device.poke_block(3, image)
         assert cache.get(3).image is image
-        assert cache.install(4, image).image is image
+        cache.install([(4, image, None)])
+        assert cache.peek(4).image is image
         # A mutable payload is snapshotted, never aliased.
         scratch = bytearray(image)
-        buf = cache.install(6, scratch)
+        cache.install([(6, scratch, None)])
+        buf = cache.peek(6)
         scratch[0] = 0
         assert buf.image == image
 

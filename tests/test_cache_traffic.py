@@ -76,11 +76,12 @@ POLICIES = {
 #: The BufferCache entry points, each recorded as (method, block,
 #: logical id): the position of the block argument (None: the method
 #: takes none) and of the logical id (None: it takes none).  The block
-#: argument of ``flush_blocks`` is recorded as a list, and that of
-#: ``create_dirty`` as the list of its block numbers.
+#: argument of ``flush_blocks`` is recorded as a list, that of
+#: ``create_dirty`` as the list of its block numbers and that of
+#: ``install`` as the list of its (block number, logical id) pairs.
 _RECORDED = {
     "get": (0, 1), "peek": (0, None), "get_logical": (None, 0),
-    "install": (0, 2), "create": (0, 1), "create_dirty": (0, None),
+    "install": (0, None), "create": (0, 1), "create_dirty": (0, None),
     "mark_dirty": (0, None),
     "write_sync": (0, None), "flush": (None, None),
     "flush_blocks": (0, None), "sync": (None, None),
@@ -103,6 +104,9 @@ def recording(calls):
             block = args[block_at] if block_at is not None else None
             if name == "create_dirty":
                 block = [bno for bno, _image in block]
+            elif name == "install":
+                args = (list(args[0]),)
+                block = [(bno, logical) for bno, _image, logical in args[0]]
             logical = kwargs.get("logical")
             if logical_at is not None and len(args) > logical_at:
                 logical = args[logical_at]

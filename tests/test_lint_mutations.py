@@ -23,8 +23,8 @@ ROWS = [
     # A file system reading a block from the device behind the cache.
     ("L001", "src/repro/ffs/base.py",
      "            self.cache.get(bno, logical=(fid, idx))\n",
-     "            self.cache.install(bno, self.cache.device.read_block(bno),\n"
-     "                               logical=(fid, idx))\n"),
+     "            self.cache.install(\n"
+     "                [(bno, self.cache.device.read_block(bno), (fid, idx))])\n"),
     # A replayed trace's payload seeded from the salted builtin hash.
     ("D001", "src/repro/workloads/trace.py",
      "    seed = (zlib.crc32(b\"%s@%d\" % (path.encode(\"utf-8\"), offset))"
@@ -42,8 +42,8 @@ ROWS = [
     # A freed group slot cleared through the imported slot codec with
     # one value for its two fields.
     ("F001", "src/repro/core/groups.py",
-     "        GDESC_SLOT.pack_into(data, off + gdesc_slot_offset(slot), 0, 0)\n",
-     "        GDESC_SLOT.pack_into(data, off + gdesc_slot_offset(slot), 0)\n"),
+     "        GDESC_SLOT.pack_into(data, off + GDESC_SLOT_OFFSET[slot], 0, 0)\n",
+     "        GDESC_SLOT.pack_into(data, off + GDESC_SLOT_OFFSET[slot], 0)\n"),
     # A waiver that no longer says why.
     ("S001", "src/repro/ffs/base.py",
      "# reprolint: disable=L001 -- clustered prefetch is a sanctioned "

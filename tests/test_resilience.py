@@ -11,6 +11,8 @@ sidecar and remap table.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blockdev.device import BLOCK_SIZE, BlockDevice
 from repro.disk.geometry import SECTOR_SIZE
@@ -322,6 +324,41 @@ class TestResilientDevice:
         assert dev.header.remap == {50: 0}
         out = dev.read_batch([49, 50, 51])
         assert out == {49: block(1), 50: block(2), 51: block(3)}
+
+
+def _segments_by_walk(header, start, count):
+    """The per-block walk ``_segments`` replaces when nothing is
+    remapped: ``header.phys`` of every block, runs cut where the
+    physical address stops being the next one."""
+    segs = []
+    run_l, run_p, n = start, header.phys(start), 1
+    for logical in range(start + 1, start + count):
+        phys = header.phys(logical)
+        if phys == run_p + n:
+            n += 1
+        else:
+            segs.append((run_l, run_p, n))
+            run_l, run_p, n = logical, phys, 1
+    segs.append((run_l, run_p, n))
+    return segs
+
+
+_SEGMENTS_DEVICE = resilient(n_spares=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(remap=st.dictionaries(st.integers(0, 47), st.integers(0, 7), max_size=12),
+       start=st.integers(0, 40), count=st.integers(1, 24))
+def test_segments_equal_the_per_block_walk(remap, start, count):
+    """Consecutive logical blocks remapped to consecutive spares
+    coalesce; the empty table is one run with no lookups."""
+    dev = _SEGMENTS_DEVICE
+    dev.header.remap = remap
+    try:
+        assert dev._segments(start, count) == _segments_by_walk(
+            dev.header, start, count)
+    finally:
+        dev.header.remap = {}
 
 
 # -- scrubbing ----------------------------------------------------------------
