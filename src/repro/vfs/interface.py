@@ -249,7 +249,8 @@ class FileSystem(abc.ABC):
         return self._stat_handle(self._resolve(path))
 
     def exists(self, path: str) -> bool:
-        """Whether ``path`` names anything: ``stat`` without its result."""
+        """Whether ``path`` names anything: ``stat`` without its result.
+        A path through a regular file names nothing."""
         try:
             if obs.enabled():
                 with obs.span("vfs", "stat", path=path):
@@ -258,7 +259,7 @@ class FileSystem(abc.ABC):
             else:
                 self.cpu.charge_syscall()
                 self._data_grouped(self._resolve(path))
-        except FileNotFound:
+        except (FileNotFound, NotADirectory):
             return False
         return True
 

@@ -33,7 +33,7 @@ ROWS = [
     # A bare except that would turn a PowerLoss during the stat into a
     # missing file.
     ("E001", "src/repro/vfs/interface.py",
-     "        except FileNotFound:\n            return False\n",
+     "        except (FileNotFound, NotADirectory):\n            return False\n",
      "        except:  # noqa: E722\n            return False\n"),
     # A dirent header packed in host byte order.
     ("F001", "src/repro/ffs/layout.py",

@@ -9,6 +9,7 @@ from repro.errors import (
     InvalidArgument,
     IsADirectory,
     NameTooLong,
+    NotADirectory,
 )
 from repro.vfs.fdtable import FdTable, OpenFile
 from repro.vfs.path import basename_of, split_path
@@ -197,6 +198,21 @@ class TestWholeFileContract:
         fd = fs.open("/d/f")
         fs.close(fd)
         assert built == ["StatResult", "OpenFile"] and fd == first + 1
+
+    @pytest.mark.parametrize("stack", sorted(wholefile.STACKS))
+    def test_exists_is_false_through_a_regular_file(self, stack):
+        """A boolean answer, traced or not; ``stat`` still says why."""
+        fs = wholefile.STACKS[stack]()
+        fs.mkdir("/d")
+        fs.write_file("/d/f", b"x" * 100)
+        assert fs.exists("/d/f") and not fs.exists("/d/f/x")
+        with pytest.raises(NotADirectory):
+            fs.stat("/d/f/x")
+        obs.install(obs.Tracer(clock=fs.cache.device.clock))
+        try:
+            assert not fs.exists("/d/f/x")
+        finally:
+            obs.uninstall()
 
     @pytest.mark.parametrize("stack", sorted(wholefile.STACKS))
     def test_traced_keeps_the_vfs_spans(self, stack, monkeypatch):
