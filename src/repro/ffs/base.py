@@ -531,14 +531,17 @@ class BlockFileSystem(FileSystem):
                     chunks.append(bytes(memoryview(cached)[lo:hi]))
         return b"".join(chunks)
 
-    def _write(self, handle: Handle, offset: int, data: bytes) -> int:
+    def _write(self, handle: Handle, offset: int, data: bytes,
+               truncating: bool = False) -> int:
         if offset < 0:
             raise InvalidArgument("negative write offset")
         if not data:
             return 0
         fid = self._file_id(handle)
         end = offset + len(data)
-        size = handle.size
+        # Where the bytes that survive this write end: the old EOF, or
+        # the write's end when the caller truncates there next.
+        size = end if truncating else handle.size
 
         # Pass 1: what the write covers of each block, and a fetch of
         # the existing partially-covered ones (group-aware, batched)

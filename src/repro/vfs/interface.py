@@ -225,9 +225,10 @@ class FileSystem(abc.ABC):
         return self._pwrite_handle(self.fds.lookup(fd).handle, offset, data, sp)
 
     def _pwrite_handle(self, handle: Handle, offset: int, data: bytes,
-                       sp) -> int:
-        """``pwrite`` on a resolved file, its syscall already charged."""
-        written = self._write(handle, offset, data)
+                       sp, truncating: bool = False) -> int:
+        """``pwrite`` on a resolved file, its syscall already charged
+        (``truncating``: see :meth:`_write`)."""
+        written = self._write(handle, offset, data, truncating)
         self.cpu.charge_copy(written)
         sp.incr("bytes", written)
         return written
@@ -280,17 +281,19 @@ class FileSystem(abc.ABC):
         """Create or replace ``path`` with exactly ``data``."""
         handle = self._open_file(path, True)
         cpu = self.cpu
+        shorter = handle.size > len(data)
         try:
             if data:
                 if obs.enabled():
                     with obs.span("vfs", "pwrite", offset=0,
                                   size=len(data)) as sp:
                         cpu.charge_syscall()
-                        self._pwrite_handle(handle, 0, data, sp)
+                        self._pwrite_handle(handle, 0, data, sp, shorter)
                 else:
                     cpu.charge_syscall()
-                    self._pwrite_handle(handle, 0, data, obs.NULL_SPAN)
-            if handle.size > len(data):
+                    self._pwrite_handle(handle, 0, data, obs.NULL_SPAN,
+                                        shorter)
+            if shorter:
                 self._truncate(handle, len(data))
         finally:
             cpu.charge_syscall()
@@ -473,7 +476,11 @@ class FileSystem(abc.ABC):
     def _read(self, handle: Handle, offset: int, size: int) -> bytes: ...
 
     @abc.abstractmethod
-    def _write(self, handle: Handle, offset: int, data: bytes) -> int: ...
+    def _write(self, handle: Handle, offset: int, data: bytes,
+               truncating: bool = False) -> int:
+        """Write ``data`` at ``offset``; ``truncating`` says the caller
+        cuts the file to the write's end next, so no byte past it
+        survives and a last, partly covered block needs no read."""
 
     @abc.abstractmethod
     def _truncate(self, handle: Handle, size: int) -> None: ...

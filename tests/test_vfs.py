@@ -215,6 +215,26 @@ class TestWholeFileContract:
             obs.uninstall()
 
     @pytest.mark.parametrize("stack", sorted(wholefile.STACKS))
+    def test_shorter_rewrite_reads_no_old_data(self, stack):
+        """A shorter, unaligned ``write_file`` covers its last block in
+        full: the truncate that follows zeroes the rest, so the old
+        bytes are not read (a cold rewrite costs the reads of an
+        equal-size one) and the tail reads back as zeros."""
+        reads = {}
+        for n in (100, 3000):
+            fs = wholefile.STACKS[stack]()
+            fs.mkdir("/d")
+            fs.write_file("/d/f", b"o" * 3000)
+            fs.drop_caches()
+            before = fs.cache.device.disk.stats.reads
+            fs.write_file("/d/f", b"n" * n)
+            reads[n] = fs.cache.device.disk.stats.reads - before
+            assert fs.read_file("/d/f") == b"n" * n
+            fs.truncate("/d/f", 3000)
+            assert fs.read_file("/d/f") == b"n" * n + bytes(3000 - n)
+        assert reads[100] == reads[3000]
+
+    @pytest.mark.parametrize("stack", sorted(wholefile.STACKS))
     def test_traced_keeps_the_vfs_spans(self, stack, monkeypatch):
         fs = wholefile.STACKS[stack]()
         fs.mkdir("/d")
