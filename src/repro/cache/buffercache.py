@@ -151,8 +151,7 @@ class BufferCache:
             buf = phys.get(bno)
             if buf is None:
                 buf = Buffer(bno, image, logical)
-                if len(phys) >= self.capacity:
-                    self._make_room()
+                self._make_room()
                 phys[bno] = buf
                 if logical is not None:
                     self._logical[logical] = buf
