@@ -111,28 +111,31 @@ class _NotReady:
 
 
 def _batch_scenario(one_at_a_time: bool):
-    """An 8-block cache with dirty victims (one the pipeline will not
-    let go, three gathered as companions), a dirty and a clean block
-    that the batch also names, then a ten-block install."""
+    """A full 8-block cache whose LRU head is clean and carries the
+    logical id of the first block the batch places, then a dirty block
+    the pipeline will not let go, three dirty blocks gathered as
+    companions, and a clean and a dirty block the batch also names.
+    Returns what the cache, the pipeline and the drive show after a
+    six-block install."""
     cache = make_cache(8)
     pipeline = cache.write_pipeline = _NotReady(held={0})
     cache.flush_companions = lambda victim: [1, 2, 3] if victim == 1 else [victim]
+    cache.get(40, logical=(9, 50))
     for bno in range(5):
         cache.create(bno, logical=(7, bno)).data[:1] = b"D"
         cache.mark_dirty(bno)
-    cache.get(40)
     cache.get(41, logical=(8, 0))
     cache.create(42).data[:1] = b"K"
     cache.mark_dirty(42)
     batch = [(bno, bytes([bno]) * BLOCK_SIZE, (9, bno) if bno % 3 else None)
-             for bno in (50, 41, 51, 42, 52, 53, 54, 55, 56, 57)]
+             for bno in (50, 41, 51, 42, 52, 53)]
     if one_at_a_time:
         for item in batch:
             cache.install([item])
     else:
         cache.install(batch)
     disk = cache.device.disk.stats
-    return {
+    return cache, {
         "lru": [(bno, buf.logical, buf.dirty, bytes(buf.image))
                 for bno, buf in cache._phys.items()],
         "logical": sorted((key, buf.bno) for key, buf in cache._logical.items()),
@@ -146,16 +149,22 @@ def _batch_scenario(one_at_a_time: bool):
 
 class TestInstallBatch:
     def test_batch_places_evicts_and_writes_as_single_installs(self):
-        batched = _batch_scenario(one_at_a_time=False)
-        assert batched == _batch_scenario(one_at_a_time=True)
-        # The scenario reaches what it is for: dirty victims written
-        # back with their companions, the held block kept, the dirty
-        # block in the batch keeping its data.
-        assert batched["evictions"] >= 8
-        assert batched["prepared"][:3] == [1, 2, 3]
+        cache, batched = _batch_scenario(one_at_a_time=False)
+        assert batched == _batch_scenario(one_at_a_time=True)[1]
+        # The scenario reaches what it is for: the clean head dropped in
+        # place, then (the held block 0 skipped) dirty block 1 written
+        # back with its companions and the now clean 2 and 3 evicted;
+        # the dirty block in the batch keeps its data.
+        assert batched["evictions"] == 4
+        assert batched["prepared"] == [1, 2, 3]
         lru = {bno: (dirty, image[:1]) for bno, _l, dirty, image in batched["lru"]}
-        assert lru[0] == (True, b"D")
-        assert lru[42] == (True, b"K")
+        assert lru[0] == (True, b"D") and lru[42] == (True, b"K")
+        assert [bno for bno, *_rest in batched["lru"]] == [
+            0, 4, 50, 41, 51, 42, 52, 53]
+        # The evicted head's logical id now names the block placed
+        # after room was made for it; 41's old id is gone.
+        assert cache.get_logical((9, 50)).bno == 50
+        assert cache.get_logical((8, 0)) is None
 
     def test_short_image_mid_batch_raises_before_making_room(self):
         cache = make_cache(8)
