@@ -576,8 +576,7 @@ class CFFS(BlockFileSystem):
                 if cached is None or not cached.dirty:
                     installs.append((block, data[block - start], slot_record(
                         image, off + slot_offset[slot])))
-            if installs:
-                self.cache.install(installs)
+            self.cache.install(installs)
             fetched_extents.add(ext)
         if singles:
             super()._fetch_data_blocks(handle, singles)
