@@ -343,22 +343,16 @@ def _segments_by_walk(header, start, count):
     return segs
 
 
-_SEGMENTS_DEVICE = resilient(n_spares=8)
-
-
 @settings(max_examples=200, deadline=None)
 @given(remap=st.dictionaries(st.integers(0, 47), st.integers(0, 7), max_size=12),
        start=st.integers(0, 40), count=st.integers(1, 24))
 def test_segments_equal_the_per_block_walk(remap, start, count):
     """Consecutive logical blocks remapped to consecutive spares
     coalesce; the empty table is one run with no lookups."""
-    dev = _SEGMENTS_DEVICE
+    dev = resilient(n_spares=8)
     dev.header.remap = remap
-    try:
-        assert dev._segments(start, count) == _segments_by_walk(
-            dev.header, start, count)
-    finally:
-        dev.header.remap = {}
+    assert dev._segments(start, count) == _segments_by_walk(
+        dev.header, start, count)
 
 
 # -- scrubbing ----------------------------------------------------------------
