@@ -1,24 +1,23 @@
 """Signal-sampled profile of one benchmark workload's timed body.
 
     python3 benchmarks/profile_body.py --workload webserve-resilient \\
-        --seed 1997 --bodies 40
+        --seed 1997
 
 Builds the workload of ``benchmarks/perf`` exactly as a repeat of
 ``benchmarks/perf/run.py`` does (same inputs, one warm-up pass at a
 tenth of the size, a fresh stack per body, the string hash seed pinned
-to 0), then runs its timed ``body`` ``--bodies`` times with a
-``SIGPROF`` timer firing every ``--interval-ms`` of process CPU
-(``signal.setitimer(ITIMER_PROF)``).  Each tick records the Python
-stack it interrupted; only stacks that pass through the workload's
-``body`` count, so set-up, fsck and garbage from earlier repeats stay
-out.  Unlike a deterministic profiler it adds no cost per call, so the
-shares are those of an untraced run.
+to 0), then runs its timed ``body`` 40 times with a ``SIGPROF`` timer
+firing every 2 ms of process CPU (``signal.setitimer(ITIMER_PROF)``).
+Each tick records the Python stack it interrupted; only stacks that
+pass through the workload's ``body`` count, so set-up, fsck and garbage
+from earlier repeats stay out.  Unlike a deterministic profiler it adds
+no cost per call, so the shares are those of an untraced run.
 
-Printed: the sample count, then the functions under ``src/`` by
-inclusive share (the function is anywhere on the sampled stack) with
-their exclusive share (it is the innermost frame), and the largest
-exclusive shares of any file (the C-level work a Python frame calls,
-such as ``zlib.crc32``, counts to that frame).
+Printed: the sample count, then the 25 functions under ``src/`` with
+the largest inclusive share (the function is anywhere on the sampled
+stack) and their exclusive share (it is the innermost frame), and the
+25 largest exclusive shares of any file (the C-level work a Python
+frame calls, such as ``zlib.crc32``, counts to that frame).
 """
 
 from __future__ import annotations
@@ -33,6 +32,10 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
+BODIES = 40         # timed bodies sampled
+INTERVAL_S = 0.002  # process CPU between samples
+TOP = 25            # rows per table
+
 
 def _where(code) -> str:
     """``path::qualname`` of a code object, the path relative to the
@@ -41,8 +44,8 @@ def _where(code) -> str:
     return "%s::%s" % (path, getattr(code, "co_qualname", code.co_name))
 
 
-def profile(workload: str, seed: int, bodies: int, interval_s: float):
-    """(samples, inclusive Counter, exclusive Counter) over ``bodies``
+def profile(workload: str, seed: int):
+    """(samples, inclusive Counter, exclusive Counter) over ``BODIES``
     timed bodies of ``workload``."""
     from benchmarks.perf.runner import WARMUP_SCALE
     from benchmarks.perf.workloads import WORKLOADS
@@ -72,11 +75,11 @@ def profile(workload: str, seed: int, bodies: int, interval_s: float):
             inclusive[_where(code)] += 1
 
     signal.signal(signal.SIGPROF, tick)
-    for _ in range(bodies):
+    for _ in range(BODIES):
         w = cls(inputs)
         w.setup()
         gc.collect()
-        signal.setitimer(signal.ITIMER_PROF, interval_s, interval_s)
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         try:
             w.run()
         finally:
@@ -90,30 +93,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", default="webserve-resilient")
     parser.add_argument("--seed", type=int, default=1997)
-    parser.add_argument("--bodies", type=int, default=10,
-                        help="timed bodies to sample (default 10)")
-    parser.add_argument("--interval-ms", type=float, default=2.0,
-                        help="process CPU between samples (default 2 ms)")
-    parser.add_argument("--top", type=int, default=30,
-                        help="rows per table (default 30)")
     args = parser.parse_args(argv)
-    samples, inclusive, exclusive = profile(
-        args.workload, args.seed, args.bodies, args.interval_ms / 1e3)
+    samples, inclusive, exclusive = profile(args.workload, args.seed)
     if not samples:
         print("no sample passed through %s.body" % args.workload)
         return 1
     print("%s, seed %d: %d bodies, %d samples every %g ms of CPU" % (
-        args.workload, args.seed, args.bodies, samples, args.interval_ms))
+        args.workload, args.seed, BODIES, samples, INTERVAL_S * 1e3))
     print()
     print("%8s %8s  function (src/)" % ("incl %", "excl %"))
     ours = [(n, where) for where, n in inclusive.items()
             if where.startswith("src" + os.sep)]
-    for n, where in sorted(ours, reverse=True)[:args.top]:
+    for n, where in sorted(ours, reverse=True)[:TOP]:
         print("%8.1f %8.1f  %s" % (100.0 * n / samples,
                                    100.0 * exclusive[where] / samples, where))
     print()
     print("%8s  function (largest exclusive)" % "excl %")
-    for where, n in exclusive.most_common(args.top):
+    for where, n in exclusive.most_common(TOP):
         print("%8.1f  %s" % (100.0 * n / samples, where))
     return 0
 
