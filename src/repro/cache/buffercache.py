@@ -150,11 +150,7 @@ class BufferCache:
         for bno, image, logical in blocks:
             buf = phys.get(bno)
             if buf is None:
-                buf = Buffer(bno, image, logical)
-                self._make_room()
-                phys[bno] = buf
-                if logical is not None:
-                    self._logical[logical] = buf
+                self._insert(Buffer(bno, image, logical))
                 continue
             phys.move_to_end(bno)
             if not buf.dirty:
@@ -330,26 +326,23 @@ class BufferCache:
     # -- internals --------------------------------------------------------------
 
     def _insert(self, buf: Buffer) -> None:
-        self._make_room()
-        self._phys[buf.bno] = buf
-        if buf.logical is not None:
-            self._logical[buf.logical] = buf
-
-    def _make_room(self) -> None:
-        """Evict until one more buffer fits.  A clean LRU head is the
-        victim :meth:`_pick_victim` would choose, pipeline or not, so it
-        is dropped here in place; a dirty head goes through
-        :meth:`_evict_one` (victim choice, write-back companions)."""
+        """Add ``buf`` (built, so its image is checked) after evicting
+        until it fits: the one place the cache makes room.  A clean LRU
+        head is the victim :meth:`_pick_victim` would choose, pipeline or
+        not, so it is taken as it stands; a dirty head goes through
+        :meth:`_write_back_victim` (victim choice, write-back companions)."""
         phys = self._phys
         while len(phys) >= self.capacity:
             victim = next(iter(phys.values()))
             if victim.dirty:
-                self._evict_one()
-                continue
+                victim = self._write_back_victim()
             del phys[victim.bno]
             if victim.logical is not None:
                 self._logical.pop(victim.logical, None)
             self.evictions += 1
+        phys[buf.bno] = buf
+        if buf.logical is not None:
+            self._logical[buf.logical] = buf
 
     def _set_logical(self, buf: Buffer, logical: LogicalId) -> None:
         if buf.logical is not None:
@@ -367,9 +360,9 @@ class BufferCache:
                 return bno
         return None
 
-    def _evict_one(self) -> None:
-        """Evict an evictable buffer (LRU order), flushing it (and its
-        gather companions) if dirty."""
+    def _write_back_victim(self) -> Buffer:
+        """The buffer to evict (LRU order), written back with its gather
+        companions if dirty; it is still cached when this returns."""
         victim_bno = self._pick_victim()
         if victim_bno is None:
             # Every buffer is dirty and ordering-deferred: flush passes
@@ -391,7 +384,4 @@ class BufferCache:
             # ``ready`` promised the victim is writable in full, so the
             # set is never empty here.
             self._write_out("evict_writeback", companions, victim=victim_bno)
-        self._phys.pop(victim_bno, None)
-        if victim.logical is not None:
-            self._logical.pop(victim.logical, None)
-        self.evictions += 1
+        return victim
