@@ -25,6 +25,7 @@ from repro.ffs.filesystem import FFS, FFSConfig
 from repro.fsck import check_image, mount_image
 from repro.lint import lint_modules, load_source
 from repro.lint.runner import collect_files
+from tests import golden
 
 TEST_PROFILE = DriveProfile(
     name="TestDrive 13MB",
@@ -267,3 +268,9 @@ def anyfs(request):
     if request.param == "cffs":
         return make_cffs()
     return make_cffs(embedded=False, grouping=False)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """What a regenerating run rewrote, one line per key (tests/golden.py)."""
+    for line in golden.STORE.moved:
+        terminalreporter.write_line(line)

@@ -24,11 +24,7 @@ a change to how the cache is called (a batch in place of single calls)
 moves the call digest but must leave the effects unchanged.
 
 One more run per configuration under a tracer pins the span export.
-Regenerate with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_cache_traffic.py
-
-only from code whose behaviour is the accepted baseline.
+Regeneration: see ``tests/golden.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import os
 import random
 
 import pytest
@@ -47,11 +42,8 @@ from repro.blockdev.device import BLOCK_SIZE
 from repro.cache.buffercache import BufferCache
 from repro.cache.policy import MetadataPolicy
 from repro.errors import ReproError
+from tests import golden
 from tests.conftest import make_cffs, make_ffs
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "cache_traffic.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 CACHE_BLOCKS = 16
 
@@ -351,67 +343,23 @@ def traced_spans(stack: str) -> str:
     return _sha(obs.export_jsonl(tracer))
 
 
-def capture() -> dict:
-    out = {}
-    for stack in STACKS:
-        for policy in POLICIES:
-            key = "%s/%s" % (stack, policy)
-            out[key], out[key + "/effects"] = run_stack(stack, policy)
-    out.update(("%s/spans" % stack, traced_spans(stack)) for stack in STACKS)
-    return out
-
-
-def _load() -> dict:
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def test_regen_golden(capsys):
-    """Regeneration entry point (no-op unless REPRO_REGEN_GOLDENS=1).
-    Prints each stack's old -> new ``cache_calls``, so a moved golden
-    reports its size, and each stack whose effect digest moved."""
-    if not REGEN:
-        pytest.skip("set REPRO_REGEN_GOLDENS=1 to regenerate")
-    old = _load() if os.path.exists(GOLDEN_PATH) else {}
-    new = capture()
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(new, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    with capsys.disabled():
-        print()
-        for key in sorted(new):
-            if isinstance(new[key], dict):
-                before = old.get(key, {})
-                print("%-20s cache_calls %s -> %d%s" % (
-                    key, before.get("cache_calls", "-"), new[key]["cache_calls"],
-                    "" if before.get("digest") == new[key]["digest"]
-                    else "  (digest moved)"))
-            elif key.endswith("/effects") and old.get(key) != new[key]:
-                print("%-20s effects %s" % (key[:-len("/effects")],
-                                            "moved" if key in old else "added"))
-
-
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_cache_traffic_and_outcomes(stack, policy):
-    if REGEN:
-        pytest.skip("regenerating")
-    assert run_stack(stack, policy)[0] == _load()["%s/%s" % (stack, policy)]
+    golden.pin("cache_traffic.json",
+               {"%s/%s" % (stack, policy): run_stack(stack, policy)[0]})
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_cache_effects(stack, policy):
-    if REGEN:
-        pytest.skip("regenerating")
-    assert run_stack(stack, policy)[1] == _load()["%s/%s/effects" % (stack, policy)]
+    golden.pin("cache_traffic.json",
+               {"%s/%s/effects" % (stack, policy): run_stack(stack, policy)[1]})
 
 
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_spans(stack):
-    if REGEN:
-        pytest.skip("regenerating")
-    assert traced_spans(stack) == _load()["%s/spans" % stack]
+    golden.pin("cache_traffic.json", {"%s/spans" % stack: traced_spans(stack)})
 
 
 def test_script_reaches_every_outcome():

@@ -3,24 +3,20 @@ CI workflow tells a reader to run exists, a bad file-system label is the
 same clean error on every subcommand that takes one, and the options of
 every subcommand are pinned (``tests/golden/cli_parser.json``).  A change
 that adds, removes or re-defaults an option regenerates that golden on
-purpose:
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_cli_contract.py -k pinned
+purpose (``tests/golden.py``).
 """
 
 import argparse
 import json
-import os
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from tests import golden
 
 ROOT = Path(__file__).resolve().parent.parent
-PARSER_GOLDEN = ROOT / "tests" / "golden" / "cli_parser.json"
-REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 #: Where commands are written down for people and for CI to run.
 DOCUMENTS = sorted(
@@ -64,10 +60,8 @@ def test_parser_is_pinned():
     assert all(len(actions) == len(p._actions)      # no dest declared twice
                for actions, p in zip(options.values(),
                                      _subparsers().values()))
-    text = json.dumps(options, indent=1, sort_keys=True) + "\n"
-    if REGEN:
-        PARSER_GOLDEN.write_text(text)
-    assert text == PARSER_GOLDEN.read_text(), "the command line moved"
+    golden.pin_text("cli_parser.json",
+                    json.dumps(options, indent=1, sort_keys=True) + "\n")
 
 
 def test_every_documented_command_is_a_registered_subcommand():

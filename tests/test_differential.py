@@ -21,12 +21,8 @@ snapshot, plus the simulated end time.  ``trace_sans_cache_hits`` is the
 trace digest again with ``counters["cache.hits"]`` struck from every
 span: a change in how often a *resident* block is looked up moves
 ``trace`` and ``metrics`` but not this one, which then certifies that
-nothing else in the trace moved.  Regenerate with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_differential.py
-
-but ONLY from code whose behavior is the accepted baseline — the
-whole point of the file is that regeneration is a reviewed event.
+nothing else in the trace moved.  Regeneration is a reviewed event:
+see ``tests/golden.py``.
 """
 
 from __future__ import annotations
@@ -41,11 +37,7 @@ from repro import obs
 from repro.faults.chaos import ChaosConfig, render_chaos, run_chaos
 from repro.workloads import build_filesystem, run_smallfile
 from repro.workloads.postmark import PostmarkConfig, run_postmark
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "differential.json")
-
-REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
+from tests import golden
 
 
 def _sha(text_or_bytes) -> str:
@@ -126,38 +118,9 @@ CAPTURES = {
 }
 
 
-def _load_goldens() -> dict:
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _save_goldens(goldens: dict) -> None:
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(goldens, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def test_regen_goldens():
-    """Regeneration entry point (no-op unless REPRO_REGEN_GOLDENS=1)."""
-    if not REGEN:
-        pytest.skip("set REPRO_REGEN_GOLDENS=1 to regenerate")
-    _save_goldens({name: capture() for name, capture in CAPTURES.items()})
-
-
 @pytest.mark.parametrize("scenario", sorted(CAPTURES))
 def test_differential(scenario):
-    if REGEN:
-        pytest.skip("regenerating")
-    goldens = _load_goldens()
-    assert scenario in goldens, (
-        "no golden for %r; regenerate from baseline code" % scenario)
-    current = CAPTURES[scenario]()
-    assert current == goldens[scenario], (
-        "behavior diverged from the pre-optimization golden for %r.\n"
-        "If the divergence is *intended* (a semantic change, not an "
-        "optimization), regenerate with REPRO_REGEN_GOLDENS=1 and "
-        "explain the change in the PR." % scenario)
+    golden.pin("differential.json", {scenario: CAPTURES[scenario]()})
 
 
 def test_struck_digest_ignores_only_cache_hits():

@@ -15,19 +15,13 @@ returns for the block.
 codec and seed over all of its steps, the number of steps and of
 entries seen, and a readable head (the first steps in full, one line
 each).  A change to how a codec scans a block must leave all of it
-unchanged.
-Regenerate with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_dirscan_transcript.py
-
-only from code whose behaviour is the accepted baseline.
+unchanged.  Regeneration: see ``tests/golden.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 import struct
 
@@ -36,11 +30,8 @@ import pytest
 from repro.core import directory as cdir
 from repro.ffs import directory as fdir
 from repro.ffs import layout as flayout
+from tests import golden
 from tests.test_dirfmt_edits import SECTORS, _drive, embedded_payload
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "dirscan_transcript.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 SEEDS = range(12)
 STEPS = 500
@@ -147,30 +138,6 @@ def transcript(key: str) -> dict:
     }
 
 
-def _load() -> dict:
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def test_regen_golden(capsys):
-    """Regeneration entry point (no-op unless REPRO_REGEN_GOLDENS=1)."""
-    if not REGEN:
-        pytest.skip("set REPRO_REGEN_GOLDENS=1 to regenerate")
-    old = _load() if os.path.exists(GOLDEN_PATH) else {}
-    new = {key: transcript(key) for key in ALL_KEYS}
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(new, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    with capsys.disabled():
-        print()
-        for key in ALL_KEYS:
-            if old.get(key, {}).get("digest") != new[key]["digest"]:
-                print("%-10s digest moved" % key)
-
-
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_dirscan_transcript(key):
-    if REGEN:
-        pytest.skip("regenerating")
-    assert transcript(key) == _load()[key]
-
+    golden.pin("dirscan_transcript.json", {key: transcript(key)})

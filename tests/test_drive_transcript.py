@@ -29,28 +29,20 @@ idle gaps of several sizes.
 
 ``tests/golden/drive_transcript.json`` holds each profile's full
 transcript.  A change to how the drive computes its timing must leave
-all of it unchanged.  Regenerate with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_drive_transcript.py
-
-only from code whose behaviour is the accepted baseline.
+all of it unchanged; a mismatch names the first request that moved
+(``<profile>/requests[i]``).  Regeneration: see ``tests/golden.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 import random
 
 import pytest
 
 from repro.disk.drive import SimulatedDisk
 from repro.disk.profiles import PROFILES
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "drive_transcript.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
+from tests import golden
 
 ALL_PROFILES = sorted(PROFILES)
 
@@ -251,45 +243,16 @@ def transcript(name: str) -> dict:
     }
 
 
-def _load() -> dict:
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def test_regen_golden(capsys):
-    """Regeneration entry point (no-op unless REPRO_REGEN_GOLDENS=1)."""
-    if not REGEN:
-        pytest.skip("set REPRO_REGEN_GOLDENS=1 to regenerate")
-    old = _load() if os.path.exists(GOLDEN_PATH) else {}
-    new = {name: transcript(name) for name in ALL_PROFILES}
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(new, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    with capsys.disabled():
-        print()
-        for name in ALL_PROFILES:
-            if old.get(name) != new[name]:
-                print("%-24s moved" % name)
-
-
 @pytest.mark.parametrize("name", ALL_PROFILES)
 def test_drive_transcript(name):
-    if REGEN:
-        pytest.skip("regenerating")
-    golden = _load()[name]
-    got = transcript(name)
-    for i, (want, line) in enumerate(zip(golden["requests"], got["requests"])):
-        assert line == want, "request %d" % i
-    assert got == golden
+    golden.pin("drive_transcript.json", {name: transcript(name)})
 
 
 def test_script_reaches_every_path():
     """The golden would not pin a path the script never takes."""
-    if REGEN:
-        pytest.skip("regenerating")
-    golden = _load()
+    pinned = golden.data("drive_transcript.json")
     for name in ALL_PROFILES:
-        stats = golden[name]["stats"]
+        stats = pinned[name]["stats"]
         assert stats["cache_hits"] > 0, name
         if PROFILES[name].write_cache:
             assert stats["write_absorbed"] > 0, name

@@ -11,24 +11,20 @@ corpus is
 
 For each image the golden (one line per image) pins what the checker
 concluded, not how it phrased it: ``check`` and ``repair`` hold the
-:data:`COUNTS` of a read-only run and of a ``repair=True`` run,
-``digest`` the content digest of the repaired image, and
+counts of a read-only run and of a ``repair=True`` run (errors,
+repairs, warnings, fixed, files, directories, blocks in use, in that
+order), ``digest`` the content digest of the repaired image, and
 ``pristine_after`` whether a re-check of it is pristine.  Message
 wording is free to change; severity, counts and repaired bytes are
 not.
 
-Add entries for new images with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_fsck_corpus.py
-
-which writes only the entries the golden does not have yet; an
-existing entry changes by hand, as a reviewed event, or not at all.
+Regeneration (``tests/golden.py``) adds the entries of new images and
+rewrites moved ones too; its review is the diff of
+``tests/golden/fsck_corpus.json`` plus the printed ``moved`` lines.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import struct
 
 import pytest
@@ -43,24 +39,19 @@ from repro.ffs import directory as fdir
 from repro.ffs import layout as flayout
 from repro.ffs.inode import Inode
 from repro.fsck import fsck_cffs, fsck_ffs
+from tests import golden
 from tests.conftest import make_cffs, make_ffs, read_desc, write_desc
 from tests.test_fsck import (WILD_POINTERS, free_external_inode,
                              many_links_cffs, populated_cffs, populated_ffs,
                              set_cffs_superblock, set_ffs_inode,
                              set_ffs_superblock)
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "fsck_corpus.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 CHECKERS = {"ffs": fsck_ffs, "cffs": fsck_cffs}
 POLICIES = (MetadataPolicy.SYNC_METADATA, MetadataPolicy.DELAYED_METADATA,
             MetadataPolicy.JOURNAL_METADATA)
 #: Crash images are cut every STRIDE-th media write: about 70 images
 #: per (format, policy), which keeps the whole file at a few seconds.
 STRIDE = 4
-#: What a golden ``check`` / ``repair`` list holds, in order.
-COUNTS = ("errors", "repairs", "warnings", "fixed",
-          "files", "directories", "blocks_in_use")
 
 
 def _counts(report) -> list:
@@ -314,32 +305,8 @@ def crash_images():
 # -- the test --------------------------------------------------------------------
 
 
-def _load_golden() -> dict:
-    if not os.path.exists(GOLDEN_PATH):
-        return {}
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _store_golden(golden: dict) -> None:
-    lines = ["%s: %s" % (json.dumps(name), json.dumps(golden[name], sort_keys=True))
-             for name in sorted(golden)]
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        handle.write("{\n" + ",\n".join(lines) + "\n}\n")
-
-
 @pytest.mark.parametrize("images", [corrupted_images, crash_images],
                          ids=["corrupted", "crash"])
 def test_corpus_verdicts_match_golden(images):
-    golden = _load_golden()
-    got = {name: verdict(label, device) for name, label, device in images()}
-    missing = sorted(set(got) - set(golden))
-    if REGEN and missing:
-        golden.update((name, got[name]) for name in missing)
-        _store_golden(golden)
-        missing = []
-    assert not missing, "no golden entry for %s (see module docstring)" % missing
-    moved = {name: {"golden": golden[name], "got": v}
-             for name, v in got.items() if golden[name] != v}
-    assert not moved, "fsck verdicts moved (fields: %s): %s" % (
-        ", ".join(COUNTS), json.dumps(moved, indent=1, sort_keys=True))
+    golden.pin("fsck_corpus.json", {name: verdict(label, device)
+                                    for name, label, device in images()})

@@ -22,18 +22,13 @@ blocks of the very group it is placing.
 ``tests/golden/mkfs_transcript.json`` holds one digest per stack and a
 short readable head (request counts, clocks, the first requests).  A
 change to how mkfs hands its blocks to the cache must leave all of it
-unchanged.  Regenerate with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_mkfs_transcript.py
-
-only from code whose behaviour is the accepted baseline.
+unchanged.  Regeneration: see ``tests/golden.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 
 import pytest
@@ -43,11 +38,8 @@ from repro.cache.policy import MetadataPolicy
 from repro.core.filesystem import CFFS, CFFSConfig
 from repro.disk.profiles import SEAGATE_ST31200
 from repro.ffs.filesystem import FFS, FFSConfig
+from tests import golden
 from tests.conftest import make_device
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "mkfs_transcript.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 #: How many of mkfs's requests the golden spells out.
 HEAD_REQUESTS = 4
@@ -181,43 +173,18 @@ def transcript(stack: str) -> dict:
 ALL_STACKS = sorted(STACKS)
 
 
-def _load() -> dict:
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def test_regen_golden(capsys):
-    """Regeneration entry point (no-op unless REPRO_REGEN_GOLDENS=1)."""
-    if not REGEN:
-        pytest.skip("set REPRO_REGEN_GOLDENS=1 to regenerate")
-    old = _load() if os.path.exists(GOLDEN_PATH) else {}
-    new = {stack: transcript(stack) for stack in ALL_STACKS}
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(new, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    with capsys.disabled():
-        print()
-        for stack in ALL_STACKS:
-            if old.get(stack, {}).get("digest") != new[stack]["digest"]:
-                print("%-28s digest moved" % stack)
-
-
 @pytest.mark.parametrize("stack", ALL_STACKS)
 def test_mkfs_transcript(stack):
-    if REGEN:
-        pytest.skip("regenerating")
-    assert transcript(stack) == _load()[stack]
+    golden.pin("mkfs_transcript.json", {stack: transcript(stack)})
 
 
 def test_transcript_covers_evicting_mkfs():
     """The small caches must evict during mkfs itself, or the golden
     would not pin which victims mkfs writes back, and when."""
-    if REGEN:
-        pytest.skip("regenerating")
-    golden = _load()
+    pinned = golden.data("mkfs_transcript.json")
     evicting = [stack for stack in ALL_STACKS
                  if stack.endswith(("/8", "/16"))
                  and not stack.startswith("FFS/")]
     evicting += ["default/cffs/576", "default/conventional/576"]
     for stack in evicting:
-        assert golden[stack]["evictions"][0] > 0, stack
+        assert pinned[stack]["evictions"][0] > 0, stack

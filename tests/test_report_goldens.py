@@ -10,14 +10,13 @@ and each file the entry names as ``<name>.<file>``: verbatim, or, for a
 name ending in ``.sha256`` (disk images, the span export), by the sha256
 of the file's bytes.  CI runs tier-1 under ``PYTHONHASHSEED=1`` on one
 Python and ``=2`` on the other, so every output is held to one committed
-value under two hash seeds.  A change that moves one has to regenerate
-the goldens on purpose:
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_report_goldens.py
+value under two hash seeds.  A change that moves one regenerates the
+goldens on purpose (``tests/golden.py``).
 
 A new seeded output is a new entry here, never a two-run ``cmp`` in CI:
-``test_the_manifest_is_the_only_determinism_gate`` fails on an orphaned
-or missing golden and on a ``cmp`` in ``ci.yml``.
+``test_the_manifest_is_the_only_determinism_gate`` fails on a ``cmp`` in
+``ci.yml``, and ``tests/test_golden.py`` on an orphaned or missing
+golden.
 
 The two digests pin what the reports do not print: every client's
 per-operation records of a fault-free traffic run, and the operation
@@ -27,7 +26,6 @@ timeline (start, end, outcome) of a faulted run whose clients retry.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 
@@ -36,12 +34,11 @@ import pytest
 from repro.cli import main
 from repro.cluster import Cluster, TrafficConfig, run_cluster_traffic
 from repro.faults import FaultSchedule
+from tests import golden
 from tests.conftest import PinnedFaults
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "reports")
 CI_YML = os.path.join(os.path.dirname(__file__), os.pardir, ".github",
                       "workflows", "ci.yml")
-REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 _CLUSTER = ["cluster", "--shards", "4", "--clients", "200", "--dirs", "48",
             "--seed", "2026"]
@@ -116,20 +113,10 @@ COMMANDS = {
         ["r.img.sha256"]),
 }
 
-def _check(name: str, text: str) -> None:
-    path = os.path.join(GOLDEN_DIR, name)
-    if REGEN:
-        os.makedirs(GOLDEN_DIR, exist_ok=True)
-        with open(path, "w") as handle:
-            handle.write(text)
-        return
-    with open(path) as handle:
-        assert text == handle.read(), "%s moved" % name
-
-
-def _golden(name: str):
-    with open(os.path.join(GOLDEN_DIR, name)) as handle:
-        return json.load(handle)
+#: The goldens the manifest writes: each entry's stdout and files.
+GOLDENS = {"reports/%s.%s" % (name, pinned)
+           for name, (_steps, files) in COMMANDS.items()
+           for pinned in ["txt"] + files}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -139,22 +126,22 @@ def test_command_output_matches_golden(name, tmp_path, capsys, monkeypatch):
     (tmp_path / "h.txt").write_text("hello\n")
     for argv in steps:
         assert main(argv) == 0, argv
-    _check(name + ".txt", capsys.readouterr().out)
+    golden.pin_text("reports/%s.txt" % name, capsys.readouterr().out)
     for pinned in files:
         path = tmp_path / pinned.removesuffix(".sha256")
         text = (hashlib.sha256(path.read_bytes()).hexdigest() + "\n"
                 if pinned.endswith(".sha256") else path.read_text())
-        _check("%s.%s" % (name, pinned), text)
+        golden.pin_text("reports/%s.%s" % (name, pinned), text)
 
 
 def test_summaries_clear_their_floors():
     # The goldens equal what the runs wrote, so a regenerated golden of a
     # failing run fails here.
-    cluster = _golden("cluster.json")
+    cluster = golden.data("reports/cluster.json")
     assert cluster["config"]["shards"] == 4
     assert cluster["totals"]["ops"] == 600
     assert cluster["balance"]["imbalance"] >= 0.0
-    chaos = _golden("cluster-chaos.json")
+    chaos = golden.data("reports/cluster-chaos.json")
     assert chaos["verdict"] == "PASS"
     assert chaos["availability"]["surviving"] >= chaos["availability"]["floor"]
     evacuation = chaos["evacuation"]
@@ -165,14 +152,6 @@ def test_summaries_clear_their_floors():
 
 
 def test_the_manifest_is_the_only_determinism_gate():
-    # Written by the two digest tests at the end of this file.
-    written = {"traffic-records.sha256", "retried-timeline.sha256"}
-    for name, (_steps, files) in COMMANDS.items():
-        written.add(name + ".txt")
-        written.update("%s.%s" % (name, pinned) for pinned in files)
-    committed = set(os.listdir(GOLDEN_DIR))
-    assert not committed - written, "orphaned: %s" % sorted(committed - written)
-    assert not written - committed, "missing: %s" % sorted(written - committed)
     with open(CI_YML) as handle:
         assert not re.search(r"\bcmp\b", handle.read()), (
             "ci.yml compares two runs; add a COMMANDS entry instead")
@@ -205,7 +184,7 @@ def test_traffic_records_match_golden():
                          r.n_requests, r.queue_delay, r.cpu_seconds,
                          r.retries, r.error, legs))
     assert len(rows) == 600
-    _check("traffic-records.sha256", _digest(rows))
+    golden.pin_text("reports/traffic-records.sha256", _digest(rows))
 
 
 def test_retried_timeline_matches_golden():
@@ -222,4 +201,4 @@ def test_retried_timeline_matches_golden():
     assert cluster.metrics.counter("cluster.retry.attempts").value > 0
     rows = [(r.phase, r.label, r.client, r.start, r.end, r.error)
             for client in cluster.clients for r in client.records]
-    _check("retried-timeline.sha256", _digest(rows))
+    golden.pin_text("reports/retried-timeline.sha256", _digest(rows))

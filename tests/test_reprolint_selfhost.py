@@ -4,10 +4,10 @@ Any new violation must either be fixed or carry an explanatory
 suppression comment; this test is what CI and local pytest enforce.
 The committed golden baseline (tests/golden/lint_baseline.json) pins
 the position-free report of the one rule set, so a CI diff shows
-exactly which finding or suppression moved.
+exactly which finding or suppression moved.  Regeneration: see
+``tests/golden.py``.
 """
 
-import difflib
 import functools
 import json
 import os
@@ -16,11 +16,10 @@ import sys
 
 from repro.lint import lint_modules
 from repro.lint.reporters import render_json
+from tests import golden
 from tests.conftest import src_modules
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(REPO_ROOT, "src", "repro")
-BASELINE = os.path.join(REPO_ROOT, "tests", "golden", "lint_baseline.json")
 
 
 @functools.lru_cache(maxsize=None)
@@ -69,27 +68,10 @@ def position_free_report(result) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def baseline_diff() -> str:
-    """Unified diff of the committed baseline against the current tree
-    (empty when they agree)."""
-    current = position_free_report(tree_result())
-    if os.environ.get("REPRO_REGEN_GOLDENS") == "1":
-        with open(BASELINE, "w", encoding="utf-8") as handle:
-            handle.write(current)
-    with open(BASELINE, "r", encoding="utf-8") as handle:
-        committed = handle.read()
-    return "".join(difflib.unified_diff(
-        committed.splitlines(True), current.splitlines(True),
-        "tests/golden/lint_baseline.json", "current"))
-
-
 def test_report_matches_committed_baseline():
     # The committed report moves only when a finding or suppression
-    # appears, disappears or changes function.  Regenerate, then review
-    # the diff, with
-    #   REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest \
-    #       tests/test_reprolint_selfhost.py -k baseline
-    assert baseline_diff() == ""
+    # appears, disappears or changes function.
+    golden.pin_text("lint_baseline.json", position_free_report(tree_result()))
 
 
 def test_suppressions_are_finite_and_audited():

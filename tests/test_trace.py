@@ -5,12 +5,8 @@ import pytest
 from repro.errors import InvalidArgument
 from repro.workloads import build_filesystem, run_script
 from repro.workloads.trace import Operation, dumps, loads
+from tests import golden
 from tests.conftest import make_cffs, make_ffs
-
-#: What the trace in the last test leaves on a fresh ``cffs`` volume:
-#: the payload rule and the write path may not drift, in any process.
-REPLAY_DIGEST = (
-    "3dc34f20952a05a554247b6ba6511a61d9ec444ef387b78b1c9bf5eb6e599597")
 
 
 def script(*records):
@@ -159,8 +155,10 @@ class TestReplay:
     def test_replay_writes_the_same_bytes_in_every_process(self):
         # Payloads are synthesized at replay time; a seed taken from the
         # salted builtin hash() gave each process its own bytes.  CI runs
-        # tier-1 under two hash seeds against this one digest.
+        # tier-1 under two hash seeds against this one digest of what the
+        # trace leaves on a fresh ``cffs`` volume.
         fs = build_filesystem("cffs")
         run_script(fs, loads("mkdir /d\nwrite /d/a 0 5000\n"
                              "write /d/b 4096 9000\nsync\n"))
-        assert fs.cache.device.content_digest() == REPLAY_DIGEST
+        golden.pin_text("trace_replay.sha256",
+                        fs.cache.device.content_digest() + "\n")

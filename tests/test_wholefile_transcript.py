@@ -21,18 +21,13 @@ and end as ``float.hex``.
 ``tests/golden/wholefile_transcript.json`` holds one digest per stack
 and pass, the step / span count and a readable head.  A change to how
 the whole-file helpers reach the file system must leave all of it
-unchanged.  Regenerate with::
-
-    REPRO_REGEN_GOLDENS=1 PYTHONPATH=src python -m pytest tests/test_wholefile_transcript.py
-
-only from code whose behaviour is the accepted baseline.
+unchanged.  Regeneration: see ``tests/golden.py``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 
 import pytest
@@ -44,11 +39,8 @@ from repro.core.filesystem import CFFS, CFFSConfig
 from repro.errors import ReproError
 from repro.ffs.layout import NDIRECT
 from repro.resilience import ResilientBlockDevice
+from tests import golden
 from tests.conftest import TEST_PROFILE, make_cffs, make_ffs
-
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden",
-                           "wholefile_transcript.json")
-REGEN = os.environ.get("REPRO_REGEN_GOLDENS") == "1"
 
 CACHE_BLOCKS = 16
 HEAD_STEPS = 4
@@ -278,33 +270,9 @@ def transcript(stack: str) -> dict:
     }
 
 
-def _load() -> dict:
-    with open(GOLDEN_PATH, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def test_regen_golden(capsys):
-    """Regeneration entry point (no-op unless REPRO_REGEN_GOLDENS=1)."""
-    if not REGEN:
-        pytest.skip("set REPRO_REGEN_GOLDENS=1 to regenerate")
-    old = _load() if os.path.exists(GOLDEN_PATH) else {}
-    new = {stack: transcript(stack) for stack in STACKS}
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(new, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    with capsys.disabled():
-        print()
-        for stack in STACKS:
-            for key in ("digest", "span_digest"):
-                if old.get(stack, {}).get(key) != new[stack][key]:
-                    print("%-22s %s moved" % (stack, key))
-
-
 @pytest.mark.parametrize("stack", sorted(STACKS))
 def test_wholefile_transcript(stack):
-    if REGEN:
-        pytest.skip("regenerating")
-    assert transcript(stack) == _load()[stack]
+    golden.pin("wholefile_transcript.json", {stack: transcript(stack)})
 
 
 def test_script_reaches_every_outcome():
