@@ -12,7 +12,11 @@ summaries), which is the safe direction for the consumers:
 * ``reaches_seam`` — the function transitively calls one of the
   metadata-ordering seams (``_meta_write`` / ``mark_dirty`` /
   ``write_sync``).  J001 uses it so a call to ``_grow_directory``
-  counts as sealing, not just a literal ``_meta_write``.
+  counts as sealing, not just a literal ``_meta_write``.  Only
+  functions of the file systems (``repro.ffs.`` / ``repro.core.``) get
+  it: ``BufferCache.get`` writes back *another* buffer on eviction,
+  which seals nothing, and by bare name it would make every
+  ``.get(...)`` (a dict's included) count as a seal.
 * ``returns_buffer`` — the function returns a buffer's bytes; J001
   tracks what a call to it returns as cache-owned.
 * the *hot set* — functions reachable from the workload-driver
@@ -33,6 +37,10 @@ from repro.lint.flow.dataflow import MUTATING_METHODS, pack_into_buffer_arg
 #: direct metadata-ordering seams (J001).
 SEAM_NAMES: FrozenSet[str] = frozenset(
     {"_meta_write", "mark_dirty", "write_sync"})
+
+#: modules whose functions can seal by calling a seam: the ones J001
+#: checks (``JournalOrderingRule._SCOPES``).
+SEAM_SCOPES: Tuple[str, ...] = ("repro.ffs.", "repro.core.")
 
 #: workload-driver roots; everything they reach is "hot" (O001).
 HOT_ROOT_MODULES: FrozenSet[str] = frozenset(
@@ -136,7 +144,8 @@ def _collect_call_sites(info: FunctionInfo) -> None:
 
 
 def _direct_reaches_seam(info: FunctionInfo) -> bool:
-    return any(callee in SEAM_NAMES for callee, _, _ in info.call_sites)
+    return info.module.startswith(SEAM_SCOPES) and any(
+        callee in SEAM_NAMES for callee, _, _ in info.call_sites)
 
 
 def _direct_returns_buffer(info: FunctionInfo) -> bool:
@@ -186,7 +195,8 @@ class FlowContext:
                 for callee, arg_map, is_method in info.call_sites:
                     for target in self.by_name.get(callee, ()):
                         offset = target.skip_self if is_method else 0
-                        if target.reaches_seam and not info.reaches_seam:
+                        if (target.reaches_seam and not info.reaches_seam
+                                and info.module.startswith(SEAM_SCOPES)):
                             info.reaches_seam = True
                             changed = True
                         if (target.returns_buffer

@@ -50,12 +50,15 @@ ROWS = [
      "boundary read; blocks install into the cache immediately below\n",
      "# reprolint: disable=L001\n"),
     # FFS._dir_remove_entry sealing after its consistency raise: the
-    # scrubbed block never reaches the journal on the raise path.
+    # scrubbed block never reaches the journal on the raise path.  The
+    # dict lookup left in the seal's place must not pass for a seal
+    # (a cache's ``get`` can write back, but seals nothing).
     ("J001", "src/repro/ffs/filesystem.py",
      "        token = self._meta_write(bno, requires)\n"
      "        if removed is None or removed[0] != inum:\n"
      "            raise CorruptFileSystem(\"index and block disagree on %r\""
      " % name)\n",
+     "        rooms = index.rooms.get(blk)\n"
      "        if removed is None or removed[0] != inum:\n"
      "            raise CorruptFileSystem(\"index and block disagree on %r\""
      " % name)\n"
