@@ -11,7 +11,6 @@ import pytest
 from repro.cache.policy import MetadataPolicy
 from repro.errors import ReproError
 from repro.faults.harness import (
-    Checkpoint,
     crash_point_sweep,
     render_sweep,
     run_journaled_workload,

@@ -103,10 +103,6 @@ def run_model(fs, ops):
 
 # The model stores {name: group_id}; groups map to content so hard
 # links alias properly.
-def _fresh_model():
-    return {}
-
-
 def _model_set(model, name, data):
     group = model.get(name)
     if group is None:
