@@ -41,7 +41,7 @@ class _Absent:
         return "<absent>"
 
 
-ABSENT = _Absent()
+_ABSENT = _Absent()
 
 
 def dumps(name: str, data: dict) -> str:
@@ -53,21 +53,21 @@ def dumps(name: str, data: dict) -> str:
     return json.dumps(data, indent=1, sort_keys=True) + "\n"
 
 
-def first_difference(want, got, path: str) -> tuple:
+def _first_difference(want, got, path: str) -> tuple:
     """(key path, golden value, computed value) where two unequal JSON
     values first differ: dict keys in sorted order, list items in order."""
     if isinstance(want, dict) and isinstance(got, dict):
         for key in sorted(set(want) | set(got)):
-            a, b = want.get(key, ABSENT), got.get(key, ABSENT)
+            a, b = want.get(key, _ABSENT), got.get(key, _ABSENT)
             if a != b:
-                return first_difference(a, b, "%s/%s" % (path, key))
+                return _first_difference(a, b, "%s/%s" % (path, key))
     elif isinstance(want, list) and isinstance(got, list):
         for i, (a, b) in enumerate(zip(want, got)):
             if a != b:
-                return first_difference(a, b, "%s[%d]" % (path, i))
+                return _first_difference(a, b, "%s[%d]" % (path, i))
         n = min(len(want), len(got))
-        return ("%s[%d]" % (path, n), want[n] if n < len(want) else ABSENT,
-                got[n] if n < len(got) else ABSENT)
+        return ("%s[%d]" % (path, n), want[n] if n < len(want) else _ABSENT,
+                got[n] if n < len(got) else _ABSENT)
     return path, want, got
 
 
@@ -87,7 +87,7 @@ class Store:
         #: ``moved`` / ``added`` lines of what this session rewrote.
         self.moved: list = []
 
-    def text(self, name: str) -> Optional[str]:
+    def _committed(self, name: str) -> Optional[str]:
         """The committed text of ``name`` (None: no such file)."""
         if name not in self._text:
             path = self.root / name
@@ -98,7 +98,7 @@ class Store:
     def data(self, name: str) -> dict:
         """The committed JSON value of ``name``."""
         if name not in self._data:
-            text = self.text(name)
+            text = self._committed(name)
             if text is None and not self.regen:
                 raise AssertionError("no golden file %s" % self._where(name))
             self._data[name] = {} if text is None else json.loads(text)
@@ -109,23 +109,24 @@ class Store:
         stored = self.data(name)
         values = json.loads(json.dumps(entries))    # as the file holds them
         moved = [key for key in sorted(values)
-                 if stored.get(key, ABSENT) != values[key]]
+                 if stored.get(key, _ABSENT) != values[key]]
         if moved and self.regen:
             for key in moved:
                 self._note(name, key in stored, key)
                 stored[key] = values[key]
             self._write(name, dumps(name, stored))
         elif moved:
-            raise AssertionError("\n".join(
-                "%s: %s: golden %s, got %s" % (self._where(name), path,
-                                               _show(want), _show(got))
-                for path, want, got in (
-                    first_difference(stored.get(key, ABSENT), values[key], key)
-                    for key in moved)))
+            problems = []
+            for key in moved:
+                path, want, got = _first_difference(
+                    stored.get(key, _ABSENT), values[key], key)
+                problems.append("%s: %s: golden %s, got %s" % (
+                    self._where(name), path, _show(want), _show(got)))
+            raise AssertionError("\n".join(problems))
 
     def pin_text(self, name: str, text: str) -> None:
         """``text`` equals the whole golden file ``name``."""
-        stored = self.text(name)
+        stored = self._committed(name)
         if stored == text:
             return
         if self.regen:
