@@ -101,17 +101,13 @@ class BufferCache:
         else:
             self.misses += 1
             obs.incr("cache.misses")
-            if obs.enabled():
-                with obs.span("cache", "miss", bno=bno):
-                    data = self._read_checked(bno)
-            else:
-                data = self._read_checked(bno)
-            buf = Buffer(bno, data)
+            buf = Buffer(bno, self._read_checked(bno))
             self._insert(buf)
         if logical is not None and buf.logical != logical:
             self._set_logical(buf, logical)
         return buf
 
+    @obs.traced("cache", "miss", lambda self, bno: {"bno": bno})
     def _read_checked(self, bno: int) -> bytes:
         try:
             return self.device.read_block(bno)

@@ -677,16 +677,9 @@ class CFFS(BlockFileSystem):
         assert self._root is not None
         return self._root
 
+    @obs.traced("fs", "lookup", lambda self, dirh, name: {
+        "name": name, "embedded": self.config.embedded_inodes})
     def _lookup(self, dirh: CNode, name: str) -> Optional[CNode]:
-        # enabled() guards keep the disabled-observability hot path free
-        # of the span call's keyword-dict allocation (here and below).
-        if obs.enabled():
-            with obs.span("fs", "lookup", name=name,
-                          embedded=self.config.embedded_inodes):
-                return self._lookup_entry(dirh, name)
-        return self._lookup_entry(dirh, name)
-
-    def _lookup_entry(self, dirh: CNode, name: str) -> Optional[CNode]:
         # A warm index answers in one probe; only a cold one is scanned.
         index = self._dir_index.get(dirh.fileid)
         info = index.names.get(name) if index is not None else None
@@ -694,13 +687,11 @@ class CFFS(BlockFileSystem):
             info = self._find_entry(dirh, name)
         return self._node_at(dirh, info) if info is not None else None
 
+    @obs.traced("fs", "lookup", lambda self, dirh, name, info: {
+        "name": name, "embedded": self.config.embedded_inodes})
     def _named_node(self, dirh: CNode, name: str, info: tuple) -> CNode:
         """The node of ``name``, whose index entry is ``info``: what a
         lookup of ``name`` returns, under the span a lookup opens."""
-        if obs.enabled():
-            with obs.span("fs", "lookup", name=name,
-                          embedded=self.config.embedded_inodes):
-                return self._node_at(dirh, info)
         return self._node_at(dirh, info)
 
     def _node_at(self, dirh: CNode, info: tuple) -> CNode:
@@ -739,14 +730,9 @@ class CFFS(BlockFileSystem):
         node.home_cg = self._pick_dir_cg()
         return node
 
+    @obs.traced("fs", "create_node", lambda self, dirh, name, mode, kind: {
+        "name": name, "embedded": self.config.embedded_inodes})
     def _create_node(self, dirh: CNode, name: str, mode: int, kind: int) -> CNode:
-        if obs.enabled():
-            with obs.span("fs", "create_node", name=name,
-                          embedded=self.config.embedded_inodes):
-                return self._create_node_entry(dirh, name, mode, kind)
-        return self._create_node_entry(dirh, name, mode, kind)
-
-    def _create_node_entry(self, dirh: CNode, name: str, mode: int, kind: int) -> CNode:
         index = self._complete_index(dirh)
         if name in index.names:
             raise FileExists("%r already exists" % name)
@@ -766,15 +752,9 @@ class CFFS(BlockFileSystem):
         self._icache[node.fileid] = node
         return node
 
+    @obs.traced("fs", "unlink_node", lambda self, dirh, name: {
+        "name": name, "embedded": self.config.embedded_inodes})
     def _unlink(self, dirh: CNode, name: str) -> None:
-        if obs.enabled():
-            with obs.span("fs", "unlink_node", name=name,
-                          embedded=self.config.embedded_inodes):
-                self._unlink_entry(dirh, name)
-            return
-        self._unlink_entry(dirh, name)
-
-    def _unlink_entry(self, dirh: CNode, name: str) -> None:
         info = self._find_entry(dirh, name)
         if info is None:
             raise FileNotFound("no entry %r" % name)

@@ -133,19 +133,17 @@ class FFS(BlockFileSystem):
     def _iget(self, inum: int) -> Inode:
         inode = self._icache.get(inum)
         if inode is None:
-            bno, slot = self._inode_location(inum)
-            # The static inode-table fetch: the per-file metadata request
-            # embedded inodes eliminate (visible as fs.inode_fetch spans).
-            # enabled() guards keep the disabled-observability hot path
-            # free of the span call's keyword-dict allocation (here and
-            # below).
-            if obs.enabled():
-                with obs.span("fs", "inode_fetch", inum=inum):
-                    buf = self.cache.get(bno)
-            else:
-                buf = self.cache.get(bno)
-            inode = Inode.unpack(inum, buf.image, slot * layout.INODE_SIZE)
-            self._icache[inum] = inode
+            inode = self._fetch_inode(inum)
+        return inode
+
+    @obs.traced("fs", "inode_fetch", lambda self, inum: {"inum": inum})
+    def _fetch_inode(self, inum: int) -> Inode:
+        """The static inode-table fetch: the per-file metadata request
+        embedded inodes eliminate (visible as fs.inode_fetch spans)."""
+        bno, slot = self._inode_location(inum)
+        inode = Inode.unpack(inum, self.cache.get(bno).image,
+                             slot * layout.INODE_SIZE)
+        self._icache[inum] = inode
         return inode
 
     def _istore(self, handle: Inode, sync_op: bool = False,
@@ -231,13 +229,9 @@ class FFS(BlockFileSystem):
     def _root_handle(self) -> Inode:
         return self._iget(ROOT_INUM)
 
+    @obs.traced("fs", "lookup",
+                lambda self, dirh, name: {"name": name, "embedded": False})
     def _lookup(self, dirh: Inode, name: str) -> Optional[Inode]:
-        if obs.enabled():
-            with obs.span("fs", "lookup", name=name, embedded=False):
-                return self._lookup_entry(dirh, name)
-        return self._lookup_entry(dirh, name)
-
-    def _lookup_entry(self, dirh: Inode, name: str) -> Optional[Inode]:
         # A warm index answers in one probe; only a cold one is scanned.
         index = self._dir_index.get(dirh.inum)
         entry = index.names.get(name) if index is not None else None
@@ -245,10 +239,9 @@ class FFS(BlockFileSystem):
             entry = self._find_entry(dirh, name)
         return self._iget(entry[0]) if entry is not None else None
 
+    @obs.traced("fs", "create_node",
+                lambda self, dirh, name: {"name": name, "embedded": False})
     def _create_file(self, dirh: Inode, name: str) -> Inode:
-        if obs.enabled():
-            with obs.span("fs", "create_node", name=name, embedded=False):
-                return self._create_node(dirh, name, layout.MODE_FILE, layout.DT_FILE)
         return self._create_node(dirh, name, layout.MODE_FILE, layout.DT_FILE)
 
     def _make_directory(self, dirh: Inode, name: str) -> Inode:
@@ -268,14 +261,9 @@ class FFS(BlockFileSystem):
         self._dir_add_entry(dirh, name, inum, kind, requires=(init_token,))
         return inode
 
+    @obs.traced("fs", "unlink_node",
+                lambda self, dirh, name: {"name": name, "embedded": False})
     def _unlink(self, dirh: Inode, name: str) -> None:
-        if obs.enabled():
-            with obs.span("fs", "unlink_node", name=name, embedded=False):
-                self._unlink_entry(dirh, name)
-            return
-        self._unlink_entry(dirh, name)
-
-    def _unlink_entry(self, dirh: Inode, name: str) -> None:
         entry = self._find_entry(dirh, name)
         if entry is None:
             raise FileNotFound("no entry %r" % name)

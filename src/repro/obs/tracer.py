@@ -55,11 +55,10 @@ class Span:
     """One timed, attributed region of execution."""
 
     __slots__ = ("tracer", "span_id", "parent_id", "layer", "op", "start",
-                 "end", "attrs", "counters", "_clock")
+                 "end", "attrs", "counters")
 
     def __init__(self, tracer: "Tracer", layer: str, op: str,
-                 attrs: Optional[Dict[str, object]] = None,
-                 clock: Optional[SimClock] = None) -> None:
+                 attrs: Optional[Dict[str, object]] = None) -> None:
         self.tracer = tracer
         self.span_id = -1            # assigned on enter, in enter order
         self.parent_id: Optional[int] = None
@@ -69,7 +68,6 @@ class Span:
         self.end = 0.0
         self.attrs: Dict[str, object] = dict(attrs) if attrs else {}
         self.counters: Dict[str, Number] = {}
-        self._clock = clock          # per-span clock override, or tracer's
 
     @property
     def name(self) -> str:
@@ -78,11 +76,6 @@ class Span:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-    def set(self, **attrs: object) -> "Span":
-        """Attach attributes to an open span (returns self for chaining)."""
-        self.attrs.update(attrs)
-        return self
 
     def incr(self, counter: str, delta: Number = 1) -> None:
         """Bump a span-local counter (e.g. blocks fetched in this span)."""
@@ -113,9 +106,6 @@ class _NullSpan:
 
     def __exit__(self, *exc: object) -> None:
         pass
-
-    def set(self, **attrs: object) -> "_NullSpan":
-        return self
 
     def incr(self, counter: str, delta: Number = 1) -> None:
         pass
@@ -150,18 +140,15 @@ class Tracer:
 
     # -- span creation --------------------------------------------------------
 
-    def span(self, layer: str, op: str, clock: Optional[SimClock] = None,
-             **attrs: object) -> Span:
+    def span(self, layer: str, op: str, **attrs: object) -> Span:
         """A new unstarted span; use as a context manager to time it."""
-        return Span(self, layer, op, attrs or None, clock)
+        return Span(self, layer, op, attrs or None)
 
     def record(self, layer: str, op: str, start: float, end: float,
-               clock: Optional[SimClock] = None, **attrs: object) -> Span:
+               **attrs: object) -> Span:
         """Record an already-timed span (event-driven instrumentation).
 
-        The span parents under the currently open span, if any.  The
-        unused ``clock`` parameter keeps the signature interchangeable
-        with :meth:`span` for call sites built around either style.
+        The span parents under the currently open span, if any.
         """
         span = Span(self, layer, op, attrs or None)
         span.span_id = self._next_id
@@ -197,8 +184,7 @@ class Tracer:
         for ctx in self._context:
             for key, value in ctx.items():
                 span.attrs.setdefault(key, value)
-        clock = span._clock if span._clock is not None else self.clock
-        span.start = clock.now
+        span.start = self.clock.now
         self._stack.append(span)
 
     def _exit(self, span: Span) -> None:
@@ -206,8 +192,7 @@ class Tracer:
             raise InvalidArgument(
                 "span %r closed out of order (open: %s)"
                 % (span.name, [s.name for s in self._stack]))
-        clock = span._clock if span._clock is not None else self.clock
-        span.end = clock.now
+        span.end = self.clock.now
         self._stack.pop()
         self.spans.append(span)
 

@@ -64,90 +64,74 @@ class FileSystem(abc.ABC):
 
     # ------------------------------------------------------------------ public
 
+    @obs.traced("vfs", "create", lambda self, path: {"path": path})
     def create(self, path: str) -> None:
         """Create an empty regular file."""
-        if obs.enabled():
-            with obs.span("vfs", "create", path=path):
-                self._create(path)
-            return
-        self._create(path)
-
-    def _create(self, path: str) -> None:
         self.cpu.charge_syscall()
         dirh, name = self._parent(path)
         self._create_file(dirh, name)
 
+    @obs.traced("vfs", "mkdir", lambda self, path: {"path": path})
     def mkdir(self, path: str) -> None:
         """Create an empty directory."""
-        with obs.span("vfs", "mkdir", path=path):
-            self.cpu.charge_syscall()
-            dirh, name = self._parent(path)
-            self._make_directory(dirh, name)
+        self.cpu.charge_syscall()
+        dirh, name = self._parent(path)
+        self._make_directory(dirh, name)
 
+    @obs.traced("vfs", "unlink", lambda self, path: {"path": path})
     def unlink(self, path: str) -> None:
         """Remove a file name (and the file, when its last link drops)."""
-        if obs.enabled():
-            with obs.span("vfs", "unlink", path=path):
-                self._unlink_path(path)
-            return
-        self._unlink_path(path)
-
-    def _unlink_path(self, path: str) -> None:
         self.cpu.charge_syscall()
         dirh, name = self._parent(path)
         self._unlink(dirh, name)
 
+    @obs.traced("vfs", "rmdir", lambda self, path: {"path": path})
     def rmdir(self, path: str) -> None:
         """Remove an empty directory."""
-        with obs.span("vfs", "rmdir", path=path):
-            self.cpu.charge_syscall()
-            dirh, name = self._parent(path)
-            self._dirs.clear()
-            self._rmdir(dirh, name)
+        self.cpu.charge_syscall()
+        dirh, name = self._parent(path)
+        self._dirs.clear()
+        self._rmdir(dirh, name)
 
+    @obs.traced("vfs", "link",
+                lambda self, existing, new: {"path": existing, "new": new})
     def link(self, existing: str, new: str) -> None:
         """Create a hard link (C-FFS externalizes the inode here)."""
-        with obs.span("vfs", "link", path=existing, new=new):
-            self.cpu.charge_syscall()
-            handle = self._resolve(existing)
-            if self._kind_of(handle) is FileKind.DIRECTORY:
-                raise IsADirectory("cannot hard-link a directory: %r" % existing)
-            dirh, name = self._parent(new)
-            self._link(handle, dirh, name)
+        self.cpu.charge_syscall()
+        handle = self._resolve(existing)
+        if self._kind_of(handle) is FileKind.DIRECTORY:
+            raise IsADirectory("cannot hard-link a directory: %r" % existing)
+        dirh, name = self._parent(new)
+        self._link(handle, dirh, name)
 
+    @obs.traced("vfs", "rename", lambda self, old, new: {"path": old, "new": new})
     def rename(self, old: str, new: str) -> None:
         """Atomically move a name (files and directories)."""
-        with obs.span("vfs", "rename", path=old, new=new):
-            self.cpu.charge_syscall()
-            old_parents, old_name = basename_of(old)
-            new_parents, new_name = basename_of(new)
-            # A directory must never move into its own subtree (a cycle
-            # would orphan everything under it).
-            old_prefix = old_parents + [old_name]
-            if new_parents[:len(old_prefix)] == old_prefix:
-                raise InvalidArgument(
-                    "cannot move %r into its own subtree %r" % (old, new)
-                )
-            src_dir = self._walk(old_parents)
-            dst_dir = self._walk(new_parents)
-            self._dirs.clear()
-            self._rename(src_dir, old_name, dst_dir, new_name)
+        self.cpu.charge_syscall()
+        old_parents, old_name = basename_of(old)
+        new_parents, new_name = basename_of(new)
+        # A directory must never move into its own subtree (a cycle
+        # would orphan everything under it).
+        old_prefix = old_parents + [old_name]
+        if new_parents[:len(old_prefix)] == old_prefix:
+            raise InvalidArgument(
+                "cannot move %r into its own subtree %r" % (old, new)
+            )
+        src_dir = self._walk(old_parents)
+        dst_dir = self._walk(new_parents)
+        self._dirs.clear()
+        self._rename(src_dir, old_name, dst_dir, new_name)
 
     def open(self, path: str, create: bool = False) -> int:
         """Open a regular file, optionally creating it; returns an fd."""
-        return self.fds.allocate(OpenFile(self._open_file(path, create), path))
+        return self.fds.allocate(OpenFile(self._open_handle(path, create), path))
 
-    def _open_file(self, path: str, create: bool) -> Handle:
-        """``_open_handle`` in the ``vfs open`` span when traced; ``open``
-        and the whole-file helpers share it."""
-        if obs.enabled():
-            with obs.span("vfs", "open", path=path, create=create):
-                return self._open_handle(path, create)
-        return self._open_handle(path, create)
-
+    @obs.traced("vfs", "open",
+                lambda self, path, create: {"path": path, "create": create})
     def _open_handle(self, path: str, create: bool) -> Handle:
         """What ``open`` resolves, its syscall charged: the regular file
-        ``path`` names, created first when ``create`` asks for it."""
+        ``path`` names, created first when ``create`` asks for it.
+        ``open`` and the whole-file helpers share it."""
         self.cpu.charge_syscall()
         dirh, name = self._parent(path)
         handle = self._lookup(dirh, name)
@@ -163,89 +147,67 @@ class FileSystem(abc.ABC):
         self.cpu.charge_syscall()
         self.fds.release(fd)
 
+    @obs.traced("vfs", "read", lambda self, fd, size: {"size": size})
     def read(self, fd: int, size: int) -> bytes:
         """Read from the descriptor's current offset."""
-        if obs.enabled():
-            with obs.span("vfs", "read", size=size) as sp:
-                return self._read_fd(fd, size, sp)
-        return self._read_fd(fd, size, obs.NULL_SPAN)
-
-    def _read_fd(self, fd: int, size: int, sp) -> bytes:
         self.cpu.charge_syscall()
         record = self.fds.lookup(fd)
         data = self._read(record.handle, record.offset, size)
         record.offset += len(data)
         self.cpu.charge_copy(len(data))
-        sp.incr("bytes", len(data))
+        obs.incr("bytes", len(data))
         return data
 
+    @obs.traced("vfs", "write", lambda self, fd, data: {"size": len(data)})
     def write(self, fd: int, data: bytes) -> int:
         """Write at the descriptor's current offset."""
-        if obs.enabled():
-            with obs.span("vfs", "write", size=len(data)) as sp:
-                return self._write_fd(fd, data, sp)
-        return self._write_fd(fd, data, obs.NULL_SPAN)
-
-    def _write_fd(self, fd: int, data: bytes, sp) -> int:
         self.cpu.charge_syscall()
         record = self.fds.lookup(fd)
         written = self._write(record.handle, record.offset, data)
         record.offset += written
         self.cpu.charge_copy(written)
-        sp.incr("bytes", written)
+        obs.incr("bytes", written)
         return written
 
+    @obs.traced("vfs", "pread",
+                lambda self, fd, offset, size: {"offset": offset, "size": size})
     def pread(self, fd: int, offset: int, size: int) -> bytes:
-        if obs.enabled():
-            with obs.span("vfs", "pread", offset=offset, size=size) as sp:
-                return self._pread_fd(fd, offset, size, sp)
-        return self._pread_fd(fd, offset, size, obs.NULL_SPAN)
-
-    def _pread_fd(self, fd: int, offset: int, size: int, sp) -> bytes:
         self.cpu.charge_syscall()
-        return self._pread_handle(self.fds.lookup(fd).handle, offset, size, sp)
+        return self._pread_handle(self.fds.lookup(fd).handle, offset, size)
 
-    def _pread_handle(self, handle: Handle, offset: int, size: int,
-                      sp) -> bytes:
+    def _pread_handle(self, handle: Handle, offset: int, size: int) -> bytes:
         """``pread`` on a resolved file, its syscall already charged."""
         data = self._read(handle, offset, size)
         self.cpu.charge_copy(len(data))
-        sp.incr("bytes", len(data))
+        obs.incr("bytes", len(data))
         return data
 
+    @obs.traced("vfs", "pwrite", lambda self, fd, offset, data: {
+        "offset": offset, "size": len(data)})
     def pwrite(self, fd: int, offset: int, data: bytes) -> int:
-        if obs.enabled():
-            with obs.span("vfs", "pwrite", offset=offset,
-                          size=len(data)) as sp:
-                return self._pwrite_fd(fd, offset, data, sp)
-        return self._pwrite_fd(fd, offset, data, obs.NULL_SPAN)
-
-    def _pwrite_fd(self, fd: int, offset: int, data: bytes, sp) -> int:
         self.cpu.charge_syscall()
-        return self._pwrite_handle(self.fds.lookup(fd).handle, offset, data, sp)
+        return self._pwrite_handle(self.fds.lookup(fd).handle, offset, data)
 
     def _pwrite_handle(self, handle: Handle, offset: int, data: bytes,
-                       sp, truncating: bool = False) -> int:
+                       truncating: bool = False) -> int:
         """``pwrite`` on a resolved file, its syscall already charged
         (``truncating``: see :meth:`_write`)."""
         written = self._write(handle, offset, data, truncating)
         self.cpu.charge_copy(written)
-        sp.incr("bytes", written)
+        obs.incr("bytes", written)
         return written
 
+    @obs.traced("vfs", "truncate",
+                lambda self, path, size: {"path": path, "size": size})
     def truncate(self, path: str, size: int = 0) -> None:
-        with obs.span("vfs", "truncate", path=path, size=size):
-            self.cpu.charge_syscall()
-            handle = self._resolve(path)
-            if self._kind_of(handle) is FileKind.DIRECTORY:
-                raise IsADirectory("cannot truncate a directory: %r" % path)
-            self._truncate(handle, size)
+        self.cpu.charge_syscall()
+        handle = self._resolve(path)
+        if self._kind_of(handle) is FileKind.DIRECTORY:
+            raise IsADirectory("cannot truncate a directory: %r" % path)
+        self._truncate(handle, size)
 
+    @obs.traced("vfs", "stat", lambda self, path: {"path": path})
     def stat(self, path: str) -> StatResult:
-        if obs.enabled():
-            with obs.span("vfs", "stat", path=path):
-                self.cpu.charge_syscall()
-                return self._stat_handle(self._resolve(path))
         self.cpu.charge_syscall()
         return self._stat_handle(self._resolve(path))
 
@@ -253,25 +215,25 @@ class FileSystem(abc.ABC):
         """Whether ``path`` names anything: ``stat`` without its result.
         A path through a regular file names nothing."""
         try:
-            if obs.enabled():
-                with obs.span("vfs", "stat", path=path):
-                    self.cpu.charge_syscall()
-                    self._data_grouped(self._resolve(path))
-            else:
-                self.cpu.charge_syscall()
-                self._data_grouped(self._resolve(path))
+            self._stat_touch(path)
         except (FileNotFound, NotADirectory):
             return False
         return True
 
+    @obs.traced("vfs", "stat", lambda self, path: {"path": path})
+    def _stat_touch(self, path: str) -> None:
+        """What ``stat`` charges and reads, its result never built."""
+        self.cpu.charge_syscall()
+        self._data_grouped(self._resolve(path))
+
+    @obs.traced("vfs", "readdir", lambda self, path: {"path": path})
     def readdir(self, path: str) -> List[str]:
         """Names in a directory (no '.' / '..' entries)."""
-        with obs.span("vfs", "readdir", path=path):
-            self.cpu.charge_syscall()
-            handle = self._resolve(path)
-            if self._kind_of(handle) is not FileKind.DIRECTORY:
-                raise NotADirectory("%r is not a directory" % path)
-            return self._readdir(handle)
+        self.cpu.charge_syscall()
+        handle = self._resolve(path)
+        if self._kind_of(handle) is not FileKind.DIRECTORY:
+            raise NotADirectory("%r is not a directory" % path)
+        return self._readdir(handle)
 
     # Whole-file helpers used heavily by workloads; they take no
     # descriptor (see the module docstring).  The last charge stands
@@ -279,51 +241,51 @@ class FileSystem(abc.ABC):
 
     def write_file(self, path: str, data: bytes) -> None:
         """Create or replace ``path`` with exactly ``data``."""
-        handle = self._open_file(path, True)
-        cpu = self.cpu
+        handle = self._open_handle(path, True)
         shorter = handle.size > len(data)
         try:
             if data:
-                if obs.enabled():
-                    with obs.span("vfs", "pwrite", offset=0,
-                                  size=len(data)) as sp:
-                        cpu.charge_syscall()
-                        self._pwrite_handle(handle, 0, data, sp, shorter)
-                else:
-                    cpu.charge_syscall()
-                    self._pwrite_handle(handle, 0, data, obs.NULL_SPAN,
-                                        shorter)
+                self._pwrite_whole(handle, data, shorter)
             if shorter:
                 self._truncate(handle, len(data))
         finally:
-            cpu.charge_syscall()
+            self.cpu.charge_syscall()
+
+    @obs.traced("vfs", "pwrite", lambda self, handle, data, truncating: {
+        "offset": 0, "size": len(data)})
+    def _pwrite_whole(self, handle: Handle, data: bytes,
+                      truncating: bool) -> None:
+        """``write_file``'s ``pwrite`` of the whole file."""
+        self.cpu.charge_syscall()
+        self._pwrite_handle(handle, 0, data, truncating)
 
     def read_file(self, path: str) -> bytes:
         """The whole content of the regular file ``path``."""
-        handle = self._open_file(path, False)
-        cpu = self.cpu
+        handle = self._open_handle(path, False)
         try:
             # stat's cache touch, which sizing the read once made.
             self._data_grouped(handle)
-            size = handle.size
-            if obs.enabled():
-                with obs.span("vfs", "pread", offset=0, size=size) as sp:
-                    cpu.charge_syscall()
-                    return self._pread_handle(handle, 0, size, sp)
-            cpu.charge_syscall()
-            return self._pread_handle(handle, 0, size, obs.NULL_SPAN)
+            return self._pread_whole(handle, handle.size)
         finally:
-            cpu.charge_syscall()
+            self.cpu.charge_syscall()
 
+    @obs.traced("vfs", "pread",
+                lambda self, handle, size: {"offset": 0, "size": size})
+    def _pread_whole(self, handle: Handle, size: int) -> bytes:
+        """``read_file``'s ``pread`` of the whole file."""
+        self.cpu.charge_syscall()
+        return self._pread_handle(handle, 0, size)
+
+    @obs.traced("vfs", "sync")
     def sync(self) -> int:
         """Flush all dirty state to disk; returns disk requests issued."""
-        with obs.span("vfs", "sync") as sp:
-            self.cpu.charge_syscall()
-            self._write_back_metadata()
-            nreq = self.cache.sync()
-            sp.incr("requests", nreq)
-            return nreq
+        self.cpu.charge_syscall()
+        self._write_back_metadata()
+        nreq = self.cache.sync()
+        obs.incr("requests", nreq)
+        return nreq
 
+    @obs.traced("vfs", "fsync")
     def fsync(self, fd: int) -> int:
         """Flush one open file's dirty data and metadata to disk.
 
@@ -337,21 +299,20 @@ class FileSystem(abc.ABC):
         # reprolint: disable=L001 -- shared block-walker import, local so vfs stays format-free at module load
         from repro.ffs import mapping
 
-        with obs.span("vfs", "fsync") as sp:
-            self.cpu.charge_syscall()
-            handle = self.fds.lookup(fd).handle
-            nreq = self.cache.flush_blocks(
-                bno for _idx, bno in mapping.enumerate_blocks(self.cache, handle)
-            )
-            # Persist the inode (and, per-format, whatever metadata chain
-            # it depends on) even under delayed-metadata policy.
-            nreq += self._fsync_metadata(handle)  # type: ignore[attr-defined]
-            # fsync is the one place the barrier must reach the platter:
-            # the cache has already issued its writes, and only the device
-            # can drain its write-behind buffer.
-            self.cache.device.flush()  # reprolint: disable=L001 -- fsync barrier must reach the platter; only the device can drain write-behind
-            sp.incr("requests", nreq)
-            return nreq
+        self.cpu.charge_syscall()
+        handle = self.fds.lookup(fd).handle
+        nreq = self.cache.flush_blocks(
+            bno for _idx, bno in mapping.enumerate_blocks(self.cache, handle)
+        )
+        # Persist the inode (and, per-format, whatever metadata chain
+        # it depends on) even under delayed-metadata policy.
+        nreq += self._fsync_metadata(handle)  # type: ignore[attr-defined]
+        # fsync is the one place the barrier must reach the platter:
+        # the cache has already issued its writes, and only the device
+        # can drain its write-behind buffer.
+        self.cache.device.flush()  # reprolint: disable=L001 -- fsync barrier must reach the platter; only the device can drain write-behind
+        obs.incr("requests", nreq)
+        return nreq
 
     def evict_file_data(self, path: str) -> int:
         """Drop a file's cached data blocks (fadvise(DONTNEED)-style).

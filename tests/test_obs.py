@@ -12,7 +12,10 @@ conventional layout.
 
 from __future__ import annotations
 
+import ast
+import inspect
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict
 
 import pytest
@@ -20,7 +23,8 @@ import pytest
 from repro import obs
 from repro.clock import SimClock
 from repro.engine.diskqueue import QueueAccounting
-from repro.errors import InvalidArgument
+from repro.errors import FileNotFound, InvalidArgument
+from repro.lint.core import dotted_name
 from repro.obs import Histogram, MetricsRegistry, Stats, Tracer
 from repro.obs.export import (
     FORMATS,
@@ -29,8 +33,9 @@ from repro.obs.export import (
     export_flame,
     export_jsonl,
 )
+from repro.vfs.interface import FileSystem
 from repro.workloads import run_smallfile
-from tests.conftest import make_cffs, make_ffs
+from tests.conftest import make_cffs, make_ffs, src_modules
 
 
 @pytest.fixture(autouse=True)
@@ -101,15 +106,6 @@ class TestSpans:
         with pytest.raises(InvalidArgument):
             a.__exit__(None, None, None)
 
-    def test_per_span_clock_override(self):
-        main, other = SimClock(), SimClock()
-        other.advance(10.0)
-        t = Tracer(clock=main)
-        with t.span("engine", "capture", clock=other) as sp:
-            other.advance(1.0)
-        assert sp.start == pytest.approx(10.0)
-        assert sp.end == pytest.approx(11.0)
-
 
 # -- disabled path ------------------------------------------------------------
 
@@ -125,7 +121,6 @@ class TestDisabledPath:
 
     def test_null_span_accepts_the_full_span_api(self):
         with obs.span("vfs", "read") as sp:
-            assert sp.set(path="/x") is sp
             sp.incr("bytes", 4096)
         obs.record("disk", "read", 0.0, 1.0, lba=1)
         obs.incr("cache.hits")
@@ -143,6 +138,141 @@ class TestDisabledPath:
         assert len(t.spans) == 1
         assert t.spans[0].duration == pytest.approx(1.0)
         assert t.spans[0].counters == {"bytes": 10}
+
+
+# -- declared spans -----------------------------------------------------------
+
+
+def _refuse(*args):
+    raise AssertionError("attrs called with no tracer installed")
+
+
+class _Traced:
+    """One method per case, each declared a span with ``obs.traced``."""
+
+    def __init__(self, clock: SimClock) -> None:
+        self.clock = clock
+        self.calls = []
+
+    @obs.traced("vfs", "write", lambda self, path, data: {
+        "path": path, "size": len(data)})
+    def write(self, path, data):
+        """Write ``data`` to ``path``."""
+        self.calls.append(path)
+        self.clock.advance(1.0)
+        with obs.span("cache", "miss", bno=7):
+            self.clock.advance(0.5)
+        obs.incr("bytes", len(data))
+        return len(data)
+
+    @obs.traced("vfs", "stat", _refuse)
+    def stat(self, path):
+        self.calls.append(path)
+        return path
+
+    @obs.traced("vfs", "unlink", lambda self, path: {"path": path})
+    def unlink(self, path):
+        self.clock.advance(0.25)
+        raise FileNotFound(path)
+
+
+class TestTraced:
+    def test_untraced_runs_the_body_and_never_calls_attrs(self):
+        obj = _Traced(SimClock())
+        assert obj.stat("/a") == "/a"
+        assert obj.write("/b", b"xyz") == 3
+        assert obj.calls == ["/a", "/b"]
+
+    def test_traced_opens_the_declared_span_around_the_body(self):
+        clock = SimClock()
+        obj = _Traced(clock)
+        t = obs.install(Tracer(clock=clock))
+        assert obj.write("/f", b"hello") == 5
+        inner, outer = t.spans
+        assert (outer.layer, outer.op) == ("vfs", "write")
+        assert outer.attrs == {"path": "/f", "size": 5}
+        assert outer.counters == {"bytes": 5}
+        assert (outer.start, outer.end) == (0.0, 1.5)
+        assert inner.name == "cache.miss"
+        assert inner.parent_id == outer.span_id
+        assert inner.counters == {}
+
+    def test_a_raising_body_still_closes_and_records_its_span(self):
+        clock = SimClock()
+        obj = _Traced(clock)
+        t = obs.install(Tracer(clock=clock))
+        with pytest.raises(FileNotFound):
+            obj.unlink("/gone")
+        (sp,) = t.spans
+        assert sp.name == "vfs.unlink"
+        assert sp.attrs == {"path": "/gone"}
+        assert sp.duration == 0.25
+        assert t._stack == []
+
+    def test_the_body_keeps_its_name_doc_and_defaults(self):
+        assert _Traced.write.__name__ == "write"
+        assert _Traced.write.__doc__ == "Write ``data`` to ``path``."
+        truncate = FileSystem.truncate
+        assert truncate.__name__ == "truncate"
+        assert truncate.__defaults__ == (0,)
+        assert inspect.signature(truncate).parameters["size"].default == 0
+        fs = make_cffs()
+        fs.write_file("/f", b"abc")
+        t = obs.install(Tracer(clock=fs.cache.device.clock))
+        fs.truncate("/f")
+        assert fs.stat("/f").size == 0
+        assert [s.attrs for s in t.spans if s.name == "vfs.truncate"] == [
+            {"path": "/f", "size": 0}]
+
+    def test_the_wrapper_takes_the_body_parameters_and_lives_in_obs(self):
+        # No *args tuple per call, and a profile places the wrapper's
+        # frame in repro/obs, not in the layer it decorates.
+        for method in (FileSystem.pread, FileSystem.truncate, _Traced.write):
+            code = method.__code__
+            assert not code.co_flags & (inspect.CO_VARARGS
+                                        | inspect.CO_VARKEYWORDS)
+            assert code.co_varnames[:code.co_argcount] == (
+                method.__wrapped__.__code__.co_varnames[:code.co_argcount])
+            assert code.co_filename == obs.__file__
+
+    def test_refuses_a_body_it_cannot_call_by_name(self):
+        decorate = obs.traced("vfs", "read")
+        with pytest.raises(InvalidArgument):
+            decorate(lambda self, *args: None)
+        with pytest.raises(InvalidArgument):
+            decorate(lambda self, *, size: None)
+        with pytest.raises(InvalidArgument):
+            decorate(lambda self, _body: None)
+
+
+# -- the span catalogue -------------------------------------------------------
+
+CATALOGUE = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+
+
+def _declared_spans():
+    """``layer.op`` of every ``obs.traced`` declaration under src/repro."""
+    names = set()
+    for mod in src_modules():
+        for node in ast.walk(mod.tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "traced"
+                    and dotted_name(node.func.value) == "obs"):
+                layer, op = (arg.value for arg in node.args[:2])
+                names.add("%s.%s" % (layer, op))
+    return names
+
+
+def test_every_declared_span_is_in_the_catalogue():
+    rows = set()
+    for line in CATALOGUE.read_text(encoding="utf-8").splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and cells[0].startswith("`"):
+            rows.add(cells[0].strip("`"))
+    declared = _declared_spans()
+    assert {"vfs.create", "fs.inode_fetch", "cache.miss"} <= declared
+    assert sorted(declared - rows) == []
 
 
 # -- metrics ------------------------------------------------------------------
